@@ -74,7 +74,7 @@ pub const RULES: &[Rule] = &[
         name: "reactor-nonblocking",
         description: "no blocking call in the reactor event path (crates/server/src/reactor.rs): \
                       no read_exact/write_all/read_to_end, no blocking channel recv(), no lock \
-                      guards, no blocking wire helpers — one stalled connection must never \
+                      guards, no blocking read_frame — one stalled connection must never \
                       stall the loop that owns every other connection",
     },
     Rule {
@@ -755,10 +755,9 @@ fn reactor_nonblocking(file: &SourceFile, out: &mut Vec<Finding>) {
         if file.is_test_line(t.line) {
             continue;
         }
-        // Blocking wire helpers: `read_frame(…)` / `write_frame(…)` (plain
-        // or turbofish) spin on the socket until a whole frame moves.
-        if t.kind == TokenKind::Ident
-            && matches!(t.text.as_str(), "read_frame" | "write_frame")
+        // The blocking wire helper: `read_frame(…)` (plain or turbofish)
+        // spins on the socket until a whole frame arrives.
+        if t.is_ident("read_frame")
             && tokens
                 .get(i + 1)
                 .is_some_and(|n| n.is_punct('(') || n.text == "::")
@@ -768,11 +767,9 @@ fn reactor_nonblocking(file: &SourceFile, out: &mut Vec<Finding>) {
                 &file.rel,
                 t.line,
                 t.col,
-                format!(
-                    "`{}` in the reactor: the blocking wire helpers loop until a whole \
-                     frame moves; use the incremental FrameDecoder / staged write buffer",
-                    t.text
-                ),
+                "`read_frame` in the reactor: the blocking decoder loops until a whole \
+                 frame arrives; feed the incremental FrameDecoder instead"
+                    .to_string(),
                 String::new(),
             ));
             continue;

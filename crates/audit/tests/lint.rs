@@ -493,7 +493,7 @@ fn reactor_nonblocking_flags_blocking_io_and_waits() {
                    let job = rx.recv();\n\
                    let g = m.lock();\n\
                    let f = read_frame::<Request>(stream);\n\
-                   write_frame(stream, &resp);\n\
+                   let g = read_frame(stream);\n\
                }\n";
     let (fs, _) = scan_source("crates/server/src/reactor.rs", src);
     let rn: Vec<_> = fs
@@ -521,8 +521,8 @@ fn reactor_nonblocking_accepts_the_nonblocking_vocabulary() {
 
 #[test]
 fn reactor_nonblocking_scopes_to_the_reactor_module_only() {
-    // The same blocking calls are the *point* of the threaded plane and the
-    // blocking client; only reactor.rs is in scope.
+    // The same blocking calls are the *point* of the blocking client; only
+    // reactor.rs is in scope.
     let src = "fn pump(stream: &mut TcpStream) { stream.read_exact(&mut buf); }\n";
     for rel in [
         "crates/server/src/server.rs",

@@ -33,6 +33,7 @@
 
 use std::time::Instant;
 
+use sflow_bench::{percentile, usize_flag, write_report};
 use sflow_core::fixtures::{random_fixture, Fixture};
 use sflow_core::{ServiceRequirement, Solver};
 use sflow_net::{
@@ -191,13 +192,6 @@ fn waxman_menu(
         menu.len()
     );
     (fixture, menu)
-}
-
-fn percentile(sorted_us: &[u128], p: usize) -> u128 {
-    if sorted_us.is_empty() {
-        return 0;
-    }
-    sorted_us[(sorted_us.len() * p / 100).min(sorted_us.len() - 1)]
 }
 
 /// One trace's row of the report.
@@ -400,18 +394,6 @@ fn scenario_json(s: &Scenario) -> String {
     )
 }
 
-/// Parses `--max-nodes N` (default: no limit).
-fn max_nodes_arg() -> usize {
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        if a == "--max-nodes" {
-            let v = args.next().expect("--max-nodes expects a value");
-            return v.parse().expect("--max-nodes expects an integer");
-        }
-    }
-    usize::MAX
-}
-
 fn run(
     name: &'static str,
     fixture: Fixture,
@@ -452,7 +434,7 @@ fn run(
 }
 
 fn main() {
-    let max_nodes = max_nodes_arg();
+    let max_nodes = usize_flag("--max-nodes", usize::MAX);
     let mut scenarios = Vec::new();
     if max_nodes >= 34 {
         let (fixture, menu) = chain_ladder(6, 8);
@@ -487,7 +469,5 @@ fn main() {
         "{{\n  \"generated_by\": \"bench_federation\",\n  \"scenarios\": [\n{}\n  ]\n}}\n",
         rows.join(",\n"),
     );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_federation.json");
-    std::fs::write(path, &json).expect("write BENCH_federation.json");
-    println!("wrote {path}");
+    println!("wrote {}", write_report("BENCH_federation.json", &json));
 }

@@ -33,6 +33,7 @@
 use std::collections::BTreeMap;
 use std::time::Instant;
 
+use sflow_bench::{usize_flag, write_report};
 use sflow_core::fixtures::Fixture;
 use sflow_net::{
     Compatibility, HostId, OverlayGraph, Placement, ServiceId, ServiceInstance, UnderlyingNetwork,
@@ -309,18 +310,6 @@ fn scenario_json(s: &Scenario) -> String {
     )
 }
 
-/// Parses `--max-nodes N` (default: no limit).
-fn max_nodes_arg() -> usize {
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        if a == "--max-nodes" {
-            let v = args.next().expect("--max-nodes expects a value");
-            return v.parse().expect("--max-nodes expects an integer");
-        }
-    }
-    usize::MAX
-}
-
 fn run(name: &'static str, routes: usize, sessions: usize) -> Scenario {
     let (fixture, capacity) = ladder(routes);
     let residual = replay(fixture.clone(), &capacity, sessions, true);
@@ -362,7 +351,7 @@ fn run(name: &'static str, routes: usize, sessions: usize) -> Scenario {
 }
 
 fn main() {
-    let max_nodes = max_nodes_arg();
+    let max_nodes = usize_flag("--max-nodes", usize::MAX);
     let mut scenarios = Vec::new();
     if max_nodes >= 6 {
         scenarios.push(run("ladder-4", 4, 6));
@@ -395,7 +384,5 @@ fn main() {
          \"scenarios\": [\n{}\n  ]\n}}\n",
         rows.join(",\n"),
     );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_load.json");
-    std::fs::write(path, &json).expect("write BENCH_load.json");
-    println!("wrote {path}");
+    println!("wrote {}", write_report("BENCH_load.json", &json));
 }

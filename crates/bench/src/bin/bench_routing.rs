@@ -43,6 +43,7 @@ use std::time::Instant;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use sflow_bench::{median, usize_flag, write_report};
 use sflow_core::fixtures::paper_fig4_fixture;
 use sflow_graph::{DiGraph, EdgeIx};
 use sflow_routing::{
@@ -74,11 +75,6 @@ fn patch_pairs_for(nodes: usize) -> usize {
     }
 }
 
-fn median_us(mut samples: Vec<u128>) -> u128 {
-    samples.sort_unstable();
-    samples[samples.len() / 2]
-}
-
 /// Times `f` `reps` times and returns the median wall-clock in µs.
 fn time_us<T>(reps: usize, mut f: impl FnMut() -> T) -> u128 {
     let samples = (0..reps)
@@ -90,7 +86,7 @@ fn time_us<T>(reps: usize, mut f: impl FnMut() -> T) -> u128 {
             us
         })
         .collect();
-    median_us(samples)
+    median(samples)
 }
 
 fn random_qos(rng: &mut StdRng) -> Qos {
@@ -414,20 +410,8 @@ fn world_json(r: &WorldReport) -> String {
     )
 }
 
-/// Parses `--max-nodes N` (default: no limit).
-fn max_nodes_arg() -> usize {
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        if a == "--max-nodes" {
-            let v = args.next().expect("--max-nodes expects a value");
-            return v.parse().expect("--max-nodes expects an integer");
-        }
-    }
-    usize::MAX
-}
-
 fn main() {
-    let max_nodes = max_nodes_arg();
+    let max_nodes = usize_flag("--max-nodes", usize::MAX);
     let fig4 = paper_fig4_fixture();
     let mut reports = vec![
         measure("paper-fig4", fig4.overlay.graph(), 7),
@@ -497,7 +481,5 @@ fn main() {
         WORKER_SWEEP,
         worlds.join(",\n"),
     );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_routing.json");
-    std::fs::write(path, &json).expect("write BENCH_routing.json");
-    println!("wrote {path}");
+    println!("wrote {}", write_report("BENCH_routing.json", &json));
 }

@@ -28,6 +28,7 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use parking_lot::RwLock;
+use sflow_bench::{median, percentile, write_report};
 use sflow_core::algorithms::{FederationAlgorithm, SflowAlgorithm};
 use sflow_core::fixtures::random_fixture;
 use sflow_core::{FederationContext, ServiceRequirement};
@@ -61,15 +62,6 @@ const TRIALS: usize = 5;
 /// and readers never wait for the batch.
 const LINKS_PER_EVENT: usize = 8;
 
-/// Nearest-rank percentile over an already sorted slice.
-fn percentile(sorted: &[u128], pct: usize) -> u128 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let rank = (pct * (sorted.len() - 1) + 50) / 100;
-    sorted[rank.min(sorted.len() - 1)]
-}
-
 struct ModeReport {
     name: &'static str,
     p50_us: u128,
@@ -89,11 +81,6 @@ fn summarize(name: &'static str, mut samples: Vec<u128>, mutations: u64) -> Mode
         solves: samples.len(),
         mutations,
     }
-}
-
-fn median(mut values: Vec<u128>) -> u128 {
-    values.sort_unstable();
-    values.get(values.len() / 2).copied().unwrap_or(0)
 }
 
 /// Per-mode aggregate over [`TRIALS`] interleaved runs.
@@ -342,7 +329,5 @@ fn main() {
         [mode_json(&rwlock), mode_json(&snapshot)].join(",\n"),
         p99_ratio,
     );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_world.json");
-    std::fs::write(path, &json).expect("write BENCH_world.json");
-    println!("wrote {path}");
+    println!("wrote {}", write_report("BENCH_world.json", &json));
 }

@@ -2,11 +2,11 @@
 //! blocking convenience wrapper.
 //!
 //! The wire carries [`RequestFrame`] envelopes; responses come back tagged
-//! with the request's id and — against a reactor server — possibly out of
-//! order. [`PipelinedClient`] exposes that directly: [`send`] many frames,
-//! then take answers as they arrive with [`recv_any`] (or wait for one
-//! specific id with [`recv`], which stashes overtakers). [`Client`] wraps it
-//! one-request-at-a-time for callers that want the old blocking call shape.
+//! with the request's id and possibly out of order. [`PipelinedClient`]
+//! exposes that directly: [`send`] many frames, then take answers as they
+//! arrive with [`recv_any`] (or wait for one specific id with [`recv`], which
+//! stashes overtakers). [`Client`] wraps it one-request-at-a-time for callers
+//! that want a blocking call shape.
 //!
 //! Sends are **corked**: [`send`] stages the encoded frame in an outbox and
 //! the bytes hit the socket on the next [`recv_any`]/[`recv`] (or an

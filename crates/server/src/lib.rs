@@ -35,7 +35,9 @@
 //!   rebalancer sweep migrates sessions off links above a utilization
 //!   threshold — make-before-break, cheapest movers first ([`load`]).
 //! * **Wire protocol** — length-prefixed `serde_json` frames over `std::net`
-//!   TCP ([`wire`]), with a small blocking [`Client`] in [`client`].
+//!   TCP ([`wire`]), served by one epoll [`reactor`]; [`client`] has the
+//!   pipelined [`PipelinedClient`] and [`Client`], a one-frame-in-flight
+//!   wrapper over it.
 //!
 //! [`AllPairs`]: sflow_routing::AllPairs
 //! [`HopMatrix`]: sflow_core::baseline::HopMatrix

@@ -10,8 +10,8 @@
 //!   [`FrameDecoder`] — a readiness event may deliver half a length prefix
 //!   or three frames and a fragment, and the state machine is indifferent;
 //! * each decoded [`RequestFrame`] is answered inline if it is control
-//!   plane (`control_response`) or handed to the admission queue exactly
-//!   like the legacy plane — solves never run on a reactor thread, so the
+//!   plane (`control_response`) or offered to the bounded admission queue
+//!   (`admit`) — solves never run on a reactor thread, so the
 //!   `guard-across-solve` discipline is untouched;
 //! * workers push finished answers back as `Completion`s over a channel
 //!   and wake the loop via [`polling::Poller::notify`]; the loop encodes
@@ -36,10 +36,10 @@ use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
-use crossbeam::channel::{unbounded, Receiver, Sender, TrySendError};
+use crossbeam::channel::{unbounded, Receiver, Sender};
 use polling::{Event, Events, Poller};
 
-use crate::server::{control_response, Job, Shared};
+use crate::server::{admit, control_response, Job, Shared};
 use crate::stats::Metrics;
 use crate::wire::{encode_frame, FrameDecoder};
 use crate::{Request, RequestFrame, Response, ResponseFrame};
@@ -48,8 +48,7 @@ use crate::{Request, RequestFrame, Response, ResponseFrame};
 /// live at `slot + 1`.
 const LISTENER_KEY: usize = 0;
 
-/// The poll-wait tick. Doubles as the shutdown poll interval, mirroring the
-/// legacy plane's 100 ms read timeout.
+/// The poll-wait tick. Doubles as the shutdown poll interval.
 const TICK: Duration = Duration::from_millis(100);
 
 /// Per-read scratch size. Level-triggered polling re-delivers readability,
@@ -69,48 +68,30 @@ pub(crate) struct Completion {
     pub(crate) response: Response,
 }
 
-/// Where a [`Job`]'s answer goes: handed back over a rendezvous channel
-/// (thread-per-connection plane, the connection thread is waiting) or
-/// pushed to the owning reactor as a [`Completion`] (reactor plane).
-pub(crate) enum Reply {
-    /// The legacy plane's rendezvous: exactly one response, one waiter.
-    Rendezvous(crossbeam::channel::Sender<Response>),
-    /// The reactor plane: send a completion, then wake the loop.
-    Reactor {
-        /// The owning reactor's completion queue.
-        completions: Sender<Completion>,
-        /// The owning reactor's poller, notified after the send.
-        waker: Arc<Poller>,
-        /// Generation-tagged connection token.
-        token: u64,
-        /// Echoed onto the [`ResponseFrame`].
-        request_id: u64,
-    },
+/// Where a [`Job`]'s answer goes: pushed to the owning reactor as a
+/// [`Completion`], followed by a poller wakeup.
+pub(crate) struct Reply {
+    /// The owning reactor's completion queue.
+    completions: Sender<Completion>,
+    /// The owning reactor's poller, notified after the send.
+    waker: Arc<Poller>,
+    /// Generation-tagged connection token.
+    token: u64,
+    /// Echoed onto the [`ResponseFrame`].
+    request_id: u64,
 }
 
 impl Reply {
-    /// Routes `response` back to whichever plane is waiting for it. Runs on
-    /// a worker thread.
-    pub(crate) fn send(self, shared: &Shared, response: Response) {
-        match self {
-            Reply::Rendezvous(tx) => {
-                let _ = tx.send(response);
-            }
-            Reply::Reactor {
-                completions,
-                waker,
-                token,
-                request_id,
-            } => {
-                shared.metrics.frame_completed();
-                let _ = completions.send(Completion {
-                    token,
-                    request_id,
-                    response,
-                });
-                let _ = waker.notify();
-            }
-        }
+    /// Routes `response` back to the reactor that owns the connection. Runs
+    /// on a worker thread.
+    pub(crate) fn send(self, metrics: &Metrics, response: Response) {
+        metrics.frame_completed();
+        let _ = self.completions.send(Completion {
+            token: self.token,
+            request_id: self.request_id,
+            response,
+        });
+        let _ = self.waker.notify();
     }
 }
 
@@ -261,9 +242,8 @@ impl ConnState {
                     Ok(Some(frame)) => self.handle_frame(frame, metrics, high_water, dispatch),
                     Ok(None) => break,
                     Err(e) => {
-                        // Same contract as the legacy plane: count it, answer
-                        // an unattributed error (reserved id 0), degrade this
-                        // connection only.
+                        // Count it, answer an unattributed error (reserved
+                        // id 0), degrade this connection only.
                         metrics.wire_error();
                         self.enqueue_response(
                             &ResponseFrame {
@@ -312,10 +292,9 @@ impl ConnState {
                     high_water,
                 );
             }
-            Dispatch::Admitted => {
-                self.in_flight += 1;
-                metrics.frame_dispatched();
-            }
+            // The dispatcher already counted it in the `frames_in_flight`
+            // gauge — before the hand-off, see `admit`.
+            Dispatch::Admitted => self.in_flight += 1,
         }
         if shutdown {
             // Nothing after a shutdown request is worth parsing.
@@ -567,8 +546,7 @@ fn reactor_loop(
         }
     }
     // Best-effort: push out whatever is already staged before dropping the
-    // connections (mirrors the legacy plane, which also abandons in-flight
-    // work at shutdown).
+    // connections; work still in flight at shutdown is abandoned.
     for conn in conns.iter_mut().flatten() {
         conn.state.flush(&mut conn.stream, &ctx.shared.metrics);
         ctx.shared
@@ -681,30 +659,19 @@ fn service_conn(ctx: &ReactorCtx, conns: &mut [Option<Conn>], free: &mut Vec<usi
 }
 
 /// Builds the frame dispatcher for one connection: control plane inline,
-/// data plane through the bounded admission queue with a reactor reply.
+/// data plane through [`admit`] with a reply routed back to this reactor.
 fn dispatcher<'a>(ctx: &'a ReactorCtx, token: u64) -> impl FnMut(u64, Request) -> Dispatch + 'a {
     move |request_id, request| {
         if let Some(response) = control_response(&ctx.shared, &request) {
             return Dispatch::Inline(Box::new(response));
         }
-        match ctx.job_tx.try_send(Job {
-            request,
-            reply: Reply::Reactor {
-                completions: ctx.completion_tx.clone(),
-                waker: Arc::clone(&ctx.poller),
-                token,
-                request_id,
-            },
-        }) {
-            Ok(()) => Dispatch::Admitted,
-            Err(TrySendError::Full(_)) => {
-                ctx.shared.metrics.shed();
-                Dispatch::Inline(Box::new(Response::Overloaded))
-            }
-            Err(TrySendError::Disconnected(_)) => {
-                Dispatch::Inline(Box::new(Response::Error("server shutting down".into())))
-            }
-        }
+        let reply = Reply {
+            completions: ctx.completion_tx.clone(),
+            waker: Arc::clone(&ctx.poller),
+            token,
+            request_id,
+        };
+        admit(&ctx.shared.metrics, &ctx.job_tx, Job { request, reply })
     }
 }
 
@@ -781,5 +748,81 @@ fn rearm(ctx: &ReactorCtx, conn: &mut Conn, slot: usize) {
     if now != conn.interest {
         conn.interest = now;
         let _ = ctx.poller.modify(&conn.stream, want);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crossbeam::channel::bounded;
+
+    /// Regression for the `frames_in_flight` gauge race: a worker that
+    /// finishes a job before the dispatcher has returned to `handle_frame`
+    /// must find the frame already counted, or its `frame_completed` drives
+    /// the gauge through zero and a `Stats` answered on another reactor
+    /// reads 18446744073709551615.
+    #[test]
+    fn a_completion_that_beats_the_dispatcher_never_underflows_the_gauge() {
+        const FRAMES: u64 = 4;
+        let metrics = Metrics::default();
+        let gauge = || metrics.snapshot(0, 0).frames_in_flight;
+        let poller = Arc::new(Poller::new().unwrap());
+        let (completion_tx, completion_rx) = unbounded::<Completion>();
+        let (job_tx, job_rx) = bounded::<Job>(1);
+
+        let mut conn = ConnState::new(token(0, 1));
+        let conn_token = conn.token;
+        for request_id in 1..=FRAMES {
+            let frame = RequestFrame {
+                request_id,
+                request: Request::Rebalance,
+            };
+            conn.decoder.feed(&encode_frame(&frame).unwrap());
+        }
+        let reply = |request_id| Reply {
+            completions: completion_tx.clone(),
+            waker: Arc::clone(&poller),
+            token: conn_token,
+            request_id,
+        };
+        let mut admitted = 0u64;
+        let mut dispatch = |request_id, request| {
+            let reply = reply(request_id);
+            let outcome = admit(&metrics, &job_tx, Job { request, reply });
+            assert!(matches!(outcome, Dispatch::Admitted));
+            admitted += 1;
+            // The worker wins the race: it takes the job and completes it
+            // while the dispatcher is still on its way back.
+            let job = job_rx.try_recv().unwrap();
+            job.reply.send(&metrics, Response::Released { session: 0 });
+            assert!(gauge() <= admitted, "gauge {} underflowed", gauge());
+            outcome
+        };
+        conn.pump(&mut Vec::new(), &metrics, usize::MAX, &mut dispatch);
+        assert_eq!(admitted, FRAMES);
+        assert_eq!(conn.in_flight, FRAMES as usize);
+        assert_eq!(gauge(), 0, "every admitted frame completed");
+        while let Ok(done) = completion_rx.try_recv() {
+            conn.complete(done.request_id, &done.response, &metrics, usize::MAX);
+        }
+        assert_eq!(conn.in_flight, 0);
+
+        // A refused frame leaves the gauge where it found it: the queue
+        // (capacity 1, no worker draining it) admits one job and sheds the
+        // next.
+        let job = |request_id| Job {
+            request: Request::Rebalance,
+            reply: reply(request_id),
+        };
+        assert!(matches!(
+            admit(&metrics, &job_tx, job(5)),
+            Dispatch::Admitted
+        ));
+        match admit(&metrics, &job_tx, job(6)) {
+            Dispatch::Inline(response) => assert_eq!(*response, Response::Overloaded),
+            Dispatch::Admitted => panic!("a full queue must shed"),
+        }
+        assert_eq!(gauge(), 1, "only the admitted frame is in flight");
+        assert_eq!(metrics.snapshot(0, 0).shed, 1);
     }
 }

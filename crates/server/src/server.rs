@@ -1,31 +1,26 @@
-//! The federation server: connection plane, worker pool, admission queue.
+//! The federation server: reactor connection plane, worker pool, admission
+//! queue.
 //!
 //! Threading model. The **connection plane** — who turns sockets into
-//! [`Request`]s and [`Response`]s into bytes — comes in two shapes, selected
-//! by [`ServerConfig::reactor_threads`]:
+//! [`Request`]s and [`Response`]s into bytes — is the epoll reactor in
+//! [`crate::reactor`]: [`ServerConfig::reactor_threads`] event loops drive a
+//! non-blocking listener and every connection; per-connection state machines
+//! parse pipelined frames incrementally and stage responses in write
+//! buffers. One loop serves tens of thousands of connections.
 //!
-//! * the **reactor** (default, `reactor_threads ≥ 1`): epoll event loops in
-//!   [`crate::reactor`] drive a non-blocking listener and every connection;
-//!   per-connection state machines parse pipelined frames incrementally and
-//!   stage responses in write buffers. One loop serves tens of thousands of
-//!   connections.
-//! * **thread-per-connection** (`reactor_threads = 0`, the legacy plane and
-//!   the `bench_server` baseline): one acceptor thread owns the listener
-//!   and spawns a blocking connection thread per client.
+//! A fixed pool of **worker** threads drains a *bounded* crossbeam job queue
+//! and runs solves/mutations against the published world snapshot. Requests
+//! arrive in [`RequestFrame`](crate::RequestFrame) envelopes and responses
+//! leave tagged with the same `request_id`; many frames from one connection
+//! may be in flight at once and responses return in completion order, not
+//! arrival order.
 //!
-//! Either way, a fixed pool of **worker** threads drains a *bounded*
-//! crossbeam job queue and runs solves/mutations against the published
-//! world snapshot. Requests arrive in [`RequestFrame`] envelopes and
-//! responses leave tagged with the same `request_id`; on the reactor plane
-//! many frames from one connection may be in flight at once and responses
-//! return in completion order, not arrival order.
-//!
-//! Admission control happens where the connection plane hands a job to the
-//! pool: a `try_send` into the bounded queue either enqueues or fails
-//! immediately, and a failure is answered with [`Response::Overloaded`] —
-//! the request is shed, never buffered. `Stats`, `LoadMap` and `Shutdown`
-//! are handled inline on the connection plane (`control_response`) so
-//! observability and operability survive overload.
+//! Admission control happens where the reactor hands a job to the pool: a
+//! `try_send` into the bounded queue either enqueues or fails immediately,
+//! and a failure is answered with [`Response::Overloaded`] — the request is
+//! shed, never buffered. `Stats`, `LoadMap` and `Shutdown` are handled
+//! inline on the reactor (`control_response`) so observability and
+//! operability survive overload.
 //!
 //! Locking: there is none on the solve path. `Federate` loads the current
 //! [`WorldSnapshot`] from the [`Snap`] cell
@@ -58,18 +53,14 @@ use sflow_routing::Bandwidth;
 use sflow_runtime::duration_us;
 
 use crate::load::{links_of, LinkId, LoadCell, LoadMap, LoadPlane};
-use crate::reactor::{self, Reply};
+use crate::reactor::{self, Dispatch, Reply};
 use crate::rebalance;
 use crate::snapshot::{Snap, SolveKey, WorldSnapshot};
 use crate::stats::Metrics;
-use crate::wire::{read_frame, write_frame};
 use crate::world::World;
-use crate::{
-    Algorithm, FlowSummary, LinkLoad, LoadMapSummary, Request, RequestFrame, Response,
-    ResponseFrame,
-};
+use crate::{Algorithm, FlowSummary, LinkLoad, LoadMapSummary, Request, Response};
 
-/// How a [`serve`] instance is sized and (for tests) slowed down.
+/// How a [`serve`] instance is sized.
 #[derive(Clone, Copy, Debug)]
 pub struct ServerConfig {
     /// Worker threads draining the admission queue (min 1).
@@ -103,23 +94,17 @@ pub struct ServerConfig {
     /// A link is *hot* — a rebalancer target — above this utilization, in
     /// permille of raw capacity (900 = 90%).
     pub utilization_threshold_permille: u64,
-    /// Reactor (event-loop) threads for the connection plane. The default,
-    /// `1`, serves every connection from a single epoll loop; larger values
-    /// shard connections round-robin across loops. `0` selects the legacy
-    /// thread-per-connection plane (kept as the `bench_server` baseline).
+    /// Reactor (event-loop) threads for the connection plane (min 1). The
+    /// default, `1`, serves every connection from a single epoll loop;
+    /// larger values shard connections round-robin across loops.
     pub reactor_threads: usize,
     /// Slow-reader backpressure: a connection whose staged response bytes
     /// exceed this mark stops being polled for read until the buffer fully
     /// drains. Bytes; the default is 256 KiB.
     pub write_high_water: usize,
     /// Hard cap on concurrently open connections; the acceptor drops
-    /// streams beyond it. `0` auto-sizes: 1024 under thread-per-connection
-    /// (threads are the scarce resource), 65536 under the reactor (bounded
-    /// only by fds).
+    /// streams beyond it. `0` auto-sizes to 65536 (bounded only by fds).
     pub max_connections: usize,
-    /// Test hook: hold every admitted job this long before solving, so
-    /// tests can fill the admission queue deterministically.
-    pub debug_delay: Option<Duration>,
 }
 
 impl Default for ServerConfig {
@@ -137,19 +122,15 @@ impl Default for ServerConfig {
             reactor_threads: 1,
             write_high_water: 256 * 1024,
             max_connections: 0,
-            debug_delay: None,
         }
     }
 }
 
 impl ServerConfig {
-    /// Resolves [`ServerConfig::max_connections`]' auto value for the
-    /// selected connection plane.
+    /// Resolves [`ServerConfig::max_connections`]' auto value.
     pub(crate) fn effective_max_connections(&self) -> usize {
         if self.max_connections != 0 {
             self.max_connections
-        } else if self.reactor_threads == 0 {
-            1024
         } else {
             65_536
         }
@@ -279,7 +260,8 @@ impl ServerHandle {
             return;
         };
         self.shared.shutdown.store(true, Ordering::SeqCst);
-        // The acceptor blocks in `accept`; a throwaway connection wakes it.
+        // The listener's reactor sits in its poll wait; a throwaway
+        // connection wakes it ahead of the next tick.
         let _ = TcpStream::connect(self.shared.addr);
         let _ = acceptor.join();
     }
@@ -291,9 +273,7 @@ impl Drop for ServerHandle {
     }
 }
 
-/// One admitted unit of work plus the route its answer goes back on: a
-/// rendezvous channel (thread-per-connection) or a reactor completion
-/// ([`Reply`]).
+/// One admitted unit of work plus the route its answer goes back on.
 pub(crate) struct Job {
     pub(crate) request: Request,
     pub(crate) reply: Reply,
@@ -346,99 +326,19 @@ pub fn serve_on(addr: &str, mut world: World, config: &ServerConfig) -> io::Resu
         workers.push(thread::spawn(move || rebalance::run(&shared, interval)));
     }
 
-    let acceptor = if config.reactor_threads > 0 {
-        reactor::spawn(Arc::clone(&shared), listener, job_tx, workers)?
-    } else {
-        let shared = Arc::clone(&shared);
-        thread::spawn(move || {
-            for stream in listener.incoming() {
-                if shared.shutting_down() {
-                    break;
-                }
-                if let Ok(stream) = stream {
-                    let cap = shared.config.effective_max_connections() as u64;
-                    if shared.metrics.connections_open_now() >= cap {
-                        drop(stream); // over the cap: shed the connection itself
-                        continue;
-                    }
-                    let shared = Arc::clone(&shared);
-                    let job_tx = job_tx.clone();
-                    thread::spawn(move || connection_loop(&shared, &job_tx, stream));
-                }
-            }
-            // No more connections will be admitted; once the connection
-            // threads drop their queue clones the workers see disconnect.
-            drop(job_tx);
-            for worker in workers {
-                let _ = worker.join();
-            }
-        })
-    };
-
+    let acceptor = reactor::spawn(Arc::clone(&shared), listener, job_tx, workers)?;
     Ok(ServerHandle {
         shared,
         acceptor: Some(acceptor),
     })
 }
 
-/// Serves one client connection on the thread-per-connection plane: read a
-/// frame, answer it, repeat. Requests still travel in [`RequestFrame`]
-/// envelopes — the wire protocol is the same on both planes — but responses
-/// stay ordered because this thread waits for each reply before reading the
-/// next frame.
-fn connection_loop(shared: &Shared, job_tx: &Sender<Job>, mut stream: TcpStream) {
-    shared.metrics.conn_opened();
-    // The read timeout doubles as the shutdown poll interval.
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(100)));
-    let _ = stream.set_nodelay(true);
-    loop {
-        if shared.shutting_down() {
-            break;
-        }
-        let frame = match read_frame::<RequestFrame>(&mut stream) {
-            Ok(Some(frame)) => frame,
-            Ok(None) => break, // client hung up cleanly
-            Err(e) if e.is_idle() => {
-                continue; // idle tick; re-check the shutdown flag
-            }
-            Err(e) if e.is_protocol() => {
-                // The peer broke framing (oversized prefix, torn frame,
-                // garbage JSON). Count it, answer an error if the stream is
-                // still writable, and degrade *this connection only* — the
-                // workers and every other connection are untouched. The
-                // error is not attributable to any request, so it carries
-                // the reserved id 0.
-                shared.metrics.wire_error();
-                let _ = write_frame(
-                    &mut stream,
-                    &ResponseFrame {
-                        request_id: 0,
-                        response: Response::Error(format!("protocol error: {e}")),
-                    },
-                );
-                break;
-            }
-            Err(_) => break, // dead transport
-        };
-        let shutting_down = matches!(frame.request, Request::Shutdown);
-        let response = dispatch(shared, job_tx, frame.request);
-        let out = ResponseFrame {
-            request_id: frame.request_id,
-            response,
-        };
-        if write_frame(&mut stream, &out).is_err() || shutting_down {
-            break;
-        }
-    }
-    shared.metrics.conn_closed();
-}
-
 /// Answers the control-plane requests inline — never a queue slot, so
 /// observability (`Stats`, `LoadMap`) and operability (`Shutdown`) survive
 /// overload. Returns `None` for data-plane requests, which must go through
-/// admission. Shared by both connection planes; on the reactor this runs on
-/// the event loop itself, so nothing here may block (the forest census is a
-/// gauge maintained at session open/close, not a lock taken here).
+/// admission. This runs on the event loop itself, so nothing here may block
+/// (the forest census is a gauge maintained at session open/close, not a
+/// lock taken here).
 pub(crate) fn control_response(shared: &Shared, request: &Request) -> Option<Response> {
     match request {
         Request::Stats => {
@@ -458,7 +358,8 @@ pub(crate) fn control_response(shared: &Shared, request: &Request) -> Option<Res
         Request::LoadMap => Some(Response::LoadMap(load_map_summary(shared))),
         Request::Shutdown => {
             shared.shutdown.store(true, Ordering::SeqCst);
-            // Wake the acceptor so it notices the flag without a new client.
+            // Wake the listener's reactor so it notices the flag without a
+            // new client.
             let _ = TcpStream::connect(shared.addr);
             Some(Response::ShuttingDown)
         }
@@ -466,26 +367,22 @@ pub(crate) fn control_response(shared: &Shared, request: &Request) -> Option<Res
     }
 }
 
-/// Routes one request on the thread-per-connection plane: control-plane
-/// inline, data-plane through admission with a rendezvous reply.
-fn dispatch(shared: &Shared, job_tx: &Sender<Job>, request: Request) -> Response {
-    if let Some(response) = control_response(shared, &request) {
-        return response;
-    }
-    let (reply_tx, reply_rx) = bounded(1);
-    match job_tx.try_send(Job {
-        request,
-        reply: Reply::Rendezvous(reply_tx),
-    }) {
-        Ok(()) => reply_rx
-            .recv()
-            .unwrap_or_else(|_| Response::Error("server shutting down".into())),
+/// The server's one admission decision: `try_send` into the bounded queue
+/// or shed. The frame joins the `frames_in_flight` gauge *before* the
+/// hand-off — a worker can finish the job (and take it back off the gauge)
+/// before `try_send` even returns — and leaves it again if the queue refuses.
+pub(crate) fn admit(metrics: &Metrics, job_tx: &Sender<Job>, job: Job) -> Dispatch {
+    metrics.frame_dispatched();
+    let refused = match job_tx.try_send(job) {
+        Ok(()) => return Dispatch::Admitted,
         Err(TrySendError::Full(_)) => {
-            shared.metrics.shed();
+            metrics.shed();
             Response::Overloaded
         }
         Err(TrySendError::Disconnected(_)) => Response::Error("server shutting down".into()),
-    }
+    };
+    metrics.frame_completed();
+    Dispatch::Inline(Box::new(refused))
 }
 
 /// Drains the admission queue until shutdown.
@@ -494,7 +391,7 @@ fn worker_loop(shared: &Shared, jobs: &Receiver<Job>) {
         match jobs.recv_timeout(Duration::from_millis(100)) {
             Ok(job) => {
                 let response = execute(shared, job.request);
-                job.reply.send(shared, response);
+                job.reply.send(&shared.metrics, response);
             }
             Err(RecvTimeoutError::Timeout) => {
                 if shared.shutting_down() {
@@ -509,9 +406,6 @@ fn worker_loop(shared: &Shared, jobs: &Receiver<Job>) {
 /// Runs one admitted job and accounts its latency.
 fn execute(shared: &Shared, request: Request) -> Response {
     let start = Instant::now();
-    if let Some(delay) = shared.config.debug_delay {
-        thread::sleep(delay);
-    }
     let response = match request {
         Request::Federate {
             requirement,
@@ -528,8 +422,8 @@ fn execute(shared: &Shared, request: Request) -> Response {
                 max_utilization_permille: outcome.max_utilization_permille,
             }
         }
-        // Handled inline by the connection thread; an admitted copy is a bug
-        // in dispatch, answered defensively rather than panicking a worker.
+        // Handled inline by the reactor; an admitted copy is a bug in its
+        // dispatcher, answered defensively rather than panicking a worker.
         Request::Stats | Request::LoadMap | Request::Shutdown => {
             Response::Error("control request in queue".into())
         }

@@ -78,14 +78,14 @@ pub struct StatsSnapshot {
     /// fit into what live sessions left free (`serve` without
     /// `--no-residual`).
     pub residual_rejects: u64,
-    /// Open client connections (gauge), across both connection planes.
+    /// Open client connections (gauge).
     pub connections_open: u64,
     /// Request frames admitted to the worker pool whose responses have not
     /// yet been handed back (gauge). Pipelining makes this exceed the
     /// connection count; inline control requests never appear here.
     pub frames_in_flight: u64,
     /// Times a reactor thread woke from its poll wait (readiness, a worker
-    /// completion, or an idle tick). Zero under `--reactor-threads 0`.
+    /// completion, or an idle tick).
     pub reactor_wakeups: u64,
     /// Times a connection crossed its write high-water mark and had its
     /// read interest parked until the buffer drained.
@@ -96,8 +96,8 @@ pub struct StatsSnapshot {
     pub write_buffered_bytes: u64,
 }
 
-/// Shared, interior-mutable counters. Workers record; any connection thread
-/// snapshots.
+/// Shared, interior-mutable counters. Workers and reactors record; any
+/// reactor snapshots.
 #[derive(Debug, Default)]
 pub struct Metrics {
     served: AtomicU64,
@@ -245,12 +245,15 @@ impl Metrics {
         self.connections_open.fetch_sub(1, Ordering::Relaxed);
     }
 
-    /// One request frame was admitted to the worker pool (gauge up).
+    /// One request frame is being handed to the worker pool (gauge up;
+    /// called before the hand-off so a fast worker's
+    /// [`Metrics::frame_completed`] can never run first).
     pub fn frame_dispatched(&self) {
         self.frames_in_flight.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// One admitted frame's response came back (gauge down).
+    /// One counted frame's response came back, or the queue refused it
+    /// (gauge down).
     pub fn frame_completed(&self) {
         self.frames_in_flight.fetch_sub(1, Ordering::Relaxed);
     }

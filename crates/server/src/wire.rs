@@ -8,11 +8,15 @@
 //! Decoding failures are typed ([`WireError`]) so the server can tell a
 //! malicious or broken *peer* (oversized prefix, torn frame, garbage JSON —
 //! degrade that connection, answer an error if the stream is still writable)
-//! from a *transport* condition (idle-tick timeout, dead socket). A malformed
-//! frame must never take down more than its own connection.
+//! from a *transport* condition (dead socket). A malformed frame must never
+//! take down more than its own connection.
+//!
+//! The server side is incremental ([`encode_frame`] into a staged write
+//! buffer, [`FrameDecoder`] over whatever bytes a readiness event delivered);
+//! [`read_frame`] is the blocking decoder the clients use.
 
 use std::fmt;
-use std::io::{self, ErrorKind, Read, Write};
+use std::io::{self, ErrorKind, Read};
 
 use serde::de::FromContent;
 use serde::Serialize;
@@ -25,8 +29,7 @@ pub const MAX_FRAME: usize = 1 << 20;
 /// Why a frame could not be written or read.
 #[derive(Debug)]
 pub enum WireError {
-    /// A transport-level I/O error (including `WouldBlock`/`TimedOut` idle
-    /// ticks on sockets with a read timeout — see [`WireError::is_idle`]).
+    /// A transport-level I/O error (a socket's read timeout included).
     Io(io::Error),
     /// The stream ended mid-frame: the peer died or sent a short frame.
     Truncated {
@@ -48,16 +51,6 @@ pub enum WireError {
 }
 
 impl WireError {
-    /// True for the read-timeout ticks a socket with `set_read_timeout`
-    /// produces while idle at a frame boundary — the caller's cue to poll
-    /// its shutdown flag and retry, not a failure.
-    pub fn is_idle(&self) -> bool {
-        matches!(
-            self,
-            WireError::Io(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut)
-        )
-    }
-
     /// True when the *peer* violated the protocol (as opposed to the
     /// transport failing): oversized prefix, torn frame, non-UTF-8 or
     /// non-JSON body. These are what a server should count and answer.
@@ -111,41 +104,20 @@ impl From<WireError> for io::Error {
     }
 }
 
-/// Serialises `value` as one frame onto `w`.
-///
-/// # Errors
-///
-/// [`WireError::Io`] from the transport, or [`WireError::Oversized`] if
-/// `value` exceeds [`MAX_FRAME`] once encoded.
-pub fn write_frame<T: Serialize>(w: &mut impl Write, value: &T) -> Result<(), WireError> {
-    let body = serde_json::to_string(value).map_err(|e| WireError::Json(e.to_string()))?;
-    if body.len() > MAX_FRAME {
-        return Err(WireError::Oversized {
-            declared: body.len(),
-        });
-    }
-    let len = (body.len() as u32).to_be_bytes();
-    w.write_all(&len)?;
-    w.write_all(body.as_bytes())?;
-    w.flush()?;
-    Ok(())
-}
-
 /// Reads one frame from `r` and deserialises it.
 ///
 /// Returns `Ok(None)` on a clean end of stream (EOF before the first prefix
-/// byte) — how a client hanging up between requests looks to the server.
+/// byte) — how a peer hanging up between frames looks to the reader.
 ///
 /// # Errors
 ///
-/// [`WireError::Io`] from the transport (including timeouts, which callers
-/// use to poll a shutdown flag — see [`WireError::is_idle`]),
-/// [`WireError::Truncated`] on EOF mid-frame, [`WireError::Oversized`] on a
-/// prefix beyond [`MAX_FRAME`], [`WireError::Utf8`]/[`WireError::Json`] on a
-/// malformed body.
+/// [`WireError::Io`] from the transport (including a read timeout the caller
+/// set on the socket), [`WireError::Truncated`] on EOF mid-frame,
+/// [`WireError::Oversized`] on a prefix beyond [`MAX_FRAME`],
+/// [`WireError::Utf8`]/[`WireError::Json`] on a malformed body.
 pub fn read_frame<T: FromContent>(r: &mut impl Read) -> Result<Option<T>, WireError> {
     let mut prefix = [0u8; 4];
-    match read_exact_or_eof(r, &mut prefix, false)? {
+    match read_exact_or_eof(r, &mut prefix)? {
         0 => return Ok(None),
         4 => {}
         got => {
@@ -160,7 +132,7 @@ pub fn read_frame<T: FromContent>(r: &mut impl Read) -> Result<Option<T>, WireEr
         return Err(WireError::Oversized { declared: len });
     }
     let mut body = vec![0u8; len];
-    let got = read_exact_or_eof(r, &mut body, true)?;
+    let got = read_exact_or_eof(r, &mut body)?;
     if got != len {
         return Err(WireError::Truncated { expected: len, got });
     }
@@ -267,41 +239,16 @@ impl FrameDecoder {
     }
 }
 
-/// How many consecutive read-timeout ticks a mid-frame stall may last before
-/// the peer is declared dead. The server polls its shutdown flag with a
-/// 100 ms read timeout, so this bounds a stalled frame at roughly a minute.
-const MAX_MID_FRAME_STALLS: u32 = 600;
-
 /// Like `read_exact`, but distinguishes EOF-at-the-start (returns `0`) from
 /// EOF-mid-buffer (returns the partial count) so the caller can tell a
 /// closed-down peer from a truncated frame.
-///
-/// Transports with a read timeout surface idle periods as
-/// `WouldBlock`/`TimedOut`. At a frame boundary (`mid_frame == false`,
-/// nothing read yet) that is returned to the caller as an idle tick; once
-/// any byte of the frame has arrived — or the prefix already did — the
-/// timeout only means the peer is slow, so the read resumes (bounded by
-/// [`MAX_MID_FRAME_STALLS`]) instead of tearing the stream mid-frame.
-fn read_exact_or_eof(r: &mut impl Read, buf: &mut [u8], mid_frame: bool) -> io::Result<usize> {
+fn read_exact_or_eof(r: &mut impl Read, buf: &mut [u8]) -> io::Result<usize> {
     let mut filled = 0;
-    let mut stalls = 0u32;
     while filled < buf.len() {
         match r.read(&mut buf[filled..]) {
             Ok(0) => return Ok(filled),
-            Ok(n) => {
-                filled += n;
-                stalls = 0;
-            }
+            Ok(n) => filled += n,
             Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                if !mid_frame && filled == 0 {
-                    return Err(e); // idle between frames
-                }
-                stalls += 1;
-                if stalls > MAX_MID_FRAME_STALLS {
-                    return Err(e);
-                }
-            }
             Err(e) => return Err(e),
         }
     }
@@ -320,8 +267,7 @@ mod tests {
             algorithm: Algorithm::Sflow,
             hop_limit: Some(2),
         };
-        let mut buf = Vec::new();
-        write_frame(&mut buf, &req).unwrap();
+        let buf = encode_frame(&req).unwrap();
         assert_eq!(
             buf.len(),
             4 + u32::from_be_bytes(buf[..4].try_into().unwrap()) as usize
@@ -339,12 +285,11 @@ mod tests {
 
     #[test]
     fn truncated_frame_is_typed() {
-        let mut buf = Vec::new();
-        write_frame(&mut buf, &Request::Stats).unwrap();
+        let mut buf = encode_frame(&Request::Stats).unwrap();
         buf.truncate(buf.len() - 1);
         let err = read_frame::<Request>(&mut buf.as_slice()).unwrap_err();
         assert!(matches!(err, WireError::Truncated { .. }), "{err:?}");
-        assert!(err.is_protocol() && !err.is_idle());
+        assert!(err.is_protocol());
         // A torn length prefix is also truncation, not a clean EOF.
         let err = read_frame::<Request>(&mut &buf[..2]).unwrap_err();
         assert!(
@@ -436,10 +381,9 @@ mod tests {
     }
 
     #[test]
-    fn idle_tick_is_not_a_protocol_error() {
-        let idle = WireError::Io(ErrorKind::WouldBlock.into());
-        assert!(idle.is_idle() && !idle.is_protocol());
-        let dead = WireError::Io(ErrorKind::ConnectionReset.into());
-        assert!(!dead.is_idle() && !dead.is_protocol());
+    fn a_transport_failure_is_not_a_protocol_error() {
+        for kind in [ErrorKind::TimedOut, ErrorKind::ConnectionReset] {
+            assert!(!WireError::Io(kind.into()).is_protocol());
+        }
     }
 }

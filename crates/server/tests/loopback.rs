@@ -1,13 +1,13 @@
 //! Loopback integration tests: the acceptance criteria of the server
 //! subsystem, exercised over real TCP.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::thread;
-use std::time::Duration;
 
 use sflow_core::algorithms::{FederationAlgorithm, SflowAlgorithm};
 use sflow_core::fixtures::{diamond_fixture, diamond_requirement};
-use sflow_server::{serve, Algorithm, Client, Mutation, Request, Response, ServerConfig, World};
+use sflow_server::{
+    serve, Algorithm, Client, Mutation, PipelinedClient, Request, Response, ServerConfig, World,
+};
 
 const DIAMOND_SPEC: &str = "0>1>3, 0>2>3";
 const CLIENTS: usize = 4;
@@ -275,51 +275,61 @@ fn qos_mutations_patch_and_keep_the_hop_cache_warm() {
 
 /// A full admission queue sheds with an explicit `Overloaded` — no hangs,
 /// no panics — while at least one admitted request completes.
+///
+/// One client stages a burst of cold federates and flushes once, so the
+/// reactor decodes the whole burst from one read and offers the frames to
+/// the one-slot queue back to back, far faster than the single worker can
+/// solve them: the first frame is always admitted (the queue is empty), the
+/// ones arriving while the worker is inside a solve are shed.
 #[test]
 fn full_admission_queue_sheds_explicitly() {
+    const BURST: usize = 64;
     let config = ServerConfig {
         workers: 1,
         queue_depth: 1,
-        debug_delay: Some(Duration::from_millis(300)),
+        // Blind routing: every admitted federate founds its own forest, and
+        // residual booking would turn later ones into rejections.
+        residual: false,
         ..ServerConfig::default()
     };
     let handle = serve(World::new(diamond_fixture()), &config).unwrap();
-    let addr = handle.addr();
+    let mut pipe = PipelinedClient::connect(handle.addr()).unwrap();
 
-    let served = AtomicUsize::new(0);
-    let shed = AtomicUsize::new(0);
-    thread::scope(|scope| {
-        for _ in 0..8 {
-            scope.spawn(|| {
-                let mut client = Client::connect(addr).unwrap();
-                match client
-                    .federate(DIAMOND_SPEC, Algorithm::Sflow, Some(2))
-                    .unwrap()
-                {
-                    Response::Federated(_) => {
-                        served.fetch_add(1, Ordering::SeqCst);
-                    }
-                    Response::Overloaded => {
-                        shed.fetch_add(1, Ordering::SeqCst);
-                    }
-                    other => panic!("unexpected response under overload: {other:?}"),
-                }
-            });
+    // The hop limit is part of the solve key: every frame is a distinct-key
+    // cold solve, none a cache hit.
+    for hops in 1..=BURST {
+        pipe.send(&Request::Federate {
+            requirement: DIAMOND_SPEC.to_owned(),
+            algorithm: Algorithm::Sflow,
+            hop_limit: Some(hops),
+        })
+        .unwrap();
+    }
+    pipe.flush().unwrap();
+
+    let (mut served, mut shed) = (0u64, 0u64);
+    let mut seen = [false; BURST + 1];
+    for _ in 0..BURST {
+        let frame = pipe.recv_any().unwrap();
+        let id = frame.request_id as usize;
+        assert!((1..=BURST).contains(&id), "unexpected id {id}");
+        assert!(!seen[id], "duplicate response for id {id}");
+        seen[id] = true;
+        match frame.response {
+            Response::Federated(_) => served += 1,
+            Response::Overloaded => shed += 1,
+            other => panic!("unexpected response under overload: {other:?}"),
         }
-    });
-    assert!(
-        served.load(Ordering::SeqCst) >= 1,
-        "admitted requests must still complete"
-    );
-    assert!(
-        shed.load(Ordering::SeqCst) >= 1,
-        "a full queue must shed explicitly"
-    );
+    }
+    assert_eq!(pipe.in_flight(), 0);
+    assert!(served >= 1, "admitted requests must still complete");
+    assert!(shed >= 1, "a full queue must shed explicitly");
 
-    // Stats stays answerable under (residual) load and records the sheds.
-    let mut client = Client::connect(addr).unwrap();
-    let stats = client.stats().unwrap();
-    assert_eq!(stats.shed as usize, shed.load(Ordering::SeqCst));
+    // Stats stays answerable and reconciles with what the client saw.
+    let stats = Client::connect(handle.addr()).unwrap().stats().unwrap();
+    assert_eq!(stats.shed, shed);
+    assert_eq!(stats.served, served);
+    assert_eq!(stats.frames_in_flight, 0, "{stats:?}");
 
     handle.shutdown();
 }

@@ -1,14 +1,14 @@
 //! Pipelined-framing regression tests against a live reactor server.
 //!
-//! Three behaviours the reactor plane must hold that the old
-//! thread-per-connection server never exercised: responses may legitimately
-//! overtake each other on one socket (and are matched by `request_id`, not
-//! arrival order); a frame dribbled in one byte per readiness event is
-//! assembled exactly like one that arrived whole; and a peer that sends
-//! fast but reads slowly is parked by backpressure instead of ballooning
-//! the server's write buffer.
+//! What many frames in flight on one socket demand of the reactor:
+//! responses may legitimately overtake each other (and are matched by
+//! `request_id`, not arrival order); a frame dribbled in one byte per
+//! readiness event is assembled exactly like one that arrived whole; a peer
+//! that sends fast but reads slowly is parked by backpressure instead of
+//! ballooning the server's write buffer; and neither a shutdown nor a dying
+//! client with frames still in flight leaves anything hanging or leaked.
 
-use std::io::Write;
+use std::io::{ErrorKind, Write};
 use std::net::TcpStream;
 use std::thread;
 use std::time::{Duration, Instant};
@@ -23,7 +23,6 @@ use sflow_server::{
 const DIAMOND_SPEC: &str = "0>1>3, 0>2>3";
 
 fn reactor_server(config: ServerConfig) -> sflow_server::ServerHandle {
-    assert!(config.reactor_threads > 0, "these tests target the reactor");
     serve(World::new(diamond_fixture()), &config).unwrap()
 }
 
@@ -209,6 +208,108 @@ fn a_slow_reader_is_paused_and_its_buffer_stays_bounded() {
         }
         assert!(Instant::now() < deadline, "gauge never drained: {s:?}");
         thread::sleep(Duration::from_millis(5));
+    }
+    handle.shutdown();
+}
+
+/// `reactor_threads: 0` selects nothing: it is clamped to one event loop,
+/// exactly like `workers: 0` is clamped to one worker.
+#[test]
+fn zero_reactor_threads_serve_on_one_reactor() {
+    let handle = reactor_server(ServerConfig {
+        reactor_threads: 0,
+        ..ServerConfig::default()
+    });
+    let mut client = Client::connect(handle.addr()).unwrap();
+    match client.request(&federate_request()).unwrap() {
+        Response::Federated(summary) => assert_eq!(summary.bandwidth_kbps, 80),
+        other => panic!("expected Federated, got {other:?}"),
+    }
+    let stats = client.stats().unwrap();
+    assert!(stats.reactor_wakeups > 0, "served by a reactor: {stats:?}");
+    assert_eq!(stats.connections_open, 1, "{stats:?}");
+    handle.shutdown();
+}
+
+/// Shutdown with frames in flight: sixteen federates are on the wire when
+/// a second connection asks the server to stop. Every answer the first
+/// client still gets is a well-formed frame for one of its ids, the stream
+/// then ends cleanly, and the server's threads all join — nothing hangs.
+#[test]
+fn shutdown_with_frames_in_flight_answers_or_hangs_up_cleanly() {
+    const DEPTH: u64 = 16;
+    let handle = reactor_server(ServerConfig::default());
+    let mut pipe = PipelinedClient::connect(handle.addr()).unwrap();
+    for _ in 0..DEPTH {
+        pipe.send(&federate_request()).unwrap();
+    }
+    pipe.flush().unwrap();
+
+    let mut stopper = Client::connect(handle.addr()).unwrap();
+    assert_eq!(stopper.shutdown().unwrap(), Response::ShuttingDown);
+
+    let mut answered = Vec::new();
+    let hung_up = loop {
+        match pipe.recv_any() {
+            Ok(frame) => {
+                assert!(
+                    matches!(frame.response, Response::Federated(_)),
+                    "{frame:?}"
+                );
+                assert!((1..=DEPTH).contains(&frame.request_id), "{frame:?}");
+                assert!(!answered.contains(&frame.request_id), "duplicate {frame:?}");
+                answered.push(frame.request_id);
+            }
+            Err(e) => break e,
+        }
+    };
+    assert_eq!(hung_up.kind(), ErrorKind::UnexpectedEof, "{hung_up}");
+    // `wait` joins the reactor, which joins the workers: it returns only
+    // once every server thread has exited.
+    handle.wait();
+}
+
+/// Client death mid-pipeline: a peer that hangs up with frames admitted
+/// costs the server nothing but the work — the connection and in-flight
+/// gauges return to where they were and the next client is served.
+#[test]
+fn a_client_dying_mid_pipeline_leaks_nothing() {
+    const DEPTH: u64 = 16;
+    let handle = reactor_server(ServerConfig::default());
+    let mut probe = Client::connect(handle.addr()).unwrap();
+    let before = probe.stats().unwrap();
+    assert_eq!(before.connections_open, 1, "just the probe: {before:?}");
+    assert_eq!(before.frames_in_flight, 0);
+
+    let mut doomed = PipelinedClient::connect(handle.addr()).unwrap();
+    for _ in 0..DEPTH {
+        doomed.send(&federate_request()).unwrap();
+    }
+    doomed.flush().unwrap();
+    drop(doomed); // sixteen frames on the wire, nobody left to read answers
+
+    // The frames were admitted and worked off regardless (`served` counts
+    // them), and both gauges come back down.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let after = loop {
+        let s = probe.stats().unwrap();
+        let settled = s.served == DEPTH
+            && s.connections_open == before.connections_open
+            && s.frames_in_flight == before.frames_in_flight;
+        if settled || Instant::now() > deadline {
+            break s;
+        }
+        thread::sleep(Duration::from_millis(5));
+    };
+    assert_eq!(after.served, DEPTH, "{after:?}");
+    assert_eq!(after.connections_open, before.connections_open, "{after:?}");
+    assert_eq!(after.frames_in_flight, before.frames_in_flight, "{after:?}");
+    assert_eq!(after.write_buffered_bytes, 0, "{after:?}");
+
+    let mut next = Client::connect(handle.addr()).unwrap();
+    match next.request(&federate_request()).unwrap() {
+        Response::Federated(summary) => assert_eq!(summary.bandwidth_kbps, 80),
+        other => panic!("expected Federated, got {other:?}"),
     }
     handle.shutdown();
 }

@@ -75,8 +75,8 @@ fn usage() -> ExitCode {
          \x20 serve      run the federation server (default world: Fig. 4)\n\
          \x20            [--addr IP:PORT] [--workers N] [--queue D]\n\
          \x20            [--route-workers N] routing rebuild pool (0 = auto)\n\
-         \x20            [--reactor-threads N] epoll event loops (0 = thread-per-connection)\n\
-         \x20            [--max-conns N] open-connection cap (0 = plane default)\n\
+         \x20            [--reactor-threads N] epoll event loops (default 1)\n\
+         \x20            [--max-conns N] open-connection cap (0 = 65536)\n\
          \x20            [--write-high-water BYTES] per-connection backpressure mark\n\
          \x20            [--audit] verify every answer, count violations in stats\n\
          \x20            [--no-residual] federate against raw instead of residual capacity\n\
@@ -333,16 +333,12 @@ fn serve(flags: &Flags) -> Result<(), String> {
     );
     drop(snapshot);
     let handle = serve_on(addr, world, &config).map_err(|e| format!("bind {addr}: {e}"))?;
-    let plane = if config.reactor_threads > 0 {
-        format!("{} reactor thread(s)", config.reactor_threads)
-    } else {
-        "thread-per-connection".to_owned()
-    };
     println!(
-        "sflow-server listening on {} ({} workers, queue depth {}, {plane})",
+        "sflow-server listening on {} ({} workers, queue depth {}, {} reactor thread(s))",
         handle.addr(),
         config.workers,
-        config.queue_depth
+        config.queue_depth,
+        config.reactor_threads.max(1)
     );
     handle.wait();
     println!("sflow-server stopped");
