@@ -26,15 +26,15 @@
 //! exactly `trees_total − trees_recomputed` trees with its predecessor by
 //! `Arc` pointer — deriving an epoch never clones the world.
 //!
-//! Each world also carries a `residual_view` row for the load plane: the
-//! cost of the [`QosCsr`] index alone and of a sequential
-//! [`all_pairs_residual_with`] sweep with zero reservations, next to the
-//! w=1 raw build — the gap is the residual view's per-edge clamp load.
+//! Each world also records `csr_build_us`, the cost of deriving the
+//! [`QosCsr`] index every build and every patch starts with.
 //!
-//! The worker-sweep speedup column is only meaningful on a multi-core
-//! host; `available_parallelism` is recorded so a 1-core container's ~1.0×
-//! reads as what it is. Pass `--max-nodes N` to skip worlds larger than
-//! `N` (CI uses `--max-nodes 2000`; the 10k world is a local run).
+//! A worker-sweep point gets a `speedup_vs_w1` ratio only when the box has
+//! at least that many cores (`available_parallelism` is recorded): beyond
+//! that the threads time-share and the ratio is noise, so the timing is
+//! emitted and the ratio omitted. Pass `--max-nodes N` to skip worlds
+//! larger than `N` (CI uses `--max-nodes 2000`; the 10k world is a local
+//! run).
 
 #![forbid(unsafe_code)]
 
@@ -47,8 +47,7 @@ use sflow_bench::{median, usize_flag, write_report};
 use sflow_core::fixtures::paper_fig4_fixture;
 use sflow_graph::{DiGraph, EdgeIx};
 use sflow_routing::{
-    all_pairs_parallel_with, all_pairs_residual_with, auto_workers, AllPairs, Bandwidth,
-    EdgeChange, Latency, Qos, QosCsr,
+    all_pairs_parallel_with, auto_workers, AllPairs, Bandwidth, EdgeChange, Latency, Qos, QosCsr,
 };
 
 /// Worker counts swept for the build rows.
@@ -241,7 +240,6 @@ struct WorldReport {
     reps: usize,
     build: Vec<BuildPoint>,
     csr_build_us: u128,
-    residual_build_w1_us: u128,
     patch_samples: usize,
     cut: PatchDir,
     restore: PatchDir,
@@ -279,17 +277,7 @@ fn measure<N: Clone>(name: &'static str, g: &DiGraph<N, Qos>, seed: u64) -> Worl
     let baseline = baseline.expect("worker sweep is non-empty");
     let trees_total = baseline.len();
 
-    // Load-plane columns: the CSR index alone, then a full sequential
-    // residual sweep with zero reservations. Against the w=1 build row the
-    // difference is exactly the view's per-edge clamp load — the price the
-    // server pays to federate against `capacity − reserved`.
     let csr_build_us = time_us(reps, || QosCsr::new(g));
-    let zeros = vec![Bandwidth::ZERO; g.edge_count()];
-    let residual_build_w1_us = time_us(reps, || {
-        let table = all_pairs_residual_with(g, &zeros, 1);
-        assert_eq!(table.len(), trees_total);
-        table
-    });
 
     let mut rng = StdRng::seed_from_u64(seed);
     let mut world = g.clone();
@@ -352,7 +340,6 @@ fn measure<N: Clone>(name: &'static str, g: &DiGraph<N, Qos>, seed: u64) -> Worl
         reps,
         build,
         csr_build_us,
-        residual_build_w1_us,
         patch_samples: samples,
         cut: cut_dir,
         restore: restore_dir,
@@ -367,11 +354,18 @@ fn world_json(r: &WorldReport) -> String {
         .build
         .iter()
         .map(|b| {
+            // More workers than cores time-share: the ratio would be noise.
+            let speedup = if b.workers <= auto_workers() {
+                format!(
+                    ", \"speedup_vs_w1\": {:.2}",
+                    w1_us as f64 / b.us.max(1) as f64
+                )
+            } else {
+                String::new()
+            };
             format!(
-                "        {{\"workers\": {}, \"us\": {}, \"speedup_vs_w1\": {:.2}}}",
-                b.workers,
-                b.us,
-                w1_us as f64 / b.us.max(1) as f64,
+                "        {{\"workers\": {}, \"us\": {}{}}}",
+                b.workers, b.us, speedup,
             )
         })
         .collect();
@@ -389,8 +383,7 @@ fn world_json(r: &WorldReport) -> String {
     format!(
         "    {{\n      \"name\": \"{}\",\n      \"nodes\": {},\n      \"edges\": {},\n      \
          \"reps\": {},\n      \"build\": [\n{}\n      ],\n      \
-         \"residual_view\": {{\"csr_build_us\": {}, \"residual_build_w1_us\": {}, \
-         \"overhead_vs_w1\": {:.2}}},\n      \
+         \"csr_build_us\": {},\n      \
          \"patch\": {{\n        \"samples\": {},\n        \
          \"cut\": {},\n        \"restore\": {},\n        \
          \"trees_total\": {},\n        \"min_trees_shared\": {}\n      }}\n    }}",
@@ -400,8 +393,6 @@ fn world_json(r: &WorldReport) -> String {
         r.reps,
         build.join(",\n"),
         r.csr_build_us,
-        r.residual_build_w1_us,
-        r.residual_build_w1_us.max(1) as f64 / w1_us as f64,
         r.patch_samples,
         dir_json(&r.cut),
         dir_json(&r.restore),
@@ -431,7 +422,7 @@ fn main() {
             .map(|b| format!("w{}={} µs", b.workers, b.us))
             .collect();
         println!(
-            "{}: {} nodes / {} edges — build [{}], residual view: CSR {} µs + sweep {} µs, \
+            "{}: {} nodes / {} edges — build [{}], CSR index {} µs, \
              shave avg {} µs recomputing {:.1}/{} trees \
              (max {}, coarse rule max {}), restore avg {} µs recomputing {:.1} (max {}, \
              coarse rule max {}), min shared {}",
@@ -440,7 +431,6 @@ fn main() {
             r.edges,
             sweep.join(", "),
             r.csr_build_us,
-            r.residual_build_w1_us,
             r.cut.avg_us(),
             r.cut.avg_trees(),
             r.trees_total,

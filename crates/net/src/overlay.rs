@@ -285,15 +285,9 @@ impl OverlayGraph {
         shortest_widest::all_pairs(&self.graph)
     }
 
-    /// [`OverlayGraph::all_pairs`] computed on a worker pool sized by
-    /// `available_parallelism`. The table is identical to the sequential
-    /// one; only wall-clock differs.
-    pub fn all_pairs_parallel(&self) -> AllPairs {
-        sflow_routing::all_pairs_parallel(&self.graph)
-    }
-
-    /// [`OverlayGraph::all_pairs_parallel`] with an explicit worker count
-    /// (`0` = auto-size).
+    /// [`OverlayGraph::all_pairs`] computed on a pool of `workers` threads
+    /// (`0` = sized by `available_parallelism`). The table is identical to
+    /// the sequential one; only wall-clock differs.
     pub fn all_pairs_parallel_with(&self, workers: usize) -> AllPairs {
         sflow_routing::all_pairs_parallel_with(&self.graph, workers)
     }
@@ -340,7 +334,7 @@ impl OverlayGraph {
     /// Copy-on-write form of [`OverlayGraph::update_link_qos`]: leaves
     /// `self` untouched and returns a fresh overlay carrying the new QoS,
     /// plus the [`EdgeChange`] that
-    /// [`AllPairs::patched`](sflow_routing::AllPairs::patched) needs to
+    /// [`AllPairs::patched_with`](sflow_routing::AllPairs::patched_with) needs to
     /// derive a fresh routing table from a predecessor. `None` if no such
     /// service link exists.
     ///
@@ -659,7 +653,7 @@ mod tests {
         let ov = OverlayGraph::build(&net, &p, &compat).unwrap();
         let seq = ov.all_pairs();
         for (par, label) in [
-            (ov.all_pairs_parallel(), "auto"),
+            (ov.all_pairs_parallel_with(0), "auto"),
             (ov.all_pairs_parallel_with(3), "3"),
         ] {
             for u in ov.graph().node_ids() {

@@ -1,26 +1,31 @@
 //! The all-pairs routing *engine*: parallel construction and incremental
 //! maintenance of the [`AllPairs`] shortest-widest table.
 //!
-//! The sequential [`all_pairs`] sweep is `O(V · L · E log V)`; both the
-//! paper's baseline algorithm (Table 1) and sFlow's per-hop local solves
-//! stand on its output, and a long-lived federation server re-derives it on
-//! every topology mutation. This module attacks that cost twice:
+//! The sequential [`all_pairs`](crate::all_pairs) sweep is
+//! `O(V · L · E log V)`; both the paper's baseline algorithm (Table 1) and
+//! sFlow's per-hop local solves stand on its output, and a long-lived
+//! federation server re-derives it on every topology mutation. This module
+//! attacks that cost twice:
 //!
-//! * [`all_pairs_parallel`] derives one [`QosCsr`] for the graph and fans
-//!   the per-source [`single_source_csr`](crate::shortest_widest::single_source_csr) calls across a
+//! * [`all_pairs_parallel_with`] derives one [`QosCsr`] for the graph and
+//!   fans the per-source [`single_source_csr`] calls across a
 //!   `std::thread::scope` worker pool (sized by [`auto_workers`], i.e. a
-//!   cached `available_parallelism`), with one reusable [`DijkstraScratch`]
-//!   per worker so the inner Dijkstras stop allocating per bandwidth level.
-//!   Sources are claimed off an atomic counter — work-stealing granularity
-//!   of one tree — so skewed per-source costs (hub nodes see more levels)
-//!   still balance. Because workers read only the CSR, the node payload `N`
-//!   needs no `Sync` bound.
-//! * [`AllPairs::patch`] repairs an existing table after a batch of
-//!   [`EdgeChange`]s by recomputing only the source trees that can actually
-//!   be affected, and [`AllPairs::patched`] derives a *successor* table that
-//!   shares every clean tree with its predecessor by `Arc` pointer — the
-//!   per-epoch cost is proportional to the dirty set, never a copy of the
-//!   world.
+//!   cached `available_parallelism`, when asked for `0` workers), with one
+//!   reusable [`DijkstraScratch`] per worker so the inner Dijkstras stop
+//!   allocating per bandwidth level. Sources are claimed off an atomic
+//!   counter — work-stealing granularity of one tree — so skewed per-source
+//!   costs (hub nodes see more levels) still balance. Because workers read
+//!   only the CSR, the node payload `N` needs no `Sync` bound.
+//! * [`AllPairs::patched_with`] derives a *successor* table after a batch
+//!   of [`EdgeChange`]s by recomputing only the source trees that can
+//!   actually be affected; it shares every clean tree with its predecessor
+//!   by `Arc` pointer — the per-epoch cost is proportional to the dirty
+//!   set, never a copy of the world. [`AllPairs::patch`] is the same thing
+//!   assigned in place.
+//!
+//! Both funnel into one non-generic `compute_trees` over [`QosCsr`], so the
+//! kernel and its fan-out are compiled once, in this crate: what a build
+//! and a patch cost does not depend on which downstream crate asked.
 //!
 //! # Dirty rules and why they are sound
 //!
@@ -68,7 +73,7 @@
 //!
 //! Structural changes (node add/remove, i.e. a table/graph size mismatch)
 //! fall back to a full parallel rebuild. The property tests in
-//! `tests/prop_engine.rs` check `patch` against a from-scratch rebuild on
+//! `tests/prop_engine.rs` check a patch against a from-scratch rebuild on
 //! random graphs and random mutations, and that the tightened rules never
 //! dirty more trees than the coarse ones.
 
@@ -80,8 +85,7 @@ use std::thread;
 use sflow_graph::{DiGraph, EdgeIx, NodeIx};
 
 use crate::shortest_widest::{
-    all_pairs, single_source_view, AllPairs, DijkstraScratch, OutEdges, PathTree, QosCsr,
-    ResidualCsr, TraversalScratch,
+    single_source_csr, AllPairs, DijkstraScratch, PathTree, QosCsr, TraversalScratch,
 };
 use crate::{Bandwidth, Qos};
 
@@ -203,60 +207,17 @@ pub fn auto_workers() -> usize {
     *WORKERS.get_or_init(|| thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
-/// [`all_pairs`] computed on a worker pool sized by
-/// [`auto_workers`]. Results are identical to the sequential sweep.
-pub fn all_pairs_parallel<N>(g: &DiGraph<N, Qos>) -> AllPairs {
-    all_pairs_parallel_with(g, auto_workers())
-}
-
-/// [`all_pairs_parallel`] with an explicit worker count (`0` means
-/// [`auto_workers`]; the pool never exceeds the number of sources).
+/// [`all_pairs`](crate::all_pairs) computed on a scoped worker pool (`0`
+/// workers means [`auto_workers`]; the pool never exceeds the number of
+/// sources, and one worker sweeps inline on the caller's thread). Results
+/// are identical to the sequential sweep.
 pub fn all_pairs_parallel_with<N>(g: &DiGraph<N, Qos>, workers: usize) -> AllPairs {
     let n = g.node_count();
-    let workers = effective_workers(workers, n);
-    if workers <= 1 {
-        return all_pairs(g);
-    }
     let csr = QosCsr::new(g);
     let sources: Vec<NodeIx> = g.node_ids().collect();
     let mut trees: Vec<Option<Arc<PathTree>>> = Vec::with_capacity(n);
     trees.resize_with(n, || None);
-    compute_trees(&csr, &sources, workers, &mut trees);
-    AllPairs {
-        trees: trees
-            .into_iter()
-            .map(|t| t.expect("every source index is claimed exactly once")) // audit:allow(no-unwrap): disjoint claim invariant
-            .collect(),
-    }
-}
-
-/// All-pairs shortest-widest paths against *residual* capacity: every
-/// edge's bandwidth is clamped to `capacity − reserved[edge.index()]` by a
-/// borrowed [`ResidualCsr`] view while the unmodified kernels sweep it
-/// (`0` workers means [`auto_workers`]).
-///
-/// The result is observationally identical to materialising a clamped
-/// clone of `g` and running [`all_pairs_parallel_with`] over it — property
-/// tested — without writing a single weight. This is the table the load
-/// plane publishes so federations route around what live sessions already
-/// consume.
-///
-/// # Panics
-///
-/// Panics unless `reserved` covers every edge of `g`.
-pub fn all_pairs_residual_with<N>(
-    g: &DiGraph<N, Qos>,
-    reserved: &[Bandwidth],
-    workers: usize,
-) -> AllPairs {
-    let n = g.node_count();
-    let csr = QosCsr::new(g);
-    let view = ResidualCsr::new(&csr, reserved);
-    let sources: Vec<NodeIx> = g.node_ids().collect();
-    let workers = effective_workers(workers, n);
-    let mut trees: Vec<Option<Arc<PathTree>>> = Vec::with_capacity(n);
-    trees.resize_with(n, || None);
-    compute_trees(&view, &sources, workers, &mut trees);
+    compute_trees(&csr, &sources, effective_workers(workers, n), &mut trees);
     AllPairs {
         trees: trees
             .into_iter()
@@ -279,10 +240,11 @@ fn effective_workers(workers: usize, tasks: usize) -> usize {
 /// the sources over `workers` scoped threads (atomic work stealing, one
 /// scratch per worker). `workers` must already be clamped; with 1 worker
 /// the sweep runs inline on the caller's thread. All workers read the same
-/// [`OutEdges`] view — a raw [`QosCsr`] or a clamped [`ResidualCsr`] — so
-/// no graph payload bounds are needed.
-fn compute_trees<V: OutEdges + Sync>(
-    view: &V,
+/// [`QosCsr`], so no graph payload bounds are needed. Deliberately not
+/// generic and not `#[inline]`: every build and patch in the workspace runs
+/// this one compiled copy.
+fn compute_trees(
+    csr: &QosCsr,
     sources: &[NodeIx],
     workers: usize,
     out: &mut [Option<Arc<PathTree>>],
@@ -290,7 +252,7 @@ fn compute_trees<V: OutEdges + Sync>(
     if workers <= 1 {
         let mut scratch = DijkstraScratch::new();
         for &s in sources {
-            out[s.index()] = Some(Arc::new(single_source_view(view, s, &mut scratch)));
+            out[s.index()] = Some(Arc::new(single_source_csr(csr, s, &mut scratch)));
         }
         return;
     }
@@ -304,10 +266,7 @@ fn compute_trees<V: OutEdges + Sync>(
                     loop {
                         let i = next.fetch_add(1, Ordering::Relaxed);
                         let Some(&s) = sources.get(i) else { break };
-                        mine.push((
-                            s.index(),
-                            Arc::new(single_source_view(view, s, &mut scratch)),
-                        ));
+                        mine.push((s.index(), Arc::new(single_source_csr(csr, s, &mut scratch))));
                     }
                     mine
                 })
@@ -367,37 +326,22 @@ fn mark_sources_reaching<N>(
 }
 
 impl AllPairs {
-    /// Repairs this table after the listed edge-QoS changes, recomputing
+    /// Derives the table for a graph whose edge QoS changed, recomputing
     /// only the source trees the changes can affect (see the module docs
     /// for the dirty rules and why they are sound). `g` must already carry
-    /// the new weights. Uses [`auto_workers`] for the recomputation.
+    /// the new weights; `workers` sizes the recomputation (`0` = auto).
     ///
-    /// Falls back to a full parallel rebuild when the table and graph
-    /// disagree on node count (nodes were added or removed).
-    pub fn patch<N>(&mut self, g: &DiGraph<N, Qos>, changes: &[EdgeChange]) -> PatchStats {
-        self.patch_with(g, changes, 0)
-    }
-
-    /// Copy-on-write form of [`AllPairs::patch`]: treats `self` as an
-    /// immutable predecessor and returns a *fresh* table for the changed
-    /// graph. Every clean tree is shared with the predecessor by `Arc`
-    /// pointer — deriving the successor costs one refcount bump per clean
-    /// tree plus a Dijkstra per dirty one, never a copy of the table.
+    /// Copy-on-write: `self` is an immutable predecessor and the result a
+    /// *fresh* table. Every clean tree is shared with the predecessor by
+    /// `Arc` pointer — deriving the successor costs one refcount bump per
+    /// clean tree plus a Dijkstra per dirty one, never a copy of the table.
     /// Readers concurrently solving against the predecessor are never
     /// disturbed — this is the routing half of an epoch-published world,
     /// where the successor table is assembled entirely off-lock and swapped
     /// in with one pointer store.
     ///
-    /// `g` must already carry the new weights. Uses [`auto_workers`].
-    pub fn patched<N>(
-        &self,
-        g: &DiGraph<N, Qos>,
-        changes: &[EdgeChange],
-    ) -> (AllPairs, PatchStats) {
-        self.patched_with(g, changes, 0)
-    }
-
-    /// [`AllPairs::patched`] with an explicit worker count (`0` = auto).
+    /// Falls back to a full parallel rebuild when the table and graph
+    /// disagree on node count (nodes were added or removed).
     pub fn patched_with<N>(
         &self,
         g: &DiGraph<N, Qos>,
@@ -457,14 +401,10 @@ impl AllPairs {
         )
     }
 
-    /// [`AllPairs::patch`] with an explicit worker count (`0` = auto).
-    pub fn patch_with<N>(
-        &mut self,
-        g: &DiGraph<N, Qos>,
-        changes: &[EdgeChange],
-        workers: usize,
-    ) -> PatchStats {
-        let (next, stats) = self.patched_with(g, changes, workers);
+    /// [`AllPairs::patched_with`] assigned in place with [`auto_workers`] —
+    /// the form for callers that own the table (tests, benches).
+    pub fn patch<N>(&mut self, g: &DiGraph<N, Qos>, changes: &[EdgeChange]) -> PatchStats {
+        let (next, stats) = self.patched_with(g, changes, 0);
         *self = next;
         stats
     }
@@ -551,6 +491,7 @@ impl AllPairs {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::shortest_widest::all_pairs;
     use crate::{Latency, Qos};
 
     fn q(bw: u64, lat: u64) -> Qos {
@@ -587,42 +528,13 @@ mod tests {
             let par = all_pairs_parallel_with(&g, workers);
             assert_tables_equal(&par, &all_pairs(&g), &g);
         }
-        assert_tables_equal(&all_pairs_parallel(&g), &all_pairs(&g), &g);
     }
 
     #[test]
     fn parallel_handles_empty_graph() {
         let g: DiGraph<(), Qos> = DiGraph::new();
-        assert!(all_pairs_parallel(&g).is_empty());
+        assert!(all_pairs_parallel_with(&g, 0).is_empty());
         assert!(all_pairs_parallel_with(&g, 8).is_empty());
-        assert!(all_pairs_residual_with(&g, &[], 8).is_empty());
-    }
-
-    #[test]
-    fn residual_table_matches_a_materialised_clamp() {
-        let (mut g, _, e) = world();
-        let mut reserved = vec![Bandwidth::ZERO; g.edge_count()];
-        reserved[e[0].index()] = Bandwidth::kbps(7); // artery mostly booked
-        reserved[e[3].index()] = Bandwidth::kbps(2); // spur fully booked
-        for workers in [1, 4] {
-            let residual = all_pairs_residual_with(&g, &reserved, workers);
-            // Oracle: clamp the weights for real and rebuild from scratch.
-            let snapshot: Vec<Qos> = (0..g.edge_count())
-                .map(|i| *g.edge(EdgeIx::from_index(i)))
-                .collect();
-            for (i, &r) in reserved.iter().enumerate() {
-                let e = EdgeIx::from_index(i);
-                let w = *g.edge(e);
-                g.edge_mut(e).bandwidth = w.bandwidth.saturating_sub(r);
-            }
-            assert_tables_equal(&residual, &all_pairs(&g), &g);
-            for (i, w) in snapshot.into_iter().enumerate() {
-                *g.edge_mut(EdgeIx::from_index(i)) = w;
-            }
-        }
-        // No reservations at all: the residual build *is* the raw build.
-        let zero = vec![Bandwidth::ZERO; g.edge_count()];
-        assert_tables_equal(&all_pairs_residual_with(&g, &zero, 2), &all_pairs(&g), &g);
     }
 
     #[test]
@@ -781,13 +693,14 @@ mod tests {
         let before = all_pairs(&g);
         let old = *g.edge(e[1]);
         *g.edge_mut(e[1]) = q(3, 4);
-        let (next, stats) = before.patched(
+        let (next, stats) = before.patched_with(
             &g,
             &[EdgeChange {
                 edge: e[1],
                 old,
                 new: q(3, 4),
             }],
+            0,
         );
         assert_eq!(stats.trees_recomputed, 2);
         assert!(!stats.full_rebuild);
@@ -804,13 +717,14 @@ mod tests {
         let before = all_pairs(&g);
         let old = *g.edge(e[1]);
         *g.edge_mut(e[1]) = q(3, 4);
-        let (next, stats) = before.patched(
+        let (next, stats) = before.patched_with(
             &g,
             &[EdgeChange {
                 edge: e[1],
                 old,
                 new: q(3, 4),
             }],
+            0,
         );
         // Every clean tree is the predecessor's Arc, not a copy.
         assert_eq!(
@@ -818,7 +732,7 @@ mod tests {
             stats.trees_total - stats.trees_recomputed
         );
         // A no-op patch shares everything.
-        let (same, stats) = next.patched(&g, &[]);
+        let (same, stats) = next.patched_with(&g, &[], 0);
         assert_eq!(stats.trees_recomputed, 0);
         assert_eq!(next.shared_trees(&same), next.len());
     }

@@ -22,17 +22,18 @@
 //! * [`AllPairs`]: the all-pairs table the sFlow baseline algorithm (Table 1
 //!   of the paper) starts from;
 //! * [`engine`]: parallel all-pairs construction over a scoped worker pool
-//!   ([`all_pairs_parallel`]) and incremental maintenance after edge-QoS
-//!   changes ([`AllPairs::patch`] / [`AllPairs::patched`]), with per-worker
-//!   [`DijkstraScratch`] buffer reuse. Repeated sweeps run on [`QosCsr`], a
-//!   compressed-sparse-row flattening of the graph's adjacency with the
-//!   edge weights in slot-parallel arrays, and the table holds its trees
-//!   behind `Arc`s so an incrementally patched successor shares every clean
-//!   tree with its predecessor by pointer;
-//! * [`ResidualCsr`]: an [`OutEdges`] view over [`QosCsr`] that clamps each
-//!   edge's bandwidth to `capacity − reserved`, so the same Dijkstra kernels
-//!   route against what is actually *free* ([`all_pairs_residual_with`]
-//!   builds a whole table that way without materialising a clamped graph).
+//!   ([`all_pairs_parallel_with`]) and incremental maintenance after
+//!   edge-QoS changes ([`AllPairs::patched_with`], or [`AllPairs::patch`]
+//!   in place), with per-worker [`DijkstraScratch`] buffer reuse. Every
+//!   table is swept by one concrete kernel
+//!   ([`shortest_widest::single_source_csr`]) over one layout, [`QosCsr`] —
+//!   a compressed-sparse-row flattening of the graph's adjacency with the
+//!   edge weights in slot-parallel arrays — and holds its trees behind
+//!   `Arc`s so an incrementally patched successor shares every clean tree
+//!   with its predecessor by pointer. Routing against anything other than
+//!   raw capacity (the server's load plane routes against
+//!   `capacity − reserved`) means writing those weights into a graph and
+//!   patching the table for the edges that moved.
 //!
 //! # Example
 //!
@@ -64,11 +65,8 @@ mod metrics;
 pub mod pareto;
 pub mod shortest_widest;
 
-pub use engine::{
-    all_pairs_parallel, all_pairs_parallel_with, all_pairs_residual_with, auto_workers, DirtyLinks,
-    EdgeChange, PatchStats,
-};
+pub use engine::{all_pairs_parallel_with, auto_workers, DirtyLinks, EdgeChange, PatchStats};
 pub use metrics::{Bandwidth, Latency, Qos};
 pub use shortest_widest::{
-    all_pairs, AllPairs, DijkstraScratch, OutEdges, PathTree, QosCsr, ResidualCsr, TraversalScratch,
+    all_pairs, AllPairs, DijkstraScratch, PathTree, QosCsr, TraversalScratch,
 };

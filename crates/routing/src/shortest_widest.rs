@@ -9,7 +9,8 @@
 //!   optimal bottleneck `B*(v)` for every node (max–min composition *is*
 //!   isotone, so Dijkstra is exact there); then, for every distinct bandwidth
 //!   level `b`, a latency Dijkstra over the subgraph of links with bandwidth
-//!   `≥ b` fixes the minimum latency for the nodes whose `B*` equals `b`.
+//!   `≥ b` fixes the minimum latency for the nodes whose `B*` equals `b`
+//!   (and stops once the last of them is settled).
 //! * [`single_source_lexicographic`] — the classic single-pass Dijkstra with
 //!   the lexicographic (bandwidth ↓, latency ↑) key, as commonly implemented
 //!   from the Wang–Crowcroft description. The lexicographic key is *monotone*
@@ -19,16 +20,18 @@
 //!   property tests in this crate exercise exactly that gap, and the
 //!   `ablation_routing` benchmark quantifies it.
 //!
-//! The exact kernels are generic over the adjacency layout they sweep. The
-//! one-shot entry points ([`single_source`], [`single_source_with`]) walk the
-//! graph's own adjacency lists; the repeated-sweep paths — [`all_pairs`], the
-//! parallel builder and the incremental patcher in [`crate::engine`] — first
-//! flatten the graph into a [`QosCsr`] (a compressed-sparse-row view with the
-//! edge weights in slot-parallel arrays) and run [`single_source_csr`]
-//! against it, so the inner loops march forward through three flat arrays
-//! instead of chasing `Vec<EdgeIx>` indirections per visited edge. Both
-//! layouts run the *same* kernel code and are asserted observationally
-//! identical by `tests/prop_engine.rs`.
+//! The exact kernel is one concrete function over one layout:
+//! [`single_source_csr`] sweeps a [`QosCsr`] — a compressed-sparse-row
+//! flattening of the graph with the edge weights in slot-parallel arrays — so
+//! the inner loops march forward through flat arrays instead of chasing
+//! `Vec<EdgeIx>` indirections per visited edge. [`all_pairs`], the parallel
+//! builder and the incremental patcher in [`crate::engine`] derive the CSR
+//! once per graph and call the kernel per source; the one-shot
+//! [`single_source`] derives a CSR for its single sweep. The kernel is not
+//! generic, so it is compiled exactly once, in this crate, whoever calls it.
+//! A caller that wants to route against different weights (the server's load
+//! plane routes against `capacity − reserved`) writes them into a graph and
+//! runs the same kernel over that graph's CSR.
 //!
 //! Complexities, with `V` nodes, `E` edges and `L ≤ V` distinct bottleneck
 //! levels: exact is `O(L · E log V)`, lexicographic `O(E log V)`. The CSR
@@ -218,11 +221,11 @@ impl TraversalScratch {
 
 /// Reusable buffers for repeated single-source computations.
 ///
-/// [`single_source`] allocates (and throws away) per-node distance, done and
-/// heap storage once per bandwidth level; a scratch keeps those allocations
-/// alive across calls so a worker sweeping many sources — the all-pairs
-/// engine, the incremental patcher — touches the allocator only for the
-/// predecessor arrays that end up owned by the resulting [`PathTree`].
+/// The kernel needs per-node distance, done and heap storage once per
+/// bandwidth level; a scratch keeps those allocations alive across calls so
+/// a worker sweeping many sources — the all-pairs engine, the incremental
+/// patcher — touches the allocator only for the predecessor arrays that end
+/// up owned by the resulting [`PathTree`].
 #[derive(Debug, Default)]
 pub struct DijkstraScratch {
     widest: Vec<Option<Bandwidth>>,
@@ -273,116 +276,26 @@ impl QosCsr {
         self.adj.node_count()
     }
 
-    /// Number of edges in the viewed graph.
-    pub fn edge_count(&self) -> usize {
-        self.adj.edge_count()
-    }
-}
-
-/// The out-adjacency a kernel sweeps: implemented by the adjacency-list
-/// graph itself (the reference layout, kept as the property-test oracle),
-/// by [`QosCsr`] (the layout the repeated-sweep paths run on) and by
-/// [`ResidualCsr`] (the same layout with per-edge reservations clamped off
-/// the bandwidth on the fly). All drive the *same* kernel code, so a view
-/// that lies about a weight — which is exactly what the residual adapter
-/// does, on purpose — changes what the kernels see without touching them.
-pub trait OutEdges {
-    /// Number of nodes in the viewed graph.
-    fn node_count(&self) -> usize;
-    /// Visits every outgoing edge of `node` as
-    /// `(head, handle, bandwidth, latency)`.
-    fn for_each_out(&self, node: NodeIx, f: impl FnMut(NodeIx, EdgeIx, Bandwidth, Latency));
-}
-
-impl OutEdges for QosCsr {
-    fn node_count(&self) -> usize {
-        self.adj.node_count()
-    }
-
-    #[inline]
-    fn for_each_out(&self, node: NodeIx, mut f: impl FnMut(NodeIx, EdgeIx, Bandwidth, Latency)) {
+    /// The outgoing edges of `node` as `(head, handle, bandwidth, latency)`,
+    /// in insertion order. The four slot-parallel arrays are sliced once, so
+    /// the kernels' inner loops carry no per-edge bounds check; forced
+    /// inline so both loops are built the same way whatever surrounds them.
+    #[inline(always)]
+    fn out_edges(
+        &self,
+        node: NodeIx,
+    ) -> impl Iterator<Item = (NodeIx, EdgeIx, Bandwidth, Latency)> + '_ {
         let range = self.adj.range(node);
         let targets = &self.adj.targets()[range.clone()];
         let edges = &self.adj.edges()[range.clone()];
         let bandwidth = &self.bandwidth[range.clone()];
         let latency = &self.latency[range];
-        for i in 0..targets.len() {
-            f(targets[i], edges[i], bandwidth[i], latency[i]);
-        }
-    }
-}
-
-/// A residual-capacity view: the same CSR topology, with each edge's
-/// bandwidth clamped to `capacity − reserved[edge]` on the fly.
-///
-/// This is the routing half of the load plane: reservations held by live
-/// sessions are subtracted from raw link capacity *inside the adjacency
-/// visit*, so the unmodified Dijkstra kernels federate new requests against
-/// what is actually free. A fully booked edge clamps to
-/// [`Bandwidth::ZERO`], which the kernels already treat as unusable; an
-/// edge with [`Bandwidth::INFINITE`] raw capacity (the co-location
-/// identity) stays infinite no matter the booking.
-///
-/// The adapter borrows — constructing one costs nothing and no weight array
-/// is rewritten. The price is paid per visited edge instead: one extra
-/// indexed load of `reserved` (the `bench_routing` emitter records it next
-/// to the raw CSR sweep).
-#[derive(Clone, Copy, Debug)]
-pub struct ResidualCsr<'a> {
-    csr: &'a QosCsr,
-    /// Reserved bandwidth per edge, indexed by [`EdgeIx`].
-    reserved: &'a [Bandwidth],
-}
-
-impl<'a> ResidualCsr<'a> {
-    /// Views `csr` with `reserved[e.index()]` clamped off every edge `e`.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `reserved` covers every edge of the viewed graph.
-    pub fn new(csr: &'a QosCsr, reserved: &'a [Bandwidth]) -> Self {
-        assert_eq!(
-            reserved.len(),
-            csr.edge_count(),
-            "one reservation slot per edge"
-        );
-        ResidualCsr { csr, reserved }
-    }
-}
-
-impl OutEdges for ResidualCsr<'_> {
-    fn node_count(&self) -> usize {
-        self.csr.adj.node_count()
-    }
-
-    #[inline]
-    fn for_each_out(&self, node: NodeIx, mut f: impl FnMut(NodeIx, EdgeIx, Bandwidth, Latency)) {
-        let range = self.csr.adj.range(node);
-        let targets = &self.csr.adj.targets()[range.clone()];
-        let edges = &self.csr.adj.edges()[range.clone()];
-        let bandwidth = &self.csr.bandwidth[range.clone()];
-        let latency = &self.csr.latency[range];
-        for i in 0..targets.len() {
-            let residual = bandwidth[i].saturating_sub(self.reserved[edges[i].index()]);
-            f(targets[i], edges[i], residual, latency[i]);
-        }
-    }
-}
-
-/// The graph's own adjacency lists, used by the one-shot entry points.
-struct AdjacencyView<'a, N>(&'a DiGraph<N, Qos>);
-
-impl<N> OutEdges for AdjacencyView<'_, N> {
-    fn node_count(&self) -> usize {
-        self.0.node_count()
-    }
-
-    #[inline]
-    fn for_each_out(&self, node: NodeIx, mut f: impl FnMut(NodeIx, EdgeIx, Bandwidth, Latency)) {
-        for &eid in self.0.out_edge_ids(node) {
-            let (_, to, weight) = self.0.edge_parts(eid);
-            f(to, eid, weight.bandwidth, weight.latency);
-        }
+        targets
+            .iter()
+            .zip(edges)
+            .zip(bandwidth)
+            .zip(latency)
+            .map(|(((&to, &eid), &bw), &lat)| (to, eid, bw, lat))
     }
 }
 
@@ -408,8 +321,8 @@ impl PartialOrd for WidestEntry {
 
 /// Widest-path (max–min bandwidth) Dijkstra into `scratch.widest`; the
 /// source gets [`Bandwidth::INFINITE`].
-fn widest_bandwidths_into<V: OutEdges>(view: &V, source: NodeIx, scratch: &mut DijkstraScratch) {
-    let n = view.node_count();
+fn widest_bandwidths_into(csr: &QosCsr, source: NodeIx, scratch: &mut DijkstraScratch) {
+    let n = csr.node_count();
     scratch.widest.clear();
     scratch.widest.resize(n, None);
     scratch.done.clear();
@@ -428,16 +341,16 @@ fn widest_bandwidths_into<V: OutEdges>(view: &V, source: NodeIx, scratch: &mut D
             continue;
         }
         done[node.index()] = true;
-        view.for_each_out(node, |to, _eid, bw, _lat| {
+        for (to, _eid, bw, _lat) in csr.out_edges(node) {
             // A settled head can never improve; skipping it here (rather
             // than relying on the pop-time check) keeps the entry out of
             // the heap entirely.
             if done[to.index()] {
-                return;
+                continue;
             }
             let cand = bandwidth.bottleneck(bw);
             if cand == Bandwidth::ZERO {
-                return;
+                continue;
             }
             let slot = &mut best[to.index()];
             if slot.is_none_or(|b| cand > b) {
@@ -447,7 +360,7 @@ fn widest_bandwidths_into<V: OutEdges>(view: &V, source: NodeIx, scratch: &mut D
                     node: to,
                 });
             }
-        });
+        }
     }
 }
 
@@ -473,17 +386,25 @@ impl PartialOrd for LatencyEntry {
     }
 }
 
-/// Latency Dijkstra over the subgraph of links with bandwidth ≥ `floor`.
+/// Latency Dijkstra over the subgraph of links with bandwidth ≥ `floor`,
+/// run until every node whose optimal bottleneck (`scratch.widest`) *is*
+/// `floor` has been settled.
+///
+/// Those are the only nodes whose latency and path the caller reads at this
+/// level. A settled node's predecessor is itself settled and final, so the
+/// chains [`PathTree`] walks are complete when the last of them pops;
+/// whatever is still on the heap then could only settle nodes pinned at
+/// other levels, and the sweep stops instead of scanning their edges.
 ///
 /// Distances land in `scratch.lat`; only the predecessor array — which the
 /// caller's [`PathTree`] keeps — is freshly allocated.
-fn latency_dijkstra_at_level_into<V: OutEdges>(
-    view: &V,
+fn latency_dijkstra_at_level_into(
+    csr: &QosCsr,
     source: NodeIx,
     floor: Bandwidth,
     scratch: &mut DijkstraScratch,
 ) -> Vec<Option<(NodeIx, EdgeIx)>> {
-    let n = view.node_count();
+    let n = csr.node_count();
     scratch.lat.clear();
     scratch.lat.resize(n, None);
     scratch.done.clear();
@@ -492,6 +413,12 @@ fn latency_dijkstra_at_level_into<V: OutEdges>(
     let done = &mut scratch.done;
     let heap = &mut scratch.latency_heap;
     heap.clear();
+    let widest = &scratch.widest;
+    let mut unsettled = widest
+        .iter()
+        .enumerate()
+        .filter(|&(i, w)| i != source.index() && *w == Some(floor))
+        .count();
     let mut pred: Vec<Option<(NodeIx, EdgeIx)>> = vec![None; n];
     dist[source.index()] = Some(Latency::ZERO);
     heap.push(LatencyEntry {
@@ -503,11 +430,17 @@ fn latency_dijkstra_at_level_into<V: OutEdges>(
             continue;
         }
         done[node.index()] = true;
-        view.for_each_out(node, |to, eid, bw, lat| {
+        if node != source && widest[node.index()] == Some(floor) {
+            unsettled -= 1;
+            if unsettled == 0 {
+                break;
+            }
+        }
+        for (to, eid, bw, lat) in csr.out_edges(node) {
             // Stale at push time: a settled head cannot improve, so don't
             // even form the candidate, let alone grow the heap.
             if done[to.index()] || bw < floor {
-                return;
+                continue;
             }
             let cand = latency + lat;
             let slot = &mut dist[to.index()];
@@ -519,7 +452,7 @@ fn latency_dijkstra_at_level_into<V: OutEdges>(
                     node: to,
                 });
             }
-        });
+        }
     }
     pred
 }
@@ -544,58 +477,19 @@ fn latency_dijkstra_at_level_into<V: OutEdges>(
 /// assert_eq!(tree.qos_to(a), Some(Qos::IDENTITY));
 /// ```
 pub fn single_source<N>(g: &DiGraph<N, Qos>, source: NodeIx) -> PathTree {
-    single_source_with(g, source, &mut DijkstraScratch::new())
+    single_source_csr(&QosCsr::new(g), source, &mut DijkstraScratch::new())
 }
 
-/// [`single_source`] with caller-provided scratch buffers.
+/// The exact algorithm over a pre-derived [`QosCsr`] — the one kernel every
+/// shortest-widest table in the workspace comes from.
 ///
-/// Runs the kernels over the graph's own adjacency lists — the reference
-/// layout. One-shot queries should use this; sweeps of many sources over
-/// the same graph should derive a [`QosCsr`] once and call
-/// [`single_source_csr`] per source instead. Results are identical either
-/// way (property-tested).
-pub fn single_source_with<N>(
-    g: &DiGraph<N, Qos>,
-    source: NodeIx,
-    scratch: &mut DijkstraScratch,
-) -> PathTree {
-    single_source_view(&AdjacencyView(g), source, scratch)
-}
-
-/// [`single_source`] over a pre-derived [`QosCsr`] view.
-///
-/// This is the repeated-sweep entry point: the all-pairs builders and the
-/// incremental patcher derive the CSR once per graph and sweep it with one
-/// [`DijkstraScratch`] per worker, so the inner kernels read topology and
-/// weights from flat slot-parallel arrays and allocate only the predecessor
-/// tables the resulting [`PathTree`] keeps.
+/// The all-pairs builders and the incremental patcher derive the CSR once
+/// per graph and sweep it with one [`DijkstraScratch`] per worker, so the
+/// inner loops read topology and weights from flat slot-parallel arrays and
+/// allocate only the predecessor tables the resulting [`PathTree`] keeps.
 pub fn single_source_csr(csr: &QosCsr, source: NodeIx, scratch: &mut DijkstraScratch) -> PathTree {
-    single_source_view(csr, source, scratch)
-}
-
-/// [`single_source`] against *residual* capacity: every edge's bandwidth is
-/// clamped to `capacity − reserved[edge]` by a borrowed [`ResidualCsr`]
-/// view, so the tree routes around whatever live sessions already consume.
-/// Fully booked edges (residual zero) are unusable, exactly like
-/// zero-bandwidth links in the raw graph.
-pub fn single_source_residual(
-    csr: &QosCsr,
-    reserved: &[Bandwidth],
-    source: NodeIx,
-    scratch: &mut DijkstraScratch,
-) -> PathTree {
-    single_source_view(&ResidualCsr::new(csr, reserved), source, scratch)
-}
-
-/// The exact algorithm, generic over the adjacency layout — the entry point
-/// for custom [`OutEdges`] views (the named wrappers above all land here).
-pub fn single_source_view<V: OutEdges>(
-    view: &V,
-    source: NodeIx,
-    scratch: &mut DijkstraScratch,
-) -> PathTree {
-    let n = view.node_count();
-    widest_bandwidths_into(view, source, scratch);
+    let n = csr.node_count();
+    widest_bandwidths_into(csr, source, scratch);
 
     // Distinct bottleneck levels of non-source reachable nodes, widest first.
     let mut levels = std::mem::take(&mut scratch.levels);
@@ -617,7 +511,7 @@ pub fn single_source_view<V: OutEdges>(
     dist[source.index()] = Some(Qos::IDENTITY);
 
     for (li, &b) in levels.iter().enumerate() {
-        let pred = latency_dijkstra_at_level_into(view, source, b, scratch);
+        let pred = latency_dijkstra_at_level_into(csr, source, b, scratch);
         for i in 0..n {
             if i == source.index() || scratch.widest[i] != Some(b) {
                 continue;
@@ -716,7 +610,7 @@ pub fn single_source_lexicographic<N>(g: &DiGraph<N, Qos>, source: NodeIx) -> Pa
 /// all-pairs shortest-widest path … using the Wang-Crowcroft algorithm."
 ///
 /// Trees are held behind `Arc`s so an incremental successor table
-/// ([`AllPairs::patched`](crate::AllPairs)) shares every clean tree with its
+/// ([`AllPairs::patched_with`]) shares every clean tree with its
 /// predecessor by pointer — deriving an epoch costs allocations proportional
 /// to the *dirty* set, never a copy of the world.
 #[derive(Clone, Debug)]
@@ -829,23 +723,6 @@ mod tests {
             exact.qos_to(t).unwrap().bandwidth,
             lex.qos_to(t).unwrap().bandwidth
         );
-    }
-
-    #[test]
-    fn csr_kernels_match_adjacency_kernels() {
-        let (g, ..) = trap();
-        let csr = QosCsr::new(&g);
-        assert_eq!(csr.node_count(), g.node_count());
-        assert_eq!(csr.edge_count(), g.edge_count());
-        let mut scratch = DijkstraScratch::new();
-        for n in g.node_ids() {
-            let adjacency = single_source(&g, n);
-            let flat = single_source_csr(&csr, n, &mut scratch);
-            for m in g.node_ids() {
-                assert_eq!(adjacency.qos_to(m), flat.qos_to(m), "{n:?}->{m:?}");
-                assert_eq!(adjacency.path_to(m), flat.path_to(m), "{n:?}->{m:?}");
-            }
-        }
     }
 
     #[test]
@@ -968,10 +845,11 @@ mod tests {
     #[test]
     fn scratch_reuse_is_observationally_identical() {
         let (g, s, _) = trap();
+        let csr = QosCsr::new(&g);
         let mut scratch = DijkstraScratch::new();
         for n in g.node_ids() {
             let fresh = single_source(&g, n);
-            let reused = single_source_with(&g, n, &mut scratch);
+            let reused = single_source_csr(&csr, n, &mut scratch);
             for m in g.node_ids() {
                 assert_eq!(fresh.qos_to(m), reused.qos_to(m));
                 assert_eq!(fresh.path_to(m), reused.path_to(m));
@@ -1023,77 +901,6 @@ mod tests {
         assert!(tree.traverses_above(&floors, &mut scratch));
         floors[e.index()] = Bandwidth::ZERO;
         assert!(tree.traverses_above(&floors, &mut scratch));
-    }
-
-    #[test]
-    fn zero_reservations_leave_the_residual_view_identical() {
-        let (g, ..) = trap();
-        let csr = QosCsr::new(&g);
-        let reserved = vec![Bandwidth::ZERO; g.edge_count()];
-        let mut scratch = DijkstraScratch::new();
-        for n in g.node_ids() {
-            let raw = single_source_csr(&csr, n, &mut scratch);
-            let residual = single_source_residual(&csr, &reserved, n, &mut scratch);
-            for m in g.node_ids() {
-                assert_eq!(raw.qos_to(m), residual.qos_to(m), "{n:?}->{m:?}");
-                assert_eq!(raw.path_to(m), residual.path_to(m), "{n:?}->{m:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn reservations_reroute_around_booked_links() {
-        // Two routes a→c: direct (bw 10) and via b (bw 8, slower). Booking 5
-        // on the direct link clamps it to 5, so the detour wins; booking all
-        // 10 makes it unusable outright.
-        let mut g: DiGraph<(), Qos> = DiGraph::new();
-        let a = g.add_node(());
-        let b = g.add_node(());
-        let c = g.add_node(());
-        let direct = g.add_edge(a, c, q(10, 1));
-        g.add_edge(a, b, q(8, 5));
-        g.add_edge(b, c, q(8, 5));
-        let csr = QosCsr::new(&g);
-        let mut scratch = DijkstraScratch::new();
-        let mut reserved = vec![Bandwidth::ZERO; g.edge_count()];
-
-        reserved[direct.index()] = Bandwidth::kbps(5);
-        let tree = single_source_residual(&csr, &reserved, a, &mut scratch);
-        assert_eq!(tree.qos_to(c).unwrap(), q(8, 10));
-        assert_eq!(tree.path_to(c).unwrap(), vec![a, b, c]);
-
-        reserved[direct.index()] = Bandwidth::kbps(10);
-        let tree = single_source_residual(&csr, &reserved, a, &mut scratch);
-        assert_eq!(tree.qos_to(c).unwrap(), q(8, 10));
-
-        // Booking out every route leaves c unreachable.
-        for r in reserved.iter_mut() {
-            *r = Bandwidth::kbps(100);
-        }
-        let tree = single_source_residual(&csr, &reserved, a, &mut scratch);
-        assert_eq!(tree.qos_to(c), None);
-    }
-
-    #[test]
-    fn infinite_capacity_ignores_reservations() {
-        let mut g: DiGraph<(), Qos> = DiGraph::new();
-        let a = g.add_node(());
-        let b = g.add_node(());
-        let e = g.add_edge(a, b, Qos::IDENTITY); // co-location identity link
-        let csr = QosCsr::new(&g);
-        let mut reserved = vec![Bandwidth::ZERO; g.edge_count()];
-        reserved[e.index()] = Bandwidth::kbps(u64::MAX / 2);
-        let mut scratch = DijkstraScratch::new();
-        let tree = single_source_residual(&csr, &reserved, a, &mut scratch);
-        assert_eq!(tree.qos_to(b), Some(Qos::IDENTITY));
-    }
-
-    #[test]
-    #[should_panic(expected = "one reservation slot per edge")]
-    fn residual_view_demands_full_coverage() {
-        let (g, ..) = trap();
-        let csr = QosCsr::new(&g);
-        let _ = ResidualCsr::new(&csr, &[Bandwidth::ZERO]);
     }
 
     #[test]

@@ -6,14 +6,12 @@
 //!   observationally identical to [`all_pairs`] (QoS *and* paths — the
 //!   work-stealing fan-out must not perturb tie-breaks, because each source
 //!   tree is computed by the same deterministic code);
-//! * [`AllPairs::patch`] after a random batch of edge-QoS mutations must
-//!   leave the table QoS-identical to rebuilding from scratch on the
+//! * [`AllPairs::patched_with`] after a random batch of edge-QoS mutations
+//!   must yield a table QoS-identical to rebuilding from scratch on the
 //!   mutated graph, and every path it reports must still be valid.
 //!
-//! Plus three structural properties of the compact core:
+//! Plus two structural properties of the compact core:
 //!
-//! * the CSR kernels ([`shortest_widest::single_source_csr`]) must produce
-//!   trees identical to the adjacency-list kernels on random graphs;
 //! * [`AllPairs::patched_with`] must share every clean tree with its
 //!   predecessor by `Arc` pointer (no whole-table clone) while still
 //!   matching a from-scratch rebuild;
@@ -26,8 +24,8 @@ use std::collections::VecDeque;
 use proptest::prelude::*;
 use sflow_graph::DiGraph;
 use sflow_routing::{
-    all_pairs, all_pairs_parallel_with, all_pairs_residual_with, shortest_widest, AllPairs,
-    Bandwidth, EdgeChange, Latency, Qos,
+    all_pairs, all_pairs_parallel_with, shortest_widest, AllPairs, Bandwidth, EdgeChange, Latency,
+    Qos,
 };
 
 fn q(bw: u64, lat: u64) -> Qos {
@@ -137,7 +135,7 @@ proptest! {
         workers in 0usize..3,
     ) {
         let (mut g, mutations) = seed;
-        let mut table = all_pairs(&g);
+        let before = all_pairs(&g);
         let edge_ids: Vec<_> = g.edges().map(|e| e.id).collect();
         // Every generated tuple can be a self-loop, leaving no edges to
         // mutate; nothing to check then.
@@ -157,7 +155,7 @@ proptest! {
             changes.push(EdgeChange { edge, old, new });
         }
 
-        let stats = table.patch_with(&g, &changes, workers);
+        let (table, stats) = before.patched_with(&g, &changes, workers);
         prop_assert!(stats.trees_recomputed <= stats.trees_total);
 
         // Oracle: rebuild from scratch on the mutated graph.
@@ -183,73 +181,6 @@ proptest! {
                         );
                     }
                 }
-            }
-        }
-    }
-
-    #[test]
-    fn residual_table_matches_a_materialised_clamp(
-        g in graph_strategy(),
-        raw_reserved in proptest::collection::vec(0u64..8, 0..64),
-        workers in 0usize..4,
-    ) {
-        // Reservations for every edge, drawn from the same small domain as
-        // the capacities so fully-booked and over-booked links are common.
-        let reserved: Vec<Bandwidth> = (0..g.edge_count())
-            .map(|i| Bandwidth::kbps(raw_reserved.get(i).copied().unwrap_or(0)))
-            .collect();
-        let residual = all_pairs_residual_with(&g, &reserved, workers);
-
-        // Oracle: materialise the clamp into a cloned graph and rebuild.
-        let mut clamped = g.clone();
-        let edge_ids: Vec<_> = clamped.edges().map(|e| e.id).collect();
-        for edge in edge_ids {
-            let (_, _, w) = clamped.edge_parts(edge);
-            let w = *w;
-            clamped.edge_mut(edge).bandwidth =
-                w.bandwidth.saturating_sub(reserved[edge.index()]);
-        }
-        let rebuilt = all_pairs(&clamped);
-        for u in g.node_ids() {
-            for v in g.node_ids() {
-                prop_assert_eq!(
-                    residual.qos(u, v), rebuilt.qos(u, v),
-                    "qos {:?}->{:?}", u, v
-                );
-                prop_assert_eq!(
-                    residual.path(u, v), rebuilt.path(u, v),
-                    "path {:?}->{:?}", u, v
-                );
-            }
-        }
-
-        // Zero reservations: the residual build *is* the raw build.
-        let zero = vec![Bandwidth::ZERO; g.edge_count()];
-        let raw = all_pairs_residual_with(&g, &zero, workers);
-        let reference = all_pairs(&g);
-        for u in g.node_ids() {
-            for v in g.node_ids() {
-                prop_assert_eq!(raw.qos(u, v), reference.qos(u, v));
-            }
-        }
-    }
-
-    #[test]
-    fn csr_kernels_match_adjacency_kernels(g in graph_strategy()) {
-        let csr = shortest_widest::QosCsr::new(&g);
-        let mut scratch = shortest_widest::DijkstraScratch::new();
-        for s in g.node_ids() {
-            let reference = shortest_widest::single_source(&g, s);
-            let flat = shortest_widest::single_source_csr(&csr, s, &mut scratch);
-            for v in g.node_ids() {
-                prop_assert_eq!(
-                    reference.qos_to(v), flat.qos_to(v),
-                    "qos {:?}->{:?}", s, v
-                );
-                prop_assert_eq!(
-                    reference.path_to(v), flat.path_to(v),
-                    "path {:?}->{:?}", s, v
-                );
             }
         }
     }

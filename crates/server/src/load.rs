@@ -322,12 +322,6 @@ impl LoadPlane {
         &self.map
     }
 
-    /// The residual-capacity overlay (link bandwidths are
-    /// `capacity − reserved`).
-    pub fn clamped_overlay(&self) -> &OverlayGraph {
-        &self.clamped
-    }
-
     /// A context that federates against residual capacity: the clamped
     /// overlay and its patched table, pinned to this plane's epoch.
     pub fn context(&self) -> OwnedFederationContext {
@@ -640,6 +634,130 @@ mod tests {
         let next = Arc::new(cell.load().decayed());
         cell.publish(next);
         assert_eq!(cell.load().version(), 1);
+    }
+
+    /// What the plane promises the solver: every clamped link reads
+    /// `capacity − reserved` (infinite capacity untouched), and the patched
+    /// table is the table of that clamped graph — same QoS and same path as
+    /// a from-scratch build, for every node pair.
+    fn assert_plane_matches_a_rebuild(plane: &LoadPlane, raw: &OverlayGraph, step: &str) {
+        let ctx = plane.context();
+        let clamped = ctx.overlay().graph();
+        for e in raw.graph().edges() {
+            let link = (raw.instance(e.from), raw.instance(e.to));
+            let capacity = e.weight.bandwidth;
+            let want = if capacity == Bandwidth::INFINITE {
+                capacity
+            } else {
+                let reserved = plane.map().reserved_kbps(link);
+                Bandwidth::kbps(capacity.as_kbps().saturating_sub(reserved))
+            };
+            let got = clamped.edge(clamped.find_edge(e.from, e.to).unwrap());
+            assert_eq!(got.bandwidth, want, "{step}: clamp of {link:?}");
+            assert_eq!(got.latency, e.weight.latency, "{step}: latency of {link:?}");
+        }
+        let rebuilt = ctx.overlay().all_pairs();
+        for u in clamped.node_ids() {
+            for v in clamped.node_ids() {
+                assert_eq!(
+                    ctx.all_pairs().qos(u, v),
+                    rebuilt.qos(u, v),
+                    "{step}: qos {u:?}->{v:?}"
+                );
+                assert_eq!(
+                    ctx.all_pairs().path(u, v),
+                    rebuilt.path(u, v),
+                    "{step}: path {u:?}->{v:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn the_patched_table_is_the_table_of_the_clamped_graph() {
+        // 15 instances on 8 hosts: co-located pairs give infinite-capacity
+        // links, the rest carry 10..=1000 kbit/s.
+        let services: Vec<_> = (0..5).map(sflow_net::ServiceId::new).collect();
+        for seed in 0..4u64 {
+            let fx = sflow_core::fixtures::random_fixture(8, &services, 3, None, seed);
+            let source = fx.source;
+            let snap = WorldSnapshot::new(Arc::new(fx.overlay), Arc::new(fx.all_pairs), source, 0);
+            let mut raw = snap.overlay_arc();
+            let all_links: Vec<(LinkId, Bandwidth)> = raw
+                .graph()
+                .edges()
+                .map(|e| {
+                    (
+                        (raw.instance(e.from), raw.instance(e.to)),
+                        e.weight.bandwidth,
+                    )
+                })
+                .collect();
+            assert!(all_links.iter().any(|&(_, c)| c == Bandwidth::INFINITE));
+
+            // The crate has no dev-dependency on `rand`; an LCG is enough.
+            let mut state = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut draw = move |below: u64| {
+                state = state
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                (state >> 33) % below
+            };
+
+            let mut plane = LoadPlane::fresh(&snap);
+            let mut booked: Vec<(LinkId, u64)> = Vec::new();
+            for step in 0..60 {
+                if step == 30 {
+                    // One epoch crossing: a link's raw capacity halves and
+                    // the ledger is rebased onto the successor snapshot.
+                    let (link, capacity) = all_links[draw(all_links.len() as u64) as usize];
+                    let (from, to) = (raw.node_of(link.0).unwrap(), raw.node_of(link.1).unwrap());
+                    let latency = raw
+                        .graph()
+                        .edge(raw.graph().find_edge(from, to).unwrap())
+                        .latency;
+                    let halved = Qos::new(Bandwidth::kbps(capacity.as_kbps() / 2), latency);
+                    let (overlay, change) = raw.with_link_qos(from, to, halved).unwrap();
+                    let (table, _) = snap.all_pairs().patched_with(overlay.graph(), &[change], 1);
+                    let next = WorldSnapshot::new(Arc::new(overlay), Arc::new(table), source, 1);
+                    plane = LoadPlane::rebased(&next, plane.map().clone(), 1);
+                    raw = next.overlay_arc();
+                    assert_plane_matches_a_rebuild(&plane, &raw, &format!("seed {seed} rebase"));
+                    continue;
+                }
+                // Opens (amounts reach past capacity, so fully booked links
+                // occur), releases of earlier bookings, or both at once —
+                // the rebalancer's make-before-break shape.
+                let mut opens = Vec::new();
+                let mut releases = Vec::new();
+                let kind = draw(5);
+                if kind != 0 {
+                    for _ in 0..=draw(3) {
+                        let (link, capacity) = all_links[draw(all_links.len() as u64) as usize];
+                        let ceiling = if capacity == Bandwidth::INFINITE {
+                            500
+                        } else {
+                            capacity.as_kbps() * 5 / 4
+                        };
+                        opens.push((link, 1 + draw(ceiling)));
+                    }
+                }
+                if kind <= 1 {
+                    for _ in 0..=draw(3) {
+                        if !booked.is_empty() {
+                            releases.push(booked.swap_remove(draw(booked.len() as u64) as usize));
+                        }
+                    }
+                }
+                plane = plane.with_changes(&opens, &releases, 1);
+                booked.extend(opens);
+                assert_eq!(
+                    plane.map().total_reserved_kbps(),
+                    booked.iter().map(|&(_, k)| k).sum::<u64>()
+                );
+                assert_plane_matches_a_rebuild(&plane, &raw, &format!("seed {seed} step {step}"));
+            }
+        }
     }
 
     fn sum_links(links: &[(LinkId, u64)]) -> BTreeMap<LinkId, u64> {

@@ -50,21 +50,6 @@ pub enum WireError {
     Json(String),
 }
 
-impl WireError {
-    /// True when the *peer* violated the protocol (as opposed to the
-    /// transport failing): oversized prefix, torn frame, non-UTF-8 or
-    /// non-JSON body. These are what a server should count and answer.
-    pub fn is_protocol(&self) -> bool {
-        matches!(
-            self,
-            WireError::Truncated { .. }
-                | WireError::Oversized { .. }
-                | WireError::Utf8(_)
-                | WireError::Json(_)
-        )
-    }
-}
-
 impl fmt::Display for WireError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -289,7 +274,6 @@ mod tests {
         buf.truncate(buf.len() - 1);
         let err = read_frame::<Request>(&mut buf.as_slice()).unwrap_err();
         assert!(matches!(err, WireError::Truncated { .. }), "{err:?}");
-        assert!(err.is_protocol());
         // A torn length prefix is also truncation, not a clean EOF.
         let err = read_frame::<Request>(&mut &buf[..2]).unwrap_err();
         assert!(
@@ -314,7 +298,6 @@ mod tests {
             matches!(err, WireError::Oversized { declared } if declared == MAX_FRAME + 1),
             "{err:?}"
         );
-        assert!(err.is_protocol());
         assert_eq!(io::Error::from(err).kind(), ErrorKind::InvalidData);
     }
 
@@ -330,7 +313,6 @@ mod tests {
         buf.extend_from_slice(body);
         let err = read_frame::<Request>(&mut buf.as_slice()).unwrap_err();
         assert!(matches!(err, WireError::Json(_)), "{err:?}");
-        assert!(err.is_protocol());
         assert!(err.to_string().contains("JSON"));
     }
 
@@ -377,13 +359,5 @@ mod tests {
         dec.feed(body);
         let err = dec.next_frame::<Request>().unwrap_err();
         assert!(matches!(err, WireError::Json(_)), "{err:?}");
-        assert!(err.is_protocol());
-    }
-
-    #[test]
-    fn a_transport_failure_is_not_a_protocol_error() {
-        for kind in [ErrorKind::TimedOut, ErrorKind::ConnectionReset] {
-            assert!(!WireError::Io(kind.into()).is_protocol());
-        }
     }
 }

@@ -56,7 +56,7 @@ impl std::error::Error for WorldError {}
 /// How much routing work one applied mutation cost.
 ///
 /// `SetLinkQos` goes through the incremental
-/// [`AllPairs::patched`](sflow_routing::AllPairs::patched) path, so
+/// [`AllPairs::patched_with`](sflow_routing::AllPairs::patched_with) path, so
 /// `trees_recomputed` is typically far below `trees_total`; instance
 /// failures renumber the overlay and force a full parallel rebuild.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -140,7 +140,7 @@ impl World {
 
     /// Applies one mutation: builds the successor snapshot copy-on-write —
     /// a patched overlay clone plus a routing table derived from the
-    /// predecessor's ([`AllPairs::patched`](sflow_routing::AllPairs::patched)
+    /// predecessor's ([`AllPairs::patched_with`](sflow_routing::AllPairs::patched_with)
     /// for link-QoS changes, full parallel rebuild for structural ones) —
     /// and publishes it with a
     /// single pointer swap. Readers keep solving against the predecessor
