@@ -10,21 +10,28 @@
 //! topologies, then writes the numbers to `BENCH_routing.json` at the
 //! repository root.
 //!
-//! The patch rows are the headline. Each sample is a *bandwidth jitter
-//! pair* on one random link — shave 1 kbit/s, then restore it, latency
-//! untouched: the shave exercises the thresholded degradation rule (trees
-//! whose recorded paths bottleneck at or below the surviving bandwidth are
-//! provably clean), the restore exercises the gain gates (only sources
-//! whose own bottleneck to the link's tail could use the recovered
-//! headroom are dirty). For each direction the report also records what
-//! the engine's pre-tightening *coarse* rules — any-traversal for
-//! degradations, reach-the-tail for improvements — would have recomputed
-//! on the same samples, so the over-invalidation cut is visible in the
-//! numbers (on the 200-node world a shave of the most popular link
-//! recomputes ~1 tree where the coarse rule recomputed 154). Every sample
-//! also asserts the epoch-sharing contract: the successor table shares
-//! exactly `trees_total − trees_recomputed` trees with its predecessor by
-//! `Arc` pointer — deriving an epoch never clones the world.
+//! The patch rows are the headline, in three shapes. A *jitter pair* shaves
+//! 1 kbit/s off one random link and restores it, latency untouched; a
+//! *forest pair* halves five random links in one batch and restores them in
+//! one batch — what founding and dissolving a forest does to the load
+//! plane's table; a *latency pair* doubles one random link's latency and
+//! puts it back, bandwidth untouched. The cut exercises the loss floor
+//! (trees whose recorded paths bottleneck at or below the surviving
+//! bandwidth are provably clean), the restore the per-level optimality
+//! certificate (a tree is clean unless the recovered edge beats a label its
+//! own Dijkstra recorded), the latency pair the re-timing rule (a tree is
+//! recomputed if any label it recorded crosses the edge, read by a reported
+//! path or not). Each direction reports what the *coarse* rules —
+//! any-traversal for cuts, reach-the-tail for everything else — would have
+//! recomputed on the same samples, and `plan_us`: the median wall time of
+//! the samples that recomputed no tree, which is the dirty plan and one
+//! refcount bump per tree (`plan_samples` says how many there were; `null`
+//! if none). The slow-down also reports how many trees had the edge on a
+//! *reported* path — the fewest any sound rule can recompute, and what the
+//! rule before the certificate did recompute. Every sample also asserts the
+//! epoch-sharing contract: the successor table shares exactly
+//! `trees_total − trees_recomputed` trees with its predecessor by `Arc`
+//! pointer — deriving an epoch never clones the world.
 //!
 //! Each world also records `csr_build_us`, the cost of deriving the
 //! [`QosCsr`] index every build and every patch starts with.
@@ -65,7 +72,10 @@ fn reps_for(nodes: usize) -> usize {
     }
 }
 
-/// Bandwidth shave/restore pairs sampled per world for the patch rows.
+/// Links cut and restored together in one forest pair.
+const FOREST_LINKS: usize = 5;
+
+/// Cut/restore pairs sampled per world for each shape of patch row.
 fn patch_pairs_for(nodes: usize) -> usize {
     if nodes <= 4_000 {
         10
@@ -170,10 +180,10 @@ struct BuildPoint {
     us: u128,
 }
 
-/// Aggregated patch stats for one direction (shave or restore). `coarse`
-/// holds, per sample, how many trees the engine's pre-tightening rules —
-/// any-traversal for degradations, reach-the-tail for improvements —
-/// would have recomputed on the same change.
+/// Aggregated patch stats for one direction (cut or restore). `coarse`
+/// holds, per sample, how many trees the coarse rules — any-traversal for
+/// cuts, reach-the-tail for restores — would have recomputed on the same
+/// batch.
 #[derive(Default)]
 struct PatchDir {
     times: Vec<u128>,
@@ -181,9 +191,33 @@ struct PatchDir {
     coarse: Vec<u64>,
 }
 
+fn avg(samples: &[u128]) -> u128 {
+    samples.iter().sum::<u128>() / samples.len().max(1) as u128
+}
+
 impl PatchDir {
     fn avg_us(&self) -> u128 {
-        self.times.iter().sum::<u128>() / self.times.len().max(1) as u128
+        avg(&self.times)
+    }
+    /// Wall times of the samples that recomputed nothing: the dirty plan
+    /// and `trees_total` refcount bumps, no Dijkstra.
+    fn plan_times(&self) -> Vec<u128> {
+        self.times
+            .iter()
+            .zip(&self.trees)
+            .filter(|&(_, &trees)| trees == 0)
+            .map(|(&us, _)| us)
+            .collect()
+    }
+    /// `"<median µs>"` over [`PatchDir::plan_times`], `"null"` if there are
+    /// none.
+    fn plan_us(&self) -> String {
+        let times = self.plan_times();
+        if times.is_empty() {
+            "null".to_string()
+        } else {
+            median(times).to_string()
+        }
     }
     fn avg_trees(&self) -> f64 {
         self.trees.iter().sum::<u64>() as f64 / self.trees.len().max(1) as f64
@@ -199,25 +233,30 @@ impl PatchDir {
     }
 }
 
-/// Trees the pre-tightening degradation rule would have recomputed: every
-/// tree in `table` traversing `edge` at any bandwidth level.
-fn coarse_cut_trees<N>(table: &AllPairs, g: &DiGraph<N, Qos>, edge: EdgeIx) -> u64 {
+/// Trees the coarse cut rule would recompute: every tree in `table`
+/// traversing one of `edges` at any bandwidth level.
+fn coarse_cut_trees<N>(table: &AllPairs, g: &DiGraph<N, Qos>, edges: &[EdgeIx]) -> u64 {
     let mut marked = vec![false; g.edge_count()];
-    marked[edge.index()] = true;
+    for edge in edges {
+        marked[edge.index()] = true;
+    }
     g.node_ids()
         .filter(|&s| table.tree(s).traverses_any(&marked))
         .count() as u64
 }
 
-/// Trees the pre-tightening improvement rule would have recomputed: every
-/// source that can reach `edge`'s tail over positive-bandwidth links.
-fn coarse_restore_trees<N>(g: &DiGraph<N, Qos>, edge: EdgeIx) -> u64 {
-    let (tail, _, _) = g.edge_parts(edge);
+/// Trees the coarse restore rule would recompute: every source that can
+/// reach the tail of one of `edges` over positive-bandwidth links.
+fn coarse_restore_trees<N>(g: &DiGraph<N, Qos>, edges: &[EdgeIx]) -> u64 {
     let mut seen = vec![false; g.node_count()];
     let mut queue = VecDeque::new();
-    seen[tail.index()] = true;
-    queue.push_back(tail);
-    let mut count = 1u64;
+    for &edge in edges {
+        let (tail, _, _) = g.edge_parts(edge);
+        if !seen[tail.index()] {
+            seen[tail.index()] = true;
+            queue.push_back(tail);
+        }
+    }
     while let Some(v) = queue.pop_front() {
         for &eid in g.in_edge_ids(v) {
             let (from, _, w) = g.edge_parts(eid);
@@ -225,11 +264,10 @@ fn coarse_restore_trees<N>(g: &DiGraph<N, Qos>, edge: EdgeIx) -> u64 {
                 continue;
             }
             seen[from.index()] = true;
-            count += 1;
             queue.push_back(from);
         }
     }
-    count
+    seen.iter().filter(|&&s| s).count() as u64
 }
 
 /// One world's rows of the report.
@@ -243,24 +281,91 @@ struct WorldReport {
     patch_samples: usize,
     cut: PatchDir,
     restore: PatchDir,
+    forest_cut: PatchDir,
+    forest_restore: PatchDir,
+    slow_down: PatchDir,
+    speed_up: PatchDir,
+    /// Per slow-down sample, the trees with the slowed edge on a reported
+    /// path.
+    slow_down_reported: Vec<u64>,
     trees_total: usize,
     min_trees_shared: usize,
+}
+
+/// Writes `batch` (`(edge, before, after)` per link, all one way) into
+/// `world`, patches `table` for it and books the sample under `dir`,
+/// asserting what every patch must hold: no full rebuild, clean trees
+/// shared by pointer, never dirtier than the coarse rule.
+fn patch_sample<N>(
+    table: &AllPairs,
+    world: &mut DiGraph<N, Qos>,
+    batch: &[(EdgeIx, Qos, Qos)],
+    dir: &mut PatchDir,
+) -> AllPairs {
+    let edges: Vec<EdgeIx> = batch.iter().map(|&(edge, ..)| edge).collect();
+    let mut changes = Vec::with_capacity(batch.len());
+    for &(edge, old, new) in batch {
+        *world.edge_mut(edge) = new;
+        changes.push(EdgeChange { edge, old, new });
+    }
+    let coarse = if batch
+        .iter()
+        .all(|(_, old, new)| new.bandwidth < old.bandwidth && new.latency == old.latency)
+    {
+        coarse_cut_trees(table, world, &edges)
+    } else {
+        coarse_restore_trees(world, &edges)
+    };
+    let started = Instant::now();
+    let (next, stats) = table.patched_with(world, &changes, 0);
+    dir.times.push(started.elapsed().as_micros());
+    assert!(!stats.full_rebuild, "QoS-only change must not full-rebuild");
+    assert_eq!(
+        table.shared_trees(&next),
+        stats.trees_total - stats.trees_recomputed,
+        "every clean tree must be shared with the predecessor by pointer"
+    );
+    assert!(
+        stats.trees_recomputed as u64 <= coarse,
+        "the dirty plan must never recompute more than the coarse rules ({} > {coarse})",
+        stats.trees_recomputed,
+    );
+    dir.trees.push(stats.trees_recomputed as u64);
+    dir.coarse.push(coarse);
+    next
+}
+
+/// What a shape of patch row leaves of a link, `None` if the link cannot
+/// take it (cutting a 1 kbit/s link would sever it).
+type Worsen = fn(Qos) -> Option<Qos>;
+
+fn shave(w: Qos) -> Option<Qos> {
+    let kbps = w.bandwidth.as_kbps();
+    (kbps >= 2).then(|| Qos::new(Bandwidth::kbps(kbps - 1), w.latency))
+}
+
+fn halve(w: Qos) -> Option<Qos> {
+    let kbps = w.bandwidth.as_kbps();
+    (kbps >= 2).then(|| Qos::new(Bandwidth::kbps(kbps - kbps / 2), w.latency))
+}
+
+fn slow(w: Qos) -> Option<Qos> {
+    Some(Qos::new(w.bandwidth, w.latency + w.latency))
 }
 
 /// Measures one graph end to end; generic over the node payload so the
 /// Fig. 4 overlay (instance-labelled) and the raw random overlays share it.
 ///
-/// Each patch sample shaves 1 kbit/s off one link's bandwidth (latency
-/// untouched) off the shared baseline table, then restores it off the
-/// shaved table — the two directions exercise the thresholded degradation
-/// floor and the gain gates respectively. They are reported separately
-/// because their dirty sets are structurally different: a shave only
-/// invalidates trees whose recorded paths actually lean on the lost
-/// headroom (bottleneck strictly above the surviving bandwidth), while a
-/// restore must conservatively recompute every source whose own
-/// bottleneck could use the recovered headroom (new paths may appear
-/// anywhere downstream). Each direction also records what the coarse
-/// pre-tightening rules would have recomputed on the identical change.
+/// Each jitter sample shaves 1 kbit/s off one link off the shared baseline
+/// table, then restores it off the shaved table; each forest sample does
+/// the same to [`FOREST_LINKS`] links at once, halving them; each latency
+/// sample doubles one link's latency and puts it back. The directions are
+/// reported separately because their rules differ: a cut only invalidates
+/// trees whose recorded paths lean on the lost headroom (bottleneck
+/// strictly above the surviving bandwidth), a restore invalidates trees in
+/// which the recovered edge would beat a recorded label at some level it
+/// rejoins, and a latency change either way invalidates every tree that
+/// recorded a label across the edge.
 fn measure<N: Clone>(name: &'static str, g: &DiGraph<N, Qos>, seed: u64) -> WorldReport {
     let reps = reps_for(g.node_count());
     // Any sweep build serves as the patch baseline — the table is
@@ -279,73 +384,83 @@ fn measure<N: Clone>(name: &'static str, g: &DiGraph<N, Qos>, seed: u64) -> Worl
 
     let csr_build_us = time_us(reps, || QosCsr::new(g));
 
-    let mut rng = StdRng::seed_from_u64(seed);
     let mut world = g.clone();
     let edge_ids: Vec<_> = world.edges().map(|e| e.id).collect();
-    let mut cut_dir = PatchDir::default();
-    let mut restore_dir = PatchDir::default();
-    let mut min_trees_shared = usize::MAX;
-    let samples = patch_pairs_for(world.node_count());
-    let mut done = 0;
-    while done < samples {
-        let edge = edge_ids[rng.gen_range(0..edge_ids.len())];
-        let old = *world.edge(edge);
-        if old.bandwidth.as_kbps() < 2 {
-            continue; // shaving a 1 kbit/s link would sever it
-        }
-        done += 1;
-        let cut = Qos::new(Bandwidth::kbps(old.bandwidth.as_kbps() - 1), old.latency);
-        let mut table = baseline.clone(); // Arc bumps, not a deep copy
-        for (before, after, dir) in [(old, cut, &mut cut_dir), (cut, old, &mut restore_dir)] {
-            *world.edge_mut(edge) = after;
-            let change = EdgeChange {
-                edge,
-                old: before,
-                new: after,
-            };
-            let coarse = if after.bandwidth < before.bandwidth {
-                coarse_cut_trees(&table, &world, edge)
-            } else {
-                coarse_restore_trees(&world, edge)
-            };
-            dir.coarse.push(coarse);
-            let started = Instant::now();
-            let (next, stats) = table.patched_with(&world, &[change], 0);
-            dir.times.push(started.elapsed().as_micros());
-            assert!(!stats.full_rebuild, "QoS-only change must not full-rebuild");
-            let shared = table.shared_trees(&next);
-            assert_eq!(
-                shared,
-                stats.trees_total - stats.trees_recomputed,
-                "every clean tree must be shared with the predecessor by pointer"
-            );
-            min_trees_shared = min_trees_shared.min(shared);
-            assert!(
-                stats.trees_recomputed as u64 <= coarse,
-                "tightened rules must never dirty more than the coarse rules \
-                 ({} > {})",
-                stats.trees_recomputed,
-                coarse,
-            );
-            dir.trees.push(stats.trees_recomputed as u64);
-            table = next;
-        }
-        // The restore left `world` (and the table values) back at baseline.
-    }
-
-    WorldReport {
+    let mut report = WorldReport {
         name,
         nodes: world.node_count(),
         edges: world.edge_count(),
         reps,
         build,
         csr_build_us,
-        patch_samples: samples,
-        cut: cut_dir,
-        restore: restore_dir,
+        patch_samples: patch_pairs_for(world.node_count()),
+        cut: PatchDir::default(),
+        restore: PatchDir::default(),
+        forest_cut: PatchDir::default(),
+        forest_restore: PatchDir::default(),
+        slow_down: PatchDir::default(),
+        speed_up: PatchDir::default(),
+        slow_down_reported: Vec::new(),
         trees_total,
-        min_trees_shared,
+        min_trees_shared: trees_total,
+    };
+    let shapes: [(usize, u64, Worsen, &mut PatchDir, &mut PatchDir); 3] = [
+        (1, seed, shave, &mut report.cut, &mut report.restore),
+        (
+            FOREST_LINKS,
+            seed + 1,
+            halve,
+            &mut report.forest_cut,
+            &mut report.forest_restore,
+        ),
+        (
+            1,
+            seed + 2,
+            slow,
+            &mut report.slow_down,
+            &mut report.speed_up,
+        ),
+    ];
+    // One generator per shape, so each series stays the series it was
+    // before the others existed.
+    for (links, shape_seed, worsen, worse_dir, back_dir) in shapes {
+        let mut rng = StdRng::seed_from_u64(shape_seed);
+        for _ in 0..report.patch_samples {
+            let mut worse: Vec<(EdgeIx, Qos, Qos)> = Vec::with_capacity(links);
+            while worse.len() < links {
+                let edge = edge_ids[rng.gen_range(0..edge_ids.len())];
+                let old = *world.edge(edge);
+                if worse.iter().any(|&(drawn, ..)| drawn == edge) {
+                    continue;
+                }
+                if let Some(left) = worsen(old) {
+                    worse.push((edge, old, left));
+                }
+            }
+            if worse.iter().all(|(_, old, new)| new.latency > old.latency) {
+                let edges: Vec<EdgeIx> = worse.iter().map(|&(edge, ..)| edge).collect();
+                report
+                    .slow_down_reported
+                    .push(coarse_cut_trees(&baseline, &world, &edges));
+            }
+            let back: Vec<_> = worse.iter().map(|&(e, old, new)| (e, new, old)).collect();
+            let worsened = patch_sample(&baseline, &mut world, &worse, worse_dir);
+            // Putting it back leaves `world` (and the table values) at
+            // baseline.
+            patch_sample(&worsened, &mut world, &back, back_dir);
+        }
     }
+    let dirs = [
+        &report.cut,
+        &report.restore,
+        &report.forest_cut,
+        &report.forest_restore,
+        &report.slow_down,
+        &report.speed_up,
+    ];
+    let most_recomputed = dirs.iter().map(|d| d.max_trees()).max().unwrap_or(0);
+    report.min_trees_shared = trees_total - most_recomputed as usize;
+    report
 }
 
 fn world_json(r: &WorldReport) -> String {
@@ -371,21 +486,30 @@ fn world_json(r: &WorldReport) -> String {
         .collect();
     let dir_json = |d: &PatchDir| {
         format!(
-            "{{\"avg_us\": {}, \"avg_trees_recomputed\": {:.1}, \"max_trees_recomputed\": {}, \
+            "{{\"avg_us\": {}, \"plan_us\": {}, \"plan_samples\": {}, \
+             \"avg_trees_recomputed\": {:.1}, \"max_trees_recomputed\": {}, \
              \"avg_trees_coarse_rule\": {:.1}, \"max_trees_coarse_rule\": {}}}",
             d.avg_us(),
+            d.plan_us(),
+            d.plan_times().len(),
             d.avg_trees(),
             d.max_trees(),
             d.avg_coarse(),
             d.max_coarse(),
         )
     };
+    let reported = &r.slow_down_reported;
+    let avg_reported = reported.iter().sum::<u64>() as f64 / reported.len().max(1) as f64;
     format!(
         "    {{\n      \"name\": \"{}\",\n      \"nodes\": {},\n      \"edges\": {},\n      \
          \"reps\": {},\n      \"build\": [\n{}\n      ],\n      \
          \"csr_build_us\": {},\n      \
          \"patch\": {{\n        \"samples\": {},\n        \
          \"cut\": {},\n        \"restore\": {},\n        \
+         \"forest_links\": {},\n        \
+         \"forest_cut\": {},\n        \"forest_restore\": {},\n        \
+         \"slow_down\": {},\n        \"speed_up\": {},\n        \
+         \"slow_down_avg_trees_on_reported_paths\": {:.1},\n        \
          \"trees_total\": {},\n        \"min_trees_shared\": {}\n      }}\n    }}",
         r.name,
         r.nodes,
@@ -396,6 +520,12 @@ fn world_json(r: &WorldReport) -> String {
         r.patch_samples,
         dir_json(&r.cut),
         dir_json(&r.restore),
+        FOREST_LINKS,
+        dir_json(&r.forest_cut),
+        dir_json(&r.forest_restore),
+        dir_json(&r.slow_down),
+        dir_json(&r.speed_up),
+        avg_reported,
         r.trees_total,
         r.min_trees_shared,
     )
@@ -422,44 +552,58 @@ fn main() {
             .map(|b| format!("w{}={} µs", b.workers, b.us))
             .collect();
         println!(
-            "{}: {} nodes / {} edges — build [{}], CSR index {} µs, \
-             shave avg {} µs recomputing {:.1}/{} trees \
-             (max {}, coarse rule max {}), restore avg {} µs recomputing {:.1} (max {}, \
-             coarse rule max {}), min shared {}",
+            "{}: {} nodes / {} edges — build [{}], CSR index {} µs, min shared {}",
             r.name,
             r.nodes,
             r.edges,
             sweep.join(", "),
             r.csr_build_us,
-            r.cut.avg_us(),
-            r.cut.avg_trees(),
-            r.trees_total,
-            r.cut.max_trees(),
-            r.cut.max_coarse(),
-            r.restore.avg_us(),
-            r.restore.avg_trees(),
-            r.restore.max_trees(),
-            r.restore.max_coarse(),
             r.min_trees_shared,
         );
+        for (label, d) in [
+            ("shave", &r.cut),
+            ("restore", &r.restore),
+            ("forest cut", &r.forest_cut),
+            ("forest restore", &r.forest_restore),
+            ("slow-down", &r.slow_down),
+            ("speed-up", &r.speed_up),
+        ] {
+            println!(
+                "  {label}: avg {} µs (plan {} µs) recomputing {:.1}/{} trees \
+                 (max {}, coarse rule avg {:.1})",
+                d.avg_us(),
+                d.plan_us(),
+                d.avg_trees(),
+                r.trees_total,
+                d.max_trees(),
+                d.avg_coarse(),
+            );
+        }
         assert!(
             (r.cut.max_trees() as usize) < r.trees_total,
             "{}: a single-link degradation must recompute strictly fewer trees than a rebuild",
             r.name,
         );
-        // The smoke assertion CI relies on: on the big worlds a single-link
-        // QoS degradation must recompute well under a quarter of the table
-        // on average. (The bound is on the average, not the max: a sparse
-        // Waxman world contains regional-bottleneck links whose shave
-        // legitimately dirties most trees — the coarse rule agrees there.)
-        if r.nodes >= 2_000 {
+        // The smoke assertions CI relies on: on the big worlds a
+        // single-link change must recompute well under a quarter of the
+        // table on average, whichever way it goes. (The bound is on the
+        // average, not the max: a sparse Waxman world contains
+        // regional-bottleneck links whose shave legitimately dirties most
+        // trees — the coarse rule agrees there.)
+        let quarter = |dir: &PatchDir, what: &str| {
             assert!(
-                r.cut.avg_trees() * 4.0 < r.trees_total as f64,
-                "{}: single-link patches recomputed {:.1} of {} trees on average (≥ 25%)",
+                dir.avg_trees() * 4.0 < r.trees_total as f64,
+                "{}: single-link {what}s recomputed {:.1} of {} trees on average (≥ 25%)",
                 r.name,
-                r.cut.avg_trees(),
+                dir.avg_trees(),
                 r.trees_total,
             );
+        };
+        if r.nodes >= 2_000 {
+            quarter(&r.cut, "shave");
+        }
+        if r.nodes >= 200 {
+            quarter(&r.restore, "restore");
         }
     }
 

@@ -29,55 +29,110 @@
 //!
 //! # Dirty rules and why they are sound
 //!
-//! Write the changed edge as `e = u → v`, weight `(bw₀, lat₀) → (bw₁, lat₁)`.
-//! Three facts anchor every rule below. (i) A simple path *to* `u` never
-//! contains `e` (it would have to leave `u` first), so per-source bandwidth
-//! and latency *to the tail* are identical before and after the change.
-//! (ii) The exact algorithm works per bandwidth level `b`: the subgraph of
-//! edges with bandwidth ≥ `b`. (iii) Paths that avoid `e` keep their exact
-//! QoS.
+//! A tree is *kept* only if rerunning the kernel from its source on the
+//! patched graph would reproduce everything the tree reports — every QoS
+//! and every path, tie-breaks included, because a kept tree stands in for a
+//! recomputed one. Write a changed edge as `e = u → v`, weight
+//! `(bw₀, lat₀) → (bw₁, lat₁)`; the batch is first folded to one record per
+//! edge (first `old`, the graph's weight as `new`, net no-ops dropped), so
+//! `(bw₀, lat₀)` really is what the table was computed from.
 //!
-//! **Degradations** (`bw₁ ≤ bw₀`, `lat₁ ≥ lat₀`) can only *remove or worsen*
-//! paths through `e`, so a tree none of whose recorded paths traverses `e`
-//! is clean. The rule is sharpened per level by
-//! [`PathTree::traverses_above`]: a pure bandwidth cut (`lat₁ = lat₀`)
-//! leaves every level `b ≤ bw₁` subgraph — and hence every recorded path
-//! whose bottleneck is ≤ `bw₁` — completely untouched, so the traversal
-//! only dirties at levels *above* `bw₁`. A latency degradation worsens `e`
-//! at every surviving level, so its floor is zero (any traversal dirties).
+//! The exact algorithm works per bandwidth *level* `b`: a widest-path pass
+//! fixes `B(s,·)`, then for each distinct value `b` of it a latency Dijkstra
+//! over the edges with bandwidth `≥ b` prices the nodes *pinned* at `b`
+//! (`B(s,x) = b`) and stops when the last of them settles. The tree stores
+//! no latency labels, only each level's predecessor array; `d_b(x)` is
+//! re-derived by walking `x`'s recorded chain at level `b` and adding up
+//! the latencies the graph carries. Let `Λ_b` be the largest latency
+//! recorded among the nodes pinned at `b` — where that level's Dijkstra
+//! stopped. A node with `d_b(x) ≤ Λ_b` was settled and its label is exact;
+//! anything else was never scanned and is only known to lie *beyond* `Λ_b`.
 //!
-//! **Non-degradations** (bandwidth up, latency down, or mixed) can also
-//! *create* better paths, but only for sources that reach `u`; for a batch
-//! with at most one non-degradation change the engine applies three gain
-//! gates per source tree, with `reach = min(B(s,u), bw₁)` (the widest any
-//! through-`e` path can be, unchanged-by-(i)):
+//! **The invariant.** What every rule below preserves, for every tree the
+//! table holds and every level `b` of it, is that the walked labels are as
+//! good as the kernel's own: each pinned node's chain is intact and its
+//! walked label is the latency the tree reports, and the labels capped at
+//! `Λ_b` — `φ(x) = min(d_b(x), Λ_b)`, no label counting as `Λ_b` — are a
+//! *feasible potential* of today's level graph, `φ(y) ≤ φ(x) + lat(x→y)`
+//! over every edge of bandwidth `≥ b`. A feasible potential is a lower
+//! bound on every distance, and a bound a real path attains is the
+//! distance: that is the whole proof that a pinned node's answer stands.
+//! Lower bounds alone are not enough — a label that has drifted *below* a
+//! neighbour's reach makes a later gain into that node look like a loss —
+//! and the unit test `kept_trees_keep_labels_the_certificate_can_stand_on`
+//! checks the invariant from first principles after every patch of random
+//! lineages.
 //!
-//! - **bandwidth gain** — `reach > B(s,v)`: a through-`e` path can widen
-//!   the table entry at `v` (and possibly beyond);
-//! - **latency gain** — `lat₁ < lat₀` and `reach > 0`: every through-`e`
-//!   path got faster, and at its levels `e` may now undercut paths that
-//!   previously won;
-//! - **membership gain** — `bw₁ > bw₀` and `reach > bw₀`: `e` joins level
-//!   subgraphs in `(bw₀, bw₁]` where it did not exist, opening paths at
-//!   levels the source can actually use.
+//! **Re-timed edges** (`lat₁ ≠ lat₀`, either way). A tree is dirty if *any*
+//! label it recorded crosses `e`, read by a reported path or not. The walk
+//! prices a chain with the latencies of the day, so a re-timed edge under a
+//! label moves the label by the full change while the true label may have
+//! found, or never needed, a detour: a slowed edge leaves a tail over-priced
+//! (its candidates look worse than they are), a sped-up edge that no longer
+//! belongs to the level leaves a head under-priced (a real gain looks like
+//! a loss). Either breaks feasibility, and neither shows on a reported
+//! path, so such a tree is recomputed rather than kept with a label that
+//! lies. From here on every walked label is the label the kernel computed.
 //!
-//! If no gate fires, every through-`e` path at some level `b` satisfies
-//! `b ≤ bw₀` (no membership gain) and `lat₁ ≥ lat₀` (no latency gain), so
-//! the *same* path already existed in the old graph at level `b` with
-//! latency no worse — the old optimum already dominates it, and the tree is
-//! clean on the gain side. The loss side of a *mixed* change is handled by
-//! the degradation traversal rule with the same floors. A batch with two or
-//! more non-degradation changes falls back to the coarser (but still sound)
-//! reach-the-tail rule: any path through `u → v` must first arrive at `u`,
-//! so a reverse reachability sweep from `u` bounds the dirty set.
+//! **Gains — the certificate** (`PathTree::certifies`, for every record
+//! with `bw₁ > bw₀` or `lat₁ < lat₀`). With
+//! `reach = min(B(s,u), bw₁)`, the widest any path through `e` can be:
+//!
+//! 1. *Widest labels.* `reach ≤ B(s,v)` for every such edge. The old labels
+//!    then still satisfy every edge, and each is still attained by its old
+//!    path, so `B(s,·)` — hence the levels and who is pinned where — is
+//!    unchanged.
+//! 2. *Latency labels.* At every level `b ≤ reach` of the tree that `e`
+//!    newly joins (`b > bw₀`) or got faster at (`lat₁ < lat₀`), the edge
+//!    must keep the potential feasible: a tail with no label or
+//!    `d_b(u) > Λ_b` contributes nothing (`φ(u) = Λ_b` bounds every `φ`);
+//!    otherwise with `cand = d_b(u) + lat₁` the tree is dirty if
+//!    `cand < d_b(v)` for a settled head, or `cand ≤ Λ_b` for an unsettled
+//!    one. Above `reach` the edge is either absent (`b > bw₁`) or its tail
+//!    has no label (`b > B(s,u)`).
+//!
+//! This is the classic edge-insertion test of dynamic shortest paths, per
+//! level. Because every record is checked against the same *fixed* labels,
+//! any number of simultaneous improvements is covered — if no new edge
+//! violates the potential it is still feasible, and no chain of new edges
+//! can beat it either. The rule and the kernel's early stop have to be read
+//! together: `Λ_b` is exactly what the stop leaves known about the
+//! unsettled.
+//!
+//! *Ties.* On `cand == d_b(v)` the QoS stands but the path may not: the
+//! kernel keeps the first predecessor to offer a latency (`cand < l` is
+//! strict). The tree stays clean only if the head is settled and its
+//! recorded predecessor `x` has `d_b(x) < d_b(u)` — `x` was scanned
+//! strictly first, so `u`'s equal offer is refused exactly as before. Every
+//! other tie is dirty, including the one place the rule is knowingly
+//! conservative: an unsettled head with `cand == Λ_b`.
+//!
+//! **Bandwidth cuts** (`bw₁ < bw₀`) remove `e` from the levels in
+//! `(bw₁, bw₀]` and leave the rest untouched, so the tree is dirty only if
+//! a *reported* path crosses `e` at a level above `bw₁`
+//! ([`PathTree::traverses_above`] with `bw₁` as the edge's floor). Removing
+//! an edge drops a constraint, so the potential stays feasible; if the edge
+//! sat under a label nobody reports, that label is now a chain the level no
+//! longer has, but still a feasible bound — which is why such an edge must
+//! not be re-timed under the tree afterwards, and is not.
+//!
+//! A record that is several of these at once (narrower *and* faster, wider
+//! *and* slower) is held to each rule it falls under; the steps compose in
+//! any order because each is checked against the same frozen labels.
+//!
+//! All of this applies to exact trees only: an
+//! [`all_pairs_lexicographic`](crate::shortest_widest::all_pairs_lexicographic)
+//! table's single predecessor array is not a per-level Dijkstra, and such
+//! tables are never patched.
 //!
 //! Structural changes (node add/remove, i.e. a table/graph size mismatch)
 //! fall back to a full parallel rebuild. The property tests in
-//! `tests/prop_engine.rs` check a patch against a from-scratch rebuild on
-//! random graphs and random mutations, and that the tightened rules never
-//! dirty more trees than the coarse ones.
+//! `tests/prop_engine.rs` check patches — single batches, sequences of
+//! batches, cut-then-restore pairs — against a from-scratch rebuild in QoS
+//! and path, and that the rules never dirty more trees than the coarse
+//! ones (any-traversal for pure bandwidth cuts, reach-the-tail for the
+//! rest).
 
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::thread;
@@ -116,21 +171,16 @@ impl EdgeChange {
         self.new.bandwidth <= self.old.bandwidth && self.new.latency >= self.old.latency
     }
 
-    /// The bandwidth level at or below which this change is invisible to
-    /// recorded paths traversing the edge, or `None` if the change has no
-    /// loss side at all (nothing got worse for anyone already using it).
-    ///
-    /// A latency increase worsens the edge at every level it survives in
-    /// (floor zero); a pure bandwidth cut leaves levels `≤ new.bandwidth`
-    /// untouched (floor `new.bandwidth`).
+    /// `true` if the edge's latency moved, either way: every label walked
+    /// over it is no longer the label the kernel computed.
+    pub(crate) fn is_retimed(&self) -> bool {
+        self.new.latency != self.old.latency
+    }
+
+    /// For a bandwidth cut, the level at or below which it is invisible:
+    /// the subgraphs of levels `≤ new.bandwidth` keep the edge.
     fn loss_floor(&self) -> Option<Bandwidth> {
-        if self.new.latency > self.old.latency {
-            Some(Bandwidth::ZERO)
-        } else if self.new.bandwidth < self.old.bandwidth {
-            Some(self.new.bandwidth)
-        } else {
-            None
-        }
+        (self.new.bandwidth < self.old.bandwidth).then_some(self.new.bandwidth)
     }
 }
 
@@ -156,7 +206,7 @@ pub struct PatchStats {
 /// exact in the successor epoch (fact (iii) of the dirty rules above: paths
 /// that avoid a changed edge keep their exact QoS), so it can be adopted
 /// wholesale; an artifact traversing a changed link must be dropped. This
-/// is deliberately coarser than the per-tree loss floors / gain gates —
+/// is deliberately coarser than the per-tree loss floors / certificate —
 /// a flow graph records concrete hops, not a per-level frontier, so plain
 /// traversal is the right rule.
 ///
@@ -284,45 +334,17 @@ fn compute_trees(
     }
 }
 
-/// Buffers reused across every change of a patch batch and every tree the
-/// dirty planner inspects — one allocation set per patch, not per change
-/// (the old code allocated a bitmap + queue per [`EdgeChange`] and a stamp
-/// vector per tree per traversal test).
-#[derive(Debug, Default)]
-struct PatchScratch {
-    seen: Vec<bool>,
-    queue: VecDeque<NodeIx>,
-    traversal: TraversalScratch,
-    floors: Vec<Bandwidth>,
-}
-
-/// Marks every node that can reach `tail` in `g` over usable (non-zero
-/// bandwidth) links, `tail` included, via a reverse BFS using the
-/// caller-provided `seen`/`queue` buffers.
-fn mark_sources_reaching<N>(
-    g: &DiGraph<N, Qos>,
-    tail: NodeIx,
-    dirty: &mut [bool],
-    seen: &mut Vec<bool>,
-    queue: &mut VecDeque<NodeIx>,
-) {
-    seen.clear();
-    seen.resize(g.node_count(), false);
-    queue.clear();
-    seen[tail.index()] = true;
-    dirty[tail.index()] = true;
-    queue.push_back(tail);
-    while let Some(v) = queue.pop_front() {
-        for &eid in g.in_edge_ids(v) {
-            let (from, _, weight) = g.edge_parts(eid);
-            if weight.bandwidth == Bandwidth::ZERO || seen[from.index()] {
-                continue;
-            }
-            seen[from.index()] = true;
-            dirty[from.index()] = true;
-            queue.push_back(from);
-        }
+/// Folds a batch to one record per edge, sorted by edge: the first `old`
+/// seen for it and the weight `g` carries now as `new`, net no-ops dropped.
+fn coalesce<N>(g: &DiGraph<N, Qos>, changes: &[EdgeChange]) -> Vec<EdgeChange> {
+    let mut folded: Vec<EdgeChange> = changes.to_vec();
+    folded.sort_by_key(|c| c.edge); // stable: the first record's `old` leads
+    folded.dedup_by_key(|c| c.edge);
+    for c in &mut folded {
+        c.new = *g.edge(c.edge);
     }
+    folded.retain(|c| !c.is_noop());
+    folded
 }
 
 impl AllPairs {
@@ -361,23 +383,19 @@ impl AllPairs {
             );
         }
 
-        let mut scratch = PatchScratch::default();
-        let dirty = self.plan_dirty(g, changes, &mut scratch);
+        let dirty = self.plan_dirty(g, changes);
         let sources: Vec<NodeIx> = (0..n)
             .filter(|&i| dirty[i])
             .map(NodeIx::from_index)
             .collect();
+        let stats = PatchStats {
+            trees_recomputed: sources.len(),
+            trees_total: n,
+            full_rebuild: false,
+        };
         if sources.is_empty() {
-            return (
-                AllPairs {
-                    trees: self.trees.clone(), // Arc bumps only
-                },
-                PatchStats {
-                    trees_recomputed: 0,
-                    trees_total: n,
-                    full_rebuild: false,
-                },
-            );
+            let trees = self.trees.clone(); // Arc bumps only
+            return (AllPairs { trees }, stats);
         }
 
         let csr = QosCsr::new(g);
@@ -391,14 +409,7 @@ impl AllPairs {
             .zip(fresh)
             .map(|(old, new)| new.unwrap_or_else(|| Arc::clone(old)))
             .collect();
-        (
-            AllPairs { trees },
-            PatchStats {
-                trees_recomputed: sources.len(),
-                trees_total: n,
-                full_rebuild: false,
-            },
-        )
+        (AllPairs { trees }, stats)
     }
 
     /// [`AllPairs::patched_with`] assigned in place with [`auto_workers`] —
@@ -411,80 +422,31 @@ impl AllPairs {
 
     /// Decides which source trees `changes` can affect, per the rules (and
     /// soundness argument) in the module docs.
-    fn plan_dirty<N>(
-        &self,
-        g: &DiGraph<N, Qos>,
-        changes: &[EdgeChange],
-        scratch: &mut PatchScratch,
-    ) -> Vec<bool> {
-        let n = g.node_count();
-        let mut dirty = vec![false; n];
-        // The gain gates are proven sound for at most one non-degradation
-        // change per batch (interactions between two newly-opened edges are
-        // not covered by the single-change argument); larger batches use
-        // the coarser reach-the-tail rule for their non-degradations.
-        let use_gates = changes
+    fn plan_dirty<N>(&self, g: &DiGraph<N, Qos>, changes: &[EdgeChange]) -> Vec<bool> {
+        let changes = coalesce(g, changes);
+        let mut floors = vec![Bandwidth::INFINITE; g.edge_count()];
+        let mut any_cut = false;
+        for change in &changes {
+            if let Some(floor) = change.loss_floor() {
+                floors[change.edge.index()] = floor;
+                any_cut = true;
+            }
+        }
+        // Anything but a pure bandwidth cut is the certificate's business.
+        let any_label_side = changes
             .iter()
-            .filter(|c| !c.is_noop() && !c.is_degradation())
-            .count()
-            <= 1;
-
-        scratch.floors.clear();
-        scratch.floors.resize(g.edge_count(), Bandwidth::INFINITE);
-        let mut any_floor = false;
-        for change in changes.iter().filter(|c| !c.is_noop()) {
-            if change.is_degradation() || use_gates {
-                // Loss side (a pure degradation, or the degraded half of
-                // the single mixed change): dirty only the trees that
-                // traverse the edge above the change's loss floor.
-                if let Some(floor) = change.loss_floor() {
-                    let slot = &mut scratch.floors[change.edge.index()];
-                    *slot = (*slot).min(floor);
-                    any_floor = true;
-                }
-            } else {
-                let (tail, _, _) = g.edge_parts(change.edge);
-                mark_sources_reaching(g, tail, &mut dirty, &mut scratch.seen, &mut scratch.queue);
-            }
-        }
-
-        if use_gates {
-            if let Some(change) = changes.iter().find(|c| !c.is_noop() && !c.is_degradation()) {
-                let (tail, head, _) = g.edge_parts(change.edge);
-                let latency_gain = change.new.latency < change.old.latency;
-                let wider_edge = change.new.bandwidth > change.old.bandwidth;
-                for (i, tree) in self.trees.iter().enumerate() {
-                    if dirty[i] {
-                        continue;
-                    }
-                    // Reachability to the tail never depends on the changed
-                    // edge itself (no simple path to `u` contains `u → v`),
-                    // so the predecessor tree answers exactly.
-                    let Some(to_tail) = tree.qos_to(tail) else {
-                        continue;
-                    };
-                    let reach = to_tail.bandwidth.bottleneck(change.new.bandwidth);
-                    if reach == Bandwidth::ZERO {
-                        continue;
-                    }
-                    let head_bw = tree.qos_to(head).map(|q| q.bandwidth);
-                    let gain_bw = head_bw.is_none_or(|b| reach > b);
-                    let gain_membership = wider_edge && reach > change.old.bandwidth;
-                    if gain_bw || latency_gain || gain_membership {
-                        dirty[i] = true;
-                    }
-                }
-            }
-        }
-
-        if any_floor {
-            for (i, tree) in self.trees.iter().enumerate() {
-                if !dirty[i] && tree.traverses_above(&scratch.floors, &mut scratch.traversal) {
-                    dirty[i] = true;
-                }
-            }
-        }
-        dirty
+            .any(|c| c.is_retimed() || c.new.bandwidth > c.old.bandwidth);
+        // Buffers reused across every tree inspected: one allocation set
+        // per patch, not per tree.
+        let mut traversal = TraversalScratch::new();
+        let mut levels = Vec::new();
+        self.trees
+            .iter()
+            .map(|tree| {
+                (any_label_side && !tree.certifies(g, &changes, &mut levels))
+                    || (any_cut && tree.traverses_above(&floors, &mut traversal))
+            })
+            .collect()
     }
 }
 
@@ -517,6 +479,7 @@ mod tests {
         for u in g.node_ids() {
             for v in g.node_ids() {
                 assert_eq!(a.qos(u, v), b.qos(u, v), "{u:?} -> {v:?}");
+                assert_eq!(a.path(u, v), b.path(u, v), "{u:?} -> {v:?}");
             }
         }
     }
@@ -625,10 +588,16 @@ mod tests {
     }
 
     #[test]
-    fn improving_an_edge_dirties_sources_reaching_its_tail() {
+    fn improving_an_edge_dirties_only_the_trees_it_can_improve() {
         let (mut g, _, e) = world();
         let mut ap = all_pairs(&g);
-        // Improving n4→n3 can only help sources that reach n4: n0 and n4.
+        // n4→n3 goes (1, 9) → (50, 0); only n0 and n4 reach n4.
+        // n4's own tree: reach = min(∞, 50) = 50 > B(n4,n3) = 1 — dirty.
+        // n0's tree: reach = min(B(n0,n4), 50) = 2 ≤ B(n0,n3) = 10, so its
+        // levels {10, 2} stand. The edge joins level 2 only (1 < 2 ≤ 2);
+        // there the Dijkstra settled n1, n2, n3, n4 at 1, 2, 3, 5 µs
+        // (Λ = 5, n4 the one node pinned), and the candidate
+        // d₂(n4) + 0 = 5 µs loses to the artery's 3 µs at n3 — clean.
         let old = *g.edge(e[4]);
         *g.edge_mut(e[4]) = q(50, 0);
         let stats = ap.patch(
@@ -639,15 +608,15 @@ mod tests {
                 new: q(50, 0),
             }],
         );
-        assert_eq!(stats.trees_recomputed, 2);
+        assert_eq!(stats.trees_recomputed, 1);
         assert_tables_equal(&ap, &all_pairs(&g), &g);
     }
 
     #[test]
     fn bandwidth_restore_skips_narrow_upstream_sources() {
         // Restoring b→c from 5 back to 10 cannot help a: its bottleneck to
-        // b is 1, so every through-edge path is capped at 1 regardless.
-        // The old reach-the-tail rule recomputed a's tree anyway.
+        // b is 1, so every through-edge path is capped at 1 regardless, and
+        // at a's one level (1) the edge is what it always was.
         let mut g: DiGraph<(), Qos> = DiGraph::new();
         let a = g.add_node(());
         let b = g.add_node(());
@@ -672,7 +641,9 @@ mod tests {
     fn mixed_change_is_treated_as_improvement() {
         let (mut g, _, e) = world();
         let mut ap = all_pairs(&g);
-        // Wider but slower: gain gates plus loss-side traversal.
+        // Wider but slower. Re-timed: n0 and n1 record labels through
+        // n1→n2, nobody else reaches it. Gain side: reach is min(10, 20),
+        // no wider than n2 already is, and the edge joins no level ≤ 10.
         let old = *g.edge(e[1]);
         *g.edge_mut(e[1]) = q(20, 9);
         let stats = ap.patch(
@@ -683,7 +654,7 @@ mod tests {
                 new: q(20, 9),
             }],
         );
-        assert!(stats.trees_recomputed >= 2);
+        assert_eq!(stats.trees_recomputed, 2);
         assert_tables_equal(&ap, &all_pairs(&g), &g);
     }
 
@@ -777,7 +748,7 @@ mod tests {
     }
 
     #[test]
-    fn many_improvements_fall_back_to_reach_tail() {
+    fn simultaneous_improvements_are_certified_against_the_same_labels() {
         let (mut g, _, e) = world();
         let mut ap = all_pairs(&g);
         let old3 = *g.edge(e[3]);
@@ -799,8 +770,229 @@ mod tests {
                 },
             ],
         );
-        assert!(!stats.full_rebuild);
+        // n0 (20 > B(n0,n4) = 2) and n4 (20 > B(n4,n3) = 1) widen; n1, n2
+        // and n3 reach neither tail.
+        assert_eq!(stats.trees_recomputed, 2);
         assert_tables_equal(&ap, &all_pairs(&g), &g);
+    }
+
+    #[test]
+    fn two_improvements_that_lose_everywhere_leave_upstream_clean() {
+        let (mut g, _, e) = world();
+        let mut ap = all_pairs(&g);
+        let old4 = *g.edge(e[4]);
+        let old5 = *g.edge(e[5]);
+        *g.edge_mut(e[4]) = q(2, 9); // widen n4→n3
+        *g.edge_mut(e[5]) = q(2, 3); // widen the dead parallel n0→n1
+        let stats = ap.patch(
+            &g,
+            &[
+                EdgeChange {
+                    edge: e[4],
+                    old: old4,
+                    new: q(2, 9),
+                },
+                EdgeChange {
+                    edge: e[5],
+                    old: old5,
+                    new: q(2, 3),
+                },
+            ],
+        );
+        // Both join n0's level 2 and both lose there: 5 + 9 µs against
+        // n3's 3 µs, 0 + 3 µs against n1's 1 µs. Only n4's own tree widens
+        // (2 > 1); reaching the tails would have dirtied n0 as well.
+        assert_eq!(stats.trees_recomputed, 1);
+        assert_tables_equal(&ap, &all_pairs(&g), &g);
+    }
+
+    #[test]
+    fn a_cut_and_its_restore_in_one_batch_recompute_nothing() {
+        let (mut g, _, e) = world();
+        let mut ap = all_pairs(&g);
+        let full = *g.edge(e[1]);
+        let stats = ap.patch(
+            &g,
+            &[
+                EdgeChange {
+                    edge: e[1],
+                    old: full,
+                    new: q(3, 1),
+                },
+                EdgeChange {
+                    edge: e[1],
+                    old: q(3, 1),
+                    new: full,
+                },
+            ],
+        );
+        assert_eq!(stats.trees_recomputed, 0);
+        // Two records for one edge fold to first `old` → the graph's weight.
+        *g.edge_mut(e[1]) = q(4, 1);
+        let folded = coalesce(
+            &g,
+            &[
+                EdgeChange {
+                    edge: e[1],
+                    old: full,
+                    new: q(3, 1),
+                },
+                EdgeChange {
+                    edge: e[1],
+                    old: q(3, 1),
+                    new: q(4, 1),
+                },
+            ],
+        );
+        assert_eq!(
+            folded,
+            [EdgeChange {
+                edge: e[1],
+                old: full,
+                new: q(4, 1),
+            }]
+        );
+    }
+
+    #[test]
+    fn a_slow_down_under_an_unreported_label_dirties_the_tree() {
+        // s reaches u at level 10 directly (5 µs) and, at level 5, faster
+        // through a (2 µs) — a label no reported path reads, because u is
+        // pinned at 10. Slowing a→u leaves every reported path alone, but
+        // a later certificate would walk that label: kept, the tree would
+        // price u→v from 101 µs instead of 5 and miss s→u→v at 8 µs.
+        let mut g: DiGraph<(), Qos> = DiGraph::new();
+        let s = g.add_node(());
+        let a = g.add_node(());
+        let u = g.add_node(());
+        let v = g.add_node(());
+        g.add_edge(s, a, q(5, 1));
+        let slow = g.add_edge(a, u, q(5, 1));
+        g.add_edge(s, u, q(10, 5));
+        g.add_edge(s, v, q(5, 10));
+        let gain = g.add_edge(u, v, q(5, 100));
+        let mut ap = all_pairs(&g);
+
+        *g.edge_mut(slow) = q(5, 100);
+        let stats = ap.patch(
+            &g,
+            &[EdgeChange {
+                edge: slow,
+                old: q(5, 1),
+                new: q(5, 100),
+            }],
+        );
+        assert_eq!(stats.trees_recomputed, 2); // s and a
+        assert_tables_equal(&ap, &all_pairs(&g), &g);
+
+        *g.edge_mut(gain) = q(5, 3);
+        ap.patch(
+            &g,
+            &[EdgeChange {
+                edge: gain,
+                old: q(5, 100),
+                new: q(5, 3),
+            }],
+        );
+        assert_eq!(ap.qos(s, v), Some(q(5, 8)));
+        assert_tables_equal(&ap, &all_pairs(&g), &g);
+    }
+
+    #[test]
+    fn a_speed_up_under_an_unreported_label_dirties_the_tree() {
+        // At level 3, s settles q at 2 µs through p→q — a label no reported
+        // path reads, because q is pinned at 5 — and w, the one node pinned
+        // at 3, directly at 2 µs (Λ = 2). Narrowing p→q to 2 and speeding
+        // it up takes it out of level 3 without touching a reported path,
+        // but q's recorded level-3 chain still runs over it: kept, the tree
+        // would walk that chain to 0 µs, let the widened spare p→q (1 µs)
+        // "lose" to it, and miss s→p→q→w at (3, 1).
+        let mut g: DiGraph<(), Qos> = DiGraph::new();
+        let s = g.add_node(());
+        let p = g.add_node(());
+        let q_ = g.add_node(());
+        let w = g.add_node(());
+        g.add_edge(s, p, q(4, 0));
+        let chain = g.add_edge(p, q_, q(4, 2));
+        g.add_edge(s, q_, q(5, 3));
+        g.add_edge(s, w, q(3, 2));
+        g.add_edge(q_, w, q(3, 0));
+        let spare = g.add_edge(p, q_, q(1, 1));
+        let mut ap = all_pairs(&g);
+        assert_eq!(ap.qos(s, w), Some(q(3, 2)));
+
+        *g.edge_mut(chain) = q(2, 0);
+        let stats = ap.patch(
+            &g,
+            &[EdgeChange {
+                edge: chain,
+                old: q(4, 2),
+                new: q(2, 0),
+            }],
+        );
+        // p reports p→q over the edge; s only records it, at level 3.
+        assert_eq!(stats.trees_recomputed, 2);
+        assert_tables_equal(&ap, &all_pairs(&g), &g);
+
+        *g.edge_mut(spare) = q(3, 1);
+        ap.patch(
+            &g,
+            &[EdgeChange {
+                edge: spare,
+                old: q(1, 1),
+                new: q(3, 1),
+            }],
+        );
+        assert_eq!(ap.qos(s, w), Some(q(3, 1)));
+        assert_tables_equal(&ap, &all_pairs(&g), &g);
+    }
+
+    proptest::proptest! {
+        /// The certificate's own premise, checked from first principles
+        /// after every patch of a random lineage: whatever tree the table
+        /// holds — fresh or kept through any number of batches — its walked
+        /// labels are exact on pinned nodes and, capped at `Λ`, a feasible
+        /// potential of the graph of the day. A rule that keeps a tree whose
+        /// labels have gone stale fails here at the patch that staled them,
+        /// not at the rare later gain that would read the stale label.
+        #[test]
+        fn kept_trees_keep_labels_the_certificate_can_stand_on(
+            nodes in 3usize..8,
+            edges in proptest::collection::vec((0usize..8, 0usize..8, 0u64..6, 0u64..4), 1..24),
+            batches in proptest::collection::vec(
+                proptest::collection::vec((0usize..64, 0u64..6, 0u64..4), 1..3),
+                1..9,
+            ),
+        ) {
+            let mut g: DiGraph<(), Qos> = DiGraph::new();
+            let ids: Vec<NodeIx> = (0..nodes).map(|_| g.add_node(())).collect();
+            for (a, b, bw, lat) in edges {
+                if a % nodes != b % nodes {
+                    g.add_edge(ids[a % nodes], ids[b % nodes], q(bw, lat));
+                }
+            }
+            if g.edge_count() == 0 {
+                return Ok(());
+            }
+            let mut ap = all_pairs(&g);
+            for batch in batches {
+                let changes: Vec<EdgeChange> = batch
+                    .into_iter()
+                    .map(|(raw, bw, lat)| {
+                        let edge = EdgeIx::from_index(raw % g.edge_count());
+                        let old = std::mem::replace(g.edge_mut(edge), q(bw, lat));
+                        EdgeChange { edge, old, new: q(bw, lat) }
+                    })
+                    .collect();
+                ap.patch(&g, &changes);
+                for s in g.node_ids() {
+                    proptest::prop_assert!(
+                        ap.tree(s).labels_are_a_feasible_potential(&g),
+                        "tree of {s:?} after {changes:?}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
@@ -816,8 +1008,11 @@ mod tests {
         assert!(!c(q(5, 5), q(6, 4)).is_degradation());
         assert!(!c(q(5, 5), q(6, 6)).is_degradation()); // mixed
         assert_eq!(c(q(5, 5), q(4, 5)).loss_floor(), Some(Bandwidth::kbps(4)));
-        assert_eq!(c(q(5, 5), q(4, 6)).loss_floor(), Some(Bandwidth::ZERO));
+        assert_eq!(c(q(5, 5), q(4, 4)).loss_floor(), Some(Bandwidth::kbps(4)));
         assert_eq!(c(q(5, 5), q(6, 5)).loss_floor(), None);
-        assert_eq!(c(q(5, 5), q(6, 4)).loss_floor(), None);
+        assert_eq!(c(q(5, 5), q(5, 6)).loss_floor(), None);
+        assert!(c(q(5, 5), q(4, 6)).is_retimed());
+        assert!(c(q(5, 5), q(6, 4)).is_retimed());
+        assert!(!c(q(5, 5), q(4, 5)).is_retimed());
     }
 }

@@ -44,6 +44,7 @@ use std::sync::Arc;
 
 use sflow_graph::{Csr, DiGraph, EdgeIx, NodeIx};
 
+use crate::engine::EdgeChange;
 use crate::{Bandwidth, Latency, Qos};
 
 /// The result of a single-source shortest-widest computation: per-node QoS
@@ -115,18 +116,16 @@ impl PathTree {
     /// (indices beyond `floors` count as unmarked, i.e.
     /// [`Bandwidth::INFINITE`]).
     ///
-    /// This is the dirtiness test of the incremental all-pairs engine, in
-    /// its per-level form. A tree that never crosses a *degraded* edge is
-    /// provably unaffected by the degradation (every path avoiding the edge
-    /// kept its exact QoS, and no path through a worsened edge can newly
-    /// beat them). The floor sharpens that rule for pure bandwidth cuts
-    /// (`bw0 → bw1 < bw0`, latency unchanged): the per-level subgraphs at
-    /// levels `b ≤ bw1` still contain the edge with identical weight, so
-    /// paths pinned at those levels are untouched — only paths whose
-    /// bottleneck level exceeds the surviving bandwidth `bw1` can lose the
-    /// edge. A latency degradation worsens the edge at *every* level it
-    /// appears in, so its floor is [`Bandwidth::ZERO`] (any traversal
-    /// dirties).
+    /// This is the loss-side dirtiness test of the incremental all-pairs
+    /// engine, in its per-level form. A tree that never crosses a *cut*
+    /// edge is provably unaffected by the cut (every path avoiding the edge
+    /// kept its exact QoS, and no path through a narrowed edge can newly
+    /// beat them). The floor sharpens that rule (`bw0 → bw1 < bw0`): the
+    /// per-level subgraphs at levels `b ≤ bw1` still contain the edge with
+    /// identical weight, so paths pinned at those levels are untouched —
+    /// only paths whose bottleneck level exceeds the surviving bandwidth
+    /// `bw1` can lose the edge. (An edge whose latency moved is
+    /// `PathTree::certifies`'s business.)
     ///
     /// The walk visits each node at most once per bandwidth level —
     /// `O(V · L)` worst case, `O(V)` typically — and allocates nothing:
@@ -184,6 +183,162 @@ impl PathTree {
             .collect();
         self.traverses_above(&floors, &mut TraversalScratch::new())
     }
+
+    /// Each level's `(bandwidth, Λ)` into `levels`: `Λ` is the largest
+    /// latency recorded among the nodes pinned at the level, which is where
+    /// its Dijkstra stopped.
+    fn level_bounds(&self, levels: &mut Vec<(Bandwidth, Latency)>) {
+        levels.clear();
+        levels.resize(self.level_preds.len(), (Bandwidth::ZERO, Latency::ZERO));
+        for (i, qos) in self.dist.iter().enumerate() {
+            let Some(qos) = qos else { continue };
+            if i != self.source.index() {
+                let (b, lambda) = &mut levels[self.node_level[i]];
+                *b = qos.bandwidth;
+                *lambda = (*lambda).max(qos.latency);
+            }
+        }
+    }
+
+    /// The label level `li`'s Dijkstra gave `node`, re-derived: its recorded
+    /// chain priced with `g`'s latencies. `None` if the level never labelled
+    /// it. The kernel's own label as long as no edge under it has been
+    /// re-timed since the tree was built, which [`PathTree::certifies`]
+    /// sees to.
+    fn label<N>(&self, g: &DiGraph<N, Qos>, li: usize, node: NodeIx) -> Option<Latency> {
+        let preds = &self.level_preds[li];
+        let mut total = Latency::ZERO;
+        let mut cur = node;
+        while cur != self.source {
+            let (prev, e) = preds[cur.index()]?;
+            total = total + g.edge(e).latency;
+            cur = prev;
+        }
+        Some(total)
+    }
+
+    /// `true` if any label this tree recorded — on a reported path or not —
+    /// crosses an edge whose latency `changes` moved, either way.
+    fn records_retimed(&self, changes: &[EdgeChange]) -> bool {
+        let retimed = |e| record_of(changes, e).is_some_and(EdgeChange::is_retimed);
+        changes.iter().any(EdgeChange::is_retimed)
+            && self
+                .level_preds
+                .iter()
+                .flatten()
+                .flatten()
+                .any(|&(_, e)| retimed(e))
+    }
+
+    /// The label-side optimality certificate of the incremental engine:
+    /// `true` if, as far as latency changes and improvements go, rerunning
+    /// the exact kernel after `changes` would reproduce every QoS and path
+    /// this tree reports *and* leave the labels a later certificate walks
+    /// as good as the kernel's own (bandwidth cuts are
+    /// [`PathTree::traverses_above`]'s). See "Dirty rules" in
+    /// [`crate::engine`] for the argument.
+    ///
+    /// `changes` holds one record per edge, sorted by edge, and `g` already
+    /// carries their `new` weights. Exact trees only — a lexicographic
+    /// tree's single predecessor array is not a per-level Dijkstra.
+    /// `levels` is a reused buffer for each level's `(bandwidth, Λ)`.
+    pub(crate) fn certifies<N>(
+        &self,
+        g: &DiGraph<N, Qos>,
+        changes: &[EdgeChange],
+        levels: &mut Vec<(Bandwidth, Latency)>,
+    ) -> bool {
+        // A tree does not outlive a re-timed edge anywhere under its
+        // labels; past this point a chain walked off `g` is priced as the
+        // kernel priced it.
+        if self.records_retimed(changes) {
+            return false;
+        }
+        let source = self.source;
+        self.level_bounds(levels);
+        let label = |li, node| self.label(g, li, node);
+        for c in changes {
+            if c.is_degradation() {
+                continue;
+            }
+            let faster = c.new.latency < c.old.latency;
+            let (u, v) = g.edge_endpoints(c.edge);
+            let Some(to_tail) = self.dist[u.index()] else {
+                continue;
+            };
+            let reach = to_tail.bandwidth.bottleneck(c.new.bandwidth);
+            if v == source || reach == Bandwidth::ZERO {
+                continue;
+            }
+            // (1) The widest labels still satisfy the edge.
+            if self.dist[v.index()].is_none_or(|q| reach > q.bandwidth) {
+                return false;
+            }
+            // (2) At every level the edge joins or got faster at, its
+            // candidate does not beat the head's label.
+            for (li, &(b, lambda)) in levels.iter().enumerate() {
+                if b > reach || !(faster || b > c.old.bandwidth) {
+                    continue;
+                }
+                let Some(tail_label) = label(li, u).filter(|&d| d <= lambda) else {
+                    continue; // never scanned at this level
+                };
+                let cand = tail_label + c.new.latency;
+                match label(li, v).filter(|&d| d <= lambda) {
+                    // Unsettled head: only known to lie beyond Λ.
+                    None if cand <= lambda => return false,
+                    Some(head_label) if cand < head_label => return false,
+                    // A tie keeps the recorded predecessor only if that
+                    // one was scanned strictly before the tail.
+                    Some(head_label) if cand == head_label => {
+                        let first = self.level_preds[li][v.index()]
+                            .and_then(|(x, _)| label(li, x))
+                            .is_some_and(|d| d < tail_label);
+                        if !first {
+                            return false;
+                        }
+                    }
+                    _ => {}
+                }
+            }
+        }
+        true
+    }
+
+    /// The invariant [`PathTree::certifies`] stands on, checked from first
+    /// principles against `g`: at every level `b`, each pinned node's walked
+    /// label is the latency the tree reports, and the labels capped at `Λ_b`
+    /// are a feasible potential — `φ(y) ≤ φ(x) + lat` over every edge of
+    /// bandwidth `≥ b`, with `φ(x) = min(label(x), Λ_b)` and no label
+    /// counting as `Λ_b`.
+    #[cfg(test)]
+    pub(crate) fn labels_are_a_feasible_potential<N>(&self, g: &DiGraph<N, Qos>) -> bool {
+        let mut levels = Vec::new();
+        self.level_bounds(&mut levels);
+        levels.iter().enumerate().all(|(li, &(b, lambda))| {
+            if b == Bandwidth::ZERO {
+                return true; // the placeholder level of a tree that reaches nothing
+            }
+            let label = |x| self.label(g, li, x);
+            let phi = |x| label(x).map_or(lambda, |d| d.min(lambda));
+            let pinned_exact = g.node_ids().all(|x| {
+                x == self.source
+                    || self.node_level[x.index()] != li
+                    || self.dist[x.index()].is_none_or(|q| label(x) == Some(q.latency))
+            });
+            pinned_exact
+                && g.edges()
+                    .filter(|e| e.weight.bandwidth >= b)
+                    .all(|e| phi(e.to) <= phi(e.from) + e.weight.latency)
+        })
+    }
+}
+
+/// The record for `edge` in a batch folded to one record per edge and sorted
+/// by edge.
+fn record_of(changes: &[EdgeChange], edge: EdgeIx) -> Option<&EdgeChange> {
+    let at = changes.binary_search_by_key(&edge, |c| c.edge).ok()?;
+    Some(&changes[at])
 }
 
 /// Reusable stamp storage for [`PathTree::traverses_above`].

@@ -1,43 +1,45 @@
 //! Property-based parity tests for the parallel + incremental engine.
 //!
-//! Two oracles, both the sequential from-scratch build:
+//! One oracle, the sequential from-scratch build, compared in QoS *and*
+//! path — a patched table must be the table a rebuild would produce, down to
+//! the tie-breaks, because a kept tree stands in for a recomputed one:
 //!
-//! * [`all_pairs_parallel_with`] over any worker count must return a table
-//!   observationally identical to [`all_pairs`] (QoS *and* paths — the
-//!   work-stealing fan-out must not perturb tie-breaks, because each source
-//!   tree is computed by the same deterministic code);
-//! * [`AllPairs::patched_with`] after a random batch of edge-QoS mutations
-//!   must yield a table QoS-identical to rebuilding from scratch on the
-//!   mutated graph, and every path it reports must still be valid.
+//! * [`all_pairs_parallel_with`] over any worker count (the work-stealing
+//!   fan-out must not perturb tie-breaks);
+//! * [`AllPairs::patched_with`] after a random batch of 1–8 edge-QoS
+//!   mutations — degradations, improvements, mixed, unusable (zero
+//!   bandwidth) and zero-latency links, duplicates for one edge — and after
+//!   a *sequence* of such batches, each patched from the last patched table,
+//!   independent or aimed at the edges the batch before hit;
+//! * cutting k links in one batch and restoring them in the next returns the
+//!   original table.
 //!
-//! Plus two structural properties of the compact core:
+//! Plus two structural properties: a patch shares every clean tree with its
+//! predecessor by `Arc` pointer, and the dirty rules never recompute more
+//! trees than the coarse rules they refine (a bandwidth cut dirties every
+//! tree traversing the edge, anything else every source reaching its tail).
 //!
-//! * [`AllPairs::patched_with`] must share every clean tree with its
-//!   predecessor by `Arc` pointer (no whole-table clone) while still
-//!   matching a from-scratch rebuild;
-//! * the tightened dirty rules (loss floors + gain gates) must never
-//!   recompute more trees than the coarse traverses-any / reach-the-tail
-//!   rules they replaced.
+//! Case count: `PROPTEST_CASES` (default 64); CI runs 20 000 in release.
 
 use std::collections::VecDeque;
 
 use proptest::prelude::*;
 use sflow_graph::DiGraph;
 use sflow_routing::{
-    all_pairs, all_pairs_parallel_with, shortest_widest, AllPairs, Bandwidth, EdgeChange, Latency,
-    Qos,
+    all_pairs, all_pairs_parallel_with, AllPairs, Bandwidth, EdgeChange, Latency, Qos,
 };
 
 fn q(bw: u64, lat: u64) -> Qos {
     Qos::new(Bandwidth::kbps(bw), Latency::from_micros(lat))
 }
 
-/// Same shape as `prop_routing::graph_strategy`: small graphs, small
-/// bandwidth domain so bottleneck ties (the hard case) are common.
+/// Small graphs over tiny bandwidth and latency domains, so bottleneck
+/// ties, latency ties, zero-latency links and unusable links — the hard
+/// cases for a rule that must reproduce tie-breaks — are all common.
 fn graph_strategy() -> impl Strategy<Value = DiGraph<(), Qos>> {
-    (3usize..8).prop_flat_map(|n| {
+    (3usize..10).prop_flat_map(|n| {
         let edges =
-            proptest::collection::vec((0..n, 0..n, 1u64..6, 0u64..10), 1..(n * (n - 1)).max(2));
+            proptest::collection::vec((0..n, 0..n, 0u64..6, 0u64..4), 1..(n * (n - 1)).max(2));
         edges.prop_map(move |es| {
             let mut g = DiGraph::new();
             let ids: Vec<_> = (0..n).map(|_| g.add_node(())).collect();
@@ -52,22 +54,97 @@ fn graph_strategy() -> impl Strategy<Value = DiGraph<(), Qos>> {
 }
 
 /// A batch of edge-QoS mutations: per mutation an edge index (reduced
-/// modulo the edge count), a new bandwidth and a new latency.
+/// modulo the edge count, so one edge can be hit twice), a new bandwidth
+/// and a new latency.
 type MutationBatch = Vec<(usize, u64, u64)>;
 
-/// A graph plus a mutation batch over its edge set — covering
-/// degradations, improvements and mixed changes alike.
-fn mutated_graph_strategy() -> impl Strategy<Value = (DiGraph<(), Qos>, MutationBatch)> {
-    (
-        graph_strategy(),
-        proptest::collection::vec((0usize..64, 1u64..6, 0u64..10), 1..4),
-    )
+fn batch_strategy() -> impl Strategy<Value = MutationBatch> {
+    proptest::collection::vec((0usize..64, 0u64..6, 0u64..4), 1..9)
 }
 
-/// The dirty rules the engine used before the tightened plan: any changed
-/// edge that is a pure degradation dirties every tree traversing it at any
-/// level; everything else dirties every source that can reach the edge's
-/// tail. Kept here as the upper-bound oracle for the tightened rules.
+/// Writes `batch` into `g`, returning the change records the way
+/// `OverlayGraph::update_link_qos` would produce them.
+fn apply(g: &mut DiGraph<(), Qos>, batch: &MutationBatch) -> Vec<EdgeChange> {
+    let edge_ids: Vec<_> = g.edges().map(|e| e.id).collect();
+    batch
+        .iter()
+        .map(|&(raw, bw, lat)| {
+            let edge = edge_ids[raw % edge_ids.len()];
+            let old = *g.edge(edge);
+            let new = q(bw, lat);
+            *g.edge_mut(edge) = new;
+            EdgeChange { edge, old, new }
+        })
+        .collect()
+}
+
+/// A follow-up mutation aimed at what the batch before it changed: `(aim,
+/// raw, bandwidth, latency)`. A kept tree is re-read by later patches, so
+/// the lineages that matter re-hit the same few edges — narrow and speed up
+/// an edge, then widen another edge into the same head — and independent
+/// random batches almost never draw them.
+type FollowUp = Vec<(usize, usize, u64, u64)>;
+
+fn follow_up_strategy() -> impl Strategy<Value = FollowUp> {
+    proptest::collection::vec((0usize..4, 0usize..64, 0u64..6, 0u64..4), 1..4)
+}
+
+/// Writes `follow_up` into `g`. Per mutation, `aim` picks the edge: `0` one
+/// the previous batch changed, `1` one the previous batch changed, put back
+/// to the weight it had before that batch, `2` an in-edge of the head of
+/// one the previous batch changed, `3` any edge.
+fn apply_follow_up(
+    g: &mut DiGraph<(), Qos>,
+    previous: &[EdgeChange],
+    follow_up: &FollowUp,
+) -> Vec<EdgeChange> {
+    let edge_ids: Vec<_> = g.edges().map(|e| e.id).collect();
+    follow_up
+        .iter()
+        .map(|&(aim, raw, bw, lat)| {
+            let hit = previous[raw % previous.len()];
+            let (edge, new) = match aim {
+                0 => (hit.edge, q(bw, lat)),
+                1 => (hit.edge, hit.old),
+                2 => {
+                    let (_, head, _) = g.edge_parts(hit.edge);
+                    let into = g.in_edge_ids(head);
+                    (into[raw / previous.len() % into.len()], q(bw, lat))
+                }
+                _ => (edge_ids[raw % edge_ids.len()], q(bw, lat)),
+            };
+            let old = *g.edge(edge);
+            *g.edge_mut(edge) = new;
+            EdgeChange { edge, old, new }
+        })
+        .collect()
+}
+
+/// `table` is the table a from-scratch build of `g` produces, in QoS and
+/// path. The message carries the whole case: the shim does not shrink.
+fn assert_is_rebuild(
+    table: &AllPairs,
+    g: &DiGraph<(), Qos>,
+    changes: &[EdgeChange],
+) -> Result<(), TestCaseError> {
+    let rebuilt = all_pairs(g);
+    for u in g.node_ids() {
+        for v in g.node_ids() {
+            let case = || {
+                let edges: Vec<_> = g.edges().map(|e| (e.from, e.to, *e.weight)).collect();
+                format!("{u:?}->{v:?}, graph now {edges:?}, after {changes:?}")
+            };
+            prop_assert_eq!(table.qos(u, v), rebuilt.qos(u, v), "qos {}", case());
+            prop_assert_eq!(table.path(u, v), rebuilt.path(u, v), "path {}", case());
+        }
+    }
+    Ok(())
+}
+
+/// The coarse rules the engine's dirty plan refines: a pure bandwidth cut
+/// dirties every tree traversing the edge at any level; everything else
+/// dirties every source that can reach the edge's tail. Kept here as the
+/// upper-bound oracle.
 fn coarse_rule_dirty_count(
     table: &AllPairs,
     g: &DiGraph<(), Qos>,
@@ -75,12 +152,12 @@ fn coarse_rule_dirty_count(
 ) -> usize {
     let n = g.node_count();
     let mut dirty = vec![false; n];
-    let mut degraded = vec![false; g.edge_count()];
-    let mut any_degraded = false;
+    let mut cut = vec![false; g.edge_count()];
+    let mut any_cut = false;
     for c in changes.iter().filter(|c| !c.is_noop()) {
-        if c.is_degradation() {
-            degraded[c.edge.index()] = true;
-            any_degraded = true;
+        if c.is_degradation() && c.new.latency == c.old.latency {
+            cut[c.edge.index()] = true;
+            any_cut = true;
         } else {
             let (tail, _, _) = g.edge_parts(c.edge);
             let mut seen = vec![false; n];
@@ -101,9 +178,9 @@ fn coarse_rule_dirty_count(
             }
         }
     }
-    if any_degraded {
+    if any_cut {
         for (i, node) in g.node_ids().enumerate() {
-            if !dirty[i] && table.tree(node).traverses_any(&degraded) {
+            if !dirty[i] && table.tree(node).traverses_any(&cut) {
                 dirty[i] = true;
             }
         }
@@ -112,8 +189,6 @@ fn coarse_rule_dirty_count(
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
     #[test]
     fn parallel_table_is_identical_to_sequential(
         g in graph_strategy(),
@@ -131,82 +206,125 @@ proptest! {
 
     #[test]
     fn patch_matches_from_scratch_rebuild(
-        seed in mutated_graph_strategy(),
+        g in graph_strategy(),
+        batch in batch_strategy(),
         workers in 0usize..3,
     ) {
-        let (mut g, mutations) = seed;
-        let before = all_pairs(&g);
-        let edge_ids: Vec<_> = g.edges().map(|e| e.id).collect();
+        let mut g = g;
         // Every generated tuple can be a self-loop, leaving no edges to
         // mutate; nothing to check then.
-        if edge_ids.is_empty() {
+        if g.edge_count() == 0 {
             return Ok(());
         }
-
-        // Apply the batch to the graph, collecting the change records the
-        // same way `OverlayGraph::update_link_qos` would produce them.
-        let mut changes = Vec::new();
-        for (raw, bw, lat) in mutations {
-            let edge = edge_ids[raw % edge_ids.len()];
-            let (_, _, old) = g.edge_parts(edge);
-            let old = *old;
-            let new = q(bw, lat);
-            *g.edge_mut(edge) = new;
-            changes.push(EdgeChange { edge, old, new });
-        }
-
+        let before = all_pairs(&g);
+        let changes = apply(&mut g, &batch);
         let (table, stats) = before.patched_with(&g, &changes, workers);
-        prop_assert!(stats.trees_recomputed <= stats.trees_total);
+        prop_assert!(!stats.full_rebuild);
+        assert_is_rebuild(&table, &g, &changes)?;
+    }
 
-        // Oracle: rebuild from scratch on the mutated graph.
-        let rebuilt = shortest_widest::all_pairs(&g);
-        for u in g.node_ids() {
-            for v in g.node_ids() {
-                prop_assert_eq!(
-                    table.qos(u, v), rebuilt.qos(u, v),
-                    "qos {:?}->{:?} after {} changes (recomputed {}/{})",
-                    u, v, changes.len(), stats.trees_recomputed, stats.trees_total
-                );
-                // Paths may differ between a kept tree and a rebuilt one only
-                // when ties allow it; what the patched table reports must at
-                // least be a real path of the mutated graph with the claimed
-                // endpoints.
-                if let Some(path) = table.path(u, v) {
-                    prop_assert_eq!(path[0], u);
-                    prop_assert_eq!(*path.last().unwrap(), v);
-                    for w in path.windows(2) {
-                        prop_assert!(
-                            g.out_edges(w[0]).any(|e| e.to == w[1]),
-                            "patched path uses a non-edge {:?}->{:?}", w[0], w[1]
-                        );
-                    }
-                }
-            }
+    #[test]
+    fn successive_patches_compose(
+        g in graph_strategy(),
+        batches in proptest::collection::vec(batch_strategy(), 2..5),
+    ) {
+        // A kept tree is patched again and again in a server's life; what a
+        // later rule reads off it must still hold after earlier batches.
+        let mut g = g;
+        if g.edge_count() == 0 {
+            return Ok(());
+        }
+        let mut table = all_pairs(&g);
+        for batch in &batches {
+            let changes = apply(&mut g, batch);
+            table = table.patched_with(&g, &changes, 1).0;
+            assert_is_rebuild(&table, &g, &changes)?;
         }
     }
 
     #[test]
-    fn patched_shares_clean_trees_and_dirties_no_more_than_coarse_rules(
-        seed in mutated_graph_strategy(),
-        workers in 0usize..3,
+    fn follow_ups_on_the_same_edges_compose(
+        g in graph_strategy(),
+        first in batch_strategy(),
+        follow_ups in proptest::collection::vec(follow_up_strategy(), 1..5),
     ) {
-        let (mut g, mutations) = seed;
-        let before = all_pairs(&g);
-        let edge_ids: Vec<_> = g.edges().map(|e| e.id).collect();
-        if edge_ids.is_empty() {
+        // The labels a kept tree records but no reported path reads are the
+        // ones a later patch can find stale: keep hitting the edges the last
+        // batch hit, and the in-edges of their heads.
+        let mut g = g;
+        if g.edge_count() == 0 {
             return Ok(());
         }
-
-        let mut changes = Vec::new();
-        for (raw, bw, lat) in mutations {
-            let edge = edge_ids[raw % edge_ids.len()];
-            let (_, _, old) = g.edge_parts(edge);
-            let old = *old;
-            let new = q(bw, lat);
-            *g.edge_mut(edge) = new;
-            changes.push(EdgeChange { edge, old, new });
+        let mut table = all_pairs(&g);
+        let mut changes = apply(&mut g, &first);
+        table = table.patched_with(&g, &changes, 1).0;
+        assert_is_rebuild(&table, &g, &changes)?;
+        for follow_up in &follow_ups {
+            changes = apply_follow_up(&mut g, &changes, follow_up);
+            table = table.patched_with(&g, &changes, 1).0;
+            assert_is_rebuild(&table, &g, &changes)?;
         }
+    }
 
+    #[test]
+    fn cutting_links_then_restoring_them_returns_the_original_table(
+        g in graph_strategy(),
+        cuts in proptest::collection::vec((0usize..64, 0u64..6), 1..9),
+    ) {
+        // The shape of a forest's life: k links lose bandwidth in one batch
+        // and get it back in another.
+        let mut g = g;
+        if g.edge_count() == 0 {
+            return Ok(());
+        }
+        let original = all_pairs(&g);
+        let edge_ids: Vec<_> = g.edges().map(|e| e.id).collect();
+        let mut cut = Vec::new();
+        for (raw, left) in cuts {
+            let edge = edge_ids[raw % edge_ids.len()];
+            let old = *g.edge(edge);
+            let new = Qos::new(old.bandwidth.min(Bandwidth::kbps(left)), old.latency);
+            *g.edge_mut(edge) = new;
+            cut.push(EdgeChange { edge, old, new });
+        }
+        let (clamped, cut_stats) = original.patched_with(&g, &cut, 1);
+        prop_assert!(!cut_stats.full_rebuild);
+        assert_is_rebuild(&clamped, &g, &cut)?;
+
+        let mut restore = Vec::new();
+        for c in cut.iter().rev() {
+            let old = *g.edge(c.edge);
+            *g.edge_mut(c.edge) = c.old;
+            restore.push(EdgeChange { edge: c.edge, old, new: c.old });
+        }
+        let (restored, restore_stats) = clamped.patched_with(&g, &restore, 1);
+        prop_assert!(!restore_stats.full_rebuild);
+        assert_is_rebuild(&restored, &g, &restore)?;
+        for u in g.node_ids() {
+            for v in g.node_ids() {
+                prop_assert_eq!(restored.qos(u, v), original.qos(u, v));
+                prop_assert_eq!(restored.path(u, v), original.path(u, v));
+            }
+        }
+        // Trees neither batch dirtied are still the original allocations.
+        prop_assert!(
+            original.shared_trees(&restored) + cut_stats.trees_recomputed
+                + restore_stats.trees_recomputed >= original.len()
+        );
+    }
+
+    #[test]
+    fn patched_shares_clean_trees_and_dirties_no_more_than_coarse_rules(
+        g in graph_strategy(),
+        batch in batch_strategy(),
+        workers in 0usize..3,
+    ) {
+        let mut g = g;
+        if g.edge_count() == 0 {
+            return Ok(());
+        }
+        let before = all_pairs(&g);
+        let changes = apply(&mut g, &batch);
         let (next, stats) = before.patched_with(&g, &changes, workers);
         prop_assert!(!stats.full_rebuild);
 
@@ -217,25 +335,12 @@ proptest! {
             stats.trees_total - stats.trees_recomputed
         );
 
-        // The tightened rules are a refinement: never dirtier than the
-        // coarse traverses-any / reach-the-tail rules they replaced.
+        // The dirty rules are a refinement of the coarse ones.
         let coarse = coarse_rule_dirty_count(&before, &g, &changes);
         prop_assert!(
             stats.trees_recomputed <= coarse,
-            "tightened rule recomputed {} trees, coarse rule {}",
+            "dirty plan recomputed {} trees, coarse rule {}",
             stats.trees_recomputed, coarse
         );
-
-        // And still exact: the successor matches a from-scratch rebuild.
-        let rebuilt = all_pairs(&g);
-        for u in g.node_ids() {
-            for v in g.node_ids() {
-                prop_assert_eq!(
-                    next.qos(u, v), rebuilt.qos(u, v),
-                    "qos {:?}->{:?} (recomputed {}/{}, coarse {})",
-                    u, v, stats.trees_recomputed, stats.trees_total, coarse
-                );
-            }
-        }
     }
 }

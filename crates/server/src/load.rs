@@ -760,6 +760,61 @@ mod tests {
         }
     }
 
+    #[test]
+    fn an_open_and_its_release_hand_the_snapshot_table_back() {
+        // A forest's life: several links lose bandwidth in one batch and get
+        // it back in another. The table after the release is the snapshot's
+        // for every pair, and every tree neither patch dirtied is still the
+        // snapshot's own allocation.
+        let services: Vec<_> = (0..5).map(sflow_net::ServiceId::new).collect();
+        for seed in 0..4u64 {
+            let fx = sflow_core::fixtures::random_fixture(8, &services, 3, None, seed);
+            let source = fx.source;
+            let snap = WorldSnapshot::new(Arc::new(fx.overlay), Arc::new(fx.all_pairs), source, 0);
+            let raw = snap.overlay_arc();
+            let booking: Vec<(LinkId, u64)> = raw
+                .graph()
+                .edges()
+                .filter(|e| e.weight.bandwidth != Bandwidth::INFINITE)
+                .step_by(7)
+                .take(5)
+                .map(|e| {
+                    let link = (raw.instance(e.from), raw.instance(e.to));
+                    (link, e.weight.bandwidth.as_kbps() / 2 + 1)
+                })
+                .collect();
+            assert_eq!(booking.len(), 5, "seed {seed}");
+
+            let fresh = LoadPlane::fresh(&snap);
+            let open = fresh.with_changes(&booking, &[], 1);
+            assert_plane_matches_a_rebuild(&open, &raw, &format!("seed {seed} open"));
+            let released = open.with_changes(&[], &booking, 1);
+            assert_plane_matches_a_rebuild(&released, &raw, &format!("seed {seed} release"));
+
+            let n = snap.all_pairs().len();
+            for u in raw.graph().node_ids() {
+                for v in raw.graph().node_ids() {
+                    assert_eq!(released.table.qos(u, v), snap.all_pairs().qos(u, v));
+                    assert_eq!(released.table.path(u, v), snap.all_pairs().path(u, v));
+                }
+            }
+            let cut = n - snap.all_pairs().shared_trees(&open.table);
+            let restored = n - open.table.shared_trees(&released.table);
+            assert!(
+                cut > 0 && restored > 0,
+                "seed {seed}: the booking moved no tree"
+            );
+            assert!(
+                restored < n,
+                "seed {seed}: the release recomputed every tree"
+            );
+            assert!(
+                snap.all_pairs().shared_trees(&released.table) + cut + restored >= n,
+                "seed {seed}: cut {cut}, restored {restored} of {n}"
+            );
+        }
+    }
+
     fn sum_links(links: &[(LinkId, u64)]) -> BTreeMap<LinkId, u64> {
         let mut out = BTreeMap::new();
         for &(link, kbps) in links {
