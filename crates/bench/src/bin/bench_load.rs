@@ -2,7 +2,11 @@
 //!
 //! Replays a **hotspot trace** — a burst of identical `0>1>2` sessions over
 //! a ladder world with `k` disjoint source→middle→sink routes of strictly
-//! descending capacity — against two live servers:
+//! descending capacity — against two live servers. A hotspot means
+//! *independent* sessions that happen to want the same thing, so both
+//! servers run with `solve_cache: false`: with it on, identical requirements
+//! attach to one shared forest and book its links once (max, not sum), and
+//! there would be no hotspot to measure.
 //!
 //! * **blind** (`residual: false`): the pre-load-plane behaviour. Every
 //!   solve sees raw capacities, so every session piles onto the widest
@@ -104,6 +108,7 @@ fn replay(
 ) -> ModeReport {
     let config = ServerConfig {
         residual,
+        solve_cache: false, // independent sessions, see the module docs
         route_workers: 1,
         ..ServerConfig::default()
     };
@@ -188,6 +193,7 @@ fn replay_blind_and_rebalance(
 ) -> (ModeReport, Vec<u64>, usize) {
     let config = ServerConfig {
         residual: false,
+        solve_cache: false, // independent sessions, see the module docs
         route_workers: 1,
         ..ServerConfig::default()
     };

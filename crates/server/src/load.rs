@@ -12,12 +12,17 @@
 //!   view clamps with; the estimate is observability — it remembers recent
 //!   churn after the reservations are gone.
 //! * [`LoadPlane`] — one immutable publication of the load state for an
-//!   epoch: the map, the raw overlay it indexes into, a **clamped** overlay
-//!   clone whose link bandwidths are `capacity − reserved`, and a routing
-//!   table patched over the clamped weights. Solving against
-//!   [`LoadPlane::context`] federates new requests against what is actually
-//!   free. Deriving a successor ([`LoadPlane::with_changes`]) patches only
-//!   the trees the touched links dirty, exactly like a QoS mutation.
+//!   epoch: the map, the raw overlay it indexes into, and a **clamped**
+//!   overlay clone whose link bandwidths are `capacity − reserved`.
+//!   Deriving a successor ([`LoadPlane::with_changes`]) moves the ledger and
+//!   re-clamps the touched links; it runs no routing code. The routing table
+//!   over the clamped weights is a **derived, on-demand value**: the first
+//!   [`LoadPlane::context`] asked of a plane — a cold solve against a booked
+//!   ledger, off every lock — diffs the plane's clamped graph against the
+//!   last graph anyone in the epoch materialised a table for and patches
+//!   that table over the differing edges, exactly like a QoS mutation.
+//!   Bookings no cold solve ever looks at (a found and its dissolve, a
+//!   burst of opens) are never routed.
 //! * [`LoadCell`] — the publication cell, a twin of
 //!   [`Snap`](crate::snapshot::Snap): readers clone an `Arc`, writers swap a
 //!   pointer. Every plane mutation in the server happens under the sessions
@@ -29,13 +34,13 @@
 //! own loopback is free by construction.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use parking_lot::Mutex;
 use sflow_core::{FederationContext, FlowGraph, OwnedFederationContext};
 use sflow_graph::NodeIx;
 use sflow_net::{OverlayGraph, ServiceInstance};
-use sflow_routing::{AllPairs, Bandwidth, EdgeChange, Qos};
+use sflow_routing::{AllPairs, Bandwidth, EdgeChange, PatchStats, Qos};
 
 use crate::snapshot::WorldSnapshot;
 
@@ -164,6 +169,18 @@ pub fn links_of(flow: &FlowGraph, overlay: &OverlayGraph) -> Vec<(LinkId, u64)> 
         .collect()
 }
 
+/// The last residual table anyone materialised in an epoch, and the clamped
+/// graph it is the table of. Every plane of the epoch shares one of these
+/// (seeded with the snapshot's overlay and table): a plane asked for its
+/// table patches this one over the edges its own clamp differs on, so the
+/// work done for one plane version is never redone for the next, and
+/// bookings that cancel out before anyone asks cost nothing.
+#[derive(Debug)]
+struct Materialised {
+    graph: Arc<OverlayGraph>,
+    table: Arc<AllPairs>,
+}
+
 /// One immutable publication of the load state for a topology epoch.
 #[derive(Debug)]
 pub struct LoadPlane {
@@ -179,73 +196,70 @@ pub struct LoadPlane {
     /// bandwidth clamped to `capacity − reserved`. Shares the raw `Arc`
     /// while nothing is booked.
     clamped: Arc<OverlayGraph>,
-    /// Shortest-widest table over the clamped weights, patched
-    /// incrementally as reservations move.
-    table: Arc<AllPairs>,
+    /// Shortest-widest table over the clamped weights, materialised by the
+    /// first [`LoadPlane::context`] that asks. Successors whose clamp is
+    /// unchanged share the slot, whichever of them is asked first.
+    table: Arc<OnceLock<Arc<AllPairs>>>,
+    /// What `table` is patched from. A leaf lock: held across the patch
+    /// (concurrent cold solves want nearly the same table), never taken
+    /// under the sessions lock.
+    last: Arc<Mutex<Materialised>>,
+    /// Sizes the deferred patch (`0` = auto).
+    workers: usize,
     source_node: NodeIx,
 }
 
 impl LoadPlane {
     /// The empty plane for a fresh epoch: nothing reserved, so the clamped
     /// view *is* the raw overlay and the table is shared with the snapshot
-    /// by pointer — publishing a new epoch costs two `Arc` clones.
+    /// by pointer — publishing a new epoch costs a few `Arc` clones.
     pub fn fresh(snapshot: &WorldSnapshot) -> Self {
-        LoadPlane {
-            epoch: snapshot.epoch(),
-            version: 0,
-            map: LoadMap::default(),
-            raw: snapshot.overlay_arc(),
-            clamped: snapshot.overlay_arc(),
-            table: snapshot.all_pairs_arc(),
-            source_node: snapshot.source_node(),
-        }
+        LoadPlane::rebased(snapshot, LoadMap::default(), 0)
     }
 
     /// Rebuilds the plane for `snapshot` from a ledger recomputed out of
     /// the (already repaired) session table — the epoch-crossing path.
     /// Links whose endpoints no longer exist are dropped from the ledger;
-    /// every surviving reservation is clamped into a fresh view patched
-    /// from the snapshot's own table.
+    /// every surviving reservation is clamped into a fresh view. The
+    /// epoch's table lineage starts at the snapshot's own overlay and
+    /// table; `workers` sizes the patch a later [`LoadPlane::context`] pays.
     pub fn rebased(snapshot: &WorldSnapshot, mut map: LoadMap, workers: usize) -> Self {
         let raw = snapshot.overlay_arc();
         let live: Vec<(LinkId, u64)> = map.iter_reserved().collect();
-        let mut clamped = (*raw).clone();
-        let mut changes = Vec::new();
+        let mut clamped = Arc::clone(&raw);
         for (link, kbps) in live {
-            match clamp_link(&mut clamped, &raw, link, kbps) {
-                Some(change) => changes.push(change),
-                None => {
-                    // The link died with the mutation (its sessions were
-                    // dropped or rerouted); forget the orphaned entry.
-                    map.release(link, kbps);
-                }
+            if clamp_link(&mut clamped, &raw, link, kbps).is_none() {
+                // The link died with the mutation (its sessions were
+                // dropped or rerouted); forget the orphaned entry.
+                map.release(link, kbps);
             }
         }
-        let changes: Vec<EdgeChange> = changes.into_iter().filter(|c| !c.is_noop()).collect();
-        let (clamped, table) = if changes.is_empty() {
-            (snapshot.overlay_arc(), snapshot.all_pairs_arc())
+        let table = if Arc::ptr_eq(&clamped, &raw) {
+            OnceLock::from(snapshot.all_pairs_arc())
         } else {
-            let (table, _) = snapshot
-                .all_pairs()
-                .patched_with(clamped.graph(), &changes, workers);
-            (Arc::new(clamped), Arc::new(table))
+            OnceLock::new()
         };
         LoadPlane {
             epoch: snapshot.epoch(),
             version: 0,
             map,
-            raw,
             clamped,
-            table,
+            table: Arc::new(table),
+            last: Arc::new(Mutex::new(Materialised {
+                graph: Arc::clone(&raw),
+                table: snapshot.all_pairs_arc(),
+            })),
+            raw,
+            workers,
             source_node: snapshot.source_node(),
         }
     }
 
     /// Derives the successor plane after `opens` and `releases` (each a
-    /// `(link, kbps)` list). Only the touched links are re-clamped, and the
-    /// routing table is patched — the same incremental machinery a QoS
-    /// mutation uses, so the cost scales with how many trees the changed
-    /// links dirty, not with the world.
+    /// `(link, kbps)` list): the ledger moves and only the touched links
+    /// are re-clamped. No routing code runs here — this is what the server
+    /// pays under the sessions lock. `workers` sizes the patch a later
+    /// [`LoadPlane::context`] pays if a cold solve asks this plane for it.
     #[must_use]
     pub fn with_changes(
         &self,
@@ -263,21 +277,15 @@ impl LoadPlane {
             map.release(link, kbps);
             touched.insert(link);
         }
-        let mut clamped = (*self.clamped).clone();
-        let mut changes = Vec::new();
+        let mut clamped = Arc::clone(&self.clamped);
         for link in touched {
-            if let Some(change) = clamp_link(&mut clamped, &self.raw, link, map.reserved_kbps(link))
-            {
-                if !change.is_noop() {
-                    changes.push(change);
-                }
-            }
+            // A link absent from this epoch's overlay has no clamp to move.
+            let _ = clamp_link(&mut clamped, &self.raw, link, map.reserved_kbps(link));
         }
-        let (clamped, table) = if changes.is_empty() {
-            (Arc::clone(&self.clamped), Arc::clone(&self.table))
+        let table = if Arc::ptr_eq(&clamped, &self.clamped) {
+            Arc::clone(&self.table)
         } else {
-            let (table, _) = self.table.patched_with(clamped.graph(), &changes, workers);
-            (Arc::new(clamped), Arc::new(table))
+            Arc::default()
         };
         LoadPlane {
             epoch: self.epoch,
@@ -286,12 +294,14 @@ impl LoadPlane {
             raw: Arc::clone(&self.raw),
             clamped,
             table,
+            last: Arc::clone(&self.last),
+            workers,
             source_node: self.source_node,
         }
     }
 
     /// The successor plane after one DRE tick. Estimates do not feed the
-    /// clamp, so this never patches the routing table.
+    /// clamp, so the residual view and its table slot are shared.
     #[must_use]
     pub fn decayed(&self) -> LoadPlane {
         let mut map = self.map.clone();
@@ -303,6 +313,8 @@ impl LoadPlane {
             raw: Arc::clone(&self.raw),
             clamped: Arc::clone(&self.clamped),
             table: Arc::clone(&self.table),
+            last: Arc::clone(&self.last),
+            workers: self.workers,
             source_node: self.source_node,
         }
     }
@@ -323,13 +335,62 @@ impl LoadPlane {
     }
 
     /// A context that federates against residual capacity: the clamped
-    /// overlay and its patched table, pinned to this plane's epoch.
+    /// overlay and its table, pinned to this plane's epoch. The first ask
+    /// materialises the table (see [`LoadPlane::flushed_context`]); call it
+    /// off-lock.
     pub fn context(&self) -> OwnedFederationContext {
-        FederationContext::from_arcs(
+        self.flushed_context().0
+    }
+
+    /// [`LoadPlane::context`], plus what this call paid for it: the stats
+    /// of the patch it ran if the table was not there yet, `None` if it
+    /// was. The patch diffs this plane's clamped graph against the last
+    /// one materialised in the epoch edge by edge (edge numbering is fixed
+    /// within an epoch) and hands the differing edges to
+    /// [`AllPairs::patched_with`] as one batch — `old` being the weight
+    /// that table was computed from — then moves the epoch's cell forward.
+    /// Planes are served in whatever order they are asked: an older plane
+    /// still held by an in-flight solver patches from a newer table just
+    /// as well.
+    pub fn flushed_context(&self) -> (OwnedFederationContext, Option<PatchStats>) {
+        let mut flushed = None;
+        let table = self.table.get_or_init(|| {
+            let mut last = self.last.lock();
+            let changes: Vec<EdgeChange> = self
+                .clamped
+                .graph()
+                .edges()
+                .zip(last.graph.graph().edges())
+                .filter(|(mine, theirs)| mine.weight != theirs.weight)
+                .map(|(mine, theirs)| EdgeChange {
+                    edge: mine.id,
+                    old: *theirs.weight,
+                    new: *mine.weight,
+                })
+                .collect();
+            let (table, stats) =
+                last.table
+                    .patched_with(self.clamped.graph(), &changes, self.workers);
+            let table = Arc::new(table);
+            *last = Materialised {
+                graph: Arc::clone(&self.clamped),
+                table: Arc::clone(&table),
+            };
+            flushed = Some(stats);
+            table
+        });
+        let ctx = FederationContext::from_arcs(
             Arc::clone(&self.clamped),
-            Arc::clone(&self.table),
+            Arc::clone(table),
             self.source_node,
-        )
+        );
+        (ctx, flushed)
+    }
+
+    /// Test probe: has anyone materialised this plane's table yet?
+    #[cfg(test)]
+    pub(crate) fn is_materialised(&self) -> bool {
+        self.table.get().is_some()
     }
 
     /// `link`'s raw capacity, if it exists in this epoch.
@@ -399,15 +460,18 @@ impl LoadPlane {
     }
 }
 
-/// Writes `capacity − reserved` into `clamped`'s copy of `link`, reading
-/// the raw capacity from `raw`. `None` when the link does not exist in
-/// this epoch. Infinite capacity is never clamped.
+/// Makes `clamped`'s copy of `link` read `capacity − reserved`, the raw
+/// capacity coming from `raw`. Copy-on-first-write: the overlay is cloned
+/// only when a weight actually moves, so a move that changes no clamp
+/// leaves the view — and with it the table — shared with its predecessor.
+/// `None` when the link does not exist in this epoch. Infinite capacity is
+/// never clamped.
 fn clamp_link(
-    clamped: &mut OverlayGraph,
+    clamped: &mut Arc<OverlayGraph>,
     raw: &OverlayGraph,
     link: LinkId,
     reserved_kbps: u64,
-) -> Option<EdgeChange> {
+) -> Option<()> {
     let from = raw.node_of(link.0)?;
     let to = raw.node_of(link.1)?;
     let e = raw.graph().find_edge(from, to)?;
@@ -418,7 +482,10 @@ fn clamp_link(
             .saturating_sub(Bandwidth::kbps(reserved_kbps)),
         raw_qos.latency,
     );
-    clamped.update_link_qos(from, to, next)
+    if *clamped.graph().edge(e) != next {
+        Arc::make_mut(clamped).update_link_qos(from, to, next)?;
+    }
+    Some(())
 }
 
 /// The load plane's publication cell — a twin of
@@ -440,7 +507,8 @@ impl LoadCell {
         }
     }
 
-    /// The current plane. Constant-time; never blocks on a patch.
+    /// The current plane. Constant-time: the lock only ever guards a pointer
+    /// copy or store.
     pub fn load(&self) -> Arc<LoadPlane> {
         Arc::clone(&self.current.lock())
     }
@@ -636,13 +704,11 @@ mod tests {
         assert_eq!(cell.load().version(), 1);
     }
 
-    /// What the plane promises the solver: every clamped link reads
-    /// `capacity − reserved` (infinite capacity untouched), and the patched
-    /// table is the table of that clamped graph — same QoS and same path as
-    /// a from-scratch build, for every node pair.
-    fn assert_plane_matches_a_rebuild(plane: &LoadPlane, raw: &OverlayGraph, step: &str) {
-        let ctx = plane.context();
-        let clamped = ctx.overlay().graph();
+    /// What every ledger move promises, checked without asking for the
+    /// table: each clamped link reads `capacity − reserved` (infinite
+    /// capacity untouched) at the raw latency.
+    fn assert_clamp_matches_the_ledger(plane: &LoadPlane, raw: &OverlayGraph, step: &str) {
+        let clamped = plane.clamped.graph();
         for e in raw.graph().edges() {
             let link = (raw.instance(e.from), raw.instance(e.to));
             let capacity = e.weight.bandwidth;
@@ -656,6 +722,15 @@ mod tests {
             assert_eq!(got.bandwidth, want, "{step}: clamp of {link:?}");
             assert_eq!(got.latency, e.weight.latency, "{step}: latency of {link:?}");
         }
+    }
+
+    /// What the plane promises the solver: the table `context()` hands out
+    /// is the table of the plane's own clamped graph — same QoS and same
+    /// path as a from-scratch build, for every node pair — whatever was
+    /// materialised before it.
+    fn assert_table_matches_a_rebuild(plane: &LoadPlane, step: &str) {
+        let ctx = plane.context();
+        let clamped = ctx.overlay().graph();
         let rebuilt = ctx.overlay().all_pairs();
         for u in clamped.node_ids() {
             for v in clamped.node_ids() {
@@ -673,15 +748,21 @@ mod tests {
         }
     }
 
-    #[test]
-    fn the_patched_table_is_the_table_of_the_clamped_graph() {
+    fn random_snapshot(seed: u64) -> WorldSnapshot {
         // 15 instances on 8 hosts: co-located pairs give infinite-capacity
         // links, the rest carry 10..=1000 kbit/s.
         let services: Vec<_> = (0..5).map(sflow_net::ServiceId::new).collect();
+        let fx = sflow_core::fixtures::random_fixture(8, &services, 3, None, seed);
+        WorldSnapshot::new(Arc::new(fx.overlay), Arc::new(fx.all_pairs), fx.source, 0)
+    }
+
+    #[test]
+    fn the_patched_table_is_the_table_of_the_clamped_graph() {
+        // How the asks went, over all seeds: each shape must occur.
+        let (mut alone, mut older_after_newer, mut racing, mut across_rebase) = (0, 0, 0, 0);
         for seed in 0..4u64 {
-            let fx = sflow_core::fixtures::random_fixture(8, &services, 3, None, seed);
-            let source = fx.source;
-            let snap = WorldSnapshot::new(Arc::new(fx.overlay), Arc::new(fx.all_pairs), source, 0);
+            let snap = random_snapshot(seed);
+            let source = snap.source_node();
             let mut raw = snap.overlay_arc();
             let all_links: Vec<(LinkId, Bandwidth)> = raw
                 .graph()
@@ -706,8 +787,15 @@ mod tests {
 
             let mut plane = LoadPlane::fresh(&snap);
             let mut booked: Vec<(LinkId, u64)> = Vec::new();
+            // A plane from earlier in the lineage nobody has asked yet — the
+            // solver still in flight when newer planes were published.
+            let mut older: Option<LoadPlane> = None;
+            // The table is asked for only now and then: 0..=8 ledger moves
+            // pass unrouted in between, the epoch crossing among them.
+            let mut next_ask = draw(9);
+            let mut rebase_unasked = false;
             for step in 0..60 {
-                if step == 30 {
+                let next = if step == 30 {
                     // One epoch crossing: a link's raw capacity halves and
                     // the ledger is rebased onto the successor snapshot.
                     let (link, capacity) = all_links[draw(all_links.len() as u64) as usize];
@@ -720,86 +808,127 @@ mod tests {
                     let (overlay, change) = raw.with_link_qos(from, to, halved).unwrap();
                     let (table, _) = snap.all_pairs().patched_with(overlay.graph(), &[change], 1);
                     let next = WorldSnapshot::new(Arc::new(overlay), Arc::new(table), source, 1);
-                    plane = LoadPlane::rebased(&next, plane.map().clone(), 1);
                     raw = next.overlay_arc();
-                    assert_plane_matches_a_rebuild(&plane, &raw, &format!("seed {seed} rebase"));
-                    continue;
-                }
-                // Opens (amounts reach past capacity, so fully booked links
-                // occur), releases of earlier bookings, or both at once —
-                // the rebalancer's make-before-break shape.
-                let mut opens = Vec::new();
-                let mut releases = Vec::new();
-                let kind = draw(5);
-                if kind != 0 {
-                    for _ in 0..=draw(3) {
-                        let (link, capacity) = all_links[draw(all_links.len() as u64) as usize];
-                        let ceiling = if capacity == Bandwidth::INFINITE {
-                            500
-                        } else {
-                            capacity.as_kbps() * 5 / 4
-                        };
-                        opens.push((link, 1 + draw(ceiling)));
-                    }
-                }
-                if kind <= 1 {
-                    for _ in 0..=draw(3) {
-                        if !booked.is_empty() {
-                            releases.push(booked.swap_remove(draw(booked.len() as u64) as usize));
+                    rebase_unasked = true;
+                    LoadPlane::rebased(&next, plane.map().clone(), 1)
+                } else {
+                    // Opens (amounts reach past capacity, so fully booked
+                    // links occur), releases of earlier bookings, or both at
+                    // once — the rebalancer's make-before-break shape.
+                    let mut opens = Vec::new();
+                    let mut releases = Vec::new();
+                    let kind = draw(5);
+                    if kind != 0 {
+                        for _ in 0..=draw(3) {
+                            let (link, capacity) = all_links[draw(all_links.len() as u64) as usize];
+                            let ceiling = if capacity == Bandwidth::INFINITE {
+                                500
+                            } else {
+                                capacity.as_kbps() * 5 / 4
+                            };
+                            opens.push((link, 1 + draw(ceiling)));
                         }
                     }
-                }
-                plane = plane.with_changes(&opens, &releases, 1);
-                booked.extend(opens);
+                    if kind <= 1 {
+                        for _ in 0..=draw(3) {
+                            if !booked.is_empty() {
+                                releases
+                                    .push(booked.swap_remove(draw(booked.len() as u64) as usize));
+                            }
+                        }
+                    }
+                    let next = plane.with_changes(&opens, &releases, 1);
+                    booked.extend(opens);
+                    next
+                };
+                let prev = std::mem::replace(&mut plane, next);
                 assert_eq!(
                     plane.map().total_reserved_kbps(),
                     booked.iter().map(|&(_, k)| k).sum::<u64>()
                 );
-                assert_plane_matches_a_rebuild(&plane, &raw, &format!("seed {seed} step {step}"));
+                let at = format!("seed {seed} step {step}");
+                assert_clamp_matches_the_ledger(&plane, &raw, &at);
+                if step != 30 && !prev.is_materialised() && draw(3) == 0 {
+                    older = Some(prev);
+                }
+                if step < next_ask {
+                    continue;
+                }
+                next_ask = step + 1 + draw(9);
+                if std::mem::take(&mut rebase_unasked) && step > 30 {
+                    across_rebase += 1;
+                }
+                match (older.take(), draw(2)) {
+                    (Some(older), 0) => {
+                        // Newest first, then the plane it superseded: that
+                        // one is served from the newer table.
+                        assert_table_matches_a_rebuild(&plane, &at);
+                        assert_table_matches_a_rebuild(&older, &format!("{at}, older"));
+                        older_after_newer += 1;
+                    }
+                    (Some(older), _) if !plane.is_materialised() => {
+                        // Two solvers at once on different versions; the
+                        // barrier lets neither start before the other can.
+                        let gate = std::sync::Barrier::new(2);
+                        std::thread::scope(|scope| {
+                            for (plane, who) in [(&plane, "newest"), (&older, "older")] {
+                                let (gate, at) = (&gate, &at);
+                                scope.spawn(move || {
+                                    gate.wait();
+                                    assert_table_matches_a_rebuild(
+                                        plane,
+                                        &format!("{at}, racing {who}"),
+                                    );
+                                });
+                            }
+                        });
+                        racing += 1;
+                    }
+                    _ => {
+                        assert_table_matches_a_rebuild(&plane, &at);
+                        alone += 1;
+                    }
+                }
             }
         }
+        assert!(
+            alone > 0 && older_after_newer > 0 && racing > 0 && across_rebase > 0,
+            "asks: {alone} alone, {older_after_newer} older-after-newer, {racing} racing, \
+             {across_rebase} first asked a few moves after the rebase"
+        );
     }
 
     #[test]
     fn an_open_and_its_release_hand_the_snapshot_table_back() {
         // A forest's life: several links lose bandwidth in one batch and get
-        // it back in another. The table after the release is the snapshot's
-        // for every pair, and every tree neither patch dirtied is still the
-        // snapshot's own allocation.
-        let services: Vec<_> = (0..5).map(sflow_net::ServiceId::new).collect();
+        // it back in another, a cold solve reading the table after each. The
+        // table after the release is the snapshot's for every pair, and
+        // every tree neither patch dirtied is still the snapshot's own
+        // allocation.
         for seed in 0..4u64 {
-            let fx = sflow_core::fixtures::random_fixture(8, &services, 3, None, seed);
-            let source = fx.source;
-            let snap = WorldSnapshot::new(Arc::new(fx.overlay), Arc::new(fx.all_pairs), source, 0);
+            let snap = random_snapshot(seed);
             let raw = snap.overlay_arc();
-            let booking: Vec<(LinkId, u64)> = raw
-                .graph()
-                .edges()
-                .filter(|e| e.weight.bandwidth != Bandwidth::INFINITE)
-                .step_by(7)
-                .take(5)
-                .map(|e| {
-                    let link = (raw.instance(e.from), raw.instance(e.to));
-                    (link, e.weight.bandwidth.as_kbps() / 2 + 1)
-                })
-                .collect();
-            assert_eq!(booking.len(), 5, "seed {seed}");
+            let booking = a_booking(&raw, seed);
 
             let fresh = LoadPlane::fresh(&snap);
             let open = fresh.with_changes(&booking, &[], 1);
-            assert_plane_matches_a_rebuild(&open, &raw, &format!("seed {seed} open"));
+            assert_clamp_matches_the_ledger(&open, &raw, &format!("seed {seed} open"));
+            assert_table_matches_a_rebuild(&open, &format!("seed {seed} open"));
             let released = open.with_changes(&[], &booking, 1);
-            assert_plane_matches_a_rebuild(&released, &raw, &format!("seed {seed} release"));
+            assert_clamp_matches_the_ledger(&released, &raw, &format!("seed {seed} release"));
+            assert_table_matches_a_rebuild(&released, &format!("seed {seed} release"));
 
+            let (open, released) = (open.context(), released.context());
+            let (open, released) = (open.all_pairs(), released.all_pairs());
             let n = snap.all_pairs().len();
             for u in raw.graph().node_ids() {
                 for v in raw.graph().node_ids() {
-                    assert_eq!(released.table.qos(u, v), snap.all_pairs().qos(u, v));
-                    assert_eq!(released.table.path(u, v), snap.all_pairs().path(u, v));
+                    assert_eq!(released.qos(u, v), snap.all_pairs().qos(u, v));
+                    assert_eq!(released.path(u, v), snap.all_pairs().path(u, v));
                 }
             }
-            let cut = n - snap.all_pairs().shared_trees(&open.table);
-            let restored = n - open.table.shared_trees(&released.table);
+            let cut = n - snap.all_pairs().shared_trees(open);
+            let restored = n - open.shared_trees(released);
             assert!(
                 cut > 0 && restored > 0,
                 "seed {seed}: the booking moved no tree"
@@ -809,10 +938,110 @@ mod tests {
                 "seed {seed}: the release recomputed every tree"
             );
             assert!(
-                snap.all_pairs().shared_trees(&released.table) + cut + restored >= n,
+                snap.all_pairs().shared_trees(released) + cut + restored >= n,
                 "seed {seed}: cut {cut}, restored {restored} of {n}"
             );
         }
+    }
+
+    #[test]
+    fn a_found_and_its_dissolve_nobody_read_route_nothing() {
+        // The same forest's life with no cold solve in between: the booking
+        // and its release cancel out before anyone asks, so the one ask
+        // afterwards finds no differing edge, recomputes no tree and hands
+        // back the snapshot's own trees.
+        for seed in 0..4u64 {
+            let snap = random_snapshot(seed);
+            let raw = snap.overlay_arc();
+            let booking = a_booking(&raw, seed);
+
+            let open = LoadPlane::fresh(&snap).with_changes(&booking, &[], 1);
+            let released = open.with_changes(&[], &booking, 1);
+            assert!(released.map().is_empty());
+            let (ctx, flushed) = released.flushed_context();
+            let stats = flushed.expect("nobody asked this plane before");
+            assert_eq!(stats.trees_recomputed, 0, "seed {seed}");
+            assert!(!stats.full_rebuild);
+            let n = snap.all_pairs().len();
+            assert_eq!(snap.all_pairs().shared_trees(ctx.all_pairs()), n);
+            assert!(!open.is_materialised(), "the booked plane was never asked");
+            // A second ask pays nothing and says so.
+            assert!(released.flushed_context().1.is_none());
+
+            // Whereas a cold solve in between does pay, once per direction.
+            let (_, cut) = open.flushed_context();
+            assert!(cut.expect("first ask").trees_recomputed > 0, "seed {seed}");
+            let again = open.with_changes(&[], &booking, 1);
+            let (_, restore) = again.flushed_context();
+            assert!(restore.expect("first ask").trees_recomputed > 0);
+            assert_table_matches_a_rebuild(&again, &format!("seed {seed} restored"));
+        }
+    }
+
+    #[test]
+    fn a_ledger_move_leaves_the_table_to_whoever_asks() {
+        let snap = random_snapshot(0);
+        let raw = snap.overlay_arc();
+        let booking = a_booking(&raw, 0);
+        let infinite: Vec<(LinkId, u64)> = raw
+            .graph()
+            .edges()
+            .filter(|e| e.weight.bandwidth == Bandwidth::INFINITE)
+            .map(|e| ((raw.instance(e.from), raw.instance(e.to)), 100))
+            .collect();
+        assert!(!infinite.is_empty());
+
+        // Nothing booked: the snapshot's table, there from the start.
+        let fresh = LoadPlane::fresh(&snap);
+        assert!(fresh.is_materialised());
+        assert!(LoadPlane::rebased(&snap, LoadMap::default(), 1).is_materialised());
+
+        // A net change — by booking or by rebase — routes nothing.
+        let booked = fresh.with_changes(&booking, &[], 1);
+        assert!(!booked.is_materialised());
+        let rebased = LoadPlane::rebased(&snap, booked.map().clone(), 1);
+        assert!(!rebased.is_materialised());
+        assert!(
+            !Arc::ptr_eq(&booked.last, &rebased.last),
+            "one cell per epoch"
+        );
+        assert!(Arc::ptr_eq(&fresh.last, &booked.last));
+
+        // Moves that leave every clamp where it was share the view and the
+        // table slot, so one ask serves the whole run of them.
+        let ticked = booked.decayed();
+        let idle = ticked.with_changes(&[], &[], 1);
+        let loopback = idle.with_changes(&infinite, &[], 1);
+        let round_trip = loopback.with_changes(&booking, &booking, 1);
+        for same in [&ticked, &idle, &loopback, &round_trip] {
+            assert!(Arc::ptr_eq(&same.clamped, &booked.clamped));
+            assert!(Arc::ptr_eq(&same.table, &booked.table));
+            assert!(!same.is_materialised());
+        }
+        assert!(idle.flushed_context().1.is_some());
+        for same in [&booked, &ticked, &loopback, &round_trip] {
+            assert!(same.is_materialised());
+            assert!(same.flushed_context().1.is_none());
+        }
+        assert!(!rebased.is_materialised(), "another epoch, another lineage");
+        assert_table_matches_a_rebuild(&rebased, "rebased");
+    }
+
+    /// Five finite links, each booked past half its capacity.
+    fn a_booking(raw: &OverlayGraph, seed: u64) -> Vec<(LinkId, u64)> {
+        let booking: Vec<(LinkId, u64)> = raw
+            .graph()
+            .edges()
+            .filter(|e| e.weight.bandwidth != Bandwidth::INFINITE)
+            .step_by(7)
+            .take(5)
+            .map(|e| {
+                let link = (raw.instance(e.from), raw.instance(e.to));
+                (link, e.weight.bandwidth.as_kbps() / 2 + 1)
+            })
+            .collect();
+        assert_eq!(booking.len(), 5, "seed {seed}");
+        booking
     }
 
     fn sum_links(links: &[(LinkId, u64)]) -> BTreeMap<LinkId, u64> {

@@ -35,10 +35,12 @@ use std::time::{Duration, Instant};
 use sflow_core::{FederationContext, FederationError, FlowGraph, ServiceRequirement, Solver};
 
 use crate::load::links_of;
-use crate::server::Shared;
+use crate::server::{residual_context, Shared};
 
-/// At most this many sessions migrate per sweep: every migration patches
-/// the load plane twice, and a bounded sweep keeps the lock holds short.
+/// At most this many sessions migrate per sweep: every migration derives
+/// three planes under the sessions lock (preview, book, release — ledger
+/// and clamp only; the routing patch they imply is paid off-lock, by the
+/// next mover's re-solve), and a bounded sweep keeps the lock holds short.
 /// Convergence comes from repeated sweeps, not from one big one.
 const MAX_MOVERS_PER_SWEEP: usize = 8;
 
@@ -157,7 +159,7 @@ pub(crate) fn sweep(shared: &Shared) -> SweepOutcome {
         // Solve against the *current* plane (it moves as earlier movers in
         // this very sweep commit). The mover's own booking is still
         // counted — that is what pushes the new path off its hot links.
-        let ctx = shared.load.load().context();
+        let ctx = residual_context(shared, &shared.load.load());
         let moved = match resolve_mover(&ctx, &candidate.requirement) {
             Ok(flow) => flow,
             Err(_) => {

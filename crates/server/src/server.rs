@@ -48,7 +48,9 @@ use sflow_core::algorithms::{
 };
 use sflow_core::repair::repair;
 use sflow_core::validate::FlowGraphAuditor;
-use sflow_core::{FederationContext, FlowGraph, ServiceRequirement, Solver};
+use sflow_core::{
+    FederationContext, FlowGraph, OwnedFederationContext, ServiceRequirement, Solver,
+};
 use sflow_routing::Bandwidth;
 use sflow_runtime::duration_us;
 
@@ -208,9 +210,10 @@ pub(crate) struct Shared {
     /// touches it, so mutations serialize exclusively against each other.
     pub(crate) world: Mutex<World>,
     pub(crate) sessions: Mutex<Sessions>,
-    /// The load plane's publication cell — reservations, the residual
-    /// overlay and its patched routing table. Published only under the
-    /// sessions lock, so the ledger can never drift from the table.
+    /// The load plane's publication cell — reservations and the residual
+    /// overlay (its routing table is derived off-lock, on demand). Published
+    /// only under the sessions lock, so the ledger can never drift from the
+    /// session table.
     pub(crate) load: LoadCell,
     /// Live sessions, counted separately from `sessions.live` because a
     /// repair sweep takes the map out of the lock while it re-resolves —
@@ -501,15 +504,16 @@ fn federate_against(
     }
     // Residual routing: when the load plane tracks this snapshot's epoch,
     // solve against what live sessions left free — the clamped overlay and
-    // its patched table. Otherwise (the `--no-residual` knob, or a plane
-    // mid-rebase after a mutation) fall back to raw capacity. Either
-    // context is an immutable `Arc` bundle; no lock is held across the
-    // solve.
+    // its table, which this is the moment to patch if no earlier cold solve
+    // asked this plane for it. Otherwise (the `--no-residual` knob, a plane
+    // mid-rebase after a mutation, or an empty ledger) fall back to raw
+    // capacity. Either context is an immutable `Arc` bundle; no lock is
+    // held across the solve.
     let plane = shared.load.load();
     let residual =
         shared.config.residual && plane.epoch() == snapshot.epoch() && !plane.map().is_empty();
     let ctx = if residual {
-        plane.context()
+        residual_context(shared, &plane)
     } else {
         snapshot.context()
     };
@@ -561,6 +565,21 @@ fn federate_against(
         OpenOutcome::Answered(response) => *response,
         OpenOutcome::Refused => Response::Error("cold open refused".into()),
     }
+}
+
+/// `plane`'s residual context for a cold solve or a rebalancer mover. Ledger
+/// moves defer their routing work to the first such ask, so this is where it
+/// is paid and accounted (`plane_flushes` and friends in `Stats`). Takes no
+/// server lock; must not be called under one.
+pub(crate) fn residual_context(shared: &Shared, plane: &LoadPlane) -> OwnedFederationContext {
+    let start = Instant::now();
+    let (ctx, flushed) = plane.flushed_context();
+    if let Some(stats) = flushed {
+        shared
+            .metrics
+            .plane_flush(duration_us(start.elapsed()), stats.trees_recomputed as u64);
+    }
+    ctx
 }
 
 /// What [`open_session`] did with a candidate flow.
@@ -697,7 +716,9 @@ fn open_session(
     shared.metrics.set_forests(forests, tenants);
     // Book the reservations, still under the sessions lock, re-loading the
     // plane because other opens may have published since our solve-time
-    // load. A plane at another epoch means a mutation's rebase is imminent
+    // load. Booking moves the ledger and re-clamps these links; the routing
+    // table over the clamp is left to whichever cold solve next asks for
+    // it. A plane at another epoch means a mutation's rebase is imminent
     // and will account this session from the table itself. A forest tenant
     // books nothing — the holder's reservation already carries the shared
     // streams.
@@ -1695,5 +1716,114 @@ mod tests {
         assert_conserved(&shared);
         // The re-solve replaced the evicted entry with the load-aware flow.
         assert_eq!(shared.snap.load().cached_solve_count(), 1);
+    }
+
+    /// Bookings move the ledger under the sessions lock and route nothing;
+    /// the residual table is patched by the cold solve that needs it, and
+    /// `Stats` says when that happened. Over loopback against a real
+    /// four-worker server: only foundings on a booked plane flush, once
+    /// each; attaches, releases and a `Mutate`'s rebase never do.
+    #[test]
+    fn only_a_cold_solve_on_a_booked_plane_pays_for_the_residual_table() {
+        // 15 instances over 24 hosts: every founding below crosses real
+        // links (one wholly on a host's loopback books infinite capacity,
+        // which is never clamped, and would leave the view as it was).
+        let services: Vec<ServiceId> = (0..5).map(ServiceId::new).collect();
+        let fixture = sflow_core::fixtures::random_fixture(24, &services, 3, None, 1);
+        let instances = fixture.overlay.instance_count() as u64;
+        let config = ServerConfig {
+            workers: 4,
+            route_workers: 1,
+            ..ServerConfig::default()
+        };
+        let handle = serve(World::new(fixture), &config).unwrap();
+        let shared = Arc::clone(&handle.shared);
+        let mut client = crate::Client::connect(handle.addr()).unwrap();
+        let found = |client: &mut crate::Client, spec: &str| match client
+            .federate(spec, Algorithm::Sflow, None)
+            .unwrap()
+        {
+            Response::Federated(summary) => summary.session,
+            other => panic!("{spec}: expected Federated, got {other:?}"),
+        };
+        let flushes = |client: &mut crate::Client| {
+            let s = client.stats().unwrap();
+            (s.plane_flushes, s.plane_trees_recomputed)
+        };
+
+        // Key A founds on an empty ledger: the snapshot's own table serves.
+        let a = found(&mut client, "0>1>2");
+        assert_eq!(flushes(&mut client), (0, 0));
+        assert!(
+            !shared.load.load().is_materialised(),
+            "A's booking routed nothing"
+        );
+        // Key B solves cold against A's booking: the one flush so far.
+        let b = found(&mut client, "0>2>3");
+        let (count, trees) = flushes(&mut client);
+        assert_eq!(count, 1);
+        assert!(
+            trees <= instances,
+            "a patch, not {trees} of {instances} trees"
+        );
+        assert!(!shared.load.load().is_materialised(), "nor did B's");
+
+        // Tenants come and go on both forests: no ledger move, no flush.
+        let mut tenants = Vec::new();
+        for _ in 0..16 {
+            tenants.push(found(&mut client, "0>1>2"));
+            tenants.push(found(&mut client, "0>2>3"));
+        }
+        for session in tenants {
+            assert!(matches!(
+                client.release(session).unwrap(),
+                Response::Released { .. }
+            ));
+        }
+        assert_eq!(flushes(&mut client), (1, trees));
+        assert_eq!(client.stats().unwrap().forests, 2);
+
+        // A QoS mutation on a booked link rebases the ledger onto the new
+        // epoch — and leaves the new epoch's residual table to whoever asks.
+        let booked = client.load_map().unwrap().links[0];
+        match client
+            .mutate(Mutation::SetLinkQos {
+                from: booked.from,
+                to: booked.to,
+                bandwidth_kbps: booked.capacity_kbps + 1,
+                latency_us: 1_500,
+            })
+            .unwrap()
+        {
+            Response::Mutated {
+                epoch: 1,
+                repaired: 2,
+                dropped: 0,
+            } => {}
+            other => panic!("expected both forests repaired at epoch 1, got {other:?}"),
+        }
+        assert_eq!(flushes(&mut client), (1, trees));
+        let plane = shared.load.load();
+        assert_eq!(plane.epoch(), 1);
+        assert!(!plane.map().is_empty() && !plane.is_materialised());
+        drop(plane);
+
+        // Key C solves cold at the new epoch: exactly one more flush.
+        let c = found(&mut client, "0>3>4");
+        assert_eq!(flushes(&mut client).0, 2);
+        let stats = client.stats().unwrap();
+        assert_eq!((stats.forests, stats.sessions), (3, 3));
+        assert_eq!(stats.residual_rejects, 0);
+        assert_conserved(&shared);
+        let ledger = client.load_map().unwrap();
+        assert_eq!(
+            ledger.links.iter().map(|l| l.reserved_kbps).sum::<u64>(),
+            shared.load.load().map().total_reserved_kbps()
+        );
+        for session in [a, b, c] {
+            client.release(session).unwrap();
+        }
+        assert!(client.load_map().unwrap().links.is_empty());
+        handle.shutdown();
     }
 }

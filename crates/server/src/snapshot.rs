@@ -120,8 +120,8 @@ impl WorldSnapshot {
         Arc::clone(&self.overlay)
     }
 
-    /// The routing table, shared — the load plane patches its residual
-    /// table from this one instead of rebuilding.
+    /// The routing table, shared — an epoch's residual tables are patched
+    /// from this one, when a cold solve asks the load plane for one.
     pub fn all_pairs_arc(&self) -> Arc<AllPairs> {
         Arc::clone(&self.all_pairs)
     }

@@ -60,6 +60,16 @@ pub struct StatsSnapshot {
     /// Source trees recomputed across all rebuilds (incremental patches
     /// recompute far fewer than `rebuilds * instances`).
     pub trees_recomputed: u64,
+    /// Residual routing tables materialised on demand: a cold solve (or a
+    /// rebalancer mover) asked a booked load plane for its table and none
+    /// had been patched for that plane yet. Bookings move the ledger only;
+    /// this is where their routing cost lands.
+    pub plane_flushes: u64,
+    /// Total wall-clock those requests spent obtaining the table (the
+    /// patch, plus any wait behind a concurrent flush), microseconds.
+    pub plane_flush_us_total: u64,
+    /// Source trees recomputed across all plane flushes.
+    pub plane_trees_recomputed: u64,
     /// Malformed frames answered and degraded (oversized prefix, torn
     /// frame, non-JSON body). A peer problem, never a worker problem.
     pub wire_errors: u64,
@@ -114,6 +124,9 @@ pub struct Metrics {
     rebuilds: AtomicU64,
     rebuild_us_total: AtomicU64,
     trees_recomputed: AtomicU64,
+    plane_flushes: AtomicU64,
+    plane_flush_us_total: AtomicU64,
+    plane_trees_recomputed: AtomicU64,
     wire_errors: AtomicU64,
     audit_violations: AtomicU64,
     migrations: AtomicU64,
@@ -194,6 +207,16 @@ impl Metrics {
         self.rebuilds.fetch_add(1, Ordering::Relaxed);
         self.rebuild_us_total.fetch_add(us, Ordering::Relaxed);
         self.trees_recomputed.fetch_add(trees, Ordering::Relaxed);
+    }
+
+    /// One residual table materialised for a load plane on demand: what the
+    /// asking request waited for it and how many source trees the patch
+    /// recomputed.
+    pub fn plane_flush(&self, us: u64, trees: u64) {
+        self.plane_flushes.fetch_add(1, Ordering::Relaxed);
+        self.plane_flush_us_total.fetch_add(us, Ordering::Relaxed);
+        self.plane_trees_recomputed
+            .fetch_add(trees, Ordering::Relaxed);
     }
 
     /// One malformed frame was answered and its connection degraded.
@@ -315,6 +338,9 @@ impl Metrics {
             rebuilds: self.rebuilds.load(Ordering::Relaxed),
             rebuild_us_total: self.rebuild_us_total.load(Ordering::Relaxed),
             trees_recomputed: self.trees_recomputed.load(Ordering::Relaxed),
+            plane_flushes: self.plane_flushes.load(Ordering::Relaxed),
+            plane_flush_us_total: self.plane_flush_us_total.load(Ordering::Relaxed),
+            plane_trees_recomputed: self.plane_trees_recomputed.load(Ordering::Relaxed),
             wire_errors: self.wire_errors.load(Ordering::Relaxed),
             audit_violations: self.audit_violations.load(Ordering::Relaxed),
             migrations: self.migrations.load(Ordering::Relaxed),
@@ -353,6 +379,8 @@ mod tests {
         }
         m.rebuild(120, 3);
         m.rebuild(80, 1);
+        m.plane_flush(900, 4);
+        m.plane_flush(100, 0);
         m.migration();
         m.migration();
         m.migration_failure();
@@ -399,6 +427,9 @@ mod tests {
         assert_eq!(s.rebuilds, 2);
         assert_eq!(s.rebuild_us_total, 200);
         assert_eq!(s.trees_recomputed, 4);
+        assert_eq!(s.plane_flushes, 2);
+        assert_eq!(s.plane_flush_us_total, 1000);
+        assert_eq!(s.plane_trees_recomputed, 4);
         assert_eq!(s.latency_p50_us, 51); // round-half-up nearest rank
         assert_eq!(s.latency_p90_us, 90);
         assert_eq!(s.latency_p99_us, 99);

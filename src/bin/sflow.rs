@@ -398,6 +398,10 @@ fn request(flags: &Flags) -> Result<(), String> {
             s.rebuilds, s.rebuild_us_total, s.trees_recomputed
         );
         println!(
+            "plane flushes: {} ({} µs total, {} trees recomputed)",
+            s.plane_flushes, s.plane_flush_us_total, s.plane_trees_recomputed
+        );
+        println!(
             "correctness: {} wire errors, {} audit violations",
             s.wire_errors, s.audit_violations
         );
