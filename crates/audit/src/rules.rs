@@ -581,21 +581,25 @@ fn kernel_banned_at(tokens: &[Token], k: usize) -> Option<(usize, String)> {
     }
 }
 
-/// Entry points that run a federation solve (directly, via repair, or via
-/// the rebalancer's re-solve paths), plus the solve-cache fill and admission
-/// entry points (`cache_solve`, `open_session`), which take the cache or
-/// sessions lock internally. A lock guard live across any of these couples
-/// readers to mutators again — exactly what the snapshot architecture
-/// removed — or re-enters a lock the callee takes itself.
+/// Entry points that run a federation solve (directly, via repair, via the
+/// server's one cold-solve function or the rebalancer's re-solve), plus the
+/// solve-cache fill, admission and repair-sweep entry points (`cache_solve`,
+/// `open_session`, `plan_repairs`, `commit_repairs`), which take the cache
+/// or sessions lock internally. A lock guard live across any of these
+/// couples readers to mutators again — exactly what the snapshot
+/// architecture removed — or re-enters a lock the callee takes itself.
 const SOLVE_NAMES: &[&str] = &[
     "solve",
     "solve_pinned",
     "federate",
     "repair",
+    "cold_solve",
     "resolve_mover",
     "federate_against",
     "cache_solve",
     "open_session",
+    "plan_repairs",
+    "commit_repairs",
 ];
 
 fn guard_across_solve(file: &SourceFile, out: &mut Vec<Finding>) {
@@ -828,9 +832,15 @@ fn reactor_nonblocking(file: &SourceFile, out: &mut Vec<Finding>) {
 const SNAP_SANCTIONED: &[&str] = &["store", "apply", "apply_batch"];
 
 /// Functions allowed to publish a load-plane epoch (`LoadCell::publish`):
-/// the cell's own `publish` plus the session mutators and the rebalancer
-/// sweep (DESIGN §10).
-const LOAD_SANCTIONED: &[&str] = &["publish", "open_session", "release", "mutate", "sweep"];
+/// the cell's own `publish` plus the session mutators — open, release, the
+/// repair sweep's commit half — and the rebalancer sweep (DESIGN §10).
+const LOAD_SANCTIONED: &[&str] = &[
+    "publish",
+    "open_session",
+    "release",
+    "commit_repairs",
+    "sweep",
+];
 
 fn epoch_discipline(file: &SourceFile, out: &mut Vec<Finding>) {
     let tokens = &file.lexed.tokens;

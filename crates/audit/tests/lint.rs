@@ -376,6 +376,15 @@ fn guard_across_solve_covers_the_rebalancer_entry_points() {
     let (fs, _) = scan_source("crates/server/src/server.rs", src);
     assert!(fs.iter().any(|f| f.rule == "guard-across-solve"), "{fs:?}");
 
+    // The server's one cold-solve function is what `resolve_mover` and the
+    // federate path both bottom out in.
+    let src = "fn f(shared: &Shared) {\n\
+                   let sessions = shared.sessions.lock();\n\
+                   let flow = cold_solve(shared, &snap, &ctx, &req, algo, None);\n\
+               }\n";
+    let (fs, _) = scan_source("crates/server/src/server.rs", src);
+    assert!(fs.iter().any(|f| f.rule == "guard-across-solve"), "{fs:?}");
+
     // The sweep's real shape — copy candidates out under the lock, drop
     // the guard, then re-solve — is clean; a longer identifier that merely
     // ends in the token is not a solve.
@@ -410,6 +419,19 @@ fn guard_across_solve_covers_the_cache_fill_and_admission_entry_points() {
                }\n";
     let (fs, _) = scan_source("crates/server/src/server.rs", src);
     assert!(fs.iter().any(|f| f.rule == "guard-across-solve"), "{fs:?}");
+
+    // And for the repair sweep's two halves: each takes the sessions lock
+    // itself, and the commit half runs the repairs.
+    for half in [
+        "let plan = plan_repairs(shared, from_epoch);",
+        "let done = commit_repairs(shared, &snap, plan);",
+    ] {
+        let src = format!(
+            "fn f(shared: &Shared) {{\n let sessions = shared.sessions.lock();\n {half}\n}}\n"
+        );
+        let (fs, _) = scan_source("crates/server/src/server.rs", &src);
+        assert!(fs.iter().any(|f| f.rule == "guard-across-solve"), "{fs:?}");
+    }
 
     // The real shape — drop the guard first — is clean, and a longer
     // identifier ending in the token is not the entry point.
@@ -571,6 +593,14 @@ fn epoch_discipline_flags_publication_outside_sanctioned_mutators() {
     assert!(ed[0].message.contains("LoadCell::publish"), "{ed:?}");
     assert!(ed[0].message.contains("`helper`"), "{ed:?}");
 
+    // `mutate` applies and delegates; the rebase is published by the repair
+    // sweep's commit half, under the sessions lock it takes.
+    let src = "fn mutate(shared: &Shared) {\n\
+                   shared.load.publish(Arc::new(rebased));\n\
+               }\n";
+    let (fs, _) = scan_source("crates/server/src/server.rs", src);
+    assert!(fs.iter().any(|f| f.rule == "epoch-discipline"), "{fs:?}");
+
     let src = "impl World {\n\
                    fn rogue(&self, next: Arc<WorldSnapshot>) {\n\
                        self.snap.store(next);\n\
@@ -588,6 +618,9 @@ fn epoch_discipline_flags_publication_outside_sanctioned_mutators() {
 fn epoch_discipline_accepts_sanctioned_mutators_and_tests() {
     let src = "fn sweep(shared: &Shared) {\n\
                    shared.load.publish(&cells, epoch);\n\
+               }\n\
+               fn commit_repairs(shared: &Shared) {\n\
+                   shared.load.publish(Arc::new(rebased));\n\
                }\n\
                impl World {\n\
                    fn apply(&mut self, m: &Mutation) {\n\

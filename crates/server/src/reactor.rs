@@ -765,7 +765,7 @@ mod tests {
     fn a_completion_that_beats_the_dispatcher_never_underflows_the_gauge() {
         const FRAMES: u64 = 4;
         let metrics = Metrics::default();
-        let gauge = || metrics.snapshot(0, 0).frames_in_flight;
+        let gauge = || metrics.snapshot(0).frames_in_flight;
         let poller = Arc::new(Poller::new().unwrap());
         let (completion_tx, completion_rx) = unbounded::<Completion>();
         let (job_tx, job_rx) = bounded::<Job>(1);
@@ -823,6 +823,6 @@ mod tests {
             Dispatch::Admitted => panic!("a full queue must shed"),
         }
         assert_eq!(gauge(), 1, "only the admitted frame is in flight");
-        assert_eq!(metrics.snapshot(0, 0).shed, 1);
+        assert_eq!(metrics.snapshot(0).shed, 1);
     }
 }

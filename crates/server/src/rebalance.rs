@@ -1,18 +1,24 @@
-//! The session rebalancer: sweep hot links, migrate the cheapest crossing
-//! sessions onto residual capacity, make-before-break.
+//! The rebalancer: sweep hot links, migrate the cheapest crossing bookings
+//! onto residual capacity, make-before-break.
 //!
 //! Each sweep (triggered by [`Request::Rebalance`](crate::Request::Rebalance)
 //! or the background thread `serve --rebalance-interval-ms` starts):
 //!
 //! 1. ticks the load plane's discounted estimator;
 //! 2. finds every link above the configured utilization threshold;
-//! 3. ranks the sessions crossing those links by **migration cost** —
-//!    session bandwidth × how many hot links its paths overlap — and takes
-//!    the cheapest few;
-//! 4. re-solves each mover against the residual view (its own booking still
-//!    counted, which is exactly what steers the new path off the links it
-//!    is congesting);
+//! 3. ranks the bookings crossing those links by **migration cost** — flow
+//!    bandwidth × how many hot links its paths overlap — and takes the
+//!    cheapest few;
+//! 4. re-solves each mover against the residual view, under the algorithm
+//!    and hop horizon it was federated with (its own booking still counted,
+//!    which is exactly what steers the new path off the links it is
+//!    congesting);
 //! 5. commits each improving move make-before-break.
+//!
+//! What migrates is a booking, whole: the flow and the links live there, so
+//! every tenant moves with it and none can be stranded. When the booking
+//! holds its key's `by_key` slot the key's cached solve is replaced by the
+//! moved flow, so later same-key tenants attach instead of superseding.
 //!
 //! Invariants, each pinned by a test or the lint engine:
 //!
@@ -20,24 +26,26 @@
 //!   copied out under the sessions lock, the guard is dropped, and every
 //!   mover re-solves off-lock — the `guard-across-solve` audit rule names
 //!   [`resolve_mover`] a solve, so a regression here fails CI.
-//! * **Make-before-break.** A migration mutates the session entry in place
-//!   under one sessions-lock hold — the session is never absent from the
-//!   table — and the plane opens the new reservation *before* releasing
-//!   the old, so claimed capacity is never unaccounted in between.
+//! * **Make-before-break.** A migration mutates the booking in place under
+//!   one sessions-lock hold — no tenant is ever absent from the table — and
+//!   the plane opens the new reservation *before* releasing the old, so
+//!   claimed capacity is never unaccounted in between.
 //! * **Failures change nothing.** A mover that cannot re-solve, or whose
 //!   new path would not improve the world, is left byte-for-byte as it was
-//!   and counted in `migration_failures`.
+//!   (the cached solve included) and counted in `migration_failures`.
 
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
-use sflow_core::{FederationContext, FederationError, FlowGraph, ServiceRequirement, Solver};
+use sflow_core::{FederationError, FlowGraph, ServiceRequirement};
 
 use crate::load::links_of;
-use crate::server::{residual_context, Shared};
+use crate::server::{cold_solve, residual_context, Sessions, Shared};
+use crate::snapshot::{SolveKey, WorldSnapshot};
+use crate::Algorithm;
 
-/// At most this many sessions migrate per sweep: every migration derives
+/// At most this many bookings migrate per sweep: every migration derives
 /// three planes under the sessions lock (preview, book, release — ledger
 /// and clamp only; the routing patch they imply is paid off-lock, by the
 /// next mover's re-solve), and a bounded sweep keeps the lock holds short.
@@ -51,7 +59,7 @@ const SHUTDOWN_POLL: Duration = Duration::from_millis(50);
 /// What one sweep did.
 #[derive(Clone, Copy, Debug, Default)]
 pub(crate) struct SweepOutcome {
-    /// Sessions moved to cheaper paths.
+    /// Bookings moved to cheaper paths.
     pub migrations: usize,
     /// Movers that failed to re-solve or did not improve the world.
     pub migration_failures: usize,
@@ -62,22 +70,37 @@ pub(crate) struct SweepOutcome {
 /// One mover copied out of the session table: everything the off-lock
 /// re-solve needs, so the table is untouched until the commit.
 struct Candidate {
-    id: u64,
+    booking: u64,
     requirement: ServiceRequirement,
-    /// Migration cost: session bandwidth × hot-link overlap. Cheap movers
+    algorithm: Algorithm,
+    hop_limit: Option<usize>,
+    /// Migration cost: flow bandwidth × hot-link overlap. Cheap movers
     /// first — they free capacity with the least disruption.
     cost: u64,
 }
 
-/// Re-solves one mover against the residual view. A named entry point —
-/// not an inlined `Solver` call — so the `guard-across-solve` audit rule
-/// can police rebalancer solves by token: no lock guard may be live on any
-/// line spanning a `resolve_mover(` call.
+/// Re-solves one mover against the residual view, by the algorithm and hop
+/// horizon its booking was federated under. A named entry point — not an
+/// inlined solve — so the `guard-across-solve` audit rule can police
+/// rebalancer solves by token: no lock guard may be live on any line
+/// spanning a `resolve_mover(` call.
 fn resolve_mover(
-    ctx: &FederationContext<'_>,
-    requirement: &ServiceRequirement,
+    shared: &Shared,
+    snapshot: &WorldSnapshot,
+    mover: &Candidate,
 ) -> Result<FlowGraph, FederationError> {
-    Solver::new(ctx).solve(requirement)
+    // Against the *current* plane (it moves as earlier movers in this very
+    // sweep commit). The mover's own booking is still counted — that is
+    // what pushes the new path off its hot links.
+    let ctx = residual_context(shared, &shared.load.load());
+    cold_solve(
+        shared,
+        snapshot,
+        &ctx,
+        &mover.requirement,
+        mover.algorithm,
+        mover.hop_limit,
+    )
 }
 
 /// One rebalancer sweep. Returns what it did; also publishes the
@@ -117,32 +140,21 @@ pub(crate) fn sweep(shared: &Shared) -> SweepOutcome {
     // re-solves below run with no guard live.
     let sessions = shared.sessions.lock();
     let mut candidates: Vec<Candidate> = sessions
-        .live
+        .bookings
         .iter()
-        .filter_map(|(&id, session)| {
-            if session.solved_epoch != snapshot.epoch() {
-                return None;
-            }
-            // Forest members never migrate individually: the holder's
-            // reservation carries every tenant of the shared instance set,
-            // so moving one member would strand the others on a booking
-            // their flow no longer matches. (Non-holders carry no links and
-            // would never rank anyway; this also pins the holder.)
-            if session.forest.is_some() {
-                return None;
-            }
-            let overlap = session
+        .filter(|(_, booking)| booking.epoch == snapshot.epoch())
+        .filter_map(|(&id, booking)| {
+            let overlap = booking
                 .links
                 .iter()
                 .filter(|(link, _)| hot.contains(link))
                 .count() as u64;
-            if overlap == 0 {
-                return None;
-            }
-            Some(Candidate {
-                id,
-                requirement: session.requirement.clone(),
-                cost: session
+            (overlap > 0).then(|| Candidate {
+                booking: id,
+                requirement: booking.requirement.clone(),
+                algorithm: booking.algorithm,
+                hop_limit: booking.hop_limit,
+                cost: booking
                     .flow
                     .quality()
                     .bandwidth
@@ -152,52 +164,48 @@ pub(crate) fn sweep(shared: &Shared) -> SweepOutcome {
         })
         .collect();
     drop(sessions);
-    candidates.sort_by_key(|c| (c.cost, c.id));
+    candidates.sort_by_key(|c| (c.cost, c.booking));
     candidates.truncate(MAX_MOVERS_PER_SWEEP);
 
     for candidate in candidates {
-        // Solve against the *current* plane (it moves as earlier movers in
-        // this very sweep commit). The mover's own booking is still
-        // counted — that is what pushes the new path off its hot links.
-        let ctx = residual_context(shared, &shared.load.load());
-        let moved = match resolve_mover(&ctx, &candidate.requirement) {
-            Ok(flow) => flow,
-            Err(_) => {
-                outcome.migration_failures += 1;
-                shared.metrics.migration_failure();
-                continue;
-            }
+        let Ok(moved) = resolve_mover(shared, &snapshot, &candidate) else {
+            outcome.migration_failures += 1;
+            shared.metrics.migration_failure();
+            continue;
         };
 
-        // Commit under one sessions-lock hold. The entry is mutated in
-        // place — a concurrent reader locking the table sees the session
+        // Commit under one sessions-lock hold. The booking is mutated in
+        // place — a concurrent reader locking the table sees every tenant
         // at every instant, old path or new, never absent.
         let mut sessions = shared.sessions.lock();
         let plane = shared.load.load();
+        let Sessions {
+            bookings, by_key, ..
+        } = &mut *sessions;
         let committed = (|| {
-            let session = sessions.live.get_mut(&candidate.id)?;
-            if plane.epoch() != snapshot.epoch() || session.solved_epoch != snapshot.epoch() {
-                // The session closed, or a mutation overtook the sweep:
+            let booking = bookings.get_mut(&candidate.booking)?;
+            if plane.epoch() != snapshot.epoch() || booking.epoch != snapshot.epoch() {
+                // The last tenant left, or a mutation overtook the sweep:
                 // this answer describes a world that is gone.
                 return None;
             }
             let new_links = links_of(&moved, snapshot.overlay());
             // Accept only improvements: the swap must not raise the global
             // worst link, and must strictly lower the worst utilization
-            // among the links this session touches (old or new) — the
+            // among the links this booking touches (old or new) — the
             // local progress that lets several equally-hot links drain one
             // at a time.
-            let preview = plane.with_changes(&new_links, &session.links, workers);
+            let preview = plane.with_changes(&new_links, &booking.links, workers);
             if preview.max_utilization_permille() > plane.max_utilization_permille() {
                 return None;
             }
-            let local_before = session
+            let local_before = booking
                 .links
                 .iter()
                 .map(|&(link, _)| plane.utilization_permille(link))
                 .max()
                 .unwrap_or(0);
-            let local_after = session
+            let local_after = booking
                 .links
                 .iter()
                 .chain(new_links.iter())
@@ -207,20 +215,32 @@ pub(crate) fn sweep(shared: &Shared) -> SweepOutcome {
             if local_after >= local_before {
                 return None;
             }
-            // Make-before-break: book the new path, swap the session in
+            // Make-before-break: book the new path, swap the booking in
             // place, only then release the old path.
             shared
                 .load
                 .publish(Arc::new(plane.with_changes(&new_links, &[], workers)));
-            let old_links = std::mem::replace(&mut session.links, new_links);
-            session.flow = moved;
+            let old_links = std::mem::replace(&mut booking.links, new_links);
+            booking.flow = Arc::new(moved);
             let broken = shared.load.load().with_changes(&[], &old_links, workers);
             shared.load.publish(Arc::new(broken));
-            Some(())
+            // Only the booking its key's new tenants would attach to has a
+            // say over the key's cached solve; a superseded one moves alone.
+            let owns_slot = |key: &SolveKey| by_key.get(key) == Some(&candidate.booking);
+            let slot = booking.key.clone().filter(owns_slot);
+            Some((slot, Arc::clone(&booking.flow)))
         })();
         drop(sessions);
         match committed {
-            Some(()) => {
+            Some((key, flow)) => {
+                // The key's cached solve is the hot path the booking just
+                // left. Replace it with the load-aware answer — as a failed
+                // revalidation does — so later same-key tenants attach to
+                // the moved booking instead of superseding it.
+                if let Some(key) = key {
+                    snapshot.evict_solve(&key);
+                    snapshot.cache_solve(key, flow.as_ref().clone());
+                }
                 outcome.migrations += 1;
                 shared.metrics.migration();
             }

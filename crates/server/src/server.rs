@@ -29,14 +29,28 @@
 //! built at most once however many solvers race on it. `Mutate` serializes
 //! against other mutations on the world mutex, assembles the successor
 //! snapshot off to the side, publishes it with one pointer swap and then
-//! repairs sessions. A solve overtaken by a mutation is answered
+//! repairs the bookings. A solve overtaken by a mutation is answered
 //! [`Response::Stale`] instead of opening a session solved against a world
 //! that no longer exists.
+//!
+//! The session table (`Sessions`, one mutex) is *tenants → bookings*. A
+//! `Booking` is the one owner of a reservation: the flow, the links it
+//! books in the load plane, and the request it answers. A session is a
+//! tenant id on exactly one booking — same-key federates attach to the
+//! key's booking (a shared service forest), everything else founds its own
+//! — so `LoadMap = Σ bookings.links` holds by construction. Attaching
+//! pushes an id, the last tenant out unbooks, and nobody inherits anything.
+//! The two sweeps that re-solve bookings — a mutation's repairs
+//! (`plan_repairs` / `commit_repairs`) and the rebalancer's migrations —
+//! share one shape: copy the work out under the lock, solve off-lock once
+//! per booking, commit in place under one hold, skipping bookings that
+//! dissolved meanwhile. The table is never absent, so a `Release` or a
+//! `Federate` landing mid-sweep is served as ever.
 
 use std::collections::BTreeMap;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
@@ -49,7 +63,8 @@ use sflow_core::algorithms::{
 use sflow_core::repair::repair;
 use sflow_core::validate::FlowGraphAuditor;
 use sflow_core::{
-    FederationContext, FlowGraph, OwnedFederationContext, ServiceRequirement, Solver,
+    FederationContext, FederationError, FlowGraph, OwnedFederationContext, ServiceRequirement,
+    Solver,
 };
 use sflow_routing::Bandwidth;
 use sflow_runtime::duration_us;
@@ -139,63 +154,76 @@ impl ServerConfig {
     }
 }
 
-/// A live federation kept by the server for repair after mutations.
-pub(crate) struct Session {
+/// One reservation in the load plane and everyone federated onto it: the
+/// single owner of a flow, of the links that flow books, and of what is
+/// needed to re-solve it the way it was asked for. A *tenant* is a session
+/// id in [`Booking::tenants`] and nothing more — it holds no flow and no
+/// links, so the ledger invariant reads `LoadMap = Σ bookings.links`, one
+/// term per booking, and N same-key tenants reserve their shared links once
+/// (the `max`, not the `sum`, of identical streams) by construction.
+pub(crate) struct Booking {
+    /// The solve key the tenants federated under — what makes this booking
+    /// a shared service forest later same-key federates can attach to.
+    /// `None` under `--no-solve-cache`: a private booking of one tenant.
+    pub(crate) key: Option<SolveKey>,
     pub(crate) requirement: ServiceRequirement,
-    pub(crate) flow: FlowGraph,
-    /// The snapshot epoch `flow` was solved (or last repaired) against.
-    /// Repair sweeps re-resolve a session against exactly the epoch it was
-    /// solved under — a session somehow left behind by an earlier sweep is
-    /// dropped rather than silently repaired across a renumbering.
-    pub(crate) solved_epoch: u64,
-    /// The per-link bandwidth this session reserves in the load plane —
-    /// exactly what was booked when it opened (or last repaired/migrated),
-    /// so closing it releases exactly what it holds. For a forest tenant
-    /// that is the *marginal* reservation: the forest's holder carries the
-    /// shared instance set's full booking, every other member carries none
-    /// (shared links reserve the `max`, not the `sum`, of the common
-    /// streams — and for an exact-key forest every stream is common).
-    pub(crate) links: Vec<(LinkId, u64)>,
-    /// The shared service forest this session is attached to, if any.
-    pub(crate) forest: Option<u64>,
-}
-
-/// One shared service forest: N same-key tenants attached to a single
-/// shared instance set. Exactly one member — the *holder*, the member
-/// whose `Session::links` is non-empty — carries the forest's reservation
-/// in the load plane; releasing the holder hands the booking to a
-/// surviving member, so the conservation invariant (ledger == Σ session
-/// links) holds at every instant without special-casing forests.
-pub(crate) struct Forest {
-    /// The solve key every member federated under.
-    pub(crate) key: SolveKey,
-    /// The epoch the shared flow is currently valid at (moves forward when
-    /// a mutation's repair sweep carries the forest over).
+    pub(crate) algorithm: Algorithm,
+    pub(crate) hop_limit: Option<usize>,
+    /// The snapshot epoch `flow` was solved (or last repaired) against. A
+    /// repair sweep carries over exactly the bookings at the epoch its
+    /// mutation replaced; whatever else is not current afterwards is
+    /// dropped rather than repaired across a renumbering.
     pub(crate) epoch: u64,
-    /// The shared flow every member is attached to.
-    pub(crate) flow: FlowGraph,
-    /// Member session ids, in attach order.
-    pub(crate) members: Vec<u64>,
+    /// The flow every tenant is served by; the cache entry's own `Arc`
+    /// until a repair or a migration replaces it.
+    pub(crate) flow: Arc<FlowGraph>,
+    /// Exactly what is booked in the load plane for `flow` — what the last
+    /// tenant out releases.
+    pub(crate) links: Vec<(LinkId, u64)>,
+    /// Session ids, in attach order; never empty (last-out unbooks).
+    pub(crate) tenants: Vec<u64>,
 }
 
 #[derive(Default)]
 pub(crate) struct Sessions {
     pub(crate) next_id: u64,
-    pub(crate) live: BTreeMap<u64, Session>,
-    pub(crate) next_forest: u64,
-    pub(crate) forests: BTreeMap<u64, Forest>,
-    /// The live forest currently accepting tenants for a key. An entry can
-    /// be superseded (a new forest takes the key after a mutation moved
-    /// the old one); superseded forests keep serving their members but
-    /// accept no new ones.
+    /// Session id → the booking it is a tenant of. A booking's id is its
+    /// founding session's, so ids are never reused.
+    pub(crate) tenants: BTreeMap<u64, u64>,
+    pub(crate) bookings: BTreeMap<u64, Booking>,
+    /// The booking currently accepting tenants for a key. A slot can be
+    /// superseded (a new booking takes the key after a mutation or a
+    /// migration moved the old one off the key's cached flow); a superseded
+    /// booking keeps serving its tenants but accepts no new ones.
     pub(crate) by_key: BTreeMap<SolveKey, u64>,
 }
 
 impl Sessions {
-    /// Live forest census: `(forests, tenants)` — the `--stats` gauges.
-    pub(crate) fn forest_census(&self) -> (u64, u64) {
-        let tenants: usize = self.forests.values().map(|f| f.members.len()).sum();
-        (self.forests.len() as u64, tenants as u64)
+    /// Removes a booking whole: its tenants leave the index with it, and
+    /// its `by_key` slot goes unless a superseding booking has taken it.
+    fn unbook(&mut self, id: u64) -> Option<Booking> {
+        let gone = self.bookings.remove(&id)?;
+        for tenant in &gone.tenants {
+            self.tenants.remove(tenant);
+        }
+        if let Some(key) = &gone.key {
+            if self.by_key.get(key) == Some(&id) {
+                self.by_key.remove(key);
+            }
+        }
+        Some(gone)
+    }
+
+    /// Publishes the table's census — sessions, forests (keyed bookings)
+    /// and their tenants — as the `Stats` gauges. Called wherever the table
+    /// changes shape, so the reactor answers `Stats` without this lock.
+    fn publish_census(&self, metrics: &Metrics) {
+        let (mut forests, mut tenants) = (0, 0);
+        for booking in self.bookings.values().filter(|b| b.key.is_some()) {
+            forests += 1;
+            tenants += booking.tenants.len() as u64;
+        }
+        metrics.set_census(self.tenants.len() as u64, forests, tenants);
     }
 }
 
@@ -209,20 +237,15 @@ pub(crate) struct Shared {
     /// The mutator. Only `Mutate` jobs take this lock; the read path never
     /// touches it, so mutations serialize exclusively against each other.
     pub(crate) world: Mutex<World>,
+    /// The session table: tenants → bookings. Never taken out of the lock —
+    /// repair and rebalancer sweeps copy work out, solve off-lock and commit
+    /// in place — so whoever holds the lock sees every live session.
     pub(crate) sessions: Mutex<Sessions>,
     /// The load plane's publication cell — reservations and the residual
     /// overlay (its routing table is derived off-lock, on demand). Published
-    /// only under the sessions lock, so the ledger can never drift from the
-    /// session table.
+    /// only under the sessions lock, so the ledger can never drift from
+    /// `Σ bookings.links`.
     pub(crate) load: LoadCell,
-    /// Live sessions, counted separately from `sessions.live` because a
-    /// repair sweep takes the map out of the lock while it re-resolves —
-    /// during that window `live.len()` reads 0 even though every swept-out
-    /// session is still live from the clients' point of view. Incremented
-    /// under the sessions lock when a session opens; decremented only when
-    /// a session is truly dropped. Admission and `Stats` read this, never
-    /// `live.len()`.
-    pub(crate) live_sessions: AtomicUsize,
     pub(crate) metrics: Metrics,
     pub(crate) shutdown: AtomicBool,
 }
@@ -307,7 +330,6 @@ pub fn serve_on(addr: &str, mut world: World, config: &ServerConfig) -> io::Resu
         world: Mutex::new(world),
         sessions: Mutex::new(Sessions::default()),
         load,
-        live_sessions: AtomicUsize::new(0),
         metrics: Metrics::default(),
         shutdown: AtomicBool::new(false),
     });
@@ -340,21 +362,19 @@ pub fn serve_on(addr: &str, mut world: World, config: &ServerConfig) -> io::Resu
 /// observability (`Stats`, `LoadMap`) and operability (`Shutdown`) survive
 /// overload. Returns `None` for data-plane requests, which must go through
 /// admission. This runs on the event loop itself, so nothing here may block
-/// (the forest census is a gauge maintained at session open/close, not a
-/// lock taken here).
+/// (the session census is a gauge published wherever the table changes, not
+/// a lock taken here).
 pub(crate) fn control_response(shared: &Shared, request: &Request) -> Option<Response> {
     match request {
         Request::Stats => {
-            let epoch = shared.snap.epoch();
-            // The counter, not `live.len()`: a repair sweep in flight has
-            // the map taken out, but its sessions are still live.
-            let sessions = shared.live_sessions.load(Ordering::SeqCst) as u64;
             // Refresh the utilization gauge so Stats is current even when
             // no sweep has run since the load last moved.
             shared
                 .metrics
                 .set_max_link_utilization(shared.load.load().max_utilization_permille());
-            Some(Response::Stats(shared.metrics.snapshot(epoch, sessions)))
+            Some(Response::Stats(
+                shared.metrics.snapshot(shared.snap.epoch()),
+            ))
         }
         // Like Stats: a read of the published plane, answerable under
         // overload without a queue slot.
@@ -458,6 +478,16 @@ fn federate(
     federate_against(shared, snapshot, requirement, algorithm, hop_limit)
 }
 
+/// What one federate asked for: everything [`open_session`] needs to found
+/// a booking that can later be re-solved the way it was asked.
+struct Ask<'a> {
+    requirement: &'a ServiceRequirement,
+    algorithm: Algorithm,
+    hop_limit: Option<usize>,
+    /// `None` under `--no-solve-cache`.
+    key: Option<SolveKey>,
+}
+
 /// The epoch-pinned half of [`federate`]: serves the requirement from the
 /// snapshot's solve cache when possible (revalidating the cached flow
 /// against the live load plane), falls through to a cold solve otherwise,
@@ -471,19 +501,24 @@ fn federate_against(
     algorithm: Algorithm,
     hop_limit: Option<usize>,
 ) -> Response {
-    let key = shared.config.solve_cache.then(|| SolveKey {
-        requirement: requirement.canonical_key(),
+    let ask = Ask {
+        requirement: &requirement,
         algorithm,
         hop_limit,
-    });
+        key: shared.config.solve_cache.then(|| SolveKey {
+            requirement: requirement.canonical_key(),
+            algorithm,
+            hop_limit,
+        }),
+    };
     // Warm path: an earlier federate against this very snapshot solved the
     // same key. The cached flow is exact w.r.t. topology and QoS (it lives
     // inside the epoch) but blind to load, so `open_session` revalidates it
     // against the live plane and refuses if the capacity is gone — the
     // request then falls through to the cold path below.
-    if let Some(key) = &key {
+    if let Some(key) = &ask.key {
         if let Some(flow) = snapshot.cached_solve(key) {
-            match open_session(shared, &snapshot, &requirement, &flow, Some(key), true) {
+            match open_session(shared, &snapshot, &ask, &flow, true) {
                 OpenOutcome::Answered(response) => {
                     if matches!(*response, Response::Federated(_)) {
                         shared.metrics.cache_hit();
@@ -518,27 +553,7 @@ fn federate_against(
         snapshot.context()
     };
     drop(plane);
-    let solved = match algorithm {
-        Algorithm::Sflow => {
-            let solver = match hop_limit {
-                Some(limit) => {
-                    let (matrix, built) = snapshot.hop_matrix_tracked();
-                    if built {
-                        shared.metrics.hop_cache_miss();
-                    } else {
-                        shared.metrics.hop_cache_hit();
-                    }
-                    Solver::new(&ctx).with_hop_matrix(limit, matrix)
-                }
-                None => Solver::new(&ctx),
-            };
-            solver.solve(&requirement)
-        }
-        Algorithm::Global => GlobalOptimalAlgorithm.federate(&ctx, &requirement),
-        Algorithm::Fixed => FixedAlgorithm.federate(&ctx, &requirement),
-        Algorithm::ServicePath => ServicePathAlgorithm.federate(&ctx, &requirement),
-    };
-    let flow = match solved {
+    let flow = match cold_solve(shared, &snapshot, &ctx, &requirement, algorithm, hop_limit) {
         Ok(flow) => flow,
         Err(e) => {
             if residual {
@@ -554,16 +569,50 @@ fn federate_against(
     audit_flow(shared, &ctx, &requirement, &flow);
     // File the answer under its key. `cache_solve` is first-writer-wins, so
     // racing cold solves of one key converge on a single canonical flow —
-    // the instance set later tenants' forests share.
-    let flow = match &key {
+    // the one `Arc` the key's booking and every later tenant share.
+    let flow = match &ask.key {
         Some(key) => snapshot.cache_solve(key.clone(), flow),
         None => Arc::new(flow),
     };
     // A cold solve against the residual context already proved it fits;
     // no revalidation, so this open cannot be refused.
-    match open_session(shared, &snapshot, &requirement, &flow, key.as_ref(), false) {
+    match open_session(shared, &snapshot, &ask, &flow, false) {
         OpenOutcome::Answered(response) => *response,
         OpenOutcome::Refused => Response::Error("cold open refused".into()),
+    }
+}
+
+/// The one cold solve: `requirement` under `algorithm` and `hop_limit`
+/// against `ctx`, for a federate and for a rebalancer mover alike — a
+/// booking is re-solved by the rules it was federated under. Takes no
+/// server lock; must not be called under one.
+pub(crate) fn cold_solve(
+    shared: &Shared,
+    snapshot: &WorldSnapshot,
+    ctx: &FederationContext<'_>,
+    requirement: &ServiceRequirement,
+    algorithm: Algorithm,
+    hop_limit: Option<usize>,
+) -> Result<FlowGraph, FederationError> {
+    match algorithm {
+        Algorithm::Sflow => {
+            let solver = match hop_limit {
+                Some(limit) => {
+                    let (matrix, built) = snapshot.hop_matrix_tracked();
+                    if built {
+                        shared.metrics.hop_cache_miss();
+                    } else {
+                        shared.metrics.hop_cache_hit();
+                    }
+                    Solver::new(ctx).with_hop_matrix(limit, matrix)
+                }
+                None => Solver::new(ctx),
+            };
+            solver.solve(requirement)
+        }
+        Algorithm::Global => GlobalOptimalAlgorithm.federate(ctx, requirement),
+        Algorithm::Fixed => FixedAlgorithm.federate(ctx, requirement),
+        Algorithm::ServicePath => ServicePathAlgorithm.federate(ctx, requirement),
     }
 }
 
@@ -600,21 +649,18 @@ fn same_flow(a: &FlowGraph, b: &FlowGraph) -> bool {
 }
 
 /// Opens one session for `flow` under a single sessions-lock hold: epoch
-/// and capacity checks, forest attach-or-found, reservation booking. The
+/// and capacity checks, then attach to the key's booking or found one. The
 /// one entry point both the warm (cached) and cold (fresh solve) paths
 /// funnel through, so the admission rules cannot drift apart.
 ///
-/// With `revalidate`, the flow's full reservation must fit the live
-/// residual plane or the open is [`OpenOutcome::Refused`] — unless the
-/// tenant attaches to a live forest, whose shared links are already booked
-/// (the marginal demand of an exact-key tenant is zero, the `max` of
-/// identical streams being the holder's existing reservation).
+/// With `revalidate`, a founding flow's full reservation must fit the live
+/// residual plane or the open is [`OpenOutcome::Refused`]. An attach is
+/// never refused: the booking it joins already reserves every shared link.
 fn open_session(
     shared: &Shared,
     snapshot: &WorldSnapshot,
-    requirement: &ServiceRequirement,
+    ask: &Ask<'_>,
     flow: &Arc<FlowGraph>,
-    key: Option<&SolveKey>,
     revalidate: bool,
 ) -> OpenOutcome {
     let mut sessions = shared.sessions.lock();
@@ -631,168 +677,101 @@ fn open_session(
             current_epoch,
         }));
     }
-    // The counter, not `live.len()`: a concurrent repair sweep empties the
-    // map while it re-resolves, and the cap must keep counting those
-    // sessions or a long sweep admits up to a full extra table. Opens all
-    // hold the sessions lock, so check-then-increment cannot over-admit;
-    // sweep decrements can only make this check conservative.
-    if shared.live_sessions.load(Ordering::SeqCst) >= shared.config.max_sessions {
+    if sessions.tenants.len() >= shared.config.max_sessions {
         shared.metrics.failed();
         return OpenOutcome::Answered(Box::new(Response::Error("session table full".into())));
     }
-    // Attach to the key's live forest if it matches exactly — same epoch,
-    // same flow. A forest left at another epoch (or moved to a different
-    // instance set by a repair) does not match and is superseded below.
-    let attach = key.and_then(|key| {
-        let fid = *sessions.by_key.get(key)?;
-        let forest = sessions.forests.get(&fid)?;
-        (forest.epoch == snapshot.epoch() && same_flow(&forest.flow, flow)).then_some(fid)
+    // Attach to the key's booking if it matches exactly — same epoch, same
+    // flow (usually the very `Arc` the cache handed out). A booking left at
+    // another epoch, or moved to a different instance set by a repair, does
+    // not match and is superseded below.
+    let attach = ask.key.as_ref().and_then(|key| {
+        let id = *sessions.by_key.get(key)?;
+        let booking = sessions.bookings.get(&id)?;
+        (booking.epoch == snapshot.epoch()
+            && (Arc::ptr_eq(&booking.flow, flow) || same_flow(&booking.flow, flow)))
+        .then_some(id)
     });
-    let links = match attach {
-        Some(_) => Vec::new(),
-        None => links_of(flow, snapshot.overlay()),
-    };
-    if revalidate && attach.is_none() {
-        // The cached flow must fit residual capacity in full (it founds a
-        // new forest, so its whole reservation is marginal). Skipped when
-        // residual admission is off or the plane is mid-rebase — the cold
-        // path would be equally blind there.
+    let session = sessions.next_id;
+    if let Some(booking) = attach.and_then(|id| sessions.bookings.get_mut(&id)) {
+        booking.tenants.push(session);
+    } else {
+        let links = links_of(flow, snapshot.overlay());
         let plane = shared.load.load();
-        if shared.config.residual && plane.epoch() == snapshot.epoch() && !plane.fits(&links) {
+        let tracked = plane.epoch() == snapshot.epoch();
+        // A cached flow founds only if its whole reservation fits residual
+        // capacity. Skipped when residual admission is off or the plane is
+        // mid-rebase — the cold path would be equally blind there.
+        if revalidate && shared.config.residual && tracked && !plane.fits(&links) {
             return OpenOutcome::Refused;
         }
+        // Book, still under the sessions lock. Booking moves the ledger and
+        // re-clamps these links; the routing table over the clamp is left
+        // to whichever cold solve next asks for it. A plane at another
+        // epoch means a mutation's rebase is imminent and will account this
+        // booking from the table itself.
+        if tracked && !links.is_empty() {
+            let booked = plane.with_changes(&links, &[], shared.config.route_workers);
+            shared.load.publish(Arc::new(booked));
+        }
+        // Take the key's slot, superseding any booking that no longer
+        // matches — its tenants keep being served, it accepts no new ones.
+        if let Some(key) = &ask.key {
+            sessions.by_key.insert(key.clone(), session);
+        }
+        sessions.bookings.insert(
+            session,
+            Booking {
+                key: ask.key.clone(),
+                requirement: ask.requirement.clone(),
+                algorithm: ask.algorithm,
+                hop_limit: ask.hop_limit,
+                epoch: snapshot.epoch(),
+                flow: Arc::clone(flow),
+                links,
+                tenants: vec![session],
+            },
+        );
     }
-    let session = sessions.next_id;
     sessions.next_id += 1;
-    let forest = match (key, attach) {
-        (_, Some(fid)) => {
-            if let Some(forest) = sessions.forests.get_mut(&fid) {
-                forest.members.push(session);
-            }
-            Some(fid)
-        }
-        (Some(key), None) => {
-            // Found a forest for this key (superseding any stale holder of
-            // the `by_key` slot — its members keep being served, it just
-            // accepts no new tenants).
-            let fid = sessions.next_forest;
-            sessions.next_forest += 1;
-            sessions.forests.insert(
-                fid,
-                Forest {
-                    key: key.clone(),
-                    epoch: snapshot.epoch(),
-                    flow: flow.as_ref().clone(),
-                    members: vec![session],
-                },
-            );
-            sessions.by_key.insert(key.clone(), fid);
-            Some(fid)
-        }
-        (None, None) => None,
-    };
-    let summary = FlowSummary {
+    sessions.tenants.insert(session, attach.unwrap_or(session));
+    sessions.publish_census(&shared.metrics);
+    shared.metrics.served();
+    OpenOutcome::Answered(Box::new(Response::Federated(FlowSummary {
         session,
         epoch: snapshot.epoch(),
         bandwidth_kbps: flow.quality().bandwidth.as_kbps(),
         latency_us: flow.quality().latency.as_micros(),
         instances: flow.instances().clone(),
-    };
-    sessions.live.insert(
-        session,
-        Session {
-            requirement: requirement.clone(),
-            flow: flow.as_ref().clone(),
-            solved_epoch: snapshot.epoch(),
-            links: links.clone(),
-            forest,
-        },
-    );
-    shared.live_sessions.fetch_add(1, Ordering::SeqCst);
-    // Keep the forest census current at its mutation points, so `Stats`
-    // never takes the sessions lock (the reactor answers it inline and must
-    // not wait behind a mutation's rebase).
-    let (forests, tenants) = sessions.forest_census();
-    shared.metrics.set_forests(forests, tenants);
-    // Book the reservations, still under the sessions lock, re-loading the
-    // plane because other opens may have published since our solve-time
-    // load. Booking moves the ledger and re-clamps these links; the routing
-    // table over the clamp is left to whichever cold solve next asks for
-    // it. A plane at another epoch means a mutation's rebase is imminent
-    // and will account this session from the table itself. A forest tenant
-    // books nothing — the holder's reservation already carries the shared
-    // streams.
-    if !links.is_empty() {
-        let plane = shared.load.load();
-        if plane.epoch() == snapshot.epoch() {
-            shared.load.publish(Arc::new(plane.with_changes(
-                &links,
-                &[],
-                shared.config.route_workers,
-            )));
-        }
-    }
-    shared.metrics.served();
-    OpenOutcome::Answered(Box::new(Response::Federated(summary)))
+    })))
 }
 
-/// Closes one session and releases exactly the reservations it holds — the
-/// other half of the session lifecycle, and the only way load leaves the
-/// plane without a migration or a repair drop.
-///
-/// Forest members complicate this in one way: the *holder* carries the
-/// whole forest's reservation. A holder leaving survivors hands its links
-/// to the next member under the same lock hold — the ledger never moves —
-/// and only the last member out actually releases the booking.
+/// Closes one session — the other half of the session lifecycle. A tenant
+/// leaving co-tenants behind only leaves the index: the booking, its flow
+/// and its links stay where they are and the ledger does not move. The last
+/// tenant out unbooks, which is the only way load leaves the plane without
+/// a migration or a repair drop.
 fn release(shared: &Shared, session: u64) -> Response {
     let mut sessions = shared.sessions.lock();
-    let Some(mut closed) = sessions.live.remove(&session) else {
+    let Some(id) = sessions.tenants.remove(&session) else {
         shared.metrics.failed();
         return Response::Error(format!("no such session {session}"));
     };
-    shared.live_sessions.fetch_sub(1, Ordering::SeqCst);
-    if let Some(fid) = closed.forest {
-        if let Some(forest) = sessions.forests.get_mut(&fid) {
-            forest.members.retain(|&m| m != session);
-            let heir = forest.members.first().copied();
-            match heir {
-                Some(heir) => {
-                    if !closed.links.is_empty() {
-                        // The holder leaves; a survivor inherits the
-                        // booking in place. Nothing is published: the
-                        // ledger still equals the sum of session links.
-                        if let Some(survivor) = sessions.live.get_mut(&heir) {
-                            survivor.links = std::mem::take(&mut closed.links);
-                        }
-                    }
-                }
-                None => {
-                    // Last member out: the forest dissolves and `closed`
-                    // (the holder by construction) releases below. The
-                    // `by_key` slot is dropped only if this forest still
-                    // owns it — a superseding forest may have taken it.
-                    if let Some(gone) = sessions.forests.remove(&fid) {
-                        if sessions.by_key.get(&gone.key) == Some(&fid) {
-                            sessions.by_key.remove(&gone.key);
-                        }
-                    }
-                }
-            }
+    let last_out = sessions.bookings.get_mut(&id).is_some_and(|booking| {
+        booking.tenants.retain(|&tenant| tenant != session);
+        booking.tenants.is_empty()
+    });
+    if let Some(gone) = last_out.then(|| sessions.unbook(id)).flatten() {
+        let plane = shared.load.load();
+        // Release against the epoch the links were booked under; across a
+        // rebase the ledger is rebuilt from the table (which no longer
+        // holds this booking), so there is nothing to subtract.
+        if !gone.links.is_empty() && plane.epoch() == gone.epoch {
+            let released = plane.with_changes(&[], &gone.links, shared.config.route_workers);
+            shared.load.publish(Arc::new(released));
         }
     }
-    let (forests, tenants) = sessions.forest_census();
-    shared.metrics.set_forests(forests, tenants);
-    let plane = shared.load.load();
-    // Release against the epoch the links were booked under; across a
-    // rebase the ledger is rebuilt from the table (which no longer holds
-    // this session), so there is nothing to subtract.
-    if !closed.links.is_empty() && plane.epoch() == closed.solved_epoch {
-        shared.load.publish(Arc::new(plane.with_changes(
-            &[],
-            &closed.links,
-            shared.config.route_workers,
-        )));
-    }
+    sessions.publish_census(&shared.metrics);
     Response::Released { session }
 }
 
@@ -841,7 +820,7 @@ fn audit_flow(
     }
 }
 
-/// Applies one mutation and repairs every session against the new epoch —
+/// Applies one mutation and repairs every booking against the new epoch —
 /// sFlow's agility as a server operation.
 ///
 /// The world mutex serializes mutations *against each other only*; readers
@@ -863,119 +842,98 @@ fn mutate(shared: &Shared, mutation: &crate::Mutation) -> Response {
         .metrics
         .rebuild(duration_us(rebuild.duration), rebuild.trees_recomputed);
     // `apply` has already published the successor: federates from here on
-    // solve at `epoch`, and any solve still in flight at `from_epoch` will
+    // solve at its epoch, and any solve still in flight at `from_epoch` will
     // answer `Stale` rather than slip into the session table behind us.
-    let snapshot = world.snapshot();
+    let plan = plan_repairs(shared, from_epoch);
+    commit_repairs(shared, &world.snapshot(), plan)
+}
+
+/// One booking copied out of the session table for an off-lock re-solve.
+pub(crate) struct Repair {
+    booking: u64,
+    requirement: ServiceRequirement,
+    flow: Arc<FlowGraph>,
+}
+
+/// First half of a repair sweep: under the sessions lock, copies out every
+/// booking solved at `from_epoch`, the epoch the mutation replaced. The
+/// table itself stays where it is — sessions opened, attached or released
+/// while the repairs solve are served as ever, and the cap and `Stats` keep
+/// counting every tenant.
+pub(crate) fn plan_repairs(shared: &Shared, from_epoch: u64) -> Vec<Repair> {
+    let sessions = shared.sessions.lock();
+    sessions
+        .bookings
+        .iter()
+        .filter(|(_, booking)| booking.epoch == from_epoch)
+        .map(|(&id, booking)| Repair {
+            booking: id,
+            requirement: booking.requirement.clone(),
+            flow: Arc::clone(&booking.flow),
+        })
+        .collect()
+}
+
+/// Second half: re-solves each planned booking once against `snapshot`,
+/// pinned to its previous flow and with no lock held, then writes the
+/// survivors back in place and rebases the ledger under one sessions-lock
+/// hold. A booking whose last tenant left in between is gone and stays
+/// gone; one founded in between is already at the new epoch and is not
+/// touched; whatever else is not current afterwards — its repair failed, or
+/// an earlier sweep left it behind — is dropped with all its tenants.
+/// `repaired` and `dropped` count the tenants there at commit time.
+pub(crate) fn commit_repairs(
+    shared: &Shared,
+    snapshot: &WorldSnapshot,
+    plan: Vec<Repair>,
+) -> Response {
     let epoch = snapshot.epoch();
     let ctx = snapshot.context();
-
-    // Sweep the sessions through repair. The map is *taken* out of the
-    // sessions lock so the lock itself is never held across a repair solve;
-    // federates landing mid-sweep open sessions at the new epoch and merge
-    // back untouched (ids stay unique — `next_id` is monotonic and stays in
-    // place).
-    let taken = std::mem::take(&mut shared.sessions.lock().live);
-    let mut kept = BTreeMap::new();
-    let mut repaired = 0usize;
-    let mut dropped = 0usize;
-    for (id, mut session) in taken {
-        if session.solved_epoch == epoch {
-            // Opened by a federate that loaded the successor snapshot after
-            // `apply` published it but before this sweep took the map — it
-            // is already current; merge it back untouched.
-            kept.insert(id, session);
-            continue;
-        }
-        if session.solved_epoch != from_epoch {
-            // Defensive: every sweep repairs sessions solved at exactly the
-            // epoch this mutation replaced. A session left behind at some
-            // older epoch has already been renumbered past — drop it rather
-            // than repair it against a world it was never solved in.
-            dropped += 1;
-            shared.live_sessions.fetch_sub(1, Ordering::SeqCst);
-            continue;
-        }
-        match repair(&ctx, &session.requirement, &session.flow) {
-            Ok(outcome) => {
-                audit_flow(shared, &ctx, &session.requirement, &outcome.flow);
-                // Re-derive the reservations from the repaired flow over the
-                // *new* overlay — repair may have moved the session, and the
-                // old node indices no longer mean anything.
-                session.links = links_of(&outcome.flow, snapshot.overlay());
-                session.flow = outcome.flow;
-                session.solved_epoch = epoch;
-                kept.insert(id, session);
-                repaired += 1;
-            }
-            Err(_) => {
-                dropped += 1;
-                shared.live_sessions.fetch_sub(1, Ordering::SeqCst);
-            }
-        }
-    }
-    // Merge the survivors back and rebase the load plane onto the new epoch
-    // in one sessions-lock hold: the ledger is recomputed from the full
-    // merged table (survivors plus any sessions opened at the new epoch
-    // mid-sweep), so it cannot drift from what is actually live. The
-    // estimator history is carried over — reservations are exact, estimates
-    // are memory.
+    let solved: Vec<(u64, FlowGraph)> = plan
+        .into_iter()
+        .filter_map(|work| {
+            let flow = repair(&ctx, &work.requirement, &work.flow).ok()?.flow;
+            audit_flow(shared, &ctx, &work.requirement, &flow);
+            Some((work.booking, flow))
+        })
+        .collect();
     let mut sessions = shared.sessions.lock();
-    sessions.live.extend(kept);
-    // Carry the forests across the epoch. Repair is deterministic over
-    // identical inputs, so every surviving member of a forest was repaired
-    // onto the same new flow — but the per-session sweep above gave each of
-    // them the flow's *full* links. Re-pin the holder role: the first
-    // survivor keeps the reservation, every other member's links clear, so
-    // the rebase below books each shared instance set exactly once (`max`,
-    // not `sum`, of the common streams). Forests with no survivors (or
-    // already created at the new epoch mid-sweep) dissolve or pass through.
-    {
-        let Sessions {
-            live,
-            forests,
-            by_key,
-            ..
-        } = &mut *sessions;
-        forests.retain(|fid, forest| {
-            if forest.epoch == epoch {
-                return true; // opened mid-sweep, already current
-            }
-            forest
-                .members
-                .retain(|m| live.get(m).is_some_and(|s| s.solved_epoch == epoch));
-            let Some(&holder) = forest.members.first() else {
-                if by_key.get(&forest.key) == Some(fid) {
-                    by_key.remove(&forest.key);
-                }
-                return false;
-            };
-            if let Some(held) = live.get(&holder) {
-                forest.flow = held.flow.clone();
-            }
-            forest.epoch = epoch;
-            for member in forest.members.iter().skip(1) {
-                if let Some(tenant) = live.get_mut(member) {
-                    tenant.links = Vec::new();
-                }
-            }
-            true
-        });
+    let mut repaired = 0;
+    for (id, flow) in solved {
+        if let Some(booking) = sessions.bookings.get_mut(&id) {
+            // Re-derive the reservation over the *new* overlay — repair may
+            // have moved the flow, and the old node indices mean nothing.
+            booking.links = links_of(&flow, snapshot.overlay());
+            booking.flow = Arc::new(flow);
+            booking.epoch = epoch;
+            repaired += booking.tenants.len();
+        }
     }
-    let (forests, tenants) = sessions.forest_census();
-    shared.metrics.set_forests(forests, tenants);
+    let lost: Vec<u64> = sessions
+        .bookings
+        .iter()
+        .filter(|(_, booking)| booking.epoch != epoch)
+        .map(|(&id, _)| id)
+        .collect();
+    let dropped = lost
+        .into_iter()
+        .filter_map(|id| sessions.unbook(id))
+        .map(|gone| gone.tenants.len())
+        .sum();
+    sessions.publish_census(&shared.metrics);
+    // Rebase the load plane onto the new epoch from the table as it now
+    // stands — survivors plus bookings founded at the new epoch meanwhile —
+    // so it cannot drift from what is live. The estimator history is
+    // carried over: reservations are exact, estimates are memory.
     let mut map = LoadMap::from_reservations(
         sessions
-            .live
+            .bookings
             .values()
-            .flat_map(|session| session.links.iter().copied()),
+            .flat_map(|booking| booking.links.iter().copied()),
     );
     map.adopt_estimates(shared.load.load().map());
-    shared.load.publish(Arc::new(LoadPlane::rebased(
-        &snapshot,
-        map,
-        shared.config.route_workers,
-    )));
-    drop(sessions);
+    let rebased = LoadPlane::rebased(snapshot, map, shared.config.route_workers);
+    shared.load.publish(Arc::new(rebased));
     Response::Mutated {
         epoch,
         repaired,
@@ -1004,9 +962,55 @@ mod tests {
             world: Mutex::new(world),
             sessions: Mutex::new(Sessions::default()),
             load,
-            live_sessions: AtomicUsize::new(0),
             metrics: Metrics::default(),
             shutdown: AtomicBool::new(false),
+        }
+    }
+
+    /// Federates `requirement` against the current snapshot; the session id.
+    fn open(shared: &Shared, requirement: &ServiceRequirement, hop_limit: Option<usize>) -> u64 {
+        let snapshot = shared.snap.load();
+        match federate_against(
+            shared,
+            snapshot,
+            requirement.clone(),
+            Algorithm::Sflow,
+            hop_limit,
+        ) {
+            Response::Federated(summary) => summary.session,
+            other => panic!("expected Federated, got {other:?}"),
+        }
+    }
+
+    /// The first instance that is not the pinned source: failing it
+    /// renumbers the overlay.
+    fn a_victim(shared: &Shared) -> ServiceInstance {
+        let snapshot = shared.snap.load();
+        let overlay = snapshot.overlay();
+        let mut instances = overlay.graph().node_ids().map(|n| overlay.instance(n));
+        let victim = instances.find(|i| *i != snapshot.source());
+        victim.unwrap()
+    }
+
+    /// The first half of `mutate`, stopped where a test can interleave:
+    /// applies `mutation` (which publishes the successor epoch) and plans
+    /// the repairs. `commit_repairs` on the returned pair finishes it.
+    fn begin_sweep(shared: &Shared, mutation: &Mutation) -> (Arc<WorldSnapshot>, Vec<Repair>) {
+        let mut world = shared.world.lock();
+        let from_epoch = world.epoch();
+        world.apply(mutation).unwrap();
+        (world.snapshot(), plan_repairs(shared, from_epoch))
+    }
+
+    /// A QoS wobble on the first link some booking reserves.
+    fn wobble_a_booked_link(shared: &Shared) -> Mutation {
+        let plane = shared.load.load();
+        let (link, _) = plane.map().iter_reserved().next().expect("a booked link");
+        Mutation::SetLinkQos {
+            from: link.0,
+            to: link.1,
+            bandwidth_kbps: plane.capacity(link).unwrap().as_kbps() + 1,
+            latency_us: 11,
         }
     }
 
@@ -1020,13 +1024,7 @@ mod tests {
         // The solver's snapshot load...
         let stale_snapshot = shared.snap.load();
         // ...raced by an instance failure, which renumbers the overlay.
-        let victim = stale_snapshot
-            .overlay()
-            .graph()
-            .node_ids()
-            .map(|n| stale_snapshot.overlay().instance(n))
-            .find(|i| *i != stale_snapshot.source())
-            .unwrap();
+        let victim = a_victim(&shared);
         match mutate(&shared, &Mutation::FailInstance { instance: victim }) {
             Response::Mutated { epoch: 1, .. } => {}
             other => panic!("expected Mutated at epoch 1, got {other:?}"),
@@ -1049,8 +1047,8 @@ mod tests {
             other => panic!("expected Stale, got {other:?}"),
         }
         // No session opened; the stale counter moved; nothing was "served".
-        assert_eq!(shared.sessions.lock().live.len(), 0);
-        let stats = shared.metrics.snapshot(shared.snap.epoch(), 0);
+        assert_eq!(shared.sessions.lock().tenants.len(), 0);
+        let stats = shared.metrics.snapshot(shared.snap.epoch());
         assert_eq!(stats.stale, 1);
         assert_eq!(stats.served, 0);
 
@@ -1060,136 +1058,220 @@ mod tests {
             Response::Federated(s) => assert_eq!(s.epoch, 1),
             other => panic!("expected Federated, got {other:?}"),
         }
-        assert_eq!(shared.sessions.lock().live.len(), 1);
-        assert_eq!(shared.live_sessions.load(Ordering::SeqCst), 1);
+        assert_conserved(&shared);
+        assert_eq!(shared.metrics.snapshot(1).sessions, 1);
     }
 
-    /// Regression: a federate can load the successor snapshot (published by
-    /// `World::apply` *before* the sweep takes the sessions map) and open a
-    /// session at the new epoch mid-sweep. The sweep must merge it back
-    /// untouched — not drop it as "left behind at some older epoch".
+    /// A federate can load the successor snapshot (published by
+    /// `World::apply` *before* the sweep plans) and found a booking at the
+    /// new epoch while the repairs solve. The commit must leave it exactly
+    /// as it is — neither repaired nor dropped as "left behind".
     #[test]
-    fn a_session_opened_at_the_successor_epoch_survives_the_sweep() {
+    fn a_booking_founded_at_the_successor_epoch_survives_the_sweep() {
         let shared = shared_over_diamond();
         let requirement = diamond_requirement();
-        // A session legitimately opened at epoch 0 — the sweep's real work.
-        let fresh = shared.snap.load();
-        match federate_against(&shared, fresh, requirement.clone(), Algorithm::Sflow, None) {
-            Response::Federated(s) => assert_eq!(s.epoch, 0),
-            other => panic!("expected Federated, got {other:?}"),
-        }
-        // Emulate the publish-to-sweep race: a session already recorded at
-        // the epoch the mutation is about to land on (the federate passed
-        // the epoch check because `apply` had published the successor).
-        let snapshot = shared.snap.load();
-        let flow = Solver::new(&snapshot.context())
-            .solve(&requirement)
-            .unwrap();
-        let links = links_of(&flow, snapshot.overlay());
-        shared.sessions.lock().live.insert(
-            99,
-            Session {
-                requirement: requirement.clone(),
-                flow,
-                solved_epoch: 1,
-                links,
-                forest: None,
-            },
-        );
-        shared.live_sessions.fetch_add(1, Ordering::SeqCst);
+        // A booking legitimately founded at epoch 0 — the sweep's real work.
+        open(&shared, &requirement, None);
+        let victim = a_victim(&shared);
+        let (snapshot, plan) = begin_sweep(&shared, &Mutation::FailInstance { instance: victim });
+        assert_eq!(plan.len(), 1);
 
-        let snapshot = shared.snap.load();
-        let victim = snapshot
-            .overlay()
-            .graph()
-            .node_ids()
-            .map(|n| snapshot.overlay().instance(n))
-            .find(|i| *i != snapshot.source())
-            .unwrap();
-        let (repaired, dropped) =
-            match mutate(&shared, &Mutation::FailInstance { instance: victim }) {
-                Response::Mutated {
-                    epoch: 1,
-                    repaired,
-                    dropped,
-                } => (repaired, dropped),
-                other => panic!("expected Mutated at epoch 1, got {other:?}"),
-            };
-        // Only the epoch-0 session was swept; the epoch-1 session is
-        // neither repaired nor dropped.
-        assert_eq!(repaired + dropped, 1);
+        // Mid-sweep, another key founds at epoch 1: its plane is still the
+        // old epoch's, so the commit's rebase is what books it.
+        let late = open(&shared, &requirement, Some(3));
+        let founded = Arc::clone(&shared.sessions.lock().bookings[&late].flow);
+        match commit_repairs(&shared, &snapshot, plan) {
+            Response::Mutated {
+                epoch: 1,
+                repaired,
+                dropped,
+            } => assert_eq!(repaired + dropped, 1, "only the epoch-0 booking was swept"),
+            other => panic!("expected Mutated at epoch 1, got {other:?}"),
+        }
         let sessions = shared.sessions.lock();
-        let survivor = sessions.live.get(&99).expect("epoch-1 session survives");
-        assert_eq!(survivor.solved_epoch, 1);
-        assert_eq!(
-            shared.live_sessions.load(Ordering::SeqCst),
-            sessions.live.len(),
-            "counter tracks the table once the sweep is done"
-        );
+        let survivor = &sessions.bookings[&late];
+        assert_eq!(survivor.epoch, 1);
+        assert!(Arc::ptr_eq(&survivor.flow, &founded), "not re-solved");
+        assert!(!survivor.links.is_empty());
+        drop(sessions);
+        assert_conserved(&shared);
     }
 
-    /// Regression: while a repair sweep has the map taken out, admission and
-    /// the stats count must still see the swept-out sessions — otherwise a
-    /// long sweep admits up to a full extra table and Stats reports ~0.
+    /// While a repair sweep is between its halves the table is where it
+    /// always is: the session cap keeps counting every tenant, and `Stats`
+    /// reports them.
     #[test]
-    fn admission_and_stats_count_sessions_swept_out_for_repair() {
+    fn admission_and_stats_count_sessions_while_a_sweep_is_in_flight() {
         let mut shared = shared_over_diamond();
-        shared.config.max_sessions = 1;
+        shared.config.max_sessions = 2;
         let requirement = diamond_requirement();
-        match federate_against(
-            &shared,
-            shared.snap.load(),
-            requirement.clone(),
-            Algorithm::Sflow,
-            None,
-        ) {
-            Response::Federated(_) => {}
-            other => panic!("expected Federated, got {other:?}"),
-        }
-        // Simulate a sweep in progress: the map is taken out of the lock,
-        // but its session is still live from the clients' point of view.
-        let taken = std::mem::take(&mut shared.sessions.lock().live);
-        assert_eq!(shared.live_sessions.load(Ordering::SeqCst), 1);
-        match federate_against(
-            &shared,
-            shared.snap.load(),
-            requirement,
-            Algorithm::Sflow,
-            None,
-        ) {
+        open(&shared, &requirement, None);
+        open(&shared, &requirement, None);
+        let mutation = wobble_a_booked_link(&shared);
+        let (snapshot, plan) = begin_sweep(&shared, &mutation);
+        assert_eq!(plan.len(), 1, "two tenants, one booking to repair");
+
+        assert_eq!(shared.metrics.snapshot(1).sessions, 2);
+        let successor = shared.snap.load();
+        match federate_against(&shared, successor, requirement, Algorithm::Sflow, None) {
             Response::Error(e) => assert!(e.contains("session table full"), "got {e:?}"),
             other => panic!("expected the session cap to hold mid-sweep, got {other:?}"),
         }
-        shared.sessions.lock().live.extend(taken);
-        assert_eq!(shared.sessions.lock().live.len(), 1);
+        match commit_repairs(&shared, &snapshot, plan) {
+            Response::Mutated {
+                repaired: 2,
+                dropped: 0,
+                ..
+            } => {}
+            other => panic!("expected both tenants repaired, got {other:?}"),
+        }
+        assert_eq!(shared.metrics.snapshot(1).sessions, 2);
+        assert_conserved(&shared);
     }
 
-    /// The conservation invariant: the published ledger is exactly the sum
-    /// of the live sessions' recorded reservations — per link, both
-    /// directions, no leak and no double-count.
+    /// The fix for releases lost to a sweep: between plan and commit a
+    /// `Release` finds its session (the table was never taken away), a
+    /// tenant leaving co-tenants behind is simply not counted, and a booking
+    /// whose last tenant left is not resurrected by the commit.
+    #[test]
+    fn a_release_racing_a_repair_sweep_is_answered_and_not_resurrected() {
+        let shared = shared_over_diamond();
+        let requirement = diamond_requirement();
+        let shared_key: Vec<u64> = (0..3).map(|_| open(&shared, &requirement, None)).collect();
+        let alone = open(&shared, &requirement, Some(3));
+        let mutation = wobble_a_booked_link(&shared);
+        let (snapshot, plan) = begin_sweep(&shared, &mutation);
+        assert_eq!(plan.len(), 2);
+
+        // One of three co-tenants leaves; the other key's only tenant
+        // leaves and its booking dissolves — against the old epoch's plane.
+        for session in [shared_key[1], alone] {
+            match release(&shared, session) {
+                Response::Released { session: closed } => assert_eq!(closed, session),
+                other => panic!("expected Released mid-sweep, got {other:?}"),
+            }
+        }
+        // And a tenant arrives at the successor epoch.
+        let late = open(&shared, &requirement, Some(2));
+
+        match commit_repairs(&shared, &snapshot, plan) {
+            Response::Mutated {
+                epoch: 1,
+                repaired: 2,
+                dropped: 0,
+            } => {}
+            other => panic!("expected the two tenants still there repaired, got {other:?}"),
+        }
+        assert_conserved(&shared);
+        let stats = shared.metrics.snapshot(1);
+        assert_eq!((stats.sessions, stats.forests, stats.failed), (3, 2, 0));
+        assert!(!shared.sessions.lock().bookings.contains_key(&alone));
+        for session in [shared_key[0], shared_key[2], late] {
+            assert!(matches!(
+                release(&shared, session),
+                Response::Released { .. }
+            ));
+        }
+        assert!(shared.load.load().map().is_empty(), "no leaked reservation");
+        assert_conserved(&shared);
+    }
+
+    /// A repair sweep re-solves once per booking, however many tenants each
+    /// carries: 3 keys × 4 tenants, one QoS change on a link all three
+    /// reserve — three work items, twelve sessions repaired.
+    #[test]
+    fn a_repair_sweep_solves_once_per_booking() {
+        let mut shared = shared_over_diamond();
+        shared.config.residual = false; // blind: all three keys take the wide route
+        let requirement = diamond_requirement();
+        for hop_limit in [None, Some(2), Some(3)] {
+            for _ in 0..4 {
+                open(&shared, &requirement, hop_limit);
+            }
+        }
+        let plane = shared.load.load();
+        let (link, reserved) = plane.map().iter_reserved().next().unwrap();
+        let once = shared.sessions.lock().bookings[&0].links[0].1;
+        assert_eq!(reserved, 3 * once, "every key books this link, once each");
+        drop(plane);
+        let mutation = Mutation::SetLinkQos {
+            from: link.0,
+            to: link.1,
+            bandwidth_kbps: 70,
+            latency_us: 12,
+        };
+        let (snapshot, plan) = begin_sweep(&shared, &mutation);
+        assert_eq!(plan.len(), 3, "one repair per booking, not per session");
+        match commit_repairs(&shared, &snapshot, plan) {
+            Response::Mutated {
+                epoch: 1,
+                repaired: 12,
+                dropped: 0,
+            } => {}
+            other => panic!("expected twelve sessions repaired, got {other:?}"),
+        }
+        assert_conserved(&shared);
+    }
+
+    /// The session table's invariants, as they must read between any two
+    /// operations: the published ledger is exactly the sum of the bookings'
+    /// links (per link, no leak and no double-count); `tenants` and the
+    /// bookings' tenant lists are one bijection and no booking is empty;
+    /// every `by_key` slot names a live booking of that key; no booking is
+    /// left at an epoch the world has moved past; and the published gauges
+    /// are the table's census.
     fn assert_conserved(shared: &Shared) {
         let sessions = shared.sessions.lock();
         let expected = LoadMap::from_reservations(
             sessions
-                .live
+                .bookings
                 .values()
-                .flat_map(|session| session.links.iter().copied()),
+                .flat_map(|booking| booking.links.iter().copied()),
         );
         let plane = shared.load.load();
         let got: Vec<(LinkId, u64)> = plane.map().iter_reserved().collect();
         let want: Vec<(LinkId, u64)> = expected.iter_reserved().collect();
-        assert_eq!(got, want, "ledger drifted from the session table");
+        assert_eq!(got, want, "ledger drifted from the bookings");
         assert_eq!(
             plane.map().total_reserved_kbps(),
             expected.total_reserved_kbps()
         );
+
+        let mut listed: Vec<(u64, u64)> = sessions
+            .bookings
+            .iter()
+            .flat_map(|(&id, booking)| booking.tenants.iter().map(move |&tenant| (tenant, id)))
+            .collect();
+        listed.sort_unstable();
+        let indexed: Vec<(u64, u64)> = sessions.tenants.iter().map(|(&t, &id)| (t, id)).collect();
+        assert_eq!(listed, indexed, "tenant index and tenant lists disagree");
+        let epoch = shared.snap.epoch();
+        for (id, booking) in &sessions.bookings {
+            assert!(!booking.tenants.is_empty(), "booking {id} has no tenant");
+            assert_eq!(booking.epoch, epoch, "booking {id} was left behind");
+        }
+        for (key, id) in &sessions.by_key {
+            let owner = sessions.bookings.get(id).map(|booking| &booking.key);
+            assert_eq!(owner, Some(&Some(key.clone())), "by_key slot → {id}");
+        }
+        let forests = || sessions.bookings.values().filter(|b| b.key.is_some());
+        let stats = shared.metrics.snapshot(epoch);
+        assert_eq!(
+            (stats.sessions, stats.forests, stats.forest_tenants),
+            (
+                indexed.len() as u64,
+                forests().count() as u64,
+                forests().map(|b| b.tenants.len() as u64).sum()
+            ),
+            "published census"
+        );
     }
 
     /// Satellite property test: under a random interleaving of session
-    /// opens, closes, rebalancer sweeps and QoS mutations (each of which
-    /// triggers a repair sweep and a ledger rebase), the sum of per-link
-    /// reserved bandwidth in the published `LoadMap` always equals the sum
-    /// over live sessions of their paths' reservations. No leaked
+    /// opens over three keys (so bookings are founded, attached to,
+    /// superseded and dissolved side by side), closes, rebalancer sweeps and
+    /// QoS mutations (each a repair sweep and a ledger rebase), every table
+    /// invariant of [`assert_conserved`] holds after every step. No leaked
     /// reservation on a failed open, a failed migration, or a repair drop.
     #[test]
     fn the_ledger_conserves_reservations_under_random_interleavings() {
@@ -1215,29 +1297,32 @@ mod tests {
                 .map(|e| (overlay.instance(e.from), overlay.instance(e.to)))
                 .collect()
         };
+        let (mut side_by_side, mut shared_bookings) = (0, 0);
         for _ in 0..200 {
             match next() % 6 {
                 0 | 1 => {
-                    // Open — may be rejected by residual admission; that
-                    // must leave the ledger untouched.
+                    // Open under one of three keys — may be rejected by
+                    // residual admission; that must leave the ledger
+                    // untouched.
+                    let hop_limit = [None, Some(2), Some(3)][(next() % 3) as usize];
                     let _ = federate_against(
                         &shared,
                         shared.snap.load(),
                         requirement.clone(),
                         Algorithm::Sflow,
-                        None,
+                        hop_limit,
                     );
                 }
                 2 => {
                     // Close a random session (sometimes a bogus id).
                     let id = {
                         let sessions = shared.sessions.lock();
-                        let n = sessions.live.len();
+                        let n = sessions.tenants.len();
                         if n == 0 || next() % 8 == 0 {
                             u64::MAX
                         } else {
                             let skip = (next() as usize) % n;
-                            *sessions.live.keys().nth(skip).unwrap()
+                            *sessions.tenants.keys().nth(skip).unwrap()
                         }
                     };
                     let _ = release(&shared, id);
@@ -1246,7 +1331,7 @@ mod tests {
                     let _ = rebalance::sweep(&shared);
                 }
                 _ => {
-                    // Congestion wobble: repair-sweeps every session and
+                    // Congestion wobble: repair-sweeps every booking and
                     // rebases the ledger onto the new epoch.
                     let (from, to) = links[(next() as usize) % links.len()];
                     let _ = mutate(
@@ -1261,32 +1346,49 @@ mod tests {
                 }
             }
             assert_conserved(&shared);
-            let sessions = shared.sessions.lock().live.len();
-            assert_eq!(
-                shared.live_sessions.load(Ordering::SeqCst),
-                sessions,
-                "the live counter tracks the table between operations"
-            );
+            let sessions = shared.sessions.lock();
+            side_by_side += usize::from(sessions.bookings.len() > 1);
+            shared_bookings += sessions
+                .bookings
+                .values()
+                .filter(|booking| booking.tenants.len() > 1)
+                .count();
         }
-        // A structural mutation at the end: instance failure renumbers the
-        // overlay and drops routed-through sessions; the rebase must scrub
-        // exactly the dead reservations.
-        let snapshot = shared.snap.load();
-        let victim = snapshot
-            .overlay()
-            .graph()
-            .node_ids()
-            .map(|n| snapshot.overlay().instance(n))
-            .find(|i| *i != snapshot.source())
-            .unwrap();
+        assert!(
+            side_by_side > 20 && shared_bookings > 20,
+            "the mix must exercise forests: {side_by_side} steps with several bookings, \
+             {shared_bookings} shared bookings seen"
+        );
+        // Structural mutations at the end. Failing one instance of a service
+        // renumbers the overlay and moves the bookings routed through it;
+        // failing the service's last instance leaves the requirement
+        // infeasible, and every booking is dropped with all its tenants —
+        // the rebase must scrub exactly the dead reservations, the index
+        // exactly the dead sessions.
+        let live = shared.sessions.lock().tenants.len();
+        assert!(live > 0, "the mix must leave sessions for the failures");
+        let victim = a_victim(&shared);
         let _ = mutate(&shared, &Mutation::FailInstance { instance: victim });
         assert_conserved(&shared);
+        let last = a_victim(&shared);
+        assert_eq!(last.service, victim.service);
+        match mutate(&shared, &Mutation::FailInstance { instance: last }) {
+            Response::Mutated {
+                repaired: 0,
+                dropped,
+                ..
+            } => assert_eq!(dropped, live),
+            other => panic!("expected every session dropped, got {other:?}"),
+        }
+        assert_conserved(&shared);
+        assert!(shared.load.load().map().is_empty());
     }
 
     /// Two equal-width disjoint routes `h0 → {h1, h2} → h3`: migration is
     /// purely a matter of load, never of topology preference. Served blind
-    /// so both sessions pile onto the same route and hand the rebalancer
-    /// real work.
+    /// so same-requirement bookings pile onto one route and hand the
+    /// rebalancer real work; without the solve cache, so every session is a
+    /// private booking (tests that want forests switch it back on).
     fn shared_over_twin_routes() -> (Shared, ServiceRequirement) {
         let mut b = UnderlyingNetwork::builder();
         let h = b.add_hosts(4);
@@ -1314,9 +1416,6 @@ mod tests {
             addr: "127.0.0.1:0".parse().unwrap(),
             config: ServerConfig {
                 residual: false, // blind opens; the *rebalancer* is under test
-                // Cached repeats would share one forest (one booking, no
-                // movable second session); this test needs two independent
-                // bookings on the same route.
                 solve_cache: false,
                 utilization_threshold_permille: 900,
                 route_workers: 1,
@@ -1326,105 +1425,98 @@ mod tests {
             world: Mutex::new(world),
             sessions: Mutex::new(Sessions::default()),
             load,
-            live_sessions: AtomicUsize::new(0),
             metrics: Metrics::default(),
             shutdown: AtomicBool::new(false),
         };
         (shared, requirement)
     }
 
-    /// Satellite regression, the make-before-break contract: a sweep
-    /// migrates the session off the doubly-booked route, the session is
-    /// never absent from the table at any instant (a poller thread hammers
-    /// the lock while sweeps run), and a sweep with nothing to gain changes
-    /// nothing — failed movers keep their flows and links byte-for-byte.
-    #[test]
-    fn rebalancer_migrates_make_before_break_and_failures_change_nothing() {
-        let (shared, requirement) = shared_over_twin_routes();
-        for _ in 0..2 {
-            match federate_against(
-                &shared,
-                shared.snap.load(),
-                requirement.clone(),
-                Algorithm::Sflow,
-                None,
-            ) {
-                Response::Federated(_) => {}
-                other => panic!("expected Federated, got {other:?}"),
-            }
-        }
-        // Blind routing put both sessions on one route: one link pair is
-        // double-booked at 2000‰, the other untouched.
-        assert_eq!(shared.load.load().max_utilization_permille(), 2000);
-        {
-            let sessions = shared.sessions.lock();
-            let selections: Vec<_> = sessions.live.values().map(|s| s.flow.selection()).collect();
-            assert_eq!(selections[0], selections[1], "blind opens stack up");
-        }
-        assert_conserved(&shared);
+    /// Every booking's links, for byte-for-byte before/after comparisons.
+    fn booked_links(shared: &Shared) -> BTreeMap<u64, Vec<(LinkId, u64)>> {
+        let sessions = shared.sessions.lock();
+        let links = |(&id, booking): (&u64, &Booking)| (id, booking.links.clone());
+        sessions.bookings.iter().map(links).collect()
+    }
 
-        // Sweep with a poller thread proving the sessions never vanish.
+    /// Runs one rebalancer sweep while a poller thread hammers the sessions
+    /// lock, proving no tenant is ever absent from the table mid-migration.
+    fn sweep_under_a_poller(shared: &Shared, tenants: usize) -> rebalance::SweepOutcome {
         let stop = AtomicBool::new(false);
-        let outcome = thread::scope(|scope| {
+        thread::scope(|scope| {
             scope.spawn(|| {
                 while !stop.load(Ordering::SeqCst) {
                     let sessions = shared.sessions.lock();
+                    let attached: usize = sessions.bookings.values().map(|b| b.tenants.len()).sum();
                     assert_eq!(
-                        sessions.live.len(),
-                        2,
-                        "a migrating session must never be absent from the table"
+                        (sessions.tenants.len(), attached),
+                        (tenants, tenants),
+                        "a migrating tenant must never be absent from the table"
                     );
                     drop(sessions);
                     std::hint::spin_loop();
                 }
             });
-            let outcome = rebalance::sweep(&shared);
+            let outcome = rebalance::sweep(shared);
             stop.store(true, Ordering::SeqCst);
             outcome
-        });
+        })
+    }
+
+    /// Satellite regression, the make-before-break contract: a sweep
+    /// migrates the booking off the doubly-booked route, its tenant is
+    /// never absent from the table at any instant, and a sweep with nothing
+    /// to gain changes nothing — failed movers keep their flows and links
+    /// byte-for-byte.
+    #[test]
+    fn rebalancer_migrates_make_before_break_and_failures_change_nothing() {
+        let (shared, requirement) = shared_over_twin_routes();
+        let ids = [
+            open(&shared, &requirement, None),
+            open(&shared, &requirement, None),
+        ];
+        // Blind routing put both bookings on one route: one link pair is
+        // double-booked at 2000‰, the other untouched.
+        assert_eq!(shared.load.load().max_utilization_permille(), 2000);
+        let selections = |shared: &Shared| -> Vec<_> {
+            let sessions = shared.sessions.lock();
+            let selection = |b: &Booking| b.flow.selection().clone();
+            sessions.bookings.values().map(selection).collect()
+        };
+        let stacked = selections(&shared);
+        assert_eq!(stacked[0], stacked[1], "blind opens stack up");
+        assert_conserved(&shared);
+
+        let outcome = sweep_under_a_poller(&shared, 2);
         assert_eq!(outcome.migrations, 1, "one mover drains the hot route");
         assert_eq!(
             outcome.max_utilization_permille, 1000,
-            "one session per route after the sweep"
+            "one booking per route after the sweep"
         );
         assert_conserved(&shared);
-        {
-            let sessions = shared.sessions.lock();
-            let selections: Vec<_> = sessions.live.values().map(|s| s.flow.selection()).collect();
-            assert_ne!(selections[0], selections[1], "the mover changed route");
-        }
-        let stats = shared.metrics.snapshot(0, 2);
+        let spread = selections(&shared);
+        assert_ne!(spread[0], spread[1], "the mover changed route");
+        let stats = shared.metrics.snapshot(0);
         assert_eq!(stats.migrations, 1);
         assert_eq!(stats.max_link_utilization_permille, 1000);
 
         // Both routes now sit at 1000‰ — still above the threshold, but no
         // move can improve the world. The sweep must fail every mover and
-        // leave both sessions untouched.
-        let before: BTreeMap<u64, Vec<(LinkId, u64)>> = shared
-            .sessions
-            .lock()
-            .live
-            .iter()
-            .map(|(&id, s)| (id, s.links.clone()))
-            .collect();
+        // leave both bookings untouched.
+        let before = booked_links(&shared);
         let outcome = rebalance::sweep(&shared);
         assert_eq!(outcome.migrations, 0);
         assert!(
             outcome.migration_failures >= 1,
             "hot but unimprovable movers are counted as failures"
         );
-        let after: BTreeMap<u64, Vec<(LinkId, u64)>> = shared
-            .sessions
-            .lock()
-            .live
-            .iter()
-            .map(|(&id, s)| (id, s.links.clone()))
-            .collect();
-        assert_eq!(before, after, "a failed migration changes nothing");
+        assert_eq!(
+            before,
+            booked_links(&shared),
+            "a failed migration changes nothing"
+        );
         assert_conserved(&shared);
 
         // Releasing the migrated sessions drains the ledger completely.
-        let ids: Vec<u64> = before.keys().copied().collect();
         for id in ids {
             match release(&shared, id) {
                 Response::Released { session } => assert_eq!(session, id),
@@ -1432,6 +1524,77 @@ mod tests {
             }
         }
         assert!(shared.load.load().map().is_empty(), "no leaked reservation");
+        assert_conserved(&shared);
+    }
+
+    /// The rebalancer under the default `solve_cache: true`, where every
+    /// session is a tenant of a keyed booking: a booking migrates whole,
+    /// all its tenants with it, re-solved under its own hop horizon, and
+    /// the key's cached solve follows it so the next same-key tenant
+    /// attaches to the moved booking instead of superseding it.
+    #[test]
+    fn rebalancer_migrates_a_shared_booking_with_all_its_tenants() {
+        let (mut shared, requirement) = shared_over_twin_routes();
+        shared.config.solve_cache = true;
+        // Two keys × two tenants, blind: both bookings stack on one route.
+        let tenants: Vec<u64> = [None, None, Some(3), Some(3)]
+            .into_iter()
+            .map(|hop_limit| open(&shared, &requirement, hop_limit))
+            .collect();
+        assert_eq!(shared.load.load().max_utilization_permille(), 2000);
+        let selection_of = |session: u64| {
+            let sessions = shared.sessions.lock();
+            let booking = &sessions.bookings[&sessions.tenants[&session]];
+            (booking.flow.selection().clone(), booking.hop_limit)
+        };
+        let stacked = selection_of(tenants[0]).0;
+        assert_eq!(selection_of(tenants[2]).0, stacked);
+
+        let outcome = sweep_under_a_poller(&shared, 4);
+        assert_eq!(
+            (outcome.migrations, outcome.max_utilization_permille),
+            (1, 1000)
+        );
+        assert_eq!(shared.metrics.snapshot(0).migrations, 1);
+        // The cheaper-ranked booking (equal cost, lower id) moved — both
+        // its tenants report the new selection; the other key stayed put.
+        let moved = selection_of(tenants[0]);
+        assert_eq!(selection_of(tenants[1]), moved);
+        assert_ne!(moved.0, stacked, "the booking changed route");
+        assert_eq!(selection_of(tenants[2]), (stacked.clone(), Some(3)));
+        assert_eq!(selection_of(tenants[3]), (stacked, Some(3)));
+        assert_conserved(&shared);
+        let stats = shared.metrics.snapshot(0);
+        assert_eq!((stats.forests, stats.forest_tenants), (2, 4));
+
+        // A fifth federate of the moved key is a cache hit on the moved
+        // flow and attaches: no new booking, the ledger does not move.
+        let ledger = booked_links(&shared);
+        let hits = stats.cache_hits;
+        let fifth = open(&shared, &requirement, None);
+        assert_eq!(selection_of(fifth), moved);
+        let stats = shared.metrics.snapshot(0);
+        assert_eq!(stats.cache_hits, hits + 1);
+        assert_eq!((stats.forests, stats.forest_tenants), (2, 5));
+        assert_eq!(booked_links(&shared), ledger);
+
+        // Both routes sit at 1000‰: a second sweep can improve nothing and
+        // changes nothing, byte for byte — bookings and cached solves.
+        let cached = |hop_limit| {
+            let key = SolveKey {
+                requirement: requirement.canonical_key(),
+                algorithm: Algorithm::Sflow,
+                hop_limit,
+            };
+            shared.snap.load().cached_solve(&key).unwrap()
+        };
+        let before = (cached(None), cached(Some(3)));
+        let outcome = rebalance::sweep(&shared);
+        assert_eq!(outcome.migrations, 0);
+        assert!(outcome.migration_failures >= 1);
+        assert_eq!(booked_links(&shared), ledger);
+        assert!(Arc::ptr_eq(&before.0, &cached(None)));
+        assert!(Arc::ptr_eq(&before.1, &cached(Some(3))));
         assert_conserved(&shared);
     }
 
@@ -1462,38 +1625,32 @@ mod tests {
                 other => panic!("expected Federated, got {other:?}"),
             }
         }
-        let stats = shared.metrics.snapshot(0, 3);
+        let stats = shared.metrics.snapshot(0);
         assert_eq!(stats.cache_misses, 1, "only the first solve is cold");
         assert_eq!(stats.cache_hits, 2, "repeats are served warm");
         assert_eq!(stats.cache_revalidation_fails, 0);
         assert_eq!(snapshot.cached_solve_count(), 1);
-
-        let sessions = shared.sessions.lock();
         assert_eq!(
-            sessions.forest_census(),
-            (1, 3),
+            (stats.sessions, stats.forests, stats.forest_tenants),
+            (3, 1, 3),
             "one forest, three tenants"
         );
-        // Exactly one member — the holder — carries the reservation; the
-        // ledger reserves the shared links once, not three times.
-        let holders = sessions
-            .live
-            .values()
-            .filter(|s| !s.links.is_empty())
-            .count();
-        assert_eq!(holders, 1, "one holder books for the whole forest");
-        assert!(sessions.live.values().all(|s| s.forest == Some(0)));
-        // Byte-identical satellite: every tenant's flow serializes to the
-        // same bytes as an independent cold solve at the same epoch+load,
-        // and the shared flow audits clean.
-        let want = serde_json::to_string(&reference).unwrap();
-        for session in sessions.live.values() {
-            assert_eq!(
-                serde_json::to_string(&session.flow).unwrap(),
-                want,
-                "a cache hit must be byte-identical to the cold solve"
-            );
-        }
+
+        let sessions = shared.sessions.lock();
+        // One booking carries the reservation for all three; the ledger
+        // reserves the shared links once, not three times.
+        assert_eq!(sessions.bookings.len(), 1, "one booking for the forest");
+        assert!(sessions.tenants.values().all(|&booking| booking == 0));
+        let booking = &sessions.bookings[&0];
+        assert_eq!(booking.tenants, [0, 1, 2]);
+        // Byte-identical satellite: the flow every tenant is served by
+        // serializes to the same bytes as an independent cold solve at the
+        // same epoch+load, and the shared flow audits clean.
+        assert_eq!(
+            serde_json::to_string(booking.flow.as_ref()).unwrap(),
+            serde_json::to_string(&reference).unwrap(),
+            "a cache hit must be byte-identical to the cold solve"
+        );
         let cached = snapshot
             .cached_solve(&SolveKey {
                 requirement: requirement.canonical_key(),
@@ -1501,6 +1658,9 @@ mod tests {
                 hop_limit: None,
             })
             .expect("the cold solve filled the cache");
+        // Not three copies of it: the tenants' flow is the cache entry's
+        // own `Arc`.
+        assert!(Arc::ptr_eq(&booking.flow, &cached), "attach clones nothing");
         let ctx = snapshot.context();
         let report = FlowGraphAuditor::new(&ctx, &requirement).audit(&cached);
         assert!(report.violations.is_empty(), "{:?}", report.violations);
@@ -1589,59 +1749,51 @@ mod tests {
         );
     }
 
-    /// Forest lifecycle: releasing the holder hands the booking to a
-    /// survivor in place (the ledger never moves), and only the last member
-    /// out releases it.
+    /// Forest lifecycle: three tenants leave in all six orders. Whoever
+    /// goes first — the founder included — the ledger moves only at
+    /// last-out, and the `by_key` slot dies with the booking.
     #[test]
-    fn releasing_the_holder_hands_the_booking_over_and_the_last_out_releases() {
-        let shared = shared_over_diamond();
-        let requirement = diamond_requirement();
-        for _ in 0..3 {
-            match federate_against(
-                &shared,
-                shared.snap.load(),
-                requirement.clone(),
-                Algorithm::Sflow,
-                None,
-            ) {
-                Response::Federated(_) => {}
-                other => panic!("expected Federated, got {other:?}"),
+    fn tenants_leave_in_any_order_and_only_the_last_out_unbooks() {
+        let orders = [
+            [0u64, 1, 2],
+            [0, 2, 1],
+            [1, 0, 2],
+            [1, 2, 0],
+            [2, 0, 1],
+            [2, 1, 0],
+        ];
+        for order in orders {
+            let shared = shared_over_diamond();
+            let requirement = diamond_requirement();
+            for _ in 0..3 {
+                open(&shared, &requirement, None);
             }
-        }
-        let booked = shared.load.load().map().total_reserved_kbps();
-        assert!(booked > 0, "the holder booked the shared links");
+            let booked: Vec<(LinkId, u64)> = shared.load.load().map().iter_reserved().collect();
+            assert!(!booked.is_empty(), "the founding booked the shared links");
 
-        // The holder (session 0) leaves first: session 1 inherits the links,
-        // the ledger does not move, conservation holds throughout.
-        for (leaving, heir) in [(0u64, 1u64), (1, 2)] {
-            match release(&shared, leaving) {
-                Response::Released { session } => assert_eq!(session, leaving),
+            for leaving in &order[..2] {
+                match release(&shared, *leaving) {
+                    Response::Released { session } => assert_eq!(session, *leaving),
+                    other => panic!("expected Released, got {other:?}"),
+                }
+                let ledger: Vec<(LinkId, u64)> = shared.load.load().map().iter_reserved().collect();
+                assert_eq!(ledger, booked, "{order:?}: co-tenants keep the one booking");
+                assert_eq!(shared.sessions.lock().by_key.len(), 1);
+                assert_conserved(&shared);
+            }
+            match release(&shared, order[2]) {
+                Response::Released { session } => assert_eq!(session, order[2]),
                 other => panic!("expected Released, got {other:?}"),
             }
-            assert_eq!(
-                shared.load.load().map().total_reserved_kbps(),
-                booked,
-                "survivors keep the forest's one booking"
-            );
-            let sessions = shared.sessions.lock();
-            assert!(
-                !sessions.live.get(&heir).unwrap().links.is_empty(),
-                "the next member inherits the holder's links"
-            );
-            drop(sessions);
+            assert!(shared.load.load().map().is_empty(), "last out unbooks");
             assert_conserved(&shared);
+            let sessions = shared.sessions.lock();
+            assert!(sessions.bookings.is_empty() && sessions.tenants.is_empty());
+            assert!(
+                sessions.by_key.is_empty(),
+                "the key slot dies with the booking"
+            );
         }
-        match release(&shared, 2) {
-            Response::Released { session } => assert_eq!(session, 2),
-            other => panic!("expected Released, got {other:?}"),
-        }
-        assert!(shared.load.load().map().is_empty(), "last out releases");
-        let sessions = shared.sessions.lock();
-        assert_eq!(sessions.forest_census(), (0, 0));
-        assert!(
-            sessions.by_key.is_empty(),
-            "the key slot dies with the forest"
-        );
     }
 
     /// A warm hit whose capacity was consumed in the meantime fails
@@ -1665,28 +1817,12 @@ mod tests {
             other => panic!("expected Federated, got {other:?}"),
         }
         assert_eq!(shared.load.load().max_utilization_permille(), 1000);
-        // Tear the forest down while keeping the booking: this is the
-        // superseded-forest shape — the cached flow is still filed, but a
+        // Take the key's slot away while keeping the booking: this is the
+        // superseded-booking shape — the cached flow is still filed, but a
         // new tenant can no longer attach and must justify a reservation of
         // its own.
-        {
-            let mut sessions = shared.sessions.lock();
-            sessions.forests.clear();
-            sessions.by_key.clear();
-            for session in sessions.live.values_mut() {
-                session.forest = None;
-            }
-        }
-        let first_selection = shared
-            .sessions
-            .lock()
-            .live
-            .values()
-            .next()
-            .unwrap()
-            .flow
-            .selection()
-            .clone();
+        shared.sessions.lock().by_key.clear();
+        let first_selection = shared.sessions.lock().bookings[&0].flow.selection().clone();
 
         match federate_against(
             &shared,
@@ -1698,21 +1834,18 @@ mod tests {
             Response::Federated(_) => {}
             other => panic!("expected Federated, got {other:?}"),
         }
-        let stats = shared.metrics.snapshot(0, 2);
+        let stats = shared.metrics.snapshot(0);
         assert_eq!(
             stats.cache_revalidation_fails, 1,
             "the warm hit no longer fits the residual plane"
         );
         assert_eq!(stats.cache_misses, 1, "only the first open was a miss");
         assert_eq!(stats.cache_hits, 0, "a refused hit is not a hit");
-        let sessions = shared.sessions.lock();
-        let second = sessions.live.values().nth(1).unwrap();
         assert_ne!(
-            *second.flow.selection(),
+            *shared.sessions.lock().bookings[&1].flow.selection(),
             first_selection,
             "the cold re-solve steered onto the free route"
         );
-        drop(sessions);
         assert_conserved(&shared);
         // The re-solve replaced the evicted entry with the load-aware flow.
         assert_eq!(shared.snap.load().cached_solve_count(), 1);

@@ -116,6 +116,7 @@ pub struct Metrics {
     cache_hits: AtomicU64,
     cache_misses: AtomicU64,
     cache_revalidation_fails: AtomicU64,
+    sessions: AtomicU64,
     forests: AtomicU64,
     forest_tenants: AtomicU64,
     hop_cache_hits: AtomicU64,
@@ -179,9 +180,12 @@ impl Metrics {
             .fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Publishes the current forest census (gauges: each reading replaces
-    /// the last).
-    pub fn set_forests(&self, forests: u64, tenants: u64) {
+    /// Publishes the session table's census — live sessions, keyed bookings
+    /// (forests) and the tenants attached to them. Gauges: each reading
+    /// replaces the last. Stored by whoever holds the sessions lock, so
+    /// `Stats` can be answered without it.
+    pub fn set_census(&self, sessions: u64, forests: u64, tenants: u64) {
+        self.sessions.store(sessions, Ordering::Relaxed);
         self.forests.store(forests, Ordering::Relaxed);
         self.forest_tenants.store(tenants, Ordering::Relaxed);
     }
@@ -313,9 +317,9 @@ impl Metrics {
         w.next = (w.next + 1) % LATENCY_WINDOW;
     }
 
-    /// Snapshots every counter; `epoch` and `sessions` come from the world
-    /// and session store the caller holds.
-    pub fn snapshot(&self, epoch: u64, sessions: u64) -> StatsSnapshot {
+    /// Snapshots every counter; `epoch` comes from the world the caller
+    /// holds.
+    pub fn snapshot(&self, epoch: u64) -> StatsSnapshot {
         let mut sorted = self.latencies_us.lock().samples.clone();
         sorted.sort_unstable();
         StatsSnapshot {
@@ -331,7 +335,7 @@ impl Metrics {
             hop_cache_misses: self.hop_cache_misses.load(Ordering::Relaxed),
             stale: self.stale.load(Ordering::Relaxed),
             epoch,
-            sessions,
+            sessions: self.sessions.load(Ordering::Relaxed),
             latency_p50_us: percentile(&sorted, 50),
             latency_p90_us: percentile(&sorted, 90),
             latency_p99_us: percentile(&sorted, 99),
@@ -393,8 +397,8 @@ mod tests {
         m.cache_revalidation_fail();
         m.hop_cache_hit();
         m.hop_cache_miss();
-        m.set_forests(9, 90);
-        m.set_forests(2, 5); // gauges replace, never accumulate
+        m.set_census(99, 9, 90);
+        m.set_census(7, 2, 5); // gauges replace, never accumulate
         m.conn_opened();
         m.conn_opened();
         m.conn_closed();
@@ -405,7 +409,7 @@ mod tests {
         m.backpressure_pause();
         m.write_buffered(100);
         m.write_drained(60);
-        let s = m.snapshot(3, 7);
+        let s = m.snapshot(3);
         assert_eq!(s.connections_open, 1);
         assert_eq!(s.frames_in_flight, 1);
         assert_eq!(s.reactor_wakeups, 1);
@@ -447,7 +451,7 @@ mod tests {
         for _ in 0..LATENCY_WINDOW {
             m.record_latency_us(10);
         }
-        let s = m.snapshot(0, 0);
+        let s = m.snapshot(0);
         assert_eq!(s.latency_p99_us, 10);
     }
 }

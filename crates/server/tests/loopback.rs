@@ -1,6 +1,7 @@
 //! Loopback integration tests: the acceptance criteria of the server
 //! subsystem, exercised over real TCP.
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::thread;
 
 use sflow_core::algorithms::{FederationAlgorithm, SflowAlgorithm};
@@ -120,8 +121,8 @@ fn concurrent_clients_match_the_centralized_result() {
     assert_eq!(stats.epoch, 1, "mutation must bump the epoch");
 
     // Drain the herd so the next federate is not residual-refused (the
-    // repaired forest holder books the surviving branch). Session ids are
-    // sequential; a session the repair sweep dropped answers an error.
+    // repaired forest's booking reserves the surviving branch). Session ids
+    // are sequential; a session the repair sweep dropped answers an error.
     for id in 0..total {
         let _ = client.release(id).unwrap();
     }
@@ -430,6 +431,109 @@ fn the_load_plane_round_trips_over_the_wire() {
     );
     assert_eq!(stats.cache_revalidation_fails, 0);
 
+    handle.shutdown();
+}
+
+/// A `Release` that lands while a repair sweep is in flight is answered
+/// like any other: the sweep never takes the session table away, so four
+/// clients draining 64 held sessions (three keys, so bookings lose tenants
+/// one by one and dissolve at last-out) while a fifth keeps flipping the QoS
+/// of a booked link see `Released` every time — and nothing a sweep commits
+/// brings a released session or its reservation back.
+#[test]
+fn releases_racing_repair_sweeps_are_all_answered() {
+    const HELD: usize = 64;
+    const RELEASERS: usize = 4;
+    let config = ServerConfig {
+        workers: 4,
+        // Blind: all three keys found on the wide route, whatever the others
+        // booked — admission is not what this test is about.
+        residual: false,
+        ..ServerConfig::default()
+    };
+    let handle = serve(World::new(diamond_fixture()), &config).unwrap();
+    let addr = handle.addr();
+    let mut client = Client::connect(addr).unwrap();
+    let held: Vec<u64> = (0..HELD)
+        .map(|i| {
+            let hop_limit = [None, Some(2), Some(3)][i % 3];
+            match client
+                .federate(DIAMOND_SPEC, Algorithm::Sflow, hop_limit)
+                .unwrap()
+            {
+                Response::Federated(summary) => summary.session,
+                other => panic!("expected Federated, got {other:?}"),
+            }
+        })
+        .collect();
+    let stats = client.stats().unwrap();
+    assert_eq!(
+        (stats.sessions, stats.forests),
+        (HELD as u64, 3),
+        "{stats:?}"
+    );
+    let booked = client.load_map().unwrap().links[0];
+
+    let draining = AtomicBool::new(true);
+    thread::scope(|scope| {
+        let mutator = scope.spawn(|| {
+            let mut client = Client::connect(addr).unwrap();
+            let mut sweeps = 0u64;
+            while draining.load(Ordering::SeqCst) || sweeps < 2 {
+                let flip = booked.capacity_kbps - sweeps % 2;
+                match client
+                    .mutate(Mutation::SetLinkQos {
+                        from: booked.from,
+                        to: booked.to,
+                        bandwidth_kbps: flip,
+                        latency_us: 10,
+                    })
+                    .unwrap()
+                {
+                    Response::Mutated { dropped: 0, .. } => sweeps += 1,
+                    other => panic!("expected Mutated with nothing dropped, got {other:?}"),
+                }
+            }
+            sweeps
+        });
+        // Each releaser reports the answers that were not `Released`, and
+        // the mutator is stopped before anything is asserted — a failure
+        // must fail, not hang the scope on a loop nobody ends.
+        let releasers: Vec<_> = held
+            .chunks(HELD / RELEASERS)
+            .map(|mine| {
+                scope.spawn(move || {
+                    let mut client = Client::connect(addr).unwrap();
+                    let answer = |&session| client.release(session).unwrap();
+                    let lost = |answer: &Response| !matches!(answer, Response::Released { .. });
+                    mine.iter().map(answer).filter(lost).collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        let lost: Vec<_> = releasers.into_iter().map(|r| r.join()).collect();
+        draining.store(false, Ordering::SeqCst);
+        let sweeps = mutator.join().unwrap();
+        let lost: Vec<Response> = lost.into_iter().flat_map(Result::unwrap).collect();
+        assert!(lost.is_empty(), "lost to {sweeps} sweeps: {lost:?}");
+        assert!(sweeps >= 2);
+    });
+
+    let stats = client.stats().unwrap();
+    assert_eq!(
+        (
+            stats.sessions,
+            stats.forests,
+            stats.forest_tenants,
+            stats.failed
+        ),
+        (0, 0, 0, 0),
+        "{stats:?}"
+    );
+    let ledger = client.load_map().unwrap();
+    assert!(
+        ledger.links.is_empty(),
+        "no resurrected reservation: {ledger:?}"
+    );
     handle.shutdown();
 }
 

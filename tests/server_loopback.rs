@@ -39,7 +39,7 @@ fn a_session_lifecycle_reconciles_with_the_server_counters() {
     assert_eq!((stats.forests, stats.forest_tenants), (1, 2), "{stats:?}");
     assert_eq!(stats.sessions, 2);
 
-    // The holder hands the booking over; the last one out releases it.
+    // The founder leaving changes nothing; the last one out unbooks.
     for session in [first, second] {
         match client.release(session).unwrap() {
             Response::Released { session: closed } => assert_eq!(closed, session),
