@@ -18,6 +18,7 @@ const STATS_RS: &str = "crates/server/src/stats.rs";
 const WIRE_RS: &str = "crates/server/src/lib.rs";
 const SERVER_RS: &str = "crates/server/src/server.rs";
 const CLIENT_RS: &str = "crates/server/src/client.rs";
+const CODEC_RS: &str = "crates/server/src/wire.rs";
 const CLI_RS: &str = "src/bin/sflow.rs";
 
 /// Runs every cross-file rule over the parsed workspace.
@@ -32,11 +33,18 @@ fn by_rel<'a>(files: &'a [SourceFile], rel: &str) -> Option<&'a SourceFile> {
     files.iter().find(|f| f.rel == rel)
 }
 
-/// True when `file` contains the exact token sequence `seq` outside test
+/// How often `file` contains the exact token sequence `seq` outside test
 /// regions.
-fn has_seq(file: &SourceFile, seq: &[&str]) -> bool {
+fn count_seq(file: &SourceFile, seq: &[&str]) -> usize {
     let tokens = &file.lexed.tokens;
-    (0..tokens.len()).any(|i| lex::match_seq(tokens, i, seq) && !file.is_test_line(tokens[i].line))
+    (0..tokens.len())
+        .filter(|&i| lex::match_seq(tokens, i, seq) && !file.is_test_line(tokens[i].line))
+        .count()
+}
+
+/// True when `file` contains `seq` outside test regions.
+fn has_seq(file: &SourceFile, seq: &[&str]) -> bool {
+    count_seq(file, seq) > 0
 }
 
 /// The fields of the struct named `name` in `file`: `(field_name_token_index,
@@ -203,8 +211,11 @@ fn enum_variants(file: &SourceFile, name: &str) -> Vec<usize> {
 /// tests), a client constructor (`Request::V` in client.rs), and a CLI path
 /// (the CLI invokes the client method that builds it, or names the variant
 /// itself). Every `Response` variant must be constructed by the server and
-/// consumed by the client or the CLI. The wire surface moves in lockstep or
-/// not at all.
+/// consumed by the client or the CLI. And every variant of either must be
+/// named at least twice in the hand-written codec (`crates/server/src/wire.rs`
+/// outside tests): the encode arm the compiler's exhaustiveness check already
+/// forces, and the decode arm — a `tag => Enum::Variant` the compiler cannot
+/// miss. The wire surface moves in lockstep or not at all.
 fn wire_exhaustive(files: &[SourceFile], out: &mut Vec<Finding>) {
     let Some(wire) = by_rel(files, WIRE_RS) else {
         return;
@@ -212,7 +223,17 @@ fn wire_exhaustive(files: &[SourceFile], out: &mut Vec<Finding>) {
     let server = by_rel(files, SERVER_RS);
     let client = by_rel(files, CLIENT_RS);
     let cli = by_rel(files, CLI_RS);
+    let codec = by_rel(files, CODEC_RS);
     let tokens = &wire.lexed.tokens;
+    let codec_gap = |enum_name: &str, v: &str| {
+        let named = codec.map_or(2, |c| count_seq(c, &[enum_name, "::", v]));
+        (named < 2).then(|| {
+            format!(
+                "an encode and a decode arm in the codec ({CODEC_RS} names it {named} time(s), \
+                 want 2)"
+            )
+        })
+    };
 
     for at in enum_variants(wire, "Request") {
         let v = tokens[at].text.as_str();
@@ -251,6 +272,7 @@ fn wire_exhaustive(files: &[SourceFile], out: &mut Vec<Finding>) {
                 ));
             }
         }
+        missing.extend(codec_gap("Request", v));
         push_wire_finding(out, wire, at, "Request", v, missing);
     }
 
@@ -265,6 +287,7 @@ fn wire_exhaustive(files: &[SourceFile], out: &mut Vec<Finding>) {
         if !consumed {
             missing.push("a consumer (neither client.rs nor the CLI matches it)".to_string());
         }
+        missing.extend(codec_gap("Response", v));
         push_wire_finding(out, wire, at, "Response", v, missing);
     }
 }
@@ -288,7 +311,7 @@ fn push_wire_finding(
         t.col,
         format!(
             "wire variant `{enum_name}::{variant}` is missing {}: the wire surface must \
-             stay in lockstep across server, client, and CLI",
+             stay in lockstep across server, client, CLI and codec",
             missing.join(" and ")
         ),
         String::new(),

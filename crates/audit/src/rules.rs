@@ -14,7 +14,7 @@
 //! | `reactor-nonblocking` | `crates/server/src/reactor.rs` non-test code | no blocking call on the event path |
 //! | `epoch-discipline` | `crates/server` non-test code | `Snap::store` / `LoadCell::publish` only from sanctioned mutators |
 //! | `counter-coverage` | workspace (cross-file) | every `Metrics` atomic counter is bumped, snapshotted, and rendered |
-//! | `wire-exhaustive` | workspace (cross-file) | every `Request`/`Response` variant spans server, client, and CLI |
+//! | `wire-exhaustive` | workspace (cross-file) | every `Request`/`Response` variant spans server, client, CLI, and both halves of the codec |
 //! | `unused-suppression` | every scanned file | an `audit:allow` that silences nothing is itself a finding |
 //!
 //! All rules run over the token stream produced by [`crate::lex`]: rules see
@@ -92,7 +92,8 @@ pub const RULES: &[Rule] = &[
     Rule {
         name: "wire-exhaustive",
         description: "every Request/Response wire variant has a server dispatch arm, a client \
-                      method, and a CLI path (the wire surface moves in lockstep or not at all)",
+                      method, a CLI path, and an encode and a decode arm in wire.rs (the wire \
+                      surface moves in lockstep or not at all)",
     },
     Rule {
         name: "unused-suppression",

@@ -816,13 +816,55 @@ const WIRE_CLI: &str = "#![forbid(unsafe_code)]\n\
         let _ = client.fetch(7);\n\
     }\n";
 
-fn wire_set(lib: &str, server: &str, client: &str, cli: &str) -> Vec<SourceFile> {
+const WIRE_CODEC: &str = "impl Record for Request {\n\
+        fn encode(&self, out: &mut Vec<u8>) {\n\
+            match self {\n\
+                Request::Ping => out.push(0),\n\
+                Request::Fetch { key } => { out.push(1); key.encode(out); }\n\
+            }\n\
+        }\n\
+        fn decode(cur: &mut Cursor<'_>) -> Result<Self, WireError> {\n\
+            Ok(match cur.byte()? {\n\
+                0 => Request::Ping,\n\
+                1 => Request::Fetch { key: cur.varint()? },\n\
+                tag => return Err(unknown_tag(tag)),\n\
+            })\n\
+        }\n\
+    }\n\
+    impl Record for Response {\n\
+        fn encode(&self, out: &mut Vec<u8>) {\n\
+            match self {\n\
+                Response::Pong => out.push(0),\n\
+                Response::Value(v) => { out.push(1); v.encode(out); }\n\
+            }\n\
+        }\n\
+        fn decode(cur: &mut Cursor<'_>) -> Result<Self, WireError> {\n\
+            Ok(match cur.byte()? {\n\
+                0 => Response::Pong,\n\
+                1 => Response::Value(cur.varint()?),\n\
+                tag => return Err(unknown_tag(tag)),\n\
+            })\n\
+        }\n\
+    }\n";
+
+fn wire_set_with_codec(
+    lib: &str,
+    server: &str,
+    client: &str,
+    cli: &str,
+    codec: &str,
+) -> Vec<SourceFile> {
     parse_set(&[
         ("crates/server/src/lib.rs", lib),
         ("crates/server/src/server.rs", server),
         ("crates/server/src/client.rs", client),
         ("src/bin/sflow.rs", cli),
+        ("crates/server/src/wire.rs", codec),
     ])
+}
+
+fn wire_set(lib: &str, server: &str, client: &str, cli: &str) -> Vec<SourceFile> {
+    wire_set_with_codec(lib, server, client, cli, WIRE_CODEC)
 }
 
 #[test]
@@ -905,6 +947,59 @@ fn wire_exhaustive_flags_each_missing_leg() {
         report.findings.iter().any(|f| f.rule == "wire-exhaustive"
             && f.message.contains("`Response::Pong`")
             && f.message.contains("consumer")),
+        "{}",
+        report.render_human()
+    );
+}
+
+#[test]
+fn wire_exhaustive_flags_a_variant_missing_its_decode_arm() {
+    let codec_findings = |codec: &str| -> Vec<String> {
+        audit_files(&wire_set_with_codec(
+            WIRE_LIB,
+            WIRE_SERVER,
+            WIRE_CLIENT,
+            WIRE_CLI,
+            codec,
+        ))
+        .findings
+        .iter()
+        .filter(|f| f.rule == "wire-exhaustive")
+        .map(|f| f.message.clone())
+        .collect()
+    };
+    // The compiler forces the encode arm (`match self` is exhaustive) but a
+    // decode `match` on a tag byte compiles with an arm missing.
+    let codec = WIRE_CODEC.replace("1 => Request::Fetch { key: cur.varint()? },\n", "");
+    let found = codec_findings(&codec);
+    assert_eq!(found.len(), 1, "{found:?}");
+    assert!(
+        found[0].contains("`Request::Fetch`")
+            && found[0].contains("decode arm")
+            && found[0].contains("1 time(s)"),
+        "{found:?}"
+    );
+    let codec = WIRE_CODEC.replace("0 => Response::Pong,\n", "");
+    let found = codec_findings(&codec);
+    assert_eq!(found.len(), 1, "{found:?}");
+    assert!(found[0].contains("`Response::Pong`"), "{found:?}");
+
+    // A decode arm that exists only in the codec's tests does not count.
+    let codec = format!(
+        "{}#[cfg(test)]\nmod tests {{\n    fn fake() -> Request {{ Request::Fetch {{ key: 1 }} }}\n}}\n",
+        WIRE_CODEC.replace("1 => Request::Fetch { key: cur.varint()? },\n", "")
+    );
+    assert_eq!(codec_findings(&codec).len(), 1);
+
+    // A tree without wire.rs (a partial scan) is not a finding.
+    let report = audit_files(&parse_set(&[
+        ("crates/server/src/lib.rs", WIRE_LIB),
+        ("crates/server/src/server.rs", WIRE_SERVER),
+        ("crates/server/src/client.rs", WIRE_CLIENT),
+        ("src/bin/sflow.rs", WIRE_CLI),
+    ]));
+    assert!(
+        report.findings.iter().all(|f| f.rule != "wire-exhaustive"),
         "{}",
         report.render_human()
     );

@@ -21,18 +21,27 @@
 //!   the reactor answers the whole batch from one wakeup into one staged
 //!   write, so the per-request syscall bill shrinks by nearly the depth.
 //!
+//! * **Codec**: no socket at all — one `Federate` request and one
+//!   six-instance `Federated` response, each encoded to a frame and decoded
+//!   back, timed in bulk. The gate asserts the four together cost **under
+//!   2 µs** (the JSON codec they replaced cost 13.7 µs; this one about 0.5).
+//!
 //! Writes `BENCH_server.json` at the repository root. Pass `--max-conns N`
 //! to bound the ladder (CI uses `--max-conns 2000`; the local default 8000
 //! stays well under a 20k fd limit at two fds per loopback connection).
 
 #![forbid(unsafe_code)]
 
+use std::hint::black_box;
 use std::time::Instant;
 
-use sflow_bench::{percentile, usize_flag, write_report};
+use sflow_bench::{median, percentile, usize_flag, write_report};
 use sflow_core::fixtures::diamond_fixture;
+use sflow_net::{HostId, ServiceId, ServiceInstance};
+use sflow_server::wire::{encode_frame, FrameDecoder};
 use sflow_server::{
-    serve, Client, PipelinedClient, Request, Response, ServerConfig, ServerHandle, World,
+    serve, Algorithm, Client, FlowSummary, PipelinedClient, Request, RequestFrame, Response,
+    ResponseFrame, ServerConfig, ServerHandle, World,
 };
 
 /// Bursts measured per ladder rung per pass.
@@ -42,6 +51,11 @@ const BURSTS: usize = 40;
 const PASSES: usize = 3;
 /// Requests pushed through one socket per pipelining mode.
 const PIPE_REQUESTS: usize = 5000;
+/// Timed passes of the codec rung, and request/response pairs per pass.
+const CODEC_PASSES: usize = 30;
+const CODEC_PAIRS: usize = 2000;
+/// What one `Federate` may spend in the codec, both frames, both directions.
+const CODEC_NS_MAX: u128 = 2000;
 
 fn server(max_connections: usize) -> ServerHandle {
     let config = ServerConfig {
@@ -161,6 +175,53 @@ fn pipeline_rate(addr: std::net::SocketAddr, depth: usize) -> f64 {
     PIPE_REQUESTS as f64 / started.elapsed().as_secs_f64()
 }
 
+/// Nanoseconds to encode and decode one `Federate` request frame plus one
+/// six-instance `Federated` response frame: the median of [`CODEC_PASSES`]
+/// passes, each the mean over [`CODEC_PAIRS`] pairs.
+fn codec_ns_per_federate_pair() -> u128 {
+    let request = RequestFrame {
+        request_id: 4711,
+        request: Request::Federate {
+            requirement: "0>1>3, 0>2>3".to_owned(),
+            algorithm: Algorithm::Sflow,
+            hop_limit: Some(2),
+        },
+    };
+    let response = ResponseFrame {
+        request_id: 4711,
+        response: Response::Federated(FlowSummary {
+            session: 9000,
+            epoch: 3,
+            bandwidth_kbps: 12_000,
+            latency_us: 9500,
+            instances: (0..6)
+                .map(|s| {
+                    let service = ServiceId::new(s);
+                    (service, ServiceInstance::new(service, HostId::new(90 + s)))
+                })
+                .collect(),
+        }),
+    };
+    let mut decoder = FrameDecoder::new();
+    let passes = (0..CODEC_PASSES)
+        .map(|_| {
+            let started = Instant::now();
+            for _ in 0..CODEC_PAIRS {
+                let bytes = encode_frame(black_box(&request)).expect("a small request");
+                decoder.feed(&bytes);
+                let back = decoder.next_frame::<RequestFrame>();
+                assert!(matches!(black_box(back), Ok(Some(_))));
+                let bytes = encode_frame(black_box(&response)).expect("a small response");
+                decoder.feed(&bytes);
+                let back = decoder.next_frame::<ResponseFrame>();
+                assert!(matches!(black_box(back), Ok(Some(_))));
+            }
+            started.elapsed().as_nanos() / CODEC_PAIRS as u128
+        })
+        .collect();
+    median(passes)
+}
+
 fn rung_json(r: &Rung) -> String {
     format!(
         "    {{\"target_conns\": {}, \"open_conns\": {}, \
@@ -248,6 +309,13 @@ fn main() {
         "depth-8 pipelining must at least double serial throughput (got {speedup:.2}x)"
     );
 
+    let codec_ns = codec_ns_per_federate_pair();
+    println!("codec: {codec_ns} ns per Federate request + Federated response, encoded and decoded");
+    assert!(
+        codec_ns < CODEC_NS_MAX,
+        "one federate's frames must cost under {CODEC_NS_MAX} ns in the codec (got {codec_ns})"
+    );
+
     let rows: Vec<String> = rungs.iter().map(rung_json).collect();
     let json = format!(
         "{{\n  \"generated_by\": \"bench_server\",\n  \"max_conns\": {max_conns},\n  \
@@ -255,8 +323,9 @@ fn main() {
          \"connection_ladder\": [\n{}\n  ],\n  \
          \"pipelining\": {{\"requests\": {PIPE_REQUESTS}, \"serial_req_per_s\": {serial_rps:.0}, \
          \"depth8_req_per_s\": {depth8_rps:.0}, \"speedup\": {speedup:.2}}},\n  \
+         \"codec_ns_per_federate_pair\": {codec_ns},\n  \
          \"gates\": {{\"conn_ratio\": 10, \"p99_ratio_max\": 2.0, \
-         \"pipeline_speedup_min\": 2.0}}\n}}\n",
+         \"pipeline_speedup_min\": 2.0, \"codec_ns_max\": {CODEC_NS_MAX}}}\n}}\n",
         rows.join(",\n"),
     );
     println!("wrote {}", write_report("BENCH_server.json", &json));

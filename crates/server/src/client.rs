@@ -8,13 +8,14 @@
 //! stashes overtakers). [`Client`] wraps it one-request-at-a-time for callers
 //! that want a blocking call shape.
 //!
-//! Sends are **corked**: [`send`] stages the encoded frame in an outbox and
-//! the bytes hit the socket on the next [`recv_any`]/[`recv`] (or an
+//! Sends are **corked**: [`send`] encodes the frame at the tail of an outbox
+//! and the bytes hit the socket on the next [`recv_any`]/[`recv`] (or an
 //! explicit [`flush`]). A depth-N burst therefore costs one write syscall,
 //! not N — that batching, mirrored by the server's staged write buffer on
 //! the way back, is where pipelined throughput comes from. Reads are
 //! buffered for the same reason.
 //!
+//! [`RequestFrame`]: crate::RequestFrame
 //! [`send`]: PipelinedClient::send
 //! [`recv_any`]: PipelinedClient::recv_any
 //! [`recv`]: PipelinedClient::recv
@@ -24,11 +25,8 @@ use std::collections::VecDeque;
 use std::io::{self, BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 
-use crate::wire::{encode_frame, read_frame};
-use crate::{
-    Algorithm, LoadMapSummary, Mutation, Request, RequestFrame, Response, ResponseFrame,
-    StatsSnapshot,
-};
+use crate::wire::{read_frame, stage_frame};
+use crate::{Algorithm, LoadMapSummary, Mutation, Request, Response, ResponseFrame, StatsSnapshot};
 
 /// One connection carrying many requests in flight.
 ///
@@ -79,13 +77,8 @@ impl PipelinedClient {
     /// Encoding errors (an oversized request).
     pub fn send(&mut self, request: &Request) -> io::Result<u64> {
         let request_id = self.next_id;
-        let bytes = encode_frame(&RequestFrame {
-            request_id,
-            request: request.clone(),
-        })
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
+        stage_frame(&mut self.outbox, request_id, request)?;
         self.next_id += 1;
-        self.outbox.extend_from_slice(&bytes);
         self.in_flight += 1;
         Ok(request_id)
     }

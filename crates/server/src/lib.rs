@@ -34,8 +34,9 @@
 //!   (disable with [`ServerConfig::residual`] = `false`), and a background
 //!   rebalancer sweep migrates sessions off links above a utilization
 //!   threshold — make-before-break, cheapest movers first ([`load`]).
-//! * **Wire protocol** — length-prefixed `serde_json` frames over `std::net`
-//!   TCP ([`wire`]), served by one epoll [`reactor`]; [`client`] has the
+//! * **Wire protocol** — length-prefixed binary records (tagged enums,
+//!   varint integers; the byte layout is [`wire`]'s module doc) over
+//!   `std::net` TCP, served by one epoll [`reactor`]; [`client`] has the
 //!   pipelined [`PipelinedClient`] and [`Client`], a one-frame-in-flight
 //!   wrapper over it.
 //!
@@ -64,7 +65,6 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
 use sflow_net::{ServiceId, ServiceInstance};
 
 pub mod client;
@@ -86,9 +86,7 @@ pub use wire::WireError;
 pub use world::World;
 
 /// Which federation algorithm a [`Request::Federate`] should run.
-#[derive(
-    Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Algorithm {
     /// The paper's sFlow algorithm (horizon from the request's `hop_limit`).
     #[default]
@@ -106,7 +104,7 @@ pub enum Algorithm {
 /// Instances are addressed by their stable `(service, host)` identity rather
 /// than by overlay node index, because failures rebuild the overlay and
 /// renumber its nodes.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Mutation {
     /// Overwrites the QoS of the service link `from → to` (congestion,
     /// re-provisioning).
@@ -128,7 +126,7 @@ pub enum Mutation {
 }
 
 /// One client request, as carried on the wire.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Request {
     /// Federate a service requirement and keep it as a live session.
     Federate {
@@ -159,7 +157,7 @@ pub enum Request {
 }
 
 /// The result of a successful federation, flattened for the wire.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct FlowSummary {
     /// Server-assigned session id (stable across repairs).
     pub session: u64,
@@ -174,7 +172,7 @@ pub struct FlowSummary {
 }
 
 /// One link's row in the load ledger, as carried on the wire.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct LinkLoad {
     /// Upstream endpoint of the service link.
     pub from: ServiceInstance,
@@ -193,7 +191,7 @@ pub struct LinkLoad {
 }
 
 /// The load plane's state, flattened for the wire.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct LoadMapSummary {
     /// The topology epoch the ledger indexes into.
     pub epoch: u64,
@@ -213,7 +211,7 @@ pub struct LoadMapSummary {
 /// order** — a fast `Stats` behind a slow `Federate` overtakes it. Ids are
 /// chosen by the client and only need to be unique among that connection's
 /// in-flight requests; the server echoes them without interpretation.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct RequestFrame {
     /// Client-assigned correlation id, echoed on the response.
     pub request_id: u64,
@@ -223,7 +221,7 @@ pub struct RequestFrame {
 
 /// The envelope every response travels in: the originating request's id plus
 /// the response itself. See [`RequestFrame`] for the ordering contract.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ResponseFrame {
     /// The `request_id` of the [`RequestFrame`] this answers.
     pub request_id: u64,
@@ -237,7 +235,7 @@ pub struct ResponseFrame {
 // moved a few times per request, never stored in bulk: boxing it would buy
 // nothing and break every one of those matches.
 #[allow(clippy::large_enum_variant)]
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub enum Response {
     /// The federation succeeded.
     Federated(FlowSummary),

@@ -15,9 +15,9 @@
 //!   `guard-across-solve` discipline is untouched;
 //! * workers push finished answers back as `Completion`s over a channel
 //!   and wake the loop via [`polling::Poller::notify`]; the loop encodes
-//!   them into the connection's write buffer in completion order. That is
-//!   where out-of-order responses come from: a fast `Stats` overtakes a
-//!   slow `Federate` pipelined ahead of it.
+//!   them in place into the connection's write buffer in completion
+//!   order. That is where out-of-order responses come from: a fast `Stats`
+//!   overtakes a slow `Federate` pipelined ahead of it.
 //!
 //! **Backpressure**: a connection whose staged response bytes exceed
 //! [`ServerConfig::write_high_water`](crate::ServerConfig::write_high_water)
@@ -41,8 +41,8 @@ use polling::{Event, Events, Poller};
 
 use crate::server::{admit, control_response, Job, Shared};
 use crate::stats::Metrics;
-use crate::wire::{encode_frame, FrameDecoder};
-use crate::{Request, RequestFrame, Response, ResponseFrame};
+use crate::wire::{stage_frame, FrameDecoder};
+use crate::{Request, RequestFrame, Response};
 
 /// The poller key the (reactor-0) listener is registered under; connections
 /// live at `slot + 1`.
@@ -77,7 +77,7 @@ pub(crate) struct Reply {
     waker: Arc<Poller>,
     /// Generation-tagged connection token.
     token: u64,
-    /// Echoed onto the [`ResponseFrame`].
+    /// Echoed onto the [`ResponseFrame`](crate::ResponseFrame).
     request_id: u64,
 }
 
@@ -246,10 +246,8 @@ impl ConnState {
                         // id 0), degrade this connection only.
                         metrics.wire_error();
                         self.enqueue_response(
-                            &ResponseFrame {
-                                request_id: 0,
-                                response: Response::Error(format!("protocol error: {e}")),
-                            },
+                            0,
+                            &Response::Error(format!("protocol error: {e}")),
                             metrics,
                             high_water,
                         );
@@ -283,14 +281,7 @@ impl ConnState {
         let shutdown = matches!(frame.request, Request::Shutdown);
         match dispatch(frame.request_id, frame.request) {
             Dispatch::Inline(response) => {
-                self.enqueue_response(
-                    &ResponseFrame {
-                        request_id: frame.request_id,
-                        response: *response,
-                    },
-                    metrics,
-                    high_water,
-                );
+                self.enqueue_response(frame.request_id, &response, metrics, high_water);
             }
             // The dispatcher already counted it in the `frames_in_flight`
             // gauge — before the hand-off, see `admit`.
@@ -311,48 +302,39 @@ impl ConnState {
         high_water: usize,
     ) {
         self.in_flight = self.in_flight.saturating_sub(1);
-        self.enqueue_response(
-            &ResponseFrame {
-                request_id,
-                response: response.clone(),
-            },
-            metrics,
-            high_water,
-        );
+        self.enqueue_response(request_id, response, metrics, high_water);
     }
 
-    /// Encodes `frame` onto the write buffer and parks read interest when
-    /// the staged bytes cross the high-water mark. Dropping read interest
-    /// is the whole backpressure mechanism: TCP flow control then pushes
-    /// back on the peer, and this side's memory stays bounded by the mark
-    /// plus the frame that crossed it.
-    fn enqueue_response(&mut self, frame: &ResponseFrame, metrics: &Metrics, high_water: usize) {
+    /// Encodes the response in place at the tail of the write buffer and
+    /// parks read interest when the staged bytes cross the high-water mark.
+    /// Dropping read interest is the whole backpressure mechanism: TCP flow
+    /// control then pushes back on the peer, and this side's memory stays
+    /// bounded by the mark plus the frame that crossed it.
+    fn enqueue_response(
+        &mut self,
+        request_id: u64,
+        response: &Response,
+        metrics: &Metrics,
+        high_water: usize,
+    ) {
         if self.dead {
             return;
         }
-        let bytes = match encode_frame(frame) {
-            Ok(bytes) => bytes,
-            Err(e) => {
-                // A response too large for the wire (oversized LoadMap):
-                // substitute a typed error so the request is still answered.
-                let substitute = ResponseFrame {
-                    request_id: frame.request_id,
-                    response: Response::Error(format!("unencodable response: {e}")),
-                };
-                match encode_frame(&substitute) {
-                    Ok(bytes) => bytes,
-                    Err(_) => {
-                        // A short Error string cannot itself be oversized;
-                        // if encoding still fails the connection is beyond
-                        // answering — drop it.
-                        self.mark_dead(metrics);
-                        return;
-                    }
-                }
+        let staged = self.write_buf.len();
+        if let Err(e) = stage_frame(&mut self.write_buf, request_id, response) {
+            // A response too large for the wire (oversized LoadMap), which
+            // `stage_frame` has already taken back out of the buffer:
+            // substitute a typed error so the request is still answered.
+            let substitute = Response::Error(format!("unencodable response: {e}"));
+            if stage_frame(&mut self.write_buf, request_id, &substitute).is_err() {
+                // A short Error string cannot itself be oversized; if
+                // encoding still fails the connection is beyond answering —
+                // drop it.
+                self.mark_dead(metrics);
+                return;
             }
-        };
-        metrics.write_buffered(bytes.len() as u64);
-        self.write_buf.extend_from_slice(&bytes);
+        }
+        metrics.write_buffered((self.write_buf.len() - staged) as u64);
         if !self.paused && self.write_pending() > high_water {
             self.paused = true;
             metrics.backpressure_pause();
@@ -754,6 +736,7 @@ fn rearm(ctx: &ReactorCtx, conn: &mut Conn, slot: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::encode_frame;
     use crossbeam::channel::bounded;
 
     /// Regression for the `frames_in_flight` gauge race: a worker that

@@ -3,15 +3,17 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 
 /// How many recent request latencies the percentile window keeps. Old
 /// samples are overwritten ring-buffer style, so percentiles track recent
 /// behaviour on a long-lived server instead of averaging over its lifetime.
 const LATENCY_WINDOW: usize = 4096;
 
-/// A point-in-time copy of the server's counters, as carried on the wire.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+/// A point-in-time copy of the server's counters, as carried on the wire:
+/// its record is these fields in this order, expanded for encode and decode
+/// from the one `struct_record!` list in `wire.rs` — which does not compile
+/// until a field added here has joined it.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StatsSnapshot {
     /// Federate requests answered with a flow.
     pub served: u64,
@@ -71,7 +73,8 @@ pub struct StatsSnapshot {
     /// Source trees recomputed across all plane flushes.
     pub plane_trees_recomputed: u64,
     /// Malformed frames answered and degraded (oversized prefix, torn
-    /// frame, non-JSON body). A peer problem, never a worker problem.
+    /// frame, a body that is not one well-formed record). A peer problem,
+    /// never a worker problem.
     pub wire_errors: u64,
     /// Model-invariant violations found by the flow-graph auditor
     /// (`serve --audit`); 0 when auditing is off or every answer checked out.

@@ -1,29 +1,77 @@
-//! Framing: length-prefixed JSON over any `Read`/`Write` transport.
+//! Framing and codec: length-prefixed binary records over any `Read`/`Write`
+//! transport.
 //!
-//! Each frame is a big-endian `u32` byte length followed by exactly that many
-//! bytes of compact JSON. The length prefix makes message boundaries explicit
-//! on a stream transport; the [`MAX_FRAME`] guard bounds what a peer can make
-//! the server allocate.
+//! A frame is a 4-byte big-endian body length (at most [`MAX_FRAME`]) and
+//! exactly that many bytes holding **one** record. Nothing in a record is
+//! self-describing: both ends know the layout below, fields travel in
+//! declaration order, and the only bytes that select anything are the enum
+//! tags.
 //!
-//! Decoding failures are typed ([`WireError`]) so the server can tell a
-//! malicious or broken *peer* (oversized prefix, torn frame, garbage JSON —
-//! degrade that connection, answer an error if the stream is still writable)
-//! from a *transport* condition (dead socket). A malformed frame must never
-//! take down more than its own connection.
+//! | piece | bytes |
+//! |---|---|
+//! | prefix | `u32` big-endian body length, ≤ [`MAX_FRAME`] |
+//! | envelope ([`RequestFrame`], [`ResponseFrame`]) | `request_id` varint, then the `Request` / `Response` record |
+//! | integer (`u64`, `usize`, the `u32` inside `ServiceId` / `HostId`) | LEB128 varint: 7 bits per byte, low group first, high bit set on every byte but the last; at most 10 bytes, and the tenth at most `0x01`. Narrower fields are range-checked on decode |
+//! | `String` | varint byte length, then that many UTF-8 bytes |
+//! | `Option<T>` | tag `0` = `None`; tag `1` = `Some`, then `T` |
+//! | `ServiceInstance` | `service` varint, `host` varint |
+//! | `Algorithm` | tag `0` `Sflow`, `1` `Global`, `2` `Fixed`, `3` `ServicePath` |
+//! | `Mutation` | tag `0` `SetLinkQos` (`from`, `to`, `bandwidth_kbps`, `latency_us`); `1` `FailInstance` (`instance`) |
+//! | `Request` | tag `0` `Federate` (`requirement`, `algorithm`, `hop_limit`); `1` `Mutate` (`Mutation`); `2` `Release` (`session`); `3` `Rebalance`; `4` `LoadMap`; `5` `Stats`; `6` `Shutdown` |
+//! | `Response` | tag `0` `Federated` (`FlowSummary`); `1` `Mutated` (`epoch`, `repaired`, `dropped`); `2` `Stale` (`solved_epoch`, `current_epoch`); `3` `Released` (`session`); `4` `Rebalanced` (`migrations`, `migration_failures`, `max_utilization_permille`); `5` `LoadMap` (`LoadMapSummary`); `6` `Stats` (`StatsSnapshot`); `7` `Overloaded`; `8` `ShuttingDown`; `9` `Error` (`String`) |
+//! | `FlowSummary` | `session`, `epoch`, `bandwidth_kbps`, `latency_us`, then `instances`: varint count, then per entry the key and its `ServiceInstance`, keys strictly ascending |
+//! | `LoadMapSummary` | `epoch`, `version`, `max_utilization_permille`, then `links`: varint count, then per row `from`, `to` and the five `u64` columns |
+//! | `StatsSnapshot` | its 33 `u64` fields, in declaration order |
 //!
-//! The server side is incremental ([`encode_frame`] into a staged write
-//! buffer, [`FrameDecoder`] over whatever bytes a readiness event delivered);
-//! [`read_frame`] is the blocking decoder the clients use.
+//! The decoder is hand-written, so what it refuses is part of the format.
+//! Each of these is a typed [`WireError`], never a panic, and is decided
+//! before anything is allocated for the offending field:
+//!
+//! 1. an **unknown tag** — [`WireError::Malformed`];
+//! 2. a **varint** longer than 10 bytes, or whose value overflows `u64` or
+//!    the narrower field it fills — [`WireError::Malformed`];
+//! 3. a string **length** or a collection **count** that the bytes left in
+//!    the frame cannot hold (a record that simply ends mid-field included) —
+//!    [`WireError::Malformed`];
+//! 4. string bytes that are **not UTF-8** — [`WireError::Utf8`];
+//! 5. **trailing bytes** after the record — [`WireError::Malformed`].
+//!
+//! One record has an order of its own to keep: `FlowSummary::instances` keys
+//! that repeat or descend are [`WireError::Malformed`] too, so a decoded map
+//! always holds as many entries as the frame declared. No decode allocates
+//! more than a small constant times the frame it was handed. A length-prefixed JSON body from a pre-binary client trips rule 1
+//! (`{"` reads as request id 123, tag 34).
+//!
+//! Failures are typed so the server can tell a malicious or broken *peer*
+//! (oversized prefix, torn frame, malformed record — degrade that
+//! connection, answer an error if the stream is still writable) from a
+//! *transport* condition (dead socket). A malformed frame must never take
+//! down more than its own connection.
+//!
+//! Both ends stage writes: the reactor and the pipelined client encode each
+//! record in place at the tail of their outgoing buffer, and [`encode_frame`]
+//! is the same writer over a fresh `Vec`. The server reads incrementally
+//! ([`FrameDecoder`] over whatever bytes a readiness event delivered);
+//! [`read_frame`] is the blocking reader the clients use.
+//!
+//! [`RequestFrame`]: crate::RequestFrame
+//! [`ResponseFrame`]: crate::ResponseFrame
 
+use std::collections::BTreeMap;
 use std::fmt;
 use std::io::{self, ErrorKind, Read};
 
-use serde::de::FromContent;
-use serde::Serialize;
+use sflow_net::{HostId, ServiceId, ServiceInstance};
+
+use crate::{
+    Algorithm, FlowSummary, LinkLoad, LoadMapSummary, Mutation, Request, RequestFrame, Response,
+    ResponseFrame, StatsSnapshot,
+};
+use sealed::{Cursor, Record};
 
 /// Upper bound on a frame's payload, in bytes (1 MiB). A selection over even
-/// a very large overlay is a few kilobytes of JSON; anything bigger is a
-/// protocol error, not a workload.
+/// a very large overlay is a few hundred bytes; anything bigger is a protocol
+/// error, not a workload.
 pub const MAX_FRAME: usize = 1 << 20;
 
 /// Why a frame could not be written or read.
@@ -44,10 +92,12 @@ pub enum WireError {
         /// The length the prefix declared.
         declared: usize,
     },
-    /// The frame body is not valid UTF-8.
+    /// A string field's bytes are not valid UTF-8.
     Utf8(String),
-    /// The frame body is not valid JSON for the expected type.
-    Json(String),
+    /// The frame body is not one well-formed record of the expected type:
+    /// unknown tag, bad varint, a length or count past the frame's end, or
+    /// trailing bytes.
+    Malformed(String),
 }
 
 impl fmt::Display for WireError {
@@ -61,8 +111,8 @@ impl fmt::Display for WireError {
                 f,
                 "frame of {declared} bytes exceeds MAX_FRAME ({MAX_FRAME})"
             ),
-            WireError::Utf8(e) => write!(f, "frame is not UTF-8: {e}"),
-            WireError::Json(e) => write!(f, "frame is not valid JSON: {e}"),
+            WireError::Utf8(e) => write!(f, "string field is not UTF-8: {e}"),
+            WireError::Malformed(e) => write!(f, "malformed record: {e}"),
         }
     }
 }
@@ -82,14 +132,14 @@ impl From<WireError> for io::Error {
         match e {
             WireError::Io(e) => e,
             WireError::Truncated { .. } => io::Error::new(ErrorKind::UnexpectedEof, e.to_string()),
-            WireError::Oversized { .. } | WireError::Utf8(_) | WireError::Json(_) => {
+            WireError::Oversized { .. } | WireError::Utf8(_) | WireError::Malformed(_) => {
                 io::Error::new(ErrorKind::InvalidData, e.to_string())
             }
         }
     }
 }
 
-/// Reads one frame from `r` and deserialises it.
+/// Reads one frame from `r` and decodes its record.
 ///
 /// Returns `Ok(None)` on a clean end of stream (EOF before the first prefix
 /// byte) — how a peer hanging up between frames looks to the reader.
@@ -99,8 +149,9 @@ impl From<WireError> for io::Error {
 /// [`WireError::Io`] from the transport (including a read timeout the caller
 /// set on the socket), [`WireError::Truncated`] on EOF mid-frame,
 /// [`WireError::Oversized`] on a prefix beyond [`MAX_FRAME`],
-/// [`WireError::Utf8`]/[`WireError::Json`] on a malformed body.
-pub fn read_frame<T: FromContent>(r: &mut impl Read) -> Result<Option<T>, WireError> {
+/// [`WireError::Utf8`]/[`WireError::Malformed`] on a body the module's
+/// rejection rules refuse.
+pub fn read_frame<T: Record>(r: &mut impl Read) -> Result<Option<T>, WireError> {
     let mut prefix = [0u8; 4];
     match read_exact_or_eof(r, &mut prefix)? {
         0 => return Ok(None),
@@ -121,30 +172,70 @@ pub fn read_frame<T: FromContent>(r: &mut impl Read) -> Result<Option<T>, WireEr
     if got != len {
         return Err(WireError::Truncated { expected: len, got });
     }
-    let text = String::from_utf8(body).map_err(|e| WireError::Utf8(e.to_string()))?;
-    let value = serde_json::from_str(&text).map_err(|e| WireError::Json(e.to_string()))?;
-    Ok(Some(value))
+    decode_body(&body).map(Some)
 }
 
-/// Serialises `value` as one frame into a fresh byte buffer (prefix + body),
-/// for callers that stage writes instead of owning the transport — the
-/// reactor's per-connection write buffers.
+/// Encodes `value` as one frame into a fresh byte buffer (prefix + body).
 ///
 /// # Errors
 ///
-/// [`WireError::Oversized`] if `value` exceeds [`MAX_FRAME`] once encoded,
-/// or [`WireError::Json`] if it cannot be serialised.
-pub fn encode_frame<T: Serialize>(value: &T) -> Result<Vec<u8>, WireError> {
-    let body = serde_json::to_string(value).map_err(|e| WireError::Json(e.to_string()))?;
-    if body.len() > MAX_FRAME {
-        return Err(WireError::Oversized {
-            declared: body.len(),
-        });
-    }
-    let mut out = Vec::with_capacity(4 + body.len());
-    out.extend_from_slice(&(body.len() as u32).to_be_bytes());
-    out.extend_from_slice(body.as_bytes());
+/// [`WireError::Oversized`] if `value` exceeds [`MAX_FRAME`] once encoded.
+pub fn encode_frame<T: Record>(value: &T) -> Result<Vec<u8>, WireError> {
+    let mut out = Vec::with_capacity(64);
+    write_frame(&mut out, |out| value.encode(out))?;
     Ok(out)
+}
+
+/// Encodes the envelope `request_id` + `body` (a [`Request`] or a
+/// [`Response`]) as one frame at the tail of `out` — byte for byte what
+/// [`encode_frame`] makes of the owning [`RequestFrame`] / [`ResponseFrame`],
+/// without building one or a buffer of its own.
+///
+/// # Errors
+///
+/// [`WireError::Oversized`], with `out` truncated back to what it held.
+pub(crate) fn stage_frame(
+    out: &mut Vec<u8>,
+    request_id: u64,
+    body: &impl Record,
+) -> Result<(), WireError> {
+    write_frame(out, |out| put_envelope(out, request_id, body))
+}
+
+/// The one place that knows an envelope's byte order: the staged hot path
+/// above and the `RequestFrame` / `ResponseFrame` records both write through
+/// it.
+fn put_envelope(out: &mut Vec<u8>, request_id: u64, body: &impl Record) {
+    put_varint(out, request_id);
+    body.encode(out);
+}
+
+/// Reserves the four prefix bytes at the tail of `out`, lets `body` write
+/// the record behind them, then back-patches the length.
+fn write_frame(out: &mut Vec<u8>, body: impl FnOnce(&mut Vec<u8>)) -> Result<(), WireError> {
+    let start = out.len();
+    out.extend_from_slice(&[0; 4]);
+    body(out);
+    let len = out.len() - start - 4;
+    if len > MAX_FRAME {
+        out.truncate(start);
+        return Err(WireError::Oversized { declared: len });
+    }
+    out[start..start + 4].copy_from_slice(&(len as u32).to_be_bytes());
+    Ok(())
+}
+
+/// Decodes exactly one record from a frame body: nothing may be left over.
+fn decode_body<T: Record>(body: &[u8]) -> Result<T, WireError> {
+    let mut cur = Cursor(body);
+    let value = T::decode(&mut cur)?;
+    if !cur.0.is_empty() {
+        return Err(malformed(format!(
+            "{} trailing bytes after the record",
+            cur.0.len()
+        )));
+    }
+    Ok(value)
 }
 
 /// Incremental frame parser for non-blocking transports.
@@ -154,7 +245,7 @@ pub fn encode_frame<T: Serialize>(value: &T) -> Result<Vec<u8>, WireError> {
 /// delivered, which may be half a length prefix or three frames and a
 /// fragment. `FrameDecoder` buffers across those boundaries: [`feed`] bytes
 /// as they arrive, then drain complete frames with [`next_frame`] until it
-/// returns `Ok(None)`.
+/// returns `Ok(None)`. Records are decoded straight out of that buffer.
 ///
 /// Oversized prefixes are rejected as soon as the four prefix bytes are
 /// present, before any body accumulates, so a hostile peer cannot make the
@@ -196,10 +287,10 @@ impl FrameDecoder {
     /// # Errors
     ///
     /// [`WireError::Oversized`] on a prefix beyond [`MAX_FRAME`],
-    /// [`WireError::Utf8`]/[`WireError::Json`] on a malformed body. After an
-    /// error the decoder is poisoned in place — the connection should be
-    /// dropped, matching the blocking path's behaviour.
-    pub fn next_frame<T: FromContent>(&mut self) -> Result<Option<T>, WireError> {
+    /// [`WireError::Utf8`]/[`WireError::Malformed`] on a malformed body.
+    /// After an error the decoder is poisoned in place — the connection
+    /// should be dropped, matching the blocking path's behaviour.
+    pub fn next_frame<T: Record>(&mut self) -> Result<Option<T>, WireError> {
         let avail = &self.buf[self.consumed..];
         if avail.len() < 4 {
             return Ok(None);
@@ -211,9 +302,7 @@ impl FrameDecoder {
         if avail.len() < 4 + len {
             return Ok(None);
         }
-        let body = &avail[4..4 + len];
-        let text = std::str::from_utf8(body).map_err(|e| WireError::Utf8(e.to_string()))?;
-        let value = serde_json::from_str(text).map_err(|e| WireError::Json(e.to_string()))?;
+        let value = decode_body(&avail[4..4 + len])?;
         self.consumed += 4 + len;
         // Compact once the dead prefix dominates, amortising the copy.
         if self.consumed > 4096 && self.consumed * 2 >= self.buf.len() {
@@ -240,18 +329,583 @@ fn read_exact_or_eof(r: &mut impl Read, buf: &mut [u8]) -> io::Result<usize> {
     Ok(filled)
 }
 
+mod sealed {
+    use super::WireError;
+
+    /// A type with a place in the module's byte-layout table. It bounds
+    /// [`encode_frame`](super::encode_frame), [`read_frame`](super::read_frame)
+    /// and [`FrameDecoder::next_frame`](super::FrameDecoder::next_frame) and
+    /// nothing else: this module is private, so no other crate can name the
+    /// trait, let alone implement it.
+    pub trait Record: Sized {
+        /// Appends the record's bytes to `out`.
+        fn encode(&self, out: &mut Vec<u8>);
+        /// Reads one record off the front of `cur`.
+        fn decode(cur: &mut Cursor<'_>) -> Result<Self, WireError>;
+    }
+
+    /// The undecoded rest of one frame body.
+    pub struct Cursor<'a>(pub(super) &'a [u8]);
+}
+
+fn malformed(what: impl Into<String>) -> WireError {
+    WireError::Malformed(what.into())
+}
+
+fn unknown_tag(of: &str, tag: u8) -> WireError {
+    malformed(format!("unknown {of} tag {tag}"))
+}
+
+impl<'a> Cursor<'a> {
+    /// The next `n` bytes; a record that ends before them is malformed.
+    fn take(&mut self, n: usize) -> Result<&'a [u8], WireError> {
+        if n > self.0.len() {
+            return Err(malformed(format!(
+                "record ends mid-field: {n} bytes wanted, {} left",
+                self.0.len()
+            )));
+        }
+        let (head, rest) = self.0.split_at(n);
+        self.0 = rest;
+        Ok(head)
+    }
+
+    fn byte(&mut self) -> Result<u8, WireError> {
+        Ok(self.take(1)?[0])
+    }
+
+    fn varint(&mut self) -> Result<u64, WireError> {
+        let mut value = 0u64;
+        for shift in (0..64).step_by(7) {
+            let byte = self.byte()?;
+            // The tenth byte holds bit 63 alone: a continuation bit there is
+            // an eleventh byte, anything else above bit 0 overflows.
+            if shift == 63 && byte > 1 {
+                break;
+            }
+            value |= u64::from(byte & 0x7f) << shift;
+            if byte & 0x80 == 0 {
+                return Ok(value);
+            }
+        }
+        Err(malformed("varint runs past 10 bytes or overflows u64"))
+    }
+
+    /// A varint bound for a field narrower than `u64`, range-checked.
+    fn narrow<T: TryFrom<u64>>(&mut self, field: &str) -> Result<T, WireError> {
+        let value = self.varint()?;
+        T::try_from(value).map_err(|_| malformed(format!("varint {value} overflows {field}")))
+    }
+
+    /// A declared string length or collection count, refused — before the
+    /// caller allocates anything for it — unless the bytes left in the frame
+    /// could hold that many items of at least `item_bytes` each.
+    fn count(&mut self, item_bytes: usize) -> Result<usize, WireError> {
+        let declared = self.varint()?;
+        let room = self.0.len() / item_bytes;
+        if declared > room as u64 {
+            return Err(malformed(format!(
+                "declared {declared} items of {item_bytes}+ bytes, the frame has room for {room}"
+            )));
+        }
+        Ok(declared as usize)
+    }
+}
+
+fn put_varint(out: &mut Vec<u8>, mut value: u64) {
+    while value >= 0x80 {
+        out.push(value as u8 | 0x80);
+        value >>= 7;
+    }
+    out.push(value as u8);
+}
+
+impl Record for u64 {
+    fn encode(&self, out: &mut Vec<u8>) {
+        put_varint(out, *self);
+    }
+    fn decode(cur: &mut Cursor<'_>) -> Result<Self, WireError> {
+        cur.varint()
+    }
+}
+
+impl Record for usize {
+    fn encode(&self, out: &mut Vec<u8>) {
+        put_varint(out, *self as u64);
+    }
+    fn decode(cur: &mut Cursor<'_>) -> Result<Self, WireError> {
+        cur.narrow("usize")
+    }
+}
+
+impl Record for ServiceId {
+    fn encode(&self, out: &mut Vec<u8>) {
+        put_varint(out, u64::from(self.as_u32()));
+    }
+    fn decode(cur: &mut Cursor<'_>) -> Result<Self, WireError> {
+        cur.narrow("ServiceId").map(ServiceId::new)
+    }
+}
+
+impl Record for HostId {
+    fn encode(&self, out: &mut Vec<u8>) {
+        put_varint(out, u64::from(self.as_u32()));
+    }
+    fn decode(cur: &mut Cursor<'_>) -> Result<Self, WireError> {
+        cur.narrow("HostId").map(HostId::new)
+    }
+}
+
+impl Record for String {
+    fn encode(&self, out: &mut Vec<u8>) {
+        put_varint(out, self.len() as u64);
+        out.extend_from_slice(self.as_bytes());
+    }
+    fn decode(cur: &mut Cursor<'_>) -> Result<Self, WireError> {
+        let len = cur.count(1)?;
+        match std::str::from_utf8(cur.take(len)?) {
+            Ok(text) => Ok(text.to_owned()),
+            Err(e) => Err(WireError::Utf8(e.to_string())),
+        }
+    }
+}
+
+impl<T: Record> Record for Option<T> {
+    fn encode(&self, out: &mut Vec<u8>) {
+        match self {
+            None => out.push(0),
+            Some(value) => {
+                out.push(1);
+                value.encode(out);
+            }
+        }
+    }
+    fn decode(cur: &mut Cursor<'_>) -> Result<Self, WireError> {
+        match cur.byte()? {
+            0 => Ok(None),
+            1 => T::decode(cur).map(Some),
+            tag => Err(unknown_tag("Option", tag)),
+        }
+    }
+}
+
+/// A struct whose record is its fields in declaration order. Encode and
+/// decode expand from the one list, so they cannot disagree, and both name
+/// every field (an exhaustive pattern, a struct literal), so the compiler
+/// refuses a list that has fallen behind the struct.
+macro_rules! struct_record {
+    ($ty:ident { $($field:ident),* $(,)? }) => {
+        impl Record for $ty {
+            fn encode(&self, out: &mut Vec<u8>) {
+                let $ty { $($field),* } = self;
+                $($field.encode(out);)*
+            }
+            fn decode(cur: &mut Cursor<'_>) -> Result<Self, WireError> {
+                Ok($ty { $($field: Record::decode(cur)?),* })
+            }
+        }
+    };
+}
+
+/// An envelope's record. Encode goes through [`put_envelope`], as
+/// [`stage_frame`] does; the exhaustive pattern makes a field added to the
+/// struct a compile error here, and so a change to that one writer.
+macro_rules! envelope_record {
+    ($ty:ident { request_id, $body:ident }) => {
+        impl Record for $ty {
+            fn encode(&self, out: &mut Vec<u8>) {
+                let $ty { request_id, $body } = self;
+                put_envelope(out, *request_id, $body);
+            }
+            fn decode(cur: &mut Cursor<'_>) -> Result<Self, WireError> {
+                Ok($ty {
+                    request_id: cur.varint()?,
+                    $body: Record::decode(cur)?,
+                })
+            }
+        }
+    };
+}
+
+envelope_record!(RequestFrame {
+    request_id,
+    request
+});
+envelope_record!(ResponseFrame {
+    request_id,
+    response
+});
+struct_record!(ServiceInstance { service, host });
+struct_record!(LinkLoad {
+    from,
+    to,
+    capacity_kbps,
+    reserved_kbps,
+    estimate_kbps,
+    residual_kbps,
+    utilization_permille,
+});
+struct_record!(StatsSnapshot {
+    served,
+    shed,
+    failed,
+    cache_hits,
+    cache_misses,
+    cache_revalidation_fails,
+    forests,
+    forest_tenants,
+    hop_cache_hits,
+    hop_cache_misses,
+    stale,
+    epoch,
+    sessions,
+    latency_p50_us,
+    latency_p90_us,
+    latency_p99_us,
+    rebuilds,
+    rebuild_us_total,
+    trees_recomputed,
+    plane_flushes,
+    plane_flush_us_total,
+    plane_trees_recomputed,
+    wire_errors,
+    audit_violations,
+    migrations,
+    migration_failures,
+    max_link_utilization_permille,
+    residual_rejects,
+    connections_open,
+    frames_in_flight,
+    reactor_wakeups,
+    backpressure_pauses,
+    write_buffered_bytes,
+});
+
+/// The fewest bytes one `FlowSummary::instances` entry can take (three
+/// varints) — what its declared count is checked against.
+const MIN_INSTANCE_BYTES: usize = 3;
+/// Likewise for one `LoadMapSummary::links` row (nine varints).
+const MIN_LINK_BYTES: usize = 9;
+
+impl Record for FlowSummary {
+    fn encode(&self, out: &mut Vec<u8>) {
+        let FlowSummary {
+            session,
+            epoch,
+            bandwidth_kbps,
+            latency_us,
+            instances,
+        } = self;
+        session.encode(out);
+        epoch.encode(out);
+        bandwidth_kbps.encode(out);
+        latency_us.encode(out);
+        put_varint(out, instances.len() as u64);
+        for (service, instance) in instances {
+            service.encode(out);
+            instance.encode(out);
+        }
+    }
+    fn decode(cur: &mut Cursor<'_>) -> Result<Self, WireError> {
+        let mut summary = FlowSummary {
+            session: cur.varint()?,
+            epoch: cur.varint()?,
+            bandwidth_kbps: cur.varint()?,
+            latency_us: cur.varint()?,
+            instances: BTreeMap::new(),
+        };
+        let mut last = None;
+        for _ in 0..cur.count(MIN_INSTANCE_BYTES)? {
+            let service = ServiceId::decode(cur)?;
+            // The encoder walks a `BTreeMap`; anything else would decode to
+            // fewer entries than declared, or re-encode to other bytes.
+            if last.replace(service).is_some_and(|last| last >= service) {
+                return Err(malformed(format!(
+                    "instance key {} repeats or is out of order",
+                    service.as_u32()
+                )));
+            }
+            summary
+                .instances
+                .insert(service, ServiceInstance::decode(cur)?);
+        }
+        Ok(summary)
+    }
+}
+
+impl Record for LoadMapSummary {
+    fn encode(&self, out: &mut Vec<u8>) {
+        let LoadMapSummary {
+            epoch,
+            version,
+            max_utilization_permille,
+            links,
+        } = self;
+        epoch.encode(out);
+        version.encode(out);
+        max_utilization_permille.encode(out);
+        put_varint(out, links.len() as u64);
+        for link in links {
+            link.encode(out);
+        }
+    }
+    fn decode(cur: &mut Cursor<'_>) -> Result<Self, WireError> {
+        let mut summary = LoadMapSummary {
+            epoch: cur.varint()?,
+            version: cur.varint()?,
+            max_utilization_permille: cur.varint()?,
+            links: Vec::new(),
+        };
+        let rows = cur.count(MIN_LINK_BYTES)?;
+        summary.links.reserve_exact(rows);
+        for _ in 0..rows {
+            summary.links.push(LinkLoad::decode(cur)?);
+        }
+        Ok(summary)
+    }
+}
+
+impl Record for Algorithm {
+    fn encode(&self, out: &mut Vec<u8>) {
+        out.push(match self {
+            Algorithm::Sflow => 0,
+            Algorithm::Global => 1,
+            Algorithm::Fixed => 2,
+            Algorithm::ServicePath => 3,
+        });
+    }
+    fn decode(cur: &mut Cursor<'_>) -> Result<Self, WireError> {
+        Ok(match cur.byte()? {
+            0 => Algorithm::Sflow,
+            1 => Algorithm::Global,
+            2 => Algorithm::Fixed,
+            3 => Algorithm::ServicePath,
+            tag => return Err(unknown_tag("Algorithm", tag)),
+        })
+    }
+}
+
+impl Record for Mutation {
+    fn encode(&self, out: &mut Vec<u8>) {
+        match self {
+            Mutation::SetLinkQos {
+                from,
+                to,
+                bandwidth_kbps,
+                latency_us,
+            } => {
+                out.push(0);
+                from.encode(out);
+                to.encode(out);
+                bandwidth_kbps.encode(out);
+                latency_us.encode(out);
+            }
+            Mutation::FailInstance { instance } => {
+                out.push(1);
+                instance.encode(out);
+            }
+        }
+    }
+    fn decode(cur: &mut Cursor<'_>) -> Result<Self, WireError> {
+        Ok(match cur.byte()? {
+            0 => Mutation::SetLinkQos {
+                from: Record::decode(cur)?,
+                to: Record::decode(cur)?,
+                bandwidth_kbps: cur.varint()?,
+                latency_us: cur.varint()?,
+            },
+            1 => Mutation::FailInstance {
+                instance: Record::decode(cur)?,
+            },
+            tag => return Err(unknown_tag("Mutation", tag)),
+        })
+    }
+}
+
+impl Record for Request {
+    fn encode(&self, out: &mut Vec<u8>) {
+        match self {
+            Request::Federate {
+                requirement,
+                algorithm,
+                hop_limit,
+            } => {
+                out.push(0);
+                requirement.encode(out);
+                algorithm.encode(out);
+                hop_limit.encode(out);
+            }
+            Request::Mutate(mutation) => {
+                out.push(1);
+                mutation.encode(out);
+            }
+            Request::Release { session } => {
+                out.push(2);
+                session.encode(out);
+            }
+            Request::Rebalance => out.push(3),
+            Request::LoadMap => out.push(4),
+            Request::Stats => out.push(5),
+            Request::Shutdown => out.push(6),
+        }
+    }
+    fn decode(cur: &mut Cursor<'_>) -> Result<Self, WireError> {
+        Ok(match cur.byte()? {
+            0 => Request::Federate {
+                requirement: Record::decode(cur)?,
+                algorithm: Record::decode(cur)?,
+                hop_limit: Record::decode(cur)?,
+            },
+            1 => Request::Mutate(Record::decode(cur)?),
+            2 => Request::Release {
+                session: cur.varint()?,
+            },
+            3 => Request::Rebalance,
+            4 => Request::LoadMap,
+            5 => Request::Stats,
+            6 => Request::Shutdown,
+            tag => return Err(unknown_tag("Request", tag)),
+        })
+    }
+}
+
+impl Record for Response {
+    fn encode(&self, out: &mut Vec<u8>) {
+        match self {
+            Response::Federated(summary) => {
+                out.push(0);
+                summary.encode(out);
+            }
+            Response::Mutated {
+                epoch,
+                repaired,
+                dropped,
+            } => {
+                out.push(1);
+                epoch.encode(out);
+                repaired.encode(out);
+                dropped.encode(out);
+            }
+            Response::Stale {
+                solved_epoch,
+                current_epoch,
+            } => {
+                out.push(2);
+                solved_epoch.encode(out);
+                current_epoch.encode(out);
+            }
+            Response::Released { session } => {
+                out.push(3);
+                session.encode(out);
+            }
+            Response::Rebalanced {
+                migrations,
+                migration_failures,
+                max_utilization_permille,
+            } => {
+                out.push(4);
+                migrations.encode(out);
+                migration_failures.encode(out);
+                max_utilization_permille.encode(out);
+            }
+            Response::LoadMap(summary) => {
+                out.push(5);
+                summary.encode(out);
+            }
+            Response::Stats(snapshot) => {
+                out.push(6);
+                snapshot.encode(out);
+            }
+            Response::Overloaded => out.push(7),
+            Response::ShuttingDown => out.push(8),
+            Response::Error(message) => {
+                out.push(9);
+                message.encode(out);
+            }
+        }
+    }
+    fn decode(cur: &mut Cursor<'_>) -> Result<Self, WireError> {
+        Ok(match cur.byte()? {
+            0 => Response::Federated(Record::decode(cur)?),
+            1 => Response::Mutated {
+                epoch: cur.varint()?,
+                repaired: Record::decode(cur)?,
+                dropped: Record::decode(cur)?,
+            },
+            2 => Response::Stale {
+                solved_epoch: cur.varint()?,
+                current_epoch: cur.varint()?,
+            },
+            3 => Response::Released {
+                session: cur.varint()?,
+            },
+            4 => Response::Rebalanced {
+                migrations: Record::decode(cur)?,
+                migration_failures: Record::decode(cur)?,
+                max_utilization_permille: cur.varint()?,
+            },
+            5 => Response::LoadMap(Record::decode(cur)?),
+            6 => Response::Stats(Record::decode(cur)?),
+            7 => Response::Overloaded,
+            8 => Response::ShuttingDown,
+            9 => Response::Error(Record::decode(cur)?),
+            tag => return Err(unknown_tag("Response", tag)),
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Algorithm, Request};
 
-    #[test]
-    fn frames_round_trip() {
-        let req = Request::Federate {
+    fn federate() -> Request {
+        Request::Federate {
             requirement: "0>1>3, 0>2>3".into(),
             algorithm: Algorithm::Sflow,
             hop_limit: Some(2),
-        };
+        }
+    }
+
+    fn six_instance_flow() -> FlowSummary {
+        FlowSummary {
+            session: 9_000,
+            epoch: 3,
+            bandwidth_kbps: 12_000,
+            latency_us: 9_500,
+            instances: (0..6u32)
+                .map(|s| {
+                    let service = ServiceId::new(s);
+                    (service, ServiceInstance::new(service, HostId::new(90 + s)))
+                })
+                .collect(),
+        }
+    }
+
+    /// Wraps a hand-built body in its length prefix.
+    fn framed(body: &[u8]) -> Vec<u8> {
+        let mut frame = (body.len() as u32).to_be_bytes().to_vec();
+        frame.extend_from_slice(body);
+        frame
+    }
+
+    /// Feeds one hostile frame to the blocking reader and to the incremental
+    /// decoder, checks they refuse it with the same variant, and returns it.
+    fn rejected<T: Record + fmt::Debug>(frame: &[u8]) -> WireError {
+        let blocking = read_frame::<T>(&mut &*frame).unwrap_err();
+        let mut dec = FrameDecoder::new();
+        dec.feed(frame);
+        let incremental = dec.next_frame::<T>().unwrap_err();
+        assert_eq!(
+            std::mem::discriminant(&blocking),
+            std::mem::discriminant(&incremental),
+            "{blocking:?} vs {incremental:?}"
+        );
+        blocking
+    }
+
+    #[test]
+    fn frames_round_trip() {
+        let req = federate();
         let buf = encode_frame(&req).unwrap();
         assert_eq!(
             buf.len(),
@@ -259,6 +913,58 @@ mod tests {
         );
         let back: Request = read_frame(&mut buf.as_slice()).unwrap().unwrap();
         assert_eq!(back, req);
+    }
+
+    /// The codec's regression gate in bytes: a frame that grows past these
+    /// bounds has stopped being tagged varint records.
+    #[test]
+    fn frame_sizes_are_pinned() {
+        let id = (1 << 14) - 1;
+        let on_wire = |response| {
+            let frame = ResponseFrame {
+                request_id: id,
+                response,
+            };
+            encode_frame(&frame).unwrap().len()
+        };
+        let request = RequestFrame {
+            request_id: id,
+            request: federate(),
+        };
+        assert!(encode_frame(&request).unwrap().len() <= "0>1>3, 0>2>3".len() + 12);
+        assert!(on_wire(Response::Federated(six_instance_flow())) <= 48);
+        assert!(on_wire(Response::Released { session: id }) <= 10);
+        // 33 counters of a server a few billion requests old.
+        let stats = StatsSnapshot {
+            served: 1 << 34,
+            reactor_wakeups: 1 << 34,
+            latency_p99_us: 40_000,
+            ..StatsSnapshot::default()
+        };
+        // Far inside the 4 + 33 × 10 a frame of maximal varints would take:
+        // a zero counter is one byte.
+        assert!(on_wire(Response::Stats(stats)) <= 64);
+    }
+
+    #[test]
+    fn staging_in_place_writes_the_envelope_encode_frame_writes() {
+        let mut out = b"earlier frames".to_vec();
+        stage_frame(&mut out, 77, &federate()).unwrap();
+        let frame = RequestFrame {
+            request_id: 77,
+            request: federate(),
+        };
+        assert_eq!(&out[14..], encode_frame(&frame).unwrap());
+
+        // An oversized record leaves the buffer as it found it.
+        let huge = Response::Error("x".repeat(MAX_FRAME));
+        let err = stage_frame(&mut out, 78, &huge).unwrap_err();
+        assert!(matches!(err, WireError::Oversized { .. }), "{err:?}");
+        assert_eq!(out.len(), 14 + encode_frame(&frame).unwrap().len());
+        assert!(matches!(
+            encode_frame(&huge).unwrap_err(),
+            WireError::Oversized { .. }
+        ));
     }
 
     #[test]
@@ -293,7 +999,7 @@ mod tests {
     fn oversized_prefix_is_rejected_before_allocation() {
         let mut buf = ((MAX_FRAME + 1) as u32).to_be_bytes().to_vec();
         buf.extend_from_slice(b"x");
-        let err = read_frame::<Request>(&mut buf.as_slice()).unwrap_err();
+        let err = rejected::<Request>(&buf);
         assert!(
             matches!(err, WireError::Oversized { declared } if declared == MAX_FRAME + 1),
             "{err:?}"
@@ -302,18 +1008,138 @@ mod tests {
     }
 
     #[test]
-    fn invalid_utf8_and_json_are_typed() {
-        let mut buf = 2u32.to_be_bytes().to_vec();
-        buf.extend_from_slice(&[0xff, 0xfe]);
-        let err = read_frame::<Request>(&mut buf.as_slice()).unwrap_err();
-        assert!(matches!(err, WireError::Utf8(_)), "{err:?}");
+    fn rule_1_unknown_tag_is_malformed() {
+        for (body, of) in [
+            (&[7][..], "Request"),
+            (&[0, 0, 4][..], "Algorithm"), // Federate, "", algorithm 4
+            (&[0, 0, 0, 2][..], "Option"), // …, Sflow, hop_limit tag 2
+            (&[1, 2][..], "Mutation"),
+        ] {
+            let err = rejected::<Request>(&framed(body));
+            assert!(
+                matches!(&err, WireError::Malformed(m) if m.contains(of)),
+                "{err:?}"
+            );
+        }
+        let err = rejected::<ResponseFrame>(&framed(&[1, 10]));
+        assert!(matches!(&err, WireError::Malformed(m) if m.contains("Response tag 10")));
+        assert_eq!(io::Error::from(err).kind(), ErrorKind::InvalidData);
+    }
 
-        let body = b"{\"nope\": 1}";
-        let mut buf = (body.len() as u32).to_be_bytes().to_vec();
-        buf.extend_from_slice(body);
-        let err = read_frame::<Request>(&mut buf.as_slice()).unwrap_err();
-        assert!(matches!(err, WireError::Json(_)), "{err:?}");
-        assert!(err.to_string().contains("JSON"));
+    /// What a pre-binary client sends: the same prefix, a JSON body. It must
+    /// be refused, not misread as a record.
+    #[test]
+    fn a_json_frame_is_malformed() {
+        let err = rejected::<RequestFrame>(&framed(br#"{"request_id":1,"request":"Stats"}"#));
+        assert!(matches!(err, WireError::Malformed(_)), "{err:?}");
+        let err =
+            rejected::<ResponseFrame>(&framed(br#"{"request_id":1,"response":"Overloaded"}"#));
+        assert!(matches!(err, WireError::Malformed(_)), "{err:?}");
+    }
+
+    #[test]
+    fn rule_2_bad_varint_is_malformed() {
+        // Release { session }: eleven bytes of varint, then ten whose last
+        // carries bits past the 64th, then one too wide for the field.
+        let mut eleven = vec![2];
+        eleven.extend_from_slice(&[0x80; 10]);
+        eleven.push(0);
+        let mut overflow = vec![2];
+        overflow.extend_from_slice(&[0xff; 9]);
+        overflow.push(0x02);
+        for body in [eleven, overflow] {
+            let err = rejected::<Request>(&framed(&body));
+            assert!(
+                matches!(&err, WireError::Malformed(m) if m.contains("varint")),
+                "{err:?}"
+            );
+        }
+        // u64::MAX itself is ten bytes ending 0x01, and fine.
+        let max = encode_frame(&Request::Release { session: u64::MAX }).unwrap();
+        assert_eq!(max.len(), 4 + 1 + 10);
+        assert_eq!(max[14], 0x01);
+        assert!(read_frame::<Request>(&mut &*max).unwrap().is_some());
+        // A service id is a u32 on this side of the wire.
+        let mut wide = vec![1, 1]; // Mutate, FailInstance
+        put_varint(&mut wide, u64::from(u32::MAX) + 1);
+        wide.push(0);
+        let err = rejected::<Request>(&framed(&wide));
+        assert!(
+            matches!(&err, WireError::Malformed(m) if m.contains("ServiceId")),
+            "{err:?}"
+        );
+    }
+
+    #[test]
+    fn rule_3_length_or_count_past_the_frame_is_malformed() {
+        // A 12-byte frame each: a string of 2^60 bytes, 2^60 instances,
+        // 2^60 link rows. Refused on the declaration, before any reserve.
+        let mut big = Vec::new();
+        put_varint(&mut big, 1 << 60);
+        assert_eq!(big.len(), 9);
+        let string = [&[0][..], &big, &[0, 0]].concat(); // Federate
+        let instances = [&[0, 0, 0, 0, 0][..], &big].concat(); // Federated
+        let links = [&[5, 0, 0, 0][..], &big].concat(); // LoadMap
+        for frame in [
+            rejected::<Request>(&framed(&string)),
+            rejected::<Response>(&framed(&instances)),
+            rejected::<Response>(&framed(&links)),
+        ] {
+            assert!(
+                matches!(&frame, WireError::Malformed(m) if m.contains("room")),
+                "{frame:?}"
+            );
+        }
+        // A count the frame could hold, but whose items it does not.
+        let err = rejected::<Response>(&framed(&[0, 0, 0, 0, 0, 1, 4, 4, 0x80]));
+        assert!(
+            matches!(&err, WireError::Malformed(m) if m.contains("mid-field")),
+            "{err:?}"
+        );
+        let err = rejected::<Response>(&framed(&[0, 0, 0, 0, 0, 2, 4, 4]));
+        assert!(
+            matches!(&err, WireError::Malformed(m) if m.contains("room")),
+            "{err:?}"
+        );
+        // A count the frame holds, one key sent twice or out of order: the
+        // map would come out shorter than declared.
+        for keys in [[4, 4], [4, 3]] {
+            let body = [0, 0, 0, 0, 0, 2, keys[0], 4, 4, keys[1], 4, 4];
+            let err = rejected::<Response>(&framed(&body));
+            assert!(
+                matches!(&err, WireError::Malformed(m) if m.contains("instance key")),
+                "{err:?}"
+            );
+        }
+        // A record that just stops.
+        let err = rejected::<Request>(&framed(&[2]));
+        assert!(
+            matches!(&err, WireError::Malformed(m) if m.contains("mid-field")),
+            "{err:?}"
+        );
+        let err = rejected::<Request>(&framed(&[]));
+        assert!(matches!(err, WireError::Malformed(_)), "{err:?}");
+    }
+
+    #[test]
+    fn rule_4_invalid_utf8_is_typed() {
+        let err = rejected::<Request>(&framed(&[0, 2, 0xff, 0xfe, 0, 0]));
+        assert!(matches!(err, WireError::Utf8(_)), "{err:?}");
+        assert_eq!(io::Error::from(err).kind(), ErrorKind::InvalidData);
+        let err = rejected::<Response>(&framed(&[9, 1, 0x80]));
+        assert!(matches!(err, WireError::Utf8(_)), "{err:?}");
+    }
+
+    #[test]
+    fn rule_5_trailing_bytes_are_malformed() {
+        let mut frame = encode_frame(&Request::Stats).unwrap();
+        frame[3] += 1;
+        frame.push(0);
+        let err = rejected::<Request>(&frame);
+        assert!(
+            matches!(&err, WireError::Malformed(m) if m.contains("trailing")),
+            "{err:?}"
+        );
     }
 
     #[test]
@@ -338,26 +1164,5 @@ mod tests {
         assert_eq!(dec.next_frame::<Request>().unwrap(), Some(Request::Stats));
         assert_eq!(dec.next_frame::<Request>().unwrap(), Some(Request::LoadMap));
         assert_eq!(dec.next_frame::<Request>().unwrap(), None);
-    }
-
-    #[test]
-    fn decoder_matches_blocking_reader_on_errors() {
-        let mut dec = FrameDecoder::new();
-        dec.feed(&((MAX_FRAME + 1) as u32).to_be_bytes());
-        let err = dec.next_frame::<Request>().unwrap_err();
-        assert!(matches!(err, WireError::Oversized { .. }), "{err:?}");
-
-        let mut dec = FrameDecoder::new();
-        dec.feed(&2u32.to_be_bytes());
-        dec.feed(&[0xff, 0xfe]);
-        let err = dec.next_frame::<Request>().unwrap_err();
-        assert!(matches!(err, WireError::Utf8(_)), "{err:?}");
-
-        let mut dec = FrameDecoder::new();
-        let body = b"[]";
-        dec.feed(&(body.len() as u32).to_be_bytes());
-        dec.feed(body);
-        let err = dec.next_frame::<Request>().unwrap_err();
-        assert!(matches!(err, WireError::Json(_)), "{err:?}");
     }
 }

@@ -114,24 +114,78 @@ fn oversized_declared_length_is_answered_and_dropped() {
     handle.shutdown();
 }
 
-#[test]
-fn valid_frame_with_invalid_json_is_answered_and_dropped() {
+/// Sends one well-framed but malformed body on its own connection and
+/// checks the full contract: answered `Error("protocol error: …")` under id
+/// 0, that connection closed, a neighbour that was already connected still
+/// served, and `wire_errors` up by exactly one.
+fn assert_body_is_refused(body: &[u8], expect_in_message: &str) {
     let handle = live_server();
     let addr = handle.addr();
+    let mut neighbour = Client::connect(addr).unwrap();
+    assert_eq!(neighbour.stats().unwrap().wire_errors, 0);
 
-    let body = b"{\"definitely\": \"not a Request\"}";
     let mut bad = TcpStream::connect(addr).unwrap();
     bad.write_all(&(body.len() as u32).to_be_bytes()).unwrap();
     bad.write_all(body).unwrap();
     match read_error_reply(&mut bad) {
-        Response::Error(msg) => assert!(msg.contains("protocol error"), "{msg}"),
+        Response::Error(msg) => {
+            assert!(msg.starts_with("protocol error: "), "{msg}");
+            assert!(msg.contains(expect_in_message), "{msg}");
+        }
         other => panic!("expected Error, got {other:?}"),
     }
+    let mut rest = Vec::new();
+    assert_eq!(bad.read_to_end(&mut rest).unwrap(), 0, "hung up after");
 
+    assert_eq!(wait_for_wire_errors(&mut neighbour, 1).wire_errors, 1);
+    match neighbour
+        .federate(DIAMOND_SPEC, Algorithm::Sflow, Some(2))
+        .unwrap()
+    {
+        Response::Federated(summary) => assert_eq!(summary.bandwidth_kbps, 80),
+        other => panic!("expected Federated, got {other:?}"),
+    }
     assert_server_alive(addr);
-    let mut client = Client::connect(addr).unwrap();
-    assert_eq!(wait_for_wire_errors(&mut client, 1).wire_errors, 1);
     handle.shutdown();
+}
+
+#[test]
+fn unknown_request_tag_is_answered_and_dropped() {
+    assert_body_is_refused(&[1, 7], "unknown Request tag 7");
+}
+
+#[test]
+fn trailing_bytes_are_answered_and_dropped() {
+    // id 1, `Stats`, and one byte too many.
+    assert_body_is_refused(&[1, 5, 0], "trailing");
+}
+
+#[test]
+fn eleven_byte_varint_is_answered_and_dropped() {
+    let mut body = vec![0x80; 10];
+    body.extend_from_slice(&[0, 5]);
+    assert_body_is_refused(&body, "varint");
+}
+
+#[test]
+fn string_length_past_the_frame_is_answered_and_dropped() {
+    // id 1, `Federate`, a requirement declared 200 bytes long, 3 sent.
+    assert_body_is_refused(&[1, 0, 200, 1, b'0', b'>', b'1'], "room");
+}
+
+#[test]
+fn non_utf8_requirement_is_answered_and_dropped() {
+    assert_body_is_refused(&[1, 0, 2, 0xff, 0xfe, 0, 0], "UTF-8");
+}
+
+/// A client from before the binary codec frames JSON behind the same length
+/// prefix. It gets the protocol error, not a misreading of its bytes.
+#[test]
+fn a_json_frame_from_an_old_client_is_answered_and_dropped() {
+    assert_body_is_refused(
+        br#"{"request_id":1,"request":"Stats"}"#,
+        "unknown Request tag",
+    );
 }
 
 #[test]
@@ -152,7 +206,7 @@ fn a_barrage_of_bad_peers_leaves_the_server_serving() {
                 let _ = bad.write_all(&(u32::MAX).to_be_bytes());
             }
             _ => {
-                // non-JSON body
+                // not a record
                 let _ = bad.write_all(&4u32.to_be_bytes());
                 let _ = bad.write_all(b"@@@@");
             }
