@@ -34,7 +34,15 @@
 //! pointer — deriving an epoch never clones the world.
 //!
 //! Each world also records `csr_build_us`, the cost of deriving the
-//! [`QosCsr`] index every build and every patch starts with.
+//! [`QosCsr`] index every build and every patch starts with, and a `kernel`
+//! block from one direct sequential sweep of [`single_source_csr`] over every
+//! source: µs per tree beside the counts that predict it and repeat exactly
+//! from run to run — bottleneck levels per source, label decreases per
+//! source (the sweep's unit of work), `(label, predecessor)` entries stored
+//! per tree, and those entries as a share of the `levels × nodes` slots one
+//! predecessor array per level would hold. On the 2k-node Waxman world that
+//! share is gated ([`MAX_ENTRY_SHARE`]): a kernel that goes back to
+//! `O(L · V)` memory per tree fails on any machine.
 //!
 //! A worker-sweep point gets a `speedup_vs_w1` ratio only when the box has
 //! at least that many cores (`available_parallelism` is recorded): beyond
@@ -53,8 +61,10 @@ use rand::{Rng, SeedableRng};
 use sflow_bench::{median, usize_flag, write_report};
 use sflow_core::fixtures::paper_fig4_fixture;
 use sflow_graph::{DiGraph, EdgeIx};
+use sflow_routing::shortest_widest::single_source_csr;
 use sflow_routing::{
-    all_pairs_parallel_with, auto_workers, AllPairs, Bandwidth, EdgeChange, Latency, Qos, QosCsr,
+    all_pairs_parallel_with, auto_workers, AllPairs, Bandwidth, DijkstraScratch, EdgeChange,
+    Latency, Qos, QosCsr,
 };
 
 /// Worker counts swept for the build rows.
@@ -71,6 +81,12 @@ fn reps_for(nodes: usize) -> usize {
         1
     }
 }
+
+/// Most a tree may store, as a share of its `levels × nodes` slots, on the
+/// 2k-node Waxman world: measured 0.4263 (6.6 entries per node over 15.4
+/// levels — a sparse graph over twenty bandwidths, where every level moves
+/// about half the labels), against 1.0 for one predecessor array per level.
+const MAX_ENTRY_SHARE: f64 = 0.6;
 
 /// Links cut and restored together in one forest pair.
 const FOREST_LINKS: usize = 5;
@@ -270,6 +286,37 @@ fn coarse_restore_trees<N>(g: &DiGraph<N, Qos>, edges: &[EdgeIx]) -> u64 {
     seen.iter().filter(|&&s| s).count() as u64
 }
 
+/// One direct sequential sweep of the kernel over every source.
+struct KernelSweep {
+    us_per_tree: f64,
+    levels_mean: f64,
+    label_updates_mean: f64,
+    entries_mean: f64,
+    /// Entries stored over `levels × nodes` slots, summed over the trees.
+    entry_share: f64,
+}
+
+fn kernel_sweep<N>(g: &DiGraph<N, Qos>) -> KernelSweep {
+    let csr = QosCsr::new(g);
+    let mut scratch = DijkstraScratch::new();
+    let (mut levels, mut entries) = (0usize, 0usize);
+    let started = Instant::now();
+    for s in g.node_ids() {
+        let tree = single_source_csr(&csr, s, &mut scratch);
+        levels += tree.level_count();
+        entries += tree.stored_entries();
+    }
+    let us = started.elapsed().as_secs_f64() * 1e6;
+    let sources = g.node_count().max(1) as f64;
+    KernelSweep {
+        us_per_tree: us / sources,
+        levels_mean: levels as f64 / sources,
+        label_updates_mean: scratch.label_updates() as f64 / sources,
+        entries_mean: entries as f64 / sources,
+        entry_share: entries as f64 / (levels * g.node_count()).max(1) as f64,
+    }
+}
+
 /// One world's rows of the report.
 struct WorldReport {
     name: &'static str,
@@ -278,6 +325,7 @@ struct WorldReport {
     reps: usize,
     build: Vec<BuildPoint>,
     csr_build_us: u128,
+    kernel: KernelSweep,
     patch_samples: usize,
     cut: PatchDir,
     restore: PatchDir,
@@ -393,6 +441,7 @@ fn measure<N: Clone>(name: &'static str, g: &DiGraph<N, Qos>, seed: u64) -> Worl
         reps,
         build,
         csr_build_us,
+        kernel: kernel_sweep(g),
         patch_samples: patch_pairs_for(world.node_count()),
         cut: PatchDir::default(),
         restore: PatchDir::default(),
@@ -504,6 +553,9 @@ fn world_json(r: &WorldReport) -> String {
         "    {{\n      \"name\": \"{}\",\n      \"nodes\": {},\n      \"edges\": {},\n      \
          \"reps\": {},\n      \"build\": [\n{}\n      ],\n      \
          \"csr_build_us\": {},\n      \
+         \"kernel\": {{\"us_per_tree\": {:.1}, \"levels_per_source_mean\": {:.2}, \
+         \"label_updates_per_source_mean\": {:.2}, \"pred_entries_per_tree_mean\": {:.2}, \
+         \"pred_entries_share_of_level_slots\": {:.4}}},\n      \
          \"patch\": {{\n        \"samples\": {},\n        \
          \"cut\": {},\n        \"restore\": {},\n        \
          \"forest_links\": {},\n        \
@@ -517,6 +569,11 @@ fn world_json(r: &WorldReport) -> String {
         r.reps,
         build.join(",\n"),
         r.csr_build_us,
+        r.kernel.us_per_tree,
+        r.kernel.levels_mean,
+        r.kernel.label_updates_mean,
+        r.kernel.entries_mean,
+        r.kernel.entry_share,
         r.patch_samples,
         dir_json(&r.cut),
         dir_json(&r.restore),
@@ -560,6 +617,16 @@ fn main() {
             r.csr_build_us,
             r.min_trees_shared,
         );
+        let k = &r.kernel;
+        println!(
+            "  kernel: {:.1} µs/tree — {:.1} levels, {:.1} label updates, {:.1} stored entries \
+             per source ({:.2}% of levels × nodes)",
+            k.us_per_tree,
+            k.levels_mean,
+            k.label_updates_mean,
+            k.entries_mean,
+            k.entry_share * 100.0,
+        );
         for (label, d) in [
             ("shave", &r.cut),
             ("restore", &r.restore),
@@ -601,6 +668,13 @@ fn main() {
         };
         if r.nodes >= 2_000 {
             quarter(&r.cut, "shave");
+            assert!(
+                k.entry_share < MAX_ENTRY_SHARE,
+                "{}: a tree stores {:.2}% of its levels × nodes slots (limit {:.0}%)",
+                r.name,
+                k.entry_share * 100.0,
+                MAX_ENTRY_SHARE * 100.0,
+            );
         }
         if r.nodes >= 200 {
             quarter(&r.restore, "restore");

@@ -169,7 +169,9 @@ impl OverlayGraph {
     ///
     /// Service-link QoS is the shortest-widest path QoS between the two hosts
     /// in the underlying network; co-located instances get [`Qos::IDENTITY`]
-    /// links (no network traversal).
+    /// links (no network traversal). Only the hosts that carry an instance
+    /// are routed from — the rows of [`UnderlyingNetwork::all_pairs`] a
+    /// service link can read — on the routing worker pool.
     ///
     /// # Errors
     ///
@@ -192,7 +194,30 @@ impl OverlayGraph {
             }
         }
 
-        let host_paths = net.all_pairs();
+        let mut hosts: Vec<NodeIx> = placement
+            .instances()
+            .iter()
+            .map(|inst| net.node_of(inst.host))
+            .collect();
+        hosts.sort_unstable();
+        hosts.dedup();
+        let trees = sflow_routing::source_trees_with(net.graph(), &hosts, 0);
+        Ok(Self::assemble(placement, compat, options, |from, to| {
+            let at = hosts
+                .binary_search(&net.node_of(from))
+                .expect("every instance's host was routed from");
+            trees[at].qos_to(net.node_of(to))
+        }))
+    }
+
+    /// Links the (validated) placement, pricing a service link between two
+    /// *distinct* hosts with `host_qos`.
+    fn assemble(
+        placement: &Placement,
+        compat: &Compatibility,
+        options: &OverlayOptions,
+        host_qos: impl Fn(HostId, HostId) -> Option<Qos>,
+    ) -> Self {
         let mut graph = DiGraph::with_capacity(placement.len(), 0);
         let mut by_service: HashMap<ServiceId, Vec<NodeIx>> = HashMap::new();
         for &inst in placement.instances() {
@@ -214,7 +239,7 @@ impl OverlayGraph {
                 let qos = if fi.host == ti.host {
                     Some(Qos::IDENTITY)
                 } else {
-                    host_paths.qos(net.node_of(fi.host), net.node_of(ti.host))
+                    host_qos(fi.host, ti.host)
                 };
                 if let Some(qos) = qos {
                     per_service.entry(ti.service).or_default().push((to, qos));
@@ -232,7 +257,7 @@ impl OverlayGraph {
             }
         }
 
-        Ok(OverlayGraph { graph, by_service })
+        OverlayGraph { graph, by_service }
     }
 
     /// The overlay graph itself: instances on nodes, service-link QoS on
@@ -522,6 +547,8 @@ mod tests {
         );
     }
 
+    /// Checked before any host is routed from: `node_of` on the bogus host
+    /// would panic, not return.
     #[test]
     fn unknown_host_is_rejected() {
         let (net, mut p, compat) = line_world();
@@ -545,6 +572,51 @@ mod tests {
         let out: Vec<_> = ov.graph().out_edges(s0).collect();
         assert_eq!(out.len(), 1);
         assert_eq!(*out[0].weight, q(10, 1));
+    }
+
+    /// Routing only from the hosts that carry an instance prices every
+    /// service link as the full link-state table would: same edges, same
+    /// order, same QoS — on a world where most hosts carry nothing, some
+    /// carry several instances, and with the per-service cap on and off.
+    #[test]
+    fn build_reads_the_same_links_off_instance_hosts_as_off_the_full_table() {
+        use crate::topology::{waxman, LinkProfile};
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        let mut rng = StdRng::seed_from_u64(21);
+        let net = waxman(60, 0.2, 0.2, &LinkProfile::new(1..=20, 1..=50), &mut rng);
+        let services: Vec<ServiceId> = (0..5).map(sid).collect();
+        // Five services × three instances over the first eight hosts: at
+        // most eight of sixty hosts are routed from, and some host carries
+        // at least two instances.
+        let crowded = crate::topology::ring(8, q(1, 1));
+        let placement = Placement::random(&crowded, &services, 3, &mut rng);
+        let hosts: HashSet<HostId> = placement.instances().iter().map(|i| i.host).collect();
+        assert!(hosts.len() < placement.len() && hosts.len() <= 8);
+        let compat = Compatibility::from_pairs(
+            [(0, 1), (0, 2), (1, 3), (2, 3), (1, 2), (3, 4)].map(|(a, b)| (sid(a), sid(b))),
+        );
+
+        let table = net.all_pairs();
+        for cap in [None, Some(1), Some(2)] {
+            let options = OverlayOptions {
+                max_links_per_service: cap,
+            };
+            let built = OverlayGraph::build_with(&net, &placement, &compat, &options).unwrap();
+            let reference = OverlayGraph::assemble(&placement, &compat, &options, |a, b| {
+                table.qos(net.node_of(a), net.node_of(b))
+            });
+            let links = |ov: &OverlayGraph| -> Vec<(NodeIx, NodeIx, Qos)> {
+                ov.graph()
+                    .edges()
+                    .map(|e| (e.from, e.to, *e.weight))
+                    .collect()
+            };
+            assert!(built.link_count() > 0);
+            assert_eq!(links(&built), links(&reference), "cap {cap:?}");
+            // Some co-located pair is compatible, so identity links are in play.
+            assert!(built.graph().edges().any(|e| *e.weight == Qos::IDENTITY));
+        }
     }
 
     #[test]

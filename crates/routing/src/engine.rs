@@ -1,21 +1,23 @@
 //! The all-pairs routing *engine*: parallel construction and incremental
 //! maintenance of the [`AllPairs`] shortest-widest table.
 //!
-//! The sequential [`all_pairs`](crate::all_pairs) sweep is
-//! `O(V · L · E log V)`; both the paper's baseline algorithm (Table 1) and
-//! sFlow's per-hop local solves stand on its output, and a long-lived
-//! federation server re-derives it on every topology mutation. This module
-//! attacks that cost twice:
+//! The sequential [`all_pairs`](crate::all_pairs) sweep is one
+//! shortest-widest tree per node; both the paper's baseline algorithm
+//! (Table 1) and sFlow's per-hop local solves stand on its output, and a
+//! long-lived federation server re-derives it on every topology mutation.
+//! This module attacks that cost twice:
 //!
 //! * [`all_pairs_parallel_with`] derives one [`QosCsr`] for the graph and
 //!   fans the per-source [`single_source_csr`] calls across a
 //!   `std::thread::scope` worker pool (sized by [`auto_workers`], i.e. a
 //!   cached `available_parallelism`, when asked for `0` workers), with one
-//!   reusable [`DijkstraScratch`] per worker so the inner Dijkstras stop
-//!   allocating per bandwidth level. Sources are claimed off an atomic
-//!   counter — work-stealing granularity of one tree — so skewed per-source
-//!   costs (hub nodes see more levels) still balance. Because workers read
-//!   only the CSR, the node payload `N` needs no `Sync` bound.
+//!   reusable [`DijkstraScratch`] per worker so a tree allocates only what
+//!   it keeps. [`source_trees_with`] is the same fan-out over a list of
+//!   sources, for callers that read only some rows. Sources are claimed
+//!   off an atomic counter — work-stealing granularity of one tree — so
+//!   skewed per-source costs (hub nodes see more levels) still balance.
+//!   Because workers read only the CSR, the node payload `N` needs no
+//!   `Sync` bound.
 //! * [`AllPairs::patched_with`] derives a *successor* table after a batch
 //!   of [`EdgeChange`]s by recomputing only the source trees that can
 //!   actually be affected; it shares every clean tree with its predecessor
@@ -38,20 +40,27 @@
 //! `(bw₀, lat₀)` really is what the table was computed from.
 //!
 //! The exact algorithm works per bandwidth *level* `b`: a widest-path pass
-//! fixes `B(s,·)`, then for each distinct value `b` of it a latency Dijkstra
-//! over the edges with bandwidth `≥ b` prices the nodes *pinned* at `b`
-//! (`B(s,x) = b`) and stops when the last of them settles. The tree stores
-//! no latency labels, only each level's predecessor array; `d_b(x)` is
-//! re-derived by walking `x`'s recorded chain at level `b` and adding up
-//! the latencies the graph carries. Let `Λ_b` be the largest latency
-//! recorded among the nodes pinned at `b` — where that level's Dijkstra
-//! stopped. A node with `d_b(x) ≤ Λ_b` was settled and its label is exact;
-//! anything else was never scanned and is only known to lie *beyond* `Λ_b`.
+//! fixes `B(s,·)`, and each distinct value `b` of it is a level whose
+//! *pinned* nodes (`B(s,x) = b`) are priced by latency distance over the
+//! edges with bandwidth `≥ b`. One descending sweep visits the levels
+//! widest first, carrying labels and heap across them: a level admits the
+//! edges between it and the level before, offers each from its tail's
+//! standing label, propagates decrease-only and moves on when the last
+//! node pinned there settles (see the module docs of
+//! [`crate::shortest_widest`]). The tree stores, per node, the
+//! `(label, predecessor)` entries that changed at a level; `d_b(x)` is
+//! `x`'s newest entry from `b` or a wider level. Let `Λ_b` be the largest
+//! latency recorded among the nodes pinned at `b` — where the sweep left
+//! that level. A node with `d_b(x) ≤ Λ_b` was settled there (by this level
+//! or one before it, nothing having beaten it since) and its label is
+//! exact; anything else — no entry yet, or one beyond `Λ_b`, which is only
+//! an upper bound still waiting on the heap — is known to lie at or
+//! *beyond* `Λ_b` and nothing more, and no rule reads past that.
 //!
 //! **The invariant.** What every rule below preserves, for every tree the
-//! table holds and every level `b` of it, is that the walked labels are as
+//! table holds and every level `b` of it, is that the stored labels are as
 //! good as the kernel's own: each pinned node's chain is intact and its
-//! walked label is the latency the tree reports, and the labels capped at
+//! label is the latency the tree reports, and the labels capped at
 //! `Λ_b` — `φ(x) = min(d_b(x), Λ_b)`, no label counting as `Λ_b` — are a
 //! *feasible potential* of today's level graph, `φ(y) ≤ φ(x) + lat(x→y)`
 //! over every edge of bandwidth `≥ b`. A feasible potential is a lower
@@ -64,15 +73,21 @@
 //! lineages.
 //!
 //! **Re-timed edges** (`lat₁ ≠ lat₀`, either way). A tree is dirty if *any*
-//! label it recorded crosses `e`, read by a reported path or not. The walk
-//! prices a chain with the latencies of the day, so a re-timed edge under a
-//! label moves the label by the full change while the true label may have
-//! found, or never needed, a detour: a slowed edge leaves a tail over-priced
-//! (its candidates look worse than they are), a sped-up edge that no longer
-//! belongs to the level leaves a head under-priced (a real gain looks like
-//! a loss). Either breaks feasibility, and neither shows on a reported
-//! path, so such a tree is recomputed rather than kept with a label that
-//! lies. From here on every walked label is the label the kernel computed.
+//! label it settled came over `e`, read by a reported path or not — any
+//! stored entry over `e` that is `≤ Λ_b` at some level `b` it stands for.
+//! A stored label is a sum over the latencies of the day it was built, and
+//! so is every label downstream of it: once `e` is re-timed they describe a
+//! graph that is gone, while the true labels may have found, or never
+//! needed, a detour — a slowed edge leaves the labels behind it
+//! under-priced (a head that looks cheaper than it is turns a real gain
+//! away), a sped-up one over-priced (a tail that looks dearer than it is
+//! makes a real gain look like a loss). Either breaks the invariant, and
+//! neither shows on a reported path, so such a tree is recomputed rather
+//! than kept with a label that lies. (An entry beyond `Λ_b` at every level
+//! it stands for reads "beyond `Λ_b`" whatever `e` costs: a slow-down only
+//! moves it further out, and a speed-up that could bring it in has a
+//! settled tail, which is the certificate's case below.) From here on
+//! every settled label is one the kernel would compute today.
 //!
 //! **Gains — the certificate** (`PathTree::certifies`, for every record
 //! with `bw₁ > bw₀` or `lat₁ < lat₀`). With
@@ -99,22 +114,25 @@
 //! together: `Λ_b` is exactly what the stop leaves known about the
 //! unsettled.
 //!
-//! *Ties.* On `cand == d_b(v)` the QoS stands but the path may not: the
-//! kernel keeps the first predecessor to offer a latency (`cand < l` is
-//! strict). The tree stays clean only if the head is settled and its
-//! recorded predecessor `x` has `d_b(x) < d_b(u)` — `x` was scanned
-//! strictly first, so `u`'s equal offer is refused exactly as before. Every
-//! other tie is dirty, including the one place the rule is knowingly
-//! conservative: an unsettled head with `cand == Λ_b`.
+//! *Ties.* On `cand == d_b(v)` the QoS stands but the path may not: among
+//! the tails that offer a node its final label the kernel keeps the one
+//! that settles first. The tree stays clean only if the head is settled and
+//! its recorded predecessor `x` has `d_b(x) < d_b(u)` — `x` settles
+//! strictly first whatever else ties, the edge `x → v` has positive
+//! latency, so `v`'s own place in the order stands too, and `u`'s equal
+//! offer is refused exactly as before. Every other tie is dirty, including
+//! the one place the rule is knowingly conservative: an unsettled head with
+//! `cand == Λ_b`.
 //!
 //! **Bandwidth cuts** (`bw₁ < bw₀`) remove `e` from the levels in
 //! `(bw₁, bw₀]` and leave the rest untouched, so the tree is dirty only if
 //! a *reported* path crosses `e` at a level above `bw₁`
 //! ([`PathTree::traverses_above`] with `bw₁` as the edge's floor). Removing
 //! an edge drops a constraint, so the potential stays feasible; if the edge
-//! sat under a label nobody reports, that label is now a chain the level no
-//! longer has, but still a feasible bound — which is why such an edge must
-//! not be re-timed under the tree afterwards, and is not.
+//! sat under a label nobody reports, that label is now the price of a chain
+//! the level no longer has, but still a feasible bound — which is why such
+//! an edge must not be re-timed under the tree afterwards, and is not: the
+//! entry still names it.
 //!
 //! A record that is several of these at once (narrower *and* faster, wider
 //! *and* slower) is held to each rule it falls under; the steps compose in
@@ -122,8 +140,8 @@
 //!
 //! All of this applies to exact trees only: an
 //! [`all_pairs_lexicographic`](crate::shortest_widest::all_pairs_lexicographic)
-//! table's single predecessor array is not a per-level Dijkstra, and such
-//! tables are never patched.
+//! table's one level is not a latency Dijkstra, and such tables are never
+//! patched.
 //!
 //! Structural changes (node add/remove, i.e. a table/graph size mismatch)
 //! fall back to a full parallel rebuild. The property tests in
@@ -262,53 +280,51 @@ pub fn auto_workers() -> usize {
 /// sources, and one worker sweeps inline on the caller's thread). Results
 /// are identical to the sequential sweep.
 pub fn all_pairs_parallel_with<N>(g: &DiGraph<N, Qos>, workers: usize) -> AllPairs {
-    let n = g.node_count();
-    let csr = QosCsr::new(g);
     let sources: Vec<NodeIx> = g.node_ids().collect();
-    let mut trees: Vec<Option<Arc<PathTree>>> = Vec::with_capacity(n);
-    trees.resize_with(n, || None);
-    compute_trees(&csr, &sources, effective_workers(workers, n), &mut trees);
     AllPairs {
-        trees: trees
-            .into_iter()
-            .map(|t| t.expect("every source index is claimed exactly once")) // audit:allow(no-unwrap): disjoint claim invariant
-            .collect(),
+        trees: source_trees_with(g, &sources, workers),
     }
 }
 
-/// Clamps a requested worker count to something sensible for `tasks`.
-fn effective_workers(workers: usize, tasks: usize) -> usize {
+/// One exact tree per listed source, in list order, over one [`QosCsr`] of
+/// `g` and the same worker pool as [`all_pairs_parallel_with`] — for a
+/// caller that reads only some rows of the table (an overlay is priced from
+/// the hosts that carry an instance, not from every host). No sources, no
+/// CSR.
+pub fn source_trees_with<N>(
+    g: &DiGraph<N, Qos>,
+    sources: &[NodeIx],
+    workers: usize,
+) -> Vec<Arc<PathTree>> {
+    if sources.is_empty() {
+        return Vec::new();
+    }
+    compute_trees(&QosCsr::new(g), sources, workers)
+}
+
+/// Computes one tree per listed source, in list order, fanning the sources
+/// over `workers` scoped threads (`0` = [`auto_workers`], never more than
+/// there are sources; atomic work stealing, one scratch per worker). With 1
+/// worker the sweep runs inline on the caller's thread. All workers read the
+/// same [`QosCsr`], so no graph payload bounds are needed. Deliberately not
+/// generic and not `#[inline]`: every build and patch in the workspace runs
+/// this one compiled copy.
+fn compute_trees(csr: &QosCsr, sources: &[NodeIx], workers: usize) -> Vec<Arc<PathTree>> {
     let workers = if workers == 0 {
         auto_workers()
     } else {
         workers
     };
-    workers.min(tasks).max(1)
-}
-
-/// Computes one tree per listed source into `out[source.index()]`, fanning
-/// the sources over `workers` scoped threads (atomic work stealing, one
-/// scratch per worker). `workers` must already be clamped; with 1 worker
-/// the sweep runs inline on the caller's thread. All workers read the same
-/// [`QosCsr`], so no graph payload bounds are needed. Deliberately not
-/// generic and not `#[inline]`: every build and patch in the workspace runs
-/// this one compiled copy.
-fn compute_trees(
-    csr: &QosCsr,
-    sources: &[NodeIx],
-    workers: usize,
-    out: &mut [Option<Arc<PathTree>>],
-) {
-    if workers <= 1 {
+    if workers.min(sources.len()) <= 1 {
         let mut scratch = DijkstraScratch::new();
-        for &s in sources {
-            out[s.index()] = Some(Arc::new(single_source_csr(csr, s, &mut scratch)));
-        }
-        return;
+        return sources
+            .iter()
+            .map(|&s| Arc::new(single_source_csr(csr, s, &mut scratch)))
+            .collect();
     }
     let next = AtomicUsize::new(0);
     let computed: Vec<Vec<(usize, Arc<PathTree>)>> = thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
+        let handles: Vec<_> = (0..workers.min(sources.len()))
             .map(|_| {
                 scope.spawn(|| {
                     let mut scratch = DijkstraScratch::new();
@@ -316,7 +332,7 @@ fn compute_trees(
                     loop {
                         let i = next.fetch_add(1, Ordering::Relaxed);
                         let Some(&s) = sources.get(i) else { break };
-                        mine.push((s.index(), Arc::new(single_source_csr(csr, s, &mut scratch))));
+                        mine.push((i, Arc::new(single_source_csr(csr, s, &mut scratch))));
                     }
                     mine
                 })
@@ -327,11 +343,14 @@ fn compute_trees(
             .map(|h| h.join().expect("routing worker panicked")) // audit:allow(no-unwrap): worker panic is fatal by design
             .collect()
     });
-    for batch in computed {
-        for (i, tree) in batch {
-            out[i] = Some(tree);
-        }
+    let mut trees: Vec<Option<Arc<PathTree>>> = vec![None; sources.len()];
+    for (i, tree) in computed.into_iter().flatten() {
+        trees[i] = Some(tree);
     }
+    trees
+        .into_iter()
+        .map(|t| t.expect("every source index is claimed exactly once")) // audit:allow(no-unwrap): disjoint claim invariant
+        .collect()
 }
 
 /// Folds a batch to one record per edge, sorted by edge: the first `old`
@@ -393,22 +412,10 @@ impl AllPairs {
             trees_total: n,
             full_rebuild: false,
         };
-        if sources.is_empty() {
-            let trees = self.trees.clone(); // Arc bumps only
-            return (AllPairs { trees }, stats);
+        let mut trees = self.trees.clone(); // Arc bumps only
+        for (s, tree) in sources.iter().zip(source_trees_with(g, &sources, workers)) {
+            trees[s.index()] = tree;
         }
-
-        let csr = QosCsr::new(g);
-        let workers = effective_workers(workers, sources.len());
-        let mut fresh: Vec<Option<Arc<PathTree>>> = Vec::with_capacity(n);
-        fresh.resize_with(n, || None);
-        compute_trees(&csr, &sources, workers, &mut fresh);
-        let trees = self
-            .trees
-            .iter()
-            .zip(fresh)
-            .map(|(old, new)| new.unwrap_or_else(|| Arc::clone(old)))
-            .collect();
         (AllPairs { trees }, stats)
     }
 

@@ -12,7 +12,8 @@
 //! * the metric newtypes [`Bandwidth`] (kbit/s) and [`Latency`] (µs) and the
 //!   combined [`Qos`] pair with the shortest-widest ordering;
 //! * [`shortest_widest`]: an **exact** shortest-widest single-source algorithm
-//!   (widest Dijkstra followed by per-bandwidth-level latency Dijkstras) and
+//!   (a widest Dijkstra, then one descending sweep over the bandwidth levels
+//!   that carries the latency labels from level to level) and
 //!   the classic single-pass **lexicographic** Dijkstra of Wang–Crowcroft,
 //!   which is exact in bandwidth but may over-estimate latency on adversarial
 //!   topologies (the two are compared by property tests and an ablation
@@ -24,7 +25,8 @@
 //! * [`engine`]: parallel all-pairs construction over a scoped worker pool
 //!   ([`all_pairs_parallel_with`]) and incremental maintenance after
 //!   edge-QoS changes ([`AllPairs::patched_with`], or [`AllPairs::patch`]
-//!   in place), with per-worker [`DijkstraScratch`] buffer reuse. Every
+//!   in place), with per-worker [`DijkstraScratch`] buffer reuse;
+//!   [`source_trees_with`] builds only the rows a caller reads. Every
 //!   table is swept by one concrete kernel
 //!   ([`shortest_widest::single_source_csr`]) over one layout, [`QosCsr`] —
 //!   a compressed-sparse-row flattening of the graph's adjacency with the
@@ -65,7 +67,9 @@ mod metrics;
 pub mod pareto;
 pub mod shortest_widest;
 
-pub use engine::{all_pairs_parallel_with, auto_workers, DirtyLinks, EdgeChange, PatchStats};
+pub use engine::{
+    all_pairs_parallel_with, auto_workers, source_trees_with, DirtyLinks, EdgeChange, PatchStats,
+};
 pub use metrics::{Bandwidth, Latency, Qos};
 pub use shortest_widest::{
     all_pairs, AllPairs, DijkstraScratch, PathTree, QosCsr, TraversalScratch,

@@ -7,10 +7,17 @@
 //!
 //! * [`single_source`] — **exact**: first a widest-path Dijkstra fixes the
 //!   optimal bottleneck `B*(v)` for every node (max–min composition *is*
-//!   isotone, so Dijkstra is exact there); then, for every distinct bandwidth
-//!   level `b`, a latency Dijkstra over the subgraph of links with bandwidth
-//!   `≥ b` fixes the minimum latency for the nodes whose `B*` equals `b`
-//!   (and stops once the last of them is settled).
+//!   isotone, so Dijkstra is exact there). The distinct values of `B*` are
+//!   the *levels*; the nodes with `B*(v) = b` are *pinned* at `b`, and their
+//!   answer is the latency distance in the subgraph of links with bandwidth
+//!   `≥ b`. Those subgraphs only grow as `b` falls, so the levels are
+//!   visited widest first in **one descending sweep** that carries the
+//!   latency labels and the heap from level to level: entering a level
+//!   admits the links whose bandwidth lies between it and the level before
+//!   (one cursor over the links sorted by bandwidth, once per [`QosCsr`]),
+//!   offers each from its tail's standing label, and propagates
+//!   decrease-only until the last node pinned at the level is settled.
+//!   Whatever is still on the heap then waits for the next level.
 //! * [`single_source_lexicographic`] — the classic single-pass Dijkstra with
 //!   the lexicographic (bandwidth ↓, latency ↑) key, as commonly implemented
 //!   from the Wang–Crowcroft description. The lexicographic key is *monotone*
@@ -19,6 +26,30 @@
 //!   bandwidth but may return a path whose latency is not minimal. The
 //!   property tests in this crate exercise exactly that gap, and the
 //!   `ablation_routing` benchmark quantifies it.
+//!
+//! # Which path, when several tie
+//!
+//! A level's labels are `(latency, zero-hops)` pairs, compared in that
+//! order: *zero-hops* counts the zero-latency links at the end of the path
+//! (co-located service instances are joined by [`Qos::IDENTITY`] links), so
+//! a label strictly grows along every link, zero-latency cycles included,
+//! and the order nodes settle in at a level is a function of the level's
+//! final labels alone — label, then node index — not of how the heap came
+//! by them. Among the links that offer a node its final label, its
+//! predecessor is the one whose tail **settles first**, and among parallel
+//! links from that tail the one in the **earliest CSR slot** (insertion
+//! order). The sweep applies the rule to every offer that ties the standing
+//! label, so it builds the tree a fresh Dijkstra of each level would; the
+//! differential test `tests/prop_sweep.rs` holds it to that definition.
+//!
+//! # What a tree stores
+//!
+//! Per node its QoS and the level it is pinned at, and — instead of one
+//! predecessor array per level — only the `(label, predecessor)` entries
+//! that *changed* at a level, as one flat array grouped by node and ordered
+//! by level. A node's entry "at level `b`" is its newest one from `b` or a
+//! wider level; a path is rebuilt by reading every node on it at the level
+//! its destination is pinned at.
 //!
 //! The exact kernel is one concrete function over one layout:
 //! [`single_source_csr`] sweeps a [`QosCsr`] — a compressed-sparse-row
@@ -33,10 +64,13 @@
 //! plane routes against `capacity − reserved`) writes them into a graph and
 //! runs the same kernel over that graph's CSR.
 //!
-//! Complexities, with `V` nodes, `E` edges and `L ≤ V` distinct bottleneck
-//! levels: exact is `O(L · E log V)`, lexicographic `O(E log V)`. The CSR
-//! derivation is `O(V + E)` once per graph, amortised to nothing over a
-//! sweep of many sources.
+//! Complexities, with `V` nodes, `E` edges, `L ≤ V` distinct bottleneck
+//! levels and `U` label decreases over the whole sweep (`V ≤ U ≤ L · V`;
+//! `bench_routing` reports it — about 7 per node on a 400-host Waxman
+//! underlay with 61 levels): exact is `O((E + U · deg) log V)` time and
+//! `O(V + U)` memory per tree, lexicographic `O(E log V)`. The CSR
+//! derivation is `O(V + E log E)` once per graph, amortised to nothing over
+//! a sweep of many sources.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -47,20 +81,75 @@ use sflow_graph::{Csr, DiGraph, EdgeIx, NodeIx};
 use crate::engine::EdgeChange;
 use crate::{Bandwidth, Latency, Qos};
 
+/// One entry of a node's chain: the label and predecessor it held from
+/// `level` (an index into the tree's levels, widest first) until its next
+/// entry.
+#[derive(Clone, Copy, Debug)]
+struct Version {
+    level: u32,
+    latency: Latency,
+    pred: NodeIx,
+    edge: EdgeIx,
+}
+
 /// The result of a single-source shortest-widest computation: per-node QoS
 /// plus enough predecessor state to reconstruct one optimal path per node.
 #[derive(Clone, Debug)]
 pub struct PathTree {
     source: NodeIx,
     dist: Vec<Option<Qos>>,
-    /// For each node, which entry of `level_preds` its path lives in.
-    node_level: Vec<usize>,
-    /// One predecessor array per bandwidth level (a single array for the
-    /// lexicographic variant).
-    level_preds: Vec<Vec<Option<(NodeIx, EdgeIx)>>>,
+    /// For each node, the level it is pinned at.
+    node_level: Vec<u32>,
+    /// Number of bandwidth levels (one for the lexicographic variant, none
+    /// for a tree that reaches nothing).
+    levels: u32,
+    /// `versions[first[x]..first[x + 1]]` is node `x`'s chain, widest level
+    /// first.
+    first: Vec<u32>,
+    versions: Vec<Version>,
 }
 
 impl PathTree {
+    /// Groups a sweep's log — one `(node, version)` per entry, in the order
+    /// the levels were visited — by node.
+    fn new(
+        source: NodeIx,
+        dist: Vec<Option<Qos>>,
+        node_level: Vec<u32>,
+        levels: u32,
+        log: &[(NodeIx, Version)],
+    ) -> Self {
+        let n = dist.len();
+        let mut first = vec![0u32; n + 1];
+        for (node, _) in log {
+            first[node.index() + 1] += 1;
+        }
+        for i in 0..n {
+            first[i + 1] += first[i];
+        }
+        let mut versions = Vec::new();
+        if let Some(&(_, any)) = log.first() {
+            versions.resize(log.len(), any);
+            // `first[x]` doubles as node `x`'s fill cursor and ends up at
+            // the next node's start; shifting the array by one restores it.
+            for &(node, version) in log {
+                let at = &mut first[node.index()];
+                versions[*at as usize] = version;
+                *at += 1;
+            }
+            first.rotate_right(1);
+            first[0] = 0;
+        }
+        PathTree {
+            source,
+            dist,
+            node_level,
+            levels,
+            first,
+            versions,
+        }
+    }
+
     /// The source this tree was computed from.
     pub fn source(&self) -> NodeIx {
         self.source
@@ -72,20 +161,51 @@ impl PathTree {
         self.dist[node.index()]
     }
 
+    /// Number of distinct bottleneck levels the tree was swept over.
+    pub fn level_count(&self) -> usize {
+        self.levels as usize
+    }
+
+    /// Number of `(label, predecessor)` entries the tree stores — what it
+    /// costs in memory beyond two per-node arrays, against the
+    /// `level_count() × node count` slots of one predecessor array per
+    /// level.
+    pub fn stored_entries(&self) -> usize {
+        self.versions.len()
+    }
+
+    /// `node`'s entry at level `li`: its newest from `li` or a wider level.
+    fn version_at(&self, node: NodeIx, li: u32) -> Option<&Version> {
+        let i = node.index();
+        self.versions[self.first[i] as usize..self.first[i + 1] as usize]
+            .iter()
+            .rev()
+            .find(|v| v.level <= li)
+    }
+
+    /// The nodes from `node` back to (excluding) the source along the path
+    /// the tree reports, or `None` if unreachable.
+    fn preds_from(&self, node: NodeIx) -> Option<impl Iterator<Item = NodeIx> + '_> {
+        self.dist[node.index()]?;
+        let li = self.node_level[node.index()];
+        let mut cur = node;
+        Some(std::iter::from_fn(move || {
+            if cur == self.source {
+                return None;
+            }
+            cur = self
+                .version_at(cur, li) // audit:allow(no-unwrap): pred invariant
+                .expect("reachable non-source node must have a predecessor")
+                .pred;
+            Some(cur)
+        }))
+    }
+
     /// One shortest-widest path from the source to `node` (inclusive of both
     /// endpoints), or `None` if unreachable. `path_to(source)` is `[source]`.
     pub fn path_to(&self, node: NodeIx) -> Option<Vec<NodeIx>> {
-        self.dist[node.index()]?;
-        let preds = &self.level_preds[self.node_level[node.index()]];
         let mut path = vec![node];
-        let mut cur = node;
-        while cur != self.source {
-            let (prev, _) =
-                preds[cur.index()] // audit:allow(no-unwrap): pred invariant
-                    .expect("reachable non-source node must have a predecessor");
-            path.push(prev);
-            cur = prev;
-        }
+        path.extend(self.preds_from(node)?);
         path.reverse();
         Some(path)
     }
@@ -97,18 +217,7 @@ impl PathTree {
     /// materialised, so hot-loop callers (session accounting, hop-horizon
     /// checks) cost zero allocations.
     pub fn hops_to(&self, node: NodeIx) -> Option<usize> {
-        self.dist[node.index()]?;
-        let preds = &self.level_preds[self.node_level[node.index()]];
-        let mut hops = 0;
-        let mut cur = node;
-        while cur != self.source {
-            let (prev, _) =
-                preds[cur.index()] // audit:allow(no-unwrap): pred invariant
-                    .expect("reachable non-source node must have a predecessor");
-            hops += 1;
-            cur = prev;
-        }
-        Some(hops)
+        Some(self.preds_from(node)?.count())
     }
 
     /// Returns `true` if any path this tree can reconstruct traverses an
@@ -134,7 +243,7 @@ impl PathTree {
     pub fn traverses_above(&self, floors: &[Bandwidth], scratch: &mut TraversalScratch) -> bool {
         let n = self.dist.len();
         let source = self.source.index();
-        for (li, preds) in self.level_preds.iter().enumerate() {
+        for li in 0..self.levels {
             let tag = scratch.tag_for(n);
             for start in 0..n {
                 if start == source || self.node_level[start] != li {
@@ -146,17 +255,17 @@ impl PathTree {
                 let mut cur = start;
                 while cur != source && scratch.stamp[cur] != tag {
                     scratch.stamp[cur] = tag;
-                    let Some((prev, e)) = preds[cur] else {
+                    let Some(at) = self.version_at(NodeIx::from_index(cur), li) else {
                         break;
                     };
                     let floor = floors
-                        .get(e.index())
+                        .get(at.edge.index())
                         .copied()
                         .unwrap_or(Bandwidth::INFINITE);
                     if floor < level.bandwidth {
                         return true;
                     }
-                    cur = prev.index();
+                    cur = at.pred.index();
                 }
             }
         }
@@ -186,61 +295,59 @@ impl PathTree {
 
     /// Each level's `(bandwidth, Λ)` into `levels`: `Λ` is the largest
     /// latency recorded among the nodes pinned at the level, which is where
-    /// its Dijkstra stopped.
+    /// the sweep left it.
     fn level_bounds(&self, levels: &mut Vec<(Bandwidth, Latency)>) {
         levels.clear();
-        levels.resize(self.level_preds.len(), (Bandwidth::ZERO, Latency::ZERO));
+        levels.resize(self.levels as usize, (Bandwidth::ZERO, Latency::ZERO));
         for (i, qos) in self.dist.iter().enumerate() {
             let Some(qos) = qos else { continue };
             if i != self.source.index() {
-                let (b, lambda) = &mut levels[self.node_level[i]];
+                let (b, lambda) = &mut levels[self.node_level[i] as usize];
                 *b = qos.bandwidth;
                 *lambda = (*lambda).max(qos.latency);
             }
         }
     }
 
-    /// The label level `li`'s Dijkstra gave `node`, re-derived: its recorded
-    /// chain priced with `g`'s latencies. `None` if the level never labelled
-    /// it. The kernel's own label as long as no edge under it has been
-    /// re-timed since the tree was built, which [`PathTree::certifies`]
-    /// sees to.
-    fn label<N>(&self, g: &DiGraph<N, Qos>, li: usize, node: NodeIx) -> Option<Latency> {
-        let preds = &self.level_preds[li];
-        let mut total = Latency::ZERO;
-        let mut cur = node;
-        while cur != self.source {
-            let (prev, e) = preds[cur.index()]?;
-            total = total + g.edge(e).latency;
-            cur = prev;
+    /// The label `node` held at level `li`, `None` if it had none yet.
+    fn label(&self, li: u32, node: NodeIx) -> Option<Latency> {
+        if node == self.source {
+            return Some(Latency::ZERO);
         }
-        Some(total)
+        self.version_at(node, li).map(|at| at.latency)
     }
 
-    /// `true` if any label this tree recorded — on a reported path or not —
-    /// crosses an edge whose latency `changes` moved, either way.
-    fn records_retimed(&self, changes: &[EdgeChange]) -> bool {
+    /// `true` if any label this tree settled — on a reported path or not —
+    /// came over an edge whose latency `changes` moved, either way. An
+    /// entry that lies beyond `Λ` (`levels`, from [`PathTree::level_bounds`])
+    /// at every level it stands for is nobody's label: it reads as "beyond
+    /// `Λ`" before and after.
+    fn records_retimed(&self, changes: &[EdgeChange], levels: &[(Bandwidth, Latency)]) -> bool {
         let retimed = |e| record_of(changes, e).is_some_and(EdgeChange::is_retimed);
         changes.iter().any(EdgeChange::is_retimed)
-            && self
-                .level_preds
-                .iter()
-                .flatten()
-                .flatten()
-                .any(|&(_, e)| retimed(e))
+            && self.first.windows(2).any(|chain| {
+                let chain = &self.versions[chain[0] as usize..chain[1] as usize];
+                chain.iter().enumerate().any(|(i, at)| {
+                    let until = chain.get(i + 1).map_or(self.levels, |next| next.level);
+                    retimed(at.edge)
+                        && levels[at.level as usize..until as usize]
+                            .iter()
+                            .any(|&(_, lambda)| at.latency <= lambda)
+                })
+            })
     }
 
     /// The label-side optimality certificate of the incremental engine:
     /// `true` if, as far as latency changes and improvements go, rerunning
     /// the exact kernel after `changes` would reproduce every QoS and path
-    /// this tree reports *and* leave the labels a later certificate walks
+    /// this tree reports *and* leave the labels a later certificate reads
     /// as good as the kernel's own (bandwidth cuts are
     /// [`PathTree::traverses_above`]'s). See "Dirty rules" in
     /// [`crate::engine`] for the argument.
     ///
     /// `changes` holds one record per edge, sorted by edge, and `g` already
     /// carries their `new` weights. Exact trees only — a lexicographic
-    /// tree's single predecessor array is not a per-level Dijkstra.
+    /// tree's one level is not a latency Dijkstra.
     /// `levels` is a reused buffer for each level's `(bandwidth, Λ)`.
     pub(crate) fn certifies<N>(
         &self,
@@ -249,14 +356,13 @@ impl PathTree {
         levels: &mut Vec<(Bandwidth, Latency)>,
     ) -> bool {
         // A tree does not outlive a re-timed edge anywhere under its
-        // labels; past this point a chain walked off `g` is priced as the
-        // kernel priced it.
-        if self.records_retimed(changes) {
+        // labels: a stored label is the sum the kernel took over the
+        // latencies of its day.
+        self.level_bounds(levels);
+        if self.records_retimed(changes, levels) {
             return false;
         }
         let source = self.source;
-        self.level_bounds(levels);
-        let label = |li, node| self.label(g, li, node);
         for c in changes {
             if c.is_degradation() {
                 continue;
@@ -276,23 +382,25 @@ impl PathTree {
             }
             // (2) At every level the edge joins or got faster at, its
             // candidate does not beat the head's label.
-            for (li, &(b, lambda)) in levels.iter().enumerate() {
+            for (li, &(b, lambda)) in (0u32..).zip(levels.iter()) {
                 if b > reach || !(faster || b > c.old.bandwidth) {
                     continue;
                 }
-                let Some(tail_label) = label(li, u).filter(|&d| d <= lambda) else {
-                    continue; // never scanned at this level
+                let label = |node| self.label(li, node).filter(|&d| d <= lambda);
+                let Some(tail_label) = label(u) else {
+                    continue; // not settled at this level
                 };
                 let cand = tail_label + c.new.latency;
-                match label(li, v).filter(|&d| d <= lambda) {
+                match label(v) {
                     // Unsettled head: only known to lie beyond Λ.
                     None if cand <= lambda => return false,
                     Some(head_label) if cand < head_label => return false,
                     // A tie keeps the recorded predecessor only if that
-                    // one was scanned strictly before the tail.
+                    // one settled strictly before the tail.
                     Some(head_label) if cand == head_label => {
-                        let first = self.level_preds[li][v.index()]
-                            .and_then(|(x, _)| label(li, x))
+                        let first = self
+                            .version_at(v, li)
+                            .and_then(|at| label(at.pred))
                             .is_some_and(|d| d < tail_label);
                         if !first {
                             return false;
@@ -306,20 +414,17 @@ impl PathTree {
     }
 
     /// The invariant [`PathTree::certifies`] stands on, checked from first
-    /// principles against `g`: at every level `b`, each pinned node's walked
-    /// label is the latency the tree reports, and the labels capped at `Λ_b`
-    /// are a feasible potential — `φ(y) ≤ φ(x) + lat` over every edge of
+    /// principles against `g`: at every level `b`, each pinned node's label
+    /// is the latency the tree reports, and the labels capped at `Λ_b` are
+    /// a feasible potential — `φ(y) ≤ φ(x) + lat` over every edge of
     /// bandwidth `≥ b`, with `φ(x) = min(label(x), Λ_b)` and no label
     /// counting as `Λ_b`.
     #[cfg(test)]
     pub(crate) fn labels_are_a_feasible_potential<N>(&self, g: &DiGraph<N, Qos>) -> bool {
         let mut levels = Vec::new();
         self.level_bounds(&mut levels);
-        levels.iter().enumerate().all(|(li, &(b, lambda))| {
-            if b == Bandwidth::ZERO {
-                return true; // the placeholder level of a tree that reaches nothing
-            }
-            let label = |x| self.label(g, li, x);
+        (0u32..).zip(&levels).all(|(li, &(b, lambda))| {
+            let label = |x| self.label(li, x);
             let phi = |x| label(x).map_or(lambda, |d| d.min(lambda));
             let pinned_exact = g.node_ids().all(|x| {
                 x == self.source
@@ -374,27 +479,81 @@ impl TraversalScratch {
     }
 }
 
+/// A latency label of the descending sweep: total latency, then the number
+/// of zero-latency links the path ends in. Compared in that order, so a
+/// label strictly grows along every link (see "Which path, when several
+/// tie" in the module docs).
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
+struct Label {
+    latency: Latency,
+    zero_hops: u32,
+}
+
+impl Label {
+    const SOURCE: Label = Label {
+        latency: Latency::ZERO,
+        zero_hops: 0,
+    };
+    /// No label yet; every real label compares below it.
+    const NONE: Label = Label {
+        latency: Latency::INFINITE,
+        zero_hops: u32::MAX,
+    };
+
+    /// The label this one offers across a link of latency `link`.
+    fn across(self, link: Latency) -> Label {
+        Label {
+            latency: self.latency + link,
+            zero_hops: if link == Latency::ZERO {
+                self.zero_hops + 1
+            } else {
+                0
+            },
+        }
+    }
+}
+
+/// What the sweep holds per node: its standing label, the CSR slot of the
+/// link it came over, and where the node's newest log entry sits.
+#[derive(Clone, Copy, Debug)]
+struct Standing {
+    label: Label,
+    via: u32,
+    logged: u32,
+}
+
 /// Reusable buffers for repeated single-source computations.
 ///
-/// The kernel needs per-node distance, done and heap storage once per
-/// bandwidth level; a scratch keeps those allocations alive across calls so
-/// a worker sweeping many sources — the all-pairs engine, the incremental
-/// patcher — touches the allocator only for the predecessor arrays that end
-/// up owned by the resulting [`PathTree`].
+/// The kernel needs per-node bottleneck, label and heap storage and a log of
+/// the entries the tree will keep; a scratch keeps those allocations alive
+/// across calls so a worker sweeping many sources — the all-pairs engine,
+/// the incremental patcher — touches the allocator only for the arrays that
+/// end up owned by the resulting [`PathTree`].
 #[derive(Debug, Default)]
 pub struct DijkstraScratch {
     widest: Vec<Option<Bandwidth>>,
-    lat: Vec<Option<Latency>>,
     done: Vec<bool>,
     widest_heap: BinaryHeap<WidestEntry>,
-    latency_heap: BinaryHeap<LatencyEntry>,
-    levels: Vec<Bandwidth>,
+    /// The bottlenecks of the reachable nodes, widest first: each run of
+    /// equal values is a level and its length the number pinned there.
+    pinned: Vec<Bandwidth>,
+    standing: Vec<Standing>,
+    heap: BinaryHeap<SweepEntry>,
+    log: Vec<(NodeIx, Version)>,
+    label_updates: u64,
 }
 
 impl DijkstraScratch {
     /// An empty scratch; buffers grow to the graph size on first use.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Label decreases (== heap pushes) over every sweep this scratch has
+    /// served: the kernel's unit of work, and a count that repeats exactly
+    /// from run to run.
+    pub fn label_updates(&self) -> u64 {
+        self.label_updates
     }
 }
 
@@ -403,26 +562,41 @@ impl DijkstraScratch {
 /// [`Csr::forward`] flattens the topology; the bandwidth and latency of each
 /// edge are copied into slot-parallel arrays, so the Dijkstra kernels read a
 /// neighbour, its edge handle and its weight from four flat arrays marching
-/// forward together — no detour through the edge arena per visited edge.
-/// Derive one per graph (`O(V + E)`) and share it read-only across however
-/// many workers sweep it.
+/// forward together — no detour through the edge arena per visited edge —
+/// and the slots are listed once more sorted by bandwidth, the order the
+/// descending sweep admits them in. Derive one per graph
+/// (`O(V + E log E)`) and share it read-only across however many workers
+/// sweep it.
 #[derive(Clone, Debug)]
 pub struct QosCsr {
     adj: Csr,
     bandwidth: Vec<Bandwidth>,
     latency: Vec<Latency>,
+    /// The tail of each slot's edge.
+    tails: Vec<NodeIx>,
+    /// Every slot, widest edge first.
+    widest_first: Vec<u32>,
 }
 
 impl QosCsr {
-    /// Flattens `g`'s out-adjacency and edge weights. `O(V + E)`.
+    /// Flattens `g`'s out-adjacency and edge weights and sorts the slots by
+    /// bandwidth. `O(V + E log E)`.
     pub fn new<N>(g: &DiGraph<N, Qos>) -> Self {
         let adj = Csr::forward(g);
-        let bandwidth = adj.edges().iter().map(|&e| g.edge(e).bandwidth).collect();
+        let bandwidth: Vec<Bandwidth> = adj.edges().iter().map(|&e| g.edge(e).bandwidth).collect();
         let latency = adj.edges().iter().map(|&e| g.edge(e).latency).collect();
+        let tails = g
+            .node_ids()
+            .flat_map(|u| adj.range(u).map(move |_| u))
+            .collect();
+        let mut widest_first: Vec<u32> = (0..bandwidth.len() as u32).collect();
+        widest_first.sort_unstable_by_key(|&s| std::cmp::Reverse(bandwidth[s as usize]));
         QosCsr {
             adj,
             bandwidth,
             latency,
+            tails,
+            widest_first,
         }
     }
 
@@ -431,26 +605,15 @@ impl QosCsr {
         self.adj.node_count()
     }
 
-    /// The outgoing edges of `node` as `(head, handle, bandwidth, latency)`,
-    /// in insertion order. The four slot-parallel arrays are sliced once, so
-    /// the kernels' inner loops carry no per-edge bounds check; forced
-    /// inline so both loops are built the same way whatever surrounds them.
+    /// The outgoing edges of `node` as `(head, bandwidth)`, in insertion
+    /// order. The slot-parallel arrays are sliced once, so the widest
+    /// pass's inner loop carries no per-edge bounds check.
     #[inline(always)]
-    fn out_edges(
-        &self,
-        node: NodeIx,
-    ) -> impl Iterator<Item = (NodeIx, EdgeIx, Bandwidth, Latency)> + '_ {
+    fn out_edges(&self, node: NodeIx) -> impl Iterator<Item = (NodeIx, Bandwidth)> + '_ {
         let range = self.adj.range(node);
         let targets = &self.adj.targets()[range.clone()];
-        let edges = &self.adj.edges()[range.clone()];
-        let bandwidth = &self.bandwidth[range.clone()];
-        let latency = &self.latency[range];
-        targets
-            .iter()
-            .zip(edges)
-            .zip(bandwidth)
-            .zip(latency)
-            .map(|(((&to, &eid), &bw), &lat)| (to, eid, bw, lat))
+        let bandwidth = &self.bandwidth[range];
+        targets.iter().zip(bandwidth).map(|(&to, &bw)| (to, bw))
     }
 }
 
@@ -496,7 +659,7 @@ fn widest_bandwidths_into(csr: &QosCsr, source: NodeIx, scratch: &mut DijkstraSc
             continue;
         }
         done[node.index()] = true;
-        for (to, _eid, bw, _lat) in csr.out_edges(node) {
+        for (to, bw) in csr.out_edges(node) {
             // A settled head can never improve; skipping it here (rather
             // than relying on the pop-time check) keeps the entry out of
             // the heap entirely.
@@ -520,96 +683,75 @@ fn widest_bandwidths_into(csr: &QosCsr, source: NodeIx, scratch: &mut DijkstraSc
 }
 
 #[derive(Debug, PartialEq, Eq)]
-struct LatencyEntry {
-    latency: Latency,
+struct SweepEntry {
+    label: Label,
     node: NodeIx,
 }
 
-impl Ord for LatencyEntry {
+impl Ord for SweepEntry {
     fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed: BinaryHeap is a max-heap, we want the smallest latency.
-        other
-            .latency
-            .cmp(&self.latency)
-            .then_with(|| other.node.cmp(&self.node))
+        // Reversed: BinaryHeap is a max-heap, we want the smallest label.
+        (other.label, other.node).cmp(&(self.label, self.node))
     }
 }
 
-impl PartialOrd for LatencyEntry {
+impl PartialOrd for SweepEntry {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
-/// Latency Dijkstra over the subgraph of links with bandwidth ≥ `floor`,
-/// run until every node whose optimal bottleneck (`scratch.widest`) *is*
-/// `floor` has been settled.
-///
-/// Those are the only nodes whose latency and path the caller reads at this
-/// level. A settled node's predecessor is itself settled and final, so the
-/// chains [`PathTree`] walks are complete when the last of them pops;
-/// whatever is still on the heap then could only settle nodes pinned at
-/// other levels, and the sweep stops instead of scanning their edges.
-///
-/// Distances land in `scratch.lat`; only the predecessor array — which the
-/// caller's [`PathTree`] keeps — is freshly allocated.
-fn latency_dijkstra_at_level_into(
-    csr: &QosCsr,
-    source: NodeIx,
-    floor: Bandwidth,
-    scratch: &mut DijkstraScratch,
-) -> Vec<Option<(NodeIx, EdgeIx)>> {
-    let n = csr.node_count();
-    scratch.lat.clear();
-    scratch.lat.resize(n, None);
-    scratch.done.clear();
-    scratch.done.resize(n, false);
-    let dist = &mut scratch.lat;
-    let done = &mut scratch.done;
-    let heap = &mut scratch.latency_heap;
-    heap.clear();
-    let widest = &scratch.widest;
-    let mut unsettled = widest
-        .iter()
-        .enumerate()
-        .filter(|&(i, w)| i != source.index() && *w == Some(floor))
-        .count();
-    let mut pred: Vec<Option<(NodeIx, EdgeIx)>> = vec![None; n];
-    dist[source.index()] = Some(Latency::ZERO);
-    heap.push(LatencyEntry {
-        latency: Latency::ZERO,
-        node: source,
-    });
-    while let Some(LatencyEntry { latency, node }) = heap.pop() {
-        if done[node.index()] {
-            continue;
-        }
-        done[node.index()] = true;
-        if node != source && widest[node.index()] == Some(floor) {
-            unsettled -= 1;
-            if unsettled == 0 {
-                break;
+impl DijkstraScratch {
+    /// Offers the head of `csr`'s edge in `slot` the label `from` its tail
+    /// stands at across it, at level `li`. A strictly better label is taken
+    /// and the head queued; an equal one only moves the predecessor, and
+    /// only to a tail that settles before the standing one (or an earlier
+    /// slot of the same tail) — the head's own place in the order does not
+    /// move, so nothing downstream has to hear of it.
+    #[inline(always)]
+    fn offer(&mut self, csr: &QosCsr, li: u32, tail: NodeIx, from: Label, slot: usize) {
+        let label = from.across(csr.latency[slot]);
+        let head = csr.adj.targets()[slot];
+        let held = self.standing[head.index()];
+        match label.cmp(&held.label) {
+            Ordering::Greater => return,
+            Ordering::Less => {
+                self.label_updates += 1;
+                self.heap.push(SweepEntry { label, node: head });
+            }
+            Ordering::Equal => {
+                let rival = csr.tails[held.via as usize];
+                let first = if rival == tail {
+                    slot < held.via as usize
+                } else {
+                    (from, tail) < (self.standing[rival.index()].label, rival)
+                };
+                if !first {
+                    return;
+                }
             }
         }
-        for (to, eid, bw, lat) in csr.out_edges(node) {
-            // Stale at push time: a settled head cannot improve, so don't
-            // even form the candidate, let alone grow the heap.
-            if done[to.index()] || bw < floor {
-                continue;
-            }
-            let cand = latency + lat;
-            let slot = &mut dist[to.index()];
-            if slot.is_none_or(|l| cand < l) {
-                *slot = Some(cand);
-                pred[to.index()] = Some((node, eid));
-                heap.push(LatencyEntry {
-                    latency: cand,
-                    node: to,
-                });
+        let version = Version {
+            level: li,
+            latency: label.latency,
+            pred: tail,
+            edge: csr.adj.edges()[slot],
+        };
+        // One entry per node per level: a second change overwrites.
+        let mut logged = held.logged;
+        match self.log.get_mut(logged as usize) {
+            Some((_, at)) if at.level == li => *at = version,
+            _ => {
+                logged = self.log.len() as u32;
+                self.log.push((head, version));
             }
         }
+        self.standing[head.index()] = Standing {
+            label,
+            via: slot as u32,
+            logged,
+        };
     }
-    pred
 }
 
 /// Exact single-source shortest-widest paths over a graph whose edges carry
@@ -641,15 +783,14 @@ pub fn single_source<N>(g: &DiGraph<N, Qos>, source: NodeIx) -> PathTree {
 /// The all-pairs builders and the incremental patcher derive the CSR once
 /// per graph and sweep it with one [`DijkstraScratch`] per worker, so the
 /// inner loops read topology and weights from flat slot-parallel arrays and
-/// allocate only the predecessor tables the resulting [`PathTree`] keeps.
+/// allocate only the arrays the resulting [`PathTree`] keeps.
 pub fn single_source_csr(csr: &QosCsr, source: NodeIx, scratch: &mut DijkstraScratch) -> PathTree {
     let n = csr.node_count();
     widest_bandwidths_into(csr, source, scratch);
 
-    // Distinct bottleneck levels of non-source reachable nodes, widest first.
-    let mut levels = std::mem::take(&mut scratch.levels);
-    levels.clear();
-    levels.extend(
+    let mut pinned = std::mem::take(&mut scratch.pinned);
+    pinned.clear();
+    pinned.extend(
         scratch
             .widest
             .iter()
@@ -657,41 +798,76 @@ pub fn single_source_csr(csr: &QosCsr, source: NodeIx, scratch: &mut DijkstraScr
             .filter(|(i, _)| *i != source.index())
             .filter_map(|(_, b)| *b),
     );
-    levels.sort_unstable_by(|a, b| b.cmp(a));
-    levels.dedup();
+    pinned.sort_unstable_by(|a, b| b.cmp(a));
+
+    scratch.standing.clear();
+    scratch.standing.resize(
+        n,
+        Standing {
+            label: Label::NONE,
+            via: u32::MAX,
+            logged: u32::MAX,
+        },
+    );
+    scratch.standing[source.index()].label = Label::SOURCE;
+    scratch.heap.clear();
+    scratch.log.clear();
 
     let mut dist: Vec<Option<Qos>> = vec![None; n];
-    let mut node_level: Vec<usize> = vec![0; n];
-    let mut level_preds: Vec<Vec<Option<(NodeIx, EdgeIx)>>> = Vec::with_capacity(levels.len());
+    let mut node_level = vec![0u32; n];
     dist[source.index()] = Some(Qos::IDENTITY);
+    let mut admitted = 0;
+    let mut li = 0u32;
+    let mut rest = &pinned[..];
+    while let Some(&b) = rest.first() {
+        let mut unsettled = rest.iter().take_while(|&&p| p == b).count();
+        rest = &rest[unsettled..];
 
-    for (li, &b) in levels.iter().enumerate() {
-        let pred = latency_dijkstra_at_level_into(csr, source, b, scratch);
-        for i in 0..n {
-            if i == source.index() || scratch.widest[i] != Some(b) {
-                continue;
+        // The links this level admits, offered from the label their tail
+        // stands at — the source's own links included, so it is never
+        // queued.
+        while let Some(&slot) = csr.widest_first.get(admitted) {
+            let slot = slot as usize;
+            if csr.bandwidth[slot] < b {
+                break;
             }
-            let l = scratch.lat[i]
-                // audit:allow(no-unwrap): level invariant, see module docs
-                .expect("a node with optimal bottleneck b is reachable at level b");
-            dist[i] = Some(Qos::new(b, l));
-            node_level[i] = li;
+            admitted += 1;
+            let tail = csr.tails[slot];
+            let from = scratch.standing[tail.index()].label;
+            if from != Label::NONE {
+                scratch.offer(csr, li, tail, from, slot);
+            }
         }
-        level_preds.push(pred);
+
+        // Decrease-only propagation until the last node pinned here pops.
+        // Pops within a level come in label order, so a fresh entry's label
+        // is final for the level.
+        while let Some(SweepEntry { label, node }) = scratch.heap.pop() {
+            if scratch.standing[node.index()].label != label {
+                continue; // superseded by a better label
+            }
+            if scratch.widest[node.index()] == Some(b) {
+                dist[node.index()] = Some(Qos::new(b, label.latency));
+                node_level[node.index()] = li;
+                unsettled -= 1;
+                if unsettled == 0 {
+                    // Its own links can wait: back on the heap, it is
+                    // scanned at the next level, over that level's links.
+                    scratch.heap.push(SweepEntry { label, node });
+                    break;
+                }
+            }
+            for slot in csr.adj.range(node) {
+                if csr.bandwidth[slot] >= b {
+                    scratch.offer(csr, li, node, label, slot);
+                }
+            }
+        }
+        li += 1;
     }
 
-    if level_preds.is_empty() {
-        // No reachable nodes besides (possibly) the source.
-        level_preds.push(vec![None; n]);
-    }
-
-    scratch.levels = levels; // hand the buffer back for the next sweep
-    PathTree {
-        source,
-        dist,
-        node_level,
-        level_preds,
-    }
+    scratch.pinned = pinned; // hand the buffer back for the next sweep
+    PathTree::new(source, dist, node_level, li, &scratch.log)
 }
 
 #[derive(PartialEq, Eq)]
@@ -751,12 +927,23 @@ pub fn single_source_lexicographic<N>(g: &DiGraph<N, Qos>, source: NodeIx) -> Pa
             }
         }
     }
-    PathTree {
-        source,
-        dist,
-        node_level: vec![0; g.node_count()],
-        level_preds: vec![pred],
-    }
+    // One level, one entry per labelled node.
+    let log: Vec<(NodeIx, Version)> = g
+        .node_ids()
+        .filter_map(|x| {
+            let (pred, edge) = pred[x.index()]?;
+            let latency = dist[x.index()]?.latency;
+            let at = Version {
+                level: 0,
+                latency,
+                pred,
+                edge,
+            };
+            Some((x, at))
+        })
+        .collect();
+    let levels = u32::from(!log.is_empty());
+    PathTree::new(source, dist, vec![0; g.node_count()], levels, &log)
 }
 
 /// All-pairs shortest-widest paths: one exact [`PathTree`] per node.
