@@ -673,12 +673,16 @@ mod tests {
     #[test]
     fn allow_directives_are_harvested_with_lines() {
         let l = lex(
-            "x(); // audit:allow(no-unwrap, no-print)\n// audit:allow(guard-across-solve)\ny();\n",
+            "x(); // audit:allow(no-unwrap, kernel-discipline)\n// audit:allow(guard-across-solve)\ny();\n",
         );
         let got: Vec<(usize, &str)> = l.allows.iter().map(|a| (a.line, a.rule.as_str())).collect();
         assert_eq!(
             got,
-            vec![(1, "no-unwrap"), (1, "no-print"), (2, "guard-across-solve"),]
+            vec![
+                (1, "no-unwrap"),
+                (1, "kernel-discipline"),
+                (2, "guard-across-solve"),
+            ]
         );
     }
 

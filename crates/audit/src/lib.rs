@@ -1,16 +1,16 @@
 //! `sflow-audit`: a dependency-free workspace lint engine.
 //!
-//! Enforces sflow-specific source discipline that generic tooling cannot:
-//! panic-freedom on server/routing hot paths, `parking_lot`-only locking,
-//! allocation-free Dijkstra kernels, print-free libraries, `forbid(unsafe)`
-//! crate roots, guard-free solve paths, sanctioned-only epoch publication,
-//! counter/wire coverage across files, and dead-suppression hygiene. See
-//! [`rules::RULES`] for the catalogue and `DESIGN.md` §8 for rationale.
+//! Enforces the sflow source discipline that needs flow or cross-file
+//! knowledge no compiler pass has: panic-freedom on server/routing hot
+//! paths, allocation-free Dijkstra kernels, guard-free solve paths, a
+//! non-blocking reactor, wire variants that reach server, client and CLI,
+//! and dead-suppression hygiene. See [`rules::RULES`] for the catalogue and
+//! `DESIGN.md` §8 for rationale — and for what `rustc`, clippy and the type
+//! system check instead.
 //!
 //! The engine lexes every file once ([`lex`]) into a token stream with
 //! brace depth; per-file rules ([`rules`]) and cross-file rules ([`cross`])
-//! share that parse. Findings ratchet against a fingerprint baseline
-//! ([`baseline`]) so CI denies new debt while old debt burns down.
+//! share that parse. The binary exits non-zero on any finding.
 //!
 //! The crate intentionally has **zero dependencies** — not even the
 //! workspace's vendored shims — so the audit gate stays green-buildable even
@@ -18,13 +18,11 @@
 
 #![forbid(unsafe_code)]
 
-pub mod baseline;
 pub mod cross;
 pub mod lex;
 pub mod report;
 pub mod rules;
 
-pub use baseline::{ratchet, Baseline, Ratchet};
 pub use report::{AuditReport, Finding};
 pub use rules::{scan_source, FileClass, Rule, SourceFile, RULES};
 

@@ -1,215 +1,81 @@
 //! CLI entry point for the workspace lint engine.
 //!
 //! ```text
-//! cargo run -p sflow-audit -- --deny                 # hard gate: exit 1 on any finding
-//! cargo run -p sflow-audit -- --deny-new --baseline audit-baseline.json
-//! cargo run -p sflow-audit -- --write-baseline audit-baseline.json
-//! cargo run -p sflow-audit -- --json report.json
+//! cargo run -p sflow-audit                  # exit 1 on any finding
 //! cargo run -p sflow-audit -- --list-rules
 //! ```
 
 #![forbid(unsafe_code)]
+#![allow(clippy::print_stdout, clippy::print_stderr)]
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use sflow_audit::{audit_workspace, baseline, find_root, Baseline, RULES};
-
-struct Args {
-    root: Option<PathBuf>,
-    deny: bool,
-    deny_new: bool,
-    baseline: Option<PathBuf>,
-    write_baseline: Option<PathBuf>,
-    json: Option<PathBuf>,
-    quiet: bool,
-    list_rules: bool,
-}
+use sflow_audit::{audit_workspace, find_root, RULES};
 
 const HELP: &str = "\
 sflow-audit: token-stream workspace lint engine
 
 Lexes every workspace source into a token stream (idents, literals,
-punctuation, brace depth) and enforces the sflow discipline rules over it:
-per-file rules (no-unwrap, guard-across-solve, kernel-discipline, ...),
-cross-file rules (counter-coverage, wire-exhaustive), and suppression
-hygiene (unused-suppression). See --list-rules for the catalogue.
+punctuation, brace depth) and enforces over it the sflow discipline rules
+that need flow or cross-file knowledge (see --list-rules). Exits non-zero if
+any finding remains.
 
-USAGE: sflow-audit [OPTIONS]
+USAGE: sflow-audit [--root DIR] [--list-rules]
 
-  --root DIR             workspace root (default: walk up from cwd)
-  --deny                 exit non-zero if any finding remains
-  --baseline FILE        compare findings against a fingerprint baseline;
-                         baselined findings are accepted debt
-  --deny-new             with --baseline: exit non-zero on any finding NOT
-                         in the baseline, or on stale baseline entries
-                         (debt that was paid but not removed)
-  --write-baseline FILE  accept the current findings as the new baseline
-  --json FILE            also write the report as JSON (with fingerprints
-                         and ratchet verdict when --baseline is given)
-  --quiet                suppress the human report
-  --list-rules           print the rule catalogue and exit
+  --root DIR     workspace root (default: walk up from cwd)
+  --list-rules   print the rule catalogue and exit
 
 Suppress a finding at its site with an `audit:allow(<rule>)` comment on the
 same line or the line directly above; a directive that suppresses nothing
 is itself flagged by unused-suppression.";
 
-fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
-        root: None,
-        deny: false,
-        deny_new: false,
-        baseline: None,
-        write_baseline: None,
-        json: None,
-        quiet: false,
-        list_rules: false,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--deny" => args.deny = true,
-            "--deny-new" => args.deny_new = true,
-            "--quiet" => args.quiet = true,
-            "--list-rules" => args.list_rules = true,
-            "--root" => {
-                let v = it.next().ok_or("--root needs a path")?;
-                args.root = Some(PathBuf::from(v));
+fn main() -> ExitCode {
+    let mut root = None;
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--list-rules" => {
+                for r in RULES {
+                    println!("{:<20} {}", r.name, r.description);
+                }
+                return ExitCode::SUCCESS;
             }
-            "--baseline" => {
-                let v = it.next().ok_or("--baseline needs a path")?;
-                args.baseline = Some(PathBuf::from(v));
-            }
-            "--write-baseline" => {
-                let v = it.next().ok_or("--write-baseline needs a path")?;
-                args.write_baseline = Some(PathBuf::from(v));
-            }
-            "--json" => {
-                let v = it.next().ok_or("--json needs a path")?;
-                args.json = Some(PathBuf::from(v));
-            }
+            "--root" => match args.next() {
+                Some(dir) => root = Some(PathBuf::from(dir)),
+                None => {
+                    eprintln!("sflow-audit: --root needs a path");
+                    return ExitCode::from(2);
+                }
+            },
             "--help" | "-h" => {
                 println!("{HELP}");
-                std::process::exit(0);
+                return ExitCode::SUCCESS;
             }
-            other => return Err(format!("unknown flag: {other}")),
+            other => {
+                eprintln!("sflow-audit: unknown flag: {other}");
+                return ExitCode::from(2);
+            }
         }
     }
-    if args.deny_new && args.baseline.is_none() {
-        return Err("--deny-new needs --baseline FILE".to_string());
-    }
-    Ok(args)
-}
 
-fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("sflow-audit: {e}");
-            return ExitCode::from(2);
-        }
+    let Some(root) =
+        root.or_else(|| find_root(&std::env::current_dir().unwrap_or_else(|_| PathBuf::from("."))))
+    else {
+        eprintln!("sflow-audit: no workspace root found (no Cargo.toml with [workspace])");
+        return ExitCode::from(2);
     };
-
-    if args.list_rules {
-        for r in RULES {
-            println!("{:<18} {}", r.name, r.description);
-        }
-        return ExitCode::SUCCESS;
-    }
-
-    let root = match args
-        .root
-        .or_else(|| find_root(&std::env::current_dir().unwrap_or_else(|_| PathBuf::from("."))))
-    {
-        Some(r) => r,
-        None => {
-            eprintln!("sflow-audit: no workspace root found (no Cargo.toml with [workspace])");
-            return ExitCode::from(2);
-        }
-    };
-
     let report = match audit_workspace(&root) {
-        Ok(r) => r,
+        Ok(report) => report,
         Err(e) => {
             eprintln!("sflow-audit: scan failed: {e}");
             return ExitCode::from(2);
         }
     };
-
-    if let Some(path) = &args.write_baseline {
-        let bl = Baseline::from_report(&report);
-        if let Err(e) = std::fs::write(path, bl.to_json()) {
-            eprintln!("sflow-audit: cannot write {}: {e}", path.display());
-            return ExitCode::from(2);
-        }
-        if !args.quiet {
-            println!(
-                "wrote baseline with {} entr{} to {}",
-                bl.entries.len(),
-                if bl.entries.len() == 1 { "y" } else { "ies" },
-                path.display()
-            );
-        }
+    print!("{}", report.render_human());
+    if report.is_clean() {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
     }
-
-    let compared = match &args.baseline {
-        Some(path) => {
-            let text = match std::fs::read_to_string(path) {
-                Ok(t) => t,
-                Err(e) => {
-                    eprintln!("sflow-audit: cannot read baseline {}: {e}", path.display());
-                    return ExitCode::from(2);
-                }
-            };
-            let bl = match Baseline::parse(&text) {
-                Ok(b) => b,
-                Err(e) => {
-                    eprintln!("sflow-audit: bad baseline {}: {e}", path.display());
-                    return ExitCode::from(2);
-                }
-            };
-            let r = baseline::ratchet(&report, &bl);
-            Some((bl, r))
-        }
-        None => None,
-    };
-
-    if let Some(path) = &args.json {
-        let json = match &compared {
-            Some((bl, r)) => baseline::report_to_json(&report, bl, r),
-            None => report.to_json(),
-        };
-        if let Err(e) = std::fs::write(path, json) {
-            eprintln!("sflow-audit: cannot write {}: {e}", path.display());
-            return ExitCode::from(2);
-        }
-    }
-    if !args.quiet {
-        match &compared {
-            // Under a baseline, the ratchet renderer distinguishes new
-            // findings from accepted debt; the plain renderer would shout
-            // `error` for every baselined finding.
-            Some((_, r)) => {
-                print!("{}", r.render_human());
-                println!(
-                    "audit: {} file(s) scanned, {} finding(s), {} suppressed",
-                    report.files_scanned,
-                    report.findings.len(),
-                    report.suppressed
-                );
-            }
-            None => print!("{}", report.render_human()),
-        }
-    }
-    if args.deny && !report.is_clean() {
-        return ExitCode::FAILURE;
-    }
-    if args.deny_new {
-        if let Some((_, r)) = &compared {
-            if !r.is_clean() {
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    ExitCode::SUCCESS
 }

@@ -1,8 +1,4 @@
-//! Diagnostics: findings, the aggregate report, and human/JSON rendering.
-//!
-//! JSON emission is hand-rolled because this crate is deliberately
-//! dependency-free (see `Cargo.toml`): the auditor must gate CI even when
-//! the vendored shims or the rest of the workspace fail to build.
+//! Diagnostics: findings and the aggregate report.
 
 /// One rule violation at a specific source location.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -38,22 +34,6 @@ impl Finding {
             message,
             snippet,
         }
-    }
-
-    /// Serialises the finding as one JSON object. `extra` is spliced raw
-    /// before the closing brace (pass `""`, or e.g.
-    /// `, "fingerprint": "…"` — the caller owns its validity).
-    pub fn to_json_obj(&self, extra: &str) -> String {
-        format!(
-            "{{\"rule\": {}, \"path\": {}, \"line\": {}, \"column\": {}, \
-             \"message\": {}, \"snippet\": {}{extra}}}",
-            json_str(self.rule),
-            json_str(&self.path),
-            self.line,
-            self.column,
-            json_str(&self.message),
-            json_str(&self.snippet)
-        )
     }
 }
 
@@ -93,75 +73,5 @@ impl AuditReport {
             self.suppressed
         ));
         s
-    }
-
-    /// Renders the report as a JSON document (machine-readable CI artifact).
-    pub fn to_json(&self) -> String {
-        let mut s = String::from("{\n");
-        s.push_str(&format!("  \"files_scanned\": {},\n", self.files_scanned));
-        s.push_str(&format!("  \"suppressed\": {},\n", self.suppressed));
-        s.push_str(&format!("  \"clean\": {},\n", self.is_clean()));
-        s.push_str("  \"findings\": [");
-        for (i, f) in self.findings.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str("\n    ");
-            s.push_str(&f.to_json_obj(""));
-        }
-        if !self.findings.is_empty() {
-            s.push_str("\n  ");
-        }
-        s.push_str("]\n}\n");
-        s
-    }
-}
-
-/// Escapes `v` as a JSON string literal.
-pub(crate) fn json_str(v: &str) -> String {
-    let mut s = String::with_capacity(v.len() + 2);
-    s.push('"');
-    for c in v.chars() {
-        match c {
-            '"' => s.push_str("\\\""),
-            '\\' => s.push_str("\\\\"),
-            '\n' => s.push_str("\\n"),
-            '\r' => s.push_str("\\r"),
-            '\t' => s.push_str("\\t"),
-            c if (c as u32) < 0x20 => s.push_str(&format!("\\u{:04x}", c as u32)),
-            c => s.push(c),
-        }
-    }
-    s.push('"');
-    s
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn json_escaping() {
-        assert_eq!(json_str("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
-    }
-
-    #[test]
-    fn json_report_shape() {
-        let mut r = AuditReport {
-            files_scanned: 2,
-            ..Default::default()
-        };
-        r.findings.push(Finding::new(
-            "no-unwrap",
-            "crates/server/src/x.rs",
-            3,
-            7,
-            "msg".to_string(),
-            "let x = y.unwrap();".to_string(),
-        ));
-        let j = r.to_json();
-        assert!(j.contains("\"clean\": false"));
-        assert!(j.contains("\"rule\": \"no-unwrap\""));
-        assert!(j.contains("\"line\": 3"));
     }
 }

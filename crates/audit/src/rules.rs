@@ -1,20 +1,19 @@
 //! The rule catalogue and the per-file lint engine.
 //!
-//! Each rule is repo-specific discipline that `clippy` cannot express
-//! (because it needs workspace-level policy, not local syntax):
+//! Each rule needs what neither `rustc` nor `clippy` has: which crate is a
+//! hot path, which loop is a kernel, how long a guard lives, or what three
+//! other files say. What a compiler, a clippy lint or a visibility boundary
+//! can check is checked there instead (`#![forbid(unsafe_code)]`, the
+//! `[workspace.lints]` table and `clippy.toml`, the private `Snap::store`,
+//! the witness `LoadCell::publish` takes, the counter table in `stats.rs`).
 //!
 //! | rule | scope | what it enforces |
 //! |---|---|---|
 //! | `no-unwrap` | `crates/server`, `crates/routing` non-test code | no `.unwrap()` / `.expect(` on hot paths |
-//! | `std-sync-lock` | all non-test sources | `parking_lot` locks, never `std::sync::{Mutex, RwLock}` |
 //! | `kernel-discipline` | `crates/routing` heap-pop loops | no `Instant::now()` / allocation inside a Dijkstra inner kernel |
-//! | `no-print` | library sources | no `println!` family / `dbg!` (binaries excepted) |
-//! | `forbid-unsafe` | every crate root | `#![forbid(unsafe_code)]` present |
 //! | `guard-across-solve` | `crates/server` non-test code | no lock guard live across a solve/federate/repair call |
 //! | `reactor-nonblocking` | `crates/server/src/reactor.rs` non-test code | no blocking call on the event path |
-//! | `epoch-discipline` | `crates/server` non-test code | `Snap::store` / `LoadCell::publish` only from sanctioned mutators |
-//! | `counter-coverage` | workspace (cross-file) | every `Metrics` atomic counter is bumped, snapshotted, and rendered |
-//! | `wire-exhaustive` | workspace (cross-file) | every `Request`/`Response` variant spans server, client, CLI, and both halves of the codec |
+//! | `wire-exhaustive` | workspace (cross-file) | every `Request`/`Response` variant spans server, client and CLI |
 //! | `unused-suppression` | every scanned file | an `audit:allow` that silences nothing is itself a finding |
 //!
 //! All rules run over the token stream produced by [`crate::lex`]: rules see
@@ -23,9 +22,8 @@
 //! the binding to end-of-scope or `drop(guard)`.
 //!
 //! Findings can be suppressed per site with an `audit:allow(<rule>)` comment
-//! directive on the same line or the line directly above; the file-level
-//! `forbid-unsafe` rule accepts the directive anywhere in the file. A
-//! directive that suppresses nothing is flagged by `unused-suppression`.
+//! directive on the same line or the line directly above. A directive that
+//! suppresses nothing is flagged by `unused-suppression`.
 
 use crate::lex::{self, FnItem, Lexed, Token, TokenKind};
 use crate::report::Finding;
@@ -47,22 +45,9 @@ pub const RULES: &[Rule] = &[
                       (a panic there kills a worker or poisons a shared table)",
     },
     Rule {
-        name: "std-sync-lock",
-        description: "no std::sync::Mutex/RwLock where parking_lot is mandated \
-                      (poisoning semantics differ; the workspace standardises on parking_lot)",
-    },
-    Rule {
         name: "kernel-discipline",
         description: "no Instant::now()/allocation inside the Dijkstra heap-pop kernels of \
                       crates/routing (the all-pairs engine calls them O(V) times per rebuild)",
-    },
-    Rule {
-        name: "no-print",
-        description: "no println!/eprintln!/dbg! in library crates (binaries own the terminal)",
-    },
-    Rule {
-        name: "forbid-unsafe",
-        description: "#![forbid(unsafe_code)] present in every crate root",
     },
     Rule {
         name: "guard-across-solve",
@@ -78,22 +63,10 @@ pub const RULES: &[Rule] = &[
                       stall the loop that owns every other connection",
     },
     Rule {
-        name: "epoch-discipline",
-        description: "Snap::store and LoadCell::publish only from sanctioned mutator functions \
-                      in crates/server (epoch monotonicity, DESIGN \u{a7}9-10, holds only when \
-                      publication sites are enumerable)",
-    },
-    Rule {
-        name: "counter-coverage",
-        description: "every AtomicU64 counter in server/src/stats.rs is incremented, read into \
-                      the snapshot, and rendered by the CLI stats view (a counter missing a leg \
-                      is dead telemetry or an invisible hole in the report)",
-    },
-    Rule {
         name: "wire-exhaustive",
         description: "every Request/Response wire variant has a server dispatch arm, a client \
-                      method, a CLI path, and an encode and a decode arm in wire.rs (the wire \
-                      surface moves in lockstep or not at all)",
+                      method and a CLI path (the wire surface moves in lockstep or not at all; \
+                      the codec's own arms are the compiler's and a round-trip test's)",
     },
     Rule {
         name: "unused-suppression",
@@ -110,10 +83,6 @@ pub struct FileClass {
     pub crate_dir: String,
     /// Lives under a `tests/`, `benches/` or `examples/` directory.
     pub in_tests: bool,
-    /// A binary source (`src/main.rs` or under `src/bin/`).
-    pub is_bin: bool,
-    /// A crate root (`src/lib.rs`, `src/main.rs`, `src/bin/*.rs`).
-    pub is_crate_root: bool,
 }
 
 impl FileClass {
@@ -128,15 +97,9 @@ impl FileClass {
         let in_tests = parts
             .iter()
             .any(|p| *p == "tests" || *p == "benches" || *p == "examples");
-        let is_bin = parts.contains(&"bin") || rel.ends_with("src/main.rs");
-        let is_crate_root = rel.ends_with("src/lib.rs")
-            || rel.ends_with("src/main.rs")
-            || (parts.len() >= 2 && parts[parts.len() - 2] == "bin" && rel.ends_with(".rs"));
         FileClass {
             crate_dir,
             in_tests,
-            is_bin,
-            is_crate_root,
         }
     }
 }
@@ -200,21 +163,11 @@ pub fn local_findings(file: &SourceFile) -> Vec<Finding> {
     if hot_crate && !class.in_tests {
         no_unwrap(file, &mut raw);
     }
-    if !class.in_tests {
-        std_sync_lock(file, &mut raw);
-    }
     if class.crate_dir == "crates/routing" && !class.in_tests {
         kernel_discipline(file, &mut raw);
     }
-    if !class.is_bin && !class.in_tests {
-        no_print(file, &mut raw);
-    }
-    if class.is_crate_root {
-        forbid_unsafe(file, &mut raw);
-    }
     if class.crate_dir == "crates/server" && !class.in_tests {
         guard_across_solve(file, &mut raw);
-        epoch_discipline(file, &mut raw);
         if file.rel.ends_with("/reactor.rs") {
             reactor_nonblocking(file, &mut raw);
         }
@@ -240,10 +193,10 @@ pub fn scan_source(rel: &str, text: &str) -> (Vec<Finding>, usize) {
 
 /// Applies `audit:allow` directives to `raw` findings for `file`: a finding
 /// is suppressed by a directive naming its rule on the same line or the line
-/// directly above (the file-level `forbid-unsafe` rule accepts it anywhere).
-/// Directives that suppress nothing become `unused-suppression` findings —
-/// themselves suppressible by an `unused-suppression` directive at the site.
-/// Also attaches snippets. Returns `(findings, suppressed_count)`.
+/// directly above. Directives that suppress nothing become
+/// `unused-suppression` findings — themselves suppressible by an
+/// `unused-suppression` directive at the site. Also attaches snippets.
+/// Returns `(findings, suppressed_count)`.
 pub fn apply_suppressions(file: &SourceFile, raw: Vec<Finding>) -> (Vec<Finding>, usize) {
     let allows = &file.lexed.allows;
     let mut used = vec![false; allows.len()];
@@ -253,9 +206,7 @@ pub fn apply_suppressions(file: &SourceFile, raw: Vec<Finding>) -> (Vec<Finding>
     for f in raw {
         let mut hit = false;
         for (k, a) in allows.iter().enumerate() {
-            if a.rule == f.rule
-                && (a.line == f.line || a.line + 1 == f.line || f.rule == "forbid-unsafe")
-            {
+            if a.rule == f.rule && (a.line == f.line || a.line + 1 == f.line) {
                 used[k] = true;
                 hit = true;
             }
@@ -381,104 +332,6 @@ fn no_unwrap(file: &SourceFile, out: &mut Vec<Finding>) {
             t.col,
             format!("`{pat}` in hot-path crate: return a typed error instead"),
             String::new(),
-        ));
-    }
-}
-
-fn std_sync_lock(file: &SourceFile, out: &mut Vec<Finding>) {
-    let tokens = &file.lexed.tokens;
-    for (i, t) in tokens.iter().enumerate() {
-        if !t.is_ident("std") || file.is_test_line(t.line) {
-            continue;
-        }
-        if !lex::match_seq(tokens, i + 1, &["::", "sync", "::"]) {
-            continue;
-        }
-        // Direct path: `std::sync::Mutex` in a `use` or a type.
-        if let Some(last) = tokens.get(i + 4) {
-            if last.is_ident("Mutex") || last.is_ident("RwLock") {
-                out.push(Finding::new(
-                    "std-sync-lock",
-                    &file.rel,
-                    t.line,
-                    t.col,
-                    format!(
-                        "`std::sync::{}`: this workspace mandates parking_lot locks",
-                        last.text
-                    ),
-                    String::new(),
-                ));
-                continue;
-            }
-        }
-        // Brace import: `use std::sync::{Arc, Mutex}` (nested trees too).
-        if tokens.get(i + 4).is_some_and(|t| t.is_punct('{')) {
-            let Some(close) = lex::matching_close(tokens, i + 4) else {
-                continue;
-            };
-            for name in &tokens[i + 5..close] {
-                if name.is_ident("Mutex") || name.is_ident("RwLock") {
-                    out.push(Finding::new(
-                        "std-sync-lock",
-                        &file.rel,
-                        name.line,
-                        name.col,
-                        format!("`{}`: this workspace mandates parking_lot locks", name.text),
-                        String::new(),
-                    ));
-                }
-            }
-        }
-    }
-}
-
-fn no_print(file: &SourceFile, out: &mut Vec<Finding>) {
-    let tokens = &file.lexed.tokens;
-    for (i, t) in tokens.iter().enumerate() {
-        if t.kind != TokenKind::Ident
-            || !tokens.get(i + 1).is_some_and(|n| n.is_punct('!'))
-            || file.is_test_line(t.line)
-        {
-            continue;
-        }
-        let message = match t.text.as_str() {
-            "println" | "eprintln" | "print" | "eprint" => {
-                format!(
-                    "`{}!` in a library crate: route output through the caller",
-                    t.text
-                )
-            }
-            "dbg" => "`dbg!` in a library crate".to_string(),
-            _ => continue,
-        };
-        out.push(Finding::new(
-            "no-print",
-            &file.rel,
-            t.line,
-            t.col,
-            message,
-            String::new(),
-        ));
-    }
-}
-
-fn forbid_unsafe(file: &SourceFile, out: &mut Vec<Finding>) {
-    let tokens = &file.lexed.tokens;
-    let present = (0..tokens.len()).any(|i| {
-        lex::match_seq(
-            tokens,
-            i,
-            &["#", "!", "[", "forbid", "(", "unsafe_code", ")", "]"],
-        )
-    });
-    if !present {
-        out.push(Finding::new(
-            "forbid-unsafe",
-            &file.rel,
-            1,
-            1,
-            "crate root is missing #![forbid(unsafe_code)]".to_string(),
-            file.snippet(1),
         ));
     }
 }
@@ -825,62 +678,5 @@ fn reactor_nonblocking(file: &SourceFile, out: &mut Vec<Finding>) {
                 String::new(),
             ));
         }
-    }
-}
-
-/// Functions allowed to publish a world snapshot (`Snap::store`): the cell's
-/// own `store` plus the world mutators that own epoch advancement.
-const SNAP_SANCTIONED: &[&str] = &["store", "apply", "apply_batch"];
-
-/// Functions allowed to publish a load-plane epoch (`LoadCell::publish`):
-/// the cell's own `publish` plus the session mutators — open, release, the
-/// repair sweep's commit half — and the rebalancer sweep (DESIGN §10).
-const LOAD_SANCTIONED: &[&str] = &[
-    "publish",
-    "open_session",
-    "release",
-    "commit_repairs",
-    "sweep",
-];
-
-fn epoch_discipline(file: &SourceFile, out: &mut Vec<Finding>) {
-    let tokens = &file.lexed.tokens;
-    for k in 0..tokens.len() {
-        let (anchor, cell, sanctioned): (usize, &str, &[&str]) =
-            if lex::match_seq(tokens, k, &["snap", ".", "store", "("])
-                || lex::match_seq(tokens, k, &["Snap", "::", "store", "("])
-            {
-                (k, "Snap::store", SNAP_SANCTIONED)
-            } else if is_method_call(tokens, k, "publish") {
-                (k + 1, "LoadCell::publish", LOAD_SANCTIONED)
-            } else {
-                continue;
-            };
-        let line = tokens[anchor].line;
-        if file.is_test_line(line) {
-            continue;
-        }
-        // Attribute the publication to its innermost enclosing function.
-        let owner = file
-            .fns
-            .iter()
-            .filter(|f| f.open < anchor && anchor < f.close)
-            .max_by_key(|f| f.open);
-        let fn_name = owner.map(|f| f.name.as_str()).unwrap_or("<top level>");
-        if sanctioned.contains(&fn_name) {
-            continue;
-        }
-        out.push(Finding::new(
-            "epoch-discipline",
-            &file.rel,
-            line,
-            tokens[anchor].col,
-            format!(
-                "`{cell}` inside fn `{fn_name}`: epoch publication is sanctioned only in \
-                 {} (DESIGN \u{a7}9-10); route the change through a sanctioned mutator",
-                sanctioned.join("/")
-            ),
-            String::new(),
-        ));
     }
 }

@@ -1,8 +1,7 @@
 //! Rule-engine tests over synthetic sources, cross-file rules over
-//! synthetic workspaces, baseline/ratchet round-trips, plus a whole-repo
-//! integration check that the real workspace audits clean.
+//! synthetic workspaces, plus a whole-repo integration check that the real
+//! workspace audits clean.
 
-use sflow_audit::baseline::{ratchet, Baseline};
 use sflow_audit::{
     audit_files, audit_workspace, find_root, scan_source, workspace_sources, FileClass, SourceFile,
 };
@@ -103,7 +102,7 @@ fn allow_directive_suppresses_same_line_and_line_above() {
 
     // A directive naming the wrong rule suppresses nothing — and is itself
     // flagged as unused.
-    let wrong_rule = "fn f() { y.unwrap(); } // audit:allow(no-print)\n";
+    let wrong_rule = "fn f() { y.unwrap(); } // audit:allow(kernel-discipline)\n";
     let (fs, _) = scan_source("crates/server/src/world.rs", wrong_rule);
     let rules: Vec<_> = fs.iter().map(|f| f.rule).collect();
     assert!(rules.contains(&"no-unwrap"), "{fs:?}");
@@ -157,60 +156,6 @@ fn doc_prose_with_placeholder_rule_names_is_not_a_directive() {
     let (fs, sup) = scan_source("crates/server/src/clean.rs", src);
     assert!(fs.is_empty(), "{fs:?}");
     assert_eq!(sup, 0);
-}
-
-// ---------------------------------------------------------------------------
-// std-sync-lock / no-print / forbid-unsafe
-// ---------------------------------------------------------------------------
-
-#[test]
-fn std_sync_locks_are_flagged_including_brace_imports() {
-    let src = "use std::sync::{Arc, Mutex};\nfn f(x: std::sync::RwLock<u32>) {}\n";
-    let (fs, _) = scan_source("crates/core/src/context.rs", src);
-    let rules: Vec<_> = fs.iter().map(|f| (f.rule, f.line)).collect();
-    assert!(rules.contains(&("std-sync-lock", 1)), "{rules:?}");
-    assert!(rules.contains(&("std-sync-lock", 2)), "{rules:?}");
-    // Arc alone must not fire.
-    let clean = "use std::sync::Arc;\nuse std::sync::atomic::AtomicU64;\n";
-    let (fs, _) = scan_source("crates/core/src/context.rs", clean);
-    assert!(fs.iter().all(|f| f.rule != "std-sync-lock"), "{fs:?}");
-}
-
-#[test]
-fn print_macros_in_libraries_are_flagged_binaries_exempt() {
-    let src = "fn f() { println!(\"x\"); eprintln!(\"y\"); print!(\"z\"); dbg!(1); }\n";
-    let (fs, _) = scan_source("crates/core/src/solver.rs", src);
-    let n_print = fs.iter().filter(|f| f.rule == "no-print").count();
-    // println!, eprintln!, print!, dbg! — each exactly once.
-    assert_eq!(n_print, 4, "{fs:?}");
-
-    let (fs, _) = scan_source("src/bin/sflow.rs", src);
-    assert!(fs.iter().all(|f| f.rule != "no-print"), "{fs:?}");
-}
-
-#[test]
-fn eprintln_is_not_double_counted_as_println() {
-    let src = "fn f() { eprintln!(\"y\"); }\n";
-    let (fs, _) = scan_source("crates/core/src/lib.rs", src);
-    let prints: Vec<_> = fs.iter().filter(|f| f.rule == "no-print").collect();
-    assert_eq!(prints.len(), 1, "{prints:?}");
-    assert!(prints[0].message.contains("eprintln"), "{prints:?}");
-}
-
-#[test]
-fn missing_forbid_unsafe_in_crate_root_is_flagged() {
-    let (fs, _) = scan_source("crates/core/src/lib.rs", "pub mod x;\n");
-    assert!(fs.iter().any(|f| f.rule == "forbid-unsafe"), "{fs:?}");
-
-    let (fs, _) = scan_source(
-        "crates/core/src/lib.rs",
-        "#![forbid(unsafe_code)]\npub mod x;\n",
-    );
-    assert!(fs.iter().all(|f| f.rule != "forbid-unsafe"), "{fs:?}");
-
-    // Non-root files are not required to carry the attribute.
-    let (fs, _) = scan_source("crates/core/src/solver.rs", "pub fn f() {}\n");
-    assert!(fs.iter().all(|f| f.rule != "forbid-unsafe"), "{fs:?}");
 }
 
 // ---------------------------------------------------------------------------
@@ -579,107 +524,8 @@ fn reactor_nonblocking_is_suppressible_at_the_site() {
 }
 
 // ---------------------------------------------------------------------------
-// epoch-discipline
+// cross-file: wire-exhaustive
 // ---------------------------------------------------------------------------
-
-#[test]
-fn epoch_discipline_flags_publication_outside_sanctioned_mutators() {
-    let src = "fn helper(shared: &Shared) {\n\
-                   shared.load.publish(&cells, epoch);\n\
-               }\n";
-    let (fs, _) = scan_source("crates/server/src/load.rs", src);
-    let ed: Vec<_> = fs.iter().filter(|f| f.rule == "epoch-discipline").collect();
-    assert_eq!(ed.len(), 1, "{fs:?}");
-    assert!(ed[0].message.contains("LoadCell::publish"), "{ed:?}");
-    assert!(ed[0].message.contains("`helper`"), "{ed:?}");
-
-    // `mutate` applies and delegates; the rebase is published by the repair
-    // sweep's commit half, under the sessions lock it takes.
-    let src = "fn mutate(shared: &Shared) {\n\
-                   shared.load.publish(Arc::new(rebased));\n\
-               }\n";
-    let (fs, _) = scan_source("crates/server/src/server.rs", src);
-    assert!(fs.iter().any(|f| f.rule == "epoch-discipline"), "{fs:?}");
-
-    let src = "impl World {\n\
-                   fn rogue(&self, next: Arc<WorldSnapshot>) {\n\
-                       self.snap.store(next);\n\
-                   }\n\
-               }\n";
-    let (fs, _) = scan_source("crates/server/src/world.rs", src);
-    assert!(
-        fs.iter()
-            .any(|f| f.rule == "epoch-discipline" && f.message.contains("Snap::store")),
-        "{fs:?}"
-    );
-}
-
-#[test]
-fn epoch_discipline_accepts_sanctioned_mutators_and_tests() {
-    let src = "fn sweep(shared: &Shared) {\n\
-                   shared.load.publish(&cells, epoch);\n\
-               }\n\
-               fn commit_repairs(shared: &Shared) {\n\
-                   shared.load.publish(Arc::new(rebased));\n\
-               }\n\
-               impl World {\n\
-                   fn apply(&mut self, m: &Mutation) {\n\
-                       self.snap.store(Arc::new(next));\n\
-                   }\n\
-                   fn apply_batch(&mut self) {\n\
-                       self.snap.store(Arc::new(next));\n\
-                   }\n\
-               }\n";
-    let (fs, _) = scan_source("crates/server/src/world.rs", src);
-    assert!(fs.iter().all(|f| f.rule != "epoch-discipline"), "{fs:?}");
-
-    // Test code and test directories publish freely.
-    let src = "#[cfg(test)]\n\
-               mod tests {\n\
-                   #[test]\n\
-                   fn t(shared: &Shared) { shared.load.publish(&cells, 1); }\n\
-               }\n";
-    let (fs, _) = scan_source("crates/server/src/load.rs", src);
-    assert!(fs.iter().all(|f| f.rule != "epoch-discipline"), "{fs:?}");
-
-    let src = "fn anything(shared: &Shared) { shared.load.publish(&cells, 1); }\n";
-    let (fs, _) = scan_source("crates/server/tests/load.rs", src);
-    assert!(fs.iter().all(|f| f.rule != "epoch-discipline"), "{fs:?}");
-
-    // Other crates are out of scope.
-    let (fs, _) = scan_source("crates/sim/src/lib.rs", src);
-    assert!(fs.iter().all(|f| f.rule != "epoch-discipline"), "{fs:?}");
-}
-
-#[test]
-fn epoch_discipline_is_suppressible_at_the_site() {
-    let src = "fn helper(shared: &Shared) {\n\
-                   shared.load.publish(&cells, epoch); // audit:allow(epoch-discipline)\n\
-               }\n";
-    let (fs, sup) = scan_source("crates/server/src/load.rs", src);
-    assert!(fs.iter().all(|f| f.rule != "epoch-discipline"), "{fs:?}");
-    assert_eq!(sup, 1);
-}
-
-// ---------------------------------------------------------------------------
-// cross-file: counter-coverage
-// ---------------------------------------------------------------------------
-
-const STATS_OK: &str = "use std::sync::atomic::{AtomicU64, Ordering};\n\
-    pub struct Metrics {\n\
-        requests: AtomicU64,\n\
-        window: Mutex<LatencyWindow>,\n\
-    }\n\
-    impl Metrics {\n\
-        pub fn bump(&self) { self.requests.fetch_add(1, Ordering::Relaxed); }\n\
-        pub fn snapshot(&self) -> StatsSnapshot {\n\
-            StatsSnapshot { requests: self.requests.load(Ordering::Relaxed) }\n\
-        }\n\
-    }\n";
-
-const CLI_OK: &str = "#![forbid(unsafe_code)]\n\
-    fn render(s: &StatsSnapshot) { println!(\"requests {}\", s.requests); }\n\
-    fn main() {}\n";
 
 fn parse_set(files: &[(&str, &str)]) -> Vec<SourceFile> {
     files
@@ -687,97 +533,6 @@ fn parse_set(files: &[(&str, &str)]) -> Vec<SourceFile> {
         .map(|(rel, text)| SourceFile::parse(rel, text))
         .collect()
 }
-
-#[test]
-fn counter_coverage_accepts_a_fully_wired_counter() {
-    let files = parse_set(&[
-        ("crates/server/src/stats.rs", STATS_OK),
-        ("src/bin/sflow.rs", CLI_OK),
-    ]);
-    let report = audit_files(&files);
-    assert!(
-        report.findings.iter().all(|f| f.rule != "counter-coverage"),
-        "{}",
-        report.render_human()
-    );
-}
-
-#[test]
-fn counter_coverage_flags_a_dead_counter_on_every_missing_leg() {
-    // `dead` is declared but never bumped, never snapshotted, never shown.
-    let stats = STATS_OK.replace(
-        "requests: AtomicU64,",
-        "requests: AtomicU64,\n        dead: AtomicU64,",
-    );
-    let files = parse_set(&[
-        ("crates/server/src/stats.rs", &stats),
-        ("src/bin/sflow.rs", CLI_OK),
-    ]);
-    let report = audit_files(&files);
-    let cc: Vec<_> = report
-        .findings
-        .iter()
-        .filter(|f| f.rule == "counter-coverage")
-        .collect();
-    assert_eq!(cc.len(), 1, "{}", report.render_human());
-    assert!(cc[0].message.contains("`dead`"), "{cc:?}");
-    assert!(cc[0].message.contains("never incremented"), "{cc:?}");
-    assert!(cc[0].message.contains("never snapshotted"), "{cc:?}");
-    assert!(cc[0].message.contains("not rendered"), "{cc:?}");
-    assert_eq!(cc[0].path, "crates/server/src/stats.rs");
-
-    // A counter bumped and snapshotted but invisible to the operator is
-    // still a finding — rendering is a required leg.
-    let stats = STATS_OK
-        .replace("requests: AtomicU64,", "requests: AtomicU64,\n        hidden: AtomicU64,")
-        .replace(
-            "pub fn bump(&self) { self.requests.fetch_add(1, Ordering::Relaxed); }",
-            "pub fn bump(&self) { self.requests.fetch_add(1, Ordering::Relaxed); \
-             self.hidden.store(7, Ordering::Relaxed); let _ = self.hidden.load(Ordering::Relaxed); }",
-        );
-    let files = parse_set(&[
-        ("crates/server/src/stats.rs", &stats),
-        ("src/bin/sflow.rs", CLI_OK),
-    ]);
-    let report = audit_files(&files);
-    let cc: Vec<_> = report
-        .findings
-        .iter()
-        .filter(|f| f.rule == "counter-coverage")
-        .collect();
-    assert_eq!(cc.len(), 1, "{}", report.render_human());
-    assert!(cc[0].message.contains("`hidden`"), "{cc:?}");
-    assert!(cc[0].message.contains("not rendered"), "{cc:?}");
-    assert!(!cc[0].message.contains("never incremented"), "{cc:?}");
-}
-
-#[test]
-fn counter_coverage_ignores_non_atomic_fields_and_is_suppressible() {
-    // `window: Mutex<…>` in STATS_OK is not an AtomicU64 — never flagged
-    // (covered by counter_coverage_accepts_a_fully_wired_counter). A
-    // deliberately unwired counter can be allowed at its declaration.
-    let stats = STATS_OK.replace(
-        "requests: AtomicU64,",
-        "requests: AtomicU64,\n        \
-         // audit:allow(counter-coverage): wired in a follow-up change\n        \
-         staged: AtomicU64,",
-    );
-    let files = parse_set(&[
-        ("crates/server/src/stats.rs", &stats),
-        ("src/bin/sflow.rs", CLI_OK),
-    ]);
-    let report = audit_files(&files);
-    assert!(
-        report.findings.iter().all(|f| f.rule != "counter-coverage"),
-        "{}",
-        report.render_human()
-    );
-    assert_eq!(report.suppressed, 1);
-}
-
-// ---------------------------------------------------------------------------
-// cross-file: wire-exhaustive
-// ---------------------------------------------------------------------------
 
 const WIRE_LIB: &str = "#![forbid(unsafe_code)]\n\
     pub enum Request {\n\
@@ -816,55 +571,13 @@ const WIRE_CLI: &str = "#![forbid(unsafe_code)]\n\
         let _ = client.fetch(7);\n\
     }\n";
 
-const WIRE_CODEC: &str = "impl Record for Request {\n\
-        fn encode(&self, out: &mut Vec<u8>) {\n\
-            match self {\n\
-                Request::Ping => out.push(0),\n\
-                Request::Fetch { key } => { out.push(1); key.encode(out); }\n\
-            }\n\
-        }\n\
-        fn decode(cur: &mut Cursor<'_>) -> Result<Self, WireError> {\n\
-            Ok(match cur.byte()? {\n\
-                0 => Request::Ping,\n\
-                1 => Request::Fetch { key: cur.varint()? },\n\
-                tag => return Err(unknown_tag(tag)),\n\
-            })\n\
-        }\n\
-    }\n\
-    impl Record for Response {\n\
-        fn encode(&self, out: &mut Vec<u8>) {\n\
-            match self {\n\
-                Response::Pong => out.push(0),\n\
-                Response::Value(v) => { out.push(1); v.encode(out); }\n\
-            }\n\
-        }\n\
-        fn decode(cur: &mut Cursor<'_>) -> Result<Self, WireError> {\n\
-            Ok(match cur.byte()? {\n\
-                0 => Response::Pong,\n\
-                1 => Response::Value(cur.varint()?),\n\
-                tag => return Err(unknown_tag(tag)),\n\
-            })\n\
-        }\n\
-    }\n";
-
-fn wire_set_with_codec(
-    lib: &str,
-    server: &str,
-    client: &str,
-    cli: &str,
-    codec: &str,
-) -> Vec<SourceFile> {
+fn wire_set(lib: &str, server: &str, client: &str, cli: &str) -> Vec<SourceFile> {
     parse_set(&[
         ("crates/server/src/lib.rs", lib),
         ("crates/server/src/server.rs", server),
         ("crates/server/src/client.rs", client),
         ("src/bin/sflow.rs", cli),
-        ("crates/server/src/wire.rs", codec),
     ])
-}
-
-fn wire_set(lib: &str, server: &str, client: &str, cli: &str) -> Vec<SourceFile> {
-    wire_set_with_codec(lib, server, client, cli, WIRE_CODEC)
 }
 
 #[test]
@@ -953,59 +666,6 @@ fn wire_exhaustive_flags_each_missing_leg() {
 }
 
 #[test]
-fn wire_exhaustive_flags_a_variant_missing_its_decode_arm() {
-    let codec_findings = |codec: &str| -> Vec<String> {
-        audit_files(&wire_set_with_codec(
-            WIRE_LIB,
-            WIRE_SERVER,
-            WIRE_CLIENT,
-            WIRE_CLI,
-            codec,
-        ))
-        .findings
-        .iter()
-        .filter(|f| f.rule == "wire-exhaustive")
-        .map(|f| f.message.clone())
-        .collect()
-    };
-    // The compiler forces the encode arm (`match self` is exhaustive) but a
-    // decode `match` on a tag byte compiles with an arm missing.
-    let codec = WIRE_CODEC.replace("1 => Request::Fetch { key: cur.varint()? },\n", "");
-    let found = codec_findings(&codec);
-    assert_eq!(found.len(), 1, "{found:?}");
-    assert!(
-        found[0].contains("`Request::Fetch`")
-            && found[0].contains("decode arm")
-            && found[0].contains("1 time(s)"),
-        "{found:?}"
-    );
-    let codec = WIRE_CODEC.replace("0 => Response::Pong,\n", "");
-    let found = codec_findings(&codec);
-    assert_eq!(found.len(), 1, "{found:?}");
-    assert!(found[0].contains("`Response::Pong`"), "{found:?}");
-
-    // A decode arm that exists only in the codec's tests does not count.
-    let codec = format!(
-        "{}#[cfg(test)]\nmod tests {{\n    fn fake() -> Request {{ Request::Fetch {{ key: 1 }} }}\n}}\n",
-        WIRE_CODEC.replace("1 => Request::Fetch { key: cur.varint()? },\n", "")
-    );
-    assert_eq!(codec_findings(&codec).len(), 1);
-
-    // A tree without wire.rs (a partial scan) is not a finding.
-    let report = audit_files(&parse_set(&[
-        ("crates/server/src/lib.rs", WIRE_LIB),
-        ("crates/server/src/server.rs", WIRE_SERVER),
-        ("crates/server/src/client.rs", WIRE_CLIENT),
-        ("src/bin/sflow.rs", WIRE_CLI),
-    ]));
-    assert!(
-        report.findings.iter().all(|f| f.rule != "wire-exhaustive"),
-        "{}",
-        report.render_human()
-    );
-}
-
-#[test]
 fn wire_exhaustive_ignores_payload_fields_and_test_dispatch() {
     // `key: u64` inside Fetch and `Value(u64)`'s payload are not variants;
     // a complete surface yields no findings for them (see the accepting
@@ -1030,45 +690,6 @@ fn wire_exhaustive_ignores_payload_fields_and_test_dispatch() {
 }
 
 // ---------------------------------------------------------------------------
-// baseline / ratchet
-// ---------------------------------------------------------------------------
-
-#[test]
-fn baseline_ratchet_denies_new_findings_but_passes_unchanged_debt() {
-    let debt = "fn f() { let x = y.unwrap(); }\n";
-    let report = audit_files(&parse_set(&[("crates/server/src/debt.rs", debt)]));
-    assert_eq!(report.findings.len(), 1);
-
-    // Accept the debt, round-trip the baseline through its file format.
-    let baseline = Baseline::from_report(&report);
-    let baseline = Baseline::parse(&baseline.to_json()).expect("round-trips");
-
-    // Unchanged debt (even shifted down the file): ratchet passes.
-    let drifted = format!("// a comment pushing everything down\n\n{debt}");
-    let report = audit_files(&parse_set(&[("crates/server/src/debt.rs", &drifted)]));
-    let r = ratchet(&report, &baseline);
-    assert!(r.is_clean(), "{:?}", r);
-    assert_eq!(r.carried, 1);
-
-    // A second violation: only the new finding is denied.
-    let grown = format!("{debt}fn g() {{ let z = w.expect(\"no\"); }}\n");
-    let report = audit_files(&parse_set(&[("crates/server/src/debt.rs", &grown)]));
-    let r = ratchet(&report, &baseline);
-    assert!(!r.is_clean());
-    assert_eq!(r.new.len(), 1, "{:?}", r.new);
-    assert!(r.new[0].snippet.contains("expect"), "{:?}", r.new);
-    assert_eq!(r.carried, 1);
-
-    // Debt paid but baseline not regenerated: the stale entry fails the
-    // gate too, so the ratchet only ever tightens.
-    let report = audit_files(&parse_set(&[("crates/server/src/debt.rs", "fn f() {}\n")]));
-    let r = ratchet(&report, &baseline);
-    assert!(!r.is_clean());
-    assert!(r.new.is_empty());
-    assert_eq!(r.stale.len(), 1);
-}
-
-// ---------------------------------------------------------------------------
 // classification and the real workspace
 // ---------------------------------------------------------------------------
 
@@ -1076,23 +697,12 @@ fn baseline_ratchet_denies_new_findings_but_passes_unchanged_debt() {
 fn file_classification() {
     let c = FileClass::of("crates/server/src/wire.rs");
     assert_eq!(c.crate_dir, "crates/server");
-    assert!(!c.in_tests && !c.is_bin && !c.is_crate_root);
-
-    let c = FileClass::of("crates/server/tests/wire_negative.rs");
-    assert!(c.in_tests);
-
-    let c = FileClass::of("src/bin/sflow.rs");
-    assert!(c.is_bin && c.is_crate_root);
-    assert_eq!(c.crate_dir, "");
-
-    let c = FileClass::of("crates/audit/src/main.rs");
-    assert!(c.is_bin && c.is_crate_root);
-
+    assert!(!c.in_tests);
+    assert!(FileClass::of("crates/server/tests/wire_negative.rs").in_tests);
+    assert_eq!(FileClass::of("src/bin/sflow.rs").crate_dir, "");
     // Root-level integration tests and examples are test-class sources.
-    let c = FileClass::of("tests/end_to_end.rs");
-    assert!(c.in_tests);
-    let c = FileClass::of("examples/overlay_demo.rs");
-    assert!(c.in_tests);
+    assert!(FileClass::of("tests/end_to_end.rs").in_tests);
+    assert!(FileClass::of("examples/overlay_demo.rs").in_tests);
 }
 
 #[test]
@@ -1119,8 +729,8 @@ fn workspace_walk_covers_root_tests_and_examples() {
     );
 }
 
-/// The acceptance criterion from the issue: the shipped tree must audit
-/// clean, and a seeded violation of each rule family must be caught.
+/// The shipped tree must audit clean, and a violation of each of the six
+/// rules seeded into the real sources must be caught.
 #[test]
 fn real_workspace_audits_clean_and_seeded_violations_fail() {
     let root = find_root(std::path::Path::new(env!("CARGO_MANIFEST_DIR")))
@@ -1136,54 +746,73 @@ fn real_workspace_audits_clean_and_seeded_violations_fail() {
         "scanned {} (root tests/ and examples/ should be included)",
         report.files_scanned
     );
+    let read = |rel: &str| std::fs::read_to_string(root.join(rel)).unwrap();
+    let fires = |rel: &str, seeded: &str, rule: &str, needle: &str| {
+        let (fs, _) = scan_source(rel, seeded);
+        assert!(
+            fs.iter()
+                .any(|f| f.rule == rule && f.message.contains(needle)),
+            "{rule} on {rel}: {fs:?}"
+        );
+    };
 
-    // Seeding a violation into the real world.rs source must be caught.
-    let world = std::fs::read_to_string(root.join("crates/server/src/world.rs")).unwrap();
+    // no-unwrap, and a dead suppression, in the real world.rs.
+    let world = read("crates/server/src/world.rs");
     let seeded = world.replace(
         "impl World {",
         "impl World {\n    fn bad() { x.unwrap(); }\n",
     );
     assert_ne!(world, seeded, "seed point missing from world.rs");
-    let (fs, _) = scan_source("crates/server/src/world.rs", &seeded);
-    assert!(fs.iter().any(|f| f.rule == "no-unwrap"), "{fs:?}");
-
-    // Seeding a dead counter into the real stats.rs must be caught by the
-    // cross-file rule against the real CLI.
-    let stats = std::fs::read_to_string(root.join("crates/server/src/stats.rs")).unwrap();
-    let seeded = stats.replace(
-        "struct Metrics {",
-        "struct Metrics {\n    dead_seed: AtomicU64,",
-    );
-    assert_ne!(stats, seeded, "seed point missing from stats.rs");
-    let cli = std::fs::read_to_string(root.join("src/bin/sflow.rs")).unwrap();
-    let files = parse_set(&[
-        ("crates/server/src/stats.rs", &seeded),
-        ("src/bin/sflow.rs", &cli),
-    ]);
-    let report = audit_files(&files);
-    assert!(
-        report
-            .findings
-            .iter()
-            .any(|f| f.rule == "counter-coverage" && f.message.contains("dead_seed")),
-        "{}",
-        report.render_human()
+    fires("crates/server/src/world.rs", &seeded, "no-unwrap", "unwrap");
+    let seeded = format!("// audit:allow(no-unwrap)\n{world}");
+    fires(
+        "crates/server/src/world.rs",
+        &seeded,
+        "unused-suppression",
+        "suppresses nothing",
     );
 
-    // Seeding a new wire variant into the real protocol enum must be
-    // caught against the real server, client and CLI.
-    let wire = std::fs::read_to_string(root.join("crates/server/src/lib.rs")).unwrap();
-    let seeded = wire.replace("pub enum Request {", "pub enum Request {\n    ProbeSeed,");
-    assert_ne!(wire, seeded, "seed point missing from server lib.rs");
-    let server = std::fs::read_to_string(root.join("crates/server/src/server.rs")).unwrap();
-    let client = std::fs::read_to_string(root.join("crates/server/src/client.rs")).unwrap();
-    let files = parse_set(&[
+    // kernel-discipline: an allocation in a heap-pop loop of the real kernel.
+    let rel = "crates/routing/src/shortest_widest.rs";
+    let seeded = format!(
+        "{}\nfn seed(heap: &mut BinaryHeap<u32>) {{\n    \
+         while let Some(x) = heap.pop() {{ let v = vec![x]; }}\n}}\n",
+        read(rel)
+    );
+    fires(rel, &seeded, "kernel-discipline", "vec!");
+
+    // guard-across-solve: the sessions lock held across the real cold solve.
+    let rel = "crates/server/src/server.rs";
+    let server = read(rel);
+    let seeded = format!(
+        "{server}\nfn seed(shared: &Shared) {{\n    let held = shared.sessions.lock();\n    \
+         let flow = cold_solve(shared, &snap, &ctx, &req, algo, None);\n}}\n"
+    );
+    fires(rel, &seeded, "guard-across-solve", "`held`");
+
+    // reactor-nonblocking: a blocking read in the real reactor.rs.
+    let rel = "crates/server/src/reactor.rs";
+    let seeded = format!(
+        "{}\nfn stall_seed(stream: &mut std::net::TcpStream) {{\n    \
+         let mut buf = [0u8; 4];\n    let _ = stream.read_exact(&mut buf);\n}}\n",
+        read(rel)
+    );
+    fires(rel, &seeded, "reactor-nonblocking", "read_exact");
+
+    // wire-exhaustive: a new variant in the real protocol enum, against the
+    // real server, client and CLI.
+    let protocol = read("crates/server/src/lib.rs");
+    let seeded = protocol.replace("pub enum Request {", "pub enum Request {\n    ProbeSeed,");
+    assert_ne!(protocol, seeded, "seed point missing from server lib.rs");
+    let report = audit_files(&parse_set(&[
         ("crates/server/src/lib.rs", &seeded),
         ("crates/server/src/server.rs", &server),
-        ("crates/server/src/client.rs", &client),
-        ("src/bin/sflow.rs", &cli),
-    ]);
-    let report = audit_files(&files);
+        (
+            "crates/server/src/client.rs",
+            &read("crates/server/src/client.rs"),
+        ),
+        ("src/bin/sflow.rs", &read("src/bin/sflow.rs")),
+    ]));
     assert!(
         report
             .findings
@@ -1191,39 +820,5 @@ fn real_workspace_audits_clean_and_seeded_violations_fail() {
             .any(|f| f.rule == "wire-exhaustive" && f.message.contains("ProbeSeed")),
         "{}",
         report.render_human()
-    );
-
-    // Seeding a rogue publication into the real rebalance.rs must be
-    // caught by epoch-discipline.
-    let rebalance = std::fs::read_to_string(root.join("crates/server/src/rebalance.rs")).unwrap();
-    let seeded =
-        format!("{rebalance}\nfn rogue_seed(shared: &Shared) {{ shared.load.publish(&[], 0); }}\n");
-    let (fs, _) = scan_source("crates/server/src/rebalance.rs", &seeded);
-    assert!(
-        fs.iter()
-            .any(|f| f.rule == "epoch-discipline" && f.message.contains("rogue_seed")),
-        "{fs:?}"
-    );
-
-    // Seeding a blocking read into the real reactor.rs must be caught.
-    let reactor = std::fs::read_to_string(root.join("crates/server/src/reactor.rs")).unwrap();
-    let seeded = format!(
-        "{reactor}\nfn stall_seed(stream: &mut std::net::TcpStream) {{\n    \
-         let mut buf = [0u8; 4];\n    let _ = stream.read_exact(&mut buf);\n}}\n"
-    );
-    let (fs, _) = scan_source("crates/server/src/reactor.rs", &seeded);
-    assert!(
-        fs.iter()
-            .any(|f| f.rule == "reactor-nonblocking" && f.message.contains("read_exact")),
-        "{fs:?}"
-    );
-
-    // Seeding a dead suppression into the real world.rs must be caught.
-    let seeded = format!("// audit:allow(no-print)\n{world}");
-    let (fs, _) = scan_source("crates/server/src/world.rs", &seeded);
-    assert!(
-        fs.iter()
-            .any(|f| f.rule == "unused-suppression" && f.line == 1),
-        "{fs:?}"
     );
 }

@@ -5,6 +5,8 @@
 //! * A2 — exact vs lexicographic shortest-widest routing-table build;
 //! * A3 — full reduction plan vs chain-cover fallback solving.
 
+#![allow(clippy::print_stdout, clippy::print_stderr)]
+
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sflow_bench::bench_sweep;
 use sflow_core::algorithms::{FederationAlgorithm, SflowAlgorithm};

@@ -3,6 +3,8 @@
 //! Prints the reproduced series, then benchmarks the federation step of each
 //! algorithm on the experiment's worlds.
 
+#![allow(clippy::print_stdout, clippy::print_stderr)]
+
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sflow_bench::{bench_sweep, BENCH_SIZES};
 use sflow_core::algorithms::{

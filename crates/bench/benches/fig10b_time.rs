@@ -5,6 +5,8 @@
 //! protocol) vs the global-optimal computation, across the paper's network
 //! sizes. The experiment-runner's wall-clock table is printed first.
 
+#![allow(clippy::print_stdout, clippy::print_stderr)]
+
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sflow_bench::bench_sweep;
 use sflow_core::algorithms::{FederationAlgorithm, GlobalOptimalAlgorithm};

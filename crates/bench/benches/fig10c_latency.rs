@@ -3,6 +3,8 @@
 //! Prints the reproduced latency series, then benchmarks the full latency
 //! experiment pipeline (world build + federate + evaluate) per size.
 
+#![allow(clippy::print_stdout, clippy::print_stderr)]
+
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sflow_bench::{bench_sweep, BENCH_SIZES};
 use sflow_core::algorithms::{FederationAlgorithm, SflowAlgorithm};

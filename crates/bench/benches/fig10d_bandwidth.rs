@@ -3,6 +3,8 @@
 //! Prints the reproduced bandwidth series, then benchmarks the bandwidth
 //! evaluation of each algorithm's flow graph.
 
+#![allow(clippy::print_stdout, clippy::print_stderr)]
+
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sflow_bench::{bench_sweep, BENCH_SIZES};
 use sflow_core::algorithms::{

@@ -30,6 +30,7 @@
 //! `--max-nodes 500`).
 
 #![forbid(unsafe_code)]
+#![allow(clippy::print_stdout, clippy::print_stderr)]
 
 use std::time::Instant;
 

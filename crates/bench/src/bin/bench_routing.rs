@@ -52,6 +52,7 @@
 //! run).
 
 #![forbid(unsafe_code)]
+#![allow(clippy::print_stdout, clippy::print_stderr)]
 
 use std::collections::VecDeque;
 use std::time::Instant;

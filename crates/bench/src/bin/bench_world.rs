@@ -21,6 +21,7 @@
 //! [`Snap`]: sflow_server::Snap
 
 #![forbid(unsafe_code)]
+#![allow(clippy::print_stdout, clippy::print_stderr)]
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;

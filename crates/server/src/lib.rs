@@ -7,11 +7,12 @@
 //! requests:
 //!
 //! * **Snapshot world** — the overlay, [`AllPairs`] table and topology epoch
-//!   live in an immutable [`WorldSnapshot`] published through a [`Snap`]
-//!   cell ([`snapshot`]). `Federate` requests load the current snapshot and
-//!   solve with **no shared lock held**; mutations build the successor
-//!   copy-on-write off to the side and publish it with one pointer swap
-//!   ([`world`]). Mutations serialize only against each other.
+//!   live in an immutable [`WorldSnapshot`] ([`snapshot`]) published
+//!   through a [`Snap`] cell. `Federate` requests load the current snapshot
+//!   and solve with **no shared lock held**; mutations build the successor
+//!   copy-on-write off to the side and publish it with one pointer swap —
+//!   the cell lives with them in [`world`], and nothing else can store to
+//!   it. Mutations serialize only against each other.
 //! * **Shared routing caches** — the [`HopMatrix`] the sFlow horizon needs
 //!   lives *inside* each snapshot (built lazily, at most once per epoch) and
 //!   is handed to every solver as an `Arc` (via [`Solver::with_hop_matrix`]);
@@ -29,11 +30,13 @@
 //! * **Load plane** — a [`LoadMap`] derives per-link reserved bandwidth
 //!   from the live session table (plus a CONGA-style discounted estimator)
 //!   and is published as an immutable [`LoadPlane`] through a [`LoadCell`],
-//!   the snapshot cell's twin. Federates solve against a **residual**
-//!   overlay whose link bandwidths are clamped to `capacity − reserved`
-//!   (disable with [`ServerConfig::residual`] = `false`), and a background
-//!   rebalancer sweep migrates sessions off links above a utilization
-//!   threshold — make-before-break, cheapest movers first ([`load`]).
+//!   the snapshot cell's twin, whose `publish` wants a borrow of the
+//!   lock-guarded session table as its witness. Federates solve against a
+//!   **residual** overlay whose link bandwidths are clamped to `capacity −
+//!   reserved` (disable with [`ServerConfig::residual`] = `false`), and a
+//!   background rebalancer sweep migrates sessions off links above a
+//!   utilization threshold — make-before-break, cheapest movers first
+//!   ([`load`]).
 //! * **Wire protocol** — length-prefixed binary records (tagged enums,
 //!   varint integers; the byte layout is [`wire`]'s module doc) over
 //!   `std::net` TCP, served by one epoll [`reactor`]; [`client`] has the
@@ -80,10 +83,10 @@ pub mod world;
 pub use client::{Client, PipelinedClient};
 pub use load::{LinkId, LoadCell, LoadMap, LoadPlane};
 pub use server::{serve, serve_on, ServerConfig, ServerHandle};
-pub use snapshot::{Snap, SolveKey, WorldSnapshot};
+pub use snapshot::{SolveKey, WorldSnapshot};
 pub use stats::StatsSnapshot;
 pub use wire::WireError;
-pub use world::World;
+pub use world::{Snap, World};
 
 /// Which federation algorithm a [`Request::Federate`] should run.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]

@@ -24,9 +24,10 @@
 //!   Bookings no cold solve ever looks at (a found and its dissolve, a
 //!   burst of opens) are never routed.
 //! * [`LoadCell`] — the publication cell, a twin of
-//!   [`Snap`](crate::snapshot::Snap): readers clone an `Arc`, writers swap a
-//!   pointer. Every plane mutation in the server happens under the sessions
-//!   lock, so the map can never drift from the session table it mirrors
+//!   [`Snap`](crate::world::Snap): readers clone an `Arc`, writers swap a
+//!   pointer. Publishing takes a borrow of the lock-guarded session table
+//!   as a witness, so every plane mutation in the server happens under the
+//!   sessions lock and the map can never drift from the table it mirrors
 //!   (the conservation property test in this module pins that down).
 //!
 //! Capacities of [`Bandwidth::INFINITE`] (co-location identity links) are
@@ -42,6 +43,7 @@ use sflow_graph::NodeIx;
 use sflow_net::{OverlayGraph, ServiceInstance};
 use sflow_routing::{AllPairs, Bandwidth, EdgeChange, PatchStats, Qos};
 
+use crate::server::Sessions;
 use crate::snapshot::WorldSnapshot;
 
 /// A service link, addressed by its stable endpoint identities (overlay node
@@ -489,11 +491,42 @@ fn clamp_link(
 }
 
 /// The load plane's publication cell — a twin of
-/// [`Snap`](crate::snapshot::Snap): a load is one `Arc` clone, a publish is
-/// one pointer store. Writers (session open/close, rebalancer, epoch
-/// rebase) all mutate under the sessions lock, so publications are ordered
-/// by construction; unlike snapshot epochs, versions restart at every
-/// rebase, so the cell does not assert monotonicity itself.
+/// [`Snap`](crate::world::Snap): a load is one `Arc` clone, a publish is
+/// one pointer store.
+///
+/// **Publishing takes the session table as a witness.** `publish` wants a
+/// `&Sessions`, and the server's only `Sessions` lives inside the sessions
+/// mutex, so a writer (session open / close, the repair sweep's commit, the
+/// rebalancer) has the borrow to show only while it holds that lock:
+/// publications are ordered by it, and the ledger cannot drift from
+/// `Σ bookings.links` — which is what residual admission's "no link over
+/// capacity" rests on. Neither the witness type nor `publish` is visible
+/// outside the crate; from there a cell can only be read.
+///
+/// ```
+/// use std::sync::Arc;
+/// use sflow_core::fixtures::diamond_fixture;
+/// use sflow_server::{LoadCell, LoadPlane, World};
+///
+/// let plane = Arc::new(LoadPlane::fresh(&World::new(diamond_fixture()).snapshot()));
+/// let cell = LoadCell::new(Arc::clone(&plane));
+/// assert_eq!(cell.load().version(), plane.version());
+/// ```
+///
+/// ```compile_fail,E0624
+/// use std::sync::Arc;
+/// use sflow_core::fixtures::diamond_fixture;
+/// use sflow_server::{LoadCell, LoadPlane, World};
+///
+/// let plane = Arc::new(LoadPlane::fresh(&World::new(diamond_fixture()).snapshot()));
+/// let cell = LoadCell::new(Arc::clone(&plane));
+/// // error[E0624]: `publish` is private — and inside the crate it is an
+/// // E0061 until the caller shows the `&Sessions` it holds the lock for.
+/// cell.publish(plane);
+/// ```
+///
+/// Unlike snapshot epochs, versions restart at every rebase, so the cell
+/// does not assert monotonicity itself.
 #[derive(Debug)]
 pub struct LoadCell {
     current: Mutex<Arc<LoadPlane>>,
@@ -513,8 +546,9 @@ impl LoadCell {
         Arc::clone(&self.current.lock())
     }
 
-    /// Publishes `next` as the current plane.
-    pub fn publish(&self, next: Arc<LoadPlane>) {
+    /// Publishes `next` as the current plane. `_held` is the witness: a
+    /// borrow of the session table, which only its lock's holder has.
+    pub(crate) fn publish(&self, _held: &Sessions, next: Arc<LoadPlane>) {
         *self.current.lock() = next;
     }
 }
@@ -700,7 +734,8 @@ mod tests {
         let cell = LoadCell::new(Arc::new(LoadPlane::fresh(&snap)));
         assert_eq!(cell.load().version(), 0);
         let next = Arc::new(cell.load().decayed());
-        cell.publish(next);
+        // A test may forge the witness; the server's only table is locked.
+        cell.publish(&Sessions::default(), next);
         assert_eq!(cell.load().version(), 1);
     }
 

@@ -85,7 +85,7 @@ impl Reply {
     /// Routes `response` back to the reactor that owns the connection. Runs
     /// on a worker thread.
     pub(crate) fn send(self, metrics: &Metrics, response: Response) {
-        metrics.frame_completed();
+        metrics.frames_in_flight().sub(1);
         let _ = self.completions.send(Completion {
             token: self.token,
             request_id: self.request_id,
@@ -203,7 +203,7 @@ impl ConnState {
                     self.closing = true;
                     if self.decoder.pending() > 0 {
                         // EOF mid-frame: the peer died owing bytes.
-                        metrics.wire_error();
+                        metrics.wire_errors().inc();
                     }
                     break;
                 }
@@ -244,7 +244,7 @@ impl ConnState {
                     Err(e) => {
                         // Count it, answer an unattributed error (reserved
                         // id 0), degrade this connection only.
-                        metrics.wire_error();
+                        metrics.wire_errors().inc();
                         self.enqueue_response(
                             0,
                             &Response::Error(format!("protocol error: {e}")),
@@ -334,10 +334,12 @@ impl ConnState {
                 return;
             }
         }
-        metrics.write_buffered((self.write_buf.len() - staged) as u64);
+        metrics
+            .write_buffered_bytes()
+            .add((self.write_buf.len() - staged) as u64);
         if !self.paused && self.write_pending() > high_water {
             self.paused = true;
-            metrics.backpressure_pause();
+            metrics.backpressure_pauses().inc();
         }
     }
 
@@ -356,7 +358,7 @@ impl ConnState {
                 }
                 Ok(n) => {
                     self.write_pos += n;
-                    metrics.write_drained(n as u64);
+                    metrics.write_buffered_bytes().sub(n as u64);
                 }
                 Err(e) if e.kind() == ErrorKind::Interrupted => {}
                 Err(e) if e.kind() == ErrorKind::WouldBlock => return,
@@ -374,7 +376,9 @@ impl ConnState {
     /// Transport failure: drop staged bytes (releasing their gauge) and
     /// mark the connection for teardown.
     fn mark_dead(&mut self, metrics: &Metrics) {
-        metrics.write_drained(self.write_pending() as u64);
+        metrics
+            .write_buffered_bytes()
+            .sub(self.write_pending() as u64);
         self.write_buf.clear();
         self.write_pos = 0;
         self.dead = true;
@@ -504,7 +508,7 @@ fn reactor_loop(
     let mut events = Events::with_capacity(1024);
     loop {
         let _ = ctx.poller.wait(&mut events, Some(TICK));
-        ctx.shared.metrics.reactor_wakeup();
+        ctx.shared.metrics.reactor_wakeups().inc();
         if ctx.shared.shutting_down() {
             break;
         }
@@ -533,8 +537,9 @@ fn reactor_loop(
         conn.state.flush(&mut conn.stream, &ctx.shared.metrics);
         ctx.shared
             .metrics
-            .write_drained(conn.state.write_pending() as u64);
-        ctx.shared.metrics.conn_closed();
+            .write_buffered_bytes()
+            .sub(conn.state.write_pending() as u64);
+        ctx.shared.metrics.connections_open().sub(1);
     }
 }
 
@@ -550,16 +555,16 @@ fn accept_burst(
         match listener.accept() {
             Ok((stream, _)) => {
                 let cap = ctx.shared.config.effective_max_connections() as u64;
-                if ctx.shared.metrics.connections_open_now() >= cap {
+                if ctx.shared.metrics.connections_open().get() >= cap {
                     drop(stream); // over the cap: shed the connection itself
                     continue;
                 }
-                ctx.shared.metrics.conn_opened();
+                ctx.shared.metrics.connections_open().add(1);
                 let target = *next_target % handoff.len();
                 *next_target = next_target.wrapping_add(1);
                 let (tx, waker) = &handoff[target];
                 if tx.send(stream).is_err() {
-                    ctx.shared.metrics.conn_closed();
+                    ctx.shared.metrics.connections_open().sub(1);
                     continue;
                 }
                 let _ = waker.notify();
@@ -581,7 +586,7 @@ fn register(
     stream: TcpStream,
 ) {
     if stream.set_nonblocking(true).is_err() {
-        ctx.shared.metrics.conn_closed();
+        ctx.shared.metrics.connections_open().sub(1);
         return;
     }
     let _ = stream.set_nodelay(true);
@@ -593,7 +598,7 @@ fn register(
     let state = ConnState::new(token(slot, *next_gen));
     let key = slot + 1;
     if ctx.poller.add(&stream, state.interest(key)).is_err() {
-        ctx.shared.metrics.conn_closed();
+        ctx.shared.metrics.connections_open().sub(1);
         free.push(slot);
         return;
     }
@@ -717,8 +722,9 @@ fn retire(ctx: &ReactorCtx, conns: &mut [Option<Conn>], slot: usize) {
         let _ = ctx.poller.delete(&conn.stream);
         ctx.shared
             .metrics
-            .write_drained(conn.state.write_pending() as u64);
-        ctx.shared.metrics.conn_closed();
+            .write_buffered_bytes()
+            .sub(conn.state.write_pending() as u64);
+        ctx.shared.metrics.connections_open().sub(1);
     }
 }
 
@@ -741,14 +747,14 @@ mod tests {
 
     /// Regression for the `frames_in_flight` gauge race: a worker that
     /// finishes a job before the dispatcher has returned to `handle_frame`
-    /// must find the frame already counted, or its `frame_completed` drives
-    /// the gauge through zero and a `Stats` answered on another reactor
+    /// must find the frame already counted, or its `sub(1)` drives the gauge
+    /// through zero and a `Stats` answered on another reactor
     /// reads 18446744073709551615.
     #[test]
     fn a_completion_that_beats_the_dispatcher_never_underflows_the_gauge() {
         const FRAMES: u64 = 4;
         let metrics = Metrics::default();
-        let gauge = || metrics.snapshot(0).frames_in_flight;
+        let gauge = || metrics.frames_in_flight().get();
         let poller = Arc::new(Poller::new().unwrap());
         let (completion_tx, completion_rx) = unbounded::<Completion>();
         let (job_tx, job_rx) = bounded::<Job>(1);

@@ -115,7 +115,7 @@ pub(crate) fn sweep(shared: &Shared) -> SweepOutcome {
     // session mutating the ledger.
     let ticked = shared.sessions.lock();
     let plane = shared.load.load();
-    shared.load.publish(Arc::new(plane.decayed()));
+    shared.load.publish(&ticked, Arc::new(plane.decayed()));
     drop(ticked);
 
     let plane = shared.load.load();
@@ -125,14 +125,16 @@ pub(crate) fn sweep(shared: &Shared) -> SweepOutcome {
         // epoch; there is nothing coherent to balance against.
         shared
             .metrics
-            .set_max_link_utilization(outcome.max_utilization_permille);
+            .max_link_utilization_permille()
+            .set(outcome.max_utilization_permille);
         return outcome;
     }
     let hot = plane.hot_links(shared.config.utilization_threshold_permille);
     if hot.is_empty() {
         shared
             .metrics
-            .set_max_link_utilization(outcome.max_utilization_permille);
+            .max_link_utilization_permille()
+            .set(outcome.max_utilization_permille);
         return outcome;
     }
 
@@ -170,7 +172,7 @@ pub(crate) fn sweep(shared: &Shared) -> SweepOutcome {
     for candidate in candidates {
         let Ok(moved) = resolve_mover(shared, &snapshot, &candidate) else {
             outcome.migration_failures += 1;
-            shared.metrics.migration_failure();
+            shared.metrics.migration_failures().inc();
             continue;
         };
 
@@ -179,11 +181,8 @@ pub(crate) fn sweep(shared: &Shared) -> SweepOutcome {
         // at every instant, old path or new, never absent.
         let mut sessions = shared.sessions.lock();
         let plane = shared.load.load();
-        let Sessions {
-            bookings, by_key, ..
-        } = &mut *sessions;
         let committed = (|| {
-            let booking = bookings.get_mut(&candidate.booking)?;
+            let booking = sessions.bookings.get(&candidate.booking)?;
             if plane.epoch() != snapshot.epoch() || booking.epoch != snapshot.epoch() {
                 // The last tenant left, or a mutation overtook the sweep:
                 // this answer describes a world that is gone.
@@ -215,15 +214,20 @@ pub(crate) fn sweep(shared: &Shared) -> SweepOutcome {
             if local_after >= local_before {
                 return None;
             }
-            // Make-before-break: book the new path, swap the booking in
-            // place, only then release the old path.
-            shared
-                .load
-                .publish(Arc::new(plane.with_changes(&new_links, &[], workers)));
-            let old_links = std::mem::replace(&mut booking.links, new_links);
+            // Make-before-break: whoever reads the plane off-lock sees the
+            // new path booked before the old one is released. The booking
+            // itself is only ever read under this lock, so it is swapped
+            // in place once both planes are out.
+            let booked = plane.with_changes(&new_links, &[], workers);
+            let broken = booked.with_changes(&[], &booking.links, workers);
+            shared.load.publish(&sessions, Arc::new(booked));
+            shared.load.publish(&sessions, Arc::new(broken));
+            let Sessions {
+                bookings, by_key, ..
+            } = &mut *sessions;
+            let booking = bookings.get_mut(&candidate.booking)?;
+            booking.links = new_links;
             booking.flow = Arc::new(moved);
-            let broken = shared.load.load().with_changes(&[], &old_links, workers);
-            shared.load.publish(Arc::new(broken));
             // Only the booking its key's new tenants would attach to has a
             // say over the key's cached solve; a superseded one moves alone.
             let owns_slot = |key: &SolveKey| by_key.get(key) == Some(&candidate.booking);
@@ -242,11 +246,11 @@ pub(crate) fn sweep(shared: &Shared) -> SweepOutcome {
                     snapshot.cache_solve(key, flow.as_ref().clone());
                 }
                 outcome.migrations += 1;
-                shared.metrics.migration();
+                shared.metrics.migrations().inc();
             }
             None => {
                 outcome.migration_failures += 1;
-                shared.metrics.migration_failure();
+                shared.metrics.migration_failures().inc();
             }
         }
     }
@@ -254,7 +258,8 @@ pub(crate) fn sweep(shared: &Shared) -> SweepOutcome {
     outcome.max_utilization_permille = shared.load.load().max_utilization_permille();
     shared
         .metrics
-        .set_max_link_utilization(outcome.max_utilization_permille);
+        .max_link_utilization_permille()
+        .set(outcome.max_utilization_permille);
     outcome
 }
 

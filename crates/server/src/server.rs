@@ -72,9 +72,9 @@ use sflow_runtime::duration_us;
 use crate::load::{links_of, LinkId, LoadCell, LoadMap, LoadPlane};
 use crate::reactor::{self, Dispatch, Reply};
 use crate::rebalance;
-use crate::snapshot::{Snap, SolveKey, WorldSnapshot};
+use crate::snapshot::{SolveKey, WorldSnapshot};
 use crate::stats::Metrics;
-use crate::world::World;
+use crate::world::{Snap, World};
 use crate::{Algorithm, FlowSummary, LinkLoad, LoadMapSummary, Request, Response};
 
 /// How a [`serve`] instance is sized.
@@ -223,7 +223,9 @@ impl Sessions {
             forests += 1;
             tenants += booking.tenants.len() as u64;
         }
-        metrics.set_census(self.tenants.len() as u64, forests, tenants);
+        metrics.sessions().set(self.tenants.len() as u64);
+        metrics.forests().set(forests);
+        metrics.forest_tenants().set(tenants);
     }
 }
 
@@ -242,9 +244,9 @@ pub(crate) struct Shared {
     /// in place — so whoever holds the lock sees every live session.
     pub(crate) sessions: Mutex<Sessions>,
     /// The load plane's publication cell — reservations and the residual
-    /// overlay (its routing table is derived off-lock, on demand). Published
-    /// only under the sessions lock, so the ledger can never drift from
-    /// `Σ bookings.links`.
+    /// overlay (its routing table is derived off-lock, on demand). Publishing
+    /// takes a `&Sessions`, which only the holder of the lock above has, so
+    /// the ledger can never drift from `Σ bookings.links`.
     pub(crate) load: LoadCell,
     pub(crate) metrics: Metrics,
     pub(crate) shutdown: AtomicBool,
@@ -371,7 +373,8 @@ pub(crate) fn control_response(shared: &Shared, request: &Request) -> Option<Res
             // no sweep has run since the load last moved.
             shared
                 .metrics
-                .set_max_link_utilization(shared.load.load().max_utilization_permille());
+                .max_link_utilization_permille()
+                .set(shared.load.load().max_utilization_permille());
             Some(Response::Stats(
                 shared.metrics.snapshot(shared.snap.epoch()),
             ))
@@ -395,16 +398,16 @@ pub(crate) fn control_response(shared: &Shared, request: &Request) -> Option<Res
 /// hand-off — a worker can finish the job (and take it back off the gauge)
 /// before `try_send` even returns — and leaves it again if the queue refuses.
 pub(crate) fn admit(metrics: &Metrics, job_tx: &Sender<Job>, job: Job) -> Dispatch {
-    metrics.frame_dispatched();
+    metrics.frames_in_flight().add(1);
     let refused = match job_tx.try_send(job) {
         Ok(()) => return Dispatch::Admitted,
         Err(TrySendError::Full(_)) => {
-            metrics.shed();
+            metrics.shed().inc();
             Response::Overloaded
         }
         Err(TrySendError::Disconnected(_)) => Response::Error("server shutting down".into()),
     };
-    metrics.frame_completed();
+    metrics.frames_in_flight().sub(1);
     Dispatch::Inline(Box::new(refused))
 }
 
@@ -468,7 +471,7 @@ fn federate(
     let requirement: ServiceRequirement = match spec.parse() {
         Ok(requirement) => requirement,
         Err(e) => {
-            shared.metrics.failed();
+            shared.metrics.failed().inc();
             return Response::Error(format!("bad requirement {spec:?}: {e}"));
         }
     };
@@ -521,12 +524,12 @@ fn federate_against(
             match open_session(shared, &snapshot, &ask, &flow, true) {
                 OpenOutcome::Answered(response) => {
                     if matches!(*response, Response::Federated(_)) {
-                        shared.metrics.cache_hit();
+                        shared.metrics.cache_hits().inc();
                     }
                     return *response;
                 }
                 OpenOutcome::Refused => {
-                    shared.metrics.cache_revalidation_fail();
+                    shared.metrics.cache_revalidation_fails().inc();
                     // Evict the no-longer-feasible entry so the cold solve
                     // below can file its load-aware answer (`cache_solve`
                     // is first-writer-wins and would keep the stale flow).
@@ -534,7 +537,7 @@ fn federate_against(
                 }
             }
         } else {
-            shared.metrics.cache_miss();
+            shared.metrics.cache_misses().inc();
         }
     }
     // Residual routing: when the load plane tracks this snapshot's epoch,
@@ -560,9 +563,9 @@ fn federate_against(
                 // The demand did not fit into residual capacity. Counted
                 // separately from plain failures: on a loaded server this
                 // is admission control doing its job, not a bad request.
-                shared.metrics.residual_reject();
+                shared.metrics.residual_rejects().inc();
             }
-            shared.metrics.failed();
+            shared.metrics.failed().inc();
             return Response::Error(e.to_string());
         }
     };
@@ -600,9 +603,9 @@ pub(crate) fn cold_solve(
                 Some(limit) => {
                     let (matrix, built) = snapshot.hop_matrix_tracked();
                     if built {
-                        shared.metrics.hop_cache_miss();
+                        shared.metrics.hop_cache_misses().inc();
                     } else {
-                        shared.metrics.hop_cache_hit();
+                        shared.metrics.hop_cache_hits().inc();
                     }
                     Solver::new(ctx).with_hop_matrix(limit, matrix)
                 }
@@ -624,9 +627,14 @@ pub(crate) fn residual_context(shared: &Shared, plane: &LoadPlane) -> OwnedFeder
     let start = Instant::now();
     let (ctx, flushed) = plane.flushed_context();
     if let Some(stats) = flushed {
-        shared
-            .metrics
-            .plane_flush(duration_us(start.elapsed()), stats.trees_recomputed as u64);
+        let metrics = &shared.metrics;
+        metrics.plane_flushes().inc();
+        metrics
+            .plane_flush_us_total()
+            .add(duration_us(start.elapsed()));
+        metrics
+            .plane_trees_recomputed()
+            .add(stats.trees_recomputed as u64);
     }
     ctx
 }
@@ -671,14 +679,14 @@ fn open_session(
     let current_epoch = shared.snap.epoch();
     if current_epoch != snapshot.epoch() {
         drop(sessions);
-        shared.metrics.stale();
+        shared.metrics.stale().inc();
         return OpenOutcome::Answered(Box::new(Response::Stale {
             solved_epoch: snapshot.epoch(),
             current_epoch,
         }));
     }
     if sessions.tenants.len() >= shared.config.max_sessions {
-        shared.metrics.failed();
+        shared.metrics.failed().inc();
         return OpenOutcome::Answered(Box::new(Response::Error("session table full".into())));
     }
     // Attach to the key's booking if it matches exactly — same epoch, same
@@ -712,7 +720,7 @@ fn open_session(
         // booking from the table itself.
         if tracked && !links.is_empty() {
             let booked = plane.with_changes(&links, &[], shared.config.route_workers);
-            shared.load.publish(Arc::new(booked));
+            shared.load.publish(&sessions, Arc::new(booked));
         }
         // Take the key's slot, superseding any booking that no longer
         // matches — its tenants keep being served, it accepts no new ones.
@@ -736,7 +744,7 @@ fn open_session(
     sessions.next_id += 1;
     sessions.tenants.insert(session, attach.unwrap_or(session));
     sessions.publish_census(&shared.metrics);
-    shared.metrics.served();
+    shared.metrics.served().inc();
     OpenOutcome::Answered(Box::new(Response::Federated(FlowSummary {
         session,
         epoch: snapshot.epoch(),
@@ -754,7 +762,7 @@ fn open_session(
 fn release(shared: &Shared, session: u64) -> Response {
     let mut sessions = shared.sessions.lock();
     let Some(id) = sessions.tenants.remove(&session) else {
-        shared.metrics.failed();
+        shared.metrics.failed().inc();
         return Response::Error(format!("no such session {session}"));
     };
     let last_out = sessions.bookings.get_mut(&id).is_some_and(|booking| {
@@ -768,7 +776,7 @@ fn release(shared: &Shared, session: u64) -> Response {
         // holds this booking), so there is nothing to subtract.
         if !gone.links.is_empty() && plane.epoch() == gone.epoch {
             let released = plane.with_changes(&[], &gone.links, shared.config.route_workers);
-            shared.load.publish(Arc::new(released));
+            shared.load.publish(&sessions, Arc::new(released));
         }
     }
     sessions.publish_census(&shared.metrics);
@@ -816,7 +824,8 @@ fn audit_flow(
     if !report.is_clean() {
         shared
             .metrics
-            .audit_violations(report.violations.len() as u64);
+            .audit_violations()
+            .add(report.violations.len() as u64);
     }
 }
 
@@ -834,13 +843,16 @@ fn mutate(shared: &Shared, mutation: &crate::Mutation) -> Response {
     let rebuild = match world.apply(mutation) {
         Ok(rebuild) => rebuild,
         Err(e) => {
-            shared.metrics.failed();
+            shared.metrics.failed().inc();
             return Response::Error(e.to_string());
         }
     };
-    shared
-        .metrics
-        .rebuild(duration_us(rebuild.duration), rebuild.trees_recomputed);
+    let metrics = &shared.metrics;
+    metrics.rebuilds().inc();
+    metrics
+        .rebuild_us_total()
+        .add(duration_us(rebuild.duration));
+    metrics.trees_recomputed().add(rebuild.trees_recomputed);
     // `apply` has already published the successor: federates from here on
     // solve at its epoch, and any solve still in flight at `from_epoch` will
     // answer `Stale` rather than slip into the session table behind us.
@@ -933,7 +945,7 @@ pub(crate) fn commit_repairs(
     );
     map.adopt_estimates(shared.load.load().map());
     let rebased = LoadPlane::rebased(snapshot, map, shared.config.route_workers);
-    shared.load.publish(Arc::new(rebased));
+    shared.load.publish(&sessions, Arc::new(rebased));
     Response::Mutated {
         epoch,
         repaired,

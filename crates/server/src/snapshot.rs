@@ -7,15 +7,17 @@
 //! *inside* the snapshot (a `OnceLock`, so concurrent first touches build it
 //! at most once and every later solve reuses the `Arc`).
 //!
-//! Snapshots are published through a [`Snap`] cell: mutators assemble the
-//! *next* snapshot entirely off to the side (copy-on-write overlay, routing
-//! table patched from the predecessor) and then [`Snap::store`] swaps one
-//! pointer. Readers call [`Snap::load`], which clones an `Arc` under a
-//! mutex held for a handful of instructions (short, but not lock-free) —
-//! no reader ever waits on a rebuild, and a solve runs against its snapshot
-//! with **zero shared locks held**. The previous epoch's snapshot stays
-//! alive (and solvable) for as long as any in-flight request still holds
-//! its `Arc`.
+//! Snapshots are published through a [`Snap`](crate::world::Snap) cell, which
+//! lives with the mutator in [`crate::world`]: [`World::apply`](crate::World::apply)
+//! assembles the *next* snapshot entirely off to the side (copy-on-write
+//! overlay, routing table patched from the predecessor) and then swaps one
+//! pointer — the cell's `store` is private to that module, so nothing else
+//! can. Readers call [`Snap::load`](crate::world::Snap::load), which clones
+//! an `Arc` under a mutex held for a handful of instructions (short, but not
+//! lock-free) — no reader ever waits on a rebuild, and a solve runs against
+//! its snapshot with **zero shared locks held**. The previous epoch's
+//! snapshot stays alive (and solvable) for as long as any in-flight request
+//! still holds its `Arc`.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock};
@@ -245,60 +247,6 @@ impl WorldSnapshot {
     }
 }
 
-/// The publication cell: one `Arc<WorldSnapshot>` swapped atomically from
-/// the mutator's point of view, cloned on load from the readers'.
-///
-/// Hand-rolled over a `parking_lot::Mutex` rather than a vendored
-/// `arc-swap`: the critical section on either side is a single `Arc` clone
-/// or pointer store (never a rebuild, never a solve). This is *not*
-/// lock-free — a holder preempted inside the critical section briefly
-/// blocks other loads and stores — merely a mutex held for a handful of
-/// instructions. The invariant that matters — *no guard is ever held
-/// across a solve* — is enforced by the `guard-across-solve` audit rule.
-#[derive(Debug)]
-pub struct Snap {
-    current: Mutex<Arc<WorldSnapshot>>,
-}
-
-impl Snap {
-    /// A cell publishing `snapshot` as the current world.
-    pub fn new(snapshot: Arc<WorldSnapshot>) -> Self {
-        Snap {
-            current: Mutex::new(snapshot),
-        }
-    }
-
-    /// The current snapshot. Constant-time: clones the `Arc`, never blocks
-    /// on a rebuild (mutators prepare their successor *before* storing).
-    pub fn load(&self) -> Arc<WorldSnapshot> {
-        Arc::clone(&self.current.lock())
-    }
-
-    /// The current epoch without keeping the snapshot alive.
-    pub fn epoch(&self) -> u64 {
-        self.current.lock().epoch
-    }
-
-    /// Publishes `next` as the current snapshot. Readers that already
-    /// loaded the predecessor keep solving against it; everyone after this
-    /// call sees `next`.
-    ///
-    /// # Panics
-    ///
-    /// Debug-asserts that epochs only move forward — a regressing store is
-    /// a mutator serialization bug.
-    pub fn store(&self, next: Arc<WorldSnapshot>) {
-        let mut current = self.current.lock();
-        debug_assert!(
-            next.epoch > current.epoch,
-            "snapshot epochs must be monotonic: {} -> {}",
-            current.epoch,
-            next.epoch
-        );
-        *current = next;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -360,40 +308,6 @@ mod tests {
         // Adoption after the fact is a no-op.
         a.adopt_hop_matrix(Arc::new(HopMatrix::new(a.overlay())));
         assert!(Arc::ptr_eq(&a.hop_matrix(), &built_matrix));
-    }
-
-    #[test]
-    fn snap_load_returns_the_published_snapshot_and_keeps_old_epochs_alive() {
-        let first = Arc::new(snapshot_of_diamond());
-        let cell = Snap::new(Arc::clone(&first));
-        let held = cell.load();
-        assert_eq!(held.epoch(), 0);
-
-        let fx = diamond_fixture();
-        let next = Arc::new(WorldSnapshot::new(
-            Arc::new(fx.overlay),
-            Arc::new(fx.all_pairs),
-            fx.source,
-            1,
-        ));
-        cell.store(next);
-        assert_eq!(cell.epoch(), 1);
-        assert_eq!(cell.load().epoch(), 1);
-        // The reader that loaded before the store still solves against its
-        // own epoch — snapshots are immutable, not invalidated.
-        assert_eq!(held.epoch(), 0);
-        assert!(held
-            .context()
-            .qos(held.source_node(), held.source_node())
-            .is_some());
-    }
-
-    #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "monotonic")]
-    fn snap_store_rejects_epoch_regressions() {
-        let cell = Snap::new(Arc::new(snapshot_of_diamond()));
-        cell.store(Arc::new(snapshot_of_diamond())); // 0 -> 0 regresses
     }
 
     fn diamond_solve_key() -> (SolveKey, sflow_core::ServiceRequirement) {

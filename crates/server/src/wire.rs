@@ -21,7 +21,7 @@
 //! | `Response` | tag `0` `Federated` (`FlowSummary`); `1` `Mutated` (`epoch`, `repaired`, `dropped`); `2` `Stale` (`solved_epoch`, `current_epoch`); `3` `Released` (`session`); `4` `Rebalanced` (`migrations`, `migration_failures`, `max_utilization_permille`); `5` `LoadMap` (`LoadMapSummary`); `6` `Stats` (`StatsSnapshot`); `7` `Overloaded`; `8` `ShuttingDown`; `9` `Error` (`String`) |
 //! | `FlowSummary` | `session`, `epoch`, `bandwidth_kbps`, `latency_us`, then `instances`: varint count, then per entry the key and its `ServiceInstance`, keys strictly ascending |
 //! | `LoadMapSummary` | `epoch`, `version`, `max_utilization_permille`, then `links`: varint count, then per row `from`, `to` and the five `u64` columns |
-//! | `StatsSnapshot` | its 33 `u64` fields, in declaration order |
+//! | `StatsSnapshot` | one `u64` per row of the counter table in `stats.rs`, in table order |
 //!
 //! The decoder is hand-written, so what it refuses is part of the format.
 //! Each of these is a typed [`WireError`], never a panic, and is decided
@@ -545,41 +545,22 @@ struct_record!(LinkLoad {
     residual_kbps,
     utilization_permille,
 });
-struct_record!(StatsSnapshot {
-    served,
-    shed,
-    failed,
-    cache_hits,
-    cache_misses,
-    cache_revalidation_fails,
-    forests,
-    forest_tenants,
-    hop_cache_hits,
-    hop_cache_misses,
-    stale,
-    epoch,
-    sessions,
-    latency_p50_us,
-    latency_p90_us,
-    latency_p99_us,
-    rebuilds,
-    rebuild_us_total,
-    trees_recomputed,
-    plane_flushes,
-    plane_flush_us_total,
-    plane_trees_recomputed,
-    wire_errors,
-    audit_violations,
-    migrations,
-    migration_failures,
-    max_link_utilization_permille,
-    residual_rejects,
-    connections_open,
-    frames_in_flight,
-    reactor_wakeups,
-    backpressure_pauses,
-    write_buffered_bytes,
-});
+
+/// Its fields in the order of the one table in `stats.rs`.
+impl Record for StatsSnapshot {
+    fn encode(&self, out: &mut Vec<u8>) {
+        for field in self.to_fields() {
+            put_varint(out, field);
+        }
+    }
+    fn decode(cur: &mut Cursor<'_>) -> Result<Self, WireError> {
+        let mut fields = [0; StatsSnapshot::FIELDS];
+        for field in &mut fields {
+            *field = cur.varint()?;
+        }
+        Ok(StatsSnapshot::from_fields(fields))
+    }
+}
 
 /// The fewest bytes one `FlowSummary::instances` entry can take (three
 /// varints) — what its declared count is checked against.
@@ -934,16 +915,69 @@ mod tests {
         assert!(encode_frame(&request).unwrap().len() <= "0>1>3, 0>2>3".len() + 12);
         assert!(on_wire(Response::Federated(six_instance_flow())) <= 48);
         assert!(on_wire(Response::Released { session: id }) <= 10);
-        // 33 counters of a server a few billion requests old.
+        // The counters of a server a few billion requests old.
         let stats = StatsSnapshot {
             served: 1 << 34,
             reactor_wakeups: 1 << 34,
             latency_p99_us: 40_000,
             ..StatsSnapshot::default()
         };
-        // Far inside the 4 + 33 × 10 a frame of maximal varints would take:
-        // a zero counter is one byte.
-        assert!(on_wire(Response::Stats(stats)) <= 64);
+        // A zero counter is one byte, so a byte per row plus the prefix, the
+        // envelope and those three: far inside the ten a maximal varint takes.
+        assert!(on_wire(Response::Stats(stats)) <= StatsSnapshot::FIELDS + 31);
+    }
+
+    /// The `Stats` record in bytes, for a snapshot whose *i*-th field is
+    /// *i* + 1. The counter table's order is the wire's: a row moved,
+    /// inserted mid-table or dropped changes what a deployed client reads,
+    /// and fails here.
+    #[test]
+    fn stats_record_is_pinned_in_bytes() {
+        let stats = StatsSnapshot {
+            served: 1,
+            shed: 2,
+            failed: 3,
+            cache_hits: 4,
+            cache_misses: 5,
+            cache_revalidation_fails: 6,
+            forests: 7,
+            forest_tenants: 8,
+            hop_cache_hits: 9,
+            hop_cache_misses: 10,
+            stale: 11,
+            epoch: 12,
+            sessions: 13,
+            latency_p50_us: 14,
+            latency_p90_us: 15,
+            latency_p99_us: 16,
+            rebuilds: 17,
+            rebuild_us_total: 18,
+            trees_recomputed: 19,
+            plane_flushes: 20,
+            plane_flush_us_total: 21,
+            plane_trees_recomputed: 22,
+            wire_errors: 23,
+            audit_violations: 24,
+            migrations: 25,
+            migration_failures: 26,
+            max_link_utilization_permille: 27,
+            residual_rejects: 28,
+            connections_open: 29,
+            frames_in_flight: 30,
+            reactor_wakeups: 31,
+            backpressure_pauses: 32,
+            write_buffered_bytes: 33,
+        };
+        let frame = ResponseFrame {
+            request_id: 300,
+            response: Response::Stats(stats),
+        };
+        // Prefix, request id 300, tag 6 (`Stats`), then the fields.
+        let mut golden = vec![0, 0, 0, 36, 172, 2, 6];
+        golden.extend(1..=33);
+        assert_eq!(encode_frame(&frame).unwrap(), golden);
+        let back: ResponseFrame = read_frame(&mut golden.as_slice()).unwrap().unwrap();
+        assert_eq!(back, frame);
     }
 
     #[test]

@@ -17,7 +17,9 @@ use sflow_core::OwnedFederationContext;
 use sflow_net::{ServiceInstance, UnderlyingNetwork};
 use sflow_routing::{Bandwidth, DirtyLinks, Latency, Qos};
 
-use crate::snapshot::{Snap, WorldSnapshot};
+use parking_lot::Mutex;
+
+use crate::snapshot::WorldSnapshot;
 use crate::Mutation;
 
 /// A mutation that could not be applied; the published snapshot is left
@@ -69,6 +71,79 @@ pub struct RebuildStats {
     pub trees_total: u64,
     /// `true` if the whole table was rebuilt (structural mutation).
     pub full_rebuild: bool,
+}
+
+/// The publication cell: one `Arc<WorldSnapshot>` swapped atomically from
+/// the mutator's point of view, cloned on load from the readers'.
+///
+/// **Only [`World::apply`] and [`World::apply_batch`] publish.** The cell
+/// lives in their module and `store` is private to it, so "epochs advance
+/// only through a mutation, one at a time" is what compiles: every other
+/// holder of the cell — the server's workers, a bench, this doc test — can
+/// only read it.
+///
+/// ```
+/// use sflow_core::fixtures::diamond_fixture;
+/// use sflow_server::World;
+///
+/// let world = World::new(diamond_fixture());
+/// let cell = world.handle();
+/// assert_eq!(cell.load().epoch(), cell.epoch());
+/// ```
+///
+/// ```compile_fail,E0624
+/// use sflow_core::fixtures::diamond_fixture;
+/// use sflow_server::World;
+///
+/// let world = World::new(diamond_fixture());
+/// let cell = world.handle();
+/// cell.store(cell.load()); // error[E0624]: method `store` is private
+/// ```
+///
+/// Hand-rolled over a `parking_lot::Mutex` rather than a vendored
+/// `arc-swap`: the critical section on either side is a single `Arc` clone
+/// or pointer store (never a rebuild, never a solve). This is *not*
+/// lock-free — a holder preempted inside the critical section briefly
+/// blocks other loads and stores — merely a mutex held for a handful of
+/// instructions. That no guard is ever held across a solve is the
+/// `guard-across-solve` audit rule's to enforce.
+#[derive(Debug)]
+pub struct Snap {
+    current: Mutex<Arc<WorldSnapshot>>,
+}
+
+impl Snap {
+    fn new(snapshot: Arc<WorldSnapshot>) -> Self {
+        Snap {
+            current: Mutex::new(snapshot),
+        }
+    }
+
+    /// The current snapshot. Constant-time: clones the `Arc`, never blocks
+    /// on a rebuild (mutators prepare their successor *before* storing).
+    pub fn load(&self) -> Arc<WorldSnapshot> {
+        Arc::clone(&self.current.lock())
+    }
+
+    /// The current epoch without keeping the snapshot alive.
+    pub fn epoch(&self) -> u64 {
+        self.current.lock().epoch()
+    }
+
+    /// Publishes `next` as the current snapshot. Readers that already
+    /// loaded the predecessor keep solving against it; everyone after this
+    /// call sees `next`. Debug-asserts that epochs only move forward — a
+    /// regressing store is a mutator serialization bug.
+    fn store(&self, next: Arc<WorldSnapshot>) {
+        let mut current = self.current.lock();
+        debug_assert!(
+            next.epoch() > current.epoch(),
+            "snapshot epochs must be monotonic: {} -> {}",
+            current.epoch(),
+            next.epoch()
+        );
+        *current = next;
+    }
 }
 
 /// The mutator side of a snapshot-published world.
@@ -331,6 +406,43 @@ mod tests {
 
     fn inst(s: u32, h: u32) -> ServiceInstance {
         ServiceInstance::new(ServiceId::new(s), HostId::new(h))
+    }
+
+    fn snapshot_of_diamond(epoch: u64) -> WorldSnapshot {
+        let fx = diamond_fixture();
+        WorldSnapshot::new(
+            Arc::new(fx.overlay),
+            Arc::new(fx.all_pairs),
+            fx.source,
+            epoch,
+        )
+    }
+
+    #[test]
+    fn snap_load_returns_the_published_snapshot_and_keeps_old_epochs_alive() {
+        let first = Arc::new(snapshot_of_diamond(0));
+        let cell = Snap::new(Arc::clone(&first));
+        let held = cell.load();
+        assert_eq!(held.epoch(), 0);
+
+        cell.store(Arc::new(snapshot_of_diamond(1)));
+        assert_eq!(cell.epoch(), 1);
+        assert_eq!(cell.load().epoch(), 1);
+        // The reader that loaded before the store still solves against its
+        // own epoch — snapshots are immutable, not invalidated.
+        assert_eq!(held.epoch(), 0);
+        assert!(held
+            .context()
+            .qos(held.source_node(), held.source_node())
+            .is_some());
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "monotonic")]
+    fn snap_store_rejects_epoch_regressions() {
+        let cell = Snap::new(Arc::new(snapshot_of_diamond(0)));
+        cell.store(Arc::new(snapshot_of_diamond(0))); // 0 -> 0 regresses
     }
 
     #[test]

@@ -178,36 +178,126 @@ fn instance() -> impl Strategy<Value = ServiceInstance> {
     })
 }
 
+/// The tag byte of each `Algorithm` — the table in `wire.rs`'s module doc,
+/// stated a second time from the test's side. These four `*_tag` matches are
+/// exhaustive, so a variant added to the protocol does not compile here
+/// until it has a tag; `every_variant_round_trips` then holds the sample
+/// lists below to the tags (each list must spell `0..n`, every sample must
+/// decode back, and the decoder must refuse tag `n`), which is what a
+/// variant with an encode arm and no decode arm — or no sample — fails.
+fn algorithm_tag(algorithm: Algorithm) -> u8 {
+    match algorithm {
+        Algorithm::Sflow => 0,
+        Algorithm::Global => 1,
+        Algorithm::Fixed => 2,
+        Algorithm::ServicePath => 3,
+    }
+}
+
+fn mutation_tag(mutation: &Mutation) -> u8 {
+    match mutation {
+        Mutation::SetLinkQos { .. } => 0,
+        Mutation::FailInstance { .. } => 1,
+    }
+}
+
+fn request_tag(request: &Request) -> u8 {
+    match request {
+        Request::Federate { .. } => 0,
+        Request::Mutate(_) => 1,
+        Request::Release { .. } => 2,
+        Request::Rebalance => 3,
+        Request::LoadMap => 4,
+        Request::Stats => 5,
+        Request::Shutdown => 6,
+    }
+}
+
+fn response_tag(response: &Response) -> u8 {
+    match response {
+        Response::Federated(_) => 0,
+        Response::Mutated { .. } => 1,
+        Response::Stale { .. } => 2,
+        Response::Released { .. } => 3,
+        Response::Rebalanced { .. } => 4,
+        Response::LoadMap(_) => 5,
+        Response::Stats(_) => 6,
+        Response::Overloaded => 7,
+        Response::ShuttingDown => 8,
+        Response::Error(_) => 9,
+    }
+}
+
+/// Every `Algorithm`, in tag order.
+const ALGORITHMS: [Algorithm; 4] = [
+    Algorithm::Sflow,
+    Algorithm::Global,
+    Algorithm::Fixed,
+    Algorithm::ServicePath,
+];
+
+/// What the requests are assembled from, drawn or fixed.
+struct RequestParts {
+    requirement: String,
+    algorithm: Algorithm,
+    hop_limit: Option<usize>,
+    from: ServiceInstance,
+    to: ServiceInstance,
+    a: u64,
+    b: u64,
+}
+
+/// One `Request` of every shape, in tag order — each variant, `Mutate` once
+/// per `Mutation`.
+fn requests(parts: RequestParts) -> Vec<Request> {
+    let RequestParts {
+        requirement,
+        algorithm,
+        hop_limit,
+        from,
+        to,
+        a,
+        b,
+    } = parts;
+    vec![
+        Request::Federate {
+            requirement,
+            algorithm,
+            hop_limit,
+        },
+        Request::Mutate(Mutation::SetLinkQos {
+            from,
+            to,
+            bandwidth_kbps: a,
+            latency_us: b,
+        }),
+        Request::Mutate(Mutation::FailInstance { instance: from }),
+        Request::Release { session: a },
+        Request::Rebalance,
+        Request::LoadMap,
+        Request::Stats,
+        Request::Shutdown,
+    ]
+}
+
 fn request() -> impl Strategy<Value = Request> {
     (
-        0u8..7,
-        (text(), 0u8..4, any::<bool>(), size()),
+        (any::<usize>(), any::<usize>()),
+        (text(), any::<bool>(), size()),
         (instance(), instance(), word(), word()),
     )
         .prop_map(
-            |(variant, (requirement, algorithm, limited, hops), (from, to, a, b))| match variant {
-                0 => Request::Federate {
+            |((shape, algorithm), (requirement, limited, hops), (from, to, a, b))| {
+                let mut all = requests(RequestParts {
                     requirement,
-                    algorithm: [
-                        Algorithm::Sflow,
-                        Algorithm::Global,
-                        Algorithm::Fixed,
-                        Algorithm::ServicePath,
-                    ][usize::from(algorithm)],
+                    algorithm: ALGORITHMS[algorithm % ALGORITHMS.len()],
                     hop_limit: limited.then_some(hops),
-                },
-                1 if limited => Request::Mutate(Mutation::SetLinkQos {
                     from,
                     to,
-                    bandwidth_kbps: a,
-                    latency_us: b,
-                }),
-                1 => Request::Mutate(Mutation::FailInstance { instance: from }),
-                2 => Request::Release { session: a },
-                3 => Request::Rebalance,
-                4 => Request::LoadMap,
-                5 => Request::Stats,
-                _ => Request::Shutdown,
+                    a,
+                    b,
+                });
+                all.swap_remove(shape % all.len())
             },
         )
 }
@@ -239,9 +329,74 @@ fn link() -> impl Strategy<Value = LinkLoad> {
         )
 }
 
+/// What the responses are assembled from, drawn or fixed.
+struct ResponseParts {
+    words: [u64; 4],
+    sizes: [usize; 2],
+    message: String,
+    instances: Vec<(u64, ServiceInstance)>,
+    links: Vec<LinkLoad>,
+}
+
+/// One `Response` of every variant, in tag order.
+fn responses(parts: ResponseParts) -> Vec<Response> {
+    let ResponseParts {
+        words: [a, b, c, d],
+        sizes: [m, n],
+        message,
+        instances,
+        links,
+    } = parts;
+    vec![
+        Response::Federated(FlowSummary {
+            session: a,
+            epoch: b,
+            bandwidth_kbps: c,
+            latency_us: d,
+            instances: instances
+                .into_iter()
+                .map(|(service, at)| (ServiceId::new(service as u32), at))
+                .collect(),
+        }),
+        Response::Mutated {
+            epoch: a,
+            repaired: m,
+            dropped: n,
+        },
+        Response::Stale {
+            solved_epoch: a,
+            current_epoch: b,
+        },
+        Response::Released { session: a },
+        Response::Rebalanced {
+            migrations: m,
+            migration_failures: n,
+            max_utilization_permille: a,
+        },
+        Response::LoadMap(LoadMapSummary {
+            epoch: a,
+            version: b,
+            max_utilization_permille: c,
+            links,
+        }),
+        Response::Stats(StatsSnapshot {
+            served: a,
+            cache_hits: b,
+            epoch: c,
+            latency_p99_us: d,
+            wire_errors: m as u64,
+            write_buffered_bytes: n as u64,
+            ..StatsSnapshot::default()
+        }),
+        Response::Overloaded,
+        Response::ShuttingDown,
+        Response::Error(message),
+    ]
+}
+
 fn response() -> impl Strategy<Value = Response> {
     (
-        0u8..10,
+        any::<usize>(),
         (word(), word(), word(), word()),
         (size(), size(), text()),
         (
@@ -250,50 +405,15 @@ fn response() -> impl Strategy<Value = Response> {
         ),
     )
         .prop_map(
-            |(variant, (a, b, c, d), (m, n, message), (instances, links))| match variant {
-                0 => Response::Federated(FlowSummary {
-                    session: a,
-                    epoch: b,
-                    bandwidth_kbps: c,
-                    latency_us: d,
-                    instances: instances
-                        .into_iter()
-                        .map(|(service, at)| (ServiceId::new(service as u32), at))
-                        .collect(),
-                }),
-                1 => Response::Mutated {
-                    epoch: a,
-                    repaired: m,
-                    dropped: n,
-                },
-                2 => Response::Stale {
-                    solved_epoch: a,
-                    current_epoch: b,
-                },
-                3 => Response::Released { session: a },
-                4 => Response::Rebalanced {
-                    migrations: m,
-                    migration_failures: n,
-                    max_utilization_permille: a,
-                },
-                5 => Response::LoadMap(LoadMapSummary {
-                    epoch: a,
-                    version: b,
-                    max_utilization_permille: c,
+            |(variant, (a, b, c, d), (m, n, message), (instances, links))| {
+                let mut all = responses(ResponseParts {
+                    words: [a, b, c, d],
+                    sizes: [m, n],
+                    message,
+                    instances,
                     links,
-                }),
-                6 => Response::Stats(StatsSnapshot {
-                    served: a,
-                    cache_hits: b,
-                    epoch: c,
-                    latency_p99_us: d,
-                    wire_errors: m as u64,
-                    write_buffered_bytes: n as u64,
-                    ..StatsSnapshot::default()
-                }),
-                7 => Response::Overloaded,
-                8 => Response::ShuttingDown,
-                _ => Response::Error(message),
+                });
+                all.swap_remove(variant % all.len())
             },
         )
 }
@@ -381,6 +501,100 @@ proptest! {
             bytes[at] ^= flip;
         }
     }
+}
+
+/// Asserts `frame` is refused as malformed for the reason `what`.
+macro_rules! assert_refused {
+    ($ty:ty, $body:expr, $what:expr) => {
+        let body: &[u8] = &$body;
+        let frame = [&(body.len() as u32).to_be_bytes()[..], body].concat();
+        let err = read_frame::<$ty>(&mut &*frame).unwrap_err();
+        assert!(
+            matches!(&err, WireError::Malformed(m) if m.contains($what)),
+            "{err:?}"
+        );
+    };
+}
+
+/// One frame of every variant of the four enums through all three decoders,
+/// with the sample lists held to the `*_tag` tables: this is what fails when
+/// a variant gets its encode arm (the compiler insists) and no decode arm.
+#[test]
+fn every_variant_round_trips() {
+    let at = ServiceInstance::new(ServiceId::new(3), HostId::new(300));
+    let request_parts = |algorithm| RequestParts {
+        requirement: String::new(),
+        algorithm,
+        hop_limit: Some(2),
+        from: at,
+        to: ServiceInstance::new(ServiceId::new(4), HostId::new(7)),
+        a: 300,
+        b: 54,
+    };
+
+    // Envelope bytes: the length prefix is four, request id 300 two more,
+    // then the record's tag and whatever it nests.
+    let (mut request_tags, mut mutation_tags) = (Vec::new(), Vec::new());
+    for request in requests(request_parts(Algorithm::Sflow)) {
+        let frame = RequestFrame {
+            request_id: 300,
+            request,
+        };
+        let bytes = encode_frame(&frame).unwrap();
+        assert_eq!(bytes[6], request_tag(&frame.request));
+        request_tags.push(bytes[6]);
+        if let Request::Mutate(mutation) = &frame.request {
+            assert_eq!(bytes[7], mutation_tag(mutation));
+            mutation_tags.push(bytes[7]);
+        }
+        assert_eq!(decode_request(&bytes), Outcome::Value(frame));
+    }
+    // Each list spells 0..n (`Mutate` once per `Mutation`), and n is refused.
+    assert_eq!(request_tags, [0, 1, 1, 2, 3, 4, 5, 6]);
+    assert_refused!(RequestFrame, [0, 7], "unknown Request tag 7");
+    assert_eq!(mutation_tags, [0, 1]);
+    assert_refused!(RequestFrame, [0, 1, 2], "unknown Mutation tag 2");
+
+    for (tag, &algorithm) in ALGORITHMS.iter().enumerate() {
+        assert_eq!(usize::from(algorithm_tag(algorithm)), tag);
+        let frame = RequestFrame {
+            request_id: 0,
+            request: requests(request_parts(algorithm)).swap_remove(0),
+        };
+        let bytes = encode_frame(&frame).unwrap();
+        // id 0, `Federate`, an empty requirement, then the `Algorithm` tag.
+        assert_eq!(bytes[4..8], [0, 0, 0, algorithm_tag(algorithm)]);
+        assert_eq!(decode_request(&bytes), Outcome::Value(frame));
+    }
+    assert_refused!(RequestFrame, [0, 0, 0, 4, 0], "unknown Algorithm tag 4");
+
+    let all = responses(ResponseParts {
+        words: [7, 1, 4_000, 54],
+        sizes: [2, 1],
+        message: "no é".into(),
+        instances: vec![(3, at), (9, at)],
+        links: vec![LinkLoad {
+            from: at,
+            to: at,
+            capacity_kbps: 8_000,
+            reserved_kbps: 4_000,
+            estimate_kbps: 4_100,
+            residual_kbps: 4_000,
+            utilization_permille: 500,
+        }],
+    });
+    assert_eq!(all.len(), 10);
+    for (tag, response) in all.into_iter().enumerate() {
+        assert_eq!(usize::from(response_tag(&response)), tag);
+        let frame = ResponseFrame {
+            request_id: 300,
+            response,
+        };
+        let bytes = encode_frame(&frame).unwrap();
+        assert_eq!(bytes[6], response_tag(&frame.response));
+        assert_eq!(decode_response(&bytes), Outcome::Value(frame));
+    }
+    assert_refused!(ResponseFrame, [0, 10], "unknown Response tag 10");
 }
 
 /// Every one of the 255 substitutions at every position, on one frame per

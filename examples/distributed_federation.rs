@@ -10,6 +10,8 @@
 //! cargo run --example distributed_federation
 //! ```
 
+#![allow(clippy::print_stdout, clippy::print_stderr)]
+
 use sflow::core::algorithms::{FederationAlgorithm, SflowAlgorithm};
 use sflow::core::fixtures::paper_fig4_fixture;
 use sflow::core::reduction::Plan;

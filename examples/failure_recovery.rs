@@ -9,6 +9,8 @@
 //! cargo run --example failure_recovery
 //! ```
 
+#![allow(clippy::print_stdout, clippy::print_stderr)]
+
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sflow::core::algorithms::{FederationAlgorithm, SflowAlgorithm};

@@ -17,6 +17,8 @@
 //! cargo run --example media_pipeline
 //! ```
 
+#![allow(clippy::print_stdout, clippy::print_stderr)]
+
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sflow::core::algorithms::{

@@ -5,6 +5,8 @@
 //! cargo run --example quickstart
 //! ```
 
+#![allow(clippy::print_stdout, clippy::print_stderr)]
+
 use sflow::core::algorithms::{FederationAlgorithm, SflowAlgorithm};
 use sflow::{
     Bandwidth, Compatibility, FederationContext, Latency, OverlayGraph, Placement, Qos, ServiceId,

@@ -12,6 +12,8 @@
 //! cargo run --example travel_agency
 //! ```
 
+#![allow(clippy::print_stdout, clippy::print_stderr)]
+
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sflow::core::algorithms::{

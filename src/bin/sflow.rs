@@ -10,6 +10,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![allow(clippy::print_stdout, clippy::print_stderr)]
 
 use std::collections::HashMap;
 use std::process::ExitCode;
@@ -367,56 +368,83 @@ fn parse_instance(text: &str) -> Result<sflow::ServiceInstance, String> {
 }
 
 fn request(flags: &Flags) -> Result<(), String> {
-    use sflow::server::{Algorithm, Client, Mutation, Response};
+    use sflow::server::{Algorithm, Client, Mutation, Response, StatsSnapshot};
     let addr = flags.get("addr").ok_or("request needs --addr")?;
     let mut client = Client::connect(addr.as_str()).map_err(|e| format!("connect {addr}: {e}"))?;
 
     if flags.contains_key("stats") {
-        let s = client.stats().map_err(|e| e.to_string())?;
+        // Every field is bound by name and nothing is left to `..`: a
+        // counter added to the server's table does not compile here until
+        // it is bound, and warns as unused until it is printed.
+        let StatsSnapshot {
+            served,
+            shed,
+            failed,
+            cache_hits,
+            cache_misses,
+            cache_revalidation_fails,
+            forests,
+            forest_tenants,
+            hop_cache_hits,
+            hop_cache_misses,
+            stale,
+            epoch,
+            sessions,
+            latency_p50_us,
+            latency_p90_us,
+            latency_p99_us,
+            rebuilds,
+            rebuild_us_total,
+            trees_recomputed,
+            plane_flushes,
+            plane_flush_us_total,
+            plane_trees_recomputed,
+            wire_errors,
+            audit_violations,
+            migrations,
+            migration_failures,
+            max_link_utilization_permille,
+            residual_rejects,
+            connections_open,
+            frames_in_flight,
+            reactor_wakeups,
+            backpressure_pauses,
+            write_buffered_bytes,
+        } = client.stats().map_err(|e| e.to_string())?;
         println!(
-            "epoch {}  sessions {}  served {}  shed {}  failed {}  stale {}",
-            s.epoch, s.sessions, s.served, s.shed, s.failed, s.stale
+            "epoch {epoch}  sessions {sessions}  served {served}  shed {shed}  \
+             failed {failed}  stale {stale}"
         );
         println!(
-            "solve cache: {} hits / {} misses / {} revalidation failures",
-            s.cache_hits, s.cache_misses, s.cache_revalidation_fails
+            "solve cache: {cache_hits} hits / {cache_misses} misses / \
+             {cache_revalidation_fails} revalidation failures"
+        );
+        println!("forests: {forests} live, {forest_tenants} tenants attached");
+        println!("hop-matrix cache: {hop_cache_hits} hits / {hop_cache_misses} misses");
+        println!(
+            "latency: p50 {latency_p50_us} µs  p90 {latency_p90_us} µs  p99 {latency_p99_us} µs"
         );
         println!(
-            "forests: {} live, {} tenants attached",
-            s.forests, s.forest_tenants
+            "routing rebuilds: {rebuilds} ({rebuild_us_total} µs total, \
+             {trees_recomputed} trees recomputed)"
         );
         println!(
-            "hop-matrix cache: {} hits / {} misses",
-            s.hop_cache_hits, s.hop_cache_misses
+            "plane flushes: {plane_flushes} ({plane_flush_us_total} µs total, \
+             {plane_trees_recomputed} trees recomputed)"
+        );
+        println!("correctness: {wire_errors} wire errors, {audit_violations} audit violations");
+        println!(
+            "reactor: {connections_open} connections open, {frames_in_flight} frames in flight, \
+             {reactor_wakeups} wakeups"
         );
         println!(
-            "latency: p50 {} µs  p90 {} µs  p99 {} µs",
-            s.latency_p50_us, s.latency_p90_us, s.latency_p99_us
+            "backpressure: {backpressure_pauses} pauses, \
+             {write_buffered_bytes} bytes write-buffered"
         );
         println!(
-            "routing rebuilds: {} ({} µs total, {} trees recomputed)",
-            s.rebuilds, s.rebuild_us_total, s.trees_recomputed
-        );
-        println!(
-            "plane flushes: {} ({} µs total, {} trees recomputed)",
-            s.plane_flushes, s.plane_flush_us_total, s.plane_trees_recomputed
-        );
-        println!(
-            "correctness: {} wire errors, {} audit violations",
-            s.wire_errors, s.audit_violations
-        );
-        println!(
-            "reactor: {} connections open, {} frames in flight, {} wakeups",
-            s.connections_open, s.frames_in_flight, s.reactor_wakeups
-        );
-        println!(
-            "backpressure: {} pauses, {} bytes write-buffered",
-            s.backpressure_pauses, s.write_buffered_bytes
-        );
-        println!(
-            "load: {} migrations, {} migration failures, {} residual rejects, \
-             max link utilization {}‰",
-            s.migrations, s.migration_failures, s.residual_rejects, s.max_link_utilization_permille
+            "load: {migrations} migrations, {migration_failures} migration failures, \
+             {residual_rejects} residual rejects, \
+             max link utilization {max_link_utilization_permille}‰"
         );
         return Ok(());
     }
