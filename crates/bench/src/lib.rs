@@ -3,31 +3,9 @@
 //! The `bench_*` emitter binaries under `src/bin` share one [`percentile`],
 //! one [`median`], one flag parser ([`usize_flag`]) and one report writer
 //! ([`write_report`]).
-//!
-//! Every `benches/fig10*.rs` target regenerates its figure's series (printed
-//! once, before timing) and then benchmarks the computation behind it, so
-//! `cargo bench` both *reports* the reproduced figure and *measures* the
-//! algorithms. `benches/ablations.rs` does the same for the design-choice
-//! ablations, and `benches/micro.rs` covers the substrate (routing, event
-//! queue, chain solver).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-
-use sflow_workload::experiments::SweepConfig;
-
-/// The sweep used when a bench regenerates a figure's series: the paper's
-/// sizes with fewer trials, so `cargo bench` stays fast while the series
-/// shape is still visible.
-pub fn bench_sweep() -> SweepConfig {
-    SweepConfig {
-        trials: 8,
-        ..SweepConfig::default()
-    }
-}
-
-/// The world sizes benchmarks time individual federations at.
-pub const BENCH_SIZES: [usize; 3] = [10, 30, 50];
 
 /// Nearest-rank percentile (`pct` in 0–100, round-half-up — the rounding the
 /// server's own latency window uses) over an ascending slice; 0 when empty.
@@ -91,11 +69,5 @@ mod tests {
         assert_eq!(median(vec![9, 1, 5]), 5);
         assert_eq!(median(vec![4, 1, 3, 2]), 3);
         assert_eq!(median(Vec::new()), 0);
-    }
-
-    #[test]
-    fn bench_sweep_keeps_paper_sizes() {
-        assert_eq!(bench_sweep().sizes, vec![10, 20, 30, 40, 50]);
-        assert_eq!(bench_sweep().trials, 8);
     }
 }

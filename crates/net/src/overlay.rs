@@ -331,20 +331,14 @@ impl OverlayGraph {
         )
     }
 
-    /// Updates the QoS of the service link `from → to` in place, returning
-    /// `true` if such a link exists. This is the substrate for online QoS
+    /// Updates the QoS of the service link `from → to` in place and returns
+    /// the [`EdgeChange`] describing the update — the input the incremental
+    /// [`AllPairs::patched_with`](sflow_routing::AllPairs::patched_with) path
+    /// needs to derive the routing table instead of rebuilding it. `None` if
+    /// no such service link exists. This is the substrate for online QoS
     /// drift (congestion, re-provisioning) in a long-lived overlay; callers
     /// holding derived routing artifacts (`AllPairs`, hop matrices) must
-    /// recompute them afterwards.
-    pub fn set_link_qos(&mut self, from: NodeIx, to: NodeIx, qos: Qos) -> bool {
-        self.update_link_qos(from, to, qos).is_some()
-    }
-
-    /// Like [`OverlayGraph::set_link_qos`], but returns the [`EdgeChange`]
-    /// describing the update — the input the incremental
-    /// [`AllPairs::patch`](sflow_routing::AllPairs::patch) path needs to
-    /// repair a routing table in place instead of rebuilding it. `None` if
-    /// no such service link exists.
+    /// patch or recompute them afterwards.
     pub fn update_link_qos(&mut self, from: NodeIx, to: NodeIx, qos: Qos) -> Option<EdgeChange> {
         let e = self.graph.find_edge(from, to)?;
         let old = *self.graph.edge(e);
@@ -702,24 +696,6 @@ mod tests {
     }
 
     #[test]
-    fn set_link_qos_updates_existing_links_only() {
-        let (net, p, compat) = line_world();
-        let mut ov = OverlayGraph::build(&net, &p, &compat).unwrap();
-        let s0 = ov.instances_of(sid(0))[0];
-        let near = ov
-            .instances_of(sid(1))
-            .iter()
-            .copied()
-            .find(|&n| ov.instance(n).host == HostId::new(1))
-            .unwrap();
-        assert!(ov.set_link_qos(s0, near, q(3, 7)));
-        let e = ov.graph().find_edge(s0, near).unwrap();
-        assert_eq!(*ov.graph().edge(e), q(3, 7));
-        // No link in the reverse direction: nothing to update.
-        assert!(!ov.set_link_qos(near, s0, q(1, 1)));
-    }
-
-    #[test]
     fn parallel_all_pairs_matches_sequential_on_overlay() {
         let (net, p, compat) = line_world();
         let ov = OverlayGraph::build(&net, &p, &compat).unwrap();
@@ -740,7 +716,7 @@ mod tests {
     fn update_link_qos_reports_the_change_and_feeds_patch() {
         let (net, p, compat) = line_world();
         let mut ov = OverlayGraph::build(&net, &p, &compat).unwrap();
-        let mut ap = ov.all_pairs();
+        let before = ov.all_pairs();
         let s0 = ov.instances_of(sid(0))[0];
         let near = ov
             .instances_of(sid(1))
@@ -751,7 +727,8 @@ mod tests {
         let change = ov.update_link_qos(s0, near, q(3, 7)).unwrap();
         assert_eq!(change.old, q(10, 1));
         assert_eq!(change.new, q(3, 7));
-        let stats = ap.patch(ov.graph(), &[change]);
+        assert_eq!(*ov.graph().edge(change.edge), q(3, 7));
+        let (ap, stats) = before.patched_with(ov.graph(), &[change], 0);
         assert!(stats.trees_recomputed < stats.trees_total);
         let rebuilt = ov.all_pairs();
         for u in ov.graph().node_ids() {

@@ -22,8 +22,7 @@
 //!   of [`EdgeChange`]s by recomputing only the source trees that can
 //!   actually be affected; it shares every clean tree with its predecessor
 //!   by `Arc` pointer — the per-epoch cost is proportional to the dirty
-//!   set, never a copy of the world. [`AllPairs::patch`] is the same thing
-//!   assigned in place.
+//!   set, never a copy of the world.
 //!
 //! Both funnel into one non-generic `compute_trees` over [`QosCsr`], so the
 //! kernel and its fan-out are compiled once, in this crate: what a build
@@ -164,7 +163,7 @@ use crate::{Bandwidth, Qos};
 
 /// One edge whose QoS changed, described by before/after weights.
 ///
-/// The graph handed to [`AllPairs::patch`] must already carry `new` on
+/// The graph handed to [`AllPairs::patched_with`] must already carry `new` on
 /// `edge`; `old` is what the table being patched was computed from.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct EdgeChange {
@@ -202,7 +201,7 @@ impl EdgeChange {
     }
 }
 
-/// What one [`AllPairs::patch`] call did.
+/// What one [`AllPairs::patched_with`] call did.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PatchStats {
     /// Source trees recomputed by this patch.
@@ -419,14 +418,6 @@ impl AllPairs {
         (AllPairs { trees }, stats)
     }
 
-    /// [`AllPairs::patched_with`] assigned in place with [`auto_workers`] —
-    /// the form for callers that own the table (tests, benches).
-    pub fn patch<N>(&mut self, g: &DiGraph<N, Qos>, changes: &[EdgeChange]) -> PatchStats {
-        let (next, stats) = self.patched_with(g, changes, 0);
-        *self = next;
-        stats
-    }
-
     /// Decides which source trees `changes` can affect, per the rules (and
     /// soundness argument) in the module docs.
     fn plan_dirty<N>(&self, g: &DiGraph<N, Qos>, changes: &[EdgeChange]) -> Vec<bool> {
@@ -462,6 +453,15 @@ mod tests {
     use super::*;
     use crate::shortest_widest::all_pairs;
     use crate::{Latency, Qos};
+
+    impl AllPairs {
+        /// [`AllPairs::patched_with`] assigned in place with [`auto_workers`].
+        fn patch<N>(&mut self, g: &DiGraph<N, Qos>, changes: &[EdgeChange]) -> PatchStats {
+            let (next, stats) = self.patched_with(g, changes, 0);
+            *self = next;
+            stats
+        }
+    }
 
     fn q(bw: u64, lat: u64) -> Qos {
         Qos::new(Bandwidth::kbps(bw), Latency::from_micros(lat))

@@ -24,8 +24,8 @@
 //!   of the paper) starts from;
 //! * [`engine`]: parallel all-pairs construction over a scoped worker pool
 //!   ([`all_pairs_parallel_with`]) and incremental maintenance after
-//!   edge-QoS changes ([`AllPairs::patched_with`], or [`AllPairs::patch`]
-//!   in place), with per-worker [`DijkstraScratch`] buffer reuse;
+//!   edge-QoS changes ([`AllPairs::patched_with`]), with per-worker
+//!   [`DijkstraScratch`] buffer reuse;
 //!   [`source_trees_with`] builds only the rows a caller reads. Every
 //!   table is swept by one concrete kernel
 //!   ([`shortest_widest::single_source_csr`]) over one layout, [`QosCsr`] —

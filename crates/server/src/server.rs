@@ -50,6 +50,7 @@
 use std::collections::BTreeMap;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
@@ -416,7 +417,15 @@ fn worker_loop(shared: &Shared, jobs: &Receiver<Job>) {
     loop {
         match jobs.recv_timeout(Duration::from_millis(100)) {
             Ok(job) => {
-                let response = execute(shared, job.request);
+                // A panicking request costs that request, not the worker:
+                // the reply still goes out (and takes the frame off
+                // `frames_in_flight`) and the thread keeps draining. The
+                // locks it held do not poison.
+                let response = catch_unwind(AssertUnwindSafe(|| execute(shared, job.request)))
+                    .unwrap_or_else(|_| {
+                        shared.metrics.failed().inc();
+                        Response::Error("internal error: the request panicked".into())
+                    });
                 job.reply.send(&shared.metrics, response);
             }
             Err(RecvTimeoutError::Timeout) => {
@@ -429,6 +438,10 @@ fn worker_loop(shared: &Shared, jobs: &Receiver<Job>) {
     }
 }
 
+/// Fault hook: a federate for this requirement panics inside [`execute`].
+#[cfg(test)]
+const PANICKING_REQUIREMENT: &str = "panic!";
+
 /// Runs one admitted job and accounts its latency.
 fn execute(shared: &Shared, request: Request) -> Response {
     let start = Instant::now();
@@ -437,7 +450,11 @@ fn execute(shared: &Shared, request: Request) -> Response {
             requirement,
             algorithm,
             hop_limit,
-        } => federate(shared, &requirement, algorithm, hop_limit),
+        } => {
+            #[cfg(test)]
+            assert_ne!(requirement, PANICKING_REQUIREMENT, "fault hook");
+            federate(shared, &requirement, algorithm, hop_limit)
+        }
         Request::Mutate(mutation) => mutate(shared, &mutation),
         Request::Release { session } => release(shared, session),
         Request::Rebalance => {
@@ -1969,6 +1986,59 @@ mod tests {
             client.release(session).unwrap();
         }
         assert!(client.load_map().unwrap().links.is_empty());
+        handle.shutdown();
+    }
+
+    /// A request that panics inside `execute` is answered `Error` and the
+    /// pool keeps its size: at `workers: 1` the next request is served and
+    /// no frame stays on the in-flight gauge. Without the `catch_unwind` the
+    /// only worker dies with the reply unsent, which the read timeout turns
+    /// from a hang into a failure.
+    #[test]
+    fn a_panicking_request_is_answered_and_the_worker_survives() {
+        use crate::wire::{encode_frame, read_frame};
+        use crate::{RequestFrame, ResponseFrame};
+        use std::io::Write;
+
+        let config = ServerConfig {
+            workers: 1,
+            ..ServerConfig::default()
+        };
+        let handle = serve(World::new(diamond_fixture()), &config).unwrap();
+        let mut stream = TcpStream::connect(handle.addr()).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        let mut ask = |request_id: u64, requirement: &str| {
+            let frame = RequestFrame {
+                request_id,
+                request: Request::Federate {
+                    requirement: requirement.to_owned(),
+                    algorithm: Algorithm::Sflow,
+                    hop_limit: None,
+                },
+            };
+            stream.write_all(&encode_frame(&frame).unwrap()).unwrap();
+            let reply: ResponseFrame = read_frame(&mut stream)
+                .expect("an answer within the timeout")
+                .expect("an answer, not a hang-up");
+            assert_eq!(reply.request_id, request_id);
+            reply.response
+        };
+
+        match ask(1, PANICKING_REQUIREMENT) {
+            Response::Error(message) => assert!(message.contains("panicked"), "{message}"),
+            other => panic!("expected Error, got {other:?}"),
+        }
+        match ask(2, "0>1>3, 0>2>3") {
+            Response::Federated(_) => {}
+            other => panic!("expected Federated, got {other:?}"),
+        }
+        let stats = handle.shared.metrics.snapshot(0);
+        assert_eq!(
+            (stats.failed, stats.served, stats.frames_in_flight),
+            (1, 1, 0)
+        );
         handle.shutdown();
     }
 }

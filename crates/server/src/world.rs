@@ -33,9 +33,6 @@ pub enum WorldError {
     /// Refusing to fail the pinned source instance — it is the consumer's
     /// entry point, and every context needs it.
     SourceUnfailable(ServiceInstance),
-    /// Only link-QoS mutations can ride in a batch; structural mutations
-    /// renumber the overlay and must go through [`World::apply`] alone.
-    UnbatchableMutation,
 }
 
 impl std::fmt::Display for WorldError {
@@ -45,9 +42,6 @@ impl std::fmt::Display for WorldError {
             WorldError::NoSuchLink(a, b) => write!(f, "no service link {a} -> {b}"),
             WorldError::SourceUnfailable(i) => {
                 write!(f, "cannot fail the source instance {i}")
-            }
-            WorldError::UnbatchableMutation => {
-                write!(f, "only link-QoS mutations can be batched")
             }
         }
     }
@@ -76,11 +70,10 @@ pub struct RebuildStats {
 /// The publication cell: one `Arc<WorldSnapshot>` swapped atomically from
 /// the mutator's point of view, cloned on load from the readers'.
 ///
-/// **Only [`World::apply`] and [`World::apply_batch`] publish.** The cell
-/// lives in their module and `store` is private to it, so "epochs advance
-/// only through a mutation, one at a time" is what compiles: every other
-/// holder of the cell — the server's workers, a bench, this doc test — can
-/// only read it.
+/// **Only [`World::apply`] publishes.** The cell lives in its module and
+/// `store` is private to it, so "epochs advance only through a mutation,
+/// one at a time" is what compiles: every other holder of the cell — the
+/// server's workers, a bench, this doc test — can only read it.
 ///
 /// ```
 /// use sflow_core::fixtures::diamond_fixture;
@@ -324,77 +317,6 @@ impl World {
         self.snap.store(Arc::new(next));
         Ok(stats)
     }
-
-    /// Applies a batch of link-QoS mutations as *one* epoch: the successor
-    /// overlay is cloned once, every change lands on the clone, and a
-    /// single incremental patch derives the routing table from the
-    /// predecessor's. Readers observe the whole event or none of it —
-    /// there is no published intermediate where half the batch has landed.
-    ///
-    /// An empty batch publishes nothing and bumps no epoch.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`WorldError`] (and publishes nothing) on the first
-    /// mutation that names an unknown instance or link, or that is not a
-    /// [`Mutation::SetLinkQos`] — structural mutations renumber the
-    /// overlay and must go through [`World::apply`] alone.
-    pub fn apply_batch(&mut self, mutations: &[Mutation]) -> Result<RebuildStats, WorldError> {
-        if mutations.is_empty() {
-            return Ok(RebuildStats::default());
-        }
-        let prev = self.snap.load();
-        let mut overlay = (*prev.overlay()).clone();
-        let mut changes = Vec::with_capacity(mutations.len());
-        for mutation in mutations {
-            match *mutation {
-                Mutation::SetLinkQos {
-                    from,
-                    to,
-                    bandwidth_kbps,
-                    latency_us,
-                } => {
-                    let f = overlay
-                        .node_of(from)
-                        .ok_or(WorldError::UnknownInstance(from))?;
-                    let t = overlay.node_of(to).ok_or(WorldError::UnknownInstance(to))?;
-                    let qos = Qos::new(
-                        Bandwidth::kbps(bandwidth_kbps),
-                        Latency::from_micros(latency_us),
-                    );
-                    let change = overlay
-                        .update_link_qos(f, t, qos)
-                        .ok_or(WorldError::NoSuchLink(from, to))?;
-                    changes.push(change);
-                }
-                Mutation::FailInstance { .. } => return Err(WorldError::UnbatchableMutation),
-            }
-        }
-        let started = Instant::now();
-        let (table, patched) =
-            prev.all_pairs()
-                .patched_with(overlay.graph(), &changes, self.route_workers);
-        let stats = RebuildStats {
-            duration: started.elapsed(),
-            trees_recomputed: patched.trees_recomputed as u64,
-            trees_total: patched.trees_total as u64,
-            full_rebuild: patched.full_rebuild,
-        };
-        let dirty = DirtyLinks::of(overlay.graph(), &changes);
-        let next = WorldSnapshot::new(
-            Arc::new(overlay),
-            Arc::new(table),
-            prev.source_node(),
-            prev.epoch() + 1,
-        );
-        if let Some(matrix) = prev.cached_hop_matrix() {
-            next.adopt_hop_matrix(matrix);
-        }
-        // Solve-cache entries untouched by the whole batch survive it.
-        next.adopt_clean_solves(&prev, &dirty);
-        self.snap.store(Arc::new(next));
-        Ok(stats)
-    }
 }
 
 #[cfg(test)]
@@ -545,52 +467,6 @@ mod tests {
             .unwrap();
         assert_eq!(again.bandwidth(), before.bandwidth());
         assert_eq!(w.snapshot().epoch(), 1);
-    }
-
-    #[test]
-    fn a_batch_of_qos_mutations_is_one_epoch() {
-        let mut w = World::new(diamond_fixture());
-        let first = w.snapshot();
-        let (matrix, _) = first.hop_matrix_tracked();
-        let ctx = first.context();
-        let overlay = ctx.overlay();
-        let batch: Vec<Mutation> = overlay
-            .graph()
-            .out_edges(ctx.source_instance())
-            .map(|link| Mutation::SetLinkQos {
-                from: overlay.instance(link.from),
-                to: overlay.instance(link.to),
-                bandwidth_kbps: 48,
-                latency_us: 7_000,
-            })
-            .collect();
-        assert!(batch.len() >= 2, "the diamond source fans out");
-        drop(ctx);
-
-        let stats = w.apply_batch(&batch).unwrap();
-        assert_eq!(w.epoch(), 1, "the whole batch is one epoch");
-        assert!(!stats.full_rebuild);
-        let next = w.snapshot();
-        let carried = next
-            .cached_hop_matrix()
-            .expect("QoS batch keeps the hop matrix");
-        assert!(Arc::ptr_eq(&carried, &matrix));
-
-        // A structural mutation poisons the batch and publishes nothing.
-        let victim = next
-            .overlay()
-            .graph()
-            .node_ids()
-            .map(|n| next.overlay().instance(n))
-            .find(|i| *i != w.source())
-            .unwrap();
-        assert_eq!(
-            w.apply_batch(&[Mutation::FailInstance { instance: victim }]),
-            Err(WorldError::UnbatchableMutation)
-        );
-        assert_eq!(w.epoch(), 1);
-        assert_eq!(w.apply_batch(&[]), Ok(RebuildStats::default()));
-        assert_eq!(w.epoch(), 1, "an empty batch publishes nothing");
     }
 
     #[test]

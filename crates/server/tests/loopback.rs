@@ -5,7 +5,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::thread;
 
 use sflow_core::algorithms::{FederationAlgorithm, SflowAlgorithm};
-use sflow_core::fixtures::{diamond_fixture, diamond_requirement};
+use sflow_core::fixtures::{diamond_fixture, diamond_requirement, random_fixture};
+use sflow_net::ServiceId;
 use sflow_server::{
     serve, Algorithm, Client, Mutation, PipelinedClient, Request, Response, ServerConfig, World,
 };
@@ -271,6 +272,56 @@ fn qos_mutations_patch_and_keep_the_hop_cache_warm() {
     assert_eq!(stats.rebuilds, 2);
     assert!(stats.rebuild_us_total > 0);
 
+    handle.shutdown();
+}
+
+/// A repeat trace over three requirements with every session held open,
+/// under the default config (residual admission on). The first touch of a
+/// key founds its forest; every repeat is a solve-cache hit that attaches
+/// to it and books nothing, so `LoadMap` reads the same before and after —
+/// and the server's counters agree exactly with the client's own cold /
+/// warm split.
+#[test]
+fn a_repeat_trace_founds_one_forest_per_requirement_and_attaches_the_rest() {
+    const MENU: [&str; 3] = ["0>1>2", "0>2>3", "0>3>4"];
+    const TRACE: [usize; 12] = [0, 1, 0, 2, 0, 0, 1, 2, 0, 1, 0, 0];
+    // 15 instances over 24 hosts: every founding crosses real links, so it
+    // shows in the ledger.
+    let services: Vec<ServiceId> = (0..5).map(ServiceId::new).collect();
+    let fixture = random_fixture(24, &services, 3, None, 1);
+    let handle = serve(World::new(fixture), &ServerConfig::default()).unwrap();
+    let mut client = Client::connect(handle.addr()).unwrap();
+
+    let mut seen = [false; MENU.len()];
+    for pick in TRACE {
+        let before = client.load_map().unwrap();
+        match client.federate(MENU[pick], Algorithm::Sflow, None).unwrap() {
+            Response::Federated(_) => {}
+            other => panic!("{}: expected Federated, got {other:?}", MENU[pick]),
+        }
+        let after = client.load_map().unwrap();
+        if seen[pick] {
+            assert_eq!(after, before, "an attach books nothing");
+        } else {
+            assert_ne!(after.links, before.links, "a founding books its flow");
+        }
+        seen[pick] = true;
+    }
+
+    let requests = TRACE.len() as u64;
+    let distinct = seen.iter().filter(|&&s| s).count() as u64;
+    let stats = client.stats().unwrap();
+    assert_eq!(
+        (stats.cache_misses, stats.cache_hits),
+        (distinct, requests - distinct),
+        "cold = first touches, every repeat a hit: {stats:?}"
+    );
+    assert_eq!(stats.cache_revalidation_fails, 0);
+    assert_eq!(
+        (stats.forests, stats.forest_tenants, stats.sessions),
+        (distinct, requests, requests),
+        "one forest per requirement, every tenant attached and open: {stats:?}"
+    );
     handle.shutdown();
 }
 

@@ -10,7 +10,7 @@
 use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
-use sflow_core::algorithms::{FederationAlgorithm, GlobalOptimalAlgorithm, SflowAlgorithm};
+use sflow_core::algorithms::{FederationAlgorithm, GlobalOptimalAlgorithm};
 use sflow_core::FederationContext;
 use sflow_sim::{run_distributed, SimConfig};
 
@@ -71,45 +71,6 @@ pub fn run(cfg: &SweepConfig) -> Vec<TimingRow> {
                 {
                     opt_t.push(start.elapsed().as_micros() as f64);
                 }
-            }
-        }
-        rows.push(TimingRow {
-            size,
-            sflow_us: mean(&sflow_t),
-            global_optimal_us: mean(&opt_t),
-        });
-    }
-    rows
-}
-
-/// Centralized-sFlow timing variant, used by the Criterion bench to isolate
-/// the algorithm from protocol bookkeeping. Returns mean µs per size.
-pub fn run_centralized(cfg: &SweepConfig) -> Vec<TimingRow> {
-    let mut rows = Vec::with_capacity(cfg.sizes.len());
-    for &size in &cfg.sizes {
-        let mut sflow_t = Vec::new();
-        let mut opt_t = Vec::new();
-        for trial in 0..cfg.trials {
-            let t = build_trial(
-                size,
-                cfg.services,
-                cfg.instances_per_service,
-                RequirementKind::Path,
-                cfg.base_seed,
-                trial,
-            );
-            let ctx = t.fixture.context();
-            let alg = SflowAlgorithm::default();
-            let start = Instant::now();
-            if alg.federate(&ctx, &t.requirement).is_ok() {
-                sflow_t.push(start.elapsed().as_micros() as f64);
-            }
-            let start = Instant::now();
-            if GlobalOptimalAlgorithm
-                .federate(&ctx, &t.requirement)
-                .is_ok()
-            {
-                opt_t.push(start.elapsed().as_micros() as f64);
             }
         }
         rows.push(TimingRow {
