@@ -6,7 +6,8 @@
 //! sequential [`all_pairs`](sflow_routing::all_pairs) path) and
 //! incremental epoch derivation
 //! ([`patched_with`](sflow_routing::AllPairs::patched_with)) — over the
-//! paper's Fig. 4 overlay, a 200-node random overlay and 2k/10k-node Waxman
+//! paper's Fig. 4 overlay, a 200-node random overlay, the 80-instance
+//! overlay `bench_e2e` serves (`waxman-400-overlay`) and 2k/10k-node Waxman
 //! topologies, then writes the numbers to `BENCH_routing.json` at the
 //! repository root.
 //!
@@ -23,10 +24,14 @@
 //! recomputed if any label it recorded crosses the edge, read by a reported
 //! path or not). Each direction reports what the *coarse* rules —
 //! any-traversal for cuts, reach-the-tail for everything else — would have
-//! recomputed on the same samples, and `plan_us`: the median wall time of
-//! the samples that recomputed no tree, which is the dirty plan and one
-//! refcount bump per tree (`plan_samples` says how many there were; `null`
-//! if none). The slow-down also reports how many trees had the edge on a
+//! recomputed on the same samples, and `plan_us`: the median wall time of a
+//! patch that recomputed no tree — the dirty plan, the CSR reweight and one
+//! refcount bump per tree. Its samples are the patches that recomputed
+//! none and, for a cut, every other sample replayed against the table it
+//! produced (see [`patch_sample`]); `plan_samples` says how many there
+//! were, `null` if none. On [`PLAN_GATED`]'s worlds the shave's `plan_us`
+//! must stay below one kernel tree (`us_per_tree`): a patch costs what it
+//! changed. The slow-down also reports how many trees had the edge on a
 //! *reported* path — the fewest any sound rule can recompute, and what the
 //! rule before the certificate did recompute. Every sample also asserts the
 //! epoch-sharing contract: the successor table shares exactly
@@ -34,7 +39,9 @@
 //! pointer — deriving an epoch never clones the world.
 //!
 //! Each world also records `csr_build_us`, the cost of deriving the
-//! [`QosCsr`] index every build and every patch starts with, and a `kernel`
+//! [`QosCsr`] index every build starts with, `csr_reweight_us`, what a
+//! patch pays instead once a forest cut moved [`FOREST_LINKS`] links
+//! ([`QosCsr::reweighted`]), and a `kernel`
 //! block from one direct sequential sweep of [`single_source_csr`] over every
 //! source: µs per tree beside the counts that predict it and repeat exactly
 //! from run to run — bottleneck levels per source, label decreases per
@@ -60,8 +67,9 @@ use std::time::Instant;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sflow_bench::{median, usize_flag, write_report};
-use sflow_core::fixtures::paper_fig4_fixture;
+use sflow_core::fixtures::{paper_fig4_fixture, random_fixture};
 use sflow_graph::{DiGraph, EdgeIx};
+use sflow_net::ServiceId;
 use sflow_routing::shortest_widest::single_source_csr;
 use sflow_routing::{
     all_pairs_parallel_with, auto_workers, AllPairs, Bandwidth, DijkstraScratch, EdgeChange,
@@ -91,6 +99,12 @@ const MAX_ENTRY_SHARE: f64 = 0.6;
 
 /// Links cut and restored together in one forest pair.
 const FOREST_LINKS: usize = 5;
+
+/// Worlds whose shave `plan_us` must stay below one kernel tree
+/// (`us_per_tree`): what a patch pays beyond its dirty trees — the plan,
+/// the CSR reweight and a refcount bump per tree — is gated to be less than
+/// the one tree it would otherwise recompute.
+const PLAN_GATED: [&str; 3] = ["random-200", "waxman-400-overlay", "waxman-2000"];
 
 /// Cut/restore pairs sampled per world for each shape of patch row.
 fn patch_pairs_for(nodes: usize) -> usize {
@@ -200,12 +214,14 @@ struct BuildPoint {
 /// Aggregated patch stats for one direction (cut or restore). `coarse`
 /// holds, per sample, how many trees the coarse rules — any-traversal for
 /// cuts, reach-the-tail for restores — would have recomputed on the same
-/// batch.
+/// batch. `plans` holds the wall times of patches that recomputed no tree
+/// (see [`patch_sample`]).
 #[derive(Default)]
 struct PatchDir {
     times: Vec<u128>,
     trees: Vec<u64>,
     coarse: Vec<u64>,
+    plans: Vec<u128>,
 }
 
 fn avg(samples: &[u128]) -> u128 {
@@ -216,25 +232,14 @@ impl PatchDir {
     fn avg_us(&self) -> u128 {
         avg(&self.times)
     }
-    /// Wall times of the samples that recomputed nothing: the dirty plan
-    /// and `trees_total` refcount bumps, no Dijkstra.
-    fn plan_times(&self) -> Vec<u128> {
-        self.times
-            .iter()
-            .zip(&self.trees)
-            .filter(|&(_, &trees)| trees == 0)
-            .map(|(&us, _)| us)
-            .collect()
+    /// The median of `plans`, `None` if there are none.
+    fn plan_us(&self) -> Option<u128> {
+        (!self.plans.is_empty()).then(|| median(self.plans.clone()))
     }
-    /// `"<median µs>"` over [`PatchDir::plan_times`], `"null"` if there are
-    /// none.
-    fn plan_us(&self) -> String {
-        let times = self.plan_times();
-        if times.is_empty() {
-            "null".to_string()
-        } else {
-            median(times).to_string()
-        }
+    /// [`PatchDir::plan_us`] as JSON.
+    fn plan_us_json(&self) -> String {
+        self.plan_us()
+            .map_or("null".to_string(), |us| us.to_string())
     }
     fn avg_trees(&self) -> f64 {
         self.trees.iter().sum::<u64>() as f64 / self.trees.len().max(1) as f64
@@ -326,6 +331,7 @@ struct WorldReport {
     reps: usize,
     build: Vec<BuildPoint>,
     csr_build_us: u128,
+    csr_reweight_us: u128,
     kernel: KernelSweep,
     patch_samples: usize,
     cut: PatchDir,
@@ -345,6 +351,13 @@ struct WorldReport {
 /// `world`, patches `table` for it and books the sample under `dir`,
 /// asserting what every patch must hold: no full rebuild, clean trees
 /// shared by pointer, never dirtier than the coarse rule.
+///
+/// A patch that recomputed no tree is booked as a plan sample as well. So
+/// is a cut that did recompute some, replayed against the table it
+/// produced: its recomputed trees were swept without the lost headroom and
+/// its kept ones were clean already, so the replay recomputes nothing and
+/// costs what the cut cost beyond its trees — on a world where every link
+/// is on its tail's reported path (an overlay), the only way to see it.
 fn patch_sample<N>(
     table: &AllPairs,
     world: &mut DiGraph<N, Qos>,
@@ -357,17 +370,30 @@ fn patch_sample<N>(
         *world.edge_mut(edge) = new;
         changes.push(EdgeChange { edge, old, new });
     }
-    let coarse = if batch
+    let pure_cut = batch
         .iter()
-        .all(|(_, old, new)| new.bandwidth < old.bandwidth && new.latency == old.latency)
-    {
+        .all(|(_, old, new)| new.bandwidth < old.bandwidth && new.latency == old.latency);
+    let coarse = if pure_cut {
         coarse_cut_trees(table, world, &edges)
     } else {
         coarse_restore_trees(world, &edges)
     };
     let started = Instant::now();
     let (next, stats) = table.patched_with(world, &changes, 0);
-    dir.times.push(started.elapsed().as_micros());
+    let us = started.elapsed().as_micros();
+    dir.times.push(us);
+    if stats.trees_recomputed == 0 {
+        dir.plans.push(us);
+    } else if pure_cut {
+        let started = Instant::now();
+        let (replayed, replay) = next.patched_with(world, &changes, 0);
+        dir.plans.push(started.elapsed().as_micros());
+        drop(replayed);
+        assert_eq!(
+            replay.trees_recomputed, 0,
+            "a cut replayed on its own successor"
+        );
+    }
     assert!(!stats.full_rebuild, "QoS-only change must not full-rebuild");
     assert_eq!(
         table.shared_trees(&next),
@@ -431,7 +457,18 @@ fn measure<N: Clone>(name: &'static str, g: &DiGraph<N, Qos>, seed: u64) -> Worl
     let baseline = baseline.expect("worker sweep is non-empty");
     let trees_total = baseline.len();
 
+    let csr = QosCsr::new(g);
     let csr_build_us = time_us(reps, || QosCsr::new(g));
+    // What a patch derives its CSR with once a forest cut has moved
+    // `FOREST_LINKS` links: a reweight of the predecessor's.
+    let mut cut = g.clone();
+    for i in 0..FOREST_LINKS {
+        let edge = EdgeIx::from_index(i * cut.edge_count() / FOREST_LINKS);
+        if let Some(halved) = halve(*cut.edge(edge)) {
+            *cut.edge_mut(edge) = halved;
+        }
+    }
+    let csr_reweight_us = time_us(reps, || csr.reweighted(&cut));
 
     let mut world = g.clone();
     let edge_ids: Vec<_> = world.edges().map(|e| e.id).collect();
@@ -442,6 +479,7 @@ fn measure<N: Clone>(name: &'static str, g: &DiGraph<N, Qos>, seed: u64) -> Worl
         reps,
         build,
         csr_build_us,
+        csr_reweight_us,
         kernel: kernel_sweep(g),
         patch_samples: patch_pairs_for(world.node_count()),
         cut: PatchDir::default(),
@@ -540,8 +578,8 @@ fn world_json(r: &WorldReport) -> String {
              \"avg_trees_recomputed\": {:.1}, \"max_trees_recomputed\": {}, \
              \"avg_trees_coarse_rule\": {:.1}, \"max_trees_coarse_rule\": {}}}",
             d.avg_us(),
-            d.plan_us(),
-            d.plan_times().len(),
+            d.plan_us_json(),
+            d.plans.len(),
             d.avg_trees(),
             d.max_trees(),
             d.avg_coarse(),
@@ -553,7 +591,7 @@ fn world_json(r: &WorldReport) -> String {
     format!(
         "    {{\n      \"name\": \"{}\",\n      \"nodes\": {},\n      \"edges\": {},\n      \
          \"reps\": {},\n      \"build\": [\n{}\n      ],\n      \
-         \"csr_build_us\": {},\n      \
+         \"csr_build_us\": {},\n      \"csr_reweight_us\": {},\n      \
          \"kernel\": {{\"us_per_tree\": {:.1}, \"levels_per_source_mean\": {:.2}, \
          \"label_updates_per_source_mean\": {:.2}, \"pred_entries_per_tree_mean\": {:.2}, \
          \"pred_entries_share_of_level_slots\": {:.4}}},\n      \
@@ -570,6 +608,7 @@ fn world_json(r: &WorldReport) -> String {
         r.reps,
         build.join(",\n"),
         r.csr_build_us,
+        r.csr_reweight_us,
         r.kernel.us_per_tree,
         r.kernel.levels_mean,
         r.kernel.label_updates_mean,
@@ -592,9 +631,14 @@ fn world_json(r: &WorldReport) -> String {
 fn main() {
     let max_nodes = usize_flag("--max-nodes", usize::MAX);
     let fig4 = paper_fig4_fixture();
+    // The world `bench_e2e` serves: 80 instances over a 400-host Waxman
+    // underlay, each linked to every instance of the other nine services.
+    let services: Vec<ServiceId> = (0..10).map(ServiceId::new).collect();
+    let waxman_400 = random_fixture(400, &services, 8, None, 42);
     let mut reports = vec![
         measure("paper-fig4", fig4.overlay.graph(), 7),
         measure("random-200", &random_overlay(200, 8, 42), 7),
+        measure("waxman-400-overlay", waxman_400.overlay.graph(), 7),
     ];
     if max_nodes >= 2_000 {
         reports.push(measure("waxman-2000", &waxman_overlay(2_000, 6.0, 42), 7));
@@ -610,12 +654,14 @@ fn main() {
             .map(|b| format!("w{}={} µs", b.workers, b.us))
             .collect();
         println!(
-            "{}: {} nodes / {} edges — build [{}], CSR index {} µs, min shared {}",
+            "{}: {} nodes / {} edges — build [{}], CSR index {} µs (reweight {} µs), \
+             min shared {}",
             r.name,
             r.nodes,
             r.edges,
             sweep.join(", "),
             r.csr_build_us,
+            r.csr_reweight_us,
             r.min_trees_shared,
         );
         let k = &r.kernel;
@@ -640,7 +686,7 @@ fn main() {
                 "  {label}: avg {} µs (plan {} µs) recomputing {:.1}/{} trees \
                  (max {}, coarse rule avg {:.1})",
                 d.avg_us(),
-                d.plan_us(),
+                d.plan_us_json(),
                 d.avg_trees(),
                 r.trees_total,
                 d.max_trees(),
@@ -679,6 +725,20 @@ fn main() {
         }
         if r.nodes >= 200 {
             quarter(&r.restore, "restore");
+        }
+        if PLAN_GATED.contains(&r.name) {
+            let plan = r.cut.plan_us().unwrap_or_else(|| {
+                panic!(
+                    "{}: no shave recomputed zero trees: the plan went unmeasured",
+                    r.name
+                )
+            });
+            assert!(
+                (plan as f64) < k.us_per_tree,
+                "{}: a shave's plan took {plan} µs, more than one kernel tree ({:.1} µs)",
+                r.name,
+                k.us_per_tree,
+            );
         }
     }
 

@@ -22,7 +22,10 @@
 //!   of [`EdgeChange`]s by recomputing only the source trees that can
 //!   actually be affected; it shares every clean tree with its predecessor
 //!   by `Arc` pointer — the per-epoch cost is proportional to the dirty
-//!   set, never a copy of the world.
+//!   set, never a copy of the world. A table carries the [`QosCsr`] it was
+//!   swept over, and the successor's is that one reweighted
+//!   ([`QosCsr::reweighted`]: the topology shared, `O(E)` with no sort),
+//!   not a fresh derivation.
 //!
 //! Both funnel into one non-generic `compute_trees` over [`QosCsr`], so the
 //! kernel and its fan-out are compiled once, in this crate: what a build
@@ -133,6 +136,23 @@
 //! an edge must not be re-timed under the tree afterwards, and is not: the
 //! entry still names it.
 //!
+//! *Asking the heads first.* A reported path at level `b` is rebuilt by
+//! reading every node on it at `b`, so it steps into `v` over `e` exactly
+//! when `v` is on it and `v`'s entry at `b` names `e`; and `v` is on a path
+//! of level `b` only if `b ≤ B(s,v)` — every node of a path at least as
+//! wide as it. The plan therefore collects one `(e, v, bw₁)` per cut record
+//! and, per tree, reads only the cut heads' chains: a tree none of whose
+//! head chains has an entry over its edge standing at a level in
+//! `(bw₁, B(s,v)]` is clean without a walk; one whose entry at `v`'s own
+//! level names the edge is dirty without one (`v`'s own path crosses it at
+//! `B(s,v) > bw₁`); the rest are walked at only the levels such an entry
+//! stands at, from the nodes pinned there (a per-level index, counting
+//! sort), instead of every level from every node. Each step only skips
+//! levels at which the full walk cannot find the edge, and a walk is
+//! exact, so the dirty set is the full walk's by construction —
+//! `tests/prop_engine.rs` holds the plan's tree count to
+//! `traverses_above`'s on random lineages.
+//!
 //! A record that is several of these at once (narrower *and* faster, wider
 //! *and* slower) is held to each rule it falls under; the steps compose in
 //! any order because each is checked against the same frozen labels.
@@ -146,9 +166,9 @@
 //! fall back to a full parallel rebuild. The property tests in
 //! `tests/prop_engine.rs` check patches — single batches, sequences of
 //! batches, cut-then-restore pairs — against a from-scratch rebuild in QoS
-//! and path, and that the rules never dirty more trees than the coarse
-//! ones (any-traversal for pure bandwidth cuts, reach-the-tail for the
-//! rest).
+//! and path, that the rules never dirty more trees than the coarse ones
+//! (any-traversal for pure bandwidth cuts, reach-the-tail for the rest),
+//! and that a pure cut dirties exactly the trees the full walk finds.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -280,8 +300,10 @@ pub fn auto_workers() -> usize {
 /// are identical to the sequential sweep.
 pub fn all_pairs_parallel_with<N>(g: &DiGraph<N, Qos>, workers: usize) -> AllPairs {
     let sources: Vec<NodeIx> = g.node_ids().collect();
+    let csr = Arc::new(QosCsr::new(g));
     AllPairs {
-        trees: source_trees_with(g, &sources, workers),
+        trees: compute_trees(&csr, &sources, workers),
+        csr: Some(csr),
     }
 }
 
@@ -374,11 +396,12 @@ impl AllPairs {
     /// Copy-on-write: `self` is an immutable predecessor and the result a
     /// *fresh* table. Every clean tree is shared with the predecessor by
     /// `Arc` pointer — deriving the successor costs one refcount bump per
-    /// clean tree plus a Dijkstra per dirty one, never a copy of the table.
-    /// Readers concurrently solving against the predecessor are never
-    /// disturbed — this is the routing half of an epoch-published world,
-    /// where the successor table is assembled entirely off-lock and swapped
-    /// in with one pointer store.
+    /// clean tree, one reweighting of the predecessor's [`QosCsr`] and a
+    /// Dijkstra per dirty tree, never a copy of the table. Readers
+    /// concurrently solving against the predecessor are never disturbed —
+    /// this is the routing half of an epoch-published world, where the
+    /// successor table is assembled entirely off-lock and swapped in with
+    /// one pointer store.
     ///
     /// Falls back to a full parallel rebuild when the table and graph
     /// disagree on node count (nodes were added or removed).
@@ -400,35 +423,49 @@ impl AllPairs {
                 },
             );
         }
+        let mut stats = PatchStats {
+            trees_recomputed: 0,
+            trees_total: n,
+            full_rebuild: false,
+        };
+        let changes = coalesce(g, changes);
+        if changes.is_empty() {
+            return (self.clone(), stats); // the graph is the one `self` was swept over
+        }
 
-        let dirty = self.plan_dirty(g, changes);
+        let dirty = self.plan_dirty(g, &changes);
         let sources: Vec<NodeIx> = (0..n)
             .filter(|&i| dirty[i])
             .map(NodeIx::from_index)
             .collect();
-        let stats = PatchStats {
-            trees_recomputed: sources.len(),
-            trees_total: n,
-            full_rebuild: false,
-        };
+        stats.trees_recomputed = sources.len();
+        let csr = Arc::new(match &self.csr {
+            Some(csr) => csr.reweighted(g),
+            None => QosCsr::new(g),
+        });
         let mut trees = self.trees.clone(); // Arc bumps only
-        for (s, tree) in sources.iter().zip(source_trees_with(g, &sources, workers)) {
+        for (s, tree) in sources.iter().zip(compute_trees(&csr, &sources, workers)) {
             trees[s.index()] = tree;
         }
-        (AllPairs { trees }, stats)
+        let next = AllPairs {
+            trees,
+            csr: Some(csr),
+        };
+        (next, stats)
     }
 
-    /// Decides which source trees `changes` can affect, per the rules (and
-    /// soundness argument) in the module docs.
+    /// Decides which source trees `changes` (coalesced) can affect, per the
+    /// rules (and soundness argument) in the module docs.
     fn plan_dirty<N>(&self, g: &DiGraph<N, Qos>, changes: &[EdgeChange]) -> Vec<bool> {
-        let changes = coalesce(g, changes);
+        // One `(edge, head, floor)` per cut record, and the floors by edge
+        // for the walk.
+        let cuts: Vec<(EdgeIx, NodeIx, Bandwidth)> = changes
+            .iter()
+            .filter_map(|c| Some((c.edge, g.edge_endpoints(c.edge).1, c.loss_floor()?)))
+            .collect();
         let mut floors = vec![Bandwidth::INFINITE; g.edge_count()];
-        let mut any_cut = false;
-        for change in &changes {
-            if let Some(floor) = change.loss_floor() {
-                floors[change.edge.index()] = floor;
-                any_cut = true;
-            }
+        for &(edge, _, floor) in &cuts {
+            floors[edge.index()] = floor;
         }
         // Anything but a pure bandwidth cut is the certificate's business.
         let any_label_side = changes
@@ -441,8 +478,8 @@ impl AllPairs {
         self.trees
             .iter()
             .map(|tree| {
-                (any_label_side && !tree.certifies(g, &changes, &mut levels))
-                    || (any_cut && tree.traverses_above(&floors, &mut traversal))
+                (any_label_side && !tree.certifies(g, changes, &mut levels))
+                    || tree.crosses_cuts(&cuts, &floors, &mut traversal)
             })
             .collect()
     }
@@ -588,6 +625,43 @@ mod tests {
                 edge: e,
                 old: q(10, 1),
                 new: q(5, 1),
+            }],
+        );
+        assert_eq!(stats.trees_recomputed, 1);
+        assert_tables_equal(&ap, &all_pairs(&g), &g);
+    }
+
+    #[test]
+    fn a_cut_edge_named_only_below_its_floor_keeps_the_tree_clean() {
+        // s pins v at 10 directly and u, w at 3; at level 3 the sweep finds
+        // v cheaper through u, so s reports s→u→v→w — over u→v, at level 3.
+        // Cutting u→v from 5 to 4 leaves it in level 3: v's chain names the
+        // edge, but only at a level at or below the floor, so s stays clean.
+        // u reports u→v at level 5, which the cut does remove.
+        let mut g: DiGraph<(), Qos> = DiGraph::new();
+        let s = g.add_node(());
+        let u = g.add_node(());
+        let v = g.add_node(());
+        let w = g.add_node(());
+        g.add_edge(s, v, q(10, 10));
+        g.add_edge(s, u, q(3, 1));
+        let cut = g.add_edge(u, v, q(5, 1));
+        g.add_edge(v, w, q(3, 1));
+        let mut ap = all_pairs(&g);
+        assert_eq!(ap.path(s, w), Some(vec![s, u, v, w]));
+
+        *g.edge_mut(cut) = q(4, 1);
+        let mut floors = vec![Bandwidth::INFINITE; g.edge_count()];
+        floors[cut.index()] = Bandwidth::kbps(4);
+        let mut scratch = TraversalScratch::new();
+        assert!(!ap.tree(s).traverses_above(&floors, &mut scratch));
+        assert!(ap.tree(u).traverses_above(&floors, &mut scratch));
+        let stats = ap.patch(
+            &g,
+            &[EdgeChange {
+                edge: cut,
+                old: q(5, 1),
+                new: q(4, 1),
             }],
         );
         assert_eq!(stats.trees_recomputed, 1);

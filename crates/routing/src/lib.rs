@@ -32,7 +32,8 @@
 //!   a compressed-sparse-row flattening of the graph's adjacency with the
 //!   edge weights in slot-parallel arrays — and holds its trees behind
 //!   `Arc`s so an incrementally patched successor shares every clean tree
-//!   with its predecessor by pointer. Routing against anything other than
+//!   with its predecessor by pointer, and its CSR, which the successor
+//!   reweights instead of deriving its own. Routing against anything other than
 //!   raw capacity (the server's load plane routes against
 //!   `capacity − reserved`) means writing those weights into a graph and
 //!   patching the table for the edges that moved.

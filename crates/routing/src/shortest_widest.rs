@@ -70,9 +70,16 @@
 //! underlay with 61 levels): exact is `O((E + U · deg) log V)` time and
 //! `O(V + U)` memory per tree, lexicographic `O(E log V)`. The CSR
 //! derivation is `O(V + E log E)` once per graph, amortised to nothing over
-//! a sweep of many sources.
+//! a sweep of many sources. A patch ([`AllPairs::patched_with`]) derives
+//! no CSR: it reweights its predecessor's in `O(E)` (plus `O(k log E)` for
+//! the `k` slots whose bandwidth moved), plans a bandwidth cut in
+//! `O(changes × chain)` per tree — a cut head's chain, a few entries — plus
+//! `O(V)` and a walk of the levels that matter for the trees whose chains
+//! name a cut edge, and then pays one sweep per dirty tree. (A gain or a
+//! re-timing is planned by the certificate, which reads every tree's level
+//! bounds: `O(V)` per tree and up.)
 
-use std::cmp::Ordering;
+use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 use std::sync::Arc;
 
@@ -236,37 +243,146 @@ impl PathTree {
     /// `bw1` can lose the edge. (An edge whose latency moved is
     /// `PathTree::certifies`'s business.)
     ///
-    /// The walk visits each node at most once per bandwidth level —
-    /// `O(V · L)` worst case, `O(V)` typically — and allocates nothing:
-    /// the caller supplies a [`TraversalScratch`] reused across the trees
-    /// of a patch sweep.
+    /// This is the full walk: every level, from every node pinned there
+    /// (found through a per-level index), visiting each node at most once
+    /// per level — `O(V · L)` worst case, `O(V)` typically. It allocates
+    /// nothing: the caller
+    /// supplies a [`TraversalScratch`] reused across trees. The patcher
+    /// answers the same question for its cut edges from their heads first
+    /// and walks only the levels that can matter.
     pub fn traverses_above(&self, floors: &[Bandwidth], scratch: &mut TraversalScratch) -> bool {
-        let n = self.dist.len();
+        self.index_levels(scratch);
+        (0..self.levels).any(|li| self.walk_level(li, floors, scratch))
+    }
+
+    /// [`PathTree::traverses_above`] for a batch of cuts, each given as
+    /// `(edge, head, floor)` with `floors` holding the same floors by edge
+    /// index — same answer, less work.
+    ///
+    /// A reported path steps into `v` over `e = u → v` at level `b` only if
+    /// `v`'s own entry at `b` names `e`, and only if `v` lies on a path
+    /// pinned at `b`, i.e. `b ≤ B(s,v)`. So the cut matters at most at the
+    /// levels where an entry of `v`'s chain over `e` stands, from `v`'s own
+    /// level on, and whose bandwidth exceeds the floor. A tree whose head
+    /// chains name no cut edge there is clean without a walk, and one whose
+    /// entry at `v`'s own level names it is dirty without one (`v`'s own
+    /// path crosses `e` at `B(s,v)`, above the floor); otherwise only those
+    /// levels are walked, and a walk is exact, so the answer is the full
+    /// walk's.
+    pub(crate) fn crosses_cuts(
+        &self,
+        cuts: &[(EdgeIx, NodeIx, Bandwidth)],
+        floors: &[Bandwidth],
+        scratch: &mut TraversalScratch,
+    ) -> bool {
+        scratch.spans.clear();
+        for &(edge, head, floor) in cuts {
+            let Some(to_head) = self.dist[head.index()] else {
+                continue;
+            };
+            if to_head.bandwidth <= floor {
+                continue; // every level `head` can be on a path of is kept
+            }
+            let pinned_at = self.node_level[head.index()];
+            for (at, until) in self.chain(head) {
+                if at.edge != edge || until <= pinned_at {
+                    continue;
+                }
+                if at.level <= pinned_at {
+                    return true; // `head`'s own path enters it over the edge, above the floor
+                }
+                scratch.spans.push((at.level, until, floor));
+            }
+        }
+        if scratch.spans.is_empty() {
+            return false;
+        }
+        self.index_levels(scratch);
+        for i in 0..scratch.spans.len() {
+            let (from, until, floor) = scratch.spans[i];
+            for li in from..until {
+                // Levels run widest first: once one is at or below the
+                // floor, so are the rest.
+                let first = scratch.pinned[scratch.level_start[li as usize] as usize];
+                if self.dist[first as usize].is_none_or(|q| q.bandwidth <= floor) {
+                    break;
+                }
+                if self.walk_level(li, floors, scratch) {
+                    return true;
+                }
+            }
+        }
+        false
+    }
+
+    /// `node`'s chain as `(entry, until)`: each entry with the level its
+    /// successor takes over at (the tree's level count for the last).
+    fn chain(&self, node: NodeIx) -> impl Iterator<Item = (&Version, u32)> + '_ {
+        let chain = &self.versions
+            [self.first[node.index()] as usize..self.first[node.index() + 1] as usize];
+        chain
+            .iter()
+            .enumerate()
+            .map(move |(i, at)| (at, chain.get(i + 1).map_or(self.levels, |next| next.level)))
+    }
+
+    /// Groups the nodes pinned at each level (every reachable node but the
+    /// source) into `scratch`'s per-level index, by counting sort:
+    /// `O(V + L)`.
+    fn index_levels(&self, scratch: &mut TraversalScratch) {
+        let levels = self.levels as usize;
         let source = self.source.index();
-        for li in 0..self.levels {
-            let tag = scratch.tag_for(n);
-            for start in 0..n {
-                if start == source || self.node_level[start] != li {
-                    continue;
-                }
-                let Some(level) = self.dist[start] else {
-                    continue;
+        let pinned_nodes =
+            || (0..self.dist.len()).filter(move |&x| x != source && self.dist[x].is_some());
+        let starts = &mut scratch.level_start;
+        starts.clear();
+        starts.resize(levels + 1, 0);
+        for x in pinned_nodes() {
+            starts[self.node_level[x] as usize] += 1;
+        }
+        // Each level's end, then filled backwards so it ends at its start.
+        let mut end = 0;
+        for at in &mut starts[..levels] {
+            end += *at;
+            *at = end;
+        }
+        starts[levels] = end;
+        scratch.pinned.clear();
+        scratch.pinned.resize(end as usize, 0);
+        for x in pinned_nodes() {
+            let at = &mut starts[self.node_level[x] as usize];
+            *at -= 1;
+            scratch.pinned[*at as usize] = x as u32;
+        }
+    }
+
+    /// Walks the paths reported at level `li` back from the nodes pinned
+    /// there (through the index [`PathTree::index_levels`] left in
+    /// `scratch`), each node once: `true` at the first edge crossed above
+    /// its floor.
+    fn walk_level(&self, li: u32, floors: &[Bandwidth], scratch: &mut TraversalScratch) -> bool {
+        let source = self.source.index();
+        let tag = scratch.tag_for(self.dist.len());
+        let nodes = scratch.level_start[li as usize] as usize
+            ..scratch.level_start[li as usize + 1] as usize;
+        for start in nodes.map(|i| scratch.pinned[i] as usize) {
+            let Some(level) = self.dist[start] else {
+                continue;
+            };
+            let mut cur = start;
+            while cur != source && scratch.stamp[cur] != tag {
+                scratch.stamp[cur] = tag;
+                let Some(at) = self.version_at(NodeIx::from_index(cur), li) else {
+                    break;
                 };
-                let mut cur = start;
-                while cur != source && scratch.stamp[cur] != tag {
-                    scratch.stamp[cur] = tag;
-                    let Some(at) = self.version_at(NodeIx::from_index(cur), li) else {
-                        break;
-                    };
-                    let floor = floors
-                        .get(at.edge.index())
-                        .copied()
-                        .unwrap_or(Bandwidth::INFINITE);
-                    if floor < level.bandwidth {
-                        return true;
-                    }
-                    cur = at.pred.index();
+                let floor = floors
+                    .get(at.edge.index())
+                    .copied()
+                    .unwrap_or(Bandwidth::INFINITE);
+                if floor < level.bandwidth {
+                    return true;
                 }
+                cur = at.pred.index();
             }
         }
         false
@@ -325,10 +441,8 @@ impl PathTree {
     fn records_retimed(&self, changes: &[EdgeChange], levels: &[(Bandwidth, Latency)]) -> bool {
         let retimed = |e| record_of(changes, e).is_some_and(EdgeChange::is_retimed);
         changes.iter().any(EdgeChange::is_retimed)
-            && self.first.windows(2).any(|chain| {
-                let chain = &self.versions[chain[0] as usize..chain[1] as usize];
-                chain.iter().enumerate().any(|(i, at)| {
-                    let until = chain.get(i + 1).map_or(self.levels, |next| next.level);
+            && (0..self.dist.len()).any(|x| {
+                self.chain(NodeIx::from_index(x)).any(|(at, until)| {
                     retimed(at.edge)
                         && levels[at.level as usize..until as usize]
                             .iter()
@@ -446,16 +560,25 @@ fn record_of(changes: &[EdgeChange], edge: EdgeIx) -> Option<&EdgeChange> {
     Some(&changes[at])
 }
 
-/// Reusable stamp storage for [`PathTree::traverses_above`].
+/// Reusable storage for [`PathTree::traverses_above`] and the patcher's cut
+/// walk.
 ///
 /// Generation stamps instead of per-level bitmaps: each level of each tree
 /// claims a fresh tag, so one allocation serves every level of every tree a
 /// patch sweep inspects — the sweep performs no per-tree (let alone
-/// per-level) allocations.
+/// per-level) allocations. The per-level index of the tree being walked
+/// and the level spans a cut walk visits live here for the same reason.
 #[derive(Debug, Default)]
 pub struct TraversalScratch {
     stamp: Vec<u32>,
     next_tag: u32,
+    /// The tree's pinned nodes grouped by level:
+    /// `pinned[level_start[li]..level_start[li + 1]]` are pinned at `li`.
+    pinned: Vec<u32>,
+    level_start: Vec<u32>,
+    /// `(from, until, floor)`: levels at which a cut edge's head chain
+    /// stands over it, and the floor it was cut to.
+    spans: Vec<(u32, u32, Bandwidth)>,
 }
 
 impl TraversalScratch {
@@ -566,15 +689,18 @@ impl DijkstraScratch {
 /// and the slots are listed once more sorted by bandwidth, the order the
 /// descending sweep admits them in. Derive one per graph
 /// (`O(V + E log E)`) and share it read-only across however many workers
-/// sweep it.
+/// sweep it; once the weights move, [`QosCsr::reweighted`] derives the
+/// next one in `O(E)` and shares the topology with this one.
 #[derive(Clone, Debug)]
 pub struct QosCsr {
-    adj: Csr,
+    adj: Arc<Csr>,
     bandwidth: Vec<Bandwidth>,
     latency: Vec<Latency>,
     /// The tail of each slot's edge.
-    tails: Vec<NodeIx>,
-    /// Every slot, widest edge first.
+    tails: Arc<[NodeIx]>,
+    /// Every slot, widest edge first. Among equal bandwidths the order is
+    /// unspecified: they are admitted at the same level, and the tie rule
+    /// in the module docs makes the tree independent of it.
     widest_first: Vec<u32>,
 }
 
@@ -590,12 +716,60 @@ impl QosCsr {
             .flat_map(|u| adj.range(u).map(move |_| u))
             .collect();
         let mut widest_first: Vec<u32> = (0..bandwidth.len() as u32).collect();
-        widest_first.sort_unstable_by_key(|&s| std::cmp::Reverse(bandwidth[s as usize]));
+        widest_first.sort_unstable_by_key(|&s| Reverse(bandwidth[s as usize]));
         QosCsr {
-            adj,
+            adj: Arc::new(adj),
             bandwidth,
             latency,
             tails,
+            widest_first,
+        }
+    }
+
+    /// The CSR of `g`, which must be the graph this one was derived from
+    /// with only edge weights changed since: the topology and tails are
+    /// shared with `self`, the weights re-read from `g`, and only the slots
+    /// whose bandwidth moved are re-placed in the bandwidth order — each
+    /// goes in front of the first slot its old place in the order found no
+    /// wider, and the others keep their order. `O(E + k log E)` for `k`
+    /// moved slots, against [`QosCsr::new`]'s sort of all of them. A graph
+    /// whose node or edge count differs gets [`QosCsr::new`].
+    pub fn reweighted<N>(&self, g: &DiGraph<N, Qos>) -> Self {
+        let slots = self.bandwidth.len();
+        if g.node_count() != self.node_count() || g.edge_count() != slots {
+            return QosCsr::new(g);
+        }
+        let mut bandwidth = Vec::with_capacity(slots);
+        let mut latency = Vec::with_capacity(slots);
+        let mut moved = vec![false; slots];
+        let mut arrivals = Vec::new();
+        for (s, &e) in self.adj.edges().iter().enumerate() {
+            let w = g.edge(e);
+            if w.bandwidth != self.bandwidth[s] {
+                moved[s] = true;
+                arrivals.push(s as u32);
+            }
+            bandwidth.push(w.bandwidth);
+            latency.push(w.latency);
+        }
+        arrivals.sort_unstable_by_key(|&s| Reverse(bandwidth[s as usize]));
+        let stays = |s: &&u32| !moved[**s as usize];
+        let mut widest_first = Vec::with_capacity(slots);
+        let mut from = 0;
+        for a in arrivals {
+            let to = self
+                .widest_first
+                .partition_point(|&s| self.bandwidth[s as usize] > bandwidth[a as usize]);
+            widest_first.extend(self.widest_first[from..to].iter().filter(stays));
+            widest_first.push(a);
+            from = to;
+        }
+        widest_first.extend(self.widest_first[from..].iter().filter(stays));
+        QosCsr {
+            adj: Arc::clone(&self.adj),
+            bandwidth,
+            latency,
+            tails: Arc::clone(&self.tails),
             widest_first,
         }
     }
@@ -954,10 +1128,13 @@ pub fn single_source_lexicographic<N>(g: &DiGraph<N, Qos>, source: NodeIx) -> Pa
 /// Trees are held behind `Arc`s so an incremental successor table
 /// ([`AllPairs::patched_with`]) shares every clean tree with its
 /// predecessor by pointer — deriving an epoch costs allocations proportional
-/// to the *dirty* set, never a copy of the world.
+/// to the *dirty* set, never a copy of the world. An exact table also
+/// carries the [`QosCsr`] it was swept over, so a successor reweights it
+/// instead of deriving its own (a lexicographic table carries none).
 #[derive(Clone, Debug)]
 pub struct AllPairs {
     pub(crate) trees: Vec<Arc<PathTree>>,
+    pub(crate) csr: Option<Arc<QosCsr>>,
 }
 
 impl AllPairs {
@@ -1008,6 +1185,7 @@ pub fn all_pairs<N>(g: &DiGraph<N, Qos>) -> AllPairs {
             .node_ids()
             .map(|n| Arc::new(single_source_csr(&csr, n, &mut scratch)))
             .collect(),
+        csr: Some(Arc::new(csr)),
     }
 }
 
@@ -1020,6 +1198,7 @@ pub fn all_pairs_lexicographic<N>(g: &DiGraph<N, Qos>) -> AllPairs {
             .node_ids()
             .map(|n| Arc::new(single_source_lexicographic(g, n)))
             .collect(),
+        csr: None,
     }
 }
 
@@ -1243,6 +1422,71 @@ mod tests {
         assert!(tree.traverses_above(&floors, &mut scratch));
         floors[e.index()] = Bandwidth::ZERO;
         assert!(tree.traverses_above(&floors, &mut scratch));
+    }
+
+    /// `reweighted` is `fresh` in everything but the order of equal
+    /// bandwidths in `widest_first`, which only has to descend.
+    fn same_csr(reweighted: &QosCsr, fresh: &QosCsr) -> bool {
+        let mut nodes = (0..fresh.node_count()).map(NodeIx::from_index);
+        let mut slots = reweighted.widest_first.clone();
+        slots.sort_unstable();
+        reweighted.bandwidth == fresh.bandwidth
+            && reweighted.latency == fresh.latency
+            && reweighted.tails == fresh.tails
+            && reweighted.adj.targets() == fresh.adj.targets()
+            && reweighted.adj.edges() == fresh.adj.edges()
+            && nodes.all(|x| reweighted.adj.range(x) == fresh.adj.range(x))
+            && slots.iter().copied().eq(0..fresh.widest_first.len() as u32)
+            && reweighted
+                .widest_first
+                .windows(2)
+                .all(|w| reweighted.bandwidth[w[0] as usize] >= reweighted.bandwidth[w[1] as usize])
+    }
+
+    proptest::proptest! {
+        /// Twenty reweights in a row, each checked against a fresh build of
+        /// the graph of the day — as a layout and by the trees the kernel
+        /// sweeps from every source over it. Tiny domains make parallel
+        /// links, equal bandwidths and zero-bandwidth links common.
+        #[test]
+        fn a_reweighted_csr_is_the_fresh_one(
+            nodes in 2usize..7,
+            edges in proptest::collection::vec((0usize..7, 0usize..7, 0u64..6, 0u64..4), 1..30),
+            batches in proptest::collection::vec(
+                proptest::collection::vec((0usize..64, 0u64..6, 0u64..4), 1..6),
+                20,
+            ),
+        ) {
+            let mut g: DiGraph<(), Qos> = DiGraph::new();
+            let ids: Vec<NodeIx> = (0..nodes).map(|_| g.add_node(())).collect();
+            for (a, b, bw, lat) in edges {
+                if a % nodes != b % nodes {
+                    g.add_edge(ids[a % nodes], ids[b % nodes], q(bw, lat));
+                }
+            }
+            if g.edge_count() == 0 {
+                return Ok(());
+            }
+            let mut csr = QosCsr::new(&g);
+            let mut scratch = DijkstraScratch::new();
+            for batch in batches {
+                for (raw, bw, lat) in batch {
+                    *g.edge_mut(EdgeIx::from_index(raw % g.edge_count())) = q(bw, lat);
+                }
+                csr = csr.reweighted(&g);
+                let fresh = QosCsr::new(&g);
+                proptest::prop_assert!(same_csr(&csr, &fresh));
+                for s in g.node_ids() {
+                    let mine = single_source_csr(&csr, s, &mut scratch);
+                    let theirs = single_source_csr(&fresh, s, &mut scratch);
+                    for x in g.node_ids() {
+                        proptest::prop_assert_eq!(mine.qos_to(x), theirs.qos_to(x));
+                        proptest::prop_assert_eq!(mine.path_to(x), theirs.path_to(x));
+                        proptest::prop_assert_eq!(mine.hops_to(x), theirs.hops_to(x));
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -14,10 +14,14 @@
 //! * cutting k links in one batch and restoring them in the next returns the
 //!   original table.
 //!
-//! Plus two structural properties: a patch shares every clean tree with its
-//! predecessor by `Arc` pointer, and the dirty rules never recompute more
+//! Plus three structural properties: a patch shares every clean tree with
+//! its predecessor by `Arc` pointer, the dirty rules never recompute more
 //! trees than the coarse rules they refine (a bandwidth cut dirties every
-//! tree traversing the edge, anything else every source reaching its tail).
+//! tree traversing the edge, anything else every source reaching its tail),
+//! and a pure cut — planned from the cut edges' heads, walked only at the
+//! levels they stand at — recomputes exactly the trees the public full walk
+//! (`PathTree::traverses_above`) finds, on trees kept through earlier
+//! patches too.
 //!
 //! Case count: `PROPTEST_CASES` (default 64); CI runs 20 000 in release.
 
@@ -27,6 +31,7 @@ use proptest::prelude::*;
 use sflow_graph::DiGraph;
 use sflow_routing::{
     all_pairs, all_pairs_parallel_with, AllPairs, Bandwidth, EdgeChange, Latency, Qos,
+    TraversalScratch,
 };
 
 fn q(bw: u64, lat: u64) -> Qos {
@@ -311,6 +316,55 @@ proptest! {
             original.shared_trees(&restored) + cut_stats.trees_recomputed
                 + restore_stats.trees_recomputed >= original.len()
         );
+    }
+
+    #[test]
+    fn a_cut_recomputes_exactly_the_trees_the_full_walk_finds(
+        g in graph_strategy(),
+        lineage in proptest::collection::vec(batch_strategy(), 0..3),
+        cuts in proptest::collection::vec((0usize..64, 0u64..6), 1..9),
+    ) {
+        // The plan answers a cut from the cut edges' heads and walks only
+        // the levels they stand at; it must dirty exactly the trees the
+        // public full walk does — on trees kept through earlier patches too.
+        let mut g = g;
+        if g.edge_count() == 0 {
+            return Ok(());
+        }
+        let mut table = all_pairs(&g);
+        for batch in &lineage {
+            let changes = apply(&mut g, batch);
+            table = table.patched_with(&g, &changes, 1).0;
+        }
+        let before = g.clone();
+        let edge_ids: Vec<_> = g.edges().map(|e| e.id).collect();
+        let mut cut = Vec::new();
+        for (raw, left) in cuts {
+            let edge = edge_ids[raw % edge_ids.len()];
+            let old = *g.edge(edge);
+            let new = Qos::new(old.bandwidth.min(Bandwidth::kbps(left)), old.latency);
+            *g.edge_mut(edge) = new;
+            cut.push(EdgeChange { edge, old, new });
+        }
+        let floors: Vec<Bandwidth> = before
+            .edges()
+            .zip(g.edges())
+            .map(|(was, now)| {
+                if now.weight.bandwidth < was.weight.bandwidth {
+                    now.weight.bandwidth
+                } else {
+                    Bandwidth::INFINITE
+                }
+            })
+            .collect();
+        let mut scratch = TraversalScratch::new();
+        let walked = g
+            .node_ids()
+            .filter(|&s| table.tree(s).traverses_above(&floors, &mut scratch))
+            .count();
+        let (next, stats) = table.patched_with(&g, &cut, 1);
+        prop_assert_eq!(stats.trees_recomputed, walked, "after {:?}", cut);
+        assert_is_rebuild(&next, &g, &cut)?;
     }
 
     #[test]
