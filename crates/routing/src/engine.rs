@@ -19,17 +19,20 @@
 //!   Because workers read only the CSR, the node payload `N` needs no
 //!   `Sync` bound.
 //! * [`AllPairs::patched_with`] derives a *successor* table after a batch
-//!   of [`EdgeChange`]s by recomputing only the source trees that can
+//!   of [`EdgeChange`]s by invalidating only the source trees that can
 //!   actually be affected; it shares every clean tree with its predecessor
-//!   by `Arc` pointer — the per-epoch cost is proportional to the dirty
-//!   set, never a copy of the world. A table carries the [`QosCsr`] it was
-//!   swept over, and the successor's is that one reweighted
-//!   ([`QosCsr::reweighted`]: the topology shared, `O(E)` with no sort),
-//!   not a fresh derivation.
+//!   by `Arc` pointer and leaves every invalidated slot *stale*, to be
+//!   swept on its first read — the per-epoch cost is a plan, never a copy
+//!   of the world, and a row nobody reads is never routed. A table carries
+//!   the [`QosCsr`] of its graph, and the successor's is that one
+//!   reweighted ([`QosCsr::reweighted`]: the topology shared, `O(E)` with
+//!   no sort), not a fresh derivation.
 //!
-//! Both funnel into one non-generic `compute_trees` over [`QosCsr`], so the
-//! kernel and its fan-out are compiled once, in this crate: what a build
-//! and a patch cost does not depend on which downstream crate asked.
+//! Builds funnel into one non-generic `compute_trees` over [`QosCsr`], and
+//! a stale slot is swept by the same [`single_source_csr`] over the
+//! table's own CSR, so the kernel and its fan-out are compiled once, in
+//! this crate: what a build and a sweep cost does not depend on which
+//! downstream crate asked.
 //!
 //! # Dirty rules and why they are sound
 //!
@@ -157,6 +160,20 @@
 //! *and* slower) is held to each rule it falls under; the steps compose in
 //! any order because each is checked against the same frozen labels.
 //!
+//! **Stale slots.** A dirty tree is not recomputed by the patch: its slot
+//! in the successor is left *stale* and swept by the first read, over the
+//! successor's own CSR — the graph of the day, so what it reports is what
+//! a recomputation would have. A slot that is stale already stays stale,
+//! with no plan: the plan could not read chains it does not have, and it
+//! does not need to. Every rule above only ever decides whether a tree
+//! may be *kept* in place of a recomputation; a stale slot keeps nothing,
+//! and a sweep from scratch on the graph it is read against is exactly
+//! what a dirty verdict would have bought. So the invariant is carried by
+//! every materialised tree — kept through any number of patches, or swept
+//! at any point of the lineage — and needs no new argument. Each slot is
+//! looked at once per patch, and a tree a concurrent reader materialises
+//! after that look is not carried over: the successor's slot stays stale.
+//!
 //! All of this applies to exact trees only: an
 //! [`all_pairs_lexicographic`](crate::shortest_widest::all_pairs_lexicographic)
 //! table's one level is not a latency Dijkstra, and such tables are never
@@ -165,10 +182,13 @@
 //! Structural changes (node add/remove, i.e. a table/graph size mismatch)
 //! fall back to a full parallel rebuild. The property tests in
 //! `tests/prop_engine.rs` check patches — single batches, sequences of
-//! batches, cut-then-restore pairs — against a from-scratch rebuild in QoS
-//! and path, that the rules never dirty more trees than the coarse ones
-//! (any-traversal for pure bandwidth cuts, reach-the-tail for the rest),
-//! and that a pure cut dirties exactly the trees the full walk finds.
+//! batches, cut-then-restore pairs, lineages read only in part between
+//! batches — against a from-scratch rebuild in QoS and path, that the
+//! rules never dirty more trees than the coarse ones (any-traversal for
+//! pure bandwidth cuts, reach-the-tail for the rest), that a pure cut
+//! dirties exactly the trees the full walk finds, and that a partly
+//! stale table invalidates exactly its eagerly swept twin's dirty set
+//! restricted to the slots it had materialised.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -224,7 +244,9 @@ impl EdgeChange {
 /// What one [`AllPairs::patched_with`] call did.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PatchStats {
-    /// Source trees recomputed by this patch.
+    /// Materialised trees this patch invalidated (each swept again on its
+    /// first read); a full rebuild counts every tree. The successor shares
+    /// `materialised(pred) − trees_recomputed` trees with its predecessor.
     pub trees_recomputed: usize,
     /// Source trees in the table (== node count).
     pub trees_total: usize,
@@ -301,10 +323,7 @@ pub fn auto_workers() -> usize {
 pub fn all_pairs_parallel_with<N>(g: &DiGraph<N, Qos>, workers: usize) -> AllPairs {
     let sources: Vec<NodeIx> = g.node_ids().collect();
     let csr = Arc::new(QosCsr::new(g));
-    AllPairs {
-        trees: compute_trees(&csr, &sources, workers),
-        csr: Some(csr),
-    }
+    AllPairs::swept(compute_trees(&csr, &sources, workers), csr)
 }
 
 /// One exact tree per listed source, in list order, over one [`QosCsr`] of
@@ -388,20 +407,24 @@ fn coalesce<N>(g: &DiGraph<N, Qos>, changes: &[EdgeChange]) -> Vec<EdgeChange> {
 }
 
 impl AllPairs {
-    /// Derives the table for a graph whose edge QoS changed, recomputing
+    /// Derives the table for a graph whose edge QoS changed, invalidating
     /// only the source trees the changes can affect (see the module docs
     /// for the dirty rules and why they are sound). `g` must already carry
-    /// the new weights; `workers` sizes the recomputation (`0` = auto).
+    /// the new weights. `workers` sizes the full rebuild a structural
+    /// change falls back to (`0` = auto); a QoS patch sweeps nothing
+    /// itself.
     ///
     /// Copy-on-write: `self` is an immutable predecessor and the result a
-    /// *fresh* table. Every clean tree is shared with the predecessor by
-    /// `Arc` pointer — deriving the successor costs one refcount bump per
-    /// clean tree, one reweighting of the predecessor's [`QosCsr`] and a
-    /// Dijkstra per dirty tree, never a copy of the table. Readers
-    /// concurrently solving against the predecessor are never disturbed —
-    /// this is the routing half of an epoch-published world, where the
-    /// successor table is assembled entirely off-lock and swapped in with
-    /// one pointer store.
+    /// *fresh* table. Every materialised tree the plan keeps is shared with
+    /// the predecessor by `Arc` pointer; every one it invalidates, and
+    /// every slot that was stale already, is stale in the successor and
+    /// swept on its first read, against the successor's CSR. Deriving the
+    /// successor therefore costs the plan, one reweighting of the
+    /// predecessor's [`QosCsr`] and a refcount bump per kept tree, never a
+    /// copy of the table, and no Dijkstra. Readers concurrently solving
+    /// against the predecessor are never disturbed — this is the routing
+    /// half of an epoch-published world, where the successor table is
+    /// assembled entirely off-lock and swapped in with one pointer store.
     ///
     /// Falls back to a full parallel rebuild when the table and graph
     /// disagree on node count (nodes were added or removed).
@@ -433,62 +456,63 @@ impl AllPairs {
             return (self.clone(), stats); // the graph is the one `self` was swept over
         }
 
-        let dirty = self.plan_dirty(g, &changes);
-        let sources: Vec<NodeIx> = (0..n)
-            .filter(|&i| dirty[i])
-            .map(NodeIx::from_index)
+        // Each slot is read once: a tree a concurrent reader sweeps after
+        // this look is not one the plan saw, so it stays behind.
+        let mut dirties = dirty_rule(g, &changes);
+        let trees = self
+            .trees
+            .iter()
+            .map(|slot| match slot.get() {
+                Some(tree) if !dirties(tree) => OnceLock::from(Arc::clone(tree)),
+                Some(_) => {
+                    stats.trees_recomputed += 1;
+                    OnceLock::new()
+                }
+                None => OnceLock::new(),
+            })
             .collect();
-        stats.trees_recomputed = sources.len();
-        let csr = Arc::new(match &self.csr {
-            Some(csr) => csr.reweighted(g),
-            None => QosCsr::new(g),
-        });
-        let mut trees = self.trees.clone(); // Arc bumps only
-        for (s, tree) in sources.iter().zip(compute_trees(&csr, &sources, workers)) {
-            trees[s.index()] = tree;
-        }
         let next = AllPairs {
             trees,
-            csr: Some(csr),
+            csr: Arc::new(self.csr.reweighted(g)),
         };
         (next, stats)
     }
+}
 
-    /// Decides which source trees `changes` (coalesced) can affect, per the
-    /// rules (and soundness argument) in the module docs.
-    fn plan_dirty<N>(&self, g: &DiGraph<N, Qos>, changes: &[EdgeChange]) -> Vec<bool> {
-        // One `(edge, head, floor)` per cut record, and the floors by edge
-        // for the walk.
-        let cuts: Vec<(EdgeIx, NodeIx, Bandwidth)> = changes
-            .iter()
-            .filter_map(|c| Some((c.edge, g.edge_endpoints(c.edge).1, c.loss_floor()?)))
-            .collect();
-        let mut floors = vec![Bandwidth::INFINITE; g.edge_count()];
-        for &(edge, _, floor) in &cuts {
-            floors[edge.index()] = floor;
-        }
-        // Anything but a pure bandwidth cut is the certificate's business.
-        let any_label_side = changes
-            .iter()
-            .any(|c| c.is_retimed() || c.new.bandwidth > c.old.bandwidth);
-        // Buffers reused across every tree inspected: one allocation set
-        // per patch, not per tree.
-        let mut traversal = TraversalScratch::new();
-        let mut levels = Vec::new();
-        self.trees
-            .iter()
-            .map(|tree| {
-                (any_label_side && !tree.certifies(g, changes, &mut levels))
-                    || tree.crosses_cuts(&cuts, &floors, &mut traversal)
-            })
-            .collect()
+/// Decides whether `changes` (coalesced) can affect a source tree, per the
+/// rules (and soundness argument) in the module docs. The buffers the rule
+/// reuses across the trees it inspects are allocated once per patch, not
+/// per tree.
+fn dirty_rule<'a, N>(
+    g: &'a DiGraph<N, Qos>,
+    changes: &'a [EdgeChange],
+) -> impl FnMut(&PathTree) -> bool + 'a {
+    // One `(edge, head, floor)` per cut record, and the floors by edge
+    // for the walk.
+    let cuts: Vec<(EdgeIx, NodeIx, Bandwidth)> = changes
+        .iter()
+        .filter_map(|c| Some((c.edge, g.edge_endpoints(c.edge).1, c.loss_floor()?)))
+        .collect();
+    let mut floors = vec![Bandwidth::INFINITE; g.edge_count()];
+    for &(edge, _, floor) in &cuts {
+        floors[edge.index()] = floor;
+    }
+    // Anything but a pure bandwidth cut is the certificate's business.
+    let any_label_side = changes
+        .iter()
+        .any(|c| c.is_retimed() || c.new.bandwidth > c.old.bandwidth);
+    let mut traversal = TraversalScratch::new();
+    let mut levels = Vec::new();
+    move |tree| {
+        (any_label_side && !tree.certifies(g, changes, &mut levels))
+            || tree.crosses_cuts(&cuts, &floors, &mut traversal)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::shortest_widest::all_pairs;
+    use crate::shortest_widest::{all_pairs, SWEEP_SCRATCH};
     use crate::{Latency, Qos};
 
     impl AllPairs {
@@ -778,15 +802,92 @@ mod tests {
             }],
             0,
         );
-        // Every clean tree is the predecessor's Arc, not a copy.
+        // Every clean tree is the predecessor's Arc, not a copy; the two
+        // the patch invalidated are stale until read.
+        assert_eq!(before.materialised(), before.len());
         assert_eq!(
             before.shared_trees(&next),
-            stats.trees_total - stats.trees_recomputed
+            before.materialised() - stats.trees_recomputed
         );
-        // A no-op patch shares everything.
+        assert_eq!(next.materialised(), next.len() - 2);
+        // A no-op patch shares every materialised tree and leaves the stale
+        // slots stale.
         let (same, stats) = next.patched_with(&g, &[], 0);
         assert_eq!(stats.trees_recomputed, 0);
-        assert_eq!(next.shared_trees(&same), next.len());
+        assert_eq!(next.shared_trees(&same), next.materialised());
+        assert_eq!(same.materialised(), next.materialised());
+    }
+
+    #[test]
+    fn a_stale_slot_stays_stale_and_is_swept_against_its_own_table() {
+        let (mut g, n, e) = world();
+        let first = all_pairs(&g);
+        *g.edge_mut(e[1]) = q(3, 4);
+        let change = EdgeChange {
+            edge: e[1],
+            old: q(10, 1),
+            new: q(3, 4),
+        };
+        let (second, stats) = first.patched_with(&g, &[change], 0);
+        assert_eq!(stats.trees_recomputed, 2); // n0 and n1, both stale now
+        let second_graph = g.clone();
+        // A second patch plans only what is materialised: n0's and n1's
+        // slots are dirty already and stay stale with no plan.
+        *g.edge_mut(e[2]) = q(10, 9);
+        let change = EdgeChange {
+            edge: e[2],
+            old: q(10, 1),
+            new: q(10, 9),
+        };
+        let (third, stats) = second.patched_with(&g, &[change], 0);
+        assert_eq!(stats.trees_recomputed, 1); // n2; n0 and n1 are not counted
+        assert_eq!(third.materialised(), 2);
+        assert_eq!(second.shared_trees(&third), 3 - 1);
+        // Each table sweeps its stale slots against its own graph.
+        assert_tables_equal(&second, &all_pairs(&second_graph), &second_graph);
+        assert_tables_equal(&third, &all_pairs(&g), &g);
+        assert_eq!(second.qos(n[0], n[3]), Some(q(3, 6)));
+        assert_eq!(third.qos(n[0], n[3]), Some(q(3, 14)));
+    }
+
+    #[test]
+    fn concurrent_first_readers_sweep_a_stale_slot_once() {
+        let (mut g, n, e) = world();
+        let before = all_pairs(&g);
+        *g.edge_mut(e[0]) = q(4, 1);
+        let change = EdgeChange {
+            edge: e[0],
+            old: q(10, 1),
+            new: q(4, 1),
+        };
+        let (table, stats) = before.patched_with(&g, &[change], 0);
+        assert!(stats.trees_recomputed > 0);
+        assert!(
+            table.trees[n[0].index()].get().is_none(),
+            "n0's slot is stale"
+        );
+        let gate = std::sync::Barrier::new(8);
+        let (trees, swept): (Vec<&PathTree>, Vec<u64>) = thread::scope(|scope| {
+            let readers: Vec<_> = (0..8)
+                .map(|_| {
+                    scope.spawn(|| {
+                        gate.wait();
+                        let tree = table.tree(n[0]);
+                        // Each reader is a fresh thread with its own scratch:
+                        // only the one that swept has done any work.
+                        let work = SWEEP_SCRATCH.with_borrow(|s| s.label_updates());
+                        (tree, work)
+                    })
+                })
+                .collect();
+            readers.into_iter().map(|r| r.join().unwrap()).unzip()
+        });
+        let slot = table.trees[n[0].index()].get().expect("swept");
+        assert!(trees
+            .iter()
+            .all(|&tree| std::ptr::eq(tree, Arc::as_ptr(slot))));
+        assert_eq!(swept.iter().filter(|&&w| w > 0).count(), 1, "{swept:?}");
+        assert_tables_equal(&table, &all_pairs(&g), &g);
     }
 
     #[test]
@@ -1036,12 +1137,22 @@ mod tests {
         /// potential of the graph of the day. A rule that keeps a tree whose
         /// labels have gone stale fails here at the patch that staled them,
         /// not at the rare later gain that would read the stale label.
+        ///
+        /// Between batches only some rows are read (the two masks, ANDed:
+        /// about a quarter), so later patches plan over tables whose slots
+        /// are partly stale and whose kept trees were swept at different
+        /// points of the lineage. Every materialised tree is checked after
+        /// every patch, and every tree once all are forced at the end.
         #[test]
         fn kept_trees_keep_labels_the_certificate_can_stand_on(
             nodes in 3usize..8,
             edges in proptest::collection::vec((0usize..8, 0usize..8, 0u64..6, 0u64..4), 1..24),
             batches in proptest::collection::vec(
-                proptest::collection::vec((0usize..64, 0u64..6, 0u64..4), 1..3),
+                (
+                    proptest::collection::vec((0usize..64, 0u64..6, 0u64..4), 1..3),
+                    0u8..255,
+                    0u8..255,
+                ),
                 1..9,
             ),
         ) {
@@ -1056,7 +1167,7 @@ mod tests {
                 return Ok(());
             }
             let mut ap = all_pairs(&g);
-            for batch in batches {
+            for (batch, reads, also) in batches {
                 let changes: Vec<EdgeChange> = batch
                     .into_iter()
                     .map(|(raw, bw, lat)| {
@@ -1066,12 +1177,20 @@ mod tests {
                     })
                     .collect();
                 ap.patch(&g, &changes);
-                for s in g.node_ids() {
-                    proptest::prop_assert!(
-                        ap.tree(s).labels_are_a_feasible_potential(&g),
-                        "tree of {s:?} after {changes:?}"
-                    );
+                for s in g.node_ids().filter(|s| ((reads & also) >> s.index()) & 1 == 1) {
+                    ap.tree(s);
                 }
+                for (s, slot) in ap.trees.iter().enumerate() {
+                    if let Some(tree) = slot.get() {
+                        proptest::prop_assert!(
+                            tree.labels_are_a_feasible_potential(&g),
+                            "tree of {s} after {changes:?}"
+                        );
+                    }
+                }
+            }
+            for s in g.node_ids() {
+                proptest::prop_assert!(ap.tree(s).labels_are_a_feasible_potential(&g));
             }
         }
     }

@@ -70,18 +70,21 @@
 //! underlay with 61 levels): exact is `O((E + U · deg) log V)` time and
 //! `O(V + U)` memory per tree, lexicographic `O(E log V)`. The CSR
 //! derivation is `O(V + E log E)` once per graph, amortised to nothing over
-//! a sweep of many sources. A patch ([`AllPairs::patched_with`]) derives
-//! no CSR: it reweights its predecessor's in `O(E)` (plus `O(k log E)` for
-//! the `k` slots whose bandwidth moved), plans a bandwidth cut in
-//! `O(changes × chain)` per tree — a cut head's chain, a few entries — plus
-//! `O(V)` and a walk of the levels that matter for the trees whose chains
-//! name a cut edge, and then pays one sweep per dirty tree. (A gain or a
-//! re-timing is planned by the certificate, which reads every tree's level
-//! bounds: `O(V)` per tree and up.)
+//! a sweep of many sources. A patch ([`AllPairs::patched_with`]) is a
+//! plan and derives no CSR: it reweights its predecessor's in `O(E)` (plus
+//! `O(k log E)` for the `k` slots whose bandwidth moved), plans a
+//! bandwidth cut in `O(changes × chain)` per materialised tree — a cut
+//! head's chain, a few entries — plus `O(V)` and a walk of the levels that
+//! matter for the trees whose chains name a cut edge, and sweeps nothing.
+//! (A gain or a re-timing is planned by the certificate, which reads every
+//! materialised tree's level bounds: `O(V)` per tree and up.) The sweep a
+//! dirty tree costs is paid on the first read of its row, against the
+//! table the reader holds, and not at all for a row nobody reads.
 
+use std::cell::RefCell;
 use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use sflow_graph::{Csr, DiGraph, EdgeIx, NodeIx};
 
@@ -1128,29 +1131,65 @@ pub fn single_source_lexicographic<N>(g: &DiGraph<N, Qos>, source: NodeIx) -> Pa
 /// Trees are held behind `Arc`s so an incremental successor table
 /// ([`AllPairs::patched_with`]) shares every clean tree with its
 /// predecessor by pointer — deriving an epoch costs allocations proportional
-/// to the *dirty* set, never a copy of the world. An exact table also
-/// carries the [`QosCsr`] it was swept over, so a successor reweights it
-/// instead of deriving its own (a lexicographic table carries none).
+/// to the *dirty* set, never a copy of the world. A table carries the
+/// [`QosCsr`] of the graph it routes, so a successor reweights it instead of
+/// deriving its own.
+///
+/// A slot holds its tree or is *stale*: a patch leaves every slot it
+/// invalidates empty, and the first [`AllPairs::qos`], [`AllPairs::path`]
+/// or [`AllPairs::tree`] read of a stale slot sweeps it from the table's
+/// own CSR. Concurrent first readers of one slot sweep it once and share
+/// the result; a row nobody reads is never routed.
 #[derive(Clone, Debug)]
 pub struct AllPairs {
-    pub(crate) trees: Vec<Arc<PathTree>>,
-    pub(crate) csr: Option<Arc<QosCsr>>,
+    pub(crate) trees: Vec<OnceLock<Arc<PathTree>>>,
+    pub(crate) csr: Arc<QosCsr>,
+}
+
+thread_local! {
+    /// What a stale slot is swept with on first read: reads take `&self`,
+    /// so the scratch is the reading thread's, reused across its sweeps.
+    pub(crate) static SWEEP_SCRATCH: RefCell<DijkstraScratch> = RefCell::new(DijkstraScratch::new());
 }
 
 impl AllPairs {
+    /// A table whose every slot holds its tree.
+    pub(crate) fn swept(trees: Vec<Arc<PathTree>>, csr: Arc<QosCsr>) -> Self {
+        AllPairs {
+            trees: trees.into_iter().map(OnceLock::from).collect(),
+            csr,
+        }
+    }
+
+    /// `from`'s slot, swept first if it is stale.
+    fn slot(&self, from: NodeIx) -> &Arc<PathTree> {
+        self.trees[from.index()].get_or_init(|| {
+            SWEEP_SCRATCH
+                .with_borrow_mut(|scratch| Arc::new(single_source_csr(&self.csr, from, scratch)))
+        })
+    }
+
     /// The shortest-widest QoS from `from` to `to`. `None` if unreachable.
     pub fn qos(&self, from: NodeIx, to: NodeIx) -> Option<Qos> {
-        self.trees[from.index()].qos_to(to)
+        self.slot(from).qos_to(to)
     }
 
     /// One shortest-widest path from `from` to `to`. `None` if unreachable.
     pub fn path(&self, from: NodeIx, to: NodeIx) -> Option<Vec<NodeIx>> {
-        self.trees[from.index()].path_to(to)
+        self.slot(from).path_to(to)
     }
 
     /// The tree rooted at `from`.
     pub fn tree(&self, from: NodeIx) -> &PathTree {
-        &self.trees[from.index()]
+        self.slot(from)
+    }
+
+    /// How many slots hold their tree; the rest are stale until read.
+    pub fn materialised(&self) -> usize {
+        self.trees
+            .iter()
+            .filter(|slot| slot.get().is_some())
+            .count()
     }
 
     /// Number of sources (== number of nodes in the routed graph).
@@ -1164,13 +1203,15 @@ impl AllPairs {
     }
 
     /// How many source trees this table shares *by pointer* with `other`
-    /// (same `Arc`, zero copies). A table patched from a predecessor shares
-    /// exactly its clean trees; a from-scratch rebuild shares none.
+    /// (same `Arc`, zero copies; a stale slot shares nothing). A table
+    /// patched from a predecessor shares exactly the predecessor's
+    /// materialised trees the patch kept; a from-scratch rebuild shares
+    /// none.
     pub fn shared_trees(&self, other: &AllPairs) -> usize {
         self.trees
             .iter()
             .zip(&other.trees)
-            .filter(|(a, b)| Arc::ptr_eq(a, b))
+            .filter(|(a, b)| matches!((a.get(), b.get()), (Some(a), Some(b)) if Arc::ptr_eq(a, b)))
             .count()
     }
 }
@@ -1180,26 +1221,23 @@ impl AllPairs {
 pub fn all_pairs<N>(g: &DiGraph<N, Qos>) -> AllPairs {
     let csr = QosCsr::new(g);
     let mut scratch = DijkstraScratch::new();
-    AllPairs {
-        trees: g
-            .node_ids()
-            .map(|n| Arc::new(single_source_csr(&csr, n, &mut scratch)))
-            .collect(),
-        csr: Some(Arc::new(csr)),
-    }
+    let trees = g
+        .node_ids()
+        .map(|n| Arc::new(single_source_csr(&csr, n, &mut scratch)))
+        .collect();
+    AllPairs::swept(trees, Arc::new(csr))
 }
 
 /// All-pairs variant built from the single-pass lexicographic Dijkstra —
 /// exact in bandwidth, possibly over-estimating latency. Used by the
-/// routing-policy ablation.
+/// routing-policy ablation. Every slot holds its tree from the start; such
+/// a table is never patched, so none goes stale.
 pub fn all_pairs_lexicographic<N>(g: &DiGraph<N, Qos>) -> AllPairs {
-    AllPairs {
-        trees: g
-            .node_ids()
-            .map(|n| Arc::new(single_source_lexicographic(g, n)))
-            .collect(),
-        csr: None,
-    }
+    let trees = g
+        .node_ids()
+        .map(|n| Arc::new(single_source_lexicographic(g, n)))
+        .collect();
+    AllPairs::swept(trees, Arc::new(QosCsr::new(g)))
 }
 
 #[cfg(test)]

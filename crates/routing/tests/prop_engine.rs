@@ -12,10 +12,17 @@
 //!   a *sequence* of such batches, each patched from the last patched table,
 //!   independent or aimed at the edges the batch before hit;
 //! * cutting k links in one batch and restoring them in the next returns the
-//!   original table.
+//!   original table;
+//! * a lineage whose tables are read only in part between batches, so
+//!   patches plan over partly stale tables: every row read, and every row
+//!   once all are forced, is the rebuild's (QoS, path and hop count), and
+//!   each patch invalidates exactly what it would on the eagerly swept
+//!   twin of the same table, restricted to the slots it had materialised.
 //!
-//! Plus three structural properties: a patch shares every clean tree with
-//! its predecessor by `Arc` pointer, the dirty rules never recompute more
+//! Plus three structural properties: a patch shares every materialised tree
+//! it keeps with its predecessor by `Arc` pointer
+//! (`shared_trees(next) == materialised(pred) − trees_recomputed`), the
+//! dirty rules never recompute more
 //! trees than the coarse rules they refine (a bandwidth cut dirties every
 //! tree traversing the edge, anything else every source reaching its tail),
 //! and a pure cut — planned from the cut edges' heads, walked only at the
@@ -28,7 +35,7 @@
 use std::collections::VecDeque;
 
 use proptest::prelude::*;
-use sflow_graph::DiGraph;
+use sflow_graph::{DiGraph, NodeIx};
 use sflow_routing::{
     all_pairs, all_pairs_parallel_with, AllPairs, Bandwidth, EdgeChange, Latency, Qos,
     TraversalScratch,
@@ -125,15 +132,27 @@ fn apply_follow_up(
         .collect()
 }
 
-/// `table` is the table a from-scratch build of `g` produces, in QoS and
-/// path. The message carries the whole case: the shim does not shrink.
+/// `table` is the table a from-scratch build of `g` produces, in QoS, path
+/// and hop count. The message carries the whole case: the shim does not
+/// shrink.
 fn assert_is_rebuild(
     table: &AllPairs,
     g: &DiGraph<(), Qos>,
     changes: &[EdgeChange],
 ) -> Result<(), TestCaseError> {
+    assert_rows_are_rebuild(table, g, |_| true, changes)
+}
+
+/// [`assert_is_rebuild`] for the rows `read` picks; the rest are not read,
+/// so a stale one stays stale.
+fn assert_rows_are_rebuild(
+    table: &AllPairs,
+    g: &DiGraph<(), Qos>,
+    read: impl Fn(NodeIx) -> bool,
+    changes: &[EdgeChange],
+) -> Result<(), TestCaseError> {
     let rebuilt = all_pairs(g);
-    for u in g.node_ids() {
+    for u in g.node_ids().filter(|&u| read(u)) {
         for v in g.node_ids() {
             let case = || {
                 let edges: Vec<_> = g.edges().map(|e| (e.from, e.to, *e.weight)).collect();
@@ -141,6 +160,12 @@ fn assert_is_rebuild(
             };
             prop_assert_eq!(table.qos(u, v), rebuilt.qos(u, v), "qos {}", case());
             prop_assert_eq!(table.path(u, v), rebuilt.path(u, v), "path {}", case());
+            prop_assert_eq!(
+                table.tree(u).hops_to(v),
+                rebuilt.tree(u).hops_to(v),
+                "hops {}",
+                case()
+            );
         }
     }
     Ok(())
@@ -368,6 +393,58 @@ proptest! {
     }
 
     #[test]
+    fn a_table_read_in_part_is_the_eager_table(
+        g in graph_strategy(),
+        batches in proptest::collection::vec((batch_strategy(), 0u16..1024, 0u16..1024), 1..6),
+    ) {
+        // A patch leaves every slot it invalidates stale, a stale slot stays
+        // stale with no plan, and the first read sweeps it. Between batches
+        // only the rows the two masks (ANDed: about a quarter) pick are
+        // read, so lineages cut, widen and re-time tables whose slots are
+        // partly stale. Against an eager twin — the same table with every
+        // slot forced, so it holds the very same `Arc`s wherever this one
+        // is materialised — each patch must invalidate exactly the eager
+        // dirty set restricted to the materialised slots, and every row
+        // read, and at the end every row, must be the rebuild's.
+        let mut g = g;
+        if g.edge_count() == 0 {
+            return Ok(());
+        }
+        let mut table = all_pairs(&g);
+        for (batch, reads, also) in &batches {
+            let changes = apply(&mut g, batch);
+            let eager = table.clone();
+            for s in g.node_ids() {
+                eager.tree(s);
+            }
+            let materialised = table.materialised();
+            let (next, stats) = table.patched_with(&g, &changes, 1);
+            let (eager_next, eager_stats) = eager.patched_with(&g, &changes, 1);
+            prop_assert!(stats.trees_recomputed <= eager_stats.trees_recomputed);
+            prop_assert_eq!(
+                table.shared_trees(&next),
+                materialised - stats.trees_recomputed
+            );
+            prop_assert_eq!(next.materialised(), materialised - stats.trees_recomputed);
+            // Forcing the predecessor now gives its stale slots fresh
+            // `Arc`s: only the slots it had materialised match the twin's.
+            let invalidated = g
+                .node_ids()
+                .filter(|&s| {
+                    std::ptr::eq(table.tree(s), eager.tree(s))
+                        && !std::ptr::eq(eager.tree(s), eager_next.tree(s))
+                })
+                .count();
+            prop_assert_eq!(stats.trees_recomputed, invalidated, "after {:?}", changes);
+            table = next;
+            let read = |s: NodeIx| ((reads & also) >> s.index()) & 1 == 1;
+            assert_rows_are_rebuild(&table, &g, read, &changes)?;
+        }
+        assert_is_rebuild(&table, &g, &[])?;
+        prop_assert_eq!(table.materialised(), table.len());
+    }
+
+    #[test]
     fn patched_shares_clean_trees_and_dirties_no_more_than_coarse_rules(
         g in graph_strategy(),
         batch in batch_strategy(),
@@ -386,7 +463,7 @@ proptest! {
         // deriving an epoch never clones the table.
         prop_assert_eq!(
             before.shared_trees(&next),
-            stats.trees_total - stats.trees_recomputed
+            before.materialised() - stats.trees_recomputed
         );
 
         // The dirty rules are a refinement of the coarse ones.

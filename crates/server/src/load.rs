@@ -21,8 +21,10 @@
 //!   ledger, off every lock — diffs the plane's clamped graph against the
 //!   last graph anyone in the epoch materialised a table for and patches
 //!   that table over the differing edges, exactly like a QoS mutation.
-//!   Bookings no cold solve ever looks at (a found and its dissolve, a
-//!   burst of opens) are never routed.
+//!   The patch is a plan: the trees it invalidates are swept by whichever
+//!   solve first reads their rows. Bookings no cold solve ever looks at (a
+//!   found and its dissolve, a burst of opens) are never routed, and nor
+//!   are rows no solve reads.
 //! * [`LoadCell`] — the publication cell, a twin of
 //!   [`Snap`](crate::world::Snap): readers clone an `Arc`, writers swap a
 //!   pointer. Publishing takes a borrow of the lock-guarded session table
@@ -202,11 +204,12 @@ pub struct LoadPlane {
     /// first [`LoadPlane::context`] that asks. Successors whose clamp is
     /// unchanged share the slot, whichever of them is asked first.
     table: Arc<OnceLock<Arc<AllPairs>>>,
-    /// What `table` is patched from. A leaf lock: held across the patch
-    /// (concurrent cold solves want nearly the same table), never taken
-    /// under the sessions lock.
+    /// What `table` is patched from. A leaf lock: held across the patch's
+    /// plan (concurrent cold solves want nearly the same table), never
+    /// taken under the sessions lock. Sweeps run outside it, on read.
     last: Arc<Mutex<Materialised>>,
-    /// Sizes the deferred patch (`0` = auto).
+    /// Sizes the deferred patch's rebuild, were it ever structural (`0` =
+    /// auto).
     workers: usize,
     source_node: NodeIx,
 }
@@ -351,9 +354,11 @@ impl LoadPlane {
     /// within an epoch) and hands the differing edges to
     /// [`AllPairs::patched_with`] as one batch — `old` being the weight
     /// that table was computed from — then moves the epoch's cell forward.
-    /// Planes are served in whatever order they are asked: an older plane
-    /// still held by an in-flight solver patches from a newer table just
-    /// as well.
+    /// The patch plans only the rows the cell's table has materialised and
+    /// leaves the ones it invalidates stale: the caller's solve sweeps the
+    /// rows it reads, after the cell's lock is released. Planes are served
+    /// in whatever order they are asked: an older plane still held by an
+    /// in-flight solver patches from a newer table just as well.
     pub fn flushed_context(&self) -> (OwnedFederationContext, Option<PatchStats>) {
         let mut flushed = None;
         let table = self.table.get_or_init(|| {
@@ -1010,6 +1015,51 @@ mod tests {
             let (_, restore) = again.flushed_context();
             assert!(restore.expect("first ask").trees_recomputed > 0);
             assert_table_matches_a_rebuild(&again, &format!("seed {seed} restored"));
+        }
+    }
+
+    #[test]
+    fn a_flush_sweeps_only_the_rows_a_solve_reads() {
+        // Booking every link out of service 4's instances dirties their own
+        // trees; a solve of the diamond requirement (services 0–3) never
+        // reads those rows, so they stay stale. The next flush plans only
+        // the materialised slots and leaves the stale ones stale, and the
+        // table is still the clamped graph's in every row once read.
+        let unread = sflow_net::ServiceId::new(4);
+        for seed in 0..4u64 {
+            let snap = random_snapshot(seed);
+            let raw = snap.overlay_arc();
+            let booking: Vec<(LinkId, u64)> = raw
+                .graph()
+                .edges()
+                .filter(|e| raw.instance(e.from).service == unread)
+                .filter(|e| e.weight.bandwidth != Bandwidth::INFINITE)
+                .map(|e| {
+                    let link = (raw.instance(e.from), raw.instance(e.to));
+                    (link, e.weight.bandwidth.as_kbps() / 2 + 1)
+                })
+                .collect();
+            assert!(!booking.is_empty(), "seed {seed}");
+            let n = snap.all_pairs().len();
+
+            let open = LoadPlane::fresh(&snap).with_changes(&booking, &[], 1);
+            let (ctx, cut) = open.flushed_context();
+            assert!(cut.expect("first ask").trees_recomputed > 0, "seed {seed}");
+            Solver::new(&ctx)
+                .solve(&diamond_requirement())
+                .expect("the diamond fits the booked plane");
+            let materialised = ctx.all_pairs().materialised();
+            assert!(materialised < n, "seed {seed}: every row is materialised");
+
+            let released = open.with_changes(&[], &booking, 1);
+            let (next, restore) = released.flushed_context();
+            let restore = restore.expect("first ask");
+            assert!(restore.trees_recomputed <= materialised, "seed {seed}");
+            let kept = materialised - restore.trees_recomputed;
+            assert_eq!(next.all_pairs().materialised(), kept, "seed {seed}");
+            assert_eq!(ctx.all_pairs().shared_trees(next.all_pairs()), kept);
+            assert_table_matches_a_rebuild(&open, &format!("seed {seed} open"));
+            assert_table_matches_a_rebuild(&released, &format!("seed {seed} released"));
         }
     }
 

@@ -176,8 +176,10 @@ stats_table! {
     rebuilds: Counter,
     /// Total wall-clock spent in those rebuilds, microseconds.
     rebuild_us_total: Counter,
-    /// Source trees recomputed across all rebuilds (incremental patches
-    /// recompute far fewer than `rebuilds * instances`).
+    /// Source trees invalidated across all rebuilds: a full rebuild counts
+    /// every tree, an incremental patch only the materialised trees it
+    /// invalidated (far fewer than `rebuilds * instances`), which are swept
+    /// again on their first read — by the repair sweep or a later solve.
     trees_recomputed: Counter,
     /// Residual routing tables materialised on demand: a cold solve (or a
     /// rebalancer mover) asked a booked load plane for its table and none
@@ -185,9 +187,11 @@ stats_table! {
     /// this is where their routing cost lands.
     plane_flushes: Counter,
     /// Total wall-clock those requests spent obtaining the table (the
-    /// patch, plus any wait behind a concurrent flush), microseconds.
+    /// patch's plan, plus any wait behind a concurrent flush; the rows a
+    /// solve reads are swept inside the solve), microseconds.
     plane_flush_us_total: Counter,
-    /// Source trees recomputed across all plane flushes.
+    /// Materialised source trees invalidated across all plane flushes; a
+    /// solve sweeps only the invalidated rows it reads.
     plane_trees_recomputed: Counter,
     /// Malformed frames answered and degraded (oversized prefix, torn
     /// frame, a body that is not one well-formed record). A peer problem,

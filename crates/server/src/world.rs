@@ -53,13 +53,16 @@ impl std::error::Error for WorldError {}
 ///
 /// `SetLinkQos` goes through the incremental
 /// [`AllPairs::patched_with`](sflow_routing::AllPairs::patched_with) path, so
-/// `trees_recomputed` is typically far below `trees_total`; instance
-/// failures renumber the overlay and force a full parallel rebuild.
+/// `trees_recomputed` is typically far below `trees_total`, and the patch
+/// only plans: the trees it invalidates are swept when a solve first reads
+/// their rows. Instance failures renumber the overlay and force a full
+/// parallel rebuild.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RebuildStats {
-    /// Wall-clock spent rebuilding or patching the routing table.
+    /// Wall-clock spent rebuilding or patching (planning) the routing table.
     pub duration: Duration,
-    /// Source trees actually recomputed.
+    /// Source trees rebuilt, or for a patch the materialised trees it
+    /// invalidated.
     pub trees_recomputed: u64,
     /// Source trees in the table (== overlay instances).
     pub trees_total: u64,
@@ -169,8 +172,8 @@ impl World {
         }
     }
 
-    /// Sets the routing worker-pool size used by rebuilds and patches
-    /// (`0` = auto-size from `available_parallelism`).
+    /// Sets the routing worker-pool size used by full rebuilds (`0` =
+    /// auto-size from `available_parallelism`); a patch only plans.
     pub fn set_route_workers(&mut self, workers: usize) {
         self.route_workers = workers;
     }
@@ -248,8 +251,8 @@ impl World {
                     .ok_or(WorldError::NoSuchLink(from, to))?;
                 // The successor keeps the node set, so its table derives
                 // incrementally from the predecessor's: only trees the
-                // change can affect are recomputed, the rest are shared
-                // work carried across the epoch.
+                // change can affect are invalidated (and swept on first
+                // read), the rest are shared work carried across the epoch.
                 let started = Instant::now();
                 let (table, patched) =
                     prev.all_pairs()
