@@ -17,8 +17,9 @@
 //!
 //! What migrates is a booking, whole: the flow and the links live there, so
 //! every tenant moves with it and none can be stranded. When the booking
-//! holds its key's `by_key` slot the key's cached solve is replaced by the
-//! moved flow, so later same-key tenants attach instead of superseding.
+//! holds its key's `by_key` slot the commit files the moved flow under the
+//! key (`Sessions::rebook`, as a repair does), so later same-key tenants
+//! attach instead of superseding.
 //!
 //! Invariants, each pinned by a test or the lint engine:
 //!
@@ -41,8 +42,8 @@ use std::time::{Duration, Instant};
 use sflow_core::{FederationError, FlowGraph, ServiceRequirement};
 
 use crate::load::links_of;
-use crate::server::{cold_solve, residual_context, Sessions, Shared};
-use crate::snapshot::{SolveKey, WorldSnapshot};
+use crate::server::{cold_solve, residual_context, Shared};
+use crate::snapshot::WorldSnapshot;
 use crate::Algorithm;
 
 /// At most this many bookings migrate per sweep: every migration derives
@@ -222,36 +223,19 @@ pub(crate) fn sweep(shared: &Shared) -> SweepOutcome {
             let broken = booked.with_changes(&[], &booking.links, workers);
             shared.load.publish(&sessions, Arc::new(booked));
             shared.load.publish(&sessions, Arc::new(broken));
-            let Sessions {
-                bookings, by_key, ..
-            } = &mut *sessions;
-            let booking = bookings.get_mut(&candidate.booking)?;
-            booking.links = new_links;
-            booking.flow = Arc::new(moved);
-            // Only the booking its key's new tenants would attach to has a
-            // say over the key's cached solve; a superseded one moves alone.
-            let owns_slot = |key: &SolveKey| by_key.get(key) == Some(&candidate.booking);
-            let slot = booking.key.clone().filter(owns_slot);
-            Some((slot, Arc::clone(&booking.flow)))
+            // The key's cached solve is the hot path the booking just left:
+            // a slot holder files the moved flow in its place, in this same
+            // hold, so later same-key tenants attach to the moved booking.
+            sessions.rebook(candidate.booking, &snapshot, moved, new_links)?;
+            Some(())
         })();
         drop(sessions);
-        match committed {
-            Some((key, flow)) => {
-                // The key's cached solve is the hot path the booking just
-                // left. Replace it with the load-aware answer — as a failed
-                // revalidation does — so later same-key tenants attach to
-                // the moved booking instead of superseding it.
-                if let Some(key) = key {
-                    snapshot.evict_solve(&key);
-                    snapshot.cache_solve(key, flow.as_ref().clone());
-                }
-                outcome.migrations += 1;
-                shared.metrics.migrations().inc();
-            }
-            None => {
-                outcome.migration_failures += 1;
-                shared.metrics.migration_failures().inc();
-            }
+        if committed.is_some() {
+            outcome.migrations += 1;
+            shared.metrics.migrations().inc();
+        } else {
+            outcome.migration_failures += 1;
+            shared.metrics.migration_failures().inc();
         }
     }
 

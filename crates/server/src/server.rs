@@ -73,7 +73,7 @@ use sflow_runtime::duration_us;
 use crate::load::{links_of, LinkId, LoadCell, LoadMap, LoadPlane};
 use crate::reactor::{self, Dispatch, Reply};
 use crate::rebalance;
-use crate::snapshot::{SolveKey, WorldSnapshot};
+use crate::snapshot::{same_flow, SolveKey, WorldSnapshot};
 use crate::stats::Metrics;
 use crate::world::{Snap, World};
 use crate::{Algorithm, FlowSummary, LinkLoad, LoadMapSummary, Request, Response};
@@ -175,8 +175,9 @@ pub(crate) struct Booking {
     /// mutation replaced; whatever else is not current afterwards is
     /// dropped rather than repaired across a renumbering.
     pub(crate) epoch: u64,
-    /// The flow every tenant is served by; the cache entry's own `Arc`
-    /// until a repair or a migration replaces it.
+    /// The flow every tenant is served by. While the booking holds its
+    /// key's `by_key` slot this is the key's cached solve, the same `Arc`,
+    /// across repairs and migrations too ([`Sessions::rebook`]).
     pub(crate) flow: Arc<FlowGraph>,
     /// Exactly what is booked in the load plane for `flow` — what the last
     /// tenant out releases.
@@ -193,9 +194,9 @@ pub(crate) struct Sessions {
     pub(crate) tenants: BTreeMap<u64, u64>,
     pub(crate) bookings: BTreeMap<u64, Booking>,
     /// The booking currently accepting tenants for a key. A slot can be
-    /// superseded (a new booking takes the key after a mutation or a
-    /// migration moved the old one off the key's cached flow); a superseded
-    /// booking keeps serving its tenants but accepts no new ones.
+    /// superseded (a federate at a new epoch finds the slot's booking not
+    /// yet repaired into it, and founds); a superseded booking keeps
+    /// serving its tenants but accepts no new ones.
     pub(crate) by_key: BTreeMap<SolveKey, u64>,
 }
 
@@ -213,6 +214,30 @@ impl Sessions {
             }
         }
         Some(gone)
+    }
+
+    /// Moves booking `id` onto `flow`, booked as `links`, at `snapshot`'s
+    /// epoch: a repair's or a migration's commit, under this lock. If the
+    /// booking holds its key's `by_key` slot, the flow is filed under the
+    /// key ([`WorldSnapshot::file_solve`]) and the booking takes the cached
+    /// `Arc`, so the key's next tenant hits and attaches by pointer; a
+    /// superseded booking moves alone. `None` if the booking is gone.
+    pub(crate) fn rebook(
+        &mut self,
+        id: u64,
+        snapshot: &WorldSnapshot,
+        flow: FlowGraph,
+        links: Vec<(LinkId, u64)>,
+    ) -> Option<&Booking> {
+        let booking = self.bookings.get_mut(&id)?;
+        let flow = Arc::new(flow);
+        booking.flow = match booking.key.as_ref() {
+            Some(key) if self.by_key.get(key) == Some(&id) => snapshot.file_solve(key, flow),
+            _ => flow,
+        };
+        booking.links = links;
+        booking.epoch = snapshot.epoch();
+        Some(booking)
     }
 
     /// Publishes the table's census — sessions, forests (keyed bookings)
@@ -531,11 +556,15 @@ fn federate_against(
             hop_limit,
         }),
     };
-    // Warm path: an earlier federate against this very snapshot solved the
-    // same key. The cached flow is exact w.r.t. topology and QoS (it lives
-    // inside the epoch) but blind to load, so `open_session` revalidates it
-    // against the live plane and refuses if the capacity is gone — the
-    // request then falls through to the cold path below.
+    // Warm path: this snapshot holds a flow for the same key — a cold solve
+    // against it, an entry adopted across a QoS patch, or the flow a repair
+    // or migration filed for a booking. A filed entry outlives its booking
+    // until the next mutation, so a later founder may take a repaired flow
+    // rather than a fresh solve. The cached flow is exact w.r.t. topology
+    // and QoS (it lives inside the epoch) but blind to load, so
+    // `open_session` revalidates it
+    // against the live plane and, if the capacity is gone, evicts it and
+    // refuses — the request then falls through to the cold path below.
     if let Some(key) = &ask.key {
         if let Some(flow) = snapshot.cached_solve(key) {
             match open_session(shared, &snapshot, &ask, &flow, true) {
@@ -545,13 +574,7 @@ fn federate_against(
                     }
                     return *response;
                 }
-                OpenOutcome::Refused => {
-                    shared.metrics.cache_revalidation_fails().inc();
-                    // Evict the no-longer-feasible entry so the cold solve
-                    // below can file its load-aware answer (`cache_solve`
-                    // is first-writer-wins and would keep the stale flow).
-                    snapshot.evict_solve(key);
-                }
+                OpenOutcome::Refused => shared.metrics.cache_revalidation_fails().inc(),
             }
         } else {
             shared.metrics.cache_misses().inc();
@@ -662,15 +685,9 @@ enum OpenOutcome {
     /// is impossible at this epoch (`Stale`, table full). Boxed so the
     /// `Refused` arm doesn't pay `Response`'s footprint.
     Answered(Box<Response>),
-    /// The cached flow failed load revalidation; the caller should fall
-    /// through to a cold solve.
+    /// The cached flow failed load revalidation and was evicted; the caller
+    /// should fall through to a cold solve.
     Refused,
-}
-
-/// `true` if two flows describe the same federation: same instance
-/// selection, same streams over the same overlay paths, same quality.
-fn same_flow(a: &FlowGraph, b: &FlowGraph) -> bool {
-    a.selection() == b.selection() && a.quality() == b.quality() && a.edges() == b.edges()
 }
 
 /// Opens one session for `flow` under a single sessions-lock hold: epoch
@@ -707,9 +724,9 @@ fn open_session(
         return OpenOutcome::Answered(Box::new(Response::Error("session table full".into())));
     }
     // Attach to the key's booking if it matches exactly — same epoch, same
-    // flow (usually the very `Arc` the cache handed out). A booking left at
-    // another epoch, or moved to a different instance set by a repair, does
-    // not match and is superseded below.
+    // flow (the very `Arc` the cache handed out, unless a racer refiled the
+    // key). A booking left at another epoch, its repair not yet committed,
+    // does not match and is superseded below.
     let attach = ask.key.as_ref().and_then(|key| {
         let id = *sessions.by_key.get(key)?;
         let booking = sessions.bookings.get(&id)?;
@@ -728,6 +745,13 @@ fn open_session(
         // capacity. Skipped when residual admission is off or the plane is
         // mid-rebase — the cold path would be equally blind there.
         if revalidate && shared.config.residual && tracked && !plane.fits(&links) {
+            // Evict it, so the cold solve the caller falls through to can
+            // file its load-aware answer (`cache_solve` is first-writer-wins
+            // and would keep this one). Under this lock and only if still
+            // cached: no live booking's filed flow is ever the one evicted.
+            if let Some(key) = &ask.key {
+                snapshot.evict_refused(key, flow);
+            }
             return OpenOutcome::Refused;
         }
         // Book, still under the sessions lock. Booking moves the ledger and
@@ -740,10 +764,17 @@ fn open_session(
             shared.load.publish(&sessions, Arc::new(booked));
         }
         // Take the key's slot, superseding any booking that no longer
-        // matches — its tenants keep being served, it accepts no new ones.
-        if let Some(key) = &ask.key {
-            sessions.by_key.insert(key.clone(), session);
-        }
+        // matches — its tenants keep being served, it accepts no new ones —
+        // and file the flow under the key. The cold solve or the hit that
+        // brought it has normally filed it already; this keeps the rule
+        // when a racing federate replaced or evicted the entry meanwhile.
+        let flow = match &ask.key {
+            Some(key) => {
+                sessions.by_key.insert(key.clone(), session);
+                snapshot.file_solve(key, Arc::clone(flow))
+            }
+            None => Arc::clone(flow),
+        };
         sessions.bookings.insert(
             session,
             Booking {
@@ -752,7 +783,7 @@ fn open_session(
                 algorithm: ask.algorithm,
                 hop_limit: ask.hop_limit,
                 epoch: snapshot.epoch(),
-                flow: Arc::clone(flow),
+                flow,
                 links,
                 tenants: vec![session],
             },
@@ -910,6 +941,10 @@ pub(crate) fn plan_repairs(shared: &Shared, from_epoch: u64) -> Vec<Repair> {
 /// gone; one founded in between is already at the new epoch and is not
 /// touched; whatever else is not current afterwards — its repair failed, or
 /// an earlier sweep left it behind — is dropped with all its tenants.
+/// A survivor that still holds its key's slot files its repaired flow under
+/// the key, so the forest keeps its tenants' cache hits across the
+/// mutation. A federate that raced the sweep, while the booking was still
+/// at the old epoch, has superseded it instead; that one stays superseded.
 /// `repaired` and `dropped` count the tenants there at commit time.
 pub(crate) fn commit_repairs(
     shared: &Shared,
@@ -918,23 +953,21 @@ pub(crate) fn commit_repairs(
 ) -> Response {
     let epoch = snapshot.epoch();
     let ctx = snapshot.context();
-    let solved: Vec<(u64, FlowGraph)> = plan
+    let solved: Vec<_> = plan
         .into_iter()
         .filter_map(|work| {
             let flow = repair(&ctx, &work.requirement, &work.flow).ok()?.flow;
             audit_flow(shared, &ctx, &work.requirement, &flow);
-            Some((work.booking, flow))
+            // The reservation over the *new* overlay: repair may have moved
+            // the flow, and the old node indices mean nothing.
+            let links = links_of(&flow, snapshot.overlay());
+            Some((work.booking, flow, links))
         })
         .collect();
     let mut sessions = shared.sessions.lock();
     let mut repaired = 0;
-    for (id, flow) in solved {
-        if let Some(booking) = sessions.bookings.get_mut(&id) {
-            // Re-derive the reservation over the *new* overlay — repair may
-            // have moved the flow, and the old node indices mean nothing.
-            booking.links = links_of(&flow, snapshot.overlay());
-            booking.flow = Arc::new(flow);
-            booking.epoch = epoch;
+    for (id, flow, links) in solved {
+        if let Some(booking) = sessions.rebook(id, snapshot, flow, links) {
             repaired += booking.tenants.len();
         }
     }
@@ -1246,9 +1279,10 @@ mod tests {
     /// operations: the published ledger is exactly the sum of the bookings'
     /// links (per link, no leak and no double-count); `tenants` and the
     /// bookings' tenant lists are one bijection and no booking is empty;
-    /// every `by_key` slot names a live booking of that key; no booking is
-    /// left at an epoch the world has moved past; and the published gauges
-    /// are the table's census.
+    /// every `by_key` slot names a live booking of that key, whose flow is
+    /// the key's cached solve in the current snapshot, as the same `Arc`; no
+    /// booking is left at an epoch the world has moved past; and the
+    /// published gauges are the table's census.
     fn assert_conserved(shared: &Shared) {
         let sessions = shared.sessions.lock();
         let expected = LoadMap::from_reservations(
@@ -1279,9 +1313,15 @@ mod tests {
             assert!(!booking.tenants.is_empty(), "booking {id} has no tenant");
             assert_eq!(booking.epoch, epoch, "booking {id} was left behind");
         }
+        let snapshot = shared.snap.load();
         for (key, id) in &sessions.by_key {
             let owner = sessions.bookings.get(id).map(|booking| &booking.key);
             assert_eq!(owner, Some(&Some(key.clone())), "by_key slot → {id}");
+            let cached = snapshot.cached_solve(key);
+            assert!(
+                cached.is_some_and(|flow| Arc::ptr_eq(&flow, &sessions.bookings[id].flow)),
+                "booking {id} holds its key's slot, but the key's cached solve is not its flow"
+            );
         }
         let forests = || sessions.bookings.values().filter(|b| b.key.is_some());
         let stats = shared.metrics.snapshot(epoch);
@@ -1697,84 +1737,94 @@ mod tests {
         assert_conserved(&shared);
     }
 
-    /// Satellite: a cached solve never survives an epoch whose patch
-    /// dirties one of its links — and survives (same arc, no re-solve) an
-    /// epoch that patches only links it avoids.
+    /// A cached solve survives (same arc, no re-solve) an epoch that patches
+    /// only links it avoids, and never one whose patch dirties one of its
+    /// links: there, a live booking of the key files its repaired flow in
+    /// its place, and with no booking the key starts the epoch cold.
     #[test]
     fn qos_patches_invalidate_dirtied_cache_entries_and_keep_clean_ones() {
         let shared = shared_over_diamond();
         let requirement = diamond_requirement();
-        match federate_against(
-            &shared,
-            shared.snap.load(),
-            requirement.clone(),
-            Algorithm::Sflow,
-            None,
-        ) {
-            Response::Federated(_) => {}
-            other => panic!("expected Federated, got {other:?}"),
-        }
+        let session = open(&shared, &requirement, None);
         let snapshot = shared.snap.load();
         assert_eq!(snapshot.cached_solve_count(), 1);
-        // Classify every directed overlay link as on or off the cached
-        // flow's paths (instance identities survive QoS epochs).
         let key = SolveKey {
             requirement: requirement.canonical_key(),
             algorithm: Algorithm::Sflow,
             hop_limit: None,
         };
         let cached = snapshot.cached_solve(&key).unwrap();
-        let overlay = snapshot.overlay();
-        let used: Vec<(ServiceInstance, ServiceInstance)> = cached
-            .edges()
-            .iter()
-            .flat_map(|e| e.overlay_path.windows(2))
-            .map(|w| (overlay.instance(w[0]), overlay.instance(w[1])))
-            .collect();
-        let all: Vec<(ServiceInstance, ServiceInstance)> = overlay
-            .graph()
-            .node_ids()
-            .flat_map(|n| overlay.graph().out_edges(n))
-            .map(|e| (overlay.instance(e.from), overlay.instance(e.to)))
-            .collect();
-        let &(cf, ct) = all.iter().find(|pair| !used.contains(pair)).unwrap();
-        let &(df, dt) = all.iter().find(|pair| used.contains(pair)).unwrap();
+        // A directed overlay link on and one off `flow`'s paths, in the
+        // current epoch (instance identities survive QoS epochs).
+        type Link = (ServiceInstance, ServiceInstance);
+        let on_and_off = |flow: &FlowGraph| -> (Link, Link) {
+            let snapshot = shared.snap.load();
+            let overlay = snapshot.overlay();
+            let used: Vec<Link> = flow
+                .edges()
+                .iter()
+                .flat_map(|e| e.overlay_path.windows(2))
+                .map(|w| (overlay.instance(w[0]), overlay.instance(w[1])))
+                .collect();
+            let all: Vec<Link> = overlay
+                .graph()
+                .node_ids()
+                .flat_map(|n| overlay.graph().out_edges(n))
+                .map(|e| (overlay.instance(e.from), overlay.instance(e.to)))
+                .collect();
+            let on = all.iter().find(|pair| used.contains(pair)).unwrap();
+            let off = all.iter().find(|pair| !used.contains(pair)).unwrap();
+            (*on, *off)
+        };
+        let wobble = |(from, to): Link, bandwidth_kbps: u64, epoch: u64| {
+            let mutation = Mutation::SetLinkQos {
+                from,
+                to,
+                bandwidth_kbps,
+                latency_us: 2_345,
+            };
+            match mutate(&shared, &mutation) {
+                Response::Mutated { epoch: e, .. } if e == epoch => {}
+                other => panic!("expected Mutated at epoch {epoch}, got {other:?}"),
+            }
+        };
+        let (on, off) = on_and_off(&cached);
 
-        // An off-path wobble: the entry is adopted across the epoch.
-        match mutate(
-            &shared,
-            &Mutation::SetLinkQos {
-                from: cf,
-                to: ct,
-                bandwidth_kbps: 77,
-                latency_us: 1_234,
-            },
-        ) {
-            Response::Mutated { epoch: 1, .. } => {}
-            other => panic!("expected Mutated, got {other:?}"),
-        }
-        let clean = shared.snap.load();
-        let carried = clean
+        // An off-path wobble: the entry is adopted across the epoch, and the
+        // booking's repair, equal to it, keeps it.
+        wobble(off, 77, 1);
+        let carried = shared
+            .snap
+            .load()
             .cached_solve(&key)
             .expect("a clean patch keeps the entry");
         assert!(Arc::ptr_eq(&carried, &cached), "adoption shares the arc");
+        assert_conserved(&shared);
 
-        // A patch on a link the flow traverses: the entry must not survive.
-        match mutate(
-            &shared,
-            &Mutation::SetLinkQos {
-                from: df,
-                to: dt,
-                bandwidth_kbps: 66,
-                latency_us: 2_345,
-            },
-        ) {
-            Response::Mutated { epoch: 2, .. } => {}
-            other => panic!("expected Mutated, got {other:?}"),
-        }
+        // A patch on a link the flow traverses drops the entry, and the
+        // live booking's repair files its repaired flow in its place.
+        wobble(on, 66, 2);
+        let refiled = shared
+            .snap
+            .load()
+            .cached_solve(&key)
+            .expect("the live booking refiles its key");
+        assert!(!Arc::ptr_eq(&refiled, &cached), "the dirtied entry is gone");
+        let booking = Arc::clone(&shared.sessions.lock().bookings[&session].flow);
+        assert!(Arc::ptr_eq(&refiled, &booking), "the key holds the repair");
+        assert_conserved(&shared);
+
+        // With the tenant gone no booking refiles: a dirtied path drops the
+        // entry for good.
+        assert!(matches!(
+            release(&shared, session),
+            Response::Released { .. }
+        ));
+        let (on, _) = on_and_off(&refiled);
+        wobble(on, 55, 3);
         assert!(
             shared.snap.load().cached_solve(&key).is_none(),
-            "a dirtied path drops the cached solve"
+            "a dirtied path drops an entry no booking holds"
         );
     }
 

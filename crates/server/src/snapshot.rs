@@ -48,6 +48,12 @@ pub struct SolveKey {
     pub hop_limit: Option<usize>,
 }
 
+/// `true` if two flows describe the same federation: same instance
+/// selection, same streams over the same overlay paths, same quality.
+pub(crate) fn same_flow(a: &FlowGraph, b: &FlowGraph) -> bool {
+    a.selection() == b.selection() && a.quality() == b.quality() && a.edges() == b.edges()
+}
+
 /// One immutable epoch of the world: overlay + routing table + source pin +
 /// epoch number, with the epoch's hop matrix built lazily on first use.
 #[derive(Debug)]
@@ -70,6 +76,8 @@ pub struct WorldSnapshot {
     /// keyed map, not a single value, so it sits behind a short
     /// `parking_lot::Mutex` (held for a lookup or an insert, never across a
     /// solve; the `guard-across-solve` audit rule polices the callers).
+    /// In the current epoch, a key whose booking holds its `by_key` slot
+    /// maps to that booking's own flow `Arc` ([`WorldSnapshot::file_solve`]).
     solves: Mutex<BTreeMap<SolveKey, Arc<FlowGraph>>>,
 }
 
@@ -205,11 +213,45 @@ impl WorldSnapshot {
         )
     }
 
+    /// Files `flow` under `key` for the booking that holds the key's
+    /// `by_key` slot, and returns the `Arc` that booking must hold: an entry
+    /// describing the same federation ([`same_flow`]) is kept, `Arc` and
+    /// all — an adoption from the predecessor epoch, or the fill the
+    /// booking was founded on — and any other entry is replaced. Unlike
+    /// [`WorldSnapshot::cache_solve`] the last writer wins: callers hold the
+    /// sessions lock and the key's slot, so their flow is the one the key's
+    /// next tenant must attach to. The cache's mutex is a leaf lock, so
+    /// taking it under the sessions lock cannot deadlock.
+    pub(crate) fn file_solve(&self, key: &SolveKey, flow: Arc<FlowGraph>) -> Arc<FlowGraph> {
+        let mut solves = self.solves.lock();
+        match solves.get(key) {
+            Some(cached) if Arc::ptr_eq(cached, &flow) || same_flow(cached, &flow) => {
+                Arc::clone(cached)
+            }
+            _ => {
+                solves.insert(key.clone(), Arc::clone(&flow));
+                flow
+            }
+        }
+    }
+
     /// Drops the cached solve for `key`, if any. Used when a served flow
     /// turns out to be inconsistent with live state (e.g. its forest was
     /// torn down between lookup and admission).
     pub fn evict_solve(&self, key: &SolveKey) {
         self.solves.lock().remove(key);
+    }
+
+    /// Drops `key`'s entry only if it is still `flow`, the one that failed
+    /// revalidation: an entry some booking filed since the lookup stays.
+    pub(crate) fn evict_refused(&self, key: &SolveKey, flow: &Arc<FlowGraph>) {
+        let mut solves = self.solves.lock();
+        if solves
+            .get(key)
+            .is_some_and(|cached| Arc::ptr_eq(cached, flow))
+        {
+            solves.remove(key);
+        }
     }
 
     /// Entries currently cached (tests and stats gauges).

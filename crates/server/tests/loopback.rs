@@ -6,9 +6,12 @@ use std::thread;
 
 use sflow_core::algorithms::{FederationAlgorithm, SflowAlgorithm};
 use sflow_core::fixtures::{diamond_fixture, diamond_requirement, random_fixture};
+use sflow_core::{FlowGraph, Selection, ServiceRequirement};
 use sflow_net::ServiceId;
+use sflow_server::load::links_of;
 use sflow_server::{
-    serve, Algorithm, Client, Mutation, PipelinedClient, Request, Response, ServerConfig, World,
+    serve, Algorithm, Client, FlowSummary, LinkId, LinkLoad, LoadMap, Mutation, PipelinedClient,
+    Request, Response, ServerConfig, World,
 };
 
 const DIAMOND_SPEC: &str = "0>1>3, 0>2>3";
@@ -92,6 +95,20 @@ fn concurrent_clients_match_the_centralized_result() {
     assert_eq!(stats.forest_tenants, total, "{stats:?}");
     assert!(stats.latency_p50_us <= stats.latency_p99_us);
 
+    // Solve a second key at epoch 0 and release it, so no booking holds it
+    // when the mutation lands and the repair has nothing to file for it.
+    let released_key = match client
+        .federate(DIAMOND_SPEC, Algorithm::Sflow, Some(3))
+        .unwrap()
+    {
+        Response::Federated(summary) => summary.session,
+        other => panic!("expected Federated, got {other:?}"),
+    };
+    assert!(matches!(
+        client.release(released_key).unwrap(),
+        Response::Released { .. }
+    ));
+
     // Mutate: fail an instance the sessions route through. The epoch bumps,
     // the hop-matrix cache invalidates, and sessions are repaired.
     let world_probe = diamond_fixture();
@@ -121,20 +138,33 @@ fn concurrent_clients_match_the_centralized_result() {
     let stats = client.stats().unwrap();
     assert_eq!(stats.epoch, 1, "mutation must bump the epoch");
 
-    // Drain the herd so the next federate is not residual-refused (the
-    // repaired forest's booking reserves the surviving branch). Session ids
-    // are sequential; a session the repair sweep dropped answers an error.
-    for id in 0..total {
+    // The repair filed the forest's flow under its key at the new epoch, so
+    // one more federate of the key attaches to it: a hit, no second forest.
+    match client
+        .federate(DIAMOND_SPEC, Algorithm::Sflow, Some(2))
+        .unwrap()
+    {
+        Response::Federated(summary) => assert_eq!(summary.epoch, 1),
+        other => panic!("expected Federated after mutation, got {other:?}"),
+    }
+    let attached = client.stats().unwrap();
+    assert_eq!(attached.cache_hits, stats.cache_hits + 1, "{attached:?}");
+    assert_eq!(attached.forests, 1, "{attached:?}");
+
+    // Drain everyone: the herd, then the attach (the released key's session
+    // sits between them). Session ids are sequential; a session the repair
+    // sweep dropped answers an error.
+    for id in (0..total).chain([released_key + 1]) {
         let _ = client.release(id).unwrap();
     }
     let ledger = client.load_map().unwrap();
     assert!(ledger.links.is_empty(), "no leaked reservation: {ledger:?}");
 
-    // The structural mutation renumbers the overlay: both the solve cache
-    // and the hop matrix start cold at the new epoch.
-    let misses_before = stats.cache_misses;
+    // The structural mutation renumbers the overlay: no solve and no hop
+    // matrix of epoch 0 carries over. The key solved and released at epoch
+    // 0 had no booking for the repair to file, so it solves cold.
     match client
-        .federate(DIAMOND_SPEC, Algorithm::Sflow, Some(2))
+        .federate(DIAMOND_SPEC, Algorithm::Sflow, Some(3))
         .unwrap()
     {
         Response::Federated(summary) => assert_eq!(summary.epoch, 1),
@@ -143,7 +173,7 @@ fn concurrent_clients_match_the_centralized_result() {
     let stats = client.stats().unwrap();
     assert_eq!(
         stats.cache_misses,
-        misses_before + 1,
+        attached.cache_misses + 1,
         "a structural epoch must invalidate the solve cache"
     );
     assert_eq!(stats.hop_cache_misses, 2, "and the hop-matrix cache");
@@ -585,6 +615,167 @@ fn releases_racing_repair_sweeps_are_all_answered() {
         ledger.links.is_empty(),
         "no resurrected reservation: {ledger:?}"
     );
+    handle.shutdown();
+}
+
+/// Federates `spec` and returns the summary, panicking on anything else.
+fn federated(client: &mut Client, spec: &str) -> FlowSummary {
+    match client.federate(spec, Algorithm::Sflow, None).unwrap() {
+        Response::Federated(summary) => summary,
+        other => panic!("{spec}: expected Federated, got {other:?}"),
+    }
+}
+
+/// A `SetLinkQos` giving the service link `from → to` of `world`'s current
+/// epoch `bandwidth_kbps`, at its current latency.
+fn set_bandwidth(world: &World, link: &LinkLoad, bandwidth_kbps: u64) -> Mutation {
+    let snapshot = world.snapshot();
+    let overlay = snapshot.overlay();
+    let edge = overlay
+        .graph()
+        .find_edge(
+            overlay.node_of(link.from).unwrap(),
+            overlay.node_of(link.to).unwrap(),
+        )
+        .unwrap();
+    Mutation::SetLinkQos {
+        from: link.from,
+        to: link.to,
+        bandwidth_kbps,
+        latency_us: overlay.graph().edge(edge).latency.as_micros(),
+    }
+}
+
+/// A forest keeps its key across a mutation: two tenants of one key, a
+/// link their flow uses halved, and the third federate of the key is a
+/// cache hit that attaches to the repaired forest. It neither founds a
+/// duplicate next to it nor is rejected for the capacity the forest itself
+/// reserves.
+#[test]
+fn a_tenant_attaches_to_its_forest_after_a_mutation() {
+    let handle = serve(World::new(diamond_fixture()), &ServerConfig::default()).unwrap();
+    let mut client = Client::connect(handle.addr()).unwrap();
+    federated(&mut client, DIAMOND_SPEC);
+    federated(&mut client, DIAMOND_SPEC);
+    let world = World::new(diamond_fixture());
+    let booked = client.load_map().unwrap().links[0];
+    let halve = set_bandwidth(&world, &booked, booked.capacity_kbps / 2);
+    match client.mutate(halve).unwrap() {
+        Response::Mutated {
+            epoch: 1,
+            repaired: 2,
+            dropped: 0,
+        } => {}
+        other => panic!("expected both tenants repaired at epoch 1, got {other:?}"),
+    }
+    let before = client.stats().unwrap();
+    let ledger = client.load_map().unwrap().links;
+
+    assert_eq!(federated(&mut client, DIAMOND_SPEC).epoch, 1);
+    let stats = client.stats().unwrap();
+    assert_eq!(stats.cache_hits, before.cache_hits + 1, "{stats:?}");
+    assert_eq!(stats.cache_misses, before.cache_misses, "{stats:?}");
+    assert_eq!(
+        (stats.forests, stats.forest_tenants, stats.residual_rejects),
+        (1, 3, 0),
+        "{stats:?}"
+    );
+    assert_eq!(
+        client.load_map().unwrap().links,
+        ledger,
+        "an attach books nothing"
+    );
+    handle.shutdown();
+}
+
+/// The `churn-repair` shape in miniature: 8 keys × 4 tenants stay live
+/// while the most-reserved link is halved, then restored, and after each
+/// mutation every key is federated once more. Each of those is a cache hit
+/// that attaches to the key's repaired forest, so `forests` stays 8, and
+/// the ledger is exactly what the 8 repaired forests reserve: a repair
+/// re-solves each forest pinned to its instances against the raw overlay,
+/// so a mirror world that applies the same mutation rebuilds every flow
+/// from the instances the attach reports.
+#[test]
+fn forests_keep_their_tenants_across_a_halve_and_a_restore() {
+    const MENU: [&str; 8] = [
+        "0>1>2", "0>2>3", "0>3>4", "0>1>3", "0>2>4", "0>1>4", "0>4>2", "0>3>1",
+    ];
+    let services: Vec<ServiceId> = (0..5).map(ServiceId::new).collect();
+    let fixture = || random_fixture(24, &services, 3, None, 1);
+    let handle = serve(World::new(fixture()), &ServerConfig::default()).unwrap();
+    let mut mirror = World::new(fixture());
+    let mut client = Client::connect(handle.addr()).unwrap();
+    for _ in 0..4 {
+        for spec in MENU {
+            federated(&mut client, spec);
+        }
+    }
+    let stats = client.stats().unwrap();
+    assert_eq!((stats.forests, stats.forest_tenants), (8, 32), "{stats:?}");
+    let hot = *client
+        .load_map()
+        .unwrap()
+        .links
+        .iter()
+        .max_by_key(|link| link.reserved_kbps)
+        .unwrap();
+
+    let mut tenants = 32;
+    for bandwidth_kbps in [hot.capacity_kbps / 2, hot.capacity_kbps] {
+        let mutation = set_bandwidth(&mirror, &hot, bandwidth_kbps);
+        match client.mutate(mutation).unwrap() {
+            Response::Mutated {
+                repaired,
+                dropped: 0,
+                ..
+            } => assert_eq!(repaired, tenants),
+            other => panic!("expected every tenant repaired, got {other:?}"),
+        }
+        mirror.apply(&mutation).unwrap();
+        let before = client.stats().unwrap();
+
+        let ctx = mirror.context();
+        let mut reserved = Vec::new();
+        for spec in MENU {
+            let summary = federated(&mut client, spec);
+            let requirement: ServiceRequirement = spec.parse().unwrap();
+            let selection: Selection = summary
+                .instances
+                .iter()
+                .map(|(&service, &instance)| (service, ctx.overlay().node_of(instance).unwrap()))
+                .collect();
+            let flow = FlowGraph::assemble(&ctx, &requirement, &selection).unwrap();
+            assert_eq!(flow.quality().bandwidth.as_kbps(), summary.bandwidth_kbps);
+            reserved.extend(links_of(&flow, ctx.overlay()));
+        }
+        tenants += MENU.len();
+
+        let stats = client.stats().unwrap();
+        assert_eq!(
+            (
+                stats.cache_hits - before.cache_hits,
+                stats.cache_misses - before.cache_misses,
+                stats.cache_revalidation_fails - before.cache_revalidation_fails,
+            ),
+            (8, 0, 0),
+            "every federate after the mutation is a hit: {stats:?}"
+        );
+        assert_eq!(
+            (stats.forests, stats.forest_tenants, stats.residual_rejects),
+            (8, tenants as u64, 0),
+            "{stats:?}"
+        );
+        let expected = LoadMap::from_reservations(reserved);
+        let ledger: Vec<(LinkId, u64)> = client
+            .load_map()
+            .unwrap()
+            .links
+            .iter()
+            .map(|link| ((link.from, link.to), link.reserved_kbps))
+            .collect();
+        assert_eq!(ledger, expected.iter_reserved().collect::<Vec<_>>());
+    }
     handle.shutdown();
 }
 
