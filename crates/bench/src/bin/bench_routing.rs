@@ -37,10 +37,14 @@
 //! epoch-sharing contract: the successor table shares exactly
 //! `materialised(pred) − trees_recomputed` trees with its predecessor by
 //! `Arc` pointer — deriving an epoch never clones the world. A patch only
-//! plans and leaves the trees it invalidated stale, to be swept on their
-//! first read; each sample reads every row of the successor inside its
+//! plans and leaves the trees it invalidated stale, or after a cut
+//! shadowed, to be swept on their first read (of a destination the cut
+//! moved); each sample reads every row of the successor inside its
 //! timing, so a row still costs plan plus sweep, and the next sample
-//! patches a fully materialised table (`trees_total` materialised).
+//! patches a fully materialised table (`trees_total` materialised). The
+//! cut rows also report `avg_moved_share`: per tree the cut invalidated,
+//! the destinations it moved over those the tree reaches — what a reader
+//! of that row still has to sweep for.
 //!
 //! Each world also records `csr_build_us`, the cost of deriving the
 //! [`QosCsr`] index every build starts with, `csr_reweight_us`, what a
@@ -228,6 +232,9 @@ struct PatchDir {
     trees: Vec<u64>,
     coarse: Vec<u64>,
     plans: Vec<u128>,
+    /// Per tree a cut invalidated, the share of its reachable destinations
+    /// the cut moved (see [`moved_shares`]).
+    moved_shares: Vec<f64>,
 }
 
 fn avg(samples: &[u128]) -> u128 {
@@ -258,6 +265,14 @@ impl PatchDir {
     }
     fn max_coarse(&self) -> u64 {
         self.coarse.iter().copied().max().unwrap_or(0)
+    }
+    /// The mean of `moved_shares` as JSON, `null` if there are none.
+    fn avg_moved_share_json(&self) -> String {
+        let shares = &self.moved_shares;
+        if shares.is_empty() {
+            return "null".to_string();
+        }
+        format!("{:.4}", shares.iter().sum::<f64>() / shares.len() as f64)
     }
 }
 
@@ -386,11 +401,22 @@ fn patch_sample<N>(
     };
     let started = Instant::now();
     let (next, stats) = table.patched_with(world, &changes, 0);
-    // The patch leaves the trees it invalidated stale; sweeping them inside
-    // the sample keeps the row timing plan and sweep as it always has, and
-    // the next sample patches a fully materialised table.
+    let planned = started.elapsed();
+    if pure_cut {
+        let shares = moved_shares(table, &next);
+        assert_eq!(
+            shares.len(),
+            stats.trees_recomputed,
+            "a cut shadows every tree it invalidates"
+        );
+        dir.moved_shares.extend(shares);
+    }
+    // The patch leaves the trees it invalidated shadowed or stale; sweeping
+    // them inside the sample keeps the row timing plan and sweep as it
+    // always has, and the next sample patches a fully materialised table.
+    let started = Instant::now();
     read_every_row(&next);
-    let us = started.elapsed().as_micros();
+    let us = (planned + started.elapsed()).as_micros();
     dir.times.push(us);
     if stats.trees_recomputed == 0 {
         dir.plans.push(us);
@@ -418,6 +444,22 @@ fn patch_sample<N>(
     dir.trees.push(stats.trees_recomputed as u64);
     dir.coarse.push(coarse);
     next
+}
+
+/// Per tree a cut shadowed in `next`, the share of the destinations it
+/// reaches (in `pred`, the source aside) that the cut moved.
+fn moved_shares(pred: &AllPairs, next: &AllPairs) -> Vec<f64> {
+    let nodes = || (0..next.len()).map(NodeIx::from_index);
+    nodes()
+        .filter_map(|u| {
+            let moved = next.moved(u)?;
+            let tree = pred.tree(u);
+            let reachable = nodes()
+                .filter(|&v| v != u && tree.qos_to(v).is_some())
+                .count();
+            Some(moved as f64 / reachable as f64)
+        })
+        .collect()
 }
 
 /// Reads every row of `table`, sweeping its stale slots on the pool a patch
@@ -608,11 +650,17 @@ fn world_json(r: &WorldReport) -> String {
             )
         })
         .collect();
-    let dir_json = |d: &PatchDir| {
+    // A cut row also says how much of each tree it invalidated it moved.
+    let dir_json = |d: &PatchDir, cut: bool| {
+        let moved = if cut {
+            format!(", \"avg_moved_share\": {}", d.avg_moved_share_json())
+        } else {
+            String::new()
+        };
         format!(
             "{{\"avg_us\": {}, \"plan_us\": {}, \"plan_samples\": {}, \
              \"avg_trees_recomputed\": {:.1}, \"max_trees_recomputed\": {}, \
-             \"avg_trees_coarse_rule\": {:.1}, \"max_trees_coarse_rule\": {}}}",
+             \"avg_trees_coarse_rule\": {:.1}, \"max_trees_coarse_rule\": {}{}}}",
             d.avg_us(),
             d.plan_us_json(),
             d.plans.len(),
@@ -620,6 +668,7 @@ fn world_json(r: &WorldReport) -> String {
             d.max_trees(),
             d.avg_coarse(),
             d.max_coarse(),
+            moved,
         )
     };
     let reported = &r.slow_down_reported;
@@ -651,13 +700,13 @@ fn world_json(r: &WorldReport) -> String {
         r.kernel.entries_mean,
         r.kernel.entry_share,
         r.patch_samples,
-        dir_json(&r.cut),
-        dir_json(&r.restore),
+        dir_json(&r.cut, true),
+        dir_json(&r.restore, false),
         FOREST_LINKS,
-        dir_json(&r.forest_cut),
-        dir_json(&r.forest_restore),
-        dir_json(&r.slow_down),
-        dir_json(&r.speed_up),
+        dir_json(&r.forest_cut, true),
+        dir_json(&r.forest_restore, false),
+        dir_json(&r.slow_down, false),
+        dir_json(&r.speed_up, false),
         avg_reported,
         r.trees_total,
         r.min_trees_shared,
@@ -720,13 +769,14 @@ fn main() {
         ] {
             println!(
                 "  {label}: avg {} µs (plan {} µs) recomputing {:.1}/{} trees \
-                 (max {}, coarse rule avg {:.1})",
+                 (max {}, coarse rule avg {:.1}, moved share {})",
                 d.avg_us(),
                 d.plan_us_json(),
                 d.avg_trees(),
                 r.trees_total,
                 d.max_trees(),
                 d.avg_coarse(),
+                d.avg_moved_share_json(),
             );
         }
         assert!(

@@ -21,10 +21,12 @@
 //! * [`AllPairs::patched_with`] derives a *successor* table after a batch
 //!   of [`EdgeChange`]s by invalidating only the source trees that can
 //!   actually be affected; it shares every clean tree with its predecessor
-//!   by `Arc` pointer and leaves every invalidated slot *stale*, to be
-//!   swept on its first read — the per-epoch cost is a plan, never a copy
-//!   of the world, and a row nobody reads is never routed. A table carries
-//!   the [`QosCsr`] of its graph, and the successor's is that one
+//!   by `Arc` pointer and leaves every invalidated slot *shadowed* (after
+//!   a pure bandwidth cut: the old tree still answers for the destinations
+//!   the cut did not move) or *stale*, to be swept on the first read that
+//!   needs it — the per-epoch cost is a plan, never a copy of the world,
+//!   and a row is routed only when a read needs it. A table carries the
+//!   [`QosCsr`] of its graph, and the successor's is that one
 //!   reweighted ([`QosCsr::reweighted`]: the topology shared, `O(E)` with
 //!   no sort), not a fresh derivation.
 //!
@@ -144,17 +146,18 @@
 //! when `v` is on it and `v`'s entry at `b` names `e`; and `v` is on a path
 //! of level `b` only if `b ≤ B(s,v)` — every node of a path at least as
 //! wide as it. The plan therefore collects one `(e, v, bw₁)` per cut record
-//! and, per tree, reads only the cut heads' chains: a tree none of whose
-//! head chains has an entry over its edge standing at a level in
-//! `(bw₁, B(s,v)]` is clean without a walk; one whose entry at `v`'s own
-//! level names the edge is dirty without one (`v`'s own path crosses it at
-//! `B(s,v) > bw₁`); the rest are walked at only the levels such an entry
-//! stands at, from the nodes pinned there (a per-level index, counting
-//! sort), instead of every level from every node. Each step only skips
-//! levels at which the full walk cannot find the edge, and a walk is
-//! exact, so the dirty set is the full walk's by construction —
-//! `tests/prop_engine.rs` holds the plan's tree count to
-//! `traverses_above`'s on random lineages.
+//! (sorted by edge, which is also where the walk looks a floor up) and, per
+//! tree, reads only the cut heads' chains. Each entry over the cut edge
+//! standing at a level in `(bw₁, B(s,v)]` is a *crossing*: the head, the
+//! levels the entry stands at from `v`'s own level on, and the floor. A
+//! tree with no crossing is clean without a walk; one with a crossing at
+//! `v`'s own level is dirty without one (`v`'s own path crosses the edge at
+//! `B(s,v) > bw₁`); the rest are walked at only the crossings' levels,
+//! from the nodes pinned there (a per-level index, counting sort), instead
+//! of every level from every node. Each step only skips levels at which
+//! the full walk cannot find the edge, and a walk is exact, so the dirty
+//! set is the full walk's by construction — `tests/prop_engine.rs` holds
+//! the plan's tree count to `traverses_above`'s on random lineages.
 //!
 //! A record that is several of these at once (narrower *and* faster, wider
 //! *and* slower) is held to each rule it falls under; the steps compose in
@@ -174,6 +177,49 @@
 //! looked at once per patch, and a tree a concurrent reader materialises
 //! after that look is not carried over: the successor's slot stays stale.
 //!
+//! **Shadowed slots.** After a *pure* bandwidth cut — a coalesced batch of
+//! nothing but `bw₁ < bw₀, lat₁ = lat₀` records — a dirty tree is not
+//! dropped: its slot is left *shadowed*, holding the tree and its
+//! crossings. A destination is *moved* if its reported path crosses a cut
+//! edge above the edge's floor; by the argument above, that is exactly when
+//! the path, read at the destination's own level, passes through a
+//! crossing's head at one of the crossing's levels, above its floor. The
+//! table answers `qos` and `path` for every other destination from the
+//! shadow's tree, testing the destination's path against the crossings on
+//! each read (a few hops, a few crossings); a read of a moved destination,
+//! or of the whole tree, sweeps the slot as a stale one is swept. The
+//! moved set is kept as crossings rather than marked node by node because
+//! the crossings cost the plan nothing beyond the verdict, where marking
+//! takes a walk of every level a crossing covers, and the walk above stops
+//! at the first crossed edge. An unmoved destination `x`, pinned at `b`,
+//! keeps its answer, tie-breaks included:
+//!
+//! * *Its old path is still present.* It crosses no edge cut below `b`,
+//!   and no latency moved, so it is still in the level graph of `b` with
+//!   the QoS the tree reports.
+//! * *No label falls.* A cut only takes edges out of level graphs, so no
+//!   widest or latency label (zero-hops count included) can drop; the old
+//!   path still attains the old labels, so `B(s,x) = b`, `x`'s latency and
+//!   the label of every node on the path stand.
+//! * *Every tail on that path keeps its label, so the settle order that
+//!   breaks ties keeps the same predecessor.* A tail that offers a node on
+//!   the path its label today offered the same label before (labels only
+//!   rise, and the node's did not), so today's candidates are some of
+//!   yesterday's at yesterday's labels; the recorded predecessor is still
+//!   one of them, over the same, still earliest, link, and still settles
+//!   first among them. A fresh sweep reads the same path at `b`.
+//!
+//! A later pure cut adds its own crossings to an existing shadow, found on
+//! the shadow's own tree: an unmoved destination's path is that tree's, so
+//! the three facts carry it across any number of cuts, and the crossings
+//! are exact on it. A batch with any gain or re-timing turns
+//! every shadow stale, as it does every tree it invalidates: the
+//! certificate reads labels, and a shadow's are those of a graph that is
+//! gone. So a shadow is never kept as a tree, certified, or counted by
+//! `materialised()`, and the invariant above is still carried by the
+//! materialised trees alone; `trees_recomputed` counts the materialised
+//! trees a patch shadowed or left stale.
+//!
 //! All of this applies to exact trees only: an
 //! [`all_pairs_lexicographic`](crate::shortest_widest::all_pairs_lexicographic)
 //! table's one level is not a latency Dijkstra, and such tables are never
@@ -186,9 +232,11 @@
 //! batches — against a from-scratch rebuild in QoS and path, that the
 //! rules never dirty more trees than the coarse ones (any-traversal for
 //! pure bandwidth cuts, reach-the-tail for the rest), that a pure cut
-//! dirties exactly the trees the full walk finds, and that a partly
+//! dirties exactly the trees the full walk finds, that a partly
 //! stale table invalidates exactly its eagerly swept twin's dirty set
-//! restricted to the slots it had materialised.
+//! restricted to the slots it had materialised, and that a read sweeps a
+//! row exactly when a cut moved the destination read, or a gain or
+//! re-timing left the row stale.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -197,9 +245,9 @@ use std::thread;
 use sflow_graph::{DiGraph, EdgeIx, NodeIx};
 
 use crate::shortest_widest::{
-    single_source_csr, AllPairs, DijkstraScratch, PathTree, QosCsr, TraversalScratch,
+    single_source_csr, AllPairs, DijkstraScratch, PathTree, QosCsr, Shadow, Slot, TraversalScratch,
 };
-use crate::{Bandwidth, Qos};
+use crate::{Bandwidth, Latency, Qos};
 
 /// One edge whose QoS changed, described by before/after weights.
 ///
@@ -244,9 +292,11 @@ impl EdgeChange {
 /// What one [`AllPairs::patched_with`] call did.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PatchStats {
-    /// Materialised trees this patch invalidated (each swept again on its
-    /// first read); a full rebuild counts every tree. The successor shares
-    /// `materialised(pred) − trees_recomputed` trees with its predecessor.
+    /// Materialised trees this patch invalidated, each swept again on the
+    /// first read of a destination it moved (after a gain or a re-timing,
+    /// every destination counts as moved); a full rebuild counts every
+    /// tree. The successor shares `materialised(pred) − trees_recomputed`
+    /// trees with its predecessor.
     pub trees_recomputed: usize,
     /// Source trees in the table (== node count).
     pub trees_total: usize,
@@ -416,11 +466,14 @@ impl AllPairs {
     ///
     /// Copy-on-write: `self` is an immutable predecessor and the result a
     /// *fresh* table. Every materialised tree the plan keeps is shared with
-    /// the predecessor by `Arc` pointer; every one it invalidates, and
-    /// every slot that was stale already, is stale in the successor and
-    /// swept on its first read, against the successor's CSR. Deriving the
-    /// successor therefore costs the plan, one reweighting of the
-    /// predecessor's [`QosCsr`] and a refcount bump per kept tree, never a
+    /// the predecessor by `Arc` pointer. After a pure bandwidth cut every
+    /// one it invalidates is shadowed in the successor, and every shadow
+    /// the predecessor held stays one, taking on the cut's crossings on
+    /// its tree; after any other batch they are all stale, and so is every
+    /// slot that was stale already. A slot is swept on the first read
+    /// that needs it, against the successor's CSR. Deriving the successor
+    /// therefore costs the plan, one reweighting of the predecessor's
+    /// [`QosCsr`] and a refcount bump per kept tree or shadow, never a
     /// copy of the table, and no Dijkstra. Readers concurrently solving
     /// against the predecessor are never disturbed — this is the routing
     /// half of an epoch-published world, where the successor table is
@@ -456,56 +509,100 @@ impl AllPairs {
             return (self.clone(), stats); // the graph is the one `self` was swept over
         }
 
+        // The reweight reads every edge of `g`, which the caller has just
+        // diffed: before the plan's walks move the cache on, not after.
+        let csr = Arc::new(self.csr.reweighted(g));
         // Each slot is read once: a tree a concurrent reader sweeps after
         // this look is not one the plan saw, so it stays behind.
-        let mut dirties = dirty_rule(g, &changes);
+        let mut plan = Plan::new(g, &changes);
         let trees = self
             .trees
             .iter()
-            .map(|slot| match slot.get() {
-                Some(tree) if !dirties(tree) => OnceLock::from(Arc::clone(tree)),
-                Some(_) => {
-                    stats.trees_recomputed += 1;
-                    OnceLock::new()
-                }
-                None => OnceLock::new(),
+            .map(|slot| {
+                let (next, invalidated) = plan.next(slot);
+                stats.trees_recomputed += usize::from(invalidated);
+                next
             })
             .collect();
-        let next = AllPairs {
-            trees,
-            csr: Arc::new(self.csr.reweighted(g)),
-        };
-        (next, stats)
+        (AllPairs { trees, csr }, stats)
     }
 }
 
-/// Decides whether `changes` (coalesced) can affect a source tree, per the
-/// rules (and soundness argument) in the module docs. The buffers the rule
-/// reuses across the trees it inspects are allocated once per patch, not
-/// per tree.
-fn dirty_rule<'a, N>(
+/// The rules (and soundness argument) in the module docs, applied to one
+/// coalesced batch slot by slot. The buffers they reuse across the slots
+/// are allocated once per patch, not per tree.
+struct Plan<'a, N> {
     g: &'a DiGraph<N, Qos>,
     changes: &'a [EdgeChange],
-) -> impl FnMut(&PathTree) -> bool + 'a {
-    // One `(edge, head, floor)` per cut record, and the floors by edge
-    // for the walk.
-    let cuts: Vec<(EdgeIx, NodeIx, Bandwidth)> = changes
-        .iter()
-        .filter_map(|c| Some((c.edge, g.edge_endpoints(c.edge).1, c.loss_floor()?)))
-        .collect();
-    let mut floors = vec![Bandwidth::INFINITE; g.edge_count()];
-    for &(edge, _, floor) in &cuts {
-        floors[edge.index()] = floor;
+    /// One `(edge, head, floor)` per cut record, sorted by edge: the walk
+    /// looks a floor up here, so no patch builds an edge-long array.
+    cuts: Vec<(EdgeIx, NodeIx, Bandwidth)>,
+    /// Anything but a pure bandwidth cut: the certificate's business, and
+    /// the end of every shadow.
+    label_side: bool,
+    traversal: TraversalScratch,
+    levels: Vec<(Bandwidth, Latency)>,
+}
+
+impl<'a, N> Plan<'a, N> {
+    fn new(g: &'a DiGraph<N, Qos>, changes: &'a [EdgeChange]) -> Self {
+        let cuts: Vec<(EdgeIx, NodeIx, Bandwidth)> = changes
+            .iter()
+            .filter_map(|c| Some((c.edge, g.edge_endpoints(c.edge).1, c.loss_floor()?)))
+            .collect();
+        Plan {
+            g,
+            changes,
+            cuts,
+            label_side: changes
+                .iter()
+                .any(|c| c.is_retimed() || c.new.bandwidth > c.old.bandwidth),
+            traversal: TraversalScratch::new(),
+            levels: Vec::new(),
+        }
     }
-    // Anything but a pure bandwidth cut is the certificate's business.
-    let any_label_side = changes
-        .iter()
-        .any(|c| c.is_retimed() || c.new.bandwidth > c.old.bandwidth);
-    let mut traversal = TraversalScratch::new();
-    let mut levels = Vec::new();
-    move |tree| {
-        (any_label_side && !tree.certifies(g, changes, &mut levels))
-            || tree.crosses_cuts(&cuts, &floors, &mut traversal)
+
+    /// `slot`'s successor, and whether the patch invalidated the tree it
+    /// held: a kept tree is shared by pointer, one a pure cut invalidated
+    /// is shadowed with the cut's crossings, any other invalidated tree is
+    /// stale. A shadow survives a pure cut, taking on the crossings the cut
+    /// has on its tree, and nothing else.
+    fn next(&mut self, slot: &Slot) -> (Slot, bool) {
+        match (slot.tree.get(), &slot.shadow) {
+            (Some(tree), _) if self.label_side => {
+                let dirty = !tree.certifies(self.g, self.changes, &mut self.levels)
+                    || tree.crosses_cuts(&self.cuts, &mut self.traversal);
+                if dirty {
+                    (Slot::default(), true)
+                } else {
+                    (Slot::holding(Arc::clone(tree)), false)
+                }
+            }
+            (Some(tree), _) => {
+                if !tree.crosses_cuts(&self.cuts, &mut self.traversal) {
+                    return (Slot::holding(Arc::clone(tree)), false);
+                }
+                let shadow = Shadow {
+                    tree: Arc::clone(tree),
+                    crossings: Arc::from(self.traversal.crossings.as_slice()),
+                };
+                (Slot::shadowed(shadow), true)
+            }
+            (None, Some(shadow)) if !self.label_side => {
+                let crossings = &mut self.traversal.crossings;
+                shadow.tree.crossings(&self.cuts, crossings);
+                if crossings.is_empty() {
+                    return (Slot::shadowed(shadow.clone()), false);
+                }
+                crossings.extend_from_slice(&shadow.crossings);
+                let next = Shadow {
+                    tree: Arc::clone(&shadow.tree),
+                    crossings: Arc::from(crossings.as_slice()),
+                };
+                (Slot::shadowed(next), false)
+            }
+            _ => (Slot::default(), false),
+        }
     }
 }
 
@@ -863,7 +960,7 @@ mod tests {
         let (table, stats) = before.patched_with(&g, &[change], 0);
         assert!(stats.trees_recomputed > 0);
         assert!(
-            table.trees[n[0].index()].get().is_none(),
+            table.trees[n[0].index()].tree.get().is_none(),
             "n0's slot is stale"
         );
         let gate = std::sync::Barrier::new(8);
@@ -882,7 +979,7 @@ mod tests {
                 .collect();
             readers.into_iter().map(|r| r.join().unwrap()).unzip()
         });
-        let slot = table.trees[n[0].index()].get().expect("swept");
+        let slot = table.trees[n[0].index()].tree.get().expect("swept");
         assert!(trees
             .iter()
             .all(|&tree| std::ptr::eq(tree, Arc::as_ptr(slot))));
@@ -1181,7 +1278,7 @@ mod tests {
                     ap.tree(s);
                 }
                 for (s, slot) in ap.trees.iter().enumerate() {
-                    if let Some(tree) = slot.get() {
+                    if let Some(tree) = slot.tree.get() {
                         proptest::prop_assert!(
                             tree.labels_are_a_feasible_potential(&g),
                             "tree of {s} after {changes:?}"

@@ -73,13 +73,16 @@
 //! a sweep of many sources. A patch ([`AllPairs::patched_with`]) is a
 //! plan and derives no CSR: it reweights its predecessor's in `O(E)` (plus
 //! `O(k log E)` for the `k` slots whose bandwidth moved), plans a
-//! bandwidth cut in `O(changes × chain)` per materialised tree — a cut
-//! head's chain, a few entries — plus `O(V)` and a walk of the levels that
-//! matter for the trees whose chains name a cut edge, and sweeps nothing.
-//! (A gain or a re-timing is planned by the certificate, which reads every
-//! materialised tree's level bounds: `O(V)` per tree and up.) The sweep a
-//! dirty tree costs is paid on the first read of its row, against the
-//! table the reader holds, and not at all for a row nobody reads.
+//! bandwidth cut in `O(changes × chain)` per materialised or shadowed
+//! tree — a cut head's chain, a few entries — plus `O(V)` and a walk of
+//! the levels that matter for the trees whose chains name a cut edge, and
+//! sweeps nothing. (A gain or a re-timing is planned by the certificate,
+//! which reads every materialised tree's level bounds: `O(V)` per tree and
+//! up.) The sweep a dirty tree costs is paid on the first read of its row
+//! that needs it — after a pure cut, a read of a destination the cut moved
+//! — against the table the reader holds, and not at all for a row nobody
+//! reads there. A shadow costs its tree, which the predecessor holds
+//! anyway, and its crossings; a read from it, `O(hops × crossings)`.
 
 use std::cell::RefCell;
 use std::cmp::{Ordering, Reverse};
@@ -254,31 +257,32 @@ impl PathTree {
     /// answers the same question for its cut edges from their heads first
     /// and walks only the levels that can matter.
     pub fn traverses_above(&self, floors: &[Bandwidth], scratch: &mut TraversalScratch) -> bool {
+        let floor_of = |edge: EdgeIx| {
+            floors
+                .get(edge.index())
+                .copied()
+                .unwrap_or(Bandwidth::INFINITE)
+        };
         self.index_levels(scratch);
-        (0..self.levels).any(|li| self.walk_level(li, floors, scratch))
+        (0..self.levels).any(|li| self.walk_level(li, floor_of, scratch))
     }
 
-    /// [`PathTree::traverses_above`] for a batch of cuts, each given as
-    /// `(edge, head, floor)` with `floors` holding the same floors by edge
-    /// index — same answer, less work.
-    ///
-    /// A reported path steps into `v` over `e = u → v` at level `b` only if
-    /// `v`'s own entry at `b` names `e`, and only if `v` lies on a path
-    /// pinned at `b`, i.e. `b ≤ B(s,v)`. So the cut matters at most at the
-    /// levels where an entry of `v`'s chain over `e` stands, from `v`'s own
-    /// level on, and whose bandwidth exceeds the floor. A tree whose head
-    /// chains name no cut edge there is clean without a walk, and one whose
-    /// entry at `v`'s own level names it is dirty without one (`v`'s own
-    /// path crosses `e` at `B(s,v)`, above the floor); otherwise only those
-    /// levels are walked, and a walk is exact, so the answer is the full
-    /// walk's.
-    pub(crate) fn crosses_cuts(
+    /// Where a batch of cuts, each given as `(edge, head, floor)`, can move
+    /// this tree's destinations, into `crossings`: per cut, each entry of
+    /// the head's chain over the edge, with the levels it stands at from
+    /// the head's own level on. A destination is *moved* if its reported
+    /// path crosses a cut edge at the destination's own level, above the
+    /// edge's floor, and such a path steps into `v` over `e = u → v` at
+    /// level `b` only if `v`'s own entry at `b` names `e`, and only if `v`
+    /// lies on a path pinned at `b`, i.e. `b ≤ B(s,v)`. So a crossing's
+    /// head, levels and floor are all [`PathTree::moved_by`] needs to tell
+    /// a moved destination.
+    pub(crate) fn crossings(
         &self,
         cuts: &[(EdgeIx, NodeIx, Bandwidth)],
-        floors: &[Bandwidth],
-        scratch: &mut TraversalScratch,
-    ) -> bool {
-        scratch.spans.clear();
+        crossings: &mut Vec<Crossing>,
+    ) {
+        crossings.clear();
         for &(edge, head, floor) in cuts {
             let Some(to_head) = self.dist[head.index()] else {
                 continue;
@@ -288,21 +292,54 @@ impl PathTree {
             }
             let pinned_at = self.node_level[head.index()];
             for (at, until) in self.chain(head) {
-                if at.edge != edge || until <= pinned_at {
-                    continue;
+                let from = at.level.max(pinned_at);
+                if at.edge == edge && from < until {
+                    crossings.push(Crossing {
+                        head,
+                        from,
+                        until,
+                        floor,
+                    });
                 }
-                if at.level <= pinned_at {
-                    return true; // `head`'s own path enters it over the edge, above the floor
-                }
-                scratch.spans.push((at.level, until, floor));
             }
         }
-        if scratch.spans.is_empty() {
+    }
+
+    /// [`PathTree::traverses_above`] for a batch of cuts, each given as
+    /// `(edge, head, floor)` and sorted by edge, with the floors of the
+    /// other edges infinite — same answer, less work. It leaves the tree's
+    /// [`PathTree::crossings`] in `scratch`.
+    ///
+    /// Only the levels of a crossing can matter. A tree with no crossing is
+    /// clean without a walk, and one with a crossing at its head's own
+    /// level is dirty without one (the head's own path crosses the edge
+    /// there, above the floor); otherwise only the crossings' levels are
+    /// walked, and a walk is exact, so the answer is the full walk's.
+    pub(crate) fn crosses_cuts(
+        &self,
+        cuts: &[(EdgeIx, NodeIx, Bandwidth)],
+        scratch: &mut TraversalScratch,
+    ) -> bool {
+        self.crossings(cuts, &mut scratch.crossings);
+        if scratch
+            .crossings
+            .iter()
+            .any(|c| c.from == self.node_level[c.head.index()])
+        {
+            return true;
+        }
+        if scratch.crossings.is_empty() {
             return false;
         }
+        let floor_of = |edge: EdgeIx| {
+            cuts.binary_search_by_key(&edge, |&(cut, ..)| cut)
+                .map_or(Bandwidth::INFINITE, |i| cuts[i].2)
+        };
         self.index_levels(scratch);
-        for i in 0..scratch.spans.len() {
-            let (from, until, floor) = scratch.spans[i];
+        for i in 0..scratch.crossings.len() {
+            let Crossing {
+                from, until, floor, ..
+            } = scratch.crossings[i];
             for li in from..until {
                 // Levels run widest first: once one is at or below the
                 // floor, so are the rest.
@@ -310,10 +347,36 @@ impl PathTree {
                 if self.dist[first as usize].is_none_or(|q| q.bandwidth <= floor) {
                     break;
                 }
-                if self.walk_level(li, floors, scratch) {
+                if self.walk_level(li, floor_of, scratch) {
                     return true;
                 }
             }
+        }
+        false
+    }
+
+    /// `true` if the cuts behind `crossings` (this tree's, gathered by
+    /// [`PathTree::crossings`] over any number of batches) moved `node`:
+    /// its reported path, read at its own level, passes through a
+    /// crossing's head at one of the crossing's levels, above its floor.
+    /// `O(hops × crossings)`.
+    pub(crate) fn moved_by(&self, crossings: &[Crossing], node: NodeIx) -> bool {
+        let Some(qos) = self.dist[node.index()] else {
+            return false;
+        };
+        let li = self.node_level[node.index()];
+        let mut cur = node;
+        while cur != self.source {
+            let crossed = |c: &Crossing| {
+                c.head == cur && c.from <= li && li < c.until && c.floor < qos.bandwidth
+            };
+            if crossings.iter().any(crossed) {
+                return true;
+            }
+            let Some(at) = self.version_at(cur, li) else {
+                break;
+            };
+            cur = at.pred;
         }
         false
     }
@@ -362,8 +425,13 @@ impl PathTree {
     /// Walks the paths reported at level `li` back from the nodes pinned
     /// there (through the index [`PathTree::index_levels`] left in
     /// `scratch`), each node once: `true` at the first edge crossed above
-    /// its floor.
-    fn walk_level(&self, li: u32, floors: &[Bandwidth], scratch: &mut TraversalScratch) -> bool {
+    /// its floor (`floor_of` an edge, infinite for an edge not cut).
+    fn walk_level(
+        &self,
+        li: u32,
+        floor_of: impl Fn(EdgeIx) -> Bandwidth,
+        scratch: &mut TraversalScratch,
+    ) -> bool {
         let source = self.source.index();
         let tag = scratch.tag_for(self.dist.len());
         let nodes = scratch.level_start[li as usize] as usize
@@ -378,11 +446,7 @@ impl PathTree {
                 let Some(at) = self.version_at(NodeIx::from_index(cur), li) else {
                     break;
                 };
-                let floor = floors
-                    .get(at.edge.index())
-                    .copied()
-                    .unwrap_or(Bandwidth::INFINITE);
-                if floor < level.bandwidth {
+                if floor_of(at.edge) < level.bandwidth {
                     return true;
                 }
                 cur = at.pred.index();
@@ -570,7 +634,7 @@ fn record_of(changes: &[EdgeChange], edge: EdgeIx) -> Option<&EdgeChange> {
 /// claims a fresh tag, so one allocation serves every level of every tree a
 /// patch sweep inspects — the sweep performs no per-tree (let alone
 /// per-level) allocations. The per-level index of the tree being walked
-/// and the level spans a cut walk visits live here for the same reason.
+/// and the crossings a cut walk visits live here for the same reason.
 #[derive(Debug, Default)]
 pub struct TraversalScratch {
     stamp: Vec<u32>,
@@ -579,9 +643,20 @@ pub struct TraversalScratch {
     /// `pinned[level_start[li]..level_start[li + 1]]` are pinned at `li`.
     pinned: Vec<u32>,
     level_start: Vec<u32>,
-    /// `(from, until, floor)`: levels at which a cut edge's head chain
-    /// stands over it, and the floor it was cut to.
-    spans: Vec<(u32, u32, Bandwidth)>,
+    /// What the last [`PathTree::crosses_cuts`] found.
+    pub(crate) crossings: Vec<Crossing>,
+}
+
+/// Where a cut can move a tree's destinations (see
+/// [`PathTree::crossings`]): a path pinned at a level in `from..until`,
+/// above `floor`, that passes through `head` steps into it over the cut
+/// edge.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Crossing {
+    head: NodeIx,
+    from: u32,
+    until: u32,
+    floor: Bandwidth,
 }
 
 impl TraversalScratch {
@@ -1135,20 +1210,62 @@ pub fn single_source_lexicographic<N>(g: &DiGraph<N, Qos>, source: NodeIx) -> Pa
 /// [`QosCsr`] of the graph it routes, so a successor reweights it instead of
 /// deriving its own.
 ///
-/// A slot holds its tree or is *stale*: a patch leaves every slot it
-/// invalidates empty, and the first [`AllPairs::qos`], [`AllPairs::path`]
-/// or [`AllPairs::tree`] read of a stale slot sweeps it from the table's
-/// own CSR. Concurrent first readers of one slot sweep it once and share
-/// the result; a row nobody reads is never routed.
+/// A slot is in one of three states. *Materialised*, it holds its tree.
+/// *Shadowed* — what a pure bandwidth cut leaves of a tree it invalidated —
+/// it holds the slot's last tree and where the cuts since can have moved
+/// its destinations, and [`AllPairs::qos`] and [`AllPairs::path`] answer
+/// every destination they did not move from that tree. *Stale* — what any
+/// other patch leaves of a tree it invalidated, and of a shadow — it holds
+/// nothing. A read of a stale slot, a read of a moved destination and
+/// every [`AllPairs::tree`] read of a slot that is not materialised sweep
+/// it from the table's own CSR. Concurrent first readers of one slot sweep
+/// it once and share the result; a row nobody reads, or reads only where
+/// no cut moved it, is never routed.
 #[derive(Clone, Debug)]
 pub struct AllPairs {
-    pub(crate) trees: Vec<OnceLock<Arc<PathTree>>>,
+    pub(crate) trees: Vec<Slot>,
     pub(crate) csr: Arc<QosCsr>,
 }
 
+/// One source's slot of an [`AllPairs`] table: its tree once materialised,
+/// and until then, if a pure cut left one, the shadow answering for the
+/// destinations it did not move.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct Slot {
+    pub(crate) tree: OnceLock<Arc<PathTree>>,
+    pub(crate) shadow: Option<Shadow>,
+}
+
+/// A shadowed slot's last tree, and the crossings of every cut since it
+/// was swept: a destination is moved if its reported path passes one
+/// ([`PathTree::moved_by`]). Kept as crossings, not as the moved set
+/// itself: a patch finds them from the cut heads' chains alone, where the
+/// set would take a walk of every level they cover.
+#[derive(Clone, Debug)]
+pub(crate) struct Shadow {
+    pub(crate) tree: Arc<PathTree>,
+    pub(crate) crossings: Arc<[Crossing]>,
+}
+
+impl Slot {
+    pub(crate) fn holding(tree: Arc<PathTree>) -> Self {
+        Slot {
+            tree: OnceLock::from(tree),
+            shadow: None,
+        }
+    }
+
+    pub(crate) fn shadowed(shadow: Shadow) -> Self {
+        Slot {
+            tree: OnceLock::new(),
+            shadow: Some(shadow),
+        }
+    }
+}
+
 thread_local! {
-    /// What a stale slot is swept with on first read: reads take `&self`,
-    /// so the scratch is the reading thread's, reused across its sweeps.
+    /// What a slot is swept with on first read: reads take `&self`, so the
+    /// scratch is the reading thread's, reused across its sweeps.
     pub(crate) static SWEEP_SCRATCH: RefCell<DijkstraScratch> = RefCell::new(DijkstraScratch::new());
 }
 
@@ -1156,40 +1273,70 @@ impl AllPairs {
     /// A table whose every slot holds its tree.
     pub(crate) fn swept(trees: Vec<Arc<PathTree>>, csr: Arc<QosCsr>) -> Self {
         AllPairs {
-            trees: trees.into_iter().map(OnceLock::from).collect(),
+            trees: trees.into_iter().map(Slot::holding).collect(),
             csr,
         }
     }
 
-    /// `from`'s slot, swept first if it is stale.
-    fn slot(&self, from: NodeIx) -> &Arc<PathTree> {
-        self.trees[from.index()].get_or_init(|| {
+    /// `from`'s tree, swept first if the slot does not hold it.
+    fn swept_tree(&self, from: NodeIx) -> &Arc<PathTree> {
+        self.trees[from.index()].tree.get_or_init(|| {
             SWEEP_SCRATCH
                 .with_borrow_mut(|scratch| Arc::new(single_source_csr(&self.csr, from, scratch)))
         })
     }
 
+    /// The tree that answers for `to` in `from`'s row: the slot's own, its
+    /// shadow's if no cut since moved `to`, or else the slot swept.
+    fn answering(&self, from: NodeIx, to: NodeIx) -> &PathTree {
+        let slot = &self.trees[from.index()];
+        match (slot.tree.get(), &slot.shadow) {
+            (Some(tree), _) => tree,
+            (None, Some(shadow)) if !shadow.tree.moved_by(&shadow.crossings, to) => &shadow.tree,
+            _ => self.swept_tree(from),
+        }
+    }
+
     /// The shortest-widest QoS from `from` to `to`. `None` if unreachable.
     pub fn qos(&self, from: NodeIx, to: NodeIx) -> Option<Qos> {
-        self.slot(from).qos_to(to)
+        self.answering(from, to).qos_to(to)
     }
 
     /// One shortest-widest path from `from` to `to`. `None` if unreachable.
     pub fn path(&self, from: NodeIx, to: NodeIx) -> Option<Vec<NodeIx>> {
-        self.slot(from).path_to(to)
+        self.answering(from, to).path_to(to)
     }
 
     /// The tree rooted at `from`.
     pub fn tree(&self, from: NodeIx) -> &PathTree {
-        self.slot(from)
+        self.swept_tree(from)
     }
 
-    /// How many slots hold their tree; the rest are stale until read.
+    /// How many slots hold their tree; the rest are shadowed or stale
+    /// until read.
     pub fn materialised(&self) -> usize {
         self.trees
             .iter()
-            .filter(|slot| slot.get().is_some())
+            .filter(|slot| slot.tree.get().is_some())
             .count()
+    }
+
+    /// For a shadowed slot, how many destinations the cuts since its tree
+    /// was swept have moved — the ones a read still sweeps the row for;
+    /// `None` if the slot holds its tree or is stale. `O(V × hops)`.
+    pub fn moved(&self, from: NodeIx) -> Option<usize> {
+        let slot = &self.trees[from.index()];
+        let (None, Some(shadow)) = (slot.tree.get(), &slot.shadow) else {
+            return None;
+        };
+        let moved = (0..self.len())
+            .filter(|&x| {
+                shadow
+                    .tree
+                    .moved_by(&shadow.crossings, NodeIx::from_index(x))
+            })
+            .count();
+        Some(moved)
     }
 
     /// Number of sources (== number of nodes in the routed graph).
@@ -1203,15 +1350,17 @@ impl AllPairs {
     }
 
     /// How many source trees this table shares *by pointer* with `other`
-    /// (same `Arc`, zero copies; a stale slot shares nothing). A table
-    /// patched from a predecessor shares exactly the predecessor's
+    /// (same `Arc`, zero copies; a shadowed or stale slot shares nothing).
+    /// A table patched from a predecessor shares exactly the predecessor's
     /// materialised trees the patch kept; a from-scratch rebuild shares
     /// none.
     pub fn shared_trees(&self, other: &AllPairs) -> usize {
         self.trees
             .iter()
             .zip(&other.trees)
-            .filter(|(a, b)| matches!((a.get(), b.get()), (Some(a), Some(b)) if Arc::ptr_eq(a, b)))
+            .filter(|(a, b)| {
+                matches!((a.tree.get(), b.tree.get()), (Some(a), Some(b)) if Arc::ptr_eq(a, b))
+            })
             .count()
     }
 }

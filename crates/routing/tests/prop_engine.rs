@@ -17,7 +17,12 @@
 //!   patches plan over partly stale tables: every row read, and every row
 //!   once all are forced, is the rebuild's (QoS, path and hop count), and
 //!   each patch invalidates exactly what it would on the eagerly swept
-//!   twin of the same table, restricted to the slots it had materialised.
+//!   twin of the same table, restricted to the slots it had materialised;
+//! * a lineage of mostly pure cuts with random `(row, destination)` reads
+//!   in between: every read is the rebuild's, and it sweeps its row
+//!   exactly when a cut since the row's tree moved the destination read
+//!   (its path crosses a cut link above the link's new bandwidth) or a
+//!   gain or re-timing left the row stale.
 //!
 //! Plus three structural properties: a patch shares every materialised tree
 //! it keeps with its predecessor by `Arc` pointer
@@ -144,7 +149,7 @@ fn assert_is_rebuild(
 }
 
 /// [`assert_is_rebuild`] for the rows `read` picks; the rest are not read,
-/// so a stale one stays stale.
+/// so a shadowed or stale one stays so.
 fn assert_rows_are_rebuild(
     table: &AllPairs,
     g: &DiGraph<(), Qos>,
@@ -152,23 +157,86 @@ fn assert_rows_are_rebuild(
     changes: &[EdgeChange],
 ) -> Result<(), TestCaseError> {
     let rebuilt = all_pairs(g);
+    let case = |u: NodeIx, v: NodeIx| {
+        let edges: Vec<_> = g.edges().map(|e| (e.from, e.to, *e.weight)).collect();
+        format!("{u:?}->{v:?}, graph now {edges:?}, after {changes:?}")
+    };
     for u in g.node_ids().filter(|&u| read(u)) {
+        // Every `qos` and `path` read before `tree`, which sweeps the row:
+        // a shadowed row answers its unmoved destinations from its shadow.
         for v in g.node_ids() {
-            let case = || {
-                let edges: Vec<_> = g.edges().map(|e| (e.from, e.to, *e.weight)).collect();
-                format!("{u:?}->{v:?}, graph now {edges:?}, after {changes:?}")
-            };
-            prop_assert_eq!(table.qos(u, v), rebuilt.qos(u, v), "qos {}", case());
-            prop_assert_eq!(table.path(u, v), rebuilt.path(u, v), "path {}", case());
+            prop_assert_eq!(table.qos(u, v), rebuilt.qos(u, v), "qos {}", case(u, v));
+            prop_assert_eq!(table.path(u, v), rebuilt.path(u, v), "path {}", case(u, v));
+        }
+        for v in g.node_ids() {
             prop_assert_eq!(
                 table.tree(u).hops_to(v),
                 rebuilt.tree(u).hops_to(v),
                 "hops {}",
-                case()
+                case(u, v)
             );
         }
     }
     Ok(())
+}
+
+/// Cuts each drawn link to at most the drawn bandwidth, latency untouched
+/// (a link already that narrow is left as it is), returning the change
+/// records.
+fn cut(g: &mut DiGraph<(), Qos>, cuts: &[(usize, u64)]) -> Vec<EdgeChange> {
+    let edge_ids: Vec<_> = g.edges().map(|e| e.id).collect();
+    cuts.iter()
+        .map(|&(raw, left)| {
+            let edge = edge_ids[raw % edge_ids.len()];
+            let old = *g.edge(edge);
+            let new = Qos::new(old.bandwidth.min(Bandwidth::kbps(left)), old.latency);
+            *g.edge_mut(edge) = new;
+            EdgeChange { edge, old, new }
+        })
+        .collect()
+}
+
+/// [`graph_strategy`] with one link per ordered pair at most: a path names
+/// its links by their endpoints, so a test that checks a reported path
+/// link by link needs no parallel links.
+fn simple_graph_strategy() -> impl Strategy<Value = DiGraph<(), Qos>> {
+    graph_strategy().prop_map(|g| {
+        let mut simple = DiGraph::new();
+        for _ in g.node_ids() {
+            simple.add_node(());
+        }
+        for e in g.edges() {
+            if simple.find_edge(e.from, e.to).is_none() {
+                simple.add_edge(e.from, e.to, *e.weight);
+            }
+        }
+        simple
+    })
+}
+
+/// `true` if the path `table` reports from `u` to `x` has a link `g` now
+/// carries narrower than the path's bandwidth: the destinations a pure cut
+/// moves, read off the predecessor's answers.
+fn crosses_a_cut(table: &AllPairs, g: &DiGraph<(), Qos>, u: NodeIx, x: NodeIx) -> bool {
+    let (Some(qos), Some(path)) = (table.qos(u, x), table.path(u, x)) else {
+        return false;
+    };
+    path.windows(2).any(|hop| {
+        let link = g.find_edge(hop[0], hop[1]).expect("a reported link exists");
+        g.edge(link).bandwidth < qos.bandwidth
+    })
+}
+
+/// What a row of a table holds, as far as the test can tell from outside.
+#[derive(Clone, Debug)]
+enum Row {
+    /// Its tree: no read sweeps it.
+    Materialised,
+    /// A shadow: a read of a destination marked here sweeps the row, a
+    /// read of any other does not.
+    Shadowed(Vec<bool>),
+    /// Nothing: the next read sweeps it.
+    Stale,
 }
 
 /// The coarse rules the engine's dirty plan refines: a pure bandwidth cut
@@ -308,15 +376,7 @@ proptest! {
             return Ok(());
         }
         let original = all_pairs(&g);
-        let edge_ids: Vec<_> = g.edges().map(|e| e.id).collect();
-        let mut cut = Vec::new();
-        for (raw, left) in cuts {
-            let edge = edge_ids[raw % edge_ids.len()];
-            let old = *g.edge(edge);
-            let new = Qos::new(old.bandwidth.min(Bandwidth::kbps(left)), old.latency);
-            *g.edge_mut(edge) = new;
-            cut.push(EdgeChange { edge, old, new });
-        }
+        let cut = cut(&mut g, &cuts);
         let (clamped, cut_stats) = original.patched_with(&g, &cut, 1);
         prop_assert!(!cut_stats.full_rebuild);
         assert_is_rebuild(&clamped, &g, &cut)?;
@@ -362,15 +422,7 @@ proptest! {
             table = table.patched_with(&g, &changes, 1).0;
         }
         let before = g.clone();
-        let edge_ids: Vec<_> = g.edges().map(|e| e.id).collect();
-        let mut cut = Vec::new();
-        for (raw, left) in cuts {
-            let edge = edge_ids[raw % edge_ids.len()];
-            let old = *g.edge(edge);
-            let new = Qos::new(old.bandwidth.min(Bandwidth::kbps(left)), old.latency);
-            *g.edge_mut(edge) = new;
-            cut.push(EdgeChange { edge, old, new });
-        }
+        let cut = cut(&mut g, &cuts);
         let floors: Vec<Bandwidth> = before
             .edges()
             .zip(g.edges())
@@ -439,6 +491,135 @@ proptest! {
             table = next;
             let read = |s: NodeIx| ((reads & also) >> s.index()) & 1 == 1;
             assert_rows_are_rebuild(&table, &g, read, &changes)?;
+        }
+        assert_is_rebuild(&table, &g, &[])?;
+        prop_assert_eq!(table.materialised(), table.len());
+    }
+
+    #[test]
+    fn a_cut_moves_only_the_destinations_it_crosses(
+        g in simple_graph_strategy(),
+        lineage in proptest::collection::vec(
+            (
+                0u8..4,
+                proptest::collection::vec((0usize..64, 0u64..6, 0u64..4), 1..5),
+                proptest::collection::vec((0usize..16, 0usize..16), 0..12),
+            ),
+            1..7,
+        ),
+    ) {
+        // Mostly pure cuts (kind 1–3: each drawn link cut to at most the
+        // drawn bandwidth), some mixed batches (kind 0), random `(row,
+        // destination)` reads through `qos` / `path` only in between. A
+        // model of every row, kept from the predecessor's answers alone,
+        // says which reads may sweep: a pure cut moves a destination of a
+        // materialised or shadowed row exactly when the path the row
+        // reports crosses a link now narrower than the path's bandwidth,
+        // and a mixed batch leaves no shadow. Every read must be the
+        // rebuild's, and sweep (raise `materialised()` by one) exactly
+        // when the model says it does.
+        let mut g = g;
+        if g.edge_count() == 0 {
+            return Ok(());
+        }
+        let n = g.node_count();
+        let node = NodeIx::from_index;
+        let mut table = all_pairs(&g);
+        let mut rows = vec![Row::Materialised; n];
+        for (kind, batch, reads) in &lineage {
+            let was = g.clone();
+            let changes = if *kind == 0 {
+                apply(&mut g, batch)
+            } else {
+                let cuts: Vec<(usize, u64)> = batch.iter().map(|&(raw, bw, _)| (raw, bw)).collect();
+                cut(&mut g, &cuts)
+            };
+            let pure = was.edges().zip(g.edges()).all(|(was, now)| {
+                let (was, now) = (was.weight, now.weight);
+                was == now || (now.bandwidth < was.bandwidth && now.latency == was.latency)
+            });
+            let materialised = table.materialised();
+            let (next, stats) = table.patched_with(&g, &changes, 1);
+            prop_assert_eq!(
+                table.shared_trees(&next),
+                materialised - stats.trees_recomputed
+            );
+
+            let mut invalidated = 0;
+            for (u, row) in rows.iter_mut().enumerate() {
+                let successor = match (&*row, pure) {
+                    (Row::Stale, _) | (Row::Shadowed(_), false) => Row::Stale,
+                    (Row::Materialised, false) => {
+                        // Kept, or left stale: one read of the source, which
+                        // no batch moves, sweeps at most once and tells.
+                        let before = next.materialised();
+                        next.qos(node(u), node(u));
+                        prop_assert!(next.materialised() - before <= 1);
+                        Row::Materialised
+                    }
+                    (kept, true) => {
+                        // The predecessor's answers for the destinations it
+                        // has not moved yet: read without a sweep.
+                        let before = table.materialised();
+                        let mut moved = match kept {
+                            Row::Shadowed(moved) => moved.clone(),
+                            _ => vec![false; n],
+                        };
+                        let mut grew = false;
+                        for (x, was_moved) in moved.iter_mut().enumerate() {
+                            if !*was_moved && crosses_a_cut(&table, &g, node(u), node(x)) {
+                                *was_moved = true;
+                                grew = true;
+                            }
+                        }
+                        prop_assert_eq!(
+                            table.materialised(), before,
+                            "row {} swept for destinations no cut moved", u
+                        );
+                        match kept {
+                            Row::Materialised if !grew => Row::Materialised,
+                            Row::Materialised => {
+                                invalidated += 1;
+                                Row::Shadowed(moved)
+                            }
+                            _ => Row::Shadowed(moved),
+                        }
+                    }
+                };
+                *row = successor;
+            }
+            if pure {
+                prop_assert_eq!(stats.trees_recomputed, invalidated, "after {:?}", changes);
+            }
+            table = next;
+            for (u, row) in rows.iter().enumerate() {
+                let want = match row {
+                    Row::Shadowed(moved) => Some(moved.iter().filter(|&&m| m).count()),
+                    _ => None,
+                };
+                prop_assert_eq!(table.moved(node(u)), want, "row {} after {:?}", u, changes);
+            }
+
+            let rebuilt = all_pairs(&g);
+            for &(u, x) in reads {
+                let (u, x) = (u % n, x % n);
+                let before = table.materialised();
+                prop_assert_eq!(table.qos(node(u), node(x)), rebuilt.qos(node(u), node(x)));
+                prop_assert_eq!(table.path(node(u), node(x)), rebuilt.path(node(u), node(x)));
+                let swept = table.materialised() - before;
+                let expected = match &rows[u] {
+                    Row::Materialised => 0,
+                    Row::Shadowed(moved) => usize::from(moved[x]),
+                    Row::Stale => 1,
+                };
+                prop_assert_eq!(
+                    swept, expected,
+                    "read {}->{} of {:?} after {:?}", u, x, rows[u], changes
+                );
+                if swept == 1 {
+                    rows[u] = Row::Materialised;
+                }
+            }
         }
         assert_is_rebuild(&table, &g, &[])?;
         prop_assert_eq!(table.materialised(), table.len());

@@ -1025,21 +1025,10 @@ mod tests {
         // reads those rows, so they stay stale. The next flush plans only
         // the materialised slots and leaves the stale ones stale, and the
         // table is still the clamped graph's in every row once read.
-        let unread = sflow_net::ServiceId::new(4);
         for seed in 0..4u64 {
             let snap = random_snapshot(seed);
             let raw = snap.overlay_arc();
-            let booking: Vec<(LinkId, u64)> = raw
-                .graph()
-                .edges()
-                .filter(|e| raw.instance(e.from).service == unread)
-                .filter(|e| e.weight.bandwidth != Bandwidth::INFINITE)
-                .map(|e| {
-                    let link = (raw.instance(e.from), raw.instance(e.to));
-                    (link, e.weight.bandwidth.as_kbps() / 2 + 1)
-                })
-                .collect();
-            assert!(!booking.is_empty(), "seed {seed}");
+            let booking = links_out_of(&raw, 4, seed);
             let n = snap.all_pairs().len();
 
             let open = LoadPlane::fresh(&snap).with_changes(&booking, &[], 1);
@@ -1060,6 +1049,83 @@ mod tests {
             assert_eq!(ctx.all_pairs().shared_trees(next.all_pairs()), kept);
             assert_table_matches_a_rebuild(&open, &format!("seed {seed} open"));
             assert_table_matches_a_rebuild(&released, &format!("seed {seed} released"));
+        }
+    }
+
+    #[test]
+    fn founding_flushes_shadow_what_they_cut_and_a_restore_drops_the_shadows() {
+        // Two foundings in a row, each asked for its table: every tree a
+        // flush invalidates is shadowed, and a read of a destination whose
+        // snapshot path still fits the clamped graph — one no cut moved —
+        // is answered from the shadow without a sweep. Then a release and a
+        // founding, asked once: that flush restores bandwidth, so it leaves
+        // no shadow, and a read of any row not materialised sweeps it, even
+        // of its source, which no cut moves. Each plane's table is its
+        // clamped graph's, read in full once the lineage is done.
+        for seed in 0..4u64 {
+            let snap = random_snapshot(seed);
+            let raw = snap.overlay_arc();
+            let nodes: Vec<NodeIx> = raw.graph().node_ids().collect();
+            let fits = |plane: &LoadPlane, u: NodeIx, v: NodeIx| {
+                let (Some(qos), Some(path)) =
+                    (snap.all_pairs().qos(u, v), snap.all_pairs().path(u, v))
+                else {
+                    return true;
+                };
+                let clamped = plane.clamped.graph();
+                path.windows(2).all(|hop| {
+                    let link = clamped.find_edge(hop[0], hop[1]).expect("a reported link");
+                    clamped.edge(link).bandwidth >= qos.bandwidth
+                })
+            };
+
+            let mut planes = vec![LoadPlane::fresh(&snap)];
+            for (step, booking) in [links_out_of(&raw, 4, seed), a_booking(&raw, seed)]
+                .iter()
+                .enumerate()
+            {
+                let plane = planes[step].with_changes(booking, &[], 1);
+                let (ctx, flushed) = plane.flushed_context();
+                let at = format!("seed {seed} founding {step}");
+                assert!(flushed.expect("first ask").trees_recomputed > 0, "{at}");
+                let (table, rebuilt) = (ctx.all_pairs(), ctx.overlay().all_pairs());
+                let materialised = table.materialised();
+                assert!(materialised < nodes.len(), "{at}: nothing shadowed");
+                for &u in &nodes {
+                    for &v in nodes.iter().filter(|&&v| fits(&plane, u, v)) {
+                        assert_eq!(table.qos(u, v), rebuilt.qos(u, v), "{at}: {u:?}->{v:?}");
+                        assert_eq!(table.path(u, v), rebuilt.path(u, v), "{at}: {u:?}->{v:?}");
+                    }
+                }
+                assert_eq!(
+                    table.materialised(),
+                    materialised,
+                    "{at}: an unmoved read swept"
+                );
+                planes.push(plane);
+            }
+
+            let released = planes[2].with_changes(&[], &links_out_of(&raw, 4, seed), 1);
+            let plane = released.with_changes(&links_out_of(&raw, 3, seed), &[], 1);
+            let (ctx, flushed) = plane.flushed_context();
+            flushed.expect("first ask");
+            let table = ctx.all_pairs();
+            assert!(
+                nodes.iter().all(|&u| table.moved(u).is_none()),
+                "seed {seed}"
+            );
+            for &u in &nodes {
+                table.qos(u, u);
+            }
+            assert_eq!(
+                table.materialised(),
+                nodes.len(),
+                "seed {seed}: a shadow survived"
+            );
+            planes.push(plane);
+            for (step, plane) in planes.iter().enumerate() {
+                assert_table_matches_a_rebuild(plane, &format!("seed {seed} plane {step}"));
+            }
         }
     }
 
@@ -1126,6 +1192,24 @@ mod tests {
             })
             .collect();
         assert_eq!(booking.len(), 5, "seed {seed}");
+        booking
+    }
+
+    /// Every finite link out of `service`'s instances, each booked past
+    /// half its capacity.
+    fn links_out_of(raw: &OverlayGraph, service: u32, seed: u64) -> Vec<(LinkId, u64)> {
+        let service = sflow_net::ServiceId::new(service);
+        let booking: Vec<(LinkId, u64)> = raw
+            .graph()
+            .edges()
+            .filter(|e| raw.instance(e.from).service == service)
+            .filter(|e| e.weight.bandwidth != Bandwidth::INFINITE)
+            .map(|e| {
+                let link = (raw.instance(e.from), raw.instance(e.to));
+                (link, e.weight.bandwidth.as_kbps() / 2 + 1)
+            })
+            .collect();
+        assert!(!booking.is_empty(), "seed {seed}");
         booking
     }
 
