@@ -15,6 +15,8 @@ use crate::rules::SourceFile;
 /// an anchor file is absent (synthetic test sets, partial trees).
 const PROTOCOL_RS: &str = "crates/server/src/lib.rs";
 const SERVER_RS: &str = "crates/server/src/server.rs";
+/// The session table, which answers opens, releases and repair commits.
+const SESSIONS_RS: &str = "crates/server/src/sessions.rs";
 const CLIENT_RS: &str = "crates/server/src/client.rs";
 const CLI_RS: &str = "src/bin/sflow.rs";
 
@@ -81,8 +83,8 @@ fn enum_variants(file: &SourceFile, name: &str) -> Vec<usize> {
 /// must have a server dispatch arm (`Request::V` in server.rs outside
 /// tests), a client constructor (`Request::V` in client.rs), and a CLI path
 /// (the CLI invokes the client method that builds it, or names the variant
-/// itself). Every `Response` variant must be constructed by the server and
-/// consumed by the client or the CLI. The wire surface moves in lockstep or
+/// itself). Every `Response` variant must be constructed by the server
+/// (server.rs or the session table) and consumed by the client or the CLI. The wire surface moves in lockstep or
 /// not at all. (The codec's own two arms per variant are not this rule's:
 /// encode is an exhaustive `match`, and a variant without a decode arm fails
 /// `wire_fuzz.rs`'s every-variant round trip.)
@@ -91,6 +93,7 @@ fn wire_exhaustive(files: &[SourceFile], out: &mut Vec<Finding>) {
         return;
     };
     let server = by_rel(files, SERVER_RS);
+    let sessions = by_rel(files, SESSIONS_RS);
     let client = by_rel(files, CLIENT_RS);
     let cli = by_rel(files, CLI_RS);
     let tokens = &wire.lexed.tokens;
@@ -138,7 +141,9 @@ fn wire_exhaustive(files: &[SourceFile], out: &mut Vec<Finding>) {
     for at in enum_variants(wire, "Response") {
         let v = tokens[at].text.as_str();
         let mut missing = Vec::new();
-        if !server.is_none_or(|s| has_seq(s, &["Response", "::", v])) {
+        let seq = ["Response", "::", v];
+        if !(server.is_none_or(|s| has_seq(s, &seq)) || sessions.is_some_and(|s| has_seq(s, &seq)))
+        {
             missing.push("a server construction site".to_string());
         }
         let consumed = client.is_none_or(|c| has_seq(c, &["Response", "::", v]))

@@ -5,7 +5,8 @@
 //! other files say. What a compiler, a clippy lint or a visibility boundary
 //! can check is checked there instead (`#![forbid(unsafe_code)]`, the
 //! `[workspace.lints]` table and `clippy.toml`, the private `Snap::store`,
-//! the witness `LoadCell::publish` takes, the counter table in `stats.rs`).
+//! the session table's private lock and `LoadCell::publish`, the counter
+//! table in `stats.rs`).
 //!
 //! | rule | scope | what it enforces |
 //! |---|---|---|
@@ -436,12 +437,14 @@ fn kernel_banned_at(tokens: &[Token], k: usize) -> Option<(usize, String)> {
 }
 
 /// Entry points that run a federation solve (directly, via repair, via the
-/// server's one cold-solve function or the rebalancer's re-solve), plus the
-/// solve-cache fill, admission and repair-sweep entry points (`cache_solve`,
-/// `open_session`, `plan_repairs`, `commit_repairs`), which take the cache
-/// or sessions lock internally. A lock guard live across any of these
-/// couples readers to mutators again — exactly what the snapshot
-/// architecture removed — or re-enters a lock the callee takes itself.
+/// server's one cold-solve function, the repair sweep's re-solves or the
+/// rebalancer's), plus the solve-cache fill (`cache_solve`, which takes the
+/// cache lock) and every session-table function that takes its lock
+/// (`open_session`, `release_session`, `plan_repairs`, `commit_repairs`,
+/// `tick_estimates`, `plan_migrations`, `commit_migration`). A lock guard
+/// live across any of these couples readers to mutators again — exactly
+/// what the snapshot architecture removed — or re-enters a lock the callee
+/// takes itself.
 const SOLVE_NAMES: &[&str] = &[
     "solve",
     "solve_pinned",
@@ -450,10 +453,15 @@ const SOLVE_NAMES: &[&str] = &[
     "cold_solve",
     "resolve_mover",
     "federate_against",
+    "repair_bookings",
     "cache_solve",
     "open_session",
+    "release_session",
     "plan_repairs",
     "commit_repairs",
+    "tick_estimates",
+    "plan_migrations",
+    "commit_migration",
 ];
 
 fn guard_across_solve(file: &SourceFile, out: &mut Vec<Finding>) {

@@ -391,6 +391,39 @@ fn guard_across_solve_covers_the_cache_fill_and_admission_entry_points() {
 }
 
 #[test]
+fn guard_across_solve_covers_the_session_table_entry_points() {
+    // Each function of the session table takes its lock, and the repair
+    // sweep's re-solve runs `repair` before one of them: a caller holding
+    // any guard across a call risks a deadlock or a solve under a lock.
+    for call in [
+        "let closed = release_session(shared, session);",
+        "let done = repair_bookings(shared, &snap, plan);",
+        "tick_estimates(shared);",
+        "let movers = plan_migrations(shared, epoch, &hot);",
+        "let moved = commit_migration(shared, &snap, id, flow);",
+    ] {
+        let src =
+            format!("fn f(shared: &Shared) {{\n let world = shared.world.lock();\n {call}\n}}\n");
+        let (fs, _) = scan_source("crates/server/src/server.rs", &src);
+        assert!(
+            fs.iter().any(|f| f.rule == "guard-across-solve"),
+            "{call}: {fs:?}"
+        );
+    }
+
+    // The real shape — drop the guard first — is clean, and a longer
+    // identifier ending in the name is not the entry point.
+    let src = "fn f(shared: &Shared) {\n\
+                   let world = shared.world.lock();\n\
+                   drop(world);\n\
+                   tick_estimates(shared);\n\
+                   let other = retick_estimates(shared);\n\
+               }\n";
+    let (fs, _) = scan_source("crates/server/src/rebalance.rs", src);
+    assert!(fs.iter().all(|f| f.rule != "guard-across-solve"), "{fs:?}");
+}
+
+#[test]
 fn guard_dropped_before_the_solve_is_clean() {
     let src = "fn f(shared: &Shared) {\n\
                    let world = shared.world.lock();\n\
@@ -649,6 +682,19 @@ fn wire_exhaustive_flags_each_missing_leg() {
         report.findings.iter().any(|f| f.rule == "wire-exhaustive"
             && f.message.contains("`Response::Pong`")
             && f.message.contains("server construction site")),
+        "{}",
+        report.render_human()
+    );
+
+    // …unless the session table builds it, which answers for the server.
+    let mut set = wire_set(WIRE_LIB, &server, WIRE_CLIENT, WIRE_CLI);
+    set.extend(parse_set(&[(
+        "crates/server/src/sessions.rs",
+        "fn open() -> Response {\n Response::Pong\n}\n",
+    )]));
+    let report = audit_files(&set);
+    assert!(
+        report.findings.iter().all(|f| f.rule != "wire-exhaustive"),
         "{}",
         report.render_human()
     );

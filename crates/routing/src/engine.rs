@@ -305,58 +305,6 @@ pub struct PatchStats {
     pub full_rebuild: bool,
 }
 
-/// The endpoint set of a patch's changed edges — the invalidation hook for
-/// callers that cache *path-shaped artifacts* derived from link QoS (the
-/// server's per-snapshot solve cache of federated flow graphs being the
-/// motivating one).
-///
-/// When a successor table is derived with [`AllPairs::patched_with`], any
-/// cached artifact whose recorded paths avoid every changed link is still
-/// exact in the successor epoch (fact (iii) of the dirty rules above: paths
-/// that avoid a changed edge keep their exact QoS), so it can be adopted
-/// wholesale; an artifact traversing a changed link must be dropped. This
-/// is deliberately coarser than the per-tree loss floors / certificate —
-/// a flow graph records concrete hops, not a per-level frontier, so plain
-/// traversal is the right rule.
-///
-/// No-op changes are filtered out; endpoints are sorted for binary-search
-/// membership tests.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct DirtyLinks {
-    pairs: Vec<(NodeIx, NodeIx)>,
-}
-
-impl DirtyLinks {
-    /// Collects the `(from, to)` endpoints of every effective change.
-    pub fn of<N>(g: &DiGraph<N, Qos>, changes: &[EdgeChange]) -> Self {
-        let mut pairs: Vec<(NodeIx, NodeIx)> = changes
-            .iter()
-            .filter(|c| !c.is_noop())
-            .map(|c| g.edge_endpoints(c.edge))
-            .collect();
-        pairs.sort_unstable();
-        pairs.dedup();
-        DirtyLinks { pairs }
-    }
-
-    /// `true` if no link actually changed.
-    pub fn is_empty(&self) -> bool {
-        self.pairs.is_empty()
-    }
-
-    /// `true` if the directed link `from → to` changed.
-    pub fn touches(&self, from: NodeIx, to: NodeIx) -> bool {
-        self.pairs.binary_search(&(from, to)).is_ok()
-    }
-
-    /// `true` if the node path (consecutive overlay hops) avoids every
-    /// changed link — the condition under which a cached artifact recorded
-    /// along `path` survives into the successor epoch unchanged.
-    pub fn path_is_clean(&self, path: &[NodeIx]) -> bool {
-        self.pairs.is_empty() || path.windows(2).all(|w| !self.touches(w[0], w[1]))
-    }
-}
-
 /// The number of routing workers `available_parallelism` suggests (≥ 1).
 ///
 /// The lookup is a syscall on most platforms; the answer is cached in a

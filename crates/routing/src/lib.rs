@@ -69,7 +69,7 @@ pub mod pareto;
 pub mod shortest_widest;
 
 pub use engine::{
-    all_pairs_parallel_with, auto_workers, source_trees_with, DirtyLinks, EdgeChange, PatchStats,
+    all_pairs_parallel_with, auto_workers, source_trees_with, EdgeChange, PatchStats,
 };
 pub use metrics::{Bandwidth, Latency, Qos};
 pub use shortest_widest::{

@@ -30,8 +30,8 @@
 //! * **Load plane** — a [`LoadMap`] derives per-link reserved bandwidth
 //!   from the live session table (plus a CONGA-style discounted estimator)
 //!   and is published as an immutable [`LoadPlane`] through a [`LoadCell`],
-//!   the snapshot cell's twin, whose `publish` wants a borrow of the
-//!   lock-guarded session table as its witness. Federates solve against a
+//!   the snapshot cell's twin, which only the session table can publish
+//!   to, under its lock. Federates solve against a
 //!   **residual** overlay whose link bandwidths are clamped to `capacity −
 //!   reserved` (disable with [`ServerConfig::residual`] = `false`), and a
 //!   background rebalancer sweep migrates sessions off links above a
@@ -75,14 +75,16 @@ pub mod load;
 pub mod reactor;
 mod rebalance;
 pub mod server;
+mod sessions;
 pub mod snapshot;
 pub mod stats;
 pub mod wire;
 pub mod world;
 
 pub use client::{Client, PipelinedClient};
-pub use load::{LinkId, LoadCell, LoadMap, LoadPlane};
+pub use load::{LinkId, LoadMap, LoadPlane};
 pub use server::{serve, serve_on, ServerConfig, ServerHandle};
+pub use sessions::LoadCell;
 pub use snapshot::{SolveKey, WorldSnapshot};
 pub use stats::StatsSnapshot;
 pub use wire::WireError;

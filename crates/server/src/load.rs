@@ -25,12 +25,12 @@
 //!   solve first reads their rows. Bookings no cold solve ever looks at (a
 //!   found and its dissolve, a burst of opens) are never routed, and nor
 //!   are rows no solve reads.
-//! * [`LoadCell`] — the publication cell, a twin of
+//! * [`LoadCell`](crate::LoadCell) — the publication cell, a twin of
 //!   [`Snap`](crate::world::Snap): readers clone an `Arc`, writers swap a
-//!   pointer. Publishing takes a borrow of the lock-guarded session table
-//!   as a witness, so every plane mutation in the server happens under the
-//!   sessions lock and the map can never drift from the table it mirrors
-//!   (the conservation property test in this module pins that down).
+//!   pointer. It lives with its only writer, the session table, so every
+//!   plane publication in the server happens under the sessions lock and
+//!   the map can never drift from the table it mirrors (the server's
+//!   conservation property test pins that down).
 //!
 //! Capacities of [`Bandwidth::INFINITE`] (co-location identity links) are
 //! never clamped and report zero utilization — booking traffic onto a host's
@@ -45,7 +45,6 @@ use sflow_graph::NodeIx;
 use sflow_net::{OverlayGraph, ServiceInstance};
 use sflow_routing::{AllPairs, Bandwidth, EdgeChange, PatchStats, Qos};
 
-use crate::server::Sessions;
 use crate::snapshot::WorldSnapshot;
 
 /// A service link, addressed by its stable endpoint identities (overlay node
@@ -495,69 +494,6 @@ fn clamp_link(
     Some(())
 }
 
-/// The load plane's publication cell — a twin of
-/// [`Snap`](crate::world::Snap): a load is one `Arc` clone, a publish is
-/// one pointer store.
-///
-/// **Publishing takes the session table as a witness.** `publish` wants a
-/// `&Sessions`, and the server's only `Sessions` lives inside the sessions
-/// mutex, so a writer (session open / close, the repair sweep's commit, the
-/// rebalancer) has the borrow to show only while it holds that lock:
-/// publications are ordered by it, and the ledger cannot drift from
-/// `Σ bookings.links` — which is what residual admission's "no link over
-/// capacity" rests on. Neither the witness type nor `publish` is visible
-/// outside the crate; from there a cell can only be read.
-///
-/// ```
-/// use std::sync::Arc;
-/// use sflow_core::fixtures::diamond_fixture;
-/// use sflow_server::{LoadCell, LoadPlane, World};
-///
-/// let plane = Arc::new(LoadPlane::fresh(&World::new(diamond_fixture()).snapshot()));
-/// let cell = LoadCell::new(Arc::clone(&plane));
-/// assert_eq!(cell.load().version(), plane.version());
-/// ```
-///
-/// ```compile_fail,E0624
-/// use std::sync::Arc;
-/// use sflow_core::fixtures::diamond_fixture;
-/// use sflow_server::{LoadCell, LoadPlane, World};
-///
-/// let plane = Arc::new(LoadPlane::fresh(&World::new(diamond_fixture()).snapshot()));
-/// let cell = LoadCell::new(Arc::clone(&plane));
-/// // error[E0624]: `publish` is private — and inside the crate it is an
-/// // E0061 until the caller shows the `&Sessions` it holds the lock for.
-/// cell.publish(plane);
-/// ```
-///
-/// Unlike snapshot epochs, versions restart at every rebase, so the cell
-/// does not assert monotonicity itself.
-#[derive(Debug)]
-pub struct LoadCell {
-    current: Mutex<Arc<LoadPlane>>,
-}
-
-impl LoadCell {
-    /// A cell publishing `plane` as the current load state.
-    pub fn new(plane: Arc<LoadPlane>) -> Self {
-        LoadCell {
-            current: Mutex::new(plane),
-        }
-    }
-
-    /// The current plane. Constant-time: the lock only ever guards a pointer
-    /// copy or store.
-    pub fn load(&self) -> Arc<LoadPlane> {
-        Arc::clone(&self.current.lock())
-    }
-
-    /// Publishes `next` as the current plane. `_held` is the witness: a
-    /// borrow of the session table, which only its lock's holder has.
-    pub(crate) fn publish(&self, _held: &Sessions, next: Arc<LoadPlane>) {
-        *self.current.lock() = next;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -731,17 +667,6 @@ mod tests {
             scrubbed.map().total_reserved_kbps(),
             booked.map().total_reserved_kbps()
         );
-    }
-
-    #[test]
-    fn the_cell_publishes_like_snap() {
-        let snap = snapshot();
-        let cell = LoadCell::new(Arc::new(LoadPlane::fresh(&snap)));
-        assert_eq!(cell.load().version(), 0);
-        let next = Arc::new(cell.load().decayed());
-        // A test may forge the witness; the server's only table is locked.
-        cell.publish(&Sessions::default(), next);
-        assert_eq!(cell.load().version(), 1);
     }
 
     /// What every ledger move promises, checked without asking for the

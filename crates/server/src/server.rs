@@ -33,21 +33,11 @@
 //! [`Response::Stale`] instead of opening a session solved against a world
 //! that no longer exists.
 //!
-//! The session table (`Sessions`, one mutex) is *tenants → bookings*. A
-//! `Booking` is the one owner of a reservation: the flow, the links it
-//! books in the load plane, and the request it answers. A session is a
-//! tenant id on exactly one booking — same-key federates attach to the
-//! key's booking (a shared service forest), everything else founds its own
-//! — so `LoadMap = Σ bookings.links` holds by construction. Attaching
-//! pushes an id, the last tenant out unbooks, and nobody inherits anything.
-//! The two sweeps that re-solve bookings — a mutation's repairs
-//! (`plan_repairs` / `commit_repairs`) and the rebalancer's migrations —
-//! share one shape: copy the work out under the lock, solve off-lock once
-//! per booking, commit in place under one hold, skipping bookings that
-//! dissolved meanwhile. The table is never absent, so a `Release` or a
-//! `Federate` landing mid-sweep is served as ever.
+//! Sessions live in the tenants → bookings table (`crate::sessions`), the
+//! one owner of its lock and of the load plane's publications. This module
+//! solves — federates, repairs, the rebalancer's re-solves through
+//! `cold_solve` — off every lock, and hands the table what to commit.
 
-use std::collections::BTreeMap;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -70,13 +60,16 @@ use sflow_core::{
 use sflow_routing::Bandwidth;
 use sflow_runtime::duration_us;
 
-use crate::load::{links_of, LinkId, LoadCell, LoadMap, LoadPlane};
+use crate::load::LoadPlane;
 use crate::reactor::{self, Dispatch, Reply};
 use crate::rebalance;
-use crate::snapshot::{same_flow, SolveKey, WorldSnapshot};
+use crate::sessions::{
+    commit_repairs, open_session, plan_repairs, release_session, Ask, Table, Work,
+};
+use crate::snapshot::{SolveKey, WorldSnapshot};
 use crate::stats::Metrics;
 use crate::world::{Snap, World};
-use crate::{Algorithm, FlowSummary, LinkLoad, LoadMapSummary, Request, Response};
+use crate::{Algorithm, LinkLoad, LoadMapSummary, Request, Response};
 
 /// How a [`serve`] instance is sized.
 #[derive(Clone, Copy, Debug)]
@@ -155,106 +148,6 @@ impl ServerConfig {
     }
 }
 
-/// One reservation in the load plane and everyone federated onto it: the
-/// single owner of a flow, of the links that flow books, and of what is
-/// needed to re-solve it the way it was asked for. A *tenant* is a session
-/// id in [`Booking::tenants`] and nothing more — it holds no flow and no
-/// links, so the ledger invariant reads `LoadMap = Σ bookings.links`, one
-/// term per booking, and N same-key tenants reserve their shared links once
-/// (the `max`, not the `sum`, of identical streams) by construction.
-pub(crate) struct Booking {
-    /// The solve key the tenants federated under — what makes this booking
-    /// a shared service forest later same-key federates can attach to.
-    /// `None` under `--no-solve-cache`: a private booking of one tenant.
-    pub(crate) key: Option<SolveKey>,
-    pub(crate) requirement: ServiceRequirement,
-    pub(crate) algorithm: Algorithm,
-    pub(crate) hop_limit: Option<usize>,
-    /// The snapshot epoch `flow` was solved (or last repaired) against. A
-    /// repair sweep carries over exactly the bookings at the epoch its
-    /// mutation replaced; whatever else is not current afterwards is
-    /// dropped rather than repaired across a renumbering.
-    pub(crate) epoch: u64,
-    /// The flow every tenant is served by. While the booking holds its
-    /// key's `by_key` slot this is the key's cached solve, the same `Arc`,
-    /// across repairs and migrations too ([`Sessions::rebook`]).
-    pub(crate) flow: Arc<FlowGraph>,
-    /// Exactly what is booked in the load plane for `flow` — what the last
-    /// tenant out releases.
-    pub(crate) links: Vec<(LinkId, u64)>,
-    /// Session ids, in attach order; never empty (last-out unbooks).
-    pub(crate) tenants: Vec<u64>,
-}
-
-#[derive(Default)]
-pub(crate) struct Sessions {
-    pub(crate) next_id: u64,
-    /// Session id → the booking it is a tenant of. A booking's id is its
-    /// founding session's, so ids are never reused.
-    pub(crate) tenants: BTreeMap<u64, u64>,
-    pub(crate) bookings: BTreeMap<u64, Booking>,
-    /// The booking currently accepting tenants for a key. A slot can be
-    /// superseded (a federate at a new epoch finds the slot's booking not
-    /// yet repaired into it, and founds); a superseded booking keeps
-    /// serving its tenants but accepts no new ones.
-    pub(crate) by_key: BTreeMap<SolveKey, u64>,
-}
-
-impl Sessions {
-    /// Removes a booking whole: its tenants leave the index with it, and
-    /// its `by_key` slot goes unless a superseding booking has taken it.
-    fn unbook(&mut self, id: u64) -> Option<Booking> {
-        let gone = self.bookings.remove(&id)?;
-        for tenant in &gone.tenants {
-            self.tenants.remove(tenant);
-        }
-        if let Some(key) = &gone.key {
-            if self.by_key.get(key) == Some(&id) {
-                self.by_key.remove(key);
-            }
-        }
-        Some(gone)
-    }
-
-    /// Moves booking `id` onto `flow`, booked as `links`, at `snapshot`'s
-    /// epoch: a repair's or a migration's commit, under this lock. If the
-    /// booking holds its key's `by_key` slot, the flow is filed under the
-    /// key ([`WorldSnapshot::file_solve`]) and the booking takes the cached
-    /// `Arc`, so the key's next tenant hits and attaches by pointer; a
-    /// superseded booking moves alone. `None` if the booking is gone.
-    pub(crate) fn rebook(
-        &mut self,
-        id: u64,
-        snapshot: &WorldSnapshot,
-        flow: FlowGraph,
-        links: Vec<(LinkId, u64)>,
-    ) -> Option<&Booking> {
-        let booking = self.bookings.get_mut(&id)?;
-        let flow = Arc::new(flow);
-        booking.flow = match booking.key.as_ref() {
-            Some(key) if self.by_key.get(key) == Some(&id) => snapshot.file_solve(key, flow),
-            _ => flow,
-        };
-        booking.links = links;
-        booking.epoch = snapshot.epoch();
-        Some(booking)
-    }
-
-    /// Publishes the table's census — sessions, forests (keyed bookings)
-    /// and their tenants — as the `Stats` gauges. Called wherever the table
-    /// changes shape, so the reactor answers `Stats` without this lock.
-    fn publish_census(&self, metrics: &Metrics) {
-        let (mut forests, mut tenants) = (0, 0);
-        for booking in self.bookings.values().filter(|b| b.key.is_some()) {
-            forests += 1;
-            tenants += booking.tenants.len() as u64;
-        }
-        metrics.sessions().set(self.tenants.len() as u64);
-        metrics.forests().set(forests);
-        metrics.forest_tenants().set(tenants);
-    }
-}
-
 /// State shared by every thread of one server instance.
 pub(crate) struct Shared {
     pub(crate) addr: SocketAddr,
@@ -265,20 +158,27 @@ pub(crate) struct Shared {
     /// The mutator. Only `Mutate` jobs take this lock; the read path never
     /// touches it, so mutations serialize exclusively against each other.
     pub(crate) world: Mutex<World>,
-    /// The session table: tenants → bookings. Never taken out of the lock —
-    /// repair and rebalancer sweeps copy work out, solve off-lock and commit
-    /// in place — so whoever holds the lock sees every live session.
-    pub(crate) sessions: Mutex<Sessions>,
-    /// The load plane's publication cell — reservations and the residual
-    /// overlay (its routing table is derived off-lock, on demand). Publishing
-    /// takes a `&Sessions`, which only the holder of the lock above has, so
-    /// the ledger can never drift from `Σ bookings.links`.
-    pub(crate) load: LoadCell,
+    /// The session table and the load plane it alone publishes.
+    pub(crate) table: Table,
     pub(crate) metrics: Metrics,
     pub(crate) shutdown: AtomicBool,
 }
 
 impl Shared {
+    /// One server's state over `world`, sized by `config`.
+    fn new(addr: SocketAddr, mut world: World, config: &ServerConfig) -> Self {
+        world.set_route_workers(config.route_workers);
+        Shared {
+            addr,
+            config: *config,
+            snap: world.handle(),
+            table: Table::new(&world.snapshot()),
+            world: Mutex::new(world),
+            metrics: Metrics::default(),
+            shutdown: AtomicBool::new(false),
+        }
+    }
+
     pub(crate) fn shutting_down(&self) -> bool {
         self.shutdown.load(Ordering::SeqCst)
     }
@@ -347,20 +247,9 @@ pub fn serve(world: World, config: &ServerConfig) -> io::Result<ServerHandle> {
 /// # Errors
 ///
 /// Propagates the bind failure.
-pub fn serve_on(addr: &str, mut world: World, config: &ServerConfig) -> io::Result<ServerHandle> {
+pub fn serve_on(addr: &str, world: World, config: &ServerConfig) -> io::Result<ServerHandle> {
     let listener = TcpListener::bind(addr)?;
-    world.set_route_workers(config.route_workers);
-    let load = LoadCell::new(Arc::new(LoadPlane::fresh(&world.snapshot())));
-    let shared = Arc::new(Shared {
-        addr: listener.local_addr()?,
-        config: *config,
-        snap: world.handle(),
-        world: Mutex::new(world),
-        sessions: Mutex::new(Sessions::default()),
-        load,
-        metrics: Metrics::default(),
-        shutdown: AtomicBool::new(false),
-    });
+    let shared = Arc::new(Shared::new(listener.local_addr()?, world, config));
     let (job_tx, job_rx) = bounded::<Job>(config.queue_depth.max(1));
 
     let mut workers: Vec<JoinHandle<()>> = (0..config.workers.max(1))
@@ -400,7 +289,7 @@ pub(crate) fn control_response(shared: &Shared, request: &Request) -> Option<Res
             shared
                 .metrics
                 .max_link_utilization_permille()
-                .set(shared.load.load().max_utilization_permille());
+                .set(shared.table.plane().max_utilization_permille());
             Some(Response::Stats(
                 shared.metrics.snapshot(shared.snap.epoch()),
             ))
@@ -481,7 +370,7 @@ fn execute(shared: &Shared, request: Request) -> Response {
             federate(shared, &requirement, algorithm, hop_limit)
         }
         Request::Mutate(mutation) => mutate(shared, &mutation),
-        Request::Release { session } => release(shared, session),
+        Request::Release { session } => release_session(shared, session),
         Request::Rebalance => {
             let outcome = rebalance::sweep(shared);
             Response::Rebalanced {
@@ -523,16 +412,6 @@ fn federate(
     federate_against(shared, snapshot, requirement, algorithm, hop_limit)
 }
 
-/// What one federate asked for: everything [`open_session`] needs to found
-/// a booking that can later be re-solved the way it was asked.
-struct Ask<'a> {
-    requirement: &'a ServiceRequirement,
-    algorithm: Algorithm,
-    hop_limit: Option<usize>,
-    /// `None` under `--no-solve-cache`.
-    key: Option<SolveKey>,
-}
-
 /// The epoch-pinned half of [`federate`]: serves the requirement from the
 /// snapshot's solve cache when possible (revalidating the cached flow
 /// against the live load plane), falls through to a cold solve otherwise,
@@ -546,35 +425,36 @@ fn federate_against(
     algorithm: Algorithm,
     hop_limit: Option<usize>,
 ) -> Response {
-    let ask = Ask {
-        requirement: &requirement,
+    let key = shared.config.solve_cache.then(|| SolveKey {
+        requirement: requirement.canonical_key(),
         algorithm,
         hop_limit,
-        key: shared.config.solve_cache.then(|| SolveKey {
-            requirement: requirement.canonical_key(),
-            algorithm,
-            hop_limit,
-        }),
-    };
+    });
+    let ask = Arc::new(Ask {
+        requirement,
+        algorithm,
+        hop_limit,
+        key,
+    });
     // Warm path: this snapshot holds a flow for the same key — a cold solve
-    // against it, an entry adopted across a QoS patch, or the flow a repair
-    // or migration filed for a booking. A filed entry outlives its booking
-    // until the next mutation, so a later founder may take a repaired flow
-    // rather than a fresh solve. The cached flow is exact w.r.t. topology
-    // and QoS (it lives inside the epoch) but blind to load, so
-    // `open_session` revalidates it
-    // against the live plane and, if the capacity is gone, evicts it and
-    // refuses — the request then falls through to the cold path below.
+    // against it, or the flow a repair or migration filed for a booking. A
+    // filed entry outlives its booking until the next mutation, so a later
+    // founder may take a repaired flow rather than a fresh solve. The
+    // cached flow is exact w.r.t. topology and QoS (it lives inside the
+    // epoch) but blind to load, so under residual admission the table
+    // revalidates it against the live plane and, if the capacity is gone,
+    // evicts it and refuses — the request then falls through to the cold
+    // path below.
     if let Some(key) = &ask.key {
         if let Some(flow) = snapshot.cached_solve(key) {
             match open_session(shared, &snapshot, &ask, &flow, true) {
-                OpenOutcome::Answered(response) => {
-                    if matches!(*response, Response::Federated(_)) {
+                Some(response) => {
+                    if matches!(response, Response::Federated(_)) {
                         shared.metrics.cache_hits().inc();
                     }
-                    return *response;
+                    return response;
                 }
-                OpenOutcome::Refused => shared.metrics.cache_revalidation_fails().inc(),
+                None => shared.metrics.cache_revalidation_fails().inc(),
             }
         } else {
             shared.metrics.cache_misses().inc();
@@ -587,7 +467,7 @@ fn federate_against(
     // mid-rebase after a mutation, or an empty ledger) fall back to raw
     // capacity. Either context is an immutable `Arc` bundle; no lock is
     // held across the solve.
-    let plane = shared.load.load();
+    let plane = shared.table.plane();
     let residual =
         shared.config.residual && plane.epoch() == snapshot.epoch() && !plane.map().is_empty();
     let ctx = if residual {
@@ -596,7 +476,7 @@ fn federate_against(
         snapshot.context()
     };
     drop(plane);
-    let flow = match cold_solve(shared, &snapshot, &ctx, &requirement, algorithm, hop_limit) {
+    let flow = match cold_solve(shared, &snapshot, &ctx, &ask) {
         Ok(flow) => flow,
         Err(e) => {
             if residual {
@@ -609,7 +489,7 @@ fn federate_against(
             return Response::Error(e.to_string());
         }
     };
-    audit_flow(shared, &ctx, &requirement, &flow);
+    audit_flow(shared, &ctx, &ask.requirement, &flow);
     // File the answer under its key. `cache_solve` is first-writer-wins, so
     // racing cold solves of one key converge on a single canonical flow —
     // the one `Arc` the key's booking and every later tenant share.
@@ -619,27 +499,24 @@ fn federate_against(
     };
     // A cold solve against the residual context already proved it fits;
     // no revalidation, so this open cannot be refused.
-    match open_session(shared, &snapshot, &ask, &flow, false) {
-        OpenOutcome::Answered(response) => *response,
-        OpenOutcome::Refused => Response::Error("cold open refused".into()),
-    }
+    open_session(shared, &snapshot, &ask, &flow, false)
+        .unwrap_or_else(|| Response::Error("cold open refused".into()))
 }
 
-/// The one cold solve: `requirement` under `algorithm` and `hop_limit`
-/// against `ctx`, for a federate and for a rebalancer mover alike — a
+/// The one cold solve: an ask's requirement under its algorithm and hop
+/// limit against `ctx`, for a federate and for a rebalancer mover alike — a
 /// booking is re-solved by the rules it was federated under. Takes no
 /// server lock; must not be called under one.
 pub(crate) fn cold_solve(
     shared: &Shared,
     snapshot: &WorldSnapshot,
     ctx: &FederationContext<'_>,
-    requirement: &ServiceRequirement,
-    algorithm: Algorithm,
-    hop_limit: Option<usize>,
+    ask: &Ask,
 ) -> Result<FlowGraph, FederationError> {
-    match algorithm {
+    let requirement = &ask.requirement;
+    match ask.algorithm {
         Algorithm::Sflow => {
-            let solver = match hop_limit {
+            let solver = match ask.hop_limit {
                 Some(limit) => {
                     let (matrix, built) = snapshot.hop_matrix_tracked();
                     if built {
@@ -679,161 +556,9 @@ pub(crate) fn residual_context(shared: &Shared, plane: &LoadPlane) -> OwnedFeder
     ctx
 }
 
-/// What [`open_session`] did with a candidate flow.
-enum OpenOutcome {
-    /// A definitive answer: the session opened (`Federated`), or the open
-    /// is impossible at this epoch (`Stale`, table full). Boxed so the
-    /// `Refused` arm doesn't pay `Response`'s footprint.
-    Answered(Box<Response>),
-    /// The cached flow failed load revalidation and was evicted; the caller
-    /// should fall through to a cold solve.
-    Refused,
-}
-
-/// Opens one session for `flow` under a single sessions-lock hold: epoch
-/// and capacity checks, then attach to the key's booking or found one. The
-/// one entry point both the warm (cached) and cold (fresh solve) paths
-/// funnel through, so the admission rules cannot drift apart.
-///
-/// With `revalidate`, a founding flow's full reservation must fit the live
-/// residual plane or the open is [`OpenOutcome::Refused`]. An attach is
-/// never refused: the booking it joins already reserves every shared link.
-fn open_session(
-    shared: &Shared,
-    snapshot: &WorldSnapshot,
-    ask: &Ask<'_>,
-    flow: &Arc<FlowGraph>,
-    revalidate: bool,
-) -> OpenOutcome {
-    let mut sessions = shared.sessions.lock();
-    // Epoch check under the sessions lock: repair sweeps also take it, so
-    // this decides atomically whether the session will be covered by every
-    // future sweep. If a mutation overtook the solve, the answer describes
-    // a world that no longer exists — say so instead of storing it.
-    let current_epoch = shared.snap.epoch();
-    if current_epoch != snapshot.epoch() {
-        drop(sessions);
-        shared.metrics.stale().inc();
-        return OpenOutcome::Answered(Box::new(Response::Stale {
-            solved_epoch: snapshot.epoch(),
-            current_epoch,
-        }));
-    }
-    if sessions.tenants.len() >= shared.config.max_sessions {
-        shared.metrics.failed().inc();
-        return OpenOutcome::Answered(Box::new(Response::Error("session table full".into())));
-    }
-    // Attach to the key's booking if it matches exactly — same epoch, same
-    // flow (the very `Arc` the cache handed out, unless a racer refiled the
-    // key). A booking left at another epoch, its repair not yet committed,
-    // does not match and is superseded below.
-    let attach = ask.key.as_ref().and_then(|key| {
-        let id = *sessions.by_key.get(key)?;
-        let booking = sessions.bookings.get(&id)?;
-        (booking.epoch == snapshot.epoch()
-            && (Arc::ptr_eq(&booking.flow, flow) || same_flow(&booking.flow, flow)))
-        .then_some(id)
-    });
-    let session = sessions.next_id;
-    if let Some(booking) = attach.and_then(|id| sessions.bookings.get_mut(&id)) {
-        booking.tenants.push(session);
-    } else {
-        let links = links_of(flow, snapshot.overlay());
-        let plane = shared.load.load();
-        let tracked = plane.epoch() == snapshot.epoch();
-        // A cached flow founds only if its whole reservation fits residual
-        // capacity. Skipped when residual admission is off or the plane is
-        // mid-rebase — the cold path would be equally blind there.
-        if revalidate && shared.config.residual && tracked && !plane.fits(&links) {
-            // Evict it, so the cold solve the caller falls through to can
-            // file its load-aware answer (`cache_solve` is first-writer-wins
-            // and would keep this one). Under this lock and only if still
-            // cached: no live booking's filed flow is ever the one evicted.
-            if let Some(key) = &ask.key {
-                snapshot.evict_refused(key, flow);
-            }
-            return OpenOutcome::Refused;
-        }
-        // Book, still under the sessions lock. Booking moves the ledger and
-        // re-clamps these links; the routing table over the clamp is left
-        // to whichever cold solve next asks for it. A plane at another
-        // epoch means a mutation's rebase is imminent and will account this
-        // booking from the table itself.
-        if tracked && !links.is_empty() {
-            let booked = plane.with_changes(&links, &[], shared.config.route_workers);
-            shared.load.publish(&sessions, Arc::new(booked));
-        }
-        // Take the key's slot, superseding any booking that no longer
-        // matches — its tenants keep being served, it accepts no new ones —
-        // and file the flow under the key. The cold solve or the hit that
-        // brought it has normally filed it already; this keeps the rule
-        // when a racing federate replaced or evicted the entry meanwhile.
-        let flow = match &ask.key {
-            Some(key) => {
-                sessions.by_key.insert(key.clone(), session);
-                snapshot.file_solve(key, Arc::clone(flow))
-            }
-            None => Arc::clone(flow),
-        };
-        sessions.bookings.insert(
-            session,
-            Booking {
-                key: ask.key.clone(),
-                requirement: ask.requirement.clone(),
-                algorithm: ask.algorithm,
-                hop_limit: ask.hop_limit,
-                epoch: snapshot.epoch(),
-                flow,
-                links,
-                tenants: vec![session],
-            },
-        );
-    }
-    sessions.next_id += 1;
-    sessions.tenants.insert(session, attach.unwrap_or(session));
-    sessions.publish_census(&shared.metrics);
-    shared.metrics.served().inc();
-    OpenOutcome::Answered(Box::new(Response::Federated(FlowSummary {
-        session,
-        epoch: snapshot.epoch(),
-        bandwidth_kbps: flow.quality().bandwidth.as_kbps(),
-        latency_us: flow.quality().latency.as_micros(),
-        instances: flow.instances().clone(),
-    })))
-}
-
-/// Closes one session — the other half of the session lifecycle. A tenant
-/// leaving co-tenants behind only leaves the index: the booking, its flow
-/// and its links stay where they are and the ledger does not move. The last
-/// tenant out unbooks, which is the only way load leaves the plane without
-/// a migration or a repair drop.
-fn release(shared: &Shared, session: u64) -> Response {
-    let mut sessions = shared.sessions.lock();
-    let Some(id) = sessions.tenants.remove(&session) else {
-        shared.metrics.failed().inc();
-        return Response::Error(format!("no such session {session}"));
-    };
-    let last_out = sessions.bookings.get_mut(&id).is_some_and(|booking| {
-        booking.tenants.retain(|&tenant| tenant != session);
-        booking.tenants.is_empty()
-    });
-    if let Some(gone) = last_out.then(|| sessions.unbook(id)).flatten() {
-        let plane = shared.load.load();
-        // Release against the epoch the links were booked under; across a
-        // rebase the ledger is rebuilt from the table (which no longer
-        // holds this booking), so there is nothing to subtract.
-        if !gone.links.is_empty() && plane.epoch() == gone.epoch {
-            let released = plane.with_changes(&[], &gone.links, shared.config.route_workers);
-            shared.load.publish(&sessions, Arc::new(released));
-        }
-    }
-    sessions.publish_census(&shared.metrics);
-    Response::Released { session }
-}
-
 /// Flattens the published load plane for the wire.
 fn load_map_summary(shared: &Shared) -> LoadMapSummary {
-    let plane = shared.load.load();
+    let plane = shared.table.plane();
     let links = plane
         .map()
         .iter_reserved()
@@ -905,128 +630,49 @@ fn mutate(shared: &Shared, mutation: &crate::Mutation) -> Response {
     // solve at its epoch, and any solve still in flight at `from_epoch` will
     // answer `Stale` rather than slip into the session table behind us.
     let plan = plan_repairs(shared, from_epoch);
-    commit_repairs(shared, &world.snapshot(), plan)
+    repair_bookings(shared, &world.snapshot(), plan)
 }
 
-/// One booking copied out of the session table for an off-lock re-solve.
-pub(crate) struct Repair {
-    booking: u64,
-    requirement: ServiceRequirement,
-    flow: Arc<FlowGraph>,
-}
-
-/// First half of a repair sweep: under the sessions lock, copies out every
-/// booking solved at `from_epoch`, the epoch the mutation replaced. The
-/// table itself stays where it is — sessions opened, attached or released
-/// while the repairs solve are served as ever, and the cap and `Stats` keep
-/// counting every tenant.
-pub(crate) fn plan_repairs(shared: &Shared, from_epoch: u64) -> Vec<Repair> {
-    let sessions = shared.sessions.lock();
-    sessions
-        .bookings
-        .iter()
-        .filter(|(_, booking)| booking.epoch == from_epoch)
-        .map(|(&id, booking)| Repair {
-            booking: id,
-            requirement: booking.requirement.clone(),
-            flow: Arc::clone(&booking.flow),
-        })
-        .collect()
-}
-
-/// Second half: re-solves each planned booking once against `snapshot`,
-/// pinned to its previous flow and with no lock held, then writes the
-/// survivors back in place and rebases the ledger under one sessions-lock
-/// hold. A booking whose last tenant left in between is gone and stays
-/// gone; one founded in between is already at the new epoch and is not
-/// touched; whatever else is not current afterwards — its repair failed, or
-/// an earlier sweep left it behind — is dropped with all its tenants.
-/// A survivor that still holds its key's slot files its repaired flow under
-/// the key, so the forest keeps its tenants' cache hits across the
-/// mutation. A federate that raced the sweep, while the booking was still
-/// at the old epoch, has superseded it instead; that one stays superseded.
-/// `repaired` and `dropped` count the tenants there at commit time.
-pub(crate) fn commit_repairs(
-    shared: &Shared,
-    snapshot: &WorldSnapshot,
-    plan: Vec<Repair>,
-) -> Response {
-    let epoch = snapshot.epoch();
+/// Re-solves each booking a repair sweep copied out once against
+/// `snapshot`, pinned to its previous flow and with no lock held, then has
+/// the table commit the survivors and rebase the ledger.
+fn repair_bookings(shared: &Shared, snapshot: &WorldSnapshot, plan: Vec<Work>) -> Response {
     let ctx = snapshot.context();
-    let solved: Vec<_> = plan
+    let repaired = plan
         .into_iter()
         .filter_map(|work| {
-            let flow = repair(&ctx, &work.requirement, &work.flow).ok()?.flow;
-            audit_flow(shared, &ctx, &work.requirement, &flow);
-            // The reservation over the *new* overlay: repair may have moved
-            // the flow, and the old node indices mean nothing.
-            let links = links_of(&flow, snapshot.overlay());
-            Some((work.booking, flow, links))
+            let flow = repair(&ctx, &work.ask.requirement, &work.flow).ok()?.flow;
+            audit_flow(shared, &ctx, &work.ask.requirement, &flow);
+            Some((work.booking, flow))
         })
         .collect();
-    let mut sessions = shared.sessions.lock();
-    let mut repaired = 0;
-    for (id, flow, links) in solved {
-        if let Some(booking) = sessions.rebook(id, snapshot, flow, links) {
-            repaired += booking.tenants.len();
-        }
-    }
-    let lost: Vec<u64> = sessions
-        .bookings
-        .iter()
-        .filter(|(_, booking)| booking.epoch != epoch)
-        .map(|(&id, _)| id)
-        .collect();
-    let dropped = lost
-        .into_iter()
-        .filter_map(|id| sessions.unbook(id))
-        .map(|gone| gone.tenants.len())
-        .sum();
-    sessions.publish_census(&shared.metrics);
-    // Rebase the load plane onto the new epoch from the table as it now
-    // stands — survivors plus bookings founded at the new epoch meanwhile —
-    // so it cannot drift from what is live. The estimator history is
-    // carried over: reservations are exact, estimates are memory.
-    let mut map = LoadMap::from_reservations(
-        sessions
-            .bookings
-            .values()
-            .flat_map(|booking| booking.links.iter().copied()),
-    );
-    map.adopt_estimates(shared.load.load().map());
-    let rebased = LoadPlane::rebased(snapshot, map, shared.config.route_workers);
-    shared.load.publish(&sessions, Arc::new(rebased));
-    Response::Mutated {
-        epoch,
-        repaired,
-        dropped,
-    }
+    commit_repairs(shared, snapshot, repaired)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::load::{LinkId, LoadMap};
+    use crate::sessions::Booking;
+    use crate::snapshot::same_flow;
     use crate::Mutation;
     use sflow_core::fixtures::{diamond_fixture, diamond_requirement, Fixture};
     use sflow_net::{Compatibility, Placement, ServiceId, ServiceInstance, UnderlyingNetwork};
     use sflow_routing::{Latency, Qos};
+    use std::collections::BTreeMap;
 
     /// A `Shared` with no listener behind it: enough to drive the worker
     /// entry points (`federate_against`, `mutate`) directly.
+    fn shared_over(fixture: Fixture, config: ServerConfig) -> Shared {
+        let config = ServerConfig {
+            route_workers: 1,
+            ..config
+        };
+        Shared::new("127.0.0.1:0".parse().unwrap(), World::new(fixture), &config)
+    }
+
     fn shared_over_diamond() -> Shared {
-        let mut world = World::new(diamond_fixture());
-        world.set_route_workers(1);
-        let load = LoadCell::new(Arc::new(LoadPlane::fresh(&world.snapshot())));
-        Shared {
-            addr: "127.0.0.1:0".parse().unwrap(),
-            config: ServerConfig::default(),
-            snap: world.handle(),
-            world: Mutex::new(world),
-            sessions: Mutex::new(Sessions::default()),
-            load,
-            metrics: Metrics::default(),
-            shutdown: AtomicBool::new(false),
-        }
+        shared_over(diamond_fixture(), ServerConfig::default())
     }
 
     /// Federates `requirement` against the current snapshot; the session id.
@@ -1056,8 +702,8 @@ mod tests {
 
     /// The first half of `mutate`, stopped where a test can interleave:
     /// applies `mutation` (which publishes the successor epoch) and plans
-    /// the repairs. `commit_repairs` on the returned pair finishes it.
-    fn begin_sweep(shared: &Shared, mutation: &Mutation) -> (Arc<WorldSnapshot>, Vec<Repair>) {
+    /// the repairs. `repair_bookings` on the returned pair finishes it.
+    fn begin_sweep(shared: &Shared, mutation: &Mutation) -> (Arc<WorldSnapshot>, Vec<Work>) {
         let mut world = shared.world.lock();
         let from_epoch = world.epoch();
         world.apply(mutation).unwrap();
@@ -1066,7 +712,7 @@ mod tests {
 
     /// A QoS wobble on the first link some booking reserves.
     fn wobble_a_booked_link(shared: &Shared) -> Mutation {
-        let plane = shared.load.load();
+        let plane = shared.table.plane();
         let (link, _) = plane.map().iter_reserved().next().expect("a booked link");
         Mutation::SetLinkQos {
             from: link.0,
@@ -1109,7 +755,7 @@ mod tests {
             other => panic!("expected Stale, got {other:?}"),
         }
         // No session opened; the stale counter moved; nothing was "served".
-        assert_eq!(shared.sessions.lock().tenants.len(), 0);
+        assert_eq!(shared.table.lock().tenants.len(), 0);
         let stats = shared.metrics.snapshot(shared.snap.epoch());
         assert_eq!(stats.stale, 1);
         assert_eq!(stats.served, 0);
@@ -1141,8 +787,8 @@ mod tests {
         // Mid-sweep, another key founds at epoch 1: its plane is still the
         // old epoch's, so the commit's rebase is what books it.
         let late = open(&shared, &requirement, Some(3));
-        let founded = Arc::clone(&shared.sessions.lock().bookings[&late].flow);
-        match commit_repairs(&shared, &snapshot, plan) {
+        let founded = Arc::clone(&shared.table.lock().bookings[&late].flow);
+        match repair_bookings(&shared, &snapshot, plan) {
             Response::Mutated {
                 epoch: 1,
                 repaired,
@@ -1150,7 +796,7 @@ mod tests {
             } => assert_eq!(repaired + dropped, 1, "only the epoch-0 booking was swept"),
             other => panic!("expected Mutated at epoch 1, got {other:?}"),
         }
-        let sessions = shared.sessions.lock();
+        let sessions = shared.table.lock();
         let survivor = &sessions.bookings[&late];
         assert_eq!(survivor.epoch, 1);
         assert!(Arc::ptr_eq(&survivor.flow, &founded), "not re-solved");
@@ -1164,8 +810,11 @@ mod tests {
     /// reports them.
     #[test]
     fn admission_and_stats_count_sessions_while_a_sweep_is_in_flight() {
-        let mut shared = shared_over_diamond();
-        shared.config.max_sessions = 2;
+        let config = ServerConfig {
+            max_sessions: 2,
+            ..ServerConfig::default()
+        };
+        let shared = shared_over(diamond_fixture(), config);
         let requirement = diamond_requirement();
         open(&shared, &requirement, None);
         open(&shared, &requirement, None);
@@ -1179,7 +828,7 @@ mod tests {
             Response::Error(e) => assert!(e.contains("session table full"), "got {e:?}"),
             other => panic!("expected the session cap to hold mid-sweep, got {other:?}"),
         }
-        match commit_repairs(&shared, &snapshot, plan) {
+        match repair_bookings(&shared, &snapshot, plan) {
             Response::Mutated {
                 repaired: 2,
                 dropped: 0,
@@ -1208,7 +857,7 @@ mod tests {
         // One of three co-tenants leaves; the other key's only tenant
         // leaves and its booking dissolves — against the old epoch's plane.
         for session in [shared_key[1], alone] {
-            match release(&shared, session) {
+            match release_session(&shared, session) {
                 Response::Released { session: closed } => assert_eq!(closed, session),
                 other => panic!("expected Released mid-sweep, got {other:?}"),
             }
@@ -1216,7 +865,7 @@ mod tests {
         // And a tenant arrives at the successor epoch.
         let late = open(&shared, &requirement, Some(2));
 
-        match commit_repairs(&shared, &snapshot, plan) {
+        match repair_bookings(&shared, &snapshot, plan) {
             Response::Mutated {
                 epoch: 1,
                 repaired: 2,
@@ -1227,14 +876,17 @@ mod tests {
         assert_conserved(&shared);
         let stats = shared.metrics.snapshot(1);
         assert_eq!((stats.sessions, stats.forests, stats.failed), (3, 2, 0));
-        assert!(!shared.sessions.lock().bookings.contains_key(&alone));
+        assert!(!shared.table.lock().bookings.contains_key(&alone));
         for session in [shared_key[0], shared_key[2], late] {
             assert!(matches!(
-                release(&shared, session),
+                release_session(&shared, session),
                 Response::Released { .. }
             ));
         }
-        assert!(shared.load.load().map().is_empty(), "no leaked reservation");
+        assert!(
+            shared.table.plane().map().is_empty(),
+            "no leaked reservation"
+        );
         assert_conserved(&shared);
     }
 
@@ -1251,9 +903,9 @@ mod tests {
                 open(&shared, &requirement, hop_limit);
             }
         }
-        let plane = shared.load.load();
+        let plane = shared.table.plane();
         let (link, reserved) = plane.map().iter_reserved().next().unwrap();
-        let once = shared.sessions.lock().bookings[&0].links[0].1;
+        let once = shared.table.lock().bookings[&0].links[0].1;
         assert_eq!(reserved, 3 * once, "every key books this link, once each");
         drop(plane);
         let mutation = Mutation::SetLinkQos {
@@ -1264,7 +916,7 @@ mod tests {
         };
         let (snapshot, plan) = begin_sweep(&shared, &mutation);
         assert_eq!(plan.len(), 3, "one repair per booking, not per session");
-        match commit_repairs(&shared, &snapshot, plan) {
+        match repair_bookings(&shared, &snapshot, plan) {
             Response::Mutated {
                 epoch: 1,
                 repaired: 12,
@@ -1284,14 +936,14 @@ mod tests {
     /// booking is left at an epoch the world has moved past; and the
     /// published gauges are the table's census.
     fn assert_conserved(shared: &Shared) {
-        let sessions = shared.sessions.lock();
+        let sessions = shared.table.lock();
         let expected = LoadMap::from_reservations(
             sessions
                 .bookings
                 .values()
                 .flat_map(|booking| booking.links.iter().copied()),
         );
-        let plane = shared.load.load();
+        let plane = shared.table.plane();
         let got: Vec<(LinkId, u64)> = plane.map().iter_reserved().collect();
         let want: Vec<(LinkId, u64)> = expected.iter_reserved().collect();
         assert_eq!(got, want, "ledger drifted from the bookings");
@@ -1315,7 +967,7 @@ mod tests {
         }
         let snapshot = shared.snap.load();
         for (key, id) in &sessions.by_key {
-            let owner = sessions.bookings.get(id).map(|booking| &booking.key);
+            let owner = sessions.bookings.get(id).map(|booking| &booking.ask.key);
             assert_eq!(owner, Some(&Some(key.clone())), "by_key slot → {id}");
             let cached = snapshot.cached_solve(key);
             assert!(
@@ -1323,7 +975,7 @@ mod tests {
                 "booking {id} holds its key's slot, but the key's cached solve is not its flow"
             );
         }
-        let forests = || sessions.bookings.values().filter(|b| b.key.is_some());
+        let forests = || sessions.bookings.values().filter(|b| b.ask.key.is_some());
         let stats = shared.metrics.snapshot(epoch);
         assert_eq!(
             (stats.sessions, stats.forests, stats.forest_tenants),
@@ -1385,7 +1037,7 @@ mod tests {
                 2 => {
                     // Close a random session (sometimes a bogus id).
                     let id = {
-                        let sessions = shared.sessions.lock();
+                        let sessions = shared.table.lock();
                         let n = sessions.tenants.len();
                         if n == 0 || next() % 8 == 0 {
                             u64::MAX
@@ -1394,7 +1046,7 @@ mod tests {
                             *sessions.tenants.keys().nth(skip).unwrap()
                         }
                     };
-                    let _ = release(&shared, id);
+                    let _ = release_session(&shared, id);
                 }
                 3 => {
                     let _ = rebalance::sweep(&shared);
@@ -1415,7 +1067,7 @@ mod tests {
                 }
             }
             assert_conserved(&shared);
-            let sessions = shared.sessions.lock();
+            let sessions = shared.table.lock();
             side_by_side += usize::from(sessions.bookings.len() > 1);
             shared_bookings += sessions
                 .bookings
@@ -1434,7 +1086,7 @@ mod tests {
         // infeasible, and every booking is dropped with all its tenants —
         // the rebase must scrub exactly the dead reservations, the index
         // exactly the dead sessions.
-        let live = shared.sessions.lock().tenants.len();
+        let live = shared.table.lock().tenants.len();
         assert!(live > 0, "the mix must leave sessions for the failures");
         let victim = a_victim(&shared);
         let _ = mutate(&shared, &Mutation::FailInstance { instance: victim });
@@ -1450,7 +1102,7 @@ mod tests {
             other => panic!("expected every session dropped, got {other:?}"),
         }
         assert_conserved(&shared);
-        assert!(shared.load.load().map().is_empty());
+        assert!(shared.table.plane().map().is_empty());
     }
 
     /// Two equal-width disjoint routes `h0 → {h1, h2} → h3`: migration is
@@ -1478,43 +1130,34 @@ mod tests {
         let fixture = Fixture::new(net, overlay, s[0]);
         let requirement = ServiceRequirement::from_edges([(s[0], s[1]), (s[1], s[2])]).unwrap();
 
-        let mut world = World::new(fixture);
-        world.set_route_workers(1);
-        let load = LoadCell::new(Arc::new(LoadPlane::fresh(&world.snapshot())));
-        let shared = Shared {
-            addr: "127.0.0.1:0".parse().unwrap(),
-            config: ServerConfig {
-                residual: false, // blind opens; the *rebalancer* is under test
-                solve_cache: false,
-                utilization_threshold_permille: 900,
-                route_workers: 1,
-                ..ServerConfig::default()
-            },
-            snap: world.handle(),
-            world: Mutex::new(world),
-            sessions: Mutex::new(Sessions::default()),
-            load,
-            metrics: Metrics::default(),
-            shutdown: AtomicBool::new(false),
+        let config = ServerConfig {
+            residual: false, // blind opens; the *rebalancer* is under test
+            solve_cache: false,
+            utilization_threshold_permille: 900,
+            ..ServerConfig::default()
         };
-        (shared, requirement)
+        (shared_over(fixture, config), requirement)
     }
 
     /// Every booking's links, for byte-for-byte before/after comparisons.
     fn booked_links(shared: &Shared) -> BTreeMap<u64, Vec<(LinkId, u64)>> {
-        let sessions = shared.sessions.lock();
+        let sessions = shared.table.lock();
         let links = |(&id, booking): (&u64, &Booking)| (id, booking.links.clone());
         sessions.bookings.iter().map(links).collect()
     }
 
     /// Runs one rebalancer sweep while a poller thread hammers the sessions
-    /// lock, proving no tenant is ever absent from the table mid-migration.
+    /// lock, proving no tenant is ever absent from the table mid-migration
+    /// and the table conserves at every instant the poller sees. The
+    /// published plane moves one version for the sweep's DRE tick and one
+    /// per migration: each migration is a single ledger publication.
     fn sweep_under_a_poller(shared: &Shared, tenants: usize) -> rebalance::SweepOutcome {
+        let version = shared.table.plane().version();
         let stop = AtomicBool::new(false);
-        thread::scope(|scope| {
+        let outcome = thread::scope(|scope| {
             scope.spawn(|| {
                 while !stop.load(Ordering::SeqCst) {
-                    let sessions = shared.sessions.lock();
+                    let sessions = shared.table.lock();
                     let attached: usize = sessions.bookings.values().map(|b| b.tenants.len()).sum();
                     assert_eq!(
                         (sessions.tenants.len(), attached),
@@ -1522,13 +1165,21 @@ mod tests {
                         "a migrating tenant must never be absent from the table"
                     );
                     drop(sessions);
+                    assert_conserved(shared);
                     std::hint::spin_loop();
                 }
             });
             let outcome = rebalance::sweep(shared);
             stop.store(true, Ordering::SeqCst);
             outcome
-        })
+        });
+        assert_eq!(
+            shared.table.plane().version(),
+            version + 1 + outcome.migrations as u64,
+            "one publication for the tick and one per migration"
+        );
+        assert_conserved(shared);
+        outcome
     }
 
     /// Satellite regression, the make-before-break contract: a sweep
@@ -1545,9 +1196,9 @@ mod tests {
         ];
         // Blind routing put both bookings on one route: one link pair is
         // double-booked at 2000‰, the other untouched.
-        assert_eq!(shared.load.load().max_utilization_permille(), 2000);
+        assert_eq!(shared.table.plane().max_utilization_permille(), 2000);
         let selections = |shared: &Shared| -> Vec<_> {
-            let sessions = shared.sessions.lock();
+            let sessions = shared.table.lock();
             let selection = |b: &Booking| b.flow.selection().clone();
             sessions.bookings.values().map(selection).collect()
         };
@@ -1572,7 +1223,7 @@ mod tests {
         // move can improve the world. The sweep must fail every mover and
         // leave both bookings untouched.
         let before = booked_links(&shared);
-        let outcome = rebalance::sweep(&shared);
+        let outcome = sweep_under_a_poller(&shared, 2);
         assert_eq!(outcome.migrations, 0);
         assert!(
             outcome.migration_failures >= 1,
@@ -1587,12 +1238,15 @@ mod tests {
 
         // Releasing the migrated sessions drains the ledger completely.
         for id in ids {
-            match release(&shared, id) {
+            match release_session(&shared, id) {
                 Response::Released { session } => assert_eq!(session, id),
                 other => panic!("expected Released, got {other:?}"),
             }
         }
-        assert!(shared.load.load().map().is_empty(), "no leaked reservation");
+        assert!(
+            shared.table.plane().map().is_empty(),
+            "no leaked reservation"
+        );
         assert_conserved(&shared);
     }
 
@@ -1610,11 +1264,11 @@ mod tests {
             .into_iter()
             .map(|hop_limit| open(&shared, &requirement, hop_limit))
             .collect();
-        assert_eq!(shared.load.load().max_utilization_permille(), 2000);
+        assert_eq!(shared.table.plane().max_utilization_permille(), 2000);
         let selection_of = |session: u64| {
-            let sessions = shared.sessions.lock();
+            let sessions = shared.table.lock();
             let booking = &sessions.bookings[&sessions.tenants[&session]];
-            (booking.flow.selection().clone(), booking.hop_limit)
+            (booking.flow.selection().clone(), booking.ask.hop_limit)
         };
         let stacked = selection_of(tenants[0]).0;
         assert_eq!(selection_of(tenants[2]).0, stacked);
@@ -1705,7 +1359,7 @@ mod tests {
             "one forest, three tenants"
         );
 
-        let sessions = shared.sessions.lock();
+        let sessions = shared.table.lock();
         // One booking carries the reservation for all three; the ledger
         // reserves the shared links once, not three times.
         assert_eq!(sessions.bookings.len(), 1, "one booking for the forest");
@@ -1737,12 +1391,13 @@ mod tests {
         assert_conserved(&shared);
     }
 
-    /// A cached solve survives (same arc, no re-solve) an epoch that patches
-    /// only links it avoids, and never one whose patch dirties one of its
-    /// links: there, a live booking of the key files its repaired flow in
-    /// its place, and with no booking the key starts the epoch cold.
+    /// A new epoch's solve cache starts empty and only live bookings refile
+    /// it. After a QoS patch off the cached flow's paths the key holds the
+    /// booking's repair (the same flow, but no `Arc` carried across the
+    /// epoch); after a patch on its paths, the repaired flow; and once the
+    /// last tenant is gone, a patch the flow avoids leaves the key absent.
     #[test]
-    fn qos_patches_invalidate_dirtied_cache_entries_and_keep_clean_ones() {
+    fn qos_patches_start_the_cache_empty_and_live_bookings_refile_their_keys() {
         let shared = shared_over_diamond();
         let requirement = diamond_requirement();
         let session = open(&shared, &requirement, None);
@@ -1788,44 +1443,114 @@ mod tests {
                 other => panic!("expected Mutated at epoch {epoch}, got {other:?}"),
             }
         };
+        let filed = || shared.snap.load().cached_solve(&key);
+        let booked = || Arc::clone(&shared.table.lock().bookings[&session].flow);
         let (on, off) = on_and_off(&cached);
 
-        // An off-path wobble: the entry is adopted across the epoch, and the
-        // booking's repair, equal to it, keeps it.
+        // Off the flow's paths: nothing is carried, and the live booking's
+        // repair, which reproduces the flow, files it.
         wobble(off, 77, 1);
-        let carried = shared
-            .snap
-            .load()
-            .cached_solve(&key)
-            .expect("a clean patch keeps the entry");
-        assert!(Arc::ptr_eq(&carried, &cached), "adoption shares the arc");
+        let refiled = filed().expect("the live booking refiles its key");
+        assert!(!Arc::ptr_eq(&refiled, &cached), "no entry crosses an epoch");
+        assert!(
+            same_flow(&refiled, &cached),
+            "an untouched path repairs to itself"
+        );
+        assert!(Arc::ptr_eq(&refiled, &booked()));
         assert_conserved(&shared);
 
-        // A patch on a link the flow traverses drops the entry, and the
-        // live booking's repair files its repaired flow in its place.
+        // On the flow's paths: the key holds the repaired flow.
         wobble(on, 66, 2);
-        let refiled = shared
-            .snap
-            .load()
-            .cached_solve(&key)
-            .expect("the live booking refiles its key");
-        assert!(!Arc::ptr_eq(&refiled, &cached), "the dirtied entry is gone");
-        let booking = Arc::clone(&shared.sessions.lock().bookings[&session].flow);
-        assert!(Arc::ptr_eq(&refiled, &booking), "the key holds the repair");
+        let repaired = filed().expect("the live booking refiles its key");
+        assert!(
+            Arc::ptr_eq(&repaired, &booked()),
+            "the key holds the repair"
+        );
         assert_conserved(&shared);
 
-        // With the tenant gone no booking refiles: a dirtied path drops the
-        // entry for good.
+        // With the tenant gone no booking refiles, and a patch the flow
+        // avoids carries nothing either: the key is absent.
         assert!(matches!(
-            release(&shared, session),
+            release_session(&shared, session),
             Response::Released { .. }
         ));
-        let (on, _) = on_and_off(&refiled);
-        wobble(on, 55, 3);
-        assert!(
-            shared.snap.load().cached_solve(&key).is_none(),
-            "a dirtied path drops an entry no booking holds"
+        let (_, off) = on_and_off(&repaired);
+        wobble(off, 55, 3);
+        assert!(filed().is_none(), "a released key starts the epoch cold");
+    }
+
+    /// Warm = cold across a QoS gain: a key solved and released, then a gain
+    /// on a link its flow does not use, big enough that a cold solve at the
+    /// new epoch picks another instance. The next federate of the key is
+    /// that cold solve, byte for byte — the released flow, still exact on
+    /// its own untouched paths, must not be served in its place.
+    #[test]
+    fn a_released_key_is_solved_cold_after_a_gain_it_does_not_cross() {
+        let shared = shared_over_diamond();
+        let requirement: ServiceRequirement = "0>1>3".parse().unwrap();
+        let key = SolveKey {
+            requirement: requirement.canonical_key(),
+            algorithm: Algorithm::Sflow,
+            hop_limit: None,
+        };
+        let session = open(&shared, &requirement, None);
+        let before = shared.snap.load().cached_solve(&key).unwrap();
+        assert!(matches!(
+            release_session(&shared, session),
+            Response::Released { .. }
+        ));
+
+        // Widen the link from the flow's service-1 instance to the
+        // service-3 instance it does not use.
+        let s1 = before.instances()[&ServiceId::new(1)];
+        let s3 = before.instances()[&ServiceId::new(3)];
+        let snapshot = shared.snap.load();
+        let overlay = snapshot.overlay();
+        let other = overlay
+            .graph()
+            .node_ids()
+            .map(|n| overlay.instance(n))
+            .find(|i| i.service == s3.service && *i != s3)
+            .expect("a second service-3 instance");
+        let gain = Mutation::SetLinkQos {
+            from: s1,
+            to: other,
+            bandwidth_kbps: 1_000,
+            latency_us: 1,
+        };
+        assert!(matches!(
+            mutate(&shared, &gain),
+            Response::Mutated { epoch: 1, .. }
+        ));
+        let snapshot = shared.snap.load();
+        let cold = Solver::new(&snapshot.context())
+            .solve(&requirement)
+            .unwrap();
+        assert_ne!(
+            cold.instances(),
+            before.instances(),
+            "the gain moved the answer"
         );
+
+        let hits = shared.metrics.snapshot(1).cache_hits;
+        match federate_against(
+            &shared,
+            Arc::clone(&snapshot),
+            requirement,
+            Algorithm::Sflow,
+            None,
+        ) {
+            Response::Federated(summary) => assert_eq!(&summary.instances, cold.instances()),
+            other => panic!("expected Federated, got {other:?}"),
+        }
+        assert_eq!(shared.metrics.snapshot(1).cache_hits, hits, "a miss");
+        let served = snapshot.cached_solve(&key).unwrap();
+        assert_eq!(
+            serde_json::to_string(served.as_ref()).unwrap(),
+            serde_json::to_string(&cold).unwrap(),
+            "warm = cold: the key's entry is the cold solve at the new epoch"
+        );
+        assert_conserved(&shared);
     }
 
     /// Forest lifecycle: three tenants leave in all six orders. Whoever
@@ -1847,26 +1572,27 @@ mod tests {
             for _ in 0..3 {
                 open(&shared, &requirement, None);
             }
-            let booked: Vec<(LinkId, u64)> = shared.load.load().map().iter_reserved().collect();
+            let booked: Vec<(LinkId, u64)> = shared.table.plane().map().iter_reserved().collect();
             assert!(!booked.is_empty(), "the founding booked the shared links");
 
             for leaving in &order[..2] {
-                match release(&shared, *leaving) {
+                match release_session(&shared, *leaving) {
                     Response::Released { session } => assert_eq!(session, *leaving),
                     other => panic!("expected Released, got {other:?}"),
                 }
-                let ledger: Vec<(LinkId, u64)> = shared.load.load().map().iter_reserved().collect();
+                let ledger: Vec<(LinkId, u64)> =
+                    shared.table.plane().map().iter_reserved().collect();
                 assert_eq!(ledger, booked, "{order:?}: co-tenants keep the one booking");
-                assert_eq!(shared.sessions.lock().by_key.len(), 1);
+                assert_eq!(shared.table.lock().by_key.len(), 1);
                 assert_conserved(&shared);
             }
-            match release(&shared, order[2]) {
+            match release_session(&shared, order[2]) {
                 Response::Released { session } => assert_eq!(session, order[2]),
                 other => panic!("expected Released, got {other:?}"),
             }
-            assert!(shared.load.load().map().is_empty(), "last out unbooks");
+            assert!(shared.table.plane().map().is_empty(), "last out unbooks");
             assert_conserved(&shared);
-            let sessions = shared.sessions.lock();
+            let sessions = shared.table.lock();
             assert!(sessions.bookings.is_empty() && sessions.tenants.is_empty());
             assert!(
                 sessions.by_key.is_empty(),
@@ -1895,13 +1621,13 @@ mod tests {
             Response::Federated(_) => {}
             other => panic!("expected Federated, got {other:?}"),
         }
-        assert_eq!(shared.load.load().max_utilization_permille(), 1000);
+        assert_eq!(shared.table.plane().max_utilization_permille(), 1000);
         // Take the key's slot away while keeping the booking: this is the
         // superseded-booking shape — the cached flow is still filed, but a
         // new tenant can no longer attach and must justify a reservation of
         // its own.
-        shared.sessions.lock().by_key.clear();
-        let first_selection = shared.sessions.lock().bookings[&0].flow.selection().clone();
+        shared.table.lock().by_key.clear();
+        let first_selection = shared.table.lock().bookings[&0].flow.selection().clone();
 
         match federate_against(
             &shared,
@@ -1921,7 +1647,7 @@ mod tests {
         assert_eq!(stats.cache_misses, 1, "only the first open was a miss");
         assert_eq!(stats.cache_hits, 0, "a refused hit is not a hit");
         assert_ne!(
-            *shared.sessions.lock().bookings[&1].flow.selection(),
+            *shared.table.lock().bookings[&1].flow.selection(),
             first_selection,
             "the cold re-solve steered onto the free route"
         );
@@ -1967,7 +1693,7 @@ mod tests {
         let a = found(&mut client, "0>1>2");
         assert_eq!(flushes(&mut client), (0, 0));
         assert!(
-            !shared.load.load().is_materialised(),
+            !shared.table.plane().is_materialised(),
             "A's booking routed nothing"
         );
         // Key B solves cold against A's booking: the one flush so far.
@@ -1978,7 +1704,7 @@ mod tests {
             trees <= instances,
             "a patch, not {trees} of {instances} trees"
         );
-        assert!(!shared.load.load().is_materialised(), "nor did B's");
+        assert!(!shared.table.plane().is_materialised(), "nor did B's");
 
         // Tenants come and go on both forests: no ledger move, no flush.
         let mut tenants = Vec::new();
@@ -2015,7 +1741,7 @@ mod tests {
             other => panic!("expected both forests repaired at epoch 1, got {other:?}"),
         }
         assert_eq!(flushes(&mut client), (1, trees));
-        let plane = shared.load.load();
+        let plane = shared.table.plane();
         assert_eq!(plane.epoch(), 1);
         assert!(!plane.map().is_empty() && !plane.is_materialised());
         drop(plane);
@@ -2030,7 +1756,7 @@ mod tests {
         let ledger = client.load_map().unwrap();
         assert_eq!(
             ledger.links.iter().map(|l| l.reserved_kbps).sum::<u64>(),
-            shared.load.load().map().total_reserved_kbps()
+            shared.table.plane().map().total_reserved_kbps()
         );
         for session in [a, b, c] {
             client.release(session).unwrap();

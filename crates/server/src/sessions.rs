@@ -1,0 +1,492 @@
+//! The session table — tenants → bookings — and the load plane's
+//! publication cell, whose only writer it is.
+//!
+//! A [`Booking`] owns one reservation: the flow, the links it books and the
+//! [`Ask`] it answers. A session is a tenant id on exactly one booking —
+//! same-key federates attach to the key's booking (a shared service forest),
+//! everything else founds its own — so `LoadMap = Σ bookings.links` holds by
+//! construction. This module is the table's only owner: [`Table`]'s lock
+//! and [`LoadCell`] are private fields and `LoadCell::publish` is private,
+//! so nothing outside it compiles that locks the table, reads a booking or
+//! moves the ledger. Each function here is one lock hold, each ledger move
+//! in it one publication. The two sweeps that re-solve bookings — a
+//! mutation's repairs and the rebalancer's migrations — copy [`Work`] out,
+//! re-solve off-lock (the caller's part: nothing here solves) and commit in
+//! place, skipping bookings that dissolved meanwhile; the table is never
+//! taken out of its lock, so a `Release` or a `Federate` mid-sweep is served
+//! as ever.
+
+use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
+
+use parking_lot::Mutex;
+use sflow_core::{FlowGraph, ServiceRequirement};
+
+use crate::load::{links_of, LinkId, LoadMap, LoadPlane};
+use crate::rebalance::{improves, migration_cost};
+use crate::server::Shared;
+use crate::snapshot::{same_flow, SolveKey, WorldSnapshot};
+use crate::stats::Metrics;
+use crate::{Algorithm, FlowSummary, Response};
+
+/// What one federate asked for: everything needed to solve it, and to
+/// re-solve its booking the same way. Shared by pointer between a booking
+/// and the work a sweep copies out of it.
+pub(crate) struct Ask {
+    pub(crate) requirement: ServiceRequirement,
+    pub(crate) algorithm: Algorithm,
+    pub(crate) hop_limit: Option<usize>,
+    /// What makes a booking a forest later federates can attach to; `None`
+    /// under `--no-solve-cache`, a private booking of one tenant.
+    pub(crate) key: Option<SolveKey>,
+}
+
+/// One reservation and everyone federated onto it. A tenant is a session id
+/// in `tenants` and nothing more, so N same-key tenants reserve their shared
+/// links once (the `max`, not the `sum`, of identical streams).
+pub(crate) struct Booking {
+    pub(crate) ask: Arc<Ask>,
+    /// The epoch `flow` was solved (or last repaired) against: a repair
+    /// sweep carries over exactly the bookings at the epoch its mutation
+    /// replaced and drops whatever else is not current.
+    pub(crate) epoch: u64,
+    /// While the booking holds its key's `by_key` slot, the key's cached
+    /// solve, the same `Arc` ([`Sessions::rebook`]).
+    pub(crate) flow: Arc<FlowGraph>,
+    /// Exactly what `flow` books in the load plane.
+    pub(crate) links: Vec<(LinkId, u64)>,
+    /// Session ids in attach order; never empty (last-out unbooks).
+    pub(crate) tenants: Vec<u64>,
+}
+
+#[derive(Default)]
+pub(crate) struct Sessions {
+    pub(crate) next_id: u64,
+    /// Session id → its booking's id, which is its founder's session id.
+    pub(crate) tenants: BTreeMap<u64, u64>,
+    pub(crate) bookings: BTreeMap<u64, Booking>,
+    /// The booking accepting tenants for a key. A federate at a new epoch
+    /// that finds it not yet repaired founds and takes the slot; the
+    /// superseded booking keeps its tenants but accepts no new ones.
+    pub(crate) by_key: BTreeMap<SolveKey, u64>,
+}
+
+impl Sessions {
+    /// Removes a booking whole: its tenants leave the index with it, and
+    /// its `by_key` slot goes unless a superseding booking has taken it.
+    fn unbook(&mut self, id: u64) -> Option<Booking> {
+        let gone = self.bookings.remove(&id)?;
+        for tenant in &gone.tenants {
+            self.tenants.remove(tenant);
+        }
+        if let Some(key) = &gone.ask.key {
+            if self.by_key.get(key) == Some(&id) {
+                self.by_key.remove(key);
+            }
+        }
+        Some(gone)
+    }
+
+    /// Moves booking `id` onto `flow`, booked as `links`, at `snapshot`'s
+    /// epoch — a repair's or a migration's commit. A slot holder files the
+    /// flow under its key ([`WorldSnapshot::file_solve`]) and takes the
+    /// cached `Arc`, so the key's next tenant hits and attaches by pointer.
+    /// `None` if the booking is gone.
+    fn rebook(
+        &mut self,
+        id: u64,
+        snapshot: &WorldSnapshot,
+        flow: FlowGraph,
+        links: Vec<(LinkId, u64)>,
+    ) -> Option<&Booking> {
+        let booking = self.bookings.get_mut(&id)?;
+        let flow = Arc::new(flow);
+        booking.flow = match booking.ask.key.as_ref() {
+            Some(key) if self.by_key.get(key) == Some(&id) => snapshot.file_solve(key, flow),
+            _ => flow,
+        };
+        booking.links = links;
+        booking.epoch = snapshot.epoch();
+        Some(booking)
+    }
+
+    /// Publishes the table's census — sessions, forests (keyed bookings)
+    /// and their tenants — as the `Stats` gauges. Called wherever the table
+    /// changes shape, so the reactor answers `Stats` without this lock.
+    fn publish_census(&self, metrics: &Metrics) {
+        let (mut forests, mut tenants) = (0, 0);
+        for booking in self.bookings.values().filter(|b| b.ask.key.is_some()) {
+            forests += 1;
+            tenants += booking.tenants.len() as u64;
+        }
+        metrics.sessions().set(self.tenants.len() as u64);
+        metrics.forests().set(forests);
+        metrics.forest_tenants().set(tenants);
+    }
+
+    /// Every booking at `epoch`, each with its [`Work`] copied out.
+    fn work_at(&self, epoch: u64) -> impl Iterator<Item = (&Booking, Work)> {
+        self.bookings
+            .iter()
+            .filter(move |(_, booking)| booking.epoch == epoch)
+            .map(|(&id, booking)| {
+                let work = Work {
+                    booking: id,
+                    ask: Arc::clone(&booking.ask),
+                    flow: Arc::clone(&booking.flow),
+                };
+                (booking, work)
+            })
+    }
+}
+
+/// One booking copied out for an off-lock re-solve, so the table is
+/// untouched until the commit.
+pub(crate) struct Work {
+    pub(crate) booking: u64,
+    pub(crate) ask: Arc<Ask>,
+    /// What a repair is pinned to.
+    pub(crate) flow: Arc<FlowGraph>,
+}
+
+/// The session table and the load plane it alone publishes. Both fields are
+/// private: only this module's functions lock the one or publish the other.
+pub(crate) struct Table {
+    sessions: Mutex<Sessions>,
+    load: LoadCell,
+}
+
+impl Table {
+    /// An empty table and ledger over `snapshot`'s world.
+    pub(crate) fn new(snapshot: &WorldSnapshot) -> Self {
+        Table {
+            sessions: Mutex::default(),
+            load: LoadCell::new(Arc::new(LoadPlane::fresh(snapshot))),
+        }
+    }
+
+    /// The published load plane: one `Arc` clone, never the sessions lock.
+    pub(crate) fn plane(&self) -> Arc<LoadPlane> {
+        self.load.load()
+    }
+
+    /// The table itself, locked: the one way tests read or reshape it.
+    #[cfg(test)]
+    pub(crate) fn lock(&self) -> parking_lot::MutexGuard<'_, Sessions> {
+        self.sessions.lock()
+    }
+}
+
+/// Opens one session for `flow`: the epoch and capacity checks, then an
+/// attach to the key's booking or a founding. The warm and the cold path
+/// both open here, so their admission rules cannot drift apart. With
+/// `revalidate` under residual admission, a founding's whole reservation
+/// must fit the live plane (unless it is mid-rebase, where the cold path
+/// would be as blind); `None` if it does not — the cached flow is evicted
+/// and the caller solves cold. An attach books nothing new.
+pub(crate) fn open_session(
+    shared: &Shared,
+    snapshot: &WorldSnapshot,
+    ask: &Arc<Ask>,
+    flow: &Arc<FlowGraph>,
+    revalidate: bool,
+) -> Option<Response> {
+    let table = &shared.table;
+    let mut sessions = table.sessions.lock();
+    // Under the lock repair sweeps also take: this decides atomically
+    // whether every future sweep covers the session. If a mutation overtook
+    // the solve, the answer describes a world that no longer exists.
+    let current_epoch = shared.snap.epoch();
+    if current_epoch != snapshot.epoch() {
+        shared.metrics.stale().inc();
+        return Some(Response::Stale {
+            solved_epoch: snapshot.epoch(),
+            current_epoch,
+        });
+    }
+    if sessions.tenants.len() >= shared.config.max_sessions {
+        shared.metrics.failed().inc();
+        return Some(Response::Error("session table full".into()));
+    }
+    // Attach only to a booking at this epoch with this flow (the very `Arc`
+    // the cache handed out, unless a racer refiled the key); one whose
+    // repair has not committed yet is superseded below.
+    let attach = ask.key.as_ref().and_then(|key| {
+        let id = *sessions.by_key.get(key)?;
+        let booking = sessions.bookings.get(&id)?;
+        (booking.epoch == snapshot.epoch()
+            && (Arc::ptr_eq(&booking.flow, flow) || same_flow(&booking.flow, flow)))
+        .then_some(id)
+    });
+    let session = sessions.next_id;
+    if let Some(booking) = attach.and_then(|id| sessions.bookings.get_mut(&id)) {
+        booking.tenants.push(session);
+    } else {
+        let links = links_of(flow, snapshot.overlay());
+        let plane = table.load.load();
+        let tracked = plane.epoch() == snapshot.epoch();
+        if revalidate && shared.config.residual && tracked && !plane.fits(&links) {
+            // Evicted so the cold solve can file its load-aware answer
+            // (`cache_solve` is first-writer-wins); only if still this flow,
+            // which no slot holder's can be.
+            if let Some(key) = &ask.key {
+                snapshot.evict_refused(key, flow);
+            }
+            return None;
+        }
+        // The ledger moves and these links re-clamp; routing over the clamp
+        // waits for the next cold solve. A plane at another epoch is about
+        // to be rebased from the table itself.
+        if tracked && !links.is_empty() {
+            let booked = plane.with_changes(&links, &[], shared.config.route_workers);
+            table.load.publish(&sessions, booked);
+        }
+        // Take the key's slot and file the flow under the key — normally
+        // filed already, unless a racing federate replaced or evicted it.
+        let flow = match &ask.key {
+            Some(key) => {
+                sessions.by_key.insert(key.clone(), session);
+                snapshot.file_solve(key, Arc::clone(flow))
+            }
+            None => Arc::clone(flow),
+        };
+        let booking = Booking {
+            ask: Arc::clone(ask),
+            epoch: snapshot.epoch(),
+            flow,
+            links,
+            tenants: vec![session],
+        };
+        sessions.bookings.insert(session, booking);
+    }
+    sessions.next_id += 1;
+    sessions.tenants.insert(session, attach.unwrap_or(session));
+    sessions.publish_census(&shared.metrics);
+    shared.metrics.served().inc();
+    Some(Response::Federated(FlowSummary {
+        session,
+        epoch: snapshot.epoch(),
+        bandwidth_kbps: flow.quality().bandwidth.as_kbps(),
+        latency_us: flow.quality().latency.as_micros(),
+        instances: flow.instances().clone(),
+    }))
+}
+
+/// Closes one session. Co-tenants left behind keep the booking and the
+/// ledger does not move; the last tenant out unbooks.
+pub(crate) fn release_session(shared: &Shared, session: u64) -> Response {
+    let table = &shared.table;
+    let mut sessions = table.sessions.lock();
+    let Some(id) = sessions.tenants.remove(&session) else {
+        shared.metrics.failed().inc();
+        return Response::Error(format!("no such session {session}"));
+    };
+    let last_out = sessions.bookings.get_mut(&id).is_some_and(|booking| {
+        booking.tenants.retain(|&tenant| tenant != session);
+        booking.tenants.is_empty()
+    });
+    if let Some(gone) = last_out.then(|| sessions.unbook(id)).flatten() {
+        // Across a rebase the ledger was rebuilt from the table, which no
+        // longer holds this booking: nothing to subtract.
+        let plane = table.load.load();
+        if !gone.links.is_empty() && plane.epoch() == gone.epoch {
+            let released = plane.with_changes(&[], &gone.links, shared.config.route_workers);
+            table.load.publish(&sessions, released);
+        }
+    }
+    sessions.publish_census(&shared.metrics);
+    Response::Released { session }
+}
+
+/// A repair sweep's copy-out: every booking solved at `from_epoch`, the
+/// epoch the mutation replaced.
+pub(crate) fn plan_repairs(shared: &Shared, from_epoch: u64) -> Vec<Work> {
+    let sessions = shared.table.sessions.lock();
+    sessions.work_at(from_epoch).map(|(_, work)| work).collect()
+}
+
+/// A repair sweep's commit: writes each `(booking, repaired flow)` in place
+/// and rebases the ledger onto `snapshot`. A booking gone meanwhile stays
+/// gone, one founded at the new epoch is untouched, and any other left
+/// behind — its repair failed — is dropped with all its tenants.
+/// `Mutated.repaired` / `dropped` count the tenants there at commit time.
+pub(crate) fn commit_repairs(
+    shared: &Shared,
+    snapshot: &WorldSnapshot,
+    repaired: Vec<(u64, FlowGraph)>,
+) -> Response {
+    // Links over the *new* overlay, derived before the lock.
+    let overlay = snapshot.overlay();
+    let repaired: Vec<_> = repaired
+        .into_iter()
+        .map(|(id, flow)| (id, links_of(&flow, overlay), flow))
+        .collect();
+    let table = &shared.table;
+    let mut sessions = table.sessions.lock();
+    let mut kept = 0;
+    for (id, links, flow) in repaired {
+        if let Some(booking) = sessions.rebook(id, snapshot, flow, links) {
+            kept += booking.tenants.len();
+        }
+    }
+    let lost: Vec<u64> = sessions
+        .bookings
+        .iter()
+        .filter(|(_, booking)| booking.epoch != snapshot.epoch())
+        .map(|(&id, _)| id)
+        .collect();
+    let dropped = lost
+        .into_iter()
+        .filter_map(|id| sessions.unbook(id))
+        .map(|gone| gone.tenants.len())
+        .sum();
+    sessions.publish_census(&shared.metrics);
+    // Rebuilt from what is live now, founders at the new epoch included;
+    // the estimates are memory and carry over.
+    let live = sessions
+        .bookings
+        .values()
+        .flat_map(|booking| booking.links.iter().copied());
+    let mut map = LoadMap::from_reservations(live);
+    map.adopt_estimates(table.load.load().map());
+    let rebased = LoadPlane::rebased(snapshot, map, shared.config.route_workers);
+    table.load.publish(&sessions, rebased);
+    Response::Mutated {
+        epoch: snapshot.epoch(),
+        repaired: kept,
+        dropped,
+    }
+}
+
+/// One DRE tick of the ledger's estimates.
+pub(crate) fn tick_estimates(shared: &Shared) {
+    let table = &shared.table;
+    let sessions = table.sessions.lock();
+    table.load.publish(&sessions, table.load.load().decayed());
+}
+
+/// A rebalancer sweep's copy-out: every booking at `epoch` that crosses a
+/// `hot` link, with its [`migration_cost`].
+pub(crate) fn plan_migrations(
+    shared: &Shared,
+    epoch: u64,
+    hot: &BTreeSet<LinkId>,
+) -> Vec<(u64, Work)> {
+    let sessions = shared.table.sessions.lock();
+    sessions
+        .work_at(epoch)
+        .filter_map(|(booking, work)| {
+            Some((migration_cost(hot, &booking.flow, &booking.links)?, work))
+        })
+        .collect()
+}
+
+/// Moves booking `id` onto `moved` if the move [`improves`] the plane;
+/// `false` if not, or if the booking is gone or a mutation overtook the
+/// sweep. The booking changes in place, so a reader of the table sees every
+/// tenant at every instant, and the preview — the new links booked and the
+/// old released — is published as one pointer store: make-before-break for
+/// readers off the lock.
+pub(crate) fn commit_migration(
+    shared: &Shared,
+    snapshot: &WorldSnapshot,
+    id: u64,
+    moved: FlowGraph,
+) -> bool {
+    let new_links = links_of(&moved, snapshot.overlay());
+    let table = &shared.table;
+    let mut sessions = table.sessions.lock();
+    let plane = table.load.load();
+    let Some(booking) = sessions.bookings.get(&id) else {
+        return false;
+    };
+    if plane.epoch() != snapshot.epoch() || booking.epoch != snapshot.epoch() {
+        return false;
+    }
+    let workers = shared.config.route_workers;
+    let preview = plane.with_changes(&new_links, &booking.links, workers);
+    if !improves(&plane, &preview, &booking.links, &new_links) {
+        return false;
+    }
+    table.load.publish(&sessions, preview);
+    sessions.rebook(id, snapshot, moved, new_links).is_some()
+}
+
+/// The load plane's publication cell, a twin of
+/// [`Snap`](crate::world::Snap): a load is one `Arc` clone, a publish one
+/// pointer store.
+///
+/// **Only the session table publishes.** `publish` is private to its module
+/// and wants a `&Sessions`, which a function there has to show only while
+/// it holds the table's lock: publications are ordered by it, and the
+/// ledger cannot drift from `Σ bookings.links` — what residual admission's
+/// "no link over capacity" rests on. From outside the module a cell can
+/// only be read.
+///
+/// ```
+/// use std::sync::Arc;
+/// use sflow_core::fixtures::diamond_fixture;
+/// use sflow_server::{LoadCell, LoadPlane, World};
+///
+/// let plane = Arc::new(LoadPlane::fresh(&World::new(diamond_fixture()).snapshot()));
+/// let cell = LoadCell::new(Arc::clone(&plane));
+/// assert_eq!(cell.load().version(), plane.version());
+/// ```
+///
+/// ```compile_fail,E0624
+/// use std::sync::Arc;
+/// use sflow_core::fixtures::diamond_fixture;
+/// use sflow_server::{LoadCell, LoadPlane, World};
+///
+/// let plane = Arc::new(LoadPlane::fresh(&World::new(diamond_fixture()).snapshot()));
+/// let cell = LoadCell::new(Arc::clone(&plane));
+/// // error[E0624]: `publish` is private — and inside its module it is an
+/// // E0061 until the caller shows the `&Sessions` it holds the lock for.
+/// cell.publish(plane);
+/// ```
+///
+/// Unlike snapshot epochs, versions restart at every rebase, so the cell
+/// does not assert monotonicity itself.
+#[derive(Debug)]
+pub struct LoadCell {
+    current: Mutex<Arc<LoadPlane>>,
+}
+
+impl LoadCell {
+    /// A cell publishing `plane` as the current load state.
+    pub fn new(plane: Arc<LoadPlane>) -> Self {
+        LoadCell {
+            current: Mutex::new(plane),
+        }
+    }
+
+    /// The current plane. Constant-time: the lock only ever guards a pointer
+    /// copy or store.
+    pub fn load(&self) -> Arc<LoadPlane> {
+        Arc::clone(&self.current.lock())
+    }
+
+    /// Publishes `next` as the current plane. `_held` is the witness: a
+    /// borrow of the session table, which only its lock's holder has.
+    fn publish(&self, _held: &Sessions, next: LoadPlane) {
+        *self.current.lock() = Arc::new(next);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::world::World;
+    use sflow_core::fixtures::diamond_fixture;
+
+    #[test]
+    fn the_cell_publishes_like_snap() {
+        let snap = World::new(diamond_fixture()).snapshot();
+        let cell = LoadCell::new(Arc::new(LoadPlane::fresh(&snap)));
+        assert_eq!(cell.load().version(), 0);
+        let next = cell.load().decayed();
+        // A test may forge the witness; the server's only table is locked.
+        cell.publish(&Sessions::default(), next);
+        assert_eq!(cell.load().version(), 1);
+    }
+}

@@ -27,7 +27,7 @@ use sflow_core::baseline::HopMatrix;
 use sflow_core::{CanonicalKey, FederationContext, FlowGraph, OwnedFederationContext};
 use sflow_graph::NodeIx;
 use sflow_net::{OverlayGraph, ServiceInstance};
-use sflow_routing::{AllPairs, DirtyLinks};
+use sflow_routing::AllPairs;
 
 use crate::Algorithm;
 
@@ -190,7 +190,8 @@ impl WorldSnapshot {
     }
 
     /// The cached solve for `key`, if some earlier federate against this
-    /// snapshot (or an adoption from the predecessor epoch) filled it.
+    /// snapshot filled it, or a repair or migration filed it. A new epoch's
+    /// cache starts empty: nothing is carried over from its predecessor.
     ///
     /// A hit is exact w.r.t. topology and QoS by construction — the cache
     /// lives inside one epoch — but says nothing about *load*: callers on
@@ -216,8 +217,8 @@ impl WorldSnapshot {
     /// Files `flow` under `key` for the booking that holds the key's
     /// `by_key` slot, and returns the `Arc` that booking must hold: an entry
     /// describing the same federation ([`same_flow`]) is kept, `Arc` and
-    /// all — an adoption from the predecessor epoch, or the fill the
-    /// booking was founded on — and any other entry is replaced. Unlike
+    /// all — the fill the booking was founded on, or a racing cold solve's
+    /// — and any other entry is replaced. Unlike
     /// [`WorldSnapshot::cache_solve`] the last writer wins: callers hold the
     /// sessions lock and the key's slot, so their flow is the one the key's
     /// next tenant must attach to. The cache's mutex is a leaf lock, so
@@ -258,35 +259,6 @@ impl WorldSnapshot {
     pub fn cached_solve_count(&self) -> usize {
         self.solves.lock().len()
     }
-
-    /// Pre-seeds this snapshot's solve cache from its predecessor when the
-    /// epoch step was a QoS-only patch: every entry whose flow's overlay
-    /// paths avoid all `dirty` links kept its exact QoS (the same fact the
-    /// routing dirty rules stand on), so it is adopted; entries traversing
-    /// a dirtied link are dropped cold. Returns how many entries were
-    /// adopted.
-    ///
-    /// Only sound for successors that preserve node numbering (QoS patches
-    /// do; structural rebuilds renumber and must start cold).
-    pub fn adopt_clean_solves(&self, prev: &WorldSnapshot, dirty: &DirtyLinks) -> usize {
-        let inherited: Vec<(SolveKey, Arc<FlowGraph>)> = prev
-            .solves
-            .lock()
-            .iter()
-            .filter(|(_, flow)| {
-                flow.edges()
-                    .iter()
-                    .all(|e| dirty.path_is_clean(&e.overlay_path))
-            })
-            .map(|(k, f)| (k.clone(), Arc::clone(f)))
-            .collect();
-        let adopted = inherited.len();
-        let mut mine = self.solves.lock();
-        for (key, flow) in inherited {
-            mine.entry(key).or_insert(flow);
-        }
-        adopted
-    }
 }
 
 #[cfg(test)]
@@ -294,7 +266,6 @@ mod tests {
     use super::*;
     use sflow_core::fixtures::{diamond_fixture, diamond_requirement};
     use sflow_core::Solver;
-    use sflow_routing::{Bandwidth, Latency, Qos};
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::thread;
 
@@ -384,59 +355,5 @@ mod tests {
         assert!(snap.cached_solve(&key).is_none());
         assert_eq!(snap.cached_solve_count(), 0);
         snap.evict_solve(&key); // eviction of a missing key is a no-op
-    }
-
-    /// The QoS-successor adoption rule: entries whose paths avoid every
-    /// dirtied link are carried (same arc, no re-solve); entries crossing a
-    /// dirtied link start the successor cold.
-    #[test]
-    fn adoption_keeps_clean_solves_and_drops_dirty_ones() {
-        let prev = snapshot_of_diamond();
-        let (key, req) = diamond_solve_key();
-        let flow = Solver::new(&prev.context()).solve(&req).unwrap();
-        let cached = prev.cache_solve(key.clone(), flow);
-
-        // Every overlay link the cached flow traverses.
-        let mut used: Vec<(NodeIx, NodeIx)> = cached
-            .edges()
-            .iter()
-            .flat_map(|e| e.overlay_path.windows(2).map(|w| (w[0], w[1])))
-            .collect();
-        used.sort_unstable();
-        let on_path = used[0];
-        // The diamond has two disjoint middle routes; the flow uses one, so
-        // some overlay link is untouched.
-        let graph = prev.overlay().graph();
-        let off_path = graph
-            .node_ids()
-            .flat_map(|n| graph.out_edges(n).map(|l| (l.from, l.to)))
-            .find(|pair| used.binary_search(pair).is_err())
-            .expect("the unused branch has links");
-        let squeeze = Qos::new(Bandwidth::kbps(1), Latency::from_micros(99_999));
-
-        // A patch on an unused link: the entry survives, arc and all.
-        let (overlay, change) = prev
-            .overlay()
-            .with_link_qos(off_path.0, off_path.1, squeeze)
-            .unwrap();
-        let dirty = DirtyLinks::of(overlay.graph(), std::slice::from_ref(&change));
-        let fx = diamond_fixture();
-        let clean_next =
-            WorldSnapshot::new(Arc::new(overlay), Arc::new(fx.all_pairs), fx.source, 1);
-        assert_eq!(clean_next.adopt_clean_solves(&prev, &dirty), 1);
-        let adopted = clean_next.cached_solve(&key).expect("adopted");
-        assert!(Arc::ptr_eq(&adopted, &cached));
-
-        // A patch on a traversed link: the entry is not carried.
-        let (overlay, change) = prev
-            .overlay()
-            .with_link_qos(on_path.0, on_path.1, squeeze)
-            .unwrap();
-        let dirty = DirtyLinks::of(overlay.graph(), std::slice::from_ref(&change));
-        let fx = diamond_fixture();
-        let dirty_next =
-            WorldSnapshot::new(Arc::new(overlay), Arc::new(fx.all_pairs), fx.source, 1);
-        assert_eq!(dirty_next.adopt_clean_solves(&prev, &dirty), 0);
-        assert!(dirty_next.cached_solve(&key).is_none());
     }
 }

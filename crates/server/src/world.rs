@@ -15,7 +15,7 @@ use std::time::{Duration, Instant};
 use sflow_core::fixtures::Fixture;
 use sflow_core::OwnedFederationContext;
 use sflow_net::{ServiceInstance, UnderlyingNetwork};
-use sflow_routing::{Bandwidth, DirtyLinks, Latency, Qos};
+use sflow_routing::{Bandwidth, Latency, Qos};
 
 use parking_lot::Mutex;
 
@@ -263,9 +263,6 @@ impl World {
                     trees_total: patched.trees_total as u64,
                     full_rebuild: patched.full_rebuild,
                 };
-                // QoS changes keep the node and edge numbering, so the
-                // change's endpoints are valid in the successor overlay.
-                let dirty = DirtyLinks::of(overlay.graph(), std::slice::from_ref(&change));
                 let next = WorldSnapshot::new(
                     Arc::new(overlay),
                     Arc::new(table),
@@ -277,10 +274,8 @@ impl World {
                 if let Some(matrix) = prev.cached_hop_matrix() {
                     next.adopt_hop_matrix(matrix);
                 }
-                // Cached solves whose paths avoid every dirtied link kept
-                // their exact QoS across the patch, so the successor adopts
-                // them; the rest start cold.
-                next.adopt_clean_solves(&prev, &dirty);
+                // The solve cache starts empty; the repair sweep files every
+                // live booking's flow under its key.
                 (next, stats)
             }
             Mutation::FailInstance { instance } => {

@@ -184,9 +184,9 @@ fn concurrent_clients_match_the_centralized_result() {
 /// A QoS-only mutation goes down the incremental patch path: the rebuild
 /// counters record it, and the structural hop-matrix cache stays warm
 /// (retagged to the new epoch) — only an instance failure clears it. The
-/// solve cache is stricter: a patch on a link the cached flow traverses
-/// dirties the entry, so the next federate is a solve-cache miss even
-/// though the hop matrix hits.
+/// solve cache is stricter: a new epoch's starts empty and only a live
+/// booking's repair refiles a key, so with the session released the next
+/// federate is a solve-cache miss even though the hop matrix hits.
 #[test]
 fn qos_mutations_patch_and_keep_the_hop_cache_warm() {
     // Residual routing ON (the default): each session is released before
@@ -242,8 +242,8 @@ fn qos_mutations_patch_and_keep_the_hop_cache_warm() {
 
     // The hop matrix is structural, so the QoS mutation must NOT cost a
     // rebuild: the cached matrix is retagged and the next solve hits. The
-    // solve cache, by contrast, dirtied the entry — the patched link is on
-    // the cached flow's path — so the same federate is a solve-cache miss.
+    // solve cache, by contrast, starts the epoch empty and no live booking
+    // refiled the key, so the same federate is a solve-cache miss.
     let second = match client
         .federate(DIAMOND_SPEC, Algorithm::Sflow, Some(2))
         .unwrap()
@@ -262,7 +262,7 @@ fn qos_mutations_patch_and_keep_the_hop_cache_warm() {
     assert_eq!(stats.hop_cache_hits, 1);
     assert_eq!(
         stats.cache_misses, 2,
-        "a patch on a cached path must dirty the solve cache: {stats:?}"
+        "a new epoch's solve cache starts empty: {stats:?}"
     );
     assert_eq!(stats.cache_hits, 0);
     match client.release(second.session).unwrap() {
