@@ -4,9 +4,9 @@
 //! hot path, which loop is a kernel, how long a guard lives, or what three
 //! other files say. What a compiler, a clippy lint or a visibility boundary
 //! can check is checked there instead (`#![forbid(unsafe_code)]`, the
-//! `[workspace.lints]` table and `clippy.toml`, the private `Snap::store`,
-//! the session table's private lock and `LoadCell::publish`, the counter
-//! table in `stats.rs`).
+//! `[workspace.lints]` table and `clippy.toml`, the one plane cell —
+//! `LoadCell`, published only by the session table, whose lock and
+//! `LoadCell::publish` are private — and the counter table in `stats.rs`).
 //!
 //! | rule | scope | what it enforces |
 //! |---|---|---|

@@ -7,12 +7,13 @@
 //! requests:
 //!
 //! * **Snapshot world** — the overlay, [`AllPairs`] table and topology epoch
-//!   live in an immutable [`WorldSnapshot`] ([`snapshot`]) published
-//!   through a [`Snap`] cell. `Federate` requests load the current snapshot
-//!   and solve with **no shared lock held**; mutations build the successor
-//!   copy-on-write off to the side and publish it with one pointer swap —
-//!   the cell lives with them in [`world`], and nothing else can store to
-//!   it. Mutations serialize only against each other.
+//!   live in an immutable [`WorldSnapshot`] ([`snapshot`]). The server
+//!   publishes one world: the load plane, which carries the snapshot it
+//!   indexes. `Federate` requests load it and solve with **no shared lock
+//!   held**; mutations build the successor copy-on-write off to the side
+//!   ([`world`]) and publish it as the ledger rebased onto it, under the
+//!   session table's lock, so the ledger and the world change epoch
+//!   together. Mutations serialize only against each other.
 //! * **Shared routing caches** — the [`HopMatrix`] the sFlow horizon needs
 //!   lives *inside* each snapshot (built lazily, at most once per epoch) and
 //!   is handed to every solver as an `Arc` (via [`Solver::with_hop_matrix`]);
@@ -30,8 +31,8 @@
 //! * **Load plane** — a [`LoadMap`] derives per-link reserved bandwidth
 //!   from the live session table (plus a CONGA-style discounted estimator)
 //!   and is published as an immutable [`LoadPlane`] through a [`LoadCell`],
-//!   the snapshot cell's twin, which only the session table can publish
-//!   to, under its lock. Federates solve against a
+//!   the server's one publication cell, which only the session table can
+//!   publish to, under its lock. Federates solve against a
 //!   **residual** overlay whose link bandwidths are clamped to `capacity −
 //!   reserved` (disable with [`ServerConfig::residual`] = `false`), and a
 //!   background rebalancer sweep migrates sessions off links above a
@@ -88,7 +89,7 @@ pub use sessions::LoadCell;
 pub use snapshot::{SolveKey, WorldSnapshot};
 pub use stats::StatsSnapshot;
 pub use wire::WireError;
-pub use world::{Snap, World};
+pub use world::World;
 
 /// Which federation algorithm a [`Request::Federate`] should run.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]

@@ -1,7 +1,8 @@
 //! The load plane: per-link reservation accounting and the residual-capacity
 //! routing view the server federates against.
 //!
-//! Three pieces, mirroring the snapshot world ([`crate::snapshot`]):
+//! Three pieces; the second carries the snapshot world ([`crate::snapshot`])
+//! it indexes, so the third publishes both as the server's one world:
 //!
 //! * [`LoadMap`] — per-link **reserved** bandwidth derived exactly from the
 //!   live session table (a session opening adds its bottleneck bandwidth to
@@ -12,8 +13,9 @@
 //!   view clamps with; the estimate is observability — it remembers recent
 //!   churn after the reservations are gone.
 //! * [`LoadPlane`] — one immutable publication of the load state for an
-//!   epoch: the map, the raw overlay it indexes into, and a **clamped**
-//!   overlay clone whose link bandwidths are `capacity − reserved`.
+//!   epoch: the map, the [`WorldSnapshot`] it indexes into (raw overlay,
+//!   table, source, epoch), and a **clamped** overlay clone whose link
+//!   bandwidths are `capacity − reserved`.
 //!   Deriving a successor ([`LoadPlane::with_changes`]) moves the ledger and
 //!   re-clamps the touched links; it runs no routing code. The routing table
 //!   over the clamped weights is a **derived, on-demand value**: the first
@@ -25,10 +27,11 @@
 //!   solve first reads their rows. Bookings no cold solve ever looks at (a
 //!   found and its dissolve, a burst of opens) are never routed, and nor
 //!   are rows no solve reads.
-//! * [`LoadCell`](crate::LoadCell) — the publication cell, a twin of
-//!   [`Snap`](crate::world::Snap): readers clone an `Arc`, writers swap a
-//!   pointer. It lives with its only writer, the session table, so every
-//!   plane publication in the server happens under the sessions lock and
+//! * [`LoadCell`](crate::LoadCell) — the publication cell, and the server's
+//!   only one: readers clone an `Arc` and get the ledger together with the
+//!   snapshot it indexes, writers swap a pointer. It lives with its only
+//!   writer, the session table, so every plane publication in the server —
+//!   a mutation's new epoch included — happens under the sessions lock and
 //!   the map can never drift from the table it mirrors (the server's
 //!   conservation property test pins that down).
 //!
@@ -41,7 +44,6 @@ use std::sync::{Arc, OnceLock};
 
 use parking_lot::Mutex;
 use sflow_core::{FederationContext, FlowGraph, OwnedFederationContext};
-use sflow_graph::NodeIx;
 use sflow_net::{OverlayGraph, ServiceInstance};
 use sflow_routing::{AllPairs, Bandwidth, EdgeChange, PatchStats, Qos};
 
@@ -187,17 +189,17 @@ struct Materialised {
 /// One immutable publication of the load state for a topology epoch.
 #[derive(Debug)]
 pub struct LoadPlane {
-    /// The topology epoch the plane indexes into (link → node resolution is
-    /// only valid against this epoch's overlay numbering).
-    epoch: u64,
+    /// The world the plane indexes into: its epoch, its raw overlay
+    /// (uncapped capacities; link → node resolution is only valid against
+    /// this numbering) and its source. A reader that loads the plane has
+    /// the snapshot to solve against with it.
+    snapshot: Arc<WorldSnapshot>,
     /// Monotonic per-epoch publication counter, for observability.
     version: u64,
     map: LoadMap,
-    /// The epoch's raw overlay — uncapped capacities.
-    raw: Arc<OverlayGraph>,
-    /// The residual view: the same overlay with every booked link's
-    /// bandwidth clamped to `capacity − reserved`. Shares the raw `Arc`
-    /// while nothing is booked.
+    /// The residual view: the snapshot's overlay with every booked link's
+    /// bandwidth clamped to `capacity − reserved`. Shares the snapshot's
+    /// `Arc` while nothing is booked.
     clamped: Arc<OverlayGraph>,
     /// Shortest-widest table over the clamped weights, materialised by the
     /// first [`LoadPlane::context`] that asks. Successors whose clamp is
@@ -210,14 +212,13 @@ pub struct LoadPlane {
     /// Sizes the deferred patch's rebuild, were it ever structural (`0` =
     /// auto).
     workers: usize,
-    source_node: NodeIx,
 }
 
 impl LoadPlane {
     /// The empty plane for a fresh epoch: nothing reserved, so the clamped
     /// view *is* the raw overlay and the table is shared with the snapshot
     /// by pointer — publishing a new epoch costs a few `Arc` clones.
-    pub fn fresh(snapshot: &WorldSnapshot) -> Self {
+    pub fn fresh(snapshot: &Arc<WorldSnapshot>) -> Self {
         LoadPlane::rebased(snapshot, LoadMap::default(), 0)
     }
 
@@ -227,7 +228,7 @@ impl LoadPlane {
     /// every surviving reservation is clamped into a fresh view. The
     /// epoch's table lineage starts at the snapshot's own overlay and
     /// table; `workers` sizes the patch a later [`LoadPlane::context`] pays.
-    pub fn rebased(snapshot: &WorldSnapshot, mut map: LoadMap, workers: usize) -> Self {
+    pub fn rebased(snapshot: &Arc<WorldSnapshot>, mut map: LoadMap, workers: usize) -> Self {
         let raw = snapshot.overlay_arc();
         let live: Vec<(LinkId, u64)> = map.iter_reserved().collect();
         let mut clamped = Arc::clone(&raw);
@@ -244,18 +245,16 @@ impl LoadPlane {
             OnceLock::new()
         };
         LoadPlane {
-            epoch: snapshot.epoch(),
+            snapshot: Arc::clone(snapshot),
             version: 0,
             map,
             clamped,
             table: Arc::new(table),
             last: Arc::new(Mutex::new(Materialised {
-                graph: Arc::clone(&raw),
+                graph: raw,
                 table: snapshot.all_pairs_arc(),
             })),
-            raw,
             workers,
-            source_node: snapshot.source_node(),
         }
     }
 
@@ -284,7 +283,8 @@ impl LoadPlane {
         let mut clamped = Arc::clone(&self.clamped);
         for link in touched {
             // A link absent from this epoch's overlay has no clamp to move.
-            let _ = clamp_link(&mut clamped, &self.raw, link, map.reserved_kbps(link));
+            let raw = self.snapshot.overlay();
+            let _ = clamp_link(&mut clamped, raw, link, map.reserved_kbps(link));
         }
         let table = if Arc::ptr_eq(&clamped, &self.clamped) {
             Arc::clone(&self.table)
@@ -292,15 +292,13 @@ impl LoadPlane {
             Arc::default()
         };
         LoadPlane {
-            epoch: self.epoch,
+            snapshot: Arc::clone(&self.snapshot),
             version: self.version + 1,
             map,
-            raw: Arc::clone(&self.raw),
             clamped,
             table,
             last: Arc::clone(&self.last),
             workers,
-            source_node: self.source_node,
         }
     }
 
@@ -311,21 +309,25 @@ impl LoadPlane {
         let mut map = self.map.clone();
         map.decay();
         LoadPlane {
-            epoch: self.epoch,
+            snapshot: Arc::clone(&self.snapshot),
             version: self.version + 1,
             map,
-            raw: Arc::clone(&self.raw),
             clamped: Arc::clone(&self.clamped),
             table: Arc::clone(&self.table),
             last: Arc::clone(&self.last),
             workers: self.workers,
-            source_node: self.source_node,
         }
     }
 
-    /// The topology epoch this plane indexes into.
+    /// The world this plane indexes into: what a reader of the published
+    /// plane solves against.
+    pub fn snapshot(&self) -> &Arc<WorldSnapshot> {
+        &self.snapshot
+    }
+
+    /// The topology epoch this plane indexes into — its snapshot's.
     pub fn epoch(&self) -> u64 {
-        self.epoch
+        self.snapshot.epoch()
     }
 
     /// The publication counter within this epoch.
@@ -388,7 +390,7 @@ impl LoadPlane {
         let ctx = FederationContext::from_arcs(
             Arc::clone(&self.clamped),
             Arc::clone(table),
-            self.source_node,
+            self.snapshot.source_node(),
         );
         (ctx, flushed)
     }
@@ -401,10 +403,11 @@ impl LoadPlane {
 
     /// `link`'s raw capacity, if it exists in this epoch.
     pub fn capacity(&self, link: LinkId) -> Option<Bandwidth> {
-        let from = self.raw.node_of(link.0)?;
-        let to = self.raw.node_of(link.1)?;
-        let e = self.raw.graph().find_edge(from, to)?;
-        Some(self.raw.graph().edge(e).bandwidth)
+        let raw = self.snapshot.overlay();
+        let from = raw.node_of(link.0)?;
+        let to = raw.node_of(link.1)?;
+        let e = raw.graph().find_edge(from, to)?;
+        Some(raw.graph().edge(e).bandwidth)
     }
 
     /// What is still free on `link`: `capacity − reserved`, floored at zero.
@@ -499,11 +502,14 @@ mod tests {
     use super::*;
     use sflow_core::fixtures::{diamond_fixture, diamond_requirement};
     use sflow_core::Solver;
+    use sflow_graph::NodeIx;
     use std::sync::Arc;
 
-    fn snapshot() -> WorldSnapshot {
+    fn snapshot() -> Arc<WorldSnapshot> {
         let fx = diamond_fixture();
-        WorldSnapshot::new(Arc::new(fx.overlay), Arc::new(fx.all_pairs), fx.source, 0)
+        let snapshot =
+            WorldSnapshot::new(Arc::new(fx.overlay), Arc::new(fx.all_pairs), fx.source, 0);
+        Arc::new(snapshot)
     }
 
     fn solve_on(plane: &LoadPlane) -> FlowGraph {
@@ -520,7 +526,8 @@ mod tests {
         assert!(plane.map().is_empty());
         assert_eq!(plane.max_utilization_permille(), 0);
         // Nothing booked: the clamped view is the raw overlay itself.
-        assert!(Arc::ptr_eq(&plane.raw, &plane.clamped));
+        assert!(Arc::ptr_eq(&snap.overlay_arc(), &plane.clamped));
+        assert!(Arc::ptr_eq(plane.snapshot(), &snap));
     }
 
     #[test]
@@ -713,12 +720,14 @@ mod tests {
         }
     }
 
-    fn random_snapshot(seed: u64) -> WorldSnapshot {
+    fn random_snapshot(seed: u64) -> Arc<WorldSnapshot> {
         // 15 instances on 8 hosts: co-located pairs give infinite-capacity
         // links, the rest carry 10..=1000 kbit/s.
         let services: Vec<_> = (0..5).map(sflow_net::ServiceId::new).collect();
         let fx = sflow_core::fixtures::random_fixture(8, &services, 3, None, seed);
-        WorldSnapshot::new(Arc::new(fx.overlay), Arc::new(fx.all_pairs), fx.source, 0)
+        let snapshot =
+            WorldSnapshot::new(Arc::new(fx.overlay), Arc::new(fx.all_pairs), fx.source, 0);
+        Arc::new(snapshot)
     }
 
     #[test]
@@ -773,6 +782,7 @@ mod tests {
                     let (overlay, change) = raw.with_link_qos(from, to, halved).unwrap();
                     let (table, _) = snap.all_pairs().patched_with(overlay.graph(), &[change], 1);
                     let next = WorldSnapshot::new(Arc::new(overlay), Arc::new(table), source, 1);
+                    let next = Arc::new(next);
                     raw = next.overlay_arc();
                     rebase_unasked = true;
                     LoadPlane::rebased(&next, plane.map().clone(), 1)

@@ -76,20 +76,23 @@ pub(crate) struct SweepOutcome {
 }
 
 /// Re-solves one mover against the residual view, by the algorithm and hop
-/// horizon its booking was federated under. A named entry point — not an
-/// inlined solve — so the `guard-across-solve` audit rule can police
-/// rebalancer solves by token: no lock guard may be live on any line
-/// spanning a `resolve_mover(` call.
+/// horizon its booking was federated under; the flow comes back with the
+/// snapshot it was solved against. A named entry point — not an inlined
+/// solve — so the `guard-across-solve` audit rule can police rebalancer
+/// solves by token: no lock guard may be live on any line spanning a
+/// `resolve_mover(` call.
 fn resolve_mover(
     shared: &Shared,
-    snapshot: &WorldSnapshot,
     ask: &Ask,
-) -> Result<FlowGraph, FederationError> {
+) -> Result<(Arc<WorldSnapshot>, FlowGraph), FederationError> {
     // Against the *current* plane (it moves as earlier movers in this very
-    // sweep commit). The mover's own booking is still counted — that is
-    // what pushes the new path off its hot links.
-    let ctx = residual_context(shared, &shared.table.plane());
-    cold_solve(shared, snapshot, &ctx, ask)
+    // sweep commit), whose context and hop matrix come from one snapshot.
+    // The mover's own booking is still counted — that is what pushes the
+    // new path off its hot links.
+    let plane = shared.table.plane();
+    let ctx = residual_context(shared, &plane);
+    let moved = cold_solve(shared, plane.snapshot(), &ctx, ask)?;
+    Ok((Arc::clone(plane.snapshot()), moved))
 }
 
 /// Migration cost: flow bandwidth × how many hot links the booking's paths
@@ -131,34 +134,32 @@ pub(crate) fn improves(
 /// One rebalancer sweep. Returns what it did; also publishes the
 /// post-sweep worst-link utilization into the server metrics.
 pub(crate) fn sweep(shared: &Shared) -> SweepOutcome {
-    let snapshot = shared.snap.load();
     let mut outcome = SweepOutcome::default();
 
     tick_estimates(shared);
     let plane = shared.table.plane();
     outcome.max_utilization_permille = plane.max_utilization_permille();
-    // Mid-rebase a mutation is republishing the ledger for a new epoch, and
-    // there is nothing coherent to balance against; with no hot link there
-    // is nothing to do.
+    // With no hot link there is nothing to do.
     let hot = plane.hot_links(shared.config.utilization_threshold_permille);
-    if plane.epoch() != snapshot.epoch() || hot.is_empty() {
+    drop(plane);
+    if hot.is_empty() {
         shared
             .metrics
             .max_link_utilization_permille()
             .set(outcome.max_utilization_permille);
         return outcome;
     }
-    drop(plane);
 
     // The candidates are copied out under the sessions lock; the re-solves
     // below run with no guard live.
-    let mut candidates = plan_migrations(shared, snapshot.epoch(), &hot);
+    let mut candidates = plan_migrations(shared, &hot);
     candidates.sort_by_key(|(cost, mover)| (*cost, mover.booking));
     candidates.truncate(MAX_MOVERS_PER_SWEEP);
 
     for (_, mover) in candidates {
-        let migrated = resolve_mover(shared, &snapshot, &mover.ask)
-            .is_ok_and(|moved| commit_migration(shared, &snapshot, mover.booking, moved));
+        let migrated = resolve_mover(shared, &mover.ask).is_ok_and(|(snapshot, moved)| {
+            commit_migration(shared, &snapshot, mover.booking, moved)
+        });
         if migrated {
             outcome.migrations += 1;
             shared.metrics.migrations().inc();

@@ -22,16 +22,16 @@
 //! inline on the reactor (`control_response`) so observability and
 //! operability survive overload.
 //!
-//! Locking: there is none on the solve path. `Federate` loads the current
-//! [`WorldSnapshot`] from the [`Snap`] cell
-//! (an `Arc` clone) and solves against that immutable epoch with zero shared
-//! locks held; the per-epoch hop matrix lives inside the snapshot and is
-//! built at most once however many solvers race on it. `Mutate` serializes
-//! against other mutations on the world mutex, assembles the successor
-//! snapshot off to the side, publishes it with one pointer swap and then
-//! repairs the bookings. A solve overtaken by a mutation is answered
-//! [`Response::Stale`] instead of opening a session solved against a world
-//! that no longer exists.
+//! Locking: there is none on the solve path. `Federate` loads the published
+//! load plane (an `Arc` clone), which carries the [`WorldSnapshot`] it
+//! indexes, and solves against that immutable epoch with zero shared locks
+//! held; the per-epoch hop matrix lives inside the snapshot and is built at
+//! most once however many solvers race on it. `Mutate` serializes against
+//! other mutations on the world mutex, assembles the successor snapshot off
+//! to the side, publishes it as the ledger rebased onto it in the repair
+//! copy-out, and then repairs the bookings. A solve overtaken by a mutation
+//! is answered [`Response::Stale`] instead of opening a session solved
+//! against a world that no longer exists.
 //!
 //! Sessions live in the tenants → bookings table (`crate::sessions`), the
 //! one owner of its lock and of the load plane's publications. This module
@@ -68,7 +68,7 @@ use crate::sessions::{
 };
 use crate::snapshot::{SolveKey, WorldSnapshot};
 use crate::stats::Metrics;
-use crate::world::{Snap, World};
+use crate::world::World;
 use crate::{Algorithm, LinkLoad, LoadMapSummary, Request, Response};
 
 /// How a [`serve`] instance is sized.
@@ -152,13 +152,11 @@ impl ServerConfig {
 pub(crate) struct Shared {
     pub(crate) addr: SocketAddr,
     pub(crate) config: ServerConfig,
-    /// The publication cell readers load snapshots from. Never held — a
-    /// load is one `Arc` clone and the solve runs against the clone.
-    pub(crate) snap: Arc<Snap>,
     /// The mutator. Only `Mutate` jobs take this lock; the read path never
     /// touches it, so mutations serialize exclusively against each other.
     pub(crate) world: Mutex<World>,
-    /// The session table and the load plane it alone publishes.
+    /// The session table and the load plane it alone publishes — the one
+    /// view of the world every reader loads.
     pub(crate) table: Table,
     pub(crate) metrics: Metrics,
     pub(crate) shutdown: AtomicBool,
@@ -171,7 +169,6 @@ impl Shared {
         Shared {
             addr,
             config: *config,
-            snap: world.handle(),
             table: Table::new(&world.snapshot()),
             world: Mutex::new(world),
             metrics: Metrics::default(),
@@ -286,13 +283,12 @@ pub(crate) fn control_response(shared: &Shared, request: &Request) -> Option<Res
         Request::Stats => {
             // Refresh the utilization gauge so Stats is current even when
             // no sweep has run since the load last moved.
+            let plane = shared.table.plane();
             shared
                 .metrics
                 .max_link_utilization_permille()
-                .set(shared.table.plane().max_utilization_permille());
-            Some(Response::Stats(
-                shared.metrics.snapshot(shared.snap.epoch()),
-            ))
+                .set(plane.max_utilization_permille());
+            Some(Response::Stats(shared.metrics.snapshot(plane.epoch())))
         }
         // Like Stats: a read of the published plane, answerable under
         // overload without a queue slot.
@@ -391,8 +387,8 @@ fn execute(shared: &Shared, request: Request) -> Response {
     response
 }
 
-/// Solves one requirement against the current snapshot — no shared lock is
-/// held anywhere in the solve — and opens a session.
+/// Solves one requirement against the published plane's snapshot — no
+/// shared lock is held anywhere in the solve — and opens a session.
 fn federate(
     shared: &Shared,
     spec: &str,
@@ -408,23 +404,24 @@ fn federate(
     };
     // One Arc clone; everything below runs against this immutable epoch,
     // concurrent mutations notwithstanding.
-    let snapshot = shared.snap.load();
-    federate_against(shared, snapshot, requirement, algorithm, hop_limit)
+    let plane = shared.table.plane();
+    federate_against(shared, plane, requirement, algorithm, hop_limit)
 }
 
 /// The epoch-pinned half of [`federate`]: serves the requirement from the
-/// snapshot's solve cache when possible (revalidating the cached flow
-/// against the live load plane), falls through to a cold solve otherwise,
-/// then opens a session — unless a mutation overtook it, in which case the
-/// answer is [`Response::Stale`]. Split out so the race window is testable
-/// with a deliberately outdated snapshot.
+/// solve cache of `plane`'s snapshot when possible (revalidating the cached
+/// flow against the live load plane), falls through to a cold solve
+/// against `plane` otherwise, then opens a session — unless a mutation
+/// overtook it, in which case the answer is [`Response::Stale`]. Split out
+/// so the race window is testable with a plane held across a mutation.
 fn federate_against(
     shared: &Shared,
-    snapshot: Arc<WorldSnapshot>,
+    plane: Arc<LoadPlane>,
     requirement: ServiceRequirement,
     algorithm: Algorithm,
     hop_limit: Option<usize>,
 ) -> Response {
+    let snapshot = Arc::clone(plane.snapshot());
     let key = shared.config.solve_cache.then(|| SolveKey {
         requirement: requirement.canonical_key(),
         algorithm,
@@ -460,16 +457,13 @@ fn federate_against(
             shared.metrics.cache_misses().inc();
         }
     }
-    // Residual routing: when the load plane tracks this snapshot's epoch,
-    // solve against what live sessions left free — the clamped overlay and
-    // its table, which this is the moment to patch if no earlier cold solve
-    // asked this plane for it. Otherwise (the `--no-residual` knob, a plane
-    // mid-rebase after a mutation, or an empty ledger) fall back to raw
-    // capacity. Either context is an immutable `Arc` bundle; no lock is
-    // held across the solve.
-    let plane = shared.table.plane();
-    let residual =
-        shared.config.residual && plane.epoch() == snapshot.epoch() && !plane.map().is_empty();
+    // Residual routing: solve against what live sessions left free — the
+    // clamped overlay and its table, which this is the moment to patch if
+    // no earlier cold solve asked this plane for it. Under the
+    // `--no-residual` knob, or on an empty ledger, the snapshot's raw
+    // capacity serves. Either context is an immutable `Arc` bundle; no lock
+    // is held across the solve.
+    let residual = shared.config.residual && !plane.map().is_empty();
     let ctx = if residual {
         residual_context(shared, &plane)
     } else {
@@ -612,7 +606,6 @@ fn audit_flow(
 /// which is why the binding carries an audit allow.
 fn mutate(shared: &Shared, mutation: &crate::Mutation) -> Response {
     let mut world = shared.world.lock(); // audit:allow(guard-across-solve): sanctioned mutator, see fn docs
-    let from_epoch = world.epoch();
     let rebuild = match world.apply(mutation) {
         Ok(rebuild) => rebuild,
         Err(e) => {
@@ -626,17 +619,18 @@ fn mutate(shared: &Shared, mutation: &crate::Mutation) -> Response {
         .rebuild_us_total()
         .add(duration_us(rebuild.duration));
     metrics.trees_recomputed().add(rebuild.trees_recomputed);
-    // `apply` has already published the successor: federates from here on
-    // solve at its epoch, and any solve still in flight at `from_epoch` will
-    // answer `Stale` rather than slip into the session table behind us.
-    let plan = plan_repairs(shared, from_epoch);
-    repair_bookings(shared, &world.snapshot(), plan)
+    // The copy-out publishes the successor: federates from here on solve at
+    // its epoch, and any solve still in flight at the old one will answer
+    // `Stale` rather than slip into the session table behind us.
+    let snapshot = world.snapshot();
+    let plan = plan_repairs(shared, &snapshot);
+    repair_bookings(shared, &snapshot, plan)
 }
 
 /// Re-solves each booking a repair sweep copied out once against
 /// `snapshot`, pinned to its previous flow and with no lock held, then has
 /// the table commit the survivors and rebase the ledger.
-fn repair_bookings(shared: &Shared, snapshot: &WorldSnapshot, plan: Vec<Work>) -> Response {
+fn repair_bookings(shared: &Shared, snapshot: &Arc<WorldSnapshot>, plan: Vec<Work>) -> Response {
     let ctx = snapshot.context();
     let repaired = plan
         .into_iter()
@@ -653,7 +647,7 @@ fn repair_bookings(shared: &Shared, snapshot: &WorldSnapshot, plan: Vec<Work>) -
 mod tests {
     use super::*;
     use crate::load::{LinkId, LoadMap};
-    use crate::sessions::Booking;
+    use crate::sessions::{Booking, Sessions};
     use crate::snapshot::same_flow;
     use crate::Mutation;
     use sflow_core::fixtures::{diamond_fixture, diamond_requirement, Fixture};
@@ -675,12 +669,16 @@ mod tests {
         shared_over(diamond_fixture(), ServerConfig::default())
     }
 
-    /// Federates `requirement` against the current snapshot; the session id.
+    /// The snapshot of the published plane.
+    fn snapshot_of(shared: &Shared) -> Arc<WorldSnapshot> {
+        Arc::clone(shared.table.plane().snapshot())
+    }
+
+    /// Federates `requirement` against the published plane; the session id.
     fn open(shared: &Shared, requirement: &ServiceRequirement, hop_limit: Option<usize>) -> u64 {
-        let snapshot = shared.snap.load();
         match federate_against(
             shared,
-            snapshot,
+            shared.table.plane(),
             requirement.clone(),
             Algorithm::Sflow,
             hop_limit,
@@ -693,7 +691,7 @@ mod tests {
     /// The first instance that is not the pinned source: failing it
     /// renumbers the overlay.
     fn a_victim(shared: &Shared) -> ServiceInstance {
-        let snapshot = shared.snap.load();
+        let snapshot = snapshot_of(shared);
         let overlay = snapshot.overlay();
         let mut instances = overlay.graph().node_ids().map(|n| overlay.instance(n));
         let victim = instances.find(|i| *i != snapshot.source());
@@ -701,13 +699,14 @@ mod tests {
     }
 
     /// The first half of `mutate`, stopped where a test can interleave:
-    /// applies `mutation` (which publishes the successor epoch) and plans
-    /// the repairs. `repair_bookings` on the returned pair finishes it.
+    /// applies `mutation` and plans the repairs, which publishes the
+    /// successor epoch. `repair_bookings` on the returned pair finishes it.
     fn begin_sweep(shared: &Shared, mutation: &Mutation) -> (Arc<WorldSnapshot>, Vec<Work>) {
         let mut world = shared.world.lock();
-        let from_epoch = world.epoch();
         world.apply(mutation).unwrap();
-        (world.snapshot(), plan_repairs(shared, from_epoch))
+        let snapshot = world.snapshot();
+        let plan = plan_repairs(shared, &snapshot);
+        (snapshot, plan)
     }
 
     /// A QoS wobble on the first link some booking reserves.
@@ -729,8 +728,8 @@ mod tests {
     fn a_solve_overtaken_by_a_mutation_is_answered_stale() {
         let shared = shared_over_diamond();
         let requirement = diamond_requirement();
-        // The solver's snapshot load...
-        let stale_snapshot = shared.snap.load();
+        // The solver's plane load...
+        let stale_plane = shared.table.plane();
         // ...raced by an instance failure, which renumbers the overlay.
         let victim = a_victim(&shared);
         match mutate(&shared, &Mutation::FailInstance { instance: victim }) {
@@ -740,7 +739,7 @@ mod tests {
 
         match federate_against(
             &shared,
-            stale_snapshot,
+            stale_plane,
             requirement.clone(),
             Algorithm::Sflow,
             Some(2),
@@ -756,12 +755,12 @@ mod tests {
         }
         // No session opened; the stale counter moved; nothing was "served".
         assert_eq!(shared.table.lock().tenants.len(), 0);
-        let stats = shared.metrics.snapshot(shared.snap.epoch());
+        let stats = shared.metrics.snapshot(shared.table.plane().epoch());
         assert_eq!(stats.stale, 1);
         assert_eq!(stats.served, 0);
 
         // A fresh load federates normally at the new epoch.
-        let fresh = shared.snap.load();
+        let fresh = shared.table.plane();
         match federate_against(&shared, fresh, requirement, Algorithm::Sflow, Some(2)) {
             Response::Federated(s) => assert_eq!(s.epoch, 1),
             other => panic!("expected Federated, got {other:?}"),
@@ -770,10 +769,10 @@ mod tests {
         assert_eq!(shared.metrics.snapshot(1).sessions, 1);
     }
 
-    /// A federate can load the successor snapshot (published by
-    /// `World::apply` *before* the sweep plans) and found a booking at the
-    /// new epoch while the repairs solve. The commit must leave it exactly
-    /// as it is — neither repaired nor dropped as "left behind".
+    /// A federate can load the successor plane (published by the sweep's
+    /// copy-out) and found a booking at the new epoch while the repairs
+    /// solve. The commit must leave it exactly as it is — neither repaired
+    /// nor dropped as "left behind".
     #[test]
     fn a_booking_founded_at_the_successor_epoch_survives_the_sweep() {
         let shared = shared_over_diamond();
@@ -783,11 +782,18 @@ mod tests {
         let victim = a_victim(&shared);
         let (snapshot, plan) = begin_sweep(&shared, &Mutation::FailInstance { instance: victim });
         assert_eq!(plan.len(), 1);
+        assert_eq!(
+            shared.table.plane().epoch(),
+            1,
+            "the copy-out moved the plane"
+        );
+        assert_ledger_conserved(&shared);
 
-        // Mid-sweep, another key founds at epoch 1: its plane is still the
-        // old epoch's, so the commit's rebase is what books it.
+        // Mid-sweep, another key founds at epoch 1 and books on the new
+        // epoch's plane, next to the old booking's surviving links.
         let late = open(&shared, &requirement, Some(3));
         let founded = Arc::clone(&shared.table.lock().bookings[&late].flow);
+        assert_ledger_conserved(&shared);
         match repair_bookings(&shared, &snapshot, plan) {
             Response::Mutated {
                 epoch: 1,
@@ -821,9 +827,10 @@ mod tests {
         let mutation = wobble_a_booked_link(&shared);
         let (snapshot, plan) = begin_sweep(&shared, &mutation);
         assert_eq!(plan.len(), 1, "two tenants, one booking to repair");
+        assert_ledger_conserved(&shared);
 
         assert_eq!(shared.metrics.snapshot(1).sessions, 2);
-        let successor = shared.snap.load();
+        let successor = shared.table.plane();
         match federate_against(&shared, successor, requirement, Algorithm::Sflow, None) {
             Response::Error(e) => assert!(e.contains("session table full"), "got {e:?}"),
             other => panic!("expected the session cap to hold mid-sweep, got {other:?}"),
@@ -855,15 +862,18 @@ mod tests {
         assert_eq!(plan.len(), 2);
 
         // One of three co-tenants leaves; the other key's only tenant
-        // leaves and its booking dissolves — against the old epoch's plane.
+        // leaves and its booking, still at the old epoch, dissolves — off
+        // the new epoch's plane.
         for session in [shared_key[1], alone] {
             match release_session(&shared, session) {
                 Response::Released { session: closed } => assert_eq!(closed, session),
                 other => panic!("expected Released mid-sweep, got {other:?}"),
             }
+            assert_ledger_conserved(&shared);
         }
         // And a tenant arrives at the successor epoch.
         let late = open(&shared, &requirement, Some(2));
+        assert_ledger_conserved(&shared);
 
         match repair_bookings(&shared, &snapshot, plan) {
             Response::Mutated {
@@ -887,6 +897,68 @@ mod tests {
             shared.table.plane().map().is_empty(),
             "no leaked reservation"
         );
+        assert_conserved(&shared);
+    }
+
+    /// No blind admission mid-sweep: a federate between a mutation's
+    /// copy-out and its commit solves against the new epoch's residual
+    /// plane, which already carries every live booking. One booking fills
+    /// a route of the twin-route world; a QoS change on the other route
+    /// (slower, not narrower) is mid-sweep when a second key founds. It
+    /// must take the free route — a blind solve prefers the full, faster
+    /// one and the commit would book it twice, 2000‰.
+    #[test]
+    fn a_federate_mid_sweep_is_admitted_against_the_new_epochs_plane() {
+        let (mut shared, requirement) = shared_over_twin_routes();
+        shared.config.residual = true;
+        shared.config.solve_cache = true;
+        let first = open(&shared, &requirement, None);
+        let plane = shared.table.plane();
+        assert_eq!(plane.max_utilization_permille(), 1000);
+        let full = plane.hot_links(999);
+        let links = shared.table.lock().bookings[&first].links.clone();
+        let snapshot = plane.snapshot();
+        let overlay = snapshot.overlay();
+        let unrelated = overlay
+            .graph()
+            .node_ids()
+            .flat_map(|n| overlay.graph().out_edges(n))
+            .map(|e| (overlay.instance(e.from), overlay.instance(e.to)))
+            .find(|link| links.iter().all(|(booked, _)| booked != link))
+            .expect("a link the booking does not cross");
+        let mutation = Mutation::SetLinkQos {
+            from: unrelated.0,
+            to: unrelated.1,
+            bandwidth_kbps: plane.capacity(unrelated).unwrap().as_kbps(),
+            latency_us: 500,
+        };
+        drop(plane);
+
+        let (snapshot, plan) = begin_sweep(&shared, &mutation);
+        assert_eq!(plan.len(), 1);
+        let second = open(&shared, &requirement, Some(3));
+        assert_ledger_conserved(&shared);
+        match repair_bookings(&shared, &snapshot, plan) {
+            Response::Mutated {
+                epoch: 1,
+                repaired: 1,
+                dropped: 0,
+            } => {}
+            other => panic!("expected the first booking repaired, got {other:?}"),
+        }
+        let plane = shared.table.plane();
+        assert!(
+            plane.max_utilization_permille() <= 1000,
+            "a finite link is overbooked: {}‰",
+            plane.max_utilization_permille()
+        );
+        let sessions = shared.table.lock();
+        let booked = &sessions.bookings[&second].links;
+        assert!(
+            booked.iter().all(|(link, _)| !full.contains(link)),
+            "the mid-sweep founding crosses the full route"
+        );
+        drop(sessions);
         assert_conserved(&shared);
     }
 
@@ -927,23 +999,22 @@ mod tests {
         assert_conserved(&shared);
     }
 
-    /// The session table's invariants, as they must read between any two
-    /// operations: the published ledger is exactly the sum of the bookings'
-    /// links (per link, no leak and no double-count); `tenants` and the
-    /// bookings' tenant lists are one bijection and no booking is empty;
-    /// every `by_key` slot names a live booking of that key, whose flow is
-    /// the key's cached solve in the current snapshot, as the same `Arc`; no
-    /// booking is left at an epoch the world has moved past; and the
-    /// published gauges are the table's census.
-    fn assert_conserved(shared: &Shared) {
-        let sessions = shared.table.lock();
+    /// The ledger clause of [`assert_conserved`], which holds at every
+    /// release of the sessions lock, mid-sweep included: the published
+    /// ledger is exactly the sum of the bookings' links (per link, no leak
+    /// and no double-count) over the links the plane's overlay has.
+    fn assert_ledger_conserved(shared: &Shared) {
+        assert_ledger_matches(&shared.table.lock(), &shared.table.plane());
+    }
+
+    fn assert_ledger_matches(sessions: &Sessions, plane: &LoadPlane) {
         let expected = LoadMap::from_reservations(
             sessions
                 .bookings
                 .values()
-                .flat_map(|booking| booking.links.iter().copied()),
+                .flat_map(|booking| booking.links.iter().copied())
+                .filter(|&(link, _)| plane.capacity(link).is_some()),
         );
-        let plane = shared.table.plane();
         let got: Vec<(LinkId, u64)> = plane.map().iter_reserved().collect();
         let want: Vec<(LinkId, u64)> = expected.iter_reserved().collect();
         assert_eq!(got, want, "ledger drifted from the bookings");
@@ -951,6 +1022,19 @@ mod tests {
             plane.map().total_reserved_kbps(),
             expected.total_reserved_kbps()
         );
+    }
+
+    /// The session table's invariants, as they must read between any two
+    /// operations: the ledger clause ([`assert_ledger_matches`]); `tenants`
+    /// and the bookings' tenant lists are one bijection and no booking is
+    /// empty; every `by_key` slot names a live booking of that key, whose
+    /// flow is the key's cached solve in the current snapshot, as the same
+    /// `Arc`; no booking is left at an epoch the world has moved past; and
+    /// the published gauges are the table's census.
+    fn assert_conserved(shared: &Shared) {
+        let sessions = shared.table.lock();
+        let plane = shared.table.plane();
+        assert_ledger_matches(&sessions, &plane);
 
         let mut listed: Vec<(u64, u64)> = sessions
             .bookings
@@ -960,12 +1044,12 @@ mod tests {
         listed.sort_unstable();
         let indexed: Vec<(u64, u64)> = sessions.tenants.iter().map(|(&t, &id)| (t, id)).collect();
         assert_eq!(listed, indexed, "tenant index and tenant lists disagree");
-        let epoch = shared.snap.epoch();
+        let epoch = plane.epoch();
         for (id, booking) in &sessions.bookings {
             assert!(!booking.tenants.is_empty(), "booking {id} has no tenant");
             assert_eq!(booking.epoch, epoch, "booking {id} was left behind");
         }
-        let snapshot = shared.snap.load();
+        let snapshot = plane.snapshot();
         for (key, id) in &sessions.by_key {
             let owner = sessions.bookings.get(id).map(|booking| &booking.ask.key);
             assert_eq!(owner, Some(&Some(key.clone())), "by_key slot → {id}");
@@ -1009,7 +1093,7 @@ mod tests {
         };
         // Every directed overlay link, in stable identities, for QoS wobble.
         let links: Vec<(ServiceInstance, ServiceInstance)> = {
-            let snapshot = shared.snap.load();
+            let snapshot = snapshot_of(&shared);
             let overlay = snapshot.overlay();
             overlay
                 .graph()
@@ -1028,7 +1112,7 @@ mod tests {
                     let hop_limit = [None, Some(2), Some(3)][(next() % 3) as usize];
                     let _ = federate_against(
                         &shared,
-                        shared.snap.load(),
+                        shared.table.plane(),
                         requirement.clone(),
                         Algorithm::Sflow,
                         hop_limit,
@@ -1309,7 +1393,7 @@ mod tests {
                 algorithm: Algorithm::Sflow,
                 hop_limit,
             };
-            shared.snap.load().cached_solve(&key).unwrap()
+            snapshot_of(&shared).cached_solve(&key).unwrap()
         };
         let before = (cached(None), cached(Some(3)));
         let outcome = rebalance::sweep(&shared);
@@ -1331,7 +1415,7 @@ mod tests {
         let requirement = diamond_requirement();
         // The reference answer at this epoch+load: the cold path below sees
         // an empty ledger, so it solves against this same raw context.
-        let snapshot = shared.snap.load();
+        let snapshot = snapshot_of(&shared);
         let reference = Solver::new(&snapshot.context())
             .solve(&requirement)
             .unwrap();
@@ -1339,7 +1423,7 @@ mod tests {
         for _ in 0..3 {
             match federate_against(
                 &shared,
-                shared.snap.load(),
+                shared.table.plane(),
                 requirement.clone(),
                 Algorithm::Sflow,
                 None,
@@ -1401,7 +1485,7 @@ mod tests {
         let shared = shared_over_diamond();
         let requirement = diamond_requirement();
         let session = open(&shared, &requirement, None);
-        let snapshot = shared.snap.load();
+        let snapshot = snapshot_of(&shared);
         assert_eq!(snapshot.cached_solve_count(), 1);
         let key = SolveKey {
             requirement: requirement.canonical_key(),
@@ -1413,7 +1497,7 @@ mod tests {
         // current epoch (instance identities survive QoS epochs).
         type Link = (ServiceInstance, ServiceInstance);
         let on_and_off = |flow: &FlowGraph| -> (Link, Link) {
-            let snapshot = shared.snap.load();
+            let snapshot = snapshot_of(&shared);
             let overlay = snapshot.overlay();
             let used: Vec<Link> = flow
                 .edges()
@@ -1443,7 +1527,7 @@ mod tests {
                 other => panic!("expected Mutated at epoch {epoch}, got {other:?}"),
             }
         };
-        let filed = || shared.snap.load().cached_solve(&key);
+        let filed = || snapshot_of(&shared).cached_solve(&key);
         let booked = || Arc::clone(&shared.table.lock().bookings[&session].flow);
         let (on, off) = on_and_off(&cached);
 
@@ -1494,7 +1578,7 @@ mod tests {
             hop_limit: None,
         };
         let session = open(&shared, &requirement, None);
-        let before = shared.snap.load().cached_solve(&key).unwrap();
+        let before = snapshot_of(&shared).cached_solve(&key).unwrap();
         assert!(matches!(
             release_session(&shared, session),
             Response::Released { .. }
@@ -1504,7 +1588,7 @@ mod tests {
         // service-3 instance it does not use.
         let s1 = before.instances()[&ServiceId::new(1)];
         let s3 = before.instances()[&ServiceId::new(3)];
-        let snapshot = shared.snap.load();
+        let snapshot = snapshot_of(&shared);
         let overlay = snapshot.overlay();
         let other = overlay
             .graph()
@@ -1522,7 +1606,7 @@ mod tests {
             mutate(&shared, &gain),
             Response::Mutated { epoch: 1, .. }
         ));
-        let snapshot = shared.snap.load();
+        let snapshot = snapshot_of(&shared);
         let cold = Solver::new(&snapshot.context())
             .solve(&requirement)
             .unwrap();
@@ -1535,7 +1619,7 @@ mod tests {
         let hits = shared.metrics.snapshot(1).cache_hits;
         match federate_against(
             &shared,
-            Arc::clone(&snapshot),
+            shared.table.plane(),
             requirement,
             Algorithm::Sflow,
             None,
@@ -1613,7 +1697,7 @@ mod tests {
         // 100 kbps route in this fixture).
         match federate_against(
             &shared,
-            shared.snap.load(),
+            shared.table.plane(),
             requirement.clone(),
             Algorithm::Sflow,
             None,
@@ -1631,7 +1715,7 @@ mod tests {
 
         match federate_against(
             &shared,
-            shared.snap.load(),
+            shared.table.plane(),
             requirement,
             Algorithm::Sflow,
             None,
@@ -1653,7 +1737,7 @@ mod tests {
         );
         assert_conserved(&shared);
         // The re-solve replaced the evicted entry with the load-aware flow.
-        assert_eq!(shared.snap.load().cached_solve_count(), 1);
+        assert_eq!(snapshot_of(&shared).cached_solve_count(), 1);
     }
 
     /// Bookings move the ledger under the sessions lock and route nothing;

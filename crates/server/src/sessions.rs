@@ -9,12 +9,15 @@
 //! and [`LoadCell`] are private fields and `LoadCell::publish` is private,
 //! so nothing outside it compiles that locks the table, reads a booking or
 //! moves the ledger. Each function here is one lock hold, each ledger move
-//! in it one publication. The two sweeps that re-solve bookings — a
-//! mutation's repairs and the rebalancer's migrations — copy [`Work`] out,
-//! re-solve off-lock (the caller's part: nothing here solves) and commit in
-//! place, skipping bookings that dissolved meanwhile; the table is never
-//! taken out of its lock, so a `Release` or a `Federate` mid-sweep is served
-//! as ever.
+//! in it one publication. The published plane is the server's one view of
+//! the world: it carries the snapshot it indexes, and a mutation's new
+//! epoch reaches readers only as the plane [`plan_repairs`] rebases onto
+//! it, so the plane's epoch is the epoch. The two sweeps that re-solve
+//! bookings — a mutation's repairs and the rebalancer's migrations — copy
+//! [`Work`] out, re-solve off-lock (the caller's part: nothing here solves)
+//! and commit in place, skipping bookings that dissolved meanwhile; the
+//! table is never taken out of its lock, so a `Release` or a `Federate`
+//! mid-sweep is served as ever, against the new epoch's plane.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
@@ -158,14 +161,15 @@ pub(crate) struct Table {
 
 impl Table {
     /// An empty table and ledger over `snapshot`'s world.
-    pub(crate) fn new(snapshot: &WorldSnapshot) -> Self {
+    pub(crate) fn new(snapshot: &Arc<WorldSnapshot>) -> Self {
         Table {
             sessions: Mutex::default(),
             load: LoadCell::new(Arc::new(LoadPlane::fresh(snapshot))),
         }
     }
 
-    /// The published load plane: one `Arc` clone, never the sessions lock.
+    /// The published load plane, and with it the snapshot every request
+    /// solves against: one `Arc` clone, never the sessions lock.
     pub(crate) fn plane(&self) -> Arc<LoadPlane> {
         self.load.load()
     }
@@ -181,9 +185,8 @@ impl Table {
 /// attach to the key's booking or a founding. The warm and the cold path
 /// both open here, so their admission rules cannot drift apart. With
 /// `revalidate` under residual admission, a founding's whole reservation
-/// must fit the live plane (unless it is mid-rebase, where the cold path
-/// would be as blind); `None` if it does not — the cached flow is evicted
-/// and the caller solves cold. An attach books nothing new.
+/// must fit the live plane; `None` if it does not — the cached flow is
+/// evicted and the caller solves cold. An attach books nothing new.
 pub(crate) fn open_session(
     shared: &Shared,
     snapshot: &WorldSnapshot,
@@ -193,10 +196,12 @@ pub(crate) fn open_session(
 ) -> Option<Response> {
     let table = &shared.table;
     let mut sessions = table.sessions.lock();
-    // Under the lock repair sweeps also take: this decides atomically
-    // whether every future sweep covers the session. If a mutation overtook
-    // the solve, the answer describes a world that no longer exists.
-    let current_epoch = shared.snap.epoch();
+    // Under the lock a mutation's copy-out moves the plane to its epoch:
+    // this decides atomically whether every future sweep covers the
+    // session. If a mutation overtook the solve, the answer describes a
+    // world that no longer exists.
+    let plane = table.load.load();
+    let current_epoch = plane.epoch();
     if current_epoch != snapshot.epoch() {
         shared.metrics.stale().inc();
         return Some(Response::Stale {
@@ -223,9 +228,7 @@ pub(crate) fn open_session(
         booking.tenants.push(session);
     } else {
         let links = links_of(flow, snapshot.overlay());
-        let plane = table.load.load();
-        let tracked = plane.epoch() == snapshot.epoch();
-        if revalidate && shared.config.residual && tracked && !plane.fits(&links) {
+        if revalidate && shared.config.residual && !plane.fits(&links) {
             // Evicted so the cold solve can file its load-aware answer
             // (`cache_solve` is first-writer-wins); only if still this flow,
             // which no slot holder's can be.
@@ -235,9 +238,8 @@ pub(crate) fn open_session(
             return None;
         }
         // The ledger moves and these links re-clamp; routing over the clamp
-        // waits for the next cold solve. A plane at another epoch is about
-        // to be rebased from the table itself.
-        if tracked && !links.is_empty() {
+        // waits for the next cold solve.
+        if !links.is_empty() {
             let booked = plane.with_changes(&links, &[], shared.config.route_workers);
             table.load.publish(&sessions, booked);
         }
@@ -286,10 +288,11 @@ pub(crate) fn release_session(shared: &Shared, session: u64) -> Response {
         booking.tenants.is_empty()
     });
     if let Some(gone) = last_out.then(|| sessions.unbook(id)).flatten() {
-        // Across a rebase the ledger was rebuilt from the table, which no
-        // longer holds this booking: nothing to subtract.
-        let plane = table.load.load();
-        if !gone.links.is_empty() && plane.epoch() == gone.epoch {
+        // Mid-sweep the booking may still be at the epoch the plane was
+        // rebased from: a link the mutation removed is gone from the plane
+        // as well, and releasing it moves nothing.
+        if !gone.links.is_empty() {
+            let plane = table.load.load();
             let released = plane.with_changes(&[], &gone.links, shared.config.route_workers);
             table.load.publish(&sessions, released);
         }
@@ -298,11 +301,25 @@ pub(crate) fn release_session(shared: &Shared, session: u64) -> Response {
     Response::Released { session }
 }
 
-/// A repair sweep's copy-out: every booking solved at `from_epoch`, the
-/// epoch the mutation replaced.
-pub(crate) fn plan_repairs(shared: &Shared, from_epoch: u64) -> Vec<Work> {
-    let sessions = shared.table.sessions.lock();
-    sessions.work_at(from_epoch).map(|(_, work)| work).collect()
+/// A repair sweep's copy-out, which publishes the mutation: every booking
+/// at the plane's epoch — the one `snapshot` replaced — copied out, and the
+/// ledger rebased onto `snapshot` in the same hold. From here on federates
+/// solve, revalidate and book at the new epoch, and a solve still in flight
+/// at the old one answers `Stale`.
+pub(crate) fn plan_repairs(shared: &Shared, snapshot: &Arc<WorldSnapshot>) -> Vec<Work> {
+    let table = &shared.table;
+    let sessions = table.sessions.lock();
+    let plane = table.load.load();
+    let work = sessions
+        .work_at(plane.epoch())
+        .map(|(_, work)| work)
+        .collect();
+    // The ledger is `Σ bookings.links` already: it crosses whole, estimates
+    // included, less the links the mutation removed.
+    let map = plane.map().clone();
+    let rebased = LoadPlane::rebased(snapshot, map, shared.config.route_workers);
+    table.load.publish(&sessions, rebased);
+    work
 }
 
 /// A repair sweep's commit: writes each `(booking, repaired flow)` in place
@@ -312,7 +329,7 @@ pub(crate) fn plan_repairs(shared: &Shared, from_epoch: u64) -> Vec<Work> {
 /// `Mutated.repaired` / `dropped` count the tenants there at commit time.
 pub(crate) fn commit_repairs(
     shared: &Shared,
-    snapshot: &WorldSnapshot,
+    snapshot: &Arc<WorldSnapshot>,
     repaired: Vec<(u64, FlowGraph)>,
 ) -> Response {
     // Links over the *new* overlay, derived before the lock.
@@ -365,28 +382,24 @@ pub(crate) fn tick_estimates(shared: &Shared) {
     table.load.publish(&sessions, table.load.load().decayed());
 }
 
-/// A rebalancer sweep's copy-out: every booking at `epoch` that crosses a
-/// `hot` link, with its [`migration_cost`].
-pub(crate) fn plan_migrations(
-    shared: &Shared,
-    epoch: u64,
-    hot: &BTreeSet<LinkId>,
-) -> Vec<(u64, Work)> {
+/// A rebalancer sweep's copy-out: every booking at the plane's epoch that
+/// crosses a `hot` link, with its [`migration_cost`].
+pub(crate) fn plan_migrations(shared: &Shared, hot: &BTreeSet<LinkId>) -> Vec<(u64, Work)> {
     let sessions = shared.table.sessions.lock();
     sessions
-        .work_at(epoch)
+        .work_at(shared.table.load.load().epoch())
         .filter_map(|(booking, work)| {
             Some((migration_cost(hot, &booking.flow, &booking.links)?, work))
         })
         .collect()
 }
 
-/// Moves booking `id` onto `moved` if the move [`improves`] the plane;
-/// `false` if not, or if the booking is gone or a mutation overtook the
-/// sweep. The booking changes in place, so a reader of the table sees every
-/// tenant at every instant, and the preview — the new links booked and the
-/// old released — is published as one pointer store: make-before-break for
-/// readers off the lock.
+/// Moves booking `id` onto `moved`, solved against `snapshot`, if the move
+/// [`improves`] the plane; `false` if not, or if the booking is gone or a
+/// mutation overtook the re-solve. The booking changes in place, so a
+/// reader of the table sees every tenant at every instant, and the preview
+/// — the new links booked and the old released — is published as one
+/// pointer store: make-before-break for readers off the lock.
 pub(crate) fn commit_migration(
     shared: &Shared,
     snapshot: &WorldSnapshot,
@@ -412,15 +425,16 @@ pub(crate) fn commit_migration(
     sessions.rebook(id, snapshot, moved, new_links).is_some()
 }
 
-/// The load plane's publication cell, a twin of
-/// [`Snap`](crate::world::Snap): a load is one `Arc` clone, a publish one
-/// pointer store.
+/// The load plane's publication cell, the server's one published world: a
+/// load is one `Arc` clone — the ledger and the snapshot it indexes — and a
+/// publish one pointer store.
 ///
 /// **Only the session table publishes.** `publish` is private to its module
 /// and wants a `&Sessions`, which a function there has to show only while
 /// it holds the table's lock: publications are ordered by it, and the
 /// ledger cannot drift from `Σ bookings.links` — what residual admission's
-/// "no link over capacity" rests on. From outside the module a cell can
+/// "no link over capacity" rests on. A new epoch is a publication too, so
+/// epochs advance only under that lock. From outside the module a cell can
 /// only be read.
 ///
 /// ```
@@ -445,8 +459,8 @@ pub(crate) fn commit_migration(
 /// cell.publish(plane);
 /// ```
 ///
-/// Unlike snapshot epochs, versions restart at every rebase, so the cell
-/// does not assert monotonicity itself.
+/// Versions restart at every rebase; epochs never go back, and a publish
+/// debug-asserts it.
 #[derive(Debug)]
 pub struct LoadCell {
     current: Mutex<Arc<LoadPlane>>,
@@ -468,8 +482,17 @@ impl LoadCell {
 
     /// Publishes `next` as the current plane. `_held` is the witness: a
     /// borrow of the session table, which only its lock's holder has.
+    /// Debug-asserts that epochs only move forward — a regressing publish
+    /// is a mutator serialization bug.
     fn publish(&self, _held: &Sessions, next: LoadPlane) {
-        *self.current.lock() = Arc::new(next);
+        let mut current = self.current.lock();
+        debug_assert!(
+            next.epoch() >= current.epoch(),
+            "plane epochs must be monotonic: {} -> {}",
+            current.epoch(),
+            next.epoch()
+        );
+        *current = Arc::new(next);
     }
 }
 
@@ -480,13 +503,47 @@ mod tests {
     use sflow_core::fixtures::diamond_fixture;
 
     #[test]
-    fn the_cell_publishes_like_snap() {
-        let snap = World::new(diamond_fixture()).snapshot();
-        let cell = LoadCell::new(Arc::new(LoadPlane::fresh(&snap)));
+    fn the_cell_publishes_in_epoch_order() {
+        let mut world = World::new(diamond_fixture());
+        let cell = LoadCell::new(Arc::new(LoadPlane::fresh(&world.snapshot())));
         assert_eq!(cell.load().version(), 0);
         let next = cell.load().decayed();
         // A test may forge the witness; the server's only table is locked.
         cell.publish(&Sessions::default(), next);
         assert_eq!(cell.load().version(), 1);
+        // A new epoch restarts the versions.
+        let link = first_link(&world);
+        world.apply(&link).unwrap();
+        cell.publish(&Sessions::default(), LoadPlane::fresh(&world.snapshot()));
+        assert_eq!((cell.load().epoch(), cell.load().version()), (1, 0));
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "monotonic")]
+    fn a_publish_may_not_take_the_epoch_back() {
+        let mut world = World::new(diamond_fixture());
+        let first = LoadPlane::fresh(&world.snapshot());
+        let link = first_link(&world);
+        world.apply(&link).unwrap();
+        let cell = LoadCell::new(Arc::new(LoadPlane::fresh(&world.snapshot())));
+        cell.publish(&Sessions::default(), first); // 1 -> 0 regresses
+    }
+
+    /// A QoS change on the source's first out-link.
+    fn first_link(world: &World) -> crate::Mutation {
+        let snapshot = world.snapshot();
+        let overlay = snapshot.overlay();
+        let link = overlay
+            .graph()
+            .out_edges(snapshot.source_node())
+            .next()
+            .unwrap();
+        crate::Mutation::SetLinkQos {
+            from: overlay.instance(link.from),
+            to: overlay.instance(link.to),
+            bandwidth_kbps: 1,
+            latency_us: 99,
+        }
     }
 }

@@ -7,17 +7,15 @@
 //! *inside* the snapshot (a `OnceLock`, so concurrent first touches build it
 //! at most once and every later solve reuses the `Arc`).
 //!
-//! Snapshots are published through a [`Snap`](crate::world::Snap) cell, which
-//! lives with the mutator in [`crate::world`]: [`World::apply`](crate::World::apply)
-//! assembles the *next* snapshot entirely off to the side (copy-on-write
-//! overlay, routing table patched from the predecessor) and then swaps one
-//! pointer — the cell's `store` is private to that module, so nothing else
-//! can. Readers call [`Snap::load`](crate::world::Snap::load), which clones
-//! an `Arc` under a mutex held for a handful of instructions (short, but not
-//! lock-free) — no reader ever waits on a rebuild, and a solve runs against
-//! its snapshot with **zero shared locks held**. The previous epoch's
-//! snapshot stays alive (and solvable) for as long as any in-flight request
-//! still holds its `Arc`.
+//! [`World::apply`](crate::World::apply) assembles the *next* snapshot
+//! entirely off to the side (copy-on-write overlay, routing table patched
+//! from the predecessor). The server publishes it inside the load plane
+//! that indexes it ([`LoadPlane::snapshot`](crate::LoadPlane::snapshot)):
+//! readers load the plane, which clones an `Arc` under a mutex held for a
+//! handful of instructions (short, but not lock-free) — no reader ever
+//! waits on a rebuild, and a solve runs against its snapshot with **zero
+//! shared locks held**. The previous epoch's snapshot stays alive (and
+//! solvable) for as long as any in-flight request still holds its `Arc`.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock};

@@ -1,13 +1,17 @@
 //! The server's world: a mutator that grows a chain of immutable snapshots.
 //!
 //! A [`World`] no longer *is* the topology — it is the thing that builds the
-//! next [`WorldSnapshot`] and publishes it through a shared [`Snap`] cell.
-//! Readers never touch the `World` (or any lock it holds): they
-//! [`Snap::load`] the current snapshot and solve against it. Mutations
-//! assemble the successor epoch copy-on-write — a patched clone of the
-//! overlay and a routing table derived from the predecessor's — entirely
-//! off the published cell, then swap one pointer. The epoch is carried by
-//! the snapshots themselves: 0 at birth, +1 per applied mutation.
+//! next [`WorldSnapshot`] and holds the current one as a plain `Arc`.
+//! Mutations assemble the successor epoch copy-on-write — a patched clone
+//! of the overlay and a routing table derived from the predecessor's — and
+//! replace the `Arc`; only [`World::apply`], through `&mut self`, can. The
+//! epoch is carried by the snapshots themselves: 0 at birth, +1 per applied
+//! mutation.
+//!
+//! The server's readers never touch the `World` (or the lock it sits
+//! behind): the one published world is the load plane, which carries the
+//! snapshot it indexes ([`LoadPlane::snapshot`](crate::LoadPlane::snapshot)),
+//! and a mutation publishes its successor by rebasing that plane.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -16,8 +20,6 @@ use sflow_core::fixtures::Fixture;
 use sflow_core::OwnedFederationContext;
 use sflow_net::{ServiceInstance, UnderlyingNetwork};
 use sflow_routing::{Bandwidth, Latency, Qos};
-
-use parking_lot::Mutex;
 
 use crate::snapshot::WorldSnapshot;
 use crate::Mutation;
@@ -70,87 +72,16 @@ pub struct RebuildStats {
     pub full_rebuild: bool,
 }
 
-/// The publication cell: one `Arc<WorldSnapshot>` swapped atomically from
-/// the mutator's point of view, cloned on load from the readers'.
-///
-/// **Only [`World::apply`] publishes.** The cell lives in its module and
-/// `store` is private to it, so "epochs advance only through a mutation,
-/// one at a time" is what compiles: every other holder of the cell — the
-/// server's workers, a bench, this doc test — can only read it.
-///
-/// ```
-/// use sflow_core::fixtures::diamond_fixture;
-/// use sflow_server::World;
-///
-/// let world = World::new(diamond_fixture());
-/// let cell = world.handle();
-/// assert_eq!(cell.load().epoch(), cell.epoch());
-/// ```
-///
-/// ```compile_fail,E0624
-/// use sflow_core::fixtures::diamond_fixture;
-/// use sflow_server::World;
-///
-/// let world = World::new(diamond_fixture());
-/// let cell = world.handle();
-/// cell.store(cell.load()); // error[E0624]: method `store` is private
-/// ```
-///
-/// Hand-rolled over a `parking_lot::Mutex` rather than a vendored
-/// `arc-swap`: the critical section on either side is a single `Arc` clone
-/// or pointer store (never a rebuild, never a solve). This is *not*
-/// lock-free — a holder preempted inside the critical section briefly
-/// blocks other loads and stores — merely a mutex held for a handful of
-/// instructions. That no guard is ever held across a solve is the
-/// `guard-across-solve` audit rule's to enforce.
-#[derive(Debug)]
-pub struct Snap {
-    current: Mutex<Arc<WorldSnapshot>>,
-}
-
-impl Snap {
-    fn new(snapshot: Arc<WorldSnapshot>) -> Self {
-        Snap {
-            current: Mutex::new(snapshot),
-        }
-    }
-
-    /// The current snapshot. Constant-time: clones the `Arc`, never blocks
-    /// on a rebuild (mutators prepare their successor *before* storing).
-    pub fn load(&self) -> Arc<WorldSnapshot> {
-        Arc::clone(&self.current.lock())
-    }
-
-    /// The current epoch without keeping the snapshot alive.
-    pub fn epoch(&self) -> u64 {
-        self.current.lock().epoch()
-    }
-
-    /// Publishes `next` as the current snapshot. Readers that already
-    /// loaded the predecessor keep solving against it; everyone after this
-    /// call sees `next`. Debug-asserts that epochs only move forward — a
-    /// regressing store is a mutator serialization bug.
-    fn store(&self, next: Arc<WorldSnapshot>) {
-        let mut current = self.current.lock();
-        debug_assert!(
-            next.epoch() > current.epoch(),
-            "snapshot epochs must be monotonic: {} -> {}",
-            current.epoch(),
-            next.epoch()
-        );
-        *current = next;
-    }
-}
-
 /// The mutator side of a snapshot-published world.
 ///
-/// Owns the [`Snap`] cell (handed to readers via [`World::handle`]) and the
-/// underlying physical network; everything topological lives in the
-/// currently published [`WorldSnapshot`].
+/// Owns the underlying physical network and the current [`WorldSnapshot`];
+/// everything topological lives in the snapshot. Only [`World::apply`]
+/// replaces it, and that takes `&mut self`, so epochs advance only through
+/// a mutation, one at a time, by borrow.
 #[derive(Debug)]
 pub struct World {
     net: UnderlyingNetwork,
-    snap: Arc<Snap>,
+    current: Arc<WorldSnapshot>,
     /// Worker threads for routing rebuilds/patches; 0 = auto-size.
     route_workers: usize,
 }
@@ -167,7 +98,7 @@ impl World {
         );
         World {
             net: fixture.net,
-            snap: Arc::new(Snap::new(Arc::new(first))),
+            current: Arc::new(first),
             route_workers: 0,
         }
     }
@@ -178,15 +109,9 @@ impl World {
         self.route_workers = workers;
     }
 
-    /// The publication cell readers should hold: `load` it for the current
-    /// snapshot without ever coordinating with mutations.
-    pub fn handle(&self) -> Arc<Snap> {
-        Arc::clone(&self.snap)
-    }
-
-    /// The currently published snapshot.
+    /// The current snapshot.
     pub fn snapshot(&self) -> Arc<WorldSnapshot> {
-        self.snap.load()
+        Arc::clone(&self.current)
     }
 
     /// An owned federation context over the current snapshot.
@@ -206,17 +131,17 @@ impl World {
 
     /// The topology epoch: 0 at birth, +1 per applied mutation.
     pub fn epoch(&self) -> u64 {
-        self.snap.epoch()
+        self.current.epoch()
     }
 
     /// Applies one mutation: builds the successor snapshot copy-on-write —
     /// a patched overlay clone plus a routing table derived from the
     /// predecessor's ([`AllPairs::patched_with`](sflow_routing::AllPairs::patched_with)
     /// for link-QoS changes, full parallel rebuild for structural ones) —
-    /// and publishes it with a
-    /// single pointer swap. Readers keep solving against the predecessor
-    /// for as long as they hold it; the epoch bump is visible from the
-    /// moment of the swap. QoS-only successors adopt the predecessor's hop
+    /// and makes it current. Holders of the predecessor keep solving
+    /// against it for as long as they hold it; the server publishes the
+    /// successor to its readers with the ledger rebased onto it (the session
+    /// table's repair copy-out). QoS-only successors adopt the predecessor's hop
     /// matrix (hop counts are structural), so the per-epoch cache survives
     /// non-structural churn for free.
     ///
@@ -225,7 +150,7 @@ impl World {
     /// Returns a [`WorldError`] (and publishes nothing) if the mutation
     /// names an unknown instance or link, or would fail the source.
     pub fn apply(&mut self, mutation: &Mutation) -> Result<RebuildStats, WorldError> {
-        let prev = self.snap.load();
+        let prev = self.snapshot();
         let (next, stats) = match *mutation {
             Mutation::SetLinkQos {
                 from,
@@ -312,7 +237,7 @@ impl World {
                 (next, stats)
             }
         };
-        self.snap.store(Arc::new(next));
+        self.current = Arc::new(next);
         Ok(stats)
     }
 }
@@ -326,43 +251,6 @@ mod tests {
 
     fn inst(s: u32, h: u32) -> ServiceInstance {
         ServiceInstance::new(ServiceId::new(s), HostId::new(h))
-    }
-
-    fn snapshot_of_diamond(epoch: u64) -> WorldSnapshot {
-        let fx = diamond_fixture();
-        WorldSnapshot::new(
-            Arc::new(fx.overlay),
-            Arc::new(fx.all_pairs),
-            fx.source,
-            epoch,
-        )
-    }
-
-    #[test]
-    fn snap_load_returns_the_published_snapshot_and_keeps_old_epochs_alive() {
-        let first = Arc::new(snapshot_of_diamond(0));
-        let cell = Snap::new(Arc::clone(&first));
-        let held = cell.load();
-        assert_eq!(held.epoch(), 0);
-
-        cell.store(Arc::new(snapshot_of_diamond(1)));
-        assert_eq!(cell.epoch(), 1);
-        assert_eq!(cell.load().epoch(), 1);
-        // The reader that loaded before the store still solves against its
-        // own epoch — snapshots are immutable, not invalidated.
-        assert_eq!(held.epoch(), 0);
-        assert!(held
-            .context()
-            .qos(held.source_node(), held.source_node())
-            .is_some());
-    }
-
-    #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "monotonic")]
-    fn snap_store_rejects_epoch_regressions() {
-        let cell = Snap::new(Arc::new(snapshot_of_diamond(0)));
-        cell.store(Arc::new(snapshot_of_diamond(0))); // 0 -> 0 regresses
     }
 
     #[test]

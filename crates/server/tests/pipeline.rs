@@ -231,6 +231,69 @@ fn zero_reactor_threads_serve_on_one_reactor() {
     handle.shutdown();
 }
 
+/// The sharded reactor: at `reactor_threads: 4` connections are dealt
+/// round-robin across four event loops. Eight connections at once each
+/// pipeline sixteen federates and a `Stats`; every reply comes back under
+/// its own id exactly once, whichever loop and worker served it, and once
+/// the clients hang up the open-connection gauge drains to the probe alone.
+#[test]
+fn four_reactor_threads_answer_every_pipelined_frame_by_id() {
+    const CONNECTIONS: usize = 8;
+    const DEPTH: u64 = 16;
+    let handle = reactor_server(ServerConfig {
+        reactor_threads: 4,
+        // Room for every frame at once: nothing is shed.
+        queue_depth: CONNECTIONS * DEPTH as usize,
+        ..ServerConfig::default()
+    });
+    let addr = handle.addr();
+    let clients: Vec<_> = (0..CONNECTIONS)
+        .map(|_| {
+            thread::spawn(move || {
+                let mut pipe = PipelinedClient::connect(addr).unwrap();
+                let federates: Vec<u64> = (0..DEPTH)
+                    .map(|_| pipe.send(&federate_request()).unwrap())
+                    .collect();
+                let stats = pipe.send(&Request::Stats).unwrap();
+                pipe.flush().unwrap();
+                let mut answered = Vec::new();
+                for _ in 0..=DEPTH {
+                    let frame = pipe.recv_any().unwrap();
+                    let id = frame.request_id;
+                    assert!(!answered.contains(&id), "duplicate reply for {id}");
+                    match frame.response {
+                        Response::Federated(summary) => {
+                            assert!(federates.contains(&id), "{id} is no federate");
+                            assert_eq!(summary.bandwidth_kbps, 80);
+                        }
+                        Response::Stats(_) => assert_eq!(id, stats),
+                        other => panic!("unexpected reply to {id}: {other:?}"),
+                    }
+                    answered.push(id);
+                }
+                assert_eq!(pipe.in_flight(), 0);
+            })
+        })
+        .collect();
+    for client in clients {
+        client.join().expect("every connection is answered in full");
+    }
+
+    let mut probe = Client::connect(addr).unwrap();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let stats = loop {
+        let s = probe.stats().unwrap();
+        if s.connections_open == 1 || Instant::now() > deadline {
+            break s;
+        }
+        thread::sleep(Duration::from_millis(5));
+    };
+    assert_eq!(stats.connections_open, 1, "only the probe: {stats:?}");
+    assert_eq!(stats.served, CONNECTIONS as u64 * DEPTH, "{stats:?}");
+    assert_eq!(stats.frames_in_flight, 0, "{stats:?}");
+    handle.shutdown();
+}
+
 /// Shutdown with frames in flight: sixteen federates are on the wire when
 /// a second connection asks the server to stop. Every answer the first
 /// client still gets is a well-formed frame for one of its ids, the stream

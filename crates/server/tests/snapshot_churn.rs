@@ -1,20 +1,21 @@
-//! Churn stress for the snapshot world: one mutator thread cycles link-QoS
-//! flaps and instance failures while eight solver threads federate
-//! continuously. Every solve must observe a *consistent* snapshot — its
-//! flow graph passes the [`FlowGraphAuditor`] against its own snapshot's
-//! overlay, never against a half-mutated world — and the epochs each
-//! solver observes must be monotonic.
+//! Churn stress for the published world, through a live server: one client
+//! applies link-QoS flaps and instance failures while eight client threads
+//! federate and release continuously. Every answer must come from a
+//! *consistent* snapshot — the server audits each solved and repaired flow
+//! against its own snapshot's overlay (`audit: true`), never against a
+//! half-mutated world — and the epochs each client is answered at must be
+//! monotonic. A federate a mutation overtakes may be answered `Stale`;
+//! nothing may be answered `Error`.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread;
 
-use sflow_core::algorithms::{FederationAlgorithm, SflowAlgorithm};
 use sflow_core::fixtures::random_fixture;
-use sflow_core::validate::FlowGraphAuditor;
-use sflow_core::ServiceRequirement;
 use sflow_net::ServiceId;
-use sflow_server::{Mutation, World};
+use sflow_server::{serve, Algorithm, Client, Mutation, Response, ServerConfig, World};
+
+const SPEC: &str = "0>1>3, 0>2>3";
 
 #[test]
 fn solvers_under_churn_always_observe_consistent_snapshots() {
@@ -26,49 +27,46 @@ fn solvers_under_churn_always_observe_consistent_snapshots() {
     // the requirement unsatisfiable.
     let sids: Vec<ServiceId> = (0..5).map(ServiceId::new).collect();
     let fx = random_fixture(24, &sids, 3, None, 7);
-    let req: ServiceRequirement = "0>1>3, 0>2>3".parse().unwrap();
-
-    let mut world = World::new(fx);
-    SflowAlgorithm::default()
-        .federate(&world.context(), &req)
-        .expect("the epoch-0 world must be solvable");
-
-    let snap = world.handle();
+    // The mutating client plans each mutation on a mirror of the server's
+    // world: the same fixture under the same mutations is the same world.
+    let mut mirror = World::new(fx.clone());
+    let config = ServerConfig {
+        audit: true,
+        residual: false,
+        solve_cache: false,
+        route_workers: 1,
+        ..ServerConfig::default()
+    };
+    let handle = serve(World::new(fx), &config).unwrap();
+    let addr = handle.addr();
     let done = Arc::new(AtomicBool::new(false));
 
     let solvers: Vec<_> = (0..SOLVERS)
         .map(|_| {
-            let snap = Arc::clone(&snap);
             let done = Arc::clone(&done);
-            let req = req.clone();
             thread::spawn(move || {
-                let mut last_epoch = 0u64;
-                let mut solved = 0u64;
+                let mut client = Client::connect(addr).unwrap();
+                let (mut last_epoch, mut solved, mut stale) = (0u64, 0u64, 0u64);
                 loop {
-                    let snapshot = snap.load();
-                    assert!(
-                        snapshot.epoch() >= last_epoch,
-                        "published epochs regressed: {} after {}",
-                        snapshot.epoch(),
-                        last_epoch
-                    );
-                    last_epoch = snapshot.epoch();
-                    // The context shares the snapshot's overlay and table;
-                    // everything below is consistent with epoch `last_epoch`
-                    // no matter what the mutator publishes meanwhile.
-                    let ctx = snapshot.context();
-                    let flow = SflowAlgorithm::default()
-                        .federate(&ctx, &req)
-                        .expect("every published snapshot must stay solvable");
-                    let report = FlowGraphAuditor::new(&ctx, &req).audit(&flow);
-                    assert!(
-                        report.is_clean(),
-                        "flow violates invariants against its own snapshot \
-                         (epoch {last_epoch}): {report:?}"
-                    );
-                    solved += 1;
+                    match client.federate(SPEC, Algorithm::Sflow, Some(2)).unwrap() {
+                        Response::Federated(summary) => {
+                            assert!(
+                                summary.epoch >= last_epoch,
+                                "answered epochs regressed: {} after {last_epoch}",
+                                summary.epoch
+                            );
+                            last_epoch = summary.epoch;
+                            match client.release(summary.session).unwrap() {
+                                Response::Released { .. } => {}
+                                other => panic!("expected Released, got {other:?}"),
+                            }
+                            solved += 1;
+                        }
+                        Response::Stale { .. } => stale += 1,
+                        other => panic!("expected Federated or Stale, got {other:?}"),
+                    }
                     if done.load(Ordering::SeqCst) {
-                        return (solved, last_epoch);
+                        return (solved, stale, last_epoch);
                     }
                 }
             })
@@ -78,9 +76,10 @@ fn solvers_under_churn_always_observe_consistent_snapshots() {
     // The mutator: QoS-flap a source out-link on most ticks, fail a
     // service-4 instance (forcing a full renumbering rebuild) on every
     // tenth while any remain.
+    let mut mutator = Client::connect(addr).unwrap();
     let spare = ServiceId::new(4);
     for tick in 0..MUTATIONS {
-        let snapshot = world.snapshot();
+        let snapshot = mirror.snapshot();
         let overlay = snapshot.overlay();
         let victim = if tick % 10 == 9 {
             overlay
@@ -107,20 +106,31 @@ fn solvers_under_churn_always_observe_consistent_snapshots() {
                 }
             }
         };
-        world.apply(&mutation).expect("churn mutations must apply");
+        mirror.apply(&mutation).expect("churn mutations must apply");
+        match mutator.mutate(mutation).unwrap() {
+            Response::Mutated { epoch, .. } => assert_eq!(epoch, mirror.epoch()),
+            other => panic!("expected Mutated, got {other:?}"),
+        }
     }
     done.store(true, Ordering::SeqCst);
 
     let mut total_solves = 0u64;
-    for handle in solvers {
-        let (solved, last_epoch) = handle.join().expect("solver thread must not panic");
-        assert!(solved >= 1, "every solver must complete at least one solve");
+    for solver in solvers {
+        let (solved, stale, last_epoch) = solver.join().expect("client thread must not panic");
+        assert!(
+            solved + stale >= 1,
+            "every client must be answered at least once"
+        );
         assert!(
             last_epoch <= MUTATIONS,
-            "observed epoch {last_epoch} beyond the {MUTATIONS} applied"
+            "answered epoch {last_epoch} beyond the {MUTATIONS} applied"
         );
         total_solves += solved;
     }
-    assert_eq!(world.epoch(), MUTATIONS, "one epoch per applied mutation");
-    assert!(total_solves >= SOLVERS as u64);
+    assert!(total_solves >= 1);
+    let stats = mutator.stats().unwrap();
+    assert_eq!(stats.epoch, MUTATIONS, "one epoch per applied mutation");
+    assert_eq!(stats.audit_violations, 0, "{stats:?}");
+    assert_eq!(stats.sessions, 0, "every session was released");
+    handle.shutdown();
 }

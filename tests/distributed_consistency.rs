@@ -1,9 +1,11 @@
-//! Consistency of the three executions of the sFlow algorithm: centralized
-//! solver, discrete-event simulation, threaded actor runtime.
+//! Consistency of the executions of the sFlow algorithm: centralized
+//! solver, discrete-event simulation, threaded actor runtime, and the
+//! resident server's `Algorithm::Sflow`.
 
 use sflow::core::algorithms::{FederationAlgorithm, SflowAlgorithm};
 use sflow::core::fixtures::random_fixture;
 use sflow::runtime::{run_actors, RuntimeConfig};
+use sflow::server::{serve, Algorithm, Client, Response, ServerConfig, World};
 use sflow::sim::{run_distributed, SimConfig};
 use sflow::{ServiceId, ServiceRequirement};
 
@@ -33,6 +35,38 @@ fn worlds_and_requirements() -> Vec<(ServiceRequirement, u64)> {
     vec![(chain, 11), (diamond, 22), (tree, 33), (dag, 44)]
 }
 
+/// `req` as the server's chain expression, one chain per edge.
+fn chain_expression(req: &ServiceRequirement) -> String {
+    let edges: Vec<String> = req
+        .edges()
+        .iter()
+        .map(|(from, to)| format!("{}>{}", from.as_u32(), to.as_u32()))
+        .collect();
+    edges.join(", ")
+}
+
+/// The bottleneck a fresh server answers for `req` under `Algorithm::Sflow`
+/// at the horizon `SflowAlgorithm::default()` uses.
+fn served_bandwidth_kbps(world: World, req: &ServiceRequirement) -> u64 {
+    let config = ServerConfig {
+        workers: 1,
+        route_workers: 1,
+        ..ServerConfig::default()
+    };
+    let handle = serve(world, &config).unwrap();
+    let mut client = Client::connect(handle.addr()).unwrap();
+    let hop_limit = SflowAlgorithm::default().hop_limit();
+    let served = match client
+        .federate(&chain_expression(req), Algorithm::Sflow, hop_limit)
+        .unwrap()
+    {
+        Response::Federated(summary) => summary.bandwidth_kbps,
+        other => panic!("expected Federated, got {other:?}"),
+    };
+    handle.shutdown();
+    served
+}
+
 #[test]
 fn simulation_matches_centralized_selection_quality() {
     for (req, base) in worlds_and_requirements() {
@@ -51,6 +85,12 @@ fn simulation_matches_centralized_selection_quality() {
                 "req {req} seed {seed}"
             );
             assert_eq!(sim.flow.selection().len(), req.len());
+            let served = served_bandwidth_kbps(World::new(fx.clone()), &req);
+            assert_eq!(
+                served,
+                central.bandwidth().as_kbps(),
+                "server: req {req} seed {seed}"
+            );
         }
     }
 }
