@@ -13,20 +13,21 @@
 //!   view clamps with; the estimate is observability — it remembers recent
 //!   churn after the reservations are gone.
 //! * [`LoadPlane`] — one immutable publication of the load state for an
-//!   epoch: the map, the [`WorldSnapshot`] it indexes into (raw overlay,
-//!   table, source, epoch), and a **clamped** overlay clone whose link
-//!   bandwidths are `capacity − reserved`.
-//!   Deriving a successor ([`LoadPlane::with_changes`]) moves the ledger and
-//!   re-clamps the touched links; it runs no routing code. The routing table
-//!   over the clamped weights is a **derived, on-demand value**: the first
-//!   [`LoadPlane::context`] asked of a plane — a cold solve against a booked
-//!   ledger, off every lock — diffs the plane's clamped graph against the
-//!   last graph anyone in the epoch materialised a table for and patches
-//!   that table over the differing edges, exactly like a QoS mutation.
-//!   The patch is a plan: the trees it invalidates are swept by whichever
-//!   solve first reads their rows. Bookings no cold solve ever looks at (a
-//!   found and its dissolve, a burst of opens) are never routed, and nor
-//!   are rows no solve reads.
+//!   epoch: the map and the [`WorldSnapshot`] it indexes into (raw overlay,
+//!   table, source, epoch). Deriving a successor
+//!   ([`LoadPlane::with_changes`]) moves the ledger only: it copies no
+//!   graph and runs no routing code. The **residual view** — the overlay
+//!   with every booked link's bandwidth clamped to `capacity − reserved`,
+//!   and the routing table over those weights — is a **derived, on-demand
+//!   value**: the first [`LoadPlane::context`] asked of a plane — a cold
+//!   solve against a booked ledger, off every lock — takes the last view
+//!   anyone in the epoch materialised, re-clamps the links whose
+//!   reservation differs between that view's ledger and the plane's, and
+//!   patches the view's table over exactly those edges, like a QoS
+//!   mutation. The patch is a plan: the trees it invalidates are swept by
+//!   whichever solve first reads their rows. Bookings no cold solve ever
+//!   looks at (a found and its dissolve, a burst of opens) are never
+//!   clamped or routed, and nor are rows no solve reads.
 //! * [`LoadCell`](crate::LoadCell) — the publication cell, and the server's
 //!   only one: readers clone an `Arc` and get the ledger together with the
 //!   snapshot it indexes, writers swap a pointer. It lives with its only
@@ -44,6 +45,7 @@ use std::sync::{Arc, OnceLock};
 
 use parking_lot::Mutex;
 use sflow_core::{FederationContext, FlowGraph, OwnedFederationContext};
+use sflow_graph::NodeIx;
 use sflow_net::{OverlayGraph, ServiceInstance};
 use sflow_routing::{AllPairs, Bandwidth, EdgeChange, PatchStats, Qos};
 
@@ -174,19 +176,52 @@ pub fn links_of(flow: &FlowGraph, overlay: &OverlayGraph) -> Vec<(LinkId, u64)> 
         .collect()
 }
 
-/// The last residual table anyone materialised in an epoch, and the clamped
-/// graph it is the table of. Every plane of the epoch shares one of these
-/// (seeded with the snapshot's overlay and table): a plane asked for its
-/// table patches this one over the edges its own clamp differs on, so the
-/// work done for one plane version is never redone for the next, and
-/// bookings that cancel out before anyone asks cost nothing.
-#[derive(Debug)]
-struct Materialised {
+/// A plane's residual view: the snapshot's overlay with every booked link's
+/// bandwidth clamped to `capacity − reserved`, and the shortest-widest
+/// table over those weights.
+#[derive(Clone, Debug)]
+struct View {
     graph: Arc<OverlayGraph>,
     table: Arc<AllPairs>,
 }
 
-/// One immutable publication of the load state for a topology epoch.
+impl View {
+    /// The view of an empty ledger: the snapshot's own overlay and table.
+    fn raw(snapshot: &WorldSnapshot) -> View {
+        View {
+            graph: snapshot.overlay_arc(),
+            table: snapshot.all_pairs_arc(),
+        }
+    }
+}
+
+/// The last residual view anyone materialised in an epoch, and the
+/// reservations its graph was clamped from. Every plane of the epoch shares
+/// one of these (seeded with the snapshot's view and an empty ledger): a
+/// plane asked for its view re-clamps this one over the links whose
+/// reservation its own ledger differs on and patches the table over those
+/// edges, so the work done for one plane version is never redone for the
+/// next, and bookings that cancel out before anyone asks cost nothing.
+#[derive(Debug)]
+struct Materialised {
+    view: View,
+    reserved: BTreeMap<LinkId, u64>,
+}
+
+impl Materialised {
+    /// An epoch's seed: the snapshot's view, clamped from nothing.
+    fn seed(snapshot: &WorldSnapshot) -> Materialised {
+        Materialised {
+            view: View::raw(snapshot),
+            reserved: BTreeMap::new(),
+        }
+    }
+}
+
+/// One immutable publication of the load state for a topology epoch: the
+/// ledger and the snapshot it indexes. The residual view over the ledger is
+/// derived when a solve first asks for it ([`LoadPlane::context`]), not
+/// when the plane is published.
 #[derive(Debug)]
 pub struct LoadPlane {
     /// The world the plane indexes into: its epoch, its raw overlay
@@ -197,17 +232,15 @@ pub struct LoadPlane {
     /// Monotonic per-epoch publication counter, for observability.
     version: u64,
     map: LoadMap,
-    /// The residual view: the snapshot's overlay with every booked link's
-    /// bandwidth clamped to `capacity − reserved`. Shares the snapshot's
-    /// `Arc` while nothing is booked.
-    clamped: Arc<OverlayGraph>,
-    /// Shortest-widest table over the clamped weights, materialised by the
-    /// first [`LoadPlane::context`] that asks. Successors whose clamp is
-    /// unchanged share the slot, whichever of them is asked first.
-    table: Arc<OnceLock<Arc<AllPairs>>>,
-    /// What `table` is patched from. A leaf lock: held across the patch's
-    /// plan (concurrent cold solves want nearly the same table), never
-    /// taken under the sessions lock. Sweeps run outside it, on read.
+    /// The residual view, built by the first [`LoadPlane::context`] that
+    /// asks. Successors whose clamp is unchanged share the slot, whichever
+    /// of them is asked first; a plane that clamps nothing holds the
+    /// snapshot's view from the start.
+    view: Arc<OnceLock<View>>,
+    /// What `view` is derived from. A leaf lock: held across the re-clamp
+    /// and the patch's plan (concurrent cold solves want nearly the same
+    /// view), never taken under the sessions lock. Sweeps run outside it,
+    /// on read.
     last: Arc<Mutex<Materialised>>,
     /// Sizes the deferred patch's rebuild, were it ever structural (`0` =
     /// auto).
@@ -215,53 +248,54 @@ pub struct LoadPlane {
 }
 
 impl LoadPlane {
-    /// The empty plane for a fresh epoch: nothing reserved, so the clamped
-    /// view *is* the raw overlay and the table is shared with the snapshot
-    /// by pointer — publishing a new epoch costs a few `Arc` clones.
+    /// The empty plane for a fresh epoch: nothing reserved, so the residual
+    /// view *is* the raw overlay and its table, shared with the snapshot by
+    /// pointer — publishing a new epoch costs a few `Arc` clones.
     pub fn fresh(snapshot: &Arc<WorldSnapshot>) -> Self {
         LoadPlane::rebased(snapshot, LoadMap::default(), 0)
     }
 
     /// Rebuilds the plane for `snapshot` from a ledger recomputed out of
     /// the (already repaired) session table — the epoch-crossing path.
-    /// Links whose endpoints no longer exist are dropped from the ledger;
-    /// every surviving reservation is clamped into a fresh view. The
-    /// epoch's table lineage starts at the snapshot's own overlay and
-    /// table; `workers` sizes the patch a later [`LoadPlane::context`] pays.
+    /// One pass over the ledger drops the links whose endpoints no longer
+    /// exist and finds whether any surviving reservation clamps a link; if
+    /// none does, the plane holds the snapshot's view. The epoch's view
+    /// lineage starts at the snapshot's own overlay and table; `workers`
+    /// sizes the patch a later [`LoadPlane::context`] pays.
     pub fn rebased(snapshot: &Arc<WorldSnapshot>, mut map: LoadMap, workers: usize) -> Self {
-        let raw = snapshot.overlay_arc();
-        let live: Vec<(LinkId, u64)> = map.iter_reserved().collect();
-        let mut clamped = Arc::clone(&raw);
-        for (link, kbps) in live {
-            if clamp_link(&mut clamped, &raw, link, kbps).is_none() {
-                // The link died with the mutation (its sessions were
-                // dropped or rerouted); forget the orphaned entry.
-                map.release(link, kbps);
-            }
-        }
-        let table = if Arc::ptr_eq(&clamped, &raw) {
-            OnceLock::from(snapshot.all_pairs_arc())
-        } else {
+        let raw = snapshot.overlay();
+        let mut clamps = false;
+        map.reserved.retain(|&link, &mut kbps| {
+            // A link that died with the mutation (its sessions were dropped
+            // or rerouted) leaves an orphaned entry to forget.
+            let Some((_, _, qos)) = resolve(raw, link) else {
+                return false;
+            };
+            clamps |= clamp(qos, kbps) != qos;
+            true
+        });
+        let view = if clamps {
             OnceLock::new()
+        } else {
+            OnceLock::from(View::raw(snapshot))
         };
         LoadPlane {
             snapshot: Arc::clone(snapshot),
             version: 0,
             map,
-            clamped,
-            table: Arc::new(table),
-            last: Arc::new(Mutex::new(Materialised {
-                graph: raw,
-                table: snapshot.all_pairs_arc(),
-            })),
+            view: Arc::new(view),
+            last: Arc::new(Mutex::new(Materialised::seed(snapshot))),
             workers,
         }
     }
 
     /// Derives the successor plane after `opens` and `releases` (each a
-    /// `(link, kbps)` list): the ledger moves and only the touched links
-    /// are re-clamped. No routing code runs here — this is what the server
-    /// pays under the sessions lock. `workers` sizes the patch a later
+    /// `(link, kbps)` list): the ledger moves, and that is all. If no
+    /// touched link's clamp moved — each is absent from this epoch, of
+    /// infinite capacity, or floored at zero before and after — the
+    /// successor shares this plane's view slot. No graph is copied and no
+    /// routing code runs here — this is what the server pays under the
+    /// sessions lock. `workers` sizes the patch a later
     /// [`LoadPlane::context`] pays if a cold solve asks this plane for it.
     #[must_use]
     pub fn with_changes(
@@ -271,39 +305,34 @@ impl LoadPlane {
         workers: usize,
     ) -> LoadPlane {
         let mut map = self.map.clone();
-        let mut touched = BTreeSet::new();
         for &(link, kbps) in opens {
             map.open(link, kbps);
-            touched.insert(link);
         }
         for &(link, kbps) in releases {
             map.release(link, kbps);
-            touched.insert(link);
         }
-        let mut clamped = Arc::clone(&self.clamped);
-        for link in touched {
-            // A link absent from this epoch's overlay has no clamp to move.
-            let raw = self.snapshot.overlay();
-            let _ = clamp_link(&mut clamped, raw, link, map.reserved_kbps(link));
-        }
-        let table = if Arc::ptr_eq(&clamped, &self.clamped) {
-            Arc::clone(&self.table)
-        } else {
+        let raw = self.snapshot.overlay();
+        let moved = opens.iter().chain(releases).any(|&(link, _)| {
+            let (before, after) = (self.map.reserved_kbps(link), map.reserved_kbps(link));
+            clamp_move(raw, link, before, after).is_some()
+        });
+        let view = if moved {
             Arc::default()
+        } else {
+            Arc::clone(&self.view)
         };
         LoadPlane {
             snapshot: Arc::clone(&self.snapshot),
             version: self.version + 1,
             map,
-            clamped,
-            table,
+            view,
             last: Arc::clone(&self.last),
             workers,
         }
     }
 
     /// The successor plane after one DRE tick. Estimates do not feed the
-    /// clamp, so the residual view and its table slot are shared.
+    /// clamp, so the view slot is shared.
     #[must_use]
     pub fn decayed(&self) -> LoadPlane {
         let mut map = self.map.clone();
@@ -312,8 +341,7 @@ impl LoadPlane {
             snapshot: Arc::clone(&self.snapshot),
             version: self.version + 1,
             map,
-            clamped: Arc::clone(&self.clamped),
-            table: Arc::clone(&self.table),
+            view: Arc::clone(&self.view),
             last: Arc::clone(&self.last),
             workers: self.workers,
         }
@@ -342,72 +370,94 @@ impl LoadPlane {
 
     /// A context that federates against residual capacity: the clamped
     /// overlay and its table, pinned to this plane's epoch. The first ask
-    /// materialises the table (see [`LoadPlane::flushed_context`]); call it
+    /// materialises the view (see [`LoadPlane::flushed_context`]); call it
     /// off-lock.
     pub fn context(&self) -> OwnedFederationContext {
         self.flushed_context().0
     }
 
     /// [`LoadPlane::context`], plus what this call paid for it: the stats
-    /// of the patch it ran if the table was not there yet, `None` if it
-    /// was. The patch diffs this plane's clamped graph against the last
-    /// one materialised in the epoch edge by edge (edge numbering is fixed
-    /// within an epoch) and hands the differing edges to
-    /// [`AllPairs::patched_with`] as one batch — `old` being the weight
-    /// that table was computed from — then moves the epoch's cell forward.
-    /// The patch plans only the rows the cell's table has materialised and
-    /// leaves the ones it invalidates stale: the caller's solve sweeps the
-    /// rows it reads, after the cell's lock is released. Planes are served
-    /// in whatever order they are asked: an older plane still held by an
-    /// in-flight solver patches from a newer table just as well.
+    /// of the patch it ran if the view was not there yet, `None` if it
+    /// was. The first ask takes the epoch cell's view, re-clamps the links
+    /// whose reservation differs between the cell's ledger and this
+    /// plane's, and hands exactly those edges to [`AllPairs::patched_with`]
+    /// as one batch — `old` being the weight the cell's table was computed
+    /// from — then moves the cell forward. The patch plans only the rows
+    /// the cell's table has materialised and leaves the ones it
+    /// invalidates stale: the caller's solve sweeps the rows it reads,
+    /// after the cell's lock is released. Planes are served in whatever
+    /// order they are asked: an older plane still held by an in-flight
+    /// solver is re-clamped from a newer view just as well.
     pub fn flushed_context(&self) -> (OwnedFederationContext, Option<PatchStats>) {
         let mut flushed = None;
-        let table = self.table.get_or_init(|| {
-            let mut last = self.last.lock();
-            let changes: Vec<EdgeChange> = self
-                .clamped
-                .graph()
-                .edges()
-                .zip(last.graph.graph().edges())
-                .filter(|(mine, theirs)| mine.weight != theirs.weight)
-                .map(|(mine, theirs)| EdgeChange {
-                    edge: mine.id,
-                    old: *theirs.weight,
-                    new: *mine.weight,
-                })
-                .collect();
-            let (table, stats) =
-                last.table
-                    .patched_with(self.clamped.graph(), &changes, self.workers);
-            let table = Arc::new(table);
-            *last = Materialised {
-                graph: Arc::clone(&self.clamped),
-                table: Arc::clone(&table),
-            };
+        let view = self.view.get_or_init(|| {
+            let (view, stats) = self.flush();
             flushed = Some(stats);
-            table
+            view
         });
         let ctx = FederationContext::from_arcs(
-            Arc::clone(&self.clamped),
-            Arc::clone(table),
+            Arc::clone(&view.graph),
+            Arc::clone(&view.table),
             self.snapshot.source_node(),
         );
         (ctx, flushed)
     }
 
-    /// Test probe: has anyone materialised this plane's table yet?
+    /// Derives this plane's view from the epoch's cell and leaves it there.
+    fn flush(&self) -> (View, PatchStats) {
+        let mut last = self.last.lock();
+        // The view is taken out of the cell, so a graph no older plane
+        // still holds is re-clamped in place. Meanwhile the cell holds the
+        // epoch's seed, which is consistent should the patch unwind.
+        let Materialised { view, reserved } =
+            std::mem::replace(&mut *last, Materialised::seed(&self.snapshot));
+        let mut graph = view.graph;
+        let changes = self.reclamp(&mut graph, &reserved);
+        let (table, stats) = view
+            .table
+            .patched_with(graph.graph(), &changes, self.workers);
+        let view = View {
+            graph,
+            table: Arc::new(table),
+        };
+        *last = Materialised {
+            view: view.clone(),
+            reserved: self.map.reserved.clone(),
+        };
+        (view, stats)
+    }
+
+    /// Re-clamps `graph`, the view graph of the reservations `from`, to
+    /// this plane's ledger: only the links whose reservation differs are
+    /// looked at, and the edges whose weight moved are returned. `graph`
+    /// is cloned only if a weight moves while someone else holds it.
+    fn reclamp(
+        &self,
+        graph: &mut Arc<OverlayGraph>,
+        from: &BTreeMap<LinkId, u64>,
+    ) -> Vec<EdgeChange> {
+        let raw = self.snapshot.overlay();
+        let to = &self.map.reserved;
+        let gone = from.keys().filter(|link| !to.contains_key(link));
+        gone.chain(to.keys())
+            .filter_map(|&link| {
+                let before = from.get(&link).copied().unwrap_or(0);
+                let after = self.map.reserved_kbps(link);
+                let (tail, head, qos) = clamp_move(raw, link, before, after)?;
+                Arc::make_mut(graph).update_link_qos(tail, head, qos)
+            })
+            .collect()
+    }
+
+    /// Test probe: has anyone materialised this plane's view yet?
     #[cfg(test)]
     pub(crate) fn is_materialised(&self) -> bool {
-        self.table.get().is_some()
+        self.view.get().is_some()
     }
 
     /// `link`'s raw capacity, if it exists in this epoch.
     pub fn capacity(&self, link: LinkId) -> Option<Bandwidth> {
-        let raw = self.snapshot.overlay();
-        let from = raw.node_of(link.0)?;
-        let to = raw.node_of(link.1)?;
-        let e = raw.graph().find_edge(from, to)?;
-        Some(raw.graph().edge(e).bandwidth)
+        resolve(self.snapshot.overlay(), link).map(|(_, _, qos)| qos.bandwidth)
     }
 
     /// What is still free on `link`: `capacity − reserved`, floored at zero.
@@ -469,32 +519,41 @@ impl LoadPlane {
     }
 }
 
-/// Makes `clamped`'s copy of `link` read `capacity − reserved`, the raw
-/// capacity coming from `raw`. Copy-on-first-write: the overlay is cloned
-/// only when a weight actually moves, so a move that changes no clamp
-/// leaves the view — and with it the table — shared with its predecessor.
-/// `None` when the link does not exist in this epoch. Infinite capacity is
-/// never clamped.
-fn clamp_link(
-    clamped: &mut Arc<OverlayGraph>,
-    raw: &OverlayGraph,
-    link: LinkId,
-    reserved_kbps: u64,
-) -> Option<()> {
+/// `link`'s endpoints in `raw` and its raw QoS; `None` when the link does
+/// not exist in this epoch.
+fn resolve(raw: &OverlayGraph, link: LinkId) -> Option<(NodeIx, NodeIx, Qos)> {
     let from = raw.node_of(link.0)?;
     let to = raw.node_of(link.1)?;
     let e = raw.graph().find_edge(from, to)?;
-    let raw_qos = *raw.graph().edge(e);
-    let next = Qos::new(
-        raw_qos
-            .bandwidth
-            .saturating_sub(Bandwidth::kbps(reserved_kbps)),
-        raw_qos.latency,
-    );
-    if *clamped.graph().edge(e) != next {
-        Arc::make_mut(clamped).update_link_qos(from, to, next)?;
+    Some((from, to, *raw.graph().edge(e)))
+}
+
+/// A link's residual QoS with `reserved_kbps` booked on it: `capacity −
+/// reserved`, floored at zero, at the raw latency. Infinite capacity is
+/// never clamped.
+fn clamp(raw: Qos, reserved_kbps: u64) -> Qos {
+    Qos::new(
+        raw.bandwidth.saturating_sub(Bandwidth::kbps(reserved_kbps)),
+        raw.latency,
+    )
+}
+
+/// What moving `link`'s reservation from `before` to `after` kbit/s asks of
+/// a residual view: the link's endpoints and its new clamped QoS. `None`
+/// when the clamp does not move — the link is absent from this epoch, its
+/// capacity is infinite, or both reservations floor it at zero.
+fn clamp_move(
+    raw: &OverlayGraph,
+    link: LinkId,
+    before: u64,
+    after: u64,
+) -> Option<(NodeIx, NodeIx, Qos)> {
+    if before == after {
+        return None;
     }
-    Some(())
+    let (from, to, qos) = resolve(raw, link)?;
+    let next = clamp(qos, after);
+    (clamp(qos, before) != next).then_some((from, to, next))
 }
 
 #[cfg(test)]
@@ -525,8 +584,10 @@ mod tests {
         assert_eq!(plane.epoch(), 0);
         assert!(plane.map().is_empty());
         assert_eq!(plane.max_utilization_permille(), 0);
-        // Nothing booked: the clamped view is the raw overlay itself.
-        assert!(Arc::ptr_eq(&snap.overlay_arc(), &plane.clamped));
+        // Nothing booked: the view is the snapshot's own, from the start.
+        let view = plane.view.get().expect("an empty ledger's view is there");
+        assert!(Arc::ptr_eq(&snap.overlay_arc(), &view.graph));
+        assert!(Arc::ptr_eq(&snap.all_pairs_arc(), &view.table));
         assert!(Arc::ptr_eq(plane.snapshot(), &snap));
     }
 
@@ -676,24 +737,53 @@ mod tests {
         );
     }
 
-    /// What every ledger move promises, checked without asking for the
-    /// table: each clamped link reads `capacity − reserved` (infinite
-    /// capacity untouched) at the raw latency.
-    fn assert_clamp_matches_the_ledger(plane: &LoadPlane, raw: &OverlayGraph, step: &str) {
-        let clamped = plane.clamped.graph();
-        for e in raw.graph().edges() {
-            let link = (raw.instance(e.from), raw.instance(e.to));
-            let capacity = e.weight.bandwidth;
-            let want = if capacity == Bandwidth::INFINITE {
-                capacity
-            } else {
-                let reserved = plane.map().reserved_kbps(link);
-                Bandwidth::kbps(capacity.as_kbps().saturating_sub(reserved))
-            };
-            let got = clamped.edge(clamped.find_edge(e.from, e.to).unwrap());
-            assert_eq!(got.bandwidth, want, "{step}: clamp of {link:?}");
-            assert_eq!(got.latency, e.weight.latency, "{step}: latency of {link:?}");
-        }
+    /// The rule flushes followed while every plane carried its own clamped
+    /// graph, kept as the oracle: clamp the snapshot's overlay from scratch
+    /// to `plane`'s ledger — every link `capacity − reserved`, infinite
+    /// capacity untouched, at the raw latency — and diff it against
+    /// `graph` edge by edge.
+    fn edge_diff(plane: &LoadPlane, graph: &OverlayGraph) -> Vec<EdgeChange> {
+        let raw = plane.snapshot().overlay();
+        raw.graph()
+            .edges()
+            .zip(graph.graph().edges())
+            .filter_map(|(e, theirs)| {
+                let capacity = e.weight.bandwidth;
+                let want = if capacity == Bandwidth::INFINITE {
+                    *e.weight
+                } else {
+                    let link = (raw.instance(e.from), raw.instance(e.to));
+                    let reserved = plane.map().reserved_kbps(link);
+                    let residual = Bandwidth::kbps(capacity.as_kbps().saturating_sub(reserved));
+                    Qos::new(residual, e.weight.latency)
+                };
+                (want != *theirs.weight).then_some(EdgeChange {
+                    edge: e.id,
+                    old: *theirs.weight,
+                    new: want,
+                })
+            })
+            .collect()
+    }
+
+    /// What every ask promises about the graph `context()` hands out: it
+    /// is the from-scratch clamp of the plane's ledger.
+    fn assert_clamp_matches_the_ledger(plane: &LoadPlane, step: &str) {
+        let ctx = plane.context();
+        assert_eq!(edge_diff(plane, ctx.overlay()), [], "{step}: a stale clamp");
+    }
+
+    /// The changes a flush of `plane` would hand the patch right now are
+    /// the edge diff of its from-scratch clamp against the cell's graph —
+    /// so no absent link and no infinite-capacity link is among them.
+    fn assert_flush_changes_are_the_edge_diff(plane: &LoadPlane, step: &str) {
+        let (graph, reserved) = {
+            let cell = plane.last.lock();
+            (Arc::clone(&cell.view.graph), cell.reserved.clone())
+        };
+        let mut changes = plane.reclamp(&mut Arc::clone(&graph), &reserved);
+        changes.sort_by_key(|c| c.edge);
+        assert_eq!(changes, edge_diff(plane, &graph), "{step}: flush changes");
     }
 
     /// What the plane promises the solver: the table `context()` hands out
@@ -734,21 +824,41 @@ mod tests {
     fn the_patched_table_is_the_table_of_the_clamped_graph() {
         // How the asks went, over all seeds: each shape must occur.
         let (mut alone, mut older_after_newer, mut racing, mut across_rebase) = (0, 0, 0, 0);
+        let mut neutral_moves = 0;
         for seed in 0..4u64 {
             let snap = random_snapshot(seed);
             let source = snap.source_node();
             let mut raw = snap.overlay_arc();
-            let all_links: Vec<(LinkId, Bandwidth)> = raw
+            // Every link a move may book, the most one booking puts on it,
+            // and whether booking it leaves every clamp where it was: links
+            // absent from the epoch (a booking of an older epoch releasing
+            // mid-sweep) and infinite co-location links do.
+            let first = raw.graph().node_ids().next().unwrap();
+            let absent = [
+                (raw.instance(first), raw.instance(first)),
+                (
+                    ServiceInstance::new(sflow_net::ServiceId::new(7), sflow_net::HostId::new(9)),
+                    ServiceInstance::new(sflow_net::ServiceId::new(8), sflow_net::HostId::new(9)),
+                ),
+            ];
+            let mut pool: Vec<(LinkId, u64, bool)> = raw
                 .graph()
                 .edges()
                 .map(|e| {
-                    (
-                        (raw.instance(e.from), raw.instance(e.to)),
-                        e.weight.bandwidth,
-                    )
+                    let link = (raw.instance(e.from), raw.instance(e.to));
+                    match e.weight.bandwidth {
+                        Bandwidth::INFINITE => (link, 500, true),
+                        capacity => (link, capacity.as_kbps() * 5 / 4, false),
+                    }
                 })
                 .collect();
-            assert!(all_links.iter().any(|&(_, c)| c == Bandwidth::INFINITE));
+            assert!(pool.iter().any(|&(_, _, neutral)| neutral));
+            pool.extend(absent.map(|link| (link, 500, true)));
+            let neutral: BTreeSet<LinkId> = pool
+                .iter()
+                .filter(|&&(_, _, neutral)| neutral)
+                .map(|&(link, _, _)| link)
+                .collect();
 
             // The crate has no dev-dependency on `rand`; an LCG is enough.
             let mut state = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -769,50 +879,67 @@ mod tests {
             let mut next_ask = draw(9);
             let mut rebase_unasked = false;
             for step in 0..60 {
+                let at = format!("seed {seed} step {step}");
                 let next = if step == 30 {
-                    // One epoch crossing: a link's raw capacity halves and
-                    // the ledger is rebased onto the successor snapshot.
-                    let (link, capacity) = all_links[draw(all_links.len() as u64) as usize];
-                    let (from, to) = (raw.node_of(link.0).unwrap(), raw.node_of(link.1).unwrap());
-                    let latency = raw
-                        .graph()
-                        .edge(raw.graph().find_edge(from, to).unwrap())
-                        .latency;
-                    let halved = Qos::new(Bandwidth::kbps(capacity.as_kbps() / 2), latency);
+                    // One epoch crossing: a finite link's raw capacity
+                    // halves and the ledger is rebased onto the successor
+                    // snapshot, which forgets the absent links' bookings.
+                    let finite: Vec<LinkId> = pool
+                        .iter()
+                        .filter(|&&(_, _, neutral)| !neutral)
+                        .map(|&(link, _, _)| link)
+                        .collect();
+                    let link = finite[draw(finite.len() as u64) as usize];
+                    let (from, to, qos) = resolve(&raw, link).unwrap();
+                    let halved =
+                        Qos::new(Bandwidth::kbps(qos.bandwidth.as_kbps() / 2), qos.latency);
                     let (overlay, change) = raw.with_link_qos(from, to, halved).unwrap();
                     let (table, _) = snap.all_pairs().patched_with(overlay.graph(), &[change], 1);
                     let next = WorldSnapshot::new(Arc::new(overlay), Arc::new(table), source, 1);
                     let next = Arc::new(next);
                     raw = next.overlay_arc();
                     rebase_unasked = true;
+                    booked.retain(|&(link, _)| resolve(&raw, link).is_some());
                     LoadPlane::rebased(&next, plane.map().clone(), 1)
                 } else {
                     // Opens (amounts reach past capacity, so fully booked
                     // links occur), releases of earlier bookings, or both at
-                    // once — the rebalancer's make-before-break shape.
+                    // once — the rebalancer's make-before-break shape. One
+                    // move in six books and releases only links that leave
+                    // every clamp where it was, and shares the view slot.
+                    let neutral_move = draw(6) == 0;
+                    let eligible: Vec<usize> = (0..pool.len())
+                        .filter(|&i| !neutral_move || pool[i].2)
+                        .collect();
                     let mut opens = Vec::new();
                     let mut releases = Vec::new();
                     let kind = draw(5);
                     if kind != 0 {
                         for _ in 0..=draw(3) {
-                            let (link, capacity) = all_links[draw(all_links.len() as u64) as usize];
-                            let ceiling = if capacity == Bandwidth::INFINITE {
-                                500
-                            } else {
-                                capacity.as_kbps() * 5 / 4
-                            };
+                            let pick = eligible[draw(eligible.len() as u64) as usize];
+                            let (link, ceiling, _) = pool[pick];
                             opens.push((link, 1 + draw(ceiling)));
                         }
                     }
                     if kind <= 1 {
                         for _ in 0..=draw(3) {
-                            if !booked.is_empty() {
-                                releases
-                                    .push(booked.swap_remove(draw(booked.len() as u64) as usize));
+                            let held: Vec<usize> = (0..booked.len())
+                                .filter(|&i| !neutral_move || neutral.contains(&booked[i].0))
+                                .collect();
+                            if !held.is_empty() {
+                                let pick = held[draw(held.len() as u64) as usize];
+                                releases.push(booked.swap_remove(pick));
                             }
                         }
                     }
                     let next = plane.with_changes(&opens, &releases, 1);
+                    if neutral_move {
+                        assert!(
+                            Arc::ptr_eq(&next.view, &plane.view),
+                            "{at}: {opens:?} / {releases:?} unshared the view"
+                        );
+                        neutral_moves += 1;
+                    }
                     booked.extend(opens);
                     next
                 };
@@ -821,8 +948,6 @@ mod tests {
                     plane.map().total_reserved_kbps(),
                     booked.iter().map(|&(_, k)| k).sum::<u64>()
                 );
-                let at = format!("seed {seed} step {step}");
-                assert_clamp_matches_the_ledger(&plane, &raw, &at);
                 if step != 30 && !prev.is_materialised() && draw(3) == 0 {
                     older = Some(prev);
                 }
@@ -836,9 +961,9 @@ mod tests {
                 match (older.take(), draw(2)) {
                     (Some(older), 0) => {
                         // Newest first, then the plane it superseded: that
-                        // one is served from the newer table.
-                        assert_table_matches_a_rebuild(&plane, &at);
-                        assert_table_matches_a_rebuild(&older, &format!("{at}, older"));
+                        // one is served from the newer view.
+                        assert_asked(&plane, &at);
+                        assert_asked(&older, &format!("{at}, older"));
                         older_after_newer += 1;
                     }
                     (Some(older), _) if !plane.is_materialised() => {
@@ -850,17 +975,16 @@ mod tests {
                                 let (gate, at) = (&gate, &at);
                                 scope.spawn(move || {
                                     gate.wait();
-                                    assert_table_matches_a_rebuild(
-                                        plane,
-                                        &format!("{at}, racing {who}"),
-                                    );
+                                    let at = format!("{at}, racing {who}");
+                                    assert_table_matches_a_rebuild(plane, &at);
+                                    assert_clamp_matches_the_ledger(plane, &at);
                                 });
                             }
                         });
                         racing += 1;
                     }
                     _ => {
-                        assert_table_matches_a_rebuild(&plane, &at);
+                        assert_asked(&plane, &at);
                         alone += 1;
                     }
                 }
@@ -871,6 +995,16 @@ mod tests {
             "asks: {alone} alone, {older_after_newer} older-after-newer, {racing} racing, \
              {across_rebase} first asked a few moves after the rebase"
         );
+        assert!(neutral_moves > 0, "no move left every clamp alone");
+    }
+
+    /// One ask from a single solver, checked three ways: the flush's
+    /// changes are the edge diff, the table is its graph's, and the graph
+    /// is the clamp of the ledger.
+    fn assert_asked(plane: &LoadPlane, step: &str) {
+        assert_flush_changes_are_the_edge_diff(plane, step);
+        assert_table_matches_a_rebuild(plane, step);
+        assert_clamp_matches_the_ledger(plane, step);
     }
 
     #[test]
@@ -887,10 +1021,10 @@ mod tests {
 
             let fresh = LoadPlane::fresh(&snap);
             let open = fresh.with_changes(&booking, &[], 1);
-            assert_clamp_matches_the_ledger(&open, &raw, &format!("seed {seed} open"));
+            assert_clamp_matches_the_ledger(&open, &format!("seed {seed} open"));
             assert_table_matches_a_rebuild(&open, &format!("seed {seed} open"));
             let released = open.with_changes(&[], &booking, 1);
-            assert_clamp_matches_the_ledger(&released, &raw, &format!("seed {seed} release"));
+            assert_clamp_matches_the_ledger(&released, &format!("seed {seed} release"));
             assert_table_matches_a_rebuild(&released, &format!("seed {seed} release"));
 
             let (open, released) = (open.context(), released.context());
@@ -1001,13 +1135,13 @@ mod tests {
             let snap = random_snapshot(seed);
             let raw = snap.overlay_arc();
             let nodes: Vec<NodeIx> = raw.graph().node_ids().collect();
-            let fits = |plane: &LoadPlane, u: NodeIx, v: NodeIx| {
+            let fits = |clamped: &OverlayGraph, u: NodeIx, v: NodeIx| {
                 let (Some(qos), Some(path)) =
                     (snap.all_pairs().qos(u, v), snap.all_pairs().path(u, v))
                 else {
                     return true;
                 };
-                let clamped = plane.clamped.graph();
+                let clamped = clamped.graph();
                 path.windows(2).all(|hop| {
                     let link = clamped.find_edge(hop[0], hop[1]).expect("a reported link");
                     clamped.edge(link).bandwidth >= qos.bandwidth
@@ -1027,7 +1161,7 @@ mod tests {
                 let materialised = table.materialised();
                 assert!(materialised < nodes.len(), "{at}: nothing shadowed");
                 for &u in &nodes {
-                    for &v in nodes.iter().filter(|&&v| fits(&plane, u, v)) {
+                    for &v in nodes.iter().filter(|&&v| fits(ctx.overlay(), u, v)) {
                         assert_eq!(table.qos(u, v), rebuilt.qos(u, v), "{at}: {u:?}->{v:?}");
                         assert_eq!(table.path(u, v), rebuilt.path(u, v), "{at}: {u:?}->{v:?}");
                     }
@@ -1100,8 +1234,7 @@ mod tests {
         let loopback = idle.with_changes(&infinite, &[], 1);
         let round_trip = loopback.with_changes(&booking, &booking, 1);
         for same in [&ticked, &idle, &loopback, &round_trip] {
-            assert!(Arc::ptr_eq(&same.clamped, &booked.clamped));
-            assert!(Arc::ptr_eq(&same.table, &booked.table));
+            assert!(Arc::ptr_eq(&same.view, &booked.view));
             assert!(!same.is_materialised());
         }
         assert!(idle.flushed_context().1.is_some());
@@ -1111,6 +1244,55 @@ mod tests {
         }
         assert!(!rebased.is_materialised(), "another epoch, another lineage");
         assert_table_matches_a_rebuild(&rebased, "rebased");
+    }
+
+    #[test]
+    fn a_ledger_move_copies_no_graph() {
+        for seed in 0..4u64 {
+            let snap = random_snapshot(seed);
+            let raw = snap.overlay_arc();
+            let booking = a_booking(&raw, seed);
+            let cell_graph = |plane: &LoadPlane| Arc::as_ptr(&plane.last.lock().view.graph);
+            let at = |what: &str| format!("seed {seed}: {what}");
+
+            // Ledger moves leave the cell's graph where it is and build no
+            // view: the epoch's only graph is still the snapshot's.
+            let fresh = LoadPlane::fresh(&snap);
+            let booked = fresh.with_changes(&booking, &[], 1);
+            let ticked = booked.decayed();
+            let rebased = LoadPlane::rebased(&snap, ticked.map().clone(), 1);
+            for (plane, what) in [
+                (&booked, "booked"),
+                (&ticked, "ticked"),
+                (&rebased, "rebased"),
+            ] {
+                assert_eq!(cell_graph(plane), Arc::as_ptr(&raw), "{}", at(what));
+                assert!(!plane.is_materialised(), "{}", at(what));
+            }
+
+            // The epoch's first flush clones: its graph is the snapshot's.
+            assert_flush_changes_are_the_edge_diff(&booked, &at("cut"));
+            drop(booked.context());
+            let cut = cell_graph(&booked);
+            assert_ne!(cut, Arc::as_ptr(&raw), "{}", at("the snapshot was clamped"));
+
+            // A flush whose predecessors are gone re-clamps that graph in
+            // place.
+            let released = booked.with_changes(&[], &booking, 1);
+            drop((booked, ticked));
+            assert_flush_changes_are_the_edge_diff(&released, &at("restore"));
+            drop(released.context());
+            assert_eq!(cell_graph(&released), cut, "{}", at("the restore cloned"));
+
+            // While an older plane still holds the graph, a flush clones it
+            // and leaves that plane's view as it was.
+            let again = released.with_changes(&booking[..2], &[], 1);
+            assert_flush_changes_are_the_edge_diff(&again, &at("re-cut"));
+            drop(again.context());
+            assert_ne!(cell_graph(&again), cut, "{}", at("a held graph moved"));
+            assert_clamp_matches_the_ledger(&released, &at("the held view"));
+            assert_clamp_matches_the_ledger(&again, &at("the re-cut"));
+        }
     }
 
     /// Five finite links, each booked past half its capacity.

@@ -54,8 +54,9 @@ use crate::sessions::{commit_migration, plan_migrations, tick_estimates, Ask};
 use crate::snapshot::WorldSnapshot;
 
 /// At most this many bookings migrate per sweep: every migration derives a
-/// preview plane under the sessions lock (ledger and clamp only; the routing
-/// patch it implies is paid off-lock, by the next mover's re-solve), and a
+/// preview plane under the sessions lock (the ledger only; the clamp and the
+/// routing patch it implies are paid off-lock, by the next mover's
+/// re-solve), and a
 /// bounded sweep keeps the lock holds short. Convergence comes from repeated
 /// sweeps, not from one big one.
 const MAX_MOVERS_PER_SWEEP: usize = 8;

@@ -458,7 +458,7 @@ fn federate_against(
         }
     }
     // Residual routing: solve against what live sessions left free — the
-    // clamped overlay and its table, which this is the moment to patch if
+    // clamped overlay and its table, which this is the moment to build if
     // no earlier cold solve asked this plane for it. Under the
     // `--no-residual` knob, or on an empty ledger, the snapshot's raw
     // capacity serves. Either context is an immutable `Arc` bundle; no lock

@@ -237,8 +237,8 @@ pub(crate) fn open_session(
             }
             return None;
         }
-        // The ledger moves and these links re-clamp; routing over the clamp
-        // waits for the next cold solve.
+        // The ledger moves; clamping these links and routing over the
+        // clamp wait for the next cold solve.
         if !links.is_empty() {
             let booked = plane.with_changes(&links, &[], shared.config.route_workers);
             table.load.publish(&sessions, booked);

@@ -122,8 +122,8 @@ impl WorldSnapshot {
         &self.all_pairs
     }
 
-    /// The overlay, shared — what the load plane clones its clamped view
-    /// from without copying the graph.
+    /// The overlay, shared — the load plane's residual view of an empty
+    /// ledger, and the graph an epoch's first flush clamps from.
     pub fn overlay_arc(&self) -> Arc<OverlayGraph> {
         Arc::clone(&self.overlay)
     }

@@ -181,14 +181,16 @@ stats_table! {
     /// invalidated (far fewer than `rebuilds * instances`), which are swept
     /// again on their first read — by the repair sweep or a later solve.
     trees_recomputed: Counter,
-    /// Residual routing tables materialised on demand: a cold solve (or a
+    /// Residual views materialised on demand: a cold solve (or a
     /// rebalancer mover) asked a booked load plane for its table and none
-    /// had been patched for that plane yet. Bookings move the ledger only;
-    /// this is where their routing cost lands.
+    /// had been built for that plane yet. Bookings move the ledger only;
+    /// this is where their clamping and routing cost lands.
     plane_flushes: Counter,
     /// Total wall-clock those requests spent obtaining the table (the
-    /// patch's plan, plus any wait behind a concurrent flush; the rows a
-    /// solve reads are swept inside the solve), microseconds.
+    /// re-clamp of the links whose reservation moved since the epoch's
+    /// last flush, the patch's plan, plus any wait behind a concurrent
+    /// flush; the rows a solve reads are swept inside the solve),
+    /// microseconds.
     plane_flush_us_total: Counter,
     /// Materialised source trees invalidated across all plane flushes; a
     /// solve sweeps only the invalidated rows it reads.
