@@ -3,7 +3,7 @@
 //!
 //! The previous engine masked comments and literals out of the source and
 //! pattern-matched the remaining *lines*; rules therefore saw text, not
-//! structure, and each sharper check (guard liveness, kernel loops) had to
+//! structure, and each sharper check (guard liveness, enum bodies) had to
 //! re-derive brace nesting with ad-hoc scans. [`lex`] does that derivation
 //! once: it walks the source a single time and produces [`Token`]s — idents,
 //! lifetimes, literals, punctuation — each carrying its line, column and
@@ -673,22 +673,22 @@ mod tests {
     #[test]
     fn allow_directives_are_harvested_with_lines() {
         let l = lex(
-            "x(); // audit:allow(no-unwrap, kernel-discipline)\n// audit:allow(guard-across-solve)\ny();\n",
+            "x(); // audit:allow(guard-across-solve, wire-exhaustive)\n// audit:allow(unused-suppression)\ny();\n",
         );
         let got: Vec<(usize, &str)> = l.allows.iter().map(|a| (a.line, a.rule.as_str())).collect();
         assert_eq!(
             got,
             vec![
-                (1, "no-unwrap"),
-                (1, "kernel-discipline"),
-                (2, "guard-across-solve"),
+                (1, "guard-across-solve"),
+                (1, "wire-exhaustive"),
+                (2, "unused-suppression"),
             ]
         );
     }
 
     #[test]
     fn directives_inside_strings_or_with_placeholders_do_not_count() {
-        assert!(lex("let s = \"audit:allow(no-unwrap)\";\n")
+        assert!(lex("let s = \"audit:allow(guard-across-solve)\";\n")
             .allows
             .is_empty());
         // Documentation writing `audit:allow(<rule>)` is prose, not a

@@ -1,12 +1,11 @@
 //! `sflow-audit`: a dependency-free workspace lint engine.
 //!
 //! Enforces the sflow source discipline that needs flow or cross-file
-//! knowledge no compiler pass has: panic-freedom on server/routing hot
-//! paths, allocation-free Dijkstra kernels, guard-free solve paths, a
-//! non-blocking reactor, wire variants that reach server, client and CLI,
-//! and dead-suppression hygiene. See [`rules::RULES`] for the catalogue and
-//! `DESIGN.md` §8 for rationale — and for what `rustc`, clippy and the type
-//! system check instead.
+//! knowledge no compiler pass has: guard-free solve paths, wire variants
+//! that reach server, client and CLI, and dead-suppression hygiene. See
+//! [`rules::RULES`] for the catalogue and `DESIGN.md` §8 for rationale —
+//! and for what `rustc`, clippy, the type system and a counting allocator
+//! check instead.
 //!
 //! The engine lexes every file once ([`lex`]) into a token stream with
 //! brace depth; per-file rules ([`rules`]) and cross-file rules ([`cross`])

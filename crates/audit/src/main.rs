@@ -6,7 +6,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
-#![allow(clippy::print_stdout, clippy::print_stderr)]
+#![expect(clippy::print_stdout, clippy::print_stderr)]
 
 use std::path::PathBuf;
 use std::process::ExitCode;

@@ -1,19 +1,19 @@
 //! The rule catalogue and the per-file lint engine.
 //!
-//! Each rule needs what neither `rustc` nor `clippy` has: which crate is a
-//! hot path, which loop is a kernel, how long a guard lives, or what three
-//! other files say. What a compiler, a clippy lint or a visibility boundary
-//! can check is checked there instead (`#![forbid(unsafe_code)]`, the
-//! `[workspace.lints]` table and `clippy.toml`, the one plane cell —
-//! `LoadCell`, published only by the session table, whose lock and
-//! `LoadCell::publish` are private — and the counter table in `stats.rs`).
+//! Each rule needs what neither `rustc` nor `clippy` has: how long a guard
+//! lives, or what three other files say. What a compiler, a clippy lint, a
+//! visibility boundary or a test can check is checked there instead
+//! (`#![forbid(unsafe_code)]`; the `[workspace.lints]` table, the crate-root
+//! and module-level denies and `clippy.toml`, which ban `unwrap` / `expect`
+//! in the server and routing crates, blocking calls in the reactor and the
+//! clock in routing; the counting allocator of `kernel_alloc.rs`; the one
+//! plane cell — `LoadCell`, published only by the session table, whose lock
+//! and `LoadCell::publish` are private — and the counter table in
+//! `stats.rs`).
 //!
 //! | rule | scope | what it enforces |
 //! |---|---|---|
-//! | `no-unwrap` | `crates/server`, `crates/routing` non-test code | no `.unwrap()` / `.expect(` on hot paths |
-//! | `kernel-discipline` | `crates/routing` heap-pop loops | no `Instant::now()` / allocation inside a Dijkstra inner kernel |
 //! | `guard-across-solve` | `crates/server` non-test code | no lock guard live across a solve/federate/repair call |
-//! | `reactor-nonblocking` | `crates/server/src/reactor.rs` non-test code | no blocking call on the event path |
 //! | `wire-exhaustive` | workspace (cross-file) | every `Request`/`Response` variant spans server, client and CLI |
 //! | `unused-suppression` | every scanned file | an `audit:allow` that silences nothing is itself a finding |
 //!
@@ -41,27 +41,10 @@ pub struct Rule {
 /// The full rule catalogue, in reporting order.
 pub const RULES: &[Rule] = &[
     Rule {
-        name: "no-unwrap",
-        description: "no .unwrap()/.expect() in non-test code of crates/server and crates/routing \
-                      (a panic there kills a worker or poisons a shared table)",
-    },
-    Rule {
-        name: "kernel-discipline",
-        description: "no Instant::now()/allocation inside the Dijkstra heap-pop kernels of \
-                      crates/routing (the all-pairs engine calls them O(V) times per rebuild)",
-    },
-    Rule {
         name: "guard-across-solve",
         description: "no lock guard may be live across a solve/federate/repair call in \
                       crates/server (the read path loads an immutable snapshot and solves \
                       off-lock; a guard spanning a solve reintroduces reader/mutator coupling)",
-    },
-    Rule {
-        name: "reactor-nonblocking",
-        description: "no blocking call in the reactor event path (crates/server/src/reactor.rs): \
-                      no read_exact/write_all/read_to_end, no blocking channel recv(), no lock \
-                      guards, no blocking read_frame — one stalled connection must never \
-                      stall the loop that owns every other connection",
     },
     Rule {
         name: "wire-exhaustive",
@@ -158,20 +141,8 @@ impl SourceFile {
 /// (suppressions not yet applied, snippets not yet attached).
 pub fn local_findings(file: &SourceFile) -> Vec<Finding> {
     let mut raw = Vec::new();
-    let class = &file.class;
-    let hot_crate = class.crate_dir == "crates/server" || class.crate_dir == "crates/routing";
-
-    if hot_crate && !class.in_tests {
-        no_unwrap(file, &mut raw);
-    }
-    if class.crate_dir == "crates/routing" && !class.in_tests {
-        kernel_discipline(file, &mut raw);
-    }
-    if class.crate_dir == "crates/server" && !class.in_tests {
+    if file.class.crate_dir == "crates/server" && !file.class.in_tests {
         guard_across_solve(file, &mut raw);
-        if file.rel.ends_with("/reactor.rs") {
-            reactor_nonblocking(file, &mut raw);
-        }
     }
     raw
 }
@@ -308,133 +279,6 @@ fn let_statement_end(tokens: &[Token], let_at: usize, limit: usize) -> usize {
 // ---------------------------------------------------------------------------
 // Local rules
 // ---------------------------------------------------------------------------
-
-fn no_unwrap(file: &SourceFile, out: &mut Vec<Finding>) {
-    let tokens = &file.lexed.tokens;
-    for (i, t) in tokens.iter().enumerate() {
-        if !t.is_punct('.') || file.is_test_line(t.line) {
-            continue;
-        }
-        let Some(name) = tokens.get(i + 1) else {
-            continue;
-        };
-        if name.kind != TokenKind::Ident || !tokens.get(i + 2).is_some_and(|t| t.is_punct('(')) {
-            continue;
-        }
-        let pat = match name.text.as_str() {
-            "unwrap" => ".unwrap()",
-            "expect" => ".expect(",
-            _ => continue,
-        };
-        out.push(Finding::new(
-            "no-unwrap",
-            &file.rel,
-            t.line,
-            t.col,
-            format!("`{pat}` in hot-path crate: return a typed error instead"),
-            String::new(),
-        ));
-    }
-}
-
-/// Allocation and clock constructors banned inside a heap-pop kernel, as
-/// `(leading ident path, trailing ident)` or method/macro forms below.
-const KERNEL_BANNED_NEW: &[&str] = &[
-    "Vec", "VecDeque", "Box", "String", "HashMap", "HashSet", "BTreeMap",
-];
-
-fn kernel_discipline(file: &SourceFile, out: &mut Vec<Finding>) {
-    let tokens = &file.lexed.tokens;
-    for i in 0..tokens.len() {
-        if !tokens[i].is_ident("while") || !tokens.get(i + 1).is_some_and(|t| t.is_ident("let")) {
-            continue;
-        }
-        // The loop header runs up to the body's opening brace; only loops
-        // draining a heap (`.pop()`, not a deque's `.pop_front()`) are
-        // Dijkstra kernels.
-        let d = tokens[i].depth;
-        let Some(open) =
-            (i + 2..tokens.len()).find(|&j| tokens[j].is_punct('{') && tokens[j].depth == d)
-        else {
-            continue;
-        };
-        let header = &tokens[i..open];
-        let pops_heap = (0..header.len())
-            .any(|k| is_method_call(header, k, "pop") && header[k + 3].is_punct(')'));
-        if !pops_heap || header.iter().any(|t| t.is_ident("pop_front")) {
-            continue;
-        }
-        let Some(close) = lex::matching_close(tokens, open) else {
-            continue;
-        };
-        if file.is_test_line(tokens[open].line) {
-            continue;
-        }
-        for k in open + 1..close {
-            let Some((at, pat)) = kernel_banned_at(tokens, k) else {
-                continue;
-            };
-            if file.is_test_line(tokens[at].line) {
-                continue;
-            }
-            out.push(Finding::new(
-                "kernel-discipline",
-                &file.rel,
-                tokens[at].line,
-                tokens[at].col,
-                format!("`{pat}` inside a heap-pop kernel loop: hoist it out of the kernel"),
-                String::new(),
-            ));
-        }
-    }
-}
-
-/// True when `tokens[at..]` is `. name (`.
-fn is_method_call(tokens: &[Token], at: usize, name: &str) -> bool {
-    tokens[at].is_punct('.')
-        && tokens.get(at + 1).is_some_and(|t| t.is_ident(name))
-        && tokens.get(at + 2).is_some_and(|t| t.is_punct('('))
-}
-
-/// If a banned kernel construct *starts* at token `k`, returns the index to
-/// anchor the finding at and its display pattern.
-fn kernel_banned_at(tokens: &[Token], k: usize) -> Option<(usize, String)> {
-    let t = &tokens[k];
-    if t.kind != TokenKind::Ident {
-        return None;
-    }
-    let next_is = |off: usize, c: char| tokens.get(k + off).is_some_and(|t| t.is_punct(c));
-    match t.text.as_str() {
-        // `Instant::now()`, `Vec::new()`, `String::from(…)` — anchored at
-        // the type ident so `k` is the pattern start.
-        "Instant" | "SystemTime" if lex::match_seq(tokens, k + 1, &["::", "now"]) => {
-            Some((k, format!("{}::now", t.text)))
-        }
-        c if KERNEL_BANNED_NEW.contains(&c) && lex::match_seq(tokens, k + 1, &["::", "new"]) => {
-            Some((k, format!("{c}::new")))
-        }
-        "String" if lex::match_seq(tokens, k + 1, &["::", "from"]) => {
-            Some((k, "String::from".to_string()))
-        }
-        "vec" if next_is(1, '!') => Some((k, "vec!".to_string())),
-        "format" if next_is(1, '!') => Some((k, "format!".to_string())),
-        "with_capacity" if next_is(1, '(') => Some((k, "with_capacity".to_string())),
-        m @ ("to_vec" | "to_owned" | "to_string")
-            if k > 0 && tokens[k - 1].is_punct('.') && next_is(1, '(') =>
-        {
-            Some((k, format!("{m}()")))
-        }
-        // `.collect()` and the turbofish form `.collect::<…>()`.
-        "collect"
-            if k > 0
-                && tokens[k - 1].is_punct('.')
-                && (next_is(1, '(') || tokens.get(k + 1).is_some_and(|t| t.text == "::")) =>
-        {
-            Some((k - 1, ".collect()".to_string()))
-        }
-        _ => None,
-    }
-}
 
 /// Entry points that run a federation solve (directly, via repair, via the
 /// server's one cold-solve function, the repair sweep's re-solves or the
@@ -604,87 +448,6 @@ fn guard_across_solve(file: &SourceFile, out: &mut Vec<Finding>) {
                 ));
             }
             i = end + 1;
-        }
-    }
-}
-
-/// Blocking `Read`/`Write` helpers banned on the reactor's event path:
-/// each loops inside the call until the peer delivers (or accepts) every
-/// byte, which on a slow peer parks the thread that owns every other
-/// connection. The reactor must stage bytes through its per-connection
-/// buffers and return to the poller instead.
-const REACTOR_BLOCKING_IO: &[&str] = &["read_exact", "write_all", "read_to_end", "read_to_string"];
-
-fn reactor_nonblocking(file: &SourceFile, out: &mut Vec<Finding>) {
-    let tokens = &file.lexed.tokens;
-    for (i, t) in tokens.iter().enumerate() {
-        if file.is_test_line(t.line) {
-            continue;
-        }
-        // The blocking wire helper: `read_frame(…)` (plain or turbofish)
-        // spins on the socket until a whole frame arrives.
-        if t.is_ident("read_frame")
-            && tokens
-                .get(i + 1)
-                .is_some_and(|n| n.is_punct('(') || n.text == "::")
-        {
-            out.push(Finding::new(
-                "reactor-nonblocking",
-                &file.rel,
-                t.line,
-                t.col,
-                "`read_frame` in the reactor: the blocking decoder loops until a whole \
-                 frame arrives; feed the incremental FrameDecoder instead"
-                    .to_string(),
-                String::new(),
-            ));
-            continue;
-        }
-        if !t.is_punct('.') {
-            continue;
-        }
-        let Some(name) = tokens.get(i + 1) else {
-            continue;
-        };
-        if name.kind != TokenKind::Ident || !tokens.get(i + 2).is_some_and(|t| t.is_punct('(')) {
-            continue;
-        }
-        let empty_args = tokens.get(i + 3).is_some_and(|t| t.is_punct(')'));
-        if REACTOR_BLOCKING_IO.contains(&name.text.as_str()) {
-            out.push(Finding::new(
-                "reactor-nonblocking",
-                &file.rel,
-                t.line,
-                t.col,
-                format!(
-                    "`.{}(` blocks the event loop until the peer cooperates: stage bytes \
-                     through the connection's buffers and return to the poller",
-                    name.text
-                ),
-                String::new(),
-            ));
-        } else if name.is_ident("recv") && empty_args {
-            out.push(Finding::new(
-                "reactor-nonblocking",
-                &file.rel,
-                t.line,
-                t.col,
-                "`.recv()` parks the reactor on a channel: drain with `try_recv()` and let \
-                 the poller's wait be the only block"
-                    .to_string(),
-                String::new(),
-            ));
-        } else if name.is_ident("lock") && empty_args {
-            out.push(Finding::new(
-                "reactor-nonblocking",
-                &file.rel,
-                t.line,
-                t.col,
-                "`.lock()` on the event path: a contended mutex stalls every connection \
-                 this loop owns; hand the work to a worker via the admission queue"
-                    .to_string(),
-                String::new(),
-            ));
         }
     }
 }

@@ -33,7 +33,7 @@
 //! to skip scenarios with more hosts than `N` (CI uses `--max-nodes 500`).
 
 #![forbid(unsafe_code)]
-#![allow(clippy::print_stdout, clippy::print_stderr)]
+#![expect(clippy::print_stdout)]
 
 use std::collections::BTreeMap;
 use std::time::Instant;

@@ -31,7 +31,7 @@
 //! stays well under a 20k fd limit at two fds per loopback connection).
 
 #![forbid(unsafe_code)]
-#![allow(clippy::print_stdout, clippy::print_stderr)]
+#![expect(clippy::print_stdout)]
 
 use std::hint::black_box;
 use std::time::Instant;

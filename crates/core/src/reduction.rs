@@ -32,7 +32,7 @@ pub const MAX_COVER_CHAINS: usize = 128;
 // Plans are built a handful of times per solve and never stored in bulk,
 // so the size skew of `SplitMerge` is irrelevant; boxing its fields would
 // only complicate every consumer's pattern match.
-#[allow(clippy::large_enum_variant)]
+#[expect(clippy::large_enum_variant)]
 #[derive(Clone, Debug)]
 pub enum Plan {
     /// The requirement is a single chain — solve with the baseline algorithm.

@@ -214,7 +214,7 @@ impl<'a> Solver<'a> {
     /// Split-and-merge reduction: collapse the solved inner block into a
     /// virtual edge, solve the outer requirement against it, then re-solve
     /// the block under the endpoints the outer solution picked.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(clippy::too_many_arguments)]
     fn solve_split_merge(
         &self,
         split: ServiceId,

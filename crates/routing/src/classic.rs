@@ -41,9 +41,12 @@ impl ClassicTree {
         let mut path = vec![node];
         let mut cur = node;
         while cur != self.source {
+            #[expect(
+                clippy::expect_used,
+                reason = "a node with a label has a predecessor unless it is the source"
+            )]
             let (prev, _) =
-                self.pred[cur.index()] // audit:allow(no-unwrap): pred invariant
-                    .expect("reachable non-source node must have a predecessor");
+                self.pred[cur.index()].expect("reachable non-source node must have a predecessor");
             path.push(prev);
             cur = prev;
         }
@@ -92,7 +95,8 @@ fn dijkstra<N>(
             continue;
         }
         done[node.index()] = true;
-        let cur = qos[node.index()].expect("popped node has a label"); // audit:allow(no-unwrap): popped implies labelled
+        #[expect(clippy::expect_used, reason = "a node is pushed only with its label")]
+        let cur = qos[node.index()].expect("popped node has a label");
         for e in g.out_edges(node) {
             if e.weight.bandwidth == Bandwidth::ZERO {
                 continue;

@@ -347,6 +347,10 @@ pub fn source_trees_with<N>(
 /// same [`QosCsr`], so no graph payload bounds are needed. Deliberately not
 /// generic and not `#[inline]`: every build and patch in the workspace runs
 /// this one compiled copy.
+#[expect(
+    clippy::expect_used,
+    reason = "the workers claim disjoint source indices that cover the list"
+)]
 fn compute_trees(csr: &QosCsr, sources: &[NodeIx], workers: usize) -> Vec<Arc<PathTree>> {
     let workers = if workers == 0 {
         auto_workers()
@@ -361,6 +365,10 @@ fn compute_trees(csr: &QosCsr, sources: &[NodeIx], workers: usize) -> Vec<Arc<Pa
             .collect();
     }
     let next = AtomicUsize::new(0);
+    #[expect(
+        clippy::expect_used,
+        reason = "a routing worker's panic is fatal by design"
+    )]
     let computed: Vec<Vec<(usize, Arc<PathTree>)>> = thread::scope(|scope| {
         let handles: Vec<_> = (0..workers.min(sources.len()))
             .map(|_| {
@@ -378,7 +386,7 @@ fn compute_trees(csr: &QosCsr, sources: &[NodeIx], workers: usize) -> Vec<Arc<Pa
             .collect();
         handles
             .into_iter()
-            .map(|h| h.join().expect("routing worker panicked")) // audit:allow(no-unwrap): worker panic is fatal by design
+            .map(|h| h.join().expect("routing worker panicked"))
             .collect()
     });
     let mut trees: Vec<Option<Arc<PathTree>>> = vec![None; sources.len()];
@@ -387,7 +395,7 @@ fn compute_trees(csr: &QosCsr, sources: &[NodeIx], workers: usize) -> Vec<Arc<Pa
     }
     trees
         .into_iter()
-        .map(|t| t.expect("every source index is claimed exactly once")) // audit:allow(no-unwrap): disjoint claim invariant
+        .map(|t| t.expect("every source index is claimed exactly once"))
         .collect()
 }
 

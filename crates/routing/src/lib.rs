@@ -61,6 +61,10 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// No panics, and none of `clippy.toml`'s `disallowed-methods` (the clock
+// above all) in the kernels; what they allocate is `kernel_alloc.rs`'s.
+#![deny(clippy::unwrap_used, clippy::expect_used)]
+#![deny(clippy::disallowed_methods)]
 
 pub mod classic;
 pub mod engine;

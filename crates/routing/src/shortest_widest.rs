@@ -198,6 +198,10 @@ impl PathTree {
 
     /// The nodes from `node` back to (excluding) the source along the path
     /// the tree reports, or `None` if unreachable.
+    #[expect(
+        clippy::expect_used,
+        reason = "a node with a label has a predecessor unless it is the source"
+    )]
     fn preds_from(&self, node: NodeIx) -> Option<impl Iterator<Item = NodeIx> + '_> {
         self.dist[node.index()]?;
         let li = self.node_level[node.index()];
@@ -207,7 +211,7 @@ impl PathTree {
                 return None;
             }
             cur = self
-                .version_at(cur, li) // audit:allow(no-unwrap): pred invariant
+                .version_at(cur, li)
                 .expect("reachable non-source node must have a predecessor")
                 .pred;
             Some(cur)

@@ -1,0 +1,157 @@
+//! What the routing kernels ask of the allocator, counted.
+//!
+//! The all-pairs engine runs `single_source_csr` once per source per
+//! rebuild, so the sweep keeps every working buffer in a reusable
+//! [`DijkstraScratch`] and allocates only the arrays the [`PathTree`] it
+//! returns owns. The ablation kernels (`classic::widest` / `shortest`,
+//! `single_source_lexicographic`) allocate their per-node arrays per call,
+//! but none of them may allocate per heap pop: their counts may grow with
+//! the graph only by a heap's (or a collected log's) capacity doublings.
+//!
+//! A counting global allocator measures both. This file is its own test
+//! crate, so the `unsafe impl` the allocator trait demands does not touch
+//! the routing crate's `forbid(unsafe_code)`.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use sflow_graph::{DiGraph, NodeIx};
+use sflow_routing::shortest_widest::{self, single_source_csr};
+use sflow_routing::{classic, Bandwidth, DijkstraScratch, Latency, Qos, QosCsr};
+
+/// Counts the allocator calls (allocations and reallocations) each thread
+/// makes, so a test can bracket one call without hearing its neighbours
+/// (`cargo test` runs tests on parallel threads).
+struct CountingAllocator;
+
+thread_local! {
+    static CALLS: Cell<usize> = const { Cell::new(0) };
+}
+
+fn count() {
+    // A thread being torn down may allocate after its locals are gone.
+    let _ = CALLS.try_with(|c| c.set(c.get() + 1));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the counter is a plain thread-local
+// `Cell<usize>` with a const initialiser, so touching it never allocates.
+unsafe impl GlobalAlloc for CountingAllocator {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count();
+        // SAFETY: the caller's obligations are `System.alloc`'s own.
+        unsafe { System.alloc(layout) }
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` through this allocator.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count();
+        // SAFETY: as `dealloc`; `new_size` is the caller's to get right.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAllocator = CountingAllocator;
+
+/// Allocator calls this thread made while `f` ran.
+fn allocations_by<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    let before = CALLS.with(Cell::get);
+    let out = f();
+    (out, CALLS.with(Cell::get) - before)
+}
+
+/// A returned tree owns four arrays: per-node QoS, per-node level, and the
+/// version chains' offsets and entries.
+const TREE_ALLOCATIONS: usize = 4;
+
+/// A strongly connected `n`-node graph (a ring both ways plus `3n` seeded
+/// chords) whose bandwidths come from eight values, so the sweep meets
+/// several bottleneck levels and many ties.
+fn graph(n: usize) -> DiGraph<(), Qos> {
+    let mut rng = StdRng::seed_from_u64(n as u64);
+    let mut g = DiGraph::new();
+    let ids: Vec<NodeIx> = (0..n).map(|_| g.add_node(())).collect();
+    let mut links: Vec<(usize, usize)> = (0..n)
+        .flat_map(|a| [(a, (a + 1) % n), ((a + 1) % n, a)])
+        .collect();
+    for _ in 0..3 * n {
+        links.push((rng.gen_range(0..n), rng.gen_range(0..n)));
+    }
+    for (a, b) in links {
+        if a != b {
+            let bandwidth = Bandwidth::kbps(10 * rng.gen_range(1..=8));
+            let latency = Latency::from_micros(rng.gen_range(1..=20));
+            g.add_edge(ids[a], ids[b], Qos::new(bandwidth, latency));
+        }
+    }
+    g
+}
+
+#[test]
+fn a_warmed_sweep_allocates_only_the_tree_it_returns() {
+    for n in [20, 80, 400] {
+        let g = graph(n);
+        let csr = QosCsr::new(&g);
+        let mut scratch = DijkstraScratch::new();
+        // One pass grows the scratch to what any source of this graph needs.
+        for s in g.node_ids() {
+            single_source_csr(&csr, s, &mut scratch);
+        }
+        let mut levels = Vec::new();
+        for s in g.node_ids() {
+            let (tree, calls) = allocations_by(|| single_source_csr(&csr, s, &mut scratch));
+            assert_eq!(
+                calls,
+                TREE_ALLOCATIONS,
+                "{n} nodes, source {}: {} levels",
+                s.index(),
+                tree.level_count()
+            );
+            levels.push(tree.level_count());
+        }
+        // The graphs are meant to exercise the level loop, not one level.
+        assert!(levels.iter().any(|&l| l > 1), "{n} nodes: {levels:?}");
+    }
+}
+
+/// The graph sizes the ablation kernels run at: from the first to the last
+/// a growing buffer doubles about log2(80) ≈ 6.3 times, while a kernel that
+/// allocated once per pop would make ~1580 more calls.
+const SIZES: [usize; 4] = [20, 80, 400, 1600];
+
+/// What the calls of an ablation kernel may grow by across [`SIZES`]: seven
+/// doublings of up to four growing buffers.
+const MAX_GROWTH: usize = 4 * 7;
+
+/// Allocator calls of one run of `kernel` from node 0, at each of [`SIZES`].
+fn kernel_allocations<T>(kernel: fn(&DiGraph<(), Qos>, NodeIx) -> T) -> Vec<usize> {
+    SIZES
+        .iter()
+        .map(|&n| {
+            let g = graph(n);
+            allocations_by(|| std::hint::black_box(kernel(&g, NodeIx::from_index(0)))).1
+        })
+        .collect()
+}
+
+#[test]
+fn the_ablation_kernels_allocate_per_doubling_never_per_pop() {
+    for (name, calls) in [
+        ("classic::widest", kernel_allocations(classic::widest)),
+        ("classic::shortest", kernel_allocations(classic::shortest)),
+        (
+            "single_source_lexicographic",
+            kernel_allocations(shortest_widest::single_source_lexicographic),
+        ),
+    ] {
+        assert!(
+            calls[SIZES.len() - 1] - calls[0] <= MAX_GROWTH,
+            "{name}: {calls:?} allocator calls at {SIZES:?} nodes"
+        );
+    }
+}

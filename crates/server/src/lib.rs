@@ -66,6 +66,9 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// A panic kills a worker or poisons a shared table: each known-good
+// `expect` carries an `#[expect(clippy::expect_used, reason = "…")]`.
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use std::collections::BTreeMap;
 
@@ -240,7 +243,7 @@ pub struct ResponseFrame {
 // (the benchmark package among them) match it by value, and a response is
 // moved a few times per request, never stored in bulk: boxing it would buy
 // nothing and break every one of those matches.
-#[allow(clippy::large_enum_variant)]
+#[expect(clippy::large_enum_variant)]
 #[derive(Clone, Debug, PartialEq)]
 pub enum Response {
     /// The federation succeeded.

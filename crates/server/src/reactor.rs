@@ -26,9 +26,13 @@
 //! at roughly the mark plus one frame instead of ballooning.
 //!
 //! Nothing in this module may block: no mutexes, no blocking reads or
-//! writes, no channel waits (the `reactor-nonblocking` audit rule enforces
-//! exactly that). The only wait is the poller's, bounded by a tick so the
-//! shutdown flag is always observed.
+//! writes, no channel waits. The deny below makes each blocking call
+//! `clippy.toml` lists under `disallowed-methods` (`read_exact`,
+//! `write_all`, `Receiver::recv`, `Mutex::lock`, `wire::read_frame`, …)
+//! a clippy error here. The only wait is the poller's, bounded by a tick
+//! so the shutdown flag is always observed.
+
+#![deny(clippy::disallowed_methods)]
 
 use std::io::{self, ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};

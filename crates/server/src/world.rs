@@ -215,9 +215,12 @@ impl World {
                 // rebuilt from scratch (on the worker pool), and the hop
                 // matrix left for the successor's first touch.
                 let overlay = prev.overlay().without_instances(&[instance]);
+                #[expect(
+                    clippy::expect_used,
+                    reason = "failing a non-source instance cannot remove the source"
+                )]
                 let source_node = overlay
                     .node_of(prev.source())
-                    // audit:allow(no-unwrap): failing a non-source instance cannot remove the source
                     .expect("source survives non-source failure");
                 let started = Instant::now();
                 let table = overlay.all_pairs_parallel_with(self.route_workers);

@@ -10,7 +10,7 @@
 //! cargo run --example distributed_federation
 //! ```
 
-#![allow(clippy::print_stdout, clippy::print_stderr)]
+#![expect(clippy::print_stdout)]
 
 use sflow::core::algorithms::{FederationAlgorithm, SflowAlgorithm};
 use sflow::core::fixtures::paper_fig4_fixture;

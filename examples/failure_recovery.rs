@@ -9,7 +9,7 @@
 //! cargo run --example failure_recovery
 //! ```
 
-#![allow(clippy::print_stdout, clippy::print_stderr)]
+#![expect(clippy::print_stdout)]
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;

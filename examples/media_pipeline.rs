@@ -17,7 +17,7 @@
 //! cargo run --example media_pipeline
 //! ```
 
-#![allow(clippy::print_stdout, clippy::print_stderr)]
+#![expect(clippy::print_stdout)]
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;

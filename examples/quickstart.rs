@@ -5,7 +5,7 @@
 //! cargo run --example quickstart
 //! ```
 
-#![allow(clippy::print_stdout, clippy::print_stderr)]
+#![expect(clippy::print_stdout)]
 
 use sflow::core::algorithms::{FederationAlgorithm, SflowAlgorithm};
 use sflow::{

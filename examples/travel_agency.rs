@@ -12,7 +12,7 @@
 //! cargo run --example travel_agency
 //! ```
 
-#![allow(clippy::print_stdout, clippy::print_stderr)]
+#![expect(clippy::print_stdout)]
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
