@@ -4,6 +4,14 @@
 //! overlay graph that leads to the corresponding downstream required in the
 //! service requirement."
 
+// The core crate sits below the server and its `Lock`: this mutex keeps one
+// seeded RNG for the whole walk of one federation, so draws stay
+// reproducible however callers interleave.
+#![expect(
+    clippy::disallowed_types,
+    reason = "the core crate cannot use the server's `Lock`; one RNG per federation walk"
+)]
+
 use std::collections::BTreeMap;
 
 use parking_lot::Mutex;

@@ -76,6 +76,7 @@ use sflow_net::{ServiceId, ServiceInstance};
 
 pub mod client;
 pub mod load;
+mod lock;
 pub mod reactor;
 mod rebalance;
 pub mod server;

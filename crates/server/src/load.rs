@@ -43,12 +43,12 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, OnceLock};
 
-use parking_lot::Mutex;
 use sflow_core::{FederationContext, FlowGraph, OwnedFederationContext};
 use sflow_graph::NodeIx;
 use sflow_net::{OverlayGraph, ServiceInstance};
 use sflow_routing::{AllPairs, Bandwidth, EdgeChange, PatchStats, Qos};
 
+use crate::lock::Lock;
 use crate::snapshot::WorldSnapshot;
 
 /// A service link, addressed by its stable endpoint identities (overlay node
@@ -241,7 +241,7 @@ pub struct LoadPlane {
     /// and the patch's plan (concurrent cold solves want nearly the same
     /// view), never taken under the sessions lock. Sweeps run outside it,
     /// on read.
-    last: Arc<Mutex<Materialised>>,
+    last: Arc<Lock<Materialised>>,
     /// Sizes the deferred patch's rebuild, were it ever structural (`0` =
     /// auto).
     workers: usize,
@@ -284,7 +284,7 @@ impl LoadPlane {
             version: 0,
             map,
             view: Arc::new(view),
-            last: Arc::new(Mutex::new(Materialised::seed(snapshot))),
+            last: Arc::new(Lock::new(Materialised::seed(snapshot))),
             workers,
         }
     }

@@ -11,8 +11,8 @@
 //!   or three frames and a fragment, and the state machine is indifferent;
 //! * each decoded [`RequestFrame`] is answered inline if it is control
 //!   plane (`control_response`) or offered to the bounded admission queue
-//!   (`admit`) — solves never run on a reactor thread, so the
-//!   `guard-across-solve` discipline is untouched;
+//!   (`admit`) — solves never run on a reactor thread, nor under any lock
+//!   the loop takes;
 //! * workers push finished answers back as `Completion`s over a channel
 //!   and wake the loop via [`polling::Poller::notify`]; the loop encodes
 //!   them in place into the connection's write buffer in completion

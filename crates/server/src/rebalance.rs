@@ -26,12 +26,14 @@
 //! session table (`crate::sessions`) ticks the estimator, copies the
 //! candidates out and commits each move.
 //!
-//! Invariants, each pinned by a test or the lint engine:
+//! Invariants, each pinned by a test:
 //!
 //! * **No lock guard is live across a re-solve.** The candidate list is
 //!   copied out under the sessions lock, the guard is dropped, and every
-//!   mover re-solves off-lock — the `guard-across-solve` audit rule names
-//!   [`resolve_mover`] a solve, so a regression here fails CI.
+//!   mover re-solves off-lock — [`resolve_mover`] goes through
+//!   `residual_context` and `cold_solve`, which debug-assert that this
+//!   thread holds no server lock, so a regression here fails the
+//!   rebalancer tests.
 //! * **Make-before-break.** A migration mutates the booking in place under
 //!   one sessions-lock hold — no tenant is ever absent from the table — and
 //!   moves the ledger in one publication that books the new reservation and
@@ -78,10 +80,8 @@ pub(crate) struct SweepOutcome {
 
 /// Re-solves one mover against the residual view, by the algorithm and hop
 /// horizon its booking was federated under; the flow comes back with the
-/// snapshot it was solved against. A named entry point — not an inlined
-/// solve — so the `guard-across-solve` audit rule can police rebalancer
-/// solves by token: no lock guard may be live on any line spanning a
-/// `resolve_mover(` call.
+/// snapshot it was solved against. Runs under no server lock: the context
+/// and the solve it calls assert as much.
 fn resolve_mover(
     shared: &Shared,
     ask: &Ask,

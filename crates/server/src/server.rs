@@ -36,7 +36,9 @@
 //! Sessions live in the tenants → bookings table (`crate::sessions`), the
 //! one owner of its lock and of the load plane's publications. This module
 //! solves — federates, repairs, the rebalancer's re-solves through
-//! `cold_solve` — off every lock, and hands the table what to commit.
+//! `cold_solve` — off every lock, and hands the table what to commit. Each
+//! solve entry point debug-asserts that its thread holds no server lock
+//! (`crate::lock`); only the world mutex may be held across a repair sweep.
 
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -47,7 +49,6 @@ use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, TrySendError};
-use parking_lot::Mutex;
 use sflow_core::algorithms::{
     FederationAlgorithm, FixedAlgorithm, GlobalOptimalAlgorithm, ServicePathAlgorithm,
 };
@@ -61,6 +62,7 @@ use sflow_routing::Bandwidth;
 use sflow_runtime::duration_us;
 
 use crate::load::LoadPlane;
+use crate::lock::assert_unlocked;
 use crate::reactor::{self, Dispatch, Reply};
 use crate::rebalance;
 use crate::sessions::{
@@ -154,7 +156,13 @@ pub(crate) struct Shared {
     pub(crate) config: ServerConfig,
     /// The mutator. Only `Mutate` jobs take this lock; the read path never
     /// touches it, so mutations serialize exclusively against each other.
-    pub(crate) world: Mutex<World>,
+    /// The one lock a solve may run under, so not a `Lock`:
+    /// a mutation's repair sweep runs under it.
+    #[expect(
+        clippy::disallowed_types,
+        reason = "mutations serialize across their repair sweep, which solves"
+    )]
+    pub(crate) world: parking_lot::Mutex<World>,
     /// The session table and the load plane it alone publishes — the one
     /// view of the world every reader loads.
     pub(crate) table: Table,
@@ -170,7 +178,7 @@ impl Shared {
             addr,
             config: *config,
             table: Table::new(&world.snapshot()),
-            world: Mutex::new(world),
+            world: world.into(),
             metrics: Metrics::default(),
             shutdown: AtomicBool::new(false),
         }
@@ -300,7 +308,12 @@ pub(crate) fn control_response(shared: &Shared, request: &Request) -> Option<Res
             let _ = TcpStream::connect(shared.addr);
             Some(Response::ShuttingDown)
         }
-        _ => None,
+        // Named, not `_`: a new request must be placed in one plane or
+        // the other before it compiles.
+        Request::Federate { .. }
+        | Request::Mutate(_)
+        | Request::Release { .. }
+        | Request::Rebalance => None,
     }
 }
 
@@ -507,6 +520,7 @@ pub(crate) fn cold_solve(
     ctx: &FederationContext<'_>,
     ask: &Ask,
 ) -> Result<FlowGraph, FederationError> {
+    assert_unlocked("a cold solve");
     let requirement = &ask.requirement;
     match ask.algorithm {
         Algorithm::Sflow => {
@@ -535,6 +549,7 @@ pub(crate) fn cold_solve(
 /// is paid and accounted (`plane_flushes` and friends in `Stats`). Takes no
 /// server lock; must not be called under one.
 pub(crate) fn residual_context(shared: &Shared, plane: &LoadPlane) -> OwnedFederationContext {
+    assert_unlocked("a residual context");
     let start = Instant::now();
     let (ctx, flushed) = plane.flushed_context();
     if let Some(stats) = flushed {
@@ -602,10 +617,10 @@ fn audit_flow(
 /// The world mutex serializes mutations *against each other only*; readers
 /// load snapshots and never block here. The guard intentionally spans the
 /// repair sweep so sweeps from back-to-back mutations cannot interleave —
-/// the one sanctioned exception to the no-guard-across-solve invariant,
-/// which is why the binding carries an audit allow.
+/// the one lock a solve may run under, which is why it is a raw mutex and
+/// not a `Lock`, whose guards the sweep asserts away.
 fn mutate(shared: &Shared, mutation: &crate::Mutation) -> Response {
-    let mut world = shared.world.lock(); // audit:allow(guard-across-solve): sanctioned mutator, see fn docs
+    let mut world = shared.world.lock();
     let rebuild = match world.apply(mutation) {
         Ok(rebuild) => rebuild,
         Err(e) => {
@@ -631,6 +646,7 @@ fn mutate(shared: &Shared, mutation: &crate::Mutation) -> Response {
 /// `snapshot`, pinned to its previous flow and with no lock held, then has
 /// the table commit the survivors and rebase the ledger.
 fn repair_bookings(shared: &Shared, snapshot: &Arc<WorldSnapshot>, plan: Vec<Work>) -> Response {
+    assert_unlocked("a repair sweep");
     let ctx = snapshot.context();
     let repaired = plan
         .into_iter()
@@ -1900,5 +1916,44 @@ mod tests {
             (1, 1, 0)
         );
         handle.shutdown();
+    }
+
+    // A solve entry point under a live `Lock` guard fails its debug
+    // assertion; release builds compile the tally out.
+
+    #[test]
+    #[cfg_attr(not(debug_assertions), ignore)]
+    #[should_panic(expected = "a cold solve under a server lock")]
+    fn a_cold_solve_under_the_table_lock_panics() {
+        let shared = shared_over_diamond();
+        let snapshot = snapshot_of(&shared);
+        let ask = Ask {
+            requirement: diamond_requirement(),
+            algorithm: Algorithm::Sflow,
+            hop_limit: None,
+            key: None,
+        };
+        let _table = shared.table.lock();
+        let _ = cold_solve(&shared, &snapshot, &snapshot.context(), &ask);
+    }
+
+    #[test]
+    #[cfg_attr(not(debug_assertions), ignore)]
+    #[should_panic(expected = "a residual context under a server lock")]
+    fn a_residual_context_under_the_table_lock_panics() {
+        let shared = shared_over_diamond();
+        let plane = shared.table.plane();
+        let _table = shared.table.lock();
+        let _ = residual_context(&shared, &plane);
+    }
+
+    #[test]
+    #[cfg_attr(not(debug_assertions), ignore)]
+    #[should_panic(expected = "a repair sweep under a server lock")]
+    fn a_repair_sweep_under_the_table_lock_panics() {
+        let shared = shared_over_diamond();
+        let snapshot = snapshot_of(&shared);
+        let _table = shared.table.lock();
+        let _ = repair_bookings(&shared, &snapshot, Vec::new());
     }
 }

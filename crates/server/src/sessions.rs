@@ -22,10 +22,10 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
 use sflow_core::{FlowGraph, ServiceRequirement};
 
 use crate::load::{links_of, LinkId, LoadMap, LoadPlane};
+use crate::lock::{assert_unlocked, Held, Lock};
 use crate::rebalance::{improves, migration_cost};
 use crate::server::Shared;
 use crate::snapshot::{same_flow, SolveKey, WorldSnapshot};
@@ -155,7 +155,7 @@ pub(crate) struct Work {
 /// The session table and the load plane it alone publishes. Both fields are
 /// private: only this module's functions lock the one or publish the other.
 pub(crate) struct Table {
-    sessions: Mutex<Sessions>,
+    sessions: Lock<Sessions>,
     load: LoadCell,
 }
 
@@ -163,7 +163,7 @@ impl Table {
     /// An empty table and ledger over `snapshot`'s world.
     pub(crate) fn new(snapshot: &Arc<WorldSnapshot>) -> Self {
         Table {
-            sessions: Mutex::default(),
+            sessions: Lock::default(),
             load: LoadCell::new(Arc::new(LoadPlane::fresh(snapshot))),
         }
     }
@@ -174,10 +174,17 @@ impl Table {
         self.load.load()
     }
 
+    /// The table, locked: the one way this module's functions take it.
+    /// It is the outermost lock, so no other server lock may be held here.
+    fn locked(&self) -> Held<'_, Sessions> {
+        assert_unlocked("the session table");
+        self.sessions.lock()
+    }
+
     /// The table itself, locked: the one way tests read or reshape it.
     #[cfg(test)]
-    pub(crate) fn lock(&self) -> parking_lot::MutexGuard<'_, Sessions> {
-        self.sessions.lock()
+    pub(crate) fn lock(&self) -> Held<'_, Sessions> {
+        self.locked()
     }
 }
 
@@ -195,7 +202,7 @@ pub(crate) fn open_session(
     revalidate: bool,
 ) -> Option<Response> {
     let table = &shared.table;
-    let mut sessions = table.sessions.lock();
+    let mut sessions = table.locked();
     // Under the lock a mutation's copy-out moves the plane to its epoch:
     // this decides atomically whether every future sweep covers the
     // session. If a mutation overtook the solve, the answer describes a
@@ -278,7 +285,7 @@ pub(crate) fn open_session(
 /// ledger does not move; the last tenant out unbooks.
 pub(crate) fn release_session(shared: &Shared, session: u64) -> Response {
     let table = &shared.table;
-    let mut sessions = table.sessions.lock();
+    let mut sessions = table.locked();
     let Some(id) = sessions.tenants.remove(&session) else {
         shared.metrics.failed().inc();
         return Response::Error(format!("no such session {session}"));
@@ -308,7 +315,7 @@ pub(crate) fn release_session(shared: &Shared, session: u64) -> Response {
 /// at the old one answers `Stale`.
 pub(crate) fn plan_repairs(shared: &Shared, snapshot: &Arc<WorldSnapshot>) -> Vec<Work> {
     let table = &shared.table;
-    let sessions = table.sessions.lock();
+    let sessions = table.locked();
     let plane = table.load.load();
     let work = sessions
         .work_at(plane.epoch())
@@ -339,7 +346,7 @@ pub(crate) fn commit_repairs(
         .map(|(id, flow)| (id, links_of(&flow, overlay), flow))
         .collect();
     let table = &shared.table;
-    let mut sessions = table.sessions.lock();
+    let mut sessions = table.locked();
     let mut kept = 0;
     for (id, links, flow) in repaired {
         if let Some(booking) = sessions.rebook(id, snapshot, flow, links) {
@@ -378,14 +385,14 @@ pub(crate) fn commit_repairs(
 /// One DRE tick of the ledger's estimates.
 pub(crate) fn tick_estimates(shared: &Shared) {
     let table = &shared.table;
-    let sessions = table.sessions.lock();
+    let sessions = table.locked();
     table.load.publish(&sessions, table.load.load().decayed());
 }
 
 /// A rebalancer sweep's copy-out: every booking at the plane's epoch that
 /// crosses a `hot` link, with its [`migration_cost`].
 pub(crate) fn plan_migrations(shared: &Shared, hot: &BTreeSet<LinkId>) -> Vec<(u64, Work)> {
-    let sessions = shared.table.sessions.lock();
+    let sessions = shared.table.locked();
     sessions
         .work_at(shared.table.load.load().epoch())
         .filter_map(|(booking, work)| {
@@ -408,7 +415,7 @@ pub(crate) fn commit_migration(
 ) -> bool {
     let new_links = links_of(&moved, snapshot.overlay());
     let table = &shared.table;
-    let mut sessions = table.sessions.lock();
+    let mut sessions = table.locked();
     let plane = table.load.load();
     let Some(booking) = sessions.bookings.get(&id) else {
         return false;
@@ -463,14 +470,14 @@ pub(crate) fn commit_migration(
 /// debug-asserts it.
 #[derive(Debug)]
 pub struct LoadCell {
-    current: Mutex<Arc<LoadPlane>>,
+    current: Lock<Arc<LoadPlane>>,
 }
 
 impl LoadCell {
     /// A cell publishing `plane` as the current load state.
     pub fn new(plane: Arc<LoadPlane>) -> Self {
         LoadCell {
-            current: Mutex::new(plane),
+            current: Lock::new(plane),
         }
     }
 
@@ -528,6 +535,15 @@ mod tests {
         world.apply(&link).unwrap();
         let cell = LoadCell::new(Arc::new(LoadPlane::fresh(&world.snapshot())));
         cell.publish(&Sessions::default(), first); // 1 -> 0 regresses
+    }
+
+    #[test]
+    #[cfg_attr(not(debug_assertions), ignore)]
+    #[should_panic(expected = "the session table under a server lock")]
+    fn the_table_lock_under_another_lock_panics() {
+        let table = Table::new(&World::new(diamond_fixture()).snapshot());
+        let _cell = table.load.current.lock();
+        drop(table.lock());
     }
 
     /// A QoS change on the source's first out-link.

@@ -20,13 +20,13 @@
 use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock};
 
-use parking_lot::Mutex;
 use sflow_core::baseline::HopMatrix;
 use sflow_core::{CanonicalKey, FederationContext, FlowGraph, OwnedFederationContext};
 use sflow_graph::NodeIx;
 use sflow_net::{OverlayGraph, ServiceInstance};
 use sflow_routing::AllPairs;
 
+use crate::lock::Lock;
 use crate::Algorithm;
 
 /// The identity of one cached solve: the requirement's structural
@@ -71,12 +71,12 @@ pub struct WorldSnapshot {
     /// presents the same [`SolveKey`]. The same lives-inside-the-snapshot
     /// reasoning as the hop matrix applies — an entry can never be paired
     /// with the wrong epoch and dies with the snapshot — but the cache is a
-    /// keyed map, not a single value, so it sits behind a short
-    /// `parking_lot::Mutex` (held for a lookup or an insert, never across a
-    /// solve; the `guard-across-solve` audit rule polices the callers).
+    /// keyed map, not a single value, so it sits behind a short `Lock`
+    /// (held for a lookup or an insert, never across a solve, which
+    /// debug-asserts that no such guard is live).
     /// In the current epoch, a key whose booking holds its `by_key` slot
     /// maps to that booking's own flow `Arc` ([`WorldSnapshot::file_solve`]).
-    solves: Mutex<BTreeMap<SolveKey, Arc<FlowGraph>>>,
+    solves: Lock<BTreeMap<SolveKey, Arc<FlowGraph>>>,
 }
 
 impl WorldSnapshot {
@@ -103,7 +103,7 @@ impl WorldSnapshot {
             source_node,
             epoch,
             hop_matrix: OnceLock::new(),
-            solves: Mutex::new(BTreeMap::new()),
+            solves: Lock::default(),
         }
     }
 

@@ -3,7 +3,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use parking_lot::Mutex;
+use crate::lock::Lock;
 
 /// How many recent request latencies the percentile window keeps. Old
 /// samples are overwritten ring-buffer style, so percentiles track recent
@@ -106,7 +106,7 @@ macro_rules! stats_table {
         #[derive(Debug, Default)]
         pub(crate) struct Metrics {
             $($( $name: $cell, )?)*
-            latencies_us: Mutex<LatencyWindow>,
+            latencies_us: Lock<LatencyWindow>,
         }
 
         impl Metrics {

@@ -9,9 +9,10 @@ use sflow_core::fixtures::{diamond_fixture, diamond_requirement, random_fixture}
 use sflow_core::{FlowGraph, Selection, ServiceRequirement};
 use sflow_net::ServiceId;
 use sflow_server::load::links_of;
+use sflow_server::wire::{encode_frame, read_frame};
 use sflow_server::{
     serve, Algorithm, Client, FlowSummary, LinkId, LinkLoad, LoadMap, Mutation, PipelinedClient,
-    Request, Response, ServerConfig, World,
+    Request, RequestFrame, Response, ServerConfig, WireError, World,
 };
 
 const DIAMOND_SPEC: &str = "0>1>3, 0>2>3";
@@ -823,4 +824,103 @@ fn errors_and_shutdown_over_the_wire() {
         .unwrap_err();
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
     handle.shutdown();
+}
+
+/// One request of every `Request` variant, in wire-tag order, each sent
+/// through the `Client` method that sends it and answered with the variant
+/// the server owes it. The `match` names every variant, so a new request
+/// does not compile here until it has a client method and an expected
+/// reply. The sample list is held to the codec as `wire_fuzz.rs`'s
+/// `every_variant_round_trips` holds its own: sample `i` carries tag `i`,
+/// and the decoder refuses tag `samples.len()`.
+#[test]
+fn every_request_variant_is_served_through_its_client_method() {
+    let probe = diamond_fixture();
+    let link = probe
+        .overlay
+        .graph()
+        .out_edges(probe.source)
+        .next()
+        .unwrap();
+    let samples = [
+        Request::Federate {
+            requirement: DIAMOND_SPEC.into(),
+            algorithm: Algorithm::Sflow,
+            hop_limit: Some(2),
+        },
+        Request::Mutate(Mutation::SetLinkQos {
+            from: probe.overlay.instance(link.from),
+            to: probe.overlay.instance(link.to),
+            bandwidth_kbps: 500,
+            latency_us: 1,
+        }),
+        Request::Release { session: 0 },
+        Request::Rebalance,
+        Request::LoadMap,
+        Request::Stats,
+        Request::Shutdown,
+    ];
+    for (tag, request) in samples.iter().enumerate() {
+        let frame = RequestFrame {
+            request_id: 0,
+            request: request.clone(),
+        };
+        // A four-byte length prefix and a one-byte request id, then the tag.
+        let bytes = encode_frame(&frame).unwrap();
+        assert_eq!(usize::from(bytes[5]), tag, "{request:?}");
+    }
+    let unknown = [0, 0, 0, 2, 0, samples.len() as u8];
+    let err = read_frame::<RequestFrame>(&mut &unknown[..]).unwrap_err();
+    let refused = format!("unknown Request tag {}", samples.len());
+    assert!(
+        matches!(&err, WireError::Malformed(m) if m.contains(&refused)),
+        "{err:?}"
+    );
+
+    let handle = serve(World::new(probe), &ServerConfig::default()).unwrap();
+    let mut client = Client::connect(handle.addr()).unwrap();
+    for request in samples {
+        match request {
+            Request::Federate {
+                requirement,
+                algorithm,
+                hop_limit,
+            } => {
+                let reply = client.federate(&requirement, algorithm, hop_limit).unwrap();
+                assert!(
+                    matches!(&reply, Response::Federated(s) if s.session == 0),
+                    "{reply:?}"
+                );
+            }
+            Request::Mutate(mutation) => {
+                let reply = client.mutate(mutation).unwrap();
+                assert!(
+                    matches!(
+                        reply,
+                        Response::Mutated {
+                            epoch: 1,
+                            dropped: 0,
+                            ..
+                        }
+                    ),
+                    "{reply:?}"
+                );
+            }
+            Request::Release { session } => {
+                let reply = client.release(session).unwrap();
+                assert_eq!(reply, Response::Released { session });
+            }
+            Request::Rebalance => {
+                let reply = client.rebalance().unwrap();
+                assert!(matches!(reply, Response::Rebalanced { .. }), "{reply:?}");
+            }
+            Request::LoadMap => assert_eq!(client.load_map().unwrap().links, []),
+            Request::Stats => {
+                let stats = client.stats().unwrap();
+                assert_eq!((stats.epoch, stats.served), (1, 1), "{stats:?}");
+            }
+            Request::Shutdown => assert_eq!(client.shutdown().unwrap(), Response::ShuttingDown),
+        }
+    }
+    handle.wait();
 }

@@ -368,168 +368,68 @@ fn parse_instance(text: &str) -> Result<sflow::ServiceInstance, String> {
 }
 
 fn request(flags: &Flags) -> Result<(), String> {
-    use sflow::server::{Algorithm, Client, Mutation, Response, StatsSnapshot};
+    use sflow::server::Client;
     let addr = flags.get("addr").ok_or("request needs --addr")?;
+    let request = request_of(flags)?;
+    // `--repeat N` sends the request N times on one connection — for a
+    // federate, a quick smoke test of the server's warm path (the repeats
+    // should show up as solve-cache hits and forest tenants in `--stats`).
+    // `--concurrency D` keeps up to D federates in flight at once on the
+    // same socket (pipelined framing).
+    let repeat: usize = get(flags, "repeat", 1usize)?;
+    if repeat == 0 {
+        return Err("--repeat wants at least 1".into());
+    }
+    let concurrency: usize = get(flags, "concurrency", 1usize)?;
+    if concurrency == 0 {
+        return Err("--concurrency wants at least 1".into());
+    }
     let mut client = Client::connect(addr.as_str()).map_err(|e| format!("connect {addr}: {e}"))?;
+    if concurrency > 1 {
+        return pipelined_federate(client, &request, repeat, concurrency);
+    }
+    for round in 0..repeat {
+        let reply = client.request(&request).map_err(|e| e.to_string())?;
+        print_reply(reply, round == 0)?;
+    }
+    Ok(())
+}
 
+/// The one request the `request` flags ask for.
+fn request_of(flags: &Flags) -> Result<sflow::server::Request, String> {
+    use sflow::server::{Algorithm, Mutation, Request};
     if flags.contains_key("stats") {
-        // Every field is bound by name and nothing is left to `..`: a
-        // counter added to the server's table does not compile here until
-        // it is bound, and warns as unused until it is printed.
-        let StatsSnapshot {
-            served,
-            shed,
-            failed,
-            cache_hits,
-            cache_misses,
-            cache_revalidation_fails,
-            forests,
-            forest_tenants,
-            hop_cache_hits,
-            hop_cache_misses,
-            stale,
-            epoch,
-            sessions,
-            latency_p50_us,
-            latency_p90_us,
-            latency_p99_us,
-            rebuilds,
-            rebuild_us_total,
-            trees_recomputed,
-            plane_flushes,
-            plane_flush_us_total,
-            plane_trees_recomputed,
-            wire_errors,
-            audit_violations,
-            migrations,
-            migration_failures,
-            max_link_utilization_permille,
-            residual_rejects,
-            connections_open,
-            frames_in_flight,
-            reactor_wakeups,
-            backpressure_pauses,
-            write_buffered_bytes,
-        } = client.stats().map_err(|e| e.to_string())?;
-        println!(
-            "epoch {epoch}  sessions {sessions}  served {served}  shed {shed}  \
-             failed {failed}  stale {stale}"
-        );
-        println!(
-            "solve cache: {cache_hits} hits / {cache_misses} misses / \
-             {cache_revalidation_fails} revalidation failures"
-        );
-        println!("forests: {forests} live, {forest_tenants} tenants attached");
-        println!("hop-matrix cache: {hop_cache_hits} hits / {hop_cache_misses} misses");
-        println!(
-            "latency: p50 {latency_p50_us} µs  p90 {latency_p90_us} µs  p99 {latency_p99_us} µs"
-        );
-        println!(
-            "routing rebuilds: {rebuilds} ({rebuild_us_total} µs total, \
-             {trees_recomputed} trees recomputed)"
-        );
-        println!(
-            "plane flushes: {plane_flushes} ({plane_flush_us_total} µs total, \
-             {plane_trees_recomputed} trees recomputed)"
-        );
-        println!("correctness: {wire_errors} wire errors, {audit_violations} audit violations");
-        println!(
-            "reactor: {connections_open} connections open, {frames_in_flight} frames in flight, \
-             {reactor_wakeups} wakeups"
-        );
-        println!(
-            "backpressure: {backpressure_pauses} pauses, \
-             {write_buffered_bytes} bytes write-buffered"
-        );
-        println!(
-            "load: {migrations} migrations, {migration_failures} migration failures, \
-             {residual_rejects} residual rejects, \
-             max link utilization {max_link_utilization_permille}‰"
-        );
-        return Ok(());
+        return Ok(Request::Stats);
     }
     if flags.contains_key("load-map") {
-        let ledger = client.load_map().map_err(|e| e.to_string())?;
-        println!(
-            "load map: epoch {} version {}  max utilization {}‰  {} booked link(s)",
-            ledger.epoch,
-            ledger.version,
-            ledger.max_utilization_permille,
-            ledger.links.len()
-        );
-        for l in &ledger.links {
-            println!(
-                "  {} -> {}  reserved {} / {} kbit/s  residual {}  estimate {}  ({}‰)",
-                l.from,
-                l.to,
-                l.reserved_kbps,
-                l.capacity_kbps,
-                l.residual_kbps,
-                l.estimate_kbps,
-                l.utilization_permille
-            );
-        }
-        return Ok(());
+        return Ok(Request::LoadMap);
     }
     if flags.contains_key("rebalance") {
-        match client.rebalance().map_err(|e| e.to_string())? {
-            Response::Rebalanced {
-                migrations,
-                migration_failures,
-                max_utilization_permille,
-            } => {
-                println!(
-                    "rebalanced: {migrations} migration(s), {migration_failures} failure(s), \
-                     max link utilization {max_utilization_permille}‰"
-                );
-                return Ok(());
-            }
-            other => return Err(format!("unexpected response {other:?}")),
-        }
+        return Ok(Request::Rebalance);
     }
     if let Some(session) = flags.get("release") {
-        let session: u64 = session
+        let session = session
             .parse()
             .map_err(|_| format!("bad session id {session:?}"))?;
-        match client.release(session).map_err(|e| e.to_string())? {
-            Response::Released { session } => {
-                println!("released: session {session}");
-                return Ok(());
-            }
-            Response::Error(msg) => return Err(msg),
-            other => return Err(format!("unexpected response {other:?}")),
-        }
+        return Ok(Request::Release { session });
     }
     if flags.contains_key("shutdown") {
-        match client.shutdown().map_err(|e| e.to_string())? {
-            Response::ShuttingDown => {
-                println!("server shutting down");
-                return Ok(());
-            }
-            Response::Error(msg) => return Err(msg),
-            other => return Err(format!("unexpected response {other:?}")),
-        }
+        return Ok(Request::Shutdown);
     }
     if let Some(victim) = flags.get("fail") {
         let instance = parse_instance(victim)?;
-        let resp = client
-            .mutate(Mutation::FailInstance { instance })
-            .map_err(|e| e.to_string())?;
-        return print_mutated(&resp);
+        return Ok(Request::Mutate(Mutation::FailInstance { instance }));
     }
     if let Some(link) = flags.get("set-link") {
         let (from, to) = link
             .split_once('>')
             .ok_or_else(|| format!("bad --set-link {link:?}: want S/H>S/H"))?;
-        let resp = client
-            .mutate(Mutation::SetLinkQos {
-                from: parse_instance(from)?,
-                to: parse_instance(to)?,
-                bandwidth_kbps: get(flags, "bandwidth", 0u64)?,
-                latency_us: get(flags, "latency", 0u64)?,
-            })
-            .map_err(|e| e.to_string())?;
-        return print_mutated(&resp);
+        return Ok(Request::Mutate(Mutation::SetLinkQos {
+            from: parse_instance(from)?,
+            to: parse_instance(to)?,
+            bandwidth_kbps: get(flags, "bandwidth", 0u64)?,
+            latency_us: get(flags, "latency", 0u64)?,
+        }));
     }
 
     let spec = flags.get("edges").ok_or(
@@ -552,73 +452,171 @@ fn request(flags: &Flags) -> Result<(), String> {
     } else {
         Some(get(flags, "hop-limit", 2usize)?)
     };
-    // `--repeat N` federates the same requirement N times on one
-    // connection — a quick smoke test of the server's warm path (the
-    // repeats should show up as solve-cache hits and forest tenants in
-    // `--stats`). `--concurrency D` keeps up to D of those repeats in
-    // flight at once on the same socket (pipelined framing).
-    let repeat: usize = get(flags, "repeat", 1usize)?;
-    if repeat == 0 {
-        return Err("--repeat wants at least 1".into());
-    }
-    let concurrency: usize = get(flags, "concurrency", 1usize)?;
-    if concurrency == 0 {
-        return Err("--concurrency wants at least 1".into());
-    }
-    if concurrency > 1 {
-        return pipelined_federate(client, spec, algorithm, hop_limit, repeat, concurrency);
-    }
-    for round in 0..repeat {
-        match client
-            .federate(spec, algorithm, hop_limit)
-            .map_err(|e| e.to_string())?
-        {
-            Response::Federated(s) => {
-                println!(
-                    "federated: session {} epoch {}  {} kbit/s, {} µs",
-                    s.session, s.epoch, s.bandwidth_kbps, s.latency_us
-                );
-                if round == 0 {
-                    for (service, instance) in &s.instances {
-                        println!("  {service} -> {instance}");
-                    }
+    Ok(Request::Federate {
+        requirement: spec.to_owned(),
+        algorithm,
+        hop_limit,
+    })
+}
+
+/// Prints one reply, whichever request it answers: every `Response`
+/// variant is named, so a new one does not compile until it is printed.
+/// A refusal — an error, a shed request, a stale answer — is the `Err`.
+/// `detail` adds a federation's instance list.
+fn print_reply(reply: sflow::server::Response, detail: bool) -> Result<(), String> {
+    use sflow::server::Response;
+    match reply {
+        Response::Federated(s) => {
+            println!(
+                "federated: session {} epoch {}  {} kbit/s, {} µs",
+                s.session, s.epoch, s.bandwidth_kbps, s.latency_us
+            );
+            if detail {
+                for (service, instance) in &s.instances {
+                    println!("  {service} -> {instance}");
                 }
             }
-            Response::Stale {
-                solved_epoch,
-                current_epoch,
-            } => {
-                return Err(format!(
+        }
+        Response::Mutated {
+            epoch,
+            repaired,
+            dropped,
+        } => println!("mutated: epoch {epoch}, {repaired} sessions repaired, {dropped} dropped"),
+        Response::Stale {
+            solved_epoch,
+            current_epoch,
+        } => {
+            return Err(format!(
                 "stale: solved at epoch {solved_epoch}, world moved to {current_epoch}; re-issue"
             ))
-            }
-            Response::Overloaded => return Err("server overloaded; request shed".into()),
-            Response::Error(msg) => return Err(msg),
-            other => return Err(format!("unexpected response {other:?}")),
         }
+        Response::Released { session } => println!("released: session {session}"),
+        Response::Rebalanced {
+            migrations,
+            migration_failures,
+            max_utilization_permille,
+        } => println!(
+            "rebalanced: {migrations} migration(s), {migration_failures} failure(s), \
+             max link utilization {max_utilization_permille}‰"
+        ),
+        Response::LoadMap(ledger) => {
+            println!(
+                "load map: epoch {} version {}  max utilization {}‰  {} booked link(s)",
+                ledger.epoch,
+                ledger.version,
+                ledger.max_utilization_permille,
+                ledger.links.len()
+            );
+            for l in &ledger.links {
+                println!(
+                    "  {} -> {}  reserved {} / {} kbit/s  residual {}  estimate {}  ({}‰)",
+                    l.from,
+                    l.to,
+                    l.reserved_kbps,
+                    l.capacity_kbps,
+                    l.residual_kbps,
+                    l.estimate_kbps,
+                    l.utilization_permille
+                );
+            }
+        }
+        Response::Stats(stats) => print_stats(stats),
+        Response::Overloaded => return Err("server overloaded; request shed".into()),
+        Response::ShuttingDown => println!("server shutting down"),
+        Response::Error(msg) => return Err(msg),
     }
     Ok(())
 }
 
-/// Federates `spec` `max(repeat, concurrency)` times with up to
-/// `concurrency` requests in flight on one socket, then reports the depth
+fn print_stats(stats: sflow::server::StatsSnapshot) {
+    // Every field is bound by name and nothing is left to `..`: a counter
+    // added to the server's table does not compile here until it is bound,
+    // and warns as unused until it is printed.
+    let sflow::server::StatsSnapshot {
+        served,
+        shed,
+        failed,
+        cache_hits,
+        cache_misses,
+        cache_revalidation_fails,
+        forests,
+        forest_tenants,
+        hop_cache_hits,
+        hop_cache_misses,
+        stale,
+        epoch,
+        sessions,
+        latency_p50_us,
+        latency_p90_us,
+        latency_p99_us,
+        rebuilds,
+        rebuild_us_total,
+        trees_recomputed,
+        plane_flushes,
+        plane_flush_us_total,
+        plane_trees_recomputed,
+        wire_errors,
+        audit_violations,
+        migrations,
+        migration_failures,
+        max_link_utilization_permille,
+        residual_rejects,
+        connections_open,
+        frames_in_flight,
+        reactor_wakeups,
+        backpressure_pauses,
+        write_buffered_bytes,
+    } = stats;
+    println!(
+        "epoch {epoch}  sessions {sessions}  served {served}  shed {shed}  \
+         failed {failed}  stale {stale}"
+    );
+    println!(
+        "solve cache: {cache_hits} hits / {cache_misses} misses / \
+         {cache_revalidation_fails} revalidation failures"
+    );
+    println!("forests: {forests} live, {forest_tenants} tenants attached");
+    println!("hop-matrix cache: {hop_cache_hits} hits / {hop_cache_misses} misses");
+    println!("latency: p50 {latency_p50_us} µs  p90 {latency_p90_us} µs  p99 {latency_p99_us} µs");
+    println!(
+        "routing rebuilds: {rebuilds} ({rebuild_us_total} µs total, \
+         {trees_recomputed} trees recomputed)"
+    );
+    println!(
+        "plane flushes: {plane_flushes} ({plane_flush_us_total} µs total, \
+         {plane_trees_recomputed} trees recomputed)"
+    );
+    println!("correctness: {wire_errors} wire errors, {audit_violations} audit violations");
+    println!(
+        "reactor: {connections_open} connections open, {frames_in_flight} frames in flight, \
+         {reactor_wakeups} wakeups"
+    );
+    println!(
+        "backpressure: {backpressure_pauses} pauses, \
+         {write_buffered_bytes} bytes write-buffered"
+    );
+    println!(
+        "load: {migrations} migrations, {migration_failures} migration failures, \
+         {residual_rejects} residual rejects, \
+         max link utilization {max_link_utilization_permille}‰"
+    );
+}
+
+/// Sends `request` (a federate) `max(repeat, concurrency)` times with up to
+/// `concurrency` frames in flight on one socket, then reports the depth
 /// actually reached and the response mix. Responses may arrive out of
 /// order against a reactor server; each is matched by its request id.
 fn pipelined_federate(
     client: sflow::server::Client,
-    spec: &str,
-    algorithm: sflow::server::Algorithm,
-    hop_limit: Option<usize>,
+    request: &sflow::server::Request,
     repeat: usize,
     concurrency: usize,
 ) -> Result<(), String> {
     use sflow::server::{Request, Response};
+    if !matches!(request, Request::Federate { .. }) {
+        return Err("--concurrency pipelines federates only (--edges)".into());
+    }
     let mut pipe = client.into_pipelined();
-    let request = Request::Federate {
-        requirement: spec.to_owned(),
-        algorithm,
-        hop_limit,
-    };
     // At least one full window, so `--concurrency 8` alone demonstrates
     // depth 8 instead of a single lonely frame.
     let total = repeat.max(concurrency);
@@ -626,7 +624,7 @@ fn pipelined_federate(
     let (mut federated, mut errors, mut max_depth) = (0usize, 0usize, 0usize);
     while done < total {
         while sent < total && pipe.in_flight() < concurrency {
-            pipe.send(&request).map_err(|e| e.to_string())?;
+            pipe.send(request).map_err(|e| e.to_string())?;
             sent += 1;
             max_depth = max_depth.max(pipe.in_flight());
         }
@@ -642,9 +640,8 @@ fn pipelined_federate(
                     );
                 }
             }
-            Response::Overloaded => errors += 1,
-            Response::Error(_) | Response::Stale { .. } => errors += 1,
-            other => return Err(format!("unexpected response {other:?}")),
+            Response::Overloaded | Response::Error(_) | Response::Stale { .. } => errors += 1,
+            other => return Err(format!("a federate answered {other:?}")),
         }
     }
     println!(
@@ -652,22 +649,6 @@ fn pipelined_federate(
          {federated} federated, {errors} rejected, {total} total"
     );
     Ok(())
-}
-
-fn print_mutated(resp: &sflow::server::Response) -> Result<(), String> {
-    use sflow::server::Response;
-    match resp {
-        Response::Mutated {
-            epoch,
-            repaired,
-            dropped,
-        } => {
-            println!("mutated: epoch {epoch}, {repaired} sessions repaired, {dropped} dropped");
-            Ok(())
-        }
-        Response::Error(msg) => Err(msg.clone()),
-        other => Err(format!("unexpected response {other:?}")),
-    }
 }
 
 fn proof(flags: &Flags) -> Result<(), String> {
