@@ -171,15 +171,15 @@ impl FlowGraph {
             quality: FlowQuality { bandwidth, latency },
         };
 
-        // Under strict-invariants every assembled flow graph is re-derived
-        // from raw overlay links and cross-checked against the paper's model
-        // before anyone sees it (see `validate`).
-        #[cfg(feature = "strict-invariants")]
+        // In a debug build every assembled flow graph is re-derived from raw
+        // overlay links and cross-checked against the paper's model before
+        // anyone sees it (see `validate`); release builds compile it out.
+        #[cfg(debug_assertions)]
         {
             let report = crate::validate::FlowGraphAuditor::new(ctx, req).audit(&flow);
             assert!(
                 report.is_clean(),
-                "strict-invariants: assembled flow graph violates the model\n{report}\n{flow}"
+                "assembled flow graph violates the model\n{report}\n{flow}"
             );
         }
 
@@ -411,6 +411,33 @@ mod tests {
             FlowGraph::assemble(&ctx, &req, &sel).unwrap_err(),
             FederationError::NoInstances(s(1))
         );
+    }
+
+    /// A stale routing cache: a table built over every finite link widened
+    /// ×10 promises streams the real overlay cannot carry. A debug build's
+    /// `assemble` audits the answer against the real links and panics.
+    #[test]
+    #[cfg_attr(not(debug_assertions), ignore)]
+    #[should_panic(expected = "violates the model")]
+    fn a_flow_routed_over_a_stale_table_panics() {
+        use crate::algorithms::{FederationAlgorithm, SflowAlgorithm};
+
+        let fx = diamond_fixture();
+        let mut wider = fx.overlay.clone();
+        let links: Vec<_> = fx
+            .overlay
+            .graph()
+            .edges()
+            .filter(|e| e.weight.bandwidth != Bandwidth::INFINITE)
+            .map(|e| (e.from, e.to, *e.weight))
+            .collect();
+        for (from, to, qos) in links {
+            let widened = Qos::new(Bandwidth::kbps(qos.bandwidth.as_kbps() * 10), qos.latency);
+            wider.update_link_qos(from, to, widened).unwrap();
+        }
+        let stale_table = wider.all_pairs();
+        let ctx = FederationContext::new(&fx.overlay, &stale_table, fx.source);
+        let _ = SflowAlgorithm::default().federate(&ctx, &diamond_requirement());
     }
 
     #[test]

@@ -18,10 +18,10 @@
 //! 5. the flow-graph quality is consistent: bandwidth is the min over
 //!    streams, latency the longest source→sink branch.
 //!
-//! With the `strict-invariants` feature enabled, [`FlowGraph::assemble`]
-//! audits every flow graph it produces and panics on a violation — wired
-//! into the property tests and a dedicated CI run. The server's
-//! `serve --audit` flag uses the same auditor in counting (non-fatal) mode.
+//! In every debug build [`FlowGraph::assemble`] audits each flow graph it
+//! produces and panics on a violation, so every test and debug server checks
+//! every solve, repair and served flow. Release builds compile it out; call
+//! [`FlowGraphAuditor::audit`] directly to check an answer there.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;

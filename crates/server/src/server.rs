@@ -53,7 +53,6 @@ use sflow_core::algorithms::{
     FederationAlgorithm, FixedAlgorithm, GlobalOptimalAlgorithm, ServicePathAlgorithm,
 };
 use sflow_core::repair::repair;
-use sflow_core::validate::FlowGraphAuditor;
 use sflow_core::{
     FederationContext, FederationError, FlowGraph, OwnedFederationContext, ServiceRequirement,
     Solver,
@@ -86,11 +85,6 @@ pub struct ServerConfig {
     /// Worker threads for routing-table rebuilds and patches after
     /// mutations; `0` auto-sizes from `available_parallelism`.
     pub route_workers: usize,
-    /// Audit every solved or repaired flow graph with
-    /// [`FlowGraphAuditor`] and count violations in the server stats
-    /// (`serve --audit`). Non-fatal: a violating answer is still served,
-    /// but the counter makes it visible.
-    pub audit: bool,
     /// Federate against **residual** capacity (`capacity − reserved`)
     /// instead of raw link capacity. On by default; `serve --no-residual`
     /// turns it off — the load ledger still tracks every session, but the
@@ -127,7 +121,6 @@ impl Default for ServerConfig {
             queue_depth: 64,
             max_sessions: 16_384,
             route_workers: 0,
-            audit: false,
             residual: true,
             solve_cache: true,
             rebalance_interval: None,
@@ -340,12 +333,13 @@ fn worker_loop(shared: &Shared, jobs: &Receiver<Job>) {
     loop {
         match jobs.recv_timeout(Duration::from_millis(100)) {
             Ok(job) => {
-                // A panicking request costs that request, not the worker:
-                // the reply still goes out (and takes the frame off
-                // `frames_in_flight`) and the thread keeps draining. The
-                // locks it held do not poison.
+                // A panicking request (in a debug build, a flow graph that
+                // fails its audit too) costs that request, not the worker:
+                // the reply still goes out, `panics` counts it and the
+                // thread keeps draining. The locks it held do not poison.
                 let response = catch_unwind(AssertUnwindSafe(|| execute(shared, job.request)))
                     .unwrap_or_else(|_| {
+                        shared.metrics.panics().inc();
                         shared.metrics.failed().inc();
                         Response::Error("internal error: the request panicked".into())
                     });
@@ -496,7 +490,6 @@ fn federate_against(
             return Response::Error(e.to_string());
         }
     };
-    audit_flow(shared, &ctx, &ask.requirement, &flow);
     // File the answer under its key. `cache_solve` is first-writer-wins, so
     // racing cold solves of one key converge on a single canonical flow —
     // the one `Arc` the key's booking and every later tenant share.
@@ -589,28 +582,6 @@ fn load_map_summary(shared: &Shared) -> LoadMapSummary {
     }
 }
 
-/// Under `--audit`, re-derives every answer's invariants from raw overlay
-/// links ([`FlowGraphAuditor`]) and counts violations in the server stats.
-/// Counting, not fatal: operators watch `audit_violations`, answers still
-/// flow.
-fn audit_flow(
-    shared: &Shared,
-    ctx: &FederationContext<'_>,
-    requirement: &ServiceRequirement,
-    flow: &FlowGraph,
-) {
-    if !shared.config.audit {
-        return;
-    }
-    let report = FlowGraphAuditor::new(ctx, requirement).audit(flow);
-    if !report.is_clean() {
-        shared
-            .metrics
-            .audit_violations()
-            .add(report.violations.len() as u64);
-    }
-}
-
 /// Applies one mutation and repairs every booking against the new epoch —
 /// sFlow's agility as a server operation.
 ///
@@ -652,7 +623,6 @@ fn repair_bookings(shared: &Shared, snapshot: &Arc<WorldSnapshot>, plan: Vec<Wor
         .into_iter()
         .filter_map(|work| {
             let flow = repair(&ctx, &work.ask.requirement, &work.flow).ok()?.flow;
-            audit_flow(shared, &ctx, &work.ask.requirement, &flow);
             Some((work.booking, flow))
         })
         .collect();
@@ -667,6 +637,7 @@ mod tests {
     use crate::snapshot::same_flow;
     use crate::Mutation;
     use sflow_core::fixtures::{diamond_fixture, diamond_requirement, Fixture};
+    use sflow_core::validate::FlowGraphAuditor;
     use sflow_net::{Compatibility, Placement, ServiceId, ServiceInstance, UnderlyingNetwork};
     use sflow_routing::{Latency, Qos};
     use std::collections::BTreeMap;
@@ -1915,6 +1886,7 @@ mod tests {
             (stats.failed, stats.served, stats.frames_in_flight),
             (1, 1, 0)
         );
+        assert_eq!(stats.panics, 1, "the panic is counted apart from failures");
         handle.shutdown();
     }
 

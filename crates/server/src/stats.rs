@@ -199,9 +199,9 @@ stats_table! {
     /// frame, a body that is not one well-formed record). A peer problem,
     /// never a worker problem.
     wire_errors: Counter,
-    /// Model-invariant violations found by the flow-graph auditor
-    /// (`serve --audit`); 0 when auditing is off or every answer checked out.
-    audit_violations: Counter,
+    /// Requests answered "the request panicked", also counted in `failed`;
+    /// in a debug build, a flow graph that failed its audit at assembly.
+    panics: Counter,
     /// Sessions migrated to cheaper paths by rebalancer sweeps.
     migrations: Counter,
     /// Rebalancer movers that failed to re-solve or did not improve the

@@ -957,7 +957,7 @@ mod tests {
             plane_flush_us_total: 21,
             plane_trees_recomputed: 22,
             wire_errors: 23,
-            audit_violations: 24,
+            panics: 24,
             migrations: 25,
             migration_failures: 26,
             max_link_utilization_permille: 27,

@@ -1,11 +1,12 @@
 //! Churn stress for the published world, through a live server: one client
 //! applies link-QoS flaps and instance failures while eight client threads
 //! federate and release continuously. Every answer must come from a
-//! *consistent* snapshot — the server audits each solved and repaired flow
-//! against its own snapshot's overlay (`audit: true`), never against a
-//! half-mutated world — and the epochs each client is answered at must be
-//! monotonic. A federate a mutation overtakes may be answered `Stale`;
-//! nothing may be answered `Error`.
+//! *consistent* snapshot — a debug build audits each solved and repaired
+//! flow as it is assembled, against its own snapshot's overlay, never
+//! against a half-mutated world, and a failed audit is a counted panic —
+//! and the epochs each client is answered at must be monotonic. A federate
+//! a mutation overtakes may be answered `Stale`; nothing may be answered
+//! `Error`.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -31,7 +32,6 @@ fn solvers_under_churn_always_observe_consistent_snapshots() {
     // world: the same fixture under the same mutations is the same world.
     let mut mirror = World::new(fx.clone());
     let config = ServerConfig {
-        audit: true,
         residual: false,
         solve_cache: false,
         route_workers: 1,
@@ -130,7 +130,7 @@ fn solvers_under_churn_always_observe_consistent_snapshots() {
     assert!(total_solves >= 1);
     let stats = mutator.stats().unwrap();
     assert_eq!(stats.epoch, MUTATIONS, "one epoch per applied mutation");
-    assert_eq!(stats.audit_violations, 0, "{stats:?}");
+    assert_eq!(stats.panics, 0, "{stats:?}");
     assert_eq!(stats.sessions, 0, "every session was released");
     handle.shutdown();
 }

@@ -30,11 +30,13 @@ use sflow::ServiceRequirement;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let (cmd, rest) = match args.split_first() {
-        Some((c, r)) => (c.as_str(), r),
-        None => ("help", &args[..]),
+    let Some((cmd, rest)) = args.split_first() else {
+        return usage();
     };
-    let flags = match parse_flags(rest) {
+    let Some(&(cmd, switches, options)) = COMMANDS.iter().find(|(name, ..)| name == cmd) else {
+        return usage();
+    };
+    let flags = match parse_flags(cmd, rest, switches, options) {
         Ok(f) => f,
         Err(e) => {
             eprintln!("sflow: {e}");
@@ -79,7 +81,6 @@ fn usage() -> ExitCode {
          \x20            [--reactor-threads N] epoll event loops (default 1)\n\
          \x20            [--max-conns N] open-connection cap (0 = 65536)\n\
          \x20            [--write-high-water BYTES] per-connection backpressure mark\n\
-         \x20            [--audit] verify every answer, count violations in stats\n\
          \x20            [--no-residual] federate against raw instead of residual capacity\n\
          \x20            [--no-solve-cache] cold-solve every federate, no shared forests\n\
          \x20            [--rebalance-interval-ms MS] background rebalancer sweeps\n\
@@ -96,27 +97,57 @@ fn usage() -> ExitCode {
     ExitCode::FAILURE
 }
 
+/// Every command and the flags it reads, space-separated: `(command,
+/// switches, flags that take a value)`. Any other flag is refused by name.
+const COMMANDS: [(&str, &str, &str); 6] = [
+    ("demo", "", ""),
+    ("world", "", "hosts services instances seed"),
+    (
+        "federate",
+        "dot distributed",
+        "hosts services instances seed shape edges",
+    ),
+    ("proof", "", "vars clauses seed"),
+    (
+        "serve",
+        "no-residual no-solve-cache",
+        "addr workers queue route-workers reactor-threads max-conns write-high-water \
+         rebalance-interval-ms utilization-threshold hosts services instances seed",
+    ),
+    (
+        "request",
+        "stats shutdown full-view rebalance load-map",
+        "addr edges algorithm hop-limit repeat concurrency release fail set-link \
+         bandwidth latency",
+    ),
+];
+
 type Flags = HashMap<String, String>;
 
-fn parse_flags(args: &[String]) -> Result<Flags, String> {
+fn parse_flags(cmd: &str, args: &[String], switches: &str, options: &str) -> Result<Flags, String> {
     let mut flags = Flags::new();
     let mut it = args.iter();
     while let Some(a) = it.next() {
         let Some(key) = a.strip_prefix("--") else {
             return Err(format!("unexpected argument {a}"));
         };
-        match key {
-            "dot" | "distributed" | "stats" | "shutdown" | "full-view" | "audit"
-            | "no-residual" | "no-solve-cache" | "rebalance" | "load-map" => {
-                flags.insert(key.into(), "true".into());
-            }
-            _ => {
-                let v = it.next().ok_or_else(|| format!("--{key} needs a value"))?;
-                flags.insert(key.into(), v.clone());
-            }
+        let names = |list: &str| list.split_whitespace().any(|name| name == key);
+        if names(switches) {
+            flags.insert(key.into(), "true".into());
+        } else if names(options) {
+            let v = it.next().ok_or_else(|| format!("--{key} needs a value"))?;
+            flags.insert(key.into(), v.clone());
+        } else {
+            return Err(format!("{cmd} has no flag --{key}"));
         }
     }
     Ok(flags)
+}
+
+/// The value of a flag the command cannot do without.
+fn required<T: std::str::FromStr>(flags: &Flags, key: &str) -> Result<T, String> {
+    let v = flags.get(key).ok_or_else(|| format!("missing --{key}"))?;
+    v.parse().map_err(|_| format!("bad value for --{key}: {v}"))
 }
 
 fn get<T: std::str::FromStr>(flags: &Flags, key: &str, default: T) -> Result<T, String> {
@@ -300,7 +331,6 @@ fn serve(flags: &Flags) -> Result<(), String> {
             "write-high-water",
             ServerConfig::default().write_high_water,
         )?,
-        audit: flags.contains_key("audit"),
         residual: !flags.contains_key("no-residual"),
         solve_cache: !flags.contains_key("no-solve-cache"),
         rebalance_interval: match get(flags, "rebalance-interval-ms", 0u64)? {
@@ -427,8 +457,8 @@ fn request_of(flags: &Flags) -> Result<sflow::server::Request, String> {
         return Ok(Request::Mutate(Mutation::SetLinkQos {
             from: parse_instance(from)?,
             to: parse_instance(to)?,
-            bandwidth_kbps: get(flags, "bandwidth", 0u64)?,
-            latency_us: get(flags, "latency", 0u64)?,
+            bandwidth_kbps: required(flags, "bandwidth")?,
+            latency_us: required(flags, "latency")?,
         }));
     }
 
@@ -556,7 +586,7 @@ fn print_stats(stats: sflow::server::StatsSnapshot) {
         plane_flush_us_total,
         plane_trees_recomputed,
         wire_errors,
-        audit_violations,
+        panics,
         migrations,
         migration_failures,
         max_link_utilization_permille,
@@ -586,7 +616,7 @@ fn print_stats(stats: sflow::server::StatsSnapshot) {
         "plane flushes: {plane_flushes} ({plane_flush_us_total} µs total, \
          {plane_trees_recomputed} trees recomputed)"
     );
-    println!("correctness: {wire_errors} wire errors, {audit_violations} audit violations");
+    println!("correctness: {wire_errors} wire errors, {panics} panicked requests");
     println!(
         "reactor: {connections_open} connections open, {frames_in_flight} frames in flight, \
          {reactor_wakeups} wakeups"
