@@ -59,6 +59,18 @@
 //! share is gated ([`MAX_ENTRY_SHARE`]): a kernel that goes back to
 //! `O(L · V)` memory per tree fails on any machine.
 //!
+//! An `underlay_pricing` block times what `OverlayGraph::build_with` pays
+//! at set-up on the world `bench_e2e` serves: the shortest-widest QoS
+//! between every two of the 71 underlay hosts that carry an instance.
+//! `per_host_trees_ms` is the reference, one [`single_source_csr`] tree
+//! per host; `pair_qos_ms` is `UnderlyingNetwork::pair_qos`, one maximum
+//! spanning forest and one bounded sweep per host. Both include deriving
+//! the [`QosCsr`], each is the median of [`PRICING_REPS`] interleaved
+//! runs, and `levels_per_tree_mean` is the reference trees' mean level
+//! count. Every pair must agree, and `pair_qos_ms` must stay at most
+//! [`MAX_PRICING_SHARE`] of `per_host_trees_ms`, a ratio of two timings
+//! of one run.
+//!
 //! A worker-sweep point gets a `speedup_vs_w1` ratio only when the box has
 //! at least that many cores (`available_parallelism` is recorded): beyond
 //! that the threads time-share and the ratio is noise, so the timing is
@@ -77,9 +89,9 @@ use std::time::Instant;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sflow_bench::{median, usize_flag, write_report};
-use sflow_core::fixtures::{paper_fig4_fixture, random_fixture};
+use sflow_core::fixtures::{paper_fig4_fixture, random_fixture, Fixture};
 use sflow_graph::{DiGraph, EdgeIx, NodeIx};
-use sflow_net::ServiceId;
+use sflow_net::{HostId, ServiceId};
 use sflow_routing::shortest_widest::single_source_csr;
 use sflow_routing::{
     all_pairs_parallel_with, auto_workers, AllPairs, Bandwidth, DijkstraScratch, EdgeChange,
@@ -341,6 +353,69 @@ fn kernel_sweep<N>(g: &DiGraph<N, Qos>) -> KernelSweep {
         label_updates_mean: scratch.label_updates() as f64 / sources,
         entries_mean: entries as f64 / sources,
         entry_share: entries as f64 / (levels * g.node_count()).max(1) as f64,
+    }
+}
+
+/// Interleaved timing runs of each underlay pricing.
+const PRICING_REPS: usize = 15;
+
+/// The most `pair_qos_ms` may take, as a share of `per_host_trees_ms`.
+const MAX_PRICING_SHARE: f64 = 0.6;
+
+/// The underlay pricing `OverlayGraph::build_with` does, against one full
+/// tree per host.
+struct UnderlayPricing {
+    hosts: usize,
+    pairs: usize,
+    levels_mean: f64,
+    per_host_trees_ms: f64,
+    pair_qos_ms: f64,
+}
+
+fn underlay_pricing(fixture: &Fixture) -> UnderlayPricing {
+    let net = &fixture.net;
+    let mut hosts: Vec<HostId> = fixture
+        .overlay
+        .graph()
+        .nodes()
+        .map(|(_, i)| i.host)
+        .collect();
+    hosts.sort_unstable();
+    hosts.dedup();
+    let nodes: Vec<NodeIx> = hosts.iter().map(|&h| net.node_of(h)).collect();
+    let per_host_trees = || {
+        let csr = QosCsr::new(net.graph());
+        let mut scratch = DijkstraScratch::new();
+        nodes
+            .iter()
+            .map(|&s| single_source_csr(&csr, s, &mut scratch))
+            .collect::<Vec<_>>()
+    };
+    let trees = per_host_trees();
+    let priced = net.pair_qos(&hosts);
+    for (i, tree) in trees.iter().enumerate() {
+        for (j, &to) in nodes.iter().enumerate() {
+            assert_eq!(
+                priced.qos(i, j),
+                tree.qos_to(to),
+                "pair_qos and the full tree disagree from {} to {}",
+                hosts[i],
+                hosts[j],
+            );
+        }
+    }
+    let (mut tree_us, mut pair_us) = (Vec::new(), Vec::new());
+    for _ in 0..PRICING_REPS {
+        tree_us.push(time_us(1, per_host_trees));
+        pair_us.push(time_us(1, || net.pair_qos(&hosts)));
+    }
+    let levels: usize = trees.iter().map(|t| t.level_count()).sum();
+    UnderlayPricing {
+        hosts: hosts.len(),
+        pairs: hosts.len() * hosts.len().saturating_sub(1) / 2,
+        levels_mean: levels as f64 / trees.len().max(1) as f64,
+        per_host_trees_ms: median(tree_us) as f64 / 1e3,
+        pair_qos_ms: median(pair_us) as f64 / 1e3,
     }
 }
 
@@ -720,6 +795,22 @@ fn main() {
     // underlay, each linked to every instance of the other nine services.
     let services: Vec<ServiceId> = (0..10).map(ServiceId::new).collect();
     let waxman_400 = random_fixture(400, &services, 8, None, 42);
+    let pricing = underlay_pricing(&waxman_400);
+    println!(
+        "underlay pricing: {} hosts, {} pairs, {:.1} levels per tree — one tree per host \
+         {:.2} ms, pair_qos {:.2} ms",
+        pricing.hosts,
+        pricing.pairs,
+        pricing.levels_mean,
+        pricing.per_host_trees_ms,
+        pricing.pair_qos_ms,
+    );
+    assert!(
+        pricing.pair_qos_ms <= MAX_PRICING_SHARE * pricing.per_host_trees_ms,
+        "pair_qos took {:.2} ms, more than {MAX_PRICING_SHARE} of one tree per host ({:.2} ms)",
+        pricing.pair_qos_ms,
+        pricing.per_host_trees_ms,
+    );
     let mut reports = vec![
         measure("paper-fig4", fig4.overlay.graph(), 7),
         measure("random-200", &random_overlay(200, 8, 42), 7),
@@ -831,9 +922,16 @@ fn main() {
     let worlds: Vec<String> = reports.iter().map(world_json).collect();
     let json = format!(
         "{{\n  \"generated_by\": \"bench_routing\",\n  \"available_parallelism\": {},\n  \
-         \"workers_sweep\": {:?},\n  \"worlds\": [\n{}\n  ]\n}}\n",
+         \"workers_sweep\": {:?},\n  \"underlay_pricing\": {{\"world\": \"waxman-400\", \
+         \"hosts\": {}, \"pairs\": {}, \"levels_per_tree_mean\": {:.2}, \
+         \"per_host_trees_ms\": {:.2}, \"pair_qos_ms\": {:.2}}},\n  \"worlds\": [\n{}\n  ]\n}}\n",
         auto_workers(),
         WORKER_SWEEP,
+        pricing.hosts,
+        pricing.pairs,
+        pricing.levels_mean,
+        pricing.per_host_trees_ms,
+        pricing.pair_qos_ms,
         worlds.join(",\n"),
     );
     println!("wrote {}", write_report("BENCH_routing.json", &json));

@@ -170,8 +170,8 @@ impl OverlayGraph {
     /// Service-link QoS is the shortest-widest path QoS between the two hosts
     /// in the underlying network; co-located instances get [`Qos::IDENTITY`]
     /// links (no network traversal). Only the hosts that carry an instance
-    /// are routed from — the rows of [`UnderlyingNetwork::all_pairs`] a
-    /// service link can read — on the routing worker pool.
+    /// are priced, each pair once, by [`UnderlyingNetwork::pair_qos`] — the
+    /// entries of [`UnderlyingNetwork::all_pairs`] a service link can read.
     ///
     /// # Errors
     ///
@@ -194,19 +194,17 @@ impl OverlayGraph {
             }
         }
 
-        let mut hosts: Vec<NodeIx> = placement
-            .instances()
-            .iter()
-            .map(|inst| net.node_of(inst.host))
-            .collect();
+        let mut hosts: Vec<HostId> = placement.instances().iter().map(|i| i.host).collect();
         hosts.sort_unstable();
         hosts.dedup();
-        let trees = sflow_routing::source_trees_with(net.graph(), &hosts, 0);
+        let prices = net.pair_qos(&hosts);
+        let at = |host| {
+            hosts
+                .binary_search(&host)
+                .expect("every instance's host was priced")
+        };
         Ok(Self::assemble(placement, compat, options, |from, to| {
-            let at = hosts
-                .binary_search(&net.node_of(from))
-                .expect("every instance's host was routed from");
-            trees[at].qos_to(net.node_of(to))
+            prices.qos(at(from), at(to))
         }))
     }
 
@@ -447,6 +445,7 @@ impl LocalView {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::Rng;
     use sflow_routing::{Bandwidth, Latency};
 
     fn q(bw: u64, lat: u64) -> Qos {
@@ -568,49 +567,135 @@ mod tests {
         assert_eq!(*out[0].weight, q(10, 1));
     }
 
-    /// Routing only from the hosts that carry an instance prices every
-    /// service link as the full link-state table would: same edges, same
-    /// order, same QoS — on a world where most hosts carry nothing, some
-    /// carry several instances, and with the per-service cap on and off.
+    /// `nets` side by side, host numbers offset so each keeps its own
+    /// component, plus `extra` links between hosts of the result.
+    fn side_by_side(nets: &[UnderlyingNetwork], extra: &[(u32, u32, Qos)]) -> UnderlyingNetwork {
+        let mut b = UnderlyingNetwork::builder();
+        for net in nets {
+            let hosts = b.add_hosts(net.host_count());
+            for e in net.graph().edges().filter(|e| e.from < e.to) {
+                b.link(hosts[e.from.index()], hosts[e.to.index()], *e.weight);
+            }
+        }
+        for &(a, c, qos) in extra {
+            b.link(HostId::new(a), HostId::new(c), qos);
+        }
+        b.build()
+    }
+
+    /// Up to `per_service` instances of each of `services` services on
+    /// hosts drawn from `spots`, so several services share a host.
+    fn crowded(
+        spots: &[HostId],
+        services: u32,
+        per_service: usize,
+        rng: &mut impl Rng,
+    ) -> Placement {
+        let mut seen = HashSet::new();
+        (0..services)
+            .flat_map(|s| (0..per_service).map(move |_| s))
+            .map(|s| ServiceInstance::new(sid(s), spots[rng.gen_range(0..spots.len())]))
+            .filter(|&inst| seen.insert(inst))
+            .collect()
+    }
+
+    proptest::proptest! {
+        /// The oracle for every overlay: pricing only the pairs of hosts
+        /// that carry an instance links exactly what the full link-state
+        /// table would — same edges, same order, same QoS — with the
+        /// per-service cap off, at 1 and at 2. The networks are Waxman or
+        /// uniform with two bandwidths and three latencies, so widest
+        /// values and forest links tie everywhere; half are two
+        /// components; every one carries a zero-bandwidth link (across
+        /// the components, if two) and a doubled link between one host
+        /// pair. Instances crowd onto a few hosts, so co-located ones are
+        /// common.
+        #[test]
+        fn build_prices_every_link_as_the_full_table_does(
+            shape in 0u32..4,
+            hosts in 2usize..24,
+            seed in proptest::prelude::any::<u64>(),
+            spots in 1usize..9,
+        ) {
+            use crate::topology::{random_connected, waxman, LinkProfile};
+            use rand::rngs::StdRng;
+            use rand::SeedableRng;
+            let mut rng = StdRng::seed_from_u64(seed);
+            let narrow = LinkProfile::new(1..=2, 1..=3);
+            let part = |rng: &mut StdRng| {
+                if shape % 2 == 0 {
+                    waxman(hosts, 0.3, 0.3, &narrow, rng)
+                } else {
+                    random_connected(hosts, 3.0, &narrow, rng)
+                }
+            };
+            // Shapes 2 and 3 are two components.
+            let mut parts = vec![part(&mut rng)];
+            if shape >= 2 {
+                parts.push(part(&mut rng));
+            }
+            let n = (hosts * parts.len()) as u32;
+            let pick = |rng: &mut StdRng| {
+                let a = rng.gen_range(0..hosts as u32);
+                (a, (a + 1 + rng.gen_range(0..hosts as u32 - 1)) % hosts as u32)
+            };
+            // The zero-bandwidth link joins the two components, if there
+            // are two: it must not join them for routing.
+            let (za, zb) = pick(&mut rng);
+            let zb = zb + n - hosts as u32;
+            let (da, db) = pick(&mut rng);
+            let net = side_by_side(
+                &parts,
+                &[(za, zb, q(0, 1)), (da, db, q(2, 5)), (da, db, q(1, 1))],
+            );
+            let spots: Vec<HostId> = (0..spots).map(|_| HostId::new(rng.gen_range(0..n))).collect();
+            let placement = crowded(&spots, 5, 3, &mut rng);
+            let compat = Compatibility::universal();
+
+            let table = net.all_pairs();
+            for cap in [None, Some(1), Some(2)] {
+                let options = OverlayOptions {
+                    max_links_per_service: cap,
+                };
+                let built = OverlayGraph::build_with(&net, &placement, &compat, &options).unwrap();
+                let reference = OverlayGraph::assemble(&placement, &compat, &options, |a, b| {
+                    table.qos(net.node_of(a), net.node_of(b))
+                });
+                let links = |ov: &OverlayGraph| -> Vec<(NodeIx, NodeIx, Qos)> {
+                    ov.graph()
+                        .edges()
+                        .map(|e| (e.from, e.to, *e.weight))
+                        .collect()
+                };
+                proptest::prop_assert_eq!(links(&built), links(&reference), "cap {:?}", cap);
+            }
+        }
+    }
+
+    /// The oracle's helpers build the worlds it claims: co-located
+    /// instances get an identity link, and two components bridged by a
+    /// zero-bandwidth link stay apart.
     #[test]
-    fn build_reads_the_same_links_off_instance_hosts_as_off_the_full_table() {
+    fn the_oracle_meets_colocation_and_components() {
         use crate::topology::{waxman, LinkProfile};
         use rand::rngs::StdRng;
         use rand::SeedableRng;
         let mut rng = StdRng::seed_from_u64(21);
-        let net = waxman(60, 0.2, 0.2, &LinkProfile::new(1..=20, 1..=50), &mut rng);
-        let services: Vec<ServiceId> = (0..5).map(sid).collect();
-        // Five services × three instances over the first eight hosts: at
-        // most eight of sixty hosts are routed from, and some host carries
-        // at least two instances.
-        let crowded = crate::topology::ring(8, q(1, 1));
-        let placement = Placement::random(&crowded, &services, 3, &mut rng);
-        let hosts: HashSet<HostId> = placement.instances().iter().map(|i| i.host).collect();
-        assert!(hosts.len() < placement.len() && hosts.len() <= 8);
-        let compat = Compatibility::from_pairs(
-            [(0, 1), (0, 2), (1, 3), (2, 3), (1, 2), (3, 4)].map(|(a, b)| (sid(a), sid(b))),
+        let parts = [
+            waxman(12, 0.3, 0.3, &LinkProfile::new(1..=2, 1..=3), &mut rng),
+            waxman(12, 0.3, 0.3, &LinkProfile::new(1..=2, 1..=3), &mut rng),
+        ];
+        let net = side_by_side(&parts, &[(0, 12, q(0, 1))]);
+        let spots = [HostId::new(0), HostId::new(3), HostId::new(13)];
+        let placement = crowded(&spots, 5, 3, &mut rng);
+        let built = OverlayGraph::build(&net, &placement, &Compatibility::universal()).unwrap();
+        assert!(built.graph().edges().any(|e| *e.weight == Qos::IDENTITY));
+        let n = built.instance_count();
+        assert!(
+            built.link_count() < n * (n - 1),
+            "no instance pair across components is linked"
         );
-
-        let table = net.all_pairs();
-        for cap in [None, Some(1), Some(2)] {
-            let options = OverlayOptions {
-                max_links_per_service: cap,
-            };
-            let built = OverlayGraph::build_with(&net, &placement, &compat, &options).unwrap();
-            let reference = OverlayGraph::assemble(&placement, &compat, &options, |a, b| {
-                table.qos(net.node_of(a), net.node_of(b))
-            });
-            let links = |ov: &OverlayGraph| -> Vec<(NodeIx, NodeIx, Qos)> {
-                ov.graph()
-                    .edges()
-                    .map(|e| (e.from, e.to, *e.weight))
-                    .collect()
-            };
-            assert!(built.link_count() > 0);
-            assert_eq!(links(&built), links(&reference), "cap {cap:?}");
-            // Some co-located pair is compatible, so identity links are in play.
-            assert!(built.graph().edges().any(|e| *e.weight == Qos::IDENTITY));
-        }
+        assert_eq!(net.qos_between(HostId::new(0), HostId::new(13)), None);
     }
 
     #[test]

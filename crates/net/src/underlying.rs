@@ -1,7 +1,8 @@
 //! The underlying (physical) network.
 
-use sflow_graph::{algo, DiGraph, NodeIx};
-use sflow_routing::{shortest_widest, AllPairs, Qos};
+use sflow_graph::{algo, DiGraph, EdgeIx, NodeIx};
+use sflow_routing::shortest_widest::{self, settle_csr};
+use sflow_routing::{AllPairs, DijkstraScratch, Qos, QosCsr, WidestForest};
 
 use crate::HostId;
 
@@ -12,6 +13,12 @@ use crate::HostId;
 /// with identical QoS, so all the directed routing machinery applies
 /// unchanged. Host `h` maps to graph node index `h` (a dense identity
 /// mapping maintained by the builder).
+///
+/// That symmetry is an invariant: the graph is private, only the builder's
+/// [`UnderlyingNetworkBuilder::link`] adds to it, and debug builds check it
+/// in [`UnderlyingNetworkBuilder::build`]. [`UnderlyingNetwork::pair_qos`]
+/// stands on it twice: a widest bandwidth is read off one maximum spanning
+/// forest, and the answer from `a` to `b` is the answer from `b` to `a`.
 #[derive(Clone, Debug)]
 pub struct UnderlyingNetwork {
     graph: DiGraph<HostId, Qos>,
@@ -80,12 +87,80 @@ impl UnderlyingNetwork {
         shortest_widest::all_pairs(&self.graph)
     }
 
-    /// The shortest-widest QoS between two hosts (`None` if disconnected).
-    ///
-    /// Convenience for one-off queries; use [`UnderlyingNetwork::all_pairs`]
-    /// when many pairs are needed.
+    /// The shortest-widest QoS between two hosts (`None` if disconnected):
+    /// [`UnderlyingNetwork::pair_qos`] of the two.
     pub fn qos_between(&self, a: HostId, b: HostId) -> Option<Qos> {
-        shortest_widest::single_source(&self.graph, self.node_of(a)).qos_to(self.node_of(b))
+        self.pair_qos(&[a, b]).qos(0, 1)
+    }
+
+    /// The shortest-widest QoS between every two of `hosts` — what the
+    /// rows of [`UnderlyingNetwork::all_pairs`] say about them, without
+    /// the rows.
+    ///
+    /// One maximum spanning forest ([`WidestForest`]) gives every pair's
+    /// widest bandwidth, one `O(V)` walk per host. Then host `i` runs one
+    /// sweep ([`settle_csr`]) that settles only the hosts after it, each at
+    /// its widest bandwidth, and stops when the last of them settles; its
+    /// answer to `j` is also `j`'s to `i`, the network being symmetric.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a host is not part of this network.
+    pub fn pair_qos(&self, hosts: &[HostId]) -> PairQos {
+        let nodes: Vec<NodeIx> = hosts.iter().map(|&h| self.node_of(h)).collect();
+        let k = nodes.len();
+        let mut qos = vec![None; k * k];
+        let csr = QosCsr::new(&self.graph);
+        let forest = WidestForest::new(&csr);
+        let mut widest = Vec::new();
+        let mut want = vec![None; self.host_count()];
+        let mut scratch = DijkstraScratch::new();
+        for (i, &from) in nodes.iter().enumerate() {
+            qos[i * k + i] = Some(Qos::IDENTITY);
+            let after = &nodes[i + 1..];
+            if after.is_empty() {
+                break;
+            }
+            forest.bottlenecks_from(from, &mut widest);
+            for &to in after {
+                if to != from {
+                    want[to.index()] = widest[to.index()];
+                }
+            }
+            let settled = settle_csr(&csr, from, &want, &mut scratch);
+            for (j, &to) in (i + 1..).zip(after) {
+                want[to.index()] = None;
+                let answer = settled[to.index()];
+                qos[i * k + j] = answer;
+                qos[j * k + i] = answer;
+            }
+        }
+        PairQos { hosts: k, qos }
+    }
+}
+
+/// The shortest-widest QoS between every two hosts of a list, from
+/// [`UnderlyingNetwork::pair_qos`]: a `k × k` table indexed by position in
+/// that list. A host's QoS to itself is [`Qos::IDENTITY`].
+#[derive(Clone, Debug)]
+pub struct PairQos {
+    hosts: usize,
+    qos: Vec<Option<Qos>>,
+}
+
+impl PairQos {
+    /// The QoS from the `i`-th host of the list to the `j`-th, `None` if
+    /// no path joins them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` or `j` is not below the list's length.
+    pub fn qos(&self, i: usize, j: usize) -> Option<Qos> {
+        assert!(
+            i < self.hosts && j < self.hosts,
+            "host {i} or {j} not in the list"
+        );
+        self.qos[i * self.hosts + j]
     }
 }
 
@@ -157,6 +232,14 @@ impl UnderlyingNetworkBuilder {
 
     /// Finalises the network.
     pub fn build(self) -> UnderlyingNetwork {
+        debug_assert!(
+            (0..self.links).all(|link| {
+                let (a, b, q) = self.graph.edge_parts(EdgeIx::from_index(2 * link));
+                let (c, d, r) = self.graph.edge_parts(EdgeIx::from_index(2 * link + 1));
+                (a, b, q) == (d, c, r)
+            }) && self.graph.edge_count() == 2 * self.links,
+            "every link is a pair of antiparallel edges with one QoS"
+        );
         UnderlyingNetwork {
             graph: self.graph,
             links: self.links,

@@ -12,9 +12,7 @@
 //!   `std::thread::scope` worker pool (sized by [`auto_workers`], i.e. a
 //!   cached `available_parallelism`, when asked for `0` workers), with one
 //!   reusable [`DijkstraScratch`] per worker so a tree allocates only what
-//!   it keeps. [`source_trees_with`] is the same fan-out over a list of
-//!   sources, for callers that read only some rows. Sources are claimed
-//!   off an atomic counter — work-stealing granularity of one tree — so
+//!   it keeps. Sources are claimed off an atomic counter — work-stealing granularity of one tree — so
 //!   skewed per-source costs (hub nodes see more levels) still balance.
 //!   Because workers read only the CSR, the node payload `N` needs no
 //!   `Sync` bound.
@@ -322,22 +320,6 @@ pub fn all_pairs_parallel_with<N>(g: &DiGraph<N, Qos>, workers: usize) -> AllPai
     let sources: Vec<NodeIx> = g.node_ids().collect();
     let csr = Arc::new(QosCsr::new(g));
     AllPairs::swept(compute_trees(&csr, &sources, workers), csr)
-}
-
-/// One exact tree per listed source, in list order, over one [`QosCsr`] of
-/// `g` and the same worker pool as [`all_pairs_parallel_with`] — for a
-/// caller that reads only some rows of the table (an overlay is priced from
-/// the hosts that carry an instance, not from every host). No sources, no
-/// CSR.
-pub fn source_trees_with<N>(
-    g: &DiGraph<N, Qos>,
-    sources: &[NodeIx],
-    workers: usize,
-) -> Vec<Arc<PathTree>> {
-    if sources.is_empty() {
-        return Vec::new();
-    }
-    compute_trees(&QosCsr::new(g), sources, workers)
 }
 
 /// Computes one tree per listed source, in list order, fanning the sources

@@ -25,10 +25,10 @@
 //! * [`engine`]: parallel all-pairs construction over a scoped worker pool
 //!   ([`all_pairs_parallel_with`]) and incremental maintenance after
 //!   edge-QoS changes ([`AllPairs::patched_with`]), with per-worker
-//!   [`DijkstraScratch`] buffer reuse;
-//!   [`source_trees_with`] builds only the rows a caller reads. Every
+//!   [`DijkstraScratch`] buffer reuse. Every
 //!   table is swept by one concrete kernel
-//!   ([`shortest_widest::single_source_csr`]) over one layout, [`QosCsr`] —
+//!   ([`shortest_widest::single_source_csr`], a widest pass and then the
+//!   level sweep) over one layout, [`QosCsr`] —
 //!   a compressed-sparse-row flattening of the graph's adjacency with the
 //!   edge weights in slot-parallel arrays — and holds its trees behind
 //!   `Arc`s so an incrementally patched successor shares every clean tree
@@ -36,7 +36,13 @@
 //!   reweights instead of deriving its own. Routing against anything other than
 //!   raw capacity (the server's load plane routes against
 //!   `capacity − reserved`) means writing those weights into a graph and
-//!   patching the table for the edges that moved.
+//!   patching the table for the edges that moved;
+//! * [`WidestForest`]: every pair's widest bandwidth on a symmetric graph,
+//!   from one maximum spanning forest. With
+//!   [`shortest_widest::settle_csr`] — the same level sweep, told which
+//!   nodes to settle at which bandwidth, stopping at the last — it prices
+//!   a set of node pairs without a full tree per node (an overlay's
+//!   service links read only the pairs of hosts that carry an instance).
 //!
 //! # Example
 //!
@@ -68,13 +74,13 @@
 
 pub mod classic;
 pub mod engine;
+mod forest;
 mod metrics;
 pub mod pareto;
 pub mod shortest_widest;
 
-pub use engine::{
-    all_pairs_parallel_with, auto_workers, source_trees_with, EdgeChange, PatchStats,
-};
+pub use engine::{all_pairs_parallel_with, auto_workers, EdgeChange, PatchStats};
+pub use forest::WidestForest;
 pub use metrics::{Bandwidth, Latency, Qos};
 pub use shortest_widest::{
     all_pairs, AllPairs, DijkstraScratch, PathTree, QosCsr, TraversalScratch,

@@ -58,8 +58,15 @@
 //! `Vec<EdgeIx>` indirections per visited edge. [`all_pairs`], the parallel
 //! builder and the incremental patcher in [`crate::engine`] derive the CSR
 //! once per graph and call the kernel per source; the one-shot
-//! [`single_source`] derives a CSR for its single sweep. The kernel is not
-//! generic, so it is compiled exactly once, in this crate, whoever calls it.
+//! [`single_source`] derives a CSR for its single sweep. The kernel is two
+//! passes: the widest pass names every reachable node's level, and one
+//! level sweep settles the nodes it is told to, each at the bandwidth named
+//! for it, stopping when the last one settles. A tree names every node;
+//! [`settle_csr`] names only the few a caller reads and skips the widest
+//! pass when the caller already knows their bandwidths (on a symmetric
+//! graph, from a [`WidestForest`](crate::WidestForest)). The sweep is not
+//! generic and never inlined, so it is compiled exactly once, in this
+//! crate, whoever calls it.
 //! A caller that wants to route against different weights (the server's load
 //! plane routes against `capacity − reserved`) writes them into a graph and
 //! runs the same kernel over that graph's CSR.
@@ -745,6 +752,9 @@ pub struct DijkstraScratch {
     standing: Vec<Standing>,
     heap: BinaryHeap<SweepEntry>,
     log: Vec<(NodeIx, Version)>,
+    /// What [`settle_csr`] answers in, and its levels.
+    settled: Vec<Option<Qos>>,
+    settled_levels: Vec<u32>,
     label_updates: u64,
 }
 
@@ -859,6 +869,16 @@ impl QosCsr {
     /// Number of nodes in the viewed graph.
     pub fn node_count(&self) -> usize {
         self.adj.node_count()
+    }
+
+    /// Every link as `(tail, head, bandwidth)`, widest first — the order
+    /// [`WidestForest::new`](crate::WidestForest::new) takes them in.
+    pub(crate) fn widest_links(&self) -> impl Iterator<Item = (NodeIx, NodeIx, Bandwidth)> + '_ {
+        let targets = self.adj.targets();
+        self.widest_first.iter().map(move |&slot| {
+            let slot = slot as usize;
+            (self.tails[slot], targets[slot], self.bandwidth[slot])
+        })
     }
 
     /// The outgoing edges of `node` as `(head, bandwidth)`, in insertion
@@ -1039,17 +1059,75 @@ pub fn single_source<N>(g: &DiGraph<N, Qos>, source: NodeIx) -> PathTree {
 /// The all-pairs builders and the incremental patcher derive the CSR once
 /// per graph and sweep it with one [`DijkstraScratch`] per worker, so the
 /// inner loops read topology and weights from flat slot-parallel arrays and
-/// allocate only the arrays the resulting [`PathTree`] keeps.
+/// allocate only the arrays the resulting [`PathTree`] keeps. The widest
+/// pass names every reachable node's level, and the level sweep settles
+/// them all.
 pub fn single_source_csr(csr: &QosCsr, source: NodeIx, scratch: &mut DijkstraScratch) -> PathTree {
     let n = csr.node_count();
     widest_bandwidths_into(csr, source, scratch);
+    let widest = std::mem::take(&mut scratch.widest);
+    let mut dist: Vec<Option<Qos>> = vec![None; n];
+    let mut node_level = vec![0u32; n];
+    let levels = level_sweep(csr, source, &widest, scratch, &mut dist, &mut node_level);
+    scratch.widest = widest; // hand the buffer back for the next sweep
+    PathTree::new(source, dist, node_level, levels, &scratch.log)
+}
 
+/// The exact answers for only the nodes `want` names: `want[x] = Some(b)`
+/// settles `x` at level `b`, and the sweep stops as soon as the last named
+/// node is settled. Returns per node its QoS — `Some` exactly for the named
+/// nodes a path reaches, and [`Qos::IDENTITY`] for the source — in a
+/// buffer of `scratch`.
+///
+/// Each named bandwidth must be the node's widest bottleneck from `source`
+/// — what a widest pass, or on a symmetric graph a
+/// [`WidestForest`](crate::WidestForest), gives it. Then every answer is the
+/// one [`single_source_csr`] reports for that node: the latency distance
+/// over the links of at least that bandwidth, which does not depend on the
+/// levels a sweep stopped at on the way. No widest pass and no tree: a
+/// warmed scratch makes no allocator call.
+pub fn settle_csr<'s>(
+    csr: &QosCsr,
+    source: NodeIx,
+    want: &[Option<Bandwidth>],
+    scratch: &'s mut DijkstraScratch,
+) -> &'s [Option<Qos>] {
+    let n = csr.node_count();
+    let mut dist = std::mem::take(&mut scratch.settled);
+    let mut node_level = std::mem::take(&mut scratch.settled_levels);
+    dist.clear();
+    dist.resize(n, None);
+    node_level.clear();
+    node_level.resize(n, 0);
+    level_sweep(csr, source, want, scratch, &mut dist, &mut node_level);
+    scratch.settled = dist;
+    scratch.settled_levels = node_level;
+    &scratch.settled
+}
+
+/// The descending sweep: settles exactly the nodes `want` names, each at
+/// the bandwidth named for it, into `dist` and `node_level` (one entry per
+/// node, all `None` / 0 on entry), logging the tree's entries in
+/// `scratch.log`. It visits only the named bandwidths, widest first, and
+/// stops when the last named node settles. Returns the number of levels
+/// visited.
+///
+/// Not generic and never inlined: [`single_source_csr`] and
+/// [`settle_csr`] run this one compiled copy.
+#[inline(never)]
+fn level_sweep(
+    csr: &QosCsr,
+    source: NodeIx,
+    want: &[Option<Bandwidth>],
+    scratch: &mut DijkstraScratch,
+    dist: &mut [Option<Qos>],
+    node_level: &mut [u32],
+) -> u32 {
+    let n = csr.node_count();
     let mut pinned = std::mem::take(&mut scratch.pinned);
     pinned.clear();
     pinned.extend(
-        scratch
-            .widest
-            .iter()
+        want.iter()
             .enumerate()
             .filter(|(i, _)| *i != source.index())
             .filter_map(|(_, b)| *b),
@@ -1069,8 +1147,6 @@ pub fn single_source_csr(csr: &QosCsr, source: NodeIx, scratch: &mut DijkstraScr
     scratch.heap.clear();
     scratch.log.clear();
 
-    let mut dist: Vec<Option<Qos>> = vec![None; n];
-    let mut node_level = vec![0u32; n];
     dist[source.index()] = Some(Qos::IDENTITY);
     let mut admitted = 0;
     let mut li = 0u32;
@@ -1102,7 +1178,7 @@ pub fn single_source_csr(csr: &QosCsr, source: NodeIx, scratch: &mut DijkstraScr
             if scratch.standing[node.index()].label != label {
                 continue; // superseded by a better label
             }
-            if scratch.widest[node.index()] == Some(b) {
+            if want[node.index()] == Some(b) {
                 dist[node.index()] = Some(Qos::new(b, label.latency));
                 node_level[node.index()] = li;
                 unsettled -= 1;
@@ -1123,7 +1199,7 @@ pub fn single_source_csr(csr: &QosCsr, source: NodeIx, scratch: &mut DijkstraScr
     }
 
     scratch.pinned = pinned; // hand the buffer back for the next sweep
-    PathTree::new(source, dist, node_level, li, &scratch.log)
+    li
 }
 
 #[derive(PartialEq, Eq)]

@@ -3,7 +3,9 @@
 //! The all-pairs engine runs `single_source_csr` once per source per
 //! rebuild, so the sweep keeps every working buffer in a reusable
 //! [`DijkstraScratch`] and allocates only the arrays the [`PathTree`] it
-//! returns owns. The ablation kernels (`classic::widest` / `shortest`,
+//! returns owns. A bounded sweep (`settle_csr`, what pricing an underlay's
+//! host pairs runs once per host) returns no tree, so a warmed one
+//! allocates nothing at all. The ablation kernels (`classic::widest` / `shortest`,
 //! `single_source_lexicographic`) allocate their per-node arrays per call,
 //! but none of them may allocate per heap pop: their counts may grow with
 //! the graph only by a heap's (or a collected log's) capacity doublings.
@@ -18,7 +20,7 @@ use std::cell::Cell;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sflow_graph::{DiGraph, NodeIx};
-use sflow_routing::shortest_widest::{self, single_source_csr};
+use sflow_routing::shortest_widest::{self, settle_csr, single_source_csr};
 use sflow_routing::{classic, Bandwidth, DijkstraScratch, Latency, Qos, QosCsr};
 
 /// Counts the allocator calls (allocations and reallocations) each thread
@@ -116,6 +118,41 @@ fn a_warmed_sweep_allocates_only_the_tree_it_returns() {
         }
         // The graphs are meant to exercise the level loop, not one level.
         assert!(levels.iter().any(|&l| l > 1), "{n} nodes: {levels:?}");
+    }
+}
+
+/// A bounded sweep answers in the scratch: warmed, it allocates nothing,
+/// whatever the graph's size.
+const SETTLE_ALLOCATIONS: usize = 0;
+
+#[test]
+fn a_warmed_bounded_sweep_allocates_nothing() {
+    for n in [20, 80, 400] {
+        let g = graph(n);
+        let csr = QosCsr::new(&g);
+        let mut scratch = DijkstraScratch::new();
+        // Every third node, at its widest bandwidth from each source.
+        let wants: Vec<Vec<Option<Bandwidth>>> = g
+            .node_ids()
+            .map(|s| {
+                let tree = single_source_csr(&csr, s, &mut scratch);
+                g.node_ids()
+                    .map(|x| {
+                        let named = x.index() % 3 == 0 && x != s;
+                        tree.qos_to(x).filter(|_| named).map(|qos| qos.bandwidth)
+                    })
+                    .collect()
+            })
+            .collect();
+        for (s, want) in g.node_ids().zip(&wants) {
+            settle_csr(&csr, s, want, &mut scratch);
+        }
+        for (s, want) in g.node_ids().zip(&wants) {
+            let (_, calls) = allocations_by(|| {
+                std::hint::black_box(settle_csr(&csr, s, want, &mut scratch));
+            });
+            assert_eq!(calls, SETTLE_ALLOCATIONS, "{n} nodes, source {}", s.index());
+        }
     }
 }
 

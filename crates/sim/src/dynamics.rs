@@ -127,6 +127,47 @@ mod tests {
         }
     }
 
+    /// The overlay's pricing holds on churned networks too: pricing
+    /// every host pair from one forest and one bounded sweep per host
+    /// answers what the evolved network's full table does, and the overlay
+    /// rebuilt over it links every instance pair at that price.
+    #[test]
+    fn an_evolved_network_prices_every_pair_as_its_full_table() {
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut net = topology::waxman(40, 0.25, 0.25, &LinkProfile::new(1..=4, 1..=4), &mut rng);
+        let churn = ChurnModel { drift: 0.5 };
+        let services: Vec<ServiceId> = (0..4).map(ServiceId::new).collect();
+        for _ in 0..3 {
+            net = churn.evolve(&net, &mut rng);
+            let hosts: Vec<_> = net.hosts().collect();
+            let table = net.all_pairs();
+            let between = |a, b| table.qos(net.node_of(a), net.node_of(b));
+            let priced = net.pair_qos(&hosts);
+            for (i, &a) in hosts.iter().enumerate() {
+                for (j, &b) in hosts.iter().enumerate() {
+                    assert_eq!(priced.qos(i, j), between(a, b), "{a} -> {b}");
+                }
+            }
+            let placement = Placement::random(&net, &services, 3, &mut rng);
+            let overlay = OverlayGraph::build(&net, &placement, &Compatibility::universal())
+                .expect("every placed host exists");
+            for e in overlay.graph().edges() {
+                let (a, b) = (overlay.instance(e.from).host, overlay.instance(e.to).host);
+                let expected = if a == b {
+                    Some(Qos::IDENTITY)
+                } else {
+                    between(a, b)
+                };
+                assert_eq!(Some(*e.weight), expected, "{a} -> {b}");
+            }
+            // A connected network and universal compatibility: every pair of
+            // instances of two services is linked, both ways.
+            let per_service = 3;
+            let pairs = services.len() * (services.len() - 1) * per_service * per_service;
+            assert_eq!(overlay.link_count(), pairs);
+        }
+    }
+
     #[test]
     fn extract_round_trips_the_overlay() {
         let mut rng = StdRng::seed_from_u64(4);
