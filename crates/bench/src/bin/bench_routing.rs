@@ -71,6 +71,18 @@
 //! [`MAX_PRICING_SHARE`] of `per_host_trees_ms`, a ratio of two timings
 //! of one run.
 //!
+//! A `repair_reprice` block times what a mutation's repair sweep pays per
+//! booking on the same world: [`REPAIR_BOOKINGS`] sFlow-solved
+//! requirements of the Fig. 10 mix are repaired after the overlay link
+//! most of them cross is halved, after it is restored, and after the
+//! instance most of them select fails. Each row counts the bookings
+//! `repair` re-priced, re-solved and re-federated, and times it against the
+//! repair before re-pricing (a pinned re-solve, a full solve if that
+//! fails), median of [`REPAIR_REPS`] interleaved runs; every repair must
+//! equal that reference. After a QoS change every booking must be
+//! re-priced, at most [`MAX_REPRICE_SHARE`] of the reference's time, again
+//! two timings of one run.
+//!
 //! A worker-sweep point gets a `speedup_vs_w1` ratio only when the box has
 //! at least that many cores (`available_parallelism` is recorded): beyond
 //! that the threads time-share and the ratio is noise, so the timing is
@@ -81,7 +93,8 @@
 #![forbid(unsafe_code)]
 #![expect(clippy::print_stdout)]
 
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::hint::black_box;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::thread;
 use std::time::Instant;
@@ -90,13 +103,18 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sflow_bench::{median, usize_flag, write_report};
 use sflow_core::fixtures::{paper_fig4_fixture, random_fixture, Fixture};
+use sflow_core::repair::repair;
+use sflow_core::{
+    FederationContext, FlowEdge, FlowGraph, FlowQuality, Selection, ServiceRequirement, Solver,
+};
 use sflow_graph::{DiGraph, EdgeIx, NodeIx};
-use sflow_net::{HostId, ServiceId};
+use sflow_net::{HostId, OverlayGraph, ServiceId, ServiceInstance};
 use sflow_routing::shortest_widest::single_source_csr;
 use sflow_routing::{
     all_pairs_parallel_with, auto_workers, AllPairs, Bandwidth, DijkstraScratch, EdgeChange,
     Latency, Qos, QosCsr,
 };
+use sflow_workload::generator::{mixed_kind, random_requirement};
 
 /// Worker counts swept for the build rows.
 const WORKER_SWEEP: [usize; 4] = [1, 2, 4, 8];
@@ -417,6 +435,198 @@ fn underlay_pricing(fixture: &Fixture) -> UnderlayPricing {
         per_host_trees_ms: median(tree_us) as f64 / 1e3,
         pair_qos_ms: median(pair_us) as f64 / 1e3,
     }
+}
+
+/// Requirements the `repair_reprice` block books on the world `bench_e2e`
+/// serves.
+const REPAIR_BOOKINGS: usize = 32;
+
+/// Interleaved timing runs per `repair_reprice` row (median reported).
+const REPAIR_REPS: usize = 15;
+
+/// The most re-pricing a surviving booking may cost, as a share of
+/// re-solving it with every service pinned.
+const MAX_REPRICE_SHARE: f64 = 0.5;
+
+/// One change of the `repair_reprice` block: how `repair` treated the
+/// bookings, and per booking what it and the repair before re-pricing (a
+/// pinned re-solve, a full solve if that fails) cost.
+struct RepairRow {
+    change: &'static str,
+    repriced: usize,
+    resolved: usize,
+    refederated: usize,
+    repair_us: f64,
+    reference_us: f64,
+}
+
+/// A flow's answer: selection, streams and quality.
+fn answer(flow: &FlowGraph) -> (&Selection, &[FlowEdge], FlowQuality) {
+    (flow.selection(), flow.edges(), flow.quality())
+}
+
+/// [`REPAIR_BOOKINGS`] feasible 4–6-service requirements of the Fig. 10
+/// mix, sFlow-solved on `fixture`.
+fn book_requirements(fixture: &Fixture) -> Vec<(ServiceRequirement, FlowGraph)> {
+    let ctx = fixture.context();
+    let mut rng = StdRng::seed_from_u64(42);
+    let mut bookings = Vec::new();
+    for attempt in 0..20 * REPAIR_BOOKINGS {
+        if bookings.len() == REPAIR_BOOKINGS {
+            break;
+        }
+        let mut services: Vec<ServiceId> = (1..10).map(ServiceId::new).collect();
+        for i in 0..services.len() {
+            let j = rng.gen_range(i..services.len());
+            services.swap(i, j);
+        }
+        services.truncate(rng.gen_range(3..=5));
+        services.insert(0, ServiceId::new(0));
+        let req = random_requirement(&services, mixed_kind(attempt), &mut rng);
+        if let Ok(flow) = Solver::new(&ctx).solve(&req) {
+            bookings.push((req, flow));
+        }
+    }
+    assert_eq!(
+        bookings.len(),
+        REPAIR_BOOKINGS,
+        "too few feasible requirements"
+    );
+    bookings
+}
+
+/// Repairs every booking over `overlay`, asserting each repair equal to
+/// the repair before re-pricing, times both, and leaves the repaired flows
+/// in `bookings`.
+fn repair_row(
+    change: &'static str,
+    overlay: &OverlayGraph,
+    source: ServiceInstance,
+    bookings: &mut [(ServiceRequirement, FlowGraph)],
+) -> RepairRow {
+    let table = overlay.all_pairs();
+    let source = overlay.node_of(source).expect("the source survives");
+    let ctx = FederationContext::new(overlay, &table, source);
+    let solver = Solver::new(&ctx);
+    let reference = |req: &ServiceRequirement, flow: &FlowGraph| {
+        let survivors = flow.instances().iter();
+        let mut pins: Selection = survivors
+            .filter_map(|(&sid, &i)| Some((sid, overlay.node_of(i)?)))
+            .collect();
+        pins.insert(req.source(), source);
+        match solver.solve_pinned(req, &pins) {
+            Ok(flow) => Ok((flow, false)),
+            Err(_) => solver.solve(req).map(|flow| (flow, true)),
+        }
+    };
+    let (mut repriced, mut resolved, mut refederated) = (0, 0, 0);
+    let mut repaired = Vec::new();
+    for (req, flow) in bookings.iter() {
+        let outcome = repair(&ctx, req, flow).expect("every booking repairs");
+        let (want, want_refederated) = reference(req, flow).expect("the reference repairs");
+        assert_eq!(
+            (answer(&outcome.flow), outcome.full_refederation),
+            (answer(&want), want_refederated),
+            "{change}: re-pricing changed a repair"
+        );
+        if outcome.repriced() {
+            repriced += 1;
+        } else if outcome.full_refederation {
+            refederated += 1;
+        } else {
+            resolved += 1;
+        }
+        repaired.push(outcome.flow);
+    }
+    // Interleaved runs over all bookings; the medians, per booking.
+    let (mut repair_us, mut reference_us) = (Vec::new(), Vec::new());
+    for _ in 0..REPAIR_REPS {
+        repair_us.push(time_us(1, || {
+            for (req, flow) in bookings.iter() {
+                black_box(repair(&ctx, req, flow).ok());
+            }
+        }));
+        reference_us.push(time_us(1, || {
+            for (req, flow) in bookings.iter() {
+                black_box(reference(req, flow).ok());
+            }
+        }));
+    }
+    let per_booking = |us: Vec<u128>| median(us) as f64 / bookings.len() as f64;
+    let (repair_us, reference_us) = (per_booking(repair_us), per_booking(reference_us));
+    for ((_, flow), now) in bookings.iter_mut().zip(repaired) {
+        *flow = now;
+    }
+    RepairRow {
+        change,
+        repriced,
+        resolved,
+        refederated,
+        repair_us,
+        reference_us,
+    }
+}
+
+/// The `repair_reprice` block: books [`REPAIR_BOOKINGS`] flows on
+/// `fixture`, halves and then restores the overlay link most of them
+/// cross, then fails the instance most of them select, and reports a
+/// [`repair_row`] after each change. Also returns how many bookings cross
+/// the link.
+fn repair_reprice(fixture: &Fixture) -> (usize, Vec<RepairRow>) {
+    let mut bookings = book_requirements(fixture);
+    let mut crossing: BTreeMap<(NodeIx, NodeIx), usize> = BTreeMap::new();
+    let mut selecting: BTreeMap<ServiceInstance, usize> = BTreeMap::new();
+    let source = fixture.overlay.instance(fixture.source);
+    for (_, flow) in &bookings {
+        let links: BTreeSet<(NodeIx, NodeIx)> = flow
+            .edges()
+            .iter()
+            .flat_map(|e| e.overlay_path.windows(2).map(|w| (w[0], w[1])))
+            .collect();
+        for link in links {
+            *crossing.entry(link).or_default() += 1;
+        }
+        for &instance in flow.instances().values().filter(|&&i| i != source) {
+            *selecting.entry(instance).or_default() += 1;
+        }
+    }
+    let (&(from, to), &link_users) = crossing.iter().max_by_key(|&(_, n)| n).expect("a link");
+    let (&victim, _) = selecting.iter().max_by_key(|&(_, n)| n).expect("a victim");
+    let graph = fixture.overlay.graph();
+    let original = *graph.edge(graph.find_edge(from, to).expect("a booked link"));
+    let halved = Qos::new(
+        Bandwidth::kbps(original.bandwidth.as_kbps() / 2),
+        original.latency,
+    );
+    let mut rows = Vec::new();
+    for (change, qos) in [("halve", halved), ("restore", original)] {
+        let (overlay, _) = fixture
+            .overlay
+            .with_link_qos(from, to, qos)
+            .expect("a booked link");
+        rows.push(repair_row(change, &overlay, source, &mut bookings));
+    }
+    let overlay = fixture.overlay.without_instances(&[victim]);
+    rows.push(repair_row("fail", &overlay, source, &mut bookings));
+    (link_users, rows)
+}
+
+fn repair_reprice_json(link_users: usize, rows: &[RepairRow]) -> String {
+    let rows: Vec<String> = rows
+        .iter()
+        .map(|r| {
+            format!(
+                "{{\"change\": \"{}\", \"repriced\": {}, \"resolved\": {}, \
+                 \"refederated\": {}, \"repair_us\": {:.2}, \"reference_us\": {:.2}}}",
+                r.change, r.repriced, r.resolved, r.refederated, r.repair_us, r.reference_us,
+            )
+        })
+        .collect();
+    format!(
+        "{{\"world\": \"waxman-400\", \"bookings\": {REPAIR_BOOKINGS}, \
+         \"link_users\": {link_users}, \"rows\": [{}]}}",
+        rows.join(", "),
+    )
 }
 
 /// One world's rows of the report.
@@ -811,6 +1021,32 @@ fn main() {
         pricing.pair_qos_ms,
         pricing.per_host_trees_ms,
     );
+    let (link_users, repairs) = repair_reprice(&waxman_400);
+    println!("repairs of {REPAIR_BOOKINGS} bookings, {link_users} of them on the halved link:");
+    for r in &repairs {
+        println!(
+            "  after a {}: {} re-priced, {} re-solved, {} re-federated — {:.2} µs per \
+             booking, {:.2} µs before re-pricing",
+            r.change, r.repriced, r.resolved, r.refederated, r.repair_us, r.reference_us,
+        );
+    }
+    // A QoS change kills no instance: every booking must be re-priced, at
+    // a fraction of what its pinned re-solve cost.
+    for r in repairs.iter().filter(|r| r.change != "fail") {
+        assert_eq!(
+            r.repriced, REPAIR_BOOKINGS,
+            "{}: a booking was re-solved",
+            r.change
+        );
+        assert!(
+            r.repair_us <= MAX_REPRICE_SHARE * r.reference_us,
+            "{}: re-pricing took {:.2} µs per booking, more than {MAX_REPRICE_SHARE} of a \
+             pinned re-solve ({:.2} µs)",
+            r.change,
+            r.repair_us,
+            r.reference_us,
+        );
+    }
     let mut reports = vec![
         measure("paper-fig4", fig4.overlay.graph(), 7),
         measure("random-200", &random_overlay(200, 8, 42), 7),
@@ -924,7 +1160,8 @@ fn main() {
         "{{\n  \"generated_by\": \"bench_routing\",\n  \"available_parallelism\": {},\n  \
          \"workers_sweep\": {:?},\n  \"underlay_pricing\": {{\"world\": \"waxman-400\", \
          \"hosts\": {}, \"pairs\": {}, \"levels_per_tree_mean\": {:.2}, \
-         \"per_host_trees_ms\": {:.2}, \"pair_qos_ms\": {:.2}}},\n  \"worlds\": [\n{}\n  ]\n}}\n",
+         \"per_host_trees_ms\": {:.2}, \"pair_qos_ms\": {:.2}}},\n  \
+         \"repair_reprice\": {},\n  \"worlds\": [\n{}\n  ]\n}}\n",
         auto_workers(),
         WORKER_SWEEP,
         pricing.hosts,
@@ -932,6 +1169,7 @@ fn main() {
         pricing.levels_mean,
         pricing.per_host_trees_ms,
         pricing.pair_qos_ms,
+        repair_reprice_json(link_users, &repairs),
         worlds.join(",\n"),
     );
     println!("wrote {}", write_report("BENCH_routing.json", &json));

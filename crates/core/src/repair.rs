@@ -1,15 +1,30 @@
-//! Agile federation: repairing a flow graph after instance failures.
+//! Agile federation: repairing a flow graph after a change to the overlay.
 //!
 //! The paper's title promises *agile* service federation; this module makes
-//! the property concrete. When service instances fail, a previously
-//! federated flow graph may lose selected nodes or the streams between them.
-//! [`repair`] re-federates the requirement over the degraded overlay while
-//! **pinning every surviving selection**, so only the broken parts of the
-//! federation move — the minimal-disruption policy a deployed system wants
-//! (sessions on surviving instances keep their state).
+//! the property concrete. When service instances fail or service links
+//! change QoS, a previously federated flow graph may lose selected nodes or
+//! the streams between them. [`repair`] re-federates the requirement over
+//! the new overlay while **pinning every surviving selection**, so only the
+//! broken parts of the federation move — the minimal-disruption policy a
+//! deployed system wants (sessions on surviving instances keep their
+//! state).
 //!
-//! If the pinned re-solve is infeasible (the survivors corner the solver),
-//! repair falls back to a full re-federation and reports how much moved.
+//! A repair tries three things, cheapest first:
+//!
+//! 1. **Re-price.** If every service's instance survived, the pins leave
+//!    the solver no choice: the only pinned answer is that selection,
+//!    assembled on the new routing table. So it is assembled directly, with
+//!    no plan analysis and no chain DP — what a link-QoS change, or the
+//!    failure of an instance the flow does not use, costs per flow.
+//! 2. **Pinned re-solve.** Otherwise the vanished services are re-solved
+//!    by a horizon-less sFlow [`Solver`] around the survivors. A
+//!    re-pricing that found a pinned pair unreachable lands here too, and
+//!    fails here the same way.
+//! 3. **Re-federation.** If the survivors corner the solver, the
+//!    requirement is solved from scratch and the outcome says how much
+//!    moved. [`repair`] re-federates with sFlow; [`repair_with`] takes the
+//!    caller's solve, so a flow federated under other rules (another
+//!    algorithm, a hop limit) is re-federated under them.
 //!
 //! # Example
 //!
@@ -45,39 +60,66 @@ use crate::{FederationContext, FederationError, FlowGraph, Selection, ServiceReq
 /// The result of a repair.
 #[derive(Clone, Debug)]
 pub struct RepairOutcome {
-    /// The repaired flow graph over the degraded overlay.
+    /// The repaired flow graph over the new overlay.
     pub flow: FlowGraph,
     /// Services whose instance changed (failed, or moved by the fallback).
     pub reselected: Vec<ServiceId>,
     /// Services whose previous instance was preserved.
     pub preserved: Vec<ServiceId>,
-    /// `true` if the pin-preserving solve failed and a full re-federation
-    /// was required.
+    /// `true` if neither the re-pricing nor the pinned re-solve yielded a
+    /// flow and a full re-federation was required.
     pub full_refederation: bool,
 }
 
-/// Repairs `previous` over the degraded overlay in `ctx`.
+impl RepairOutcome {
+    /// `true` if every service kept its instance and no re-federation ran:
+    /// the repair re-priced the previous selection on the new table.
+    pub fn repriced(&self) -> bool {
+        self.reselected.is_empty() && !self.full_refederation
+    }
+}
+
+/// Repairs `previous` over the changed overlay in `ctx`, re-federating with
+/// a horizon-less sFlow [`Solver`] if the pinned steps fail.
 ///
-/// `ctx` must be built over the post-failure overlay (see
+/// `ctx` must be built over the post-change overlay (for a failure, see
 /// [`sflow_net::OverlayGraph::without_instances`]); its source instance is
 /// where the consumer re-issues the requirement — usually the old source,
 /// which survives unless the failure took it out.
 ///
-/// Surviving selections are translated into the degraded overlay by their
-/// `(service, host)` identity and pinned; only vanished services are
-/// re-solved. On infeasibility the repair falls back to a clean solve.
+/// Surviving selections are translated into the new overlay by their
+/// `(service, host)` identity and pinned. A selection that survived whole
+/// is re-priced; otherwise only vanished services are re-solved. On
+/// infeasibility the repair falls back to a clean solve.
 ///
 /// # Errors
 ///
 /// Propagates [`FederationError`] if even the fallback cannot federate the
-/// requirement over the degraded overlay.
+/// requirement over the new overlay.
 pub fn repair(
     ctx: &FederationContext<'_>,
     req: &ServiceRequirement,
     previous: &FlowGraph,
 ) -> Result<RepairOutcome, FederationError> {
+    repair_with(ctx, req, previous, || Solver::new(ctx).solve(req))
+}
+
+/// [`repair`] with the re-federation supplied by the caller: `refederate`
+/// runs only if neither the re-pricing nor the pinned re-solve yields a
+/// flow, and its answer is the outcome. The pinned re-solve is always a
+/// horizon-less sFlow [`Solver`], whatever `refederate` solves with.
+///
+/// # Errors
+///
+/// Propagates `refederate`'s [`FederationError`].
+pub fn repair_with(
+    ctx: &FederationContext<'_>,
+    req: &ServiceRequirement,
+    previous: &FlowGraph,
+    refederate: impl FnOnce() -> Result<FlowGraph, FederationError>,
+) -> Result<RepairOutcome, FederationError> {
     let overlay = ctx.overlay();
-    // Translate surviving selections into the degraded overlay.
+    // Translate surviving selections into the new overlay.
     let mut pins: Selection = BTreeMap::new();
     pins.insert(req.source(), ctx.source_instance());
     for (&sid, &inst) in previous.instances() {
@@ -89,11 +131,14 @@ pub fn repair(
         }
     }
 
-    let solver = Solver::new(ctx);
-    let pinned_attempt = solver.solve_pinned(req, &pins);
-    let (flow, full_refederation) = match pinned_attempt {
+    // With every service pinned, the pinned re-solve could only assemble
+    // the pins themselves, so a selection that survived whole is assembled
+    // directly; `assemble` refuses one that lost a service.
+    let resolved =
+        FlowGraph::assemble(ctx, req, &pins).or_else(|_| Solver::new(ctx).solve_pinned(req, &pins));
+    let (flow, full_refederation) = match resolved {
         Ok(flow) => (flow, false),
-        Err(_) => (solver.solve(req)?, true),
+        Err(_) => (refederate()?, true),
     };
 
     let mut reselected = Vec::new();
@@ -120,6 +165,7 @@ mod tests {
     use crate::algorithms::{FederationAlgorithm, SflowAlgorithm};
     use crate::fixtures::{diamond_fixture, diamond_requirement, random_fixture};
     use sflow_net::ServiceId;
+    use sflow_routing::{Bandwidth, Latency, Qos};
 
     fn s(i: u32) -> ServiceId {
         ServiceId::new(i)
@@ -156,6 +202,61 @@ mod tests {
         assert!(outcome.reselected.is_empty());
         assert_eq!(outcome.preserved.len(), 4);
         assert_eq!(outcome.flow.instances(), flow.instances());
+    }
+
+    /// A link-QoS change that cuts a pinned stream's only overlay link
+    /// leaves the pinned pair unreachable: the re-pricing fails, the pinned
+    /// re-solve fails the same way, and the repair re-federates exactly as
+    /// a repair without the re-pricing step does.
+    #[test]
+    fn cutting_a_pinned_streams_only_link_falls_back_to_a_full_solve() {
+        let fx = diamond_fixture();
+        let ctx = fx.context();
+        let req = diamond_requirement();
+        let flow = SflowAlgorithm::default().federate(&ctx, &req).unwrap();
+        // s0 reaches an s1 instance only over their direct service link.
+        let (from, to) = (flow.selection()[&s(0)], flow.selection()[&s(1)]);
+        let cut = Qos::new(Bandwidth::kbps(0), Latency::from_micros(10));
+        let (overlay, _) = fx.overlay.with_link_qos(from, to, cut).unwrap();
+        let ap = overlay.all_pairs();
+        let ctx2 = crate::FederationContext::new(&overlay, &ap, fx.source);
+        assert_eq!(ctx2.qos(from, to), None, "the cut leaves no other path");
+
+        let solver = Solver::new(&ctx2);
+        assert!(solver.solve_pinned(&req, flow.selection()).is_err());
+        let reference = solver.solve(&req).unwrap();
+        let outcome = repair(&ctx2, &req, &flow).unwrap();
+        assert!(outcome.full_refederation);
+        assert!(!outcome.repriced());
+        assert_eq!(outcome.flow.selection(), reference.selection());
+        assert_eq!(outcome.flow.edges(), reference.edges());
+        assert_eq!(outcome.flow.quality(), reference.quality());
+        assert!(outcome.reselected.contains(&s(1)));
+    }
+
+    /// A selection that survives whole is re-priced on the new table: the
+    /// same instances, the new QoS, and the caller's re-federation never
+    /// runs.
+    #[test]
+    fn a_surviving_selection_is_repriced_without_refederating() {
+        let fx = diamond_fixture();
+        let ctx = fx.context();
+        let req = diamond_requirement();
+        let flow = SflowAlgorithm::default().federate(&ctx, &req).unwrap();
+        let (from, to) = (flow.selection()[&s(0)], flow.selection()[&s(1)]);
+        let halved = Qos::new(Bandwidth::kbps(5), Latency::from_micros(10));
+        let (overlay, _) = fx.overlay.with_link_qos(from, to, halved).unwrap();
+        let ap = overlay.all_pairs();
+        let ctx2 = crate::FederationContext::new(&overlay, &ap, fx.source);
+
+        let outcome = repair_with(&ctx2, &req, &flow, || {
+            panic!("a surviving selection must not re-federate")
+        })
+        .unwrap();
+        assert!(outcome.repriced());
+        assert_eq!(outcome.preserved.len(), 4);
+        assert_eq!(outcome.flow.selection(), flow.selection());
+        assert_eq!(outcome.flow.bandwidth(), Bandwidth::kbps(5));
     }
 
     #[test]

@@ -52,7 +52,7 @@ use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, TrySendErr
 use sflow_core::algorithms::{
     FederationAlgorithm, FixedAlgorithm, GlobalOptimalAlgorithm, ServicePathAlgorithm,
 };
-use sflow_core::repair::repair;
+use sflow_core::repair::{repair_with, RepairOutcome};
 use sflow_core::{
     FederationContext, FederationError, FlowGraph, OwnedFederationContext, ServiceRequirement,
     Solver,
@@ -613,20 +613,36 @@ fn mutate(shared: &Shared, mutation: &crate::Mutation) -> Response {
     repair_bookings(shared, &snapshot, plan)
 }
 
-/// Re-solves each booking a repair sweep copied out once against
-/// `snapshot`, pinned to its previous flow and with no lock held, then has
-/// the table commit the survivors and rebase the ledger.
+/// Repairs each booking a repair sweep copied out once against `snapshot`,
+/// with no lock held, then has the table commit the survivors and rebase
+/// the ledger. A booking whose selection survived whole is re-priced on the
+/// new table; one that lost an instance or a stream is re-solved around its
+/// survivors; if that fails it is re-federated by the rules it was booked
+/// under — its [`Ask`]'s algorithm and hop limit, through [`cold_solve`] —
+/// so the flow `rebook` files under the booking's key is one that key's
+/// cold solve could have given. Times the sweep (`repair_us_total`) and
+/// counts the bookings it could not re-price (`repairs_resolved`).
 fn repair_bookings(shared: &Shared, snapshot: &Arc<WorldSnapshot>, plan: Vec<Work>) -> Response {
     assert_unlocked("a repair sweep");
+    let start = Instant::now();
+    let metrics = &shared.metrics;
     let ctx = snapshot.context();
     let repaired = plan
         .into_iter()
         .filter_map(|work| {
-            let flow = repair(&ctx, &work.ask.requirement, &work.flow).ok()?.flow;
-            Some((work.booking, flow))
+            let ask = &work.ask;
+            let outcome = repair_with(&ctx, &ask.requirement, &work.flow, || {
+                cold_solve(shared, snapshot, &ctx, ask)
+            });
+            if !outcome.as_ref().is_ok_and(RepairOutcome::repriced) {
+                metrics.repairs_resolved().inc();
+            }
+            Some((work.booking, outcome.ok()?.flow))
         })
         .collect();
-    commit_repairs(shared, snapshot, repaired)
+    let response = commit_repairs(shared, snapshot, repaired);
+    metrics.repair_us_total().add(duration_us(start.elapsed()));
+    response
 }
 
 #[cfg(test)]
@@ -637,6 +653,7 @@ mod tests {
     use crate::snapshot::same_flow;
     use crate::Mutation;
     use sflow_core::fixtures::{diamond_fixture, diamond_requirement, Fixture};
+    use sflow_core::repair::repair;
     use sflow_core::validate::FlowGraphAuditor;
     use sflow_net::{Compatibility, Placement, ServiceId, ServiceInstance, UnderlyingNetwork};
     use sflow_routing::{Latency, Qos};
@@ -984,6 +1001,153 @@ mod tests {
             other => panic!("expected twelve sessions repaired, got {other:?}"),
         }
         assert_conserved(&shared);
+    }
+
+    /// A random world with five bookings, each of a different key.
+    fn booked_random_world() -> Shared {
+        let services: Vec<ServiceId> = (0..5).map(ServiceId::new).collect();
+        let fixture = sflow_core::fixtures::random_fixture(24, &services, 3, None, 1);
+        let shared = shared_over(fixture, ServerConfig::default());
+        for spec in ["0>1>2", "0>2>3", "0>1>3>4", "0>3>4", "0>2>4"] {
+            open(&shared, &spec.parse().unwrap(), None);
+        }
+        shared
+    }
+
+    /// A QoS change kills no instance, so every booking survives it whole
+    /// and is re-priced: halving the most-reserved link and restoring it
+    /// re-solves nothing.
+    #[test]
+    fn a_halve_and_restore_re_solves_no_booking() {
+        let shared = booked_random_world();
+        let plane = shared.table.plane();
+        let (link, _) = plane
+            .map()
+            .iter_reserved()
+            .max_by_key(|&(_, reserved)| reserved)
+            .expect("a booked link");
+        let capacity = plane.capacity(link).unwrap().as_kbps();
+        drop(plane);
+        for bandwidth_kbps in [capacity / 2, capacity] {
+            let mutation = Mutation::SetLinkQos {
+                from: link.0,
+                to: link.1,
+                bandwidth_kbps,
+                latency_us: 100,
+            };
+            match mutate(&shared, &mutation) {
+                Response::Mutated {
+                    repaired: 5,
+                    dropped: 0,
+                    ..
+                } => {}
+                other => panic!("expected five sessions repaired, got {other:?}"),
+            }
+            assert_conserved(&shared);
+        }
+        assert_eq!(shared.metrics.snapshot(2).repairs_resolved, 0);
+    }
+
+    /// An instance failure re-solves exactly the bookings that selected
+    /// the failed instance; every other booking is re-priced.
+    #[test]
+    fn a_failure_re_solves_exactly_the_bookings_that_use_the_instance() {
+        let shared = booked_random_world();
+        let flows: Vec<Arc<FlowGraph>> = shared
+            .table
+            .lock()
+            .bookings
+            .values()
+            .map(|booking| Arc::clone(&booking.flow))
+            .collect();
+        let users = |instance: &ServiceInstance| {
+            let uses = |flow: &&Arc<FlowGraph>| flow.instances().values().any(|i| i == instance);
+            flows.iter().filter(uses).count()
+        };
+        let source = snapshot_of(&shared).source();
+        let victim = flows
+            .iter()
+            .flat_map(|flow| flow.instances().values().copied())
+            .filter(|&i| i != source)
+            .find(|i| users(i) < flows.len())
+            .expect("an instance some bookings use and others do not");
+        match mutate(&shared, &Mutation::FailInstance { instance: victim }) {
+            Response::Mutated { epoch: 1, .. } => {}
+            other => panic!("expected the failure applied, got {other:?}"),
+        }
+        assert_conserved(&shared);
+        let resolved = shared.metrics.snapshot(1).repairs_resolved;
+        assert_eq!(resolved, users(&victim) as u64);
+        assert!(resolved > 0);
+    }
+
+    /// A booking the pinned re-solve cannot repair is re-federated under
+    /// the rules it was booked by, not by a horizon-less sFlow solve: the
+    /// flow filed under its key is that ask's cold solve at the new epoch.
+    /// In both worlds the failed instance corners the pinned re-solve, and
+    /// a horizon-less sFlow solve answers differently.
+    #[test]
+    fn a_re_federated_booking_keeps_its_algorithm_and_hop_limit() {
+        let cases = [
+            // hosts, instances per service, seed, requirement, algorithm,
+            // hop limit, failed (service, host)
+            (14, 3, 113, "0>1>3, 0>2>3", Algorithm::Global, None, (1, 2)),
+            (
+                19,
+                3,
+                571,
+                "0>1>2>3, 0>3",
+                Algorithm::Sflow,
+                Some(2),
+                (2, 8),
+            ),
+        ];
+        for (hosts, per_service, seed, spec, algorithm, hop_limit, (service, host)) in cases {
+            let requirement: ServiceRequirement = spec.parse().unwrap();
+            let services: Vec<ServiceId> = (0..4).map(ServiceId::new).collect();
+            let fixture = sflow_core::fixtures::random_fixture_with(
+                hosts,
+                &services,
+                per_service,
+                Some(&requirement.edges()),
+                seed,
+                Some(2),
+            );
+            let shared = shared_over(fixture, ServerConfig::default());
+            let plane = shared.table.plane();
+            let federated =
+                federate_against(&shared, plane, requirement.clone(), algorithm, hop_limit);
+            assert!(matches!(federated, Response::Federated(_)), "{spec}");
+            let booked = Arc::clone(&shared.table.lock().bookings[&0].flow);
+            let victim = ServiceInstance::new(ServiceId::new(service), host.into());
+            assert_eq!(booked.instances()[&ServiceId::new(service)], victim);
+
+            match mutate(&shared, &Mutation::FailInstance { instance: victim }) {
+                Response::Mutated {
+                    repaired: 1,
+                    dropped: 0,
+                    ..
+                } => {}
+                other => panic!("{spec}: expected the booking repaired, got {other:?}"),
+            }
+            let snapshot = snapshot_of(&shared);
+            let ctx = snapshot.context();
+            let plain = repair(&ctx, &requirement, &booked).unwrap();
+            assert!(plain.full_refederation, "{spec}: the pinned step fails");
+            let ask = &shared.table.lock().bookings[&0].ask.clone();
+            let cold = cold_solve(&shared, &snapshot, &ctx, ask).unwrap();
+            assert!(
+                !same_flow(&plain.flow, &cold),
+                "{spec}: sFlow without a horizon must answer differently here"
+            );
+            let filed = snapshot.cached_solve(ask.key.as_ref().unwrap()).unwrap();
+            assert!(
+                same_flow(&filed, &cold),
+                "{spec}: the repair is the ask's cold solve"
+            );
+            assert_eq!(shared.metrics.snapshot(1).repairs_resolved, 1);
+            assert_conserved(&shared);
+        }
     }
 
     /// The ledger clause of [`assert_conserved`], which holds at every

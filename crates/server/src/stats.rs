@@ -233,6 +233,15 @@ stats_table! {
     /// bounds this per connection at roughly the high-water mark plus one
     /// frame.
     write_buffered_bytes: Gauge,
+    /// Total wall-clock spent in mutations' repair sweeps — every
+    /// booking's repair and the commit that rebases the ledger —
+    /// microseconds. `rebuild_us_total` times the routing patch or rebuild
+    /// before it.
+    repair_us_total: Counter,
+    /// Bookings a repair sweep could not re-price — a selected instance
+    /// failed, or a pinned stream lost its path — and re-solved around the
+    /// survivors, re-federated, or dropped instead.
+    repairs_resolved: Counter,
 }
 
 #[derive(Debug, Default)]

@@ -967,14 +967,16 @@ mod tests {
             reactor_wakeups: 31,
             backpressure_pauses: 32,
             write_buffered_bytes: 33,
+            repair_us_total: 34,
+            repairs_resolved: 35,
         };
         let frame = ResponseFrame {
             request_id: 300,
             response: Response::Stats(stats),
         };
         // Prefix, request id 300, tag 6 (`Stats`), then the fields.
-        let mut golden = vec![0, 0, 0, 36, 172, 2, 6];
-        golden.extend(1..=33);
+        let mut golden = vec![0, 0, 0, 38, 172, 2, 6];
+        golden.extend(1..=35);
         assert_eq!(encode_frame(&frame).unwrap(), golden);
         let back: ResponseFrame = read_frame(&mut golden.as_slice()).unwrap().unwrap();
         assert_eq!(back, frame);

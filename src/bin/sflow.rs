@@ -596,6 +596,8 @@ fn print_stats(stats: sflow::server::StatsSnapshot) {
         reactor_wakeups,
         backpressure_pauses,
         write_buffered_bytes,
+        repair_us_total,
+        repairs_resolved,
     } = stats;
     println!(
         "epoch {epoch}  sessions {sessions}  served {served}  shed {shed}  \
@@ -611,6 +613,10 @@ fn print_stats(stats: sflow::server::StatsSnapshot) {
     println!(
         "routing rebuilds: {rebuilds} ({rebuild_us_total} µs total, \
          {trees_recomputed} trees recomputed)"
+    );
+    println!(
+        "repair sweeps: {repair_us_total} µs total, \
+         {repairs_resolved} bookings re-solved instead of re-priced"
     );
     println!(
         "plane flushes: {plane_flushes} ({plane_flush_us_total} µs total, \
