@@ -75,13 +75,26 @@
 //! booking on the same world: [`REPAIR_BOOKINGS`] sFlow-solved
 //! requirements of the Fig. 10 mix are repaired after the overlay link
 //! most of them cross is halved, after it is restored, and after the
-//! instance most of them select fails. Each row counts the bookings
+//! instance most of them select fails (a tombstone, as the server fails
+//! it: the fixture's table patched for the cut). Each row counts the bookings
 //! `repair` re-priced, re-solved and re-federated, and times it against the
 //! repair before re-pricing (a pinned re-solve, a full solve if that
 //! fails), median of [`REPAIR_REPS`] interleaved runs; every repair must
 //! equal that reference. After a QoS change every booking must be
 //! re-priced, at most [`MAX_REPRICE_SHARE`] of the reference's time, again
 //! two timings of one run.
+//!
+//! A `fail_instance` block fails that instance again, from the fixture's
+//! table, as `World::apply` does: `OverlayGraph::with_failed` tombstones
+//! it and cuts its links, and one [`patched_with`](AllPairs::patched_with)
+//! plans the cut (`apply_ms`). Then the QoS and path of every live pair
+//! are read (`read_ms`; `rows_swept` counts the rows those reads swept —
+//! the rest answer from their shadows). The reference is the renumbering
+//! rebuild it replaced, `without_instances` and a fresh table
+//! (`reference_ms`). Every live pair must equal the reference's, node ids
+//! mapped across, and `apply_ms + read_ms` must stay at most
+//! [`MAX_FAIL_SHARE`] of `reference_ms`, medians of [`FAIL_REPS`]
+//! interleaved runs.
 //!
 //! A worker-sweep point gets a `speedup_vs_w1` ratio only when the box has
 //! at least that many cores (`available_parallelism` is recorded): beyond
@@ -495,18 +508,17 @@ fn book_requirements(fixture: &Fixture) -> Vec<(ServiceRequirement, FlowGraph)> 
     bookings
 }
 
-/// Repairs every booking over `overlay`, asserting each repair equal to
-/// the repair before re-pricing, times both, and leaves the repaired flows
-/// in `bookings`.
+/// Repairs every booking over `overlay` routed by `table`, asserting each
+/// repair equal to the repair before re-pricing, times both, and leaves
+/// the repaired flows in `bookings`.
 fn repair_row(
     change: &'static str,
     overlay: &OverlayGraph,
-    source: ServiceInstance,
+    table: &AllPairs,
+    source: NodeIx,
     bookings: &mut [(ServiceRequirement, FlowGraph)],
 ) -> RepairRow {
-    let table = overlay.all_pairs();
-    let source = overlay.node_of(source).expect("the source survives");
-    let ctx = FederationContext::new(overlay, &table, source);
+    let ctx = FederationContext::new(overlay, table, source);
     let solver = Solver::new(&ctx);
     let reference = |req: &ServiceRequirement, flow: &FlowGraph| {
         let survivors = flow.instances().iter();
@@ -569,10 +581,11 @@ fn repair_row(
 
 /// The `repair_reprice` block: books [`REPAIR_BOOKINGS`] flows on
 /// `fixture`, halves and then restores the overlay link most of them
-/// cross, then fails the instance most of them select, and reports a
-/// [`repair_row`] after each change. Also returns how many bookings cross
-/// the link.
-fn repair_reprice(fixture: &Fixture) -> (usize, Vec<RepairRow>) {
+/// cross, then fails the instance most of them select (a tombstone, the
+/// fixture's table patched for the cut), and reports a [`repair_row`]
+/// after each change. Also returns how many bookings cross the link, and
+/// the failed instance.
+fn repair_reprice(fixture: &Fixture) -> (usize, ServiceInstance, Vec<RepairRow>) {
     let mut bookings = book_requirements(fixture);
     let mut crossing: BTreeMap<(NodeIx, NodeIx), usize> = BTreeMap::new();
     let mut selecting: BTreeMap<ServiceInstance, usize> = BTreeMap::new();
@@ -604,11 +617,132 @@ fn repair_reprice(fixture: &Fixture) -> (usize, Vec<RepairRow>) {
             .overlay
             .with_link_qos(from, to, qos)
             .expect("a booked link");
-        rows.push(repair_row(change, &overlay, source, &mut bookings));
+        let table = overlay.all_pairs();
+        rows.push(repair_row(
+            change,
+            &overlay,
+            &table,
+            fixture.source,
+            &mut bookings,
+        ));
     }
-    let overlay = fixture.overlay.without_instances(&[victim]);
-    rows.push(repair_row("fail", &overlay, source, &mut bookings));
-    (link_users, rows)
+    let (overlay, cut) = fixture.overlay.with_failed(&[victim]);
+    let (table, _) = fixture.all_pairs.patched_with(overlay.graph(), &cut, 1);
+    rows.push(repair_row(
+        "fail",
+        &overlay,
+        &table,
+        fixture.source,
+        &mut bookings,
+    ));
+    (link_users, victim, rows)
+}
+
+/// Interleaved timing runs of the `fail_instance` block (median reported).
+const FAIL_REPS: usize = 15;
+
+/// The most failing an instance by tombstone — the apply, then a read of
+/// every live pair — may cost, as a share of the renumbering rebuild it
+/// replaced.
+const MAX_FAIL_SHARE: f64 = 0.5;
+
+/// The `fail_instance` block: one instance failed as the server fails it,
+/// against the rebuild it replaced.
+struct FailInstance {
+    victim: ServiceInstance,
+    cut_links: usize,
+    trees_shadowed: usize,
+    rows_swept: usize,
+    apply_ms: f64,
+    read_ms: f64,
+    reference_ms: f64,
+}
+
+/// Fails `victim` on `fixture` by tombstone — [`OverlayGraph::with_failed`]
+/// and one [`AllPairs::patched_with`] of the fixture's table, what
+/// `World::apply` runs — and reads the QoS and path of every live pair
+/// afterwards, counting the rows the reads swept. The reference is the
+/// renumbering rebuild: [`OverlayGraph::without_instances`] and a fresh
+/// [`OverlayGraph::all_pairs`]. Every live pair must equal the
+/// reference's, node ids mapped across; the timings are medians of
+/// [`FAIL_REPS`] interleaved runs.
+fn fail_instance(fixture: &Fixture, victim: ServiceInstance) -> FailInstance {
+    let apply = || {
+        let (overlay, cut) = fixture.overlay.with_failed(&[victim]);
+        let (table, stats) = fixture.all_pairs.patched_with(overlay.graph(), &cut, 1);
+        (overlay, table, cut.len(), stats.trees_recomputed)
+    };
+    let live = |overlay: &OverlayGraph| -> Vec<NodeIx> {
+        let g = overlay.graph();
+        g.node_ids().filter(|&n| overlay.is_live(n)).collect()
+    };
+    let read = |overlay: &OverlayGraph, table: &AllPairs| {
+        let nodes = live(overlay);
+        for &u in &nodes {
+            for &v in &nodes {
+                black_box((table.qos(u, v), table.path(u, v)));
+            }
+        }
+    };
+    let reference = || {
+        let overlay = fixture.overlay.without_instances(&[victim]);
+        let table = overlay.all_pairs();
+        (overlay, table)
+    };
+
+    let (overlay, table, cut_links, trees_shadowed) = apply();
+    let before = table.materialised();
+    read(&overlay, &table);
+    let rows_swept = table.materialised() - before;
+    let (rebuilt, rebuilt_table) = reference();
+    let to_rebuilt = |n: NodeIx| rebuilt.node_of(overlay.instance(n)).expect("a survivor");
+    let nodes = live(&overlay);
+    for &u in &nodes {
+        for &v in &nodes {
+            let (ru, rv) = (to_rebuilt(u), to_rebuilt(v));
+            assert_eq!(table.qos(u, v), rebuilt_table.qos(ru, rv), "{u:?} -> {v:?}");
+            let path = table
+                .path(u, v)
+                .map(|p| p.into_iter().map(to_rebuilt).collect());
+            assert_eq!(path, rebuilt_table.path(ru, rv), "{u:?} -> {v:?}");
+        }
+    }
+
+    let (mut apply_us, mut read_us, mut reference_us) = (Vec::new(), Vec::new(), Vec::new());
+    for _ in 0..FAIL_REPS {
+        let started = Instant::now();
+        let (overlay, table, ..) = apply();
+        apply_us.push(started.elapsed().as_micros());
+        let started = Instant::now();
+        read(&overlay, &table);
+        read_us.push(started.elapsed().as_micros());
+        reference_us.push(time_us(1, reference));
+    }
+    let ms = |us: Vec<u128>| median(us) as f64 / 1e3;
+    FailInstance {
+        victim,
+        cut_links,
+        trees_shadowed,
+        rows_swept,
+        apply_ms: ms(apply_us),
+        read_ms: ms(read_us),
+        reference_ms: ms(reference_us),
+    }
+}
+
+fn fail_instance_json(f: &FailInstance) -> String {
+    format!(
+        "{{\"world\": \"waxman-400\", \"victim\": \"{}\", \"cut_links\": {}, \
+         \"trees_shadowed\": {}, \"rows_swept\": {}, \"apply_ms\": {:.3}, \
+         \"read_ms\": {:.3}, \"reference_ms\": {:.3}}}",
+        f.victim,
+        f.cut_links,
+        f.trees_shadowed,
+        f.rows_swept,
+        f.apply_ms,
+        f.read_ms,
+        f.reference_ms,
+    )
 }
 
 fn repair_reprice_json(link_users: usize, rows: &[RepairRow]) -> String {
@@ -1021,7 +1155,7 @@ fn main() {
         pricing.pair_qos_ms,
         pricing.per_host_trees_ms,
     );
-    let (link_users, repairs) = repair_reprice(&waxman_400);
+    let (link_users, victim, repairs) = repair_reprice(&waxman_400);
     println!("repairs of {REPAIR_BOOKINGS} bookings, {link_users} of them on the halved link:");
     for r in &repairs {
         println!(
@@ -1047,6 +1181,28 @@ fn main() {
             r.reference_us,
         );
     }
+    let failure = fail_instance(&waxman_400, victim);
+    println!(
+        "fail {}: {} links cut, {} trees shadowed — apply {:.3} ms, read every live pair \
+         {:.3} ms ({} rows swept); rebuild {:.3} ms",
+        failure.victim,
+        failure.cut_links,
+        failure.trees_shadowed,
+        failure.apply_ms,
+        failure.read_ms,
+        failure.rows_swept,
+        failure.reference_ms,
+    );
+    // A failure is a cut: applying it and reading every answer afterwards
+    // costs a fraction of the renumbering rebuild it replaced.
+    assert!(
+        failure.apply_ms + failure.read_ms <= MAX_FAIL_SHARE * failure.reference_ms,
+        "a tombstone failure took {:.3} + {:.3} ms, more than {MAX_FAIL_SHARE} of the \
+         rebuild ({:.3} ms)",
+        failure.apply_ms,
+        failure.read_ms,
+        failure.reference_ms,
+    );
     let mut reports = vec![
         measure("paper-fig4", fig4.overlay.graph(), 7),
         measure("random-200", &random_overlay(200, 8, 42), 7),
@@ -1161,7 +1317,7 @@ fn main() {
          \"workers_sweep\": {:?},\n  \"underlay_pricing\": {{\"world\": \"waxman-400\", \
          \"hosts\": {}, \"pairs\": {}, \"levels_per_tree_mean\": {:.2}, \
          \"per_host_trees_ms\": {:.2}, \"pair_qos_ms\": {:.2}}},\n  \
-         \"repair_reprice\": {},\n  \"worlds\": [\n{}\n  ]\n}}\n",
+         \"repair_reprice\": {},\n  \"fail_instance\": {},\n  \"worlds\": [\n{}\n  ]\n}}\n",
         auto_workers(),
         WORKER_SWEEP,
         pricing.hosts,
@@ -1170,6 +1326,7 @@ fn main() {
         pricing.per_host_trees_ms,
         pricing.pair_qos_ms,
         repair_reprice_json(link_users, &repairs),
+        fail_instance_json(&failure),
         worlds.join(",\n"),
     );
     println!("wrote {}", write_report("BENCH_routing.json", &json));

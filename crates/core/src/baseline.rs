@@ -56,13 +56,17 @@ pub struct HopMatrix {
 const UNREACHED: u32 = u32::MAX;
 
 impl HopMatrix {
-    /// Computes hop distances over the given overlay graph (`O(V·(V+E))`).
+    /// Computes hop distances over the given overlay graph (`O(V·(V+E))`),
+    /// between live instances and through live instances only: a failed
+    /// instance ([`OverlayGraph::is_live`](sflow_net::OverlayGraph::is_live))
+    /// is neither an endpoint nor a relay.
     pub fn new(overlay: &sflow_net::OverlayGraph) -> Self {
         let g = overlay.graph();
         let n = g.node_count();
+        let live: Vec<bool> = g.node_ids().map(|v| overlay.is_live(v)).collect();
         let mut dist = vec![UNREACHED; n * n];
         let mut queue = VecDeque::new();
-        for source in g.node_ids() {
+        for source in g.node_ids().filter(|v| live[v.index()]) {
             let row = &mut dist[source.index() * n..(source.index() + 1) * n];
             row[source.index()] = 0;
             queue.clear();
@@ -72,7 +76,7 @@ impl HopMatrix {
                 for &eid in g.out_edge_ids(v).iter().chain(g.in_edge_ids(v)) {
                     let (from, to, _) = g.edge_parts(eid);
                     let next = if from == v { to } else { from };
-                    if row[next.index()] == UNREACHED {
+                    if live[next.index()] && row[next.index()] == UNREACHED {
                         row[next.index()] = d + 1;
                         queue.push_back(next);
                     }

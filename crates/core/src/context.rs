@@ -60,15 +60,15 @@ impl<'a> FederationContext<'a> {
     ///
     /// # Panics
     ///
-    /// Panics if `source_instance` is not a node of `overlay`.
+    /// Panics if `source_instance` is not a live node of `overlay`.
     pub fn new(
         overlay: &'a OverlayGraph,
         all_pairs: &'a AllPairs,
         source_instance: NodeIx,
     ) -> Self {
         assert!(
-            overlay.graph().contains_node(source_instance),
-            "source instance must be an overlay node"
+            overlay.graph().contains_node(source_instance) && overlay.is_live(source_instance),
+            "source instance must be an overlay node, and live"
         );
         FederationContext {
             overlay: Slot::Borrowed(overlay),
@@ -84,15 +84,15 @@ impl<'a> FederationContext<'a> {
     ///
     /// # Panics
     ///
-    /// Panics if `source_instance` is not a node of `overlay`.
+    /// Panics if `source_instance` is not a live node of `overlay`.
     pub fn from_arcs(
         overlay: Arc<OverlayGraph>,
         all_pairs: Arc<AllPairs>,
         source_instance: NodeIx,
     ) -> OwnedFederationContext {
         assert!(
-            overlay.graph().contains_node(source_instance),
-            "source instance must be an overlay node"
+            overlay.graph().contains_node(source_instance) && overlay.is_live(source_instance),
+            "source instance must be an overlay node, and live"
         );
         FederationContext {
             overlay: Slot::Shared(overlay),

@@ -41,10 +41,9 @@
 //! // Fail the selected instance of service 1 and repair.
 //! let s1 = sflow_net::ServiceId::new(1);
 //! let failed = [*flow.instances().get(&s1).unwrap()];
-//! let degraded = fx.overlay.without_instances(&failed);
-//! let ap = degraded.all_pairs();
-//! let source = degraded.node_of(fx.overlay.instance(fx.source)).unwrap();
-//! let ctx2 = FederationContext::new(&degraded, &ap, source);
+//! let (degraded, cut) = fx.overlay.with_failed(&failed);
+//! let (ap, _) = fx.all_pairs.patched_with(degraded.graph(), &cut, 1);
+//! let ctx2 = FederationContext::new(&degraded, &ap, fx.source);
 //!
 //! let outcome = repair::repair(&ctx2, &req, &flow)?;
 //! assert!(outcome.reselected.contains(&s1));
@@ -83,9 +82,9 @@ impl RepairOutcome {
 /// a horizon-less sFlow [`Solver`] if the pinned steps fail.
 ///
 /// `ctx` must be built over the post-change overlay (for a failure, see
-/// [`sflow_net::OverlayGraph::without_instances`]); its source instance is
-/// where the consumer re-issues the requirement — usually the old source,
-/// which survives unless the failure took it out.
+/// [`sflow_net::OverlayGraph::with_failed`]); its source instance is where
+/// the consumer re-issues the requirement — usually the old source, which
+/// survives unless the failure took it out.
 ///
 /// Surviving selections are translated into the new overlay by their
 /// `(service, host)` identity and pinned. A selection that survived whole
@@ -178,10 +177,9 @@ mod tests {
         let req = diamond_requirement();
         let flow = SflowAlgorithm::default().federate(&ctx, &req).unwrap();
         let failed = [flow.instances()[&s(1)]];
-        let degraded = fx.overlay.without_instances(&failed);
-        let ap = degraded.all_pairs();
-        let source = degraded.node_of(fx.overlay.instance(fx.source)).unwrap();
-        let ctx2 = crate::FederationContext::new(&degraded, &ap, source);
+        let (degraded, cut) = fx.overlay.with_failed(&failed);
+        let (ap, _) = fx.all_pairs.patched_with(degraded.graph(), &cut, 1);
+        let ctx2 = crate::FederationContext::new(&degraded, &ap, fx.source);
 
         let outcome = repair(&ctx2, &req, &flow).unwrap();
         assert!(!outcome.full_refederation);
@@ -278,12 +276,9 @@ mod tests {
             };
             // Fail the selected instances of two services at once.
             let failed = [flow.instances()[&s(1)], flow.instances()[&s(3)]];
-            let degraded = fx.overlay.without_instances(&failed);
-            let ap = degraded.all_pairs();
-            let Some(source) = degraded.node_of(fx.overlay.instance(fx.source)) else {
-                continue;
-            };
-            let ctx2 = crate::FederationContext::new(&degraded, &ap, source);
+            let (degraded, cut) = fx.overlay.with_failed(&failed);
+            let (ap, _) = fx.all_pairs.patched_with(degraded.graph(), &cut, 1);
+            let ctx2 = crate::FederationContext::new(&degraded, &ap, fx.source);
             let outcome = repair(&ctx2, &req, &flow).unwrap();
             assert_eq!(outcome.flow.selection().len(), 5, "seed {seed}");
             for f in failed {

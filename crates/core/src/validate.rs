@@ -8,7 +8,7 @@
 //! solver used) and reports every discrepancy as a typed [`Violation`]:
 //!
 //! 1. exactly one instance is selected for each required service, hosted on
-//!    a node that really offers that service;
+//!    a live node that really offers that service;
 //! 2. there is exactly one stream per requirement edge and the streams form
 //!    an acyclic graph;
 //! 3. every stream's overlay path connects its endpoint instances over links
@@ -53,6 +53,13 @@ pub enum Violation {
         node: NodeIx,
         /// What that node actually hosts.
         hosts: ServiceId,
+    },
+    /// The selected node's instance has failed (a tombstone).
+    FailedInstance {
+        /// The service the selection claims.
+        service: ServiceId,
+        /// The selected overlay node.
+        node: NodeIx,
     },
     /// A requirement edge has no stream, or has more than one.
     StreamMismatch {
@@ -138,6 +145,9 @@ impl fmt::Display for Violation {
                 f,
                 "node {node:?} selected for {service} actually hosts {hosts}"
             ),
+            Violation::FailedInstance { service, node } => {
+                write!(f, "node {node:?} selected for {service} has failed")
+            }
             Violation::StreamMismatch { from, to, count } => write!(
                 f,
                 "requirement edge {from} → {to} carried by {count} streams (expected 1)"
@@ -242,7 +252,7 @@ impl<'a> FlowGraphAuditor<'a> {
     }
 
     /// Invariant 1: exactly one instance per required service, no extras,
-    /// each hosted on a node that really offers the service.
+    /// each hosted on a live node that really offers the service.
     fn check_selection(&self, flow: &FlowGraph, report: &mut InvariantReport) {
         let required: BTreeSet<ServiceId> = self.req.services().into_iter().collect();
         for &sid in &required {
@@ -258,6 +268,11 @@ impl<'a> FlowGraphAuditor<'a> {
                     .violations
                     .push(Violation::ExtraInstance { service: sid });
                 continue;
+            }
+            if !self.ctx.overlay().is_live(node) {
+                report
+                    .violations
+                    .push(Violation::FailedInstance { service: sid, node });
             }
             let hosts = self.ctx.overlay().instance(node).service;
             if hosts != sid {
@@ -520,6 +535,29 @@ mod tests {
             report
                 .violations
                 .contains(&Violation::ExtraInstance { service: s(2) }),
+            "{report}"
+        );
+    }
+
+    /// An answer found before an instance failed is audited against the
+    /// world after it: the failed selection is flagged.
+    #[test]
+    fn a_failed_selection_is_caught() {
+        let fx = diamond_fixture();
+        let req = diamond_requirement();
+        let flow = SflowAlgorithm::default()
+            .federate(&fx.context(), &req)
+            .unwrap();
+        let victim = flow.selection()[&s(1)];
+        let (overlay, changes) = fx.overlay.with_failed(&[fx.overlay.instance(victim)]);
+        let (table, _) = fx.all_pairs.patched_with(overlay.graph(), &changes, 1);
+        let ctx = FederationContext::new(&overlay, &table, fx.source);
+        let report = FlowGraphAuditor::new(&ctx, &req).audit(&flow);
+        assert!(
+            report.violations.contains(&Violation::FailedInstance {
+                service: s(1),
+                node: victim,
+            }),
             "{report}"
         );
     }

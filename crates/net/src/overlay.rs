@@ -6,13 +6,13 @@
 //! hosts exists in the underlying network. Each service link is labelled with
 //! the QoS of the shortest-widest underlying path.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{HashMap, HashSet, VecDeque};
 
 use rand::seq::SliceRandom;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use sflow_graph::{algo, DiGraph, NodeIx};
-use sflow_routing::{shortest_widest, AllPairs, EdgeChange, Qos};
+use sflow_routing::{shortest_widest, AllPairs, Bandwidth, EdgeChange, Qos};
 
 use crate::{HostId, OverlayBuildError, ServiceId, ServiceInstance, UnderlyingNetwork};
 
@@ -144,10 +144,18 @@ pub struct OverlayOptions {
 }
 
 /// The service overlay graph.
+///
+/// A failed instance is a *tombstone* ([`OverlayGraph::with_failed`]): its
+/// node stays, so every node and edge keeps its number across a failure,
+/// but no lookup offers it ([`OverlayGraph::is_live`]) and every link at
+/// it carries zero bandwidth.
 #[derive(Clone, Debug)]
 pub struct OverlayGraph {
     graph: DiGraph<ServiceInstance, Qos>,
+    /// The live nodes of each service, in node order.
     by_service: HashMap<ServiceId, Vec<NodeIx>>,
+    /// The tombstoned nodes, in failure order.
+    failed: Vec<NodeIx>,
 }
 
 impl OverlayGraph {
@@ -217,10 +225,8 @@ impl OverlayGraph {
         host_qos: impl Fn(HostId, HostId) -> Option<Qos>,
     ) -> Self {
         let mut graph = DiGraph::with_capacity(placement.len(), 0);
-        let mut by_service: HashMap<ServiceId, Vec<NodeIx>> = HashMap::new();
         for &inst in placement.instances() {
-            let n = graph.add_node(inst);
-            by_service.entry(inst.service).or_default().push(n);
+            graph.add_node(inst);
         }
 
         let ids: Vec<NodeIx> = graph.node_ids().collect();
@@ -254,24 +260,45 @@ impl OverlayGraph {
                 }
             }
         }
+        Self::all_live(graph)
+    }
 
-        OverlayGraph { graph, by_service }
+    /// The overlay over `graph` with every node live.
+    fn all_live(graph: DiGraph<ServiceInstance, Qos>) -> Self {
+        let mut by_service: HashMap<ServiceId, Vec<NodeIx>> = HashMap::new();
+        for (n, inst) in graph.nodes() {
+            by_service.entry(inst.service).or_default().push(n);
+        }
+        OverlayGraph {
+            graph,
+            by_service,
+            failed: Vec::new(),
+        }
     }
 
     /// The overlay graph itself: instances on nodes, service-link QoS on
-    /// edges.
+    /// edges. Tombstoned nodes are in it, with every link at them cut to
+    /// zero bandwidth: a walk over its raw nodes must ask
+    /// [`OverlayGraph::is_live`].
     pub fn graph(&self) -> &DiGraph<ServiceInstance, Qos> {
         &self.graph
     }
 
-    /// Number of service instances.
+    /// Number of live service instances.
     pub fn instance_count(&self) -> usize {
-        self.graph.node_count()
+        self.graph.node_count() - self.failed.len()
     }
 
-    /// Number of service links.
+    /// Number of service links, the cut links of failed instances included.
     pub fn link_count(&self) -> usize {
         self.graph.edge_count()
+    }
+
+    /// `false` if `node`'s instance has failed: the one liveness rule.
+    /// [`OverlayGraph::node_of`], [`OverlayGraph::instances_of`] and
+    /// [`OverlayGraph::services`] see live nodes only.
+    pub fn is_live(&self, node: NodeIx) -> bool {
+        !self.failed.contains(&node)
     }
 
     /// The instance at overlay node `node`.
@@ -279,7 +306,8 @@ impl OverlayGraph {
         *self.graph.node(node)
     }
 
-    /// The overlay nodes carrying instances of `service` (possibly empty).
+    /// The live overlay nodes carrying instances of `service`, in node
+    /// order (possibly empty).
     pub fn instances_of(&self, service: ServiceId) -> &[NodeIx] {
         self.by_service
             .get(&service)
@@ -287,7 +315,7 @@ impl OverlayGraph {
             .unwrap_or(&[])
     }
 
-    /// The overlay node of a specific instance, if placed.
+    /// The overlay node of a specific instance, if placed and live.
     pub fn node_of(&self, instance: ServiceInstance) -> Option<NodeIx> {
         self.instances_of(instance.service)
             .iter()
@@ -295,7 +323,7 @@ impl OverlayGraph {
             .find(|&n| self.instance(n) == instance)
     }
 
-    /// All distinct services present in the overlay, sorted.
+    /// All distinct services with a live instance, sorted.
     pub fn services(&self) -> Vec<ServiceId> {
         let mut s: Vec<ServiceId> = self.by_service.keys().copied().collect();
         s.sort();
@@ -306,13 +334,6 @@ impl OverlayGraph {
     /// service instances, through service links).
     pub fn all_pairs(&self) -> AllPairs {
         shortest_widest::all_pairs(&self.graph)
-    }
-
-    /// [`OverlayGraph::all_pairs`] computed on a pool of `workers` threads
-    /// (`0` = sized by `available_parallelism`). The table is identical to
-    /// the sequential one; only wall-clock differs.
-    pub fn all_pairs_parallel_with(&self, workers: usize) -> AllPairs {
-        sflow_routing::all_pairs_parallel_with(&self.graph, workers)
     }
 
     /// Renders the overlay as Graphviz DOT: instances as `SID/NID` boxes,
@@ -372,43 +393,88 @@ impl OverlayGraph {
         Some((next, change))
     }
 
-    /// Rebuilds the overlay with the given instances removed — the substrate
-    /// for failure injection and repair ("agile" federation). Service links
-    /// between surviving instances keep their QoS.
+    /// Copy-on-write failure of `failed`: a fresh overlay in which each of
+    /// them that is live is a tombstone — gone from every lookup, its node
+    /// kept so no node or edge is renumbered — and every link into or out
+    /// of it is cut to zero bandwidth at its latency, plus one
+    /// [`EdgeChange`] per link cut. The shortest-widest kernel never
+    /// crosses a zero-bandwidth link, so the changes are a pure cut, which
+    /// [`AllPairs::patched_with`] plans like any other: the predecessor's
+    /// table becomes the successor's without a rebuild. Unknown or already
+    /// failed instances are ignored. `self` is untouched.
+    pub fn with_failed(&self, failed: &[ServiceInstance]) -> (OverlayGraph, Vec<EdgeChange>) {
+        let mut next = self.clone();
+        let mut changes = Vec::new();
+        for &instance in failed {
+            let Some(node) = next.node_of(instance) else {
+                continue;
+            };
+            next.failed.push(node);
+            let live = next
+                .by_service
+                .get_mut(&instance.service)
+                .expect("a live node is listed under its service");
+            live.retain(|&n| n != node);
+            if live.is_empty() {
+                next.by_service.remove(&instance.service);
+            }
+            let links = self.graph.out_edge_ids(node).iter();
+            for &edge in links.chain(self.graph.in_edge_ids(node)) {
+                let old = *next.graph.edge(edge);
+                if old.bandwidth == Bandwidth::ZERO {
+                    continue;
+                }
+                let new = Qos::new(Bandwidth::ZERO, old.latency);
+                *next.graph.edge_mut(edge) = new;
+                changes.push(EdgeChange { edge, old, new });
+            }
+        }
+        (next, changes)
+    }
+
+    /// Rebuilds the overlay from its live instances minus `failed`,
+    /// renumbering every node and edge; service links between survivors
+    /// keep their QoS. The reference a tombstone failure
+    /// ([`OverlayGraph::with_failed`]) is checked and timed against, in
+    /// tests and benches: every answer over the two is the same, node ids
+    /// mapped across.
     pub fn without_instances(&self, failed: &[ServiceInstance]) -> OverlayGraph {
-        let keep: Vec<NodeIx> = self
+        let keep: HashSet<NodeIx> = self
             .graph
             .node_ids()
-            .filter(|&n| !failed.contains(&self.instance(n)))
+            .filter(|&n| self.is_live(n) && !failed.contains(&self.instance(n)))
             .collect();
-        let keep_set: std::collections::HashSet<NodeIx> = keep.iter().copied().collect();
-        let (graph, _mapping) = algo::induced_subgraph(&self.graph, &keep_set);
-        let mut by_service: HashMap<ServiceId, Vec<NodeIx>> = HashMap::new();
-        for (n, inst) in graph.nodes() {
-            by_service.entry(inst.service).or_default().push(n);
-        }
-        OverlayGraph { graph, by_service }
+        Self::all_live(algo::induced_subgraph(&self.graph, &keep).0)
     }
 
     /// Extracts the local view a service node operates on: the sub-overlay
-    /// induced by all instances within `hops` overlay hops of `center`
-    /// (ignoring link direction), as in the paper's "two-hop vicinity"
-    /// assumption (Sec. 4).
+    /// induced by all live instances within `hops` overlay hops of `center`
+    /// (ignoring link direction, relaying through live instances only), as
+    /// in the paper's "two-hop vicinity" assumption (Sec. 4).
     pub fn local_view(&self, center: NodeIx, hops: usize) -> LocalView {
-        let (graph, to_parent) = algo::k_hop_subgraph(&self.graph, center, hops);
-        let mut from_parent = HashMap::new();
-        let mut by_service: HashMap<ServiceId, Vec<NodeIx>> = HashMap::new();
-        for (new_i, &old) in to_parent.iter().enumerate() {
-            let new = NodeIx::from_index(new_i);
-            from_parent.insert(old, new);
-            by_service
-                .entry(self.instance(old).service)
-                .or_default()
-                .push(new);
+        let mut within = HashMap::from([(center, 0)]);
+        let mut queue = VecDeque::from([center]);
+        while let Some(n) = queue.pop_front() {
+            let d = within[&n];
+            if d == hops {
+                continue;
+            }
+            let g = &self.graph;
+            for next in g.successors(n).chain(g.predecessors(n)) {
+                if self.is_live(next) && !within.contains_key(&next) {
+                    within.insert(next, d + 1);
+                    queue.push_back(next);
+                }
+            }
         }
+        let keep: HashSet<NodeIx> = within.into_keys().collect();
+        let (graph, to_parent) = algo::induced_subgraph(&self.graph, &keep);
+        let from_parent: HashMap<NodeIx, NodeIx> = (to_parent.iter().enumerate())
+            .map(|(new, &old)| (old, NodeIx::from_index(new)))
+            .collect();
         let center_local = from_parent[&center];
         LocalView {
-            overlay: OverlayGraph { graph, by_service },
+            overlay: Self::all_live(graph),
             center: center_local,
             to_parent,
             from_parent,
@@ -781,20 +847,83 @@ mod tests {
     }
 
     #[test]
-    fn parallel_all_pairs_matches_sequential_on_overlay() {
+    fn with_failed_tombstones_the_instance_and_cuts_its_links() {
         let (net, p, compat) = line_world();
         let ov = OverlayGraph::build(&net, &p, &compat).unwrap();
-        let seq = ov.all_pairs();
-        for (par, label) in [
-            (ov.all_pairs_parallel_with(0), "auto"),
-            (ov.all_pairs_parallel_with(3), "3"),
-        ] {
-            for u in ov.graph().node_ids() {
-                for v in ov.graph().node_ids() {
-                    assert_eq!(par.qos(u, v), seq.qos(u, v), "{label}: {u:?}->{v:?}");
+        let failed = ServiceInstance::new(sid(1), HostId::new(1));
+        let dead = ov.node_of(failed).unwrap();
+        let (next, cut) = ov.with_failed(&[failed]);
+        assert_eq!(next.instance_count(), 3);
+        assert_eq!(next.instances_of(sid(1)).len(), 1);
+        assert_eq!(next.node_of(failed), None);
+        assert!(!next.is_live(dead) && ov.is_live(dead));
+        // Nothing is renumbered: every survivor keeps its node.
+        for &inst in p.instances().iter().filter(|&&i| i != failed) {
+            assert_eq!(next.node_of(inst), ov.node_of(inst));
+        }
+        // s0→s1@h1 and s1@h1→s2 drop to zero bandwidth at their latency;
+        // the predecessor keeps them.
+        assert_eq!(cut.len(), 2);
+        for c in &cut {
+            let (from, to) = next.graph().edge_endpoints(c.edge);
+            assert!(from == dead || to == dead);
+            assert_eq!(c.new, Qos::new(Bandwidth::ZERO, c.old.latency));
+            assert_eq!(*next.graph().edge(c.edge), c.new);
+            assert_eq!(*ov.graph().edge(c.edge), c.old);
+        }
+        // Failing it again changes nothing; failing the service's last
+        // instance takes the service away.
+        let (again, none) = next.with_failed(&[failed]);
+        assert!(none.is_empty());
+        assert_eq!(again.instance_count(), 3);
+        let other = ServiceInstance::new(sid(1), HostId::new(2));
+        let (gone, _) = next.with_failed(&[other]);
+        assert_eq!(gone.services(), vec![sid(0), sid(2)]);
+        assert!(gone.instances_of(sid(1)).is_empty());
+    }
+
+    /// A local view over a tombstone is the view over the rebuild: the
+    /// failed instance is neither offered nor relayed through.
+    #[test]
+    fn local_view_neither_offers_nor_relays_through_a_tombstone() {
+        let (net, p, compat) = line_world();
+        let failed = ServiceInstance::new(sid(1), HostId::new(1));
+        let seen = |ov: &OverlayGraph, view: &LocalView| -> Vec<ServiceInstance> {
+            let g = view.overlay.graph();
+            g.node_ids()
+                .map(|n| ov.instance(view.to_parent(n)))
+                .collect()
+        };
+        for cap in [None, Some(1)] {
+            let options = OverlayOptions {
+                max_links_per_service: cap,
+            };
+            let ov = OverlayGraph::build_with(&net, &p, &compat, &options).unwrap();
+            let (tomb, _) = ov.with_failed(&[failed]);
+            let rebuilt = ov.without_instances(&[failed]);
+            for &centre in p.instances().iter().filter(|&&i| i != failed) {
+                for hops in 0..4 {
+                    let t = tomb.local_view(tomb.node_of(centre).unwrap(), hops);
+                    let r = rebuilt.local_view(rebuilt.node_of(centre).unwrap(), hops);
+                    let at = format!("cap {cap:?}: {centre}, {hops} hops");
+                    assert_eq!(seen(&tomb, &t), seen(&rebuilt, &r), "{at}");
+                    assert_eq!(t.overlay.link_count(), r.overlay.link_count(), "{at}");
+                    assert_eq!(t.overlay.services(), r.overlay.services(), "{at}");
                 }
             }
         }
+        // Capped at one link per service, s0 links only to the failed s1:
+        // two hops from s2 reached s0 through it, and no longer do.
+        let options = OverlayOptions {
+            max_links_per_service: Some(1),
+        };
+        let ov = OverlayGraph::build_with(&net, &p, &compat, &options).unwrap();
+        let s2 = ov
+            .node_of(ServiceInstance::new(sid(2), HostId::new(3)))
+            .unwrap();
+        let (tomb, _) = ov.with_failed(&[failed]);
+        assert_eq!(ov.local_view(s2, 2).overlay.instance_count(), 4);
+        assert_eq!(tomb.local_view(s2, 2).overlay.instance_count(), 2);
     }
 
     #[test]

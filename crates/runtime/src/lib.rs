@@ -131,7 +131,12 @@ pub fn run_actors(
         .hop_limit
         .map(|_| Arc::new(HopMatrix::new(ctx.overlay())));
 
-    let overlay_nodes: Vec<NodeIx> = ctx.overlay().graph().node_ids().collect();
+    let overlay = ctx.overlay();
+    let overlay_nodes: Vec<NodeIx> = overlay
+        .graph()
+        .node_ids()
+        .filter(|&n| overlay.is_live(n))
+        .collect();
     let (to_router, router_rx): (Sender<ToRouter>, Receiver<ToRouter>) = unbounded();
 
     let mut stats = RuntimeStats::default();
@@ -139,7 +144,7 @@ pub fn run_actors(
     let mut first_error: Option<FederationError> = None;
 
     thread::scope(|scope| {
-        // Spawn one actor per overlay instance.
+        // Spawn one actor per live overlay instance.
         let mut senders: HashMap<NodeIx, Sender<ToActor>> = HashMap::new();
         for &n in &overlay_nodes {
             let (tx, rx): (Sender<ToActor>, Receiver<ToActor>) = unbounded();

@@ -25,9 +25,10 @@
 //! * **Agility** — [`Request::Mutate`] applies a link-QoS update or an
 //!   instance failure, publishes the next epoch and re-federates every live
 //!   session via [`sflow_core::repair`] — the paper's headline claim made
-//!   operational. A solve that a mutation overtakes is answered with the
-//!   typed [`Response::Stale`] rather than silently repaired across an
-//!   instance-failure renumbering.
+//!   operational. Both mutations are one routing-table patch: a failed
+//!   instance is a tombstone whose links are cut, so nothing is renumbered.
+//!   A solve that a mutation overtakes is answered with the typed
+//!   [`Response::Stale`] rather than booked on an epoch that is gone.
 //! * **Load plane** — a [`LoadMap`] derives per-link reserved bandwidth
 //!   from the live session table (plus a CONGA-style discounted estimator)
 //!   and is published as an immutable [`LoadPlane`] through a [`LoadCell`],
@@ -112,8 +113,9 @@ pub enum Algorithm {
 /// A topology mutation applied by [`Request::Mutate`].
 ///
 /// Instances are addressed by their stable `(service, host)` identity rather
-/// than by overlay node index, because failures rebuild the overlay and
-/// renumber its nodes.
+/// than by overlay node index: the identity is what a client knows, and it
+/// is what the server resolves against the current epoch, where a failed
+/// instance no longer resolves.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Mutation {
     /// Overwrites the QoS of the service link `from → to` (congestion,
@@ -128,7 +130,9 @@ pub enum Mutation {
         /// New latency, microseconds.
         latency_us: u64,
     },
-    /// Removes an instance from the overlay (node crash, service withdrawal).
+    /// Fails an instance (node crash, service withdrawal): it is tombstoned
+    /// — no lookup offers it again — and every link at it is cut to zero
+    /// bandwidth. Nothing is renumbered; failing it twice is refused.
     FailInstance {
         /// The instance that failed.
         instance: ServiceInstance,
@@ -259,10 +263,10 @@ pub enum Response {
         dropped: usize,
     },
     /// The solve completed, but a mutation published a newer epoch before
-    /// the session could be opened. The answer was solved against a world
-    /// that no longer exists (an instance failure renumbers the overlay, so
-    /// the flow cannot be trusted to translate); the client should re-issue
-    /// the federate against the current epoch.
+    /// the session could be opened. The answer's quality and bookings were
+    /// priced on an epoch that is gone (a link it uses may have changed, an
+    /// instance it selects may have failed); the client should re-issue the
+    /// federate against the current epoch.
     Stale {
         /// The epoch the discarded answer was solved against.
         solved_epoch: u64,

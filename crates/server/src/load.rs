@@ -51,9 +51,9 @@ use sflow_routing::{AllPairs, Bandwidth, EdgeChange, PatchStats, Qos};
 use crate::lock::Lock;
 use crate::snapshot::WorldSnapshot;
 
-/// A service link, addressed by its stable endpoint identities (overlay node
-/// indices are renumbered by instance failures; `(service, host)` pairs are
-/// not).
+/// A service link, addressed by its stable endpoint identities: what a
+/// ledger entry names, resolved against each epoch's overlay, where a
+/// failed endpoint no longer resolves.
 pub type LinkId = (ServiceInstance, ServiceInstance);
 
 /// Fixed-point shift for the discounted estimator: estimates are kept in
@@ -225,8 +225,8 @@ impl Materialised {
 #[derive(Debug)]
 pub struct LoadPlane {
     /// The world the plane indexes into: its epoch, its raw overlay
-    /// (uncapped capacities; link → node resolution is only valid against
-    /// this numbering) and its source. A reader that loads the plane has
+    /// (uncapped capacities; a link resolves to nodes only while both its
+    /// endpoints are live) and its source. A reader that loads the plane has
     /// the snapshot to solve against with it.
     snapshot: Arc<WorldSnapshot>,
     /// Monotonic per-epoch publication counter, for observability.

@@ -82,8 +82,9 @@ pub struct ServerConfig {
     /// Hard cap on live sessions; `Federate` beyond it is answered with an
     /// error rather than growing without bound.
     pub max_sessions: usize,
-    /// Worker threads for routing-table rebuilds and patches after
-    /// mutations; `0` auto-sizes from `available_parallelism`.
+    /// Worker threads a full routing-table build would use; a mutation's
+    /// patch and a ledger flush only plan. `0` auto-sizes from
+    /// `available_parallelism`.
     pub route_workers: usize,
     /// Federate against **residual** capacity (`capacity − reserved`)
     /// instead of raw link capacity. On by default; `serve --no-residual`
@@ -692,12 +693,12 @@ mod tests {
         }
     }
 
-    /// The first instance that is not the pinned source: failing it
-    /// renumbers the overlay.
+    /// The first live instance that is not the pinned source.
     fn a_victim(shared: &Shared) -> ServiceInstance {
         let snapshot = snapshot_of(shared);
         let overlay = snapshot.overlay();
-        let mut instances = overlay.graph().node_ids().map(|n| overlay.instance(n));
+        let live = overlay.graph().node_ids().filter(|&n| overlay.is_live(n));
+        let mut instances = live.map(|n| overlay.instance(n));
         let victim = instances.find(|i| *i != snapshot.source());
         victim.unwrap()
     }
@@ -727,14 +728,15 @@ mod tests {
 
     /// Satellite regression: a solve that a mutation overtakes is answered
     /// with the typed `Stale` response — carrying both epochs — instead of
-    /// opening a session solved against a renumbered world.
+    /// opening a session priced and booked on an epoch that is gone.
     #[test]
     fn a_solve_overtaken_by_a_mutation_is_answered_stale() {
         let shared = shared_over_diamond();
         let requirement = diamond_requirement();
         // The solver's plane load...
         let stale_plane = shared.table.plane();
-        // ...raced by an instance failure, which renumbers the overlay.
+        // ...raced by an instance failure, which may fail an instance the
+        // answer selects.
         let victim = a_victim(&shared);
         match mutate(&shared, &Mutation::FailInstance { instance: victim }) {
             Response::Mutated { epoch: 1, .. } => {}
@@ -1315,8 +1317,8 @@ mod tests {
             "the mix must exercise forests: {side_by_side} steps with several bookings, \
              {shared_bookings} shared bookings seen"
         );
-        // Structural mutations at the end. Failing one instance of a service
-        // renumbers the overlay and moves the bookings routed through it;
+        // Failures at the end. Failing one instance of a service cuts its
+        // links and moves the bookings routed through it;
         // failing the service's last instance leaves the requirement
         // infeasible, and every booking is dropped with all its tenants —
         // the rebase must scrub exactly the dead reservations, the index

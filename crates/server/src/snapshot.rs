@@ -139,7 +139,8 @@ impl WorldSnapshot {
         self.source
     }
 
-    /// The source's overlay node *in this epoch's numbering*.
+    /// The source's overlay node — the same in every epoch, as no mutation
+    /// renumbers the overlay.
     pub fn source_node(&self) -> NodeIx {
         self.source_node
     }

@@ -172,14 +172,16 @@ stats_table! {
     latency_p90_us = |at| percentile(&at.latencies_us, 90),
     /// 99th-percentile request latency, microseconds.
     latency_p99_us = |at| percentile(&at.latencies_us, 99),
-    /// Routing-table rebuilds/patches triggered by mutations.
+    /// Routing-table patches triggered by mutations, one per mutation.
     rebuilds: Counter,
-    /// Total wall-clock spent in those rebuilds, microseconds.
+    /// Total wall-clock spent planning those patches, microseconds.
     rebuild_us_total: Counter,
-    /// Source trees invalidated across all rebuilds: a full rebuild counts
-    /// every tree, an incremental patch only the materialised trees it
-    /// invalidated (far fewer than `rebuilds * instances`), which are swept
-    /// again on their first read — by the repair sweep or a later solve.
+    /// Materialised source trees invalidated across all mutation patches,
+    /// swept again on their first read — by the repair sweep or a later
+    /// solve. A QoS change invalidates far fewer than `rebuilds *
+    /// instances`; a failure shadows every tree that reaches the failed
+    /// instance, and a read sweeps only the rows whose answer the cut
+    /// moved.
     trees_recomputed: Counter,
     /// Residual views materialised on demand: a cold solve (or a
     /// rebalancer mover) asked a booked load plane for its table and none
@@ -235,8 +237,7 @@ stats_table! {
     write_buffered_bytes: Gauge,
     /// Total wall-clock spent in mutations' repair sweeps — every
     /// booking's repair and the commit that rebases the ledger —
-    /// microseconds. `rebuild_us_total` times the routing patch or rebuild
-    /// before it.
+    /// microseconds. `rebuild_us_total` times the routing patch before it.
     repair_us_total: Counter,
     /// Bookings a repair sweep could not re-price — a selected instance
     /// failed, or a pinned stream lost its path — and re-solved around the

@@ -3,10 +3,12 @@
 //! A [`World`] no longer *is* the topology — it is the thing that builds the
 //! next [`WorldSnapshot`] and holds the current one as a plain `Arc`.
 //! Mutations assemble the successor epoch copy-on-write — a patched clone
-//! of the overlay and a routing table derived from the predecessor's — and
+//! of the overlay and a routing table patched from the predecessor's — and
 //! replace the `Arc`; only [`World::apply`], through `&mut self`, can. The
 //! epoch is carried by the snapshots themselves: 0 at birth, +1 per applied
-//! mutation.
+//! mutation. No mutation renumbers the overlay: a failed instance is a
+//! tombstone whose links are cut, so every node and edge, the source's
+//! included, keeps its number across every epoch.
 //!
 //! The server's readers never touch the `World` (or the lock it sits
 //! behind): the one published world is the load plane, which carries the
@@ -28,7 +30,7 @@ use crate::Mutation;
 /// untouched and the epoch is not bumped.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum WorldError {
-    /// The named instance is not (or no longer) in the overlay.
+    /// The named instance is not in the overlay, or has failed.
     UnknownInstance(ServiceInstance),
     /// No service link exists between the two instances.
     NoSuchLink(ServiceInstance, ServiceInstance),
@@ -53,23 +55,20 @@ impl std::error::Error for WorldError {}
 
 /// How much routing work one applied mutation cost.
 ///
-/// `SetLinkQos` goes through the incremental
-/// [`AllPairs::patched_with`](sflow_routing::AllPairs::patched_with) path, so
-/// `trees_recomputed` is typically far below `trees_total`, and the patch
-/// only plans: the trees it invalidates are swept when a solve first reads
-/// their rows. Instance failures renumber the overlay and force a full
-/// parallel rebuild.
+/// Every mutation goes through the incremental
+/// [`AllPairs::patched_with`](sflow_routing::AllPairs::patched_with) path,
+/// which only plans: the trees it invalidates are swept when a solve first
+/// reads their rows. A QoS change typically invalidates far fewer than
+/// `trees_total`; an instance failure shadows every tree that reaches the
+/// failed instance, and a read sweeps only the rows whose answer it moved.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RebuildStats {
-    /// Wall-clock spent rebuilding or patching (planning) the routing table.
+    /// Wall-clock spent patching (planning) the routing table.
     pub duration: Duration,
-    /// Source trees rebuilt, or for a patch the materialised trees it
-    /// invalidated.
+    /// Materialised source trees the patch invalidated.
     pub trees_recomputed: u64,
-    /// Source trees in the table (== overlay instances).
+    /// Source trees in the table (== overlay nodes, failed ones included).
     pub trees_total: u64,
-    /// `true` if the whole table was rebuilt (structural mutation).
-    pub full_rebuild: bool,
 }
 
 /// The mutator side of a snapshot-published world.
@@ -103,8 +102,9 @@ impl World {
         }
     }
 
-    /// Sets the routing worker-pool size used by full rebuilds (`0` =
-    /// auto-size from `available_parallelism`); a patch only plans.
+    /// Sets the routing worker-pool size a full table build would use (`0`
+    /// = auto-size from `available_parallelism`); a mutation's patch only
+    /// plans.
     pub fn set_route_workers(&mut self, workers: usize) {
         self.route_workers = workers;
     }
@@ -135,111 +135,80 @@ impl World {
     }
 
     /// Applies one mutation: builds the successor snapshot copy-on-write —
-    /// a patched overlay clone plus a routing table derived from the
-    /// predecessor's ([`AllPairs::patched_with`](sflow_routing::AllPairs::patched_with)
-    /// for link-QoS changes, full parallel rebuild for structural ones) —
-    /// and makes it current. Holders of the predecessor keep solving
-    /// against it for as long as they hold it; the server publishes the
-    /// successor to its readers with the ledger rebased onto it (the session
-    /// table's repair copy-out). QoS-only successors adopt the predecessor's hop
-    /// matrix (hop counts are structural), so the per-epoch cache survives
-    /// non-structural churn for free.
+    /// a patched overlay clone plus a routing table patched from the
+    /// predecessor's ([`AllPairs::patched_with`](sflow_routing::AllPairs::patched_with))
+    /// — and makes it current. A link-QoS change re-weights one edge; an
+    /// instance failure tombstones the instance and cuts its links
+    /// ([`OverlayGraph::with_failed`](sflow_net::OverlayGraph::with_failed)).
+    /// Either way the node and edge numbering survives, so both share one
+    /// tail: one patch, and the source keeps its node. Holders of the
+    /// predecessor keep solving against it for as long as they hold it; the
+    /// server publishes the successor to its readers with the ledger rebased
+    /// onto it (the session table's repair copy-out). A QoS change adopts
+    /// the predecessor's hop matrix (hop counts are structural); after a
+    /// failure it starts cold, as the failed instance may have been a relay.
     ///
     /// # Errors
     ///
     /// Returns a [`WorldError`] (and publishes nothing) if the mutation
-    /// names an unknown instance or link, or would fail the source.
+    /// names an unknown or failed instance or an unknown link, or would
+    /// fail the source.
     pub fn apply(&mut self, mutation: &Mutation) -> Result<RebuildStats, WorldError> {
         let prev = self.snapshot();
-        let (next, stats) = match *mutation {
+        let live = |instance| {
+            prev.overlay()
+                .node_of(instance)
+                .ok_or(WorldError::UnknownInstance(instance))
+        };
+        let (overlay, changes) = match *mutation {
             Mutation::SetLinkQos {
                 from,
                 to,
                 bandwidth_kbps,
                 latency_us,
             } => {
-                let f = prev
-                    .overlay()
-                    .node_of(from)
-                    .ok_or(WorldError::UnknownInstance(from))?;
-                let t = prev
-                    .overlay()
-                    .node_of(to)
-                    .ok_or(WorldError::UnknownInstance(to))?;
                 let qos = Qos::new(
                     Bandwidth::kbps(bandwidth_kbps),
                     Latency::from_micros(latency_us),
                 );
                 let (overlay, change) = prev
                     .overlay()
-                    .with_link_qos(f, t, qos)
+                    .with_link_qos(live(from)?, live(to)?, qos)
                     .ok_or(WorldError::NoSuchLink(from, to))?;
-                // The successor keeps the node set, so its table derives
-                // incrementally from the predecessor's: only trees the
-                // change can affect are invalidated (and swept on first
-                // read), the rest are shared work carried across the epoch.
-                let started = Instant::now();
-                let (table, patched) =
-                    prev.all_pairs()
-                        .patched_with(overlay.graph(), &[change], self.route_workers);
-                let stats = RebuildStats {
-                    duration: started.elapsed(),
-                    trees_recomputed: patched.trees_recomputed as u64,
-                    trees_total: patched.trees_total as u64,
-                    full_rebuild: patched.full_rebuild,
-                };
-                let next = WorldSnapshot::new(
-                    Arc::new(overlay),
-                    Arc::new(table),
-                    prev.source_node(),
-                    prev.epoch() + 1,
-                );
-                // QoS changes do not move nodes or edges, so the hop
-                // matrix (pure structure) is carried forward verbatim.
-                if let Some(matrix) = prev.cached_hop_matrix() {
-                    next.adopt_hop_matrix(matrix);
-                }
-                // The solve cache starts empty; the repair sweep files every
-                // live booking's flow under its key.
-                (next, stats)
+                (overlay, vec![change])
             }
             Mutation::FailInstance { instance } => {
                 if instance == prev.source() {
                     return Err(WorldError::SourceUnfailable(instance));
                 }
-                if prev.overlay().node_of(instance).is_none() {
-                    return Err(WorldError::UnknownInstance(instance));
-                }
-                // Failure rebuilds the overlay and renumbers its nodes; the
-                // source must be re-resolved by identity, the routing table
-                // rebuilt from scratch (on the worker pool), and the hop
-                // matrix left for the successor's first touch.
-                let overlay = prev.overlay().without_instances(&[instance]);
-                #[expect(
-                    clippy::expect_used,
-                    reason = "failing a non-source instance cannot remove the source"
-                )]
-                let source_node = overlay
-                    .node_of(prev.source())
-                    .expect("source survives non-source failure");
-                let started = Instant::now();
-                let table = overlay.all_pairs_parallel_with(self.route_workers);
-                let trees = table.len() as u64;
-                let stats = RebuildStats {
-                    duration: started.elapsed(),
-                    trees_recomputed: trees,
-                    trees_total: trees,
-                    full_rebuild: true,
-                };
-                let next = WorldSnapshot::new(
-                    Arc::new(overlay),
-                    Arc::new(table),
-                    source_node,
-                    prev.epoch() + 1,
-                );
-                (next, stats)
+                live(instance)?;
+                prev.overlay().with_failed(&[instance])
             }
         };
+        // Only trees the changes can affect are invalidated (and swept on
+        // first read); the rest are shared work carried across the epoch.
+        let started = Instant::now();
+        let (table, patched) =
+            prev.all_pairs()
+                .patched_with(overlay.graph(), &changes, self.route_workers);
+        let stats = RebuildStats {
+            duration: started.elapsed(),
+            trees_recomputed: patched.trees_recomputed as u64,
+            trees_total: patched.trees_total as u64,
+        };
+        let next = WorldSnapshot::new(
+            Arc::new(overlay),
+            Arc::new(table),
+            prev.source_node(),
+            prev.epoch() + 1,
+        );
+        // Hop counts are structural, so a QoS change keeps the matrix; a
+        // failed instance may have been a relay, so a failure starts cold.
+        if let (Mutation::SetLinkQos { .. }, Some(matrix)) = (mutation, prev.cached_hop_matrix()) {
+            next.adopt_hop_matrix(matrix);
+        }
+        // The solve cache starts empty; the repair sweep files every live
+        // booking's flow under its key.
         self.current = Arc::new(next);
         Ok(stats)
     }
@@ -249,8 +218,9 @@ impl World {
 mod tests {
     use super::*;
     use sflow_core::algorithms::{FederationAlgorithm, SflowAlgorithm};
-    use sflow_core::fixtures::{diamond_fixture, diamond_requirement};
-    use sflow_net::{HostId, ServiceId};
+    use sflow_core::fixtures::{diamond_fixture, diamond_requirement, random_fixture};
+    use sflow_graph::NodeIx;
+    use sflow_net::{HostId, OverlayGraph, ServiceId};
 
     fn inst(s: u32, h: u32) -> ServiceInstance {
         ServiceInstance::new(ServiceId::new(s), HostId::new(h))
@@ -396,7 +366,97 @@ mod tests {
             .unwrap();
         assert!(
             w.snapshot().cached_hop_matrix().is_none(),
-            "structural mutations start the hop cache cold"
+            "a failure starts the hop cache cold"
         );
+    }
+
+    /// A failure renumbers nothing: every surviving instance and the source
+    /// keep their nodes. The failed instance is gone for good — a link at
+    /// it cannot be re-weighted back to life, and it cannot fail twice.
+    #[test]
+    fn a_failure_keeps_every_survivors_node_and_refuses_the_tombstone() {
+        let mut w = World::new(diamond_fixture());
+        let before = w.snapshot();
+        let overlay = before.overlay();
+        let victim = overlay.instance(overlay.instances_of(ServiceId::new(1))[0]);
+        let survivors: Vec<(ServiceInstance, NodeIx)> = overlay
+            .graph()
+            .node_ids()
+            .map(|n| (overlay.instance(n), n))
+            .filter(|&(i, _)| i != victim)
+            .collect();
+        w.apply(&Mutation::FailInstance { instance: victim })
+            .unwrap();
+        let after = w.snapshot();
+        for &(instance, node) in &survivors {
+            assert_eq!(after.overlay().node_of(instance), Some(node), "{instance}");
+        }
+        assert_eq!(after.source_node(), before.source_node());
+
+        // Every link the victim had, in either direction, is refused.
+        let links = overlay.graph().edges().filter_map(|e| {
+            let (from, to) = (overlay.instance(e.from), overlay.instance(e.to));
+            (from == victim || to == victim).then_some((from, to))
+        });
+        let mut refused = 0;
+        for (from, to) in links {
+            assert_eq!(
+                w.apply(&Mutation::SetLinkQos {
+                    from,
+                    to,
+                    bandwidth_kbps: 100,
+                    latency_us: 1,
+                }),
+                Err(WorldError::UnknownInstance(victim))
+            );
+            refused += 1;
+        }
+        assert!(refused >= 2, "the victim had links both ways");
+        assert_eq!(
+            w.apply(&Mutation::FailInstance { instance: victim }),
+            Err(WorldError::UnknownInstance(victim))
+        );
+        assert_eq!(w.epoch(), 1);
+    }
+
+    /// `apply(FailInstance)` publishes exactly the tombstone lineage: the
+    /// predecessor's overlay with the instance failed, and the predecessor's
+    /// table patched for that cut — the same weights, the same answers and
+    /// the same trees shared by pointer.
+    #[test]
+    fn a_failure_publishes_the_tombstone_lineages_table() {
+        let fx = random_fixture(
+            30,
+            &(0..5).map(ServiceId::new).collect::<Vec<_>>(),
+            3,
+            None,
+            7,
+        );
+        let mut w = World::new(fx);
+        let before = w.snapshot();
+        let victim = before
+            .overlay()
+            .graph()
+            .node_ids()
+            .map(|n| before.overlay().instance(n))
+            .find(|&i| i != w.source())
+            .unwrap();
+        let (overlay, cut) = before.overlay().with_failed(&[victim]);
+        let (table, _) = before.all_pairs().patched_with(overlay.graph(), &cut, 1);
+        w.apply(&Mutation::FailInstance { instance: victim })
+            .unwrap();
+        let after = w.snapshot();
+        let weights = |g: &OverlayGraph| g.graph().edges().map(|e| *e.weight).collect::<Vec<_>>();
+        assert_eq!(weights(after.overlay()), weights(&overlay));
+        assert_eq!(
+            after.all_pairs().shared_trees(before.all_pairs()),
+            table.shared_trees(before.all_pairs())
+        );
+        for u in overlay.graph().node_ids() {
+            for v in overlay.graph().node_ids() {
+                assert_eq!(after.all_pairs().qos(u, v), table.qos(u, v));
+                assert_eq!(after.all_pairs().path(u, v), table.path(u, v));
+            }
+        }
     }
 }

@@ -161,8 +161,8 @@ fn concurrent_clients_match_the_centralized_result() {
     let ledger = client.load_map().unwrap();
     assert!(ledger.links.is_empty(), "no leaked reservation: {ledger:?}");
 
-    // The structural mutation renumbers the overlay: no solve and no hop
-    // matrix of epoch 0 carries over. The key solved and released at epoch
+    // A failure starts a new epoch: no solve and no hop matrix of epoch 0
+    // carries over (the failed instance may have been a relay). The key solved and released at epoch
     // 0 had no booking for the repair to file, so it solves cold.
     match client
         .federate(DIAMOND_SPEC, Algorithm::Sflow, Some(3))
@@ -271,7 +271,7 @@ fn qos_mutations_patch_and_keep_the_hop_cache_warm() {
         other => panic!("expected Released, got {other:?}"),
     }
 
-    // An instance failure renumbers the overlay; the cache must clear.
+    // An instance failure starts a new epoch; the cache must clear.
     let expected = SflowAlgorithm::default()
         .federate(&probe.context(), &diamond_requirement())
         .unwrap();

@@ -24,8 +24,8 @@ fn solvers_under_churn_always_observe_consistent_snapshots() {
     const SOLVERS: usize = 8;
 
     // Services 0..=3 carry the requirement; service 4 exists to be failed,
-    // so instance failures renumber every overlay node without ever making
-    // the requirement unsatisfiable.
+    // so instance failures cut links without ever making the requirement
+    // unsatisfiable.
     let sids: Vec<ServiceId> = (0..5).map(ServiceId::new).collect();
     let fx = random_fixture(24, &sids, 3, None, 7);
     // The mutating client plans each mutation on a mirror of the server's
@@ -73,9 +73,9 @@ fn solvers_under_churn_always_observe_consistent_snapshots() {
         })
         .collect();
 
-    // The mutator: QoS-flap a source out-link on most ticks, fail a
-    // service-4 instance (forcing a full renumbering rebuild) on every
-    // tenth while any remain.
+    // The mutator: QoS-flap a source out-link to a live instance on most
+    // ticks, fail a service-4 instance (a tombstone: its links are cut) on
+    // every tenth while any remain.
     let mut mutator = Client::connect(addr).unwrap();
     let spare = ServiceId::new(4);
     for tick in 0..MUTATIONS {
@@ -95,8 +95,8 @@ fn solvers_under_churn_always_observe_consistent_snapshots() {
                 let link = overlay
                     .graph()
                     .out_edges(snapshot.source_node())
-                    .next()
-                    .expect("the source keeps an out-link");
+                    .find(|link| overlay.is_live(link.to))
+                    .expect("the source keeps an out-link to a live instance");
                 let congested = tick % 2 == 0;
                 Mutation::SetLinkQos {
                     from: overlay.instance(link.from),

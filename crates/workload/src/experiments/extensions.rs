@@ -131,13 +131,9 @@ pub fn run_agility(cfg: &SweepConfig) -> Vec<AgilityRow> {
                 .take(failures)
                 .map(|s| flow.instances()[&s])
                 .collect();
-            let degraded = t.fixture.overlay.without_instances(&victims);
-            let ap = degraded.all_pairs();
-            let Some(source) = degraded.node_of(t.fixture.overlay.instance(t.fixture.source))
-            else {
-                continue;
-            };
-            let ctx2 = FederationContext::new(&degraded, &ap, source);
+            let (degraded, cut) = t.fixture.overlay.with_failed(&victims);
+            let (ap, _) = t.fixture.all_pairs.patched_with(degraded.graph(), &cut, 1);
+            let ctx2 = FederationContext::new(&degraded, &ap, t.fixture.source);
             match repair(&ctx2, &t.requirement, &flow) {
                 Ok(outcome) => {
                     success.push(1.0);

@@ -6,7 +6,8 @@
 //! from scratch. On random Waxman worlds — every requirement kind, overlay
 //! caps none/1/2 — and random changes — a used or an unused link cut to
 //! zero, halved, widened or re-timed, a selected or an unselected instance
-//! failed — both must fail together or agree on every outcome field.
+//! failed (a tombstone, its table patched for the cut as the server does)
+//! — both must fail together or agree on every outcome field.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -20,7 +21,7 @@ use sflow_core::{
 };
 use sflow_graph::NodeIx;
 use sflow_net::{OverlayGraph, ServiceId};
-use sflow_routing::{Bandwidth, Latency, Qos};
+use sflow_routing::{AllPairs, Bandwidth, Latency, Qos};
 use sflow_workload::generator::{random_requirement, RequirementKind};
 
 const KINDS: [RequirementKind; 4] = [
@@ -70,16 +71,17 @@ fn reference(
     })
 }
 
-/// Repairs `previous` over `overlay` both ways and requires the same answer.
+/// Repairs `previous` over `overlay` routed by `table` both ways and
+/// requires the same answer.
 fn assert_repairs_agree(
     overlay: &OverlayGraph,
+    table: &AllPairs,
     source: NodeIx,
     req: &ServiceRequirement,
     previous: &FlowGraph,
     what: &str,
 ) {
-    let table = overlay.all_pairs();
-    let ctx = FederationContext::new(overlay, &table, source);
+    let ctx = FederationContext::new(overlay, table, source);
     match (repair(&ctx, req, previous), reference(&ctx, req, previous)) {
         (Err(_), Err(_)) => {}
         (Ok(got), Ok(want)) => {
@@ -157,7 +159,8 @@ proptest! {
             for (change, new) in changes(qos) {
                 let (overlay, _) = fx.overlay.with_link_qos(from, to, new).unwrap();
                 let what = format!("seed {seed}: {change} {role} link {from:?}>{to:?}");
-                assert_repairs_agree(&overlay, fx.source, &req, &flow, &what);
+                let table = overlay.all_pairs();
+                assert_repairs_agree(&overlay, &table, fx.source, &req, &flow, &what);
             }
         }
 
@@ -172,10 +175,10 @@ proptest! {
         ];
         for (role, victim) in victims {
             let Some(&victim) = victim else { continue };
-            let overlay = fx.overlay.without_instances(&[fx.overlay.instance(victim)]);
-            let source = overlay.node_of(fx.overlay.instance(fx.source)).unwrap();
+            let (overlay, cut) = fx.overlay.with_failed(&[fx.overlay.instance(victim)]);
+            let (table, _) = fx.all_pairs.patched_with(overlay.graph(), &cut, 1);
             let what = format!("seed {seed}: failed {role} instance {victim:?}");
-            assert_repairs_agree(&overlay, source, &req, &flow, &what);
+            assert_repairs_agree(&overlay, &table, fx.source, &req, &flow, &what);
         }
     }
 }

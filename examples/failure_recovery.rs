@@ -1,7 +1,8 @@
 //! Agile federation: instance failures and minimal-disruption repair.
 //!
 //! A media-ish federation runs; we kill the selected instance of one service
-//! (then two at once), rebuild the overlay without the casualties, and
+//! (then two at once), tombstone the casualties — their links are cut, and
+//! the routing table is patched for the cut rather than rebuilt — and
 //! repair. Surviving selections are pinned — only the broken parts of the
 //! flow graph move.
 //!
@@ -44,12 +45,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Failure 1: the selected instance of service 1 dies.
     let victim = flow.instances()[&services[1]];
     println!("✗ instance {victim} fails\n");
-    let degraded = overlay.without_instances(&[victim]);
-    let ap2 = degraded.all_pairs();
-    let src2 = degraded
-        .node_of(overlay.instance(source))
-        .expect("source survived");
-    let ctx2 = FederationContext::new(&degraded, &ap2, src2);
+    let (degraded, cut) = overlay.with_failed(&[victim]);
+    let (ap2, _) = ap.patched_with(degraded.graph(), &cut, 1);
+    let ctx2 = FederationContext::new(&degraded, &ap2, source);
     let outcome = repair(&ctx2, &req, &flow)?;
     println!("repaired federation:\n{}", outcome.flow);
     println!(
@@ -63,12 +61,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         outcome.flow.instances()[&services[3]],
     ];
     println!("✗ instances {} and {} fail\n", victims[0], victims[1]);
-    let degraded2 = degraded.without_instances(&victims);
-    let ap3 = degraded2.all_pairs();
-    let src3 = degraded2
-        .node_of(overlay.instance(source))
-        .expect("source survived");
-    let ctx3 = FederationContext::new(&degraded2, &ap3, src3);
+    let (degraded2, cut) = degraded.with_failed(&victims);
+    let (ap3, _) = ap2.patched_with(degraded2.graph(), &cut, 1);
+    let ctx3 = FederationContext::new(&degraded2, &ap3, source);
     let outcome2 = repair(&ctx3, &req, &outcome.flow)?;
     println!("repaired federation:\n{}", outcome2.flow);
     println!(
