@@ -110,7 +110,6 @@ fn replay(
     let config = ServerConfig {
         residual,
         solve_cache: false, // independent sessions, see the module docs
-        route_workers: 1,
         ..ServerConfig::default()
     };
     let handle = serve(World::new(fixture), &config).unwrap();
@@ -195,7 +194,6 @@ fn replay_blind_and_rebalance(
     let config = ServerConfig {
         residual: false,
         solve_cache: false, // independent sessions, see the module docs
-        route_workers: 1,
         ..ServerConfig::default()
     };
     let handle = serve(World::new(fixture), &config).unwrap();

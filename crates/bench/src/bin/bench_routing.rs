@@ -1,10 +1,8 @@
 //! `bench_routing` — evidence emitter for the routing engine.
 //!
 //! Times the two ways the workspace builds/maintains its all-pairs
-//! shortest-widest table — a from-scratch build across a worker sweep
-//! ([`all_pairs_parallel_with`] at 1/2/4/8 workers, where 1 worker is the
-//! sequential [`all_pairs`](sflow_routing::all_pairs) path) and
-//! incremental epoch derivation
+//! shortest-widest table — a from-scratch sequential build ([`all_pairs`],
+//! `build_us`) and incremental epoch derivation
 //! ([`patched_with`](sflow_routing::AllPairs::patched_with)) — over the
 //! paper's Fig. 4 overlay, a 200-node random overlay, the 80-instance
 //! overlay `bench_e2e` serves (`waxman-400-overlay`) and 2k/10k-node Waxman
@@ -96,20 +94,16 @@
 //! [`MAX_FAIL_SHARE`] of `reference_ms`, medians of [`FAIL_REPS`]
 //! interleaved runs.
 //!
-//! A worker-sweep point gets a `speedup_vs_w1` ratio only when the box has
-//! at least that many cores (`available_parallelism` is recorded): beyond
-//! that the threads time-share and the ratio is noise, so the timing is
-//! emitted and the ratio omitted. Pass `--max-nodes N` to skip worlds
-//! larger than `N` (CI uses `--max-nodes 2000`; the 10k world is a local
-//! run).
+//! Everything runs on the caller's thread; `available_parallelism` is
+//! recorded as a fact about the machine. Pass `--max-nodes N` to skip
+//! worlds larger than `N` (CI uses `--max-nodes 2000`; the 10k world is a
+//! local run).
 
 #![forbid(unsafe_code)]
 #![expect(clippy::print_stdout)]
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::hint::black_box;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::thread;
 use std::time::Instant;
 
 use rand::rngs::StdRng;
@@ -124,16 +118,12 @@ use sflow_graph::{DiGraph, EdgeIx, NodeIx};
 use sflow_net::{HostId, OverlayGraph, ServiceId, ServiceInstance};
 use sflow_routing::shortest_widest::single_source_csr;
 use sflow_routing::{
-    all_pairs_parallel_with, auto_workers, AllPairs, Bandwidth, DijkstraScratch, EdgeChange,
-    Latency, Qos, QosCsr,
+    all_pairs, AllPairs, Bandwidth, DijkstraScratch, EdgeChange, Latency, Qos, QosCsr,
 };
 use sflow_workload::generator::{mixed_kind, random_requirement};
 
-/// Worker counts swept for the build rows.
-const WORKER_SWEEP: [usize; 4] = [1, 2, 4, 8];
-
 /// Timing repetitions per measurement (median reported), scaled down for
-/// the big worlds so the sweep stays tractable on one core.
+/// the big worlds so a run stays tractable.
 fn reps_for(nodes: usize) -> usize {
     if nodes <= 500 {
         5
@@ -256,12 +246,6 @@ fn waxman_overlay(nodes: usize, target_out_degree: f64, seed: u64) -> DiGraph<()
         }
     }
     g
-}
-
-/// One point of the build worker sweep.
-struct BuildPoint {
-    workers: usize,
-    us: u128,
 }
 
 /// Aggregated patch stats for one direction (cut or restore). `coarse`
@@ -769,7 +753,8 @@ struct WorldReport {
     nodes: usize,
     edges: usize,
     reps: usize,
-    build: Vec<BuildPoint>,
+    /// One sequential [`all_pairs`] build, µs.
+    build_us: u128,
     csr_build_us: u128,
     csr_reweight_us: u128,
     kernel: KernelSweep,
@@ -789,8 +774,8 @@ struct WorldReport {
 
 /// Writes `batch` (`(edge, before, after)` per link, all one way) into
 /// `world`, patches `table` for it and books the sample under `dir`,
-/// asserting what every patch must hold: no full rebuild, clean trees
-/// shared by pointer, never dirtier than the coarse rule.
+/// asserting what every patch must hold: clean trees shared by pointer,
+/// never dirtier than the coarse rule.
 ///
 /// A patch that recomputed no tree is booked as a plan sample as well. So
 /// is a cut that did recompute some, replayed against the table it
@@ -819,7 +804,7 @@ fn patch_sample<N>(
         coarse_restore_trees(world, &edges)
     };
     let started = Instant::now();
-    let (next, stats) = table.patched_with(world, &changes, 0);
+    let (next, stats) = table.patched_with(world, &changes, 1);
     let planned = started.elapsed();
     if pure_cut {
         let shares = moved_shares(table, &next);
@@ -841,7 +826,7 @@ fn patch_sample<N>(
         dir.plans.push(us);
     } else if pure_cut {
         let started = Instant::now();
-        let (replayed, replay) = next.patched_with(world, &changes, 0);
+        let (replayed, replay) = next.patched_with(world, &changes, 1);
         dir.plans.push(started.elapsed().as_micros());
         drop(replayed);
         assert_eq!(
@@ -849,7 +834,6 @@ fn patch_sample<N>(
             "a cut replayed on its own successor"
         );
     }
-    assert!(!stats.full_rebuild, "QoS-only change must not full-rebuild");
     assert_eq!(
         table.shared_trees(&next),
         table.materialised() - stats.trees_recomputed,
@@ -881,29 +865,11 @@ fn moved_shares(pred: &AllPairs, next: &AllPairs) -> Vec<f64> {
         .collect()
 }
 
-/// Reads every row of `table`, sweeping its stale slots on the pool a patch
-/// swept its dirty trees on before they were left stale: [`auto_workers`]
-/// scoped threads claiming rows off one counter, or the caller's thread
-/// when at most one slot is stale.
+/// Reads every row of `table` on the caller's thread, sweeping its stale
+/// and shadowed slots.
 fn read_every_row(table: &AllPairs) {
-    let rows = table.len();
-    let workers = auto_workers().min(rows - table.materialised());
-    let next = AtomicUsize::new(0);
-    let claim = || loop {
-        let row = next.fetch_add(1, Ordering::Relaxed);
-        if row >= rows {
-            break;
-        }
+    for row in 0..table.len() {
         table.tree(NodeIx::from_index(row));
-    };
-    if workers <= 1 {
-        claim();
-    } else {
-        thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(claim);
-            }
-        });
     }
 }
 
@@ -940,18 +906,11 @@ fn slow(w: Qos) -> Option<Qos> {
 /// recorded a label across the edge.
 fn measure<N: Clone>(name: &'static str, g: &DiGraph<N, Qos>, seed: u64) -> WorldReport {
     let reps = reps_for(g.node_count());
-    // Any sweep build serves as the patch baseline — the table is
-    // observationally identical at every worker count (property-tested),
-    // and keeping one saves a fifth full build on the 10k world.
+    // The last timed build serves as the patch baseline, which saves a
+    // second full build on the 10k world.
     let mut baseline = None;
-    let build: Vec<BuildPoint> = WORKER_SWEEP
-        .iter()
-        .map(|&w| BuildPoint {
-            workers: w,
-            us: time_us(reps, || baseline = Some(all_pairs_parallel_with(g, w))),
-        })
-        .collect();
-    let baseline = baseline.expect("worker sweep is non-empty");
+    let build_us = time_us(reps, || baseline = Some(all_pairs(g)));
+    let baseline = baseline.expect("a timed build ran");
     let trees_total = baseline.len();
 
     let csr = QosCsr::new(g);
@@ -974,7 +933,7 @@ fn measure<N: Clone>(name: &'static str, g: &DiGraph<N, Qos>, seed: u64) -> Worl
         nodes: world.node_count(),
         edges: world.edge_count(),
         reps,
-        build,
+        build_us,
         csr_build_us,
         csr_reweight_us,
         kernel: kernel_sweep(g),
@@ -1049,26 +1008,6 @@ fn measure<N: Clone>(name: &'static str, g: &DiGraph<N, Qos>, seed: u64) -> Worl
 }
 
 fn world_json(r: &WorldReport) -> String {
-    let w1_us = r.build.first().map_or(1, |b| b.us).max(1);
-    let build: Vec<String> = r
-        .build
-        .iter()
-        .map(|b| {
-            // More workers than cores time-share: the ratio would be noise.
-            let speedup = if b.workers <= auto_workers() {
-                format!(
-                    ", \"speedup_vs_w1\": {:.2}",
-                    w1_us as f64 / b.us.max(1) as f64
-                )
-            } else {
-                String::new()
-            };
-            format!(
-                "        {{\"workers\": {}, \"us\": {}{}}}",
-                b.workers, b.us, speedup,
-            )
-        })
-        .collect();
     // A cut row also says how much of each tree it invalidated it moved.
     let dir_json = |d: &PatchDir, cut: bool| {
         let moved = if cut {
@@ -1094,7 +1033,7 @@ fn world_json(r: &WorldReport) -> String {
     let avg_reported = reported.iter().sum::<u64>() as f64 / reported.len().max(1) as f64;
     format!(
         "    {{\n      \"name\": \"{}\",\n      \"nodes\": {},\n      \"edges\": {},\n      \
-         \"reps\": {},\n      \"build\": [\n{}\n      ],\n      \
+         \"reps\": {},\n      \"build_us\": {},\n      \
          \"csr_build_us\": {},\n      \"csr_reweight_us\": {},\n      \
          \"kernel\": {{\"us_per_tree\": {:.1}, \"levels_per_source_mean\": {:.2}, \
          \"label_updates_per_source_mean\": {:.2}, \"pred_entries_per_tree_mean\": {:.2}, \
@@ -1110,7 +1049,7 @@ fn world_json(r: &WorldReport) -> String {
         r.nodes,
         r.edges,
         r.reps,
-        build.join(",\n"),
+        r.build_us,
         r.csr_build_us,
         r.csr_reweight_us,
         r.kernel.us_per_tree,
@@ -1216,18 +1155,13 @@ fn main() {
     }
 
     for r in &reports {
-        let sweep: Vec<String> = r
-            .build
-            .iter()
-            .map(|b| format!("w{}={} µs", b.workers, b.us))
-            .collect();
         println!(
-            "{}: {} nodes / {} edges — build [{}], CSR index {} µs (reweight {} µs), \
+            "{}: {} nodes / {} edges — build {} µs, CSR index {} µs (reweight {} µs), \
              min shared {}",
             r.name,
             r.nodes,
             r.edges,
-            sweep.join(", "),
+            r.build_us,
             r.csr_build_us,
             r.csr_reweight_us,
             r.min_trees_shared,
@@ -1314,12 +1248,11 @@ fn main() {
     let worlds: Vec<String> = reports.iter().map(world_json).collect();
     let json = format!(
         "{{\n  \"generated_by\": \"bench_routing\",\n  \"available_parallelism\": {},\n  \
-         \"workers_sweep\": {:?},\n  \"underlay_pricing\": {{\"world\": \"waxman-400\", \
+         \"underlay_pricing\": {{\"world\": \"waxman-400\", \
          \"hosts\": {}, \"pairs\": {}, \"levels_per_tree_mean\": {:.2}, \
          \"per_host_trees_ms\": {:.2}, \"pair_qos_ms\": {:.2}}},\n  \
          \"repair_reprice\": {},\n  \"fail_instance\": {},\n  \"worlds\": [\n{}\n  ]\n}}\n",
-        auto_workers(),
-        WORKER_SWEEP,
+        std::thread::available_parallelism().map_or(1, |n| n.get()),
         pricing.hosts,
         pricing.pairs,
         pricing.levels_mean,

@@ -1,37 +1,27 @@
-//! The all-pairs routing *engine*: parallel construction and incremental
-//! maintenance of the [`AllPairs`] shortest-widest table.
+//! The all-pairs routing *engine*: incremental maintenance of the
+//! [`AllPairs`] shortest-widest table.
 //!
 //! The sequential [`all_pairs`](crate::all_pairs) sweep is one
 //! shortest-widest tree per node; both the paper's baseline algorithm
 //! (Table 1) and sFlow's per-hop local solves stand on its output, and a
-//! long-lived federation server re-derives it on every topology mutation.
-//! This module attacks that cost twice:
+//! long-lived federation server would re-derive it on every topology
+//! mutation. This module derives a successor instead:
+//! [`AllPairs::patched_with`] takes the table after a batch of
+//! [`EdgeChange`]s by invalidating only the source trees that can actually
+//! be affected; it shares every clean tree with its predecessor by `Arc`
+//! pointer and leaves every invalidated slot *shadowed* (after a pure
+//! bandwidth cut: the old tree still answers for the destinations the cut
+//! did not move) or *stale*, to be swept on the first read that needs it —
+//! the per-epoch cost is a plan, never a copy of the world, and a row is
+//! routed only when a read needs it. A table carries the
+//! [`QosCsr`](crate::QosCsr) of its graph, and the successor's is that one
+//! reweighted ([`QosCsr::reweighted`](crate::QosCsr::reweighted): the
+//! topology shared, `O(E)` with no sort), not a fresh derivation.
 //!
-//! * [`all_pairs_parallel_with`] derives one [`QosCsr`] for the graph and
-//!   fans the per-source [`single_source_csr`] calls across a
-//!   `std::thread::scope` worker pool (sized by [`auto_workers`], i.e. a
-//!   cached `available_parallelism`, when asked for `0` workers), with one
-//!   reusable [`DijkstraScratch`] per worker so a tree allocates only what
-//!   it keeps. Sources are claimed off an atomic counter — work-stealing granularity of one tree — so
-//!   skewed per-source costs (hub nodes see more levels) still balance.
-//!   Because workers read only the CSR, the node payload `N` needs no
-//!   `Sync` bound.
-//! * [`AllPairs::patched_with`] derives a *successor* table after a batch
-//!   of [`EdgeChange`]s by invalidating only the source trees that can
-//!   actually be affected; it shares every clean tree with its predecessor
-//!   by `Arc` pointer and leaves every invalidated slot *shadowed* (after
-//!   a pure bandwidth cut: the old tree still answers for the destinations
-//!   the cut did not move) or *stale*, to be swept on the first read that
-//!   needs it — the per-epoch cost is a plan, never a copy of the world,
-//!   and a row is routed only when a read needs it. A table carries the
-//!   [`QosCsr`] of its graph, and the successor's is that one
-//!   reweighted ([`QosCsr::reweighted`]: the topology shared, `O(E)` with
-//!   no sort), not a fresh derivation.
-//!
-//! Builds funnel into one non-generic `compute_trees` over [`QosCsr`], and
-//! a stale slot is swept by the same [`single_source_csr`] over the
-//! table's own CSR, so the kernel and its fan-out are compiled once, in
-//! this crate: what a build and a sweep cost does not depend on which
+//! A build and a stale slot's sweep both run the same non-generic
+//! [`single_source_csr`](crate::shortest_widest::single_source_csr) over a
+//! table's own CSR, on the caller's thread, so the kernel is compiled once,
+//! in this crate: what a build and a sweep cost does not depend on which
 //! downstream crate asked.
 //!
 //! # Dirty rules and why they are sound
@@ -132,12 +122,12 @@
 //! **Bandwidth cuts** (`bw₁ < bw₀`) remove `e` from the levels in
 //! `(bw₁, bw₀]` and leave the rest untouched, so the tree is dirty only if
 //! a *reported* path crosses `e` at a level above `bw₁`
-//! ([`PathTree::traverses_above`] with `bw₁` as the edge's floor). Removing
-//! an edge drops a constraint, so the potential stays feasible; if the edge
-//! sat under a label nobody reports, that label is now the price of a chain
-//! the level no longer has, but still a feasible bound — which is why such
-//! an edge must not be re-timed under the tree afterwards, and is not: the
-//! entry still names it.
+//! ([`PathTree::traverses_above`](crate::PathTree::traverses_above) with
+//! `bw₁` as the edge's floor). Removing an edge drops a constraint, so the
+//! potential stays feasible; if the edge sat under a label nobody reports,
+//! that label is now the price of a chain the level no longer has, but
+//! still a feasible bound — which is why such an edge must not be re-timed
+//! under the tree afterwards, and is not: the entry still names it.
 //!
 //! *Asking the heads first.* A reported path at level `b` is rebuilt by
 //! reading every node on it at `b`, so it steps into `v` over `e` exactly
@@ -223,8 +213,10 @@
 //! table's one level is not a latency Dijkstra, and such tables are never
 //! patched.
 //!
-//! Structural changes (node add/remove, i.e. a table/graph size mismatch)
-//! fall back to a full parallel rebuild. The property tests in
+//! A patch never adds or removes a node: a failed instance is a tombstone
+//! whose links are cut, so the graph keeps the table's numbering, and a
+//! graph of another size is a caller's bug the patch refuses. The property
+//! tests in
 //! `tests/prop_engine.rs` check patches — single batches, sequences of
 //! batches, cut-then-restore pairs, lineages read only in part between
 //! batches — against a from-scratch rebuild in QoS and path, that the
@@ -236,15 +228,11 @@
 //! row exactly when a cut moved the destination read, or a gain or
 //! re-timing left the row stale.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
-use std::thread;
+use std::sync::Arc;
 
 use sflow_graph::{DiGraph, EdgeIx, NodeIx};
 
-use crate::shortest_widest::{
-    single_source_csr, AllPairs, DijkstraScratch, PathTree, QosCsr, Shadow, Slot, TraversalScratch,
-};
+use crate::shortest_widest::{AllPairs, Shadow, Slot, TraversalScratch};
 use crate::{Bandwidth, Latency, Qos};
 
 /// One edge whose QoS changed, described by before/after weights.
@@ -292,93 +280,11 @@ impl EdgeChange {
 pub struct PatchStats {
     /// Materialised trees this patch invalidated, each swept again on the
     /// first read of a destination it moved (after a gain or a re-timing,
-    /// every destination counts as moved); a full rebuild counts every
-    /// tree. The successor shares `materialised(pred) − trees_recomputed`
-    /// trees with its predecessor.
+    /// every destination counts as moved). The successor shares
+    /// `materialised(pred) − trees_recomputed` trees with its predecessor.
     pub trees_recomputed: usize,
     /// Source trees in the table (== node count).
     pub trees_total: usize,
-    /// `true` if the patch degenerated to a full rebuild (structural
-    /// change).
-    pub full_rebuild: bool,
-}
-
-/// The number of routing workers `available_parallelism` suggests (≥ 1).
-///
-/// The lookup is a syscall on most platforms; the answer is cached in a
-/// `OnceLock` so per-patch callers pay it exactly once per process.
-pub fn auto_workers() -> usize {
-    static WORKERS: OnceLock<usize> = OnceLock::new();
-    *WORKERS.get_or_init(|| thread::available_parallelism().map_or(1, |n| n.get()))
-}
-
-/// [`all_pairs`](crate::all_pairs) computed on a scoped worker pool (`0`
-/// workers means [`auto_workers`]; the pool never exceeds the number of
-/// sources, and one worker sweeps inline on the caller's thread). Results
-/// are identical to the sequential sweep.
-pub fn all_pairs_parallel_with<N>(g: &DiGraph<N, Qos>, workers: usize) -> AllPairs {
-    let sources: Vec<NodeIx> = g.node_ids().collect();
-    let csr = Arc::new(QosCsr::new(g));
-    AllPairs::swept(compute_trees(&csr, &sources, workers), csr)
-}
-
-/// Computes one tree per listed source, in list order, fanning the sources
-/// over `workers` scoped threads (`0` = [`auto_workers`], never more than
-/// there are sources; atomic work stealing, one scratch per worker). With 1
-/// worker the sweep runs inline on the caller's thread. All workers read the
-/// same [`QosCsr`], so no graph payload bounds are needed. Deliberately not
-/// generic and not `#[inline]`: every build and patch in the workspace runs
-/// this one compiled copy.
-#[expect(
-    clippy::expect_used,
-    reason = "the workers claim disjoint source indices that cover the list"
-)]
-fn compute_trees(csr: &QosCsr, sources: &[NodeIx], workers: usize) -> Vec<Arc<PathTree>> {
-    let workers = if workers == 0 {
-        auto_workers()
-    } else {
-        workers
-    };
-    if workers.min(sources.len()) <= 1 {
-        let mut scratch = DijkstraScratch::new();
-        return sources
-            .iter()
-            .map(|&s| Arc::new(single_source_csr(csr, s, &mut scratch)))
-            .collect();
-    }
-    let next = AtomicUsize::new(0);
-    #[expect(
-        clippy::expect_used,
-        reason = "a routing worker's panic is fatal by design"
-    )]
-    let computed: Vec<Vec<(usize, Arc<PathTree>)>> = thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers.min(sources.len()))
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut scratch = DijkstraScratch::new();
-                    let mut mine = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some(&s) = sources.get(i) else { break };
-                        mine.push((i, Arc::new(single_source_csr(csr, s, &mut scratch))));
-                    }
-                    mine
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("routing worker panicked"))
-            .collect()
-    });
-    let mut trees: Vec<Option<Arc<PathTree>>> = vec![None; sources.len()];
-    for (i, tree) in computed.into_iter().flatten() {
-        trees[i] = Some(tree);
-    }
-    trees
-        .into_iter()
-        .map(|t| t.expect("every source index is claimed exactly once"))
-        .collect()
 }
 
 /// Folds a batch to one record per edge, sorted by edge: the first `old`
@@ -398,9 +304,9 @@ impl AllPairs {
     /// Derives the table for a graph whose edge QoS changed, invalidating
     /// only the source trees the changes can affect (see the module docs
     /// for the dirty rules and why they are sound). `g` must already carry
-    /// the new weights. `workers` sizes the full rebuild a structural
-    /// change falls back to (`0` = auto); a QoS patch sweeps nothing
-    /// itself.
+    /// the new weights, on the nodes and edges the table was swept over.
+    /// `_workers` is read by nothing: a patch sweeps nothing itself, and no
+    /// table is built on a pool. It stays for the callers that pass it.
     ///
     /// Copy-on-write: `self` is an immutable predecessor and the result a
     /// *fresh* table. Every materialised tree the plan keeps is shared with
@@ -411,36 +317,32 @@ impl AllPairs {
     /// slot that was stale already. A slot is swept on the first read
     /// that needs it, against the successor's CSR. Deriving the successor
     /// therefore costs the plan, one reweighting of the predecessor's
-    /// [`QosCsr`] and a refcount bump per kept tree or shadow, never a
+    /// [`QosCsr`](crate::QosCsr) and a refcount bump per kept tree or shadow, never a
     /// copy of the table, and no Dijkstra. Readers concurrently solving
     /// against the predecessor are never disturbed — this is the routing
     /// half of an epoch-published world, where the successor table is
     /// assembled entirely off-lock and swapped in with one pointer store.
     ///
-    /// Falls back to a full parallel rebuild when the table and graph
-    /// disagree on node count (nodes were added or removed).
+    /// # Panics
+    ///
+    /// If `g` has another node count than the table: no mutation renumbers
+    /// a graph (a failed instance is a tombstone), so a patch never needs
+    /// a full build.
     pub fn patched_with<N>(
         &self,
         g: &DiGraph<N, Qos>,
         changes: &[EdgeChange],
-        workers: usize,
+        _workers: usize,
     ) -> (AllPairs, PatchStats) {
         let n = g.node_count();
-        if n != self.trees.len() {
-            let next = all_pairs_parallel_with(g, workers);
-            return (
-                next,
-                PatchStats {
-                    trees_recomputed: n,
-                    trees_total: n,
-                    full_rebuild: true,
-                },
-            );
-        }
+        assert_eq!(
+            n,
+            self.trees.len(),
+            "a patch keeps the table's numbering: the graph must have its node count"
+        );
         let mut stats = PatchStats {
             trees_recomputed: 0,
             trees_total: n,
-            full_rebuild: false,
         };
         let changes = coalesce(g, changes);
         if changes.is_empty() {
@@ -547,13 +449,14 @@ impl<'a, N> Plan<'a, N> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::shortest_widest::{all_pairs, SWEEP_SCRATCH};
+    use crate::shortest_widest::{all_pairs, PathTree, SWEEP_SCRATCH};
     use crate::{Latency, Qos};
+    use std::thread as threads;
 
     impl AllPairs {
-        /// [`AllPairs::patched_with`] assigned in place with [`auto_workers`].
+        /// [`AllPairs::patched_with`] assigned in place.
         fn patch<N>(&mut self, g: &DiGraph<N, Qos>, changes: &[EdgeChange]) -> PatchStats {
-            let (next, stats) = self.patched_with(g, changes, 0);
+            let (next, stats) = self.patched_with(g, changes, 1);
             *self = next;
             stats
         }
@@ -588,28 +491,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_matches_sequential() {
-        let (g, ..) = world();
-        for workers in [0, 1, 2, 7, 64] {
-            let par = all_pairs_parallel_with(&g, workers);
-            assert_tables_equal(&par, &all_pairs(&g), &g);
-        }
-    }
-
-    #[test]
-    fn parallel_handles_empty_graph() {
-        let g: DiGraph<(), Qos> = DiGraph::new();
-        assert!(all_pairs_parallel_with(&g, 0).is_empty());
-        assert!(all_pairs_parallel_with(&g, 8).is_empty());
-    }
-
-    #[test]
-    fn auto_workers_is_cached_and_positive() {
-        assert!(auto_workers() >= 1);
-        assert_eq!(auto_workers(), auto_workers());
-    }
-
-    #[test]
     fn noop_change_recomputes_nothing() {
         let (g, _, e) = world();
         let mut ap = all_pairs(&g);
@@ -622,7 +503,6 @@ mod tests {
             }],
         );
         assert_eq!(stats.trees_recomputed, 0);
-        assert!(!stats.full_rebuild);
         assert_tables_equal(&ap, &all_pairs(&g), &g);
     }
 
@@ -811,10 +691,9 @@ mod tests {
                 old,
                 new: q(3, 4),
             }],
-            0,
+            1,
         );
         assert_eq!(stats.trees_recomputed, 2);
-        assert!(!stats.full_rebuild);
         // The successor matches a from-scratch rebuild of the new graph…
         assert_tables_equal(&next, &all_pairs(&g), &g);
         // …while the predecessor still answers with the pre-change QoS.
@@ -835,7 +714,7 @@ mod tests {
                 old,
                 new: q(3, 4),
             }],
-            0,
+            1,
         );
         // Every clean tree is the predecessor's Arc, not a copy; the two
         // the patch invalidated are stale until read.
@@ -847,7 +726,7 @@ mod tests {
         assert_eq!(next.materialised(), next.len() - 2);
         // A no-op patch shares every materialised tree and leaves the stale
         // slots stale.
-        let (same, stats) = next.patched_with(&g, &[], 0);
+        let (same, stats) = next.patched_with(&g, &[], 1);
         assert_eq!(stats.trees_recomputed, 0);
         assert_eq!(next.shared_trees(&same), next.materialised());
         assert_eq!(same.materialised(), next.materialised());
@@ -863,7 +742,7 @@ mod tests {
             old: q(10, 1),
             new: q(3, 4),
         };
-        let (second, stats) = first.patched_with(&g, &[change], 0);
+        let (second, stats) = first.patched_with(&g, &[change], 1);
         assert_eq!(stats.trees_recomputed, 2); // n0 and n1, both stale now
         let second_graph = g.clone();
         // A second patch plans only what is materialised: n0's and n1's
@@ -874,7 +753,7 @@ mod tests {
             old: q(10, 1),
             new: q(10, 9),
         };
-        let (third, stats) = second.patched_with(&g, &[change], 0);
+        let (third, stats) = second.patched_with(&g, &[change], 1);
         assert_eq!(stats.trees_recomputed, 1); // n2; n0 and n1 are not counted
         assert_eq!(third.materialised(), 2);
         assert_eq!(second.shared_trees(&third), 3 - 1);
@@ -895,14 +774,14 @@ mod tests {
             old: q(10, 1),
             new: q(4, 1),
         };
-        let (table, stats) = before.patched_with(&g, &[change], 0);
+        let (table, stats) = before.patched_with(&g, &[change], 1);
         assert!(stats.trees_recomputed > 0);
         assert!(
             table.trees[n[0].index()].tree.get().is_none(),
             "n0's slot is stale"
         );
         let gate = std::sync::Barrier::new(8);
-        let (trees, swept): (Vec<&PathTree>, Vec<u64>) = thread::scope(|scope| {
+        let (trees, swept): (Vec<&PathTree>, Vec<u64>) = threads::scope(|scope| {
             let readers: Vec<_> = (0..8)
                 .map(|_| {
                     scope.spawn(|| {
@@ -926,15 +805,13 @@ mod tests {
     }
 
     #[test]
-    fn structural_mismatch_forces_full_rebuild() {
+    #[should_panic(expected = "a patch keeps the table's numbering")]
+    fn a_graph_of_another_size_is_refused() {
         let (mut g, ..) = world();
-        let mut ap = all_pairs(&g);
+        let ap = all_pairs(&g);
         let extra = g.add_node(());
         g.add_edge(extra, NodeIx::from_index(0), q(5, 5));
-        let stats = ap.patch(&g, &[]);
-        assert!(stats.full_rebuild);
-        assert_eq!(stats.trees_recomputed, g.node_count());
-        assert_tables_equal(&ap, &all_pairs(&g), &g);
+        let _ = ap.patched_with(&g, &[], 1);
     }
 
     #[test]

@@ -22,11 +22,10 @@
 //!   as ablation baselines;
 //! * [`AllPairs`]: the all-pairs table the sFlow baseline algorithm (Table 1
 //!   of the paper) starts from;
-//! * [`engine`]: parallel all-pairs construction over a scoped worker pool
-//!   ([`all_pairs_parallel_with`]) and incremental maintenance after
-//!   edge-QoS changes ([`AllPairs::patched_with`]), with per-worker
-//!   [`DijkstraScratch`] buffer reuse. Every
-//!   table is swept by one concrete kernel
+//! * [`engine`]: incremental maintenance of an all-pairs table after
+//!   edge-QoS changes ([`AllPairs::patched_with`]). Every table is built
+//!   sequentially ([`all_pairs`], one reused [`DijkstraScratch`]) and
+//!   swept by one concrete kernel
 //!   ([`shortest_widest::single_source_csr`], a widest pass and then the
 //!   level sweep) over one layout, [`QosCsr`] —
 //!   a compressed-sparse-row flattening of the graph's adjacency with the
@@ -79,7 +78,7 @@ mod metrics;
 pub mod pareto;
 pub mod shortest_widest;
 
-pub use engine::{all_pairs_parallel_with, auto_workers, EdgeChange, PatchStats};
+pub use engine::{EdgeChange, PatchStats};
 pub use forest::WidestForest;
 pub use metrics::{Bandwidth, Latency, Qos};
 pub use shortest_widest::{

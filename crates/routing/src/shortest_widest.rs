@@ -55,9 +55,9 @@
 //! [`single_source_csr`] sweeps a [`QosCsr`] — a compressed-sparse-row
 //! flattening of the graph with the edge weights in slot-parallel arrays — so
 //! the inner loops march forward through flat arrays instead of chasing
-//! `Vec<EdgeIx>` indirections per visited edge. [`all_pairs`], the parallel
-//! builder and the incremental patcher in [`crate::engine`] derive the CSR
-//! once per graph and call the kernel per source; the one-shot
+//! `Vec<EdgeIx>` indirections per visited edge. [`all_pairs`] derives the
+//! CSR once per graph and calls the kernel per source, and the incremental
+//! patcher in [`crate::engine`] reweights it; the one-shot
 //! [`single_source`] derives a CSR for its single sweep. The kernel is two
 //! passes: the widest pass names every reachable node's level, and one
 //! level sweep settles the nodes it is told to, each at the bandwidth named
@@ -780,7 +780,7 @@ impl DijkstraScratch {
 /// forward together — no detour through the edge arena per visited edge —
 /// and the slots are listed once more sorted by bandwidth, the order the
 /// descending sweep admits them in. Derive one per graph
-/// (`O(V + E log E)`) and share it read-only across however many workers
+/// (`O(V + E log E)`) and share it read-only across however many readers
 /// sweep it; once the weights move, [`QosCsr::reweighted`] derives the
 /// next one in `O(E)` and shares the topology with this one.
 #[derive(Clone, Debug)]

@@ -242,9 +242,6 @@ pub struct LoadPlane {
     /// view), never taken under the sessions lock. Sweeps run outside it,
     /// on read.
     last: Arc<Lock<Materialised>>,
-    /// Sizes the deferred patch's rebuild, were it ever structural (`0` =
-    /// auto).
-    workers: usize,
 }
 
 impl LoadPlane {
@@ -252,7 +249,7 @@ impl LoadPlane {
     /// view *is* the raw overlay and its table, shared with the snapshot by
     /// pointer — publishing a new epoch costs a few `Arc` clones.
     pub fn fresh(snapshot: &Arc<WorldSnapshot>) -> Self {
-        LoadPlane::rebased(snapshot, LoadMap::default(), 0)
+        LoadPlane::rebased(snapshot, LoadMap::default(), 1)
     }
 
     /// Rebuilds the plane for `snapshot` from a ledger recomputed out of
@@ -260,9 +257,10 @@ impl LoadPlane {
     /// One pass over the ledger drops the links whose endpoints no longer
     /// exist and finds whether any surviving reservation clamps a link; if
     /// none does, the plane holds the snapshot's view. The epoch's view
-    /// lineage starts at the snapshot's own overlay and table; `workers`
-    /// sizes the patch a later [`LoadPlane::context`] pays.
-    pub fn rebased(snapshot: &Arc<WorldSnapshot>, mut map: LoadMap, workers: usize) -> Self {
+    /// lineage starts at the snapshot's own overlay and table. `_workers`
+    /// is read by nothing (no table is built on a worker pool); it stays
+    /// for the callers that pass it.
+    pub fn rebased(snapshot: &Arc<WorldSnapshot>, mut map: LoadMap, _workers: usize) -> Self {
         let raw = snapshot.overlay();
         let mut clamps = false;
         map.reserved.retain(|&link, &mut kbps| {
@@ -285,7 +283,6 @@ impl LoadPlane {
             map,
             view: Arc::new(view),
             last: Arc::new(Lock::new(Materialised::seed(snapshot))),
-            workers,
         }
     }
 
@@ -295,14 +292,14 @@ impl LoadPlane {
     /// infinite capacity, or floored at zero before and after — the
     /// successor shares this plane's view slot. No graph is copied and no
     /// routing code runs here — this is what the server pays under the
-    /// sessions lock. `workers` sizes the patch a later
-    /// [`LoadPlane::context`] pays if a cold solve asks this plane for it.
+    /// sessions lock. `_workers` is read by nothing, as in
+    /// [`LoadPlane::rebased`].
     #[must_use]
     pub fn with_changes(
         &self,
         opens: &[(LinkId, u64)],
         releases: &[(LinkId, u64)],
-        workers: usize,
+        _workers: usize,
     ) -> LoadPlane {
         let mut map = self.map.clone();
         for &(link, kbps) in opens {
@@ -327,7 +324,6 @@ impl LoadPlane {
             map,
             view,
             last: Arc::clone(&self.last),
-            workers,
         }
     }
 
@@ -343,7 +339,6 @@ impl LoadPlane {
             map,
             view: Arc::clone(&self.view),
             last: Arc::clone(&self.last),
-            workers: self.workers,
         }
     }
 
@@ -413,9 +408,7 @@ impl LoadPlane {
             std::mem::replace(&mut *last, Materialised::seed(&self.snapshot));
         let mut graph = view.graph;
         let changes = self.reclamp(&mut graph, &reserved);
-        let (table, stats) = view
-            .table
-            .patched_with(graph.graph(), &changes, self.workers);
+        let (table, stats) = view.table.patched_with(graph.graph(), &changes, 1);
         let view = View {
             graph,
             table: Arc::new(table),
@@ -1070,7 +1063,6 @@ mod tests {
             let (ctx, flushed) = released.flushed_context();
             let stats = flushed.expect("nobody asked this plane before");
             assert_eq!(stats.trees_recomputed, 0, "seed {seed}");
-            assert!(!stats.full_rebuild);
             let n = snap.all_pairs().len();
             assert_eq!(snap.all_pairs().shared_trees(ctx.all_pairs()), n);
             assert!(!open.is_materialised(), "the booked plane was never asked");

@@ -58,7 +58,6 @@ use sflow_core::{
     Solver,
 };
 use sflow_routing::Bandwidth;
-use sflow_runtime::duration_us;
 
 use crate::load::LoadPlane;
 use crate::lock::assert_unlocked;
@@ -82,9 +81,9 @@ pub struct ServerConfig {
     /// Hard cap on live sessions; `Federate` beyond it is answered with an
     /// error rather than growing without bound.
     pub max_sessions: usize,
-    /// Worker threads a full routing-table build would use; a mutation's
-    /// patch and a ledger flush only plan. `0` auto-sizes from
-    /// `available_parallelism`.
+    /// Read by nothing: no routing table is built on a worker pool (a
+    /// mutation's patch and a ledger flush only plan, on the caller's
+    /// thread). Kept so that configurations which still set it build.
     pub route_workers: usize,
     /// Federate against **residual** capacity (`capacity − reserved`)
     /// instead of raw link capacity. On by default; `serve --no-residual`
@@ -166,8 +165,7 @@ pub(crate) struct Shared {
 
 impl Shared {
     /// One server's state over `world`, sized by `config`.
-    fn new(addr: SocketAddr, mut world: World, config: &ServerConfig) -> Self {
-        world.set_route_workers(config.route_workers);
+    fn new(addr: SocketAddr, world: World, config: &ServerConfig) -> Self {
         Shared {
             addr,
             config: *config,
@@ -389,9 +387,7 @@ fn execute(shared: &Shared, request: Request) -> Response {
             Response::Error("control request in queue".into())
         }
     };
-    shared
-        .metrics
-        .record_latency_us(duration_us(start.elapsed()));
+    shared.metrics.record_latency(start.elapsed());
     response
 }
 
@@ -549,9 +545,7 @@ pub(crate) fn residual_context(shared: &Shared, plane: &LoadPlane) -> OwnedFeder
     if let Some(stats) = flushed {
         let metrics = &shared.metrics;
         metrics.plane_flushes().inc();
-        metrics
-            .plane_flush_us_total()
-            .add(duration_us(start.elapsed()));
+        metrics.plane_flush_us_total().add_us(start.elapsed());
         metrics
             .plane_trees_recomputed()
             .add(stats.trees_recomputed as u64);
@@ -602,9 +596,7 @@ fn mutate(shared: &Shared, mutation: &crate::Mutation) -> Response {
     };
     let metrics = &shared.metrics;
     metrics.rebuilds().inc();
-    metrics
-        .rebuild_us_total()
-        .add(duration_us(rebuild.duration));
+    metrics.rebuild_us_total().add_us(rebuild.duration);
     metrics.trees_recomputed().add(rebuild.trees_recomputed);
     // The copy-out publishes the successor: federates from here on solve at
     // its epoch, and any solve still in flight at the old one will answer
@@ -642,7 +634,7 @@ fn repair_bookings(shared: &Shared, snapshot: &Arc<WorldSnapshot>, plan: Vec<Wor
         })
         .collect();
     let response = commit_repairs(shared, snapshot, repaired);
-    metrics.repair_us_total().add(duration_us(start.elapsed()));
+    metrics.repair_us_total().add_us(start.elapsed());
     response
 }
 
@@ -663,10 +655,6 @@ mod tests {
     /// A `Shared` with no listener behind it: enough to drive the worker
     /// entry points (`federate_against`, `mutate`) directly.
     fn shared_over(fixture: Fixture, config: ServerConfig) -> Shared {
-        let config = ServerConfig {
-            route_workers: 1,
-            ..config
-        };
         Shared::new("127.0.0.1:0".parse().unwrap(), World::new(fixture), &config)
     }
 
@@ -1908,7 +1896,6 @@ mod tests {
         let instances = fixture.overlay.instance_count() as u64;
         let config = ServerConfig {
             workers: 4,
-            route_workers: 1,
             ..ServerConfig::default()
         };
         let handle = serve(World::new(fixture), &config).unwrap();

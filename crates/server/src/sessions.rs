@@ -247,7 +247,7 @@ pub(crate) fn open_session(
         // The ledger moves; clamping these links and routing over the
         // clamp wait for the next cold solve.
         if !links.is_empty() {
-            let booked = plane.with_changes(&links, &[], shared.config.route_workers);
+            let booked = plane.with_changes(&links, &[], 1);
             table.load.publish(&sessions, booked);
         }
         // Take the key's slot and file the flow under the key — normally
@@ -300,7 +300,7 @@ pub(crate) fn release_session(shared: &Shared, session: u64) -> Response {
         // as well, and releasing it moves nothing.
         if !gone.links.is_empty() {
             let plane = table.load.load();
-            let released = plane.with_changes(&[], &gone.links, shared.config.route_workers);
+            let released = plane.with_changes(&[], &gone.links, 1);
             table.load.publish(&sessions, released);
         }
     }
@@ -324,7 +324,7 @@ pub(crate) fn plan_repairs(shared: &Shared, snapshot: &Arc<WorldSnapshot>) -> Ve
     // The ledger is `Σ bookings.links` already: it crosses whole, estimates
     // included, less the links the mutation removed.
     let map = plane.map().clone();
-    let rebased = LoadPlane::rebased(snapshot, map, shared.config.route_workers);
+    let rebased = LoadPlane::rebased(snapshot, map, 1);
     table.load.publish(&sessions, rebased);
     work
 }
@@ -373,7 +373,7 @@ pub(crate) fn commit_repairs(
         .flat_map(|booking| booking.links.iter().copied());
     let mut map = LoadMap::from_reservations(live);
     map.adopt_estimates(table.load.load().map());
-    let rebased = LoadPlane::rebased(snapshot, map, shared.config.route_workers);
+    let rebased = LoadPlane::rebased(snapshot, map, 1);
     table.load.publish(&sessions, rebased);
     Response::Mutated {
         epoch: snapshot.epoch(),
@@ -423,8 +423,7 @@ pub(crate) fn commit_migration(
     if plane.epoch() != snapshot.epoch() || booking.epoch != snapshot.epoch() {
         return false;
     }
-    let workers = shared.config.route_workers;
-    let preview = plane.with_changes(&new_links, &booking.links, workers);
+    let preview = plane.with_changes(&new_links, &booking.links, 1);
     if !improves(&plane, &preview, &booking.links, &new_links) {
         return false;
     }

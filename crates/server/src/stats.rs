@@ -2,6 +2,7 @@
 //! `stats_table!` invocation below) and everything else derived from it.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::Duration;
 
 use crate::lock::Lock;
 
@@ -21,6 +22,11 @@ impl Counter {
 
     pub(crate) fn add(&self, n: u64) {
         self.0.fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// Adds an elapsed time, in whole microseconds.
+    pub(crate) fn add_us(&self, elapsed: Duration) {
+        self.add(micros(elapsed));
     }
 
     fn get(&self) -> u64 {
@@ -251,9 +257,15 @@ struct LatencyWindow {
     next: usize,
 }
 
+/// `d` in whole microseconds, saturating at `u64::MAX`.
+fn micros(d: Duration) -> u64 {
+    d.as_micros().try_into().unwrap_or(u64::MAX)
+}
+
 impl Metrics {
     /// Records one request's end-to-end service latency.
-    pub(crate) fn record_latency_us(&self, us: u64) {
+    pub(crate) fn record_latency(&self, elapsed: Duration) {
+        let us = micros(elapsed);
         let mut w = self.latencies_us.lock();
         if w.samples.len() < LATENCY_WINDOW {
             w.samples.push(us);
@@ -282,7 +294,7 @@ mod tests {
     fn a_snapshot_reads_every_kind_of_row() {
         let m = Metrics::default();
         for us in 1..=100 {
-            m.record_latency_us(us);
+            m.record_latency(Duration::from_micros(us));
         }
         m.rebuilds().inc();
         m.rebuilds().inc();
@@ -317,11 +329,11 @@ mod tests {
     fn window_overwrites_oldest_samples() {
         let m = Metrics::default();
         for _ in 0..LATENCY_WINDOW {
-            m.record_latency_us(1_000_000);
+            m.record_latency(Duration::from_secs(1));
         }
         // A full window of fast requests displaces the slow prefix.
         for _ in 0..LATENCY_WINDOW {
-            m.record_latency_us(10);
+            m.record_latency(Duration::from_micros(10));
         }
         let s = m.snapshot(0);
         assert_eq!(s.latency_p99_us, 10);

@@ -20,7 +20,7 @@ use std::time::{Duration, Instant};
 
 use sflow_core::fixtures::Fixture;
 use sflow_core::OwnedFederationContext;
-use sflow_net::{ServiceInstance, UnderlyingNetwork};
+use sflow_net::ServiceInstance;
 use sflow_routing::{Bandwidth, Latency, Qos};
 
 use crate::snapshot::WorldSnapshot;
@@ -73,21 +73,18 @@ pub struct RebuildStats {
 
 /// The mutator side of a snapshot-published world.
 ///
-/// Owns the underlying physical network and the current [`WorldSnapshot`];
-/// everything topological lives in the snapshot. Only [`World::apply`]
-/// replaces it, and that takes `&mut self`, so epochs advance only through
-/// a mutation, one at a time, by borrow.
+/// Owns the current [`WorldSnapshot`]; everything topological lives in the
+/// snapshot. Only [`World::apply`] replaces it, and that takes `&mut self`,
+/// so epochs advance only through a mutation, one at a time, by borrow.
 #[derive(Debug)]
 pub struct World {
-    net: UnderlyingNetwork,
     current: Arc<WorldSnapshot>,
-    /// Worker threads for routing rebuilds/patches; 0 = auto-size.
-    route_workers: usize,
 }
 
 impl World {
-    /// Adopts a fixture as the world, publishing its topology at epoch 0
-    /// (auto-sized routing pool).
+    /// Adopts a fixture's overlay, table and source as the world,
+    /// publishing its topology at epoch 0. The underlay the overlay was
+    /// priced from is dropped: no mutation reads it.
     pub fn new(fixture: Fixture) -> Self {
         let first = WorldSnapshot::new(
             Arc::new(fixture.overlay),
@@ -96,18 +93,13 @@ impl World {
             0,
         );
         World {
-            net: fixture.net,
             current: Arc::new(first),
-            route_workers: 0,
         }
     }
 
-    /// Sets the routing worker-pool size a full table build would use (`0`
-    /// = auto-size from `available_parallelism`); a mutation's patch only
-    /// plans.
-    pub fn set_route_workers(&mut self, workers: usize) {
-        self.route_workers = workers;
-    }
+    /// Does nothing: no table is built on a worker pool, and a mutation's
+    /// patch only plans. Kept for the callers that still size one.
+    pub fn set_route_workers(&mut self, _workers: usize) {}
 
     /// The current snapshot.
     pub fn snapshot(&self) -> Arc<WorldSnapshot> {
@@ -117,11 +109,6 @@ impl World {
     /// An owned federation context over the current snapshot.
     pub fn context(&self) -> OwnedFederationContext {
         self.snapshot().context()
-    }
-
-    /// The underlying physical network (unchanged by overlay mutations).
-    pub fn net(&self) -> &UnderlyingNetwork {
-        &self.net
     }
 
     /// The pinned source instance (survives every mutation).
@@ -188,9 +175,7 @@ impl World {
         // Only trees the changes can affect are invalidated (and swept on
         // first read); the rest are shared work carried across the epoch.
         let started = Instant::now();
-        let (table, patched) =
-            prev.all_pairs()
-                .patched_with(overlay.graph(), &changes, self.route_workers);
+        let (table, patched) = prev.all_pairs().patched_with(overlay.graph(), &changes, 1);
         let stats = RebuildStats {
             duration: started.elapsed(),
             trees_recomputed: patched.trees_recomputed as u64,

@@ -34,7 +34,6 @@ fn solvers_under_churn_always_observe_consistent_snapshots() {
     let config = ServerConfig {
         residual: false,
         solve_cache: false,
-        route_workers: 1,
         ..ServerConfig::default()
     };
     let handle = serve(World::new(fx), &config).unwrap();

@@ -77,7 +77,6 @@ fn usage() -> ExitCode {
          \x20            [--vars N] [--clauses M] [--seed S]\n\
          \x20 serve      run the federation server (default world: Fig. 4)\n\
          \x20            [--addr IP:PORT] [--workers N] [--queue D]\n\
-         \x20            [--route-workers N] routing rebuild pool (0 = auto)\n\
          \x20            [--reactor-threads N] epoll event loops (default 1)\n\
          \x20            [--max-conns N] open-connection cap (0 = 65536)\n\
          \x20            [--write-high-water BYTES] per-connection backpressure mark\n\
@@ -111,7 +110,7 @@ const COMMANDS: [(&str, &str, &str); 6] = [
     (
         "serve",
         "no-residual no-solve-cache",
-        "addr workers queue route-workers reactor-threads max-conns write-high-water \
+        "addr workers queue reactor-threads max-conns write-high-water \
          rebalance-interval-ms utilization-threshold hosts services instances seed",
     ),
     (
@@ -319,7 +318,6 @@ fn serve(flags: &Flags) -> Result<(), String> {
     let config = ServerConfig {
         workers: get(flags, "workers", ServerConfig::default().workers)?,
         queue_depth: get(flags, "queue", ServerConfig::default().queue_depth)?,
-        route_workers: get(flags, "route-workers", 0usize)?,
         reactor_threads: get(
             flags,
             "reactor-threads",

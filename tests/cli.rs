@@ -30,6 +30,14 @@ fn a_retired_switch_is_refused_by_name() {
 }
 
 #[test]
+fn a_retired_flag_is_refused_by_name() {
+    // No routing table is built on a worker pool, so nothing sizes one;
+    // the unbindable address again keeps a let-through flag from passing.
+    let error = refused(&["serve", "--route-workers", "2", "--addr", "256.0.0.1:0"]);
+    assert!(error.ends_with("--route-workers"), "{error}");
+}
+
+#[test]
 fn a_misspelt_flag_is_refused_by_name() {
     let error = refused(&["world", "--host", "5"]);
     assert!(error.ends_with("--host"), "{error}");

@@ -50,7 +50,6 @@ fn chain_expression(req: &ServiceRequirement) -> String {
 fn served_bandwidth_kbps(world: World, req: &ServiceRequirement) -> u64 {
     let config = ServerConfig {
         workers: 1,
-        route_workers: 1,
         ..ServerConfig::default()
     };
     let handle = serve(world, &config).unwrap();
