@@ -1,9 +1,9 @@
 //! The epoll connection plane: non-blocking listener, per-connection state
 //! machines, pipelined frames.
 //!
-//! One `reactor_loop` thread (more with `--reactor-threads N`; connections
-//! shard round-robin) owns a [`polling::Poller`] and multiplexes readiness
-//! for the listener plus every connection it hosts. The loop does **I/O and
+//! One `reactor_loop` thread owns the listener and every connection and
+//! multiplexes their readiness on the server's one [`polling::Poller`],
+//! which lives in the server-wide `Inbox`. The loop does **I/O and
 //! framing only**:
 //!
 //! * a readable connection is drained into its `ConnState`'s incremental
@@ -11,13 +11,13 @@
 //!   or three frames and a fragment, and the state machine is indifferent;
 //! * each decoded [`RequestFrame`] is answered inline if it is control
 //!   plane (`control_response`) or offered to the bounded admission queue
-//!   (`admit`) — solves never run on a reactor thread, nor under any lock
+//!   (`admit`) — solves never run on the event loop, nor under any lock
 //!   the loop takes;
-//! * workers push finished answers back as `Completion`s over a channel
-//!   and wake the loop via [`polling::Poller::notify`]; the loop encodes
-//!   them in place into the connection's write buffer in completion
-//!   order. That is where out-of-order responses come from: a fast `Stats`
-//!   overtakes a slow `Federate` pipelined ahead of it.
+//! * workers push finished answers into the `Inbox` and wake the loop
+//!   via [`polling::Poller::notify`]; the loop encodes them in place into
+//!   the connection's write buffer in completion order. That is where
+//!   out-of-order responses come from: a fast `Stats` overtakes a slow
+//!   `Federate` pipelined ahead of it.
 //!
 //! **Backpressure**: a connection whose staged response bytes exceed
 //! [`ServerConfig::write_high_water`](crate::ServerConfig::write_high_water)
@@ -48,8 +48,8 @@ use crate::stats::Metrics;
 use crate::wire::{stage_frame, FrameDecoder};
 use crate::{Request, RequestFrame, Response};
 
-/// The poller key the (reactor-0) listener is registered under; connections
-/// live at `slot + 1`.
+/// The poller key the listener is registered under; connections live at
+/// `slot + 1`.
 const LISTENER_KEY: usize = 0;
 
 /// The poll-wait tick. Doubles as the shutdown poll interval.
@@ -59,47 +59,58 @@ const TICK: Duration = Duration::from_millis(100);
 /// so a burst larger than this is picked up by the drain loop, not lost.
 const READ_CHUNK: usize = 64 * 1024;
 
-/// How a worker's answer travels back to the reactor that owns the
-/// connection: a completion message plus a poller wakeup.
-pub(crate) struct Completion {
-    /// Which connection, as a generation-tagged token — see [`token`]. A
-    /// completion for a token whose connection is gone is dropped silently
-    /// (the client hung up mid-flight).
-    pub(crate) token: u64,
-    /// The `request_id` the client assigned to this request.
-    pub(crate) request_id: u64,
-    /// The worker's answer.
-    pub(crate) response: Response,
+/// The event loop's poller and the queue of workers' finished answers.
+/// One loop serves every connection, so this belongs to the whole server
+/// (`Shared::inbox`): a [`Reply`] carries only where its answer goes, and
+/// a shutdown wakes the loop with [`Inbox::wake`].
+pub(crate) struct Inbox {
+    poller: Poller,
+    completions: Sender<(Reply, Response)>,
+    pending: Receiver<(Reply, Response)>,
 }
 
-/// Where a [`Job`]'s answer goes: pushed to the owning reactor as a
-/// [`Completion`], followed by a poller wakeup.
+impl Inbox {
+    /// An empty queue on a fresh poller.
+    ///
+    /// # Errors
+    ///
+    /// Propagates epoll-instance creation failures (fd exhaustion).
+    pub(crate) fn new() -> io::Result<Inbox> {
+        let (completions, pending) = unbounded();
+        Ok(Inbox {
+            poller: Poller::new()?,
+            completions,
+            pending,
+        })
+    }
+
+    /// Returns the event loop from its poll wait ahead of the tick.
+    pub(crate) fn wake(&self) {
+        let _ = self.poller.notify();
+    }
+}
+
+/// Where a [`Job`]'s answer goes: a connection and the id the client gave
+/// the request. A reply for a connection that is gone is dropped silently
+/// (the client hung up mid-flight).
 pub(crate) struct Reply {
-    /// The owning reactor's completion queue.
-    completions: Sender<Completion>,
-    /// The owning reactor's poller, notified after the send.
-    waker: Arc<Poller>,
-    /// Generation-tagged connection token.
+    /// Generation-tagged connection token — see [`token`].
     token: u64,
     /// Echoed onto the [`ResponseFrame`](crate::ResponseFrame).
     request_id: u64,
 }
 
 impl Reply {
-    /// Routes `response` back to the reactor that owns the connection. Runs
-    /// on a worker thread.
-    pub(crate) fn send(self, metrics: &Metrics, response: Response) {
+    /// Queues `response` for the event loop and wakes it. Runs on a worker
+    /// thread.
+    pub(crate) fn send(self, metrics: &Metrics, inbox: &Inbox, response: Response) {
         metrics.frames_in_flight().sub(1);
-        let _ = self.completions.send(Completion {
-            token: self.token,
-            request_id: self.request_id,
-            response,
-        });
-        let _ = self.waker.notify();
+        let _ = inbox.completions.send((self, response));
+        inbox.wake();
     }
 }
 
-/// Packs a slab slot and its generation into the token a [`Completion`]
+/// Packs a slab slot and its generation into the token a [`Reply`]
 /// carries, so an answer for a closed connection can never be written to a
 /// newcomer that reused the slot.
 fn token(slot: usize, gen: u32) -> u64 {
@@ -111,7 +122,7 @@ pub(crate) enum Dispatch {
     /// Answer now (control plane, shed, shutdown race) — goes straight to
     /// the write buffer.
     Inline(Box<Response>),
-    /// Admitted to the worker pool; the answer arrives as a [`Completion`].
+    /// Admitted to the worker pool; the answer arrives through the [`Inbox`].
     Admitted,
 }
 
@@ -123,7 +134,7 @@ pub(crate) enum Dispatch {
 /// `Read`/`Write`) as a parameter — so the machine is unit-testable without
 /// a poller.
 pub(crate) struct ConnState {
-    /// Generation-tagged identity, matched against [`Completion::token`].
+    /// Generation-tagged identity, matched against a [`Reply`]'s token.
     pub(crate) token: u64,
     decoder: FrameDecoder,
     /// Staged response bytes; `write_pos` marks how much is already on the
@@ -398,138 +409,66 @@ struct Conn {
     interest: (bool, bool),
 }
 
-/// Everything one reactor thread owns.
+/// Everything the event loop owns besides its connections.
 struct ReactorCtx {
     shared: Arc<Shared>,
-    poller: Arc<Poller>,
-    /// Streams handed over by the accepting reactor.
-    incoming_rx: Receiver<TcpStream>,
-    /// Workers' finished answers for connections this reactor owns.
-    completion_rx: Receiver<Completion>,
-    completion_tx: Sender<Completion>,
     job_tx: Sender<Job>,
 }
 
-/// Spawns the reactor plane: `config.reactor_threads` event loops, the
-/// first of which owns the listener, accepts, and shards connections
-/// round-robin over all loops (itself included). Returns the join handle
-/// `ServerHandle` treats as the acceptor: on exit it joins the sibling
-/// reactors, releases the admission queue and joins the workers.
+impl ReactorCtx {
+    fn poller(&self) -> &Poller {
+        &self.shared.inbox.poller
+    }
+}
+
+/// Spawns the connection plane: registers the listener on the server's
+/// poller and starts the one event loop. Returns the join handle
+/// `ServerHandle` treats as the acceptor: on exit it releases the admission
+/// queue and joins the workers.
 ///
 /// # Errors
 ///
-/// Propagates epoll-instance creation and listener-registration failures
-/// (fd exhaustion); everything fallible happens before any thread starts.
+/// Propagates listener-registration failures; everything fallible happens
+/// before the thread starts.
 pub(crate) fn spawn(
     shared: Arc<Shared>,
     listener: TcpListener,
     job_tx: Sender<Job>,
     workers: Vec<JoinHandle<()>>,
 ) -> io::Result<JoinHandle<()>> {
-    struct Seed {
-        poller: Arc<Poller>,
-        incoming_rx: Receiver<TcpStream>,
-        completion_tx: Sender<Completion>,
-        completion_rx: Receiver<Completion>,
-    }
     listener.set_nonblocking(true)?;
-    let n = shared.config.reactor_threads.max(1);
-    let mut seeds = Vec::with_capacity(n);
-    let mut handoff: Vec<(Sender<TcpStream>, Arc<Poller>)> = Vec::with_capacity(n);
-    for _ in 0..n {
-        let poller = Arc::new(Poller::new()?);
-        let (incoming_tx, incoming_rx) = unbounded::<TcpStream>();
-        let (completion_tx, completion_rx) = unbounded::<Completion>();
-        handoff.push((incoming_tx, Arc::clone(&poller)));
-        seeds.push(Seed {
-            poller,
-            incoming_rx,
-            completion_tx,
-            completion_rx,
-        });
-    }
-    seeds[0]
-        .poller
-        .add(&listener, Event::readable(LISTENER_KEY))?;
-
-    let mut siblings = Vec::with_capacity(n - 1);
-    for seed in seeds.drain(1..).collect::<Vec<_>>() {
-        let ctx = ReactorCtx {
-            shared: Arc::clone(&shared),
-            poller: seed.poller,
-            incoming_rx: seed.incoming_rx,
-            completion_rx: seed.completion_rx,
-            completion_tx: seed.completion_tx,
-            job_tx: job_tx.clone(),
-        };
-        siblings.push(thread::spawn(move || reactor_loop(ctx, None, &[])));
-    }
-
-    let sibling_wakers: Vec<Arc<Poller>> =
-        handoff.iter().skip(1).map(|(_, p)| Arc::clone(p)).collect();
-    let seed = match seeds.pop() {
-        Some(seed) => seed,
-        None => return Err(io::Error::other("no reactor 0 seed")),
-    };
-    let ctx = ReactorCtx {
-        shared,
-        poller: seed.poller,
-        incoming_rx: seed.incoming_rx,
-        completion_rx: seed.completion_rx,
-        completion_tx: seed.completion_tx,
-        job_tx,
-    };
+    let ctx = ReactorCtx { shared, job_tx };
+    ctx.poller().add(&listener, Event::readable(LISTENER_KEY))?;
     Ok(thread::spawn(move || {
-        reactor_loop(ctx, Some(&listener), &handoff);
-        // Shut the plane down in dependency order: wake and join the
-        // sibling loops, then release the admission queue so the workers
-        // see disconnect, then join them.
-        for waker in &sibling_wakers {
-            let _ = waker.notify();
-        }
-        for sibling in siblings {
-            let _ = sibling.join();
-        }
-        drop(handoff);
+        // The loop consumes the context, so its exit drops the admission
+        // queue's sender: the workers see disconnect and can be joined.
+        reactor_loop(ctx, &listener);
         for worker in workers {
             let _ = worker.join();
         }
     }))
 }
 
-/// One reactor thread's event loop. `listener` is `Some` only on reactor 0;
-/// `handoff` is that reactor's round-robin table over every loop's incoming
-/// channel and waker.
-fn reactor_loop(
-    ctx: ReactorCtx,
-    listener: Option<&TcpListener>,
-    handoff: &[(Sender<TcpStream>, Arc<Poller>)],
-) {
+/// The event loop: the listener and every connection, until shutdown.
+fn reactor_loop(ctx: ReactorCtx, listener: &TcpListener) {
     let mut conns: Vec<Option<Conn>> = Vec::new();
     let mut free: Vec<usize> = Vec::new();
     let mut next_gen: u32 = 0;
-    let mut next_target: usize = 0;
     let mut events = Events::with_capacity(1024);
     loop {
-        let _ = ctx.poller.wait(&mut events, Some(TICK));
+        let _ = ctx.poller().wait(&mut events, Some(TICK));
         ctx.shared.metrics.reactor_wakeups().inc();
         if ctx.shared.shutting_down() {
             break;
         }
         // Workers' completions first: they free write-buffer space and may
         // lift pauses before this wakeup's readiness is processed.
-        while let Ok(completion) = ctx.completion_rx.try_recv() {
-            apply_completion(&ctx, &mut conns, &mut free, completion);
-        }
-        // Connections handed over by the accepting reactor.
-        while let Ok(stream) = ctx.incoming_rx.try_recv() {
-            register(&ctx, &mut conns, &mut free, &mut next_gen, stream);
+        while let Ok((reply, response)) = ctx.shared.inbox.pending.try_recv() {
+            apply_completion(&ctx, &mut conns, &mut free, &reply, &response);
         }
         for event in events.iter() {
             if event.key == LISTENER_KEY {
-                if let Some(listener) = listener {
-                    accept_burst(&ctx, listener, handoff, &mut next_target);
-                }
+                accept_burst(&ctx, listener, &mut conns, &mut free, &mut next_gen);
                 continue;
             }
             service_conn(&ctx, &mut conns, &mut free, event);
@@ -548,12 +487,13 @@ fn reactor_loop(
 }
 
 /// Accepts until the listener would block, shedding over-cap connections
-/// and sharding the rest round-robin across the reactor loops.
+/// and registering the rest.
 fn accept_burst(
     ctx: &ReactorCtx,
     listener: &TcpListener,
-    handoff: &[(Sender<TcpStream>, Arc<Poller>)],
-    next_target: &mut usize,
+    conns: &mut Vec<Option<Conn>>,
+    free: &mut Vec<usize>,
+    next_gen: &mut u32,
 ) {
     loop {
         match listener.accept() {
@@ -564,14 +504,7 @@ fn accept_burst(
                     continue;
                 }
                 ctx.shared.metrics.connections_open().add(1);
-                let target = *next_target % handoff.len();
-                *next_target = next_target.wrapping_add(1);
-                let (tx, waker) = &handoff[target];
-                if tx.send(stream).is_err() {
-                    ctx.shared.metrics.connections_open().sub(1);
-                    continue;
-                }
-                let _ = waker.notify();
+                register(ctx, conns, free, next_gen, stream);
             }
             Err(e) if e.kind() == ErrorKind::WouldBlock => break,
             Err(e) if e.kind() == ErrorKind::Interrupted => {}
@@ -580,7 +513,7 @@ fn accept_burst(
     }
 }
 
-/// Registers one accepted stream with this reactor: non-blocking, a slab
+/// Registers one accepted stream with the event loop: non-blocking, a slab
 /// slot, a generation-tagged token, read interest.
 fn register(
     ctx: &ReactorCtx,
@@ -601,7 +534,7 @@ fn register(
     *next_gen = next_gen.wrapping_add(1);
     let state = ConnState::new(token(slot, *next_gen));
     let key = slot + 1;
-    if ctx.poller.add(&stream, state.interest(key)).is_err() {
+    if ctx.poller().add(&stream, state.interest(key)).is_err() {
         ctx.shared.metrics.connections_open().sub(1);
         free.push(slot);
         return;
@@ -650,18 +583,13 @@ fn service_conn(ctx: &ReactorCtx, conns: &mut [Option<Conn>], free: &mut Vec<usi
 }
 
 /// Builds the frame dispatcher for one connection: control plane inline,
-/// data plane through [`admit`] with a reply routed back to this reactor.
+/// data plane through [`admit`] with a reply addressed to this connection.
 fn dispatcher<'a>(ctx: &'a ReactorCtx, token: u64) -> impl FnMut(u64, Request) -> Dispatch + 'a {
     move |request_id, request| {
         if let Some(response) = control_response(&ctx.shared, &request) {
             return Dispatch::Inline(Box::new(response));
         }
-        let reply = Reply {
-            completions: ctx.completion_tx.clone(),
-            waker: Arc::clone(&ctx.poller),
-            token,
-            request_id,
-        };
+        let reply = Reply { token, request_id };
         admit(&ctx.shared.metrics, &ctx.job_tx, Job { request, reply })
     }
 }
@@ -672,18 +600,19 @@ fn apply_completion(
     ctx: &ReactorCtx,
     conns: &mut [Option<Conn>],
     free: &mut Vec<usize>,
-    completion: Completion,
+    reply: &Reply,
+    response: &Response,
 ) {
-    let slot = (completion.token & u64::from(u32::MAX)) as usize;
+    let slot = (reply.token & u64::from(u32::MAX)) as usize;
     let Some(conn) = conns.get_mut(slot).and_then(Option::as_mut) else {
         return;
     };
-    if conn.state.token != completion.token {
+    if conn.state.token != reply.token {
         return; // the slot was reused; this answer's connection hung up
     }
     conn.state.complete(
-        completion.request_id,
-        &completion.response,
+        reply.request_id,
+        response,
         &ctx.shared.metrics,
         ctx.shared.config.write_high_water,
     );
@@ -723,7 +652,7 @@ fn settle(ctx: &ReactorCtx, conns: &mut [Option<Conn>], free: &mut Vec<usize>, s
 /// Unregisters and drops one finished connection.
 fn retire(ctx: &ReactorCtx, conns: &mut [Option<Conn>], slot: usize) {
     if let Some(conn) = conns[slot].take() {
-        let _ = ctx.poller.delete(&conn.stream);
+        let _ = ctx.poller().delete(&conn.stream);
         ctx.shared
             .metrics
             .write_buffered_bytes()
@@ -739,7 +668,7 @@ fn rearm(ctx: &ReactorCtx, conn: &mut Conn, slot: usize) {
     let now = (want.readable, want.writable);
     if now != conn.interest {
         conn.interest = now;
-        let _ = ctx.poller.modify(&conn.stream, want);
+        let _ = ctx.poller().modify(&conn.stream, want);
     }
 }
 
@@ -752,15 +681,14 @@ mod tests {
     /// Regression for the `frames_in_flight` gauge race: a worker that
     /// finishes a job before the dispatcher has returned to `handle_frame`
     /// must find the frame already counted, or its `sub(1)` drives the gauge
-    /// through zero and a `Stats` answered on another reactor
+    /// through zero and a `Stats` answered inline meanwhile
     /// reads 18446744073709551615.
     #[test]
     fn a_completion_that_beats_the_dispatcher_never_underflows_the_gauge() {
         const FRAMES: u64 = 4;
         let metrics = Metrics::default();
         let gauge = || metrics.frames_in_flight().get();
-        let poller = Arc::new(Poller::new().unwrap());
-        let (completion_tx, completion_rx) = unbounded::<Completion>();
+        let inbox = Inbox::new().unwrap();
         let (job_tx, job_rx) = bounded::<Job>(1);
 
         let mut conn = ConnState::new(token(0, 1));
@@ -773,8 +701,6 @@ mod tests {
             conn.decoder.feed(&encode_frame(&frame).unwrap());
         }
         let reply = |request_id| Reply {
-            completions: completion_tx.clone(),
-            waker: Arc::clone(&poller),
             token: conn_token,
             request_id,
         };
@@ -787,7 +713,8 @@ mod tests {
             // The worker wins the race: it takes the job and completes it
             // while the dispatcher is still on its way back.
             let job = job_rx.try_recv().unwrap();
-            job.reply.send(&metrics, Response::Released { session: 0 });
+            job.reply
+                .send(&metrics, &inbox, Response::Released { session: 0 });
             assert!(gauge() <= admitted, "gauge {} underflowed", gauge());
             outcome
         };
@@ -795,8 +722,9 @@ mod tests {
         assert_eq!(admitted, FRAMES);
         assert_eq!(conn.in_flight, FRAMES as usize);
         assert_eq!(gauge(), 0, "every admitted frame completed");
-        while let Ok(done) = completion_rx.try_recv() {
-            conn.complete(done.request_id, &done.response, &metrics, usize::MAX);
+        while let Ok((reply, response)) = inbox.pending.try_recv() {
+            assert_eq!(reply.token, conn_token);
+            conn.complete(reply.request_id, &response, &metrics, usize::MAX);
         }
         assert_eq!(conn.in_flight, 0);
 

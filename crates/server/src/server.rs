@@ -3,10 +3,10 @@
 //!
 //! Threading model. The **connection plane** — who turns sockets into
 //! [`Request`]s and [`Response`]s into bytes — is the epoll reactor in
-//! [`crate::reactor`]: [`ServerConfig::reactor_threads`] event loops drive a
-//! non-blocking listener and every connection; per-connection state machines
-//! parse pipelined frames incrementally and stage responses in write
-//! buffers. One loop serves tens of thousands of connections.
+//! [`crate::reactor`]: one event loop drives a non-blocking listener and
+//! every connection; per-connection state machines parse pipelined frames
+//! incrementally and stage responses in write buffers. One loop serves tens
+//! of thousands of connections.
 //!
 //! A fixed pool of **worker** threads drains a *bounded* crossbeam job queue
 //! and runs solves/mutations against the published world snapshot. Requests
@@ -41,7 +41,7 @@
 //! (`crate::lock`); only the world mutex may be held across a repair sweep.
 
 use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -61,7 +61,7 @@ use sflow_routing::Bandwidth;
 
 use crate::load::LoadPlane;
 use crate::lock::assert_unlocked;
-use crate::reactor::{self, Dispatch, Reply};
+use crate::reactor::{self, Dispatch, Inbox, Reply};
 use crate::rebalance;
 use crate::sessions::{
     commit_repairs, open_session, plan_repairs, release_session, Ask, Table, Work,
@@ -101,9 +101,8 @@ pub struct ServerConfig {
     /// A link is *hot* — a rebalancer target — above this utilization, in
     /// permille of raw capacity (900 = 90%).
     pub utilization_threshold_permille: u64,
-    /// Reactor (event-loop) threads for the connection plane (min 1). The
-    /// default, `1`, serves every connection from a single epoll loop;
-    /// larger values shard connections round-robin across loops.
+    /// Read by nothing: one epoll event loop serves every connection. Kept
+    /// so that configurations which still set it build.
     pub reactor_threads: usize,
     /// Slow-reader backpressure: a connection whose staged response bytes
     /// exceed this mark stops being polled for read until the buffer fully
@@ -145,7 +144,6 @@ impl ServerConfig {
 
 /// State shared by every thread of one server instance.
 pub(crate) struct Shared {
-    pub(crate) addr: SocketAddr,
     pub(crate) config: ServerConfig,
     /// The mutator. Only `Mutate` jobs take this lock; the read path never
     /// touches it, so mutations serialize exclusively against each other.
@@ -161,19 +159,23 @@ pub(crate) struct Shared {
     pub(crate) table: Table,
     pub(crate) metrics: Metrics,
     pub(crate) shutdown: AtomicBool,
+    /// The one event loop's poller and the queue workers answer into:
+    /// a finished job or a shutdown wakes the loop here.
+    pub(crate) inbox: Inbox,
 }
 
 impl Shared {
-    /// One server's state over `world`, sized by `config`.
-    fn new(addr: SocketAddr, world: World, config: &ServerConfig) -> Self {
-        Shared {
-            addr,
+    /// One server's state over `world`, sized by `config`. Fails only if
+    /// the event loop's poller cannot be created.
+    fn new(world: World, config: &ServerConfig) -> io::Result<Self> {
+        Ok(Shared {
             config: *config,
             table: Table::new(&world.snapshot()),
             world: world.into(),
             metrics: Metrics::default(),
             shutdown: AtomicBool::new(false),
-        }
+            inbox: Inbox::new()?,
+        })
     }
 
     pub(crate) fn shutting_down(&self) -> bool {
@@ -183,6 +185,7 @@ impl Shared {
 
 /// A running server. Dropping the handle shuts the server down.
 pub struct ServerHandle {
+    addr: SocketAddr,
     shared: Arc<Shared>,
     acceptor: Option<JoinHandle<()>>,
 }
@@ -190,7 +193,7 @@ pub struct ServerHandle {
 impl ServerHandle {
     /// The loopback address the server is listening on.
     pub fn addr(&self) -> SocketAddr {
-        self.shared.addr
+        self.addr
     }
 
     /// Stops accepting, drains the workers and joins every server thread.
@@ -211,9 +214,8 @@ impl ServerHandle {
             return;
         };
         self.shared.shutdown.store(true, Ordering::SeqCst);
-        // The listener's reactor sits in its poll wait; a throwaway
-        // connection wakes it ahead of the next tick.
-        let _ = TcpStream::connect(self.shared.addr);
+        // Wake the event loop out of its poll wait ahead of the next tick.
+        self.shared.inbox.wake();
         let _ = acceptor.join();
     }
 }
@@ -246,7 +248,8 @@ pub fn serve(world: World, config: &ServerConfig) -> io::Result<ServerHandle> {
 /// Propagates the bind failure.
 pub fn serve_on(addr: &str, world: World, config: &ServerConfig) -> io::Result<ServerHandle> {
     let listener = TcpListener::bind(addr)?;
-    let shared = Arc::new(Shared::new(listener.local_addr()?, world, config));
+    let addr = listener.local_addr()?;
+    let shared = Arc::new(Shared::new(world, config)?);
     let (job_tx, job_rx) = bounded::<Job>(config.queue_depth.max(1));
 
     let mut workers: Vec<JoinHandle<()>> = (0..config.workers.max(1))
@@ -267,6 +270,7 @@ pub fn serve_on(addr: &str, world: World, config: &ServerConfig) -> io::Result<S
 
     let acceptor = reactor::spawn(Arc::clone(&shared), listener, job_tx, workers)?;
     Ok(ServerHandle {
+        addr,
         shared,
         acceptor: Some(acceptor),
     })
@@ -295,9 +299,9 @@ pub(crate) fn control_response(shared: &Shared, request: &Request) -> Option<Res
         Request::LoadMap => Some(Response::LoadMap(load_map_summary(shared))),
         Request::Shutdown => {
             shared.shutdown.store(true, Ordering::SeqCst);
-            // Wake the listener's reactor so it notices the flag without a
-            // new client.
-            let _ = TcpStream::connect(shared.addr);
+            // This runs on the event loop; the wake returns its next poll
+            // wait at once, so it sees the flag without waiting a tick.
+            shared.inbox.wake();
             Some(Response::ShuttingDown)
         }
         // Named, not `_`: a new request must be placed in one plane or
@@ -342,7 +346,7 @@ fn worker_loop(shared: &Shared, jobs: &Receiver<Job>) {
                         shared.metrics.failed().inc();
                         Response::Error("internal error: the request panicked".into())
                     });
-                job.reply.send(&shared.metrics, response);
+                job.reply.send(&shared.metrics, &shared.inbox, response);
             }
             Err(RecvTimeoutError::Timeout) => {
                 if shared.shutting_down() {
@@ -655,7 +659,7 @@ mod tests {
     /// A `Shared` with no listener behind it: enough to drive the worker
     /// entry points (`federate_against`, `mutate`) directly.
     fn shared_over(fixture: Fixture, config: ServerConfig) -> Shared {
-        Shared::new("127.0.0.1:0".parse().unwrap(), World::new(fixture), &config)
+        Shared::new(World::new(fixture), &config).unwrap()
     }
 
     fn shared_over_diamond() -> Shared {
@@ -1989,6 +1993,62 @@ mod tests {
         handle.shutdown();
     }
 
+    /// Pins a defect (ROADMAP item 16): residual admission books a link past
+    /// its capacity. A cold founding opens without a `fits` check, because
+    /// its solve saw the residual view, but each stream was routed on its
+    /// own and the booking counts the flow's bandwidth once per stream that
+    /// crosses a link. Here `0>1, 0>2` is founded on an empty ledger; the
+    /// wide route to `s2` relays through `s1`'s instance rather than take
+    /// the narrow direct link, so both streams cross `s0→s1` and book twice
+    /// its capacity: 2000‰. A fix must flip this test to pin that no link
+    /// reads above 1000‰.
+    #[test]
+    fn a_cold_founding_books_a_link_two_streams_cross_at_twice_its_capacity() {
+        let mut b = UnderlyingNetwork::builder();
+        let h = b.add_hosts(3);
+        let q = |bw, us| Qos::new(Bandwidth::kbps(bw), Latency::from_micros(us));
+        b.link(h[0], h[1], q(1000, 10))
+            .link(h[1], h[2], q(1000, 10));
+        let net = b.build();
+        let s: Vec<ServiceId> = (0..3).map(ServiceId::new).collect();
+        let instance = |i: usize| ServiceInstance::new(s[i], h[i]);
+        let mut p = Placement::new();
+        for i in 0..3 {
+            p.add(instance(i));
+        }
+        let compat = Compatibility::from_pairs([(s[0], s[1]), (s[0], s[2]), (s[1], s[2])]);
+        let mut overlay = sflow_net::OverlayGraph::build(&net, &p, &compat).unwrap();
+        // By hand: the direct service link is far narrower than the relay.
+        let node = |overlay: &sflow_net::OverlayGraph, i| overlay.node_of(instance(i)).unwrap();
+        let (n0, n2) = (node(&overlay, 0), node(&overlay, 2));
+        overlay.update_link_qos(n0, n2, q(100, 1)).unwrap();
+        let shared = shared_over(Fixture::new(net, overlay, s[0]), ServerConfig::default());
+        let requirement = ServiceRequirement::from_edges([(s[0], s[1]), (s[0], s[2])]).unwrap();
+
+        let summary = match federate_against(
+            &shared,
+            shared.table.plane(),
+            requirement,
+            Algorithm::Sflow,
+            None,
+        ) {
+            Response::Federated(summary) => summary,
+            other => panic!("expected Federated, got {other:?}"),
+        };
+        assert_eq!(
+            summary.bandwidth_kbps, 1000,
+            "the relay, not the direct link"
+        );
+        assert_conserved(&shared);
+        let plane = shared.table.plane();
+        let shared_hop = (instance(0), instance(1));
+        assert_eq!(plane.capacity(shared_hop), Some(Bandwidth::kbps(1000)));
+        assert_eq!(plane.map().reserved_kbps(shared_hop), 2 * 1000);
+        assert_eq!(plane.utilization_permille(shared_hop), 2000);
+        assert_eq!(plane.utilization_permille((instance(1), instance(2))), 1000);
+        assert_eq!(plane.max_utilization_permille(), 2000);
+    }
+
     /// A request that panics inside `execute` is answered `Error` and the
     /// pool keeps its size: at `workers: 1` the next request is served and
     /// no frame stays on the in-flight gauge. Without the `catch_unwind` the
@@ -1999,6 +2059,7 @@ mod tests {
         use crate::wire::{encode_frame, read_frame};
         use crate::{RequestFrame, ResponseFrame};
         use std::io::Write;
+        use std::net::TcpStream;
 
         let config = ServerConfig {
             workers: 1,

@@ -107,8 +107,8 @@ macro_rules! stats_table {
             }
         }
 
-        /// Shared, interior-mutable counters. Workers and reactors record
-        /// through the per-row accessors; any reactor snapshots.
+        /// Shared, interior-mutable counters. Workers and the event loop
+        /// record through the per-row accessors; the loop snapshots.
         #[derive(Debug, Default)]
         pub(crate) struct Metrics {
             $($( $name: $cell, )?)*
@@ -230,7 +230,7 @@ stats_table! {
     /// the queue refuses the frame. Pipelining makes this exceed the
     /// connection count; inline control requests never appear here.
     frames_in_flight: Gauge,
-    /// Times a reactor thread woke from its poll wait (readiness, a worker
+    /// Times the event loop woke from its poll wait (readiness, a worker
     /// completion, or an idle tick).
     reactor_wakeups: Counter,
     /// Times a connection crossed its write high-water mark and had its

@@ -41,7 +41,6 @@ fn federate_request() -> Request {
 #[test]
 fn inline_stats_overtakes_a_queued_federate() {
     let handle = reactor_server(ServerConfig {
-        reactor_threads: 1,
         residual: false,
         ..ServerConfig::default()
     });
@@ -73,7 +72,6 @@ fn inline_stats_overtakes_a_queued_federate() {
 #[test]
 fn recv_by_id_stashes_the_overtaking_response() {
     let handle = reactor_server(ServerConfig {
-        reactor_threads: 1,
         residual: false,
         ..ServerConfig::default()
     });
@@ -101,7 +99,6 @@ fn recv_by_id_stashes_the_overtaking_response() {
 #[test]
 fn a_frame_dribbled_one_byte_at_a_time_is_assembled() {
     let handle = reactor_server(ServerConfig {
-        reactor_threads: 1,
         residual: false,
         ..ServerConfig::default()
     });
@@ -146,7 +143,6 @@ fn a_slow_reader_is_paused_and_its_buffer_stays_bounded() {
     const HIGH_WATER: usize = 2048;
     const BURST: usize = 2000;
     let handle = reactor_server(ServerConfig {
-        reactor_threads: 1,
         write_high_water: HIGH_WATER,
         residual: false,
         ..ServerConfig::default()
@@ -212,36 +208,16 @@ fn a_slow_reader_is_paused_and_its_buffer_stays_bounded() {
     handle.shutdown();
 }
 
-/// `reactor_threads: 0` selects nothing: it is clamped to one event loop,
-/// exactly like `workers: 0` is clamped to one worker.
+/// Eight connections at once each pipeline sixteen federates and a
+/// `Stats` into the one event loop; every reply comes back under its own id
+/// exactly once, whichever worker served it, and once the clients hang up
+/// the open-connection gauge drains to the probe alone and no frame stays
+/// in flight.
 #[test]
-fn zero_reactor_threads_serve_on_one_reactor() {
-    let handle = reactor_server(ServerConfig {
-        reactor_threads: 0,
-        ..ServerConfig::default()
-    });
-    let mut client = Client::connect(handle.addr()).unwrap();
-    match client.request(&federate_request()).unwrap() {
-        Response::Federated(summary) => assert_eq!(summary.bandwidth_kbps, 80),
-        other => panic!("expected Federated, got {other:?}"),
-    }
-    let stats = client.stats().unwrap();
-    assert!(stats.reactor_wakeups > 0, "served by a reactor: {stats:?}");
-    assert_eq!(stats.connections_open, 1, "{stats:?}");
-    handle.shutdown();
-}
-
-/// The sharded reactor: at `reactor_threads: 4` connections are dealt
-/// round-robin across four event loops. Eight connections at once each
-/// pipeline sixteen federates and a `Stats`; every reply comes back under
-/// its own id exactly once, whichever loop and worker served it, and once
-/// the clients hang up the open-connection gauge drains to the probe alone.
-#[test]
-fn four_reactor_threads_answer_every_pipelined_frame_by_id() {
+fn eight_pipelining_connections_are_answered_by_id_and_the_gauges_drain() {
     const CONNECTIONS: usize = 8;
     const DEPTH: u64 = 16;
     let handle = reactor_server(ServerConfig {
-        reactor_threads: 4,
         // Room for every frame at once: nothing is shed.
         queue_depth: CONNECTIONS * DEPTH as usize,
         ..ServerConfig::default()

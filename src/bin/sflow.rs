@@ -77,7 +77,6 @@ fn usage() -> ExitCode {
          \x20            [--vars N] [--clauses M] [--seed S]\n\
          \x20 serve      run the federation server (default world: Fig. 4)\n\
          \x20            [--addr IP:PORT] [--workers N] [--queue D]\n\
-         \x20            [--reactor-threads N] epoll event loops (default 1)\n\
          \x20            [--max-conns N] open-connection cap (0 = 65536)\n\
          \x20            [--write-high-water BYTES] per-connection backpressure mark\n\
          \x20            [--no-residual] federate against raw instead of residual capacity\n\
@@ -110,7 +109,7 @@ const COMMANDS: [(&str, &str, &str); 6] = [
     (
         "serve",
         "no-residual no-solve-cache",
-        "addr workers queue reactor-threads max-conns write-high-water \
+        "addr workers queue max-conns write-high-water \
          rebalance-interval-ms utilization-threshold hosts services instances seed",
     ),
     (
@@ -318,11 +317,6 @@ fn serve(flags: &Flags) -> Result<(), String> {
     let config = ServerConfig {
         workers: get(flags, "workers", ServerConfig::default().workers)?,
         queue_depth: get(flags, "queue", ServerConfig::default().queue_depth)?,
-        reactor_threads: get(
-            flags,
-            "reactor-threads",
-            ServerConfig::default().reactor_threads,
-        )?,
         max_connections: get(flags, "max-conns", ServerConfig::default().max_connections)?,
         write_high_water: get(
             flags,
@@ -363,11 +357,10 @@ fn serve(flags: &Flags) -> Result<(), String> {
     drop(snapshot);
     let handle = serve_on(addr, world, &config).map_err(|e| format!("bind {addr}: {e}"))?;
     println!(
-        "sflow-server listening on {} ({} workers, queue depth {}, {} reactor thread(s))",
+        "sflow-server listening on {} ({} workers, queue depth {})",
         handle.addr(),
         config.workers,
-        config.queue_depth,
-        config.reactor_threads.max(1)
+        config.queue_depth
     );
     handle.wait();
     println!("sflow-server stopped");

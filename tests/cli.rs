@@ -31,10 +31,13 @@ fn a_retired_switch_is_refused_by_name() {
 
 #[test]
 fn a_retired_flag_is_refused_by_name() {
-    // No routing table is built on a worker pool, so nothing sizes one;
-    // the unbindable address again keeps a let-through flag from passing.
-    let error = refused(&["serve", "--route-workers", "2", "--addr", "256.0.0.1:0"]);
-    assert!(error.ends_with("--route-workers"), "{error}");
+    // No routing table is built on a worker pool and one event loop serves
+    // every connection, so nothing sizes either; the unbindable address
+    // again keeps a let-through flag from passing.
+    for flag in ["route-workers", "reactor-threads"] {
+        let error = refused(&["serve", &format!("--{flag}"), "2", "--addr", "256.0.0.1:0"]);
+        assert!(error.ends_with(&format!("--{flag}")), "{error}");
+    }
 }
 
 #[test]
