@@ -45,9 +45,11 @@
 //! of that row still has to sweep for.
 //!
 //! Each world also records `csr_build_us`, the cost of deriving the
-//! [`QosCsr`] index every build starts with, `csr_reweight_us`, what a
+//! [`QosCsr`] index every build starts with, and `csr_reweight_us`, what a
 //! patch pays instead once a forest cut moved [`FOREST_LINKS`] links
-//! ([`QosCsr::reweighted`]), and a `kernel`
+//! ([`QosCsr::reweighted`] from the cut's change list). On [`PLAN_GATED`]'s
+//! worlds the reweight must cost at most [`MAX_REWEIGHT_SHARE`] of the
+//! build, a ratio of two timings of one run. Each world also records a `kernel`
 //! block from one direct sequential sweep of [`single_source_csr`] over every
 //! source: µs per tree beside the counts that predict it and repeat exactly
 //! from run to run — bottleneck levels per source, label decreases per
@@ -148,6 +150,12 @@ const FOREST_LINKS: usize = 5;
 /// the CSR reweight and a refcount bump per tree — is gated to be less than
 /// the one tree it would otherwise recompute.
 const PLAN_GATED: [&str; 3] = ["random-200", "waxman-400-overlay", "waxman-2000"];
+
+/// Most a forest cut's CSR reweight may cost, as a share of deriving the
+/// CSR afresh, on [`PLAN_GATED`]'s worlds: the reweight copies two weight
+/// arrays and writes the changed slots, where a build reads every edge of
+/// the graph and sorts every slot.
+const MAX_REWEIGHT_SHARE: f64 = 0.25;
 
 /// Cut/restore pairs sampled per world for each shape of patch row.
 fn patch_pairs_for(nodes: usize) -> usize {
@@ -916,14 +924,16 @@ fn measure<N: Clone>(name: &'static str, g: &DiGraph<N, Qos>, seed: u64) -> Worl
     let csr = QosCsr::new(g);
     let csr_build_us = time_us(reps, || QosCsr::new(g));
     // What a patch derives its CSR with once a forest cut has moved
-    // `FOREST_LINKS` links: a reweight of the predecessor's.
-    let mut cut = g.clone();
-    for i in 0..FOREST_LINKS {
-        let edge = EdgeIx::from_index(i * cut.edge_count() / FOREST_LINKS);
-        if let Some(halved) = halve(*cut.edge(edge)) {
-            *cut.edge_mut(edge) = halved;
-        }
-    }
+    // `FOREST_LINKS` links: the predecessor's, reweighted from the change
+    // list (one record per edge, sorted by edge, as a patch folds it).
+    let cut: Vec<EdgeChange> = (0..FOREST_LINKS)
+        .filter_map(|i| {
+            let edge = EdgeIx::from_index(i * g.edge_count() / FOREST_LINKS);
+            let old = *g.edge(edge);
+            let new = halve(old)?;
+            Some(EdgeChange { edge, old, new })
+        })
+        .collect();
     let csr_reweight_us = time_us(reps, || csr.reweighted(&cut));
 
     let mut world = g.clone();
@@ -1230,6 +1240,14 @@ fn main() {
             quarter(&r.restore, "restore");
         }
         if PLAN_GATED.contains(&r.name) {
+            assert!(
+                r.csr_reweight_us as f64 <= MAX_REWEIGHT_SHARE * r.csr_build_us as f64,
+                "{}: a forest cut's CSR reweight took {} µs, more than {:.0}% of a build ({} µs)",
+                r.name,
+                r.csr_reweight_us,
+                MAX_REWEIGHT_SHARE * 100.0,
+                r.csr_build_us,
+            );
             let plan = r.cut.plan_us().unwrap_or_else(|| {
                 panic!(
                     "{}: no shave recomputed zero trees: the plan went unmeasured",

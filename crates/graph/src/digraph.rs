@@ -1,6 +1,7 @@
 //! The core adjacency-list directed multigraph.
 
 use std::fmt;
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
@@ -56,20 +57,15 @@ impl fmt::Debug for EdgeIx {
     }
 }
 
-#[derive(Clone, Debug, Serialize, Deserialize)]
-struct NodeData<N> {
-    weight: N,
-    /// Outgoing edge handles in insertion order.
-    out: Vec<EdgeIx>,
-    /// Incoming edge handles in insertion order.
-    inc: Vec<EdgeIx>,
-}
-
-#[derive(Clone, Debug, Serialize, Deserialize)]
-struct EdgeData<E> {
-    weight: E,
-    from: NodeIx,
-    to: NodeIx,
+/// Who is joined to whom: what every clone of a graph shares.
+#[derive(Clone, Debug, Default)]
+struct Topology {
+    /// Per node, its outgoing edge handles in insertion order.
+    out: Vec<Vec<EdgeIx>>,
+    /// Per node, its incoming edge handles in insertion order.
+    inc: Vec<Vec<EdgeIx>>,
+    /// Per edge, its `(from, to)` endpoints.
+    ends: Vec<(NodeIx, NodeIx)>,
 }
 
 /// A borrowed view of one edge: endpoints, handle and weight.
@@ -100,6 +96,14 @@ impl<E> Copy for EdgeRef<'_, E> {}
 /// and self-loops are permitted at this layer; higher layers (e.g. service
 /// requirements) impose their own structural validation.
 ///
+/// The topology — each node's out- and in-edge lists and each edge's
+/// endpoints — sits behind one `Arc`, and the node and edge weights are
+/// the graph's own. So a clone copies the weights and bumps a refcount,
+/// [`DiGraph::edge_mut`] and [`DiGraph::node_mut`] touch weights only, and
+/// [`DiGraph::add_node`] and [`DiGraph::add_edge`] copy the topology
+/// first if a clone still shares it: a graph whose weights change from
+/// epoch to epoch costs its weights per epoch, not its adjacency.
+///
 /// # Example
 ///
 /// ```
@@ -112,10 +116,11 @@ impl<E> Copy for EdgeRef<'_, E> {}
 /// assert_eq!(g.edge_endpoints(e), (a, b));
 /// assert_eq!(g.successors(a).collect::<Vec<_>>(), vec![b]);
 /// ```
-#[derive(Clone, Serialize, Deserialize)]
+#[derive(Clone)]
 pub struct DiGraph<N, E> {
-    nodes: Vec<NodeData<N>>,
-    edges: Vec<EdgeData<E>>,
+    topology: Arc<Topology>,
+    nodes: Vec<N>,
+    edges: Vec<E>,
 }
 
 impl<N, E> Default for DiGraph<N, E> {
@@ -137,6 +142,7 @@ impl<N, E> DiGraph<N, E> {
     /// Creates an empty graph.
     pub fn new() -> Self {
         DiGraph {
+            topology: Arc::default(),
             nodes: Vec::new(),
             edges: Vec::new(),
         }
@@ -145,6 +151,11 @@ impl<N, E> DiGraph<N, E> {
     /// Creates an empty graph with room for `nodes` nodes and `edges` edges.
     pub fn with_capacity(nodes: usize, edges: usize) -> Self {
         DiGraph {
+            topology: Arc::new(Topology {
+                out: Vec::with_capacity(nodes),
+                inc: Vec::with_capacity(nodes),
+                ends: Vec::with_capacity(edges),
+            }),
             nodes: Vec::with_capacity(nodes),
             edges: Vec::with_capacity(edges),
         }
@@ -168,11 +179,10 @@ impl<N, E> DiGraph<N, E> {
     /// Adds a node carrying `weight` and returns its handle.
     pub fn add_node(&mut self, weight: N) -> NodeIx {
         let ix = NodeIx(self.nodes.len() as u32);
-        self.nodes.push(NodeData {
-            weight,
-            out: Vec::new(),
-            inc: Vec::new(),
-        });
+        let topology = Arc::make_mut(&mut self.topology);
+        topology.out.push(Vec::new());
+        topology.inc.push(Vec::new());
+        self.nodes.push(weight);
         ix
     }
 
@@ -188,9 +198,11 @@ impl<N, E> DiGraph<N, E> {
             "edge endpoints must be nodes of this graph"
         );
         let ix = EdgeIx(self.edges.len() as u32);
-        self.edges.push(EdgeData { weight, from, to });
-        self.nodes[from.index()].out.push(ix);
-        self.nodes[to.index()].inc.push(ix);
+        let topology = Arc::make_mut(&mut self.topology);
+        topology.ends.push((from, to));
+        topology.out[from.index()].push(ix);
+        topology.inc[to.index()].push(ix);
+        self.edges.push(weight);
         ix
     }
 
@@ -200,7 +212,7 @@ impl<N, E> DiGraph<N, E> {
     ///
     /// Panics if `node` is out of bounds.
     pub fn node(&self, node: NodeIx) -> &N {
-        &self.nodes[node.index()].weight
+        &self.nodes[node.index()]
     }
 
     /// Returns a mutable reference to the weight of `node`.
@@ -209,7 +221,7 @@ impl<N, E> DiGraph<N, E> {
     ///
     /// Panics if `node` is out of bounds.
     pub fn node_mut(&mut self, node: NodeIx) -> &mut N {
-        &mut self.nodes[node.index()].weight
+        &mut self.nodes[node.index()]
     }
 
     /// Returns the weight of `edge`.
@@ -218,7 +230,7 @@ impl<N, E> DiGraph<N, E> {
     ///
     /// Panics if `edge` is out of bounds.
     pub fn edge(&self, edge: EdgeIx) -> &E {
-        &self.edges[edge.index()].weight
+        &self.edges[edge.index()]
     }
 
     /// Returns a mutable reference to the weight of `edge`.
@@ -227,7 +239,7 @@ impl<N, E> DiGraph<N, E> {
     ///
     /// Panics if `edge` is out of bounds.
     pub fn edge_mut(&mut self, edge: EdgeIx) -> &mut E {
-        &mut self.edges[edge.index()].weight
+        &mut self.edges[edge.index()]
     }
 
     /// Returns the `(from, to)` endpoints of `edge`.
@@ -236,8 +248,7 @@ impl<N, E> DiGraph<N, E> {
     ///
     /// Panics if `edge` is out of bounds.
     pub fn edge_endpoints(&self, edge: EdgeIx) -> (NodeIx, NodeIx) {
-        let e = &self.edges[edge.index()];
-        (e.from, e.to)
+        self.topology.ends[edge.index()]
     }
 
     /// Iterates over all node handles in insertion order.
@@ -250,30 +261,35 @@ impl<N, E> DiGraph<N, E> {
         self.nodes
             .iter()
             .enumerate()
-            .map(|(i, d)| (NodeIx(i as u32), &d.weight))
+            .map(|(i, w)| (NodeIx(i as u32), w))
     }
 
     /// Iterates over all edges as [`EdgeRef`]s in insertion order.
     pub fn edges(&self) -> impl DoubleEndedIterator<Item = EdgeRef<'_, E>> + '_ {
-        self.edges.iter().enumerate().map(|(i, d)| EdgeRef {
-            id: EdgeIx(i as u32),
-            from: d.from,
-            to: d.to,
-            weight: &d.weight,
-        })
+        (self.topology.ends.iter().zip(&self.edges))
+            .enumerate()
+            .map(|(i, (&(from, to), weight))| EdgeRef {
+                id: EdgeIx(i as u32),
+                from,
+                to,
+                weight,
+            })
+    }
+
+    /// The [`EdgeRef`] of `edge`.
+    fn edge_ref(&self, edge: EdgeIx) -> EdgeRef<'_, E> {
+        let (from, to, weight) = self.edge_parts(edge);
+        EdgeRef {
+            id: edge,
+            from,
+            to,
+            weight,
+        }
     }
 
     /// Iterates over the outgoing edges of `node`.
     pub fn out_edges(&self, node: NodeIx) -> impl Iterator<Item = EdgeRef<'_, E>> + '_ {
-        self.nodes[node.index()].out.iter().map(move |&e| {
-            let d = &self.edges[e.index()];
-            EdgeRef {
-                id: e,
-                from: d.from,
-                to: d.to,
-                weight: &d.weight,
-            }
-        })
+        self.out_edge_ids(node).iter().map(|&e| self.edge_ref(e))
     }
 
     /// The outgoing edge handles of `node`, as a slice.
@@ -284,37 +300,28 @@ impl<N, E> DiGraph<N, E> {
     /// with [`DiGraph::edge_parts`] without building an iterator adaptor
     /// per visit.
     pub fn out_edge_ids(&self, node: NodeIx) -> &[EdgeIx] {
-        &self.nodes[node.index()].out
+        &self.topology.out[node.index()]
     }
 
     /// The incoming edge handles of `node`, as a slice (see
     /// [`DiGraph::out_edge_ids`]).
     pub fn in_edge_ids(&self, node: NodeIx) -> &[EdgeIx] {
-        &self.nodes[node.index()].inc
+        &self.topology.inc[node.index()]
     }
 
-    /// Destructures `edge` into `(from, to, &weight)` with a single bounds
-    /// check.
+    /// Destructures `edge` into `(from, to, &weight)`.
     ///
     /// # Panics
     ///
     /// Panics if `edge` is out of bounds.
     pub fn edge_parts(&self, edge: EdgeIx) -> (NodeIx, NodeIx, &E) {
-        let d = &self.edges[edge.index()];
-        (d.from, d.to, &d.weight)
+        let (from, to) = self.topology.ends[edge.index()];
+        (from, to, &self.edges[edge.index()])
     }
 
     /// Iterates over the incoming edges of `node`.
     pub fn in_edges(&self, node: NodeIx) -> impl Iterator<Item = EdgeRef<'_, E>> + '_ {
-        self.nodes[node.index()].inc.iter().map(move |&e| {
-            let d = &self.edges[e.index()];
-            EdgeRef {
-                id: e,
-                from: d.from,
-                to: d.to,
-                weight: &d.weight,
-            }
-        })
+        self.in_edge_ids(node).iter().map(|&e| self.edge_ref(e))
     }
 
     /// Iterates over the direct successors of `node` (heads of its outgoing
@@ -331,21 +338,20 @@ impl<N, E> DiGraph<N, E> {
 
     /// Number of outgoing edges of `node`.
     pub fn out_degree(&self, node: NodeIx) -> usize {
-        self.nodes[node.index()].out.len()
+        self.out_edge_ids(node).len()
     }
 
     /// Number of incoming edges of `node`.
     pub fn in_degree(&self, node: NodeIx) -> usize {
-        self.nodes[node.index()].inc.len()
+        self.in_edge_ids(node).len()
     }
 
     /// Returns the handle of the first edge `from → to`, if any.
     pub fn find_edge(&self, from: NodeIx, to: NodeIx) -> Option<EdgeIx> {
-        self.nodes[from.index()]
-            .out
+        self.out_edge_ids(from)
             .iter()
             .copied()
-            .find(|&e| self.edges[e.index()].to == to)
+            .find(|&e| self.topology.ends[e.index()].1 == to)
     }
 
     /// Returns `true` if at least one edge `from → to` exists.
@@ -358,34 +364,17 @@ impl<N, E> DiGraph<N, E> {
         node.index() < self.nodes.len()
     }
 
-    /// Builds a new graph with the same topology but with every node and edge
-    /// weight transformed by the given closures.
+    /// Builds a new graph with the same topology — shared, not copied — but
+    /// with every node and edge weight transformed by the given closures.
     pub fn map<N2, E2>(
         &self,
         mut node_map: impl FnMut(NodeIx, &N) -> N2,
         mut edge_map: impl FnMut(EdgeIx, &E) -> E2,
     ) -> DiGraph<N2, E2> {
         DiGraph {
-            nodes: self
-                .nodes
-                .iter()
-                .enumerate()
-                .map(|(i, d)| NodeData {
-                    weight: node_map(NodeIx(i as u32), &d.weight),
-                    out: d.out.clone(),
-                    inc: d.inc.clone(),
-                })
-                .collect(),
-            edges: self
-                .edges
-                .iter()
-                .enumerate()
-                .map(|(i, d)| EdgeData {
-                    weight: edge_map(EdgeIx(i as u32), &d.weight),
-                    from: d.from,
-                    to: d.to,
-                })
-                .collect(),
+            topology: Arc::clone(&self.topology),
+            nodes: self.nodes().map(|(i, w)| node_map(i, w)).collect(),
+            edges: self.edges().map(|e| edge_map(e.id, e.weight)).collect(),
         }
     }
 }
@@ -493,6 +482,35 @@ mod tests {
     }
 
     #[test]
+    fn a_clone_shares_the_topology_until_it_grows() {
+        let (g, [s, a, b, t]) = diamond();
+        let mut c = g.clone();
+        assert!(Arc::ptr_eq(&g.topology, &c.topology));
+        // Weights are each graph's own.
+        let e = g.find_edge(s, a).unwrap();
+        *c.edge_mut(e) = 99;
+        *c.node_mut(s) = "source";
+        assert_eq!((*g.edge(e), *g.node(s)), (1, "s"));
+        assert_eq!((*c.edge(e), *c.node(s)), (99, "source"));
+        assert!(Arc::ptr_eq(&g.topology, &c.topology));
+        // Growing a clone copies the topology and leaves the original's.
+        let u = c.add_node("u");
+        c.add_edge(t, u, 5);
+        c.add_edge(s, u, 6);
+        assert!(!Arc::ptr_eq(&g.topology, &c.topology));
+        assert_eq!((g.node_count(), g.edge_count()), (4, 4));
+        assert_eq!((c.node_count(), c.edge_count()), (5, 6));
+        assert_eq!(g.successors(s).collect::<Vec<_>>(), vec![a, b]);
+        assert_eq!(c.successors(s).collect::<Vec<_>>(), vec![a, b, u]);
+        assert_eq!(g.out_degree(t), 0);
+        assert_eq!(c.predecessors(u).collect::<Vec<_>>(), vec![t, s]);
+        // An unshared graph grows in place.
+        let before = Arc::as_ptr(&c.topology);
+        c.add_edge(u, s, 7);
+        assert_eq!(Arc::as_ptr(&c.topology), before);
+    }
+
+    #[test]
     fn map_preserves_topology() {
         let (g, [s, _, _, t]) = diamond();
         let g2 = g.map(|_, n| n.len(), |_, e| *e as f64 * 2.0);
@@ -502,6 +520,7 @@ mod tests {
         let e = g2.find_edge(s, NodeIx::from_index(1)).unwrap();
         assert_eq!(*g2.edge(e), 2.0);
         assert_eq!(g2.successors(t).count(), 0);
+        assert!(Arc::ptr_eq(&g.topology, &g2.topology));
     }
 
     #[test]

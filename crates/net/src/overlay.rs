@@ -370,8 +370,9 @@ impl OverlayGraph {
     }
 
     /// Copy-on-write form of [`OverlayGraph::update_link_qos`]: leaves
-    /// `self` untouched and returns a fresh overlay carrying the new QoS,
-    /// plus the [`EdgeChange`] that
+    /// `self` untouched and returns a fresh overlay carrying the new QoS —
+    /// its weights copied, its topology shared with `self` — plus the
+    /// [`EdgeChange`] that
     /// [`AllPairs::patched_with`](sflow_routing::AllPairs::patched_with) needs to
     /// derive a fresh routing table from a predecessor. `None` if no such
     /// service link exists.
@@ -393,8 +394,9 @@ impl OverlayGraph {
         Some((next, change))
     }
 
-    /// Copy-on-write failure of `failed`: a fresh overlay in which each of
-    /// them that is live is a tombstone — gone from every lookup, its node
+    /// Copy-on-write failure of `failed`: a fresh overlay — its weights
+    /// copied, its topology shared with `self` — in which each of them
+    /// that is live is a tombstone — gone from every lookup, its node
     /// kept so no node or edge is renumbered — and every link into or out
     /// of it is cut to zero bandwidth at its latency, plus one
     /// [`EdgeChange`] per link cut. The shortest-widest kernel never
@@ -846,6 +848,17 @@ mod tests {
         assert_eq!(same.link_count(), ov.link_count());
     }
 
+    /// `true` if `a` and `b` read their adjacency from the same memory: a
+    /// graph's clones share its topology, and only a copy has its own.
+    fn shares_topology(a: &OverlayGraph, b: &OverlayGraph) -> bool {
+        let (a, b) = (a.graph(), b.graph());
+        a.edge_count() > 0
+            && a.node_ids().all(|n| {
+                std::ptr::eq(a.out_edge_ids(n), b.out_edge_ids(n))
+                    && std::ptr::eq(a.in_edge_ids(n), b.in_edge_ids(n))
+            })
+    }
+
     #[test]
     fn with_failed_tombstones_the_instance_and_cuts_its_links() {
         let (net, p, compat) = line_world();
@@ -853,6 +866,9 @@ mod tests {
         let failed = ServiceInstance::new(sid(1), HostId::new(1));
         let dead = ov.node_of(failed).unwrap();
         let (next, cut) = ov.with_failed(&[failed]);
+        // A tombstone is a weight change: the adjacency is the predecessor's.
+        assert!(shares_topology(&ov, &next));
+        assert!(!shares_topology(&ov, &ov.without_instances(&[])));
         assert_eq!(next.instance_count(), 3);
         assert_eq!(next.instances_of(sid(1)).len(), 1);
         assert_eq!(next.node_of(failed), None);
@@ -967,6 +983,8 @@ mod tests {
         let (next, change) = ov.with_link_qos(s0, near, q(3, 7)).unwrap();
         assert_eq!(change.old, q(10, 1));
         assert_eq!(change.new, q(3, 7));
+        // The successor copies weights, not the adjacency.
+        assert!(shares_topology(&ov, &next));
         // The predecessor still carries the old weight, the successor the new.
         let e_old = ov.graph().find_edge(s0, near).unwrap();
         assert_eq!(*ov.graph().edge(e_old), q(10, 1));

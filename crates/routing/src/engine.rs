@@ -15,8 +15,10 @@
 //! the per-epoch cost is a plan, never a copy of the world, and a row is
 //! routed only when a read needs it. A table carries the
 //! [`QosCsr`](crate::QosCsr) of its graph, and the successor's is that one
-//! reweighted ([`QosCsr::reweighted`](crate::QosCsr::reweighted): the
-//! topology shared, `O(E)` with no sort), not a fresh derivation.
+//! reweighted from the batch's change list
+//! ([`QosCsr::reweighted`](crate::QosCsr::reweighted): the topology
+//! shared, the weight arrays copied and only the changed slots written),
+//! not a fresh derivation and not a read of the graph.
 //!
 //! A build and a stale slot's sweep both run the same non-generic
 //! [`single_source_csr`](crate::shortest_widest::single_source_csr) over a
@@ -50,7 +52,12 @@
 //! or one before it, nothing having beaten it since) and its label is
 //! exact; anything else — no entry yet, or one beyond `Λ_b`, which is only
 //! an upper bound still waiting on the heap — is known to lie at or
-//! *beyond* `Λ_b` and nothing more, and no rule reads past that.
+//! *beyond* `Λ_b` and nothing more, and no rule reads past that. Pops
+//! within a level come in label order, so `Λ_b` is the latency of the last
+//! node the sweep settles at `b`; the sweep records that node per level
+//! and the rules read `Λ_b` from it
+//! ([`PathTree::level_bound`](crate::PathTree::level_bound)), never from a
+//! walk of the tree's labels.
 //!
 //! **The invariant.** What every rule below preserves, for every tree the
 //! table holds and every level `b` of it, is that the stored labels are as
@@ -233,7 +240,7 @@ use std::sync::Arc;
 use sflow_graph::{DiGraph, EdgeIx, NodeIx};
 
 use crate::shortest_widest::{AllPairs, Shadow, Slot, TraversalScratch};
-use crate::{Bandwidth, Latency, Qos};
+use crate::{Bandwidth, Qos};
 
 /// One edge whose QoS changed, described by before/after weights.
 ///
@@ -289,7 +296,7 @@ pub struct PatchStats {
 
 /// Folds a batch to one record per edge, sorted by edge: the first `old`
 /// seen for it and the weight `g` carries now as `new`, net no-ops dropped.
-fn coalesce<N>(g: &DiGraph<N, Qos>, changes: &[EdgeChange]) -> Vec<EdgeChange> {
+pub(crate) fn coalesce<N>(g: &DiGraph<N, Qos>, changes: &[EdgeChange]) -> Vec<EdgeChange> {
     let mut folded: Vec<EdgeChange> = changes.to_vec();
     folded.sort_by_key(|c| c.edge); // stable: the first record's `old` leads
     folded.dedup_by_key(|c| c.edge);
@@ -316,8 +323,10 @@ impl AllPairs {
     /// its tree; after any other batch they are all stale, and so is every
     /// slot that was stale already. A slot is swept on the first read
     /// that needs it, against the successor's CSR. Deriving the successor
-    /// therefore costs the plan, one reweighting of the predecessor's
-    /// [`QosCsr`](crate::QosCsr) and a refcount bump per kept tree or shadow, never a
+    /// therefore costs the plan, the predecessor's
+    /// [`QosCsr`](crate::QosCsr) reweighted from the coalesced change list
+    /// (its weight arrays copied, the changed slots written — no read of
+    /// `g`'s edges) and a refcount bump per kept tree or shadow, never a
     /// copy of the table, and no Dijkstra. Readers concurrently solving
     /// against the predecessor are never disturbed — this is the routing
     /// half of an epoch-published world, where the successor table is
@@ -325,9 +334,9 @@ impl AllPairs {
     ///
     /// # Panics
     ///
-    /// If `g` has another node count than the table: no mutation renumbers
-    /// a graph (a failed instance is a tombstone), so a patch never needs
-    /// a full build.
+    /// If `g` has another node or edge count than the table: no mutation
+    /// renumbers a graph (a failed instance is a tombstone), so a patch
+    /// never needs a full build.
     pub fn patched_with<N>(
         &self,
         g: &DiGraph<N, Qos>,
@@ -335,10 +344,9 @@ impl AllPairs {
         _workers: usize,
     ) -> (AllPairs, PatchStats) {
         let n = g.node_count();
-        assert_eq!(
-            n,
-            self.trees.len(),
-            "a patch keeps the table's numbering: the graph must have its node count"
+        assert!(
+            n == self.trees.len() && g.edge_count() == self.csr.edge_count(),
+            "a patch keeps the table's numbering: the graph must have its node and edge counts"
         );
         let mut stats = PatchStats {
             trees_recomputed: 0,
@@ -349,9 +357,7 @@ impl AllPairs {
             return (self.clone(), stats); // the graph is the one `self` was swept over
         }
 
-        // The reweight reads every edge of `g`, which the caller has just
-        // diffed: before the plan's walks move the cache on, not after.
-        let csr = Arc::new(self.csr.reweighted(g));
+        let csr = Arc::new(self.csr.reweighted(&changes));
         // Each slot is read once: a tree a concurrent reader sweeps after
         // this look is not one the plan saw, so it stays behind.
         let mut plan = Plan::new(g, &changes);
@@ -381,7 +387,6 @@ struct Plan<'a, N> {
     /// the end of every shadow.
     label_side: bool,
     traversal: TraversalScratch,
-    levels: Vec<(Bandwidth, Latency)>,
 }
 
 impl<'a, N> Plan<'a, N> {
@@ -398,7 +403,6 @@ impl<'a, N> Plan<'a, N> {
                 .iter()
                 .any(|c| c.is_retimed() || c.new.bandwidth > c.old.bandwidth),
             traversal: TraversalScratch::new(),
-            levels: Vec::new(),
         }
     }
 
@@ -410,7 +414,7 @@ impl<'a, N> Plan<'a, N> {
     fn next(&mut self, slot: &Slot) -> (Slot, bool) {
         match (slot.tree.get(), &slot.shadow) {
             (Some(tree), _) if self.label_side => {
-                let dirty = !tree.certifies(self.g, self.changes, &mut self.levels)
+                let dirty = !tree.certifies(self.g, self.changes)
                     || tree.crosses_cuts(&self.cuts, &mut self.traversal);
                 if dirty {
                     (Slot::default(), true)

@@ -78,14 +78,16 @@
 //! `O(V + U)` memory per tree, lexicographic `O(E log V)`. The CSR
 //! derivation is `O(V + E log E)` once per graph, amortised to nothing over
 //! a sweep of many sources. A patch ([`AllPairs::patched_with`]) is a
-//! plan and derives no CSR: it reweights its predecessor's in `O(E)` (plus
-//! `O(k log E)` for the `k` slots whose bandwidth moved), plans a
-//! bandwidth cut in `O(changes × chain)` per materialised or shadowed
-//! tree — a cut head's chain, a few entries — plus `O(V)` and a walk of
-//! the levels that matter for the trees whose chains name a cut edge, and
-//! sweeps nothing. (A gain or a re-timing is planned by the certificate,
-//! which reads every materialised tree's level bounds: `O(V)` per tree and
-//! up.) The sweep a dirty tree costs is paid on the first read of its row
+//! plan and derives no CSR: it reweights its predecessor's from the change
+//! list (two weight arrays copied, `O(k log E)` for the `k` changed
+//! slots), plans a bandwidth cut in `O(changes × chain)` per materialised
+//! or shadowed tree — a cut head's chain, a few entries — plus `O(V)` and
+//! a walk of the levels that matter for the trees whose chains name a cut
+//! edge, and sweeps nothing. (A gain or a re-timing is planned by the
+//! certificate, per materialised tree and change: a binary search of the
+//! level bounds the tree keeps, then only the levels the edge joins or got
+//! faster at, and for a re-timing the edge's head's chain.) The sweep a
+//! dirty tree costs is paid on the first read of its row
 //! that needs it — after a pure cut, a read of a destination the cut moved
 //! — against the table the reader holds, and not at all for a row nobody
 //! reads there. A shadow costs its tree, which the predecessor holds
@@ -94,6 +96,7 @@
 use std::cell::RefCell;
 use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
+use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 
 use sflow_graph::{Csr, DiGraph, EdgeIx, NodeIx};
@@ -124,23 +127,27 @@ pub struct PathTree {
     /// for a tree that reaches nothing).
     levels: u32,
     /// `versions[first[x]..first[x + 1]]` is node `x`'s chain, widest level
-    /// first.
+    /// first. Past the `V + 1` offsets, `first[V + 1 + li]` is the last
+    /// node the sweep settled at level `li` ([`PathTree::level_bound`]).
     first: Vec<u32>,
     versions: Vec<Version>,
 }
 
 impl PathTree {
     /// Groups a sweep's log — one `(node, version)` per entry, in the order
-    /// the levels were visited — by node.
+    /// the levels were visited — by node, and keeps `last`, the node each
+    /// level settled last, behind the chain offsets.
     fn new(
         source: NodeIx,
         dist: Vec<Option<Qos>>,
         node_level: Vec<u32>,
-        levels: u32,
+        last: &[u32],
         log: &[(NodeIx, Version)],
     ) -> Self {
         let n = dist.len();
-        let mut first = vec![0u32; n + 1];
+        let levels = last.len() as u32;
+        let mut first = Vec::with_capacity(n + 1 + last.len());
+        first.resize(n + 1, 0u32);
         for (node, _) in log {
             first[node.index() + 1] += 1;
         }
@@ -160,6 +167,7 @@ impl PathTree {
             first.rotate_right(1);
             first[0] = 0;
         }
+        first.extend_from_slice(last);
         PathTree {
             source,
             dist,
@@ -184,6 +192,32 @@ impl PathTree {
     /// Number of distinct bottleneck levels the tree was swept over.
     pub fn level_count(&self) -> usize {
         self.levels as usize
+    }
+
+    /// The level `node` is pinned at — an index into the tree's levels,
+    /// widest first — or `None` for the source and an unreachable node.
+    pub fn level_of(&self, node: NodeIx) -> Option<usize> {
+        self.dist[node.index()]?;
+        (node != self.source).then(|| self.node_level[node.index()] as usize)
+    }
+
+    /// Level `level`'s `(bandwidth, Λ)`: its bottleneck, and the largest
+    /// latency among the nodes pinned there — where the sweep left the
+    /// level. Within a level the sweep settles nodes in label order, so
+    /// that is the QoS of the last node it settled there, which the tree
+    /// keeps: `O(1)`, where reading it off every node's QoS is `O(V)`.
+    ///
+    /// # Panics
+    ///
+    /// If `level` is not below [`PathTree::level_count`].
+    #[expect(
+        clippy::expect_used,
+        reason = "the node a level settled last is reachable"
+    )]
+    pub fn level_bound(&self, level: usize) -> (Bandwidth, Latency) {
+        let last = self.first[self.dist.len() + 1 + level] as usize;
+        let qos = self.dist[last].expect("a level's last settled node has a QoS");
+        (qos.bandwidth, qos.latency)
     }
 
     /// Number of `(label, predecessor)` entries the tree stores — what it
@@ -487,22 +521,6 @@ impl PathTree {
         self.traverses_above(&floors, &mut TraversalScratch::new())
     }
 
-    /// Each level's `(bandwidth, Λ)` into `levels`: `Λ` is the largest
-    /// latency recorded among the nodes pinned at the level, which is where
-    /// the sweep left it.
-    fn level_bounds(&self, levels: &mut Vec<(Bandwidth, Latency)>) {
-        levels.clear();
-        levels.resize(self.levels as usize, (Bandwidth::ZERO, Latency::ZERO));
-        for (i, qos) in self.dist.iter().enumerate() {
-            let Some(qos) = qos else { continue };
-            if i != self.source.index() {
-                let (b, lambda) = &mut levels[self.node_level[i] as usize];
-                *b = qos.bandwidth;
-                *lambda = (*lambda).max(qos.latency);
-            }
-        }
-    }
-
     /// The label `node` held at level `li`, `None` if it had none yet.
     fn label(&self, li: u32, node: NodeIx) -> Option<Latency> {
         if node == self.source {
@@ -513,20 +531,26 @@ impl PathTree {
 
     /// `true` if any label this tree settled — on a reported path or not —
     /// came over an edge whose latency `changes` moved, either way. An
-    /// entry that lies beyond `Λ` (`levels`, from [`PathTree::level_bounds`])
-    /// at every level it stands for is nobody's label: it reads as "beyond
-    /// `Λ`" before and after.
-    fn records_retimed(&self, changes: &[EdgeChange], levels: &[(Bandwidth, Latency)]) -> bool {
-        let retimed = |e| record_of(changes, e).is_some_and(EdgeChange::is_retimed);
-        changes.iter().any(EdgeChange::is_retimed)
-            && (0..self.dist.len()).any(|x| {
-                self.chain(NodeIx::from_index(x)).any(|(at, until)| {
-                    retimed(at.edge)
-                        && levels[at.level as usize..until as usize]
-                            .iter()
-                            .any(|&(_, lambda)| at.latency <= lambda)
-                })
+    /// entry that lies beyond `Λ` ([`PathTree::level_bound`]) at every
+    /// level it stands for is nobody's label: it reads as "beyond `Λ`"
+    /// before and after. An entry over `u → v` is one of `v`'s, so only
+    /// the re-timed edges' heads' chains are read.
+    fn records_retimed<N>(&self, g: &DiGraph<N, Qos>, changes: &[EdgeChange]) -> bool {
+        changes.iter().filter(|c| c.is_retimed()).any(|c| {
+            let head = g.edge_endpoints(c.edge).1;
+            self.chain(head).any(|(at, until)| {
+                at.edge == c.edge
+                    && (at.level..until).any(|li| at.latency <= self.level_bound(li as usize).1)
             })
+        })
+    }
+
+    /// How many levels are wider than `bandwidth`: levels run widest
+    /// first, each narrower than the last. `O(log L)`.
+    fn levels_wider_than(&self, bandwidth: Bandwidth) -> u32 {
+        let last = &self.first[self.dist.len() + 1..];
+        let wider = |&x: &u32| self.dist[x as usize].is_some_and(|q| q.bandwidth > bandwidth);
+        last.partition_point(wider) as u32
     }
 
     /// The label-side optimality certificate of the incremental engine:
@@ -539,19 +563,13 @@ impl PathTree {
     ///
     /// `changes` holds one record per edge, sorted by edge, and `g` already
     /// carries their `new` weights. Exact trees only — a lexicographic
-    /// tree's one level is not a latency Dijkstra.
-    /// `levels` is a reused buffer for each level's `(bandwidth, Λ)`.
-    pub(crate) fn certifies<N>(
-        &self,
-        g: &DiGraph<N, Qos>,
-        changes: &[EdgeChange],
-        levels: &mut Vec<(Bandwidth, Latency)>,
-    ) -> bool {
+    /// tree's one level is not a latency Dijkstra. Each level's
+    /// `(bandwidth, Λ)` is the tree's own ([`PathTree::level_bound`]).
+    pub(crate) fn certifies<N>(&self, g: &DiGraph<N, Qos>, changes: &[EdgeChange]) -> bool {
         // A tree does not outlive a re-timed edge anywhere under its
         // labels: a stored label is the sum the kernel took over the
         // latencies of its day.
-        self.level_bounds(levels);
-        if self.records_retimed(changes, levels) {
+        if self.records_retimed(g, changes) {
             return false;
         }
         let source = self.source;
@@ -572,12 +590,17 @@ impl PathTree {
             if self.dist[v.index()].is_none_or(|q| reach > q.bandwidth) {
                 return false;
             }
-            // (2) At every level the edge joins or got faster at, its
-            // candidate does not beat the head's label.
-            for (li, &(b, lambda)) in (0u32..).zip(levels.iter()) {
-                if b > reach || !(faster || b > c.old.bandwidth) {
-                    continue;
-                }
+            // (2) At every level `b ≤ reach` the edge joins (`b > bw₀`) or
+            // got faster at, its candidate does not beat the head's label.
+            let joins = if faster {
+                self.levels
+            } else if reach <= c.old.bandwidth {
+                continue; // it joins no level it can reach
+            } else {
+                self.levels_wider_than(c.old.bandwidth)
+            };
+            for li in self.levels_wider_than(reach)..joins {
+                let lambda = self.level_bound(li as usize).1;
                 let label = |node| self.label(li, node).filter(|&d| d <= lambda);
                 let Some(tail_label) = label(u) else {
                     continue; // not settled at this level
@@ -610,32 +633,34 @@ impl PathTree {
     /// is the latency the tree reports, and the labels capped at `Λ_b` are
     /// a feasible potential — `φ(y) ≤ φ(x) + lat` over every edge of
     /// bandwidth `≥ b`, with `φ(x) = min(label(x), Λ_b)` and no label
-    /// counting as `Λ_b`.
+    /// counting as `Λ_b`. Each level's `(b, Λ_b)` is read off the pinned
+    /// nodes' QoS, and the tree's own [`PathTree::level_bound`] must agree.
     #[cfg(test)]
     pub(crate) fn labels_are_a_feasible_potential<N>(&self, g: &DiGraph<N, Qos>) -> bool {
-        let mut levels = Vec::new();
-        self.level_bounds(&mut levels);
-        (0u32..).zip(&levels).all(|(li, &(b, lambda))| {
-            let label = |x| self.label(li, x);
-            let phi = |x| label(x).map_or(lambda, |d| d.min(lambda));
-            let pinned_exact = g.node_ids().all(|x| {
-                x == self.source
-                    || self.node_level[x.index()] != li
-                    || self.dist[x.index()].is_none_or(|q| label(x) == Some(q.latency))
-            });
-            pinned_exact
-                && g.edges()
-                    .filter(|e| e.weight.bandwidth >= b)
-                    .all(|e| phi(e.to) <= phi(e.from) + e.weight.latency)
-        })
+        let mut levels = vec![(Bandwidth::ZERO, Latency::ZERO); self.levels as usize];
+        for x in g.node_ids() {
+            if let (Some(li), Some(qos)) = (self.level_of(x), self.qos_to(x)) {
+                let (b, lambda) = &mut levels[li];
+                *b = qos.bandwidth;
+                *lambda = (*lambda).max(qos.latency);
+            }
+        }
+        let stored = (0..levels.len()).map(|li| self.level_bound(li));
+        stored.eq(levels.iter().copied())
+            && (0u32..).zip(&levels).all(|(li, &(b, lambda))| {
+                let label = |x| self.label(li, x);
+                let phi = |x| label(x).map_or(lambda, |d| d.min(lambda));
+                let pinned_exact = g.node_ids().all(|x| {
+                    x == self.source
+                        || self.node_level[x.index()] != li
+                        || self.dist[x.index()].is_none_or(|q| label(x) == Some(q.latency))
+                });
+                pinned_exact
+                    && g.edges()
+                        .filter(|e| e.weight.bandwidth >= b)
+                        .all(|e| phi(e.to) <= phi(e.from) + e.weight.latency)
+            })
     }
-}
-
-/// The record for `edge` in a batch folded to one record per edge and sorted
-/// by edge.
-fn record_of(changes: &[EdgeChange], edge: EdgeIx) -> Option<&EdgeChange> {
-    let at = changes.binary_search_by_key(&edge, |c| c.edge).ok()?;
-    Some(&changes[at])
 }
 
 /// Reusable storage for [`PathTree::traverses_above`] and the patcher's cut
@@ -752,6 +777,8 @@ pub struct DijkstraScratch {
     standing: Vec<Standing>,
     heap: BinaryHeap<SweepEntry>,
     log: Vec<(NodeIx, Version)>,
+    /// The node each level settled last, widest level first.
+    last: Vec<u32>,
     /// What [`settle_csr`] answers in, and its levels.
     settled: Vec<Option<Qos>>,
     settled_levels: Vec<u32>,
@@ -782,7 +809,8 @@ impl DijkstraScratch {
 /// descending sweep admits them in. Derive one per graph
 /// (`O(V + E log E)`) and share it read-only across however many readers
 /// sweep it; once the weights move, [`QosCsr::reweighted`] derives the
-/// next one in `O(E)` and shares the topology with this one.
+/// next one from the list of changed edges — two weight arrays copied and
+/// the changed slots written — and shares the topology with this one.
 #[derive(Clone, Debug)]
 pub struct QosCsr {
     adj: Arc<Csr>,
@@ -790,6 +818,8 @@ pub struct QosCsr {
     latency: Vec<Latency>,
     /// The tail of each slot's edge.
     tails: Arc<[NodeIx]>,
+    /// The slot of each edge, by edge index.
+    slot_of: Arc<[u32]>,
     /// Every slot, widest edge first. Among equal bandwidths the order is
     /// unspecified: they are admitted at the same level, and the tie rule
     /// in the module docs makes the tree independent of it.
@@ -807,6 +837,10 @@ impl QosCsr {
             .node_ids()
             .flat_map(|u| adj.range(u).map(move |_| u))
             .collect();
+        let mut slot_of = vec![0u32; adj.edge_count()];
+        for (s, &e) in adj.edges().iter().enumerate() {
+            slot_of[e.index()] = s as u32;
+        }
         let mut widest_first: Vec<u32> = (0..bandwidth.len() as u32).collect();
         widest_first.sort_unstable_by_key(|&s| Reverse(bandwidth[s as usize]));
         QosCsr {
@@ -814,61 +848,104 @@ impl QosCsr {
             bandwidth,
             latency,
             tails,
+            slot_of: slot_of.into(),
             widest_first,
         }
     }
 
-    /// The CSR of `g`, which must be the graph this one was derived from
-    /// with only edge weights changed since: the topology and tails are
-    /// shared with `self`, the weights re-read from `g`, and only the slots
-    /// whose bandwidth moved are re-placed in the bandwidth order — each
-    /// goes in front of the first slot its old place in the order found no
-    /// wider, and the others keep their order. `O(E + k log E)` for `k`
-    /// moved slots, against [`QosCsr::new`]'s sort of all of them. A graph
-    /// whose node or edge count differs gets [`QosCsr::new`].
-    pub fn reweighted<N>(&self, g: &DiGraph<N, Qos>) -> Self {
-        let slots = self.bandwidth.len();
-        if g.node_count() != self.node_count() || g.edge_count() != slots {
-            return QosCsr::new(g);
+    /// The CSR of this one's graph after `changes`: one record per edge,
+    /// its `new` weight the one the graph carries now — a batch as
+    /// [`AllPairs::patched_with`] folds it. The topology, tails and
+    /// edge → slot index are shared with `self`; the two weight arrays are
+    /// copied and the changed slots written through the index. Only the
+    /// slots whose bandwidth moved are re-placed in the bandwidth order —
+    /// each goes in front of the first slot its old place in the order
+    /// found no wider, and the others keep their order. `O(E)` copying
+    /// plus `O(k log E)` for `k` changed slots (and a scan of each moved
+    /// slot's old run of equal bandwidths), where [`QosCsr::new`] reads
+    /// every edge of a graph and sorts every slot.
+    ///
+    /// # Panics
+    ///
+    /// If a record names an edge this CSR does not have: a patch changes
+    /// weights, never counts.
+    pub fn reweighted(&self, changes: &[EdgeChange]) -> Self {
+        let mut bandwidth = self.bandwidth.clone();
+        let mut latency = self.latency.clone();
+        let mut arrivals = Vec::with_capacity(changes.len());
+        for c in changes {
+            let slot = self.slot_of[c.edge.index()];
+            bandwidth[slot as usize] = c.new.bandwidth;
+            latency[slot as usize] = c.new.latency;
+            arrivals.push(slot);
         }
-        let mut bandwidth = Vec::with_capacity(slots);
-        let mut latency = Vec::with_capacity(slots);
-        let mut moved = vec![false; slots];
-        let mut arrivals = Vec::new();
-        for (s, &e) in self.adj.edges().iter().enumerate() {
-            let w = g.edge(e);
-            if w.bandwidth != self.bandwidth[s] {
-                moved[s] = true;
-                arrivals.push(s as u32);
-            }
-            bandwidth.push(w.bandwidth);
-            latency.push(w.latency);
-        }
+        // In slot order, so where equal bandwidths land below depends on
+        // the moved slots alone, not on the order the batch named them in.
+        arrivals.sort_unstable();
+        arrivals.dedup();
+        arrivals.retain(|&s| bandwidth[s as usize] != self.bandwidth[s as usize]);
+        let mut gone: Vec<usize> = arrivals.iter().map(|&s| self.place(s)).collect();
+        gone.sort_unstable();
         arrivals.sort_unstable_by_key(|&s| Reverse(bandwidth[s as usize]));
-        let stays = |s: &&u32| !moved[**s as usize];
-        let mut widest_first = Vec::with_capacity(slots);
+        let mut widest_first = Vec::with_capacity(self.widest_first.len());
+        let mut gone = &gone[..];
         let mut from = 0;
         for a in arrivals {
             let to = self
                 .widest_first
                 .partition_point(|&s| self.bandwidth[s as usize] > bandwidth[a as usize]);
-            widest_first.extend(self.widest_first[from..to].iter().filter(stays));
+            self.keep(&mut widest_first, from..to, &mut gone);
             widest_first.push(a);
             from = to;
         }
-        widest_first.extend(self.widest_first[from..].iter().filter(stays));
+        self.keep(&mut widest_first, from..self.widest_first.len(), &mut gone);
         QosCsr {
             adj: Arc::clone(&self.adj),
             bandwidth,
             latency,
             tails: Arc::clone(&self.tails),
+            slot_of: Arc::clone(&self.slot_of),
             widest_first,
         }
+    }
+
+    /// Where `slot` stands in `widest_first`: in the run of its bandwidth.
+    #[expect(
+        clippy::expect_used,
+        reason = "widest_first lists every slot, in its bandwidth's run"
+    )]
+    fn place(&self, slot: u32) -> usize {
+        let bandwidth = self.bandwidth[slot as usize];
+        let run = self
+            .widest_first
+            .partition_point(|&s| self.bandwidth[s as usize] > bandwidth);
+        let within = self.widest_first[run..].iter().position(|&s| s == slot);
+        run + within.expect("every slot is in the order")
+    }
+
+    /// Appends `widest_first[range]` to `out` but for the places in `gone`
+    /// (ascending), consuming those that fall in `range`.
+    fn keep(&self, out: &mut Vec<u32>, range: Range<usize>, gone: &mut &[usize]) {
+        let mut from = range.start;
+        while let Some((&at, rest)) = gone.split_first() {
+            if at >= range.end {
+                break;
+            }
+            out.extend_from_slice(&self.widest_first[from..at]);
+            from = at + 1;
+            *gone = rest;
+        }
+        out.extend_from_slice(&self.widest_first[from..range.end]);
     }
 
     /// Number of nodes in the viewed graph.
     pub fn node_count(&self) -> usize {
         self.adj.node_count()
+    }
+
+    /// Number of edges (== slots) in the viewed graph.
+    pub(crate) fn edge_count(&self) -> usize {
+        self.bandwidth.len()
     }
 
     /// Every link as `(tail, head, bandwidth)`, widest first — the order
@@ -1068,9 +1145,9 @@ pub fn single_source_csr(csr: &QosCsr, source: NodeIx, scratch: &mut DijkstraScr
     let widest = std::mem::take(&mut scratch.widest);
     let mut dist: Vec<Option<Qos>> = vec![None; n];
     let mut node_level = vec![0u32; n];
-    let levels = level_sweep(csr, source, &widest, scratch, &mut dist, &mut node_level);
+    level_sweep(csr, source, &widest, scratch, &mut dist, &mut node_level);
     scratch.widest = widest; // hand the buffer back for the next sweep
-    PathTree::new(source, dist, node_level, levels, &scratch.log)
+    PathTree::new(source, dist, node_level, &scratch.last, &scratch.log)
 }
 
 /// The exact answers for only the nodes `want` names: `want[x] = Some(b)`
@@ -1108,9 +1185,9 @@ pub fn settle_csr<'s>(
 /// The descending sweep: settles exactly the nodes `want` names, each at
 /// the bandwidth named for it, into `dist` and `node_level` (one entry per
 /// node, all `None` / 0 on entry), logging the tree's entries in
-/// `scratch.log`. It visits only the named bandwidths, widest first, and
-/// stops when the last named node settles. Returns the number of levels
-/// visited.
+/// `scratch.log` and the node each level settled last in `scratch.last`
+/// (one per level visited). It visits only the named bandwidths, widest
+/// first, and stops when the last named node settles.
 ///
 /// Not generic and never inlined: [`single_source_csr`] and
 /// [`settle_csr`] run this one compiled copy.
@@ -1122,7 +1199,7 @@ fn level_sweep(
     scratch: &mut DijkstraScratch,
     dist: &mut [Option<Qos>],
     node_level: &mut [u32],
-) -> u32 {
+) {
     let n = csr.node_count();
     let mut pinned = std::mem::take(&mut scratch.pinned);
     pinned.clear();
@@ -1146,6 +1223,7 @@ fn level_sweep(
     scratch.standing[source.index()].label = Label::SOURCE;
     scratch.heap.clear();
     scratch.log.clear();
+    scratch.last.clear();
 
     dist[source.index()] = Some(Qos::IDENTITY);
     let mut admitted = 0;
@@ -1154,6 +1232,7 @@ fn level_sweep(
     while let Some(&b) = rest.first() {
         let mut unsettled = rest.iter().take_while(|&&p| p == b).count();
         rest = &rest[unsettled..];
+        let mut last = source;
 
         // The links this level admits, offered from the label their tail
         // stands at — the source's own links included, so it is never
@@ -1181,6 +1260,7 @@ fn level_sweep(
             if want[node.index()] == Some(b) {
                 dist[node.index()] = Some(Qos::new(b, label.latency));
                 node_level[node.index()] = li;
+                last = node;
                 unsettled -= 1;
                 if unsettled == 0 {
                     // Its own links can wait: back on the heap, it is
@@ -1195,11 +1275,11 @@ fn level_sweep(
                 }
             }
         }
+        scratch.last.push(last.index() as u32);
         li += 1;
     }
 
     scratch.pinned = pinned; // hand the buffer back for the next sweep
-    li
 }
 
 #[derive(PartialEq, Eq)]
@@ -1238,11 +1318,13 @@ pub fn single_source_lexicographic<N>(g: &DiGraph<N, Qos>, source: NodeIx) -> Pa
         qos: Qos::IDENTITY,
         node: source,
     });
+    let mut last = source;
     while let Some(LexEntry { qos, node }) = heap.pop() {
         if done[node.index()] {
             continue;
         }
         done[node.index()] = true;
+        last = node;
         for e in g.out_edges(node) {
             if e.weight.bandwidth == Bandwidth::ZERO {
                 continue;
@@ -1274,8 +1356,14 @@ pub fn single_source_lexicographic<N>(g: &DiGraph<N, Qos>, source: NodeIx) -> Pa
             Some((x, at))
         })
         .collect();
-    let levels = u32::from(!log.is_empty());
-    PathTree::new(source, dist, vec![0; g.node_count()], levels, &log)
+    // One level if anything is reached; a lexicographic tree is never
+    // certified, so its bound is only what the last pop left.
+    let last: &[u32] = if log.is_empty() {
+        &[]
+    } else {
+        &[last.index() as u32]
+    };
+    PathTree::new(source, dist, vec![0; g.node_count()], last, &log)
 }
 
 /// All-pairs shortest-widest paths: one exact [`PathTree`] per node.
@@ -1472,6 +1560,7 @@ pub fn all_pairs_lexicographic<N>(g: &DiGraph<N, Qos>) -> AllPairs {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::coalesce;
 
     fn q(bw: u64, lat: u64) -> Qos {
         Qos::new(Bandwidth::kbps(bw), Latency::from_micros(lat))
@@ -1700,6 +1789,7 @@ mod tests {
         reweighted.bandwidth == fresh.bandwidth
             && reweighted.latency == fresh.latency
             && reweighted.tails == fresh.tails
+            && reweighted.slot_of == fresh.slot_of
             && reweighted.adj.targets() == fresh.adj.targets()
             && reweighted.adj.edges() == fresh.adj.edges()
             && nodes.all(|x| reweighted.adj.range(x) == fresh.adj.range(x))
@@ -1737,10 +1827,13 @@ mod tests {
             let mut csr = QosCsr::new(&g);
             let mut scratch = DijkstraScratch::new();
             for batch in batches {
+                let mut changes = Vec::new();
                 for (raw, bw, lat) in batch {
-                    *g.edge_mut(EdgeIx::from_index(raw % g.edge_count())) = q(bw, lat);
+                    let edge = EdgeIx::from_index(raw % g.edge_count());
+                    let old = std::mem::replace(g.edge_mut(edge), q(bw, lat));
+                    changes.push(EdgeChange { edge, old, new: q(bw, lat) });
                 }
-                csr = csr.reweighted(&g);
+                csr = csr.reweighted(&coalesce(&g, &changes));
                 let fresh = QosCsr::new(&g);
                 proptest::prop_assert!(same_csr(&csr, &fresh));
                 for s in g.node_ids() {

@@ -422,8 +422,9 @@ impl LoadPlane {
 
     /// Re-clamps `graph`, the view graph of the reservations `from`, to
     /// this plane's ledger: only the links whose reservation differs are
-    /// looked at, and the edges whose weight moved are returned. `graph`
-    /// is cloned only if a weight moves while someone else holds it.
+    /// looked at, and the edges whose weight moved are returned. If a
+    /// weight moves while someone else holds `graph`, its weights are
+    /// copied first; the topology stays shared.
     fn reclamp(
         &self,
         graph: &mut Arc<OverlayGraph>,

@@ -180,7 +180,8 @@ stats_table! {
     latency_p99_us = |at| percentile(&at.latencies_us, 99),
     /// Routing-table patches triggered by mutations, one per mutation.
     rebuilds: Counter,
-    /// Total wall-clock spent planning those patches, microseconds.
+    /// Total wall-clock spent applying those mutations to the world —
+    /// successor overlay, routing patch and snapshot — microseconds.
     rebuild_us_total: Counter,
     /// Materialised source trees invalidated across all mutation patches,
     /// swept again on their first read — by the repair sweep or a later
@@ -243,7 +244,7 @@ stats_table! {
     write_buffered_bytes: Gauge,
     /// Total wall-clock spent in mutations' repair sweeps — every
     /// booking's repair and the commit that rebases the ledger —
-    /// microseconds. `rebuild_us_total` times the routing patch before it.
+    /// microseconds. `rebuild_us_total` times the world's apply before it.
     repair_us_total: Counter,
     /// Bookings a repair sweep could not re-price — a selected instance
     /// failed, or a pinned stream lost its path — and re-solved around the

@@ -2,13 +2,14 @@
 //!
 //! A [`World`] no longer *is* the topology — it is the thing that builds the
 //! next [`WorldSnapshot`] and holds the current one as a plain `Arc`.
-//! Mutations assemble the successor epoch copy-on-write — a patched clone
-//! of the overlay and a routing table patched from the predecessor's — and
-//! replace the `Arc`; only [`World::apply`], through `&mut self`, can. The
-//! epoch is carried by the snapshots themselves: 0 at birth, +1 per applied
-//! mutation. No mutation renumbers the overlay: a failed instance is a
-//! tombstone whose links are cut, so every node and edge, the source's
-//! included, keeps its number across every epoch.
+//! Mutations assemble the successor epoch copy-on-write — an overlay that
+//! shares the predecessor's topology and copies only its weights, and a
+//! routing table patched from the predecessor's — and replace the `Arc`;
+//! only [`World::apply`], through `&mut self`, can. The epoch is carried
+//! by the snapshots themselves: 0 at birth, +1 per applied mutation. No
+//! mutation renumbers the overlay: a failed instance is a tombstone whose
+//! links are cut, so every node and edge, the source's included, keeps
+//! its number across every epoch.
 //!
 //! The server's readers never touch the `World` (or the lock it sits
 //! behind): the one published world is the load plane, which carries the
@@ -63,7 +64,8 @@ impl std::error::Error for WorldError {}
 /// failed instance, and a read sweeps only the rows whose answer it moved.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RebuildStats {
-    /// Wall-clock spent patching (planning) the routing table.
+    /// Wall-clock spent in the whole [`World::apply`]: the successor
+    /// overlay, the routing patch (a plan) and the snapshot around them.
     pub duration: Duration,
     /// Materialised source trees the patch invalidated.
     pub trees_recomputed: u64,
@@ -122,8 +124,9 @@ impl World {
     }
 
     /// Applies one mutation: builds the successor snapshot copy-on-write —
-    /// a patched overlay clone plus a routing table patched from the
-    /// predecessor's ([`AllPairs::patched_with`](sflow_routing::AllPairs::patched_with))
+    /// an overlay carrying the new weights on the predecessor's shared
+    /// topology, plus a routing table patched from the predecessor's
+    /// ([`AllPairs::patched_with`](sflow_routing::AllPairs::patched_with))
     /// — and makes it current. A link-QoS change re-weights one edge; an
     /// instance failure tombstones the instance and cuts its links
     /// ([`OverlayGraph::with_failed`](sflow_net::OverlayGraph::with_failed)).
@@ -141,6 +144,7 @@ impl World {
     /// names an unknown or failed instance or an unknown link, or would
     /// fail the source.
     pub fn apply(&mut self, mutation: &Mutation) -> Result<RebuildStats, WorldError> {
+        let started = Instant::now();
         let prev = self.snapshot();
         let live = |instance| {
             prev.overlay()
@@ -174,13 +178,7 @@ impl World {
         };
         // Only trees the changes can affect are invalidated (and swept on
         // first read); the rest are shared work carried across the epoch.
-        let started = Instant::now();
         let (table, patched) = prev.all_pairs().patched_with(overlay.graph(), &changes, 1);
-        let stats = RebuildStats {
-            duration: started.elapsed(),
-            trees_recomputed: patched.trees_recomputed as u64,
-            trees_total: patched.trees_total as u64,
-        };
         let next = WorldSnapshot::new(
             Arc::new(overlay),
             Arc::new(table),
@@ -195,7 +193,11 @@ impl World {
         // The solve cache starts empty; the repair sweep files every live
         // booking's flow under its key.
         self.current = Arc::new(next);
-        Ok(stats)
+        Ok(RebuildStats {
+            duration: started.elapsed(),
+            trees_recomputed: patched.trees_recomputed as u64,
+            trees_total: patched.trees_total as u64,
+        })
     }
 }
 

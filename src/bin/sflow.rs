@@ -602,7 +602,7 @@ fn print_stats(stats: sflow::server::StatsSnapshot) {
     println!("hop-matrix cache: {hop_cache_hits} hits / {hop_cache_misses} misses");
     println!("latency: p50 {latency_p50_us} µs  p90 {latency_p90_us} µs  p99 {latency_p99_us} µs");
     println!(
-        "routing rebuilds: {rebuilds} ({rebuild_us_total} µs total, \
+        "routing rebuilds: {rebuilds} ({rebuild_us_total} µs applying mutations, \
          {trees_recomputed} trees recomputed)"
     );
     println!(
