@@ -42,7 +42,19 @@
 //! patches a fully materialised table (`trees_total` materialised). The
 //! cut rows also report `avg_moved_share`: per tree the cut invalidated,
 //! the destinations it moved over those the tree reaches — what a reader
-//! of that row still has to sweep for.
+//! of that row still has to sweep for. Before the successor is read in
+//! full, a copy of it reads the `qos` and `path` of every destination the
+//! cut moved in each shadowed row — cut-short sweeps, each stopping once
+//! the row's last moved destination settles — and the cut rows report
+//! that time against the full sweeps of the same rows (`moved_reads`:
+//! `share` is the first over the second, `rows_materialised` the rows
+//! whose cut-short sweep reached the last level). On worlds of at most
+//! [`WORK_COUNTED_NODES`] nodes the same sweeps are also run directly
+//! and their label updates counted, a share that repeats exactly
+//! (`label_update_share`). On `waxman-400-overlay` the forest cut's label
+//! update share must stay at most [`MAX_MOVED_READ_WORK`] and its time
+//! share at most [`MAX_MOVED_READ_SHARE`], a ratio of two timings of one
+//! run.
 //!
 //! Each world also records `csr_build_us`, the cost of deriving the
 //! [`QosCsr`] index every build starts with, and `csr_reweight_us`, what a
@@ -106,7 +118,7 @@
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::hint::black_box;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -118,7 +130,7 @@ use sflow_core::{
 };
 use sflow_graph::{DiGraph, EdgeIx, NodeIx};
 use sflow_net::{HostId, OverlayGraph, ServiceId, ServiceInstance};
-use sflow_routing::shortest_widest::single_source_csr;
+use sflow_routing::shortest_widest::{single_source_csr, single_source_moved_csr};
 use sflow_routing::{
     all_pairs, AllPairs, Bandwidth, DijkstraScratch, EdgeChange, Latency, Qos, QosCsr,
 };
@@ -156,6 +168,23 @@ const PLAN_GATED: [&str; 3] = ["random-200", "waxman-400-overlay", "waxman-2000"
 /// arrays and writes the changed slots, where a build reads every edge of
 /// the graph and sorts every slot.
 const MAX_REWEIGHT_SHARE: f64 = 0.25;
+
+/// Most label updates the forest cut's moved reads may make on
+/// `waxman-400-overlay`, as a share of sweeping the same rows in full: a
+/// read of a destination a cut moved sweeps its row only until the row's
+/// last moved destination has settled. Measured 0.37.
+const MAX_MOVED_READ_WORK: f64 = 0.5;
+
+/// Most the same reads may take there, as a share of the full sweeps'
+/// time. Measured 0.50–0.52: a cut-short sweep still pays most of the
+/// widest pass (the moved nodes' bottlenecks fell, so they pop late) and
+/// the first levels, which carry a large part of a sweep's pops. A sweep
+/// that no longer stops early reads above 1.
+const MAX_MOVED_READ_SHARE: f64 = 0.75;
+
+/// Worlds up to this size also count the moved reads' label updates,
+/// sweeping each shadowed row once more in full to compare.
+const WORK_COUNTED_NODES: usize = 500;
 
 /// Cut/restore pairs sampled per world for each shape of patch row.
 fn patch_pairs_for(nodes: usize) -> usize {
@@ -270,6 +299,97 @@ struct PatchDir {
     /// Per tree a cut invalidated, the share of its reachable destinations
     /// the cut moved (see [`moved_shares`]).
     moved_shares: Vec<f64>,
+    /// What reading the cuts' moved destinations cost, over every sample.
+    moved_reads: MovedReads,
+}
+
+/// The reads of every destination a cut moved in the rows it shadowed,
+/// against sweeping those rows in full (see [`patch_sample`]).
+#[derive(Default)]
+struct MovedReads {
+    rows: usize,
+    reads: usize,
+    /// Rows whose cut-short sweep reached the last level: their tree.
+    rows_materialised: usize,
+    /// The `qos` and `path` reads of the moved destinations.
+    cut_short: Duration,
+    /// Reading every row of the successor, which sweeps the shadowed ones.
+    full: Duration,
+    /// Label updates of the same cut-short and full sweeps, run directly;
+    /// both 0 on a world larger than [`WORK_COUNTED_NODES`].
+    cut_short_updates: u64,
+    full_updates: u64,
+}
+
+impl MovedReads {
+    /// `cut_short` over `full`, `None` before any row was read.
+    fn share(&self) -> Option<f64> {
+        (self.rows > 0).then(|| self.cut_short.as_secs_f64() / self.full.as_secs_f64())
+    }
+
+    /// `cut_short_updates` over `full_updates`, `None` if none were counted.
+    fn work_share(&self) -> Option<f64> {
+        (self.full_updates > 0).then(|| self.cut_short_updates as f64 / self.full_updates as f64)
+    }
+
+    fn json(&self) -> String {
+        let ratio = |share: Option<f64>| share.map_or("null".to_string(), |s| format!("{s:.4}"));
+        format!(
+            "{{\"rows\": {}, \"reads\": {}, \"rows_materialised\": {}, \"cut_short_us\": {}, \
+             \"full_us\": {}, \"share\": {}, \"label_update_share\": {}}}",
+            self.rows,
+            self.reads,
+            self.rows_materialised,
+            self.cut_short.as_micros(),
+            self.full.as_micros(),
+            ratio(self.share()),
+            ratio(self.work_share()),
+        )
+    }
+}
+
+/// Reads, on a copy of `next`, the `qos` and `path` of every destination
+/// the cut moved in each row it shadowed, into `reads`. On a world of at
+/// most [`WORK_COUNTED_NODES`] nodes it also runs each such row's
+/// cut-short sweep — from the row's tree in `pred`, its shadow — and its
+/// full sweep over `world` directly, counting their label updates.
+fn read_moved<N>(
+    pred: &AllPairs,
+    next: &AllPairs,
+    world: &DiGraph<N, Qos>,
+    reads: &mut MovedReads,
+) {
+    let nodes = || (0..next.len()).map(NodeIx::from_index);
+    let moved: Vec<(NodeIx, Vec<bool>)> = nodes()
+        .filter(|&u| next.moved(u).is_some())
+        .map(|u| (u, nodes().map(|x| next.is_moved(u, x)).collect()))
+        .collect();
+    if next.len() <= WORK_COUNTED_NODES {
+        let csr = QosCsr::new(world);
+        let (mut short, mut full) = (DijkstraScratch::new(), DijkstraScratch::new());
+        for (u, mask) in &moved {
+            single_source_moved_csr(&csr, pred.tree(*u), mask, &mut short);
+            single_source_csr(&csr, *u, &mut full);
+        }
+        reads.cut_short_updates += short.label_updates();
+        reads.full_updates += full.label_updates();
+    }
+    let moved: Vec<(NodeIx, Vec<NodeIx>)> = moved
+        .into_iter()
+        .map(|(u, mask)| (u, nodes().filter(|x| mask[x.index()]).collect()))
+        .collect();
+    let table = next.clone();
+    let before = table.materialised();
+    let started = Instant::now();
+    for (u, destinations) in &moved {
+        for &x in destinations {
+            black_box((table.qos(*u, x), table.path(*u, x)));
+        }
+    }
+    reads.cut_short += started.elapsed();
+    reads.rows += moved.len();
+    reads.reads += moved.iter().map(|(_, d)| d.len()).sum::<usize>();
+    reads.rows_materialised += table.materialised() - before;
 }
 
 fn avg(samples: &[u128]) -> u128 {
@@ -822,13 +942,18 @@ fn patch_sample<N>(
             "a cut shadows every tree it invalidates"
         );
         dir.moved_shares.extend(shares);
+        read_moved(table, &next, world, &mut dir.moved_reads);
     }
     // The patch leaves the trees it invalidated shadowed or stale; sweeping
     // them inside the sample keeps the row timing plan and sweep as it
     // always has, and the next sample patches a fully materialised table.
     let started = Instant::now();
     read_every_row(&next);
-    let us = (planned + started.elapsed()).as_micros();
+    let read = started.elapsed();
+    if pure_cut {
+        dir.moved_reads.full += read;
+    }
+    let us = (planned + read).as_micros();
     dir.times.push(us);
     if stats.trees_recomputed == 0 {
         dir.plans.push(us);
@@ -1021,7 +1146,11 @@ fn world_json(r: &WorldReport) -> String {
     // A cut row also says how much of each tree it invalidated it moved.
     let dir_json = |d: &PatchDir, cut: bool| {
         let moved = if cut {
-            format!(", \"avg_moved_share\": {}", d.avg_moved_share_json())
+            format!(
+                ", \"avg_moved_share\": {}, \"moved_reads\": {}",
+                d.avg_moved_share_json(),
+                d.moved_reads.json()
+            )
         } else {
             String::new()
         };
@@ -1204,6 +1333,44 @@ fn main() {
                 d.max_trees(),
                 d.avg_coarse(),
                 d.avg_moved_share_json(),
+            );
+        }
+        for (label, d) in [("shave", &r.cut), ("forest cut", &r.forest_cut)] {
+            let m = &d.moved_reads;
+            let ratio = |share: Option<f64>| share.map_or("-".to_string(), |s| format!("{s:.3}×"));
+            println!(
+                "  {label} moved reads: {} destinations in {} rows — cut short {} µs, swept in \
+                 full {} µs ({}, label updates {}; {} rows reached the last level)",
+                m.reads,
+                m.rows,
+                m.cut_short.as_micros(),
+                m.full.as_micros(),
+                ratio(m.share()),
+                ratio(m.work_share()),
+                m.rows_materialised,
+            );
+        }
+        if r.name == "waxman-400-overlay" {
+            let m = &r.forest_cut.moved_reads;
+            let unmeasured = || -> f64 {
+                panic!(
+                    "{}: no forest cut shadowed a row: the moved reads went unmeasured",
+                    r.name
+                )
+            };
+            let work = m.work_share().unwrap_or_else(unmeasured);
+            assert!(
+                work <= MAX_MOVED_READ_WORK,
+                "{}: the forest cut's moved reads made {work:.3} of the label updates of sweeping \
+                 their rows in full (limit {MAX_MOVED_READ_WORK})",
+                r.name,
+            );
+            let share = m.share().unwrap_or_else(unmeasured);
+            assert!(
+                share <= MAX_MOVED_READ_SHARE,
+                "{}: the forest cut's moved reads took {share:.3} of sweeping their rows in \
+                 full (limit {MAX_MOVED_READ_SHARE})",
+                r.name,
             );
         }
         assert!(

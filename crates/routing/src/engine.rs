@@ -181,9 +181,9 @@
 //! crossing's head at one of the crossing's levels, above its floor. The
 //! table answers `qos` and `path` for every other destination from the
 //! shadow's tree, testing the destination's path against the crossings on
-//! each read (a few hops, a few crossings); a read of a moved destination,
-//! or of the whole tree, sweeps the slot as a stale one is swept. The
-//! moved set is kept as crossings rather than marked node by node because
+//! each read (a few hops, a few crossings); a read of the whole tree
+//! sweeps the slot as a stale one is swept, and a read of a moved
+//! destination sweeps it cut short (below). The moved set is kept as crossings rather than marked node by node because
 //! the crossings cost the plan nothing beyond the verdict, where marking
 //! takes a walk of every level a crossing covers, and the walk above stops
 //! at the first crossed edge. An unmoved destination `x`, pinned at `b`,
@@ -203,6 +203,43 @@
 //!   yesterday's at yesterday's labels; the recorded predecessor is still
 //!   one of them, over the same, still earliest, link, and still settles
 //!   first among them. A fresh sweep reads the same path at `b`.
+//!
+//! *Cut-short sweeps.* The first read of a moved destination sweeps the
+//! row over the successor's CSR only until every moved destination has
+//! settled, and the slot keeps that tree beside the shadow to answer its
+//! moved destinations; the shadow still answers the rest. Two steps make
+//! what it settled exact:
+//!
+//! * *The level sweep stopped early is the full sweep's prefix.* Given the
+//!   same per-node bandwidths, the sweep's admissions, offers and pops
+//!   depend on nothing else, so a sweep that stops right after the last
+//!   moved destination settles has performed the full sweep's operations,
+//!   in the full sweep's order, up to that pop. A node's label and
+//!   predecessor at a level are final once it pops there: pops come in
+//!   label order and a label strictly grows along every link, so a later
+//!   pop offers it only a larger label, and the tie rule moves a
+//!   predecessor only to a tail that settles first, which has popped
+//!   already. A settled node's path at its level is read through nodes
+//!   with smaller labels, which popped before it there (or at a wider
+//!   level, unchanged since), so its QoS, level and path are the full
+//!   tree's. If the last moved destination is pinned at the last level,
+//!   the sweep finishes that level: then it is the full tree, and the slot
+//!   holds it as its tree.
+//! * *The widest pass stops early too.* The level sweep needs every
+//!   node's `B(s,x)`: the levels, and who is pinned at each, fix its
+//!   operations. By *no label falls*, an unmoved destination keeps
+//!   `B(s,x)` across a pure cut, so the shadow supplies it. Only the moved
+//!   need the max–min pass, whose label is final when its node pops, so
+//!   the pass stops once the last moved node has popped. A moved node the
+//!   cut made unreachable never pops, so the pass runs to the end and
+//!   finds it unreachable, as the full pass does.
+//!
+//! A cut-short tree is never planned against, certified or counted by
+//! `materialised()`, and a patch builds fresh slots, so it never outlives
+//! the CSR it was swept on. A shadowed row read only at its destinations
+//! therefore stays shadowed: a later pure cut adds to its crossings, and
+//! a later gain leaves it stale where a materialised tree might have been
+//! kept.
 //!
 //! A later pure cut adds its own crossings to an existing shadow, found on
 //! the shadow's own tree: an unmoved destination's path is that tree's, so
@@ -231,9 +268,11 @@
 //! pure bandwidth cuts, reach-the-tail for the rest), that a pure cut
 //! dirties exactly the trees the full walk finds, that a partly
 //! stale table invalidates exactly its eagerly swept twin's dirty set
-//! restricted to the slots it had materialised, and that a read sweeps a
-//! row exactly when a cut moved the destination read, or a gain or
-//! re-timing left the row stale.
+//! restricted to the slots it had materialised, that a read materialises
+//! a row exactly when a gain or re-timing left it stale, or a cut moved
+//! the destination read and the row's cut-short sweep reaches its last
+//! level, and that a cut-short sweep is the full sweep on every node it
+//! settled, every moved node a path reaches among them.
 
 use std::sync::Arc;
 
@@ -285,10 +324,14 @@ impl EdgeChange {
 /// What one [`AllPairs::patched_with`] call did.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PatchStats {
-    /// Materialised trees this patch invalidated, each swept again on the
-    /// first read of a destination it moved (after a gain or a re-timing,
-    /// every destination counts as moved). The successor shares
-    /// `materialised(pred) − trees_recomputed` trees with its predecessor.
+    /// Materialised trees this patch invalidated. After a gain or a
+    /// re-timing each is swept again on its row's first read; after a pure
+    /// cut the first read of a destination the cut moved sweeps the row
+    /// only until its last moved destination has settled, and the row is
+    /// swept in full only by a read of its whole tree, or by a cut-short
+    /// sweep whose last moved destination is pinned at the last level. The
+    /// successor shares `materialised(pred) − trees_recomputed` trees with
+    /// its predecessor.
     pub trees_recomputed: usize,
     /// Source trees in the table (== node count).
     pub trees_total: usize,

@@ -64,9 +64,13 @@
 //! for it, stopping when the last one settles. A tree names every node;
 //! [`settle_csr`] names only the few a caller reads and skips the widest
 //! pass when the caller already knows their bandwidths (on a symmetric
-//! graph, from a [`WidestForest`](crate::WidestForest)). The sweep is not
-//! generic and never inlined, so it is compiled exactly once, in this
-//! crate, whoever calls it.
+//! graph, from a [`WidestForest`](crate::WidestForest)).
+//! [`single_source_moved_csr`] names every node too, but is told which
+//! ones a run of pure bandwidth cuts moved since an older tree of the row:
+//! the widest pass stops once those have popped, the others keep the old
+//! tree's bandwidths, and the level sweep stops once the last of them has
+//! settled. The sweep is not generic and never inlined, so it is compiled
+//! exactly once, in this crate, whoever calls it.
 //! A caller that wants to route against different weights (the server's load
 //! plane routes against `capacity − reserved`) writes them into a graph and
 //! runs the same kernel over that graph's CSR.
@@ -87,11 +91,16 @@
 //! certificate, per materialised tree and change: a binary search of the
 //! level bounds the tree keeps, then only the levels the edge joins or got
 //! faster at, and for a re-timing the edge's head's chain.) The sweep a
-//! dirty tree costs is paid on the first read of its row
-//! that needs it — after a pure cut, a read of a destination the cut moved
-//! — against the table the reader holds, and not at all for a row nobody
-//! reads there. A shadow costs its tree, which the predecessor holds
-//! anyway, and its crossings; a read from it, `O(hops × crossings)`.
+//! dirty tree costs is paid on the first read of its row that needs it,
+//! against the table the reader holds, and not at all for a row nobody
+//! reads there. After a pure cut a read of a destination the cut moved
+//! pays only the sweep up to the row's last moved destination
+//! ([`single_source_moved_csr`]); only a read of the whole tree, or a
+//! cut-short sweep whose last moved destination is pinned at the last
+//! level, pays it all. A shadow costs its tree, which the predecessor
+//! holds anyway, and its crossings; a read from it, `O(hops × crossings)`,
+//! and the first moved read marks the row's moved destinations,
+//! `O(V × hops × crossings)`.
 
 use std::cell::RefCell;
 use std::cmp::{Ordering, Reverse};
@@ -782,6 +791,9 @@ pub struct DijkstraScratch {
     /// What [`settle_csr`] answers in, and its levels.
     settled: Vec<Option<Qos>>,
     settled_levels: Vec<u32>,
+    /// Where an [`AllPairs`] read marks a shadowed row's moved
+    /// destinations for [`single_source_moved_csr`].
+    moved: Vec<bool>,
     label_updates: u64,
 }
 
@@ -991,9 +1003,18 @@ impl PartialOrd for WidestEntry {
 }
 
 /// Widest-path (max–min bandwidth) Dijkstra into `scratch.widest`; the
-/// source gets [`Bandwidth::INFINITE`].
-fn widest_bandwidths_into(csr: &QosCsr, source: NodeIx, scratch: &mut DijkstraScratch) {
+/// source gets [`Bandwidth::INFINITE`]. With a `need` mask (one flag per
+/// node; empty for none) it stops once every node the mask marks has
+/// popped: their bandwidths are final then, and the rest are not read. A
+/// marked node no path reaches never pops, so the pass runs to the end.
+fn widest_bandwidths_into(
+    csr: &QosCsr,
+    source: NodeIx,
+    need: &[bool],
+    scratch: &mut DijkstraScratch,
+) {
     let n = csr.node_count();
+    let mut needed = need.iter().filter(|&&m| m).count();
     scratch.widest.clear();
     scratch.widest.resize(n, None);
     scratch.done.clear();
@@ -1012,6 +1033,12 @@ fn widest_bandwidths_into(csr: &QosCsr, source: NodeIx, scratch: &mut DijkstraSc
             continue;
         }
         done[node.index()] = true;
+        if need.get(node.index()) == Some(&true) {
+            needed -= 1;
+            if needed == 0 {
+                break;
+            }
+        }
         for (to, bw) in csr.out_edges(node) {
             // A settled head can never improve; skipping it here (rather
             // than relying on the pop-time check) keeps the entry out of
@@ -1141,13 +1168,69 @@ pub fn single_source<N>(g: &DiGraph<N, Qos>, source: NodeIx) -> PathTree {
 /// them all.
 pub fn single_source_csr(csr: &QosCsr, source: NodeIx, scratch: &mut DijkstraScratch) -> PathTree {
     let n = csr.node_count();
-    widest_bandwidths_into(csr, source, scratch);
+    widest_bandwidths_into(csr, source, &[], scratch);
     let widest = std::mem::take(&mut scratch.widest);
     let mut dist: Vec<Option<Qos>> = vec![None; n];
     let mut node_level = vec![0u32; n];
-    level_sweep(csr, source, &widest, scratch, &mut dist, &mut node_level);
+    level_sweep(
+        csr,
+        source,
+        &widest,
+        &[],
+        scratch,
+        &mut dist,
+        &mut node_level,
+    );
     scratch.widest = widest; // hand the buffer back for the next sweep
     PathTree::new(source, dist, node_level, &scratch.last, &scratch.log)
+}
+
+/// [`single_source_csr`] cut short, for a row whose tree `shadow` was
+/// swept before a run of pure bandwidth cuts: `moved` (one flag per node)
+/// must mark at least every node whose widest bandwidth from the source
+/// those cuts lowered — every destination a cut moved marks them all.
+///
+/// The widest pass stops once every marked node has popped, and an
+/// unmarked node takes its bandwidth from `shadow`: across a pure cut it
+/// keeps it. The level sweep then runs the full sweep's operations, in the
+/// full sweep's order, and stops right after the last marked node settles,
+/// unless that is at the last level, where it finishes the level. So the
+/// tree answers every node it settled — every marked node a path reaches
+/// among them — with the full tree's QoS, level and path: a settled node's
+/// path is read through nodes that popped before it at its level, whose
+/// entries are final once they pop. Returns `true` with the tree if the
+/// sweep reached the end, when the tree is [`single_source_csr`]'s.
+#[inline(never)]
+pub fn single_source_moved_csr(
+    csr: &QosCsr,
+    shadow: &PathTree,
+    moved: &[bool],
+    scratch: &mut DijkstraScratch,
+) -> (PathTree, bool) {
+    let n = csr.node_count();
+    debug_assert!(moved.len() == n && shadow.dist.len() == n);
+    let source = shadow.source;
+    widest_bandwidths_into(csr, source, moved, scratch);
+    let mut want = std::mem::take(&mut scratch.widest);
+    for ((bandwidth, &marked), kept) in want.iter_mut().zip(moved).zip(&shadow.dist) {
+        if !marked {
+            *bandwidth = kept.map(|q| q.bandwidth);
+        }
+    }
+    let mut dist: Vec<Option<Qos>> = vec![None; n];
+    let mut node_level = vec![0u32; n];
+    let complete = level_sweep(
+        csr,
+        source,
+        &want,
+        moved,
+        scratch,
+        &mut dist,
+        &mut node_level,
+    );
+    scratch.widest = want;
+    let tree = PathTree::new(source, dist, node_level, &scratch.last, &scratch.log);
+    (tree, complete)
 }
 
 /// The exact answers for only the nodes `want` names: `want[x] = Some(b)`
@@ -1176,31 +1259,39 @@ pub fn settle_csr<'s>(
     dist.resize(n, None);
     node_level.clear();
     node_level.resize(n, 0);
-    level_sweep(csr, source, want, scratch, &mut dist, &mut node_level);
+    level_sweep(csr, source, want, &[], scratch, &mut dist, &mut node_level);
     scratch.settled = dist;
     scratch.settled_levels = node_level;
     &scratch.settled
 }
 
-/// The descending sweep: settles exactly the nodes `want` names, each at
-/// the bandwidth named for it, into `dist` and `node_level` (one entry per
+/// The descending sweep: settles the nodes `want` names, each at the
+/// bandwidth named for it, into `dist` and `node_level` (one entry per
 /// node, all `None` / 0 on entry), logging the tree's entries in
 /// `scratch.log` and the node each level settled last in `scratch.last`
 /// (one per level visited). It visits only the named bandwidths, widest
-/// first, and stops when the last named node settles.
+/// first, and stops when the last named node settles. A `need` mask (one
+/// flag per node; empty for none) stops it sooner: right after the last
+/// named node the mask marks settles, if a level is left after that one.
+/// Returns `true` if it swept every level in full.
 ///
-/// Not generic and never inlined: [`single_source_csr`] and
-/// [`settle_csr`] run this one compiled copy.
+/// Not generic and never inlined: [`single_source_csr`],
+/// [`single_source_moved_csr`] and [`settle_csr`] run this one compiled
+/// copy.
 #[inline(never)]
 fn level_sweep(
     csr: &QosCsr,
     source: NodeIx,
     want: &[Option<Bandwidth>],
+    need: &[bool],
     scratch: &mut DijkstraScratch,
     dist: &mut [Option<Qos>],
     node_level: &mut [u32],
-) {
+) -> bool {
     let n = csr.node_count();
+    let mut needed = (0..need.len())
+        .filter(|&x| need[x] && x != source.index() && want[x].is_some())
+        .count();
     let mut pinned = std::mem::take(&mut scratch.pinned);
     pinned.clear();
     pinned.extend(
@@ -1229,7 +1320,12 @@ fn level_sweep(
     let mut admitted = 0;
     let mut li = 0u32;
     let mut rest = &pinned[..];
-    while let Some(&b) = rest.first() {
+    let mut complete = true;
+    'levels: while let Some(&b) = rest.first() {
+        if !need.is_empty() && needed == 0 {
+            complete = false; // no marked node is reachable
+            break;
+        }
         let mut unsettled = rest.iter().take_while(|&&p| p == b).count();
         rest = &rest[unsettled..];
         let mut last = source;
@@ -1262,6 +1358,14 @@ fn level_sweep(
                 node_level[node.index()] = li;
                 last = node;
                 unsettled -= 1;
+                if need.get(node.index()) == Some(&true) {
+                    needed -= 1;
+                    if needed == 0 && !rest.is_empty() {
+                        scratch.last.push(node.index() as u32);
+                        complete = false;
+                        break 'levels;
+                    }
+                }
                 if unsettled == 0 {
                     // Its own links can wait: back on the heap, it is
                     // scanned at the next level, over that level's links.
@@ -1280,6 +1384,7 @@ fn level_sweep(
     }
 
     scratch.pinned = pinned; // hand the buffer back for the next sweep
+    complete
 }
 
 #[derive(PartialEq, Eq)]
@@ -1384,11 +1489,15 @@ pub fn single_source_lexicographic<N>(g: &DiGraph<N, Qos>, source: NodeIx) -> Pa
 /// its destinations, and [`AllPairs::qos`] and [`AllPairs::path`] answer
 /// every destination they did not move from that tree. *Stale* — what any
 /// other patch leaves of a tree it invalidated, and of a shadow — it holds
-/// nothing. A read of a stale slot, a read of a moved destination and
-/// every [`AllPairs::tree`] read of a slot that is not materialised sweep
-/// it from the table's own CSR. Concurrent first readers of one slot sweep
-/// it once and share the result; a row nobody reads, or reads only where
-/// no cut moved it, is never routed.
+/// nothing. A read of a stale slot and every [`AllPairs::tree`] read of a
+/// slot that is not materialised sweep it from the table's own CSR. The
+/// first read of a moved destination sweeps the row only until every
+/// moved destination has settled ([`single_source_moved_csr`]), and that
+/// cut-short tree answers the row's moved destinations from then on; a
+/// cut-short sweep that reached the last level is the slot's tree.
+/// Concurrent first readers of one slot sweep it once and share the
+/// result; a row nobody reads, or reads only where no cut moved it, is
+/// never routed.
 #[derive(Clone, Debug)]
 pub struct AllPairs {
     pub(crate) trees: Vec<Slot>,
@@ -1397,11 +1506,15 @@ pub struct AllPairs {
 
 /// One source's slot of an [`AllPairs`] table: its tree once materialised,
 /// and until then, if a pure cut left one, the shadow answering for the
-/// destinations it did not move.
+/// destinations it did not move, and once one of those was read, the
+/// cut-short tree answering for the ones it did. A patch builds fresh
+/// slots, so a cut-short tree never outlives the CSR it was swept on; it
+/// is never planned against, certified or counted as materialised.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct Slot {
     pub(crate) tree: OnceLock<Arc<PathTree>>,
     pub(crate) shadow: Option<Shadow>,
+    cut_short: OnceLock<Arc<PathTree>>,
 }
 
 /// A shadowed slot's last tree, and the crossings of every cut since it
@@ -1419,15 +1532,20 @@ impl Slot {
     pub(crate) fn holding(tree: Arc<PathTree>) -> Self {
         Slot {
             tree: OnceLock::from(tree),
-            shadow: None,
+            ..Slot::default()
         }
     }
 
     pub(crate) fn shadowed(shadow: Shadow) -> Self {
         Slot {
-            tree: OnceLock::new(),
             shadow: Some(shadow),
+            ..Slot::default()
         }
+    }
+
+    /// The shadow, unless the slot holds its tree.
+    fn live_shadow(&self) -> Option<&Shadow> {
+        self.shadow.as_ref().filter(|_| self.tree.get().is_none())
     }
 }
 
@@ -1455,14 +1573,45 @@ impl AllPairs {
     }
 
     /// The tree that answers for `to` in `from`'s row: the slot's own, its
-    /// shadow's if no cut since moved `to`, or else the slot swept.
+    /// shadow's if no cut since moved `to`, its cut-short tree if one did,
+    /// or else the slot swept.
     fn answering(&self, from: NodeIx, to: NodeIx) -> &PathTree {
         let slot = &self.trees[from.index()];
-        match (slot.tree.get(), &slot.shadow) {
-            (Some(tree), _) => tree,
-            (None, Some(shadow)) if !shadow.tree.moved_by(&shadow.crossings, to) => &shadow.tree,
-            _ => self.swept_tree(from),
+        if let Some(tree) = slot.tree.get() {
+            return tree;
         }
+        match &slot.shadow {
+            Some(shadow) if !shadow.tree.moved_by(&shadow.crossings, to) => &shadow.tree,
+            Some(shadow) => slot
+                .cut_short
+                .get_or_init(|| self.swept_short(slot, shadow)),
+            None => self.swept_tree(from),
+        }
+    }
+
+    /// `slot`'s row swept only until every destination the cuts behind
+    /// `shadow` moved has settled. A sweep that reached the last level is
+    /// the row's tree, and the slot holds it from then on.
+    fn swept_short(&self, slot: &Slot, shadow: &Shadow) -> Arc<PathTree> {
+        let (tree, complete) = SWEEP_SCRATCH.with_borrow_mut(|scratch| {
+            let mut moved = std::mem::take(&mut scratch.moved);
+            moved.clear();
+            moved.extend((0..self.len()).map(|x| {
+                shadow
+                    .tree
+                    .moved_by(&shadow.crossings, NodeIx::from_index(x))
+            }));
+            let swept = single_source_moved_csr(&self.csr, &shadow.tree, &moved, scratch);
+            scratch.moved = moved;
+            swept
+        });
+        let tree = Arc::new(tree);
+        if complete {
+            // A concurrent `tree` read may have swept the row first; its
+            // tree is this one.
+            let _ = slot.tree.set(Arc::clone(&tree));
+        }
+        tree
     }
 
     /// The shortest-widest QoS from `from` to `to`. `None` if unreachable.
@@ -1490,21 +1639,23 @@ impl AllPairs {
     }
 
     /// For a shadowed slot, how many destinations the cuts since its tree
-    /// was swept have moved — the ones a read still sweeps the row for;
+    /// was swept have moved — the ones its cut-short tree answers for;
     /// `None` if the slot holds its tree or is stale. `O(V × hops)`.
     pub fn moved(&self, from: NodeIx) -> Option<usize> {
-        let slot = &self.trees[from.index()];
-        let (None, Some(shadow)) = (slot.tree.get(), &slot.shadow) else {
-            return None;
-        };
+        self.trees[from.index()].live_shadow()?;
         let moved = (0..self.len())
-            .filter(|&x| {
-                shadow
-                    .tree
-                    .moved_by(&shadow.crossings, NodeIx::from_index(x))
-            })
+            .filter(|&x| self.is_moved(from, NodeIx::from_index(x)))
             .count();
         Some(moved)
+    }
+
+    /// `true` if `from`'s slot is shadowed and a cut since its tree was
+    /// swept moved `to`: a read of `to` is answered by the row's cut-short
+    /// tree. `O(hops × crossings)`.
+    pub fn is_moved(&self, from: NodeIx, to: NodeIx) -> bool {
+        self.trees[from.index()]
+            .live_shadow()
+            .is_some_and(|shadow| shadow.tree.moved_by(&shadow.crossings, to))
     }
 
     /// Number of sources (== number of nodes in the routed graph).

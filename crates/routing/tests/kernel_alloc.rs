@@ -3,7 +3,9 @@
 //! The all-pairs engine runs `single_source_csr` once per source per
 //! rebuild, so the sweep keeps every working buffer in a reusable
 //! [`DijkstraScratch`] and allocates only the arrays the [`PathTree`] it
-//! returns owns. A bounded sweep (`settle_csr`, what pricing an underlay's
+//! returns owns, and so does a cut-short sweep (`single_source_moved_csr`,
+//! what a read of a destination a cut moved runs). A bounded sweep
+//! (`settle_csr`, what pricing an underlay's
 //! host pairs runs once per host) returns no tree, so a warmed one
 //! allocates nothing at all. The ablation kernels (`classic::widest` / `shortest`,
 //! `single_source_lexicographic`) allocate their per-node arrays per call,
@@ -20,8 +22,10 @@ use std::cell::Cell;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sflow_graph::{DiGraph, NodeIx};
-use sflow_routing::shortest_widest::{self, settle_csr, single_source_csr};
-use sflow_routing::{classic, Bandwidth, DijkstraScratch, Latency, Qos, QosCsr};
+use sflow_routing::shortest_widest::{
+    self, settle_csr, single_source_csr, single_source_moved_csr,
+};
+use sflow_routing::{classic, Bandwidth, DijkstraScratch, Latency, PathTree, Qos, QosCsr};
 
 /// Counts the allocator calls (allocations and reallocations) each thread
 /// makes, so a test can bracket one call without hearing its neighbours
@@ -118,6 +122,70 @@ fn a_warmed_sweep_allocates_only_the_tree_it_returns() {
         }
         // The graphs are meant to exercise the level loop, not one level.
         assert!(levels.iter().any(|&l| l > 1), "{n} nodes: {levels:?}");
+    }
+}
+
+#[test]
+fn a_warmed_cut_short_sweep_allocates_only_the_tree_it_returns() {
+    for n in [20, 80, 400] {
+        let mut g = graph(n);
+        let mut scratch = DijkstraScratch::new();
+        let shadows: Vec<PathTree> = {
+            let csr = QosCsr::new(&g);
+            g.node_ids()
+                .map(|s| single_source_csr(&csr, s, &mut scratch))
+                .collect()
+        };
+        // A pure cut: every seventh of the widest links halved, so the
+        // narrow levels a sweep ends at keep their nodes.
+        let wide = Bandwidth::kbps(60);
+        let edges: Vec<_> = g
+            .edges()
+            .filter(|e| e.weight.bandwidth >= wide)
+            .map(|e| e.id)
+            .step_by(7)
+            .collect();
+        for edge in edges {
+            let w = *g.edge(edge);
+            *g.edge_mut(edge) = Qos::new(Bandwidth::kbps(w.bandwidth.as_kbps() / 2), w.latency);
+        }
+        let csr = QosCsr::new(&g);
+        // Marked: every node whose answer the cut changed, which covers
+        // every node whose widest bandwidth it lowered. A row is swept for
+        // a moved destination, so a row with none that a path still
+        // reaches is not read.
+        let rows: Vec<(&PathTree, Vec<bool>)> = shadows
+            .iter()
+            .filter_map(|shadow| {
+                let full = single_source_csr(&csr, shadow.source(), &mut scratch);
+                let moved: Vec<bool> = g
+                    .node_ids()
+                    .map(|x| full.qos_to(x) != shadow.qos_to(x))
+                    .collect();
+                let read = g
+                    .node_ids()
+                    .any(|x| moved[x.index()] && full.qos_to(x).is_some());
+                read.then_some((shadow, moved))
+            })
+            .collect();
+        for (shadow, moved) in &rows {
+            single_source_moved_csr(&csr, shadow, moved, &mut scratch);
+        }
+        let mut cut_short = 0;
+        for &(shadow, ref moved) in &rows {
+            let ((tree, complete), calls) =
+                allocations_by(|| single_source_moved_csr(&csr, shadow, moved, &mut scratch));
+            assert_eq!(
+                calls,
+                TREE_ALLOCATIONS,
+                "{n} nodes, source {}: {} levels",
+                shadow.source().index(),
+                tree.level_count()
+            );
+            cut_short += usize::from(!complete);
+        }
+        // The cut is meant to leave sweeps that stop early.
+        assert!(cut_short > 0, "{n} nodes: every sweep ran to the end");
     }
 }
 

@@ -17,10 +17,14 @@
 //!   each patch invalidates exactly what it would on the eagerly swept
 //!   twin of the same table, restricted to the slots it had materialised;
 //! * a lineage of mostly pure cuts with random `(row, destination)` reads
-//!   in between: every read is the rebuild's, and it sweeps its row
-//!   exactly when a cut since the row's tree moved the destination read
-//!   (its path crosses a cut link above the link's new bandwidth) or a
-//!   gain or re-timing left the row stale.
+//!   in between: every read is the rebuild's, and it materialises its row
+//!   exactly when a gain or re-timing left the row stale, or a cut since
+//!   the row's tree moved the destination read (its path crosses a cut
+//!   link above the link's new bandwidth) and the row's cut-short sweep
+//!   reaches its last level;
+//! * on the same lineages, a cut-short sweep answers every node it settled
+//!   as the full sweep does, in QoS, path and level, and settles every
+//!   moved node a path reaches.
 //!
 //! Plus three structural properties: a patch shares every materialised tree
 //! it keeps with its predecessor by `Arc` pointer
@@ -39,7 +43,11 @@ use std::collections::VecDeque;
 
 use proptest::prelude::*;
 use sflow_graph::{DiGraph, NodeIx};
-use sflow_routing::{all_pairs, AllPairs, Bandwidth, EdgeChange, Latency, Qos, TraversalScratch};
+use sflow_routing::shortest_widest::{single_source_csr, single_source_moved_csr};
+use sflow_routing::{
+    all_pairs, AllPairs, Bandwidth, DijkstraScratch, EdgeChange, Latency, PathTree, Qos, QosCsr,
+    TraversalScratch,
+};
 
 fn q(bw: u64, lat: u64) -> Qos {
     Qos::new(Bandwidth::kbps(bw), Latency::from_micros(lat))
@@ -213,7 +221,19 @@ fn simple_graph_strategy() -> impl Strategy<Value = DiGraph<(), Qos>> {
 /// carries narrower than the path's bandwidth: the destinations a pure cut
 /// moves, read off the predecessor's answers.
 fn crosses_a_cut(table: &AllPairs, g: &DiGraph<(), Qos>, u: NodeIx, x: NodeIx) -> bool {
-    let (Some(qos), Some(path)) = (table.qos(u, x), table.path(u, x)) else {
+    narrowed(g, table.qos(u, x), table.path(u, x))
+}
+
+/// [`crosses_a_cut`] for one tree: `true` if the path `tree` reports to
+/// `x` has a link `g` now carries narrower than the path's bandwidth.
+fn tree_crosses_a_cut(tree: &PathTree, g: &DiGraph<(), Qos>, x: NodeIx) -> bool {
+    narrowed(g, tree.qos_to(x), tree.path_to(x))
+}
+
+/// `true` if a reported `path` at `qos` has a link `g` now carries
+/// narrower than the path's bandwidth.
+fn narrowed(g: &DiGraph<(), Qos>, qos: Option<Qos>, path: Option<Vec<NodeIx>>) -> bool {
+    let (Some(qos), Some(path)) = (qos, path) else {
         return false;
     };
     path.windows(2).any(|hop| {
@@ -227,8 +247,9 @@ fn crosses_a_cut(table: &AllPairs, g: &DiGraph<(), Qos>, u: NodeIx, x: NodeIx) -
 enum Row {
     /// Its tree: no read sweeps it.
     Materialised,
-    /// A shadow: a read of a destination marked here sweeps the row, a
-    /// read of any other does not.
+    /// A shadow: a read of a destination marked here sweeps the row cut
+    /// short (in full only if that reaches the row's last level), a read
+    /// of any other does not.
     Shadowed(Vec<bool>),
     /// Nothing: the next read sweeps it.
     Stale,
@@ -492,8 +513,12 @@ proptest! {
         // materialised or shadowed row exactly when the path the row
         // reports crosses a link now narrower than the path's bandwidth,
         // and a mixed batch leaves no shadow. Every read must be the
-        // rebuild's, and sweep (raise `materialised()` by one) exactly
-        // when the model says it does.
+        // rebuild's, and materialise its row (raise `materialised()` by
+        // one) exactly when the model says it does: any read of a stale
+        // row, and a read of a moved destination of a shadowed row only
+        // if the row's cut-short sweep reaches the last level — the last
+        // moved destination a path reaches is pinned there, or none is and
+        // the row reaches nothing.
         let mut g = g;
         if g.edge_count() == 0 {
             return Ok(());
@@ -585,7 +610,15 @@ proptest! {
                 let swept = table.materialised() - before;
                 let expected = match &rows[u] {
                     Row::Materialised => 0,
-                    Row::Shadowed(moved) => usize::from(moved[x]),
+                    Row::Shadowed(moved) => {
+                        let full = rebuilt.tree(node(u));
+                        let last_moved = (0..n)
+                            .filter(|&y| moved[y])
+                            .filter_map(|y| full.level_of(node(y)))
+                            .max();
+                        let reaches_last = last_moved == full.level_count().checked_sub(1);
+                        usize::from(moved[x] && reaches_last)
+                    }
                     Row::Stale => 1,
                 };
                 prop_assert_eq!(
@@ -599,6 +632,71 @@ proptest! {
         }
         assert_is_rebuild(&table, &g, &[])?;
         prop_assert_eq!(table.materialised(), table.len());
+    }
+
+    #[test]
+    fn a_cut_short_sweep_is_the_full_sweep_where_it_settled(
+        g in simple_graph_strategy(),
+        lineage in proptest::collection::vec(
+            proptest::collection::vec((0usize..64, 0u64..6), 1..5),
+            1..5,
+        ),
+    ) {
+        // Every row's tree is swept on the first graph and kept as the
+        // shadow of a lineage of pure cuts (zero bandwidth included, so
+        // some destinations become unreachable). Its moved destinations
+        // are the ones whose reported path crosses a link now narrower
+        // than the path. The cut-short sweep over the last graph must
+        // answer every node it settled as the full sweep does — QoS,
+        // path and level — and settle every moved node a path reaches;
+        // one that says it reached the end must be the full tree.
+        let mut g = g;
+        if g.edge_count() == 0 {
+            return Ok(());
+        }
+        let shadows: Vec<PathTree> = {
+            let csr = QosCsr::new(&g);
+            let mut scratch = DijkstraScratch::new();
+            g.node_ids().map(|s| single_source_csr(&csr, s, &mut scratch)).collect()
+        };
+        let mut changes = Vec::new();
+        for cuts in &lineage {
+            changes.extend(cut(&mut g, cuts));
+        }
+        let csr = QosCsr::new(&g);
+        let (mut short_scratch, mut full_scratch) = (DijkstraScratch::new(), DijkstraScratch::new());
+        for shadow in &shadows {
+            let s = shadow.source();
+            let moved: Vec<bool> = g.node_ids().map(|x| tree_crosses_a_cut(shadow, &g, x)).collect();
+            let (short, complete) =
+                single_source_moved_csr(&csr, shadow, &moved, &mut short_scratch);
+            let full = single_source_csr(&csr, s, &mut full_scratch);
+            if complete {
+                // The slot holds it as its tree: the certificate reads its
+                // entries and level bounds.
+                prop_assert_eq!(short.stored_entries(), full.stored_entries());
+                prop_assert_eq!(short.level_count(), full.level_count());
+                for li in 0..full.level_count() {
+                    prop_assert_eq!(short.level_bound(li), full.level_bound(li));
+                }
+            }
+            for x in g.node_ids() {
+                let settled = short.qos_to(x).is_some();
+                if settled || complete {
+                    let at = format!("{s:?}->{x:?} after {changes:?}");
+                    prop_assert_eq!(short.qos_to(x), full.qos_to(x), "qos {}", at);
+                    prop_assert_eq!(short.path_to(x), full.path_to(x), "path {}", at);
+                    prop_assert_eq!(short.level_of(x), full.level_of(x), "level {}", at);
+                }
+                if moved[x.index()] {
+                    prop_assert_eq!(
+                        settled,
+                        full.qos_to(x).is_some(),
+                        "moved {:?}->{:?} after {:?}", s, x, changes
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -2049,6 +2049,76 @@ mod tests {
         assert_eq!(plane.max_utilization_permille(), 2000);
     }
 
+    /// Pins a defect (ROADMAP item 21): a mutation's repair sweep re-prices
+    /// every booking on the load-blind table, though a cold founding was
+    /// solved on the residual view. Here booking 1 fills `s0→s1`; booking 2
+    /// (the same edge under a hop limit, so another key) is solved cold on
+    /// the residual view and relays over `s2` at full bandwidth. A
+    /// re-timing of `s1→s2`, which neither flow uses, then re-prices
+    /// booking 2 onto the raw table's shortest-widest link, `s0→s1`, which
+    /// now books twice its capacity: 2000‰. A fix must flip this test to
+    /// pin that the repair leaves booking 2 on the relay.
+    #[test]
+    fn a_repair_re_prices_a_residual_routed_booking_onto_a_full_link() {
+        let mut b = UnderlyingNetwork::builder();
+        let h = b.add_hosts(3);
+        let q = |bw, us| Qos::new(Bandwidth::kbps(bw), Latency::from_micros(us));
+        b.link(h[0], h[1], q(1000, 10))
+            .link(h[0], h[2], q(1000, 10))
+            .link(h[2], h[1], q(1000, 10));
+        let net = b.build();
+        let s: Vec<ServiceId> = (0..3).map(ServiceId::new).collect();
+        let instance = |i: usize| ServiceInstance::new(s[i], h[i]);
+        let mut p = Placement::new();
+        for i in 0..3 {
+            p.add(instance(i));
+        }
+        let compat =
+            Compatibility::from_pairs([(s[0], s[1]), (s[0], s[2]), (s[2], s[1]), (s[1], s[2])]);
+        let overlay = sflow_net::OverlayGraph::build(&net, &p, &compat).unwrap();
+        let shared = shared_over(Fixture::new(net, overlay, s[0]), ServerConfig::default());
+        let requirement = ServiceRequirement::from_edges([(s[0], s[1])]).unwrap();
+        let direct = (instance(0), instance(1));
+        let relay = [(instance(0), instance(2)), (instance(2), instance(1))];
+
+        open(&shared, &requirement, None);
+        open(&shared, &requirement, Some(2));
+        assert_conserved(&shared);
+        let plane = shared.table.plane();
+        assert_eq!(plane.capacity(direct), Some(Bandwidth::kbps(1000)));
+        assert_eq!(plane.utilization_permille(direct), 1000, "booking 1 alone");
+        for hop in relay {
+            assert_eq!(plane.utilization_permille(hop), 1000, "booking 2 relays");
+        }
+        drop(plane);
+
+        let unrelated = crate::Mutation::SetLinkQos {
+            from: instance(1),
+            to: instance(2),
+            bandwidth_kbps: 1000,
+            latency_us: 20,
+        };
+        match mutate(&shared, &unrelated) {
+            Response::Mutated {
+                epoch: 1,
+                repaired: 2,
+                dropped: 0,
+            } => {}
+            other => panic!("expected both bookings repaired at epoch 1, got {other:?}"),
+        }
+        assert_conserved(&shared);
+        let plane = shared.table.plane();
+        assert_eq!(plane.utilization_permille(direct), 2000);
+        assert_eq!(plane.max_utilization_permille(), 2000);
+        for hop in relay {
+            assert_eq!(
+                plane.utilization_permille(hop),
+                0,
+                "booking 2 left the relay"
+            );
+        }
+    }
+
     /// A request that panics inside `execute` is answered `Error` and the
     /// pool keeps its size: at `workers: 1` the next request is served and
     /// no frame stays on the in-flight gauge. Without the `catch_unwind` the
