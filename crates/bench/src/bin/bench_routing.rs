@@ -9,29 +9,40 @@
 //! topologies, then writes the numbers to `BENCH_routing.json` at the
 //! repository root.
 //!
-//! The patch rows are the headline, in three shapes. A *jitter pair* shaves
-//! 1 kbit/s off one random link and restores it, latency untouched; a
-//! *forest pair* halves five random links in one batch and restores them in
-//! one batch — what founding and dissolving a forest does to the load
+//! The patch rows are the headline, in four shapes. A *jitter pair* shaves
+//! 1 kbit/s off one random link and puts it back, latency untouched; a
+//! *forest pair* halves five random links in one batch and puts them back
+//! in one batch — what founding and dissolving a forest does to the load
 //! plane's table; a *latency pair* doubles one random link's latency and
-//! puts it back, bandwidth untouched. The cut exercises the loss floor
+//! puts it back, bandwidth untouched; a *widen* doubles one random link's
+//! bandwidth off the baseline table. The cut exercises the loss floor
 //! (trees whose recorded paths bottleneck at or below the surviving
-//! bandwidth are provably clean), the restore the per-level optimality
-//! certificate (a tree is clean unless the recovered edge beats a label its
-//! own Dijkstra recorded), the latency pair the re-timing rule (a tree is
-//! recomputed if any label it recorded crosses the edge, read by a reported
-//! path or not). Each direction reports what the *coarse* rules —
+//! bandwidth are provably clean), the latency pair the re-timing rule (a
+//! tree is recomputed if any label it recorded crosses the edge, read by a
+//! reported path or not), the widen the per-level optimality certificate
+//! (a tree is clean unless the widened edge beats a label its own Dijkstra
+//! recorded). The *undo* rows put a cut back exactly: a patch judges each
+//! tree by the net change since its sweep, so a kept tree is held as it is
+//! and a shadow hands its tree back with no certificate, and only the trees
+//! swept since the cut are dropped for their shadows'. Each sample also
+//! undoes its change on a successor nobody read, and asserts that this
+//! recomputes no tree. Each direction reports what the *coarse* rules —
 //! any-traversal for cuts, reach-the-tail for everything else — would have
 //! recomputed on the same samples, and `plan_us`: the median wall time of a
 //! patch that recomputed no tree — the dirty plan, the CSR reweight and one
 //! refcount bump per tree. Its samples are the patches that recomputed
 //! none and, for a cut, every other sample replayed against the table it
-//! produced (see [`patch_sample`]); `plan_samples` says how many there
-//! were, `null` if none. On [`PLAN_GATED`]'s worlds the shave's `plan_us`
-//! must stay below one kernel tree (`us_per_tree`): a patch costs what it
-//! changed. The slow-down also reports how many trees had the edge on a
-//! *reported* path — the fewest any sound rule can recompute, and what the
-//! rule before the certificate did recompute. Every sample also asserts the
+//! produced (see [`patch_sample`]); a widen books every sample's patch
+//! alone, which sweeps nothing. `plan_samples` says how many there were,
+//! `null` if none. On [`PLAN_GATED`]'s worlds the shave's and the widen's
+//! `plan_us` must stay below one kernel tree (`us_per_tree`): a patch costs
+//! what it changed, the certificate included; and the widens must
+//! recompute at most [`MAX_WIDEN_TREE_SHARE`] of the trees the coarse rule
+//! would, on average, which holds the certificate's precision (the undo
+//! rows no longer reach it). The slow-down also reports
+//! how many trees had the edge on a *reported* path — the fewest any sound
+//! rule can recompute, and what the rule before the certificate did
+//! recompute. Every sample also asserts the
 //! epoch-sharing contract: the successor table shares exactly
 //! `materialised(pred) − trees_recomputed` trees with its predecessor by
 //! `Arc` pointer — deriving an epoch never clones the world. A patch only
@@ -157,11 +168,19 @@ const MAX_ENTRY_SHARE: f64 = 0.6;
 /// Links cut and restored together in one forest pair.
 const FOREST_LINKS: usize = 5;
 
-/// Worlds whose shave `plan_us` must stay below one kernel tree
-/// (`us_per_tree`): what a patch pays beyond its dirty trees — the plan,
-/// the CSR reweight and a refcount bump per tree — is gated to be less than
-/// the one tree it would otherwise recompute.
+/// Worlds whose shave and widen `plan_us` must stay below one kernel tree
+/// (`us_per_tree`): what a patch pays beyond its dirty trees — the plan
+/// (for a widen, the certificate), the CSR reweight and a refcount bump per
+/// tree — is gated to be less than the one tree it would otherwise
+/// recompute.
 const PLAN_GATED: [&str; 3] = ["random-200", "waxman-400-overlay", "waxman-2000"];
+
+/// Most trees a widen may recompute on [`PLAN_GATED`]'s worlds, on
+/// average, as a share of what the coarse reach-the-tail rule recomputes
+/// on the same samples: the certificate's precision, now that the undo rows
+/// no longer reach it. Reads 0.35 (`random-200`), 0.36
+/// (`waxman-400-overlay`) and 0.62 (`waxman-2000`); reach-the-tail reads 1.
+const MAX_WIDEN_TREE_SHARE: f64 = 0.7;
 
 /// Most a forest cut's CSR reweight may cost, as a share of deriving the
 /// CSR afresh, on [`PLAN_GATED`]'s worlds: the reweight copies two weight
@@ -285,11 +304,11 @@ fn waxman_overlay(nodes: usize, target_out_degree: f64, seed: u64) -> DiGraph<()
     g
 }
 
-/// Aggregated patch stats for one direction (cut or restore). `coarse`
-/// holds, per sample, how many trees the coarse rules — any-traversal for
-/// cuts, reach-the-tail for restores — would have recomputed on the same
-/// batch. `plans` holds the wall times of patches that recomputed no tree
-/// (see [`patch_sample`]).
+/// Aggregated patch stats for one direction (cut, undo or widen).
+/// `coarse` holds, per sample, how many trees the coarse rules —
+/// any-traversal for cuts, reach-the-tail for everything else — would have
+/// recomputed on the same batch. `plans` holds the wall times of patches
+/// that recomputed no tree, or of every patch alone (see [`patch_sample`]).
 #[derive(Default)]
 struct PatchDir {
     times: Vec<u128>,
@@ -301,6 +320,9 @@ struct PatchDir {
     moved_shares: Vec<f64>,
     /// What reading the cuts' moved destinations cost, over every sample.
     moved_reads: MovedReads,
+    /// Book every sample's plan — the patch alone, which sweeps nothing —
+    /// in `plans`, not only the samples that recomputed no tree.
+    plan_alone: bool,
 }
 
 /// The reads of every destination a cut moved in the rows it shadowed,
@@ -888,11 +910,12 @@ struct WorldReport {
     kernel: KernelSweep,
     patch_samples: usize,
     cut: PatchDir,
-    restore: PatchDir,
+    undo: PatchDir,
     forest_cut: PatchDir,
-    forest_restore: PatchDir,
+    forest_undo: PatchDir,
     slow_down: PatchDir,
     speed_up: PatchDir,
+    widen: PatchDir,
     /// Per slow-down sample, the trees with the slowed edge on a reported
     /// path.
     slow_down_reported: Vec<u64>,
@@ -910,7 +933,9 @@ struct WorldReport {
 /// produced: its recomputed trees were swept without the lost headroom and
 /// its kept ones were clean already, so the replay recomputes nothing and
 /// costs what the cut cost beyond its trees — on a world where every link
-/// is on its tail's reported path (an overlay), the only way to see it.
+/// is on its tail's reported path (an overlay), the only way to see it. A
+/// direction that books its plans alone books the patch's own time, before
+/// any read.
 fn patch_sample<N>(
     table: &AllPairs,
     world: &mut DiGraph<N, Qos>,
@@ -957,6 +982,8 @@ fn patch_sample<N>(
     dir.times.push(us);
     if stats.trees_recomputed == 0 {
         dir.plans.push(us);
+    } else if dir.plan_alone {
+        dir.plans.push(planned.as_micros());
     } else if pure_cut {
         let started = Instant::now();
         let (replayed, replay) = next.patched_with(world, &changes, 1);
@@ -1024,19 +1051,37 @@ fn slow(w: Qos) -> Option<Qos> {
     Some(Qos::new(w.bandwidth, w.latency + w.latency))
 }
 
+/// Doubles a link's bandwidth; `None` for one that has none or no limit.
+fn widen(w: Qos) -> Option<Qos> {
+    let kbps = w.bandwidth.as_kbps();
+    (kbps >= 1 && w.bandwidth != Bandwidth::INFINITE)
+        .then(|| Qos::new(Bandwidth::kbps(kbps * 2), w.latency))
+}
+
+/// `batch`, `(edge, before, after)` per link, as change records.
+fn changes_of(batch: &[(EdgeIx, Qos, Qos)]) -> Vec<EdgeChange> {
+    batch
+        .iter()
+        .map(|&(edge, old, new)| EdgeChange { edge, old, new })
+        .collect()
+}
+
 /// Measures one graph end to end; generic over the node payload so the
 /// Fig. 4 overlay (instance-labelled) and the raw random overlays share it.
 ///
 /// Each jitter sample shaves 1 kbit/s off one link off the shared baseline
-/// table, then restores it off the shaved table; each forest sample does
+/// table, then undoes it off the shaved table; each forest sample does
 /// the same to [`FOREST_LINKS`] links at once, halving them; each latency
-/// sample doubles one link's latency and puts it back. The directions are
+/// sample doubles one link's latency and puts it back; each widen sample
+/// doubles one link's bandwidth off the baseline table. The directions are
 /// reported separately because their rules differ: a cut only invalidates
 /// trees whose recorded paths lean on the lost headroom (bottleneck
-/// strictly above the surviving bandwidth), a restore invalidates trees in
-/// which the recovered edge would beat a recorded label at some level it
-/// rejoins, and a latency change either way invalidates every tree that
-/// recorded a label across the edge.
+/// strictly above the surviving bandwidth), an undo only drops the trees
+/// swept since the cut for their shadows' (the rest are back on their
+/// sweep graph), a widen invalidates trees in which the widened edge would
+/// beat a recorded label at some level it joins, and a latency change
+/// either way invalidates every tree that recorded a label across the
+/// edge (on the way back, only the trees swept since the slow-down).
 fn measure<N: Clone>(name: &'static str, g: &DiGraph<N, Qos>, seed: u64) -> WorldReport {
     let reps = reps_for(g.node_count());
     // The last timed build serves as the patch baseline, which saves a
@@ -1074,23 +1119,27 @@ fn measure<N: Clone>(name: &'static str, g: &DiGraph<N, Qos>, seed: u64) -> Worl
         kernel: kernel_sweep(g),
         patch_samples: patch_pairs_for(world.node_count()),
         cut: PatchDir::default(),
-        restore: PatchDir::default(),
+        undo: PatchDir::default(),
         forest_cut: PatchDir::default(),
-        forest_restore: PatchDir::default(),
+        forest_undo: PatchDir::default(),
         slow_down: PatchDir::default(),
         speed_up: PatchDir::default(),
+        widen: PatchDir {
+            plan_alone: true,
+            ..PatchDir::default()
+        },
         slow_down_reported: Vec::new(),
         trees_total,
         min_trees_shared: trees_total,
     };
     let shapes: [(usize, u64, Worsen, &mut PatchDir, &mut PatchDir); 3] = [
-        (1, seed, shave, &mut report.cut, &mut report.restore),
+        (1, seed, shave, &mut report.cut, &mut report.undo),
         (
             FOREST_LINKS,
             seed + 1,
             halve,
             &mut report.forest_cut,
-            &mut report.forest_restore,
+            &mut report.forest_undo,
         ),
         (
             1,
@@ -1124,18 +1173,48 @@ fn measure<N: Clone>(name: &'static str, g: &DiGraph<N, Qos>, seed: u64) -> Worl
             }
             let back: Vec<_> = worse.iter().map(|&(e, old, new)| (e, new, old)).collect();
             let worsened = patch_sample(&baseline, &mut world, &worse, worse_dir);
+            // The same change on a successor nobody has read yet.
+            let (unread, _) = baseline.patched_with(&world, &changes_of(&worse), 1);
             // Putting it back leaves `world` (and the table values) at
             // baseline.
             patch_sample(&worsened, &mut world, &back, back_dir);
+            // An undo judges every tree by its net change since its sweep:
+            // from the unread successor, that is nothing for every tree
+            // and shadow, so nothing the baseline held is recomputed.
+            let (_, undo) = unread.patched_with(&world, &changes_of(&back), 1);
+            assert_eq!(
+                undo.trees_recomputed, 0,
+                "{name}: an undo of an unread change recomputed trees"
+            );
         }
+    }
+    // Widening a link off the baseline is a gain that undoes nothing: the
+    // certificate plans it, and the plan is booked alone.
+    let mut rng = StdRng::seed_from_u64(seed + 3);
+    for _ in 0..report.patch_samples {
+        let (edge, old, wide) = loop {
+            let edge = edge_ids[rng.gen_range(0..edge_ids.len())];
+            let old = *world.edge(edge);
+            if let Some(wide) = widen(old) {
+                break (edge, old, wide);
+            }
+        };
+        patch_sample(
+            &baseline,
+            &mut world,
+            &[(edge, old, wide)],
+            &mut report.widen,
+        );
+        *world.edge_mut(edge) = old;
     }
     let dirs = [
         &report.cut,
-        &report.restore,
+        &report.undo,
         &report.forest_cut,
-        &report.forest_restore,
+        &report.forest_undo,
         &report.slow_down,
         &report.speed_up,
+        &report.widen,
     ];
     let most_recomputed = dirs.iter().map(|d| d.max_trees()).max().unwrap_or(0);
     report.min_trees_shared = trees_total - most_recomputed as usize;
@@ -1178,10 +1257,11 @@ fn world_json(r: &WorldReport) -> String {
          \"label_updates_per_source_mean\": {:.2}, \"pred_entries_per_tree_mean\": {:.2}, \
          \"pred_entries_share_of_level_slots\": {:.4}}},\n      \
          \"patch\": {{\n        \"samples\": {},\n        \
-         \"cut\": {},\n        \"restore\": {},\n        \
+         \"cut\": {},\n        \"undo\": {},\n        \
          \"forest_links\": {},\n        \
-         \"forest_cut\": {},\n        \"forest_restore\": {},\n        \
+         \"forest_cut\": {},\n        \"forest_undo\": {},\n        \
          \"slow_down\": {},\n        \"speed_up\": {},\n        \
+         \"widen\": {},\n        \
          \"slow_down_avg_trees_on_reported_paths\": {:.1},\n        \
          \"trees_total\": {},\n        \"min_trees_shared\": {}\n      }}\n    }}",
         r.name,
@@ -1198,12 +1278,13 @@ fn world_json(r: &WorldReport) -> String {
         r.kernel.entry_share,
         r.patch_samples,
         dir_json(&r.cut, true),
-        dir_json(&r.restore, false),
+        dir_json(&r.undo, false),
         FOREST_LINKS,
         dir_json(&r.forest_cut, true),
-        dir_json(&r.forest_restore, false),
+        dir_json(&r.forest_undo, false),
         dir_json(&r.slow_down, false),
         dir_json(&r.speed_up, false),
+        dir_json(&r.widen, false),
         avg_reported,
         r.trees_total,
         r.min_trees_shared,
@@ -1317,11 +1398,12 @@ fn main() {
         );
         for (label, d) in [
             ("shave", &r.cut),
-            ("restore", &r.restore),
+            ("undo", &r.undo),
             ("forest cut", &r.forest_cut),
-            ("forest restore", &r.forest_restore),
+            ("forest undo", &r.forest_undo),
             ("slow-down", &r.slow_down),
             ("speed-up", &r.speed_up),
+            ("widen", &r.widen),
         ] {
             println!(
                 "  {label}: avg {} µs (plan {} µs) recomputing {:.1}/{} trees \
@@ -1404,7 +1486,7 @@ fn main() {
             );
         }
         if r.nodes >= 200 {
-            quarter(&r.restore, "restore");
+            quarter(&r.undo, "undo");
         }
         if PLAN_GATED.contains(&r.name) {
             assert!(
@@ -1426,6 +1508,26 @@ fn main() {
                 "{}: a shave's plan took {plan} µs, more than one kernel tree ({:.1} µs)",
                 r.name,
                 k.us_per_tree,
+            );
+            let plan = r.widen.plan_us().unwrap_or_else(|| {
+                panic!(
+                    "{}: no widen was sampled: the certificate went unmeasured",
+                    r.name
+                )
+            });
+            assert!(
+                (plan as f64) < k.us_per_tree,
+                "{}: a widen's plan took {plan} µs, more than one kernel tree ({:.1} µs)",
+                r.name,
+                k.us_per_tree,
+            );
+            assert!(
+                r.widen.avg_trees() <= MAX_WIDEN_TREE_SHARE * r.widen.avg_coarse(),
+                "{}: widens recomputed {:.1} trees on average, more than {MAX_WIDEN_TREE_SHARE} \
+                 of the coarse rule's {:.1}",
+                r.name,
+                r.widen.avg_trees(),
+                r.widen.avg_coarse(),
             );
         }
     }

@@ -11,7 +11,10 @@
 //! be affected; it shares every clean tree with its predecessor by `Arc`
 //! pointer and leaves every invalidated slot *shadowed* (after a pure
 //! bandwidth cut: the old tree still answers for the destinations the cut
-//! did not move) or *stale*, to be swept on the first read that needs it —
+//! did not move) or *stale*, to be swept on the first read that needs it.
+//! Each tree is judged by the net change since it was swept, not by the
+//! batch alone, so a batch that undoes earlier cuts hands back the trees
+//! and shadows it returns to —
 //! the per-epoch cost is a plan, never a copy of the world, and a row is
 //! routed only when a read needs it. A table carries the
 //! [`QosCsr`](crate::QosCsr) of its graph, and the successor's is that one
@@ -238,19 +241,67 @@
 //! `materialised()`, and a patch builds fresh slots, so it never outlives
 //! the CSR it was swept on. A shadowed row read only at its destinations
 //! therefore stays shadowed: a later pure cut adds to its crossings, and
-//! a later gain leaves it stale where a materialised tree might have been
-//! kept.
+//! a later gain keeps it only as the net change below allows.
 //!
 //! A later pure cut adds its own crossings to an existing shadow, found on
 //! the shadow's own tree: an unmoved destination's path is that tree's, so
 //! the three facts carry it across any number of cuts, and the crossings
-//! are exact on it. A batch with any gain or re-timing turns
-//! every shadow stale, as it does every tree it invalidates: the
-//! certificate reads labels, and a shadow's are those of a graph that is
-//! gone. So a shadow is never kept as a tree, certified, or counted by
-//! `materialised()`, and the invariant above is still carried by the
-//! materialised trees alone; `trees_recomputed` counts the materialised
-//! trees a patch shadowed or left stale.
+//! are exact on it. The certificate is never run on a shadow: it reads
+//! labels, and a shadow's are those of a graph that is gone. So a shadow
+//! is never certified or counted by `materialised()`, and the invariant
+//! above is still carried by the materialised trees alone;
+//! `trees_recomputed` counts the materialised trees a patch shadowed, left
+//! stale, or dropped for a restored shadow.
+//!
+//! **Net change since the sweep.** Each tree a slot holds at patch time —
+//! materialised or a shadow's — carries `since`: the coalesced change list
+//! from the graph the tree was *swept* on to the table's graph, one record
+//! per edge, an edge back at its sweep-time weight dropped. A patch folds
+//! its batch into it (once per distinct list: trees swept together share
+//! one), giving the tree's `net` change, and judges the tree by `net`
+//! before the batch:
+//!
+//! 1. *`net` is empty.* The table's graph is the tree's sweep graph, and a
+//!    tree is the kernel's output there, bit for bit: it is held, with no
+//!    certificate and no walk, and a shadow becomes its tree again.
+//! 2. *The batch has a gain or a re-timing, and `net` is a pure cut.* From
+//!    the sweep graph to the table's graph is then one pure cut, and
+//!    everything the cut rule needs — an exact tree of the graph before, a
+//!    pure cut after — holds as it is. So the tree is judged by the walk of
+//!    `net`'s cuts: held if no reported path crosses them, else shadowed
+//!    with their crossings (a shadow's replace those it had accumulated:
+//!    some of those cuts are undone). A materialised tree tries the
+//!    certificate against the batch first, which holds it without a walk,
+//!    and only one the certificate refuses is walked.
+//! 3. *Anything else* is judged against the batch, as above. A pure-cut
+//!    batch extends a shadow's crossings; when `net` is a pure cut too, the
+//!    crossings accumulated from the sweep graph cover `net`'s (a cut
+//!    lowered twice crosses where its lower floor does), so the moved set is
+//!    the same. A materialised tree is certified and walked against the
+//!    batch, which the invariant above allows whatever its `net`, and a
+//!    shadow goes stale.
+//!
+//! A read can sweep a shadowed row's tree beside its shadow. The shadow
+//! then answers nothing, but it is the older tree, the one an undo of the
+//! cuts since returns to: it stays beside the tree while its `net` is a
+//! pure cut, without crossings kept up, and is judged on its own — by
+//! verdict 1, or by verdict 2's walk of its `net` cut — when that `net`
+//! empties or the patch invalidates the tree beside it, taking the tree's
+//! place. Its `net` being a pure cut is all the walk needs, whatever
+//! batches came between. So a lineage of cuts undone over several patches
+//! hands every row back the tree it held before the first cut, however the
+//! rows were read in between.
+//!
+//! `since` is never reset, in particular not when a tree is kept: a kept
+//! tree is the same `Arc`, which is the kernel's output on its sweep graph
+//! only. On the graph of the day its reported answers are right and its
+//! labels a feasible potential, but a label no path reports may not be the
+//! one a sweep would compute there, and verdicts 1 and 2 stand on the tree
+//! being exactly a sweep's. A tree swept on read — in full, or by a
+//! cut-short sweep that reached the last level — is swept on its table's
+//! own graph, so its `since` is empty. A successor shares
+//! `materialised(pred) − trees_recomputed` trees with its predecessor and
+//! holds `trees_restored` more: the shadows it turned back into trees.
 //!
 //! All of this applies to exact trees only: an
 //! [`all_pairs_lexicographic`](crate::shortest_widest::all_pairs_lexicographic)
@@ -263,22 +314,31 @@
 //! tests in
 //! `tests/prop_engine.rs` check patches — single batches, sequences of
 //! batches, cut-then-restore pairs, lineages read only in part between
-//! batches — against a from-scratch rebuild in QoS and path, that the
+//! batches, undos of cut lineages whole or in part — against a
+//! from-scratch rebuild in QoS and path, that an exact undo, in one patch
+//! or several, hands every row back the tree it held, that a partial one
+//! leaves shadows moving
+//! what the rest of the net cut crosses, that the
 //! rules never dirty more trees than the coarse ones (any-traversal for
 //! pure bandwidth cuts, reach-the-tail for the rest), that a pure cut
 //! dirties exactly the trees the full walk finds, that a partly
 //! stale table invalidates exactly its eagerly swept twin's dirty set
 //! restricted to the slots it had materialised, that a read materialises
-//! a row exactly when a gain or re-timing left it stale, or a cut moved
-//! the destination read and the row's cut-short sweep reaches its last
-//! level, and that a cut-short sweep is the full sweep on every node it
-//! settled, every moved node a path reaches among them.
+//! a row exactly when a patch left it stale, or a cut moved the
+//! destination read and the row's cut-short sweep reaches its last level
+//! (a model that tracks each row's sweep-time weights predicts every
+//! hold, shadow, restore and stale), and that a cut-short sweep is the
+//! full sweep on every node it settled, every moved node a path reaches
+//! among them.
 
+use std::cell::OnceCell;
+use std::cmp::Ordering;
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use sflow_graph::{DiGraph, EdgeIx, NodeIx};
 
-use crate::shortest_widest::{AllPairs, Shadow, Slot, TraversalScratch};
+use crate::shortest_widest::{AllPairs, PathTree, Shadow, Slot, TraversalScratch};
 use crate::{Bandwidth, Qos};
 
 /// One edge whose QoS changed, described by before/after weights.
@@ -329,10 +389,17 @@ pub struct PatchStats {
     /// cut the first read of a destination the cut moved sweeps the row
     /// only until its last moved destination has settled, and the row is
     /// swept in full only by a read of its whole tree, or by a cut-short
-    /// sweep whose last moved destination is pinned at the last level. The
+    /// sweep whose last moved destination is pinned at the last level. A
+    /// tree dropped for the row's restored shadow counts here too. The
     /// successor shares `materialised(pred) − trees_recomputed` trees with
     /// its predecessor.
     pub trees_recomputed: usize,
+    /// Shadows this patch turned back into trees: the net change since the
+    /// shadow's tree was swept is empty, or a pure cut that crosses none of
+    /// its reported paths. A shadow beside a tree swept since counts when
+    /// it takes that tree's place. The successor holds
+    /// `materialised(pred) − trees_recomputed + trees_restored` trees.
+    pub trees_restored: usize,
     /// Source trees in the table (== node count).
     pub trees_total: usize,
 }
@@ -350,6 +417,53 @@ pub(crate) fn coalesce<N>(g: &DiGraph<N, Qos>, changes: &[EdgeChange]) -> Vec<Ed
     folded
 }
 
+/// `since` followed by `batch`, both coalesced: per edge, `since`'s `old`
+/// and the later `new`, an edge back at its `since` weight dropped. A
+/// merge of the two sorted lists.
+fn fold(since: &[EdgeChange], batch: &[EdgeChange]) -> Vec<EdgeChange> {
+    let mut net = Vec::with_capacity(since.len() + batch.len());
+    let (mut a, mut b) = (since, batch);
+    loop {
+        let order = match (a.first(), b.first()) {
+            (Some(x), Some(y)) => x.edge.cmp(&y.edge),
+            (Some(_), None) => Ordering::Less,
+            (None, Some(_)) => Ordering::Greater,
+            (None, None) => return net,
+        };
+        match order {
+            Ordering::Less => {
+                net.push(a[0]);
+                a = &a[1..];
+            }
+            Ordering::Greater => {
+                net.push(b[0]);
+                b = &b[1..];
+            }
+            Ordering::Equal => {
+                let c = EdgeChange {
+                    new: b[0].new,
+                    ..a[0]
+                };
+                if !c.is_noop() {
+                    net.push(c);
+                }
+                (a, b) = (&a[1..], &b[1..]);
+            }
+        }
+    }
+}
+
+/// One `(edge, head, floor)` per cut record of `changes`, in its order.
+fn cuts_of<N>(g: &DiGraph<N, Qos>, changes: &[EdgeChange]) -> Vec<Cut> {
+    changes
+        .iter()
+        .filter_map(|c| Some((c.edge, g.edge_endpoints(c.edge).1, c.loss_floor()?)))
+        .collect()
+}
+
+/// A cut record as the walk reads it: `(edge, head, floor)`.
+type Cut = (EdgeIx, NodeIx, Bandwidth);
+
 impl AllPairs {
     /// Derives the table for a graph whose edge QoS changed, invalidating
     /// only the source trees the changes can affect (see the module docs
@@ -360,13 +474,21 @@ impl AllPairs {
     ///
     /// Copy-on-write: `self` is an immutable predecessor and the result a
     /// *fresh* table. Every materialised tree the plan keeps is shared with
-    /// the predecessor by `Arc` pointer. After a pure bandwidth cut every
-    /// one it invalidates is shadowed in the successor, and every shadow
-    /// the predecessor held stays one, taking on the cut's crossings on
-    /// its tree; after any other batch they are all stale, and so is every
-    /// slot that was stale already. A slot is swept on the first read
-    /// that needs it, against the successor's CSR. Deriving the successor
-    /// therefore costs the plan, the predecessor's
+    /// the predecessor by `Arc` pointer. Each tree is judged by the net
+    /// change since its sweep: one that net change leaves on its sweep
+    /// graph is held as it is, and so is a shadow's, which the successor
+    /// holds as its tree again. After a pure bandwidth cut every tree the
+    /// patch invalidates is shadowed in the successor, and every shadow the
+    /// predecessor held stays one, taking on the cut's crossings on its
+    /// tree; after any other batch a tree or shadow whose net change is a
+    /// pure cut is held or shadowed as that net cut's walk says, and every
+    /// other shadow and invalidated tree is stale, as is every slot that
+    /// was stale already. A shadow beside a tree a read swept since stays
+    /// there while its net change is a pure cut, and takes the tree's place
+    /// once that change is empty or the tree is invalidated.
+    /// A slot is swept on the first read that needs it, against the
+    /// successor's CSR. Deriving the successor therefore costs the plan,
+    /// the net change of each distinct `since` list, the predecessor's
     /// [`QosCsr`](crate::QosCsr) reweighted from the coalesced change list
     /// (its weight arrays copied, the changed slots written — no read of
     /// `g`'s edges) and a refcount bump per kept tree or shadow, never a
@@ -392,8 +514,8 @@ impl AllPairs {
             "a patch keeps the table's numbering: the graph must have its node and edge counts"
         );
         let mut stats = PatchStats {
-            trees_recomputed: 0,
             trees_total: n,
+            ..PatchStats::default()
         };
         let changes = coalesce(g, changes);
         if changes.is_empty() {
@@ -403,17 +525,67 @@ impl AllPairs {
         let csr = Arc::new(self.csr.reweighted(&changes));
         // Each slot is read once: a tree a concurrent reader sweeps after
         // this look is not one the plan saw, so it stays behind.
-        let mut plan = Plan::new(g, &changes);
+        let mut plan = Plan::new(g, changes);
         let trees = self
             .trees
             .iter()
-            .map(|slot| {
-                let (next, invalidated) = plan.next(slot);
-                stats.trees_recomputed += usize::from(invalidated);
-                next
-            })
+            .map(|slot| plan.next(slot, &mut stats))
             .collect();
         (AllPairs { trees, csr }, stats)
+    }
+}
+
+/// A net change: the batch itself, or a `since` list with the batch
+/// folded in.
+struct Net {
+    changes: Arc<[EdgeChange]>,
+    /// `changes` is a non-empty pure bandwidth cut.
+    pure_cut: bool,
+    /// One `(edge, head, floor)` per cut record of `changes`, sorted by
+    /// edge: the walk looks a floor up here, so no patch builds an
+    /// edge-long array. Built by the first walk that needs it.
+    cuts: OnceCell<Vec<Cut>>,
+}
+
+impl Net {
+    fn new(changes: Arc<[EdgeChange]>) -> Self {
+        Net {
+            pure_cut: !changes.is_empty()
+                && changes
+                    .iter()
+                    .all(|c| !c.is_retimed() && c.loss_floor().is_some()),
+            changes,
+            cuts: OnceCell::new(),
+        }
+    }
+
+    fn cuts<N>(&self, g: &DiGraph<N, Qos>) -> &[Cut] {
+        self.cuts.get_or_init(|| cuts_of(g, &self.changes))
+    }
+}
+
+/// What a patch makes of one tree a slot holds, its own or its shadow's.
+enum Verdict {
+    /// The tree answers on the table's graph, which `since` turns its
+    /// sweep graph into.
+    Hold(Arc<[EdgeChange]>),
+    /// The tree answers the destinations no cut since moved.
+    Shadow(Shadow),
+    Stale,
+}
+
+impl Verdict {
+    /// The successor slot of a shadowed one: a held shadow is the slot's
+    /// tree again.
+    fn of_shadow(self, tree: &Arc<PathTree>, stats: &mut PatchStats) -> Slot {
+        match self {
+            Verdict::Hold(since) => {
+                stats.trees_restored += 1;
+                Slot::holding(Arc::clone(tree), since)
+            }
+            Verdict::Shadow(shadow) => Slot::shadowed(shadow),
+            Verdict::Stale => Slot::default(),
+        }
     }
 }
 
@@ -422,74 +594,156 @@ impl AllPairs {
 /// are allocated once per patch, not per tree.
 struct Plan<'a, N> {
     g: &'a DiGraph<N, Qos>,
-    changes: &'a [EdgeChange],
-    /// One `(edge, head, floor)` per cut record, sorted by edge: the walk
-    /// looks a floor up here, so no patch builds an edge-long array.
-    cuts: Vec<(EdgeIx, NodeIx, Bandwidth)>,
-    /// Anything but a pure bandwidth cut: the certificate's business, and
-    /// the end of every shadow.
-    label_side: bool,
+    /// `nets[0]` is the coalesced batch, the net change of a tree swept on
+    /// the predecessor's graph; then the net change of each distinct
+    /// non-empty `since` list met so far.
+    nets: Vec<Net>,
+    /// Where each distinct `since` list's net change is in `nets`, by the
+    /// list's address: trees swept together share one list, so the batch
+    /// is folded into it once per patch. The predecessor holds every list
+    /// for the whole patch, so no address is reused.
+    seen: HashMap<*const [EdgeChange], usize>,
     traversal: TraversalScratch,
 }
 
 impl<'a, N> Plan<'a, N> {
-    fn new(g: &'a DiGraph<N, Qos>, changes: &'a [EdgeChange]) -> Self {
-        let cuts: Vec<(EdgeIx, NodeIx, Bandwidth)> = changes
-            .iter()
-            .filter_map(|c| Some((c.edge, g.edge_endpoints(c.edge).1, c.loss_floor()?)))
-            .collect();
+    fn new(g: &'a DiGraph<N, Qos>, changes: Vec<EdgeChange>) -> Self {
         Plan {
             g,
-            changes,
-            cuts,
-            label_side: changes
-                .iter()
-                .any(|c| c.is_retimed() || c.new.bandwidth > c.old.bandwidth),
+            nets: vec![Net::new(Arc::from(changes))],
+            seen: HashMap::new(),
             traversal: TraversalScratch::new(),
         }
     }
 
-    /// `slot`'s successor, and whether the patch invalidated the tree it
-    /// held: a kept tree is shared by pointer, one a pure cut invalidated
-    /// is shadowed with the cut's crossings, any other invalidated tree is
-    /// stale. A shadow survives a pure cut, taking on the crossings the cut
-    /// has on its tree, and nothing else.
-    fn next(&mut self, slot: &Slot) -> (Slot, bool) {
-        match (slot.tree.get(), &slot.shadow) {
-            (Some(tree), _) if self.label_side => {
-                let dirty = !tree.certifies(self.g, self.changes)
-                    || tree.crosses_cuts(&self.cuts, &mut self.traversal);
-                if dirty {
-                    (Slot::default(), true)
-                } else {
-                    (Slot::holding(Arc::clone(tree)), false)
-                }
-            }
-            (Some(tree), _) => {
-                if !tree.crosses_cuts(&self.cuts, &mut self.traversal) {
-                    return (Slot::holding(Arc::clone(tree)), false);
-                }
-                let shadow = Shadow {
-                    tree: Arc::clone(tree),
-                    crossings: Arc::from(self.traversal.crossings.as_slice()),
-                };
-                (Slot::shadowed(shadow), true)
-            }
-            (None, Some(shadow)) if !self.label_side => {
-                let crossings = &mut self.traversal.crossings;
-                shadow.tree.crossings(&self.cuts, crossings);
-                if crossings.is_empty() {
-                    return (Slot::shadowed(shadow.clone()), false);
-                }
-                crossings.extend_from_slice(&shadow.crossings);
-                let next = Shadow {
-                    tree: Arc::clone(&shadow.tree),
-                    crossings: Arc::from(crossings.as_slice()),
-                };
-                (Slot::shadowed(next), false)
-            }
-            _ => (Slot::default(), false),
+    /// Where the net change of a tree whose `since` is `since` is in
+    /// `nets`, this batch folded in.
+    fn net(&mut self, since: &Arc<[EdgeChange]>) -> usize {
+        if since.is_empty() {
+            return 0;
         }
+        let fresh = self.nets.len();
+        let at = *self.seen.entry(Arc::as_ptr(since)).or_insert(fresh);
+        if at == fresh {
+            let net = fold(since, &self.nets[0].changes);
+            self.nets.push(Net::new(Arc::from(net)));
+        }
+        at
+    }
+
+    /// `slot`'s successor. A shadow is judged first: one whose net change
+    /// is empty is the slot's tree again, whatever the slot held beside
+    /// it. A materialised tree is judged next; a shadow beside it stays
+    /// there while its net change is a pure cut, and takes the tree's place
+    /// if the patch invalidates it.
+    fn next(&mut self, slot: &Slot, stats: &mut PatchStats) -> Slot {
+        let Some(tree) = slot.tree.get() else {
+            let Some(shadow) = &slot.shadow else {
+                return Slot::default();
+            };
+            return self.judge_shadow(shadow).of_shadow(&shadow.tree, stats);
+        };
+        let beside = slot.shadow.as_ref().and_then(|shadow| {
+            let at = self.net(&shadow.since);
+            let net = &self.nets[at];
+            (net.changes.is_empty() || net.pure_cut).then_some((shadow, at))
+        });
+        if let Some((shadow, at)) = beside {
+            if self.nets[at].changes.is_empty() {
+                stats.trees_recomputed += 1;
+                stats.trees_restored += 1;
+                return Slot::holding(Arc::clone(&shadow.tree), Arc::clone(&self.nets[at].changes));
+            }
+        }
+        let verdict = self.judge_tree(tree, &slot.since);
+        if let Verdict::Hold(since) = verdict {
+            let beside = beside.map(|(shadow, at)| Shadow {
+                since: Arc::clone(&self.nets[at].changes),
+                ..shadow.clone()
+            });
+            return Slot::holding(Arc::clone(tree), since).beside(beside);
+        }
+        stats.trees_recomputed += 1;
+        match beside {
+            Some((shadow, at)) => self
+                .walk(&shadow.tree, at, at)
+                .of_shadow(&shadow.tree, stats),
+            None => verdict.of_shadow(tree, stats),
+        }
+    }
+
+    /// A materialised tree: held if its net change is empty; after a pure
+    /// cut, held or shadowed as the batch's walk says; after any other
+    /// batch, held if the certificate and the batch's walk keep it, else
+    /// held or shadowed as the walk of its net change says if that is a
+    /// pure cut, else stale.
+    fn judge_tree(&mut self, tree: &Arc<PathTree>, since: &Arc<[EdgeChange]>) -> Verdict {
+        let at = self.net(since);
+        if self.nets[at].changes.is_empty() {
+            return Verdict::Hold(Arc::clone(&self.nets[at].changes));
+        }
+        let batch = &self.nets[0];
+        if batch.pure_cut {
+            return self.walk(tree, 0, at);
+        }
+        if tree.certifies(self.g, &batch.changes)
+            && !tree.crosses_cuts(batch.cuts(self.g), &mut self.traversal)
+        {
+            return Verdict::Hold(Arc::clone(&self.nets[at].changes));
+        }
+        if self.nets[at].pure_cut {
+            self.walk(tree, at, at)
+        } else {
+            Verdict::Stale
+        }
+    }
+
+    /// A shadow with no tree beside it: held if its net change is empty;
+    /// after a pure cut, still a shadow, taking on the batch's crossings on
+    /// its tree; after any other batch, held or shadowed as the walk of its
+    /// net change says if that is a pure cut, else stale.
+    fn judge_shadow(&mut self, shadow: &Shadow) -> Verdict {
+        let at = self.net(&shadow.since);
+        let net = &self.nets[at];
+        if net.changes.is_empty() {
+            return Verdict::Hold(Arc::clone(&net.changes));
+        }
+        let batch = &self.nets[0];
+        if !batch.pure_cut {
+            return if net.pure_cut {
+                self.walk(&shadow.tree, at, at)
+            } else {
+                Verdict::Stale
+            };
+        }
+        let found = &mut self.traversal.crossings;
+        shadow.tree.crossings(batch.cuts(self.g), found);
+        let crossings = if found.is_empty() {
+            Arc::clone(&shadow.crossings)
+        } else {
+            found.extend_from_slice(&shadow.crossings);
+            Arc::from(found.as_slice())
+        };
+        Verdict::Shadow(Shadow {
+            tree: Arc::clone(&shadow.tree),
+            crossings,
+            since: Arc::clone(&net.changes),
+        })
+    }
+
+    /// The cut rule for `tree` and the cuts of `nets[cuts]`: held if no
+    /// reported path crosses them, else shadowed with their crossings.
+    /// Either way the tree's net change is `nets[net]`.
+    fn walk(&mut self, tree: &Arc<PathTree>, cuts: usize, net: usize) -> Verdict {
+        let since = Arc::clone(&self.nets[net].changes);
+        if !tree.crosses_cuts(self.nets[cuts].cuts(self.g), &mut self.traversal) {
+            return Verdict::Hold(since);
+        }
+        Verdict::Shadow(Shadow {
+            tree: Arc::clone(tree),
+            crossings: Arc::from(self.traversal.crossings.as_slice()),
+            since,
+        })
     }
 }
 
@@ -993,6 +1247,68 @@ mod tests {
                 new: q(4, 1),
             }]
         );
+    }
+
+    #[test]
+    fn a_net_change_folds_a_batch_into_the_list_since_a_sweep() {
+        let c = |i, old, new| EdgeChange {
+            edge: EdgeIx::from_index(i),
+            old,
+            new,
+        };
+        // Since the sweep: e1 cut, e3 widened. The batch puts e1 back,
+        // cuts e2 and re-times e3.
+        let since = [c(1, q(10, 1), q(5, 1)), c(3, q(2, 2), q(4, 2))];
+        let batch = [
+            c(1, q(5, 1), q(10, 1)),
+            c(2, q(7, 1), q(3, 1)),
+            c(3, q(4, 2), q(4, 5)),
+        ];
+        assert_eq!(
+            fold(&since, &batch),
+            [c(2, q(7, 1), q(3, 1)), c(3, q(2, 2), q(4, 5))]
+        );
+        assert_eq!(fold(&[], &batch), batch);
+        assert_eq!(fold(&since, &[]), since);
+    }
+
+    #[test]
+    fn an_undo_holds_the_kept_trees_and_restores_the_shadows() {
+        // Cutting the artery n1→n2 shadows n0's and n1's trees; a read of
+        // n0's whole tree sweeps it beside its shadow. Putting the artery
+        // back is an undo: every kept tree is held, both shadows are the
+        // slots' trees again, and n0's swept tree gives way to its shadow's.
+        let (mut g, n, e) = world();
+        let original = all_pairs(&g);
+        let full = *g.edge(e[1]);
+        *g.edge_mut(e[1]) = q(3, 1);
+        let (cut, stats) = original.patched_with(
+            &g,
+            &[EdgeChange {
+                edge: e[1],
+                old: full,
+                new: q(3, 1),
+            }],
+            1,
+        );
+        assert_eq!((stats.trees_recomputed, stats.trees_restored), (2, 0));
+        cut.tree(n[0]);
+        assert_eq!(cut.materialised(), 4);
+        *g.edge_mut(e[1]) = full;
+        let (undone, stats) = cut.patched_with(
+            &g,
+            &[EdgeChange {
+                edge: e[1],
+                old: q(3, 1),
+                new: full,
+            }],
+            1,
+        );
+        assert_eq!((stats.trees_recomputed, stats.trees_restored), (1, 2));
+        assert_eq!(undone.materialised(), 5);
+        assert_eq!(original.shared_trees(&undone), 5);
+        assert!(undone.trees.iter().all(|slot| slot.since.is_empty()));
+        assert_tables_equal(&undone, &all_pairs(&g), &g);
     }
 
     #[test]

@@ -100,7 +100,13 @@
 //! level, pays it all. A shadow costs its tree, which the predecessor
 //! holds anyway, and its crossings; a read from it, `O(hops × crossings)`,
 //! and the first moved read marks the row's moved destinations,
-//! `O(V × hops × crossings)`.
+//! `O(V × hops × crossings)`. Each tree and shadow also carries its net
+//! change since its sweep, one list shared by the trees swept together; a
+//! patch folds its batch into each distinct list once, a merge of two
+//! sorted lists, and a tree or shadow that change leaves on its sweep graph
+//! costs the patch a refcount bump, with no certificate and no walk. A list
+//! grows by every edge changed and not put back since its trees' sweep, so
+//! a lineage that never undoes itself pays its length on every patch.
 
 use std::cell::RefCell;
 use std::cmp::{Ordering, Reverse};
@@ -1484,13 +1490,17 @@ pub fn single_source_lexicographic<N>(g: &DiGraph<N, Qos>, source: NodeIx) -> Pa
 /// deriving its own.
 ///
 /// A slot is in one of three states. *Materialised*, it holds its tree.
-/// *Shadowed* — what a pure bandwidth cut leaves of a tree it invalidated —
-/// it holds the slot's last tree and where the cuts since can have moved
-/// its destinations, and [`AllPairs::qos`] and [`AllPairs::path`] answer
-/// every destination they did not move from that tree. *Stale* — what any
-/// other patch leaves of a tree it invalidated, and of a shadow — it holds
-/// nothing. A read of a stale slot and every [`AllPairs::tree`] read of a
-/// slot that is not materialised sweep it from the table's own CSR. The
+/// *Shadowed* — what a pure bandwidth cut leaves of a tree it invalidated,
+/// and what a later gain leaves of a tree or shadow while the net change
+/// since its tree was swept is still a pure cut — it holds the slot's last
+/// tree and
+/// where the cuts since can have moved its destinations, and
+/// [`AllPairs::qos`] and [`AllPairs::path`] answer every destination they
+/// did not move from that tree; a patch that undoes those cuts makes the
+/// tree the slot's own again. *Stale* — what any other patch leaves of a
+/// tree it invalidated, and of a shadow — it holds nothing. A read of a
+/// stale slot and every [`AllPairs::tree`] read of a slot that is not
+/// materialised sweep it from the table's own CSR. The
 /// first read of a moved destination sweeps the row only until every
 /// moved destination has settled ([`single_source_moved_csr`]), and that
 /// cut-short tree answers the row's moved destinations from then on; a
@@ -1509,31 +1519,55 @@ pub struct AllPairs {
 /// destinations it did not move, and once one of those was read, the
 /// cut-short tree answering for the ones it did. A patch builds fresh
 /// slots, so a cut-short tree never outlives the CSR it was swept on; it
-/// is never planned against, certified or counted as materialised.
+/// is never planned against, certified or counted as materialised. A
+/// read that sweeps a shadowed row's tree leaves the shadow beside it: a
+/// patch keeps it there while the cuts since its sweep are all that
+/// changed, and makes its tree the slot's own again once they are undone.
+///
+/// `since` is the net change from the graph the slot's tree was swept on
+/// to the table's graph (coalesced: sorted by edge, one record per edge,
+/// an edge back at its sweep-time weight dropped). It is empty for a tree
+/// swept on the table's own graph — by a build, a read, or a cut-short
+/// sweep that reached the last level — so it describes `tree` only when a
+/// patch put the tree there, and a tree a read sweeps later inherits the
+/// empty list of a slot the patch left without one.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct Slot {
     pub(crate) tree: OnceLock<Arc<PathTree>>,
+    pub(crate) since: Arc<[EdgeChange]>,
     pub(crate) shadow: Option<Shadow>,
     cut_short: OnceLock<Arc<PathTree>>,
 }
 
-/// A shadowed slot's last tree, and the crossings of every cut since it
-/// was swept: a destination is moved if its reported path passes one
-/// ([`PathTree::moved_by`]). Kept as crossings, not as the moved set
-/// itself: a patch finds them from the cut heads' chains alone, where the
-/// set would take a walk of every level they cover.
+/// A shadowed slot's last tree, the crossings of every cut since it was
+/// swept, and its tree's `since` (see [`Slot`]): a destination is moved if
+/// its reported path passes a crossing ([`PathTree::moved_by`]). Kept as
+/// crossings, not as the moved set itself: a patch finds them from the cut
+/// heads' chains alone, where the set would take a walk of every level
+/// they cover. Beside a tree, a shadow answers nothing and its crossings
+/// are not kept up: a patch that brings it back finds them afresh from its
+/// `since`.
 #[derive(Clone, Debug)]
 pub(crate) struct Shadow {
     pub(crate) tree: Arc<PathTree>,
     pub(crate) crossings: Arc<[Crossing]>,
+    pub(crate) since: Arc<[EdgeChange]>,
 }
 
 impl Slot {
-    pub(crate) fn holding(tree: Arc<PathTree>) -> Self {
+    /// A slot holding `tree`, which was swept on the graph that `since`
+    /// turns into the table's.
+    pub(crate) fn holding(tree: Arc<PathTree>, since: Arc<[EdgeChange]>) -> Self {
         Slot {
             tree: OnceLock::from(tree),
+            since,
             ..Slot::default()
         }
+    }
+
+    /// This slot with `shadow` beside its tree.
+    pub(crate) fn beside(self, shadow: Option<Shadow>) -> Self {
+        Slot { shadow, ..self }
     }
 
     pub(crate) fn shadowed(shadow: Shadow) -> Self {
@@ -1559,7 +1593,10 @@ impl AllPairs {
     /// A table whose every slot holds its tree.
     pub(crate) fn swept(trees: Vec<Arc<PathTree>>, csr: Arc<QosCsr>) -> Self {
         AllPairs {
-            trees: trees.into_iter().map(Slot::holding).collect(),
+            trees: trees
+                .into_iter()
+                .map(|tree| Slot::holding(tree, Arc::default()))
+                .collect(),
             csr,
         }
     }

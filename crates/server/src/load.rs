@@ -27,7 +27,11 @@
 //!   mutation. The patch is a plan: the trees it invalidates are swept by
 //!   whichever solve first reads their rows. Bookings no cold solve ever
 //!   looks at (a found and its dissolve, a burst of opens) are never
-//!   clamped or routed, and nor are rows no solve reads.
+//!   clamped or routed, and nor are rows no solve reads. The patch judges
+//!   each tree by the net change since it was swept, so a release that
+//!   undoes the bookings since a row's tree was swept hands that tree
+//!   back, a shadow's included, and one that undoes only some of them
+//!   keeps a shadow whose net change is still a pure cut.
 //! * [`LoadCell`](crate::LoadCell) — the publication cell, and the server's
 //!   only one: readers clone an `Arc` and get the ledger together with the
 //!   snapshot it indexes, writers swap a pointer. It lives with its only
@@ -1070,12 +1074,19 @@ mod tests {
             // A second ask pays nothing and says so.
             assert!(released.flushed_context().1.is_none());
 
-            // Whereas a cold solve in between does pay, once per direction.
+            // Whereas a cold solve in between pays for the cut, and the
+            // release, which undoes it, hands every shadow's tree back:
+            // the restore recomputes nothing and routes on the snapshot's
+            // own trees again.
             let (_, cut) = open.flushed_context();
-            assert!(cut.expect("first ask").trees_recomputed > 0, "seed {seed}");
+            let cut = cut.expect("first ask");
+            assert!(cut.trees_recomputed > 0, "seed {seed}");
             let again = open.with_changes(&[], &booking, 1);
-            let (_, restore) = again.flushed_context();
-            assert!(restore.expect("first ask").trees_recomputed > 0);
+            let (restored, restore) = again.flushed_context();
+            let restore = restore.expect("first ask");
+            assert_eq!(restore.trees_recomputed, 0, "seed {seed}");
+            assert_eq!(restore.trees_restored, cut.trees_recomputed, "seed {seed}");
+            assert_eq!(snap.all_pairs().shared_trees(restored.all_pairs()), n);
             assert_table_matches_a_rebuild(&again, &format!("seed {seed} restored"));
         }
     }
@@ -1084,9 +1095,11 @@ mod tests {
     fn a_flush_sweeps_only_the_rows_a_solve_reads() {
         // Booking every link out of service 4's instances dirties their own
         // trees; a solve of the diamond requirement (services 0–3) never
-        // reads those rows, so they stay stale. The next flush plans only
-        // the materialised slots and leaves the stale ones stale, and the
-        // table is still the clamped graph's in every row once read.
+        // reads those rows, so they stay shadowed. The release undoes the
+        // booking: every shadow's tree is the snapshot's again, a row the
+        // solve swept since gives its tree up for its shadow's, and every
+        // kept tree is held as it is, so the released table holds the
+        // snapshot's trees in every row and is still the rebuild's.
         for seed in 0..4u64 {
             let snap = random_snapshot(seed);
             let raw = snap.overlay_arc();
@@ -1095,7 +1108,8 @@ mod tests {
 
             let open = LoadPlane::fresh(&snap).with_changes(&booking, &[], 1);
             let (ctx, cut) = open.flushed_context();
-            assert!(cut.expect("first ask").trees_recomputed > 0, "seed {seed}");
+            let cut = cut.expect("first ask");
+            assert!(cut.trees_recomputed > 0, "seed {seed}");
             Solver::new(&ctx)
                 .solve(&diamond_requirement())
                 .expect("the diamond fits the booked plane");
@@ -1105,25 +1119,36 @@ mod tests {
             let released = open.with_changes(&[], &booking, 1);
             let (next, restore) = released.flushed_context();
             let restore = restore.expect("first ask");
-            assert!(restore.trees_recomputed <= materialised, "seed {seed}");
+            assert_eq!(restore.trees_restored, cut.trees_recomputed, "seed {seed}");
+            // The dropped trees are the shadowed rows the solve swept.
+            let swept = materialised - (n - cut.trees_recomputed);
+            assert_eq!(restore.trees_recomputed, swept, "seed {seed}");
             let kept = materialised - restore.trees_recomputed;
-            assert_eq!(next.all_pairs().materialised(), kept, "seed {seed}");
             assert_eq!(ctx.all_pairs().shared_trees(next.all_pairs()), kept);
+            assert_eq!(
+                next.all_pairs().materialised(),
+                kept + restore.trees_restored,
+                "seed {seed}"
+            );
+            assert_eq!(snap.all_pairs().shared_trees(next.all_pairs()), n);
             assert_table_matches_a_rebuild(&open, &format!("seed {seed} open"));
             assert_table_matches_a_rebuild(&released, &format!("seed {seed} released"));
         }
     }
 
     #[test]
-    fn founding_flushes_shadow_what_they_cut_and_a_restore_drops_the_shadows() {
+    fn founding_flushes_shadow_what_they_cut_and_a_release_keeps_the_shadows_of_the_net_cut() {
         // Two foundings in a row, each asked for its table: every tree a
         // flush invalidates is shadowed, and a read of a destination whose
         // snapshot path still fits the clamped graph — one no cut moved —
         // is answered from the shadow without a sweep. Then a release and a
-        // founding, asked once: that flush restores bandwidth, so it leaves
-        // no shadow, and a read of any row not materialised sweeps it, even
-        // of its source, which no cut moves. Each plane's table is its
-        // clamped graph's, read in full once the lineage is done.
+        // founding, asked once: that flush restores bandwidth, but against
+        // the snapshot's graph, which every shadow's tree was swept on, the
+        // net change is still a pure cut (the second and third foundings'
+        // links booked). So every shadow stays one, moving exactly the
+        // destinations whose snapshot path no longer fits, and a read of
+        // any other sweeps nothing. Each plane's table is its clamped
+        // graph's, read in full once the lineage is done.
         for seed in 0..4u64 {
             let snap = random_snapshot(seed);
             let raw = snap.overlay_arc();
@@ -1171,18 +1196,27 @@ mod tests {
             let plane = released.with_changes(&links_out_of(&raw, 3, seed), &[], 1);
             let (ctx, flushed) = plane.flushed_context();
             flushed.expect("first ask");
-            let table = ctx.all_pairs();
-            assert!(
-                nodes.iter().all(|&u| table.moved(u).is_none()),
-                "seed {seed}"
-            );
-            for &u in &nodes {
-                table.qos(u, u);
+            let (table, rebuilt) = (ctx.all_pairs(), ctx.overlay().all_pairs());
+            let materialised = table.materialised();
+            let shadowed: Vec<NodeIx> = nodes
+                .iter()
+                .copied()
+                .filter(|&u| table.moved(u).is_some())
+                .collect();
+            assert!(!shadowed.is_empty(), "seed {seed}: no shadow survived");
+            for &u in &shadowed {
+                for &v in &nodes {
+                    let moved = !fits(ctx.overlay(), u, v);
+                    assert_eq!(table.is_moved(u, v), moved, "seed {seed}: {u:?}->{v:?}");
+                    if !moved {
+                        assert_eq!(table.qos(u, v), rebuilt.qos(u, v));
+                    }
+                }
             }
             assert_eq!(
                 table.materialised(),
-                nodes.len(),
-                "seed {seed}: a shadow survived"
+                materialised,
+                "seed {seed}: an unmoved read swept"
             );
             planes.push(plane);
             for (step, plane) in planes.iter().enumerate() {

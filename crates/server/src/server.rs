@@ -553,6 +553,9 @@ pub(crate) fn residual_context(shared: &Shared, plane: &LoadPlane) -> OwnedFeder
         metrics
             .plane_trees_recomputed()
             .add(stats.trees_recomputed as u64);
+        metrics
+            .plane_trees_restored()
+            .add(stats.trees_restored as u64);
     }
     ctx
 }
@@ -602,6 +605,7 @@ fn mutate(shared: &Shared, mutation: &crate::Mutation) -> Response {
     metrics.rebuilds().inc();
     metrics.rebuild_us_total().add_us(rebuild.duration);
     metrics.trees_recomputed().add(rebuild.trees_recomputed);
+    metrics.trees_restored().add(rebuild.trees_restored);
     // The copy-out publishes the successor: federates from here on solve at
     // its epoch, and any solve still in flight at the old one will answer
     // `Stale` rather than slip into the session table behind us.

@@ -250,6 +250,13 @@ stats_table! {
     /// failed, or a pinned stream lost its path — and re-solved around the
     /// survivors, re-federated, or dropped instead.
     repairs_resolved: Counter,
+    /// Shadows turned back into trees across all mutation patches: a
+    /// mutation that undoes the cuts since a shadow's tree was swept (a
+    /// halved link restored) hands the row its old tree, with no sweep.
+    trees_restored: Counter,
+    /// Shadows turned back into trees across all plane flushes: a release
+    /// that undoes the bookings since a row's tree was swept.
+    plane_trees_restored: Counter,
 }
 
 #[derive(Debug, Default)]

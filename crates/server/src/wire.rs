@@ -969,14 +969,16 @@ mod tests {
             write_buffered_bytes: 33,
             repair_us_total: 34,
             repairs_resolved: 35,
+            trees_restored: 36,
+            plane_trees_restored: 37,
         };
         let frame = ResponseFrame {
             request_id: 300,
             response: Response::Stats(stats),
         };
         // Prefix, request id 300, tag 6 (`Stats`), then the fields.
-        let mut golden = vec![0, 0, 0, 38, 172, 2, 6];
-        golden.extend(1..=35);
+        let mut golden = vec![0, 0, 0, 40, 172, 2, 6];
+        golden.extend(1..=37);
         assert_eq!(encode_frame(&frame).unwrap(), golden);
         let back: ResponseFrame = read_frame(&mut golden.as_slice()).unwrap().unwrap();
         assert_eq!(back, frame);

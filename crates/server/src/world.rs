@@ -69,6 +69,9 @@ pub struct RebuildStats {
     pub duration: Duration,
     /// Materialised source trees the patch invalidated.
     pub trees_recomputed: u64,
+    /// Shadows the patch turned back into trees: a mutation that undoes
+    /// the cuts since a shadow's tree was swept returns that tree.
+    pub trees_restored: u64,
     /// Source trees in the table (== overlay nodes, failed ones included).
     pub trees_total: u64,
 }
@@ -196,6 +199,7 @@ impl World {
         Ok(RebuildStats {
             duration: started.elapsed(),
             trees_recomputed: patched.trees_recomputed as u64,
+            trees_restored: patched.trees_restored as u64,
             trees_total: patched.trees_total as u64,
         })
     }

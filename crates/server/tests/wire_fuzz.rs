@@ -695,20 +695,20 @@ fn edge_values_round_trip() {
     }
 
     // An all-`u64::MAX` snapshot, spelled as its bytes so that no field list
-    // is kept here: id 0, tag 6, then 35 maximal varints.
+    // is kept here: id 0, tag 6, then 37 maximal varints.
     let mut body = vec![0, 6];
-    for _ in 0..35 {
+    for _ in 0..37 {
         body.extend_from_slice(&[0xff; 9]);
         body.push(0x01);
     }
     let mut bytes = (body.len() as u32).to_be_bytes().to_vec();
     bytes.extend_from_slice(&body);
     let Outcome::Value(frame) = decode_response(&bytes) else {
-        panic!("35 maximal counters are a valid Stats reply");
+        panic!("37 maximal counters are a valid Stats reply");
     };
     assert!(matches!(frame.response, Response::Stats(_)), "{frame:?}");
     let rendered = format!("{:?}", frame.response);
-    assert_eq!(rendered.matches(&u64::MAX.to_string()).count(), 35);
+    assert_eq!(rendered.matches(&u64::MAX.to_string()).count(), 37);
     assert_eq!(encode_frame(&frame).unwrap(), bytes);
 }
 

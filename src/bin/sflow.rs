@@ -589,6 +589,8 @@ fn print_stats(stats: sflow::server::StatsSnapshot) {
         write_buffered_bytes,
         repair_us_total,
         repairs_resolved,
+        trees_restored,
+        plane_trees_restored,
     } = stats;
     println!(
         "epoch {epoch}  sessions {sessions}  served {served}  shed {shed}  \
@@ -603,7 +605,7 @@ fn print_stats(stats: sflow::server::StatsSnapshot) {
     println!("latency: p50 {latency_p50_us} µs  p90 {latency_p90_us} µs  p99 {latency_p99_us} µs");
     println!(
         "routing rebuilds: {rebuilds} ({rebuild_us_total} µs applying mutations, \
-         {trees_recomputed} trees recomputed)"
+         {trees_recomputed} trees recomputed, {trees_restored} restored)"
     );
     println!(
         "repair sweeps: {repair_us_total} µs total, \
@@ -611,7 +613,7 @@ fn print_stats(stats: sflow::server::StatsSnapshot) {
     );
     println!(
         "plane flushes: {plane_flushes} ({plane_flush_us_total} µs total, \
-         {plane_trees_recomputed} trees recomputed)"
+         {plane_trees_recomputed} trees recomputed, {plane_trees_restored} restored)"
     );
     println!("correctness: {wire_errors} wire errors, {panics} panicked requests");
     println!(
