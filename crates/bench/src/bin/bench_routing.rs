@@ -82,6 +82,14 @@
 //! share is gated ([`MAX_ENTRY_SHARE`]): a kernel that goes back to
 //! `O(L · V)` memory per tree fails on any machine.
 //!
+//! On [`LINEAGE_WORLDS`] a `lineage` row runs [`LINEAGE_PATCHES`] patches
+//! that never undo one another: widens and shaves alternate, each on a link
+//! no earlier patch touched, and every row of each successor is read
+//! before the next patch. A tree's net change since its sweep only grows
+//! there, so the row reports how a patch's plan time moves along such a
+//! lineage: the median over its patches, the first and the last, with the
+//! trees the lineage recomputed and restored. It is reported, not gated.
+//!
 //! An `underlay_pricing` block times what `OverlayGraph::build_with` pays
 //! at set-up on the world `bench_e2e` serves: the shortest-widest QoS
 //! between every two of the 71 underlay hosts that carry an instance.
@@ -204,6 +212,12 @@ const MAX_MOVED_READ_SHARE: f64 = 0.75;
 /// Worlds up to this size also count the moved reads' label updates,
 /// sweeping each shadowed row once more in full to compare.
 const WORK_COUNTED_NODES: usize = 500;
+
+/// The worlds the `lineage` row runs on.
+const LINEAGE_WORLDS: [&str; 2] = ["random-200", "waxman-400-overlay"];
+
+/// Patches in the `lineage` row.
+const LINEAGE_PATCHES: usize = 48;
 
 /// Cut/restore pairs sampled per world for each shape of patch row.
 fn patch_pairs_for(nodes: usize) -> usize {
@@ -919,6 +933,8 @@ struct WorldReport {
     /// Per slow-down sample, the trees with the slowed edge on a reported
     /// path.
     slow_down_reported: Vec<u64>,
+    /// On [`LINEAGE_WORLDS`], a lineage that never undoes itself.
+    lineage: Option<Lineage>,
     trees_total: usize,
     min_trees_shared: usize,
 }
@@ -1066,6 +1082,76 @@ fn changes_of(batch: &[(EdgeIx, Qos, Qos)]) -> Vec<EdgeChange> {
         .collect()
 }
 
+/// A lineage of patches that never undo one another (see the `lineage`
+/// row in the module doc).
+struct Lineage {
+    /// Each patch's plan time, µs, in lineage order.
+    plans: Vec<u128>,
+    trees_recomputed: usize,
+    trees_restored: usize,
+}
+
+/// Runs [`LINEAGE_PATCHES`] patches off `baseline` (the table of `g`):
+/// even patches widen a link, odd ones shave one, each on a link no earlier
+/// patch touched, and every row of each successor is read, untimed, before
+/// the next patch.
+fn lineage<N: Clone>(baseline: &AllPairs, g: &DiGraph<N, Qos>, seed: u64) -> Lineage {
+    let mut world = g.clone();
+    let edge_ids: Vec<EdgeIx> = world.edges().map(|e| e.id).collect();
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut touched = BTreeSet::new();
+    let mut table: Option<AllPairs> = None;
+    let mut out = Lineage {
+        plans: Vec::with_capacity(LINEAGE_PATCHES),
+        trees_recomputed: 0,
+        trees_restored: 0,
+    };
+    for i in 0..LINEAGE_PATCHES {
+        let change: Worsen = if i % 2 == 0 { widen } else { shave };
+        let (edge, old, new) = loop {
+            let edge = edge_ids[rng.gen_range(0..edge_ids.len())];
+            if touched.contains(&edge) {
+                continue;
+            }
+            let old = *world.edge(edge);
+            if let Some(new) = change(old) {
+                break (edge, old, new);
+            }
+        };
+        touched.insert(edge);
+        *world.edge_mut(edge) = new;
+        let pred = table.as_ref().unwrap_or(baseline);
+        let started = Instant::now();
+        let (next, stats) = pred.patched_with(&world, &[EdgeChange { edge, old, new }], 1);
+        out.plans.push(started.elapsed().as_micros());
+        assert_eq!(
+            pred.shared_trees(&next),
+            pred.materialised() - stats.trees_recomputed,
+            "every clean tree must be shared with the predecessor by pointer"
+        );
+        out.trees_recomputed += stats.trees_recomputed;
+        out.trees_restored += stats.trees_restored;
+        read_every_row(&next);
+        table = Some(next);
+    }
+    out
+}
+
+impl Lineage {
+    fn json(&self) -> String {
+        format!(
+            "{{\"patches\": {}, \"plan_us_median\": {}, \"plan_us_first\": {}, \
+             \"plan_us_last\": {}, \"trees_recomputed\": {}, \"trees_restored\": {}}}",
+            self.plans.len(),
+            median(self.plans.clone()),
+            self.plans.first().copied().unwrap_or(0),
+            self.plans.last().copied().unwrap_or(0),
+            self.trees_recomputed,
+            self.trees_restored,
+        )
+    }
+}
+
 /// Measures one graph end to end; generic over the node payload so the
 /// Fig. 4 overlay (instance-labelled) and the raw random overlays share it.
 ///
@@ -1129,6 +1215,7 @@ fn measure<N: Clone>(name: &'static str, g: &DiGraph<N, Qos>, seed: u64) -> Worl
             ..PatchDir::default()
         },
         slow_down_reported: Vec::new(),
+        lineage: None,
         trees_total,
         min_trees_shared: trees_total,
     };
@@ -1207,6 +1294,9 @@ fn measure<N: Clone>(name: &'static str, g: &DiGraph<N, Qos>, seed: u64) -> Worl
         );
         *world.edge_mut(edge) = old;
     }
+    if LINEAGE_WORLDS.contains(&name) {
+        report.lineage = Some(lineage(&baseline, g, seed + 4));
+    }
     let dirs = [
         &report.cut,
         &report.undo,
@@ -1263,6 +1353,7 @@ fn world_json(r: &WorldReport) -> String {
          \"slow_down\": {},\n        \"speed_up\": {},\n        \
          \"widen\": {},\n        \
          \"slow_down_avg_trees_on_reported_paths\": {:.1},\n        \
+         \"lineage\": {},\n        \
          \"trees_total\": {},\n        \"min_trees_shared\": {}\n      }}\n    }}",
         r.name,
         r.nodes,
@@ -1286,6 +1377,7 @@ fn world_json(r: &WorldReport) -> String {
         dir_json(&r.speed_up, false),
         dir_json(&r.widen, false),
         avg_reported,
+        r.lineage.as_ref().map_or("null".to_string(), Lineage::json),
         r.trees_total,
         r.min_trees_shared,
     )
@@ -1415,6 +1507,18 @@ fn main() {
                 d.max_trees(),
                 d.avg_coarse(),
                 d.avg_moved_share_json(),
+            );
+        }
+        if let Some(l) = &r.lineage {
+            println!(
+                "  lineage: {} widens and shaves on untouched links, every row read between \
+                 them — plan median {} µs (first {}, last {}), {} trees recomputed, {} restored",
+                l.plans.len(),
+                median(l.plans.clone()),
+                l.plans.first().copied().unwrap_or(0),
+                l.plans.last().copied().unwrap_or(0),
+                l.trees_recomputed,
+                l.trees_restored,
             );
         }
         for (label, d) in [("shave", &r.cut), ("forest cut", &r.forest_cut)] {

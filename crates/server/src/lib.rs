@@ -162,7 +162,7 @@ pub enum Request {
     /// Run one rebalancer sweep now (the background thread, if enabled,
     /// runs the same sweep on its interval).
     Rebalance,
-    /// Fetch the per-link load ledger: reservations, estimates, residuals.
+    /// Fetch the per-link load ledger: capacities, reservations, residuals.
     LoadMap,
     /// Fetch server counters and latency percentiles.
     Stats,
@@ -196,8 +196,6 @@ pub struct LinkLoad {
     pub capacity_kbps: u64,
     /// Bandwidth reserved by live sessions, kbit/s.
     pub reserved_kbps: u64,
-    /// The DRE-style discounted traffic estimate, kbit/s.
-    pub estimate_kbps: u64,
     /// What remains free: `capacity − reserved`, floored at zero.
     pub residual_kbps: u64,
     /// `reserved · 1000 / capacity` (0 for unconstrained links).

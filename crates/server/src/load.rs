@@ -6,12 +6,11 @@
 //!
 //! * [`LoadMap`] — per-link **reserved** bandwidth derived exactly from the
 //!   live session table (a session opening adds its bottleneck bandwidth to
-//!   every overlay link each of its streams crosses; closing subtracts it),
-//!   plus a DRE-style **discounted estimator** in the spirit of CONGA:
-//!   incremented when a session opens, decayed `X ← X·(1−α)` on every
-//!   rebalancer tick. The reserved column is the ground truth the residual
-//!   view clamps with; the estimate is observability — it remembers recent
-//!   churn after the reservations are gone.
+//!   every overlay link each of its streams crosses; closing subtracts it).
+//!   It is the only load the server keeps: the residual view clamps with
+//!   it, admission and the rebalancer read it, and whenever the sessions
+//!   lock is free it equals `Σ bookings.links` over the links the epoch
+//!   still has.
 //! * [`LoadPlane`] — one immutable publication of the load state for an
 //!   epoch: the map and the [`WorldSnapshot`] it indexes into (raw overlay,
 //!   table, source, epoch). Deriving a successor
@@ -60,59 +59,36 @@ use crate::snapshot::WorldSnapshot;
 /// failed endpoint no longer resolves.
 pub type LinkId = (ServiceInstance, ServiceInstance);
 
-/// Fixed-point shift for the discounted estimator: estimates are kept in
-/// units of `kbps / 256` so repeated decay does not collapse small loads to
-/// zero in one tick.
-const DRE_SHIFT: u32 = 8;
-
-/// The decay exponent: one tick multiplies every estimate by `1 − 2⁻³`
-/// (α = 1/8), CONGA's shape for a cheaply computed moving average.
-const DRE_ALPHA_SHIFT: u32 = 3;
-
-/// Per-link load ledger: exact reservations plus the discounted estimate.
-#[derive(Clone, Debug, Default)]
+/// Per-link load ledger: the bandwidth live sessions reserve on each link.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct LoadMap {
     /// Reserved bandwidth per link, kbit/s. An entry exists iff some live
     /// session reserves on the link.
     reserved: BTreeMap<LinkId, u64>,
-    /// Discounted traffic estimate per link, fixed-point `kbps << 8`.
-    estimate: BTreeMap<LinkId, u64>,
 }
 
 impl LoadMap {
     /// A ledger recomputed from scratch out of a session table's recorded
-    /// reservations — no estimator history (pair with [`adopt_estimates`]
-    /// to carry it over from the outgoing ledger).
-    ///
-    /// [`adopt_estimates`]: LoadMap::adopt_estimates
+    /// reservations.
     pub fn from_reservations<I: IntoIterator<Item = (LinkId, u64)>>(iter: I) -> LoadMap {
-        let mut reserved: BTreeMap<LinkId, u64> = BTreeMap::new();
+        let mut map = LoadMap::default();
         for (link, kbps) in iter {
-            if kbps > 0 {
-                *reserved.entry(link).or_insert(0) += kbps;
-            }
+            map.open(link, kbps);
         }
-        LoadMap {
-            reserved,
-            estimate: BTreeMap::new(),
-        }
+        map
     }
 
-    /// Books `kbps` on `link` (a session opening or migrating in) and bumps
-    /// the discounted estimate.
+    /// Books `kbps` on `link` (a session opening or migrating in).
     pub fn open(&mut self, link: LinkId, kbps: u64) {
-        if kbps == 0 {
-            return;
+        if kbps > 0 {
+            *self.reserved.entry(link).or_insert(0) += kbps;
         }
-        *self.reserved.entry(link).or_insert(0) += kbps;
-        *self.estimate.entry(link).or_insert(0) += kbps << DRE_SHIFT;
     }
 
     /// Releases `kbps` on `link` (a session closing or migrating out).
     /// Saturating: releasing more than is booked clears the entry rather
     /// than underflowing — the conservation test proves this never happens
-    /// through the server paths. The estimate is left to decay on its own;
-    /// that is the point of a *discounted* estimator.
+    /// through the server paths.
     pub fn release(&mut self, link: LinkId, kbps: u64) {
         if let Some(slot) = self.reserved.get_mut(&link) {
             *slot = slot.saturating_sub(kbps);
@@ -122,25 +98,9 @@ impl LoadMap {
         }
     }
 
-    /// One DRE tick: every estimate decays by `X ← X·(1−2⁻³)`; entries that
-    /// reach zero are dropped.
-    pub fn decay(&mut self) {
-        self.estimate.retain(|_, x| {
-            *x -= *x >> DRE_ALPHA_SHIFT;
-            // A value below 2³ decays by zero per tick and would linger
-            // forever; call it drained.
-            *x >= (1 << DRE_ALPHA_SHIFT)
-        });
-    }
-
     /// Reserved bandwidth on `link`, kbit/s (0 when no session crosses it).
     pub fn reserved_kbps(&self, link: LinkId) -> u64 {
         self.reserved.get(&link).copied().unwrap_or(0)
-    }
-
-    /// The discounted estimate on `link`, kbit/s.
-    pub fn estimate_kbps(&self, link: LinkId) -> u64 {
-        self.estimate.get(&link).copied().unwrap_or(0) >> DRE_SHIFT
     }
 
     /// Total reserved bandwidth across all links — the conservation
@@ -157,16 +117,6 @@ impl LoadMap {
     /// `true` when no session reserves anything.
     pub fn is_empty(&self) -> bool {
         self.reserved.is_empty()
-    }
-
-    /// Carries the discounted estimates of `prior` into this map — used
-    /// when a topology mutation rebuilds the ledger from the repaired
-    /// session table: reservations are recomputed exactly, but the
-    /// estimator's memory of recent churn should survive the epoch.
-    pub fn adopt_estimates(&mut self, prior: &LoadMap) {
-        for (&link, &x) in &prior.estimate {
-            *self.estimate.entry(link).or_insert(0) += x;
-        }
     }
 }
 
@@ -209,7 +159,7 @@ impl View {
 #[derive(Debug)]
 struct Materialised {
     view: View,
-    reserved: BTreeMap<LinkId, u64>,
+    reserved: LoadMap,
 }
 
 impl Materialised {
@@ -217,7 +167,7 @@ impl Materialised {
     fn seed(snapshot: &WorldSnapshot) -> Materialised {
         Materialised {
             view: View::raw(snapshot),
-            reserved: BTreeMap::new(),
+            reserved: LoadMap::default(),
         }
     }
 }
@@ -331,21 +281,6 @@ impl LoadPlane {
         }
     }
 
-    /// The successor plane after one DRE tick. Estimates do not feed the
-    /// clamp, so the view slot is shared.
-    #[must_use]
-    pub fn decayed(&self) -> LoadPlane {
-        let mut map = self.map.clone();
-        map.decay();
-        LoadPlane {
-            snapshot: Arc::clone(&self.snapshot),
-            version: self.version + 1,
-            map,
-            view: Arc::clone(&self.view),
-            last: Arc::clone(&self.last),
-        }
-    }
-
     /// The world this plane indexes into: what a reader of the published
     /// plane solves against.
     pub fn snapshot(&self) -> &Arc<WorldSnapshot> {
@@ -419,7 +354,7 @@ impl LoadPlane {
         };
         *last = Materialised {
             view: view.clone(),
-            reserved: self.map.reserved.clone(),
+            reserved: self.map.clone(),
         };
         (view, stats)
     }
@@ -429,17 +364,13 @@ impl LoadPlane {
     /// looked at, and the edges whose weight moved are returned. If a
     /// weight moves while someone else holds `graph`, its weights are
     /// copied first; the topology stays shared.
-    fn reclamp(
-        &self,
-        graph: &mut Arc<OverlayGraph>,
-        from: &BTreeMap<LinkId, u64>,
-    ) -> Vec<EdgeChange> {
+    fn reclamp(&self, graph: &mut Arc<OverlayGraph>, from: &LoadMap) -> Vec<EdgeChange> {
         let raw = self.snapshot.overlay();
         let to = &self.map.reserved;
-        let gone = from.keys().filter(|link| !to.contains_key(link));
+        let gone = from.reserved.keys().filter(|link| !to.contains_key(link));
         gone.chain(to.keys())
             .filter_map(|&link| {
-                let before = from.get(&link).copied().unwrap_or(0);
+                let before = from.reserved_kbps(link);
                 let after = self.map.reserved_kbps(link);
                 let (tail, head, qos) = clamp_move(raw, link, before, after)?;
                 Arc::make_mut(graph).update_link_qos(tail, head, qos)
@@ -631,7 +562,7 @@ mod tests {
     }
 
     #[test]
-    fn the_estimator_decays_but_reservations_do_not() {
+    fn a_release_takes_back_exactly_what_was_booked() {
         let mut map = LoadMap::default();
         let link = {
             let snap = snapshot();
@@ -640,26 +571,14 @@ mod tests {
             (overlay.instance(n[0]), overlay.instance(n[1]))
         };
         map.open(link, 100);
-        assert_eq!(map.reserved_kbps(link), 100);
-        assert_eq!(map.estimate_kbps(link), 100);
-        for _ in 0..8 {
-            map.decay();
-        }
+        map.open(link, 0);
         assert_eq!(map.reserved_kbps(link), 100, "reservations are exact");
-        let decayed = map.estimate_kbps(link);
-        assert!(
-            decayed < 100 && decayed > 0,
-            "estimate decays smoothly, got {decayed}"
-        );
-        // Release clears the reservation; the estimate keeps decaying and
-        // eventually drains entirely.
+        assert_eq!(map, LoadMap::from_reservations([(link, 100), (link, 0)]));
+        // Release clears the reservation and leaves no entry behind.
         map.release(link, 100);
         assert_eq!(map.reserved_kbps(link), 0);
-        for _ in 0..200 {
-            map.decay();
-        }
-        assert_eq!(map.estimate_kbps(link), 0);
         assert!(map.is_empty());
+        assert_eq!(map, LoadMap::default());
     }
 
     #[test]
@@ -1256,16 +1175,16 @@ mod tests {
 
         // Moves that leave every clamp where it was share the view and the
         // table slot, so one ask serves the whole run of them.
-        let ticked = booked.decayed();
-        let idle = ticked.with_changes(&[], &[], 1);
+        let unmoved = booked.with_changes(&[], &[], 1);
+        let idle = unmoved.with_changes(&[], &[], 1);
         let loopback = idle.with_changes(&infinite, &[], 1);
         let round_trip = loopback.with_changes(&booking, &booking, 1);
-        for same in [&ticked, &idle, &loopback, &round_trip] {
+        for same in [&unmoved, &idle, &loopback, &round_trip] {
             assert!(Arc::ptr_eq(&same.view, &booked.view));
             assert!(!same.is_materialised());
         }
         assert!(idle.flushed_context().1.is_some());
-        for same in [&booked, &ticked, &loopback, &round_trip] {
+        for same in [&booked, &unmoved, &loopback, &round_trip] {
             assert!(same.is_materialised());
             assert!(same.flushed_context().1.is_none());
         }
@@ -1286,11 +1205,11 @@ mod tests {
             // view: the epoch's only graph is still the snapshot's.
             let fresh = LoadPlane::fresh(&snap);
             let booked = fresh.with_changes(&booking, &[], 1);
-            let ticked = booked.decayed();
-            let rebased = LoadPlane::rebased(&snap, ticked.map().clone(), 1);
+            let unmoved = booked.with_changes(&[], &[], 1);
+            let rebased = LoadPlane::rebased(&snap, unmoved.map().clone(), 1);
             for (plane, what) in [
                 (&booked, "booked"),
-                (&ticked, "ticked"),
+                (&unmoved, "unmoved"),
                 (&rebased, "rebased"),
             ] {
                 assert_eq!(cell_graph(plane), Arc::as_ptr(&raw), "{}", at(what));
@@ -1306,7 +1225,7 @@ mod tests {
             // A flush whose predecessors are gone re-clamps that graph in
             // place.
             let released = booked.with_changes(&[], &booking, 1);
-            drop((booked, ticked));
+            drop((booked, unmoved));
             assert_flush_changes_are_the_edge_diff(&released, &at("restore"));
             drop(released.context());
             assert_eq!(cell_graph(&released), cut, "{}", at("the restore cloned"));

@@ -4,16 +4,15 @@
 //! Each sweep (triggered by [`Request::Rebalance`](crate::Request::Rebalance)
 //! or the background thread `serve --rebalance-interval-ms` starts):
 //!
-//! 1. ticks the load plane's discounted estimator;
-//! 2. finds every link above the configured utilization threshold;
-//! 3. ranks the bookings crossing those links by **migration cost** — flow
+//! 1. finds every link above the configured utilization threshold;
+//! 2. ranks the bookings crossing those links by **migration cost** — flow
 //!    bandwidth × how many hot links its paths overlap — and takes the
 //!    cheapest few;
-//! 4. re-solves each mover against the residual view, under the algorithm
+//! 3. re-solves each mover against the residual view, under the algorithm
 //!    and hop horizon it was federated with (its own booking still counted,
 //!    which is exactly what steers the new path off the links it is
 //!    congesting);
-//! 5. commits each improving move make-before-break.
+//! 4. commits each improving move make-before-break.
 //!
 //! What migrates is a booking, whole: the flow and the links live there, so
 //! every tenant moves with it and none can be stranded. When the booking
@@ -23,8 +22,9 @@
 //!
 //! This module is policy: which links are hot, how movers rank
 //! ([`migration_cost`]) and what counts as progress ([`improves`]). The
-//! session table (`crate::sessions`) ticks the estimator, copies the
-//! candidates out and commits each move.
+//! session table (`crate::sessions`) copies the candidates out and commits
+//! each move; a sweep publishes one ledger move per migration and nothing
+//! else.
 //!
 //! Invariants, each pinned by a test:
 //!
@@ -52,7 +52,7 @@ use sflow_core::{FederationError, FlowGraph};
 
 use crate::load::{LinkId, LoadPlane};
 use crate::server::{cold_solve, residual_context, Shared};
-use crate::sessions::{commit_migration, plan_migrations, tick_estimates, Ask};
+use crate::sessions::{commit_migration, plan_migrations, Ask};
 use crate::snapshot::WorldSnapshot;
 
 /// At most this many bookings migrate per sweep: every migration derives a
@@ -137,7 +137,6 @@ pub(crate) fn improves(
 pub(crate) fn sweep(shared: &Shared) -> SweepOutcome {
     let mut outcome = SweepOutcome::default();
 
-    tick_estimates(shared);
     let plane = shared.table.plane();
     outcome.max_utilization_permille = plane.max_utilization_permille();
     // With no hot link there is nothing to do.

@@ -321,8 +321,8 @@ pub(crate) fn plan_repairs(shared: &Shared, snapshot: &Arc<WorldSnapshot>) -> Ve
         .work_at(plane.epoch())
         .map(|(_, work)| work)
         .collect();
-    // The ledger is `Σ bookings.links` already: it crosses whole, estimates
-    // included, less the links the mutation removed.
+    // The ledger is `Σ bookings.links` already: it crosses whole, less the
+    // links the mutation removed.
     let map = plane.map().clone();
     let rebased = LoadPlane::rebased(snapshot, map, 1);
     table.load.publish(&sessions, rebased);
@@ -365,28 +365,18 @@ pub(crate) fn commit_repairs(
         .map(|gone| gone.tenants.len())
         .sum();
     sessions.publish_census(&shared.metrics);
-    // Rebuilt from what is live now, founders at the new epoch included;
-    // the estimates are memory and carry over.
+    // Rebuilt from what is live now, founders at the new epoch included.
     let live = sessions
         .bookings
         .values()
         .flat_map(|booking| booking.links.iter().copied());
-    let mut map = LoadMap::from_reservations(live);
-    map.adopt_estimates(table.load.load().map());
-    let rebased = LoadPlane::rebased(snapshot, map, 1);
+    let rebased = LoadPlane::rebased(snapshot, LoadMap::from_reservations(live), 1);
     table.load.publish(&sessions, rebased);
     Response::Mutated {
         epoch: snapshot.epoch(),
         repaired: kept,
         dropped,
     }
-}
-
-/// One DRE tick of the ledger's estimates.
-pub(crate) fn tick_estimates(shared: &Shared) {
-    let table = &shared.table;
-    let sessions = table.locked();
-    table.load.publish(&sessions, table.load.load().decayed());
 }
 
 /// A rebalancer sweep's copy-out: every booking at the plane's epoch that
@@ -513,7 +503,7 @@ mod tests {
         let mut world = World::new(diamond_fixture());
         let cell = LoadCell::new(Arc::new(LoadPlane::fresh(&world.snapshot())));
         assert_eq!(cell.load().version(), 0);
-        let next = cell.load().decayed();
+        let next = cell.load().with_changes(&[], &[], 1);
         // A test may forge the witness; the server's only table is locked.
         cell.publish(&Sessions::default(), next);
         assert_eq!(cell.load().version(), 1);

@@ -541,7 +541,6 @@ struct_record!(LinkLoad {
     to,
     capacity_kbps,
     reserved_kbps,
-    estimate_kbps,
     residual_kbps,
     utilization_permille,
 });

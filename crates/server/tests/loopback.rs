@@ -450,7 +450,6 @@ fn the_load_plane_round_trips_over_the_wire() {
             link.capacity_kbps.saturating_sub(link.reserved_kbps),
             "{link:?}"
         );
-        assert!(link.estimate_kbps > 0, "the DRE estimator saw the open");
     }
 
     // A second, *distinct* requirement (an identical one would share the

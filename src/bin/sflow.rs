@@ -530,13 +530,12 @@ fn print_reply(reply: sflow::server::Response, detail: bool) -> Result<(), Strin
             );
             for l in &ledger.links {
                 println!(
-                    "  {} -> {}  reserved {} / {} kbit/s  residual {}  estimate {}  ({}‰)",
+                    "  {} -> {}  reserved {} / {} kbit/s  residual {}  ({}‰)",
                     l.from,
                     l.to,
                     l.reserved_kbps,
                     l.capacity_kbps,
                     l.residual_kbps,
-                    l.estimate_kbps,
                     l.utilization_permille
                 );
             }
