@@ -19,28 +19,36 @@
 //! | `Mutation` | tag `0` `SetLinkQos` (`from`, `to`, `bandwidth_kbps`, `latency_us`); `1` `FailInstance` (`instance`) |
 //! | `Request` | tag `0` `Federate` (`requirement`, `algorithm`, `hop_limit`); `1` `Mutate` (`Mutation`); `2` `Release` (`session`); `3` `Rebalance`; `4` `LoadMap`; `5` `Stats`; `6` `Shutdown` |
 //! | `Response` | tag `0` `Federated` (`FlowSummary`); `1` `Mutated` (`epoch`, `repaired`, `dropped`); `2` `Stale` (`solved_epoch`, `current_epoch`); `3` `Released` (`session`); `4` `Rebalanced` (`migrations`, `migration_failures`, `max_utilization_permille`); `5` `LoadMap` (`LoadMapSummary`); `6` `Stats` (`StatsSnapshot`); `7` `Overloaded`; `8` `ShuttingDown`; `9` `Error` (`String`) |
-//! | `FlowSummary` | `session`, `epoch`, `bandwidth_kbps`, `latency_us`, then `instances`: varint count, then per entry the key and its `ServiceInstance`, keys strictly ascending |
-//! | `LoadMapSummary` | `epoch`, `version`, `max_utilization_permille`, then `links`: varint count, then per row `from`, `to` and the five `u64` columns |
+//! | `Vec<T>` | varint count, then the items |
+//! | `BTreeMap<K, V>` | varint count, then per entry the key and its value, keys strictly ascending |
+//! | `FlowSummary` | `session`, `epoch`, `bandwidth_kbps`, `latency_us`, then `instances` (a map of `ServiceInstance` by key) |
+//! | `LoadMapSummary` | `epoch`, `version`, `max_utilization_permille`, then `links` (a `Vec` of rows: `from`, `to` and the four `u64` columns) |
 //! | `StatsSnapshot` | one `u64` per row of the counter table in `stats.rs`, in table order |
 //!
-//! The decoder is hand-written, so what it refuses is part of the format.
-//! Each of these is a typed [`WireError`], never a panic, and is decided
-//! before anything is allocated for the offending field:
+//! Each struct's and enum's layout is its `struct_record!` / `enum_record!`
+//! list below: one `field: Type` entry per field, and per variant its tag
+//! written once. Encode, decode and the record's `MIN_BYTES` — the fewest
+//! bytes an encoding can take (1 for a varint, a string, an option, a
+//! collection or an enum tag; the sum of the fields for a struct; one byte a
+//! counter for `StatsSnapshot`) — all expand from that list, so they cannot
+//! disagree. What the decoder refuses is part of the format. Each of these
+//! is a typed [`WireError`], never a panic, and is decided before anything
+//! is allocated for the offending field:
 //!
 //! 1. an **unknown tag** — [`WireError::Malformed`];
 //! 2. a **varint** longer than 10 bytes, or whose value overflows `u64` or
 //!    the narrower field it fills — [`WireError::Malformed`];
 //! 3. a string **length** or a collection **count** that the bytes left in
-//!    the frame cannot hold (a record that simply ends mid-field included) —
-//!    [`WireError::Malformed`];
+//!    the frame cannot hold at the item's `MIN_BYTES` each (a record that
+//!    simply ends mid-field included) — [`WireError::Malformed`];
 //! 4. string bytes that are **not UTF-8** — [`WireError::Utf8`];
 //! 5. **trailing bytes** after the record — [`WireError::Malformed`].
 //!
-//! One record has an order of its own to keep: `FlowSummary::instances` keys
-//! that repeat or descend are [`WireError::Malformed`] too, so a decoded map
-//! always holds as many entries as the frame declared. No decode allocates
-//! more than a small constant times the frame it was handed. A length-prefixed JSON body from a pre-binary client trips rule 1
-//! (`{"` reads as request id 123, tag 34).
+//! A map has an order of its own to keep: keys that repeat or descend are
+//! [`WireError::Malformed`] too, so a decoded map always holds as many
+//! entries as the frame declared. No decode allocates more than a small
+//! constant times the frame it was handed. A length-prefixed JSON body from
+//! a pre-binary client trips rule 1 (`{"` reads as request id 123, tag 34).
 //!
 //! Failures are typed so the server can tell a malicious or broken *peer*
 //! (oversized prefix, torn frame, malformed record — degrade that
@@ -338,6 +346,9 @@ mod sealed {
     /// nothing else: this module is private, so no other crate can name the
     /// trait, let alone implement it.
     pub trait Record: Sized {
+        /// The fewest bytes an encoding of the type can take: what a
+        /// collection's declared count is checked against, per item.
+        const MIN_BYTES: usize;
         /// Appends the record's bytes to `out`.
         fn encode(&self, out: &mut Vec<u8>);
         /// Reads one record off the front of `cur`.
@@ -421,6 +432,7 @@ fn put_varint(out: &mut Vec<u8>, mut value: u64) {
 }
 
 impl Record for u64 {
+    const MIN_BYTES: usize = 1;
     fn encode(&self, out: &mut Vec<u8>) {
         put_varint(out, *self);
     }
@@ -430,6 +442,7 @@ impl Record for u64 {
 }
 
 impl Record for usize {
+    const MIN_BYTES: usize = 1;
     fn encode(&self, out: &mut Vec<u8>) {
         put_varint(out, *self as u64);
     }
@@ -439,6 +452,7 @@ impl Record for usize {
 }
 
 impl Record for ServiceId {
+    const MIN_BYTES: usize = 1;
     fn encode(&self, out: &mut Vec<u8>) {
         put_varint(out, u64::from(self.as_u32()));
     }
@@ -448,6 +462,7 @@ impl Record for ServiceId {
 }
 
 impl Record for HostId {
+    const MIN_BYTES: usize = 1;
     fn encode(&self, out: &mut Vec<u8>) {
         put_varint(out, u64::from(self.as_u32()));
     }
@@ -457,6 +472,7 @@ impl Record for HostId {
 }
 
 impl Record for String {
+    const MIN_BYTES: usize = 1;
     fn encode(&self, out: &mut Vec<u8>) {
         put_varint(out, self.len() as u64);
         out.extend_from_slice(self.as_bytes());
@@ -471,6 +487,7 @@ impl Record for String {
 }
 
 impl<T: Record> Record for Option<T> {
+    const MIN_BYTES: usize = 1;
     fn encode(&self, out: &mut Vec<u8>) {
         match self {
             None => out.push(0),
@@ -489,19 +506,104 @@ impl<T: Record> Record for Option<T> {
     }
 }
 
-/// A struct whose record is its fields in declaration order. Encode and
-/// decode expand from the one list, so they cannot disagree, and both name
-/// every field (an exhaustive pattern, a struct literal), so the compiler
-/// refuses a list that has fallen behind the struct.
+/// A count, then the items.
+impl<T: Record> Record for Vec<T> {
+    const MIN_BYTES: usize = 1;
+    fn encode(&self, out: &mut Vec<u8>) {
+        put_varint(out, self.len() as u64);
+        for item in self {
+            item.encode(out);
+        }
+    }
+    fn decode(cur: &mut Cursor<'_>) -> Result<Self, WireError> {
+        const { assert!(T::MIN_BYTES > 0, "a zero-byte item makes any count fit") };
+        let len = cur.count(T::MIN_BYTES)?;
+        let mut items = Vec::with_capacity(len);
+        for _ in 0..len {
+            items.push(T::decode(cur)?);
+        }
+        Ok(items)
+    }
+}
+
+/// A count, then each key and its value, keys strictly ascending.
+impl<K: Record + Ord, V: Record> Record for BTreeMap<K, V> {
+    const MIN_BYTES: usize = 1;
+    fn encode(&self, out: &mut Vec<u8>) {
+        put_varint(out, self.len() as u64);
+        for (key, value) in self {
+            key.encode(out);
+            value.encode(out);
+        }
+    }
+    fn decode(cur: &mut Cursor<'_>) -> Result<Self, WireError> {
+        let mut map = BTreeMap::new();
+        for _ in 0..cur.count(K::MIN_BYTES + V::MIN_BYTES)? {
+            let key = K::decode(cur)?;
+            // The encoder walks the map in order; anything else would decode
+            // to fewer entries than declared, or re-encode to other bytes.
+            if map.last_key_value().is_some_and(|(last, _)| *last >= key) {
+                return Err(malformed("map key repeats or is out of order"));
+            }
+            let value = V::decode(cur)?;
+            map.insert(key, value);
+        }
+        Ok(map)
+    }
+}
+
+/// A struct whose record is its fields in declaration order, each named
+/// with its type. Encode, decode and `MIN_BYTES` expand from the one list,
+/// so they cannot disagree; both directions go through the listed type and
+/// name every field (an exhaustive pattern, a struct literal), so the
+/// compiler refuses a list that has fallen behind the struct (E0027 /
+/// E0063, or a type mismatch).
 macro_rules! struct_record {
-    ($ty:ident { $($field:ident),* $(,)? }) => {
+    ($ty:ident { $($field:ident: $fty:ty),* $(,)? }) => {
         impl Record for $ty {
+            const MIN_BYTES: usize = 0 $(+ <$fty as Record>::MIN_BYTES)*;
             fn encode(&self, out: &mut Vec<u8>) {
                 let $ty { $($field),* } = self;
-                $($field.encode(out);)*
+                $(<$fty as Record>::encode($field, out);)*
             }
             fn decode(cur: &mut Cursor<'_>) -> Result<Self, WireError> {
-                Ok($ty { $($field: Record::decode(cur)?),* })
+                Ok($ty { $($field: <$fty as Record>::decode(cur)?),* })
+            }
+        }
+    };
+}
+
+/// An enum whose record is a tag byte, then the chosen variant's fields as
+/// [`struct_record!`] lays them out. Each variant is listed once with its
+/// tag: a unit variant bare, a one-field tuple variant as `(binding: Type)`,
+/// a struct variant as its fields. The encode `match` names every variant
+/// (E0004 when one is missing), a tag listed twice is an unreachable decode
+/// arm, and a tag the list does not name is refused as `unknown {Type} tag
+/// {n}`.
+macro_rules! enum_record {
+    ($ty:ident {
+        $($tag:literal => $variant:ident
+            $(($inner:ident: $ity:ty))?
+            $({ $($field:ident: $fty:ty),* $(,)? })?),* $(,)?
+    }) => {
+        impl Record for $ty {
+            const MIN_BYTES: usize = 1;
+            fn encode(&self, out: &mut Vec<u8>) {
+                match self {
+                    $($ty::$variant $(($inner))? $({ $($field),* })? => {
+                        out.push($tag);
+                        $(<$ity as Record>::encode($inner, out);)?
+                        $($(<$fty as Record>::encode($field, out);)*)?
+                    })*
+                }
+            }
+            fn decode(cur: &mut Cursor<'_>) -> Result<Self, WireError> {
+                Ok(match cur.byte()? {
+                    $($tag => $ty::$variant
+                        $((<$ity as Record>::decode(cur)?))?
+                        $({ $($field: <$fty as Record>::decode(cur)?),* })?,)*
+                    tag => return Err(unknown_tag(stringify!($ty), tag)),
+                })
             }
         }
     };
@@ -511,8 +613,9 @@ macro_rules! struct_record {
 /// [`stage_frame`] does; the exhaustive pattern makes a field added to the
 /// struct a compile error here, and so a change to that one writer.
 macro_rules! envelope_record {
-    ($ty:ident { request_id, $body:ident }) => {
+    ($ty:ident { request_id, $body:ident: $bty:ty }) => {
         impl Record for $ty {
+            const MIN_BYTES: usize = u64::MIN_BYTES + <$bty as Record>::MIN_BYTES;
             fn encode(&self, out: &mut Vec<u8>) {
                 let $ty { request_id, $body } = self;
                 put_envelope(out, *request_id, $body);
@@ -520,7 +623,7 @@ macro_rules! envelope_record {
             fn decode(cur: &mut Cursor<'_>) -> Result<Self, WireError> {
                 Ok($ty {
                     request_id: cur.varint()?,
-                    $body: Record::decode(cur)?,
+                    $body: <$bty as Record>::decode(cur)?,
                 })
             }
         }
@@ -529,24 +632,41 @@ macro_rules! envelope_record {
 
 envelope_record!(RequestFrame {
     request_id,
-    request
+    request: Request
 });
 envelope_record!(ResponseFrame {
     request_id,
-    response
+    response: Response
 });
-struct_record!(ServiceInstance { service, host });
+struct_record!(ServiceInstance {
+    service: ServiceId,
+    host: HostId,
+});
 struct_record!(LinkLoad {
-    from,
-    to,
-    capacity_kbps,
-    reserved_kbps,
-    residual_kbps,
-    utilization_permille,
+    from: ServiceInstance,
+    to: ServiceInstance,
+    capacity_kbps: u64,
+    reserved_kbps: u64,
+    residual_kbps: u64,
+    utilization_permille: u64,
+});
+struct_record!(FlowSummary {
+    session: u64,
+    epoch: u64,
+    bandwidth_kbps: u64,
+    latency_us: u64,
+    instances: BTreeMap<ServiceId, ServiceInstance>,
+});
+struct_record!(LoadMapSummary {
+    epoch: u64,
+    version: u64,
+    max_utilization_permille: u64,
+    links: Vec<LinkLoad>,
 });
 
 /// Its fields in the order of the one table in `stats.rs`.
 impl Record for StatsSnapshot {
+    const MIN_BYTES: usize = StatsSnapshot::FIELDS;
     fn encode(&self, out: &mut Vec<u8>) {
         for field in self.to_fields() {
             put_varint(out, field);
@@ -561,278 +681,57 @@ impl Record for StatsSnapshot {
     }
 }
 
-/// The fewest bytes one `FlowSummary::instances` entry can take (three
-/// varints) — what its declared count is checked against.
-const MIN_INSTANCE_BYTES: usize = 3;
-/// Likewise for one `LoadMapSummary::links` row (nine varints).
-const MIN_LINK_BYTES: usize = 9;
-
-impl Record for FlowSummary {
-    fn encode(&self, out: &mut Vec<u8>) {
-        let FlowSummary {
-            session,
-            epoch,
-            bandwidth_kbps,
-            latency_us,
-            instances,
-        } = self;
-        session.encode(out);
-        epoch.encode(out);
-        bandwidth_kbps.encode(out);
-        latency_us.encode(out);
-        put_varint(out, instances.len() as u64);
-        for (service, instance) in instances {
-            service.encode(out);
-            instance.encode(out);
-        }
-    }
-    fn decode(cur: &mut Cursor<'_>) -> Result<Self, WireError> {
-        let mut summary = FlowSummary {
-            session: cur.varint()?,
-            epoch: cur.varint()?,
-            bandwidth_kbps: cur.varint()?,
-            latency_us: cur.varint()?,
-            instances: BTreeMap::new(),
-        };
-        let mut last = None;
-        for _ in 0..cur.count(MIN_INSTANCE_BYTES)? {
-            let service = ServiceId::decode(cur)?;
-            // The encoder walks a `BTreeMap`; anything else would decode to
-            // fewer entries than declared, or re-encode to other bytes.
-            if last.replace(service).is_some_and(|last| last >= service) {
-                return Err(malformed(format!(
-                    "instance key {} repeats or is out of order",
-                    service.as_u32()
-                )));
-            }
-            summary
-                .instances
-                .insert(service, ServiceInstance::decode(cur)?);
-        }
-        Ok(summary)
-    }
-}
-
-impl Record for LoadMapSummary {
-    fn encode(&self, out: &mut Vec<u8>) {
-        let LoadMapSummary {
-            epoch,
-            version,
-            max_utilization_permille,
-            links,
-        } = self;
-        epoch.encode(out);
-        version.encode(out);
-        max_utilization_permille.encode(out);
-        put_varint(out, links.len() as u64);
-        for link in links {
-            link.encode(out);
-        }
-    }
-    fn decode(cur: &mut Cursor<'_>) -> Result<Self, WireError> {
-        let mut summary = LoadMapSummary {
-            epoch: cur.varint()?,
-            version: cur.varint()?,
-            max_utilization_permille: cur.varint()?,
-            links: Vec::new(),
-        };
-        let rows = cur.count(MIN_LINK_BYTES)?;
-        summary.links.reserve_exact(rows);
-        for _ in 0..rows {
-            summary.links.push(LinkLoad::decode(cur)?);
-        }
-        Ok(summary)
-    }
-}
-
-impl Record for Algorithm {
-    fn encode(&self, out: &mut Vec<u8>) {
-        out.push(match self {
-            Algorithm::Sflow => 0,
-            Algorithm::Global => 1,
-            Algorithm::Fixed => 2,
-            Algorithm::ServicePath => 3,
-        });
-    }
-    fn decode(cur: &mut Cursor<'_>) -> Result<Self, WireError> {
-        Ok(match cur.byte()? {
-            0 => Algorithm::Sflow,
-            1 => Algorithm::Global,
-            2 => Algorithm::Fixed,
-            3 => Algorithm::ServicePath,
-            tag => return Err(unknown_tag("Algorithm", tag)),
-        })
-    }
-}
-
-impl Record for Mutation {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            Mutation::SetLinkQos {
-                from,
-                to,
-                bandwidth_kbps,
-                latency_us,
-            } => {
-                out.push(0);
-                from.encode(out);
-                to.encode(out);
-                bandwidth_kbps.encode(out);
-                latency_us.encode(out);
-            }
-            Mutation::FailInstance { instance } => {
-                out.push(1);
-                instance.encode(out);
-            }
-        }
-    }
-    fn decode(cur: &mut Cursor<'_>) -> Result<Self, WireError> {
-        Ok(match cur.byte()? {
-            0 => Mutation::SetLinkQos {
-                from: Record::decode(cur)?,
-                to: Record::decode(cur)?,
-                bandwidth_kbps: cur.varint()?,
-                latency_us: cur.varint()?,
-            },
-            1 => Mutation::FailInstance {
-                instance: Record::decode(cur)?,
-            },
-            tag => return Err(unknown_tag("Mutation", tag)),
-        })
-    }
-}
-
-impl Record for Request {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            Request::Federate {
-                requirement,
-                algorithm,
-                hop_limit,
-            } => {
-                out.push(0);
-                requirement.encode(out);
-                algorithm.encode(out);
-                hop_limit.encode(out);
-            }
-            Request::Mutate(mutation) => {
-                out.push(1);
-                mutation.encode(out);
-            }
-            Request::Release { session } => {
-                out.push(2);
-                session.encode(out);
-            }
-            Request::Rebalance => out.push(3),
-            Request::LoadMap => out.push(4),
-            Request::Stats => out.push(5),
-            Request::Shutdown => out.push(6),
-        }
-    }
-    fn decode(cur: &mut Cursor<'_>) -> Result<Self, WireError> {
-        Ok(match cur.byte()? {
-            0 => Request::Federate {
-                requirement: Record::decode(cur)?,
-                algorithm: Record::decode(cur)?,
-                hop_limit: Record::decode(cur)?,
-            },
-            1 => Request::Mutate(Record::decode(cur)?),
-            2 => Request::Release {
-                session: cur.varint()?,
-            },
-            3 => Request::Rebalance,
-            4 => Request::LoadMap,
-            5 => Request::Stats,
-            6 => Request::Shutdown,
-            tag => return Err(unknown_tag("Request", tag)),
-        })
-    }
-}
-
-impl Record for Response {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            Response::Federated(summary) => {
-                out.push(0);
-                summary.encode(out);
-            }
-            Response::Mutated {
-                epoch,
-                repaired,
-                dropped,
-            } => {
-                out.push(1);
-                epoch.encode(out);
-                repaired.encode(out);
-                dropped.encode(out);
-            }
-            Response::Stale {
-                solved_epoch,
-                current_epoch,
-            } => {
-                out.push(2);
-                solved_epoch.encode(out);
-                current_epoch.encode(out);
-            }
-            Response::Released { session } => {
-                out.push(3);
-                session.encode(out);
-            }
-            Response::Rebalanced {
-                migrations,
-                migration_failures,
-                max_utilization_permille,
-            } => {
-                out.push(4);
-                migrations.encode(out);
-                migration_failures.encode(out);
-                max_utilization_permille.encode(out);
-            }
-            Response::LoadMap(summary) => {
-                out.push(5);
-                summary.encode(out);
-            }
-            Response::Stats(snapshot) => {
-                out.push(6);
-                snapshot.encode(out);
-            }
-            Response::Overloaded => out.push(7),
-            Response::ShuttingDown => out.push(8),
-            Response::Error(message) => {
-                out.push(9);
-                message.encode(out);
-            }
-        }
-    }
-    fn decode(cur: &mut Cursor<'_>) -> Result<Self, WireError> {
-        Ok(match cur.byte()? {
-            0 => Response::Federated(Record::decode(cur)?),
-            1 => Response::Mutated {
-                epoch: cur.varint()?,
-                repaired: Record::decode(cur)?,
-                dropped: Record::decode(cur)?,
-            },
-            2 => Response::Stale {
-                solved_epoch: cur.varint()?,
-                current_epoch: cur.varint()?,
-            },
-            3 => Response::Released {
-                session: cur.varint()?,
-            },
-            4 => Response::Rebalanced {
-                migrations: Record::decode(cur)?,
-                migration_failures: Record::decode(cur)?,
-                max_utilization_permille: cur.varint()?,
-            },
-            5 => Response::LoadMap(Record::decode(cur)?),
-            6 => Response::Stats(Record::decode(cur)?),
-            7 => Response::Overloaded,
-            8 => Response::ShuttingDown,
-            9 => Response::Error(Record::decode(cur)?),
-            tag => return Err(unknown_tag("Response", tag)),
-        })
-    }
-}
+enum_record!(Algorithm {
+    0 => Sflow,
+    1 => Global,
+    2 => Fixed,
+    3 => ServicePath,
+});
+enum_record!(Mutation {
+    0 => SetLinkQos {
+        from: ServiceInstance,
+        to: ServiceInstance,
+        bandwidth_kbps: u64,
+        latency_us: u64,
+    },
+    1 => FailInstance { instance: ServiceInstance },
+});
+enum_record!(Request {
+    0 => Federate {
+        requirement: String,
+        algorithm: Algorithm,
+        hop_limit: Option<usize>,
+    },
+    1 => Mutate(mutation: Mutation),
+    2 => Release { session: u64 },
+    3 => Rebalance,
+    4 => LoadMap,
+    5 => Stats,
+    6 => Shutdown,
+});
+enum_record!(Response {
+    0 => Federated(summary: FlowSummary),
+    1 => Mutated {
+        epoch: u64,
+        repaired: usize,
+        dropped: usize,
+    },
+    2 => Stale {
+        solved_epoch: u64,
+        current_epoch: u64,
+    },
+    3 => Released { session: u64 },
+    4 => Rebalanced {
+        migrations: usize,
+        migration_failures: usize,
+        max_utilization_permille: u64,
+    },
+    5 => LoadMap(summary: LoadMapSummary),
+    6 => Stats(snapshot: StatsSnapshot),
+    7 => Overloaded,
+    8 => ShuttingDown,
+    9 => Error(message: String),
+});
 
 #[cfg(test)]
 mod tests {
@@ -1144,7 +1043,7 @@ mod tests {
             let body = [0, 0, 0, 0, 0, 2, keys[0], 4, 4, keys[1], 4, 4];
             let err = rejected::<Response>(&framed(&body));
             assert!(
-                matches!(&err, WireError::Malformed(m) if m.contains("instance key")),
+                matches!(&err, WireError::Malformed(m) if m.contains("map key")),
                 "{err:?}"
             );
         }
@@ -1156,6 +1055,46 @@ mod tests {
         );
         let err = rejected::<Request>(&framed(&[]));
         assert!(matches!(err, WireError::Malformed(_)), "{err:?}");
+    }
+
+    /// The shortest `LoadMap` row is eight one-byte varints. A reply of one
+    /// such row is valid, so its declared count must fit the row's
+    /// `MIN_BYTES`, through both decoders and however the bytes arrive.
+    #[test]
+    fn a_load_map_of_one_shortest_row_round_trips() {
+        let at = ServiceInstance::new(ServiceId::new(1), HostId::new(2));
+        let frame = ResponseFrame {
+            request_id: 3,
+            response: Response::LoadMap(LoadMapSummary {
+                epoch: 0,
+                version: 1,
+                max_utilization_permille: 100,
+                links: vec![LinkLoad {
+                    from: at,
+                    to: at,
+                    capacity_kbps: 100,
+                    reserved_kbps: 10,
+                    residual_kbps: 90,
+                    utilization_permille: 100,
+                }],
+            }),
+        };
+        let bytes = encode_frame(&frame).unwrap();
+        // Prefix, id, tag, three header fields, a count of one, the row.
+        assert_eq!(bytes.len(), 4 + 1 + 1 + 3 + 1 + 8);
+        assert_eq!(LinkLoad::MIN_BYTES, 8);
+        let back: ResponseFrame = read_frame(&mut bytes.as_slice()).unwrap().unwrap();
+        assert_eq!(back, frame);
+        let mut whole = FrameDecoder::new();
+        whole.feed(&bytes);
+        assert_eq!(whole.next_frame().unwrap(), Some(frame.clone()));
+        let mut bytewise = FrameDecoder::new();
+        let mut popped = Vec::new();
+        for byte in &bytes {
+            bytewise.feed(std::slice::from_ref(byte));
+            popped.extend(bytewise.next_frame::<ResponseFrame>().unwrap());
+        }
+        assert_eq!(popped, [frame]);
     }
 
     #[test]

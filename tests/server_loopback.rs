@@ -1,8 +1,10 @@
 //! The resident server over real TCP, in the tier-1 suite: one session
 //! lifecycle on the default configuration, with the server's counters
-//! reconciled exactly against what the client did.
+//! reconciled exactly against what the client did, and a load map whose
+//! rows are as short as the wire allows.
 
 use sflow::core::fixtures::diamond_fixture;
+use sflow::net::{HostId, ServiceId, ServiceInstance};
 use sflow::server::{serve, Algorithm, Client, Mutation, Response, ServerConfig, World};
 
 const DIAMOND_SPEC: &str = "0>1>3, 0>2>3";
@@ -81,6 +83,54 @@ fn a_session_lifecycle_reconciles_with_the_server_counters() {
     assert_eq!(stats.sessions, 0, "{stats:?}");
     assert_eq!(stats.rebuilds, 1, "{stats:?}");
     assert_eq!((stats.shed, stats.failed, stats.epoch), (0, 0, 1));
+
+    assert_eq!(client.shutdown().unwrap(), Response::ShuttingDown);
+    handle.wait();
+}
+
+/// A booking small enough that every `LoadMap` row is eight one-byte
+/// varints: the client must read the ledger back, not refuse the reply.
+#[test]
+fn a_load_map_of_one_byte_rows_reaches_the_client() {
+    let handle = serve(World::new(diamond_fixture()), &ServerConfig::default()).unwrap();
+    let mut client = Client::connect(handle.addr()).unwrap();
+
+    // Narrow every link out of s1/h1 to 10 kbit/s.
+    let probe = diamond_fixture();
+    let s1h1 = ServiceInstance::new(ServiceId::new(1), HostId::new(1));
+    let node = probe.overlay.node_of(s1h1).unwrap();
+    let links: Vec<_> = probe.overlay.graph().out_edges(node).collect();
+    assert_eq!(links.len(), 4);
+    for link in links {
+        let reply = client
+            .mutate(Mutation::SetLinkQos {
+                from: s1h1,
+                to: probe.overlay.instance(link.to),
+                bandwidth_kbps: 10,
+                latency_us: 1,
+            })
+            .unwrap();
+        assert!(matches!(reply, Response::Mutated { .. }), "{reply:?}");
+    }
+    match client.federate("0>1>3", Algorithm::Sflow, Some(2)).unwrap() {
+        Response::Federated(summary) => assert_eq!(summary.bandwidth_kbps, 10),
+        other => panic!("expected Federated, got {other:?}"),
+    }
+
+    let rows: Vec<_> = client
+        .load_map()
+        .unwrap()
+        .links
+        .iter()
+        .map(|row| {
+            (
+                row.capacity_kbps,
+                row.reserved_kbps,
+                row.utilization_permille,
+            )
+        })
+        .collect();
+    assert_eq!(rows, [(100, 10, 100), (10, 10, 1000)]);
 
     assert_eq!(client.shutdown().unwrap(), Response::ShuttingDown);
     handle.wait();
