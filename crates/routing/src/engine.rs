@@ -9,12 +9,12 @@
 //! [`AllPairs::patched_with`] takes the table after a batch of
 //! [`EdgeChange`]s by invalidating only the source trees that can actually
 //! be affected; it shares every clean tree with its predecessor by `Arc`
-//! pointer and leaves every invalidated slot *shadowed* (after a pure
-//! bandwidth cut: the old tree still answers for the destinations the cut
-//! did not move) or *stale*, to be swept on the first read that needs it.
-//! Each tree is judged by the net change since it was swept, not by the
-//! batch alone, so a batch that undoes earlier cuts hands back the trees
-//! and shadows it returns to —
+//! pointer and leaves every invalidated slot *shadowed* (after a
+//! degradation: the old tree still answers for the destinations it did not
+//! move) or *stale*, to be swept on the first read that needs it. Each
+//! tree is judged by the net change since it was swept, not by the batch
+//! alone, so a batch that undoes earlier cuts hands back the trees and
+//! shadows it returns to —
 //! the per-epoch cost is a plan, never a copy of the world, and a row is
 //! routed only when a read needs it. A table carries the
 //! [`QosCsr`](crate::QosCsr) of its graph, and the successor's is that one
@@ -35,177 +35,140 @@
 //! patched graph would reproduce everything the tree reports — every QoS
 //! and every path, tie-breaks included, because a kept tree stands in for a
 //! recomputed one. Write a changed edge as `e = u → v`, weight
-//! `(bw₀, lat₀) → (bw₁, lat₁)`; the batch is first folded to one record per
-//! edge (first `old`, the graph's weight as `new`, net no-ops dropped), so
-//! `(bw₀, lat₀)` really is what the table was computed from.
+//! `(bw₀, lat₀) → (bw₁, lat₁)`; a batch is first folded to one record per
+//! edge (first `old`, the graph's weight as `new`, net no-ops dropped).
 //!
 //! The exact algorithm works per bandwidth *level* `b`: a widest-path pass
 //! fixes `B(s,·)`, and each distinct value `b` of it is a level whose
 //! *pinned* nodes (`B(s,x) = b`) are priced by latency distance over the
 //! edges with bandwidth `≥ b`. One descending sweep visits the levels
-//! widest first, carrying labels and heap across them: a level admits the
-//! edges between it and the level before, offers each from its tail's
-//! standing label, propagates decrease-only and moves on when the last
-//! node pinned there settles (see the module docs of
-//! [`crate::shortest_widest`]). The tree stores, per node, the
-//! `(label, predecessor)` entries that changed at a level; `d_b(x)` is
-//! `x`'s newest entry from `b` or a wider level. Let `Λ_b` be the largest
-//! latency recorded among the nodes pinned at `b` — where the sweep left
-//! that level. A node with `d_b(x) ≤ Λ_b` was settled there (by this level
-//! or one before it, nothing having beaten it since) and its label is
-//! exact; anything else — no entry yet, or one beyond `Λ_b`, which is only
-//! an upper bound still waiting on the heap — is known to lie at or
-//! *beyond* `Λ_b` and nothing more, and no rule reads past that. Pops
-//! within a level come in label order, so `Λ_b` is the latency of the last
-//! node the sweep settles at `b`; the sweep records that node per level
-//! and the rules read `Λ_b` from it
-//! ([`PathTree::level_bound`](crate::PathTree::level_bound)), never from a
-//! walk of the tree's labels.
+//! widest first, carrying labels and heap across them (see the module docs
+//! of [`crate::shortest_widest`]). The tree stores, per node, the
+//! predecessor entries that changed at a level, and a path reported at
+//! level `b` is read through each node's newest entry from `b` or a wider
+//! level.
 //!
-//! **The invariant.** What every rule below preserves, for every tree the
-//! table holds and every level `b` of it, is that the stored labels are as
-//! good as the kernel's own: each pinned node's chain is intact and its
-//! label is the latency the tree reports, and the labels capped at
-//! `Λ_b` — `φ(x) = min(d_b(x), Λ_b)`, no label counting as `Λ_b` — are a
-//! *feasible potential* of today's level graph, `φ(y) ≤ φ(x) + lat(x→y)`
-//! over every edge of bandwidth `≥ b`. A feasible potential is a lower
-//! bound on every distance, and a bound a real path attains is the
-//! distance: that is the whole proof that a pinned node's answer stands.
-//! Lower bounds alone are not enough — a label that has drifted *below* a
-//! neighbour's reach makes a later gain into that node look like a loss —
-//! and the unit test `kept_trees_keep_labels_the_certificate_can_stand_on`
-//! checks the invariant from first principles after every patch of random
-//! lineages.
+//! **The invariant.** A tree is the kernel's output on its *sweep graph*,
+//! the graph it was swept on, bit for bit: a patch never edits a tree, it
+//! only decides whether the tree still answers on the table's graph. So a
+//! tree, or a shadow's, is judged by its *net change* — the coalesced
+//! change from its sweep graph to the table's graph (see *Net change since
+//! the sweep*) — under two rules.
 //!
-//! **Re-timed edges** (`lat₁ ≠ lat₀`, either way). A tree is dirty if *any*
-//! label it settled came over `e`, read by a reported path or not — any
-//! stored entry over `e` that is `≤ Λ_b` at some level `b` it stands for.
-//! A stored label is a sum over the latencies of the day it was built, and
-//! so is every label downstream of it: once `e` is re-timed they describe a
-//! graph that is gone, while the true labels may have found, or never
-//! needed, a detour — a slowed edge leaves the labels behind it
-//! under-priced (a head that looks cheaper than it is turns a real gain
-//! away), a sped-up one over-priced (a tail that looks dearer than it is
-//! makes a real gain look like a loss). Either breaks the invariant, and
-//! neither shows on a reported path, so such a tree is recomputed rather
-//! than kept with a label that lies. (An entry beyond `Λ_b` at every level
-//! it stands for reads "beyond `Λ_b`" whatever `e` costs: a slow-down only
-//! moves it further out, and a speed-up that could bring it in has a
-//! settled tail, which is the certificate's case below.) From here on
-//! every settled label is one the kernel would compute today.
-//!
-//! **Gains — the certificate** (`PathTree::certifies`, for every record
-//! with `bw₁ > bw₀` or `lat₁ < lat₀`). With
-//! `reach = min(B(s,u), bw₁)`, the widest any path through `e` can be:
-//!
-//! 1. *Widest labels.* `reach ≤ B(s,v)` for every such edge. The old labels
-//!    then still satisfy every edge, and each is still attained by its old
-//!    path, so `B(s,·)` — hence the levels and who is pinned where — is
-//!    unchanged.
-//! 2. *Latency labels.* At every level `b ≤ reach` of the tree that `e`
-//!    newly joins (`b > bw₀`) or got faster at (`lat₁ < lat₀`), the edge
-//!    must keep the potential feasible: a tail with no label or
-//!    `d_b(u) > Λ_b` contributes nothing (`φ(u) = Λ_b` bounds every `φ`);
-//!    otherwise with `cand = d_b(u) + lat₁` the tree is dirty if
-//!    `cand < d_b(v)` for a settled head, or `cand ≤ Λ_b` for an unsettled
-//!    one. Above `reach` the edge is either absent (`b > bw₁`) or its tail
-//!    has no label (`b > B(s,u)`).
-//!
-//! This is the classic edge-insertion test of dynamic shortest paths, per
-//! level. Because every record is checked against the same *fixed* labels,
-//! any number of simultaneous improvements is covered — if no new edge
-//! violates the potential it is still feasible, and no chain of new edges
-//! can beat it either. The rule and the kernel's early stop have to be read
-//! together: `Λ_b` is exactly what the stop leaves known about the
-//! unsettled.
-//!
-//! *Ties.* On `cand == d_b(v)` the QoS stands but the path may not: among
-//! the tails that offer a node its final label the kernel keeps the one
-//! that settles first. The tree stays clean only if the head is settled and
-//! its recorded predecessor `x` has `d_b(x) < d_b(u)` — `x` settles
-//! strictly first whatever else ties, the edge `x → v` has positive
-//! latency, so `v`'s own place in the order stands too, and `u`'s equal
-//! offer is refused exactly as before. Every other tie is dirty, including
-//! the one place the rule is knowingly conservative: an unsettled head with
-//! `cand == Λ_b`.
-//!
-//! **Bandwidth cuts** (`bw₁ < bw₀`) remove `e` from the levels in
-//! `(bw₁, bw₀]` and leave the rest untouched, so the tree is dirty only if
-//! a *reported* path crosses `e` at a level above `bw₁`
+//! **Degradations** (every record has `bw₁ ≤ bw₀` and `lat₁ ≥ lat₀`). A
+//! narrowing takes `e` out of the levels in `(bw₁, bw₀]` and leaves the
+//! others as they were; a slow-down prices `e` dearer at every level. So
+//! each record gets a *floor*: `bw₁` for a narrowing, zero for a slow-down.
+//! A destination is *moved* if its reported path crosses a degraded edge at
+//! a level above the edge's floor
 //! ([`PathTree::traverses_above`](crate::PathTree::traverses_above) with
-//! `bw₁` as the edge's floor). Removing an edge drops a constraint, so the
-//! potential stays feasible; if the edge sat under a label nobody reports,
-//! that label is now the price of a chain the level no longer has, but
-//! still a feasible bound — which is why such an edge must not be re-timed
-//! under the tree afterwards, and is not: the entry still names it.
+//! those floors), and a tree that moves none is held. An unmoved
+//! destination `x`, pinned at `b`, keeps its answer, tie-breaks included:
+//!
+//! * *Its old path is still present.* It crosses no edge narrowed below `b`
+//!   and no slowed edge, so it is still in the level graph of `b` with the
+//!   QoS the tree reports.
+//! * *No label falls.* A degradation only takes edges out of level graphs
+//!   and prices them dearer, so no widest or latency label (zero-hops count
+//!   included) can drop; the old path still attains the old labels, so
+//!   `B(s,x) = b`, `x`'s latency and the label of every node on the path
+//!   stand.
+//! * *Every tail on that path keeps its label, so the settle order that
+//!   breaks ties keeps the same predecessor.* A tail that offers a node on
+//!   the path its label today offered the same label before (labels and
+//!   link latencies only rise, and the node's label did not), so today's
+//!   candidates are some of yesterday's at yesterday's labels; the recorded
+//!   predecessor is still one of them, over the same, still earliest,
+//!   link, and still settles first among them. A fresh sweep reads the same
+//!   path at `b`.
 //!
 //! *Asking the heads first.* A reported path at level `b` is rebuilt by
 //! reading every node on it at `b`, so it steps into `v` over `e` exactly
 //! when `v` is on it and `v`'s entry at `b` names `e`; and `v` is on a path
 //! of level `b` only if `b ≤ B(s,v)` — every node of a path at least as
-//! wide as it. The plan therefore collects one `(e, v, bw₁)` per cut record
-//! (sorted by edge, which is also where the walk looks a floor up) and, per
-//! tree, reads only the cut heads' chains. Each entry over the cut edge
-//! standing at a level in `(bw₁, B(s,v)]` is a *crossing*: the head, the
-//! levels the entry stands at from `v`'s own level on, and the floor. A
-//! tree with no crossing is clean without a walk; one with a crossing at
-//! `v`'s own level is dirty without one (`v`'s own path crosses the edge at
-//! `B(s,v) > bw₁`); the rest are walked at only the crossings' levels,
-//! from the nodes pinned there (a per-level index, counting sort), instead
-//! of every level from every node. Each step only skips levels at which
-//! the full walk cannot find the edge, and a walk is exact, so the dirty
-//! set is the full walk's by construction — `tests/prop_engine.rs` holds
-//! the plan's tree count to `traverses_above`'s on random lineages.
+//! wide as it. The plan therefore collects one `(e, v, floor)` per degraded
+//! record (sorted by edge, which is also where the walk looks a floor up)
+//! and, per tree, reads only the degraded heads' chains. Each entry over
+//! the edge standing at a level in `(floor, B(s,v)]` is a *crossing*: the
+//! head, the levels the entry stands at from `v`'s own level on, and the
+//! floor. A tree with no crossing is held without a walk; one with a
+//! crossing at `v`'s own level is dirty without one (`v`'s own path crosses
+//! the edge at `B(s,v)`, above the floor); the rest are walked at only the
+//! crossings' levels, from the nodes pinned there (a per-level index,
+//! counting sort), instead of every level from every node. Each step only
+//! skips levels at which the full walk cannot find the edge, and a walk is
+//! exact, so the dirty set is the full walk's by construction —
+//! `tests/prop_engine.rs` holds the plan's tree count to
+//! `traverses_above`'s on random lineages.
 //!
-//! A record that is several of these at once (narrower *and* faster, wider
-//! *and* slower) is held to each rule it falls under; the steps compose in
-//! any order because each is checked against the same frozen labels.
+//! **Gains** (any other net change: some record wider or faster, mixed
+//! ones included). If the tree's source reaches the tail of a gained edge
+//! in the table's graph, over edges of positive bandwidth, the tree is
+//! stale. If it does not, it does not reach one in the table's graph with
+//! the gains put back at their sweep weights either — the two graphs
+//! differ only in edges out of nodes it does not reach — and the kernel
+//! only ever offers the edges out of nodes it has labelled, so its tree
+//! from that source is the same on both. That graph is the sweep graph
+//! after the net change's degradations alone, and the tree is judged by
+//! them, as above. The reach is one reverse pass from the gained tails,
+//! once per distinct net change, built by the first tree judged by it.
+//!
+//! **Net change since the sweep.** Each tree a slot holds at patch time —
+//! materialised or a shadow's — carries `since`: the coalesced change list
+//! from its sweep graph to the table's graph, one record per edge, an edge
+//! back at its sweep-time weight dropped. A patch folds its batch into it
+//! (once per distinct list: trees swept together share one), giving the
+//! tree's `net` change, and judges the tree:
+//!
+//! 1. *`net` is empty.* The table's graph is the tree's sweep graph: the
+//!    tree is held, with no walk, and a shadow becomes its tree again.
+//! 2. *The batch is a degradation.* A materialised tree is walked on the
+//!    batch alone, and a shadow takes on the batch's crossings on its
+//!    tree. Both stand on what every verdict here keeps true of every tree
+//!    a table holds: the paths it reports (a shadow, to its unmoved
+//!    destinations) are the kernel's on the table's graph. The argument
+//!    above then holds for the kernel's tree on the graph before the batch,
+//!    and a walk reads reported paths only. It is `net`'s verdict too, at
+//!    the cost of the batch: the lineage model in `tests/prop_engine.rs`
+//!    predicts every row from `net` alone.
+//! 3. *Anything else* is judged by `net` alone, by the two rules: a tree
+//!    or a shadow is held, shadowed with the crossings of `net`'s
+//!    degradations (a shadow's replace those it had accumulated: some of
+//!    those cuts may be undone) or left stale.
+//!
+//! `since` is never reset, in particular not when a tree is kept: a kept
+//! tree is the same `Arc`, the kernel's output on its sweep graph only,
+//! and verdicts 1 and 3 stand on exactly that. A tree swept on read — in
+//! full, or by a cut-short sweep that reached the last level — is swept on
+//! its table's own graph, so its `since` is empty. A successor shares
+//! `materialised(pred) − trees_recomputed` trees with its predecessor and
+//! holds `trees_restored` more: the shadows it turned back into trees.
 //!
 //! **Stale slots.** A dirty tree is not recomputed by the patch: its slot
 //! in the successor is left *stale* and swept by the first read, over the
 //! successor's own CSR — the graph of the day, so what it reports is what
 //! a recomputation would have. A slot that is stale already stays stale,
-//! with no plan: the plan could not read chains it does not have, and it
-//! does not need to. Every rule above only ever decides whether a tree
-//! may be *kept* in place of a recomputation; a stale slot keeps nothing,
-//! and a sweep from scratch on the graph it is read against is exactly
-//! what a dirty verdict would have bought. So the invariant is carried by
-//! every materialised tree — kept through any number of patches, or swept
-//! at any point of the lineage — and needs no new argument. Each slot is
-//! looked at once per patch, and a tree a concurrent reader materialises
-//! after that look is not carried over: the successor's slot stays stale.
+//! with no plan: a stale slot keeps nothing, and a sweep from scratch on
+//! the graph it is read against is exactly what a dirty verdict would have
+//! bought. Each slot is looked at once per patch, and a tree a concurrent
+//! reader materialises after that look is not carried over: the
+//! successor's slot stays stale.
 //!
-//! **Shadowed slots.** After a *pure* bandwidth cut — a coalesced batch of
-//! nothing but `bw₁ < bw₀, lat₁ = lat₀` records — a dirty tree is not
+//! **Shadowed slots.** A tree the walk of a degradation dirties is not
 //! dropped: its slot is left *shadowed*, holding the tree and its
-//! crossings. A destination is *moved* if its reported path crosses a cut
-//! edge above the edge's floor; by the argument above, that is exactly when
-//! the path, read at the destination's own level, passes through a
-//! crossing's head at one of the crossing's levels, above its floor. The
-//! table answers `qos` and `path` for every other destination from the
-//! shadow's tree, testing the destination's path against the crossings on
-//! each read (a few hops, a few crossings); a read of the whole tree
-//! sweeps the slot as a stale one is swept, and a read of a moved
-//! destination sweeps it cut short (below). The moved set is kept as crossings rather than marked node by node because
-//! the crossings cost the plan nothing beyond the verdict, where marking
-//! takes a walk of every level a crossing covers, and the walk above stops
-//! at the first crossed edge. An unmoved destination `x`, pinned at `b`,
-//! keeps its answer, tie-breaks included:
-//!
-//! * *Its old path is still present.* It crosses no edge cut below `b`,
-//!   and no latency moved, so it is still in the level graph of `b` with
-//!   the QoS the tree reports.
-//! * *No label falls.* A cut only takes edges out of level graphs, so no
-//!   widest or latency label (zero-hops count included) can drop; the old
-//!   path still attains the old labels, so `B(s,x) = b`, `x`'s latency and
-//!   the label of every node on the path stand.
-//! * *Every tail on that path keeps its label, so the settle order that
-//!   breaks ties keeps the same predecessor.* A tail that offers a node on
-//!   the path its label today offered the same label before (labels only
-//!   rise, and the node's did not), so today's candidates are some of
-//!   yesterday's at yesterday's labels; the recorded predecessor is still
-//!   one of them, over the same, still earliest, link, and still settles
-//!   first among them. A fresh sweep reads the same path at `b`.
+//! crossings. The table answers `qos` and `path` for every unmoved
+//! destination from the shadow's tree — by the three facts above, and the
+//! gains' argument, the kernel's answer — testing the destination's path
+//! against the crossings on each read (a few hops, a few crossings); a
+//! read of the whole tree sweeps the slot as a stale one is swept, and a
+//! read of a moved destination sweeps it cut short (below). The moved set
+//! is kept as crossings rather than marked node by node because the
+//! crossings cost the plan nothing beyond the verdict, where marking takes
+//! a walk of every level a crossing covers, and the walk above stops at
+//! the first crossed edge. A later degradation adds its own crossings to
+//! an existing shadow, found on the shadow's own tree: an unmoved
+//! destination's path is that tree's, so the three facts carry it across
+//! any number of degradations, and the crossings are exact on it.
 //!
 //! *Cut-short sweeps.* The first read of a moved destination sweeps the
 //! row over the successor's CSR only until every moved destination has
@@ -231,77 +194,27 @@
 //! * *The widest pass stops early too.* The level sweep needs every
 //!   node's `B(s,x)`: the levels, and who is pinned at each, fix its
 //!   operations. By *no label falls*, an unmoved destination keeps
-//!   `B(s,x)` across a pure cut, so the shadow supplies it. Only the moved
-//!   need the max–min pass, whose label is final when its node pops, so
-//!   the pass stops once the last moved node has popped. A moved node the
-//!   cut made unreachable never pops, so the pass runs to the end and
-//!   finds it unreachable, as the full pass does.
+//!   `B(s,x)`, so the shadow supplies it. Only the moved need the max–min
+//!   pass, whose label is final when its node pops, so the pass stops once
+//!   the last moved node has popped. A moved node the cut made unreachable
+//!   never pops, so the pass runs to the end and finds it unreachable, as
+//!   the full pass does.
 //!
-//! A cut-short tree is never planned against, certified or counted by
+//! A cut-short tree is never planned against or counted by
 //! `materialised()`, and a patch builds fresh slots, so it never outlives
 //! the CSR it was swept on. A shadowed row read only at its destinations
-//! therefore stays shadowed: a later pure cut adds to its crossings, and
-//! a later gain keeps it only as the net change below allows.
-//!
-//! A later pure cut adds its own crossings to an existing shadow, found on
-//! the shadow's own tree: an unmoved destination's path is that tree's, so
-//! the three facts carry it across any number of cuts, and the crossings
-//! are exact on it. The certificate is never run on a shadow: it reads
-//! labels, and a shadow's are those of a graph that is gone. So a shadow
-//! is never certified or counted by `materialised()`, and the invariant
-//! above is still carried by the materialised trees alone;
-//! `trees_recomputed` counts the materialised trees a patch shadowed, left
-//! stale, or dropped for a restored shadow.
-//!
-//! **Net change since the sweep.** Each tree a slot holds at patch time —
-//! materialised or a shadow's — carries `since`: the coalesced change list
-//! from the graph the tree was *swept* on to the table's graph, one record
-//! per edge, an edge back at its sweep-time weight dropped. A patch folds
-//! its batch into it (once per distinct list: trees swept together share
-//! one), giving the tree's `net` change, and judges the tree by `net`
-//! before the batch:
-//!
-//! 1. *`net` is empty.* The table's graph is the tree's sweep graph, and a
-//!    tree is the kernel's output there, bit for bit: it is held, with no
-//!    certificate and no walk, and a shadow becomes its tree again.
-//! 2. *The batch has a gain or a re-timing, and `net` is a pure cut.* From
-//!    the sweep graph to the table's graph is then one pure cut, and
-//!    everything the cut rule needs — an exact tree of the graph before, a
-//!    pure cut after — holds as it is. So the tree is judged by the walk of
-//!    `net`'s cuts: held if no reported path crosses them, else shadowed
-//!    with their crossings (a shadow's replace those it had accumulated:
-//!    some of those cuts are undone). A materialised tree tries the
-//!    certificate against the batch first, which holds it without a walk,
-//!    and only one the certificate refuses is walked.
-//! 3. *Anything else* is judged against the batch, as above. A pure-cut
-//!    batch extends a shadow's crossings; when `net` is a pure cut too, the
-//!    crossings accumulated from the sweep graph cover `net`'s (a cut
-//!    lowered twice crosses where its lower floor does), so the moved set is
-//!    the same. A materialised tree is certified and walked against the
-//!    batch, which the invariant above allows whatever its `net`, and a
-//!    shadow goes stale.
+//! therefore stays shadowed; a shadow is never counted by `materialised()`
+//! either, and `trees_recomputed` counts the materialised trees a patch
+//! shadowed, left stale, or dropped for a restored shadow.
 //!
 //! A read can sweep a shadowed row's tree beside its shadow. The shadow
 //! then answers nothing, but it is the older tree, the one an undo of the
 //! cuts since returns to: it stays beside the tree while its `net` is a
-//! pure cut, without crossings kept up, and is judged on its own — by
-//! verdict 1, or by verdict 2's walk of its `net` cut — when that `net`
-//! empties or the patch invalidates the tree beside it, taking the tree's
-//! place. Its `net` being a pure cut is all the walk needs, whatever
-//! batches came between. So a lineage of cuts undone over several patches
-//! hands every row back the tree it held before the first cut, however the
-//! rows were read in between.
-//!
-//! `since` is never reset, in particular not when a tree is kept: a kept
-//! tree is the same `Arc`, which is the kernel's output on its sweep graph
-//! only. On the graph of the day its reported answers are right and its
-//! labels a feasible potential, but a label no path reports may not be the
-//! one a sweep would compute there, and verdicts 1 and 2 stand on the tree
-//! being exactly a sweep's. A tree swept on read — in full, or by a
-//! cut-short sweep that reached the last level — is swept on its table's
-//! own graph, so its `since` is empty. A successor shares
-//! `materialised(pred) − trees_recomputed` trees with its predecessor and
-//! holds `trees_restored` more: the shadows it turned back into trees.
+//! degradation, without crossings kept up, and is judged on its own — by
+//! verdict 1, or by verdict 3's walk — when that `net` empties or the patch
+//! invalidates the tree beside it, taking the tree's place. So a lineage of
+//! degradations undone over several patches hands every row back the tree
+//! it held before the first, however the rows were read in between.
 //!
 //! All of this applies to exact trees only: an
 //! [`all_pairs_lexicographic`](crate::shortest_widest::all_pairs_lexicographic)
@@ -311,25 +224,23 @@
 //! A patch never adds or removes a node: a failed instance is a tombstone
 //! whose links are cut, so the graph keeps the table's numbering, and a
 //! graph of another size is a caller's bug the patch refuses. The property
-//! tests in
-//! `tests/prop_engine.rs` check patches — single batches, sequences of
-//! batches, cut-then-restore pairs, lineages read only in part between
-//! batches, undos of cut lineages whole or in part — against a
+//! tests in `tests/prop_engine.rs` check patches — single batches,
+//! sequences of batches, cut-then-restore pairs, lineages read only in part
+//! between batches, undos of cut lineages whole or in part — against a
 //! from-scratch rebuild in QoS and path, that an exact undo, in one patch
 //! or several, hands every row back the tree it held, that a partial one
-//! leaves shadows moving
-//! what the rest of the net cut crosses, that the
+//! leaves shadows moving what the rest of the net cut crosses, that the
 //! rules never dirty more trees than the coarse ones (any-traversal for
 //! pure bandwidth cuts, reach-the-tail for the rest), that a pure cut
-//! dirties exactly the trees the full walk finds, that a partly
-//! stale table invalidates exactly its eagerly swept twin's dirty set
-//! restricted to the slots it had materialised, that a read materialises
-//! a row exactly when a patch left it stale, or a cut moved the
-//! destination read and the row's cut-short sweep reaches its last level
-//! (a model that tracks each row's sweep-time weights predicts every
-//! hold, shadow, restore and stale), and that a cut-short sweep is the
-//! full sweep on every node it settled, every moved node a path reaches
-//! among them.
+//! dirties exactly the trees the full walk finds, that a partly stale
+//! table invalidates exactly its eagerly swept twin's dirty set restricted
+//! to the slots it had materialised, that a read materialises a row exactly
+//! when a patch left it stale, or a degradation moved the destination read
+//! and the row's cut-short sweep reaches its last level (a model that
+//! tracks each row's sweep-time weights predicts every hold, shadow,
+//! restore and stale from the net change alone), and that a cut-short
+//! sweep is the full sweep on every node it settled, every moved node a
+//! path reaches among them.
 
 use std::cell::OnceCell;
 use std::cmp::Ordering;
@@ -368,36 +279,38 @@ impl EdgeChange {
         self.new.bandwidth <= self.old.bandwidth && self.new.latency >= self.old.latency
     }
 
-    /// `true` if the edge's latency moved, either way: every label walked
-    /// over it is no longer the label the kernel computed.
-    pub(crate) fn is_retimed(&self) -> bool {
-        self.new.latency != self.old.latency
-    }
-
-    /// For a bandwidth cut, the level at or below which it is invisible:
-    /// the subgraphs of levels `≤ new.bandwidth` keep the edge.
+    /// For a degradation, the level at or below which a reported path over
+    /// the edge lost nothing: the subgraphs of levels `≤ new.bandwidth`
+    /// keep a narrowed edge as it was, and a slowed one is priced anew at
+    /// every level, so its floor is zero. `None` for a gain or a no-op.
     fn loss_floor(&self) -> Option<Bandwidth> {
-        (self.new.bandwidth < self.old.bandwidth).then_some(self.new.bandwidth)
+        if self.is_noop() || !self.is_degradation() {
+            None
+        } else if self.new.latency > self.old.latency {
+            Some(Bandwidth::ZERO)
+        } else {
+            Some(self.new.bandwidth)
+        }
     }
 }
 
 /// What one [`AllPairs::patched_with`] call did.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PatchStats {
-    /// Materialised trees this patch invalidated. After a gain or a
-    /// re-timing each is swept again on its row's first read; after a pure
-    /// cut the first read of a destination the cut moved sweeps the row
-    /// only until its last moved destination has settled, and the row is
-    /// swept in full only by a read of its whole tree, or by a cut-short
-    /// sweep whose last moved destination is pinned at the last level. A
-    /// tree dropped for the row's restored shadow counts here too. The
-    /// successor shares `materialised(pred) − trees_recomputed` trees with
-    /// its predecessor.
+    /// Materialised trees this patch invalidated. A tree left stale by a
+    /// gain its source reaches is swept again on its row's first read; a
+    /// tree a degradation moved is shadowed, the first read of a moved
+    /// destination sweeps the row only until its last moved destination
+    /// has settled, and the row is swept in full only by a read of its
+    /// whole tree, or by a cut-short sweep whose last moved destination is
+    /// pinned at the last level. A tree dropped for the row's restored
+    /// shadow counts here too. The successor shares
+    /// `materialised(pred) − trees_recomputed` trees with its predecessor.
     pub trees_recomputed: usize,
     /// Shadows this patch turned back into trees: the net change since the
-    /// shadow's tree was swept is empty, or a pure cut that crosses none of
-    /// its reported paths. A shadow beside a tree swept since counts when
-    /// it takes that tree's place. The successor holds
+    /// shadow's tree was swept is empty, or moves none of its reported
+    /// paths. A shadow beside a tree swept since counts when it takes that
+    /// tree's place. The successor holds
     /// `materialised(pred) − trees_recomputed + trees_restored` trees.
     pub trees_restored: usize,
     /// Source trees in the table (== node count).
@@ -453,7 +366,7 @@ fn fold(since: &[EdgeChange], batch: &[EdgeChange]) -> Vec<EdgeChange> {
     }
 }
 
-/// One `(edge, head, floor)` per cut record of `changes`, in its order.
+/// One `(edge, head, floor)` per degradation of `changes`, in its order.
 fn cuts_of<N>(g: &DiGraph<N, Qos>, changes: &[EdgeChange]) -> Vec<Cut> {
     changes
         .iter()
@@ -461,7 +374,31 @@ fn cuts_of<N>(g: &DiGraph<N, Qos>, changes: &[EdgeChange]) -> Vec<Cut> {
         .collect()
 }
 
-/// A cut record as the walk reads it: `(edge, head, floor)`.
+/// One flag per node of `g`: `true` if it reaches the tail of a gain of
+/// `changes` over links of positive bandwidth. One reverse pass from the
+/// gained tails.
+fn reaching<N>(g: &DiGraph<N, Qos>, changes: &[EdgeChange]) -> Vec<bool> {
+    let mut seen = vec![false; g.node_count()];
+    let mut stack = Vec::new();
+    for c in changes.iter().filter(|c| c.loss_floor().is_none()) {
+        let tail = g.edge_endpoints(c.edge).0;
+        if !std::mem::replace(&mut seen[tail.index()], true) {
+            stack.push(tail);
+        }
+    }
+    while let Some(node) = stack.pop() {
+        for &edge in g.in_edge_ids(node) {
+            let (from, _, qos) = g.edge_parts(edge);
+            if qos.bandwidth > Bandwidth::ZERO && !std::mem::replace(&mut seen[from.index()], true)
+            {
+                stack.push(from);
+            }
+        }
+    }
+    seen
+}
+
+/// A degradation as the walk reads it: `(edge, head, floor)`.
 type Cut = (EdgeIx, NodeIx, Bandwidth);
 
 impl AllPairs {
@@ -477,18 +414,20 @@ impl AllPairs {
     /// the predecessor by `Arc` pointer. Each tree is judged by the net
     /// change since its sweep: one that net change leaves on its sweep
     /// graph is held as it is, and so is a shadow's, which the successor
-    /// holds as its tree again. After a pure bandwidth cut every tree the
-    /// patch invalidates is shadowed in the successor, and every shadow the
-    /// predecessor held stays one, taking on the cut's crossings on its
-    /// tree; after any other batch a tree or shadow whose net change is a
-    /// pure cut is held or shadowed as that net cut's walk says, and every
-    /// other shadow and invalidated tree is stale, as is every slot that
-    /// was stale already. A shadow beside a tree a read swept since stays
-    /// there while its net change is a pure cut, and takes the tree's place
-    /// once that change is empty or the tree is invalidated.
+    /// holds as its tree again. After a degradation every tree the patch
+    /// invalidates is shadowed in the successor, and every shadow the
+    /// predecessor held stays one, taking on the batch's crossings on its
+    /// tree; after any other batch a tree or shadow is left stale if its
+    /// source reaches a gain of its net change, and is otherwise held or
+    /// shadowed as the walk of that change's degradations says. A slot
+    /// that was stale stays stale. A shadow beside a tree a read swept
+    /// since stays there while its net change is a degradation, and takes
+    /// the tree's place once that change is empty or the tree is
+    /// invalidated.
     /// A slot is swept on the first read that needs it, against the
     /// successor's CSR. Deriving the successor therefore costs the plan,
-    /// the net change of each distinct `since` list, the predecessor's
+    /// the net change of each distinct `since` list (and for one with a
+    /// gain, a reverse pass over `g`), the predecessor's
     /// [`QosCsr`](crate::QosCsr) reweighted from the coalesced change list
     /// (its weight arrays copied, the changed slots written — no read of
     /// `g`'s edges) and a refcount bump per kept tree or shadow, never a
@@ -539,28 +478,34 @@ impl AllPairs {
 /// folded in.
 struct Net {
     changes: Arc<[EdgeChange]>,
-    /// `changes` is a non-empty pure bandwidth cut.
-    pure_cut: bool,
-    /// One `(edge, head, floor)` per cut record of `changes`, sorted by
+    /// `changes` is a non-empty degradation: no edge wider or faster.
+    degradation: bool,
+    /// One `(edge, head, floor)` per degradation of `changes`, sorted by
     /// edge: the walk looks a floor up here, so no patch builds an
     /// edge-long array. Built by the first walk that needs it.
     cuts: OnceCell<Vec<Cut>>,
+    /// [`reaching`] `changes`' gains, built by the first tree judged by
+    /// them.
+    reach: OnceCell<Vec<bool>>,
 }
 
 impl Net {
     fn new(changes: Arc<[EdgeChange]>) -> Self {
         Net {
-            pure_cut: !changes.is_empty()
-                && changes
-                    .iter()
-                    .all(|c| !c.is_retimed() && c.loss_floor().is_some()),
+            degradation: !changes.is_empty() && changes.iter().all(|c| c.loss_floor().is_some()),
             changes,
             cuts: OnceCell::new(),
+            reach: OnceCell::new(),
         }
     }
 
     fn cuts<N>(&self, g: &DiGraph<N, Qos>) -> &[Cut] {
         self.cuts.get_or_init(|| cuts_of(g, &self.changes))
+    }
+
+    /// `true` if `source` reaches the tail of a gain of `changes` in `g`.
+    fn reaches<N>(&self, g: &DiGraph<N, Qos>, source: NodeIx) -> bool {
+        !self.degradation && self.reach.get_or_init(|| reaching(g, &self.changes))[source.index()]
     }
 }
 
@@ -569,7 +514,7 @@ enum Verdict {
     /// The tree answers on the table's graph, which `since` turns its
     /// sweep graph into.
     Hold(Arc<[EdgeChange]>),
-    /// The tree answers the destinations no cut since moved.
+    /// The tree answers the destinations no degradation since moved.
     Shadow(Shadow),
     Stale,
 }
@@ -634,8 +579,8 @@ impl<'a, N> Plan<'a, N> {
     /// `slot`'s successor. A shadow is judged first: one whose net change
     /// is empty is the slot's tree again, whatever the slot held beside
     /// it. A materialised tree is judged next; a shadow beside it stays
-    /// there while its net change is a pure cut, and takes the tree's place
-    /// if the patch invalidates it.
+    /// there while its net change is a degradation, and takes the tree's
+    /// place if the patch invalidates it.
     fn next(&mut self, slot: &Slot, stats: &mut PatchStats) -> Slot {
         let Some(tree) = slot.tree.get() else {
             let Some(shadow) = &slot.shadow else {
@@ -646,7 +591,7 @@ impl<'a, N> Plan<'a, N> {
         let beside = slot.shadow.as_ref().and_then(|shadow| {
             let at = self.net(&shadow.since);
             let net = &self.nets[at];
-            (net.changes.is_empty() || net.pure_cut).then_some((shadow, at))
+            (net.changes.is_empty() || net.degradation).then_some((shadow, at))
         });
         if let Some((shadow, at)) = beside {
             if self.nets[at].changes.is_empty() {
@@ -672,36 +617,24 @@ impl<'a, N> Plan<'a, N> {
         }
     }
 
-    /// A materialised tree: held if its net change is empty; after a pure
-    /// cut, held or shadowed as the batch's walk says; after any other
-    /// batch, held if the certificate and the batch's walk keep it, else
-    /// held or shadowed as the walk of its net change says if that is a
-    /// pure cut, else stale.
+    /// A materialised tree: held if its net change is empty; after a
+    /// degradation, held or shadowed as the batch's walk says; after any
+    /// other batch, judged by its net change alone.
     fn judge_tree(&mut self, tree: &Arc<PathTree>, since: &Arc<[EdgeChange]>) -> Verdict {
         let at = self.net(since);
         if self.nets[at].changes.is_empty() {
             return Verdict::Hold(Arc::clone(&self.nets[at].changes));
         }
-        let batch = &self.nets[0];
-        if batch.pure_cut {
+        if self.nets[0].degradation {
             return self.walk(tree, 0, at);
         }
-        if tree.certifies(self.g, &batch.changes)
-            && !tree.crosses_cuts(batch.cuts(self.g), &mut self.traversal)
-        {
-            return Verdict::Hold(Arc::clone(&self.nets[at].changes));
-        }
-        if self.nets[at].pure_cut {
-            self.walk(tree, at, at)
-        } else {
-            Verdict::Stale
-        }
+        self.judge(tree, at)
     }
 
     /// A shadow with no tree beside it: held if its net change is empty;
-    /// after a pure cut, still a shadow, taking on the batch's crossings on
-    /// its tree; after any other batch, held or shadowed as the walk of its
-    /// net change says if that is a pure cut, else stale.
+    /// after a degradation, still a shadow, taking on the batch's
+    /// crossings on its tree; after any other batch, judged by its net
+    /// change alone.
     fn judge_shadow(&mut self, shadow: &Shadow) -> Verdict {
         let at = self.net(&shadow.since);
         let net = &self.nets[at];
@@ -709,12 +642,8 @@ impl<'a, N> Plan<'a, N> {
             return Verdict::Hold(Arc::clone(&net.changes));
         }
         let batch = &self.nets[0];
-        if !batch.pure_cut {
-            return if net.pure_cut {
-                self.walk(&shadow.tree, at, at)
-            } else {
-                Verdict::Stale
-            };
+        if !batch.degradation {
+            return self.judge(&shadow.tree, at);
         }
         let found = &mut self.traversal.crossings;
         shadow.tree.crossings(batch.cuts(self.g), found);
@@ -731,7 +660,18 @@ impl<'a, N> Plan<'a, N> {
         })
     }
 
-    /// The cut rule for `tree` and the cuts of `nets[cuts]`: held if no
+    /// `tree` by its net change `nets[at]` alone: stale if that has a gain
+    /// whose tail the tree's source reaches, else held or shadowed as the
+    /// walk of its degradations says.
+    fn judge(&mut self, tree: &Arc<PathTree>, at: usize) -> Verdict {
+        if self.nets[at].reaches(self.g, tree.source()) {
+            Verdict::Stale
+        } else {
+            self.walk(tree, at, at)
+        }
+    }
+
+    /// The walk of `tree` over the degradations of `nets[cuts]`: held if no
     /// reported path crosses them, else shadowed with their crossings.
     /// Either way the tree's net change is `nets[net]`.
     fn walk(&mut self, tree: &Arc<PathTree>, cuts: usize, net: usize) -> Verdict {
@@ -909,16 +849,11 @@ mod tests {
     }
 
     #[test]
-    fn improving_an_edge_dirties_only_the_trees_it_can_improve() {
+    fn improving_an_edge_dirties_the_trees_that_reach_its_tail() {
         let (mut g, _, e) = world();
         let mut ap = all_pairs(&g);
-        // n4→n3 goes (1, 9) → (50, 0); only n0 and n4 reach n4.
-        // n4's own tree: reach = min(∞, 50) = 50 > B(n4,n3) = 1 — dirty.
-        // n0's tree: reach = min(B(n0,n4), 50) = 2 ≤ B(n0,n3) = 10, so its
-        // levels {10, 2} stand. The edge joins level 2 only (1 < 2 ≤ 2);
-        // there the Dijkstra settled n1, n2, n3, n4 at 1, 2, 3, 5 µs
-        // (Λ = 5, n4 the one node pinned), and the candidate
-        // d₂(n4) + 0 = 5 µs loses to the artery's 3 µs at n3 — clean.
+        // n4→n3 goes (1, 9) → (50, 0); only n0 and n4 reach n4, and both
+        // are left stale, n0's although the edge loses to its artery.
         let old = *g.edge(e[4]);
         *g.edge_mut(e[4]) = q(50, 0);
         let stats = ap.patch(
@@ -929,15 +864,16 @@ mod tests {
                 new: q(50, 0),
             }],
         );
-        assert_eq!(stats.trees_recomputed, 1);
+        assert_eq!(stats.trees_recomputed, 2);
+        assert_eq!(ap.materialised(), 3);
         assert_tables_equal(&ap, &all_pairs(&g), &g);
     }
 
     #[test]
-    fn bandwidth_restore_skips_narrow_upstream_sources() {
-        // Restoring b→c from 5 back to 10 cannot help a: its bottleneck to
-        // b is 1, so every through-edge path is capped at 1 regardless, and
-        // at a's one level (1) the edge is what it always was.
+    fn a_widen_dirties_every_source_reaching_its_tail() {
+        // Widening b→c from 5 to 10 cannot help a, whose bottleneck to b is
+        // 1, but a reaches b: the rule does not look at bottlenecks, and
+        // leaves a's tree stale with b's. c reaches nothing.
         let mut g: DiGraph<(), Qos> = DiGraph::new();
         let a = g.add_node(());
         let b = g.add_node(());
@@ -954,7 +890,8 @@ mod tests {
                 new: q(10, 1),
             }],
         );
-        assert_eq!(stats.trees_recomputed, 1); // b only
+        assert_eq!(stats.trees_recomputed, 2);
+        assert!(ap.trees[c.index()].tree.get().is_some());
         assert_tables_equal(&ap, &all_pairs(&g), &g);
     }
 
@@ -962,9 +899,8 @@ mod tests {
     fn mixed_change_is_treated_as_improvement() {
         let (mut g, _, e) = world();
         let mut ap = all_pairs(&g);
-        // Wider but slower. Re-timed: n0 and n1 record labels through
-        // n1→n2, nobody else reaches it. Gain side: reach is min(10, 20),
-        // no wider than n2 already is, and the edge joins no level ≤ 10.
+        // Wider but slower is a gain: n0 and n1 reach the tail n1, nobody
+        // else does.
         let old = *g.edge(e[1]);
         *g.edge_mut(e[1]) = q(20, 9);
         let stats = ap.patch(
@@ -1018,7 +954,7 @@ mod tests {
             1,
         );
         // Every clean tree is the predecessor's Arc, not a copy; the two
-        // the patch invalidated are stale until read.
+        // the patch invalidated are shadowed until read.
         assert_eq!(before.materialised(), before.len());
         assert_eq!(
             before.shared_trees(&next),
@@ -1037,17 +973,19 @@ mod tests {
     fn a_stale_slot_stays_stale_and_is_swept_against_its_own_table() {
         let (mut g, n, e) = world();
         let first = all_pairs(&g);
-        *g.edge_mut(e[1]) = q(3, 4);
+        *g.edge_mut(e[1]) = q(20, 9);
         let change = EdgeChange {
             edge: e[1],
             old: q(10, 1),
-            new: q(3, 4),
+            new: q(20, 9),
         };
         let (second, stats) = first.patched_with(&g, &[change], 1);
         assert_eq!(stats.trees_recomputed, 2); // n0 and n1, both stale now
+        assert_eq!(second.materialised(), 3);
         let second_graph = g.clone();
         // A second patch plans only what is materialised: n0's and n1's
-        // slots are dirty already and stay stale with no plan.
+        // slots are dirty already and stay stale with no plan; n2 reports
+        // the slowed n2→n3 and is shadowed.
         *g.edge_mut(e[2]) = q(10, 9);
         let change = EdgeChange {
             edge: e[2],
@@ -1061,8 +999,8 @@ mod tests {
         // Each table sweeps its stale slots against its own graph.
         assert_tables_equal(&second, &all_pairs(&second_graph), &second_graph);
         assert_tables_equal(&third, &all_pairs(&g), &g);
-        assert_eq!(second.qos(n[0], n[3]), Some(q(3, 6)));
-        assert_eq!(third.qos(n[0], n[3]), Some(q(3, 14)));
+        assert_eq!(second.qos(n[0], n[3]), Some(q(10, 11)));
+        assert_eq!(third.qos(n[0], n[3]), Some(q(10, 19)));
     }
 
     #[test]
@@ -1116,8 +1054,12 @@ mod tests {
     }
 
     #[test]
-    fn batched_changes_union_their_dirty_sets() {
-        let (mut g, _, e) = world();
+    fn a_gain_a_source_cannot_reach_leaves_its_tree_to_the_degradations_walk() {
+        // Slowing n2→n3 and speeding up n4→n3 in one batch: n0 and n4
+        // reach the gained tail n4 and are stale; n1 and n2 cannot, and
+        // their trees are walked on the slow-down alone, which both report:
+        // shadowed. n3 reaches nothing.
+        let (mut g, n, e) = world();
         let mut ap = all_pairs(&g);
         let old1 = *g.edge(e[2]);
         let old4 = *g.edge(e[4]);
@@ -1138,12 +1080,15 @@ mod tests {
                 },
             ],
         );
-        assert!(stats.trees_recomputed < stats.trees_total);
+        assert_eq!(stats.trees_recomputed, 4);
+        let shadowed: Vec<bool> = n.iter().map(|&u| ap.moved(u).is_some()).collect();
+        assert_eq!(shadowed, [false, true, true, false, false]);
+        assert_eq!(ap.materialised(), 1);
         assert_tables_equal(&ap, &all_pairs(&g), &g);
     }
 
     #[test]
-    fn simultaneous_improvements_are_certified_against_the_same_labels() {
+    fn simultaneous_improvements_dirty_the_sources_reaching_either_tail() {
         let (mut g, _, e) = world();
         let mut ap = all_pairs(&g);
         let old3 = *g.edge(e[3]);
@@ -1165,14 +1110,13 @@ mod tests {
                 },
             ],
         );
-        // n0 (20 > B(n0,n4) = 2) and n4 (20 > B(n4,n3) = 1) widen; n1, n2
-        // and n3 reach neither tail.
+        // n0 reaches both tails, n4 its own; n1, n2 and n3 reach neither.
         assert_eq!(stats.trees_recomputed, 2);
         assert_tables_equal(&ap, &all_pairs(&g), &g);
     }
 
     #[test]
-    fn two_improvements_that_lose_everywhere_leave_upstream_clean() {
+    fn two_improvements_that_lose_everywhere_still_dirty_their_tails_sources() {
         let (mut g, _, e) = world();
         let mut ap = all_pairs(&g);
         let old4 = *g.edge(e[4]);
@@ -1194,10 +1138,10 @@ mod tests {
                 },
             ],
         );
-        // Both join n0's level 2 and both lose there: 5 + 9 µs against
-        // n3's 3 µs, 0 + 3 µs against n1's 1 µs. Only n4's own tree widens
-        // (2 > 1); reaching the tails would have dirtied n0 as well.
-        assert_eq!(stats.trees_recomputed, 1);
+        // Both lose in n0's tree — 5 + 9 µs against n3's 3 µs, 0 + 3 µs
+        // against n1's 1 µs — but n0 reaches both tails, so its tree is
+        // swept again with n4's, whose own widens (2 > 1).
+        assert_eq!(stats.trees_recomputed, 2);
         assert_tables_equal(&ap, &all_pairs(&g), &g);
     }
 
@@ -1312,12 +1256,12 @@ mod tests {
     }
 
     #[test]
-    fn a_slow_down_under_an_unreported_label_dirties_the_tree() {
+    fn a_slow_down_under_an_unreported_label_holds_the_tree() {
         // s reaches u at level 10 directly (5 µs) and, at level 5, faster
         // through a (2 µs) — a label no reported path reads, because u is
-        // pinned at 10. Slowing a→u leaves every reported path alone, but
-        // a later certificate would walk that label: kept, the tree would
-        // price u→v from 101 µs instead of 5 and miss s→u→v at 8 µs.
+        // pinned at 10. Slowing a→u leaves every path s reports alone, so
+        // s's tree is held; a reports a→u and is shadowed. The later gain
+        // on u→v reaches s through u, and s's tree is swept again.
         let mut g: DiGraph<(), Qos> = DiGraph::new();
         let s = g.add_node(());
         let a = g.add_node(());
@@ -1339,11 +1283,13 @@ mod tests {
                 new: q(5, 100),
             }],
         );
-        assert_eq!(stats.trees_recomputed, 2); // s and a
+        assert_eq!(stats.trees_recomputed, 1);
+        assert!(ap.trees[s.index()].tree.get().is_some());
+        assert!(ap.moved(a).is_some());
         assert_tables_equal(&ap, &all_pairs(&g), &g);
 
         *g.edge_mut(gain) = q(5, 3);
-        ap.patch(
+        let stats = ap.patch(
             &g,
             &[EdgeChange {
                 edge: gain,
@@ -1351,6 +1297,7 @@ mod tests {
                 new: q(5, 3),
             }],
         );
+        assert_eq!(stats.trees_recomputed, 3); // s, a and u reach u
         assert_eq!(ap.qos(s, v), Some(q(5, 8)));
         assert_tables_equal(&ap, &all_pairs(&g), &g);
     }
@@ -1358,12 +1305,11 @@ mod tests {
     #[test]
     fn a_speed_up_under_an_unreported_label_dirties_the_tree() {
         // At level 3, s settles q at 2 µs through p→q — a label no reported
-        // path reads, because q is pinned at 5 — and w, the one node pinned
-        // at 3, directly at 2 µs (Λ = 2). Narrowing p→q to 2 and speeding
-        // it up takes it out of level 3 without touching a reported path,
-        // but q's recorded level-3 chain still runs over it: kept, the tree
-        // would walk that chain to 0 µs, let the widened spare p→q (1 µs)
-        // "lose" to it, and miss s→p→q→w at (3, 1).
+        // path reads, because q is pinned at 5 — and w directly at 2 µs.
+        // Narrowing p→q to 2 and speeding it up takes it out of level 3
+        // without touching a reported path, but it is a gain, and s
+        // reaches its tail: s's tree is swept again with p's, and so is
+        // it when the spare p→q widens, which s→p→q→w at (3, 1) needs.
         let mut g: DiGraph<(), Qos> = DiGraph::new();
         let s = g.add_node(());
         let p = g.add_node(());
@@ -1387,8 +1333,7 @@ mod tests {
                 new: q(2, 0),
             }],
         );
-        // p reports p→q over the edge; s only records it, at level 3.
-        assert_eq!(stats.trees_recomputed, 2);
+        assert_eq!(stats.trees_recomputed, 2); // s and p reach p
         assert_tables_equal(&ap, &all_pairs(&g), &g);
 
         *g.edge_mut(spare) = q(3, 1);
@@ -1404,72 +1349,6 @@ mod tests {
         assert_tables_equal(&ap, &all_pairs(&g), &g);
     }
 
-    proptest::proptest! {
-        /// The certificate's own premise, checked from first principles
-        /// after every patch of a random lineage: whatever tree the table
-        /// holds — fresh or kept through any number of batches — its walked
-        /// labels are exact on pinned nodes and, capped at `Λ`, a feasible
-        /// potential of the graph of the day. A rule that keeps a tree whose
-        /// labels have gone stale fails here at the patch that staled them,
-        /// not at the rare later gain that would read the stale label.
-        ///
-        /// Between batches only some rows are read (the two masks, ANDed:
-        /// about a quarter), so later patches plan over tables whose slots
-        /// are partly stale and whose kept trees were swept at different
-        /// points of the lineage. Every materialised tree is checked after
-        /// every patch, and every tree once all are forced at the end.
-        #[test]
-        fn kept_trees_keep_labels_the_certificate_can_stand_on(
-            nodes in 3usize..8,
-            edges in proptest::collection::vec((0usize..8, 0usize..8, 0u64..6, 0u64..4), 1..24),
-            batches in proptest::collection::vec(
-                (
-                    proptest::collection::vec((0usize..64, 0u64..6, 0u64..4), 1..3),
-                    0u8..255,
-                    0u8..255,
-                ),
-                1..9,
-            ),
-        ) {
-            let mut g: DiGraph<(), Qos> = DiGraph::new();
-            let ids: Vec<NodeIx> = (0..nodes).map(|_| g.add_node(())).collect();
-            for (a, b, bw, lat) in edges {
-                if a % nodes != b % nodes {
-                    g.add_edge(ids[a % nodes], ids[b % nodes], q(bw, lat));
-                }
-            }
-            if g.edge_count() == 0 {
-                return Ok(());
-            }
-            let mut ap = all_pairs(&g);
-            for (batch, reads, also) in batches {
-                let changes: Vec<EdgeChange> = batch
-                    .into_iter()
-                    .map(|(raw, bw, lat)| {
-                        let edge = EdgeIx::from_index(raw % g.edge_count());
-                        let old = std::mem::replace(g.edge_mut(edge), q(bw, lat));
-                        EdgeChange { edge, old, new: q(bw, lat) }
-                    })
-                    .collect();
-                ap.patch(&g, &changes);
-                for s in g.node_ids().filter(|s| ((reads & also) >> s.index()) & 1 == 1) {
-                    ap.tree(s);
-                }
-                for (s, slot) in ap.trees.iter().enumerate() {
-                    if let Some(tree) = slot.tree.get() {
-                        proptest::prop_assert!(
-                            tree.labels_are_a_feasible_potential(&g),
-                            "tree of {s} after {changes:?}"
-                        );
-                    }
-                }
-            }
-            for s in g.node_ids() {
-                proptest::prop_assert!(ap.tree(s).labels_are_a_feasible_potential(&g));
-            }
-        }
-    }
-
     #[test]
     fn edge_change_classification() {
         let c = |old, new| EdgeChange {
@@ -1482,12 +1361,14 @@ mod tests {
         assert!(c(q(5, 5), q(5, 6)).is_degradation());
         assert!(!c(q(5, 5), q(6, 4)).is_degradation());
         assert!(!c(q(5, 5), q(6, 6)).is_degradation()); // mixed
+                                                        // A narrowing keeps its new bandwidth as the floor, a slow-down
+                                                        // has none; a gain, mixed or not, is no degradation at all.
         assert_eq!(c(q(5, 5), q(4, 5)).loss_floor(), Some(Bandwidth::kbps(4)));
-        assert_eq!(c(q(5, 5), q(4, 4)).loss_floor(), Some(Bandwidth::kbps(4)));
+        assert_eq!(c(q(5, 5), q(5, 6)).loss_floor(), Some(Bandwidth::ZERO));
+        assert_eq!(c(q(5, 5), q(4, 6)).loss_floor(), Some(Bandwidth::ZERO));
+        assert_eq!(c(q(5, 5), q(4, 4)).loss_floor(), None);
         assert_eq!(c(q(5, 5), q(6, 5)).loss_floor(), None);
-        assert_eq!(c(q(5, 5), q(5, 6)).loss_floor(), None);
-        assert!(c(q(5, 5), q(4, 6)).is_retimed());
-        assert!(c(q(5, 5), q(6, 4)).is_retimed());
-        assert!(!c(q(5, 5), q(4, 5)).is_retimed());
+        assert_eq!(c(q(5, 5), q(6, 6)).loss_floor(), None);
+        assert_eq!(c(q(5, 5), q(5, 5)).loss_floor(), None);
     }
 }

@@ -28,7 +28,7 @@
 //!   swept by one concrete kernel
 //!   ([`shortest_widest::single_source_csr`], a widest pass and then the
 //!   level sweep, which [`shortest_widest::single_source_moved_csr`] cuts
-//!   short for a row a pure cut shadowed) over one layout, [`QosCsr`] —
+//!   short for a row a degradation shadowed) over one layout, [`QosCsr`] —
 //!   a compressed-sparse-row flattening of the graph's adjacency with the
 //!   edge weights in slot-parallel arrays — and holds its trees behind
 //!   `Arc`s so an incrementally patched successor shares every clean tree

@@ -84,16 +84,16 @@
 //! a sweep of many sources. A patch ([`AllPairs::patched_with`]) is a
 //! plan and derives no CSR: it reweights its predecessor's from the change
 //! list (two weight arrays copied, `O(k log E)` for the `k` changed
-//! slots), plans a bandwidth cut in `O(changes × chain)` per materialised
-//! or shadowed tree — a cut head's chain, a few entries — plus `O(V)` and
-//! a walk of the levels that matter for the trees whose chains name a cut
-//! edge, and sweeps nothing. (A gain or a re-timing is planned by the
-//! certificate, per materialised tree and change: a binary search of the
-//! level bounds the tree keeps, then only the levels the edge joins or got
-//! faster at, and for a re-timing the edge's head's chain.) The sweep a
-//! dirty tree costs is paid on the first read of its row that needs it,
-//! against the table the reader holds, and not at all for a row nobody
-//! reads there. After a pure cut a read of a destination the cut moved
+//! slots), plans a degradation in `O(changes × chain)` per materialised
+//! or shadowed tree — a degraded head's chain, a few entries — plus `O(V)`
+//! and a walk of the levels that matter for the trees whose chains name a
+//! degraded edge, and sweeps nothing. (A net change with a gain costs one
+//! reverse pass over the graph from the gained tails, `O(V + E)` once per
+//! distinct net change, and a walk of its degradations for the trees that
+//! cannot reach them.) The sweep a dirty tree costs is paid on the first
+//! read of its row that needs it, against the table the reader holds, and
+//! not at all for a row nobody reads there. After a degradation a read of
+//! a destination it moved
 //! pays only the sweep up to the row's last moved destination
 //! ([`single_source_moved_csr`]); only a read of the whole tree, or a
 //! cut-short sweep whose last moved destination is pinned at the last
@@ -104,7 +104,7 @@
 //! change since its sweep, one list shared by the trees swept together; a
 //! patch folds its batch into each distinct list once, a merge of two
 //! sorted lists, and a tree or shadow that change leaves on its sweep graph
-//! costs the patch a refcount bump, with no certificate and no walk. A list
+//! costs the patch a refcount bump, with no walk. A list
 //! grows by every edge changed and not put back since its trees' sweep, so
 //! a lineage that never undoes itself pays its length on every patch.
 
@@ -119,13 +119,11 @@ use sflow_graph::{Csr, DiGraph, EdgeIx, NodeIx};
 use crate::engine::EdgeChange;
 use crate::{Bandwidth, Latency, Qos};
 
-/// One entry of a node's chain: the label and predecessor it held from
-/// `level` (an index into the tree's levels, widest first) until its next
-/// entry.
+/// One entry of a node's chain: the predecessor it held from `level` (an
+/// index into the tree's levels, widest first) until its next entry.
 #[derive(Clone, Copy, Debug)]
 struct Version {
     level: u32,
-    latency: Latency,
     pred: NodeIx,
     edge: EdgeIx,
 }
@@ -142,27 +140,23 @@ pub struct PathTree {
     /// for a tree that reaches nothing).
     levels: u32,
     /// `versions[first[x]..first[x + 1]]` is node `x`'s chain, widest level
-    /// first. Past the `V + 1` offsets, `first[V + 1 + li]` is the last
-    /// node the sweep settled at level `li` ([`PathTree::level_bound`]).
+    /// first.
     first: Vec<u32>,
     versions: Vec<Version>,
 }
 
 impl PathTree {
     /// Groups a sweep's log — one `(node, version)` per entry, in the order
-    /// the levels were visited — by node, and keeps `last`, the node each
-    /// level settled last, behind the chain offsets.
+    /// its `levels` were visited — by node.
     fn new(
         source: NodeIx,
         dist: Vec<Option<Qos>>,
         node_level: Vec<u32>,
-        last: &[u32],
+        levels: u32,
         log: &[(NodeIx, Version)],
     ) -> Self {
         let n = dist.len();
-        let levels = last.len() as u32;
-        let mut first = Vec::with_capacity(n + 1 + last.len());
-        first.resize(n + 1, 0u32);
+        let mut first = vec![0u32; n + 1];
         for (node, _) in log {
             first[node.index() + 1] += 1;
         }
@@ -182,7 +176,6 @@ impl PathTree {
             first.rotate_right(1);
             first[0] = 0;
         }
-        first.extend_from_slice(last);
         PathTree {
             source,
             dist,
@@ -214,25 +207,6 @@ impl PathTree {
     pub fn level_of(&self, node: NodeIx) -> Option<usize> {
         self.dist[node.index()]?;
         (node != self.source).then(|| self.node_level[node.index()] as usize)
-    }
-
-    /// Level `level`'s `(bandwidth, Λ)`: its bottleneck, and the largest
-    /// latency among the nodes pinned there — where the sweep left the
-    /// level. Within a level the sweep settles nodes in label order, so
-    /// that is the QoS of the last node it settled there, which the tree
-    /// keeps: `O(1)`, where reading it off every node's QoS is `O(V)`.
-    ///
-    /// # Panics
-    ///
-    /// If `level` is not below [`PathTree::level_count`].
-    #[expect(
-        clippy::expect_used,
-        reason = "the node a level settled last is reachable"
-    )]
-    pub fn level_bound(&self, level: usize) -> (Bandwidth, Latency) {
-        let last = self.first[self.dist.len() + 1 + level] as usize;
-        let qos = self.dist[last].expect("a level's last settled node has a QoS");
-        (qos.bandwidth, qos.latency)
     }
 
     /// Number of `(label, predecessor)` entries the tree stores — what it
@@ -306,8 +280,9 @@ impl PathTree {
     /// per-level subgraphs at levels `b ≤ bw1` still contain the edge with
     /// identical weight, so paths pinned at those levels are untouched —
     /// only paths whose bottleneck level exceeds the surviving bandwidth
-    /// `bw1` can lose the edge. (An edge whose latency moved is
-    /// `PathTree::certifies`'s business.)
+    /// `bw1` can lose the edge. An edge that got slower is a cut with a
+    /// [`Bandwidth::ZERO`] floor: a path over it at any level reports a
+    /// latency the edge no longer gives.
     ///
     /// This is the full walk: every level, from every node pinned there
     /// (found through a per-level index), visiting each node at most once
@@ -535,147 +510,6 @@ impl PathTree {
             .collect();
         self.traverses_above(&floors, &mut TraversalScratch::new())
     }
-
-    /// The label `node` held at level `li`, `None` if it had none yet.
-    fn label(&self, li: u32, node: NodeIx) -> Option<Latency> {
-        if node == self.source {
-            return Some(Latency::ZERO);
-        }
-        self.version_at(node, li).map(|at| at.latency)
-    }
-
-    /// `true` if any label this tree settled — on a reported path or not —
-    /// came over an edge whose latency `changes` moved, either way. An
-    /// entry that lies beyond `Λ` ([`PathTree::level_bound`]) at every
-    /// level it stands for is nobody's label: it reads as "beyond `Λ`"
-    /// before and after. An entry over `u → v` is one of `v`'s, so only
-    /// the re-timed edges' heads' chains are read.
-    fn records_retimed<N>(&self, g: &DiGraph<N, Qos>, changes: &[EdgeChange]) -> bool {
-        changes.iter().filter(|c| c.is_retimed()).any(|c| {
-            let head = g.edge_endpoints(c.edge).1;
-            self.chain(head).any(|(at, until)| {
-                at.edge == c.edge
-                    && (at.level..until).any(|li| at.latency <= self.level_bound(li as usize).1)
-            })
-        })
-    }
-
-    /// How many levels are wider than `bandwidth`: levels run widest
-    /// first, each narrower than the last. `O(log L)`.
-    fn levels_wider_than(&self, bandwidth: Bandwidth) -> u32 {
-        let last = &self.first[self.dist.len() + 1..];
-        let wider = |&x: &u32| self.dist[x as usize].is_some_and(|q| q.bandwidth > bandwidth);
-        last.partition_point(wider) as u32
-    }
-
-    /// The label-side optimality certificate of the incremental engine:
-    /// `true` if, as far as latency changes and improvements go, rerunning
-    /// the exact kernel after `changes` would reproduce every QoS and path
-    /// this tree reports *and* leave the labels a later certificate reads
-    /// as good as the kernel's own (bandwidth cuts are
-    /// [`PathTree::traverses_above`]'s). See "Dirty rules" in
-    /// [`crate::engine`] for the argument.
-    ///
-    /// `changes` holds one record per edge, sorted by edge, and `g` already
-    /// carries their `new` weights. Exact trees only — a lexicographic
-    /// tree's one level is not a latency Dijkstra. Each level's
-    /// `(bandwidth, Λ)` is the tree's own ([`PathTree::level_bound`]).
-    pub(crate) fn certifies<N>(&self, g: &DiGraph<N, Qos>, changes: &[EdgeChange]) -> bool {
-        // A tree does not outlive a re-timed edge anywhere under its
-        // labels: a stored label is the sum the kernel took over the
-        // latencies of its day.
-        if self.records_retimed(g, changes) {
-            return false;
-        }
-        let source = self.source;
-        for c in changes {
-            if c.is_degradation() {
-                continue;
-            }
-            let faster = c.new.latency < c.old.latency;
-            let (u, v) = g.edge_endpoints(c.edge);
-            let Some(to_tail) = self.dist[u.index()] else {
-                continue;
-            };
-            let reach = to_tail.bandwidth.bottleneck(c.new.bandwidth);
-            if v == source || reach == Bandwidth::ZERO {
-                continue;
-            }
-            // (1) The widest labels still satisfy the edge.
-            if self.dist[v.index()].is_none_or(|q| reach > q.bandwidth) {
-                return false;
-            }
-            // (2) At every level `b ≤ reach` the edge joins (`b > bw₀`) or
-            // got faster at, its candidate does not beat the head's label.
-            let joins = if faster {
-                self.levels
-            } else if reach <= c.old.bandwidth {
-                continue; // it joins no level it can reach
-            } else {
-                self.levels_wider_than(c.old.bandwidth)
-            };
-            for li in self.levels_wider_than(reach)..joins {
-                let lambda = self.level_bound(li as usize).1;
-                let label = |node| self.label(li, node).filter(|&d| d <= lambda);
-                let Some(tail_label) = label(u) else {
-                    continue; // not settled at this level
-                };
-                let cand = tail_label + c.new.latency;
-                match label(v) {
-                    // Unsettled head: only known to lie beyond Λ.
-                    None if cand <= lambda => return false,
-                    Some(head_label) if cand < head_label => return false,
-                    // A tie keeps the recorded predecessor only if that
-                    // one settled strictly before the tail.
-                    Some(head_label) if cand == head_label => {
-                        let first = self
-                            .version_at(v, li)
-                            .and_then(|at| label(at.pred))
-                            .is_some_and(|d| d < tail_label);
-                        if !first {
-                            return false;
-                        }
-                    }
-                    _ => {}
-                }
-            }
-        }
-        true
-    }
-
-    /// The invariant [`PathTree::certifies`] stands on, checked from first
-    /// principles against `g`: at every level `b`, each pinned node's label
-    /// is the latency the tree reports, and the labels capped at `Λ_b` are
-    /// a feasible potential — `φ(y) ≤ φ(x) + lat` over every edge of
-    /// bandwidth `≥ b`, with `φ(x) = min(label(x), Λ_b)` and no label
-    /// counting as `Λ_b`. Each level's `(b, Λ_b)` is read off the pinned
-    /// nodes' QoS, and the tree's own [`PathTree::level_bound`] must agree.
-    #[cfg(test)]
-    pub(crate) fn labels_are_a_feasible_potential<N>(&self, g: &DiGraph<N, Qos>) -> bool {
-        let mut levels = vec![(Bandwidth::ZERO, Latency::ZERO); self.levels as usize];
-        for x in g.node_ids() {
-            if let (Some(li), Some(qos)) = (self.level_of(x), self.qos_to(x)) {
-                let (b, lambda) = &mut levels[li];
-                *b = qos.bandwidth;
-                *lambda = (*lambda).max(qos.latency);
-            }
-        }
-        let stored = (0..levels.len()).map(|li| self.level_bound(li));
-        stored.eq(levels.iter().copied())
-            && (0u32..).zip(&levels).all(|(li, &(b, lambda))| {
-                let label = |x| self.label(li, x);
-                let phi = |x| label(x).map_or(lambda, |d| d.min(lambda));
-                let pinned_exact = g.node_ids().all(|x| {
-                    x == self.source
-                        || self.node_level[x.index()] != li
-                        || self.dist[x.index()].is_none_or(|q| label(x) == Some(q.latency))
-                });
-                pinned_exact
-                    && g.edges()
-                        .filter(|e| e.weight.bandwidth >= b)
-                        .all(|e| phi(e.to) <= phi(e.from) + e.weight.latency)
-            })
-    }
 }
 
 /// Reusable storage for [`PathTree::traverses_above`] and the patcher's cut
@@ -792,8 +626,6 @@ pub struct DijkstraScratch {
     standing: Vec<Standing>,
     heap: BinaryHeap<SweepEntry>,
     log: Vec<(NodeIx, Version)>,
-    /// The node each level settled last, widest level first.
-    last: Vec<u32>,
     /// What [`settle_csr`] answers in, and its levels.
     settled: Vec<Option<Qos>>,
     settled_levels: Vec<u32>,
@@ -1119,7 +951,6 @@ impl DijkstraScratch {
         }
         let version = Version {
             level: li,
-            latency: label.latency,
             pred: tail,
             edge: csr.adj.edges()[slot],
         };
@@ -1178,7 +1009,7 @@ pub fn single_source_csr(csr: &QosCsr, source: NodeIx, scratch: &mut DijkstraScr
     let widest = std::mem::take(&mut scratch.widest);
     let mut dist: Vec<Option<Qos>> = vec![None; n];
     let mut node_level = vec![0u32; n];
-    level_sweep(
+    let (levels, _) = level_sweep(
         csr,
         source,
         &widest,
@@ -1188,17 +1019,17 @@ pub fn single_source_csr(csr: &QosCsr, source: NodeIx, scratch: &mut DijkstraScr
         &mut node_level,
     );
     scratch.widest = widest; // hand the buffer back for the next sweep
-    PathTree::new(source, dist, node_level, &scratch.last, &scratch.log)
+    PathTree::new(source, dist, node_level, levels, &scratch.log)
 }
 
 /// [`single_source_csr`] cut short, for a row whose tree `shadow` was
-/// swept before a run of pure bandwidth cuts: `moved` (one flag per node)
-/// must mark at least every node whose widest bandwidth from the source
-/// those cuts lowered — every destination a cut moved marks them all.
+/// swept before a run of degradations: `moved` (one flag per node) must
+/// mark at least every node whose widest bandwidth from the source those
+/// lowered — every destination they moved marks them all.
 ///
 /// The widest pass stops once every marked node has popped, and an
-/// unmarked node takes its bandwidth from `shadow`: across a pure cut it
-/// keeps it. The level sweep then runs the full sweep's operations, in the
+/// unmarked node takes its bandwidth from `shadow`: across a degradation
+/// that does not move it, it keeps it. The level sweep then runs the full sweep's operations, in the
 /// full sweep's order, and stops right after the last marked node settles,
 /// unless that is at the last level, where it finishes the level. So the
 /// tree answers every node it settled — every marked node a path reaches
@@ -1225,7 +1056,7 @@ pub fn single_source_moved_csr(
     }
     let mut dist: Vec<Option<Qos>> = vec![None; n];
     let mut node_level = vec![0u32; n];
-    let complete = level_sweep(
+    let (levels, complete) = level_sweep(
         csr,
         source,
         &want,
@@ -1235,7 +1066,7 @@ pub fn single_source_moved_csr(
         &mut node_level,
     );
     scratch.widest = want;
-    let tree = PathTree::new(source, dist, node_level, &scratch.last, &scratch.log);
+    let tree = PathTree::new(source, dist, node_level, levels, &scratch.log);
     (tree, complete)
 }
 
@@ -1274,12 +1105,11 @@ pub fn settle_csr<'s>(
 /// The descending sweep: settles the nodes `want` names, each at the
 /// bandwidth named for it, into `dist` and `node_level` (one entry per
 /// node, all `None` / 0 on entry), logging the tree's entries in
-/// `scratch.log` and the node each level settled last in `scratch.last`
-/// (one per level visited). It visits only the named bandwidths, widest
-/// first, and stops when the last named node settles. A `need` mask (one
-/// flag per node; empty for none) stops it sooner: right after the last
-/// named node the mask marks settles, if a level is left after that one.
-/// Returns `true` if it swept every level in full.
+/// `scratch.log`. It visits only the named bandwidths, widest first, and
+/// stops when the last named node settles. A `need` mask (one flag per
+/// node; empty for none) stops it sooner: right after the last named node
+/// the mask marks settles, if a level is left after that one. Returns how
+/// many levels it visited, and `true` if it swept every level in full.
 ///
 /// Not generic and never inlined: [`single_source_csr`],
 /// [`single_source_moved_csr`] and [`settle_csr`] run this one compiled
@@ -1293,7 +1123,7 @@ fn level_sweep(
     scratch: &mut DijkstraScratch,
     dist: &mut [Option<Qos>],
     node_level: &mut [u32],
-) -> bool {
+) -> (u32, bool) {
     let n = csr.node_count();
     let mut needed = (0..need.len())
         .filter(|&x| need[x] && x != source.index() && want[x].is_some())
@@ -1320,7 +1150,6 @@ fn level_sweep(
     scratch.standing[source.index()].label = Label::SOURCE;
     scratch.heap.clear();
     scratch.log.clear();
-    scratch.last.clear();
 
     dist[source.index()] = Some(Qos::IDENTITY);
     let mut admitted = 0;
@@ -1334,7 +1163,6 @@ fn level_sweep(
         }
         let mut unsettled = rest.iter().take_while(|&&p| p == b).count();
         rest = &rest[unsettled..];
-        let mut last = source;
 
         // The links this level admits, offered from the label their tail
         // stands at — the source's own links included, so it is never
@@ -1362,12 +1190,11 @@ fn level_sweep(
             if want[node.index()] == Some(b) {
                 dist[node.index()] = Some(Qos::new(b, label.latency));
                 node_level[node.index()] = li;
-                last = node;
                 unsettled -= 1;
                 if need.get(node.index()) == Some(&true) {
                     needed -= 1;
                     if needed == 0 && !rest.is_empty() {
-                        scratch.last.push(node.index() as u32);
+                        li += 1;
                         complete = false;
                         break 'levels;
                     }
@@ -1385,12 +1212,11 @@ fn level_sweep(
                 }
             }
         }
-        scratch.last.push(last.index() as u32);
         li += 1;
     }
 
     scratch.pinned = pinned; // hand the buffer back for the next sweep
-    complete
+    (li, complete)
 }
 
 #[derive(PartialEq, Eq)]
@@ -1429,13 +1255,11 @@ pub fn single_source_lexicographic<N>(g: &DiGraph<N, Qos>, source: NodeIx) -> Pa
         qos: Qos::IDENTITY,
         node: source,
     });
-    let mut last = source;
     while let Some(LexEntry { qos, node }) = heap.pop() {
         if done[node.index()] {
             continue;
         }
         done[node.index()] = true;
-        last = node;
         for e in g.out_edges(node) {
             if e.weight.bandwidth == Bandwidth::ZERO {
                 continue;
@@ -1457,24 +1281,19 @@ pub fn single_source_lexicographic<N>(g: &DiGraph<N, Qos>, source: NodeIx) -> Pa
         .node_ids()
         .filter_map(|x| {
             let (pred, edge) = pred[x.index()]?;
-            let latency = dist[x.index()]?.latency;
-            let at = Version {
-                level: 0,
-                latency,
-                pred,
-                edge,
-            };
-            Some((x, at))
+            Some((
+                x,
+                Version {
+                    level: 0,
+                    pred,
+                    edge,
+                },
+            ))
         })
         .collect();
-    // One level if anything is reached; a lexicographic tree is never
-    // certified, so its bound is only what the last pop left.
-    let last: &[u32] = if log.is_empty() {
-        &[]
-    } else {
-        &[last.index() as u32]
-    };
-    PathTree::new(source, dist, vec![0; g.node_count()], last, &log)
+    // One level if anything is reached.
+    let levels = u32::from(!log.is_empty());
+    PathTree::new(source, dist, vec![0; g.node_count()], levels, &log)
 }
 
 /// All-pairs shortest-widest paths: one exact [`PathTree`] per node.
@@ -1490,15 +1309,14 @@ pub fn single_source_lexicographic<N>(g: &DiGraph<N, Qos>, source: NodeIx) -> Pa
 /// deriving its own.
 ///
 /// A slot is in one of three states. *Materialised*, it holds its tree.
-/// *Shadowed* — what a pure bandwidth cut leaves of a tree it invalidated,
-/// and what a later gain leaves of a tree or shadow while the net change
-/// since its tree was swept is still a pure cut — it holds the slot's last
-/// tree and
-/// where the cuts since can have moved its destinations, and
-/// [`AllPairs::qos`] and [`AllPairs::path`] answer every destination they
-/// did not move from that tree; a patch that undoes those cuts makes the
-/// tree the slot's own again. *Stale* — what any other patch leaves of a
-/// tree it invalidated, and of a shadow — it holds nothing. A read of a
+/// *Shadowed* — what a degradation leaves of a tree it invalidated, and
+/// what a later gain leaves of a tree or shadow whose source cannot reach
+/// it — it holds the slot's last tree and where the degradations since can
+/// have moved its destinations, and [`AllPairs::qos`] and
+/// [`AllPairs::path`] answer every destination they did not move from that
+/// tree; a patch that undoes them makes the tree the slot's own again.
+/// *Stale* — what a gain leaves of a tree or shadow whose source reaches
+/// it — it holds nothing. A read of a
 /// stale slot and every [`AllPairs::tree`] read of a slot that is not
 /// materialised sweep it from the table's own CSR. The
 /// first read of a moved destination sweeps the row only until every
@@ -1515,14 +1333,14 @@ pub struct AllPairs {
 }
 
 /// One source's slot of an [`AllPairs`] table: its tree once materialised,
-/// and until then, if a pure cut left one, the shadow answering for the
+/// and until then, if a degradation left one, the shadow answering for the
 /// destinations it did not move, and once one of those was read, the
 /// cut-short tree answering for the ones it did. A patch builds fresh
 /// slots, so a cut-short tree never outlives the CSR it was swept on; it
-/// is never planned against, certified or counted as materialised. A
-/// read that sweeps a shadowed row's tree leaves the shadow beside it: a
-/// patch keeps it there while the cuts since its sweep are all that
-/// changed, and makes its tree the slot's own again once they are undone.
+/// is never planned against or counted as materialised. A read that sweeps
+/// a shadowed row's tree leaves the shadow beside it: a patch keeps it
+/// there while the degradations since its sweep are all that changed, and
+/// makes its tree the slot's own again once they are undone.
 ///
 /// `since` is the net change from the graph the slot's tree was swept on
 /// to the table's graph (coalesced: sorted by edge, one record per edge,
@@ -1539,11 +1357,11 @@ pub(crate) struct Slot {
     cut_short: OnceLock<Arc<PathTree>>,
 }
 
-/// A shadowed slot's last tree, the crossings of every cut since it was
-/// swept, and its tree's `since` (see [`Slot`]): a destination is moved if
-/// its reported path passes a crossing ([`PathTree::moved_by`]). Kept as
-/// crossings, not as the moved set itself: a patch finds them from the cut
-/// heads' chains alone, where the set would take a walk of every level
+/// A shadowed slot's last tree, the crossings of every degradation since
+/// it was swept, and its tree's `since` (see [`Slot`]): a destination is
+/// moved if its reported path passes a crossing ([`PathTree::moved_by`]).
+/// Kept as crossings, not as the moved set itself: a patch finds them from
+/// the degraded heads' chains alone, where the set would take a walk of every level
 /// they cover. Beside a tree, a shadow answers nothing and its crossings
 /// are not kept up: a patch that brings it back finds them afresh from its
 /// `since`.

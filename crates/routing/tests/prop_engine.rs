@@ -16,12 +16,12 @@
 //!   once all are forced, is the rebuild's (QoS, path and hop count), and
 //!   each patch invalidates exactly what it would on the eagerly swept
 //!   twin of the same table, restricted to the slots it had materialised;
-//! * a lineage of mostly pure cuts with random `(row, destination)` reads
-//!   in between: every read is the rebuild's, and it materialises its row
-//!   exactly when a gain or re-timing left the row stale, or a cut since
-//!   the row's tree moved the destination read (its path crosses a cut
-//!   link above the link's new bandwidth) and the row's cut-short sweep
-//!   reaches its last level;
+//! * a lineage of mostly degradations with random `(row, destination)`
+//!   reads in between: every read is the rebuild's, and it materialises
+//!   its row exactly when a gain its source reaches left the row stale,
+//!   or a degradation since the row's tree moved the destination read (its
+//!   path crosses a link now narrower than the path or slower than at the
+//!   sweep) and the row's cut-short sweep reaches its last level;
 //! * on the same lineages, a cut-short sweep answers every node it settled
 //!   as the full sweep does, in QoS, path and level, and settles every
 //!   moved node a path reaches.
@@ -275,24 +275,70 @@ fn weights(g: &DiGraph<(), Qos>) -> Vec<Qos> {
     g.edges().map(|e| *e.weight).collect()
 }
 
-/// `true` if `now` differs from `swept` and only by bandwidth cuts: the
-/// net change since a sweep on `swept` is a pure cut.
-fn is_pure_cut(swept: &[Qos], now: &[Qos]) -> bool {
+/// `true` if `now` differs from `swept` and no link is wider or faster:
+/// the net change since a sweep on `swept` is a degradation.
+fn is_degradation(swept: &[Qos], now: &[Qos]) -> bool {
     swept != now
-        && swept.iter().zip(now).all(|(was, now)| {
-            was == now || (now.bandwidth < was.bandwidth && now.latency == was.latency)
-        })
+        && swept
+            .iter()
+            .zip(now)
+            .all(|(was, now)| now.bandwidth <= was.bandwidth && now.latency >= was.latency)
 }
 
-/// A shadow whose net change since its sweep is a pure cut, judged on
-/// its own: it moves the destinations whose reported path crosses a link
-/// now narrower than the path, and is the row's tree again (`true`) if
-/// that moves none.
+/// `true` if a reported `path` at `qos`, swept on `swept`, has a link `g`
+/// now carries narrower than the path's bandwidth or slower than at the
+/// sweep: a destination the net change's degradations move.
+fn degraded(
+    swept: &[Qos],
+    g: &DiGraph<(), Qos>,
+    qos: Option<Qos>,
+    path: Option<Vec<NodeIx>>,
+) -> bool {
+    let (Some(qos), Some(path)) = (qos, path) else {
+        return false;
+    };
+    path.windows(2).any(|hop| {
+        let link = g.find_edge(hop[0], hop[1]).expect("a reported link exists");
+        let now = g.edge(link);
+        now.bandwidth < qos.bandwidth || now.latency > swept[link.index()].latency
+    })
+}
+
+/// `true` if `u` reaches, over links `g` carries with positive bandwidth,
+/// the tail of a link now wider or faster than on `swept`.
+fn reaches_a_gain(swept: &[Qos], g: &DiGraph<(), Qos>, u: NodeIx) -> bool {
+    let mut seen = vec![false; g.node_count()];
+    let mut queue: VecDeque<NodeIx> = g
+        .edges()
+        .filter(|e| {
+            let was = swept[e.id.index()];
+            e.weight.bandwidth > was.bandwidth || e.weight.latency < was.latency
+        })
+        .map(|e| e.from)
+        .collect();
+    while let Some(v) = queue.pop_front() {
+        if std::mem::replace(&mut seen[v.index()], true) {
+            continue;
+        }
+        for &eid in g.in_edge_ids(v) {
+            let (from, _, w) = g.edge_parts(eid);
+            if w.bandwidth > Bandwidth::ZERO {
+                queue.push_back(from);
+            }
+        }
+    }
+    seen[u.index()]
+}
+
+/// A shadow judged on its own net change, whose gains, if any, its
+/// source does not reach: it moves the destinations whose reported path
+/// crosses a link the change degraded, and is the row's tree again
+/// (`true`) if that moves none.
 fn revive(mut shade: Shade, g: &DiGraph<(), Qos>) -> (Row, bool) {
     shade.moved = shade
         .answers
         .iter()
-        .map(|(qos, path)| narrowed(g, *qos, path.clone()))
+        .map(|(qos, path)| degraded(&shade.swept, g, *qos, path.clone()))
         .collect();
     if shade.moved.contains(&true) {
         (Row::Shadowed(shade), false)
@@ -728,28 +774,23 @@ proptest! {
             1..7,
         ),
     ) {
-        // Mostly pure cuts (kind 1–3: each drawn link cut to at most the
-        // drawn bandwidth), some mixed batches (kind 0) and some undos
-        // (kind 4: each drawn link put back to its first weight), random
-        // `(row, destination)` reads through `qos` / `path` only in
-        // between. A model of every row, kept from the predecessor's
-        // answers and the weights each tree was swept on, says what every
-        // patch does to it and which reads may sweep. A tree or shadow
-        // whose graph is back at its sweep weights is held as a tree, a
-        // shadow's before a tree swept since. Otherwise a pure cut moves a
-        // destination of a materialised or shadowed row exactly when the
-        // path the row reports crosses a link now narrower than the path's
-        // bandwidth; after any other batch a tree or shadow whose net
-        // change since its sweep is a pure cut moves exactly the
-        // destinations its paths cross narrower links to, and is held as a
-        // tree if none, while every other shadow goes stale and every
-        // other materialised tree is kept or left stale — one read of its
-        // source, which no batch moves, tells, or with a shadow beside it
-        // whether the slot still holds that tree. A shadow beside a tree a
-        // read swept stays there while its net change is a pure cut, and
-        // takes the tree's place, judged as a shadow on its own net cut,
-        // when the patch invalidates the tree. Each patch's counts must be
-        // the model's.
+        // Mostly degradations (kind 1–3: each drawn link cut to at most the
+        // drawn bandwidth and slowed to at least the drawn latency), some
+        // mixed batches (kind 0) and some undos (kind 4: each drawn link
+        // put back to its first weight), random `(row, destination)` reads
+        // through `qos` / `path` only in between. A model of every row,
+        // kept from the predecessor's answers and the weights each tree was
+        // swept on, predicts what every patch does to it from the net
+        // change since that sweep alone. Back at the sweep weights, a tree
+        // or shadow is held as a tree, a shadow's before a tree swept
+        // since. Otherwise, if the row's source reaches the tail of a link
+        // the net change widened or sped up, the row goes stale; if not,
+        // it moves exactly the destinations whose reported path crosses a
+        // link now narrower than the path or slower than at the sweep, and
+        // is held as a tree if none. A shadow beside a tree a read swept
+        // stays there while its net change is a degradation, and takes the
+        // tree's place, judged on its own net change, when the patch
+        // invalidates the tree. Each patch's counts must be the model's.
         // Every read must be the rebuild's, and materialise its row (raise
         // `materialised()` by one) exactly when the model says it does:
         // any read of a stale row, and a read of a moved destination of a
@@ -767,28 +808,33 @@ proptest! {
         let mut rows = vec![Row::Materialised { swept: first.clone(), shadow: None }; n];
         for (kind, batch, reads) in &lineage {
             let was = weights(&g);
+            let edge_ids: Vec<_> = g.edges().map(|e| e.id).collect();
             let changes = match kind {
                 0 => apply(&mut g, batch),
-                4 => {
-                    let edge_ids: Vec<_> = g.edges().map(|e| e.id).collect();
-                    batch
-                        .iter()
-                        .map(|&(raw, ..)| {
-                            let edge = edge_ids[raw % edge_ids.len()];
-                            let new = first[edge.index()];
-                            let old = std::mem::replace(g.edge_mut(edge), new);
-                            EdgeChange { edge, old, new }
-                        })
-                        .collect()
-                }
-                _ => {
-                    let cuts: Vec<(usize, u64)> =
-                        batch.iter().map(|&(raw, bw, _)| (raw, bw)).collect();
-                    cut(&mut g, &cuts)
-                }
+                4 => batch
+                    .iter()
+                    .map(|&(raw, ..)| {
+                        let edge = edge_ids[raw % edge_ids.len()];
+                        let new = first[edge.index()];
+                        let old = std::mem::replace(g.edge_mut(edge), new);
+                        EdgeChange { edge, old, new }
+                    })
+                    .collect(),
+                _ => batch
+                    .iter()
+                    .map(|&(raw, bw, lat)| {
+                        let edge = edge_ids[raw % edge_ids.len()];
+                        let old = *g.edge(edge);
+                        let new = Qos::new(
+                            old.bandwidth.min(Bandwidth::kbps(bw)),
+                            old.latency.max(Latency::from_micros(lat)),
+                        );
+                        *g.edge_mut(edge) = new;
+                        EdgeChange { edge, old, new }
+                    })
+                    .collect(),
             };
             let now = weights(&g);
-            let pure = is_pure_cut(&was, &now);
             let materialised = table.materialised();
             let (next, stats) = table.patched_with(&g, &changes, 1);
             prop_assert_eq!(
@@ -812,64 +858,37 @@ proptest! {
                         restored += 1;
                         Row::Materialised { swept: shade.swept, shadow: None }
                     }
-                    Row::Shadowed(mut shade) if pure => {
-                        // The predecessor's answers for the destinations it
-                        // has not moved yet: read without a sweep.
-                        let before = table.materialised();
-                        for (x, moved) in shade.moved.iter_mut().enumerate() {
-                            *moved = *moved || crosses_a_cut(&table, &g, node(u), node(x));
-                        }
-                        prop_assert_eq!(
-                            table.materialised(), before,
-                            "row {} swept for destinations no cut moved", u
-                        );
-                        Row::Shadowed(shade)
-                    }
-                    Row::Shadowed(shade) if is_pure_cut(&shade.swept, &now) => {
+                    Row::Shadowed(shade) if reaches_a_gain(&shade.swept, &g, node(u)) => Row::Stale,
+                    Row::Shadowed(shade) => {
                         let (row, back) = revive(shade, &g);
                         restored += usize::from(back);
                         row
                     }
-                    Row::Shadowed(_) => Row::Stale,
                     Row::Materialised { swept, shadow } => {
                         // A shadow beside the tree stays while its net
-                        // change is a pure cut, and is the row's tree again
-                        // once that change is empty.
-                        let shadow = shadow
-                            .filter(|shade| shade.swept == now || is_pure_cut(&shade.swept, &now));
+                        // change is a degradation, and is the row's tree
+                        // again once that change is empty.
+                        let shadow = shadow.filter(|shade| {
+                            shade.swept == now || is_degradation(&shade.swept, &now)
+                        });
                         if let Some(shade) = shadow.as_ref().filter(|shade| shade.swept == now) {
                             invalidated += 1;
                             restored += 1;
                             *row = Row::Materialised { swept: shade.swept.clone(), shadow: None };
                             continue;
                         }
-                        // The tree is held, or invalidated with the
-                        // destinations its answers now cross.
+                        // The tree is held, left stale (no moved set), or
+                        // shadowed with the destinations its answers cross.
                         let crossed: Option<Vec<bool>> = if swept == now {
                             None
-                        } else if pure || is_pure_cut(&swept, &now) {
-                            let moved: Vec<bool> = (0..n)
-                                .map(|x| crosses_a_cut(&table, &g, node(u), node(x)))
+                        } else if reaches_a_gain(&swept, &g, node(u)) {
+                            Some(Vec::new())
+                        } else {
+                            let moved: Vec<bool> = answers(u)
+                                .into_iter()
+                                .map(|(qos, path)| degraded(&swept, &g, qos, path))
                                 .collect();
                             moved.contains(&true).then_some(moved)
-                        } else if shadow.is_some() {
-                            // Kept, or left stale and replaced by the shadow
-                            // or its tree: neither sweeps.
-                            let kept = next.moved(node(u)).is_none()
-                                && std::ptr::eq(next.tree(node(u)), table.tree(node(u)));
-                            (!kept).then(Vec::new)
-                        } else {
-                            // Kept, or left stale: one read of the source, which
-                            // no batch moves, sweeps at most once and tells.
-                            let before = next.materialised();
-                            next.qos(node(u), node(u));
-                            prop_assert!(next.materialised() - before <= 1);
-                            if next.materialised() > before {
-                                invalidated += 1;
-                                *row = Row::Materialised { swept: now.clone(), shadow: None };
-                                continue;
-                            }
-                            None
                         };
                         match (crossed, shadow) {
                             (None, shadow) => Row::Materialised { swept, shadow },
@@ -880,6 +899,10 @@ proptest! {
                                 let (row, back) = revive(shade, &g);
                                 restored += usize::from(back);
                                 row
+                            }
+                            (Some(moved), None) if moved.is_empty() => {
+                                invalidated += 1;
+                                Row::Stale
                             }
                             (Some(moved), None) => {
                                 invalidated += 1;
@@ -976,13 +999,9 @@ proptest! {
                 single_source_moved_csr(&csr, shadow, &moved, &mut short_scratch);
             let full = single_source_csr(&csr, s, &mut full_scratch);
             if complete {
-                // The slot holds it as its tree: the certificate reads its
-                // entries and level bounds.
+                // The slot holds it as its tree, which later patches walk.
                 prop_assert_eq!(short.stored_entries(), full.stored_entries());
                 prop_assert_eq!(short.level_count(), full.level_count());
-                for li in 0..full.level_count() {
-                    prop_assert_eq!(short.level_bound(li), full.level_bound(li));
-                }
             }
             for x in g.node_ids() {
                 let settled = short.qos_to(x).is_some();

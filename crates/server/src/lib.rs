@@ -30,10 +30,10 @@
 //!   A solve that a mutation overtakes is answered with the typed
 //!   [`Response::Stale`] rather than booked on an epoch that is gone.
 //! * **Load plane** — a [`LoadMap`] derives per-link reserved bandwidth
-//!   from the live session table (plus a CONGA-style discounted estimator)
-//!   and is published as an immutable [`LoadPlane`] through a [`LoadCell`],
-//!   the server's one publication cell, which only the session table can
-//!   publish to, under its lock. Federates solve against a
+//!   from the live session table and is published as an immutable
+//!   [`LoadPlane`] through a [`LoadCell`], the server's one publication
+//!   cell, which only the session table can publish to, under its lock.
+//!   Federates solve against a
 //!   **residual** overlay whose link bandwidths are clamped to `capacity −
 //!   reserved` (disable with [`ServerConfig::residual`] = `false`), and a
 //!   background rebalancer sweep migrates sessions off links above a

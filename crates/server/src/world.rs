@@ -410,6 +410,87 @@ mod tests {
         assert_eq!(w.epoch(), 1);
     }
 
+    /// A latency-only `SetLinkQos` is a degradation: on a fully read world
+    /// it shadows exactly the trees that report the link, at any level of
+    /// theirs, and its undo hands every one of them back by pointer — the
+    /// trees a read swept in between give way (`trees_restored`). A booking
+    /// is re-priced after both, never re-solved.
+    #[test]
+    fn a_slow_down_shadows_the_trees_that_report_the_link_and_its_undo_restores_them() {
+        let fx = random_fixture(
+            30,
+            &(0..5).map(ServiceId::new).collect::<Vec<_>>(),
+            3,
+            None,
+            7,
+        );
+        let mut w = World::new(fx);
+        let before = w.snapshot();
+        let (overlay, table) = (before.overlay(), before.all_pairs());
+        let g = overlay.graph();
+        let read_every_row = |table: &sflow_routing::AllPairs| {
+            for u in g.node_ids() {
+                table.tree(u);
+            }
+        };
+        read_every_row(table);
+        // The link the most trees report, and which trees those are.
+        let reporting = |edge: sflow_graph::EdgeIx| -> Vec<bool> {
+            let mut marked = vec![false; g.edge_count()];
+            marked[edge.index()] = true;
+            g.node_ids()
+                .map(|u| table.tree(u).traverses_any(&marked))
+                .collect()
+        };
+        let count = |flags: &[bool]| flags.iter().filter(|&&f| f).count();
+        let link = g
+            .edges()
+            .max_by_key(|e| count(&reporting(e.id)))
+            .expect("a linked overlay");
+        let reported = reporting(link.id);
+        assert!(count(&reported) > 0);
+        let (from, to, old) = (
+            overlay.instance(link.from),
+            overlay.instance(link.to),
+            *link.weight,
+        );
+        let set = |latency_us| Mutation::SetLinkQos {
+            from,
+            to,
+            bandwidth_kbps: old.bandwidth.as_kbps(),
+            latency_us,
+        };
+        let req: sflow_core::ServiceRequirement = "0>1>2".parse().unwrap();
+        let flow = SflowAlgorithm::default()
+            .federate(&before.context(), &req)
+            .unwrap();
+        let repriced = |w: &World| {
+            let snapshot = w.snapshot();
+            let ctx = snapshot.context();
+            sflow_core::repair::repair(&ctx, &req, &flow)
+                .unwrap()
+                .repriced()
+        };
+
+        let slowed = w.apply(&set(old.latency.as_micros() * 2 + 1)).unwrap();
+        assert_eq!(slowed.trees_recomputed as usize, count(&reported));
+        let after = w.snapshot();
+        let shadowed: Vec<bool> = g
+            .node_ids()
+            .map(|u| after.all_pairs().moved(u).is_some())
+            .collect();
+        assert_eq!(shadowed, reported);
+        assert!(repriced(&w));
+
+        read_every_row(after.all_pairs());
+        let undone = w.apply(&set(old.latency.as_micros())).unwrap();
+        assert_eq!(undone.trees_restored as usize, count(&reported));
+        assert_eq!(undone.trees_recomputed as usize, count(&reported));
+        let back = w.snapshot();
+        assert_eq!(back.all_pairs().shared_trees(table), g.node_count());
+        assert!(repriced(&w));
+    }
+
     /// `apply(FailInstance)` publishes exactly the tombstone lineage: the
     /// predecessor's overlay with the instance failed, and the predecessor's
     /// table patched for that cut — the same weights, the same answers and
