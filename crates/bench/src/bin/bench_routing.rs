@@ -22,8 +22,9 @@
 //! edge, at any level), the widen the gain rule (a tree is stale exactly if
 //! its source reaches the widened edge's tail). The *undo* rows put a cut
 //! back exactly: a patch judges each tree by the net change since its
-//! sweep, so a kept tree is held as it is and a shadow hands its tree back,
-//! and only the trees swept since the cut are dropped for their shadows'.
+//! sweep, so a kept tree is held as it is and a shadow hands its tree back.
+//! A row the sample's reads swept since the cut holds that tree alone, and
+//! the undo, a gain whose tail its source reaches, leaves it stale.
 //! Each sample also undoes its change on a successor nobody read, and
 //! asserts that this recomputes no tree. Each direction reports what the
 //! *coarse* rules — any-traversal for cuts, reach-the-tail for everything
@@ -1199,10 +1200,9 @@ impl Lineage {
 /// reported separately because their rules differ: a cut only invalidates
 /// trees whose recorded paths lean on the lost headroom (bottleneck
 /// strictly above the surviving bandwidth), a slow-down every tree with
-/// the edge on a reported path, an undo — of either — only drops the trees
-/// swept since for their shadows' (the rest are back on their sweep
-/// graph), and a widen invalidates every tree whose source reaches the
-/// widened edge's tail.
+/// the edge on a reported path, an undo — of either — leaves stale only the
+/// trees swept since (the rest are back on their sweep graph), and a widen
+/// invalidates every tree whose source reaches the widened edge's tail.
 fn measure<N: Clone>(name: &'static str, g: &DiGraph<N, Qos>, seed: u64) -> WorldReport {
     let reps = reps_for(g.node_count());
     // The last timed build serves as the patch baseline, which saves a

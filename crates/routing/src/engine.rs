@@ -113,12 +113,12 @@
 //! them, as above. The reach is one reverse pass from the gained tails,
 //! once per distinct net change, built by the first tree judged by it.
 //!
-//! **Net change since the sweep.** Each tree a slot holds at patch time —
-//! materialised or a shadow's — carries `since`: the coalesced change list
-//! from its sweep graph to the table's graph, one record per edge, an edge
-//! back at its sweep-time weight dropped. A patch folds its batch into it
-//! (once per distinct list: trees swept together share one), giving the
-//! tree's `net` change, and judges the tree:
+//! **Net change since the sweep.** The one tree a patch judges per slot —
+//! its materialised tree, or else its shadow's — carries `since`: the
+//! coalesced change list from its sweep graph to the table's graph, one
+//! record per edge, an edge back at its sweep-time weight dropped. A patch
+//! folds its batch into it (once per distinct list: trees swept together
+//! share one), giving the tree's `net` change, and judges the tree:
 //!
 //! 1. *`net` is empty.* The table's graph is the tree's sweep graph: the
 //!    tree is held, with no walk, and a shadow becomes its tree again.
@@ -130,7 +130,13 @@
 //!    above then holds for the kernel's tree on the graph before the batch,
 //!    and a walk reads reported paths only. It is `net`'s verdict too, at
 //!    the cost of the batch: the lineage model in `tests/prop_engine.rs`
-//!    predicts every row from `net` alone.
+//!    predicts every row from `net` alone. So the batch walk and a
+//!    shadow's accumulated crossings are cost rules, not soundness ones:
+//!    verdict 3 alone would decide the same, walking all of `net` where
+//!    they walk the batch. They stay because that costs more: on
+//!    `bench_e2e`'s `zipf-mix`, whose lineages are long, judging every
+//!    tree by `net` alone cut throughput by ~17 % (EXPERIMENTS.md, "One
+//!    tree per slot").
 //! 3. *Anything else* is judged by `net` alone, by the two rules: a tree
 //!    or a shadow is held, shadowed with the crossings of `net`'s
 //!    degradations (a shadow's replace those it had accumulated: some of
@@ -205,16 +211,14 @@
 //! the CSR it was swept on. A shadowed row read only at its destinations
 //! therefore stays shadowed; a shadow is never counted by `materialised()`
 //! either, and `trees_recomputed` counts the materialised trees a patch
-//! shadowed, left stale, or dropped for a restored shadow.
+//! shadowed or left stale.
 //!
-//! A read can sweep a shadowed row's tree beside its shadow. The shadow
-//! then answers nothing, but it is the older tree, the one an undo of the
-//! cuts since returns to: it stays beside the tree while its `net` is a
-//! degradation, without crossings kept up, and is judged on its own — by
-//! verdict 1, or by verdict 3's walk — when that `net` empties or the patch
-//! invalidates the tree beside it, taking the tree's place. So a lineage of
-//! degradations undone over several patches hands every row back the tree
-//! it held before the first, however the rows were read in between.
+//! A patch judges one tree per slot: the slot's materialised tree if it
+//! has one, else its shadow's. A read that materialises a shadowed row —
+//! of its whole tree, or a cut-short sweep that reached the last level —
+//! leaves the shadow answering nothing, and the next patch drops it. An
+//! undo of the cuts since is a gain on the swept tree's graph: the row
+//! goes stale if its source reaches a link the undo restores.
 //!
 //! All of this applies to exact trees only: an
 //! [`all_pairs_lexicographic`](crate::shortest_widest::all_pairs_lexicographic)
@@ -303,14 +307,12 @@ pub struct PatchStats {
     /// destination sweeps the row only until its last moved destination
     /// has settled, and the row is swept in full only by a read of its
     /// whole tree, or by a cut-short sweep whose last moved destination is
-    /// pinned at the last level. A tree dropped for the row's restored
-    /// shadow counts here too. The successor shares
+    /// pinned at the last level. The successor shares
     /// `materialised(pred) − trees_recomputed` trees with its predecessor.
     pub trees_recomputed: usize,
     /// Shadows this patch turned back into trees: the net change since the
     /// shadow's tree was swept is empty, or moves none of its reported
-    /// paths. A shadow beside a tree swept since counts when it takes that
-    /// tree's place. The successor holds
+    /// paths. The successor holds
     /// `materialised(pred) − trees_recomputed + trees_restored` trees.
     pub trees_restored: usize,
     /// Source trees in the table (== node count).
@@ -420,10 +422,8 @@ impl AllPairs {
     /// tree; after any other batch a tree or shadow is left stale if its
     /// source reaches a gain of its net change, and is otherwise held or
     /// shadowed as the walk of that change's degradations says. A slot
-    /// that was stale stays stale. A shadow beside a tree a read swept
-    /// since stays there while its net change is a degradation, and takes
-    /// the tree's place once that change is empty or the tree is
-    /// invalidated.
+    /// that was stale stays stale, and a slot that holds a tree is judged
+    /// by that tree alone: a shadow left beside it by a read is dropped.
     /// A slot is swept on the first read that needs it, against the
     /// successor's CSR. Deriving the successor therefore costs the plan,
     /// the net change of each distinct `since` list (and for one with a
@@ -519,21 +519,6 @@ enum Verdict {
     Stale,
 }
 
-impl Verdict {
-    /// The successor slot of a shadowed one: a held shadow is the slot's
-    /// tree again.
-    fn of_shadow(self, tree: &Arc<PathTree>, stats: &mut PatchStats) -> Slot {
-        match self {
-            Verdict::Hold(since) => {
-                stats.trees_restored += 1;
-                Slot::holding(Arc::clone(tree), since)
-            }
-            Verdict::Shadow(shadow) => Slot::shadowed(shadow),
-            Verdict::Stale => Slot::default(),
-        }
-    }
-}
-
 /// The rules (and soundness argument) in the module docs, applied to one
 /// coalesced batch slot by slot. The buffers they reuse across the slots
 /// are allocated once per patch, not per tree.
@@ -576,44 +561,25 @@ impl<'a, N> Plan<'a, N> {
         at
     }
 
-    /// `slot`'s successor. A shadow is judged first: one whose net change
-    /// is empty is the slot's tree again, whatever the slot held beside
-    /// it. A materialised tree is judged next; a shadow beside it stays
-    /// there while its net change is a degradation, and takes the tree's
-    /// place if the patch invalidates it.
+    /// `slot`'s successor, from the one tree it holds: its materialised
+    /// tree if it has one, else its shadow's. A stale slot stays stale. A
+    /// materialised tree not held counts as recomputed, a shadow held as
+    /// restored: it is the slot's tree again.
     fn next(&mut self, slot: &Slot, stats: &mut PatchStats) -> Slot {
-        let Some(tree) = slot.tree.get() else {
-            let Some(shadow) = &slot.shadow else {
-                return Slot::default();
-            };
-            return self.judge_shadow(shadow).of_shadow(&shadow.tree, stats);
+        let materialised = slot.tree.get();
+        let (tree, verdict) = match (materialised, &slot.shadow) {
+            (Some(tree), _) => (tree, self.judge_tree(tree, &slot.since)),
+            (None, Some(shadow)) => (&shadow.tree, self.judge_shadow(shadow)),
+            (None, None) => return Slot::default(),
         };
-        let beside = slot.shadow.as_ref().and_then(|shadow| {
-            let at = self.net(&shadow.since);
-            let net = &self.nets[at];
-            (net.changes.is_empty() || net.degradation).then_some((shadow, at))
-        });
-        if let Some((shadow, at)) = beside {
-            if self.nets[at].changes.is_empty() {
-                stats.trees_recomputed += 1;
-                stats.trees_restored += 1;
-                return Slot::holding(Arc::clone(&shadow.tree), Arc::clone(&self.nets[at].changes));
-            }
-        }
-        let verdict = self.judge_tree(tree, &slot.since);
         if let Verdict::Hold(since) = verdict {
-            let beside = beside.map(|(shadow, at)| Shadow {
-                since: Arc::clone(&self.nets[at].changes),
-                ..shadow.clone()
-            });
-            return Slot::holding(Arc::clone(tree), since).beside(beside);
+            stats.trees_restored += usize::from(materialised.is_none());
+            return Slot::holding(Arc::clone(tree), since);
         }
-        stats.trees_recomputed += 1;
-        match beside {
-            Some((shadow, at)) => self
-                .walk(&shadow.tree, at, at)
-                .of_shadow(&shadow.tree, stats),
-            None => verdict.of_shadow(tree, stats),
+        stats.trees_recomputed += usize::from(materialised.is_some());
+        match verdict {
+            Verdict::Shadow(shadow) => Slot::shadowed(shadow),
+            _ => Slot::default(),
         }
     }
 
@@ -631,8 +597,8 @@ impl<'a, N> Plan<'a, N> {
         self.judge(tree, at)
     }
 
-    /// A shadow with no tree beside it: held if its net change is empty;
-    /// after a degradation, still a shadow, taking on the batch's
+    /// The shadow of a slot that holds no tree: held if its net change is
+    /// empty; after a degradation, still a shadow, taking on the batch's
     /// crossings on its tree; after any other batch, judged by its net
     /// change alone.
     fn judge_shadow(&mut self, shadow: &Shadow) -> Verdict {
@@ -1219,9 +1185,11 @@ mod tests {
     #[test]
     fn an_undo_holds_the_kept_trees_and_restores_the_shadows() {
         // Cutting the artery n1→n2 shadows n0's and n1's trees; a read of
-        // n0's whole tree sweeps it beside its shadow. Putting the artery
-        // back is an undo: every kept tree is held, both shadows are the
-        // slots' trees again, and n0's swept tree gives way to its shadow's.
+        // n0's whole tree sweeps it, and the slot holds that tree. Putting
+        // the artery back is an undo: every kept tree is held and n1's
+        // shadow is its tree again. n0's slot is judged by its swept tree
+        // alone, whose net change is the widen: n0 reaches its tail, so the
+        // slot is stale and its shadow dropped.
         let (mut g, n, e) = world();
         let original = all_pairs(&g);
         let full = *g.edge(e[1]);
@@ -1248,9 +1216,10 @@ mod tests {
             }],
             1,
         );
-        assert_eq!((stats.trees_recomputed, stats.trees_restored), (1, 2));
-        assert_eq!(undone.materialised(), 5);
-        assert_eq!(original.shared_trees(&undone), 5);
+        assert_eq!((stats.trees_recomputed, stats.trees_restored), (1, 1));
+        assert_eq!(undone.materialised(), 4);
+        assert_eq!(original.shared_trees(&undone), 4);
+        assert!(undone.trees[n[0].index()].shadow.is_none());
         assert!(undone.trees.iter().all(|slot| slot.since.is_empty()));
         assert_tables_equal(&undone, &all_pairs(&g), &g);
     }

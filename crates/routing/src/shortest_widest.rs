@@ -1316,13 +1316,13 @@ pub fn single_source_lexicographic<N>(g: &DiGraph<N, Qos>, source: NodeIx) -> Pa
 /// [`AllPairs::path`] answer every destination they did not move from that
 /// tree; a patch that undoes them makes the tree the slot's own again.
 /// *Stale* — what a gain leaves of a tree or shadow whose source reaches
-/// it — it holds nothing. A read of a
-/// stale slot and every [`AllPairs::tree`] read of a slot that is not
-/// materialised sweep it from the table's own CSR. The
-/// first read of a moved destination sweeps the row only until every
-/// moved destination has settled ([`single_source_moved_csr`]), and that
-/// cut-short tree answers the row's moved destinations from then on; a
-/// cut-short sweep that reached the last level is the slot's tree.
+/// it — it holds nothing. A read of a stale slot and every
+/// [`AllPairs::tree`] read of a slot that is not materialised sweep it
+/// from the table's own CSR. The first read of a moved destination sweeps
+/// the row only until every moved destination has settled
+/// ([`single_source_moved_csr`]), and that cut-short tree answers the
+/// row's moved destinations from then on; a cut-short sweep that reached
+/// the last level is the slot's tree.
 /// Concurrent first readers of one slot sweep it once and share the
 /// result; a row nobody reads, or reads only where no cut moved it, is
 /// never routed.
@@ -1338,9 +1338,8 @@ pub struct AllPairs {
 /// cut-short tree answering for the ones it did. A patch builds fresh
 /// slots, so a cut-short tree never outlives the CSR it was swept on; it
 /// is never planned against or counted as materialised. A read that sweeps
-/// a shadowed row's tree leaves the shadow beside it: a patch keeps it
-/// there while the degradations since its sweep are all that changed, and
-/// makes its tree the slot's own again once they are undone.
+/// a shadowed row's tree leaves the shadow in place, answering nothing,
+/// and the next patch drops it.
 ///
 /// `since` is the net change from the graph the slot's tree was swept on
 /// to the table's graph (coalesced: sorted by edge, one record per edge,
@@ -1361,10 +1360,8 @@ pub(crate) struct Slot {
 /// it was swept, and its tree's `since` (see [`Slot`]): a destination is
 /// moved if its reported path passes a crossing ([`PathTree::moved_by`]).
 /// Kept as crossings, not as the moved set itself: a patch finds them from
-/// the degraded heads' chains alone, where the set would take a walk of every level
-/// they cover. Beside a tree, a shadow answers nothing and its crossings
-/// are not kept up: a patch that brings it back finds them afresh from its
-/// `since`.
+/// the degraded heads' chains alone, where the set would take a walk of
+/// every level they cover.
 #[derive(Clone, Debug)]
 pub(crate) struct Shadow {
     pub(crate) tree: Arc<PathTree>,
@@ -1381,11 +1378,6 @@ impl Slot {
             since,
             ..Slot::default()
         }
-    }
-
-    /// This slot with `shadow` beside its tree.
-    pub(crate) fn beside(self, shadow: Option<Shadow>) -> Self {
-        Slot { shadow, ..self }
     }
 
     pub(crate) fn shadowed(shadow: Shadow) -> Self {

@@ -246,12 +246,9 @@ fn narrowed(g: &DiGraph<(), Qos>, qos: Option<Qos>, path: Option<Vec<NodeIx>>) -
 /// with the edge weights of the graph each of its trees was swept on.
 #[derive(Clone, Debug)]
 enum Row {
-    /// Its tree, swept on `swept`: no read sweeps it. A row a read swept
-    /// while it was shadowed keeps its shadow beside the tree.
-    Materialised {
-        swept: Vec<Qos>,
-        shadow: Option<Shade>,
-    },
+    /// Its tree, swept on `swept`: no read sweeps it, and a patch judges
+    /// that tree alone, whatever the row held before a read swept it.
+    Materialised { swept: Vec<Qos> },
     /// A shadow: a read of a destination its `moved` marks sweeps the row
     /// cut short (in full only if that reaches the row's last level), a
     /// read of any other does not.
@@ -273,16 +270,6 @@ struct Shade {
 /// The weight of every edge of `g`, in edge order.
 fn weights(g: &DiGraph<(), Qos>) -> Vec<Qos> {
     g.edges().map(|e| *e.weight).collect()
-}
-
-/// `true` if `now` differs from `swept` and no link is wider or faster:
-/// the net change since a sweep on `swept` is a degradation.
-fn is_degradation(swept: &[Qos], now: &[Qos]) -> bool {
-    swept != now
-        && swept
-            .iter()
-            .zip(now)
-            .all(|(was, now)| now.bandwidth <= was.bandwidth && now.latency >= was.latency)
 }
 
 /// `true` if a reported `path` at `qos`, swept on `swept`, has a link `g`
@@ -343,13 +330,7 @@ fn revive(mut shade: Shade, g: &DiGraph<(), Qos>) -> (Row, bool) {
     if shade.moved.contains(&true) {
         (Row::Shadowed(shade), false)
     } else {
-        (
-            Row::Materialised {
-                swept: shade.swept,
-                shadow: None,
-            },
-            true,
-        )
+        (Row::Materialised { swept: shade.swept }, true)
     }
 }
 
@@ -475,7 +456,10 @@ proptest! {
         let original = all_pairs(&g);
         let cut = cut(&mut g, &cuts);
         let (clamped, cut_stats) = original.patched_with(&g, &cut, 1);
-        assert_is_rebuild(&clamped, &g, &cut)?;
+        // Read in full through a clone: a cloned slot's `OnceLock` is its
+        // own, so `clamped` stays as the cut left it.
+        let read = clamped.clone();
+        assert_is_rebuild(&read, &g, &cut)?;
 
         let mut restore = Vec::new();
         for c in cut.iter().rev() {
@@ -484,6 +468,12 @@ proptest! {
             restore.push(EdgeChange { edge: c.edge, old, new: c.old });
         }
         let (restored, restore_stats) = clamped.patched_with(&g, &restore, 1);
+        // The restore undoes the cut: every row holds its original tree
+        // again, each one the cut shadowed restored, and no tree is
+        // invalidated.
+        prop_assert_eq!(original.shared_trees(&restored), original.len());
+        prop_assert_eq!(restore_stats.trees_recomputed, 0);
+        prop_assert_eq!(restore_stats.trees_restored, cut_stats.trees_recomputed);
         assert_is_rebuild(&restored, &g, &restore)?;
         for u in g.node_ids() {
             for v in g.node_ids() {
@@ -491,13 +481,16 @@ proptest! {
                 prop_assert_eq!(restored.path(u, v), original.path(u, v));
             }
         }
-        // The restore undoes the cut: every row holds its original tree
-        // again. The clamped table was read in full, so each row the cut
-        // shadowed holds a tree swept since, which gives way to its
-        // shadow's.
-        prop_assert_eq!(original.shared_trees(&restored), original.len());
-        prop_assert_eq!(restore_stats.trees_recomputed, cut_stats.trees_recomputed);
-        prop_assert_eq!(restore_stats.trees_restored, cut_stats.trees_recomputed);
+        // On the copy read in full, each row the cut shadowed holds a tree
+        // swept since, and the restore judges that tree alone: no shadow
+        // is restored, and only the rows the cut kept share the original's.
+        let (reread, reread_stats) = read.patched_with(&g, &restore, 1);
+        prop_assert_eq!(reread_stats.trees_restored, 0);
+        prop_assert_eq!(
+            original.shared_trees(&reread),
+            original.len() - cut_stats.trees_recomputed
+        );
+        assert_is_rebuild(&reread, &g, &restore)?;
     }
 
     #[test]
@@ -520,11 +513,12 @@ proptest! {
         // the exact inverse, nobody reading, in one to three patches: its
         // records in any order across edges, each edge's in one patch, and
         // some edges taken through a detour weight first (two records,
-        // folded by the patch). Every row holds the tree it held before
-        // the first cut: a kept tree as it is, a shadow's tree in place of
-        // any tree a read swept since. So the patches recompute exactly
-        // the trees the reads swept in full, restore every shadow, and no
-        // read after them sweeps anything.
+        // folded by the patch). Every row no read materialised holds the
+        // tree it held before the first cut: a kept tree as it is, a shadow
+        // restored. A row a read materialised is judged by the tree that
+        // read swept, alone: its shadow is dropped, and the inverse is a
+        // gain on that tree's graph, so the row is left stale if its source
+        // reaches a link the inverse widens, and is held otherwise.
         let (detours, order, patches) = inverse;
         let mut g = g;
         if g.edge_count() == 0 {
@@ -552,6 +546,18 @@ proptest! {
         }
         let kept = original.shared_trees(&table);
         let swept = table.materialised() - kept;
+        let at_cut = weights(&g);
+        let swept_rows: Vec<NodeIx> = {
+            // Which rows hold a tree a read swept, asked of a clone read in
+            // full: a cloned slot's `OnceLock` is its own.
+            let read = table.clone();
+            g.node_ids()
+                .filter(|&u| {
+                    table.moved(u).is_none() && !std::ptr::eq(read.tree(u), original.tree(u))
+                })
+                .collect()
+        };
+        prop_assert_eq!(swept_rows.len(), swept);
 
         let edge_ids: Vec<_> = g.edges().map(|e| e.id).collect();
         let mut h = g.clone();
@@ -588,16 +594,20 @@ proptest! {
             restored = next;
         }
         let at = format!("cuts {cuts_made:?}, inverse {inverse:?} in {patches}");
-        prop_assert_eq!(recomputed, swept, "{}", at);
-        prop_assert_eq!(brought_back, n - kept, "{}", at);
-        prop_assert_eq!(original.shared_trees(&restored), n, "{}", at);
+        let stale = swept_rows
+            .iter()
+            .filter(|&&u| reaches_a_gain(&at_cut, &g, u))
+            .count();
+        prop_assert_eq!(recomputed, stale, "{}", at);
+        prop_assert_eq!(brought_back, n - kept - swept, "{}", at);
+        prop_assert_eq!(original.shared_trees(&restored), n - swept, "{}", at);
+        prop_assert_eq!(restored.materialised(), n - stale, "{}", at);
         for u in g.node_ids() {
             for v in g.node_ids() {
                 prop_assert_eq!(restored.qos(u, v), original.qos(u, v));
                 prop_assert_eq!(restored.path(u, v), original.path(u, v));
             }
         }
-        prop_assert_eq!(restored.materialised(), n, "a read swept");
     }
 
     #[test]
@@ -781,16 +791,14 @@ proptest! {
         // through `qos` / `path` only in between. A model of every row,
         // kept from the predecessor's answers and the weights each tree was
         // swept on, predicts what every patch does to it from the net
-        // change since that sweep alone. Back at the sweep weights, a tree
-        // or shadow is held as a tree, a shadow's before a tree swept
-        // since. Otherwise, if the row's source reaches the tail of a link
-        // the net change widened or sped up, the row goes stale; if not,
-        // it moves exactly the destinations whose reported path crosses a
-        // link now narrower than the path or slower than at the sweep, and
-        // is held as a tree if none. A shadow beside a tree a read swept
-        // stays there while its net change is a degradation, and takes the
-        // tree's place, judged on its own net change, when the patch
-        // invalidates the tree. Each patch's counts must be the model's.
+        // change since that sweep alone, for the one tree the row holds:
+        // the tree a read swept if it has one, else its shadow's. Back at
+        // the sweep weights, that tree is held as the row's. Otherwise, if
+        // the row's source reaches the tail of a link the net change
+        // widened or sped up, the row goes stale; if not, it moves exactly
+        // the destinations whose reported path crosses a link now narrower
+        // than the path or slower than at the sweep, and is held as a tree
+        // if none. Each patch's counts must be the model's.
         // Every read must be the rebuild's, and materialise its row (raise
         // `materialised()` by one) exactly when the model says it does:
         // any read of a stale row, and a read of a moved destination of a
@@ -805,7 +813,7 @@ proptest! {
         let node = NodeIx::from_index;
         let first = weights(&g);
         let mut table = all_pairs(&g);
-        let mut rows = vec![Row::Materialised { swept: first.clone(), shadow: None }; n];
+        let mut rows = vec![Row::Materialised { swept: first.clone() }; n];
         for (kind, batch, reads) in &lineage {
             let was = weights(&g);
             let edge_ids: Vec<_> = g.edges().map(|e| e.id).collect();
@@ -856,7 +864,7 @@ proptest! {
                     Row::Stale => Row::Stale,
                     Row::Shadowed(shade) if shade.swept == now => {
                         restored += 1;
-                        Row::Materialised { swept: shade.swept, shadow: None }
+                        Row::Materialised { swept: shade.swept }
                     }
                     Row::Shadowed(shade) if reaches_a_gain(&shade.swept, &g, node(u)) => Row::Stale,
                     Row::Shadowed(shade) => {
@@ -864,19 +872,7 @@ proptest! {
                         restored += usize::from(back);
                         row
                     }
-                    Row::Materialised { swept, shadow } => {
-                        // A shadow beside the tree stays while its net
-                        // change is a degradation, and is the row's tree
-                        // again once that change is empty.
-                        let shadow = shadow.filter(|shade| {
-                            shade.swept == now || is_degradation(&shade.swept, &now)
-                        });
-                        if let Some(shade) = shadow.as_ref().filter(|shade| shade.swept == now) {
-                            invalidated += 1;
-                            restored += 1;
-                            *row = Row::Materialised { swept: shade.swept.clone(), shadow: None };
-                            continue;
-                        }
+                    Row::Materialised { swept } => {
                         // The tree is held, left stale (no moved set), or
                         // shadowed with the destinations its answers cross.
                         let crossed: Option<Vec<bool>> = if swept == now {
@@ -890,21 +886,13 @@ proptest! {
                                 .collect();
                             moved.contains(&true).then_some(moved)
                         };
-                        match (crossed, shadow) {
-                            (None, shadow) => Row::Materialised { swept, shadow },
-                            (Some(_), Some(shade)) => {
-                                // The older tree takes the invalidated one's
-                                // place.
-                                invalidated += 1;
-                                let (row, back) = revive(shade, &g);
-                                restored += usize::from(back);
-                                row
-                            }
-                            (Some(moved), None) if moved.is_empty() => {
+                        match crossed {
+                            None => Row::Materialised { swept },
+                            Some(moved) if moved.is_empty() => {
                                 invalidated += 1;
                                 Row::Stale
                             }
-                            (Some(moved), None) => {
+                            Some(moved) => {
                                 invalidated += 1;
                                 Row::Shadowed(Shade { swept, answers: answers(u), moved })
                             }
@@ -949,11 +937,7 @@ proptest! {
                     "read {}->{} of {:?} after {:?}", u, x, rows[u], changes
                 );
                 if swept == 1 {
-                    let shadow = match std::mem::replace(&mut rows[u], Row::Stale) {
-                        Row::Shadowed(shade) => Some(shade),
-                        _ => None,
-                    };
-                    rows[u] = Row::Materialised { swept: now.clone(), shadow };
+                    rows[u] = Row::Materialised { swept: now.clone() };
                 }
             }
         }

@@ -48,7 +48,7 @@ use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, TrySendError};
+use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
 use sflow_core::algorithms::{
     FederationAlgorithm, FixedAlgorithm, GlobalOptimalAlgorithm, ServicePathAlgorithm,
 };
@@ -331,30 +331,21 @@ pub(crate) fn admit(metrics: &Metrics, job_tx: &Sender<Job>, job: Job) -> Dispat
     Dispatch::Inline(Box::new(refused))
 }
 
-/// Drains the admission queue until shutdown.
+/// Drains the admission queue until it disconnects: the event loop holds
+/// its only sender and drops it on exit, so that is the workers' shutdown.
 fn worker_loop(shared: &Shared, jobs: &Receiver<Job>) {
-    loop {
-        match jobs.recv_timeout(Duration::from_millis(100)) {
-            Ok(job) => {
-                // A panicking request (in a debug build, a flow graph that
-                // fails its audit too) costs that request, not the worker:
-                // the reply still goes out, `panics` counts it and the
-                // thread keeps draining. The locks it held do not poison.
-                let response = catch_unwind(AssertUnwindSafe(|| execute(shared, job.request)))
-                    .unwrap_or_else(|_| {
-                        shared.metrics.panics().inc();
-                        shared.metrics.failed().inc();
-                        Response::Error("internal error: the request panicked".into())
-                    });
-                job.reply.send(&shared.metrics, &shared.inbox, response);
-            }
-            Err(RecvTimeoutError::Timeout) => {
-                if shared.shutting_down() {
-                    return;
-                }
-            }
-            Err(RecvTimeoutError::Disconnected) => return,
-        }
+    for job in jobs.iter() {
+        // A panicking request (in a debug build, a flow graph that fails
+        // its audit too) costs that request, not the worker: the reply
+        // still goes out, `panics` counts it and the thread keeps
+        // draining. The locks it held do not poison.
+        let response = catch_unwind(AssertUnwindSafe(|| execute(shared, job.request)))
+            .unwrap_or_else(|_| {
+                shared.metrics.panics().inc();
+                shared.metrics.failed().inc();
+                Response::Error("internal error: the request panicked".into())
+            });
+        job.reply.send(&shared.metrics, &shared.inbox, response);
     }
 }
 

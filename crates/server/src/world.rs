@@ -412,9 +412,12 @@ mod tests {
 
     /// A latency-only `SetLinkQos` is a degradation: on a fully read world
     /// it shadows exactly the trees that report the link, at any level of
-    /// theirs, and its undo hands every one of them back by pointer — the
-    /// trees a read swept in between give way (`trees_restored`). A booking
-    /// is re-priced after both, never re-solved.
+    /// theirs, and its undo, patched onto a copy nobody read, hands every
+    /// one of them back by pointer (`trees_restored`). On the world, whose
+    /// rows are read whole in between, the undo judges each tree a read
+    /// swept alone: a speed-up whose tail every such row reaches, so all
+    /// of them are left stale. A booking is re-priced after both, never
+    /// re-solved.
     #[test]
     fn a_slow_down_shadows_the_trees_that_report_the_link_and_its_undo_restores_them() {
         let fx = random_fixture(
@@ -472,7 +475,8 @@ mod tests {
                 .repriced()
         };
 
-        let slowed = w.apply(&set(old.latency.as_micros() * 2 + 1)).unwrap();
+        let slowed_us = old.latency.as_micros() * 2 + 1;
+        let slowed = w.apply(&set(slowed_us)).unwrap();
         assert_eq!(slowed.trees_recomputed as usize, count(&reported));
         let after = w.snapshot();
         let shadowed: Vec<bool> = g
@@ -480,15 +484,33 @@ mod tests {
             .map(|u| after.all_pairs().moved(u).is_some())
             .collect();
         assert_eq!(shadowed, reported);
+        // A cloned slot's `OnceLock` is its own: reads of the world's
+        // table below leave this copy as the slow-down left it.
+        let unread = after.all_pairs().clone();
         assert!(repriced(&w));
 
         read_every_row(after.all_pairs());
         let undone = w.apply(&set(old.latency.as_micros())).unwrap();
-        assert_eq!(undone.trees_restored as usize, count(&reported));
+        assert_eq!(undone.trees_restored, 0);
         assert_eq!(undone.trees_recomputed as usize, count(&reported));
         let back = w.snapshot();
-        assert_eq!(back.all_pairs().shared_trees(table), g.node_count());
+        assert_eq!(
+            back.all_pairs().shared_trees(table),
+            g.node_count() - count(&reported)
+        );
         assert!(repriced(&w));
+
+        let undo = sflow_routing::EdgeChange {
+            edge: link.id,
+            old: Qos::new(old.bandwidth, Latency::from_micros(slowed_us)),
+            new: old,
+        };
+        let (restored, stats) = unread.patched_with(back.overlay().graph(), &[undo], 1);
+        assert_eq!(
+            (stats.trees_recomputed, stats.trees_restored),
+            (0, count(&reported))
+        );
+        assert_eq!(restored.shared_trees(table), g.node_count());
     }
 
     /// `apply(FailInstance)` publishes exactly the tombstone lineage: the
