@@ -35,9 +35,14 @@
 //! [`PLAN_ROUNDS`] times against the table it produced (see
 //! [`patch_sample`]), each replay followed by a kernel reference, and a
 //! widen books every sample's patch alone, which sweeps nothing.
-//! `plan_samples` says how many there were, `null` if none. On
-//! [`PLAN_GATED`]'s worlds the shave's `plan_us` must stay below the median
-//! of its kernel references, and the widen's below one kernel tree
+//! `plan_samples` says how many there were, `null` if none. A cut row
+//! also reports `plan_over_tree`: per replay, its plan over the kernel
+//! reference timed right after it (per tree), the median of those ratios,
+//! and beside it `plan_over_tree_of_medians`, the median plan over the
+//! median reference, which is what the gate read before. On [`PLAN_GATED`]'s worlds the shave's `plan_over_tree` must stay below
+//! 1 — each plan compared with the tree timed in the same moment of the
+//! box, so a busy stretch slows both sides of a ratio, not one side of two
+//! medians — and the widen's `plan_us` below one kernel tree
 //! (`us_per_tree`): a patch costs what it changed. On every world each
 //! widen must recompute exactly the trees the coarse rule does, and each
 //! slow-down exactly the trees with the edge on a *reported* path — the
@@ -100,7 +105,9 @@
 //! runs, and `levels_per_tree_mean` is the reference trees' mean level
 //! count. Every pair must agree, and `pair_qos_ms` must stay at most
 //! [`MAX_PRICING_SHARE`] of `per_host_trees_ms`, a ratio of two timings
-//! of one run.
+//! of one run. The block also counts `pair_qos`'s work once, in label
+//! updates and in adjacency slots its sweeps scanned, and the slots must
+//! stay at most [`MAX_PRICING_SLOTS`], a count that repeats exactly.
 //!
 //! A `repair_reprice` block times what a mutation's repair sweep pays per
 //! booking on the same world: [`REPAIR_BOOKINGS`] sFlow-solved
@@ -186,7 +193,8 @@ const PLAN_GATED: [&str; 3] = ["random-200", "waxman-400-overlay", "waxman-2000"
 /// Times each cut sample's plan is replayed, each replay followed by a
 /// kernel reference of [`REFERENCE_TREES`] trees: on random-200 the plan
 /// and the tree are within a fifth of each other, so the two are timed
-/// side by side, not minutes apart.
+/// side by side, not minutes apart, and gated by the median of their
+/// per-replay ratios.
 const PLAN_ROUNDS: usize = 5;
 
 /// Trees one kernel reference sweeps, from sources spread over the world
@@ -343,6 +351,9 @@ struct PatchDir {
     /// For a cut, the kernel references timed between its plan replays:
     /// ns per tree.
     kernel_refs: Vec<u128>,
+    /// For a cut, each replay's plan over the kernel reference timed right
+    /// after it, per tree, in thousandths.
+    plan_per_mille: Vec<u128>,
 }
 
 /// The reads of every destination a cut moved in the rows it shadowed,
@@ -450,6 +461,16 @@ impl PatchDir {
     fn kernel_ref_us(&self) -> Option<f64> {
         (!self.kernel_refs.is_empty()).then(|| median(self.kernel_refs.clone()) as f64 / 1e3)
     }
+    /// The median of the replays' plan over one kernel tree timed beside
+    /// it, `None` if none ran.
+    fn plan_over_tree(&self) -> Option<f64> {
+        (!self.plan_per_mille.is_empty()).then(|| median(self.plan_per_mille.clone()) as f64 / 1e3)
+    }
+    /// The median plan over the median kernel reference: the reading the
+    /// shave gate took before it compared each plan with its neighbour.
+    fn plan_over_tree_of_medians(&self) -> Option<f64> {
+        Some(self.plan_us()? as f64 / self.kernel_ref_us()?)
+    }
     /// [`PatchDir::plan_us`] as JSON.
     fn plan_us_json(&self) -> String {
         self.plan_us()
@@ -551,6 +572,12 @@ const PRICING_REPS: usize = 15;
 /// The most `pair_qos_ms` may take, as a share of `per_host_trees_ms`.
 const MAX_PRICING_SHARE: f64 = 0.6;
 
+/// The most adjacency slots `pair_qos`'s sweeps may scan on `waxman-400`:
+/// a quarter of the 2 289 071 they scanned when a popped node looked at
+/// every link. A count, so it is the same on every machine; a level sweep
+/// that stops scanning at the level reads about 0.3 million.
+const MAX_PRICING_SLOTS: u64 = 572_000;
+
 /// The underlay pricing `OverlayGraph::build_with` does, against one full
 /// tree per host.
 struct UnderlayPricing {
@@ -559,6 +586,10 @@ struct UnderlayPricing {
     levels_mean: f64,
     per_host_trees_ms: f64,
     pair_qos_ms: f64,
+    /// What `pair_qos`'s sweeps did, counted once: label decreases and
+    /// adjacency slots scanned.
+    label_updates: u64,
+    slots_scanned: u64,
 }
 
 fn underlay_pricing(fixture: &Fixture) -> UnderlayPricing {
@@ -581,7 +612,8 @@ fn underlay_pricing(fixture: &Fixture) -> UnderlayPricing {
             .collect::<Vec<_>>()
     };
     let trees = per_host_trees();
-    let priced = net.pair_qos(&hosts);
+    let mut counted = DijkstraScratch::new();
+    let priced = net.pair_qos(&hosts, &mut counted);
     for (i, tree) in trees.iter().enumerate() {
         for (j, &to) in nodes.iter().enumerate() {
             assert_eq!(
@@ -596,7 +628,9 @@ fn underlay_pricing(fixture: &Fixture) -> UnderlayPricing {
     let (mut tree_us, mut pair_us) = (Vec::new(), Vec::new());
     for _ in 0..PRICING_REPS {
         tree_us.push(time_us(1, per_host_trees));
-        pair_us.push(time_us(1, || net.pair_qos(&hosts)));
+        pair_us.push(time_us(1, || {
+            net.pair_qos(&hosts, &mut DijkstraScratch::new())
+        }));
     }
     let levels: usize = trees.iter().map(|t| t.level_count()).sum();
     UnderlayPricing {
@@ -605,6 +639,8 @@ fn underlay_pricing(fixture: &Fixture) -> UnderlayPricing {
         levels_mean: levels as f64 / trees.len().max(1) as f64,
         per_host_trees_ms: median(tree_us) as f64 / 1e3,
         pair_qos_ms: median(pair_us) as f64 / 1e3,
+        label_updates: counted.label_updates(),
+        slots_scanned: counted.slots_scanned(),
     }
 }
 
@@ -775,7 +811,7 @@ fn repair_reprice(fixture: &Fixture) -> (usize, ServiceInstance, Vec<RepairRow>)
             .overlay
             .with_link_qos(from, to, qos)
             .expect("a booked link");
-        let table = overlay.all_pairs();
+        let table = all_pairs(overlay.graph());
         rows.push(repair_row(
             change,
             &overlay,
@@ -821,7 +857,7 @@ struct FailInstance {
 /// `World::apply` runs — and reads the QoS and path of every live pair
 /// afterwards, counting the rows the reads swept. The reference is the
 /// renumbering rebuild: [`OverlayGraph::without_instances`] and a fresh
-/// [`OverlayGraph::all_pairs`]. Every live pair must equal the
+/// [`all_pairs`], every row swept. Every live pair must equal the
 /// reference's, node ids mapped across; the timings are medians of
 /// [`FAIL_REPS`] interleaved runs.
 fn fail_instance(fixture: &Fixture, victim: ServiceInstance) -> FailInstance {
@@ -844,7 +880,7 @@ fn fail_instance(fixture: &Fixture, victim: ServiceInstance) -> FailInstance {
     };
     let reference = || {
         let overlay = fixture.overlay.without_instances(&[victim]);
-        let table = overlay.all_pairs();
+        let table = all_pairs(overlay.graph());
         (overlay, table)
     };
 
@@ -1045,7 +1081,8 @@ fn replay_beside_the_kernel<N>(
     for _ in 0..PLAN_ROUNDS {
         let started = Instant::now();
         let (replayed, replay) = next.patched_with(world, changes, 1);
-        dir.plans.push(started.elapsed().as_micros());
+        let plan = started.elapsed().as_nanos();
+        dir.plans.push(plan / 1_000);
         drop(replayed);
         assert_eq!(
             replay.trees_recomputed, 0,
@@ -1057,8 +1094,9 @@ fn replay_beside_the_kernel<N>(
             let source = NodeIx::from_index((i * n / REFERENCE_TREES + shift) % n);
             black_box(single_source_csr(&csr, source, &mut scratch));
         }
-        dir.kernel_refs
-            .push(started.elapsed().as_nanos() / REFERENCE_TREES as u128);
+        let tree = (started.elapsed().as_nanos() / REFERENCE_TREES as u128).max(1);
+        dir.kernel_refs.push(tree);
+        dir.plan_per_mille.push(plan * 1_000 / tree);
     }
 }
 
@@ -1366,8 +1404,12 @@ fn world_json(r: &WorldReport) -> String {
     // A cut row also says how much of each tree it invalidated it moved.
     let dir_json = |d: &PatchDir, cut: bool| {
         let moved = if cut {
+            let ratio = |r: Option<f64>| r.map_or("null".to_string(), |r| format!("{r:.2}"));
             format!(
-                ", \"avg_moved_share\": {}, \"moved_reads\": {}",
+                ", \"plan_over_tree\": {}, \"plan_over_tree_of_medians\": {}, \
+                 \"avg_moved_share\": {}, \"moved_reads\": {}",
+                ratio(d.plan_over_tree()),
+                ratio(d.plan_over_tree_of_medians()),
                 d.avg_moved_share_json(),
                 d.moved_reads.json()
             )
@@ -1441,15 +1483,25 @@ fn main() {
     // underlay, each linked to every instance of the other nine services.
     let services: Vec<ServiceId> = (0..10).map(ServiceId::new).collect();
     let waxman_400 = random_fixture(400, &services, 8, None, 42);
+    // Its set-up table is lazy; read in full, it is the table a server that
+    // has served every row holds, which the failure below patches.
+    read_every_row(&waxman_400.all_pairs);
     let pricing = underlay_pricing(&waxman_400);
     println!(
         "underlay pricing: {} hosts, {} pairs, {:.1} levels per tree — one tree per host \
-         {:.2} ms, pair_qos {:.2} ms",
+         {:.2} ms, pair_qos {:.2} ms ({} label updates, {} slots scanned)",
         pricing.hosts,
         pricing.pairs,
         pricing.levels_mean,
         pricing.per_host_trees_ms,
         pricing.pair_qos_ms,
+        pricing.label_updates,
+        pricing.slots_scanned,
+    );
+    assert!(
+        pricing.slots_scanned <= MAX_PRICING_SLOTS,
+        "pair_qos scanned {} adjacency slots, more than {MAX_PRICING_SLOTS}",
+        pricing.slots_scanned,
     );
     assert!(
         pricing.pair_qos_ms <= MAX_PRICING_SHARE * pricing.per_host_trees_ms,
@@ -1548,9 +1600,16 @@ fn main() {
             ("speed-up", &r.speed_up),
             ("widen", &r.widen),
         ] {
-            let beside = d.kernel_ref_us().map_or(String::new(), |us| {
-                format!(", kernel {us:.1} µs/tree beside it")
-            });
+            let beside = d
+                .kernel_ref_us()
+                .zip(d.plan_over_tree())
+                .zip(d.plan_over_tree_of_medians())
+                .map_or(String::new(), |((us, ratio), medians)| {
+                    format!(
+                        ", kernel {us:.1} µs/tree beside it, plan / tree {ratio:.2}, \
+                         of the medians {medians:.2}"
+                    )
+                });
             println!(
                 "  {label}: avg {} µs (plan {} µs{beside}) recomputing {:.1}/{} trees \
                  (max {}, coarse rule avg {:.1}, moved share {})",
@@ -1657,13 +1716,17 @@ fn main() {
             );
             let unmeasured =
                 || -> u128 { panic!("{}: no shave was sampled: the plan went unmeasured", r.name) };
-            let plan = r.cut.plan_us().unwrap_or_else(unmeasured);
-            let reference = r.cut.kernel_ref_us().unwrap_or_else(|| unmeasured() as f64);
+            let ratio = r
+                .cut
+                .plan_over_tree()
+                .unwrap_or_else(|| unmeasured() as f64);
             assert!(
-                (plan as f64) < reference,
-                "{}: a shave's plan took {plan} µs, more than one kernel tree timed beside it \
-                 ({reference:.1} µs)",
+                ratio < 1.0,
+                "{}: a shave's plan took {ratio:.2} kernel trees timed beside it (median of \
+                 the replays' ratios; plan {} µs, tree {:.1} µs)",
                 r.name,
+                r.cut.plan_us_json(),
+                r.cut.kernel_ref_us().unwrap_or_default(),
             );
             let plan = r.widen.plan_us().unwrap_or_else(|| {
                 panic!("{}: no widen was sampled: its plan went unmeasured", r.name)
@@ -1682,7 +1745,8 @@ fn main() {
         "{{\n  \"generated_by\": \"bench_routing\",\n  \"available_parallelism\": {},\n  \
          \"underlay_pricing\": {{\"world\": \"waxman-400\", \
          \"hosts\": {}, \"pairs\": {}, \"levels_per_tree_mean\": {:.2}, \
-         \"per_host_trees_ms\": {:.2}, \"pair_qos_ms\": {:.2}}},\n  \
+         \"per_host_trees_ms\": {:.2}, \"pair_qos_ms\": {:.2}, \
+         \"pair_qos_label_updates\": {}, \"pair_qos_slots_scanned\": {}}},\n  \
          \"repair_reprice\": {},\n  \"fail_instance\": {},\n  \"worlds\": [\n{}\n  ]\n}}\n",
         std::thread::available_parallelism().map_or(1, |n| n.get()),
         pricing.hosts,
@@ -1690,6 +1754,8 @@ fn main() {
         pricing.levels_mean,
         pricing.per_host_trees_ms,
         pricing.pair_qos_ms,
+        pricing.label_updates,
+        pricing.slots_scanned,
         repair_reprice_json(link_users, &repairs),
         fail_instance_json(&failure),
         worlds.join(",\n"),

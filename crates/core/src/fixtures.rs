@@ -30,8 +30,10 @@ pub struct Fixture {
 }
 
 impl Fixture {
-    /// Builds a fixture from its parts, computing the routing table and
-    /// pinning the first instance of `source_service` as the source.
+    /// Builds a fixture from its parts, with the overlay's lazy routing
+    /// table ([`OverlayGraph::all_pairs`]: no row is swept until a read
+    /// needs it), pinning the first instance of `source_service` as the
+    /// source.
     ///
     /// # Panics
     ///

@@ -12,7 +12,7 @@ use rand::seq::SliceRandom;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 use sflow_graph::{algo, DiGraph, NodeIx};
-use sflow_routing::{shortest_widest, AllPairs, Bandwidth, EdgeChange, Qos};
+use sflow_routing::{AllPairs, Bandwidth, DijkstraScratch, EdgeChange, Qos};
 
 use crate::{HostId, OverlayBuildError, ServiceId, ServiceInstance, UnderlyingNetwork};
 
@@ -205,7 +205,7 @@ impl OverlayGraph {
         let mut hosts: Vec<HostId> = placement.instances().iter().map(|i| i.host).collect();
         hosts.sort_unstable();
         hosts.dedup();
-        let prices = net.pair_qos(&hosts);
+        let prices = net.pair_qos(&hosts, &mut DijkstraScratch::new());
         let at = |host| {
             hosts
                 .binary_search(&host)
@@ -331,9 +331,12 @@ impl OverlayGraph {
     }
 
     /// Exact all-pairs shortest-widest paths *over the overlay* (between
-    /// service instances, through service links).
+    /// service instances, through service links), as a lazy table
+    /// ([`AllPairs::lazy`]): building it sweeps no row, and each row is
+    /// swept by the first read that needs it. No sFlow node holds all
+    /// pairs; a solve reads the rows of the instances it routes from.
     pub fn all_pairs(&self) -> AllPairs {
-        shortest_widest::all_pairs(&self.graph)
+        AllPairs::lazy(&self.graph)
     }
 
     /// Renders the overlay as Graphviz DOT: instances as `SID/NID` boxes,
@@ -514,7 +517,7 @@ impl LocalView {
 mod tests {
     use super::*;
     use rand::Rng;
-    use sflow_routing::{Bandwidth, Latency};
+    use sflow_routing::{shortest_widest, Bandwidth, Latency};
 
     fn q(bw: u64, lat: u64) -> Qos {
         Qos::new(Bandwidth::kbps(bw), Latency::from_micros(lat))
@@ -946,7 +949,9 @@ mod tests {
     fn update_link_qos_reports_the_change_and_feeds_patch() {
         let (net, p, compat) = line_world();
         let mut ov = OverlayGraph::build(&net, &p, &compat).unwrap();
-        let before = ov.all_pairs();
+        // Every row swept, so the patch has trees to keep.
+        let before = shortest_widest::all_pairs(ov.graph());
+        assert_eq!(before.materialised(), before.len());
         let s0 = ov.instances_of(sid(0))[0];
         let near = ov
             .instances_of(sid(1))

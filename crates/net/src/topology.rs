@@ -132,18 +132,9 @@ pub fn waxman(
     let pts: Vec<(f64, f64)> = (0..n)
         .map(|_| (rng.gen::<f64>(), rng.gen::<f64>()))
         .collect();
-    let diag = 2f64.sqrt();
-    for i in 0..n {
-        for j in (i + 1)..n {
-            let d = dist(pts[i], pts[j]);
-            let p = alpha * (-d / (beta * diag)).exp();
-            if rng.gen::<f64>() < p {
-                b.link(hosts[i], hosts[j], profile.sample(rng));
-            }
-        }
-    }
-    // Connectivity repair: union-find over current links, then join each
-    // component to the first by its geometrically closest pair.
+    // Connectivity repair: union-find over the links as they are drawn,
+    // then join each component to the first by its geometrically closest
+    // pair.
     let mut comp: Vec<usize> = (0..n).collect();
     fn find(comp: &mut Vec<usize>, x: usize) -> usize {
         if comp[x] != x {
@@ -152,9 +143,13 @@ pub fn waxman(
         }
         comp[x]
     }
+    let diag = 2f64.sqrt();
     for i in 0..n {
         for j in (i + 1)..n {
-            if b.has_link(hosts[i], hosts[j]) {
+            let d = dist(pts[i], pts[j]);
+            let p = alpha * (-d / (beta * diag)).exp();
+            if rng.gen::<f64>() < p {
+                b.link(hosts[i], hosts[j], profile.sample(rng));
                 let (ri, rj) = (find(&mut comp, i), find(&mut comp, j));
                 if ri != rj {
                     comp[ri] = rj;
@@ -348,6 +343,29 @@ mod tests {
             assert!(net.is_connected(), "seed {seed}");
             assert_eq!(net.host_count(), 25);
         }
+    }
+
+    /// `waxman-400`, the end-to-end benchmark's world, pinned: its link
+    /// count and a checksum of every directed edge's endpoints and QoS in
+    /// insertion order. A faster generator must build the same network.
+    #[test]
+    fn waxman_400_at_seed_42_is_pinned() {
+        let profile = LinkProfile::new(10..=1000, 1_000..=10_000);
+        let net = waxman(400, 0.25, 0.25, &profile, &mut StdRng::seed_from_u64(42));
+        let checksum = net.graph().edges().fold(0xcbf2_9ce4_8422_2325u64, |h, e| {
+            [
+                e.from.index() as u64,
+                e.to.index() as u64,
+                e.weight.bandwidth.as_kbps(),
+                e.weight.latency.as_micros(),
+            ]
+            .into_iter()
+            .fold(h, |h, x| (h ^ x).wrapping_mul(0x0100_0000_01b3))
+        });
+        assert_eq!(
+            (net.link_count(), checksum),
+            (5_734, 17_009_345_874_052_426_269)
+        );
     }
 
     #[test]

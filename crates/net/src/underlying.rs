@@ -90,7 +90,8 @@ impl UnderlyingNetwork {
     /// The shortest-widest QoS between two hosts (`None` if disconnected):
     /// [`UnderlyingNetwork::pair_qos`] of the two.
     pub fn qos_between(&self, a: HostId, b: HostId) -> Option<Qos> {
-        self.pair_qos(&[a, b]).qos(0, 1)
+        self.pair_qos(&[a, b], &mut DijkstraScratch::new())
+            .qos(0, 1)
     }
 
     /// The shortest-widest QoS between every two of `hosts` — what the
@@ -102,11 +103,14 @@ impl UnderlyingNetwork {
     /// sweep ([`settle_csr`]) that settles only the hosts after it, each at
     /// its widest bandwidth, and stops when the last of them settles; its
     /// answer to `j` is also `j`'s to `i`, the network being symmetric.
+    /// The sweeps use the caller's `scratch`, whose work counters
+    /// ([`DijkstraScratch::label_updates`], [`DijkstraScratch::slots_scanned`])
+    /// then count them.
     ///
     /// # Panics
     ///
     /// Panics if a host is not part of this network.
-    pub fn pair_qos(&self, hosts: &[HostId]) -> PairQos {
+    pub fn pair_qos(&self, hosts: &[HostId], scratch: &mut DijkstraScratch) -> PairQos {
         let nodes: Vec<NodeIx> = hosts.iter().map(|&h| self.node_of(h)).collect();
         let k = nodes.len();
         let mut qos = vec![None; k * k];
@@ -114,7 +118,6 @@ impl UnderlyingNetwork {
         let forest = WidestForest::new(&csr);
         let mut widest = Vec::new();
         let mut want = vec![None; self.host_count()];
-        let mut scratch = DijkstraScratch::new();
         for (i, &from) in nodes.iter().enumerate() {
             qos[i * k + i] = Some(Qos::IDENTITY);
             let after = &nodes[i + 1..];
@@ -127,7 +130,7 @@ impl UnderlyingNetwork {
                     want[to.index()] = widest[to.index()];
                 }
             }
-            let settled = settle_csr(&csr, from, &want, &mut scratch);
+            let settled = settle_csr(&csr, from, &want, scratch);
             for (j, &to) in (i + 1..).zip(after) {
                 want[to.index()] = None;
                 let answer = settled[to.index()];

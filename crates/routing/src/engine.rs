@@ -20,7 +20,7 @@
 //! [`QosCsr`](crate::QosCsr) of its graph, and the successor's is that one
 //! reweighted from the batch's change list
 //! ([`QosCsr::reweighted`](crate::QosCsr::reweighted): the topology
-//! shared, the weight arrays copied and only the changed slots written),
+//! shared, the bandwidths copied and only the changed slots written),
 //! not a fresh derivation and not a read of the graph.
 //!
 //! A build and a stale slot's sweep both run the same non-generic
@@ -150,7 +150,11 @@
 //! `materialised(pred) − trees_recomputed` trees with its predecessor and
 //! holds `trees_restored` more: the shadows it turned back into trees.
 //!
-//! **Stale slots.** A dirty tree is not recomputed by the patch: its slot
+//! **Stale slots.** A set-up table starts stale: [`AllPairs::lazy`] derives
+//! the CSR and sweeps no row, so a table built for a server (through
+//! `OverlayGraph::all_pairs`) materialises only the rows its reads need,
+//! and a patch judges only those. A dirty tree is not recomputed by the
+//! patch either: its slot
 //! in the successor is left *stale* and swept by the first read, over the
 //! successor's own CSR — the graph of the day, so what it reports is what
 //! a recomputation would have. A slot that is stale already stays stale,
@@ -429,7 +433,7 @@ impl AllPairs {
     /// the net change of each distinct `since` list (and for one with a
     /// gain, a reverse pass over `g`), the predecessor's
     /// [`QosCsr`](crate::QosCsr) reweighted from the coalesced change list
-    /// (its weight arrays copied, the changed slots written — no read of
+    /// (its bandwidths copied, the changed slots written — no read of
     /// `g`'s edges) and a refcount bump per kept tree or shadow, never a
     /// copy of the table, and no Dijkstra. Readers concurrently solving
     /// against the predecessor are never disturbed — this is the routing

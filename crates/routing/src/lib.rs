@@ -24,7 +24,8 @@
 //!   of the paper) starts from;
 //! * [`engine`]: incremental maintenance of an all-pairs table after
 //!   edge-QoS changes ([`AllPairs::patched_with`]). Every table is built
-//!   sequentially ([`all_pairs`], one reused [`DijkstraScratch`]) and
+//!   one way, [`AllPairs::lazy`], which sweeps no row until a read needs
+//!   it ([`all_pairs`] reads every row, on the caller's thread), and is
 //!   swept by one concrete kernel
 //!   ([`shortest_widest::single_source_csr`], a widest pass and then the
 //!   level sweep, which [`shortest_widest::single_source_moved_csr`] cuts

@@ -17,6 +17,9 @@
 //!   (one cursor over the links sorted by bandwidth, once per [`QosCsr`]),
 //!   offers each from its tail's standing label, and propagates
 //!   decrease-only until the last node pinned at the level is settled.
+//!   A popped node scans its own links widest first (each node's run of
+//!   the CSR kept in that order) and stops at the first link narrower than
+//!   the level, so a scan costs the links the level admits, plus one.
 //!   Whatever is still on the heap then waits for the next level.
 //! * [`single_source_lexicographic`] — the classic single-pass Dijkstra with
 //!   the lexicographic (bandwidth ↓, latency ↑) key, as commonly implemented
@@ -39,8 +42,9 @@
 //! predecessor is the one whose tail **settles first**, and among parallel
 //! links from that tail the one in the **earliest CSR slot** (insertion
 //! order). The sweep applies the rule to every offer that ties the standing
-//! label, so it builds the tree a fresh Dijkstra of each level would; the
-//! differential test `tests/prop_sweep.rs` holds it to that definition.
+//! label, so it builds the tree a fresh Dijkstra of each level would, in
+//! whatever order a node's links are scanned; the differential test
+//! `tests/prop_sweep.rs` holds it to that definition.
 //!
 //! # What a tree stores
 //!
@@ -55,9 +59,10 @@
 //! [`single_source_csr`] sweeps a [`QosCsr`] — a compressed-sparse-row
 //! flattening of the graph with the edge weights in slot-parallel arrays — so
 //! the inner loops march forward through flat arrays instead of chasing
-//! `Vec<EdgeIx>` indirections per visited edge. [`all_pairs`] derives the
-//! CSR once per graph and calls the kernel per source, and the incremental
-//! patcher in [`crate::engine`] reweights it; the one-shot
+//! `Vec<EdgeIx>` indirections per visited edge. [`AllPairs::lazy`] derives
+//! the CSR once per graph and sweeps a row on its first read
+//! ([`all_pairs`] reads every row), and the incremental patcher in
+//! [`crate::engine`] reweights it; the one-shot
 //! [`single_source`] derives a CSR for its single sweep. The kernel is two
 //! passes: the widest pass names every reachable node's level, and one
 //! level sweep settles the nodes it is told to, each at the bandwidth named
@@ -79,34 +84,37 @@
 //! levels and `U` label decreases over the whole sweep (`V ≤ U ≤ L · V`;
 //! `bench_routing` reports it — about 7 per node on a 400-host Waxman
 //! underlay with 61 levels): exact is `O((E + U · deg) log V)` time and
-//! `O(V + U)` memory per tree, lexicographic `O(E log V)`. The CSR
-//! derivation is `O(V + E log E)` once per graph, amortised to nothing over
-//! a sweep of many sources. A patch ([`AllPairs::patched_with`]) is a
-//! plan and derives no CSR: it reweights its predecessor's from the change
-//! list (two weight arrays copied, `O(k log E)` for the `k` changed
-//! slots), plans a degradation in `O(changes × chain)` per materialised
-//! or shadowed tree — a degraded head's chain, a few entries — plus `O(V)`
-//! and a walk of the levels that matter for the trees whose chains name a
-//! degraded edge, and sweeps nothing. (A net change with a gain costs one
-//! reverse pass over the graph from the gained tails, `O(V + E)` once per
-//! distinct net change, and a walk of its degradations for the trees that
-//! cannot reach them.) The sweep a dirty tree costs is paid on the first
-//! read of its row that needs it, against the table the reader holds, and
-//! not at all for a row nobody reads there. After a degradation a read of
-//! a destination it moved
-//! pays only the sweep up to the row's last moved destination
-//! ([`single_source_moved_csr`]); only a read of the whole tree, or a
-//! cut-short sweep whose last moved destination is pinned at the last
-//! level, pays it all. A shadow costs its tree, which the predecessor
-//! holds anyway, and its crossings; a read from it, `O(hops × crossings)`,
-//! and the first moved read marks the row's moved destinations,
-//! `O(V × hops × crossings)`. Each tree and shadow also carries its net
-//! change since its sweep, one list shared by the trees swept together; a
-//! patch folds its batch into each distinct list once, a merge of two
-//! sorted lists, and a tree or shadow that change leaves on its sweep graph
-//! costs the patch a refcount bump, with no walk. A list
-//! grows by every edge changed and not put back since its trees' sweep, so
-//! a lineage that never undoes itself pays its length on every patch.
+//! `O(V + U)` memory per tree, lexicographic `O(E log V)`. The CSR derivation
+//! is `O(V + E log E)` once per graph, amortised to nothing over a sweep of
+//! many sources. A node's scans are cut short at the level, so the `deg`
+//! above counts the links a level admits, plus one: on the 400-host Waxman
+//! underlay, `pair_qos`'s sweeps scan 0.30 million slots where a scan of
+//! every link would look at 2.29 million. A patch
+//! ([`AllPairs::patched_with`]) is a plan and derives no CSR: it reweights
+//! its predecessor's from the change list (the bandwidth array and the
+//! per-node order copied, the latency array only if a latency moved, and
+//! `O(k log E)` for the `k` changed slots), plans a degradation in
+//! `O(changes × chain)` per materialised or shadowed tree — a degraded head's
+//! chain, a few entries — plus `O(V)` and a walk of the levels that matter
+//! for the trees whose chains name a degraded edge, and sweeps nothing. (A
+//! net change with a gain costs one reverse pass over the graph from the
+//! gained tails, `O(V + E)` once per distinct net change, and a walk of its
+//! degradations for the trees that cannot reach them.) The sweep a dirty tree
+//! costs is paid on the first read of its row that needs it, against the
+//! table the reader holds, and not at all for a row nobody reads there. After
+//! a degradation a read of a destination it moved pays only the sweep up to
+//! the row's last moved destination ([`single_source_moved_csr`]); only a
+//! read of the whole tree, or a cut-short sweep whose last moved destination
+//! is pinned at the last level, pays it all. A shadow costs its tree, which
+//! the predecessor holds anyway, and its crossings; a read from it,
+//! `O(hops × crossings)`, and the first moved read marks the row's moved
+//! destinations, `O(V × hops × crossings)`. Each tree and shadow also carries
+//! its net change since its sweep, one list shared by the trees swept
+//! together; a patch folds its batch into each distinct list once, a merge of
+//! two sorted lists, and a tree or shadow that change leaves on its sweep
+//! graph costs the patch a refcount bump, with no walk. A list grows by every
+//! edge changed and not put back since its trees' sweep, so a lineage that
+//! never undoes itself pays its length on every patch.
 
 use std::cell::RefCell;
 use std::cmp::{Ordering, Reverse};
@@ -345,8 +353,9 @@ impl PathTree {
     /// other edges infinite — same answer, less work. It leaves the tree's
     /// [`PathTree::crossings`] in `scratch`.
     ///
-    /// Only the levels of a crossing can matter. A tree with no crossing is
-    /// clean without a walk, and one with a crossing at its head's own
+    /// Only the levels of a crossing can matter. A tree with no crossing,
+    /// or whose crossings all start at a level no wider than their floor,
+    /// is clean without a walk, and one with a crossing at its head's own
     /// level is dirty without one (the head's own path crosses the edge
     /// there, above the floor); otherwise only the crossings' levels are
     /// walked, and a walk is exact, so the answer is the full walk's.
@@ -363,7 +372,14 @@ impl PathTree {
         {
             return true;
         }
-        if scratch.crossings.is_empty() {
+        // Levels run widest first: a crossing whose first level is at or
+        // below its floor has nothing to walk, and a tree with only such
+        // crossings (or none) is clean without indexing its levels.
+        if scratch
+            .crossings
+            .iter()
+            .all(|c| self.level_bandwidth(c.from) <= c.floor)
+        {
             return false;
         }
         let floor_of = |edge: EdgeIx| {
@@ -427,19 +443,39 @@ impl PathTree {
             .map(move |(i, at)| (at, chain.get(i + 1).map_or(self.levels, |next| next.level)))
     }
 
+    /// The bandwidth of level `li`: that of the first node pinned there
+    /// (every level has one, the source aside), or infinite if none is.
+    /// `O(V)` at worst; the scan stops at that node.
+    fn level_bandwidth(&self, li: u32) -> Bandwidth {
+        let source = self.source.index();
+        self.dist
+            .iter()
+            .zip(&self.node_level)
+            .enumerate()
+            .find_map(|(x, (dist, &at))| dist.filter(|_| x != source && at == li))
+            .map_or(Bandwidth::INFINITE, |qos| qos.bandwidth)
+    }
+
     /// Groups the nodes pinned at each level (every reachable node but the
     /// source) into `scratch`'s per-level index, by counting sort:
     /// `O(V + L)`.
     fn index_levels(&self, scratch: &mut TraversalScratch) {
         let levels = self.levels as usize;
         let source = self.source.index();
-        let pinned_nodes =
-            || (0..self.dist.len()).filter(move |&x| x != source && self.dist[x].is_some());
+        // Each pinned node with its level, walking both arrays in step.
+        let pinned_nodes = || {
+            self.dist
+                .iter()
+                .zip(&self.node_level)
+                .enumerate()
+                .filter(move |&(x, (dist, _))| x != source && dist.is_some())
+                .map(|(x, (_, &li))| (x, li as usize))
+        };
         let starts = &mut scratch.level_start;
         starts.clear();
         starts.resize(levels + 1, 0);
-        for x in pinned_nodes() {
-            starts[self.node_level[x] as usize] += 1;
+        for (_, li) in pinned_nodes() {
+            starts[li] += 1;
         }
         // Each level's end, then filled backwards so it ends at its start.
         let mut end = 0;
@@ -450,8 +486,8 @@ impl PathTree {
         starts[levels] = end;
         scratch.pinned.clear();
         scratch.pinned.resize(end as usize, 0);
-        for x in pinned_nodes() {
-            let at = &mut starts[self.node_level[x] as usize];
+        for (x, li) in pinned_nodes() {
+            let at = &mut starts[li];
             *at -= 1;
             scratch.pinned[*at as usize] = x as u32;
         }
@@ -633,6 +669,7 @@ pub struct DijkstraScratch {
     /// destinations for [`single_source_moved_csr`].
     moved: Vec<bool>,
     label_updates: u64,
+    slots_scanned: u64,
 }
 
 impl DijkstraScratch {
@@ -647,6 +684,14 @@ impl DijkstraScratch {
     pub fn label_updates(&self) -> u64 {
         self.label_updates
     }
+
+    /// Adjacency slots the level sweeps this scratch has served looked at
+    /// when a node popped — each offered link, and the first link narrower
+    /// than the level, which ends the scan. Like
+    /// [`DijkstraScratch::label_updates`], a count that repeats exactly.
+    pub fn slots_scanned(&self) -> u64 {
+        self.slots_scanned
+    }
 }
 
 /// A [`Qos`]-weighted compressed-sparse-row view of a graph's out-adjacency.
@@ -659,13 +704,14 @@ impl DijkstraScratch {
 /// descending sweep admits them in. Derive one per graph
 /// (`O(V + E log E)`) and share it read-only across however many readers
 /// sweep it; once the weights move, [`QosCsr::reweighted`] derives the
-/// next one from the list of changed edges — two weight arrays copied and
-/// the changed slots written — and shares the topology with this one.
+/// next one from the list of changed edges — the bandwidths copied and
+/// the changed slots written — and shares the topology with this one, and
+/// the latencies too unless a change moved one.
 #[derive(Clone, Debug)]
 pub struct QosCsr {
     adj: Arc<Csr>,
     bandwidth: Vec<Bandwidth>,
-    latency: Vec<Latency>,
+    latency: Arc<[Latency]>,
     /// The tail of each slot's edge.
     tails: Arc<[NodeIx]>,
     /// The slot of each edge, by edge index.
@@ -674,16 +720,22 @@ pub struct QosCsr {
     /// unspecified: they are admitted at the same level, and the tie rule
     /// in the module docs makes the tree independent of it.
     widest_first: Vec<u32>,
+    /// Each node's slots, widest edge first: `by_width[adj.range(u)]` is
+    /// `u`'s run, ordered by bandwidth descending, then by slot. A popped
+    /// node scans its run and stops at the first link narrower than the
+    /// level.
+    by_width: Vec<u32>,
 }
 
 impl QosCsr {
-    /// Flattens `g`'s out-adjacency and edge weights and sorts the slots by
-    /// bandwidth. `O(V + E log E)`.
+    /// Flattens `g`'s out-adjacency and edge weights, sorts the slots by
+    /// bandwidth and deals them out to each node's run, whose equal
+    /// bandwidths are then put in slot order. `O(V + E log E)`.
     pub fn new<N>(g: &DiGraph<N, Qos>) -> Self {
         let adj = Csr::forward(g);
         let bandwidth: Vec<Bandwidth> = adj.edges().iter().map(|&e| g.edge(e).bandwidth).collect();
         let latency = adj.edges().iter().map(|&e| g.edge(e).latency).collect();
-        let tails = g
+        let tails: Arc<[NodeIx]> = g
             .node_ids()
             .flat_map(|u| adj.range(u).map(move |_| u))
             .collect();
@@ -693,6 +745,21 @@ impl QosCsr {
         }
         let mut widest_first: Vec<u32> = (0..bandwidth.len() as u32).collect();
         widest_first.sort_unstable_by_key(|&s| Reverse(bandwidth[s as usize]));
+        // Dealt out by tail, the bandwidth order is each node's run widest
+        // first; then each run of equal bandwidths is put in slot order.
+        let mut next: Vec<usize> = g.node_ids().map(|u| adj.range(u).start).collect();
+        let mut by_width = vec![0u32; bandwidth.len()];
+        for &s in &widest_first {
+            let at = &mut next[tails[s as usize].index()];
+            by_width[*at] = s;
+            *at += 1;
+        }
+        for u in g.node_ids() {
+            let run = &mut by_width[adj.range(u)];
+            for ties in run.chunk_by_mut(|&a, &b| bandwidth[a as usize] == bandwidth[b as usize]) {
+                ties.sort_unstable();
+            }
+        }
         QosCsr {
             adj: Arc::new(adj),
             bandwidth,
@@ -700,20 +767,24 @@ impl QosCsr {
             tails,
             slot_of: slot_of.into(),
             widest_first,
+            by_width,
         }
     }
 
     /// The CSR of this one's graph after `changes`: one record per edge,
     /// its `new` weight the one the graph carries now — a batch as
     /// [`AllPairs::patched_with`] folds it. The topology, tails and
-    /// edge → slot index are shared with `self`; the two weight arrays are
-    /// copied and the changed slots written through the index. Only the
-    /// slots whose bandwidth moved are re-placed in the bandwidth order —
-    /// each goes in front of the first slot its old place in the order
-    /// found no wider, and the others keep their order. `O(E)` copying
-    /// plus `O(k log E)` for `k` changed slots (and a scan of each moved
-    /// slot's old run of equal bandwidths), where [`QosCsr::new`] reads
-    /// every edge of a graph and sorts every slot.
+    /// edge → slot index are shared with `self`; the bandwidth array is
+    /// copied and the changed slots written through the index, and so is
+    /// the latency array if a change moved a latency (else it is shared
+    /// too). Only the slots whose bandwidth moved are re-placed in the
+    /// bandwidth order — each goes in front of the first slot its old
+    /// place in the order found no wider, and the others keep their order;
+    /// in the per-node order, only within the moved slot's node run. `O(E)`
+    /// copying plus
+    /// `O(k log E)` for `k` changed slots (and a scan of each moved slot's
+    /// old run of equal bandwidths, and of its node's run), where
+    /// [`QosCsr::new`] reads every edge of a graph and sorts every slot.
     ///
     /// # Panics
     ///
@@ -721,12 +792,14 @@ impl QosCsr {
     /// weights, never counts.
     pub fn reweighted(&self, changes: &[EdgeChange]) -> Self {
         let mut bandwidth = self.bandwidth.clone();
-        let mut latency = self.latency.clone();
+        let mut latency = Arc::clone(&self.latency);
         let mut arrivals = Vec::with_capacity(changes.len());
         for c in changes {
             let slot = self.slot_of[c.edge.index()];
             bandwidth[slot as usize] = c.new.bandwidth;
-            latency[slot as usize] = c.new.latency;
+            if latency[slot as usize] != c.new.latency {
+                Arc::make_mut(&mut latency)[slot as usize] = c.new.latency;
+            }
             arrivals.push(slot);
         }
         // In slot order, so where equal bandwidths land below depends on
@@ -734,6 +807,7 @@ impl QosCsr {
         arrivals.sort_unstable();
         arrivals.dedup();
         arrivals.retain(|&s| bandwidth[s as usize] != self.bandwidth[s as usize]);
+        let by_width = self.by_width_after(&arrivals, &bandwidth);
         let mut gone: Vec<usize> = arrivals.iter().map(|&s| self.place(s)).collect();
         gone.sort_unstable();
         arrivals.sort_unstable_by_key(|&s| Reverse(bandwidth[s as usize]));
@@ -756,7 +830,34 @@ impl QosCsr {
             tails: Arc::clone(&self.tails),
             slot_of: Arc::clone(&self.slot_of),
             widest_first,
+            by_width,
         }
+    }
+
+    /// The per-node order after the slots in `moved` (ascending, so each
+    /// node's are contiguous) took the bandwidths in `bandwidth`: in each
+    /// node's run they are taken out, the others keep their order, and
+    /// each is put back where its new bandwidth goes.
+    fn by_width_after(&self, moved: &[u32], bandwidth: &[Bandwidth]) -> Vec<u32> {
+        let mut by_width = self.by_width.clone();
+        for run in moved.chunk_by(|&a, &b| self.tails[a as usize] == self.tails[b as usize]) {
+            let node = &mut by_width[self.adj.range(self.tails[run[0] as usize])];
+            let mut kept = 0;
+            for i in 0..node.len() {
+                if run.binary_search(&node[i]).is_err() {
+                    node[kept] = node[i];
+                    kept += 1;
+                }
+            }
+            for &slot in run {
+                let key = width_key(bandwidth, slot);
+                let at = node[..kept].partition_point(|&s| width_key(bandwidth, s) < key);
+                node.copy_within(at..kept, at + 1);
+                node[at] = slot;
+                kept += 1;
+            }
+        }
+        by_width
     }
 
     /// Where `slot` stands in `widest_first`: in the run of its bandwidth.
@@ -818,6 +919,12 @@ impl QosCsr {
         let bandwidth = &self.bandwidth[range];
         targets.iter().zip(bandwidth).map(|(&to, &bw)| (to, bw))
     }
+}
+
+/// Where `slot` goes in its node's run of [`QosCsr`]'s per-node order:
+/// widest first, then by slot.
+fn width_key(bandwidth: &[Bandwidth], slot: u32) -> (Reverse<Bandwidth>, u32) {
+    (Reverse(bandwidth[slot as usize]), slot)
 }
 
 #[derive(Debug, PartialEq, Eq)]
@@ -1206,11 +1313,19 @@ fn level_sweep(
                     break;
                 }
             }
-            for slot in csr.adj.range(node) {
-                if csr.bandwidth[slot] >= b {
-                    scratch.offer(csr, li, node, label, slot);
+            // Widest first: the first link narrower than the level ends
+            // the scan.
+            let run = &csr.by_width[csr.adj.range(node)];
+            let mut scanned = run.len();
+            for (i, &slot) in run.iter().enumerate() {
+                let slot = slot as usize;
+                if csr.bandwidth[slot] < b {
+                    scanned = i + 1;
+                    break;
                 }
+                scratch.offer(csr, li, node, label, slot);
             }
+            scratch.slots_scanned += scanned as u64;
         }
         li += 1;
     }
@@ -1400,6 +1515,18 @@ thread_local! {
 }
 
 impl AllPairs {
+    /// The table of `g` with every slot stale: it derives the [`QosCsr`]
+    /// (`O(V + E log E)`) and sweeps nothing. Each row is swept from that
+    /// CSR by the first read that needs it, so a caller that reads a few
+    /// rows pays for those alone; [`all_pairs`] is this table with every
+    /// row read.
+    pub fn lazy<N>(g: &DiGraph<N, Qos>) -> Self {
+        AllPairs {
+            trees: vec![Slot::default(); g.node_count()],
+            csr: Arc::new(QosCsr::new(g)),
+        }
+    }
+
     /// A table whose every slot holds its tree.
     pub(crate) fn swept(trees: Vec<Arc<PathTree>>, csr: Arc<QosCsr>) -> Self {
         AllPairs {
@@ -1532,15 +1659,14 @@ impl AllPairs {
 }
 
 /// Computes exact all-pairs shortest-widest paths (`O(V · L · E log V)`)
-/// sequentially, over a [`QosCsr`] derived once with one reused scratch.
+/// sequentially: [`AllPairs::lazy`], then every row read once, on the
+/// caller's thread.
 pub fn all_pairs<N>(g: &DiGraph<N, Qos>) -> AllPairs {
-    let csr = QosCsr::new(g);
-    let mut scratch = DijkstraScratch::new();
-    let trees = g
-        .node_ids()
-        .map(|n| Arc::new(single_source_csr(&csr, n, &mut scratch)))
-        .collect();
-    AllPairs::swept(trees, Arc::new(csr))
+    let table = AllPairs::lazy(g);
+    for from in g.node_ids() {
+        table.tree(from);
+    }
+    table
 }
 
 /// All-pairs variant built from the single-pass lexicographic Dijkstra —
@@ -1779,12 +1905,14 @@ mod tests {
     }
 
     /// `reweighted` is `fresh` in everything but the order of equal
-    /// bandwidths in `widest_first`, which only has to descend.
+    /// bandwidths in `widest_first`, which only has to descend; the
+    /// per-node order is fully specified, so it is `fresh`'s exactly.
     fn same_csr(reweighted: &QosCsr, fresh: &QosCsr) -> bool {
         let mut nodes = (0..fresh.node_count()).map(NodeIx::from_index);
         let mut slots = reweighted.widest_first.clone();
         slots.sort_unstable();
-        reweighted.bandwidth == fresh.bandwidth
+        reweighted.by_width == fresh.by_width
+            && reweighted.bandwidth == fresh.bandwidth
             && reweighted.latency == fresh.latency
             && reweighted.tails == fresh.tails
             && reweighted.slot_of == fresh.slot_of

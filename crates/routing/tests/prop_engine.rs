@@ -11,6 +11,10 @@
 //!   independent or aimed at the edges the batch before hit;
 //! * cutting k links in one batch and restoring them in the next returns the
 //!   original table;
+//! * a lazy table ([`AllPairs::lazy`]), read at random pairs in a random
+//!   order before and after a random lineage patched into it and into
+//!   `all_pairs`, answers every read, and a clone read in full every pair,
+//!   as the eager table does;
 //! * a lineage whose tables are read only in part between batches, so
 //!   patches plan over partly stale tables: every row read, and every row
 //!   once all are forced, is the rebuild's (QoS, path and hop count), and
@@ -770,6 +774,48 @@ proptest! {
         }
         assert_is_rebuild(&table, &g, &[])?;
         prop_assert_eq!(table.materialised(), table.len());
+    }
+
+    #[test]
+    fn a_lazy_table_read_in_any_order_is_the_eager_table(
+        g in graph_strategy(),
+        batches in proptest::collection::vec(batch_strategy(), 0..5),
+        reads in proptest::collection::vec((0usize..16, 0usize..16), 0..24),
+    ) {
+        // `AllPairs::lazy` sweeps nothing, and a read sweeps its row. The
+        // lazy table and `all_pairs` are patched by the same lineage; before
+        // it and after each batch the lazy one is read at random
+        // `(row, destination)` pairs, in the drawn order, through `qos` and
+        // `path`, so its patches plan over partly read tables, and a clone
+        // of it is read in full. Every read answers as the eager table does.
+        let mut g = g;
+        if g.edge_count() == 0 {
+            return Ok(());
+        }
+        let n = g.node_count();
+        let mut lazy = AllPairs::lazy(&g);
+        let mut eager = all_pairs(&g);
+        prop_assert_eq!(lazy.materialised(), 0);
+        prop_assert_eq!(eager.materialised(), n);
+        for stage in 0..=batches.len() {
+            if stage > 0 {
+                let changes = apply(&mut g, &batches[stage - 1]);
+                lazy = lazy.patched_with(&g, &changes, 1).0;
+                eager = eager.patched_with(&g, &changes, 1).0;
+            }
+            for &(u, v) in &reads {
+                let (u, v) = (NodeIx::from_index(u % n), NodeIx::from_index(v % n));
+                prop_assert_eq!(lazy.qos(u, v), eager.qos(u, v), "stage {}", stage);
+                prop_assert_eq!(lazy.path(u, v), eager.path(u, v), "stage {}", stage);
+            }
+            let whole = lazy.clone();
+            for u in g.node_ids() {
+                for v in g.node_ids() {
+                    prop_assert_eq!(whole.qos(u, v), eager.qos(u, v), "stage {}", stage);
+                    prop_assert_eq!(whole.path(u, v), eager.path(u, v), "stage {}", stage);
+                }
+            }
+        }
     }
 
     #[test]

@@ -737,6 +737,19 @@ mod tests {
         Arc::new(snapshot)
     }
 
+    /// [`random_snapshot`] with every row of its table read, as a table
+    /// that has served a while holds them: for the tests that count the
+    /// trees a flush cuts, restores or shares with the snapshot's.
+    fn read_snapshot(seed: u64) -> Arc<WorldSnapshot> {
+        let snapshot = random_snapshot(seed);
+        let table = snapshot.all_pairs();
+        for row in 0..table.len() {
+            table.tree(NodeIx::from_index(row));
+        }
+        assert_eq!(table.materialised(), table.len());
+        snapshot
+    }
+
     #[test]
     fn the_patched_table_is_the_table_of_the_clamped_graph() {
         // How the asks went, over all seeds: each shape must occur.
@@ -932,7 +945,7 @@ mod tests {
         // every tree neither patch dirtied is still the snapshot's own
         // allocation.
         for seed in 0..4u64 {
-            let snap = random_snapshot(seed);
+            let snap = read_snapshot(seed);
             let raw = snap.overlay_arc();
             let booking = a_booking(&raw, seed);
 
@@ -977,7 +990,7 @@ mod tests {
         // afterwards finds no differing edge, recomputes no tree and hands
         // back the snapshot's own trees.
         for seed in 0..4u64 {
-            let snap = random_snapshot(seed);
+            let snap = read_snapshot(seed);
             let raw = snap.overlay_arc();
             let booking = a_booking(&raw, seed);
 
@@ -1020,7 +1033,7 @@ mod tests {
         // kept tree is held as it is, so the released table holds the
         // snapshot's trees in every row and is still the rebuild's.
         for seed in 0..4u64 {
-            let snap = random_snapshot(seed);
+            let snap = read_snapshot(seed);
             let raw = snap.overlay_arc();
             let booking = links_out_of(&raw, 4, seed);
             let n = snap.all_pairs().len();
@@ -1069,7 +1082,7 @@ mod tests {
         // any other sweeps nothing. Each plane's table is its clamped
         // graph's, read in full once the lineage is done.
         for seed in 0..4u64 {
-            let snap = random_snapshot(seed);
+            let snap = read_snapshot(seed);
             let raw = snap.overlay_arc();
             let nodes: Vec<NodeIx> = raw.graph().node_ids().collect();
             let fits = |clamped: &OverlayGraph, u: NodeIx, v: NodeIx| {

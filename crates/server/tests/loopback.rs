@@ -192,7 +192,13 @@ fn concurrent_clients_match_the_centralized_result() {
 fn qos_mutations_patch_and_keep_the_hop_cache_warm() {
     // Residual routing ON (the default): each session is released before
     // the next mutation, so booked load never constrains the next solve.
-    let handle = serve(World::new(diamond_fixture()), &ServerConfig::default()).unwrap();
+    // Every row read before serving, so the patch below has trees to keep.
+    let fixture = diamond_fixture();
+    for u in fixture.overlay.graph().node_ids() {
+        fixture.all_pairs.tree(u);
+    }
+    assert_eq!(fixture.all_pairs.materialised(), fixture.all_pairs.len());
+    let handle = serve(World::new(fixture), &ServerConfig::default()).unwrap();
     let mut client = Client::connect(handle.addr()).unwrap();
 
     // Prime both caches.

@@ -82,6 +82,7 @@ mod tests {
     use rand::SeedableRng;
     use sflow_net::topology::{self, LinkProfile};
     use sflow_net::ServiceId;
+    use sflow_routing::DijkstraScratch;
 
     #[test]
     fn evolve_preserves_structure() {
@@ -142,7 +143,7 @@ mod tests {
             let hosts: Vec<_> = net.hosts().collect();
             let table = net.all_pairs();
             let between = |a, b| table.qos(net.node_of(a), net.node_of(b));
-            let priced = net.pair_qos(&hosts);
+            let priced = net.pair_qos(&hosts, &mut DijkstraScratch::new());
             for (i, &a) in hosts.iter().enumerate() {
                 for (j, &b) in hosts.iter().enumerate() {
                     assert_eq!(priced.qos(i, j), between(a, b), "{a} -> {b}");
